@@ -197,13 +197,13 @@ func BenchmarkAblationBatchVerify(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		vf := NewVerifier(kgc.Params())
-		if err := vf.BatchVerify(sk.Public(), msgs, sigs); err != nil {
+		bv := NewVerifier(kgc.Params()).Batch(BatchOptions{})
+		if err := bv.VerifySameSigner(sk.Public(), msgs, sigs); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("batch/%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := vf.BatchVerify(sk.Public(), msgs, sigs); err != nil {
+				if err := bv.VerifySameSigner(sk.Public(), msgs, sigs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -356,9 +356,9 @@ func BenchmarkAblationMultiSignerBatch(b *testing.B) {
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
-		vf := NewVerifier(kgc.Params())
+		bv := NewVerifier(kgc.Params()).Batch(BatchOptions{Weights: rng})
 		for i := 0; i < b.N; i++ {
-			if err := vf.VerifyBatchMulti(pks, msgs, sigs, rng); err != nil {
+			if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
 				b.Fatal(err)
 			}
 		}

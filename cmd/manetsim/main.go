@@ -122,15 +122,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *flows < 1 {
 		return fmt.Errorf("-flows %d: need at least 1 flow", *flows)
 	}
-	speedVals, err := parseSpeeds(*speeds)
+	speedVals, err := parseList(*speeds, "speed", 0, parseFloat)
 	if err != nil {
 		return err
 	}
-	churnVals, err := parseChurn(*churn)
+	churnVals, err := parseList(*churn, "churn count", -1, strconv.Atoi)
 	if err != nil {
 		return err
 	}
-	cityVals, err := parseNodes(*cityNodes)
+	cityVals, err := parseList(*cityNodes, "node count", 1, strconv.Atoi)
 	if err != nil {
 		return err
 	}
@@ -293,22 +293,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// parseSpeeds parses the -speeds list, rejecting malformed, non-positive
-// and duplicate entries — a duplicated speed would silently double-count a
-// sweep point, and a non-positive one is not a speed.
-func parseSpeeds(s string) ([]float64, error) {
-	var out []float64
-	seen := map[float64]bool{}
+// parseList parses a comma-separated axis flag (-speeds, -churn, -citynodes)
+// into distinct numbers strictly greater than `above`: a speed must be
+// positive, a node count at least 2 to form a network, and a churn count may
+// be zero (the fault-free baseline anchors that sweep). A duplicate would
+// silently double-count a sweep point.
+func parseList[T int | float64](s, what string, above T, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	seen := map[T]bool{}
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad speed %q: %w", part, err)
+			return nil, fmt.Errorf("bad %s %q: %w", what, part, err)
 		}
-		if v <= 0 {
-			return nil, fmt.Errorf("speed %q must be positive", part)
+		if v <= above {
+			return nil, fmt.Errorf("%s %q must be greater than %v", what, part, above)
 		}
 		if seen[v] {
-			return nil, fmt.Errorf("duplicate speed %g", v)
+			return nil, fmt.Errorf("duplicate %s %v", what, v)
 		}
 		seen[v] = true
 		out = append(out, v)
@@ -316,48 +318,4 @@ func parseSpeeds(s string) ([]float64, error) {
 	return out, nil
 }
 
-// parseNodes parses the -citynodes list under the same rules as parseSpeeds:
-// a node count below 2 cannot form a network, and a duplicate would silently
-// double-count a sweep point.
-func parseNodes(s string) ([]int, error) {
-	var out []int
-	seen := map[int]bool{}
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad node count %q: %w", part, err)
-		}
-		if v < 2 {
-			return nil, fmt.Errorf("node count %q must be at least 2", part)
-		}
-		if seen[v] {
-			return nil, fmt.Errorf("duplicate node count %d", v)
-		}
-		seen[v] = true
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseChurn parses the -churn list under the same rules as parseSpeeds,
-// except that zero is a valid (and important) point: the fault-free
-// baseline anchors the churn sweep.
-func parseChurn(s string) ([]int, error) {
-	var out []int
-	seen := map[int]bool{}
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad churn count %q: %w", part, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("churn count %q must be non-negative", part)
-		}
-		if seen[v] {
-			return nil, fmt.Errorf("duplicate churn count %d", v)
-		}
-		seen[v] = true
-		out = append(out, v)
-	}
-	return out, nil
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestParseSpeeds(t *testing.T) {
-	got, err := parseSpeeds("1, 5,10.5")
+	got, err := parseList("1, 5,10.5", "speed", 0, parseFloat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestParseSpeedsRejectsBadInput(t *testing.T) {
 		"all-negative": "-1,-5",
 	}
 	for name, input := range cases {
-		if _, err := parseSpeeds(input); err == nil {
+		if _, err := parseList(input, "speed", 0, parseFloat); err == nil {
 			t.Fatalf("%s: accepted %q", name, input)
 		}
 	}
@@ -69,7 +70,7 @@ func TestRunRequiresFigureSelection(t *testing.T) {
 }
 
 func TestParseNodes(t *testing.T) {
-	got, err := parseNodes("100, 500,2000")
+	got, err := parseList("100, 500,2000", "node count", 1, strconv.Atoi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestParseNodes(t *testing.T) {
 		"negative":  "-100",
 		"duplicate": "100,100",
 	} {
-		if _, err := parseNodes(input); err == nil {
+		if _, err := parseList(input, "node count", 1, strconv.Atoi); err == nil {
 			t.Fatalf("%s: accepted %q", name, input)
 		}
 	}
@@ -148,7 +149,7 @@ func TestRunFig9EndToEnd(t *testing.T) {
 }
 
 func TestParseChurn(t *testing.T) {
-	got, err := parseChurn("0, 2,4")
+	got, err := parseList("0, 2,4", "churn count", -1, strconv.Atoi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestParseChurn(t *testing.T) {
 		"duplicate": "2,2",
 		"float":     "1.5",
 	} {
-		if _, err := parseChurn(input); err == nil {
+		if _, err := parseList(input, "churn count", -1, strconv.Atoi); err == nil {
 			t.Fatalf("%s: accepted %q", name, input)
 		}
 	}

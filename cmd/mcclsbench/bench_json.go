@@ -164,7 +164,7 @@ func benchBatchSweep(vf *core.Verifier, kgc *core.KGC, rng *rand.Rand, sizes []i
 	}
 	// Warm the per-identity caches (Q_ID, e(P_pub, Q_ID)) — steady-state
 	// flood verification runs against known neighbors.
-	if err := vf.VerifyBatchMulti(pks[:signers], msgs[:signers], sigs[:signers], nil); err != nil {
+	if err := vf.Batch(core.BatchOptions{}).VerifyMulti(pks[:signers], msgs[:signers], sigs[:signers]); err != nil {
 		return nil, err
 	}
 	var sweep []batchSweepEntry

@@ -44,6 +44,7 @@ func run() error {
 	}
 
 	vf := mccls.NewVerifier(params)
+	batch := vf.Batch(mccls.BatchOptions{})
 
 	// One-by-one: n pairings.
 	start := time.Now()
@@ -56,7 +57,7 @@ func run() error {
 
 	// Batched: one pairing for the whole burst.
 	start = time.Now()
-	if err := vf.BatchVerify(sensor.Public(), msgs, sigs); err != nil {
+	if err := batch.VerifySameSigner(sensor.Public(), msgs, sigs); err != nil {
 		return err
 	}
 	batched := time.Since(start)
@@ -66,12 +67,13 @@ func run() error {
 	fmt.Printf("  batched:    %v (1 pairing)  → %.1fx faster\n",
 		batched.Round(time.Millisecond), float64(oneByOne)/float64(batched))
 
-	// A single corrupted reading poisons the whole batch — the gateway
-	// then falls back to one-by-one verification to locate it.
+	// A single corrupted reading fails the batch, and the engine's
+	// bisection names it — no one-by-one fallback needed.
 	msgs[7] = []byte("reading 07: temp=999.9C")
-	if err := vf.BatchVerify(sensor.Public(), msgs, sigs); err == nil {
+	err = batch.VerifySameSigner(sensor.Public(), msgs, sigs)
+	if err == nil {
 		return fmt.Errorf("tampered batch passed")
 	}
-	fmt.Println("tampered batch rejected ✓")
+	fmt.Printf("tampered batch rejected ✓ (offending readings: %v)\n", mccls.BatchOffenders(err))
 	return nil
 }

@@ -1,19 +1,12 @@
 // KGC service: enrolls a field node over the network — the deployment
 // shape a real CPS fleet uses (KGC at the depot, nodes enrolling before
-// going into the field). Two generations of the service are shown:
+// going into the field). The KGC is a threshold 2-of-3 kgcd deployment
+// (internal/kgcd): each signer replica holds one Shamir share of the master
+// secret, so no single server can forge partial keys, and the node talks to
+// the combiner through the kgcd client library.
 //
-//  1. The legacy single-master TCP protocol (length-prefixed frames),
-//     hardened against malicious peers: per-connection deadlines so a
-//     stalled peer cannot pin the server, and a frame-length cap checked
-//     before any allocation so a huge length prefix cannot balloon memory.
-//
-//  2. The production path: a threshold 2-of-3 kgcd deployment
-//     (internal/kgcd) where each signer replica holds one Shamir share of
-//     the master secret, driven through the kgcd client library. No
-//     single server can forge partial keys.
-//
-// In both cases the client validates the partial key against the received
-// parameters (catching a tampered or misdirected response), completes its
+// The client validates the partial key against the received parameters
+// (catching a tampered or misdirected response), completes its
 // certificateless keypair locally — the KGC never sees x — then signs a
 // message and verifies it as a third party would.
 //
@@ -22,11 +15,8 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"time"
 
 	"mccls"
@@ -40,105 +30,6 @@ func main() {
 }
 
 func run() error {
-	if err := legacyTCPDemo(); err != nil {
-		return fmt.Errorf("legacy TCP service: %w", err)
-	}
-	return thresholdDemo()
-}
-
-// --- Part 1: hardened legacy single-master TCP service -------------------
-
-// connDeadline bounds one enrollment exchange end to end; a peer that
-// stalls mid-frame is cut off instead of holding the connection forever.
-const connDeadline = 5 * time.Second
-
-// maxFrame caps a frame before any allocation. Identities and key
-// material are well under 4 KiB; anything larger is an attack or a bug.
-const maxFrame = 4 << 10
-
-func legacyTCPDemo() error {
-	kgc, err := mccls.Setup(nil)
-	if err != nil {
-		return err
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	fmt.Printf("legacy KGC listening on %s\n", ln.Addr())
-
-	serverErr := make(chan error, 1)
-	go func() { serverErr <- serveOne(ln, kgc) }()
-
-	if err := enrollTCPAndSign(ln.Addr().String()); err != nil {
-		return err
-	}
-	return <-serverErr
-}
-
-// serveOne handles a single enrollment request and returns.
-func serveOne(ln net.Listener, kgc *mccls.KGC) error {
-	conn, err := ln.Accept()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(connDeadline)); err != nil {
-		return err
-	}
-	idBytes, err := readFrame(conn)
-	if err != nil {
-		return fmt.Errorf("kgc: read identity: %w", err)
-	}
-	id := string(idBytes)
-	fmt.Printf("legacy KGC: extracting partial private key for %q\n", id)
-	ppk := kgc.ExtractPartialPrivateKey(id)
-	if err := writeFrame(conn, kgc.Params().Marshal()); err != nil {
-		return err
-	}
-	return writeFrame(conn, ppk.Marshal())
-}
-
-// enrollTCPAndSign enrolls against the legacy framed-TCP server.
-func enrollTCPAndSign(addr string) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(connDeadline)); err != nil {
-		return err
-	}
-
-	const id = "pump-station-9"
-	if err := writeFrame(conn, []byte(id)); err != nil {
-		return err
-	}
-	paramsRaw, err := readFrame(conn)
-	if err != nil {
-		return err
-	}
-	ppkRaw, err := readFrame(conn)
-	if err != nil {
-		return err
-	}
-
-	params, err := mccls.UnmarshalParams(paramsRaw)
-	if err != nil {
-		return fmt.Errorf("bad parameters from KGC: %w", err)
-	}
-	ppk, err := mccls.UnmarshalPartialPrivateKey(ppkRaw)
-	if err != nil {
-		return fmt.Errorf("bad partial key from KGC: %w", err)
-	}
-	return completeAndSign(params, ppk, id)
-}
-
-// --- Part 2: threshold kgcd over HTTP, via the client library ------------
-
-func thresholdDemo() error {
 	// All-in-one 2-of-3 on loopback: three signer replicas (each holding
 	// one Shamir share) plus the combiner, all real HTTP listeners.
 	cluster, err := kgcd.StartCluster(kgcd.ClusterConfig{T: 2, N: 3})
@@ -186,35 +77,4 @@ func completeAndSign(params *mccls.Params, ppk *mccls.PartialPrivateKey, id stri
 	}
 	fmt.Println("node: signed telemetry verified by a third party ✓")
 	return nil
-}
-
-// --- shared length-prefixed framing --------------------------------------
-
-// writeFrame sends one length-prefixed frame.
-func writeFrame(w io.Writer, data []byte) error {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(data)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-// readFrame receives one length-prefixed frame, rejecting oversized
-// lengths before allocating anything.
-func readFrame(r io.Reader) ([]byte, error) {
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(n[:])
-	if size > maxFrame {
-		return nil, fmt.Errorf("frame too large: %d > %d", size, maxFrame)
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

@@ -51,11 +51,6 @@ var (
 	// is multiplied by it to land in the order-r subgroup.
 	g2Cofactor = new(big.Int).Sub(new(big.Int).Lsh(P, 1), Order)
 
-	// finalExpHard is (p^4 - p^2 + 1)/r, the hard part of the final
-	// exponentiation (the easy part (p^6-1)(p^2+1) is applied via
-	// Frobenius maps and one inversion).
-	finalExpHard = computeFinalExpHard()
-
 	// xiVal is the sextic non-residue 9 + i used to build Fp12 over Fp2.
 	xiVal = Fp2{C0: fp.NewElement(9), C1: fp.NewElement(1)}
 
@@ -71,16 +66,6 @@ var (
 	// twist E': y^2 = x^3 + b' over Fp2.
 	twistB = computeTwistB()
 )
-
-// computeFinalExpHard returns (p^4 - p^2 + 1) / r. The division is exact for
-// BN curves; exactness is asserted by tests.
-func computeFinalExpHard() *big.Int {
-	p2 := new(big.Int).Mul(P, P)
-	p4 := new(big.Int).Mul(p2, p2)
-	e := new(big.Int).Sub(p4, p2)
-	e.Add(e, big.NewInt(1))
-	return e.Div(e, Order)
-}
 
 // computeFrobGamma returns xi^(j*(p-1)/6) in Fp2, the j-th Frobenius
 // coefficient for the w-power basis of Fp12.

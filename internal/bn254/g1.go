@@ -134,25 +134,12 @@ func (z *G1) Double(a *G1) *G1 {
 // Jacobian path defers to a single inversion at the end, and the GLV split
 // halves its doubling count again. The plain Jacobian ladder survives as
 // the differential oracle (g1ScalarMultJac, TestG1GLVMatchesJacobian), the
-// affine one as g1ScalarMultAffine (TestJacobianMatchesAffine); see
-// DESIGN.md §5–6.
+// affine one in oracle_test.go (TestJacobianMatchesAffine); see DESIGN.md
+// §5–6.
 func (z *G1) ScalarMult(a *G1, k *big.Int) *G1 {
 	opCounters.g1Mults.Add(1)
 	e := new(big.Int).Mod(k, Order)
 	return z.Set(g1ScalarMultGLV(a, e))
-}
-
-// g1ScalarMultAffine is the affine double-and-add reference ladder,
-// retained for differential tests against the Jacobian fast path.
-func g1ScalarMultAffine(a *G1, k *big.Int) *G1 {
-	acc := G1Infinity()
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.Double(acc)
-		if k.Bit(i) == 1 {
-			acc.Add(acc, a)
-		}
-	}
-	return acc
 }
 
 // ScalarBaseMult sets z = k·G where G is the canonical generator, using the

@@ -133,25 +133,11 @@ func (z *G2) Double(a *G2) *G2 {
 // scalarMultFull computes k·a for an arbitrary-width non-negative k, without
 // reducing modulo the group order. It is used for cofactor clearing and
 // subgroup checks, where k may legitimately exceed r. The heavy lifting is
-// a width-5 wNAF ladder (glv.go); the plain Jacobian ladder
-// (g2ScalarMultJac) and the affine ladder g2ScalarMultAffine remain as the
-// cross-checked references.
+// a width-5 wNAF ladder (glv.go), cross-checked against the plain Jacobian
+// and affine ladders in oracle_test.go.
 func (z *G2) scalarMultFull(a *G2, k *big.Int) *G2 {
 	opCounters.g2Mults.Add(1)
 	return z.Set(g2ScalarMultWNAF(a, k))
-}
-
-// g2ScalarMultAffine is the affine double-and-add reference ladder,
-// retained for differential tests against the Jacobian fast path.
-func g2ScalarMultAffine(a *G2, k *big.Int) *G2 {
-	acc := G2Infinity()
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.Double(acc)
-		if k.Bit(i) == 1 {
-			acc.Add(acc, a)
-		}
-	}
-	return acc
 }
 
 // ScalarMult sets z = k·a for points already in the order-r subgroup.

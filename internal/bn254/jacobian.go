@@ -12,7 +12,7 @@ import (
 // 254-bit scalar multiplication from ~380 inversions (each worth hundreds
 // of Montgomery multiplications) to one. All accumulator updates mutate in
 // place on value-type limbs, so the ladder itself does not allocate. The
-// affine ladders remain in g1.go/g2.go as the cross-checked reference
+// affine ladders in oracle_test.go are the cross-checked reference
 // (TestJacobianMatchesAffine).
 
 // g1Jac is a G1 point in Jacobian coordinates. Z = 0 encodes infinity.
@@ -328,21 +328,4 @@ func (j *g2Jac) addMixed(q *G2) {
 	z3.Sub(&z3, &z1z1)
 	z3.Sub(&z3, &hh)
 	j.x, j.y, j.z = x3, y3, z3
-}
-
-// g2ScalarMultJac computes k·a for any non-negative k (not reduced; used
-// for cofactor clearing and subgroup checks too).
-func g2ScalarMultJac(a *G2, k *big.Int) *G2 {
-	if a.Inf || k.Sign() == 0 {
-		return G2Infinity()
-	}
-	var acc g2Jac
-	acc.setInfinity()
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.double()
-		if k.Bit(i) == 1 {
-			acc.addMixed(a)
-		}
-	}
-	return acc.affine()
 }

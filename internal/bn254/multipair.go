@@ -17,8 +17,8 @@ package bn254
 // addition steps and one sparse multiplication per line (per pair) — the
 // amortization the op-count regression tests pin. Field arithmetic is
 // exact, so the lockstep product is byte-identical to the product of
-// per-pair millerLoop values; FuzzMillerLoopMultiVsSingle enforces this
-// against the per-pair oracle.
+// per-pair Miller values; FuzzMillerLoopMultiVsSingle enforces this against
+// the per-pair oracle in oracle_test.go.
 
 // MillerLoopMulti computes the unreduced product Π fⱼ of the optimal-ate
 // Miller values of the pairs (ps[j], qs[j]), running all doubling chains in

@@ -5,8 +5,12 @@ import "sync/atomic"
 // Operation counters for instrumentation: tests use them to verify that
 // the CLS schemes really perform the pairing/scalar-multiplication counts
 // the paper's Table 1 claims, rather than trusting static annotations.
-// Counting is always on (one atomic add per expensive operation — noise
-// against math/big arithmetic) and process-global, like expvar counters.
+// Counting is always on and process-global, like expvar counters: one
+// atomic add per counted operation, the finest-grained being a cyclotomic
+// squaring or a sparse line multiplication (tens of Montgomery
+// multiplications each). All workers share the counters, so concurrent
+// batches see each other's operations; scoping them to a Verifier or batch
+// run is a ROADMAP item.
 
 // OpCounts is a snapshot of the global operation counters.
 type OpCounts struct {

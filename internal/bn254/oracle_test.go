@@ -1,0 +1,194 @@
+package bn254
+
+import "math/big"
+
+// Reference implementations the differential tests and fuzzers compare the
+// production kernels against. None has a production caller, so they live
+// here and are compiled into test binaries only: the per-pair and affine
+// Miller loops (vs MillerLoopMulti), the square-and-multiply final
+// exponentiation (vs the Devegili–Scott–Dahab chain), and the affine and
+// plain-Jacobian scalar ladders (vs GLV / wNAF). g1ScalarMultJac stays in
+// jacobian.go: the GLV start-up cross-check calls it.
+
+// finalExpHard is (p^4 - p^2 + 1)/r, the hard part of the final
+// exponentiation (the easy part (p^6-1)(p^2+1) is applied via Frobenius
+// maps and one inversion).
+var finalExpHard = computeFinalExpHard()
+
+// fp12 expands the sparse line into a full Fp12 element (reference path).
+func (l *lineEval) fp12() *Fp12 {
+	z := &Fp12{}
+	z.C[0] = l.c0
+	z.C[1] = l.c1
+	z.C[3] = l.c3
+	return z
+}
+
+// doubleStep doubles t in place and returns the tangent line at t evaluated
+// at p (affine reference path, one Fp2 inversion per step).
+func doubleStep(t *G2, p *G1) *lineEval {
+	// lambda' = 3x²/(2y) on the twist.
+	var lambda, s, den Fp2
+	s.Square(&t.X)
+	lambda.Add(&s, &s)
+	lambda.Add(&lambda, &s)
+	den.Add(&t.Y, &t.Y)
+	lambda.Mul(&lambda, den.Inverse(&den))
+	l := lineAt(t, &lambda, p)
+
+	var x3, y3 Fp2
+	x3.Square(&lambda)
+	x3.Sub(&x3, &t.X)
+	x3.Sub(&x3, &t.X)
+	y3.Sub(&t.X, &x3)
+	y3.Mul(&y3, &lambda)
+	y3.Sub(&y3, &t.Y)
+	t.X, t.Y = x3, y3
+	return l
+}
+
+// addStep adds q to t in place and returns the chord line through (t, q)
+// evaluated at p. t and q must be distinct non-identity points with
+// different x (guaranteed along the ate loop for prime-order inputs).
+func addStep(t *G2, q *G2, p *G1) *lineEval {
+	var lambda, den Fp2
+	lambda.Sub(&q.Y, &t.Y)
+	den.Sub(&q.X, &t.X)
+	lambda.Mul(&lambda, den.Inverse(&den))
+	l := lineAt(t, &lambda, p)
+
+	var x3, y3 Fp2
+	x3.Square(&lambda)
+	x3.Sub(&x3, &t.X)
+	x3.Sub(&x3, &q.X)
+	y3.Sub(&t.X, &x3)
+	y3.Mul(&y3, &lambda)
+	y3.Sub(&y3, &t.Y)
+	t.X, t.Y = x3, y3
+	return l
+}
+
+// lineAt evaluates the line through the twist point t with twist-slope
+// lambda at the G1 point p. Under the untwist map (x, y) → (x·w², y·w³) the
+// line value is (-y_p) + (lambda·x_p)·w + (y_t - lambda·x_t)·w³.
+func lineAt(t *G2, lambda *Fp2, p *G1) *lineEval {
+	l := &lineEval{}
+	l.c1.MulScalar(lambda, &p.X)
+	l.c3.Mul(lambda, &t.X)
+	l.c3.Sub(&t.Y, &l.c3)
+	l.c0.C0.Neg(&p.Y)
+	l.c0.C1.SetZero()
+	return l
+}
+
+// millerLoop computes f_{6u+2,Q}(P) · l_{T,π(Q)}(P) · l_{T+π(Q),-π²(Q)}(P),
+// the unreduced optimal-ate pairing value, with a projective accumulator
+// and sparse line accumulation. The result differs from millerLoopNaive by
+// an Fp2 factor, which the final exponentiation removes; the differential
+// tests compare the two paths after reduction.
+func millerLoop(p *G1, q *G2) *Fp12 {
+	opCounters.pairings.Add(1)
+	var t g2Proj
+	t.fromAffine(q)
+	f := Fp12One()
+	var l lineEval
+	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
+		opCounters.millerSquarings.Add(1)
+		f.Square(f)
+		t.doubleStepProj(&l, p)
+		f.mulByLine(&l)
+		if ateLoopCount.Bit(i) == 1 {
+			t.addStepProj(&l, q, p)
+			f.mulByLine(&l)
+		}
+	}
+	q1 := new(G2).frobeniusTwist(q)
+	t.addStepProj(&l, q1, p)
+	f.mulByLine(&l)
+	q2 := new(G2).frobeniusTwist(q1)
+	q2.Neg(q2)
+	t.addStepProj(&l, q2, p)
+	f.mulByLine(&l)
+	return f
+}
+
+// millerLoopNaive is the affine reference Miller loop with dense Fp12 line
+// multiplication, retained as the differential oracle for the projective
+// sparse path.
+func millerLoopNaive(p *G1, q *G2) *Fp12 {
+	f := Fp12One()
+	t := new(G2).Set(q)
+	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
+		f.Mul(f, f)
+		f.Mul(f, doubleStep(t, p).fp12())
+		if ateLoopCount.Bit(i) == 1 {
+			f.Mul(f, addStep(t, q, p).fp12())
+		}
+	}
+	q1 := new(G2).frobeniusTwist(q)
+	f.Mul(f, addStep(t, q1, p).fp12())
+	q2 := new(G2).frobeniusTwist(q1)
+	q2.Neg(q2)
+	f.Mul(f, addStep(t, q2, p).fp12())
+	return f
+}
+
+// finalExponentiationNaive raises the easy-part result to the hard exponent
+// (p^4-p^2+1)/r by plain square-and-multiply. It is the reference
+// implementation the optimized path is tested against.
+func finalExponentiationNaive(f *Fp12) *Fp12 {
+	return new(Fp12).Exp(easyPart(f), finalExpHard)
+}
+
+// computeFinalExpHard returns (p^4 - p^2 + 1) / r. The division is exact for
+// BN curves; exactness is asserted by tests.
+func computeFinalExpHard() *big.Int {
+	p2 := new(big.Int).Mul(P, P)
+	p4 := new(big.Int).Mul(p2, p2)
+	e := new(big.Int).Sub(p4, p2)
+	e.Add(e, big.NewInt(1))
+	return e.Div(e, Order)
+}
+
+// g1ScalarMultAffine is the affine double-and-add reference ladder,
+// retained for differential tests against the Jacobian fast path.
+func g1ScalarMultAffine(a *G1, k *big.Int) *G1 {
+	acc := G1Infinity()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc.Double(acc)
+		if k.Bit(i) == 1 {
+			acc.Add(acc, a)
+		}
+	}
+	return acc
+}
+
+// g2ScalarMultAffine is the affine double-and-add reference ladder,
+// retained for differential tests against the Jacobian fast path.
+func g2ScalarMultAffine(a *G2, k *big.Int) *G2 {
+	acc := G2Infinity()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc.Double(acc)
+		if k.Bit(i) == 1 {
+			acc.Add(acc, a)
+		}
+	}
+	return acc
+}
+
+// g2ScalarMultJac computes k·a for any non-negative k (not reduced; used
+// for cofactor clearing and subgroup checks too).
+func g2ScalarMultJac(a *G2, k *big.Int) *G2 {
+	if a.Inf || k.Sign() == 0 {
+		return G2Infinity()
+	}
+	var acc g2Jac
+	acc.setInfinity()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc.double()
+		if k.Bit(i) == 1 {
+			acc.addMixed(a)
+		}
+	}
+	return acc.affine()
+}

@@ -68,15 +68,6 @@ type lineEval struct {
 	c3 Fp2
 }
 
-// fp12 expands the sparse line into a full Fp12 element (reference path).
-func (l *lineEval) fp12() *Fp12 {
-	z := &Fp12{}
-	z.C[0] = l.c0
-	z.C[1] = l.c1
-	z.C[3] = l.c3
-	return z
-}
-
 // mulByLine sets z = z·(c0 + c1·w + c3·w³) with the sparsity hard-coded:
 // 18 Fp2 products instead of a generic convolution plus zero tests, and no
 // intermediate Fp12 allocation. Each output coefficient accumulates its
@@ -84,8 +75,8 @@ func (l *lineEval) fp12() *Fp12 {
 // 12 reductions per line instead of 36. The xi factor that wrapped terms
 // pick up is applied to the (reduced, canonical) z coefficients up front,
 // which keeps every mulAcc operand within the bounds fp2Wide assumes.
-// The dense equivalent mul-by-l.fp12() is the oracle in the differential
-// tests.
+// The dense equivalent (expand the line to a full Fp12, then Mul) is the
+// oracle in the differential tests.
 func (z *Fp12) mulByLine(l *lineEval) *Fp12 {
 	opCounters.sparseMuls.Add(1)
 	// zXi[j] = xi·z.C[3+j], consumed by the w-wrap terms below.
@@ -116,9 +107,9 @@ func (z *Fp12) mulByLine(l *lineEval) *Fp12 {
 
 // g2Proj is the Miller-loop accumulator in homogeneous projective
 // coordinates (X : Y : Z), affine (X/Z, Y/Z). Unlike the affine
-// doubleStep/addStep oracle this needs no per-step Fp2 inversion — with
-// Montgomery arithmetic each of those cost a ~380-multiplication Fermat
-// ladder, which dominated the whole Miller loop.
+// doubleStep/addStep oracle (oracle_test.go) this needs no per-step Fp2
+// inversion — with Montgomery arithmetic each of those cost a
+// ~380-multiplication Fermat ladder, which dominated the whole Miller loop.
 type g2Proj struct {
 	x, y, z Fp2
 }
@@ -216,115 +207,6 @@ func (p *g2Proj) addStepProj(l *lineEval, q *G2, pt *G1) {
 	l.c3.Sub(&t, &t4)
 }
 
-// doubleStep doubles t in place and returns the tangent line at t evaluated
-// at p (affine reference path, one Fp2 inversion per step).
-func doubleStep(t *G2, p *G1) *lineEval {
-	// lambda' = 3x²/(2y) on the twist.
-	var lambda, s, den Fp2
-	s.Square(&t.X)
-	lambda.Add(&s, &s)
-	lambda.Add(&lambda, &s)
-	den.Add(&t.Y, &t.Y)
-	lambda.Mul(&lambda, den.Inverse(&den))
-	l := lineAt(t, &lambda, p)
-
-	var x3, y3 Fp2
-	x3.Square(&lambda)
-	x3.Sub(&x3, &t.X)
-	x3.Sub(&x3, &t.X)
-	y3.Sub(&t.X, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &t.Y)
-	t.X, t.Y = x3, y3
-	return l
-}
-
-// addStep adds q to t in place and returns the chord line through (t, q)
-// evaluated at p. t and q must be distinct non-identity points with
-// different x (guaranteed along the ate loop for prime-order inputs).
-func addStep(t *G2, q *G2, p *G1) *lineEval {
-	var lambda, den Fp2
-	lambda.Sub(&q.Y, &t.Y)
-	den.Sub(&q.X, &t.X)
-	lambda.Mul(&lambda, den.Inverse(&den))
-	l := lineAt(t, &lambda, p)
-
-	var x3, y3 Fp2
-	x3.Square(&lambda)
-	x3.Sub(&x3, &t.X)
-	x3.Sub(&x3, &q.X)
-	y3.Sub(&t.X, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &t.Y)
-	t.X, t.Y = x3, y3
-	return l
-}
-
-// lineAt evaluates the line through the twist point t with twist-slope
-// lambda at the G1 point p. Under the untwist map (x, y) → (x·w², y·w³) the
-// line value is (-y_p) + (lambda·x_p)·w + (y_t - lambda·x_t)·w³.
-func lineAt(t *G2, lambda *Fp2, p *G1) *lineEval {
-	l := &lineEval{}
-	l.c1.MulScalar(lambda, &p.X)
-	l.c3.Mul(lambda, &t.X)
-	l.c3.Sub(&t.Y, &l.c3)
-	l.c0.C0.Neg(&p.Y)
-	l.c0.C1.SetZero()
-	return l
-}
-
-// millerLoop computes f_{6u+2,Q}(P) · l_{T,π(Q)}(P) · l_{T+π(Q),-π²(Q)}(P),
-// the unreduced optimal-ate pairing value, with a projective accumulator
-// and sparse line accumulation. The result differs from millerLoopNaive by
-// an Fp2 factor, which the final exponentiation removes; the differential
-// tests compare the two paths after reduction.
-func millerLoop(p *G1, q *G2) *Fp12 {
-	opCounters.pairings.Add(1)
-	var t g2Proj
-	t.fromAffine(q)
-	f := Fp12One()
-	var l lineEval
-	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
-		opCounters.millerSquarings.Add(1)
-		f.Square(f)
-		t.doubleStepProj(&l, p)
-		f.mulByLine(&l)
-		if ateLoopCount.Bit(i) == 1 {
-			t.addStepProj(&l, q, p)
-			f.mulByLine(&l)
-		}
-	}
-	q1 := new(G2).frobeniusTwist(q)
-	t.addStepProj(&l, q1, p)
-	f.mulByLine(&l)
-	q2 := new(G2).frobeniusTwist(q1)
-	q2.Neg(q2)
-	t.addStepProj(&l, q2, p)
-	f.mulByLine(&l)
-	return f
-}
-
-// millerLoopNaive is the affine reference Miller loop with dense Fp12 line
-// multiplication, retained as the differential oracle for the projective
-// sparse path.
-func millerLoopNaive(p *G1, q *G2) *Fp12 {
-	f := Fp12One()
-	t := new(G2).Set(q)
-	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
-		f.Mul(f, f)
-		f.Mul(f, doubleStep(t, p).fp12())
-		if ateLoopCount.Bit(i) == 1 {
-			f.Mul(f, addStep(t, q, p).fp12())
-		}
-	}
-	q1 := new(G2).frobeniusTwist(q)
-	f.Mul(f, addStep(t, q1, p).fp12())
-	q2 := new(G2).frobeniusTwist(q1)
-	q2.Neg(q2)
-	f.Mul(f, addStep(t, q2, p).fp12())
-	return f
-}
-
 // easyPart computes f^((p^6-1)(p^2+1)), mapping f into the cyclotomic
 // subgroup where elements are unitary (x^(p^6) = x⁻¹).
 func easyPart(f *Fp12) *Fp12 {
@@ -334,21 +216,14 @@ func easyPart(f *Fp12) *Fp12 {
 	return t2.Mul(t2, t)
 }
 
-// finalExponentiationNaive raises the easy-part result to the hard exponent
-// (p^4-p^2+1)/r by plain square-and-multiply. It is the reference
-// implementation the optimized path is tested against.
-func finalExponentiationNaive(f *Fp12) *Fp12 {
-	return new(Fp12).Exp(easyPart(f), finalExpHard)
-}
-
 // finalExponentiation maps an unreduced Miller value to the order-r
 // cyclotomic subgroup: f^((p^12-1)/r). The hard part uses the
 // Devegili–Scott–Dahab addition chain for BN curves: three exponentiations
 // by the curve parameter u plus Frobenius maps and cheap unitary inversions
 // (conjugations). Past the easy part every value is unitary, so all
 // squarings — inside the u-exponentiations and in the chain itself — use
-// the Granger–Scott cyclotomic formulas. Equivalence with the naive path is
-// asserted by tests.
+// the Granger–Scott cyclotomic formulas. Equivalence with plain
+// square-and-multiply by (p^4-p^2+1)/r is asserted by tests.
 func finalExponentiation(f *Fp12) *Fp12 {
 	opCounters.finalExps.Add(1)
 	r := easyPart(f)
@@ -395,8 +270,7 @@ func finalExponentiation(f *Fp12) *Fp12 {
 
 // Pair computes the optimal-ate pairing e(p, q). Pairing with the identity
 // in either slot yields the identity of GT. It is a one-pair wrapper over
-// the lockstep multi-pairing kernel (see multipair.go); the per-pair
-// millerLoop survives as the differential oracle.
+// the lockstep multi-pairing kernel (see multipair.go).
 func Pair(p *G1, q *G2) *GT {
 	return PairMulti([]*G1{p}, []*G2{q})
 }

@@ -23,11 +23,10 @@ type BatchOptions struct {
 	Weights io.Reader
 }
 
-// BatchVerifier is the unified batch-verification engine for McCLS. All
-// batch entry points — Verifier.BatchVerify, Verifier.VerifyBatchMulti and
-// the schemes adapter — route through it. It layers the generic
-// chunk/parallel/bisect machinery of internal/batch over the two McCLS
-// aggregate equations:
+// BatchVerifier is the batch-verification engine for McCLS, obtained from
+// Verifier.Batch (the schemes adapter routes through it too). It layers the
+// generic chunk/parallel/bisect machinery of internal/batch over the two
+// McCLS aggregate equations:
 //
 //	same signer:  e(Σᵢ ρᵢ·Aᵢ, S) = e(P_pub, Q_ID)^Σρᵢ
 //	multi signer: Π e(ρᵢ·Aᵢ, Sᵢ) · e(-P_pub, Σ_ID (Σᵢ∈ID ρᵢ)·Q_ID) = 1

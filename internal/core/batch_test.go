@@ -136,15 +136,14 @@ func TestZeroChallengeHashRejected(t *testing.T) {
 	params.h2Override = func([]byte, *bn254.G1, *bn254.G1) *big.Int { return new(big.Int) }
 	vf := NewVerifier(params)
 	pk := sk.Public()
+	// Two-element windows, so the batch paths reach their own weighted
+	// precomputation instead of delegating a singleton to Verify.
+	pks, msgs, sigs := []*PublicKey{pk, pk}, [][]byte{msg, msg}, []*Signature{sig, sig}
+	bv := func() *BatchVerifier { return vf.Batch(BatchOptions{Weights: fixedSeed()}) }
 	paths := map[string]func() error{
-		"Verify":     func() error { return vf.Verify(pk, msg, sig) },
-		"VerifySpec": func() error { return vf.VerifySpec(pk, msg, sig) },
-		"BatchVerify": func() error {
-			return vf.BatchVerify(pk, [][]byte{msg}, []*Signature{sig})
-		},
-		"VerifyBatchMulti": func() error {
-			return vf.VerifyBatchMulti([]*PublicKey{pk}, [][]byte{msg}, []*Signature{sig}, fixedSeed())
-		},
+		"Verify":           func() error { return vf.Verify(pk, msg, sig) },
+		"VerifySameSigner": func() error { return bv().VerifySameSigner(pk, msgs, sigs) },
+		"VerifyMulti":      func() error { return bv().VerifyMulti(pks, msgs, sigs) },
 	}
 	for name, run := range paths {
 		t.Run(name, func(t *testing.T) {

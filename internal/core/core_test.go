@@ -54,6 +54,28 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	}
 }
 
+// verifySpec is the test oracle for Verify: the verification equation
+// exactly as written in the paper, e(V·P - h·R, h⁻¹·S) = e(P_pub, Q_ID),
+// with none of the fast path's rearrangement (no scalar folding into the
+// fixed-base pass, a real G2 scalar multiplication by h⁻¹).
+func verifySpec(vf *Verifier, pk *PublicKey, msg []byte, sig *Signature) error {
+	if err := checkShape(pk, sig); err != nil {
+		return err
+	}
+	h := vf.params.hashH2(msg, sig.R, pk.PID)
+	hInv, err := invertH2(h)
+	if err != nil {
+		return err
+	}
+	left := new(bn254.G1).ScalarBaseMult(sig.V)
+	left.Add(left, new(bn254.G1).Neg(new(bn254.G1).ScalarMult(sig.R, h)))
+	s := new(bn254.G2).ScalarMult(sig.S, hInv)
+	if !bn254.Pair(left, s).Equal(vf.rhs(pk.ID)) {
+		return ErrVerifyFailed
+	}
+	return nil
+}
+
 func TestVerifySpecAgreesWithFastPath(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "alice")
 	for i := 0; i < 4; i++ {
@@ -65,12 +87,12 @@ func TestVerifySpecAgreesWithFastPath(t *testing.T) {
 		if err := vf.Verify(sk.Public(), msg, sig); err != nil {
 			t.Fatalf("fast path rejected valid sig: %v", err)
 		}
-		if err := vf.VerifySpec(sk.Public(), msg, sig); err != nil {
+		if err := verifySpec(vf, sk.Public(), msg, sig); err != nil {
 			t.Fatalf("spec path rejected valid sig: %v", err)
 		}
 		// Both paths must also agree on rejection.
 		bad := &Signature{V: sig.V, S: sig.S, R: new(bn254.G1).ScalarBaseMult(big.NewInt(99))}
-		if vf.Verify(sk.Public(), msg, bad) == nil || vf.VerifySpec(sk.Public(), msg, bad) == nil {
+		if vf.Verify(sk.Public(), msg, bad) == nil || verifySpec(vf, sk.Public(), msg, bad) == nil {
 			t.Fatal("tampered signature accepted")
 		}
 	}
@@ -311,8 +333,9 @@ func TestPartialKeyMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchVerify(t *testing.T) {
+func TestVerifySameSigner(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "sensor-17")
+	bv := vf.Batch(BatchOptions{})
 	rng := fixedRand(30)
 	const n = 5
 	msgs := make([][]byte, n)
@@ -325,7 +348,7 @@ func TestBatchVerify(t *testing.T) {
 		}
 		sigs[i] = sig
 	}
-	if err := vf.BatchVerify(sk.Public(), msgs, sigs); err != nil {
+	if err := bv.VerifySameSigner(sk.Public(), msgs, sigs); err != nil {
 		t.Fatalf("valid batch rejected: %v", err)
 	}
 	// One tampered message must fail the whole batch.
@@ -333,7 +356,7 @@ func TestBatchVerify(t *testing.T) {
 	tampered[0] ^= 1
 	badMsgs := append([][]byte{}, msgs...)
 	badMsgs[2] = tampered
-	if err := vf.BatchVerify(sk.Public(), badMsgs, sigs); !errors.Is(err, ErrVerifyFailed) {
+	if err := bv.VerifySameSigner(sk.Public(), badMsgs, sigs); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("tampered batch accepted: %v", err)
 	}
 	// Mixed signers must be rejected structurally.
@@ -347,14 +370,14 @@ func TestBatchVerify(t *testing.T) {
 	}
 	mixed := append([]*Signature{}, sigs...)
 	mixed[0] = foreign
-	if err := vf.BatchVerify(sk.Public(), msgs, mixed); err == nil {
+	if err := bv.VerifySameSigner(sk.Public(), msgs, mixed); err == nil {
 		t.Fatal("batch with foreign S accepted")
 	}
 	// Length mismatch and empty batch.
-	if err := vf.BatchVerify(sk.Public(), msgs[:2], sigs); !errors.Is(err, ErrBatchMismatch) {
+	if err := bv.VerifySameSigner(sk.Public(), msgs[:2], sigs); !errors.Is(err, ErrBatchMismatch) {
 		t.Fatal("length mismatch not detected")
 	}
-	if err := vf.BatchVerify(sk.Public(), nil, nil); err != nil {
+	if err := bv.VerifySameSigner(sk.Public(), nil, nil); err != nil {
 		t.Fatal("empty batch should verify")
 	}
 }
@@ -409,13 +432,13 @@ func TestVerifyShapeErrors(t *testing.T) {
 	_ = kgc
 }
 
-func TestVerifyBatchMulti(t *testing.T) {
+func TestVerifyMulti(t *testing.T) {
 	rng := fixedRand(50)
 	kgc, err := Setup(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vf := NewVerifier(kgc.Params())
+	bv := NewVerifier(kgc.Params()).Batch(BatchOptions{Weights: rng})
 	const n = 4
 	pks := make([]*PublicKey, n)
 	msgs := make([][]byte, n)
@@ -432,26 +455,26 @@ func TestVerifyBatchMulti(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := vf.VerifyBatchMulti(pks, msgs, sigs, rng); err != nil {
+	if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
 		t.Fatalf("valid multi-signer batch rejected: %v", err)
 	}
 	// One tampered message fails the batch.
 	bad := append([][]byte{}, msgs...)
 	bad[2] = []byte("tampered")
-	if err := vf.VerifyBatchMulti(pks, bad, sigs, rng); !errors.Is(err, ErrVerifyFailed) {
+	if err := bv.VerifyMulti(pks, bad, sigs); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("tampered multi batch accepted: %v", err)
 	}
 	// Swapped signatures between signers fail.
 	swapped := append([]*Signature{}, sigs...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
-	if err := vf.VerifyBatchMulti(pks, msgs, swapped, rng); err == nil {
+	if err := bv.VerifyMulti(pks, msgs, swapped); err == nil {
 		t.Fatal("swapped signatures accepted")
 	}
 	// Length mismatch and empty batch.
-	if err := vf.VerifyBatchMulti(pks[:1], msgs, sigs, rng); !errors.Is(err, ErrBatchMismatch) {
+	if err := bv.VerifyMulti(pks[:1], msgs, sigs); !errors.Is(err, ErrBatchMismatch) {
 		t.Fatal("length mismatch not detected")
 	}
-	if err := vf.VerifyBatchMulti(nil, nil, nil, rng); err != nil {
+	if err := bv.VerifyMulti(nil, nil, nil); err != nil {
 		t.Fatal("empty batch should verify")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math/big"
 
 	"mccls/internal/bn254"
@@ -132,46 +131,4 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 		return ErrVerifyFailed
 	}
 	return nil
-}
-
-// VerifySpec runs the verification equation exactly as written in the
-// paper — e(V·P - h·R, h⁻¹·S) — without the fast path. It exists to
-// cross-check the optimization and for documentation value; Verify is
-// preferred.
-func (vf *Verifier) VerifySpec(pk *PublicKey, msg []byte, sig *Signature) error {
-	if err := checkShape(pk, sig); err != nil {
-		return err
-	}
-	h := vf.params.hashH2(msg, sig.R, pk.PID)
-	hInv, err := invertH2(h)
-	if err != nil {
-		return err
-	}
-	left := new(bn254.G1).ScalarBaseMult(sig.V)
-	left.Add(left, new(bn254.G1).Neg(new(bn254.G1).ScalarMult(sig.R, h)))
-	s := new(bn254.G2).ScalarMult(sig.S, hInv)
-	if !bn254.Pair(left, s).Equal(vf.rhs(pk.ID)) {
-		return ErrVerifyFailed
-	}
-	return nil
-}
-
-// BatchVerify checks n same-signer signatures with a single pairing. It is
-// a thin wrapper over the batch engine's same-signer path (randomized
-// weights, bisection on rejection) with default options; use
-// Verifier.Batch for control over workers, chunking and the weight source.
-// On rejection the returned error is a *batch.Error listing the offending
-// indices (unwrapping to ErrVerifyFailed); shape-invalid input is reported
-// directly with its shape error.
-func (vf *Verifier) BatchVerify(pk *PublicKey, msgs [][]byte, sigs []*Signature) error {
-	return vf.Batch(BatchOptions{}).VerifySameSigner(pk, msgs, sigs)
-}
-
-// VerifyBatchMulti checks signatures from *different* signers in one shot
-// through the batch engine (see BatchVerifier.VerifyMulti): one lockstep
-// multi-pairing per chunk, randomized weights, bisection on rejection.
-// Passing a nil reader uses crypto/rand for the weights. Kept for
-// compatibility; Verifier.Batch exposes the full engine.
-func (vf *Verifier) VerifyBatchMulti(pks []*PublicKey, msgs [][]byte, sigs []*Signature, rng io.Reader) error {
-	return vf.Batch(BatchOptions{Weights: rng}).VerifyMulti(pks, msgs, sigs)
 }

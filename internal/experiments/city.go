@@ -2,11 +2,7 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"time"
-
-	"mccls/internal/metrics"
-	"mccls/internal/runner"
 )
 
 // City-scale sweep: delivery and control overhead as the network grows from
@@ -36,18 +32,11 @@ type CityConfig struct {
 	Context      context.Context
 }
 
-func (cfg CityConfig) withDefaults() CityConfig {
+// sweep fills the engine in for the node-count axis, applying the city
+// defaults to the base scenario.
+func (cfg CityConfig) sweep() axisSweep[int] {
 	if len(cfg.Nodes) == 0 {
 		cfg.Nodes = []int{100, 200, 500}
-	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = 3
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Context == nil {
-		cfg.Context = context.Background()
 	}
 	if cfg.Base.Width == 0 {
 		cfg.Base.Width = 2000
@@ -67,105 +56,30 @@ func (cfg CityConfig) withDefaults() CityConfig {
 	if cfg.Base.RangeJitter == 0 {
 		cfg.Base.RangeJitter = 0.3
 	}
-	return cfg
-}
-
-// cityCurves compares the two stacks as the city grows.
-var cityCurves = []curve{
-	{"AODV", Plain, NoAttack},
-	{"McCLS", McCLSCost, NoAttack},
-}
-
-// runNodeSweeps expands every (curve, nodes, repeat) combination into one
-// flat trial batch, mirroring runSweeps along the node-count axis.
-// SweepResult.Speeds carries the node counts.
-func (cfg CityConfig) runNodeSweeps() ([]SweepResult, error) {
-	cfg = cfg.withDefaults()
-	axis := make([]float64, len(cfg.Nodes))
-	for i, n := range cfg.Nodes {
-		axis[i] = float64(n)
+	return axisSweep[int]{
+		base: cfg.Base, curves: baseline, run: Scenario.RunContext,
+		name: "n", axis: cfg.Nodes,
+		set:  func(sc *Scenario, n int) { sc.Nodes = n },
+		pool: pool{cfg.Repeats, cfg.Seed, cfg.Workers, cfg.TrialTimeout, cfg.Progress, cfg.Context},
 	}
-	trials := make([]runner.Trial[metrics.Summary], 0, len(cityCurves)*len(cfg.Nodes)*cfg.Repeats)
-	for _, c := range cityCurves {
-		for _, n := range cfg.Nodes {
-			for k := 0; k < cfg.Repeats; k++ {
-				sc := cfg.Base
-				sc.Nodes = n
-				sc.Security = c.sec
-				sc.Attack = c.atk
-				sc.Seed = cfg.Seed + int64(k)*7919
-				trials = append(trials, runner.Trial[metrics.Summary]{
-					Label: fmt.Sprintf("%s n=%d seed=%d", c.label, n, sc.Seed),
-					Run: func(ctx context.Context, obs *runner.Obs) (metrics.Summary, error) {
-						res, err := sc.RunContext(ctx)
-						observe(obs, res)
-						return res.Summary, err
-					},
-				})
-			}
-		}
-	}
-	sums, err := runner.Run(cfg.Context, runner.Options{
-		Workers:  cfg.Workers,
-		Timeout:  cfg.TrialTimeout,
-		Progress: cfg.Progress,
-	}, trials)
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]SweepResult, len(cityCurves))
-	idx := 0
-	for i := range cityCurves {
-		r := SweepResult{Speeds: axis}
-		for range cfg.Nodes {
-			agg := metrics.NewAggregate(sums[idx : idx+cfg.Repeats])
-			idx += cfg.Repeats
-			r.Aggregates = append(r.Aggregates, agg)
-			r.Summaries = append(r.Summaries, agg.Pooled)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// cityFigure projects the node-count sweep through one metric selector.
-func (cfg CityConfig) cityFigure(sel metricSel) ([]Series, error) {
-	results, err := cfg.runNodeSweeps()
-	if err != nil {
-		return nil, err
-	}
-	series := make([]Series, len(cityCurves))
-	for i, c := range cityCurves {
-		series[i] = results[i].series(c.label, sel)
-	}
-	return series, nil
 }
 
 // FigureCityPDR generates "Packet Delivery Ratio at city scale": delivery
 // for AODV vs McCLS as the Manhattan-grid network densifies.
 func FigureCityPDR(cfg CityConfig) (Figure, error) {
-	series, err := cfg.cityFigure(pdrSel)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+	return cfg.sweep().figure(pdrSel, Figure{
 		ID: "fig9", Title: "Packet Delivery Ratio at city scale",
 		XLabel: "nodes in field", YLabel: "packet delivery ratio",
-		XColumn: "nodes", Series: series,
-	}, nil
+		XColumn: "nodes",
+	})
 }
 
 // FigureCityOverhead generates "RREQ Ratio at city scale": the control
 // overhead each stack pays as route discovery floods grow with the network.
 func FigureCityOverhead(cfg CityConfig) (Figure, error) {
-	series, err := cfg.cityFigure(rreqSel)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+	return cfg.sweep().figure(rreqSel, Figure{
 		ID: "fig10", Title: "RREQ Ratio at city scale",
 		XLabel: "nodes in field", YLabel: "RREQ ratio",
-		XColumn: "nodes", Series: series,
-	}, nil
+		XColumn: "nodes",
+	})
 }

@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"mccls/internal/attack"
 	"mccls/internal/dsr"
 	"mccls/internal/metrics"
-	"mccls/internal/radio"
-	"mccls/internal/sim"
 	"mccls/internal/traffic"
 )
 
@@ -25,40 +22,28 @@ func (sc Scenario) RunDSR() (Result, error) {
 // RunDSRContext is RunDSR under a context; see Scenario.RunContext for the
 // cancellation semantics.
 func (sc Scenario) RunDSRContext(ctx context.Context) (Result, error) {
-	sc = sc.withDefaults()
-	s := sim.New(sc.Seed)
-	s.SetMaxEvents(sc.MaxEvents)
-	s.SetInterrupt(ctx.Err)
-
-	horizon := sc.Duration + 30*time.Second
-	mob, err := sc.buildMobility(horizon, s.Rand())
+	w, err := sc.setup(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	medium := radio.New(s, mob, sc.Radio)
-
-	attackers := map[int]bool{}
-	if sc.Attack != NoAttack {
-		for i := 0; i < sc.Attackers && i < sc.Nodes-2; i++ {
-			attackers[sc.Nodes-1-i] = true
-		}
-	}
-
+	sc = w.sc
 	if sc.OnlineEnrollment {
 		// The enrollment protocol is wired through the AODV node
 		// lifecycle only; failing beats silently running keyless.
 		return Result{}, fmt.Errorf("experiments: online enrollment is not supported on the DSR substrate")
 	}
-	auth, _, err := sc.buildAuth(rand.New(rand.NewSource(sc.Seed^0x647372)), attackers)
+	auth, _, err := sc.buildAuth(rand.New(rand.NewSource(sc.Seed^0x647372)), w.attackers)
 	if err != nil {
 		return Result{}, err
 	}
 
 	nodes := make([]*dsr.Node, sc.Nodes)
+	senders := make([]traffic.Sender, sc.Nodes)
 	for i := range nodes {
-		nodes[i] = dsr.NewNode(i, s, medium, dsr.Config{}, auth)
+		nodes[i] = dsr.NewNode(i, w.s, w.medium, dsr.Config{}, auth)
+		senders[i] = nodes[i]
 	}
-	for id := range attackers {
+	for id := range w.attackers {
 		switch sc.Attack {
 		case Blackhole:
 			attack.MakeDSRBlackhole(nodes[id])
@@ -66,33 +51,7 @@ func (sc Scenario) RunDSRContext(ctx context.Context) (Result, error) {
 			attack.MakeDSRRushing(nodes[id])
 		}
 	}
-
-	var honest []int
-	for i := 0; i < sc.Nodes; i++ {
-		if !attackers[i] {
-			honest = append(honest, i)
-		}
-	}
-	flows := traffic.RandomFlows(sc.Flows, honest, s.Rand())
-	senders := make([]traffic.Sender, len(nodes))
-	for i, nd := range nodes {
-		senders[i] = nd
-	}
-	traffic.StartCBR(s, senders, flows, traffic.CBRConfig{
-		Rate:        sc.Rate,
-		PacketBytes: sc.PacketBytes,
-		Start:       2 * time.Second,
-		Stop:        2*time.Second + sc.Duration,
-	})
-
-	s.Run(sc.Duration + 12*time.Second)
-	if err := s.Err(); err != nil {
-		return Result{}, fmt.Errorf("scenario aborted after %d events: %w", s.Processed(), err)
-	}
-	return Result{
-		Summary: collectDSR(nodes), Radio: medium.Stats, Events: s.Processed(),
-		PeakQueue: s.PeakQueue(), EventAllocs: s.EventAllocs(), Grid: medium.GridStats(),
-	}, nil
+	return w.drive(senders, func() metrics.Summary { return collectDSR(nodes) })
 }
 
 // collectDSR maps DSR counters onto the shared metrics summary (route
@@ -125,22 +84,13 @@ func collectDSR(nodes []*dsr.Node) metrics.Summary {
 // sweep points and repeats run concurrently on the trial pool.
 func FigureDSR(cfg SweepConfig) (Figure, error) {
 	curves := []curve{
-		{"DSR black hole", Plain, Blackhole},
-		{"DSR rushing", Plain, Rushing},
-		{"McCLS-DSR black hole", McCLSCost, Blackhole},
-		{"McCLS-DSR rushing", McCLSCost, Rushing},
+		{label: "DSR black hole", sec: Plain, atk: Blackhole},
+		{label: "DSR rushing", sec: Plain, atk: Rushing},
+		{label: "McCLS-DSR black hole", sec: McCLSCost, atk: Blackhole},
+		{label: "McCLS-DSR rushing", sec: McCLSCost, atk: Rushing},
 	}
-	results, err := cfg.runSweeps(curves, Scenario.RunDSRContext)
-	if err != nil {
-		return Figure{}, err
-	}
-	var series []Series
-	for i, c := range curves {
-		series = append(series, results[i].series(c.label, dropSel))
-	}
-	return Figure{
+	return cfg.sweep(curves, Scenario.RunDSRContext).figure(dropSel, Figure{
 		ID: "figDSR", Title: "Packet Drop Ratio (DSR extension)",
 		XLabel: "speed (m/s)", YLabel: "packet drop ratio",
-		Series: series,
-	}, nil
+	})
 }

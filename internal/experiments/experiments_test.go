@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mccls/internal/secrouting"
 	"mccls/internal/sim"
 )
 
@@ -381,6 +382,32 @@ func TestExplicitZeroSentinels(t *testing.T) {
 	}
 	if ghRes.PacketDropRatio() != 0 {
 		t.Fatalf("never-dropping gray hole dropped: %v", ghRes.PacketDropRatio())
+	}
+}
+
+// TestCryptoLatencyOverridesReachAuthenticator: Scenario.SignLatency and
+// VerifyLatency replace the secrouting defaults on both McCLS
+// authenticators; zero keeps the defaults.
+func TestCryptoLatencyOverridesReachAuthenticator(t *testing.T) {
+	payload := []byte("rreq")
+	for _, sec := range []SecurityMode{McCLSCost, McCLSReal} {
+		for _, tc := range []struct{ sign, verify, wantSign, wantVerify time.Duration }{
+			{0, 0, secrouting.DefaultSignLatency, secrouting.DefaultVerifyLatency},
+			{7 * time.Millisecond, 9 * time.Millisecond, 7 * time.Millisecond, 9 * time.Millisecond},
+		} {
+			sc := Scenario{Nodes: 2, Security: sec, SignLatency: tc.sign, VerifyLatency: tc.verify}.withDefaults()
+			auth, _, err := sc.buildAuth(rand.New(rand.NewSource(1)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag, d, err := auth.Sign(0, payload)
+			if err != nil || d != tc.wantSign {
+				t.Fatalf("%v: sign latency %v (err %v), want %v", sec, d, err, tc.wantSign)
+			}
+			if ok, d := auth.Verify(0, payload, tag); !ok || d != tc.wantVerify {
+				t.Fatalf("%v: verify ok=%v latency %v, want %v", sec, ok, d, tc.wantVerify)
+			}
+		}
 	}
 }
 

@@ -65,33 +65,44 @@ type SweepConfig struct {
 	Context context.Context
 }
 
-func (cfg SweepConfig) withDefaults() SweepConfig {
-	if len(cfg.Speeds) == 0 {
-		cfg.Speeds = []float64{1, 5, 10, 15, 20}
-	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = 3
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Context == nil {
-		cfg.Context = context.Background()
-	}
-	return cfg
-}
-
-// curve is one (label, security, attack) combination swept across the
-// speed axis.
+// curve is one labelled configuration swept across a figure's x-axis.
 type curve struct {
 	label string
 	sec   SecurityMode
-	atk   AttackMode
+	// atk overrides the base scenario's attack; the zero value keeps it.
+	atk AttackMode
+	// online turns on in-network enrollment for this curve.
+	online bool
 }
 
 // scenarioRunner abstracts the routing substrate (Scenario.RunContext for
 // AODV, Scenario.RunDSRContext for DSR) so one sweep engine serves both.
 type scenarioRunner func(Scenario, context.Context) (Result, error)
+
+// pool is the repeat and trial-pool plumbing every sweep config carries.
+type pool struct {
+	repeats  int
+	seed     int64
+	workers  int
+	timeout  time.Duration
+	progress func(TrialUpdate)
+	ctx      context.Context
+}
+
+// axisSweep is the sweep engine behind every figure: curves × axis × repeats
+// expand into one flat batch of trials, the batch fans out over the worker
+// pool, and the repeats fold back into per-point aggregates. SweepConfig,
+// CityConfig and ResilienceConfig each fill one in; they differ only in the
+// axis and in which Scenario field a point sets.
+type axisSweep[X int | float64] struct {
+	base   Scenario
+	curves []curve
+	name   string // axis name in trial labels
+	axis   []X
+	set    func(*Scenario, X)
+	run    scenarioRunner
+	pool
+}
 
 // observe copies a run's environment counters into the trial's
 // observability slot, where the pool folds them into progress updates.
@@ -105,25 +116,39 @@ func observe(obs *runner.Obs, res Result) {
 	obs.GridCandidates = res.Grid.Candidates
 }
 
-// runSweeps is the sweep engine: it expands every (curve, speed, repeat)
-// combination of a figure into one flat batch of trials, fans the batch out
-// over the worker pool, and folds the repeats back into per-point
-// aggregates — one SweepResult per curve, in curve order. Each trial is
-// fully determined by its scenario (all RNG streams derive from the
-// per-trial seed), so the fold is bit-identical at any worker count.
-func (cfg SweepConfig) runSweeps(curves []curve, run scenarioRunner) ([]SweepResult, error) {
-	cfg = cfg.withDefaults()
-	trials := make([]runner.Trial[metrics.Summary], 0, len(curves)*len(cfg.Speeds)*cfg.Repeats)
-	for _, c := range curves {
-		for _, speed := range cfg.Speeds {
-			for k := 0; k < cfg.Repeats; k++ {
-				sc := cfg.Base
-				sc.MaxSpeed = speed
+// results runs the sweep and returns one SweepResult per curve, in curve
+// order. Each trial is fully determined by its scenario (all RNG streams
+// derive from the per-trial seed), so the fold is bit-identical at any
+// worker count.
+func (sw axisSweep[X]) results() ([]SweepResult, error) {
+	if sw.repeats == 0 {
+		sw.repeats = 3
+	}
+	if sw.seed == 0 {
+		sw.seed = 1
+	}
+	if sw.ctx == nil {
+		sw.ctx = context.Background()
+	}
+	xs := make([]float64, len(sw.axis))
+	for i, x := range sw.axis {
+		xs[i] = float64(x)
+	}
+	run := sw.run
+	trials := make([]runner.Trial[metrics.Summary], 0, len(sw.curves)*len(sw.axis)*sw.repeats)
+	for _, c := range sw.curves {
+		for _, x := range sw.axis {
+			for k := 0; k < sw.repeats; k++ {
+				sc := sw.base
+				sw.set(&sc, x)
 				sc.Security = c.sec
-				sc.Attack = c.atk
-				sc.Seed = cfg.Seed + int64(k)*7919
+				if c.atk != 0 {
+					sc.Attack = c.atk
+				}
+				sc.OnlineEnrollment = sc.OnlineEnrollment || c.online
+				sc.Seed = sw.seed + int64(k)*7919
 				trials = append(trials, runner.Trial[metrics.Summary]{
-					Label: fmt.Sprintf("%s v=%g seed=%d", c.label, speed, sc.Seed),
+					Label: fmt.Sprintf("%s %s=%v seed=%d", c.label, sw.name, x, sc.Seed),
 					Run: func(ctx context.Context, obs *runner.Obs) (metrics.Summary, error) {
 						res, err := run(sc, ctx)
 						observe(obs, res)
@@ -133,22 +158,22 @@ func (cfg SweepConfig) runSweeps(curves []curve, run scenarioRunner) ([]SweepRes
 			}
 		}
 	}
-	sums, err := runner.Run(cfg.Context, runner.Options{
-		Workers:  cfg.Workers,
-		Timeout:  cfg.TrialTimeout,
-		Progress: cfg.Progress,
+	sums, err := runner.Run(sw.ctx, runner.Options{
+		Workers:  sw.workers,
+		Timeout:  sw.timeout,
+		Progress: sw.progress,
 	}, trials)
 	if err != nil {
 		return nil, err
 	}
 
-	out := make([]SweepResult, len(curves))
+	out := make([]SweepResult, len(sw.curves))
 	idx := 0
-	for i := range curves {
-		r := SweepResult{Speeds: cfg.Speeds}
-		for range cfg.Speeds {
-			agg := metrics.NewAggregate(sums[idx : idx+cfg.Repeats])
-			idx += cfg.Repeats
+	for i := range sw.curves {
+		r := SweepResult{Speeds: xs}
+		for range sw.axis {
+			agg := metrics.NewAggregate(sums[idx : idx+sw.repeats])
+			idx += sw.repeats
 			r.Aggregates = append(r.Aggregates, agg)
 			r.Summaries = append(r.Summaries, agg.Pooled)
 		}
@@ -157,8 +182,36 @@ func (cfg SweepConfig) runSweeps(curves []curve, run scenarioRunner) ([]SweepRes
 	return out, nil
 }
 
-// SweepResult holds one curve's statistics across the speed axis.
+// figure runs the sweep and fills f.Series with every curve projected
+// through sel.
+func (sw axisSweep[X]) figure(sel metricSel, f Figure) (Figure, error) {
+	results, err := sw.results()
+	if err != nil {
+		return Figure{}, err
+	}
+	for i, c := range sw.curves {
+		f.Series = append(f.Series, results[i].series(c.label, sel))
+	}
+	return f, nil
+}
+
+// sweep fills the engine in for the speed axis.
+func (cfg SweepConfig) sweep(curves []curve, run scenarioRunner) axisSweep[float64] {
+	if len(cfg.Speeds) == 0 {
+		cfg.Speeds = []float64{1, 5, 10, 15, 20}
+	}
+	return axisSweep[float64]{
+		base: cfg.Base, curves: curves, run: run,
+		name: "v", axis: cfg.Speeds,
+		set:  func(sc *Scenario, v float64) { sc.MaxSpeed = v },
+		pool: pool{cfg.Repeats, cfg.Seed, cfg.Workers, cfg.TrialTimeout, cfg.Progress, cfg.Context},
+	}
+}
+
+// SweepResult holds one curve's statistics across the swept axis.
 type SweepResult struct {
+	// Speeds is the x-axis: node speeds for SweepConfig, node counts for
+	// CityConfig, churn event counts for ResilienceConfig.
 	Speeds []float64
 	// Summaries pool the repeats of each point (traffic-weighted, what
 	// the figures plot).
@@ -171,7 +224,7 @@ type SweepResult struct {
 // Sweep runs the speed sweep for one (security, attack) combination; all
 // points and repeats execute concurrently on the trial pool.
 func (cfg SweepConfig) Sweep(sec SecurityMode, atk AttackMode) (SweepResult, error) {
-	results, err := cfg.runSweeps([]curve{{sec.String(), sec, atk}}, Scenario.RunContext)
+	results, err := cfg.sweep([]curve{{label: sec.String(), sec: sec, atk: atk}}, Scenario.RunContext).results()
 	if err != nil {
 		return SweepResult{}, err
 	}
@@ -212,102 +265,65 @@ func (r SweepResult) series(label string, sel metricSel) Series {
 	return s
 }
 
-// baseline is the no-attack AODV-vs-McCLS pair shared by Figures 1–4.
+// baseline is the no-attack AODV-vs-McCLS pair shared by Figures 1–4 and
+// the city-scale figures.
 var baseline = []curve{
-	{"AODV", Plain, NoAttack},
-	{"McCLS", McCLSCost, NoAttack},
+	{label: "AODV", sec: Plain, atk: NoAttack},
+	{label: "McCLS", sec: McCLSCost, atk: NoAttack},
 }
 
 // attacked is the 2-node black hole / rushing grid of Figures 4–5.
 var attacked = []curve{
-	{"AODV black hole", Plain, Blackhole},
-	{"AODV rushing", Plain, Rushing},
-	{"McCLS black hole", McCLSCost, Blackhole},
-	{"McCLS rushing", McCLSCost, Rushing},
-}
-
-// figure runs one batch of curves (all points and repeats concurrently) and
-// projects every curve through sel.
-func (cfg SweepConfig) figure(curves []curve, sel metricSel) ([]Series, error) {
-	results, err := cfg.runSweeps(curves, Scenario.RunContext)
-	if err != nil {
-		return nil, err
-	}
-	series := make([]Series, len(curves))
-	for i, c := range curves {
-		series[i] = results[i].series(c.label, sel)
-	}
-	return series, nil
+	{label: "AODV black hole", sec: Plain, atk: Blackhole},
+	{label: "AODV rushing", sec: Plain, atk: Rushing},
+	{label: "McCLS black hole", sec: McCLSCost, atk: Blackhole},
+	{label: "McCLS rushing", sec: McCLSCost, atk: Rushing},
 }
 
 // Figure1 regenerates "Packet Delivery Ratio" (no attack): AODV vs McCLS
 // across node speed.
 func Figure1(cfg SweepConfig) (Figure, error) {
-	series, err := cfg.figure(baseline, pdrSel)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+	return cfg.sweep(baseline, Scenario.RunContext).figure(pdrSel, Figure{
 		ID: "fig1", Title: "Packet Delivery Ratio",
 		XLabel: "speed (m/s)", YLabel: "packet delivery ratio",
-		Series: series,
-	}, nil
+	})
 }
 
 // Figure2 regenerates "RREQ Ratio" (no attack).
 func Figure2(cfg SweepConfig) (Figure, error) {
-	series, err := cfg.figure(baseline, rreqSel)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+	return cfg.sweep(baseline, Scenario.RunContext).figure(rreqSel, Figure{
 		ID: "fig2", Title: "RREQ Ratio",
 		XLabel: "speed (m/s)", YLabel: "RREQ ratio",
-		Series: series,
-	}, nil
+	})
 }
 
 // Figure3 regenerates "End-to-End Delay" (no attack); McCLS pays its
 // signature/verification latency per control hop.
 func Figure3(cfg SweepConfig) (Figure, error) {
-	series, err := cfg.figure(baseline, delaySel)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+	return cfg.sweep(baseline, Scenario.RunContext).figure(delaySel, Figure{
 		ID: "fig3", Title: "End-to-End Delay",
 		XLabel: "speed (m/s)", YLabel: "delay (ms)",
-		Series: series,
-	}, nil
+	})
 }
 
 // Figure4 regenerates "Packet Delivery Ratio under attack": the no-attack
 // baselines plus each protocol under 2-node black hole and rushing attacks,
 // all six curves in one concurrent batch.
 func Figure4(cfg SweepConfig) (Figure, error) {
-	series, err := cfg.figure(append(append([]curve{}, baseline...), attacked...), pdrSel)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+	curves := append(append([]curve{}, baseline...), attacked...)
+	return cfg.sweep(curves, Scenario.RunContext).figure(pdrSel, Figure{
 		ID: "fig4", Title: "Packet Delivery Ratio under attack",
 		XLabel: "speed (m/s)", YLabel: "packet delivery ratio",
-		Series: series,
-	}, nil
+	})
 }
 
 // Figure5 regenerates "Packet Drop Ratio": the fraction of sourced data
 // absorbed by the attackers for each protocol × attack combination.
 func Figure5(cfg SweepConfig) (Figure, error) {
-	series, err := cfg.figure(attacked, dropSel)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+	return cfg.sweep(attacked, Scenario.RunContext).figure(dropSel, Figure{
 		ID: "fig5", Title: "Packet Drop Ratio",
 		XLabel: "speed (m/s)", YLabel: "packet drop ratio",
-		Series: series,
-	}, nil
+	})
 }
 
 // Render formats a figure as an aligned text table, one row per speed;

@@ -2,11 +2,7 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"time"
-
-	"mccls/internal/metrics"
-	"mccls/internal/runner"
 )
 
 // Resilience sweep: the benign-failure counterpart of the attack figures.
@@ -37,18 +33,18 @@ type ResilienceConfig struct {
 	Context      context.Context
 }
 
-func (cfg ResilienceConfig) withDefaults() ResilienceConfig {
+// resilienceCurves pay for churn differently: AODV loses routes, McCLS also
+// loses keys and re-enrolls online. Neither sets an attack (Base's is kept).
+var resilienceCurves = []curve{
+	{label: "AODV", sec: Plain},
+	{label: "McCLS", sec: McCLSCost, online: true},
+}
+
+// sweep fills the engine in for the churn axis, applying the resilience
+// defaults to the base scenario.
+func (cfg ResilienceConfig) sweep() axisSweep[int] {
 	if len(cfg.Churn) == 0 {
 		cfg.Churn = []int{0, 1, 2, 3, 4}
-	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = 3
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Context == nil {
-		cfg.Context = context.Background()
 	}
 	if cfg.Base.Duration == 0 {
 		cfg.Base.Duration = 900 * time.Second
@@ -56,112 +52,31 @@ func (cfg ResilienceConfig) withDefaults() ResilienceConfig {
 	if cfg.Base.MaxSpeed == 0 {
 		cfg.Base.MaxSpeed = 5
 	}
-	return cfg
-}
-
-// resilienceCurve is one security configuration swept across the churn axis.
-type resilienceCurve struct {
-	label  string
-	sec    SecurityMode
-	online bool
-}
-
-var resilienceCurves = []resilienceCurve{
-	{"AODV", Plain, false},
-	{"McCLS", McCLSCost, true},
-}
-
-// runChurnSweeps expands every (curve, churn, repeat) combination into one
-// flat trial batch, mirroring SweepConfig.runSweeps but along the churn
-// axis. SweepResult.Speeds carries the churn counts.
-func (cfg ResilienceConfig) runChurnSweeps() ([]SweepResult, error) {
-	cfg = cfg.withDefaults()
-	axis := make([]float64, len(cfg.Churn))
-	for i, c := range cfg.Churn {
-		axis[i] = float64(c)
+	return axisSweep[int]{
+		base: cfg.Base, curves: resilienceCurves, run: Scenario.RunContext,
+		name: "churn", axis: cfg.Churn,
+		set:  func(sc *Scenario, events int) { sc.ChurnEvents = events },
+		pool: pool{cfg.Repeats, cfg.Seed, cfg.Workers, cfg.TrialTimeout, cfg.Progress, cfg.Context},
 	}
-	trials := make([]runner.Trial[metrics.Summary], 0, len(resilienceCurves)*len(cfg.Churn)*cfg.Repeats)
-	for _, c := range resilienceCurves {
-		for _, churn := range cfg.Churn {
-			for k := 0; k < cfg.Repeats; k++ {
-				sc := cfg.Base
-				sc.Security = c.sec
-				sc.OnlineEnrollment = c.online
-				sc.ChurnEvents = churn
-				sc.Seed = cfg.Seed + int64(k)*7919
-				trials = append(trials, runner.Trial[metrics.Summary]{
-					Label: fmt.Sprintf("%s churn=%d seed=%d", c.label, churn, sc.Seed),
-					Run: func(ctx context.Context, obs *runner.Obs) (metrics.Summary, error) {
-						res, err := sc.RunContext(ctx)
-						observe(obs, res)
-						return res.Summary, err
-					},
-				})
-			}
-		}
-	}
-	sums, err := runner.Run(cfg.Context, runner.Options{
-		Workers:  cfg.Workers,
-		Timeout:  cfg.TrialTimeout,
-		Progress: cfg.Progress,
-	}, trials)
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]SweepResult, len(resilienceCurves))
-	idx := 0
-	for i := range resilienceCurves {
-		r := SweepResult{Speeds: axis}
-		for range cfg.Churn {
-			agg := metrics.NewAggregate(sums[idx : idx+cfg.Repeats])
-			idx += cfg.Repeats
-			r.Aggregates = append(r.Aggregates, agg)
-			r.Summaries = append(r.Summaries, agg.Pooled)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// resilienceFigure projects the churn sweep through one metric selector.
-func (cfg ResilienceConfig) resilienceFigure(sel metricSel) ([]Series, error) {
-	results, err := cfg.runChurnSweeps()
-	if err != nil {
-		return nil, err
-	}
-	series := make([]Series, len(resilienceCurves))
-	for i, c := range resilienceCurves {
-		series[i] = results[i].series(c.label, sel)
-	}
-	return series, nil
 }
 
 // FigureResilience generates "Packet Delivery Ratio under churn": delivery
 // for plain AODV vs the full McCLS stack (online enrollment) as the number
 // of crash/restart events grows.
 func FigureResilience(cfg ResilienceConfig) (Figure, error) {
-	series, err := cfg.resilienceFigure(pdrSel)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+	return cfg.sweep().figure(pdrSel, Figure{
 		ID: "fig7", Title: "Packet Delivery Ratio under churn",
 		XLabel: "crash/restart events per run", YLabel: "packet delivery ratio",
-		XColumn: "churn", Series: series,
-	}, nil
+		XColumn: "churn",
+	})
 }
 
 // FigureResilienceOverhead generates "RREQ Ratio under churn": the control
 // overhead each stack pays to recover the routes churn destroys.
 func FigureResilienceOverhead(cfg ResilienceConfig) (Figure, error) {
-	series, err := cfg.resilienceFigure(rreqSel)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+	return cfg.sweep().figure(rreqSel, Figure{
 		ID: "fig8", Title: "RREQ Ratio under churn",
 		XLabel: "crash/restart events per run", YLabel: "RREQ ratio",
-		XColumn: "churn", Series: series,
-	}, nil
+		XColumn: "churn",
+	})
 }

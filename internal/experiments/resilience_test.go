@@ -104,12 +104,12 @@ func TestResilienceSweepWorkerInvariance(t *testing.T) {
 		Seed:    5,
 	}
 	cfg.Workers = 1
-	serial, err := cfg.runChurnSweeps()
+	serial, err := cfg.sweep().results()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	pooled, err := cfg.runChurnSweeps()
+	pooled, err := cfg.sweep().results()
 	if err != nil {
 		t.Fatal(err)
 	}

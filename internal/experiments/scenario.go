@@ -161,13 +161,6 @@ type Scenario struct {
 	// SignLatency and VerifyLatency override the injected crypto costs
 	// (0 selects the secrouting defaults). Ignored under Plain.
 	SignLatency, VerifyLatency time.Duration
-	// VerifyBatch models receivers that drain their verification queue in
-	// windows of this size through the batch engine: the per-packet verify
-	// latency becomes the amortized batch cost
-	// secrouting.DefaultVerifyCostModel().PerSignature(VerifyBatch).
-	// 0 or 1 keeps sequential verification; an explicit VerifyLatency
-	// override wins. Ignored under Plain.
-	VerifyBatch int
 
 	// Faults is an explicit fault schedule applied to the run: node
 	// crash/restart cycles, link and region outages, loss windows.
@@ -265,13 +258,22 @@ func (sc Scenario) Run() (Result, error) {
 	return sc.RunContext(context.Background())
 }
 
-// RunContext executes the scenario under a context: cancellation (or a
-// deadline) is polled by the simulator's interrupt hook and aborts the run
-// with the context's error.
-func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
+// world is the substrate-independent half of a run, shared by the AODV and
+// DSR entry points: the defaulted scenario, its simulator and medium, and
+// the attacker set.
+type world struct {
+	sc        Scenario
+	s         *sim.Simulator
+	medium    *radio.Medium
+	attackers map[int]bool
+}
+
+// setup builds the world: simulator, mobility, medium (with range jitter)
+// and the attacker set.
+func (sc Scenario) setup(ctx context.Context) (*world, error) {
 	sc = sc.withDefaults()
 	if sc.Nodes < 2 {
-		return Result{}, fmt.Errorf("experiments: %d nodes, need at least 2", sc.Nodes)
+		return nil, fmt.Errorf("experiments: %d nodes, need at least 2", sc.Nodes)
 	}
 	s := sim.New(sc.Seed)
 	s.SetMaxEvents(sc.MaxEvents)
@@ -280,7 +282,7 @@ func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
 	horizon := sc.Duration + 30*time.Second
 	mob, err := sc.buildMobility(horizon, s.Rand())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	medium := radio.New(s, mob, sc.Radio)
 	if sc.RangeJitter > 0 {
@@ -302,6 +304,47 @@ func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
 			attackers[sc.Nodes-1-i] = true
 		}
 	}
+	return &world{sc, s, medium, attackers}, nil
+}
+
+// drive starts CBR traffic between honest nodes, runs the simulator past
+// the traffic window so in-flight packets drain, and assembles the result
+// around the substrate's collected summary.
+func (w *world) drive(senders []traffic.Sender, collect func() metrics.Summary) (Result, error) {
+	sc, s := w.sc, w.s
+	var honest []int
+	for i := 0; i < sc.Nodes; i++ {
+		if !w.attackers[i] {
+			honest = append(honest, i)
+		}
+	}
+	flows := traffic.RandomFlows(sc.Flows, honest, s.Rand())
+	traffic.StartCBR(s, senders, flows, traffic.CBRConfig{
+		Rate:        sc.Rate,
+		PacketBytes: sc.PacketBytes,
+		Start:       2 * time.Second,
+		Stop:        2*time.Second + sc.Duration,
+	})
+
+	s.Run(sc.Duration + 12*time.Second)
+	if err := s.Err(); err != nil {
+		return Result{}, fmt.Errorf("scenario aborted after %d events: %w", s.Processed(), err)
+	}
+	return Result{
+		Summary: collect(), Radio: w.medium.Stats, Events: s.Processed(),
+		PeakQueue: s.PeakQueue(), EventAllocs: s.EventAllocs(), Grid: w.medium.GridStats(),
+	}, nil
+}
+
+// RunContext executes the scenario under a context: cancellation (or a
+// deadline) is polled by the simulator's interrupt hook and aborts the run
+// with the context's error.
+func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
+	w, err := sc.setup(ctx)
+	if err != nil {
+		return Result{}, err
+	}
+	sc, s, medium, attackers := w.sc, w.s, w.medium, w.attackers
 
 	// Crypto randomness is drawn from a stream separate from the
 	// simulation's, so McCLSReal and McCLSCost runs consume the simulator
@@ -313,8 +356,10 @@ func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	nodes := make([]*aodv.Node, sc.Nodes)
+	senders := make([]traffic.Sender, sc.Nodes)
 	for i := range nodes {
 		nodes[i] = aodv.NewNode(i, s, medium, sc.AODV, auth)
+		senders[i] = nodes[i]
 	}
 	for id := range attackers {
 		switch sc.Attack {
@@ -381,38 +426,11 @@ func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
 		fault.Apply(s, sched, fnodes, medium, hooks)
 	}
 
-	var honest []int
-	for i := 0; i < sc.Nodes; i++ {
-		if !attackers[i] {
-			honest = append(honest, i)
-		}
-	}
-	flows := traffic.RandomFlows(sc.Flows, honest, s.Rand())
-	senders := make([]traffic.Sender, len(nodes))
-	for i, nd := range nodes {
-		senders[i] = nd
-	}
-	traffic.StartCBR(s, senders, flows, traffic.CBRConfig{
-		Rate:        sc.Rate,
-		PacketBytes: sc.PacketBytes,
-		Start:       2 * time.Second,
-		Stop:        2*time.Second + sc.Duration,
-	})
-
-	// Run past the traffic window so in-flight packets drain.
-	s.Run(sc.Duration + 12*time.Second)
-	if err := s.Err(); err != nil {
-		return Result{}, fmt.Errorf("scenario aborted after %d events: %w", s.Processed(), err)
-	}
-
-	res := Result{
-		Summary: metrics.Collect(nodes), Radio: medium.Stats, Events: s.Processed(),
-		PeakQueue: s.PeakQueue(), EventAllocs: s.EventAllocs(), Grid: medium.GridStats(),
-	}
-	if enr != nil {
+	res, err := w.drive(senders, func() metrics.Summary { return metrics.Collect(nodes) })
+	if err == nil && enr != nil {
 		res.Enroll = enr.Totals()
 	}
-	return res, nil
+	return res, err
 }
 
 // buildMobility constructs the scenario's movement model. All models draw
@@ -445,18 +463,15 @@ func (sc Scenario) buildMobility(horizon time.Duration, rng *rand.Rand) (mobilit
 	}
 }
 
-// effectiveVerifyLatency resolves the per-packet verify latency: an
-// explicit VerifyLatency override wins, then a VerifyBatch window > 1
-// charges the amortized batch cost, and otherwise the model's sequential
-// default applies.
-func (sc Scenario) effectiveVerifyLatency(model secrouting.VerifyCostModel) time.Duration {
+// overrideLatencies applies the scenario's non-zero crypto cost overrides
+// to an authenticator's latency fields.
+func (sc Scenario) overrideLatencies(sign, verify *time.Duration) {
+	if sc.SignLatency != 0 {
+		*sign = sc.SignLatency
+	}
 	if sc.VerifyLatency != 0 {
-		return sc.VerifyLatency
+		*verify = sc.VerifyLatency
 	}
-	if sc.VerifyBatch > 1 {
-		return model.PerSignature(sc.VerifyBatch)
-	}
-	return model.Sequential
 }
 
 // buildAuth constructs the authenticator for the security mode. Without
@@ -477,20 +492,14 @@ func (sc Scenario) buildAuth(rng *rand.Rand, attackers map[int]bool) (aodv.Authe
 		return aodv.NullAuth{}, nil, nil
 	case McCLSCost:
 		m := secrouting.NewCostModelAuth()
-		if sc.SignLatency != 0 {
-			m.SignLatency = sc.SignLatency
-		}
-		m.VerifyLatency = sc.effectiveVerifyLatency(m.BatchModel)
+		sc.overrideLatencies(&m.SignLatency, &m.VerifyLatency)
 		a = m
 	case McCLSReal:
 		m, err := secrouting.NewMcCLSAuth(rng)
 		if err != nil {
 			return nil, nil, err
 		}
-		if sc.SignLatency != 0 {
-			m.SignLatency = sc.SignLatency
-		}
-		m.VerifyLatency = sc.effectiveVerifyLatency(m.BatchModel)
+		sc.overrideLatencies(&m.SignLatency, &m.VerifyLatency)
 		a = m
 	default:
 		return nil, nil, fmt.Errorf("experiments: unknown security mode %d", sc.Security)

@@ -131,12 +131,6 @@ func Verify(params *Params, id string, msg []byte, sig *Signature) error {
 // offending signatures and reports them via *batch.Error rather than
 // forcing the caller to re-verify one by one.
 func BatchVerify(params *Params, id string, msgs [][]byte, sigs []*Signature) error {
-	return BatchVerifyOpts(params, id, msgs, sigs, batch.Options{})
-}
-
-// BatchVerifyOpts is BatchVerify with explicit engine options (worker pool
-// bound and chunk width).
-func BatchVerifyOpts(params *Params, id string, msgs [][]byte, sigs []*Signature, opts batch.Options) error {
 	if len(msgs) != len(sigs) {
 		return ErrBatchMismatch
 	}
@@ -170,7 +164,7 @@ func BatchVerifyOpts(params *Params, id string, msgs [][]byte, sigs []*Signature
 			[]*bn254.G2{vSum, rhs},
 		)
 	}
-	bad, err := batch.Reject(n, opts, check, nil)
+	bad, err := batch.Reject(n, batch.Options{}, check, nil)
 	if err != nil {
 		return err
 	}

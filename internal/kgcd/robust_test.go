@@ -216,9 +216,12 @@ func TestHedgedFanOut(t *testing.T) {
 
 // TestGatherSurvivesMixedEpochs refreshes two of three replicas and leaves
 // one behind: the combiner must notice the epoch conflict, pull in the
-// third replica, and return a clean same-epoch quorum.
+// third replica, and return a clean same-epoch quorum. Hedging is off so the
+// mixed-epoch path is the only path: with the adaptive hedge, a loaded box
+// can fire the 5 ms spare before the lagging replica answers, the two
+// refreshed replicas complete a clean quorum, and no conflict is ever seen.
 func TestGatherSurvivesMixedEpochs(t *testing.T) {
-	comb, signers, kgc := startSignerDeployment(t, 2, 3, testMaster(43), Config{}, nil)
+	comb, signers, kgc := startSignerDeployment(t, 2, 3, testMaster(43), Config{HedgeDelay: -1}, nil)
 	deltas, err := threshold.RefreshDeltas(2, 3, 1, mrand.New(mrand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)

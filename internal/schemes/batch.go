@@ -49,11 +49,6 @@ func translateBatchErr(err error) error {
 // BatchVerify checks a multi-signer McCLS batch through the core engine:
 // one lockstep multi-pairing per chunk with per-identity G2 grouping.
 func (sys *mcclsSystem) BatchVerify(items []BatchItem) error {
-	return sys.BatchVerifyOpts(items, batch.Options{})
-}
-
-// BatchVerifyOpts is BatchVerify with explicit engine options.
-func (sys *mcclsSystem) BatchVerifyOpts(items []BatchItem, opts batch.Options) error {
 	n := len(items)
 	pks := make([]*core.PublicKey, n)
 	msgs := make([][]byte, n)
@@ -73,11 +68,7 @@ func (sys *mcclsSystem) BatchVerifyOpts(items []BatchItem, opts batch.Options) e
 		}
 		pks[i], msgs[i], sigs[i] = pk, it.Msg, sig
 	}
-	err := sys.vf.Batch(core.BatchOptions{
-		Workers:   opts.Workers,
-		ChunkSize: opts.ChunkSize,
-	}).VerifyMulti(pks, msgs, sigs)
-	return translateBatchErr(err)
+	return translateBatchErr(sys.vf.Batch(core.BatchOptions{}).VerifyMulti(pks, msgs, sigs))
 }
 
 // BatchVerify checks a multi-signer YHG batch. The per-signature equation
@@ -89,11 +80,6 @@ func (sys *mcclsSystem) BatchVerifyOpts(items []BatchItem, opts batch.Options) e
 // — 2 + (#distinct keys) pairings per chunk instead of 2 per signature,
 // evaluated as one lockstep multi-pairing.
 func (sys *yhgSystem) BatchVerify(items []BatchItem) error {
-	return sys.BatchVerifyOpts(items, batch.Options{})
-}
-
-// BatchVerifyOpts is BatchVerify with explicit engine options.
-func (sys *yhgSystem) BatchVerifyOpts(items []BatchItem, opts batch.Options) error {
 	n := len(items)
 	if n == 0 {
 		return nil
@@ -182,7 +168,7 @@ func (sys *yhgSystem) BatchVerifyOpts(items []BatchItem, opts batch.Options) err
 	checkOne := func(i int) bool {
 		return sys.Verify(items[i].ID, items[i].PublicKey, items[i].Msg, items[i].Sig) == nil
 	}
-	bad, err := batch.Reject(n, opts, check, checkOne)
+	bad, err := batch.Reject(n, batch.Options{}, check, checkOne)
 	if err != nil {
 		return err
 	}

@@ -55,6 +55,12 @@ type (
 	Signature = core.Signature
 	// Verifier checks signatures, caching per-identity pairing constants.
 	Verifier = core.Verifier
+	// BatchVerifier checks windows of signatures with one multi-pairing per
+	// chunk; obtain one from Verifier.Batch.
+	BatchVerifier = core.BatchVerifier
+	// BatchOptions configure Verifier.Batch (zero value: GOMAXPROCS workers,
+	// default chunk width, crypto/rand weights).
+	BatchOptions = core.BatchOptions
 )
 
 // Sentinel errors; match with errors.Is.
@@ -100,6 +106,10 @@ func Sign(params *Params, sk *PrivateKey, msg []byte, rng io.Reader) (*Signature
 
 // NewVerifier creates a verifier for the given system parameters.
 func NewVerifier(params *Params) *Verifier { return core.NewVerifier(params) }
+
+// BatchOffenders extracts the offending signature indices from a
+// BatchVerifier rejection (nil for nil or structural errors).
+func BatchOffenders(err error) []int { return core.BatchOffenders(err) }
 
 // Decoding helpers for material received over the wire; all validate group
 // membership.

@@ -3,6 +3,7 @@ package mccls_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,6 +74,18 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if err := vf.Verify(sk.Public(), msg, sig3); err != nil {
 		t.Fatal(err)
+	}
+
+	// The batch surface: one engine from Verifier.Batch, offenders by index.
+	var bv *mccls.BatchVerifier = vf.Batch(mccls.BatchOptions{})
+	pks := []*mccls.PublicKey{sk.Public(), sk.Public()}
+	sigs := []*mccls.Signature{sig, sig3}
+	if err := bv.VerifyMulti(pks, [][]byte{msg, msg}, sigs); err != nil {
+		t.Fatal(err)
+	}
+	err = bv.VerifyMulti(pks, [][]byte{msg, []byte("other")}, sigs)
+	if !errors.Is(err, mccls.ErrVerifyFailed) || !slices.Equal(mccls.BatchOffenders(err), []int{1}) {
+		t.Fatalf("tampered window: %v, offenders %v", err, mccls.BatchOffenders(err))
 	}
 }
 
