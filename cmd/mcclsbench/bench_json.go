@@ -230,6 +230,12 @@ func writeBenchJSON(path string, iters int, batchSizes []int) error {
 		return err
 	}
 
+	pairing := timeOp("pairing", iters, func() { bn254.Pair(p, q) })
+	// The unexported final exponentiation: a pairing minus its Miller loop.
+	finalExp := timeOp("final_exponentiation", iters, func() { bn254.MillerLoopMulti([]*bn254.G1{p}, []*bn254.G2{q}) })
+	finalExp.NsPerOp = pairing.NsPerOp - finalExp.NsPerOp
+	finalExp.MsPerOp = float64(finalExp.NsPerOp) / float64(time.Millisecond)
+
 	rep := benchReport{
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
@@ -237,10 +243,12 @@ func writeBenchJSON(path string, iters int, batchSizes []int) error {
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		FpKernel:  benchFpKernel(r),
 		Results: []benchEntry{
-			timeOp("pairing", iters, func() { bn254.Pair(p, q) }),
+			pairing,
+			finalExp,
 			timeOp("g1_scalar_mult", iters, func() { new(bn254.G1).ScalarMult(p, k2) }),
 			timeOp("g1_scalar_base_mult", iters, func() { new(bn254.G1).ScalarBaseMult(k2) }),
 			timeOp("g2_scalar_mult", iters, func() { new(bn254.G2).ScalarMult(q, k1) }),
+			timeOp("g2_subgroup_check", iters, func() { q.IsInSubgroup() }),
 			timeOp("hash_to_g1", iters, func() { bn254.HashToG1("bench", msg) }),
 			timeOp("hash_to_g2", iters, func() { bn254.HashToG2("bench", msg) }),
 			timeOp("gt_exp", iters, func() { new(bn254.GT).Exp(bn254.Pair(p, q), k1) }),

@@ -90,6 +90,17 @@ func BenchmarkG2ScalarMult(b *testing.B) {
 	}
 }
 
+func BenchmarkG2IsInSubgroup(b *testing.B) {
+	_, q := benchPoints(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !q.IsInSubgroup() {
+			b.Fatal("subgroup point rejected")
+		}
+	}
+}
+
 func BenchmarkHashToG1(b *testing.B) {
 	msg := []byte("benchmark message")
 	b.ResetTimer()

@@ -2,7 +2,6 @@ package bn254
 
 import (
 	"fmt"
-	"math/big"
 
 	"mccls/internal/bn254/fp"
 )
@@ -69,12 +68,10 @@ func (z *G1) UnmarshalCompressed(data []byte) error {
 	default:
 		return fmt.Errorf("%w: unknown prefix 0x%02x", ErrInvalidPoint, data[0])
 	}
-	xBig := new(big.Int).SetBytes(data[1:])
-	if xBig.Cmp(P) >= 0 {
+	var x, rhs, y fp.Element
+	if !x.SetBytesCanonical(data[1:]) {
 		return fmt.Errorf("%w: x out of range", ErrInvalidPoint)
 	}
-	var x, rhs, y fp.Element
-	x.SetBigInt(xBig)
 	rhs.Square(&x)
 	rhs.Mul(&rhs, &x)
 	rhs.Add(&rhs, &curveB)
@@ -124,26 +121,24 @@ func (z *G2) UnmarshalCompressed(data []byte) error {
 	default:
 		return fmt.Errorf("%w: unknown prefix 0x%02x", ErrInvalidPoint, data[0])
 	}
-	c0 := new(big.Int).SetBytes(data[1:33])
-	c1 := new(big.Int).SetBytes(data[33:])
-	if c0.Cmp(P) >= 0 || c1.Cmp(P) >= 0 {
+	var cand G2
+	x, y := &cand.X, &cand.Y
+	if !x.C0.SetBytesCanonical(data[1:33]) || !x.C1.SetBytesCanonical(data[33:]) {
 		return fmt.Errorf("%w: x out of range", ErrInvalidPoint)
 	}
-	x := fp2FromBig(c0, c1)
-	var rhs, y Fp2
+	var rhs Fp2
 	rhs.Square(x)
 	rhs.Mul(&rhs, x)
 	rhs.Add(&rhs, twistB)
 	if y.Sqrt(&rhs) == nil {
 		return fmt.Errorf("%w: x not on twist curve", ErrInvalidPoint)
 	}
-	if fp2IsNeg(&y) != (data[0] == prefixOddY) {
-		y.Neg(&y)
+	if fp2IsNeg(y) != (data[0] == prefixOddY) {
+		y.Neg(y)
 	}
-	cand := &G2{X: *x, Y: y}
 	if !cand.IsInSubgroup() {
 		return fmt.Errorf("%w: G2 point not in subgroup", ErrInvalidPoint)
 	}
-	z.Set(cand)
+	z.Set(&cand)
 	return nil
 }

@@ -44,36 +44,44 @@ var (
 	// pairing on BN curves.
 	ateLoopCount = new(big.Int).Add(new(big.Int).Mul(big.NewInt(6), u), big.NewInt(2))
 
+	// uNAF (the non-adjacent form of u) drives the G2 subgroup check,
+	// sixUSquared = 6u² = t - 1 (t the trace of Frobenius) the cofactor clearing.
+	uNAF        = nafDigits(u)
+	sixUSquared = new(big.Int).Mul(big.NewInt(6), new(big.Int).Mul(u, u))
+
 	// curveB is the G1 curve coefficient: E: y^2 = x^3 + 3.
 	curveB = fp.NewElement(3)
-
-	// g2Cofactor is #E'(Fp2)/r = 2p - r for BN curves. Hash-to-G2 output
-	// is multiplied by it to land in the order-r subgroup.
-	g2Cofactor = new(big.Int).Sub(new(big.Int).Lsh(P, 1), Order)
 
 	// xiVal is the sextic non-residue 9 + i used to build Fp12 over Fp2.
 	xiVal = Fp2{C0: fp.NewElement(9), C1: fp.NewElement(1)}
 
-	// xiToPMinus1Over6 is xi^((p-1)/6) with xi = 9 + i; the w-coefficient
-	// Frobenius constant of Fp12 = Fp2[w]/(w^6 - xi).
-	xiToPMinus1Over6 = computeFrobGamma(1)
+	// frobGamma[n-1][k-1] = xi^(k(p^n-1)/6) for n = 1..3, k = 1..5: what the
+	// w^k coefficient of Fp12 = Fp2[w]/(w^6 - xi) picks up under x ↦ x^(p^n).
+	// The n = 2 row lies in Fp (the norms of the n = 1 row).
+	frobGamma = computeFrobGamma()
 	// xiToPMinus1Over3 = xi^((p-1)/3): used by the twist Frobenius on x.
-	xiToPMinus1Over3 = computeFrobGamma(2)
+	xiToPMinus1Over3 = &frobGamma[0][1]
 	// xiToPMinus1Over2 = xi^((p-1)/2): used by the twist Frobenius on y.
-	xiToPMinus1Over2 = computeFrobGamma(3)
+	xiToPMinus1Over2 = &frobGamma[0][2]
 
 	// twistB is the G2 curve coefficient b' = 3/xi of the D-type sextic
 	// twist E': y^2 = x^3 + b' over Fp2.
 	twistB = computeTwistB()
 )
 
-// computeFrobGamma returns xi^(j*(p-1)/6) in Fp2, the j-th Frobenius
-// coefficient for the w-power basis of Fp12.
-func computeFrobGamma(j int) *Fp2 {
-	exp := new(big.Int).Sub(P, big.NewInt(1))
-	exp.Mul(exp, big.NewInt(int64(j)))
-	exp.Div(exp, big.NewInt(6))
-	return new(Fp2).Exp(xi(), exp)
+// computeFrobGamma derives the Frobenius constant table: one
+// exponentiation per row, the rest of the row by successive products.
+func computeFrobGamma() (tab [3][5]Fp2) {
+	pn := big.NewInt(1)
+	for n := range tab {
+		pn.Mul(pn, P)
+		exp := new(big.Int).Sub(pn, big.NewInt(1))
+		tab[n][0].Exp(xi(), exp.Div(exp, big.NewInt(6)))
+		for k := 1; k < len(tab[n]); k++ {
+			tab[n][k].Mul(&tab[n][k-1], &tab[n][0])
+		}
+	}
+	return tab
 }
 
 // xi returns the sextic non-residue 9 + i.

@@ -14,6 +14,7 @@
 package fp
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -85,14 +86,15 @@ func mustDecimal(s string) *big.Int {
 func bigToLimbs(v *big.Int) Element {
 	var buf [32]byte
 	v.FillBytes(buf[:])
-	var e Element
-	for i := 0; i < 4; i++ {
-		e[i] = uint64(buf[31-8*i]) | uint64(buf[30-8*i])<<8 |
-			uint64(buf[29-8*i])<<16 | uint64(buf[28-8*i])<<24 |
-			uint64(buf[27-8*i])<<32 | uint64(buf[26-8*i])<<40 |
-			uint64(buf[25-8*i])<<48 | uint64(buf[24-8*i])<<56
+	return limbsFromBytes(buf[:])
+}
+
+// limbsFromBytes reads 32 big-endian bytes as little-endian limbs.
+func limbsFromBytes(b []byte) Element {
+	return Element{
+		binary.BigEndian.Uint64(b[24:32]), binary.BigEndian.Uint64(b[16:24]),
+		binary.BigEndian.Uint64(b[8:16]), binary.BigEndian.Uint64(b[0:8]),
 	}
-	return e
 }
 
 // init cross-checks every hand-written constant against values derived
@@ -165,17 +167,25 @@ func (z *Element) SetBigInt(v *big.Int) *Element {
 	return z.Mul(z, &rSquare)
 }
 
+// SetBytesCanonical sets z to the element whose big-endian encoding is b and
+// reports whether b is canonical: exactly 32 bytes holding a value below q.
+// On failure z is left untouched. The decode-boundary inverse of Bytes.
+func (z *Element) SetBytesCanonical(b []byte) bool {
+	if len(b) != 32 {
+		return false
+	}
+	t := limbsFromBytes(b)
+	r := t
+	if r.reduce(); r != t { // reduce subtracts q exactly when t ≥ q
+		return false
+	}
+	z.Mul(&t, &rSquare)
+	return true
+}
+
 // BigInt returns z as a canonical big.Int in [0, q). Not constant time.
 func (z *Element) BigInt() *big.Int {
-	t := *z
-	t.fromMont()
-	var buf [32]byte
-	for i := 0; i < 4; i++ {
-		limb := t[i]
-		for j := 0; j < 8; j++ {
-			buf[31-8*i-j] = byte(limb >> (8 * j))
-		}
-	}
+	buf := z.Bytes()
 	return new(big.Int).SetBytes(buf[:])
 }
 

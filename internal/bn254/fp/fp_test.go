@@ -45,6 +45,50 @@ func TestRoundTripBigInt(t *testing.T) {
 	}
 }
 
+// TestSetBytesCanonical pins the decode-boundary setter against math/big:
+// it accepts exactly the 32-byte encodings of values below q, agrees with
+// SetBigInt on those, leaves the receiver alone otherwise, and allocates
+// nothing.
+func TestSetBytesCanonical(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	max256 := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+	vals := append(edgeValues(), qBig, new(big.Int).Add(qBig, big.NewInt(1)), max256,
+		new(big.Int).Add(qBig, new(big.Int).Lsh(big.NewInt(1), 64)))
+	for i := 0; i < 200; i++ {
+		vals = append(vals, new(big.Int).Rand(r, max256))
+	}
+	for _, v := range vals {
+		var buf [32]byte
+		v.FillBytes(buf[:])
+		e := NewElement(5)
+		ok := e.SetBytesCanonical(buf[:])
+		if want := v.Cmp(qBig) < 0; ok != want {
+			t.Fatalf("SetBytesCanonical(%v) = %v, want %v", v, ok, want)
+		}
+		if !ok {
+			if five := NewElement(5); !e.Equal(&five) {
+				t.Fatalf("rejected input %v clobbered the receiver", v)
+			}
+			continue
+		}
+		var want Element
+		want.SetBigInt(v)
+		if !e.Equal(&want) || e.Bytes() != buf {
+			t.Fatalf("SetBytesCanonical(%v) decoded to %v", v, e.String())
+		}
+	}
+	var e Element
+	for _, n := range []int{0, 31, 33, 64} {
+		if e.SetBytesCanonical(make([]byte, n)) {
+			t.Fatalf("accepted a %d-byte encoding", n)
+		}
+	}
+	one := e.SetOne().Bytes()
+	if a := testing.AllocsPerRun(100, func() { e.SetBytesCanonical(one[:]) }); a != 0 {
+		t.Fatalf("SetBytesCanonical allocates %v times", a)
+	}
+}
+
 func TestArithmeticMatchesBigInt(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	pairs := [][2]*big.Int{}

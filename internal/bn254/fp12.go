@@ -233,24 +233,30 @@ func (z *Fp12) MulFp2(x *Fp12, k *Fp2) *Fp12 {
 	return z.Set(&res)
 }
 
-// Frobenius sets z = x^p. On the w-power basis this is coefficient-wise
-// conjugation times gamma^k where gamma = xi^((p-1)/6).
-func (z *Fp12) Frobenius(x *Fp12) *Fp12 {
-	var res Fp12
-	pow := *Fp2One()
-	for k := 0; k < 6; k++ {
-		res.C[k].Conjugate(&x.C[k])
-		res.C[k].Mul(&res.C[k], &pow)
-		pow.Mul(&pow, xiToPMinus1Over6)
-	}
-	return z.Set(&res)
-}
+// Frobenius sets z = x^p.
+func (z *Fp12) Frobenius(x *Fp12) *Fp12 { return z.FrobeniusN(x, 1) }
 
-// FrobeniusN sets z = x^(p^n) by repeated application of Frobenius.
+// FrobeniusN sets z = x^(p^n) for n ≥ 0, in steps of p^s with s ≤ 3. On the
+// w-power basis a step is coefficient-wise, C_k ↦ conj^s(C_k)·frobGamma[s-1][k-1];
+// for s = 2 the conjugations cancel and the constants lie in Fp, so a
+// coefficient costs two base-field multiplications instead of three.
 func (z *Fp12) FrobeniusN(x *Fp12, n int) *Fp12 {
 	z.Set(x)
-	for i := 0; i < n; i++ {
-		z.Frobenius(z)
+	for ; n > 0; n -= 3 {
+		s := min(n, 3)
+		for k := range z.C {
+			c := &z.C[k]
+			if s != 2 {
+				c.Conjugate(c)
+			}
+			switch {
+			case k == 0:
+			case s == 2:
+				c.MulScalar(c, &frobGamma[1][k-1].C0)
+			default:
+				c.Mul(c, &frobGamma[s-1][k-1])
+			}
+		}
 	}
 	return z
 }
@@ -280,8 +286,14 @@ func (z *Fp12) Inverse(x *Fp12) *Fp12 {
 }
 
 // Conjugate sets z = x^(p^6), which for unitary elements (the cyclotomic
-// subgroup GT lives in) equals x⁻¹.
-func (z *Fp12) Conjugate(x *Fp12) *Fp12 { return z.FrobeniusN(x, 6) }
+// subgroup GT lives in) equals x⁻¹: the map fixes Fp2 and sends w to -w.
+func (z *Fp12) Conjugate(x *Fp12) *Fp12 {
+	z.Set(x)
+	for k := 1; k < 6; k += 2 {
+		z.C[k].Neg(&z.C[k])
+	}
+	return z
+}
 
 // Exp sets z = x^e for a non-negative integer exponent e.
 func (z *Fp12) Exp(x *Fp12, e *big.Int) *Fp12 {

@@ -1,0 +1,305 @@
+package bn254
+
+import (
+	"bytes"
+	"fmt"
+	"math/big"
+	"testing"
+)
+
+// Tests for the p-power Frobenius shortcuts: the ψ-based G2 subgroup check
+// and cofactor clearing, the G2 GLV ladder and the tabulated Fp12 Frobenius,
+// each against the full-width form it replaced (oracle_test.go).
+
+// firstTwistPoint returns the first try-and-increment candidate for seed: a
+// point of E'(Fp2) that has had no cofactor cleared.
+func firstTwistPoint(seed []byte) *G2 {
+	for ctr := uint32(0); ; ctr++ {
+		if q := hashToTwist("frobenius-test", seed, ctr); q != nil {
+			return q
+		}
+	}
+}
+
+// smallCofactorPrime is the smallest prime factor of the G2 cofactor 2p - r,
+// found by trial division so the small-order class below is derived, not
+// transcribed.
+var smallCofactorPrime = func() *big.Int {
+	for l := int64(2); l < 1<<20; l++ {
+		if new(big.Int).Mod(g2Cofactor, big.NewInt(l)).Sign() == 0 {
+			return big.NewInt(l)
+		}
+	}
+	panic("bn254: G2 cofactor has no prime factor below 2^20")
+}()
+
+// TestPsiSubgroupNorm proves the ψ subgroup test sound and complete from the
+// curve constants alone. The test accepts Q iff a(ψ)Q = O for
+// a = (u+1) + uψ + uψ² - 2uψ³. In Z[ψ]/(ψ² - tψ + p) — the ring ψ generates
+// on all of E'(Fp2) — a reduces to a0 + a1ψ with norm
+// N = a0² + a0·a1·t + a1²·p, and N·Q = ā(ψ)a(ψ)Q, so an accepted Q has order
+// dividing gcd(N, #E'(Fp2)) = gcd(N, (2p - r)·r). That gcd being exactly r
+// is soundness; a(p) ≡ 0 (mod r), ψ acting as p on G2, is completeness.
+func TestPsiSubgroupNorm(t *testing.T) {
+	mul := func(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
+	tr := new(big.Int).Add(sixUSquared, big.NewInt(1)) // trace t = 6u² + 1
+	if got := new(big.Int).Sub(new(big.Int).Add(P, big.NewInt(1)), tr); got.Cmp(Order) != 0 {
+		t.Fatal("r != p + 1 - t")
+	}
+	// ψ² = tψ - p and ψ³ = (t² - p)ψ - tp.
+	psi3c1 := new(big.Int).Sub(mul(tr, tr), P)
+	psi3c0 := new(big.Int).Neg(mul(tr, P))
+	twoU := new(big.Int).Lsh(u, 1)
+	a0 := new(big.Int).Add(u, big.NewInt(1))
+	a0.Sub(a0, mul(u, P))
+	a0.Sub(a0, mul(twoU, psi3c0))
+	a1 := new(big.Int).Add(u, mul(u, tr))
+	a1.Sub(a1, mul(twoU, psi3c1))
+
+	norm := mul(a0, a0)
+	norm.Add(norm, mul(mul(a0, a1), tr))
+	norm.Add(norm, mul(mul(a1, a1), P))
+	curveOrder := mul(g2Cofactor, Order)
+	if g := new(big.Int).GCD(nil, nil, new(big.Int).Abs(norm), curveOrder); g.Cmp(Order) != 0 {
+		t.Fatalf("gcd(N, #E'(Fp2)) = %v, want r: the ψ test would accept points outside G2", g)
+	}
+	atP := new(big.Int).Add(a0, mul(a1, P))
+	if atP.Mod(atP, Order).Sign() != 0 {
+		t.Fatal("a(p) != 0 mod r: the ψ test would reject points of G2")
+	}
+}
+
+// FuzzG2SubgroupPsiVsOrder compares the ψ subgroup test with [r]Q = O on
+// every class of input a decoder can meet: a raw twist point, its
+// cofactor-cleared image, its pure-cofactor part [r]Q, a small-order point,
+// sums of a subgroup point and a cofactor point, infinity and an off-curve
+// pair.
+func FuzzG2SubgroupPsiVsOrder(f *testing.F) {
+	for class := uint8(0); class < 7; class++ {
+		f.Add([]byte{class, 1}, class, []byte{3})
+	}
+	f.Add([]byte("seed"), uint8(3), Order.Bytes())
+	f.Fuzz(func(t *testing.T, seed []byte, class uint8, kBytes []byte) {
+		raw := firstTwistPoint(seed)
+		cleared := g2ScalarMultWNAF(raw, g2Cofactor)
+		cof := g2ScalarMultWNAF(raw, Order)
+		var q *G2
+		want := -1 // 1 must accept, 0 must reject, -1 whatever the oracle says
+		switch class % 7 {
+		case 0:
+			q = raw
+		case 1:
+			q, want = cleared, 1
+		case 2:
+			q = cof
+		case 3:
+			k := new(big.Int).SetBytes(kBytes)
+			q = new(G2).Add(g2ScalarMultWNAF(cleared, k), cof)
+		case 4:
+			q, want = G2Infinity(), 1
+		case 5:
+			q, want = new(G2).Set(raw), 0
+			q.X.C0.Add(&q.X.C0, &curveB)
+			if q.IsOnCurve() {
+				want = -1
+			}
+		case 6:
+			// A point of order dividing the smallest cofactor prime.
+			e := new(big.Int).Mul(g2Cofactor, Order)
+			q = g2ScalarMultWNAF(raw, e.Div(e, smallCofactorPrime))
+		}
+		got, oracle := q.IsInSubgroup(), g2InSubgroupByOrder(q)
+		if got != oracle {
+			t.Fatalf("class %d: ψ test says %v, [r]Q = O says %v for %v", class%7, got, oracle, q)
+		}
+		if want >= 0 && got != (want == 1) {
+			t.Fatalf("class %d: IsInSubgroup = %v", class%7, got)
+		}
+	})
+}
+
+// TestG2SubgroupCheckRejectsCofactorPoints makes sure the fuzz classes above
+// are not vacuous: raw twist points and their cofactor parts are outside G2,
+// and a point of small prime order exists.
+func TestG2SubgroupCheckRejectsCofactorPoints(t *testing.T) {
+	e := new(big.Int).Mul(g2Cofactor, Order)
+	e.Div(e, smallCofactorPrime)
+	small := 0
+	for i := 0; i < 8; i++ {
+		raw := firstTwistPoint([]byte{byte(i)})
+		cof := g2ScalarMultWNAF(raw, Order)
+		if raw.IsInSubgroup() || cof.IsInfinity() || cof.IsInSubgroup() {
+			t.Fatalf("seed %d: raw twist point behaves like a G2 point", i)
+		}
+		if q := g2ScalarMultWNAF(raw, e); !q.IsInfinity() {
+			small++
+			if q.IsInSubgroup() || !g2ScalarMultWNAF(q, smallCofactorPrime).IsInfinity() {
+				t.Fatalf("seed %d: order-%v point mishandled", i, smallCofactorPrime)
+			}
+		}
+	}
+	if small == 0 {
+		t.Fatalf("no point of order %v found", smallCofactorPrime)
+	}
+}
+
+// FuzzHashToG2VsFullCofactor pins HashToG2 byte for byte to the full-width
+// [2p - r] clearing, so every Q_ID and partial key is unchanged.
+func FuzzHashToG2VsFullCofactor(f *testing.F) {
+	f.Add("mccls/H1", []byte("node-7@manet"))
+	f.Add("", []byte{})
+	f.Fuzz(func(t *testing.T, domain string, msg []byte) {
+		got, want := HashToG2(domain, msg), hashToG2FullCofactor(domain, msg)
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("HashToG2(%q, %x) = %v, full cofactor gives %v", domain, msg, got, want)
+		}
+	})
+}
+
+// TestHashToG2MatchesFullCofactorSeeded is the fuzz property over 1000
+// seeded inputs, so tier-1 covers it without -fuzz.
+func TestHashToG2MatchesFullCofactorSeeded(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		msg := []byte(fmt.Sprintf("identity-%d@manet", i))
+		got, want := HashToG2("mccls/H1", msg), hashToG2FullCofactor("mccls/H1", msg)
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("input %d: HashToG2 differs from the full-cofactor oracle", i)
+		}
+	}
+}
+
+// FuzzG2GLVVsWNAF drives G2.ScalarMult (GLV) against the width-agnostic wNAF
+// ladder on subgroup points, with scalars outside [0, r) as well.
+func FuzzG2GLVVsWNAF(f *testing.F) {
+	rm1 := new(big.Int).Sub(Order, big.NewInt(1))
+	f.Add([]byte{1}, []byte{0}, false)
+	f.Add([]byte{2}, []byte{1}, true)
+	f.Add([]byte{3}, rm1.Bytes(), false)
+	f.Add([]byte{4}, Order.Bytes(), true)
+	f.Add([]byte{5}, new(big.Int).Lsh(Order, 3).Bytes(), false)
+	f.Add([]byte{0}, []byte{9}, false) // the identity as base point
+	f.Fuzz(func(t *testing.T, qBytes, kBytes []byte, negative bool) {
+		q := g2ScalarMultWNAF(g2Gen, new(big.Int).SetBytes(qBytes))
+		k := new(big.Int).SetBytes(kBytes)
+		if negative {
+			k.Neg(k)
+		}
+		want := g2ScalarMultWNAF(q, new(big.Int).Mod(k, Order))
+		if got := new(G2).ScalarMult(q, k); !got.Equal(want) {
+			t.Fatalf("G2 GLV diverges from wNAF: base seed %x scalar %v", qBytes, k)
+		}
+	})
+}
+
+// TestGLVSplitOfMinusOne pins the bug fix behind the Lagrange coefficient -1
+// (2-of-3 combine over replicas {1, 2}): reduced modulo r it is r - 1, which
+// must split into halves of at most two bits, not run a full-width ladder.
+func TestGLVSplitOfMinusOne(t *testing.T) {
+	for _, k := range []*big.Int{big.NewInt(-1), big.NewInt(-2), big.NewInt(2)} {
+		k1, k2 := glvSplit(new(big.Int).Mod(k, Order))
+		if k1.BitLen() > 2 || k2.BitLen() > 2 {
+			t.Fatalf("glvSplit(%v mod r) = (%v, %v), want halves of at most 2 bits", k, k1, k2)
+		}
+	}
+	q := new(G2).ScalarBaseMult(big.NewInt(77))
+	if got := new(G2).ScalarMult(q, big.NewInt(-1)); !got.Equal(new(G2).Neg(q)) {
+		t.Fatal("[-1]Q != -Q")
+	}
+}
+
+// TestFp12FrobeniusTables checks Conjugate, Frobenius and FrobeniusN(1..6)
+// against plain exponentiation by p^k and against the power-rebuilding
+// oracle, on random (non-unitary) elements and on a unitary one.
+func TestFp12FrobeniusTables(t *testing.T) {
+	r := testRand()
+	xs := []*Fp12{Fp12One(), Pair(G1Generator(), g2Gen).v}
+	for i := 0; i < 3; i++ {
+		x := &Fp12{}
+		for k := range x.C {
+			x.C[k] = *randFp2(r)
+		}
+		xs = append(xs, x)
+	}
+	for k := range frobGamma[1] {
+		if !frobGamma[1][k].C1.IsZero() {
+			t.Fatalf("p² Frobenius constant %d lies outside Fp", k+1)
+		}
+	}
+	for _, x := range xs {
+		pk := big.NewInt(1)
+		for n := 1; n <= 6; n++ {
+			pk.Mul(pk, P)
+			want := new(Fp12).Exp(x, pk)
+			if !new(Fp12).FrobeniusN(x, n).Equal(want) {
+				t.Fatalf("FrobeniusN(x, %d) != x^(p^%d)", n, n)
+			}
+			if !fp12FrobeniusIterated(x, n).Equal(want) {
+				t.Fatalf("oracle Frobenius^%d != x^(p^%d)", n, n)
+			}
+			if n == 1 && !new(Fp12).Frobenius(x).Equal(want) {
+				t.Fatal("Frobenius(x) != x^p")
+			}
+			if n == 6 && !new(Fp12).Conjugate(x).Equal(want) {
+				t.Fatal("Conjugate(x) != x^(p^6)")
+			}
+		}
+		// In place, and n = 0 is the identity.
+		y := new(Fp12).Set(x)
+		if !y.FrobeniusN(y, 5).Equal(fp12FrobeniusIterated(x, 5)) || !new(Fp12).FrobeniusN(x, 0).Equal(x) {
+			t.Fatal("FrobeniusN aliasing or n = 0 broken")
+		}
+	}
+}
+
+// TestFrobeniusShortcutOpCounts pins the counters the benchmark reads: one
+// G2ScalarMults tick per subgroup check, per cofactor clearing and per
+// ScalarMult, exactly as with the full-width ladders, and the cyclotomic
+// squarings of one final exponentiation (three NAF ladders by u, one
+// squaring per digit, plus the chain's four).
+func TestFrobeniusShortcutOpCounts(t *testing.T) {
+	q := new(G2).ScalarBaseMult(big.NewInt(12345))
+	raw := firstTwistPoint([]byte("opcount"))
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"IsInSubgroup", func() { q.IsInSubgroup() }},
+		{"IsInSubgroup(raw)", func() { raw.IsInSubgroup() }},
+		{"clearCofactor", func() { clearCofactor(raw) }},
+		{"ScalarMult", func() { new(G2).ScalarMult(q, big.NewInt(-1)) }},
+		{"Unmarshal", func() {
+			if err := new(G2).Unmarshal(q.Marshal()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		before := ReadOpCounts()
+		c.run()
+		if d := ReadOpCounts().Sub(before); d.G2ScalarMults != 1 {
+			t.Errorf("%s ticked G2ScalarMults %d times, want 1", c.name, d.G2ScalarMults)
+		}
+	}
+
+	f := MillerLoopMulti([]*G1{G1Generator()}, []*G2{q})
+	before := ReadOpCounts()
+	finalExponentiation(f)
+	d := ReadOpCounts().Sub(before)
+	// 3·63 + 4 = 193 at the parent commit; "not increased" is the contract.
+	if want := uint64(3*len(uNAF) + 4); d.CycSquares > want || d.FinalExps != 1 {
+		t.Fatalf("final exponentiation: %d cyclotomic squarings (want at most %d), %d final exps", d.CycSquares, want, d.FinalExps)
+	}
+}
+
+// TestG2UnmarshalAllocs pins the decode path at one allocation at most: no
+// math/big, no coordinate slice, and a subgroup check on the stack.
+func TestG2UnmarshalAllocs(t *testing.T) {
+	enc := new(G2).ScalarBaseMult(big.NewInt(99)).Marshal()
+	var q G2
+	if a := testing.AllocsPerRun(20, func() {
+		if err := q.Unmarshal(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 1 {
+		t.Fatalf("G2.Unmarshal allocates %v times, want at most 1", a)
+	}
+}

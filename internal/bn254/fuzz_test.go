@@ -92,6 +92,18 @@ func FuzzFpVsBigInt(f *testing.F) {
 		aBig := new(big.Int).SetBytes(aBytes)
 		bBig := new(big.Int).SetBytes(bBytes)
 		for _, v := range []*big.Int{aBig, bBig} {
+			if v.BitLen() <= 256 {
+				// The decode boundary itself: accepted iff below p, and then
+				// the same element SetBigInt builds.
+				var raw [32]byte
+				v.FillBytes(raw[:])
+				var d fp.Element
+				if ok := d.SetBytesCanonical(raw[:]); ok != (v.Cmp(P) < 0) {
+					t.Fatalf("SetBytesCanonical(%v) = %v", v, ok)
+				} else if ok && d.BigInt().Cmp(v) != 0 {
+					t.Fatalf("SetBytesCanonical(%v) decoded %v", v, d.BigInt())
+				}
+			}
 			if v.Cmp(P) >= 0 && v.BitLen() <= 256 {
 				// An out-of-range value must never round-trip: SetBigInt
 				// reduces, so its canonical encoding differs from the raw

@@ -126,7 +126,7 @@ func (z *G1) Double(a *G1) *G1 {
 }
 
 // ScalarMult sets z = k·a via GLV decomposition and a joint wNAF ladder
-// (see glv.go). Negative k multiplies by -a.
+// (see glv.go), k reduced modulo r first (the split keeps -k as short as k).
 //
 // With Montgomery-form arithmetic a field inversion costs hundreds of
 // multiplications, so the affine ladder that was competitive on math/big
@@ -188,18 +188,14 @@ func (z *G1) Unmarshal(data []byte) error {
 	if len(data) != g1MarshalledSize {
 		return fmt.Errorf("%w: G1 wants %d bytes, got %d", ErrInvalidPoint, g1MarshalledSize, len(data))
 	}
-	x := new(big.Int).SetBytes(data[:32])
-	y := new(big.Int).SetBytes(data[32:])
-	if x.Sign() == 0 && y.Sign() == 0 {
+	var cand G1
+	if !cand.X.SetBytesCanonical(data[:32]) || !cand.Y.SetBytesCanonical(data[32:]) {
+		return fmt.Errorf("%w: G1 coordinate out of range", ErrInvalidPoint)
+	}
+	if cand.X.IsZero() && cand.Y.IsZero() {
 		z.Set(G1Infinity())
 		return nil
 	}
-	if x.Cmp(P) >= 0 || y.Cmp(P) >= 0 {
-		return fmt.Errorf("%w: G1 coordinate out of range", ErrInvalidPoint)
-	}
-	var cand G1
-	cand.X.SetBigInt(x)
-	cand.Y.SetBigInt(y)
 	if !cand.IsOnCurve() {
 		return fmt.Errorf("%w: G1 point not on curve", ErrInvalidPoint)
 	}

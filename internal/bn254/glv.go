@@ -6,7 +6,7 @@ import (
 	"mccls/internal/bn254/fp"
 )
 
-// GLV scalar multiplication for G1 (Gallant–Lambert–Vanstone). BN curves
+// GLV scalar multiplication (Gallant–Lambert–Vanstone). BN curves
 // have j-invariant 0, so E(Fp) carries the cheap endomorphism
 // φ(x, y) = (β·x, y) with β a primitive cube root of unity in Fp; on the
 // order-r subgroup φ acts as multiplication by λ, a cube root of unity
@@ -20,12 +20,18 @@ import (
 // ladder, so a transcription error aborts startup instead of corrupting
 // scalar multiplications. The matching of β to λ (each has two candidate
 // roots) is resolved empirically: φ must act as λ, not λ².
+//
+// The twist has j-invariant 0 too: with glvBetaG2 the same map acts on G2 as
+// λ and G2 shares glvSplit. Outside the subgroup φ is no scalar, so
+// g2ScalarMultGLV is for subgroup points only, g2JacMultWNAF for the rest.
 
 var (
 	// glvBeta is the cube root of unity in Fp with φ(P) = λ·P for glvLambda.
 	glvBeta fp.Element
 	// glvLambda is the matching cube root of unity mod r.
 	glvLambda *big.Int
+	// glvBetaG2 is the cube root of unity in Fp with (β·x, y) = λ·Q on G2.
+	glvBetaG2 fp.Element
 	// glvV1 = (a1, b1) and glvV2 = (a2, b2) are short lattice vectors with
 	// a + b·λ ≡ 0 (mod r), used for Babai rounding in glvSplit.
 	glvA1, glvB1, glvA2, glvB2 *big.Int
@@ -67,6 +73,13 @@ func init() {
 		}
 	}
 	glvA1, glvB1, glvA2, glvB2 = glvLattice(Order, glvLambda)
+	// On G2 the same β acts as λ², so β² = β̄ acts as λ⁴ = λ.
+	glvBetaG2.Square(&glvBeta)
+	phiQ := &G2{Y: g2Gen.Y}
+	phiQ.X.MulScalar(&g2Gen.X, &glvBetaG2)
+	if lq := g2JacMultWNAF(g2Gen, glvLambda); !phiQ.Equal(lq.affine()) {
+		panic("bn254: β² does not act as the GLV eigenvalue on G2")
+	}
 }
 
 // glvLattice finds two short vectors of the lattice
@@ -143,64 +156,54 @@ func g1OddMultiples(a *G1, n int) []G1 {
 	return g1BatchAffine(js)
 }
 
+// addDigit adds the multiple a wNAF digit d selects from the odd-multiples
+// table tab (entry i holds (2i+1)·P) to j.
+func (j *g1Jac) addDigit(tab []G1, d int8) {
+	if d == 0 {
+		return
+	}
+	pt := tab[(max(d, -d)-1)/2]
+	if pt.Inf {
+		return
+	}
+	if d < 0 {
+		pt.Neg(&pt)
+	}
+	j.addMixed(&pt)
+}
+
 // g1ScalarMultGLV computes k·a for k ∈ [0, r) via GLV decomposition and a
-// joint width-5 wNAF ladder over the odd-multiple tables of a and φ(a).
+// joint width-5 wNAF ladder over the odd-multiple tables of a and φ(a),
+// each negated up front when its half-scalar is.
 func g1ScalarMultGLV(a *G1, k *big.Int) *G1 {
 	if a.Inf || k.Sign() == 0 {
 		return G1Infinity()
 	}
 	k1, k2 := glvSplit(k)
-	s1, s2 := k1.Sign(), k2.Sign()
-	d1 := wnafDigits(new(big.Int).Abs(k1), wnafWindow)
-	d2 := wnafDigits(new(big.Int).Abs(k2), wnafWindow)
-
 	tab := g1OddMultiples(a, wnafTableSize)
-	// φ distributes over addition, so φ(table) is just β·x on each entry.
 	tabPhi := make([]G1, len(tab))
 	for i := range tab {
+		// φ distributes over addition, so φ(table) is β·x on each entry.
 		tabPhi[i] = tab[i]
-		if !tab[i].Inf {
-			tabPhi[i].X.Mul(&tab[i].X, &glvBeta)
+		tabPhi[i].X.Mul(&tab[i].X, &glvBeta)
+		if k1.Sign() < 0 {
+			tab[i].Neg(&tab[i])
+		}
+		if k2.Sign() < 0 {
+			tabPhi[i].Neg(&tabPhi[i])
 		}
 	}
-
-	addDigit := func(acc *g1Jac, tab []G1, d int8, sign int) {
-		if d == 0 {
-			return
-		}
-		neg := d < 0
-		if neg {
-			d = -d
-		}
-		if sign < 0 {
-			neg = !neg
-		}
-		pt := tab[(d-1)/2]
-		if pt.Inf {
-			return
-		}
-		if neg {
-			var np G1
-			np.Neg(&pt)
-			acc.addMixed(&np)
-			return
-		}
-		acc.addMixed(&pt)
-	}
-
-	n := len(d1)
-	if len(d2) > n {
-		n = len(d2)
-	}
+	d1 := wnafDigits(k1.Abs(k1), wnafWindow)
+	d2 := wnafDigits(k2.Abs(k2), wnafWindow)
 	var acc g1Jac
 	acc.setInfinity()
-	for i := n - 1; i >= 0; i-- {
+	for i := max(len(d1), len(d2)) - 1; i >= 0; i-- {
 		acc.double()
 		if i < len(d1) {
-			addDigit(&acc, tab, d1[i], s1)
+			acc.addDigit(tab, d1[i])
 		}
 		if i < len(d2) {
-			addDigit(&acc, tabPhi, d2[i], s2)
+			acc.addDigit(tabPhi, d2[i])
 		}
 	}
 	return acc.affine()
@@ -223,41 +226,68 @@ func g2OddMultiples(a *G2, n int) []G2 {
 	return g2BatchAffine(js)
 }
 
-// g2ScalarMultWNAF computes k·a for any non-negative k (not reduced — the
-// cofactor-clearing and subgroup-check callers pass scalars above r) by a
-// width-5 wNAF ladder: same doubling count as double-and-add but ~k/6
-// additions instead of ~k/2. G2 has no usable GLV split here: the twist
-// endomorphism eigenvalue lives mod r, and this path must accept unreduced
-// scalars and points outside the order-r subgroup (hash-to-curve inputs).
-func g2ScalarMultWNAF(a *G2, k *big.Int) *G2 {
+// addDigit adds the multiple a wNAF digit d selects from the odd-multiples
+// table tab (entry i holds (2i+1)·P) to j.
+func (j *g2Jac) addDigit(tab []G2, d int8) {
+	if d == 0 {
+		return
+	}
+	pt := tab[(max(d, -d)-1)/2]
+	if pt.Inf {
+		return
+	}
+	if d < 0 {
+		pt.Neg(&pt)
+	}
+	j.addMixed(&pt)
+}
+
+// g2JointWNAF runs one doubling chain over two wNAF digit strings, each with
+// its own odd-multiples table: Σ d1ᵢ2ⁱ·P1 + Σ d2ᵢ2ⁱ·P2. d2 may be empty.
+func g2JointWNAF(d1 []int8, tab1 []G2, d2 []int8, tab2 []G2) (acc g2Jac) {
+	acc.setInfinity()
+	for i := max(len(d1), len(d2)) - 1; i >= 0; i-- {
+		acc.double()
+		if i < len(d1) {
+			acc.addDigit(tab1, d1[i])
+		}
+		if i < len(d2) {
+			acc.addDigit(tab2, d2[i])
+		}
+	}
+	return acc
+}
+
+// g2JacMultWNAF computes k·a for any point a of the twist and any
+// non-negative k, neither reduced nor assumed in the order-r subgroup (the
+// cofactor clearing passes raw hash-to-curve points), by a width-5 wNAF
+// ladder: ~k/6 additions instead of ~k/2. The result stays Jacobian so
+// callers can keep adding.
+func g2JacMultWNAF(a *G2, k *big.Int) g2Jac {
+	return g2JointWNAF(wnafDigits(k, wnafWindow), g2OddMultiples(a, wnafTableSize), nil, nil)
+}
+
+// g2ScalarMultGLV computes k·a for a in the order-r subgroup and k ∈ [0, r)
+// via the GLV decomposition and a joint wNAF ladder over the odd-multiple
+// tables of a and φ(a), each negated up front when its half-scalar is.
+func g2ScalarMultGLV(a *G2, k *big.Int) *G2 {
 	if a.Inf || k.Sign() == 0 {
 		return G2Infinity()
 	}
-	digits := wnafDigits(k, wnafWindow)
+	k1, k2 := glvSplit(k)
 	tab := g2OddMultiples(a, wnafTableSize)
-	var acc g2Jac
-	acc.setInfinity()
-	for i := len(digits) - 1; i >= 0; i-- {
-		acc.double()
-		d := digits[i]
-		if d == 0 {
-			continue
+	tabPhi := make([]G2, len(tab))
+	for i := range tab {
+		// φ distributes over addition, so φ(table) is β·x on each entry.
+		tabPhi[i] = tab[i]
+		tabPhi[i].X.MulScalar(&tab[i].X, &glvBetaG2)
+		if k1.Sign() < 0 {
+			tab[i].Neg(&tab[i])
 		}
-		neg := d < 0
-		if neg {
-			d = -d
+		if k2.Sign() < 0 {
+			tabPhi[i].Neg(&tabPhi[i])
 		}
-		pt := tab[(d-1)/2]
-		if pt.Inf {
-			continue
-		}
-		if neg {
-			var np G2
-			np.Neg(&pt)
-			acc.addMixed(&np)
-			continue
-		}
-		acc.addMixed(&pt)
 	}
+	acc := g2JointWNAF(wnafDigits(k1.Abs(k1), wnafWindow), tab, wnafDigits(k2.Abs(k2), wnafWindow), tabPhi)
 	return acc.affine()
 }

@@ -329,3 +329,64 @@ func (j *g2Jac) addMixed(q *G2) {
 	z3.Sub(&z3, &hh)
 	j.x, j.y, j.z = x3, y3, z3
 }
+
+// add sets j = j + q in place for a Jacobian q (add-2007-bl); either operand
+// may be infinity and the two may be equal or opposite.
+func (j *g2Jac) add(q *g2Jac) {
+	if q.isInfinity() {
+		return
+	}
+	if j.isInfinity() {
+		*j = *q
+		return
+	}
+	var z1z1, z2z2, u1, u2, s1, s2 Fp2
+	z1z1.Square(&j.z)
+	z2z2.Square(&q.z)
+	u1.Mul(&j.x, &z2z2)
+	u2.Mul(&q.x, &z1z1)
+	s1.Mul(&j.y, &q.z)
+	s1.Mul(&s1, &z2z2)
+	s2.Mul(&q.y, &j.z)
+	s2.Mul(&s2, &z1z1)
+	if u1.Equal(&u2) {
+		if !s1.Equal(&s2) {
+			j.setInfinity()
+			return
+		}
+		j.double()
+		return
+	}
+	var h, i, jj, r, v, t Fp2
+	h.Sub(&u2, &u1)
+	i.Add(&h, &h)
+	i.Square(&i)
+	jj.Mul(&h, &i)
+	r.Sub(&s2, &s1)
+	r.Add(&r, &r)
+	v.Mul(&u1, &i)
+	j.z.Add(&j.z, &q.z)
+	j.z.Square(&j.z)
+	j.z.Sub(&j.z, &z1z1)
+	j.z.Sub(&j.z, &z2z2)
+	j.z.Mul(&j.z, &h)
+	j.x.Square(&r)
+	j.x.Sub(&j.x, &jj)
+	t.Add(&v, &v)
+	j.x.Sub(&j.x, &t)
+	t.Sub(&v, &j.x)
+	t.Mul(&t, &r)
+	s1.Mul(&s1, &jj)
+	s1.Add(&s1, &s1)
+	j.y.Sub(&t, &s1)
+}
+
+// frobeniusTwist applies ψ (see G2.frobeniusTwist) in place: conjugation is
+// a field automorphism, so it passes through the X/Z², Y/Z³ scaling.
+func (j *g2Jac) frobeniusTwist() {
+	j.x.Conjugate(&j.x)
+	j.x.Mul(&j.x, xiToPMinus1Over3)
+	j.y.Conjugate(&j.y)
+	j.y.Mul(&j.y, xiToPMinus1Over2)
+	j.z.Conjugate(&j.z)
+}

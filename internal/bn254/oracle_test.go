@@ -6,9 +6,12 @@ import "math/big"
 // production kernels against. None has a production caller, so they live
 // here and are compiled into test binaries only: the per-pair and affine
 // Miller loops (vs MillerLoopMulti), the square-and-multiply final
-// exponentiation (vs the Devegili–Scott–Dahab chain), and the affine and
-// plain-Jacobian scalar ladders (vs GLV / wNAF). g1ScalarMultJac stays in
-// jacobian.go: the GLV start-up cross-check calls it.
+// exponentiation (vs the Devegili–Scott–Dahab chain), the affine and
+// plain-Jacobian scalar ladders (vs GLV / wNAF), and the full-width forms
+// the Frobenius shortcuts replaced: the [r]Q subgroup check, the [2p - r]Q
+// cofactor clearing and the power-rebuilding Fp12 Frobenius with its
+// six-fold conjugate. g1ScalarMultJac stays in jacobian.go: the GLV start-up
+// cross-check calls it.
 
 // finalExpHard is (p^4 - p^2 + 1)/r, the hard part of the final
 // exponentiation (the easy part (p^6-1)(p^2+1) is applied via Frobenius
@@ -191,4 +194,83 @@ func g2ScalarMultJac(a *G2, k *big.Int) *G2 {
 		}
 	}
 	return acc.affine()
+}
+
+// g2ScalarMultWNAF is the width-agnostic wNAF ladder normalized to affine:
+// k·a for any twist point and any non-negative k.
+func g2ScalarMultWNAF(a *G2, k *big.Int) *G2 {
+	acc := g2JacMultWNAF(a, k)
+	return acc.affine()
+}
+
+// g2Cofactor is #E'(Fp2)/r = 2p - r for BN curves: the scalar the
+// full-width cofactor clearing multiplies by.
+var g2Cofactor = new(big.Int).Sub(new(big.Int).Lsh(P, 1), Order)
+
+// g2InSubgroupByOrder is the definitional subgroup check: on the twist and
+// killed by r, one 254-doubling ladder.
+func g2InSubgroupByOrder(q *G2) bool {
+	return q.IsOnCurve() && g2ScalarMultWNAF(q, Order).IsInfinity()
+}
+
+// hashToTwist derives the counter-th try-and-increment candidate of HashToG2
+// for (domain, msg) — a point of E'(Fp2) in no particular subgroup, or nil
+// when the hashed x has no y — in the code HashToG2 shipped with before the
+// ψ clearing, so the oracle below shares nothing with the new path.
+func hashToTwist(domain string, msg []byte, counter uint32) *G2 {
+	b0 := hashBlock(domain+"/x0", msg, counter)
+	b1 := hashBlock(domain+"/x1", msg, counter)
+	x := fp2FromBig(new(big.Int).SetBytes(b0), new(big.Int).SetBytes(b1))
+	var rhs, y Fp2
+	rhs.Square(x)
+	rhs.Mul(&rhs, x)
+	rhs.Add(&rhs, twistB)
+	if y.Sqrt(&rhs) == nil {
+		return nil
+	}
+	if b0[len(b0)-1]&1 == 1 {
+		y.Neg(&y)
+	}
+	return &G2{X: *x, Y: y}
+}
+
+// hashToG2FullCofactor is HashToG2 with the cofactor cleared by the
+// full-width multiplication [2p - r]Q.
+func hashToG2FullCofactor(domain string, msg []byte) *G2 {
+	for counter := uint32(0); ; counter++ {
+		cand := hashToTwist(domain, msg, counter)
+		if cand == nil {
+			continue
+		}
+		if pt := g2ScalarMultWNAF(cand, g2Cofactor); !pt.IsInfinity() {
+			return pt
+		}
+	}
+}
+
+// fp12FrobeniusByPowers is x^p computed coefficient by coefficient with the
+// powers of gamma = xi^((p-1)/6) rebuilt on the fly, independent of the
+// frobGamma table.
+func fp12FrobeniusByPowers(x *Fp12) *Fp12 {
+	var res Fp12
+	e := new(big.Int).Sub(P, big.NewInt(1))
+	gamma := new(Fp2).Exp(xi(), e.Div(e, big.NewInt(6)))
+	pow := *Fp2One()
+	for k := 0; k < 6; k++ {
+		res.C[k].Conjugate(&x.C[k])
+		res.C[k].Mul(&res.C[k], &pow)
+		pow.Mul(&pow, gamma)
+	}
+	return &res
+}
+
+// fp12FrobeniusIterated is x^(p^n) by n applications of
+// fp12FrobeniusByPowers; n = 6 is the conjugate the shipped code negates
+// coefficients for.
+func fp12FrobeniusIterated(x *Fp12, n int) *Fp12 {
+	z := new(Fp12).Set(x)
+	for i := 0; i < n; i++ {
+		z = fp12FrobeniusByPowers(z)
+	}
+	return z
 }

@@ -25,9 +25,10 @@ type benchBaselines struct {
 }
 
 // TestPerfRegressionVsCheckedInBench is the benchstat-style CI smoke:
-// it re-measures BenchmarkFpMul and BenchmarkPairing (best of three,
-// which is what benchstat's min-selection approximates) and fails if
-// either regressed more than 10% against the checked-in
+// it re-measures BenchmarkFpMul, BenchmarkPairing and
+// BenchmarkG2IsInSubgroup (best of three, which is what benchstat's
+// min-selection approximates) and fails if any regressed more than 10%
+// against the checked-in
 // BENCH_bn254.json. Wall-clock comparisons across machines are
 // meaningless, so the test only arms itself when MCCLS_PERF_REGRESSION=1
 // — CI sets it on the leg whose runner class matches the baselines —
@@ -56,14 +57,17 @@ func TestPerfRegressionVsCheckedInBench(t *testing.T) {
 			fpMulBase = op.FastNs
 		}
 	}
-	var pairingBase float64
+	var pairingBase, subgroupBase float64
 	for _, r := range base.Results {
-		if r.Name == "pairing" {
+		switch r.Name {
+		case "pairing":
 			pairingBase = float64(r.NsPerOp)
+		case "g2_subgroup_check":
+			subgroupBase = float64(r.NsPerOp)
 		}
 	}
-	if fpMulBase == 0 || pairingBase == 0 {
-		t.Fatal("BENCH_bn254.json lacks fp_kernel mul or pairing baselines")
+	if fpMulBase == 0 || pairingBase == 0 || subgroupBase == 0 {
+		t.Fatal("BENCH_bn254.json lacks fp_kernel mul, pairing or g2_subgroup_check baselines")
 	}
 
 	const slack = 1.10
@@ -100,4 +104,5 @@ func TestPerfRegressionVsCheckedInBench(t *testing.T) {
 	// regression is tens of ns, so the grace cannot mask one.
 	check("fp_mul", fpMulBase+addBase, 4, BenchmarkFpMul)
 	check("pairing", pairingBase, 0, BenchmarkPairing)
+	check("g2_subgroup", subgroupBase, 0, BenchmarkG2IsInSubgroup)
 }

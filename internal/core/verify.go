@@ -19,7 +19,7 @@ const DefaultIdentityCacheCap = 1 << 14
 // e(P_pub, Q_ID) — the paper's "only one pairing operation since
 // e(P_pub, Q_ID) is a constant", making steady-state verification a single
 // pairing — and Q_ID = H1(ID) itself, which the batch engine's multi-signer
-// equation consumes directly (hash-to-G2 costs ~½ a pairing). Both caches
+// equation consumes directly (hash-to-G2 costs ~⅕ of a pairing). Both caches
 // are LRU-bounded (DefaultIdentityCacheCap by default) so unknown-identity
 // floods cannot exhaust memory. A Verifier is safe for concurrent use.
 type Verifier struct {
@@ -50,8 +50,8 @@ func (vf *Verifier) qid(id string) *bn254.G2 {
 	if q, ok := vf.qidCache.Get(id); ok {
 		return q
 	}
-	// Compute outside the cache lock: hash-to-G2 costs ~0.6 ms. Two racing
-	// callers compute the same value; the second Put is idempotent.
+	// Compute outside the cache lock: hash-to-G2 is a 127-bit G2 ladder. Two
+	// racing callers compute the same value; the second Put is idempotent.
 	q := vf.params.QID(id)
 	vf.qidCache.Put(id, q)
 	return q
@@ -63,7 +63,7 @@ func (vf *Verifier) rhs(id string) *bn254.GT {
 	if gt, ok := vf.rhsCache.Get(id); ok {
 		return gt
 	}
-	// Compute outside the cache lock: pairings are milliseconds.
+	// Compute outside the cache lock: a pairing is most of a millisecond.
 	gt := bn254.Pair(vf.params.Ppub, vf.qid(id))
 	vf.rhsCache.Put(id, gt)
 	return gt
