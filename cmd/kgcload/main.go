@@ -1,44 +1,31 @@
-// Command kgcload is a closed-loop load generator for the kgcd enrollment
-// service: C workers keep one enrollment in flight each, driving the
-// combiner through two phases — a *cold* phase of unique identities (every
-// request pays t-of-n signer fan-out and Lagrange combination) and a
-// *warm* phase drawing identities from a bounded pool (mostly LRU cache
-// hits, the re-enrolling-fleet steady state). It reports p50/p95/p99
-// latency, throughput and cache-hit rate per phase, plus the server's own
-// counters scraped from /metrics, into a BENCH_kgc.json.
+// Command kgcload is the chaos drill for the kgcd enrollment service. It
+// self-hosts a t-of-n deployment on loopback (rate limiting disabled), and
+// while closed-loop workers keep one enrollment in flight each, a
+// deterministic faulthttp schedule kills one of the n replicas every
+// -chaosperiod for -chaosdown (always below quorum loss for t ≤ n−1) and a
+// proactive share refresh runs at half-time. Afterwards fresh identities
+// are enrolled and byte-compared against the single-master oracle.
 //
-//	kgcload -t 2 -n 3 -requests 100000 -cold 10000 -concurrency 32 -json BENCH_kgc.json
-//	kgcload -addr http://10.0.0.1:7600 -requests 50000
+//	kgcload -t 2 -n 3 -concurrency 8 -chaosfor 30s -chaosperiod 5s -chaosdown 2500ms
 //
-// With no -addr it self-hosts an all-in-one t-of-n deployment on loopback
-// (rate limiting disabled so the bench measures issuance and caching, not
-// the limiter). Exits nonzero if no enrollment succeeds.
-//
-// -chaos appends a churn phase (self-host only): a deterministic
-// faulthttp schedule kills one of the n replicas every -chaosperiod for
-// -chaosdown (always below quorum loss for t ≤ n−1), a proactive share
-// refresh runs at half-time, and closed-loop workers keep enrolling
-// throughout. The run records availability, latency under churn, kill and
-// refresh counts, and byte-compares post-churn issuance against the
-// single-master oracle. Any failed enrollment under below-quorum faults
-// exits nonzero.
-//
-//	kgcload -chaos -chaosfor 30s -chaosperiod 5s -chaosdown 2500ms -json BENCH_kgc.json
+// The drill asserts in-process and exits nonzero when any enrollment failed
+// under the below-quorum faults, no replica was killed, no traffic ran, the
+// refresh never committed, or the oracle disagreed. Throughput and latency
+// of the fault-free service are the kgc_cold and kgc_warm workloads of the
+// repository benchmark (bash bench/run.sh --workload kgc_cold).
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"os"
-	"regexp"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,25 +37,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if _, err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "kgcload:", err)
 		os.Exit(1)
 	}
 }
 
 type options struct {
-	addr        string
 	t, n        int
-	requests    int
-	cold        int
-	warmIDs     int
 	concurrency int
 	validate    int
 	seed        int64
-	jsonPath    string
-	timeout     time.Duration
-
-	chaos       bool
 	chaosFor    time.Duration
 	chaosPeriod time.Duration
 	chaosDown   time.Duration
@@ -78,321 +57,111 @@ type options struct {
 func parseOptions(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("kgcload", flag.ContinueOnError)
-	fs.StringVar(&o.addr, "addr", "", "kgcd combiner base URL (empty self-hosts a loopback deployment)")
-	fs.IntVar(&o.t, "t", 2, "self-host quorum")
-	fs.IntVar(&o.n, "n", 3, "self-host replica count")
-	fs.IntVar(&o.requests, "requests", 100000, "total enrollment requests across both phases")
-	fs.IntVar(&o.cold, "cold", 10000, "cold-phase requests (unique identities)")
-	fs.IntVar(&o.warmIDs, "warmids", 1000, "identity pool size for the warm phase")
+	fs.IntVar(&o.t, "t", 2, "quorum")
+	fs.IntVar(&o.n, "n", 3, "replica count")
 	fs.IntVar(&o.concurrency, "concurrency", 32, "concurrent workers")
-	fs.IntVar(&o.validate, "validate", 4, "sampled enrollments to pairing-check after the run")
-	fs.Int64Var(&o.seed, "seed", 1, "seed for warm-phase identity draws")
-	fs.StringVar(&o.jsonPath, "json", "", "write the report to this file")
-	fs.DurationVar(&o.timeout, "reqtimeout", 10*time.Second, "per-request client timeout")
-	fs.BoolVar(&o.chaos, "chaos", false, "append a replica-churn phase (self-host only)")
-	fs.DurationVar(&o.chaosFor, "chaosfor", 30*time.Second, "chaos phase duration")
+	fs.IntVar(&o.validate, "validate", 4, "post-churn enrollments byte-compared against the single-master oracle (≥ 1)")
+	fs.Int64Var(&o.seed, "seed", 1, "seed for the master secret and the identity draws")
+	fs.DurationVar(&o.chaosFor, "chaosfor", 30*time.Second, "drill duration")
 	fs.DurationVar(&o.chaosPeriod, "chaosperiod", 5*time.Second, "interval between replica kills")
 	fs.DurationVar(&o.chaosDown, "chaosdown", 2500*time.Millisecond, "how long each killed replica stays down")
-	fs.IntVar(&o.chaosIDs, "chaosids", 200, "identity pool size for the chaos phase")
+	fs.IntVar(&o.chaosIDs, "chaosids", 200, "identity pool size")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	if o.requests < 1 || o.cold < 0 || o.cold > o.requests {
-		return o, fmt.Errorf("need 0 ≤ cold ≤ requests and requests ≥ 1")
+	if fs.NArg() != 0 {
+		return o, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if o.concurrency < 1 {
-		return o, fmt.Errorf("concurrency must be ≥ 1")
+	if o.n < 1 || o.concurrency < 1 || o.validate < 1 || o.chaosIDs < 1 {
+		return o, fmt.Errorf("-n, -concurrency, -validate and -chaosids must be ≥ 1")
 	}
-	if o.warmIDs < 1 {
-		o.warmIDs = 1
-	}
-	if o.chaos {
-		if o.addr != "" {
-			return o, fmt.Errorf("-chaos needs the self-hosted deployment (drop -addr)")
-		}
-		if o.chaosDown >= o.chaosPeriod {
-			return o, fmt.Errorf("-chaosdown must be < -chaosperiod (one dark replica at a time)")
-		}
-		if o.chaosIDs < 1 {
-			o.chaosIDs = 1
-		}
+	if o.chaosDown >= o.chaosPeriod {
+		return o, fmt.Errorf("-chaosdown must be < -chaosperiod (one dark replica at a time)")
 	}
 	return o, nil
 }
 
-// latencySummary is percentile statistics over one phase, in microseconds.
-type latencySummary struct {
-	P50  float64 `json:"p50"`
-	P90  float64 `json:"p90"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-	Mean float64 `json:"mean"`
-	Max  float64 `json:"max"`
+// summary is what one drill observed; run has already checked it.
+type summary struct {
+	Requests      int // enrollments attempted under churn
+	Errors        int // of which failed
+	Kills         int
+	Epoch         uint32 // share epoch after the mid-churn refresh
+	OracleChecked int
+	P50, P99      time.Duration // successful enrollments under churn
 }
 
-// phaseReport is one phase's results.
-type phaseReport struct {
-	Name          string         `json:"name"`
-	Requests      int            `json:"requests"`
-	Success       int            `json:"success"`
-	Errors        int            `json:"errors"`
-	WallSeconds   float64        `json:"wall_seconds"`
-	ThroughputRPS float64        `json:"throughput_rps"`
-	CacheHitRate  float64        `json:"cache_hit_rate"`
-	LatencyMicros latencySummary `json:"latency_us"`
-}
-
-// chaosReport is the churn phase's results.
-type chaosReport struct {
-	DurationSeconds float64        `json:"duration_seconds"`
-	PeriodSeconds   float64        `json:"kill_period_seconds"`
-	DownSeconds     float64        `json:"kill_down_seconds"`
-	Kills           int            `json:"kills"`
-	Refreshes       int            `json:"refreshes"`
-	Epoch           uint32         `json:"epoch"`
-	Requests        int            `json:"requests"`
-	Success         int            `json:"success"`
-	Errors          int            `json:"errors"`
-	Availability    float64        `json:"availability"`
-	ThroughputRPS   float64        `json:"throughput_rps"`
-	LatencyMicros   latencySummary `json:"latency_us"`
-	OracleChecked   int            `json:"oracle_checked"`
-}
-
-// report is the full BENCH_kgc.json payload.
-type report struct {
-	GeneratedUnix int64             `json:"generated_unix"`
-	Target        string            `json:"target"`
-	SelfHost      bool              `json:"selfhost"`
-	T             int               `json:"t"`
-	N             int               `json:"n"`
-	Concurrency   int               `json:"concurrency"`
-	Requests      int               `json:"requests"`
-	Phases        []phaseReport     `json:"phases"`
-	TotalSuccess  int               `json:"total_success"`
-	Validated     int               `json:"validated"`
-	Chaos         *chaosReport      `json:"chaos,omitempty"`
-	ServerMetrics map[string]uint64 `json:"server_metrics,omitempty"`
-}
-
-func run(args []string, out *os.File) error {
+// run drives the drill. Every kill leaves t-of-n replicas up, so a failed
+// enrollment is a robustness bug, not an expected casualty.
+func run(args []string, out io.Writer) (summary, error) {
 	o, err := parseOptions(args)
 	if err != nil {
-		return err
+		return summary{}, err
 	}
 
-	target := o.addr
-	selfHost := target == ""
-	var (
-		cluster  *kgcd.Cluster
-		injector *faulthttp.Injector
-		oracle   *core.KGC
-		kills    int
-	)
-	if selfHost {
-		clusterCfg := kgcd.ClusterConfig{
-			T: o.t, N: o.n,
-			Combiner: kgcd.Config{RatePerSec: -1},
-		}
-		if o.chaos {
-			// A deterministic master makes the single-master oracle
-			// reproducible, so post-churn issuance can be byte-compared.
-			var seedBytes [8]byte
-			binary.BigEndian.PutUint64(seedBytes[:], uint64(o.seed))
-			master := bn254.HashToScalar("kgcload/chaos", seedBytes[:])
-			var err error
-			if oracle, err = core.NewKGCFromMaster(master); err != nil {
-				return err
-			}
-			clusterCfg.Master = master
-			// One rotating kill per period; the injector stays unstarted
-			// (injecting nothing) until the chaos phase begins, so the cold
-			// and warm phases in the same invocation run clean.
-			targets := make([]string, o.n)
-			for i := range targets {
-				targets[i] = fmt.Sprintf("replica-%d", i)
-			}
-			crashes := faulthttp.RotatingCrashes(targets, o.chaosPeriod, o.chaosDown, o.chaosFor)
-			kills = len(crashes)
-			injector = faulthttp.New(faulthttp.Schedule{Crashes: crashes})
-			clusterCfg.SignerMiddleware = func(i int, h http.Handler) http.Handler {
-				return faulthttp.Middleware(injector, fmt.Sprintf("replica-%d", i), h)
-			}
-		}
-		cl, err := kgcd.StartCluster(clusterCfg)
-		if err != nil {
-			return fmt.Errorf("self-host: %w", err)
-		}
-		defer cl.Close()
-		cluster = cl
-		target = cl.URL
-		fmt.Fprintf(out, "kgcload: self-hosted %d-of-%d kgcd on %s\n", o.t, o.n, target)
+	// A deterministic master makes the single-master oracle reproducible,
+	// so post-churn issuance can be byte-compared.
+	var seedBytes [8]byte
+	binary.BigEndian.PutUint64(seedBytes[:], uint64(o.seed))
+	master := bn254.HashToScalar("kgcload/chaos", seedBytes[:])
+	oracle, err := core.NewKGCFromMaster(master)
+	if err != nil {
+		return summary{}, err
 	}
+	targets := make([]string, o.n)
+	for i := range targets {
+		targets[i] = fmt.Sprintf("replica-%d", i)
+	}
+	crashes := faulthttp.RotatingCrashes(targets, o.chaosPeriod, o.chaosDown, o.chaosFor)
+	injector := faulthttp.New(faulthttp.Schedule{Crashes: crashes})
+	cl, err := kgcd.StartCluster(kgcd.ClusterConfig{
+		T: o.t, N: o.n,
+		Master:   master,
+		Combiner: kgcd.Config{RatePerSec: -1},
+		SignerMiddleware: func(i int, h http.Handler) http.Handler {
+			return faulthttp.Middleware(injector, targets[i], h)
+		},
+	})
+	if err != nil {
+		return summary{}, fmt.Errorf("self-host: %w", err)
+	}
+	defer cl.Close()
 
 	// One shared client; enough idle conns that workers reuse connections
 	// instead of churning through TIME_WAIT sockets.
-	hc := &http.Client{
-		Timeout: o.timeout,
+	client := kgcd.NewClient(cl.URL, &http.Client{
+		Timeout: 10 * time.Second,
 		Transport: &http.Transport{
 			MaxIdleConns:        o.concurrency * 2,
 			MaxIdleConnsPerHost: o.concurrency * 2,
 		},
-	}
-	client := kgcd.NewClient(target, hc)
+	})
 	ctx := context.Background()
 
-	rep := report{
-		GeneratedUnix: time.Now().Unix(),
-		Target:        target,
-		SelfHost:      selfHost,
-		T:             o.t,
-		N:             o.n,
-		Concurrency:   o.concurrency,
-		Requests:      o.requests,
-	}
-
-	coldID := func(i int) string { return fmt.Sprintf("load-node-%08d", i) }
-
-	// Cold phase: every identity fresh.
-	if o.cold > 0 {
-		ids := make([]string, o.cold)
-		for i := range ids {
-			ids[i] = coldID(i)
-		}
-		rep.Phases = append(rep.Phases, runPhase(ctx, "cold", client, ids, o.concurrency, out))
-	}
-
-	// Warm phase: identities drawn (seeded, so runs are comparable) from a
-	// pool that overlaps the cold set, so the first touch of each pool
-	// entry may miss and everything after hits the LRU.
-	if warm := o.requests - o.cold; warm > 0 {
-		rng := rand.New(rand.NewSource(o.seed))
-		ids := make([]string, warm)
-		for i := range ids {
-			ids[i] = coldID(rng.Intn(o.warmIDs))
-		}
-		rep.Phases = append(rep.Phases, runPhase(ctx, "warm", client, ids, o.concurrency, out))
-	}
-
-	for _, ph := range rep.Phases {
-		rep.TotalSuccess += ph.Success
-	}
-
-	// Spot-check the cryptography end to end: re-enroll a few identities
-	// and run the full pairing validation against the served parameters.
-	if o.validate > 0 && rep.TotalSuccess > 0 {
-		params, err := client.Params(ctx)
-		if err != nil {
-			return fmt.Errorf("fetch params for validation: %w", err)
-		}
-		for i := 0; i < o.validate; i++ {
-			res, err := client.Enroll(ctx, coldID(i))
-			if err != nil {
-				return fmt.Errorf("validation enroll %d: %w", i, err)
-			}
-			if err := res.PartialKey.Validate(params); err != nil {
-				return fmt.Errorf("validation %d: served partial key invalid: %w", i, err)
-			}
-			rep.Validated++
-		}
-	}
-
-	if o.chaos {
-		cr, err := runChaos(ctx, o, client, cluster, oracle, injector, kills, out)
-		if err != nil {
-			return err
-		}
-		rep.Chaos = cr
-	}
-
-	if metricsText, err := client.RawMetrics(ctx); err == nil {
-		rep.ServerMetrics = scrapeCounters(metricsText)
-	}
-
-	for _, ph := range rep.Phases {
-		fmt.Fprintf(out,
-			"kgcload: %-4s %7d reqs %6.0f req/s  p50 %6.0fµs  p95 %6.0fµs  p99 %6.0fµs  hit %4.1f%%  errors %d\n",
-			ph.Name, ph.Requests, ph.ThroughputRPS,
-			ph.LatencyMicros.P50, ph.LatencyMicros.P95, ph.LatencyMicros.P99,
-			100*ph.CacheHitRate, ph.Errors)
-	}
-	if rep.Chaos != nil {
-		c := rep.Chaos
-		fmt.Fprintf(out,
-			"kgcload: chaos %6d reqs %6.0f req/s  p99 %6.0fµs  kills %d  epoch %d  avail %.4f  oracle %d  errors %d\n",
-			c.Requests, c.ThroughputRPS, c.LatencyMicros.P99,
-			c.Kills, c.Epoch, c.Availability, c.OracleChecked, c.Errors)
-	}
-
-	if o.jsonPath != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.jsonPath, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "kgcload: report → %s\n", o.jsonPath)
-	}
-	if rep.TotalSuccess == 0 {
-		return fmt.Errorf("no enrollment succeeded")
-	}
-	if rep.Chaos != nil && rep.Chaos.Errors > 0 {
-		return fmt.Errorf("chaos: %d enrollments failed under below-quorum faults", rep.Chaos.Errors)
-	}
-	return nil
-}
-
-// runChaos drives the churn phase: the fault schedule starts, closed-loop
-// workers keep enrolling from a bounded identity pool, a proactive share
-// refresh fires at half-time, and afterwards fresh identities are enrolled
-// and byte-compared against the single-master oracle. Every kill leaves
-// t-of-n replicas up, so a failed enrollment is a robustness bug, not an
-// expected casualty.
-func runChaos(ctx context.Context, o options, client *kgcd.Client, cl *kgcd.Cluster, oracle *core.KGC, in *faulthttp.Injector, kills int, out *os.File) (*chaosReport, error) {
-	cr := &chaosReport{
-		DurationSeconds: o.chaosFor.Seconds(),
-		PeriodSeconds:   o.chaosPeriod.Seconds(),
-		DownSeconds:     o.chaosDown.Seconds(),
-		Kills:           kills,
-	}
-	fmt.Fprintf(out, "kgcload: chaos — 1 of %d replicas down %v in every %v, for %v, share refresh at half-time\n",
-		o.n, o.chaosDown, o.chaosPeriod, o.chaosFor)
-	in.Start()
+	fmt.Fprintf(out, "kgcload: %d-of-%d kgcd on %s — 1 replica down %v in every %v, for %v, share refresh at half-time\n",
+		o.t, o.n, cl.URL, o.chaosDown, o.chaosPeriod, o.chaosFor)
+	injector.Start()
 	deadline := time.Now().Add(o.chaosFor)
 
 	// The refresh's internal per-replica retry budget is shorter than a
 	// down window, so an outer loop keeps re-posting the pinned deltas
 	// until the killed replica comes back and the epoch commits.
-	var refreshOK atomic.Bool
-	var refreshErr error
-	var refreshWG sync.WaitGroup
-	refreshWG.Add(1)
+	refreshed := make(chan error, 1)
 	go func() {
-		defer refreshWG.Done()
-		timer := time.NewTimer(o.chaosFor / 2)
-		defer timer.Stop()
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
+		time.Sleep(o.chaosFor / 2)
+		var err error
 		for attempt := 0; attempt < 8; attempt++ {
-			epoch, err := cl.Refresh(ctx)
-			if err == nil {
-				refreshOK.Store(true)
-				fmt.Fprintf(out, "kgcload: chaos — refreshed shares to epoch %d mid-churn\n", epoch)
-				return
+			if _, err = cl.Refresh(ctx); err == nil {
+				break
 			}
-			refreshErr = err
 			time.Sleep(time.Second)
 		}
+		refreshed <- err
 	}()
 
 	var latMu sync.Mutex
-	lats := make([]int64, 0, 4096)
+	var lats []time.Duration
 	var reqs, errs atomic.Int64
-	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < o.concurrency; w++ {
 		wg.Add(1)
@@ -409,138 +178,63 @@ func runChaos(ctx context.Context, o options, client *kgcd.Client, cl *kgcd.Clus
 					continue
 				}
 				latMu.Lock()
-				lats = append(lats, time.Since(t0).Nanoseconds())
+				lats = append(lats, time.Since(t0))
 				latMu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
-	wall := time.Since(start)
-	refreshWG.Wait()
-	if !refreshOK.Load() {
-		return nil, fmt.Errorf("chaos: share refresh never committed: %w", refreshErr)
-	}
+	refreshErr := <-refreshed
 
-	cr.Refreshes = 1
-	cr.Epoch = cl.Epoch()
-	cr.Requests = int(reqs.Load())
-	cr.Success = cr.Requests - int(errs.Load())
-	cr.Errors = int(errs.Load())
-	if cr.Requests > 0 {
-		cr.Availability = float64(cr.Success) / float64(cr.Requests)
+	sum := summary{
+		Requests: int(reqs.Load()),
+		Errors:   int(errs.Load()),
+		Kills:    len(crashes),
+		Epoch:    cl.Epoch(),
 	}
-	if wall > 0 {
-		cr.ThroughputRPS = float64(cr.Success) / wall.Seconds()
+	if len(lats) > 0 {
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		sum.P50 = lats[(len(lats)-1)/2]
+		sum.P99 = lats[(len(lats)-1)*99/100]
 	}
-	cr.LatencyMicros = summarize(lats)
 
 	// Post-churn oracle: fresh identities must combine to exactly the bytes
 	// a single-master KGC would issue — the refresh moved shares, never keys.
-	for i := 0; i < o.validate; i++ {
+	var oracleErr error
+	for i := 0; i < o.validate && oracleErr == nil; i++ {
 		id := fmt.Sprintf("chaos-oracle-%d", i)
 		res, err := client.Enroll(ctx, id)
-		if err != nil {
-			return nil, fmt.Errorf("chaos oracle enroll %q: %w", id, err)
-		}
-		want := oracle.ExtractPartialPrivateKey(id)
-		if !bytes.Equal(res.PartialKey.Marshal(), want.Marshal()) {
-			return nil, fmt.Errorf("chaos oracle %q: issued bytes diverge from single-master issuance", id)
-		}
-		cr.OracleChecked++
-	}
-	return cr, nil
-}
-
-// runPhase drives len(ids) enrollments through the workers and summarizes.
-func runPhase(ctx context.Context, name string, client *kgcd.Client, ids []string, concurrency int, out *os.File) phaseReport {
-	latencies := make([]int64, len(ids)) // nanoseconds; 0 = failed
-	var hits, errs, next atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				t0 := time.Now()
-				res, err := client.Enroll(ctx, ids[i])
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				latencies[i] = time.Since(t0).Nanoseconds()
-				if res.Cached {
-					hits.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	ok := make([]int64, 0, len(ids))
-	for _, l := range latencies {
-		if l > 0 {
-			ok = append(ok, l)
+		switch {
+		case err != nil:
+			oracleErr = fmt.Errorf("oracle enroll %q: %w", id, err)
+		case !bytes.Equal(res.PartialKey.Marshal(), oracle.ExtractPartialPrivateKey(id).Marshal()):
+			oracleErr = fmt.Errorf("oracle %q: issued bytes diverge from single-master issuance", id)
+		default:
+			sum.OracleChecked++
 		}
 	}
-	ph := phaseReport{
-		Name:          name,
-		Requests:      len(ids),
-		Success:       len(ok),
-		Errors:        int(errs.Load()),
-		WallSeconds:   wall.Seconds(),
-		LatencyMicros: summarize(ok),
-	}
-	if wall > 0 {
-		ph.ThroughputRPS = float64(len(ok)) / wall.Seconds()
-	}
-	if len(ok) > 0 {
-		ph.CacheHitRate = float64(hits.Load()) / float64(len(ok))
-	}
-	return ph
-}
 
-// summarize computes percentile statistics in microseconds.
-func summarize(nanos []int64) latencySummary {
-	if len(nanos) == 0 {
-		return latencySummary{}
+	availability := 0.0
+	if sum.Requests > 0 {
+		availability = float64(sum.Requests-sum.Errors) / float64(sum.Requests)
 	}
-	sorted := make([]int64, len(nanos))
-	copy(sorted, nanos)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	pct := func(p float64) float64 {
-		i := int(p * float64(len(sorted)-1))
-		return float64(sorted[i]) / 1e3
-	}
-	sum := int64(0)
-	for _, v := range sorted {
-		sum += v
-	}
-	return latencySummary{
-		P50:  pct(0.50),
-		P90:  pct(0.90),
-		P95:  pct(0.95),
-		P99:  pct(0.99),
-		Mean: float64(sum) / float64(len(sorted)) / 1e3,
-		Max:  float64(sorted[len(sorted)-1]) / 1e3,
-	}
-}
+	fmt.Fprintf(out, "kgcload: %d reqs  avail %.4f  p50 %v  p99 %v  kills %d  epoch %d  oracle %d  errors %d\n",
+		sum.Requests, availability, sum.P50.Round(time.Microsecond), sum.P99.Round(time.Microsecond),
+		sum.Kills, sum.Epoch, sum.OracleChecked, sum.Errors)
 
-var counterLine = regexp.MustCompile(`(?m)^(kgcd_[a-z_]+_total) (\d+)$`)
-
-// scrapeCounters pulls the kgcd counters out of the Prometheus text.
-func scrapeCounters(text string) map[string]uint64 {
-	out := map[string]uint64{}
-	for _, m := range counterLine.FindAllStringSubmatch(text, -1) {
-		v, err := strconv.ParseUint(m[2], 10, 64)
-		if err == nil {
-			out[m[1]] = v
-		}
+	switch {
+	case sum.Kills == 0:
+		return sum, fmt.Errorf("the schedule never killed a replica (-chaosfor %v)", o.chaosFor)
+	case sum.Requests == 0:
+		return sum, fmt.Errorf("no traffic during the drill (-chaosfor %v)", o.chaosFor)
+	case sum.Errors > 0:
+		return sum, fmt.Errorf("%d of %d enrollments failed under below-quorum faults", sum.Errors, sum.Requests)
+	case refreshErr != nil:
+		return sum, fmt.Errorf("share refresh never committed: %w", refreshErr)
+	case sum.Epoch < 1:
+		return sum, fmt.Errorf("share refresh reported success but the epoch is still 0")
+	case oracleErr != nil:
+		return sum, oracleErr
 	}
-	return out
+	return sum, nil
 }

@@ -1,114 +1,70 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"io"
+	"strings"
 	"testing"
 )
 
-// TestLoadSmoke drives a tiny self-hosted 2-of-3 run end to end and checks
-// the report shape: both phases present, everything succeeded, warm phase
-// hit the cache.
-func TestLoadSmoke(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	err := run([]string{
-		"-t", "2", "-n", "3",
-		"-requests", "40", "-cold", "10", "-warmids", "5",
-		"-concurrency", "4", "-validate", "2",
-		"-json", jsonPath,
-	}, os.Stdout)
+// TestChaosSmoke runs a compressed drill — one replica of three killed
+// every second, a share refresh at half-time — and requires zero failed
+// enrollments: every kill leaves the 2-of-3 quorum intact, so the combiner
+// must absorb the churn invisibly.
+func TestChaosSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the drill runs wall-clock seconds")
+	}
+	var out strings.Builder
+	sum, err := run([]string{
+		"-t", "2", "-n", "3", "-concurrency", "4", "-validate", "2",
+		"-chaosfor", "4s", "-chaosperiod", "1s", "-chaosdown", "400ms", "-chaosids", "20",
+	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+	if sum.Errors != 0 {
+		t.Errorf("errors = %d, want 0 (faults never broke quorum)", sum.Errors)
 	}
-	var rep report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
+	if sum.Kills < 3 {
+		t.Errorf("kills = %d, want ≥ 3 over 4s at 1s period", sum.Kills)
 	}
-	if rep.TotalSuccess != 40 {
-		t.Fatalf("total_success = %d, want 40", rep.TotalSuccess)
+	if sum.Epoch != 1 {
+		t.Errorf("epoch %d, want 1 (one committed refresh)", sum.Epoch)
 	}
-	if len(rep.Phases) != 2 || rep.Phases[0].Name != "cold" || rep.Phases[1].Name != "warm" {
-		t.Fatalf("unexpected phases: %+v", rep.Phases)
+	if sum.Requests == 0 || sum.P50 <= 0 || sum.P99 < sum.P50 {
+		t.Errorf("requests %d p50 %v p99 %v, want closed-loop traffic", sum.Requests, sum.P50, sum.P99)
 	}
-	if rep.Phases[0].CacheHitRate != 0 {
-		t.Errorf("cold phase hit rate = %v, want 0", rep.Phases[0].CacheHitRate)
+	if sum.OracleChecked != 2 {
+		t.Errorf("oracle checked = %d, want 2", sum.OracleChecked)
 	}
-	// 30 warm draws over a 5-identity pool: ≥25 must be hits even if every
-	// pool entry missed once.
-	if rep.Phases[1].CacheHitRate < 0.8 {
-		t.Errorf("warm phase hit rate = %v, want ≥ 0.8", rep.Phases[1].CacheHitRate)
-	}
-	if rep.Validated != 2 {
-		t.Errorf("validated = %d, want 2", rep.Validated)
-	}
-	if rep.ServerMetrics["kgcd_enroll_total"] == 0 {
-		t.Error("server metrics not scraped")
+	if !strings.Contains(out.String(), "avail 1.0000") || !strings.Contains(out.String(), "oracle 2") {
+		t.Errorf("summary line missing:\n%s", out.String())
 	}
 }
 
-// TestChaosSmoke runs a compressed churn phase — one replica of three
-// killed every second, a share refresh at half-time — and requires zero
-// failed enrollments: every kill leaves the 2-of-3 quorum intact, so the
-// combiner must absorb the churn invisibly.
-func TestChaosSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos phase runs wall-clock seconds")
-	}
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	err := run([]string{
-		"-t", "2", "-n", "3",
-		"-requests", "10", "-cold", "5", "-warmids", "5",
-		"-concurrency", "4", "-validate", "2",
-		"-chaos", "-chaosfor", "4s", "-chaosperiod", "1s",
-		"-chaosdown", "400ms", "-chaosids", "20",
-		"-json", jsonPath,
-	}, os.Stdout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	c := rep.Chaos
-	if c == nil {
-		t.Fatal("report has no chaos section")
-	}
-	if c.Errors != 0 {
-		t.Errorf("chaos errors = %d, want 0 (faults never broke quorum)", c.Errors)
-	}
-	if c.Kills < 3 {
-		t.Errorf("kills = %d, want ≥ 3 over 4s at 1s period", c.Kills)
-	}
-	if c.Refreshes != 1 || c.Epoch != 1 {
-		t.Errorf("refreshes %d epoch %d, want 1/1", c.Refreshes, c.Epoch)
-	}
-	if c.Requests == 0 || c.Availability != 1 {
-		t.Errorf("requests %d availability %v, want closed-loop traffic at 1.0", c.Requests, c.Availability)
-	}
-	if c.OracleChecked != 2 {
-		t.Errorf("oracle_checked = %d, want 2", c.OracleChecked)
+// TestDrillFailsClosed: a drill too short to carry a request or commit a
+// refresh is a failure, not a quiet pass.
+func TestDrillFailsClosed(t *testing.T) {
+	sum, err := run([]string{"-chaosfor", "0s", "-validate", "1"}, io.Discard)
+	if err == nil {
+		t.Fatalf("zero-length drill passed: %+v", sum)
 	}
 }
 
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-requests", "0"},
-		{"-requests", "10", "-cold", "20"},
 		{"-concurrency", "0"},
-		{"-chaos", "-addr", "http://example.invalid"},
-		{"-chaos", "-chaosperiod", "1s", "-chaosdown", "2s"},
+		{"-validate", "0"},
+		{"-n", "0"},
+		{"-chaosperiod", "1s", "-chaosdown", "2s"},
+		{"stray"},
+		// Flags of the retired load-report mode.
+		{"-json", "out.json"},
+		{"-addr", "http://example.invalid"},
+		{"-cold", "10"},
+		{"-chaos"},
 	} {
-		if err := run(args, os.Stdout); err == nil {
+		if _, err := run(args, io.Discard); err == nil {
 			t.Errorf("args %v: want error", args)
 		}
 	}

@@ -17,11 +17,14 @@
 //	manetsim -fig 7 -churn 0,2,4        # churn sweep, custom x-axis
 //	manetsim -fig 9 -citynodes 100,500,2000  # city sweep, custom x-axis
 //	manetsim -all -parallel 8 -progress # 8 workers, per-trial progress
-//	manetsim -all -timeout 2m -json BENCH_manet.json
+//	manetsim -all -timeout 2m           # per-trial wall-clock deadline
+//
+// Simulator throughput and the spatial-index counters are the sim_paper and
+// sim_city workloads of the repository benchmark (bash bench/run.sh
+// --workload sim_city --trace 1).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -41,55 +44,6 @@ func main() {
 	}
 }
 
-// figStats is one figure's entry in the -json dump: wall-clock for the
-// whole figure plus the trial-level observability the runner collected.
-// PeakQueue, GridCells and GridMaxOccupancy are maxima over the figure's
-// trials; GridRebuilds/GridQueries/GridCandidates are sums, so their ratio
-// is the effective per-lookup work the spatial index paid.
-type figStats struct {
-	Figure           string  `json:"figure"`
-	WallMs           float64 `json:"wall_ms"`
-	Trials           int     `json:"trials"`
-	TrialWallMs      float64 `json:"trial_wall_ms_total"`
-	Events           uint64  `json:"events"`
-	EventsPerSec     float64 `json:"events_per_sec"`
-	PeakQueue        int     `json:"peak_queue"`
-	GridCells        int     `json:"grid_cells"`
-	GridMaxOccupancy int     `json:"grid_max_occupancy"`
-	GridRebuilds     uint64  `json:"grid_rebuilds"`
-	GridQueries      uint64  `json:"grid_queries"`
-	GridCandidates   uint64  `json:"grid_candidates"`
-}
-
-// mediumAblation records the spatial-index headline number: the same
-// 500-node broadcast-wave workload timed through the naive O(n²) medium
-// and through the grid index. Both passes process the identical event
-// sequence (the index is pinned to the naive oracle), so the speedup is
-// purely the neighbor-lookup win.
-type mediumAblation struct {
-	Nodes             int     `json:"nodes"`
-	Waves             int     `json:"waves"`
-	Events            uint64  `json:"events"`
-	NaiveEventsPerSec float64 `json:"naive_events_per_sec"`
-	GridEventsPerSec  float64 `json:"grid_events_per_sec"`
-	Speedup           float64 `json:"speedup"`
-}
-
-// benchReport is the schema of BENCH_manet.json: enough context to compare
-// sweep runs across machines and worker counts.
-type benchReport struct {
-	GoVersion      string          `json:"go_version"`
-	GOARCH         string          `json:"goarch"`
-	NumCPU         int             `json:"num_cpu"`
-	Workers        int             `json:"workers"`
-	Nodes          int             `json:"nodes"`
-	CityNodes      []int           `json:"city_nodes,omitempty"`
-	Timestamp      string          `json:"timestamp"`
-	Figures        []figStats      `json:"figures"`
-	MediumAblation *mediumAblation `json:"medium_ablation,omitempty"`
-	TotalWallMs    float64         `json:"total_wall_ms"`
-}
-
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("manetsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -107,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	parallel := fs.Int("parallel", 0, "trial worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	timeout := fs.Duration("timeout", 0, "per-trial wall-clock deadline (0 = none)")
 	progress := fs.Bool("progress", false, "print one line per finished trial to stderr")
-	jsonPath := fs.String("json", "", "write per-figure wall-clock and trial stats to this JSON file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -135,9 +88,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Per-figure trial stats are folded out of the progress stream, which
+	// The table footer's trial count comes off the progress stream, which
 	// also powers the optional -progress trace.
-	var st figStats
+	trials := 0
 	cfg := manet.SweepConfig{
 		Base:         manet.Scenario{Duration: *duration, Nodes: *nodes, Flows: *flows},
 		Speeds:       speedVals,
@@ -146,15 +99,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Workers:      *parallel,
 		TrialTimeout: *timeout,
 		Progress: func(u manet.TrialUpdate) {
-			st.Trials++
-			st.TrialWallMs += float64(u.Wall) / float64(time.Millisecond)
-			st.Events += u.Events
-			st.PeakQueue = max(st.PeakQueue, u.PeakQueue)
-			st.GridCells = max(st.GridCells, u.GridCells)
-			st.GridMaxOccupancy = max(st.GridMaxOccupancy, u.GridOccupancy)
-			st.GridRebuilds += u.GridRebuilds
-			st.GridQueries += u.GridQueries
-			st.GridCandidates += u.GridCandidates
+			trials++
 			if *progress {
 				status := "ok"
 				if u.Err != nil {
@@ -214,23 +159,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	report := benchReport{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Workers:   workers,
-		Nodes:     *nodes,
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-	}
 	for _, id := range which {
-		if id == 9 || id == 10 {
-			report.CityNodes = cityVals
-			break
-		}
-	}
-	allStart := time.Now()
-	for _, id := range which {
-		st = figStats{}
+		trials = 0
 		start := time.Now()
 		figure, err := gens[id]()
 		if err != nil {
@@ -242,53 +172,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		} else {
 			fmt.Fprint(stdout, figure.Render())
 			fmt.Fprintf(stdout, "(regenerated in %v, %d trials on %d workers)\n\n",
-				wall.Round(time.Millisecond), st.Trials, workers)
+				wall.Round(time.Millisecond), trials, workers)
 		}
-		st.Figure = figure.ID
-		st.WallMs = float64(wall) / float64(time.Millisecond)
-		if secs := wall.Seconds(); secs > 0 {
-			st.EventsPerSec = float64(st.Events) / secs
-		}
-		report.Figures = append(report.Figures, st)
-	}
-	report.TotalWallMs = float64(time.Since(allStart)) / float64(time.Millisecond)
-
-	// The city-scale figures ship with the medium ablation: 500-node
-	// broadcast waves, naive scan vs spatial index. The rendered line is
-	// suppressed under -csv so serial/parallel CSV diffs stay byte-equal
-	// (wall-clock numbers are machine-dependent).
-	for _, id := range which {
-		if id != 9 && id != 10 {
-			continue
-		}
-		ab, err := manet.RunMediumAblation(500, 20)
-		if err != nil {
-			return err
-		}
-		report.MediumAblation = &mediumAblation{
-			Nodes:             ab.Nodes,
-			Waves:             ab.Waves,
-			Events:            ab.Events,
-			NaiveEventsPerSec: ab.NaiveEventsPerSec,
-			GridEventsPerSec:  ab.GridEventsPerSec,
-			Speedup:           ab.Speedup,
-		}
-		if !*csv {
-			fmt.Fprintf(stdout, "medium ablation (%d-node broadcast waves): naive %.0f ev/s, grid %.0f ev/s — %.1fx\n\n",
-				ab.Nodes, ab.NaiveEventsPerSec, ab.GridEventsPerSec, ab.Speedup)
-		}
-		break
-	}
-
-	if *jsonPath != "" {
-		blob, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "manetsim: wrote %s\n", *jsonPath)
 	}
 	return nil
 }

@@ -5,22 +5,17 @@
 //
 // Usage:
 //
-//	mcclsbench [-iters N] [-csv] [-json [FILE]] [-batch N1,N2,...]
+//	mcclsbench [-iters N] [-csv]
 //
-// With -json, the BN254 substrate primitives (pairing, scalar
-// multiplications, hashes-to-curve, GT exponentiation) are additionally
-// timed and dumped to FILE (default BENCH_bn254.json) for machine-readable
-// before/after comparisons, along with a batch-verification sweep over the
-// -batch sizes (default 1,8,64,256) reporting per-size sigs/sec and
-// speedup versus sequential Verify.
+// Per-primitive timings (pairing, scalar multiplications, hash-to-curve)
+// and the batch-verification sweep are the repository benchmark's per-layer
+// metrics: bash bench/run.sh --workload auth_warm --trace 1.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"mccls/manet"
@@ -36,31 +31,10 @@ func main() {
 func run() error {
 	iters := flag.Int("iters", 10, "sign/verify iterations per scheme")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonPath := flag.String("json", "", "also dump BN254 primitive timings to this file (BENCH_bn254.json if empty string is given with -json=)")
-	batchList := flag.String("batch", "1,8,64,256", "comma-separated batch sizes for the -json batch-verification sweep")
-	jsonSet := false
 	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "json" {
-			jsonSet = true
-		}
-	})
 
 	if *iters < 1 {
 		return fmt.Errorf("-iters must be at least 1, got %d", *iters)
-	}
-	if jsonSet {
-		path := *jsonPath
-		if path == "" {
-			path = "BENCH_bn254.json"
-		}
-		sizes, err := parseBatchSizes(*batchList)
-		if err != nil {
-			return err
-		}
-		if err := writeBenchJSON(path, *iters, sizes); err != nil {
-			return err
-		}
 	}
 
 	rows, err := manet.Table1(*iters, nil)
@@ -82,20 +56,4 @@ func run() error {
 	fmt.Println()
 	fmt.Print(manet.RenderTable1(rows))
 	return nil
-}
-
-// parseBatchSizes parses the -batch list ("1,8,64,256").
-func parseBatchSizes(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var sizes []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-batch wants positive integers, got %q", part)
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, nil
 }

@@ -33,8 +33,8 @@ import (
 
 // DefaultChunkSize is the chunk width when Options.ChunkSize is zero. One
 // chunk is one shared final exponentiation, so wider chunks amortize
-// better; narrower chunks parallelize and bisect better. 64 matches the
-// knee of the sigs/sec curve in BENCH_bn254.json.
+// better; narrower chunks parallelize and bisect better. 64 is the window
+// the benchmark's batch_flood workload prices as batch.us_per_sig.
 const DefaultChunkSize = 64
 
 // Options configure a batch check.

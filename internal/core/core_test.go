@@ -665,3 +665,54 @@ func TestSignRedrawsWhenROverlapsSecret(t *testing.T) {
 		t.Fatalf("redrawn signature rejected: %v", err)
 	}
 }
+
+// TestPassiveObserverForgesSignature pins a KNOWN BREAK of McCLS as
+// published, so a refactor cannot silently change it: the test passes when
+// the forgery verifies. S = x⁻¹·D_ID is message-independent and shipped in
+// every signature, and one honest (V, S, R) on M reveals X = x·P =
+// (V·h⁻¹)·P − R. With those two the observer signs any M' — pick t, set
+// R' = t·P − X, h' = H2(M', R', P_ID), V' = h'·t, reuse S — without a
+// private key, a KGC query or a key replacement: the verifier computes
+// (V'·h'⁻¹)·P − R' = X and e(X, S) = e(P_pub, Q_ID) as for an honest tag.
+// See DESIGN.md §8; the game harness over the other schemes is ROADMAP
+// item 1.
+func TestPassiveObserverForgesSignature(t *testing.T) {
+	kgc, sk, vf := newTestSystem(t, "victim@manet")
+	params, pk := kgc.Params(), sk.Public()
+	msg := []byte("RREQ 7 from victim")
+	seen, err := Sign(params, sk, msg, fixedRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Everything below uses only what a neighbour overhears: params, pk,
+	// msg and seen.
+	hInv, err := invertH2(params.hashH2(msg, seen.R, pk.PID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	X := new(bn254.G1).ScalarBaseMultAdd(new(big.Int).Mul(seen.V, hInv), new(bn254.G1).Neg(seen.R))
+
+	forgedMsg := []byte("RREP: route to anywhere via the observer")
+	tt, err := bn254.RandomScalar(fixedRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	R := new(bn254.G1).ScalarBaseMultAdd(tt, new(bn254.G1).Neg(X))
+	h := params.hashH2(forgedMsg, R, pk.PID)
+	forged := &Signature{V: new(big.Int).Mod(new(big.Int).Mul(h, tt), bn254.Order), S: seen.S, R: R}
+
+	if bytes.Equal(forgedMsg, msg) || forged.R.Equal(seen.R) {
+		t.Fatal("forgery is a replay, not a fresh signature")
+	}
+	if err := vf.Verify(pk, forgedMsg, forged); err != nil {
+		t.Fatalf("known break no longer reproduces: forged signature rejected: %v", err)
+	}
+	decoded, err := UnmarshalSignature(forged.Marshal())
+	if err != nil {
+		t.Fatalf("forged tag rejected by the wire decoder: %v", err)
+	}
+	if err := vf.Verify(pk, forgedMsg, decoded); err != nil {
+		t.Fatalf("forged tag rejected after a wire round trip: %v", err)
+	}
+}

@@ -104,18 +104,6 @@ type axisSweep[X int | float64] struct {
 	pool
 }
 
-// observe copies a run's environment counters into the trial's
-// observability slot, where the pool folds them into progress updates.
-func observe(obs *runner.Obs, res Result) {
-	obs.Events = res.Events
-	obs.PeakQueue = res.PeakQueue
-	obs.GridCells = res.Grid.Cells
-	obs.GridOccupancy = res.Grid.MaxOccupancy
-	obs.GridRebuilds = res.Grid.Rebuilds
-	obs.GridQueries = res.Grid.Queries
-	obs.GridCandidates = res.Grid.Candidates
-}
-
 // results runs the sweep and returns one SweepResult per curve, in curve
 // order. Each trial is fully determined by its scenario (all RNG streams
 // derive from the per-trial seed), so the fold is bit-identical at any
@@ -151,7 +139,7 @@ func (sw axisSweep[X]) results() ([]SweepResult, error) {
 					Label: fmt.Sprintf("%s %s=%v seed=%d", c.label, sw.name, x, sc.Seed),
 					Run: func(ctx context.Context, obs *runner.Obs) (metrics.Summary, error) {
 						res, err := run(sc, ctx)
-						observe(obs, res)
+						obs.Events = res.Events
 						return res.Summary, err
 					},
 				})

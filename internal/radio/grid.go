@@ -41,8 +41,9 @@ type grid struct {
 	stats GridStats
 }
 
-// GridStats counts the spatial index's work, exported per-run for
-// BENCH_manet.json.
+// GridStats counts the spatial index's work per run; the benchmark's
+// sim_city workload reports it as radio.grid_*, next to the per-lookup
+// cost radio.neighbor_query_ns_n500.
 type GridStats struct {
 	// Rebuilds is how many epochs were (re)indexed; Cells is the occupied
 	// cell count of the last build and MaxOccupancy the largest single-cell

@@ -54,14 +54,6 @@ type Update struct {
 	Wall         time.Duration
 	Events       uint64
 	EventsPerSec float64
-	// PeakQueue and the Grid* counters echo the trial's Obs verbatim (zero
-	// when the trial did not report them).
-	PeakQueue      int
-	GridCells      int
-	GridOccupancy  int
-	GridRebuilds   uint64
-	GridQueries    uint64
-	GridCandidates uint64
 }
 
 // Obs is the per-trial observability slot: the trial fills it in (e.g. with
@@ -69,18 +61,6 @@ type Update struct {
 // progress Update.
 type Obs struct {
 	Events uint64
-	// PeakQueue is the trial's event-queue high-water mark, the natural
-	// sizing figure for the pooled event store.
-	PeakQueue int
-	// The Grid* counters describe the trial's spatial neighbor index:
-	// occupied cells and worst single-cell population of the last build,
-	// rebuild count, and the queries/candidates pair whose ratio is the
-	// effective per-lookup work. All zero when the index is disabled.
-	GridCells      int
-	GridOccupancy  int
-	GridRebuilds   uint64
-	GridQueries    uint64
-	GridCandidates uint64
 }
 
 // Trial is one unit of work. Run must be self-contained: it may only touch
@@ -172,10 +152,6 @@ func Run[T any](ctx context.Context, opts Options, trials []Trial[T]) ([]T, erro
 				Index: i, Done: done, Total: n,
 				Label: trials[i].Label, Err: errs[i],
 				Wall: wall, Events: obs.Events,
-				PeakQueue: obs.PeakQueue,
-				GridCells: obs.GridCells, GridOccupancy: obs.GridOccupancy,
-				GridRebuilds: obs.GridRebuilds, GridQueries: obs.GridQueries,
-				GridCandidates: obs.GridCandidates,
 			}
 			if secs := wall.Seconds(); secs > 0 && obs.Events > 0 {
 				u.EventsPerSec = float64(obs.Events) / secs

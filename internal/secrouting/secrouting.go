@@ -28,15 +28,15 @@ import (
 )
 
 // Default processing latencies injected per control-packet operation.
-// Derivation (see EXPERIMENTS.md): the mccls_sign / mccls_verify rows of
-// BENCH_bn254.json (cmd/mcclsbench on the reference x86 host) measure
-// ~28 µs and ~0.99 ms — sign is one fixed-base G1 multiplication (S
-// precomputed), verify one pairing plus one fixed-base multiplication with
-// e(P_pub, Q_ID) cached. The defaults were rounded up ~1.5× from an earlier
-// ~33 µs / ~1.35 ms measurement as headroom for slower in-class hardware and
-// have not been re-derived since (doing so moves every figure CSV). Override
-// with the corresponding fields when calibrating against a different
-// platform's cmd/mcclsbench run.
+// Derivation (see EXPERIMENTS.md): sign is one fixed-base G1 multiplication
+// (S precomputed) — the benchmark's core.sign_us; verify is tag decode plus
+// one pairing and one fixed-base multiplication with e(P_pub, Q_ID) cached —
+// core.sig_unmarshal_us + core.pk_unmarshal_us + core.verify_hit_us (bash
+// bench/run.sh --workload auth_warm --trace 1). The defaults were rounded
+// up ~1.5× from an early ~33 µs / ~1.35 ms measurement as headroom for
+// slower in-class hardware and have not been re-derived since (doing so
+// moves every figure CSV). Override with the corresponding fields when
+// calibrating against a different platform's run of those metrics.
 const (
 	DefaultSignLatency   = 50 * time.Microsecond
 	DefaultVerifyLatency = 2 * time.Millisecond

@@ -77,9 +77,6 @@ type (
 	// AODV vs McCLS on a Manhattan street grid with heterogeneous radio
 	// ranges as the network densifies.
 	CityConfig = experiments.CityConfig
-	// MediumAblationResult is the broadcast-wave events/sec comparison of
-	// the naive neighbor scan against the spatial index.
-	MediumAblationResult = experiments.MediumAblationResult
 
 	// ResilienceConfig drives the churn sweep (figures 7–8): plain AODV vs
 	// McCLS-AODV with online enrollment as crash/restart events grow.
@@ -171,10 +168,6 @@ var (
 	// Manhattan street grid with heterogeneous radio ranges.
 	FigureCityPDR      = experiments.FigureCityPDR
 	FigureCityOverhead = experiments.FigureCityOverhead
-
-	// RunMediumAblation times identical broadcast-wave workloads through
-	// the naive O(n²) medium and the spatial index at a given node count.
-	RunMediumAblation = experiments.RunMediumAblation
 )
 
 // Table1 regenerates the paper's scheme-comparison table with measured
