@@ -45,15 +45,18 @@ func BenchmarkPairing(b *testing.B) {
 
 func BenchmarkMillerLoop(b *testing.B) {
 	p, q := benchPoints(b)
+	ps, qs := []*G1{p}, []*G2{q}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		millerLoop(p, q)
+		MillerLoopMulti(ps, qs)
 	}
 }
 
 func BenchmarkFinalExponentiation(b *testing.B) {
 	p, q := benchPoints(b)
-	f := millerLoop(p, q)
+	f := MillerLoopMulti([]*G1{p}, []*G2{q})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		finalExponentiation(f)

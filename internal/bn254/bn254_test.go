@@ -119,15 +119,8 @@ func TestFp2Sqrt(t *testing.T) {
 
 func TestFp12FieldAxioms(t *testing.T) {
 	r := testRand()
-	randFp12 := func() *Fp12 {
-		z := &Fp12{}
-		for k := 0; k < 6; k++ {
-			z.C[k] = *randFp2(r)
-		}
-		return z
-	}
 	for i := 0; i < 10; i++ {
-		a, b, c := randFp12(), randFp12(), randFp12()
+		a, b, c := randFp12(r), randFp12(r), randFp12(r)
 		ab := new(Fp12).Mul(a, b)
 		if !ab.Equal(new(Fp12).Mul(b, a)) {
 			t.Fatal("Fp12 mul not commutative")

@@ -5,10 +5,11 @@
 // e: G1 × G2 → GT.
 //
 // Base-field arithmetic is fixed-width Montgomery form (internal/bn254/fp);
-// scalars and every derived constant (twist coefficient, Frobenius
-// coefficients, final-exponentiation hard part) remain math/big and are
-// computed from the curve parameter u rather than transcribed, keeping the
-// derivation auditable.
+// scalars remain math/big, and every derived constant (twist coefficient,
+// Frobenius coefficients, the signed-digit recodings of 6u+2 and u that
+// drive the Miller loop and the final exponentiation) is computed at init
+// from the curve parameter u rather than transcribed, keeping the derivation
+// auditable.
 package bn254
 
 import (
@@ -41,12 +42,17 @@ var (
 	Order = mustBig("21888242871839275222246405745257275088548364400416034343698204186575808495617")
 
 	// ateLoopCount is 6u + 2, the Miller loop length of the optimal-ate
-	// pairing on BN curves.
+	// pairing on BN curves; the loop walks its non-adjacent form ateNAF
+	// (66 digits, 22 nonzero against 37 set bits).
 	ateLoopCount = new(big.Int).Add(new(big.Int).Mul(big.NewInt(6), u), big.NewInt(2))
+	ateNAF       = nafDigits(ateLoopCount)
 
-	// uNAF (the non-adjacent form of u) drives the G2 subgroup check,
-	// sixUSquared = 6u² = t - 1 (t the trace of Frobenius) the cofactor clearing.
+	// uNAF (the non-adjacent form of u) drives the G2 subgroup check, uWNAF
+	// (width cycWindow) the three exponentiations by u in the final
+	// exponentiation, sixUSquared = 6u² = t - 1 (t the trace of Frobenius)
+	// the cofactor clearing.
 	uNAF        = nafDigits(u)
+	uWNAF       = wnafDigits(u, cycWindow)
 	sixUSquared = new(big.Int).Mul(big.NewInt(6), new(big.Int).Mul(u, u))
 
 	// curveB is the G1 curve coefficient: E: y^2 = x^3 + 3.

@@ -1,15 +1,12 @@
 package bn254
 
-import (
-	"math/big"
-	"strings"
-)
+import "strings"
 
 // Fp12 is the sextic extension Fp2[w]/(w^6 - xi) with xi = 9 + i. An element
-// is sum_{k=0..5} C[k]·w^k. This single-step tower (instead of the usual
-// 2-3-2 tower) keeps multiplication, Frobenius and inversion uniform: the
-// Frobenius acts coefficient-wise as conjugation times xi^(k(p-1)/6), and
-// inversion reduces to the Galois norm down to Fp2.
+// is sum_{k=0..5} C[k]·w^k. On this w-power basis the Frobenius acts
+// coefficient-wise as conjugation times xi^(k(p-1)/6) and Miller lines are
+// sparse (w⁰, w¹, w³); multiplication, squaring and inversion read the same
+// coefficients as a quadratic extension of Fp6 (see fp6).
 //
 // Coefficients are value-type Fp2 elements, so the zero value of Fp12 is
 // the field's zero and arithmetic stays on the stack.
@@ -56,109 +53,138 @@ func (z *Fp12) Equal(x *Fp12) bool {
 	return true
 }
 
-// Mul sets z = x·y by schoolbook convolution with reduction w^6 = xi,
-// accumulating each of the 11 convolution slots in an unreduced fp2Wide:
-// a dense product pays 22 Montgomery reductions (two per live slot)
-// instead of one per coefficient product. Zero coefficients are skipped,
-// so multiplying by sparse operands costs proportionally less, and
-// untouched slots skip their reductions entirely.
-//
-// Budget: a slot receives at most six products, each contributing
-// ≤ 2q² per coefficient (see fp2Wide.mulAcc), so the accumulators stay
-// ≤ 12q² + one transient pad — inside the ~15q² Wide contract. The xi
-// fold for slots 6..10 happens after reduction (xi on a wide value
-// would multiply the budget by 10).
+// fp6 is c[0] + c[1]·v + c[2]·v² in Fp6 = Fp2[v]/(v³ - xi). With v = w²,
+// Fp12 = Fp6[w]/(w² - v) and x = a + b·w, where a holds the even and b the
+// odd w-power coefficients of x: a view of Fp12.C, not a second
+// representation.
+type fp6 [3]Fp2
+
+// split returns the Fp6 halves (a, b) of x = a + b·w.
+func (x *Fp12) split() (a, b fp6) {
+	return fp6{x.C[0], x.C[2], x.C[4]}, fp6{x.C[1], x.C[3], x.C[5]}
+}
+
+// join sets z = a + b·w.
+func (z *Fp12) join(a, b *fp6) *Fp12 {
+	z.C = [6]Fp2{a[0], b[0], a[1], b[1], a[2], b[2]}
+	return z
+}
+
+func (z *fp6) add(x, y *fp6) {
+	for i := range z {
+		z[i].Add(&x[i], &y[i])
+	}
+}
+
+func (z *fp6) sub(x, y *fp6) {
+	for i := range z {
+		z[i].Sub(&x[i], &y[i])
+	}
+}
+
+// mulByV sets z = v·x: the coefficients rotate up and the wrapped one
+// picks up xi.
+func (z *fp6) mulByV(x *fp6) {
+	var t Fp2
+	t.MulByXi(&x[2])
+	z[2], z[1], z[0] = x[1], x[0], t
+}
+
+// mul sets z = x·y. Each output coefficient accumulates its three Fp2
+// products in an unreduced fp2Wide (≤ 7q² of the ~15q² Wide contract, the
+// budget of mulByLine) and reduces once: 9 wide products and 6 Montgomery
+// reductions. The xi that wrapped terms pick up is applied to x's canonical
+// coefficients up front, as in mulByLine.
+func (z *fp6) mul(x, y *fp6) {
+	var x1, x2 Fp2
+	x1.MulByXi(&x[1])
+	x2.MulByXi(&x[2])
+	var c0, c1, c2 fp2Wide
+	c0.mulAcc(&x[0], &y[0])
+	c0.mulAcc(&x1, &y[2])
+	c0.mulAcc(&x2, &y[1])
+	c1.mulAcc(&x[0], &y[1])
+	c1.mulAcc(&x[1], &y[0])
+	c1.mulAcc(&x2, &y[2])
+	c2.mulAcc(&x[0], &y[2])
+	c2.mulAcc(&x[1], &y[1])
+	c2.mulAcc(&x[2], &y[0])
+	c0.reduce(&z[0])
+	c1.reduce(&z[1])
+	c2.reduce(&z[2])
+}
+
+// inverse sets z = x⁻¹ by the norm to Fp2: with A = c0² - xi·c1c2,
+// B = xi·c2² - c0c1 and C = c1² - c0c2, the product x·(A + B·v + C·v²) is
+// N = c0·A + xi·(c2·B + c1·C) ∈ Fp2. Panics on zero input (N = 0).
+func (z *fp6) inverse(x *fp6) {
+	var a, b, c, n, t Fp2
+	a.Square(&x[0])
+	t.Mul(&x[1], &x[2])
+	a.Sub(&a, t.MulByXi(&t))
+	b.Square(&x[2])
+	t.Mul(&x[0], &x[1])
+	b.Sub(b.MulByXi(&b), &t)
+	c.Square(&x[1])
+	t.Mul(&x[0], &x[2])
+	c.Sub(&c, &t)
+	n.Mul(&x[2], &b)
+	t.Mul(&x[1], &c)
+	n.MulByXi(n.Add(&n, &t))
+	t.Mul(&x[0], &a)
+	n.Inverse(n.Add(&n, &t))
+	z[0].Mul(&a, &n)
+	z[1].Mul(&b, &n)
+	z[2].Mul(&c, &n)
+}
+
+// Mul sets z = x·y by Karatsuba over the Fp6 view: with x = a + b·w and
+// y = c + d·w, x·y = (ac + v·bd) + ((a+b)(c+d) - ac - bd)·w — three Fp6
+// products, and no branch on operand values.
 func (z *Fp12) Mul(x, y *Fp12) *Fp12 {
-	var acc [11]fp2Wide
-	var touched [11]bool
-	for a := 0; a < 6; a++ {
-		if x.C[a].IsZero() {
-			continue
-		}
-		for b := 0; b < 6; b++ {
-			if y.C[b].IsZero() {
-				continue
-			}
-			acc[a+b].mulAcc(&x.C[a], &y.C[b])
-			touched[a+b] = true
-		}
-	}
-	var res Fp12
-	var t Fp2
-	for k := 0; k < 6; k++ {
-		if touched[k] {
-			acc[k].reduce(&res.C[k])
-		}
-	}
-	for k := 6; k < 11; k++ {
-		if !touched[k] {
-			continue
-		}
-		// w^k = w^(k-6)·xi
-		acc[k].reduce(&t)
-		t.MulByXi(&t)
-		res.C[k-6].Add(&res.C[k-6], &t)
-	}
-	return z.Set(&res)
+	a, b := x.split()
+	c, d := y.split()
+	var s, t fp6
+	s.add(&a, &b)
+	t.add(&c, &d)
+	s.mul(&s, &t)
+	a.mul(&a, &c)
+	b.mul(&b, &d)
+	s.sub(&s, &a)
+	s.sub(&s, &b)
+	b.mulByV(&b)
+	a.add(&a, &b)
+	return z.join(&a, &s)
 }
 
-// Square sets z = x² by symmetric convolution: cross terms a≠b appear
-// twice, so the 36 coefficient products of the generic Mul collapse to
-// 6 squarings plus 15 multiplications. Like Mul, slots accumulate
-// unreduced; the doubling of a cross term is applied to one (reduced)
-// operand before the wide product so the slot budget stays at
-// ≤ 3 contributions × 2q² per coefficient.
+// Square sets z = x² by the complex method over the Fp6 view: with
+// x = a + b·w, x² = ((a+b)(a+v·b) - ab - v·ab) + 2ab·w — two Fp6 products.
 func (z *Fp12) Square(x *Fp12) *Fp12 {
-	var acc [11]fp2Wide
-	var touched [11]bool
-	var d Fp2
-	for a := 0; a < 6; a++ {
-		if x.C[a].IsZero() {
-			continue
-		}
-		acc[2*a].mulAcc(&x.C[a], &x.C[a])
-		touched[2*a] = true
-		for b := a + 1; b < 6; b++ {
-			if x.C[b].IsZero() {
-				continue
-			}
-			d.Double(&x.C[b])
-			acc[a+b].mulAcc(&x.C[a], &d)
-			touched[a+b] = true
-		}
-	}
-	var res Fp12
-	var t Fp2
-	for k := 0; k < 6; k++ {
-		if touched[k] {
-			acc[k].reduce(&res.C[k])
-		}
-	}
-	for k := 6; k < 11; k++ {
-		if !touched[k] {
-			continue
-		}
-		acc[k].reduce(&t)
-		t.MulByXi(&t)
-		res.C[k-6].Add(&res.C[k-6], &t)
-	}
-	return z.Set(&res)
+	a, b := x.split()
+	var ab, s, t fp6
+	ab.mul(&a, &b)
+	s.add(&a, &b)
+	t.mulByV(&b)
+	t.add(&t, &a)
+	s.mul(&s, &t)
+	s.sub(&s, &ab)
+	t.mulByV(&ab)
+	s.sub(&s, &t)
+	ab.add(&ab, &ab)
+	return z.join(&s, &ab)
 }
 
-// fp4Square computes (re + im·v)² in Fp4 = Fp2[v]/(v² - xi):
-// re' = re² + xi·im², im' = 2·re·im, via two multiplications
-// (re² + xi·im² = (re + im)(re + xi·im) - re·im - xi·re·im).
-func fp4Square(re, im *Fp2) (Fp2, Fp2) {
-	var m, s, t, outRe, outIm Fp2
-	m.Mul(re, im)
-	t.MulByXi(im)
-	t.Add(&t, re)
-	s.Add(re, im)
-	s.Mul(&s, &t)
-	s.Sub(&s, &m)
-	t.MulByXi(&m)
-	outRe.Sub(&s, &t)
-	outIm.Double(&m)
+// fp4Square computes (re + im·v)² in Fp4 = Fp2[v]/(v² - xi) with three Fp2
+// squarings: re' = re² + xi·im², im' = (re + im)² - re² - im².
+func fp4Square(re, im *Fp2) (outRe, outIm Fp2) {
+	var r2, i2 Fp2
+	r2.Square(re)
+	i2.Square(im)
+	outIm.Add(re, im)
+	outIm.Square(&outIm)
+	outIm.Sub(&outIm, &r2)
+	outIm.Sub(&outIm, &i2)
+	outRe.Add(&r2, i2.MulByXi(&i2))
 	return outRe, outIm
 }
 
@@ -176,61 +202,66 @@ func (z *Fp12) CyclotomicSquare(x *Fp12) *Fp12 {
 	bRe, bIm := fp4Square(&x.C[1], &x.C[4]) // (C1 + C4 v)²
 	cRe, cIm := fp4Square(&x.C[2], &x.C[5]) // (C2 + C5 v)²
 
-	var res Fp12
+	// Output k reads only x.C[k] past this point, so z may alias x.
 	var t Fp2
 	// h0 = 3·A² - 2·conj(A): conj negates the v component.
-	res.C[0].Sub(&aRe, &x.C[0])
-	res.C[0].Double(&res.C[0])
-	res.C[0].Add(&res.C[0], &aRe)
-	res.C[3].Add(&aIm, &x.C[3])
-	res.C[3].Double(&res.C[3])
-	res.C[3].Add(&res.C[3], &aIm)
+	z.C[0].Sub(&aRe, &x.C[0])
+	z.C[0].Double(&z.C[0])
+	z.C[0].Add(&z.C[0], &aRe)
+	z.C[3].Add(&aIm, &x.C[3])
+	z.C[3].Double(&z.C[3])
+	z.C[3].Add(&z.C[3], &aIm)
 	// h1 = 3·v·C² + 2·conj(B): v·(re + im·v) = xi·im + re·v.
 	t.MulByXi(&cIm)
-	res.C[1].Add(&t, &x.C[1])
-	res.C[1].Double(&res.C[1])
-	res.C[1].Add(&res.C[1], &t)
-	res.C[4].Sub(&cRe, &x.C[4])
-	res.C[4].Double(&res.C[4])
-	res.C[4].Add(&res.C[4], &cRe)
+	z.C[1].Add(&t, &x.C[1])
+	z.C[1].Double(&z.C[1])
+	z.C[1].Add(&z.C[1], &t)
+	z.C[4].Sub(&cRe, &x.C[4])
+	z.C[4].Double(&z.C[4])
+	z.C[4].Add(&z.C[4], &cRe)
 	// h2 = 3·B² - 2·conj(C).
-	res.C[2].Sub(&bRe, &x.C[2])
-	res.C[2].Double(&res.C[2])
-	res.C[2].Add(&res.C[2], &bRe)
-	res.C[5].Add(&bIm, &x.C[5])
-	res.C[5].Double(&res.C[5])
-	res.C[5].Add(&res.C[5], &bIm)
-	return z.Set(&res)
+	z.C[2].Sub(&bRe, &x.C[2])
+	z.C[2].Double(&z.C[2])
+	z.C[2].Add(&z.C[2], &bRe)
+	z.C[5].Add(&bIm, &x.C[5])
+	z.C[5].Double(&z.C[5])
+	z.C[5].Add(&z.C[5], &bIm)
+	return z
 }
 
-// ExpCyclotomic sets z = x^e for a non-negative exponent and a unitary x,
-// combining cyclotomic squarings with a NAF recoding of e: negative digits
-// multiply by the conjugate (the free unitary inverse), cutting the
-// multiplication count by a third versus plain square-and-multiply.
-func (z *Fp12) ExpCyclotomic(x *Fp12, e *big.Int) *Fp12 {
-	digits := nafDigits(e)
-	xInv := new(Fp12).Conjugate(x)
-	base := new(Fp12).Set(x)
-	acc := Fp12One()
-	for i := len(digits) - 1; i >= 0; i-- {
-		acc.CyclotomicSquare(acc)
-		switch digits[i] {
-		case 1:
-			acc.Mul(acc, base)
-		case -1:
-			acc.Mul(acc, xInv)
+// cycWindow is the wNAF width of the cyclotomic ladder: digits are odd with
+// |d| ≤ 7, indexing the four odd powers x, x³, x⁵, x⁷.
+const cycWindow = 4
+
+// ExpCyclotomic sets z = x^e for a unitary x, e given as its width-cycWindow
+// wNAF digits (wnafDigits, little-endian): one cyclotomic squaring per digit
+// below the top one, one multiplication per nonzero digit plus three for
+// the odd-power table; a negative digit multiplies by the conjugate, the
+// free unitary inverse. The final exponentiation (uWNAF) and GT.Exp share
+// this ladder.
+func (z *Fp12) ExpCyclotomic(x *Fp12, digits []int8) *Fp12 {
+	if len(digits) == 0 {
+		return z.Set(Fp12One())
+	}
+	var tab [1 << (cycWindow - 2)]Fp12
+	var sq, t Fp12
+	tab[0] = *x
+	sq.CyclotomicSquare(x)
+	for i := 1; i < len(tab); i++ {
+		tab[i].Mul(&tab[i-1], &sq)
+	}
+	top := len(digits) - 1
+	acc := tab[digits[top]>>1] // a wNAF ends on a positive digit
+	for i := top - 1; i >= 0; i-- {
+		acc.CyclotomicSquare(&acc)
+		switch d := digits[i]; {
+		case d > 0:
+			acc.Mul(&acc, &tab[d>>1])
+		case d < 0:
+			acc.Mul(&acc, t.Conjugate(&tab[-d>>1]))
 		}
 	}
-	return z.Set(acc)
-}
-
-// MulFp2 sets z = k·x for a scalar k ∈ Fp2.
-func (z *Fp12) MulFp2(x *Fp12, k *Fp2) *Fp12 {
-	var res Fp12
-	for i := 0; i < 6; i++ {
-		res.C[i].Mul(&x.C[i], k)
-	}
-	return z.Set(&res)
+	return z.Set(&acc)
 }
 
 // Frobenius sets z = x^p.
@@ -261,28 +292,22 @@ func (z *Fp12) FrobeniusN(x *Fp12, n int) *Fp12 {
 	return z
 }
 
-// Inverse sets z = x⁻¹ using the Galois norm to Fp2: with σ = Frobenius²
-// generating Gal(Fp12/Fp2), t = Π_{k=1..5} σ^k(x) and N = x·t ∈ Fp2, so
-// x⁻¹ = t/N. Panics on zero input.
+// Inverse sets z = x⁻¹ through the norm to Fp6: with x = a + b·w,
+// x⁻¹ = (a - b·w)·(a² - v·b²)⁻¹ — one Fp6 inversion and four Fp6
+// products. Panics on zero input.
 func (z *Fp12) Inverse(x *Fp12) *Fp12 {
-	t := Fp12One()
-	conj := new(Fp12).Set(x)
-	for k := 1; k <= 5; k++ {
-		conj.FrobeniusN(conj, 2)
-		t.Mul(t, conj)
-	}
-	norm := new(Fp12).Mul(x, t)
-	// norm lies in Fp2 (fixed by sigma); its higher coefficients vanish.
-	for k := 1; k < 6; k++ {
-		if !norm.C[k].IsZero() {
-			panic("bn254: Fp12 norm not in Fp2")
-		}
-	}
-	if norm.C[0].IsZero() {
-		panic("bn254: inverse of zero Fp12 element")
-	}
-	nInv := new(Fp2).Inverse(&norm.C[0])
-	return z.MulFp2(t, nInv)
+	a, b := x.split()
+	var n, t fp6
+	n.mul(&a, &a)
+	t.mul(&b, &b)
+	t.mulByV(&t)
+	n.sub(&n, &t)
+	n.inverse(&n)
+	a.mul(&a, &n)
+	b.mul(&b, &n)
+	t = fp6{}
+	b.sub(&t, &b)
+	return z.join(&a, &b)
 }
 
 // Conjugate sets z = x^(p^6), which for unitary elements (the cyclotomic
@@ -293,19 +318,6 @@ func (z *Fp12) Conjugate(x *Fp12) *Fp12 {
 		z.C[k].Neg(&z.C[k])
 	}
 	return z
-}
-
-// Exp sets z = x^e for a non-negative integer exponent e.
-func (z *Fp12) Exp(x *Fp12, e *big.Int) *Fp12 {
-	acc := Fp12One()
-	base := new(Fp12).Set(x)
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		acc.Square(acc)
-		if e.Bit(i) == 1 {
-			acc.Mul(acc, base)
-		}
-	}
-	return z.Set(acc)
 }
 
 // String renders z as a polynomial in w.

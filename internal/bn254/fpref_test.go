@@ -90,9 +90,18 @@ func randFp2(r *rand.Rand) *Fp2 {
 	return fp2FromBig(new(big.Int).Rand(r, P), new(big.Int).Rand(r, P))
 }
 
+// randFp12 draws a uniform dense Fp12 element (shared by several test files).
+func randFp12(r *rand.Rand) *Fp12 {
+	z := &Fp12{}
+	for k := range z.C {
+		z.C[k] = *randFp2(r)
+	}
+	return z
+}
+
 // fp12MulRef multiplies two Fp12 elements by schoolbook polynomial
 // convolution over fp2Ref followed by reduction modulo w⁶ = xi, entirely in
-// math/big — the oracle for the optimized (zero-skipping) Fp12.Mul.
+// math/big — the oracle for Fp12.Mul that shares no field code with it.
 func fp12MulRef(a, b *Fp12) *Fp12 {
 	xiRef := newFp2Ref(big.NewInt(9), big.NewInt(1))
 	var ar, br [6]*fp2Ref
@@ -119,17 +128,12 @@ func fp12MulRef(a, b *Fp12) *Fp12 {
 	return z
 }
 
-// TestFp12MulVsRef drives the production Fp12 multiplication — including
-// its sparse-operand fast path — against the big.Int convolution oracle.
+// TestFp12MulVsRef drives the production Fp12 multiplication — on dense,
+// line-shaped sparse, one and zero operands — against the big.Int
+// convolution oracle.
 func TestFp12MulVsRef(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	randFull := func() *Fp12 {
-		z := &Fp12{}
-		for k := 0; k < 6; k++ {
-			z.C[k] = *randFp2(r)
-		}
-		return z
-	}
+	randFull := func() *Fp12 { return randFp12(r) }
 	// Line-evaluation-shaped sparse element: only w⁰ (Fp), w¹, w³ nonzero.
 	randLine := func() *Fp12 {
 		z := &Fp12{}

@@ -3,6 +3,7 @@ package bn254
 import (
 	"bytes"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"mccls/internal/bn254/fp"
@@ -214,6 +215,99 @@ func FuzzG2UnmarshalCompressed(f *testing.F) {
 		}
 		if !bytes.Equal(p.MarshalCompressed(), data) {
 			t.Fatal("accepted non-canonical compressed encoding")
+		}
+	})
+}
+
+// fp12FromBytes reads up to twelve 32-byte big-endian coefficients (the
+// GT.Marshal layout: C[0].C0, C[0].C1, C[1].C0, …), each reduced modulo p;
+// missing bytes read as zero, so short inputs give sparse elements.
+func fp12FromBytes(b []byte) *Fp12 {
+	z := &Fp12{}
+	for k := 0; k < 12 && 32*k < len(b); k++ {
+		c := new(big.Int).SetBytes(b[32*k : min(32*k+32, len(b))])
+		if k%2 == 0 {
+			z.C[k/2].C0.SetBigInt(c)
+		} else {
+			z.C[k/2].C1.SetBigInt(c)
+		}
+	}
+	return z
+}
+
+// FuzzFp12TowerVsSchoolbook differentially fuzzes the Fp6-view kernels —
+// Karatsuba Mul, complex-method Square, tower Inverse — against the
+// schoolbook convolution and the Galois-norm inverse they replaced
+// (oracle_test.go), under every receiver/operand aliasing the callers use.
+func FuzzFp12TowerVsSchoolbook(f *testing.F) {
+	r := rand.New(rand.NewSource(17))
+	dense := func() *Fp12 { return randFp12(r) }
+	enc := func(x *Fp12) []byte { return (&GT{v: x}).Marshal() }
+	qm1 := new(big.Int).Sub(P, big.NewInt(1))
+	allQm1 := &Fp12{}
+	for k := range allQm1.C {
+		allQm1.C[k] = *fp2FromBig(qm1, qm1)
+	}
+	line := &Fp12{}
+	line.C[0], line.C[1], line.C[3] = *randFp2(r), *randFp2(r), *randFp2(r)
+
+	f.Add([]byte{}, enc(dense()))       // 0
+	f.Add(enc(Fp12One()), enc(dense())) // 1
+	f.Add(enc(allQm1), enc(allQm1))     // every limb pattern at its maximum
+	f.Add(enc(line), enc(dense()))      // Miller-line shape
+	f.Add(enc(dense()), enc(line))
+	for k := 0; k < 6; k++ { // w^k monomials: each wrap of the reduction w^6 = xi
+		mono := &Fp12{}
+		mono.C[k] = *Fp2One()
+		f.Add(enc(mono), enc(dense()))
+		f.Add(enc(dense()), enc(mono))
+	}
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		x, y := fp12FromBytes(xb), fp12FromBytes(yb)
+
+		want := fp12MulSchoolbook(x, y)
+		if !new(Fp12).Mul(x, y).Equal(want) {
+			t.Fatal("Mul diverges from the schoolbook product")
+		}
+		if z := new(Fp12).Set(x); !z.Mul(z, y).Equal(want) {
+			t.Fatal("Mul with z == x diverges")
+		}
+		if z := new(Fp12).Set(y); !z.Mul(x, z).Equal(want) {
+			t.Fatal("Mul with z == y diverges")
+		}
+
+		wantSq := fp12SquareSchoolbook(x)
+		if !wantSq.Equal(fp12MulSchoolbook(x, x)) {
+			t.Fatal("schoolbook oracles disagree with each other")
+		}
+		if !new(Fp12).Square(x).Equal(wantSq) || !new(Fp12).Mul(x, x).Equal(wantSq) {
+			t.Fatal("Square or Mul with x == y diverges from the schoolbook square")
+		}
+		if z := new(Fp12).Set(x); !z.Square(z).Equal(wantSq) {
+			t.Fatal("Square with z == x diverges")
+		}
+		if z := new(Fp12).Set(x); !z.Mul(z, z).Equal(wantSq) {
+			t.Fatal("Mul with z == x == y diverges")
+		}
+
+		if x.Equal(&Fp12{}) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Inverse(0) did not panic")
+				}
+			}()
+			new(Fp12).Inverse(x)
+			return
+		}
+		inv := new(Fp12).Inverse(x)
+		if !fp12MulSchoolbook(inv, x).IsOne() || !new(Fp12).Mul(inv, x).IsOne() {
+			t.Fatal("Inverse(x)·x != 1")
+		}
+		if !inv.Equal(fp12InverseNorm(x)) {
+			t.Fatal("Inverse diverges from the Galois-norm inverse")
+		}
+		if z := new(Fp12).Set(x); !z.Inverse(z).Equal(inv) {
+			t.Fatal("Inverse with z == x diverges")
 		}
 	})
 }

@@ -168,16 +168,89 @@ func TestWnafDigitsRecompose(t *testing.T) {
 			t.Fatalf("wNAF digits do not recompose: got %v want %v", acc, k)
 		}
 		naf := nafDigits(k)
-		acc.SetInt64(0)
-		for j := len(naf) - 1; j >= 0; j-- {
-			acc.Lsh(acc, 1)
-			acc.Add(acc, big.NewInt(int64(naf[j])))
-			if j > 0 && naf[j] != 0 && naf[j-1] != 0 {
+		for j := 1; j < len(naf); j++ {
+			if naf[j] != 0 && naf[j-1] != 0 {
 				t.Fatal("adjacent nonzero NAF digits")
 			}
 		}
-		if acc.Cmp(k) != 0 {
+		if acc := recompose(naf); acc.Cmp(k) != 0 {
 			t.Fatalf("NAF digits do not recompose: got %v want %v", acc, k)
+		}
+	}
+}
+
+// recompose evaluates Σ dᵢ·2ⁱ for a little-endian signed-digit slice.
+func recompose(digits []int8) *big.Int {
+	acc := new(big.Int)
+	for i := len(digits) - 1; i >= 0; i-- {
+		acc.Lsh(acc, 1)
+		acc.Add(acc, big.NewInt(int64(digits[i])))
+	}
+	return acc
+}
+
+// TestAteNAFRecomposes pins the two init-time recodings the pairing walks:
+// ateNAF is the non-adjacent form of 6u+2 (66 digits, 22 nonzero — the
+// numbers the Miller-loop op counts are derived from), uWNAF a width-4
+// wNAF of u whose digits index the ladder's four-entry odd-power table.
+func TestAteNAFRecomposes(t *testing.T) {
+	if got := recompose(ateNAF); got.Cmp(ateLoopCount) != 0 {
+		t.Fatalf("ateNAF recomposes to %v, want 6u+2 = %v", got, ateLoopCount)
+	}
+	weight := 0
+	for i, d := range ateNAF {
+		if d < -1 || d > 1 {
+			t.Fatalf("ateNAF digit %d out of range", d)
+		}
+		if d != 0 {
+			weight++
+			if i > 0 && ateNAF[i-1] != 0 {
+				t.Fatalf("ateNAF has adjacent nonzero digits at %d", i)
+			}
+		}
+	}
+	if len(ateNAF) != 66 || weight != 22 || ateNAF[len(ateNAF)-1] != 1 {
+		t.Fatalf("ateNAF has length %d, weight %d, top digit %d; want 66, 22, 1",
+			len(ateNAF), weight, ateNAF[len(ateNAF)-1])
+	}
+
+	if got := recompose(uWNAF); got.Cmp(u) != 0 {
+		t.Fatalf("uWNAF recomposes to %v, want u = %v", got, u)
+	}
+	for _, d := range uWNAF {
+		if d != 0 && (d%2 == 0 || d > 7 || d < -7) {
+			t.Fatalf("uWNAF digit %d does not index the odd-power table", d)
+		}
+	}
+	if uWNAF[len(uWNAF)-1] <= 0 {
+		t.Fatal("uWNAF does not end on a positive digit")
+	}
+}
+
+// TestFp4SquareMatchesMul checks the three-squaring Fp4 square against the
+// definition (re + im·v)² = (re² + xi·im²) + 2·re·im·v by plain products,
+// with zero, one and all-(q-1) coefficients among the inputs.
+func TestFp4SquareMatchesMul(t *testing.T) {
+	r := testRand()
+	qm1 := fp2FromBig(new(big.Int).Sub(P, big.NewInt(1)), new(big.Int).Sub(P, big.NewInt(1)))
+	ins := [][2]*Fp2{
+		{Fp2Zero(), Fp2Zero()}, {Fp2One(), Fp2Zero()}, {Fp2Zero(), Fp2One()},
+		{qm1, qm1}, {qm1, Fp2One()},
+	}
+	for i := 0; i < 16; i++ {
+		ins = append(ins, [2]*Fp2{randFp2(r), randFp2(r)})
+	}
+	for i, in := range ins {
+		re, im := in[0], in[1]
+		var wantRe, wantIm, t0 Fp2
+		wantRe.Mul(re, re)
+		t0.Mul(im, im)
+		wantRe.Add(&wantRe, t0.MulByXi(&t0))
+		wantIm.Mul(re, im)
+		wantIm.Double(&wantIm)
+		gotRe, gotIm := fp4Square(re, im)
+		if !gotRe.Equal(&wantRe) || !gotIm.Equal(&wantIm) {
+			t.Fatalf("fp4Square diverges from the product form (case %d)", i)
 		}
 	}
 }
@@ -190,7 +263,7 @@ func TestCyclotomicSquareMatchesGeneric(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		p := new(G1).ScalarBaseMult(randScalar(r))
 		q := new(G2).ScalarBaseMult(randScalar(r))
-		u := easyPart(millerLoop(p, q))
+		u := new(Fp12).easyPart(millerLoop(p, q))
 		fast := new(Fp12).CyclotomicSquare(u)
 		generic := new(Fp12).Square(u)
 		if !fast.Equal(generic) {
@@ -199,20 +272,41 @@ func TestCyclotomicSquareMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestExpCyclotomicMatchesExp checks the NAF/conjugate exponentiation ladder
-// against plain square-and-multiply on cyclotomic elements.
-func TestExpCyclotomicMatchesExp(t *testing.T) {
+// TestExpByUMatchesExp checks the one cyclotomic ladder against plain
+// square-and-multiply on both of its callers: the init-time digit table of
+// u on easy-part outputs (what the final exponentiation feeds it), and
+// GT.Exp's per-call recoding on edge and random 254-bit scalars.
+func TestExpByUMatchesExp(t *testing.T) {
 	r := testRand()
-	p := new(G1).ScalarBaseMult(randScalar(r))
-	q := new(G2).ScalarBaseMult(randScalar(r))
-	base := easyPart(millerLoop(p, q))
-	exps := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Set(u), randScalar(r)}
-	for _, e := range exps {
-		fast := new(Fp12).ExpCyclotomic(base, e)
-		naive := new(Fp12).Exp(base, e)
-		if !fast.Equal(naive) {
-			t.Fatalf("cyclotomic exponentiation diverges at e=%v", e)
+	var base *Fp12
+	for i := 0; i < 4; i++ {
+		p := new(G1).ScalarBaseMult(randScalar(r))
+		q := new(G2).ScalarBaseMult(randScalar(r))
+		base = new(Fp12).easyPart(millerLoop(p, q))
+		if fast, naive := new(Fp12).ExpCyclotomic(base, uWNAF), new(Fp12).Exp(base, u); !fast.Equal(naive) {
+			t.Fatalf("digit-table exp-by-u diverges from the generic ladder (iteration %d)", i)
 		}
+		// Aliased receiver, as finalExponentiation's chain could use it.
+		if z := new(Fp12).Set(base); !z.ExpCyclotomic(z, uWNAF).Equal(new(Fp12).Exp(base, u)) {
+			t.Fatalf("aliased exp-by-u diverges (iteration %d)", i)
+		}
+	}
+
+	gt := &GT{v: finalExponentiation(base)}
+	exps := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(7), big.NewInt(8),
+		new(big.Int).Sub(Order, big.NewInt(1)), new(big.Int).Set(u),
+	}
+	for i := 0; i < 6; i++ {
+		exps = append(exps, randScalar(r))
+	}
+	for _, e := range exps {
+		if fast, naive := new(GT).Exp(gt, e).v, new(Fp12).Exp(gt.v, e); !fast.Equal(naive) {
+			t.Fatalf("GT.Exp diverges from the generic ladder at e=%v", e)
+		}
+	}
+	if !new(GT).Exp(gt, big.NewInt(-1)).Equal(new(GT).Inverse(gt)) {
+		t.Fatal("GT.Exp(-1) is not the inverse")
 	}
 }
 
@@ -252,34 +346,26 @@ func TestMulByLineMatchesDense(t *testing.T) {
 	}
 }
 
-// TestMillerLoopOpCounts pins the line-operation profile of one Miller loop
-// to the ate-loop structure: 6u+2 has bit length 65, so 64 doubling steps;
-// addition steps are one per set bit below the MSB plus the two Frobenius
-// correction lines; sparse multiplications one per line. A refactor that
-// silently falls back to dense or generic arithmetic changes these counts
-// and fails here.
+// TestMillerLoopOpCounts pins the line-operation profile of the shipped
+// one-pair Miller loop to the ate-loop structure, derived from ateNAF rather
+// than literals: one doubling step and one accumulator squaring per digit
+// below the top one; one addition step per nonzero digit below the top, plus
+// the two Frobenius correction lines; one sparse multiplication per line. A
+// refactor that silently falls back to the binary walk, or to dense or
+// generic arithmetic, changes these counts and fails here.
 func TestMillerLoopOpCounts(t *testing.T) {
 	r := testRand()
 	p := new(G1).ScalarBaseMult(randScalar(r))
 	q := new(G2).ScalarBaseMult(randScalar(r))
 
-	wantDoubles := uint64(ateLoopCount.BitLen() - 1)
-	popcount := 0
-	for i := 0; i < ateLoopCount.BitLen()-1; i++ {
-		if ateLoopCount.Bit(i) == 1 {
-			popcount++
-		}
-	}
-	wantAdds := uint64(popcount) + 2
-	if wantDoubles != 64 {
-		t.Fatalf("ate loop length changed: %d doubling steps", wantDoubles)
-	}
+	wantDoubles, wantAdds := ateLineCounts()
 
 	before := ReadOpCounts()
-	millerLoop(p, q)
+	f := MillerLoopMulti([]*G1{p}, []*G2{q})
 	d := ReadOpCounts().Sub(before)
-	if d.LineDoubles != wantDoubles {
-		t.Fatalf("Miller loop ran %d doubling steps, want %d", d.LineDoubles, wantDoubles)
+	if d.LineDoubles != wantDoubles || d.MillerSquarings != wantDoubles {
+		t.Fatalf("Miller loop ran %d doubling steps and %d accumulator squarings, want %d of each",
+			d.LineDoubles, d.MillerSquarings, wantDoubles)
 	}
 	if d.LineAdds != wantAdds {
 		t.Fatalf("Miller loop ran %d addition steps, want %d", d.LineAdds, wantAdds)
@@ -289,13 +375,14 @@ func TestMillerLoopOpCounts(t *testing.T) {
 	}
 
 	// The final exponentiation must run its squarings cyclotomically: three
-	// exponentiations by u (62 NAF squarings each at most) plus the chain's
-	// four explicit squarings — and, in particular, more than zero.
+	// exponentiations by u (one squaring per digit of uWNAF, the top digit's
+	// going to the odd-power table instead) plus the chain's four — and, in
+	// particular, more than zero.
 	before = ReadOpCounts()
-	finalExponentiation(millerLoop(p, q))
+	finalExponentiation(f)
 	d = ReadOpCounts().Sub(before)
-	if d.CycSquares < 100 {
-		t.Fatalf("final exponentiation used only %d cyclotomic squarings — fell back to generic?", d.CycSquares)
+	if want := uint64(3*len(uWNAF) + 4); d.CycSquares != want {
+		t.Fatalf("final exponentiation used %d cyclotomic squarings, want %d — fell back to generic?", d.CycSquares, want)
 	}
 }
 

@@ -12,13 +12,16 @@ package bn254
 //     squaring per ate-loop iteration, with each pair contributing its
 //     sparse w⁰/w¹/w³ line via mulByLine.
 //
-// Per batch of n pairs the kernel costs 64 accumulator squarings + one
-// final exponentiation (shared) plus n·64 doubling steps, n·(popcount+2)
-// addition steps and one sparse multiplication per line (per pair) — the
-// amortization the op-count regression tests pin. Field arithmetic is
-// exact, so the lockstep product is byte-identical to the product of
-// per-pair Miller values; FuzzMillerLoopMultiVsSingle enforces this against
-// the per-pair oracle in oracle_test.go.
+// The loop walks ateNAF, the signed digits of 6u+2: a -1 digit adds -Q,
+// trading one extra doubling for 15 fewer addition steps per pair. Per
+// batch of n pairs the kernel costs len(ateNAF)-1 = 65 accumulator squarings
+// + one final exponentiation (shared) plus n·65 doubling steps, n·(21+2)
+// addition steps (nonzero digits below the top, plus two Frobenius lines)
+// and one sparse multiplication per line (per pair) — the amortization the
+// op-count regression tests pin. Field arithmetic is exact, so the lockstep
+// product is byte-identical to the product of per-pair Miller values;
+// FuzzMillerLoopMultiVsSingle enforces this against the per-pair oracle in
+// oracle_test.go.
 
 // MillerLoopMulti computes the unreduced product Π fⱼ of the optimal-ate
 // Miller values of the pairs (ps[j], qs[j]), running all doubling chains in
@@ -31,49 +34,63 @@ func MillerLoopMulti(ps []*G1, qs []*G2) *Fp12 {
 	if len(ps) != len(qs) {
 		panic("bn254: MillerLoopMulti length mismatch")
 	}
+	// Per-pair state; negQ serves the -1 digits. A single pair (every
+	// Verify) stays on the stack.
+	type pair struct {
+		p    *G1
+		q    *G2
+		negQ G2
+		t    g2Proj
+	}
+	var one [1]pair
+	pairs := one[:0]
+	if len(ps) > len(one) {
+		pairs = make([]pair, 0, len(ps))
+	}
 	// Filter trivial pairs once so the lockstep loop has no branches.
-	gs := make([]*G1, 0, len(ps))
-	hs := make([]*G2, 0, len(qs))
 	for i := range ps {
 		if ps[i].IsInfinity() || qs[i].IsInfinity() {
 			continue
 		}
-		gs = append(gs, ps[i])
-		hs = append(hs, qs[i])
+		pairs = append(pairs, pair{p: ps[i], q: qs[i]})
+		pr := &pairs[len(pairs)-1]
+		pr.negQ.Neg(pr.q)
+		pr.t.fromAffine(pr.q)
 	}
 	f := Fp12One()
-	n := len(gs)
-	if n == 0 {
+	if len(pairs) == 0 {
 		return f
 	}
-	opCounters.pairings.Add(uint64(n))
+	opCounters.pairings.Add(uint64(len(pairs)))
 
-	ts := make([]g2Proj, n)
-	for j := range ts {
-		ts[j].fromAffine(hs[j])
-	}
 	var l lineEval
-	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
+	for i := len(ateNAF) - 2; i >= 0; i-- {
 		opCounters.millerSquarings.Add(1)
 		f.Square(f)
-		bit := ateLoopCount.Bit(i) == 1
-		for j := 0; j < n; j++ {
-			ts[j].doubleStepProj(&l, gs[j])
+		for j := range pairs {
+			pr := &pairs[j]
+			pr.t.doubleStepProj(&l, pr.p)
 			f.mulByLine(&l)
-			if bit {
-				ts[j].addStepProj(&l, hs[j], gs[j])
+			if d := ateNAF[i]; d != 0 {
+				q := pr.q
+				if d < 0 {
+					q = &pr.negQ
+				}
+				pr.t.addStepProj(&l, q, pr.p)
 				f.mulByLine(&l)
 			}
 		}
 	}
 	// Frobenius correction lines, two per pair; no interleaved squarings.
-	for j := 0; j < n; j++ {
-		q1 := new(G2).frobeniusTwist(hs[j])
-		ts[j].addStepProj(&l, q1, gs[j])
+	var q1, q2 G2
+	for j := range pairs {
+		pr := &pairs[j]
+		q1.frobeniusTwist(pr.q)
+		pr.t.addStepProj(&l, &q1, pr.p)
 		f.mulByLine(&l)
-		q2 := new(G2).frobeniusTwist(q1)
-		q2.Neg(q2)
-		ts[j].addStepProj(&l, q2, gs[j])
+		q2.frobeniusTwist(&q1)
+		q2.Neg(&q2)
+		pr.t.addStepProj(&l, &q2, pr.p)
 		f.mulByLine(&l)
 	}
 	return f

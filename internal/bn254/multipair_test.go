@@ -6,15 +6,16 @@ import (
 )
 
 // productOfSingleLoops is the differential oracle for the lockstep kernel:
-// the product of independent per-pair Miller loops, skipping trivial pairs
+// the product of independent per-pair Miller loops (millerLoop, or
+// millerLoopNaive for the reduced comparison), skipping trivial pairs
 // exactly as MillerLoopMulti documents.
-func productOfSingleLoops(ps []*G1, qs []*G2) *Fp12 {
+func productOfSingleLoops(ps []*G1, qs []*G2, loop func(*G1, *G2) *Fp12) *Fp12 {
 	acc := Fp12One()
 	for i := range ps {
 		if ps[i].IsInfinity() || qs[i].IsInfinity() {
 			continue
 		}
-		acc.Mul(acc, millerLoop(ps[i], qs[i]))
+		acc.Mul(acc, loop(ps[i], qs[i]))
 	}
 	return acc
 }
@@ -29,7 +30,7 @@ func TestMillerLoopMultiMatchesSingle(t *testing.T) {
 			qs[i] = new(G2).ScalarBaseMult(randScalar(r))
 		}
 		got := MillerLoopMulti(ps, qs)
-		want := productOfSingleLoops(ps, qs)
+		want := productOfSingleLoops(ps, qs, millerLoop)
 		if !got.Equal(want) {
 			t.Fatalf("lockstep Miller product diverges from per-pair oracle at n=%d", n)
 		}
@@ -84,9 +85,9 @@ func TestPairingCheckDegenerate(t *testing.T) {
 
 // TestMillerLoopMultiOpCounts pins the amortization the lockstep kernel
 // exists for: a batch of n pairs costs ONE shared accumulator squaring per
-// ate-loop iteration (64 total, independent of n) while the line work —
-// doubling steps, addition steps and sparse multiplications — scales with
-// n exactly as in the single-pair loop.
+// ate-loop iteration (len(ateNAF)-1 = 65 total, independent of n) while the
+// line work — doubling steps, addition steps and sparse multiplications —
+// scales with n exactly as in the single-pair loop.
 func TestMillerLoopMultiOpCounts(t *testing.T) {
 	r := testRand()
 	const n = uint64(5)
@@ -97,14 +98,7 @@ func TestMillerLoopMultiOpCounts(t *testing.T) {
 		qs[i] = new(G2).ScalarBaseMult(randScalar(r))
 	}
 
-	iters := uint64(ateLoopCount.BitLen() - 1)
-	popcount := uint64(0)
-	for i := 0; i < ateLoopCount.BitLen()-1; i++ {
-		if ateLoopCount.Bit(i) == 1 {
-			popcount++
-		}
-	}
-	addsPerPair := popcount + 2
+	iters, addsPerPair := ateLineCounts()
 
 	before := ReadOpCounts()
 	MillerLoopMulti(ps, qs)
@@ -126,19 +120,35 @@ func TestMillerLoopMultiOpCounts(t *testing.T) {
 		t.Fatalf("batch of %d counted %d pairings, want %d", n, d.Pairings, n)
 	}
 
-	// The single-pair loop pays the same squaring count for ONE pair — the
-	// baseline the batch amortizes against.
+	// One pair through the same kernel pays the same squaring count alone —
+	// the baseline the batch amortizes against.
 	before = ReadOpCounts()
-	millerLoop(ps[0], qs[0])
+	MillerLoopMulti(ps[:1], qs[:1])
 	d = ReadOpCounts().Sub(before)
 	if d.MillerSquarings != iters {
 		t.Fatalf("single Miller loop used %d accumulator squarings, want %d", d.MillerSquarings, iters)
 	}
 }
 
+// TestPairAllocs pins the pairing path's allocations: the returned GT, its
+// Fp12 and the Miller value — no per-call recoding of u, no per-pair slices
+// for a single pair, no heap temporaries in the final exponentiation.
+func TestPairAllocs(t *testing.T) {
+	p := new(G1).ScalarBaseMult(big.NewInt(7))
+	q := new(G2).ScalarBaseMult(big.NewInt(11))
+	if a := testing.AllocsPerRun(10, func() { Pair(p, q) }); a > 4 {
+		t.Fatalf("Pair allocates %v times, want at most 4", a)
+	}
+}
+
 // FuzzMillerLoopMultiVsSingle pins the lockstep kernel byte-identical to
-// the product of per-pair millerLoop results on fuzzed batches, including
-// infinity entries and length-1 batches.
+// the product of per-pair millerLoop results (the same ateNAF walk, one pair
+// at a time) on fuzzed batches, including infinity entries and length-1
+// batches — and, after the final exponentiation, equal to the product of
+// the affine, binary-loop millerLoopNaive values. The unreduced values of
+// those two walks differ: the projective steps drop Fp2 denominators and a
+// -Q step skips a vertical line, all factors in proper subfields of Fp12,
+// which the easy part of the final exponentiation sends to 1.
 func FuzzMillerLoopMultiVsSingle(f *testing.F) {
 	f.Add([]byte{1}, []byte{2}, byte(1), byte(0))
 	f.Add([]byte{7, 7}, []byte{9}, byte(4), byte(1))
@@ -164,9 +174,13 @@ func FuzzMillerLoopMultiVsSingle(f *testing.F) {
 			}
 		}
 		got := MillerLoopMulti(ps, qs)
-		want := productOfSingleLoops(ps, qs)
+		want := productOfSingleLoops(ps, qs, millerLoop)
 		if !got.Equal(want) {
 			t.Fatalf("lockstep product diverges: n=%d a=%v b=%v mask=%08b", n, a, b, infMask)
+		}
+		naive := productOfSingleLoops(ps, qs, millerLoopNaive)
+		if !finalExponentiation(got).Equal(finalExponentiation(naive)) {
+			t.Fatalf("reduced lockstep product diverges from the binary affine oracle: n=%d a=%v b=%v mask=%08b", n, a, b, infMask)
 		}
 	})
 }

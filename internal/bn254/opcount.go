@@ -34,8 +34,8 @@ type OpCounts struct {
 
 	// MillerSquarings counts Fp12 squarings of the Miller-loop accumulator.
 	// The lockstep multi-pairing kernel shares ONE squaring per ate-loop
-	// iteration across the whole batch, so a batch of n pairs performs 64
-	// squarings total (not 64·n) while LineDoubles/LineAdds/SparseMuls keep
+	// iteration across the whole batch, so a batch of n pairs performs 65
+	// squarings total (not 65·n) while LineDoubles/LineAdds/SparseMuls keep
 	// scaling with n — the amortization TestMillerLoopMultiOpCounts pins.
 	MillerSquarings uint64
 }

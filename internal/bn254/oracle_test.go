@@ -6,12 +6,14 @@ import "math/big"
 // production kernels against. None has a production caller, so they live
 // here and are compiled into test binaries only: the per-pair and affine
 // Miller loops (vs MillerLoopMulti), the square-and-multiply final
-// exponentiation (vs the Devegili–Scott–Dahab chain), the affine and
-// plain-Jacobian scalar ladders (vs GLV / wNAF), and the full-width forms
-// the Frobenius shortcuts replaced: the [r]Q subgroup check, the [2p - r]Q
-// cofactor clearing and the power-rebuilding Fp12 Frobenius with its
-// six-fold conjugate. g1ScalarMultJac stays in jacobian.go: the GLV start-up
-// cross-check calls it.
+// exponentiation (vs the Devegili–Scott–Dahab chain), the schoolbook Fp12
+// product and square, the Galois-norm Fp12 inverse and the generic Fp12
+// ladder (vs the Fp6-view kernels and the cyclotomic wNAF ladder), the
+// affine and plain-Jacobian scalar ladders (vs GLV / wNAF), and the
+// full-width forms the Frobenius shortcuts replaced: the [r]Q subgroup
+// check, the [2p - r]Q cofactor clearing and the power-rebuilding Fp12
+// Frobenius with its six-fold conjugate. g1ScalarMultJac stays in
+// jacobian.go: the GLV start-up cross-check calls it.
 
 // finalExpHard is (p^4 - p^2 + 1)/r, the hard part of the final
 // exponentiation (the easy part (p^6-1)(p^2+1) is applied via Frobenius
@@ -85,23 +87,32 @@ func lineAt(t *G2, lambda *Fp2, p *G1) *lineEval {
 }
 
 // millerLoop computes f_{6u+2,Q}(P) · l_{T,π(Q)}(P) · l_{T+π(Q),-π²(Q)}(P),
-// the unreduced optimal-ate pairing value, with a projective accumulator
-// and sparse line accumulation. The result differs from millerLoopNaive by
-// an Fp2 factor, which the final exponentiation removes; the differential
-// tests compare the two paths after reduction.
+// the unreduced optimal-ate pairing value of ONE pair, walking the same
+// signed digits (ateNAF) as MillerLoopMulti with the same projective steps
+// and sparse line accumulation — so the lockstep kernel must reproduce the
+// product of these byte for byte — but squaring the accumulator by the
+// schoolbook convolution. The result differs from the binary, affine
+// millerLoopNaive by a factor in a proper subfield (dropped denominators,
+// and the verticals a -Q step skips), which the easy part of the final
+// exponentiation removes; tests compare those two after reduction.
 func millerLoop(p *G1, q *G2) *Fp12 {
 	opCounters.pairings.Add(1)
 	var t g2Proj
 	t.fromAffine(q)
+	negQ := new(G2).Neg(q)
 	f := Fp12One()
 	var l lineEval
-	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
+	for i := len(ateNAF) - 2; i >= 0; i-- {
 		opCounters.millerSquarings.Add(1)
-		f.Square(f)
+		f = fp12SquareSchoolbook(f)
 		t.doubleStepProj(&l, p)
 		f.mulByLine(&l)
-		if ateLoopCount.Bit(i) == 1 {
-			t.addStepProj(&l, q, p)
+		if d := ateNAF[i]; d != 0 {
+			qd := q
+			if d < 0 {
+				qd = negQ
+			}
+			t.addStepProj(&l, qd, p)
 			f.mulByLine(&l)
 		}
 	}
@@ -115,32 +126,128 @@ func millerLoop(p *G1, q *G2) *Fp12 {
 	return f
 }
 
-// millerLoopNaive is the affine reference Miller loop with dense Fp12 line
-// multiplication, retained as the differential oracle for the projective
-// sparse path.
+// ateLineCounts derives the per-pair line profile of one Miller loop from
+// the digits it walks: one doubling step (and one accumulator squaring) per
+// digit below the top one; one addition step per nonzero digit below the
+// top, plus the two Frobenius correction lines.
+func ateLineCounts() (doubles, adds uint64) {
+	adds = 2
+	for _, d := range ateNAF[:len(ateNAF)-1] {
+		if d != 0 {
+			adds++
+		}
+	}
+	return uint64(len(ateNAF) - 1), adds
+}
+
+// millerLoopNaive is the affine reference Miller loop: the binary walk of
+// 6u+2 with dense schoolbook Fp12 arithmetic, sharing neither the signed
+// digits, the projective steps, the sparse line product nor the Fp6-view
+// kernels with the shipped path.
 func millerLoopNaive(p *G1, q *G2) *Fp12 {
 	f := Fp12One()
 	t := new(G2).Set(q)
 	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
-		f.Mul(f, f)
-		f.Mul(f, doubleStep(t, p).fp12())
+		f = fp12MulSchoolbook(f, f)
+		f = fp12MulSchoolbook(f, doubleStep(t, p).fp12())
 		if ateLoopCount.Bit(i) == 1 {
-			f.Mul(f, addStep(t, q, p).fp12())
+			f = fp12MulSchoolbook(f, addStep(t, q, p).fp12())
 		}
 	}
 	q1 := new(G2).frobeniusTwist(q)
-	f.Mul(f, addStep(t, q1, p).fp12())
+	f = fp12MulSchoolbook(f, addStep(t, q1, p).fp12())
 	q2 := new(G2).frobeniusTwist(q1)
 	q2.Neg(q2)
-	f.Mul(f, addStep(t, q2, p).fp12())
-	return f
+	return fp12MulSchoolbook(f, addStep(t, q2, p).fp12())
+}
+
+// fp12MulSchoolbook is x·y by the 36-product convolution with reduction
+// w^6 = xi the Fp6-view Karatsuba replaced: each of the 11 convolution
+// slots accumulates in an unreduced fp2Wide (at most six products, 12q² of
+// the ~15q² Wide contract), and the xi fold for slots 6..10 happens after
+// reduction.
+func fp12MulSchoolbook(x, y *Fp12) *Fp12 {
+	var acc [11]fp2Wide
+	for a := 0; a < 6; a++ {
+		for b := 0; b < 6; b++ {
+			acc[a+b].mulAcc(&x.C[a], &y.C[b])
+		}
+	}
+	return foldSchoolbook(&acc)
+}
+
+// fp12SquareSchoolbook is x² by the symmetric convolution (6 squarings and
+// 15 doubled cross products) the complex method replaced.
+func fp12SquareSchoolbook(x *Fp12) *Fp12 {
+	var acc [11]fp2Wide
+	var d Fp2
+	for a := 0; a < 6; a++ {
+		acc[2*a].mulAcc(&x.C[a], &x.C[a])
+		for b := a + 1; b < 6; b++ {
+			d.Double(&x.C[b])
+			acc[a+b].mulAcc(&x.C[a], &d)
+		}
+	}
+	return foldSchoolbook(&acc)
+}
+
+// foldSchoolbook reduces the 11 convolution slots and folds w^k = w^(k-6)·xi.
+func foldSchoolbook(acc *[11]fp2Wide) *Fp12 {
+	var res Fp12
+	var t Fp2
+	for k := 0; k < 6; k++ {
+		acc[k].reduce(&res.C[k])
+	}
+	for k := 6; k < 11; k++ {
+		acc[k].reduce(&t)
+		t.MulByXi(&t)
+		res.C[k-6].Add(&res.C[k-6], &t)
+	}
+	return &res
+}
+
+// fp12InverseNorm is x⁻¹ by the Galois norm to Fp2 the tower inverse
+// replaced: with σ = Frobenius² generating Gal(Fp12/Fp2),
+// t = Π_{k=1..5} σ^k(x) and N = x·t ∈ Fp2, so x⁻¹ = t/N.
+func fp12InverseNorm(x *Fp12) *Fp12 {
+	t := Fp12One()
+	conj := new(Fp12).Set(x)
+	for k := 1; k <= 5; k++ {
+		conj.FrobeniusN(conj, 2)
+		t = fp12MulSchoolbook(t, conj)
+	}
+	norm := fp12MulSchoolbook(x, t)
+	for k := 1; k < 6; k++ {
+		if !norm.C[k].IsZero() {
+			panic("bn254: Fp12 norm not in Fp2")
+		}
+	}
+	nInv := new(Fp2).Inverse(&norm.C[0])
+	for k := range t.C {
+		t.C[k].Mul(&t.C[k], nInv)
+	}
+	return t
+}
+
+// Exp sets z = x^e for a non-negative integer exponent e by plain
+// square-and-multiply: the oracle for the cyclotomic ladders.
+func (z *Fp12) Exp(x *Fp12, e *big.Int) *Fp12 {
+	acc := Fp12One()
+	base := new(Fp12).Set(x)
+	for i := e.BitLen() - 1; i >= 0; i-- {
+		acc.Square(acc)
+		if e.Bit(i) == 1 {
+			acc.Mul(acc, base)
+		}
+	}
+	return z.Set(acc)
 }
 
 // finalExponentiationNaive raises the easy-part result to the hard exponent
 // (p^4-p^2+1)/r by plain square-and-multiply. It is the reference
 // implementation the optimized path is tested against.
 func finalExponentiationNaive(f *Fp12) *Fp12 {
-	return new(Fp12).Exp(easyPart(f), finalExpHard)
+	return new(Fp12).Exp(new(Fp12).easyPart(f), finalExpHard)
 }
 
 // computeFinalExpHard returns (p^4 - p^2 + 1) / r. The division is exact for

@@ -39,11 +39,11 @@ func (z *GT) Inverse(a *GT) *GT {
 }
 
 // Exp sets z = a^k. Negative k inverts first. GT elements are unitary, so
-// the ladder runs on cyclotomic squarings with NAF recoding.
+// the ladder runs on cyclotomic squarings with a signed-window recoding.
 func (z *GT) Exp(a *GT, k *big.Int) *GT {
 	opCounters.gtExps.Add(1)
 	e := new(big.Int).Mod(k, Order)
-	z.v = new(Fp12).ExpCyclotomic(a.v, e)
+	z.v = new(Fp12).ExpCyclotomic(a.v, wnafDigits(e, cycWindow))
 	return z
 }
 
@@ -207,13 +207,14 @@ func (p *g2Proj) addStepProj(l *lineEval, q *G2, pt *G1) {
 	l.c3.Sub(&t, &t4)
 }
 
-// easyPart computes f^((p^6-1)(p^2+1)), mapping f into the cyclotomic
+// easyPart sets z = f^((p^6-1)(p^2+1)), mapping f into the cyclotomic
 // subgroup where elements are unitary (x^(p^6) = x⁻¹).
-func easyPart(f *Fp12) *Fp12 {
-	t := new(Fp12).Conjugate(f) // f^(p^6)
-	t.Mul(t, new(Fp12).Inverse(f))
-	t2 := new(Fp12).FrobeniusN(t, 2)
-	return t2.Mul(t2, t)
+func (z *Fp12) easyPart(f *Fp12) *Fp12 {
+	var t, s Fp12
+	t.Conjugate(f) // f^(p^6)
+	t.Mul(&t, s.Inverse(f))
+	s.FrobeniusN(&t, 2)
+	return z.Mul(&s, &t)
 }
 
 // finalExponentiation maps an unreduced Miller value to the order-r
@@ -226,46 +227,47 @@ func easyPart(f *Fp12) *Fp12 {
 // square-and-multiply by (p^4-p^2+1)/r is asserted by tests.
 func finalExponentiation(f *Fp12) *Fp12 {
 	opCounters.finalExps.Add(1)
-	r := easyPart(f)
+	var r, fp, fp2, fp3, fu, fu2, fu3, fu2p, fu3p Fp12
+	var y0, y1, y2, y3, y4, y5, y6, t0, t1 Fp12
+	r.easyPart(f)
 
-	fp := new(Fp12).Frobenius(r)
-	fp2 := new(Fp12).FrobeniusN(r, 2)
-	fp3 := new(Fp12).Frobenius(fp2)
+	fp.Frobenius(&r)
+	fp2.FrobeniusN(&r, 2)
+	fp3.Frobenius(&fp2)
 
-	fu := new(Fp12).ExpCyclotomic(r, u)
-	fu2 := new(Fp12).ExpCyclotomic(fu, u)
-	fu3 := new(Fp12).ExpCyclotomic(fu2, u)
+	fu.ExpCyclotomic(&r, uWNAF)
+	fu2.ExpCyclotomic(&fu, uWNAF)
+	fu3.ExpCyclotomic(&fu2, uWNAF)
 
-	y3 := new(Fp12).Frobenius(fu)
-	fu2p := new(Fp12).Frobenius(fu2)
-	fu3p := new(Fp12).Frobenius(fu3)
-	y2 := new(Fp12).FrobeniusN(fu2, 2)
+	y3.Frobenius(&fu)
+	fu2p.Frobenius(&fu2)
+	fu3p.Frobenius(&fu3)
+	y2.FrobeniusN(&fu2, 2)
 
-	y0 := new(Fp12).Mul(fp, fp2)
-	y0.Mul(y0, fp3)
+	y0.Mul(&fp, &fp2)
+	y0.Mul(&y0, &fp3)
 	// In the cyclotomic subgroup conjugation is inversion.
-	y1 := new(Fp12).Conjugate(r)
-	y5 := new(Fp12).Conjugate(fu2)
-	y3.Conjugate(y3)
-	y4 := new(Fp12).Mul(fu, fu2p)
-	y4.Conjugate(y4)
-	y6 := new(Fp12).Mul(fu3, fu3p)
-	y6.Conjugate(y6)
+	y1.Conjugate(&r)
+	y5.Conjugate(&fu2)
+	y3.Conjugate(&y3)
+	y4.Mul(&fu, &fu2p)
+	y4.Conjugate(&y4)
+	y6.Mul(&fu3, &fu3p)
+	y6.Conjugate(&y6)
 
-	t0 := new(Fp12).CyclotomicSquare(y6)
-	t0.Mul(t0, y4)
-	t0.Mul(t0, y5)
-	t1 := new(Fp12).Mul(y3, y5)
-	t1.Mul(t1, t0)
-	t0.Mul(t0, y2)
-	t1.CyclotomicSquare(t1)
-	t1.Mul(t1, t0)
-	t1.CyclotomicSquare(t1)
-	t0.Mul(t1, y1)
-	t1.Mul(t1, y0)
-	t0.CyclotomicSquare(t0)
-	t0.Mul(t0, t1)
-	return t0
+	t0.CyclotomicSquare(&y6)
+	t0.Mul(&t0, &y4)
+	t0.Mul(&t0, &y5)
+	t1.Mul(&y3, &y5)
+	t1.Mul(&t1, &t0)
+	t0.Mul(&t0, &y2)
+	t1.CyclotomicSquare(&t1)
+	t1.Mul(&t1, &t0)
+	t1.CyclotomicSquare(&t1)
+	t0.Mul(&t1, &y1)
+	t1.Mul(&t1, &y0)
+	t0.CyclotomicSquare(&t0)
+	return new(Fp12).Mul(&t0, &t1)
 }
 
 // Pair computes the optimal-ate pairing e(p, q). Pairing with the identity

@@ -9,8 +9,9 @@ import "math/big"
 
 // nafDigits returns the non-adjacent form of a non-negative e: digits in
 // {-1, 0, 1}, no two adjacent nonzero. Average nonzero density is 1/3
-// versus 1/2 for binary, so ladders with cheap inversion (unitary Fp12,
-// curve points) save a third of their multiplications/additions.
+// versus 1/2 for binary, so ladders with cheap negation save a third of
+// their additions. It runs at init only: ateNAF for the Miller loop (a -1
+// digit adds -Q) and uNAF for the G2 subgroup check.
 func nafDigits(e *big.Int) []int8 {
 	d := new(big.Int).Set(e)
 	out := make([]int8, 0, e.BitLen()+1)

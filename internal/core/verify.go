@@ -50,8 +50,9 @@ func (vf *Verifier) qid(id string) *bn254.G2 {
 	if q, ok := vf.qidCache.Get(id); ok {
 		return q
 	}
-	// Compute outside the cache lock: hash-to-G2 is a 127-bit G2 ladder. Two
-	// racing callers compute the same value; the second Put is idempotent.
+	// Compute outside the cache lock: hash-to-G2 is an Fp2 square root plus
+	// the ψ cofactor clearing, a third of a millisecond. Two racing callers
+	// compute the same value; the second Put is idempotent.
 	q := vf.params.QID(id)
 	vf.qidCache.Put(id, q)
 	return q
