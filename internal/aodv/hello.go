@@ -1,6 +1,10 @@
 package aodv
 
-import "time"
+import (
+	"time"
+
+	"mccls/internal/routing"
+)
 
 // HELLO beaconing (RFC 3561 §6.9): with Config.HelloInterval > 0, every
 // node periodically broadcasts a one-hop HELLO; hearing any frame from a
@@ -33,36 +37,34 @@ func (h *Hello) Encode() []byte {
 	return out
 }
 
+// startHello arms the beacon loop at a random phase, desynchronizing the
+// nodes; NewNode and Up call it.
+func (n *Node) startHello() {
+	if n.cfg.HelloInterval > 0 {
+		n.Schedule(n.Jitter(n.cfg.HelloInterval), n.helloLoop)
+	}
+}
+
 // helloLoop emits one HELLO, sweeps for silent neighbors, and reschedules
 // itself.
 func (n *Node) helloLoop() {
-	if n.cfg.HelloInterval <= 0 {
-		return
-	}
 	n.sendHello()
 	n.sweepNeighbors()
-	n.schedule(n.cfg.HelloInterval, n.helloLoop)
+	n.Schedule(n.cfg.HelloInterval, n.helloLoop)
 }
 
 // sendHello signs and broadcasts one beacon.
 func (n *Node) sendHello() {
 	h := &Hello{Seq: n.seq, Sender: n.ID}
-	auth, delay, err := n.auth.Sign(n.ID, h.Encode())
-	if err != nil {
-		n.Stats.SignFailures++
-		return
+	if n.Transmit(routing.Broadcast, helloWireSize, h, h.Encode(), &h.Auth) {
+		n.Stats.HelloSent++
 	}
-	h.Auth = auth
-	n.Stats.HelloSent++
-	n.schedule(delay, func() {
-		n.medium.Broadcast(n.ID, helloWireSize+n.auth.Overhead(), h)
-	})
 }
 
 // heard records liveness of a one-hop neighbor.
 func (n *Node) heard(neighbor int) {
 	if n.cfg.HelloInterval > 0 {
-		n.lastHeard[neighbor] = n.sim.Now()
+		n.lastHeard[neighbor] = n.Sim.Now()
 	}
 }
 
@@ -70,7 +72,7 @@ func (n *Node) heard(neighbor int) {
 // intervals and tears down routes through them.
 func (n *Node) sweepNeighbors() {
 	deadline := time.Duration(n.cfg.AllowedHelloLoss) * n.cfg.HelloInterval
-	now := n.sim.Now()
+	now := n.Sim.Now()
 	for neighbor, at := range n.lastHeard {
 		if now-at <= deadline {
 			continue

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mccls/internal/radio"
+	"mccls/internal/routing"
 	"mccls/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func TestHelloDetectsDeadNeighborProactively(t *testing.T) {
 	m := radio.New(s, &breakableLink{}, radio.Config{})
 	ns := make([]*Node, 3)
 	for i := range ns {
-		ns[i] = NewNode(i, s, m, cfg, NullAuth{})
+		ns[i] = NewNode(i, s, m, cfg, routing.NullAuth{})
 	}
 	// Establish a route 0 → 2 while the topology is intact.
 	delivered := 0

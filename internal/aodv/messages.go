@@ -5,13 +5,17 @@
 // of the discrete-event simulator. It retains the mechanisms the paper
 // lists — "route discovery, reverse path setup, forwarding path setup,
 // route maintenance" — and exposes the hook points its evaluation needs:
-// a pluggable control-packet Authenticator (McCLS-AODV) and behaviour hooks
-// for implementing the black hole and rushing attackers.
+// the pluggable control-packet routing.Authenticator (McCLS-AODV) and
+// behaviour hooks for implementing the black hole and rushing attackers.
+// Everything that is not AODV-specific — the sign/verify path, the crash
+// lifecycle, the discovery retry machine and send buffer, Stats — comes
+// from the routing.Agent every Node embeds.
 //
 // Simplifications relative to the full RFC, chosen because they do not
-// affect the paper's metrics: no HELLO beacons (link breaks are detected by
-// link-layer unicast failure), no precursor lists (RERRs are one-hop
-// broadcast), and no local repair.
+// affect the paper's metrics: HELLO beacons are off unless
+// Config.HelloInterval enables them (hello.go; link breaks are otherwise
+// detected by link-layer unicast failure), no precursor lists (RERRs are
+// one-hop broadcast), and no local repair.
 package aodv
 
 import (
@@ -24,7 +28,6 @@ const (
 	kindRREQ  = 1
 	kindRREP  = 2
 	kindRERR  = 3
-	kindData  = 4
 	kindHello = 5
 )
 
@@ -153,41 +156,8 @@ func (r *RERR) Encode() []byte {
 	return out
 }
 
-// wireSize returns the on-air size of the RERR given the authenticator
+// wireSize returns the on-air size of the RERR before authentication
 // overhead.
-func (r *RERR) wireSize(overhead int) int {
-	return rerrWireSize + 12*max(0, len(r.Unreachable)-1) + overhead
+func (r *RERR) wireSize() int {
+	return rerrWireSize + 12*max(0, len(r.Unreachable)-1)
 }
-
-// Authenticator authenticates AODV control packets. Implementations live in
-// package secrouting: a null authenticator (plain AODV), the real McCLS
-// signer/verifier, and a calibrated cost model that injects the measured
-// crypto latencies without doing the math (see DESIGN.md §1).
-type Authenticator interface {
-	// Sign produces an authentication tag for payload as transmitted by
-	// node, and reports the processing delay signing costs. A non-nil
-	// error means no usable tag could be produced (e.g. the signer's
-	// randomness source failed); callers count the failure and drop the
-	// packet instead of transmitting an unverifiable tag.
-	Sign(node int, payload []byte) (auth []byte, delay time.Duration, err error)
-	// Verify checks the tag produced by node over payload, and reports
-	// the processing delay verification costs.
-	Verify(node int, payload, auth []byte) (ok bool, delay time.Duration)
-	// Overhead is the per-control-packet size increase in bytes.
-	Overhead() int
-}
-
-// NullAuth is the no-op authenticator used by plain AODV: every packet
-// passes, costs nothing and adds no bytes.
-type NullAuth struct{}
-
-var _ Authenticator = NullAuth{}
-
-// Sign returns an empty tag at zero cost.
-func (NullAuth) Sign(int, []byte) ([]byte, time.Duration, error) { return nil, 0, nil }
-
-// Verify accepts everything at zero cost.
-func (NullAuth) Verify(int, []byte, []byte) (bool, time.Duration) { return true, 0 }
-
-// Overhead is zero.
-func (NullAuth) Overhead() int { return 0 }

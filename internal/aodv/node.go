@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"mccls/internal/radio"
+	"mccls/internal/routing"
 	"mccls/internal/sim"
 )
 
@@ -101,37 +102,17 @@ func (c Config) ringTraversalTime(ttl int) time.Duration {
 	return 2 * c.NodeTraversalTime * time.Duration(ttl+2)
 }
 
-// Stats counts per-node protocol events. The paper's four metrics are
-// computed from these by package metrics.
-type Stats struct {
-	DataSent      uint64 // originated by this node
-	DataDelivered uint64 // received here as final destination
-	DataForwarded uint64
-
-	RREQInitiated  uint64
-	RREQRetried    uint64
-	RREQForwarded  uint64
-	RREPOriginated uint64
-	RREPForwarded  uint64
-	RERRSent       uint64
-	HelloSent      uint64
-	NeighborsLost  uint64 // neighbors declared dead by HELLO loss
-
-	AuthRejected uint64 // control packets dropped for bad authentication
-	SignFailures uint64 // control packets not sent because signing failed
-
-	Crashes  uint64 // Down transitions (fault injection)
-	Restarts uint64 // Up transitions
-
-	DropNoRoute        uint64
-	DropBufferOverflow uint64
-	DropLinkBreak      uint64
-	DropTTLExpired     uint64
-	DropByAttacker     uint64 // data absorbed by this node acting maliciously
-	DropNodeDown       uint64 // frames discarded because this node was down
-
-	DelaySum   time.Duration // end-to-end, summed at this destination
-	DelayCount uint64
+// ringTTL is the expanding-ring search TTL of the given discovery attempt
+// (counted from 1).
+func (c Config) ringTTL(attempt int) int {
+	ttl := c.TTLStart
+	for i := 1; i < attempt; i++ {
+		ttl += c.TTLIncrement
+		if ttl > c.TTLThreshold {
+			ttl = c.NetDiameter
+		}
+	}
+	return ttl
 }
 
 // Hooks customize node behaviour; the attack package uses them to implement
@@ -146,9 +127,6 @@ type Hooks struct {
 	FilterData func(n *Node, pkt *DataPacket) bool
 	// RebroadcastJitter overrides the default uniform jitter draw.
 	RebroadcastJitter func(n *Node) time.Duration
-	// SkipVerify disables authentication checks on received control
-	// packets (an attacker does not care whether packets verify).
-	SkipVerify bool
 }
 
 // routeEntry is one row of the routing table.
@@ -170,79 +148,45 @@ type seenKey struct {
 	id     uint32
 }
 
-// discovery tracks an in-progress route discovery.
-type discovery struct {
-	attempts int
-	ttl      int
-	gen      int // invalidates stale timeout events
-}
-
-// Node is one AODV router plus its application endpoint.
+// Node is one AODV router plus its application endpoint. Identity, the
+// authenticated send/receive path, the crash lifecycle and Stats come from
+// the embedded routing.Agent.
 type Node struct {
-	// ID is the node's address (its index in the medium).
-	ID int
+	routing.Agent
+	cfg Config
 
-	sim    *sim.Simulator
-	medium *radio.Medium
-	cfg    Config
-	auth   Authenticator
-
-	seq     uint32
-	rreqID  uint32
-	nextPkt uint64
+	seq    uint32
+	rreqID uint32
 
 	routes    map[int]*routeEntry
 	seen      map[seenKey]sim.Time
-	pending   map[int]*discovery
-	buffer    map[int][]*DataPacket
+	disc      *routing.Discovery[*DataPacket]
 	lastHeard map[int]sim.Time
-
-	// down marks a crashed node; epoch invalidates every timer armed
-	// before the crash (the event queue has no unschedule, so armed
-	// closures re-check the epoch they captured and fall through).
-	down  bool
-	epoch uint64
 
 	// Hooks customize behaviour (attacks, fault injection).
 	Hooks Hooks
 	// OnDeliver, if set, observes every data packet delivered here.
 	OnDeliver func(*DataPacket)
-	// OnRestart, if set, runs after Up restores the node (the secure
-	// routing layer uses it to re-enroll with the KGC after key loss).
-	OnRestart func(*Node)
-	// Stats accumulates protocol counters.
-	Stats Stats
 }
 
 // NewNode creates an AODV agent for node id and registers it with the
 // medium.
-func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth Authenticator) *Node {
+func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth routing.Authenticator) *Node {
 	n := &Node{
-		ID:        id,
-		sim:       s,
-		medium:    medium,
+		Agent:     routing.Agent{ID: id, Sim: s, Medium: medium, Auth: auth},
 		cfg:       cfg.withDefaults(),
-		auth:      auth,
 		routes:    make(map[int]*routeEntry),
 		seen:      make(map[seenKey]sim.Time),
-		pending:   make(map[int]*discovery),
-		buffer:    make(map[int][]*DataPacket),
 		lastHeard: make(map[int]sim.Time),
 	}
+	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.SendBufferCap, n.cfg.RREQRetries, n.issueRREQ)
 	medium.SetHandler(id, n.handleFrame)
-	if n.cfg.HelloInterval > 0 {
-		// Desynchronize the beacon phase across nodes.
-		offset := time.Duration(s.Rand().Int63n(int64(n.cfg.HelloInterval)))
-		n.schedule(offset, n.helloLoop)
-	}
+	n.startHello()
 	return n
 }
 
 // Config returns the node's effective configuration.
 func (n *Node) Config() Config { return n.cfg }
-
-// Seq returns the node's current sequence number.
-func (n *Node) Seq() uint32 { return n.seq }
 
 // seqNewer reports whether a is strictly fresher than b under RFC 3561
 // rollover arithmetic.
@@ -251,40 +195,16 @@ func seqNewer(a, b uint32) bool { return int32(a-b) > 0 }
 // ---------------------------------------------------------------------------
 // Crash/restart lifecycle (fault injection)
 
-// schedule arms fn after d of virtual time, tagged with the node's current
-// epoch: if the node crashes before the event fires, the closure is a no-op.
-// All node-internal timers (discovery retries, sign/verify delays, hello
-// beacons, rebroadcast jitter) go through this wrapper.
-func (n *Node) schedule(d time.Duration, fn func()) {
-	epoch := n.epoch
-	n.sim.Schedule(d, func() {
-		if n.epoch != epoch || n.down {
-			return
-		}
-		fn()
-	})
-}
-
-// IsDown reports whether the node is currently crashed.
-func (n *Node) IsDown() bool { return n.down }
-
-// Down crashes the node: armed timers are invalidated, in-flight receptions
-// (verify delays already scheduled) are dropped, buffered data and pending
-// discoveries are lost, and the radio stops receiving. Routing state is kept
-// in memory so Up can choose to retain or flush it. Returns false if the
-// node was already down.
+// Down crashes the node (see routing.Agent.Crash): buffered data, pending
+// discoveries and neighbour liveness are lost with the process. Routing
+// state is kept in memory so Up can choose to retain or flush it. Returns
+// false if the node was already down.
 func (n *Node) Down() bool {
-	if n.down {
+	if !n.Crash() {
 		return false
 	}
-	n.down = true
-	n.epoch++
-	n.Stats.Crashes++
-	// Volatile protocol state dies with the process.
-	n.pending = make(map[int]*discovery)
-	n.buffer = make(map[int][]*DataPacket)
+	n.disc.Reset()
 	n.lastHeard = make(map[int]sim.Time)
-	n.medium.SetNodeDown(n.ID, true)
 	return true
 }
 
@@ -296,23 +216,14 @@ func (n *Node) Down() bool {
 // own RREPs would lose every freshness comparison). Returns false if the
 // node was not down.
 func (n *Node) Up(retainRoutes bool) bool {
-	if !n.down {
+	if !n.Restart() {
 		return false
 	}
-	n.down = false
-	n.Stats.Restarts++
 	if !retainRoutes {
 		n.routes = make(map[int]*routeEntry)
 		n.seen = make(map[seenKey]sim.Time)
 	}
-	n.medium.SetNodeDown(n.ID, false)
-	if n.cfg.HelloInterval > 0 {
-		offset := time.Duration(n.sim.Rand().Int63n(int64(n.cfg.HelloInterval)))
-		n.schedule(offset, n.helloLoop)
-	}
-	if n.OnRestart != nil {
-		n.OnRestart(n)
-	}
+	n.startHello()
 	return true
 }
 
@@ -322,7 +233,7 @@ func (n *Node) Up(retainRoutes bool) bool {
 // updateRoute applies the RFC route-update rules and returns whether the
 // entry was replaced.
 func (n *Node) updateRoute(dest, nextHop, hops int, seq uint32, seqKnown bool, lifetime time.Duration) bool {
-	now := n.sim.Now()
+	now := n.Sim.Now()
 	e := n.routes[dest]
 	if e == nil {
 		n.routes[dest] = &routeEntry{
@@ -362,7 +273,7 @@ func (n *Node) updateRoute(dest, nextHop, hops int, seq uint32, seqKnown bool, l
 // route returns the usable routing entry for dest, or nil.
 func (n *Node) route(dest int) *routeEntry {
 	e := n.routes[dest]
-	if !e.usable(n.sim.Now()) {
+	if !e.usable(n.Sim.Now()) {
 		return nil
 	}
 	return e
@@ -380,7 +291,7 @@ func (n *Node) HasRoute(dest int) (nextHop int, ok bool) {
 // touch refreshes the lifetime of an active route.
 func (n *Node) touch(dest int) {
 	if e := n.route(dest); e != nil {
-		if exp := n.sim.Now() + n.cfg.ActiveRouteTimeout; exp > e.expires {
+		if exp := n.Sim.Now() + n.cfg.ActiveRouteTimeout; exp > e.expires {
 			e.expires = exp
 		}
 	}
@@ -406,21 +317,18 @@ func (n *Node) invalidateVia(hop int) []UnreachableDest {
 // Send originates a data packet of the given payload size toward dst,
 // buffering it and starting route discovery if necessary.
 func (n *Node) Send(dst, bytes int) {
-	n.Stats.DataSent++
-	if n.down {
-		// Offered load during an outage counts against delivery ratio.
-		n.Stats.DropNodeDown++
+	id, ok := n.Originate()
+	if !ok {
 		return
 	}
 	pkt := &DataPacket{
-		ID:     uint64(n.ID)<<40 | n.nextPkt,
+		ID:     id,
 		Src:    n.ID,
 		Dst:    dst,
 		Bytes:  bytes,
-		SentAt: n.sim.Now(),
+		SentAt: n.Sim.Now(),
 		TTL:    n.cfg.DataTTL,
 	}
-	n.nextPkt++
 	if dst == n.ID {
 		n.deliver(pkt)
 		return
@@ -429,25 +337,13 @@ func (n *Node) Send(dst, bytes int) {
 		n.transmitData(pkt, e)
 		return
 	}
-	n.enqueue(pkt)
-	n.startDiscovery(dst)
-}
-
-// enqueue buffers a packet awaiting route discovery.
-func (n *Node) enqueue(pkt *DataPacket) {
-	q := n.buffer[pkt.Dst]
-	if len(q) >= n.cfg.SendBufferCap {
-		n.Stats.DropBufferOverflow++
-		return
-	}
-	n.buffer[pkt.Dst] = append(q, pkt)
+	n.disc.Enqueue(dst, pkt)
+	n.disc.Start(dst)
 }
 
 // deliver hands a packet to the application layer.
 func (n *Node) deliver(pkt *DataPacket) {
-	n.Stats.DataDelivered++
-	n.Stats.DelaySum += n.sim.Now() - pkt.SentAt
-	n.Stats.DelayCount++
+	n.Delivered(pkt.SentAt)
 	if n.OnDeliver != nil {
 		n.OnDeliver(pkt)
 	}
@@ -456,7 +352,7 @@ func (n *Node) deliver(pkt *DataPacket) {
 // transmitData unicasts a data packet along a routing entry, handling
 // link-break detection.
 func (n *Node) transmitData(pkt *DataPacket, e *routeEntry) {
-	if !n.medium.Unicast(n.ID, e.nextHop, pkt.Bytes+dataWireOverhead, pkt) {
+	if !n.Medium.Unicast(n.ID, e.nextHop, pkt.Bytes+dataWireOverhead, pkt) {
 		n.linkBroken(e.nextHop)
 		n.Stats.DropLinkBreak++
 		return
@@ -468,29 +364,19 @@ func (n *Node) transmitData(pkt *DataPacket, e *routeEntry) {
 // linkBroken invalidates routes through a dead neighbor and advertises the
 // breakage.
 func (n *Node) linkBroken(hop int) {
-	lost := n.invalidateVia(hop)
-	if len(lost) == 0 {
-		return
+	if lost := n.invalidateVia(hop); len(lost) > 0 {
+		n.sendRERR(lost)
 	}
-	n.sendRERR(lost)
 }
 
 // ---------------------------------------------------------------------------
 // Discovery
 
-// startDiscovery begins (or joins) a route discovery for dst.
-func (n *Node) startDiscovery(dst int) {
-	if _, inProgress := n.pending[dst]; inProgress {
-		return
-	}
-	d := &discovery{attempts: 1, ttl: n.cfg.TTLStart}
-	n.pending[dst] = d
-	n.Stats.RREQInitiated++
-	n.issueRREQ(dst, d)
-}
-
-// issueRREQ broadcasts one RREQ round for dst and arms the retry timer.
-func (n *Node) issueRREQ(dst int, d *discovery) {
+// issueRREQ broadcasts one RREQ round for dst and returns how long the
+// discovery machine waits before the next; the expanding-ring search lives
+// here, as a TTL that grows with the attempt number.
+func (n *Node) issueRREQ(dst, attempt int) time.Duration {
+	ttl := n.cfg.ringTTL(attempt)
 	n.seq++
 	n.rreqID++
 	req := &RREQ{
@@ -499,54 +385,27 @@ func (n *Node) issueRREQ(dst int, d *discovery) {
 		OriginSeq: n.seq,
 		Dest:      dst,
 		HopCount:  0,
-		TTL:       d.ttl,
+		TTL:       ttl,
 	}
 	if e := n.routes[dst]; e != nil && e.validSeq {
 		req.DestSeq, req.SeqKnown = e.destSeq, true
 	}
 	// Suppress our own flooded copy.
-	n.seen[seenKey{origin: n.ID, id: req.ID}] = n.sim.Now()
+	n.seen[seenKey{origin: n.ID, id: req.ID}] = n.Sim.Now()
 	n.sendRREQ(req)
-
-	gen := d.gen
-	n.schedule(n.cfg.ringTraversalTime(d.ttl), func() {
-		cur, ok := n.pending[dst]
-		if !ok || cur.gen != gen {
-			return // satisfied or superseded
-		}
-		if cur.attempts > n.cfg.RREQRetries {
-			// Discovery failed: drop everything buffered for dst.
-			n.Stats.DropNoRoute += uint64(len(n.buffer[dst]))
-			delete(n.buffer, dst)
-			delete(n.pending, dst)
-			return
-		}
-		cur.attempts++
-		cur.gen++
-		cur.ttl += n.cfg.TTLIncrement
-		if cur.ttl > n.cfg.TTLThreshold {
-			cur.ttl = n.cfg.NetDiameter
-		}
-		n.Stats.RREQRetried++
-		n.issueRREQ(dst, cur)
-	})
+	return n.cfg.ringTraversalTime(ttl)
 }
 
 // discoveryComplete flushes the send buffer once a route to dst appears.
 func (n *Node) discoveryComplete(dst int) {
-	if _, ok := n.pending[dst]; ok {
-		cur := n.pending[dst]
-		cur.gen++ // disarm outstanding timer
-		delete(n.pending, dst)
-	}
+	n.disc.Complete(dst)
 	e := n.route(dst)
 	if e == nil {
 		return
 	}
-	for _, pkt := range n.buffer[dst] {
+	for _, pkt := range n.disc.Flush(dst) {
 		n.transmitData(pkt, e)
 	}
-	delete(n.buffer, dst)
 }
 
 // ---------------------------------------------------------------------------
@@ -555,51 +414,26 @@ func (n *Node) discoveryComplete(dst int) {
 // sendRREQ signs and broadcasts an RREQ as this node.
 func (n *Node) sendRREQ(req *RREQ) {
 	req.Sender = n.ID
-	auth, delay, err := n.auth.Sign(n.ID, req.Encode())
-	if err != nil {
-		n.Stats.SignFailures++
-		return
-	}
-	req.Auth = auth
-	n.schedule(delay, func() {
-		n.medium.Broadcast(n.ID, rreqWireSize+n.auth.Overhead(), req)
-	})
+	n.Transmit(routing.Broadcast, rreqWireSize, req, req.Encode(), &req.Auth)
 }
 
 // SendRREP signs an RREP as this node and unicasts it to the given next
 // hop. Exported because attack behaviours forge replies through it.
 func (n *Node) SendRREP(to int, rep *RREP) bool {
-	rep.Sender = n.ID
-	auth, delay, err := n.auth.Sign(n.ID, rep.Encode())
-	if err != nil {
-		n.Stats.SignFailures++
-		return false
-	}
-	rep.Auth = auth
-	size := rrepWireSize + n.auth.Overhead()
-	if !n.medium.InRange(n.ID, to) {
+	if !n.Medium.InRange(n.ID, to) {
 		n.linkBroken(to)
 		return false
 	}
-	n.schedule(delay, func() {
-		n.medium.Unicast(n.ID, to, size, rep)
-	})
-	return true
+	rep.Sender = n.ID
+	return n.Transmit(to, rrepWireSize, rep, rep.Encode(), &rep.Auth)
 }
 
 // sendRERR signs and broadcasts a route-error report.
 func (n *Node) sendRERR(lost []UnreachableDest) {
 	rerr := &RERR{Unreachable: lost, Sender: n.ID}
-	auth, delay, err := n.auth.Sign(n.ID, rerr.Encode())
-	if err != nil {
-		n.Stats.SignFailures++
-		return
+	if n.Transmit(routing.Broadcast, rerr.wireSize(), rerr, rerr.Encode(), &rerr.Auth) {
+		n.Stats.RERRSent++
 	}
-	rerr.Auth = auth
-	n.Stats.RERRSent++
-	n.schedule(delay, func() {
-		n.medium.Broadcast(n.ID, rerr.wireSize(n.auth.Overhead()), rerr)
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -609,52 +443,28 @@ func (n *Node) sendRERR(lost []UnreachableDest) {
 // share one message value among receivers, so every branch copies before
 // mutating.
 func (n *Node) handleFrame(from int, payload any) {
-	if n.down {
-		n.Stats.DropNodeDown++
+	if !n.Listening() {
 		return
 	}
 	n.heard(from)
 	switch msg := payload.(type) {
 	case *Hello:
 		cp := *msg
-		n.receiveControl(from, cp.Encode(), cp.Auth, cp.Sender, func() { n.processHello(from, cp) })
+		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processHello(from, cp) })
 	case *RREQ:
 		cp := *msg
-		n.receiveControl(from, cp.Encode(), cp.Auth, cp.Sender, func() { n.processRREQ(from, cp) })
+		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processRREQ(from, cp) })
 	case *RREP:
 		cp := *msg
-		n.receiveControl(from, cp.Encode(), cp.Auth, cp.Sender, func() { n.processRREP(from, cp) })
+		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processRREP(from, cp) })
 	case *RERR:
 		cp := *msg
 		cp.Unreachable = append([]UnreachableDest(nil), msg.Unreachable...)
-		n.receiveControl(from, cp.Encode(), cp.Auth, cp.Sender, func() { n.processRERR(from, cp) })
+		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processRERR(from, cp) })
 	case *DataPacket:
 		cp := *msg
 		n.processData(from, &cp)
 	}
-}
-
-// receiveControl authenticates an incoming control packet and schedules its
-// processing after the verification delay.
-func (n *Node) receiveControl(from int, payload, auth []byte, sender int, process func()) {
-	if n.Hooks.SkipVerify {
-		process()
-		return
-	}
-	if sender != from {
-		// The claimed transmitter must be the actual one-hop sender;
-		// anything else is spoofing regardless of signature validity.
-		n.Stats.AuthRejected++
-		return
-	}
-	ok, delay := n.auth.Verify(sender, payload, auth)
-	n.schedule(delay, func() {
-		if !ok {
-			n.Stats.AuthRejected++
-			return
-		}
-		process()
-	})
 }
 
 // processRREQ implements RFC 3561 §6.5.
@@ -666,7 +476,7 @@ func (n *Node) processRREQ(from int, req RREQ) {
 	if _, dup := n.seen[key]; dup {
 		return
 	}
-	n.seen[key] = n.sim.Now()
+	n.seen[key] = n.Sim.Now()
 	n.pruneSeen()
 
 	if n.Hooks.OnRREQ != nil && !n.Hooks.OnRREQ(n, from, &req) {
@@ -706,7 +516,7 @@ func (n *Node) processRREQ(from int, req RREQ) {
 				Dest:     req.Dest,
 				DestSeq:  e.destSeq,
 				HopCount: e.hops,
-				Lifetime: e.expires - n.sim.Now(),
+				Lifetime: e.expires - n.Sim.Now(),
 			})
 			return
 		}
@@ -719,8 +529,7 @@ func (n *Node) processRREQ(from int, req RREQ) {
 	fwd.HopCount++
 	fwd.TTL--
 	n.Stats.RREQForwarded++
-	jitter := n.drawJitter()
-	n.schedule(jitter, func() { n.sendRREQ(&fwd) })
+	n.Schedule(n.drawJitter(), func() { n.sendRREQ(&fwd) })
 }
 
 // drawJitter picks the rebroadcast delay, honouring the hook.
@@ -728,10 +537,7 @@ func (n *Node) drawJitter() time.Duration {
 	if n.Hooks.RebroadcastJitter != nil {
 		return n.Hooks.RebroadcastJitter(n)
 	}
-	if n.cfg.RebroadcastJitterMax <= 0 {
-		return 0
-	}
-	return time.Duration(n.sim.Rand().Int63n(int64(n.cfg.RebroadcastJitterMax)))
+	return n.Jitter(n.cfg.RebroadcastJitterMax)
 }
 
 // processRREP implements RFC 3561 §6.7.
@@ -816,7 +622,7 @@ func (n *Node) pruneSeen() {
 	if len(n.seen) < 4096 {
 		return
 	}
-	horizon := n.sim.Now() - 2*n.cfg.ringTraversalTime(n.cfg.NetDiameter)
+	horizon := n.Sim.Now() - 2*n.cfg.ringTraversalTime(n.cfg.NetDiameter)
 	for k, at := range n.seen {
 		if at < horizon {
 			delete(n.seen, k)

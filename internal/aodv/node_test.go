@@ -6,12 +6,13 @@ import (
 
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
+	"mccls/internal/routing"
 	"mccls/internal/sim"
 )
 
 // testNet builds a network of AODV nodes over a static line topology with
 // 200m spacing (radio range 250m → only adjacent nodes are neighbors).
-func testNet(t *testing.T, nodes int, cfg Config, auth Authenticator) (*sim.Simulator, *radio.Medium, []*Node) {
+func testNet(t *testing.T, nodes int, cfg Config, auth routing.Authenticator) (*sim.Simulator, *radio.Medium, []*Node) {
 	t.Helper()
 	pts := make([]mobility.Point, nodes)
 	for i := range pts {
@@ -20,12 +21,12 @@ func testNet(t *testing.T, nodes int, cfg Config, auth Authenticator) (*sim.Simu
 	return testNetAt(t, &mobility.Static{Points: pts}, cfg, auth)
 }
 
-func testNetAt(t *testing.T, mob mobility.Model, cfg Config, auth Authenticator) (*sim.Simulator, *radio.Medium, []*Node) {
+func testNetAt(t *testing.T, mob mobility.Model, cfg Config, auth routing.Authenticator) (*sim.Simulator, *radio.Medium, []*Node) {
 	t.Helper()
 	s := sim.New(7)
 	m := radio.New(s, mob, radio.Config{})
 	if auth == nil {
-		auth = NullAuth{}
+		auth = routing.NullAuth{}
 	}
 	ns := make([]*Node, mob.Nodes())
 	for i := range ns {

@@ -1,5 +1,6 @@
 // Package attack implements the two adversaries of the paper's evaluation
-// as behaviour overlays on AODV nodes.
+// as behaviour overlays on AODV and DSR nodes: each sets the substrate's
+// SkipVerify (routing.Agent) and the protocol's typed hooks.
 //
 // Black hole (Marti et al. [8]): the attacker answers every route request
 // with a forged route reply advertising an artificially fresh sequence
@@ -40,7 +41,7 @@ func absorb(*aodv.Node, *aodv.DataPacket) bool { return false }
 
 // MakeBlackhole converts n into a black hole attacker.
 func MakeBlackhole(n *aodv.Node) {
-	n.Hooks.SkipVerify = true // attackers do not validate what they hear
+	n.SkipVerify = true // attackers do not validate what they hear
 	n.Hooks.FilterData = absorb
 	n.Hooks.OnRREQ = func(n *aodv.Node, from int, req *aodv.RREQ) bool {
 		// Forge a reply claiming a fresh one-hop route to the requested
@@ -72,7 +73,7 @@ func MakeGrayhole(n *aodv.Node, dropProb float64, rng *rand.Rand) {
 
 // MakeRushing converts n into a rushing attacker.
 func MakeRushing(n *aodv.Node) {
-	n.Hooks.SkipVerify = true
+	n.SkipVerify = true
 	n.Hooks.FilterData = absorb
 	// Zero jitter wins the duplicate-suppression race against honest
 	// forwarders, which wait a uniform random delay plus (under McCLS)
@@ -84,7 +85,7 @@ func MakeRushing(n *aodv.Node) {
 // route request with a forged reply claiming a direct link to the target,
 // then absorbs the attracted traffic.
 func MakeDSRBlackhole(n *dsr.Node) {
-	n.Hooks.SkipVerify = true
+	n.SkipVerify = true
 	n.Hooks.FilterData = func(*dsr.Node, *dsr.DataPacket) bool { return false }
 	n.Hooks.OnRequest = func(n *dsr.Node, from int, req *dsr.RouteRequest) bool {
 		forged := append(slices.Clone(req.Route), n.ID, req.Target)
@@ -98,7 +99,7 @@ func MakeDSRBlackhole(n *dsr.Node) {
 // duplicate-suppression race and inserting itself into the discovered
 // source route), then drops the data.
 func MakeDSRRushing(n *dsr.Node) {
-	n.Hooks.SkipVerify = true
+	n.SkipVerify = true
 	n.Hooks.FilterData = func(*dsr.Node, *dsr.DataPacket) bool { return false }
 	n.Hooks.ForwardJitter = func(*dsr.Node) time.Duration { return 0 }
 }

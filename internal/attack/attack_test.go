@@ -9,6 +9,7 @@ import (
 	"mccls/internal/aodv"
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
+	"mccls/internal/routing"
 	"mccls/internal/secrouting"
 	"mccls/internal/sim"
 )
@@ -23,7 +24,7 @@ import (
 //
 // where node 0 reaches 3 via 1 or 2, and 4 hangs off 3. All hops are 200m
 // (radio range 250m).
-func diamond(t *testing.T, auth aodv.Authenticator) (*sim.Simulator, []*aodv.Node) {
+func diamond(t *testing.T, auth routing.Authenticator) (*sim.Simulator, []*aodv.Node) {
 	t.Helper()
 	pts := &mobility.Static{Points: []mobility.Point{
 		{X: 0, Y: 100},
@@ -35,7 +36,7 @@ func diamond(t *testing.T, auth aodv.Authenticator) (*sim.Simulator, []*aodv.Nod
 	s := sim.New(3)
 	m := radio.New(s, pts, radio.Config{})
 	if auth == nil {
-		auth = aodv.NullAuth{}
+		auth = routing.NullAuth{}
 	}
 	nodes := make([]*aodv.Node, pts.Nodes())
 	for i := range nodes {

@@ -4,15 +4,15 @@ import (
 	"testing"
 	"time"
 
-	"mccls/internal/aodv"
 	"mccls/internal/dsr"
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
+	"mccls/internal/routing"
 	"mccls/internal/sim"
 )
 
 // dsrDiamond mirrors the AODV diamond: 0 reaches 3 via 1 or 2, 4 behind 3.
-func dsrDiamond(t *testing.T, auth aodv.Authenticator) (*sim.Simulator, []*dsr.Node) {
+func dsrDiamond(t *testing.T, auth routing.Authenticator) (*sim.Simulator, []*dsr.Node) {
 	t.Helper()
 	pts := &mobility.Static{Points: []mobility.Point{
 		{X: 0, Y: 100},
@@ -24,7 +24,7 @@ func dsrDiamond(t *testing.T, auth aodv.Authenticator) (*sim.Simulator, []*dsr.N
 	s := sim.New(4)
 	m := radio.New(s, pts, radio.Config{})
 	if auth == nil {
-		auth = aodv.NullAuth{}
+		auth = routing.NullAuth{}
 	}
 	nodes := make([]*dsr.Node, pts.Nodes())
 	for i := range nodes {

@@ -1,7 +1,7 @@
 // Package batch is the chunked, parallel, self-bisecting batch-check
-// engine behind every batch verifier in the tree (core.BatchVerifier,
-// ibs.BatchVerify, the schemes adapters). It owns the three properties the
-// verifiers share, so each scheme only supplies its aggregate equation:
+// engine behind the tree's one batch verifier, core.BatchVerifier (reached
+// through core.Verifier.Batch). It owns the three properties any aggregate
+// check shares, so the scheme only supplies its aggregate equation:
 //
 //   - Chunking: n items are partitioned into fixed-size chunks, each
 //     checked as one aggregate equation (one shared multi-pairing for the

@@ -2,7 +2,6 @@ package bn254
 
 import (
 	"crypto/rand"
-	"errors"
 	"io"
 	"math/big"
 
@@ -29,8 +28,6 @@ func fpMustInverse(z, x *fp.Element) {
 		panic("bn254: inverse of zero field element")
 	}
 }
-
-var errZeroScalar = errors.New("bn254: rejected zero scalar")
 
 // RandomScalar returns a uniformly random element of Zr*.
 func RandomScalar(rng io.Reader) (*big.Int, error) {

@@ -24,7 +24,7 @@ type BatchOptions struct {
 }
 
 // BatchVerifier is the batch-verification engine for McCLS, obtained from
-// Verifier.Batch (the schemes adapter routes through it too). It layers the
+// Verifier.Batch, the tree's one batch entry point. It layers the
 // generic chunk/parallel/bisect machinery of internal/batch over the two
 // McCLS aggregate equations:
 //

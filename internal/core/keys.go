@@ -17,10 +17,6 @@ type PublicKey struct {
 	PID *bn254.G1
 }
 
-// publicKeyMarshalledSize is the byte length of the point part of a
-// marshalled public key.
-const publicKeyMarshalledSize = 64
-
 // Marshal encodes the public key as len(ID)‖ID‖P_ID.
 func (pk *PublicKey) Marshal() []byte {
 	out := appendLengthPrefixed(nil, []byte(pk.ID))

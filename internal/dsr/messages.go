@@ -3,7 +3,9 @@
 // (Xu, Mu & Susilo [12] secure both AODV and DSR). It exists to show the
 // McCLS routing-authentication layer generalizes beyond AODV: the same
 // hop-by-hop Authenticator neutralizes the same black hole and rushing
-// attacks here.
+// attacks here. The Authenticator, the sign/verify path, the crash
+// lifecycle, the discovery retry machine and Stats are package routing's;
+// this package is what is DSR-specific.
 //
 // The implementation covers the DSR core: route discovery with accumulated
 // source routes, route caching (including caching of overheard reverse
@@ -119,11 +121,12 @@ func (r *RouteError) Encode() []byte {
 	return out
 }
 
-// wireSize helpers account for the variable-length route.
-func (r *RouteRequest) wireSize(overhead int) int {
-	return requestWireSize + perHopWireSize*len(r.Route) + overhead
+// wireSize helpers account for the variable-length route (authentication
+// overhead excluded).
+func (r *RouteRequest) wireSize() int {
+	return requestWireSize + perHopWireSize*len(r.Route)
 }
 
-func (r *RouteReply) wireSize(overhead int) int {
-	return replyWireSize + perHopWireSize*len(r.Route) + overhead
+func (r *RouteReply) wireSize() int {
+	return replyWireSize + perHopWireSize*len(r.Route)
 }

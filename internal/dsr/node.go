@@ -4,8 +4,8 @@ import (
 	"slices"
 	"time"
 
-	"mccls/internal/aodv"
 	"mccls/internal/radio"
+	"mccls/internal/routing"
 	"mccls/internal/sim"
 )
 
@@ -48,32 +48,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts per-node protocol events, mirroring the AODV counters so
-// the same metrics apply.
-type Stats struct {
-	DataSent      uint64
-	DataDelivered uint64
-	DataForwarded uint64
-
-	RequestInitiated uint64
-	RequestRetried   uint64
-	RequestForwarded uint64
-	ReplyOriginated  uint64
-	ReplyForwarded   uint64
-	ErrorSent        uint64
-
-	AuthRejected uint64
-	SignFailures uint64
-
-	DropNoRoute        uint64
-	DropBufferOverflow uint64
-	DropLinkBreak      uint64
-	DropByAttacker     uint64
-
-	DelaySum   time.Duration
-	DelayCount uint64
-}
-
 // Hooks customize behaviour for attacks and fault injection.
 type Hooks struct {
 	// OnRequest runs after duplicate suppression and authentication;
@@ -83,8 +57,6 @@ type Hooks struct {
 	FilterData func(n *Node, pkt *DataPacket) bool
 	// ForwardJitter overrides the re-flood jitter draw.
 	ForwardJitter func(n *Node) time.Duration
-	// SkipVerify disables authentication of received control packets.
-	SkipVerify bool
 }
 
 type seenKey struct {
@@ -92,49 +64,60 @@ type seenKey struct {
 	id     uint32
 }
 
-type discovery struct {
-	attempts int
-	gen      int
-}
-
-// Node is one DSR router plus its application endpoint.
+// Node is one DSR router plus its application endpoint. Identity, the
+// authenticated send/receive path, the crash lifecycle and Stats come from
+// the embedded routing.Agent (requests, replies and errors are counted in
+// its RREQ*/RREP*/RERRSent slots).
 type Node struct {
-	ID int
+	routing.Agent
+	cfg Config
 
-	sim    *sim.Simulator
-	medium *radio.Medium
-	cfg    Config
-	auth   aodv.Authenticator
-
-	reqID   uint32
-	nextPkt uint64
-	cache   map[int][]int // best known source route per destination
-	seen    map[seenKey]bool
-	pending map[int]*discovery
-	buffer  map[int][]*DataPacket
+	reqID uint32
+	cache map[int][]int // best known source route per destination
+	seen  map[seenKey]bool
+	disc  *routing.Discovery[*DataPacket]
 
 	Hooks     Hooks
 	OnDeliver func(*DataPacket)
-	Stats     Stats
 }
 
-// NewNode creates a DSR agent and registers it with the medium. The
-// Authenticator interface is shared with AODV: the same McCLS
-// authenticators plug in unchanged.
-func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth aodv.Authenticator) *Node {
+// NewNode creates a DSR agent and registers it with the medium. The same
+// authenticators that secure AODV plug in unchanged.
+func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth routing.Authenticator) *Node {
 	n := &Node{
-		ID:      id,
-		sim:     s,
-		medium:  medium,
-		cfg:     cfg.withDefaults(),
-		auth:    auth,
-		cache:   make(map[int][]int),
-		seen:    make(map[seenKey]bool),
-		pending: make(map[int]*discovery),
-		buffer:  make(map[int][]*DataPacket),
+		Agent: routing.Agent{ID: id, Sim: s, Medium: medium, Auth: auth},
+		cfg:   cfg.withDefaults(),
+		cache: make(map[int][]int),
+		seen:  make(map[seenKey]bool),
 	}
+	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.SendBufferCap, n.cfg.Retries, n.issueRequest)
 	medium.SetHandler(id, n.handleFrame)
 	return n
+}
+
+// Down crashes the node (see routing.Agent.Crash); buffered data and pending
+// discoveries are lost with the process. Returns false if it was already
+// down.
+func (n *Node) Down() bool {
+	if !n.Crash() {
+		return false
+	}
+	n.disc.Reset()
+	return true
+}
+
+// Up restarts a crashed node, keeping the route cache with retainRoutes and
+// flushing it with the duplicate table otherwise. Returns false if the node
+// was not down.
+func (n *Node) Up(retainRoutes bool) bool {
+	if !n.Restart() {
+		return false
+	}
+	if !retainRoutes {
+		n.cache = make(map[int][]int)
+		n.seen = make(map[seenKey]bool)
+	}
+	return true
 }
 
 // Config returns the node's effective configuration.
@@ -177,13 +160,11 @@ func (n *Node) purgeLink(a, b int) {
 // Send originates a data packet toward dst, discovering a route first if
 // none is cached.
 func (n *Node) Send(dst, bytes int) {
-	n.Stats.DataSent++
-	pkt := &DataPacket{
-		ID:     uint64(n.ID)<<40 | n.nextPkt,
-		Bytes:  bytes,
-		SentAt: n.sim.Now(),
+	id, ok := n.Originate()
+	if !ok {
+		return
 	}
-	n.nextPkt++
+	pkt := &DataPacket{ID: id, Bytes: bytes, SentAt: n.Sim.Now()}
 	if dst == n.ID {
 		n.deliver(pkt)
 		return
@@ -193,19 +174,12 @@ func (n *Node) Send(dst, bytes int) {
 		n.transmitData(pkt)
 		return
 	}
-	q := n.buffer[dst]
-	if len(q) >= n.cfg.SendBufferCap {
-		n.Stats.DropBufferOverflow++
-		return
-	}
-	n.buffer[dst] = append(q, pkt)
-	n.startDiscovery(dst)
+	n.disc.Enqueue(dst, pkt)
+	n.disc.Start(dst)
 }
 
 func (n *Node) deliver(pkt *DataPacket) {
-	n.Stats.DataDelivered++
-	n.Stats.DelaySum += n.sim.Now() - pkt.SentAt
-	n.Stats.DelayCount++
+	n.Delivered(pkt.SentAt)
 	if n.OnDeliver != nil {
 		n.OnDeliver(pkt)
 	}
@@ -217,57 +191,29 @@ func (n *Node) deliver(pkt *DataPacket) {
 // report the broken link back toward the source.
 func (n *Node) transmitData(pkt *DataPacket) {
 	next := pkt.Route[pkt.Idx+1]
-	if !n.medium.Unicast(n.ID, next, pkt.Bytes+dataWireOverhead+perHopWireSize*len(pkt.Route), pkt) {
+	if !n.Medium.Unicast(n.ID, next, pkt.Bytes+dataWireOverhead+perHopWireSize*len(pkt.Route), pkt) {
 		n.purgeLink(n.ID, next)
 		if pkt.Idx == 0 {
 			dst := pkt.Route[len(pkt.Route)-1]
 			pkt.Route, pkt.Idx = nil, 0
-			if len(n.buffer[dst]) >= n.cfg.SendBufferCap {
-				n.Stats.DropBufferOverflow++
-				return
-			}
-			n.buffer[dst] = append(n.buffer[dst], pkt)
-			n.startDiscovery(dst)
+			n.disc.Enqueue(dst, pkt)
+			n.disc.Start(dst)
 			return
 		}
 		n.Stats.DropLinkBreak++
-		n.reportBrokenLink(pkt, next)
+		rerr := &RouteError{From: n.ID, To: next, Sender: n.ID}
+		if n.Transmit(pkt.Route[pkt.Idx-1], errorWireSize, rerr, rerr.Encode(), &rerr.Auth) {
+			n.Stats.RERRSent++
+		}
 	}
-}
-
-// reportBrokenLink sends a RouteError back toward the packet source.
-func (n *Node) reportBrokenLink(pkt *DataPacket, next int) {
-	if pkt.Idx == 0 {
-		return // we are the source; cache already purged
-	}
-	rerr := &RouteError{From: n.ID, To: next, Sender: n.ID}
-	auth, delay, err := n.auth.Sign(n.ID, rerr.Encode())
-	if err != nil {
-		n.Stats.SignFailures++
-		return
-	}
-	rerr.Auth = auth
-	n.Stats.ErrorSent++
-	prev := pkt.Route[pkt.Idx-1]
-	n.sim.Schedule(delay, func() {
-		n.medium.Unicast(n.ID, prev, errorWireSize+n.auth.Overhead(), rerr)
-	})
 }
 
 // ---------------------------------------------------------------------------
 // Discovery
 
-func (n *Node) startDiscovery(dst int) {
-	if _, busy := n.pending[dst]; busy {
-		return
-	}
-	d := &discovery{attempts: 1}
-	n.pending[dst] = d
-	n.Stats.RequestInitiated++
-	n.issueRequest(dst, d)
-}
-
-func (n *Node) issueRequest(dst int, d *discovery) {
+// issueRequest floods one route request for dst; every attempt searches the
+// whole network and waits the same DiscoveryTimeout.
+func (n *Node) issueRequest(dst, _ int) time.Duration {
 	n.reqID++
 	req := &RouteRequest{
 		ID:     n.reqID,
@@ -278,94 +224,45 @@ func (n *Node) issueRequest(dst int, d *discovery) {
 	}
 	n.seen[seenKey{origin: n.ID, id: req.ID}] = true
 	n.broadcastRequest(req)
-
-	gen := d.gen
-	n.sim.Schedule(n.cfg.DiscoveryTimeout, func() {
-		cur, ok := n.pending[dst]
-		if !ok || cur.gen != gen {
-			return
-		}
-		if cur.attempts > n.cfg.Retries {
-			n.Stats.DropNoRoute += uint64(len(n.buffer[dst]))
-			delete(n.buffer, dst)
-			delete(n.pending, dst)
-			return
-		}
-		cur.attempts++
-		cur.gen++
-		n.Stats.RequestRetried++
-		n.issueRequest(dst, cur)
-	})
+	return n.cfg.DiscoveryTimeout
 }
 
 func (n *Node) broadcastRequest(req *RouteRequest) {
 	req.Sender = n.ID
-	auth, delay, err := n.auth.Sign(n.ID, req.Encode())
-	if err != nil {
-		n.Stats.SignFailures++
-		return
-	}
-	req.Auth = auth
-	n.sim.Schedule(delay, func() {
-		n.medium.Broadcast(n.ID, req.wireSize(n.auth.Overhead()), req)
-	})
+	n.Transmit(routing.Broadcast, req.wireSize(), req, req.Encode(), &req.Auth)
 }
 
 // SendReply signs a route reply as this node and unicasts it to the given
 // next hop. Exported for attack behaviours.
 func (n *Node) SendReply(to int, rep *RouteReply) {
 	rep.Sender = n.ID
-	auth, delay, err := n.auth.Sign(n.ID, rep.Encode())
-	if err != nil {
-		n.Stats.SignFailures++
-		return
-	}
-	rep.Auth = auth
-	n.sim.Schedule(delay, func() {
-		n.medium.Unicast(n.ID, to, rep.wireSize(n.auth.Overhead()), rep)
-	})
+	n.Transmit(to, rep.wireSize(), rep, rep.Encode(), &rep.Auth)
 }
 
 // ---------------------------------------------------------------------------
 // Receive path
 
 func (n *Node) handleFrame(from int, payload any) {
+	if !n.Listening() {
+		return
+	}
 	switch msg := payload.(type) {
 	case *RouteRequest:
 		cp := *msg
 		cp.Route = slices.Clone(msg.Route)
-		n.receiveControl(from, cp.Encode(), cp.Auth, cp.Sender, func() { n.processRequest(from, cp) })
+		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processRequest(from, cp) })
 	case *RouteReply:
 		cp := *msg
 		cp.Route = slices.Clone(msg.Route)
-		n.receiveControl(from, cp.Encode(), cp.Auth, cp.Sender, func() { n.processReply(from, cp) })
+		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processReply(from, cp) })
 	case *RouteError:
 		cp := *msg
-		n.receiveControl(from, cp.Encode(), cp.Auth, cp.Sender, func() { n.processError(from, cp) })
+		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processError(from, cp) })
 	case *DataPacket:
 		cp := *msg
 		cp.Route = slices.Clone(msg.Route)
 		n.processData(&cp)
 	}
-}
-
-func (n *Node) receiveControl(from int, payload, auth []byte, sender int, process func()) {
-	if n.Hooks.SkipVerify {
-		process()
-		return
-	}
-	if sender != from {
-		n.Stats.AuthRejected++
-		return
-	}
-	ok, delay := n.auth.Verify(sender, payload, auth)
-	n.sim.Schedule(delay, func() {
-		if !ok {
-			n.Stats.AuthRejected++
-			return
-		}
-		process()
-	})
 }
 
 func (n *Node) processRequest(from int, req RouteRequest) {
@@ -392,7 +289,7 @@ func (n *Node) processRequest(from int, req RouteRequest) {
 	n.cacheRoute(rev)
 
 	if req.Target == n.ID {
-		n.Stats.ReplyOriginated++
+		n.Stats.RREPOriginated++
 		n.SendReply(from, &RouteReply{Route: walked})
 		return
 	}
@@ -402,18 +299,15 @@ func (n *Node) processRequest(from int, req RouteRequest) {
 	fwd := req
 	fwd.Route = walked
 	fwd.TTL--
-	n.Stats.RequestForwarded++
-	n.sim.Schedule(n.drawJitter(), func() { n.broadcastRequest(&fwd) })
+	n.Stats.RREQForwarded++
+	n.Schedule(n.drawJitter(), func() { n.broadcastRequest(&fwd) })
 }
 
 func (n *Node) drawJitter() time.Duration {
 	if n.Hooks.ForwardJitter != nil {
 		return n.Hooks.ForwardJitter(n)
 	}
-	if n.cfg.ForwardJitterMax <= 0 {
-		return 0
-	}
-	return time.Duration(n.sim.Rand().Int63n(int64(n.cfg.ForwardJitterMax)))
+	return n.Jitter(n.cfg.ForwardJitterMax)
 }
 
 func (n *Node) processReply(from int, rep RouteReply) {
@@ -426,22 +320,20 @@ func (n *Node) processReply(from int, rep RouteReply) {
 	if idx == 0 {
 		// We are the originator: discovery complete.
 		dst := rep.Route[len(rep.Route)-1]
-		if d, ok := n.pending[dst]; ok {
-			d.gen++
-			delete(n.pending, dst)
-		}
+		n.disc.Complete(dst)
 		route, ok := n.cache[dst]
 		if !ok {
 			return
 		}
-		for _, pkt := range n.buffer[dst] {
+		// Flush takes the queue out first: a first-hop failure below puts
+		// the packet back in the buffer, and it must stay there.
+		for _, pkt := range n.disc.Flush(dst) {
 			pkt.Route, pkt.Idx = slices.Clone(route), 0
 			n.transmitData(pkt)
 		}
-		delete(n.buffer, dst)
 		return
 	}
-	n.Stats.ReplyForwarded++
+	n.Stats.RREPForwarded++
 	n.SendReply(rep.Route[idx-1], &rep)
 }
 

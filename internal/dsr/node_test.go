@@ -4,15 +4,15 @@ import (
 	"testing"
 	"time"
 
-	"mccls/internal/aodv"
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
+	"mccls/internal/routing"
 	"mccls/internal/sim"
 )
 
 // lineNet builds DSR nodes on a static line topology with 200m spacing
 // (radio range 250m → adjacent-only links).
-func lineNet(t *testing.T, nodes int, cfg Config, auth aodv.Authenticator) (*sim.Simulator, []*Node) {
+func lineNet(t *testing.T, nodes int, cfg Config, auth routing.Authenticator) (*sim.Simulator, []*Node) {
 	t.Helper()
 	pts := make([]mobility.Point, nodes)
 	for i := range pts {
@@ -21,12 +21,12 @@ func lineNet(t *testing.T, nodes int, cfg Config, auth aodv.Authenticator) (*sim
 	return netAt(t, &mobility.Static{Points: pts}, cfg, auth)
 }
 
-func netAt(t *testing.T, mob mobility.Model, cfg Config, auth aodv.Authenticator) (*sim.Simulator, []*Node) {
+func netAt(t *testing.T, mob mobility.Model, cfg Config, auth routing.Authenticator) (*sim.Simulator, []*Node) {
 	t.Helper()
 	s := sim.New(5)
 	m := radio.New(s, mob, radio.Config{})
 	if auth == nil {
-		auth = aodv.NullAuth{}
+		auth = routing.NullAuth{}
 	}
 	ns := make([]*Node, mob.Nodes())
 	for i := range ns {
@@ -73,13 +73,13 @@ func TestCachedRouteSkipsRediscovery(t *testing.T) {
 	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 64)
 	s.Run(2 * time.Second)
-	reqs := ns[0].Stats.RequestInitiated
+	reqs := ns[0].Stats.RREQInitiated
 	ns[0].Send(2, 64)
 	s.Run(4 * time.Second)
 	if delivered != 2 {
 		t.Fatalf("delivered %d, want 2", delivered)
 	}
-	if ns[0].Stats.RequestInitiated != reqs {
+	if ns[0].Stats.RREQInitiated != reqs {
 		t.Fatal("second send re-discovered despite cache")
 	}
 }
@@ -92,8 +92,8 @@ func TestDiscoveryFailure(t *testing.T) {
 	if ns[0].Stats.DropNoRoute != 1 {
 		t.Fatalf("DropNoRoute = %d, want 1", ns[0].Stats.DropNoRoute)
 	}
-	if ns[0].Stats.RequestRetried != uint64(ns[0].Config().Retries) {
-		t.Fatalf("RequestRetried = %d", ns[0].Stats.RequestRetried)
+	if ns[0].Stats.RREQRetried != uint64(ns[0].Config().Retries) {
+		t.Fatalf("RequestRetried = %d", ns[0].Stats.RREQRetried)
 	}
 }
 
@@ -181,7 +181,7 @@ func TestRouteLoopRejected(t *testing.T) {
 	req := &RouteRequest{ID: 9, Origin: 0, Target: 5, Route: []int{0, 1}, TTL: 5, Sender: 0}
 	ns[1].handleFrame(0, req)
 	s.Run(time.Second)
-	if ns[1].Stats.RequestForwarded != 0 {
+	if ns[1].Stats.RREQForwarded != 0 {
 		t.Fatal("looping request forwarded")
 	}
 }
@@ -207,5 +207,67 @@ func TestEncodeBindsRoute(t *testing.T) {
 	r2 := &RouteReply{Route: []int{0, 1, 2, 3}, Sender: 2}
 	if string(r1.Encode()) == string(r2.Encode()) {
 		t.Fatal("reply routes collide")
+	}
+}
+
+func TestCrashDropsBufferedPacketsAndPendingDiscoveries(t *testing.T) {
+	// 0 — 1 and nobody else: node 9 does not exist, so the discovery for it
+	// would retry and finally count the buffered packets as DropNoRoute.
+	s, ns := lineNet(t, 2, Config{}, nil)
+	ns[0].Send(9, 64)
+	ns[0].Send(9, 64)
+	s.Run(100 * time.Millisecond)
+	if !ns[0].Down() || ns[0].Down() {
+		t.Fatal("Down must report exactly one transition")
+	}
+	s.Run(2 * time.Second)
+	if !ns[0].Up(false) || ns[0].Up(false) {
+		t.Fatal("Up must report exactly one transition")
+	}
+	s.RunAll()
+	st := ns[0].Stats
+	if st.RREQRetried != 0 || st.DropNoRoute != 0 {
+		t.Fatalf("discovery survived the crash: retried=%d noRoute=%d", st.RREQRetried, st.DropNoRoute)
+	}
+	if st.Crashes != 1 || st.Restarts != 1 {
+		t.Fatalf("crashes=%d restarts=%d, want 1/1", st.Crashes, st.Restarts)
+	}
+
+	// The buffer died with the process: a fresh discovery that fails now
+	// drops only the packet sent after the restart.
+	ns[0].Send(9, 64)
+	s.RunAll()
+	if got := ns[0].Stats.DropNoRoute; got != 1 {
+		t.Fatalf("DropNoRoute = %d after restart, want 1 (pre-crash packets must be gone)", got)
+	}
+
+	// Offered load and arriving frames at a down node are counted, not
+	// processed.
+	ns[1].Down()
+	ns[1].Send(0, 64)
+	ns[1].handleFrame(0, &DataPacket{Route: []int{0, 1}, Bytes: 64})
+	if st := ns[1].Stats; st.DropNodeDown != 2 || st.DataDelivered != 0 {
+		t.Fatalf("down node: DropNodeDown=%d delivered=%d, want 2/0", st.DropNodeDown, st.DataDelivered)
+	}
+}
+
+func TestRestartRetainsOrFlushesCache(t *testing.T) {
+	s, ns := lineNet(t, 3, Config{}, nil)
+	ns[0].Send(2, 64)
+	s.Run(time.Second)
+	if _, ok := ns[1].CachedRoute(2); !ok {
+		t.Fatal("relay cached no route before the crash")
+	}
+
+	ns[1].Down()
+	ns[1].Up(true)
+	if _, ok := ns[1].CachedRoute(2); !ok {
+		t.Fatal("warm restart must keep the route cache")
+	}
+
+	ns[1].Down()
+	ns[1].Up(false)
+	if _, ok := ns[1].CachedRoute(2); ok {
+		t.Fatal("cold restart must flush the route cache")
 	}
 }

@@ -7,8 +7,7 @@ import (
 
 	"mccls/internal/attack"
 	"mccls/internal/dsr"
-	"mccls/internal/metrics"
-	"mccls/internal/traffic"
+	"mccls/internal/fault"
 )
 
 // RunDSR executes the scenario with DSR instead of AODV as the routing
@@ -28,8 +27,8 @@ func (sc Scenario) RunDSRContext(ctx context.Context) (Result, error) {
 	}
 	sc = w.sc
 	if sc.OnlineEnrollment {
-		// The enrollment protocol is wired through the AODV node
-		// lifecycle only; failing beats silently running keyless.
+		// The enrollment protocol is wired into the AODV entry point
+		// only; failing beats silently running keyless.
 		return Result{}, fmt.Errorf("experiments: online enrollment is not supported on the DSR substrate")
 	}
 	auth, _, err := sc.buildAuth(rand.New(rand.NewSource(sc.Seed^0x647372)), w.attackers)
@@ -38,10 +37,9 @@ func (sc Scenario) RunDSRContext(ctx context.Context) (Result, error) {
 	}
 
 	nodes := make([]*dsr.Node, sc.Nodes)
-	senders := make([]traffic.Sender, sc.Nodes)
 	for i := range nodes {
 		nodes[i] = dsr.NewNode(i, w.s, w.medium, dsr.Config{}, auth)
-		senders[i] = nodes[i]
+		w.add(nodes[i], &nodes[i].Agent)
 	}
 	for id := range w.attackers {
 		switch sc.Attack {
@@ -51,30 +49,7 @@ func (sc Scenario) RunDSRContext(ctx context.Context) (Result, error) {
 			attack.MakeDSRRushing(nodes[id])
 		}
 	}
-	return w.drive(senders, func() metrics.Summary { return collectDSR(nodes) })
-}
-
-// collectDSR maps DSR counters onto the shared metrics summary (route
-// requests take the RREQ slots; the four paper metrics carry over
-// unchanged).
-func collectDSR(nodes []*dsr.Node) metrics.Summary {
-	var s metrics.Summary
-	for _, n := range nodes {
-		st := n.Stats
-		s.DataSent += st.DataSent
-		s.DataDelivered += st.DataDelivered
-		s.DataForwarded += st.DataForwarded
-		s.RREQInitiated += st.RequestInitiated
-		s.RREQForwarded += st.RequestForwarded
-		s.RREQRetried += st.RequestRetried
-		s.AttackerDrops += st.DropByAttacker
-		s.AuthRejected += st.AuthRejected
-		s.LinkBreaks += st.DropLinkBreak
-		s.NoRouteDrops += st.DropNoRoute
-		s.DelaySum += st.DelaySum
-		s.DelayCount += st.DelayCount
-	}
-	return s
+	return w.drive(fault.Hooks{})
 }
 
 // FigureDSR is the generality extension experiment (no paper counterpart):

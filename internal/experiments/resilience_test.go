@@ -63,6 +63,53 @@ func TestChurnScenarioDeterministicAndPaired(t *testing.T) {
 	}
 }
 
+// TestDSRChurnScenario: the crash lifecycle and the fault schedule are the
+// substrate's, so a DSR run suffers churn exactly like an AODV one (before
+// internal/routing, RunDSR ignored Faults and ChurnEvents and reported
+// Crashes: 0 with a clean PDR).
+func TestDSRChurnScenario(t *testing.T) {
+	sc := quick()
+	sc.Security = McCLSCost
+	sc.ChurnEvents = 3
+	r1, err := sc.RunDSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := sc.RunDSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Summary != r2.Summary {
+		t.Fatal("same seed + churn produced different DSR results")
+	}
+	if r1.Summary.Crashes != 3 || r1.Summary.Restarts == 0 {
+		t.Fatalf("churn not applied to DSR: crashes=%d restarts=%d",
+			r1.Summary.Crashes, r1.Summary.Restarts)
+	}
+	if r1.Summary.NodeDownDrops == 0 {
+		t.Fatal("crashed DSR nodes discarded nothing")
+	}
+
+	// Plain DSR at the same seed suffers the same crash timeline.
+	plain := quick()
+	plain.ChurnEvents = 3
+	rp, err := plain.RunDSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.Summary.Crashes != r1.Summary.Crashes || rp.Summary.Restarts != r1.Summary.Restarts {
+		t.Fatalf("churn schedule depends on security mode: %d/%d vs %d/%d crashes/restarts",
+			rp.Summary.Crashes, rp.Summary.Restarts, r1.Summary.Crashes, r1.Summary.Restarts)
+	}
+	clean, err := quick().RunDSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Summary.Crashes != 0 || clean.Summary.NodeDownDrops != 0 {
+		t.Fatalf("fault-free DSR run reports faults: %+v", clean.Summary)
+	}
+}
+
 func TestExplicitFaultScheduleDeterministic(t *testing.T) {
 	sc := quick()
 	sc.Faults = fault.Schedule{

@@ -19,6 +19,7 @@ import (
 	"mccls/internal/metrics"
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
+	"mccls/internal/routing"
 	"mccls/internal/secrouting"
 	"mccls/internal/sim"
 	"mccls/internal/traffic"
@@ -259,13 +260,29 @@ func (sc Scenario) Run() (Result, error) {
 }
 
 // world is the substrate-independent half of a run, shared by the AODV and
-// DSR entry points: the defaulted scenario, its simulator and medium, and
-// the attacker set.
+// DSR entry points: the defaulted scenario, its simulator and medium, the
+// attacker set, and the routing nodes the entry point adds — each seen three
+// ways: as a traffic source, as a crashable lifecycle, and as the counters
+// metrics.Collect folds.
 type world struct {
 	sc        Scenario
 	s         *sim.Simulator
 	medium    *radio.Medium
 	attackers map[int]bool
+
+	senders []traffic.Sender
+	faulty  []fault.Node
+	agents  []*routing.Agent
+}
+
+// add registers one routing node (index = call order) with the world.
+func (w *world) add(n interface {
+	traffic.Sender
+	fault.Node
+}, a *routing.Agent) {
+	w.senders = append(w.senders, n)
+	w.faulty = append(w.faulty, n)
+	w.agents = append(w.agents, a)
 }
 
 // setup builds the world: simulator, mobility, medium (with range jitter)
@@ -304,14 +321,30 @@ func (sc Scenario) setup(ctx context.Context) (*world, error) {
 			attackers[sc.Nodes-1-i] = true
 		}
 	}
-	return &world{sc, s, medium, attackers}, nil
+	return &world{sc: sc, s: s, medium: medium, attackers: attackers}, nil
 }
 
-// drive starts CBR traffic between honest nodes, runs the simulator past
-// the traffic window so in-flight packets drain, and assembles the result
-// around the substrate's collected summary.
-func (w *world) drive(senders []traffic.Sender, collect func() metrics.Summary) (Result, error) {
+// drive installs the fault schedule (explicit faults plus seed-derived
+// churn, applied through the node lifecycle, with hooks observing each
+// transition), starts CBR traffic between honest nodes, runs the simulator
+// past the traffic window so in-flight packets drain, and assembles the
+// result around the nodes' collected counters.
+func (w *world) drive(hooks fault.Hooks) (Result, error) {
 	sc, s := w.sc, w.s
+	sched := sc.Faults
+	if sc.ChurnEvents > 0 {
+		churnRng := rand.New(rand.NewSource(sc.Seed ^ 0x6368726e)) // "chrn"
+		churn := fault.Churn(churnRng, fault.ChurnConfig{
+			Events:   sc.ChurnEvents,
+			Nodes:    sc.Nodes,
+			Duration: sc.Duration,
+		})
+		sched.Crashes = append(append([]fault.Crash{}, sched.Crashes...), churn.Crashes...)
+	}
+	if !sched.Empty() {
+		fault.Apply(s, sched, w.faulty, w.medium, hooks)
+	}
+
 	var honest []int
 	for i := 0; i < sc.Nodes; i++ {
 		if !w.attackers[i] {
@@ -319,7 +352,7 @@ func (w *world) drive(senders []traffic.Sender, collect func() metrics.Summary) 
 		}
 	}
 	flows := traffic.RandomFlows(sc.Flows, honest, s.Rand())
-	traffic.StartCBR(s, senders, flows, traffic.CBRConfig{
+	traffic.StartCBR(s, w.senders, flows, traffic.CBRConfig{
 		Rate:        sc.Rate,
 		PacketBytes: sc.PacketBytes,
 		Start:       2 * time.Second,
@@ -331,7 +364,7 @@ func (w *world) drive(senders []traffic.Sender, collect func() metrics.Summary) 
 		return Result{}, fmt.Errorf("scenario aborted after %d events: %w", s.Processed(), err)
 	}
 	return Result{
-		Summary: collect(), Radio: w.medium.Stats, Events: s.Processed(),
+		Summary: metrics.Collect(w.agents), Radio: w.medium.Stats, Events: s.Processed(),
 		PeakQueue: s.PeakQueue(), EventAllocs: s.EventAllocs(), Grid: w.medium.GridStats(),
 	}, nil
 }
@@ -356,10 +389,9 @@ func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	nodes := make([]*aodv.Node, sc.Nodes)
-	senders := make([]traffic.Sender, sc.Nodes)
 	for i := range nodes {
 		nodes[i] = aodv.NewNode(i, s, medium, sc.AODV, auth)
-		senders[i] = nodes[i]
+		w.add(nodes[i], &nodes[i].Agent)
 	}
 	for id := range attackers {
 		switch sc.Attack {
@@ -401,32 +433,12 @@ func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
 		}
 	}
 
-	// Fault injection: explicit schedule plus seed-derived churn, applied
-	// through the node lifecycle so enrollment state tracks crashes.
-	sched := sc.Faults
-	if sc.ChurnEvents > 0 {
-		churnRng := rand.New(rand.NewSource(sc.Seed ^ 0x6368726e)) // "chrn"
-		churn := fault.Churn(churnRng, fault.ChurnConfig{
-			Events:   sc.ChurnEvents,
-			Nodes:    sc.Nodes,
-			Duration: sc.Duration,
-		})
-		sched.Crashes = append(append([]fault.Crash{}, sched.Crashes...), churn.Crashes...)
+	// Crashes reach the enrollment layer too, so key state tracks them.
+	var hooks fault.Hooks
+	if enr != nil {
+		hooks = fault.Hooks{OnCrash: enr.OnCrash, OnRestart: enr.OnRestart}
 	}
-	if !sched.Empty() {
-		fnodes := make([]fault.Node, len(nodes))
-		for i, nd := range nodes {
-			fnodes[i] = nd
-		}
-		var hooks fault.Hooks
-		if enr != nil {
-			hooks.OnCrash = enr.OnCrash
-			hooks.OnRestart = enr.OnRestart
-		}
-		fault.Apply(s, sched, fnodes, medium, hooks)
-	}
-
-	res, err := w.drive(senders, func() metrics.Summary { return metrics.Collect(nodes) })
+	res, err := w.drive(hooks)
 	if err == nil && enr != nil {
 		res.Enroll = enr.Totals()
 	}
@@ -479,17 +491,17 @@ func (sc Scenario) overrideLatencies(sign, verify *time.Duration) {
 // start keyless and the returned Authority is what the enrollment protocol
 // issues through. Gray hole attackers are *insiders*: they get keys too,
 // which is exactly the property that ablation probes.
-func (sc Scenario) buildAuth(rng *rand.Rand, attackers map[int]bool) (aodv.Authenticator, secrouting.Authority, error) {
+func (sc Scenario) buildAuth(rng *rand.Rand, attackers map[int]bool) (routing.Authenticator, secrouting.Authority, error) {
 	if sc.Attack == Grayhole {
 		attackers = nil // insiders get keys like everyone else
 	}
 	var a interface {
-		aodv.Authenticator
+		routing.Authenticator
 		secrouting.Authority
 	}
 	switch sc.Security {
 	case Plain:
-		return aodv.NullAuth{}, nil, nil
+		return routing.NullAuth{}, nil, nil
 	case McCLSCost:
 		m := secrouting.NewCostModelAuth()
 		sc.overrideLatencies(&m.SignLatency, &m.VerifyLatency)

@@ -121,7 +121,8 @@ func Churn(rng *rand.Rand, cfg ChurnConfig) Schedule {
 	return s
 }
 
-// Node is the lifecycle surface Apply drives; aodv.Node implements it. The
+// Node is the lifecycle surface Apply drives; aodv.Node and dsr.Node
+// implement it over the shared routing.Agent crash lifecycle. The
 // bool returns report whether a transition actually happened, so
 // overlapping crash windows for the same node do not double-fire hooks.
 type Node interface {
@@ -140,7 +141,7 @@ type Medium interface {
 // Hooks observe lifecycle transitions as they are applied. OnCrash runs
 // after the node goes down (the secure-routing layer uses it to discard the
 // node's volatile key material); OnRestart runs after the node comes back
-// up, after the node's own restart callback.
+// up.
 type Hooks struct {
 	OnCrash   func(node int)
 	OnRestart func(node int)

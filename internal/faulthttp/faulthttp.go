@@ -131,16 +131,6 @@ func (in *Injector) Start() {
 	in.start = in.now()
 }
 
-// Elapsed returns the time since Start (0 if not started).
-func (in *Injector) Elapsed() time.Duration {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if !in.started {
-		return 0
-	}
-	return in.now().Sub(in.start)
-}
-
 func match(rule, target string) bool { return rule == "" || rule == target }
 
 func inWindow(e, from, to time.Duration) bool { return e >= from && e < to }

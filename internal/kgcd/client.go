@@ -301,10 +301,6 @@ func parseRetryAfter(resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// BreakerState exposes the client-side breaker position (for harness
-// reporting).
-func (c *Client) BreakerState() BreakerState { return c.br.State() }
-
 // Healthz returns the combiner's health report; err is non-nil when the
 // service is below quorum or unreachable.
 func (c *Client) Healthz(ctx context.Context) (*healthResponse, error) {

@@ -1,5 +1,6 @@
 // Package metrics computes the paper's four evaluation metrics from
-// per-node AODV statistics:
+// per-node routing statistics (routing.Stats, whichever protocol filled
+// them):
 //
 //   - Packet Delivery Ratio: packets received by destinations / packets
 //     sent by sources.
@@ -16,7 +17,7 @@ import (
 	"math"
 	"time"
 
-	"mccls/internal/aodv"
+	"mccls/internal/routing"
 )
 
 // Summary aggregates a scenario run.
@@ -44,7 +45,7 @@ type Summary struct {
 }
 
 // Collect sums the statistics of all nodes.
-func Collect(nodes []*aodv.Node) Summary {
+func Collect(nodes []*routing.Agent) Summary {
 	var s Summary
 	for _, n := range nodes {
 		st := n.Stats

@@ -6,22 +6,22 @@ import (
 	"testing"
 	"time"
 
-	"mccls/internal/aodv"
+	"mccls/internal/routing"
 )
 
 func TestCollectSumsNodes(t *testing.T) {
-	a := &aodv.Node{}
+	a := &routing.Agent{}
 	a.Stats.DataSent = 10
 	a.Stats.DataForwarded = 4
 	a.Stats.RREQInitiated = 2
-	b := &aodv.Node{}
+	b := &routing.Agent{}
 	b.Stats.DataDelivered = 7
 	b.Stats.RREQForwarded = 3
 	b.Stats.DropByAttacker = 1
 	b.Stats.DelaySum = 700 * time.Millisecond
 	b.Stats.DelayCount = 7
 
-	s := Collect([]*aodv.Node{a, b})
+	s := Collect([]*routing.Agent{a, b})
 	if s.DataSent != 10 || s.DataDelivered != 7 || s.DataForwarded != 4 {
 		t.Fatalf("bad sums: %+v", s)
 	}

@@ -74,14 +74,13 @@ func (c Config) withDefaults() Config {
 
 // Stats aggregates medium-level counters.
 type Stats struct {
-	UnicastSent    uint64
-	UnicastFailed  uint64 // link-layer failures detected at send time
-	BroadcastSent  uint64
-	Deliveries     uint64
-	Lost           uint64 // random losses
-	Collided       uint64 // losses due to reception overlap
-	BytesOnAir     uint64
-	ControlPackets uint64 // caller-maintained via CountControl
+	UnicastSent   uint64
+	UnicastFailed uint64 // link-layer failures detected at send time
+	BroadcastSent uint64
+	Deliveries    uint64
+	Lost          uint64 // random losses
+	Collided      uint64 // losses due to reception overlap
+	BytesOnAir    uint64
 }
 
 // reception tracks one in-flight frame at a receiver for the collision

@@ -1,0 +1,337 @@
+// Package routing is the substrate the reactive protocols (aodv, dsr) embed:
+// everything about a routing agent that does not depend on what a route
+// looks like. It owns the hop-by-hop authentication extension the paper
+// evaluates — the only place a control packet is signed (Transmit) and the
+// only place one is verified (Receive) — plus the crash/restart lifecycle
+// with its epoch-guarded timers, the per-node counters, packet-id minting,
+// delivery accounting, the jitter draw, and the route-discovery retry
+// machine with its bounded send buffer (Discovery).
+//
+// What a protocol keeps for itself, because sharing it would make this
+// package branch on its caller: route table vs route cache, message types
+// and their encodings, duplicate-suppression policy, the typed behaviour
+// hooks, and AODV's HELLO beacons.
+package routing
+
+import (
+	"time"
+
+	"mccls/internal/radio"
+	"mccls/internal/sim"
+)
+
+// Authenticator authenticates routing control packets. Implementations live
+// in package secrouting: the real McCLS signer/verifier and a calibrated
+// cost model that injects the measured crypto latencies without doing the
+// math (see DESIGN.md §1); NullAuth is the unauthenticated baseline.
+type Authenticator interface {
+	// Sign produces an authentication tag for payload as transmitted by
+	// node, and reports the processing delay signing costs. A non-nil
+	// error means no usable tag could be produced (e.g. the signer's
+	// randomness source failed); the agent counts the failure and drops
+	// the packet instead of transmitting an unverifiable tag.
+	Sign(node int, payload []byte) (auth []byte, delay time.Duration, err error)
+	// Verify checks the tag produced by node over payload, and reports
+	// the processing delay verification costs.
+	Verify(node int, payload, auth []byte) (ok bool, delay time.Duration)
+	// Overhead is the per-control-packet size increase in bytes.
+	Overhead() int
+}
+
+// NullAuth is the no-op authenticator of the plain protocols: every packet
+// passes, costs nothing and adds no bytes.
+type NullAuth struct{}
+
+var _ Authenticator = NullAuth{}
+
+// Sign returns an empty tag at zero cost.
+func (NullAuth) Sign(int, []byte) ([]byte, time.Duration, error) { return nil, 0, nil }
+
+// Verify accepts everything at zero cost.
+func (NullAuth) Verify(int, []byte, []byte) (bool, time.Duration) { return true, 0 }
+
+// Overhead is zero.
+func (NullAuth) Overhead() int { return 0 }
+
+// Stats counts per-node protocol events. The paper's four metrics are
+// computed from these by package metrics. DSR counts its route requests,
+// replies and errors in the RREQ*/RREP*/RERRSent slots.
+type Stats struct {
+	DataSent      uint64 // originated by this node
+	DataDelivered uint64 // received here as final destination
+	DataForwarded uint64
+
+	RREQInitiated  uint64
+	RREQRetried    uint64
+	RREQForwarded  uint64
+	RREPOriginated uint64
+	RREPForwarded  uint64
+	RERRSent       uint64
+	HelloSent      uint64
+	NeighborsLost  uint64 // neighbors declared dead by HELLO loss
+
+	AuthRejected uint64 // control packets dropped for bad authentication
+	SignFailures uint64 // control packets not sent because signing failed
+
+	Crashes  uint64 // Down transitions (fault injection)
+	Restarts uint64 // Up transitions
+
+	DropNoRoute        uint64
+	DropBufferOverflow uint64
+	DropLinkBreak      uint64
+	DropTTLExpired     uint64
+	DropByAttacker     uint64 // data absorbed by this node acting maliciously
+	DropNodeDown       uint64 // frames discarded because this node was down
+
+	DelaySum   time.Duration // end-to-end, summed at this destination
+	DelayCount uint64
+}
+
+// Broadcast is the Transmit destination that addresses every neighbour.
+const Broadcast = -1
+
+// Agent is the protocol-independent half of a routing node. Protocols embed
+// it by value and fill the exported fields at construction.
+type Agent struct {
+	// ID is the node's address (its index in the medium).
+	ID     int
+	Sim    *sim.Simulator
+	Medium *radio.Medium
+	Auth   Authenticator
+
+	// SkipVerify disables authentication checks on received control
+	// packets (an attacker does not care whether packets verify).
+	SkipVerify bool
+	// Stats accumulates protocol counters.
+	Stats Stats
+
+	// down marks a crashed node; epoch invalidates every timer armed
+	// before the crash (the event queue has no unschedule, so armed
+	// closures re-check the epoch they captured and fall through).
+	down    bool
+	epoch   uint64
+	nextPkt uint64
+}
+
+// Schedule arms fn after d of virtual time, tagged with the node's current
+// epoch: if the node crashes before the event fires, the closure is a no-op.
+// All node-internal timers (discovery retries, sign/verify delays, hello
+// beacons, rebroadcast jitter) go through it.
+func (a *Agent) Schedule(d time.Duration, fn func()) {
+	epoch := a.epoch
+	a.Sim.Schedule(d, func() {
+		if a.epoch != epoch || a.down {
+			return
+		}
+		fn()
+	})
+}
+
+// IsDown reports whether the node is currently crashed.
+func (a *Agent) IsDown() bool { return a.down }
+
+// Crash takes the node down: armed timers are invalidated, in-flight
+// receptions (verify delays already scheduled) are dropped and the radio
+// stops receiving. The embedding protocol discards its own volatile state.
+// Returns false if the node was already down.
+func (a *Agent) Crash() bool {
+	if a.down {
+		return false
+	}
+	a.down = true
+	a.epoch++
+	a.Stats.Crashes++
+	a.Medium.SetNodeDown(a.ID, true)
+	return true
+}
+
+// Restart brings a crashed node back onto the radio. Returns false if the
+// node was not down.
+func (a *Agent) Restart() bool {
+	if !a.down {
+		return false
+	}
+	a.down = false
+	a.Stats.Restarts++
+	a.Medium.SetNodeDown(a.ID, false)
+	return true
+}
+
+// Originate accounts for one application send and mints its packet id. It
+// reports false when the node is down: offered load during an outage counts
+// against the delivery ratio.
+func (a *Agent) Originate() (id uint64, ok bool) {
+	a.Stats.DataSent++
+	if a.down {
+		a.Stats.DropNodeDown++
+		return 0, false
+	}
+	id = uint64(a.ID)<<40 | a.nextPkt
+	a.nextPkt++
+	return id, true
+}
+
+// Listening reports whether the node can take a frame off the radio,
+// counting the frame as dropped when it cannot.
+func (a *Agent) Listening() bool {
+	if a.down {
+		a.Stats.DropNodeDown++
+	}
+	return !a.down
+}
+
+// Delivered accounts for a data packet that reached this node as its final
+// destination.
+func (a *Agent) Delivered(sentAt sim.Time) {
+	a.Stats.DataDelivered++
+	a.Stats.DelaySum += a.Sim.Now() - sentAt
+	a.Stats.DelayCount++
+}
+
+// Jitter draws a uniform delay in [0, max) from the simulation RNG; a
+// non-positive max costs no draw.
+func (a *Agent) Jitter(max time.Duration) time.Duration {
+	if max <= 0 {
+		return 0
+	}
+	return time.Duration(a.Sim.Rand().Int63n(int64(max)))
+}
+
+// Transmit signs a control packet as this node, charges the signing delay
+// and puts it on the air: unicast to one neighbour, or to all with
+// Broadcast. payload is msg's canonical encoding, tag points at msg's Auth
+// field and size is its on-air size before authentication overhead. It
+// reports false, counting a SignFailure and sending nothing, when no tag
+// could be produced.
+func (a *Agent) Transmit(to, size int, msg any, payload []byte, tag *[]byte) bool {
+	auth, delay, err := a.Auth.Sign(a.ID, payload)
+	if err != nil {
+		a.Stats.SignFailures++
+		return false
+	}
+	*tag = auth
+	size += a.Auth.Overhead()
+	a.Schedule(delay, func() {
+		if to == Broadcast {
+			a.Medium.Broadcast(a.ID, size, msg)
+		} else {
+			a.Medium.Unicast(a.ID, to, size, msg)
+		}
+	})
+	return true
+}
+
+// Receive authenticates a control packet heard from the one-hop neighbour
+// from and runs process after the verification delay. Rejections are
+// counted in AuthRejected.
+func (a *Agent) Receive(from, sender int, payload, tag []byte, process func()) {
+	if a.SkipVerify {
+		process()
+		return
+	}
+	if sender != from {
+		// The claimed transmitter must be the actual one-hop sender;
+		// anything else is spoofing regardless of signature validity.
+		a.Stats.AuthRejected++
+		return
+	}
+	ok, delay := a.Auth.Verify(sender, payload, tag)
+	a.Schedule(delay, func() {
+		if !ok {
+			a.Stats.AuthRejected++
+			return
+		}
+		process()
+	})
+}
+
+// Discovery is the route-discovery retry machine with the bounded
+// per-destination send buffer of packets waiting on it.
+type Discovery[P any] struct {
+	a         *Agent
+	bufferCap int
+	retries   int
+	issue     func(dst, attempt int) time.Duration
+	pending   map[int]*attempt
+	buffer    map[int][]P
+}
+
+// attempt tracks one in-progress discovery; gen invalidates stale timeouts.
+type attempt struct{ n, gen int }
+
+// NewDiscovery builds the machine for agent a. issue floods one request for
+// dst (attempt counts from 1, so an expanding-ring search can size its TTL)
+// and returns how long to wait for the reply; after retries further
+// attempts the packets buffered for dst are dropped as DropNoRoute.
+func NewDiscovery[P any](a *Agent, bufferCap, retries int, issue func(dst, attempt int) time.Duration) *Discovery[P] {
+	d := &Discovery[P]{a: a, bufferCap: bufferCap, retries: retries, issue: issue}
+	d.Reset()
+	return d
+}
+
+// Reset forgets every buffered packet and pending discovery (a crash).
+func (d *Discovery[P]) Reset() {
+	d.pending = make(map[int]*attempt)
+	d.buffer = make(map[int][]P)
+}
+
+// Enqueue buffers pkt until a route to dst appears, or counts it as
+// DropBufferOverflow when dst's queue is full.
+func (d *Discovery[P]) Enqueue(dst int, pkt P) {
+	q := d.buffer[dst]
+	if len(q) >= d.bufferCap {
+		d.a.Stats.DropBufferOverflow++
+		return
+	}
+	d.buffer[dst] = append(q, pkt)
+}
+
+// Start begins a discovery for dst unless one is already in flight.
+func (d *Discovery[P]) Start(dst int) {
+	if _, inProgress := d.pending[dst]; inProgress {
+		return
+	}
+	cur := &attempt{n: 1}
+	d.pending[dst] = cur
+	d.a.Stats.RREQInitiated++
+	d.round(dst, cur)
+}
+
+// round issues one request and arms its retry timer.
+func (d *Discovery[P]) round(dst int, cur *attempt) {
+	timeout := d.issue(dst, cur.n)
+	gen := cur.gen
+	d.a.Schedule(timeout, func() {
+		cur, ok := d.pending[dst]
+		if !ok || cur.gen != gen {
+			return // satisfied or superseded
+		}
+		if cur.n > d.retries {
+			// Discovery failed: drop everything buffered for dst.
+			d.a.Stats.DropNoRoute += uint64(len(d.buffer[dst]))
+			delete(d.buffer, dst)
+			delete(d.pending, dst)
+			return
+		}
+		cur.n++
+		cur.gen++
+		d.a.Stats.RREQRetried++
+		d.round(dst, cur)
+	})
+}
+
+// Complete ends the discovery for dst, disarming its outstanding timer.
+func (d *Discovery[P]) Complete(dst int) {
+	if cur, ok := d.pending[dst]; ok {
+		cur.gen++
+		delete(d.pending, dst)
+	}
+}
+
+// Flush takes dst's queue out of the buffer and returns it. Packets the
+// caller fails to send may be enqueued again while it walks the result.
+func (d *Discovery[P]) Flush(dst int) []P {
+	q := d.buffer[dst]
+	delete(d.buffer, dst)
+	return q
+}

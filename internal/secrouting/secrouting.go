@@ -1,8 +1,10 @@
 // Package secrouting implements the McCLS routing-authentication extension
-// the paper evaluates: AODV control packets (RREQ/RREP/RERR) are signed
-// hop-by-hop by their transmitter and verified before processing, so nodes
-// without a KGC-issued key — the black hole and rushing attackers — cannot
-// inject or relay routing state.
+// the paper evaluates: routing control packets (AODV's RREQ/RREP/RERR/HELLO,
+// DSR's request/reply/error) are signed hop-by-hop by their transmitter and
+// verified before processing, so nodes without a KGC-issued key — the black
+// hole and rushing attackers — cannot inject or relay routing state. The
+// signing and verifying call sites are routing.Agent's; this package
+// provides the routing.Authenticator implementations they call.
 //
 // Two interchangeable authenticators are provided:
 //
@@ -23,8 +25,8 @@ import (
 	"strconv"
 	"time"
 
-	"mccls/internal/aodv"
 	"mccls/internal/core"
+	"mccls/internal/routing"
 )
 
 // Default processing latencies injected per control-packet operation.
@@ -73,7 +75,7 @@ type McCLSAuth struct {
 	rng io.Reader
 }
 
-var _ aodv.Authenticator = (*McCLSAuth)(nil)
+var _ routing.Authenticator = (*McCLSAuth)(nil)
 
 // NewMcCLSAuth sets up a KGC for the network. rng seeds all key material
 // (nil uses crypto/rand).
@@ -177,7 +179,7 @@ type CostModelAuth struct {
 	secret     [16]byte
 }
 
-var _ aodv.Authenticator = (*CostModelAuth)(nil)
+var _ routing.Authenticator = (*CostModelAuth)(nil)
 
 // NewCostModelAuth creates a cost-model authenticator with the default
 // McCLS latencies and wire overhead.

@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"mccls/internal/aodv"
+	"mccls/internal/routing"
 )
 
 func newRealAuth(t *testing.T) *McCLSAuth {
@@ -178,8 +178,8 @@ func TestNodeIdentityStable(t *testing.T) {
 
 // Interface compliance for both authenticators.
 var (
-	_ aodv.Authenticator = (*McCLSAuth)(nil)
-	_ aodv.Authenticator = (*CostModelAuth)(nil)
+	_ routing.Authenticator = (*McCLSAuth)(nil)
+	_ routing.Authenticator = (*CostModelAuth)(nil)
 )
 
 // flakyReader is an RNG that can be switched into a failing state.

@@ -8,6 +8,7 @@ import (
 	"mccls/internal/aodv"
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
+	"mccls/internal/routing"
 	"mccls/internal/sim"
 )
 
@@ -57,8 +58,8 @@ func TestCBRRateAndWindow(t *testing.T) {
 	pts := &mobility.Static{Points: []mobility.Point{{X: 0}, {X: 100}}}
 	m := radio.New(s, pts, radio.Config{})
 	nodes := []*aodv.Node{
-		aodv.NewNode(0, s, m, aodv.Config{}, aodv.NullAuth{}),
-		aodv.NewNode(1, s, m, aodv.Config{}, aodv.NullAuth{}),
+		aodv.NewNode(0, s, m, aodv.Config{}, routing.NullAuth{}),
+		aodv.NewNode(1, s, m, aodv.Config{}, routing.NullAuth{}),
 	}
 	StartCBR(s, senders(nodes), []Flow{{Src: 0, Dst: 1}}, CBRConfig{
 		Rate:        10,
@@ -87,7 +88,7 @@ func TestCBRMultipleFlowsDesynchronized(t *testing.T) {
 	m := radio.New(s, pts, radio.Config{})
 	nodes := make([]*aodv.Node, 3)
 	for i := range nodes {
-		nodes[i] = aodv.NewNode(i, s, m, aodv.Config{}, aodv.NullAuth{})
+		nodes[i] = aodv.NewNode(i, s, m, aodv.Config{}, routing.NullAuth{})
 	}
 	StartCBR(s, senders(nodes), []Flow{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}}, CBRConfig{
 		Rate: 4, Stop: 5 * time.Second,
