@@ -19,22 +19,19 @@ import (
 // Hello is a one-hop liveness beacon.
 type Hello struct {
 	Seq uint32
-
-	Sender int
-	Auth   []byte
+	routing.HopAuth
 }
 
 // helloWireSize is the on-air size of a HELLO before authentication
 // overhead (an RREP-shaped packet per the RFC).
 const helloWireSize = rrepWireSize
 
-// Encode returns the canonical byte encoding of the HELLO (everything
+// AppendEncode appends the canonical byte encoding of the HELLO (everything
 // except Auth).
-func (h *Hello) Encode() []byte {
-	out := []byte{kindHello}
-	out = appendU32(out, h.Seq)
-	out = appendInt(out, h.Sender)
-	return out
+func (h *Hello) AppendEncode(dst []byte) []byte {
+	dst = append(dst, kindHello)
+	dst = routing.AppendInt(dst, int(h.Seq))
+	return routing.AppendInt(dst, h.Sender)
 }
 
 // startHello arms the beacon loop at a random phase, desynchronizing the
@@ -55,8 +52,7 @@ func (n *Node) helloLoop() {
 
 // sendHello signs and broadcasts one beacon.
 func (n *Node) sendHello() {
-	h := &Hello{Seq: n.seq, Sender: n.ID}
-	if n.Transmit(routing.Broadcast, helloWireSize, h, h.Encode(), &h.Auth) {
+	if n.Transmit(routing.Broadcast, helloWireSize, &Hello{Seq: n.seq}) {
 		n.Stats.HelloSent++
 	}
 }
@@ -84,7 +80,7 @@ func (n *Node) sweepNeighbors() {
 }
 
 // processHello refreshes the neighbor's liveness and hop-1 route.
-func (n *Node) processHello(from int, h Hello) {
+func (n *Node) processHello(from int, h *Hello) {
 	lifetime := time.Duration(n.cfg.AllowedHelloLoss) * n.cfg.HelloInterval
 	if lifetime <= 0 {
 		lifetime = n.cfg.ActiveRouteTimeout

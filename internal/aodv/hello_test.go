@@ -78,10 +78,10 @@ func TestHelloAuthenticatedUnderMcCLS(t *testing.T) {
 }
 
 func TestHelloEncodeDistinct(t *testing.T) {
-	a := &Hello{Seq: 1, Sender: 2}
-	b := &Hello{Seq: 1, Sender: 3}
-	c := &Hello{Seq: 2, Sender: 2}
-	if string(a.Encode()) == string(b.Encode()) || string(a.Encode()) == string(c.Encode()) {
+	a := &Hello{Seq: 1, HopAuth: routing.HopAuth{Sender: 2}}
+	b := &Hello{Seq: 1, HopAuth: routing.HopAuth{Sender: 3}}
+	c := &Hello{Seq: 2, HopAuth: routing.HopAuth{Sender: 2}}
+	if string(a.AppendEncode(nil)) == string(b.AppendEncode(nil)) || string(a.AppendEncode(nil)) == string(c.AppendEncode(nil)) {
 		t.Fatal("HELLO encodings collide")
 	}
 }

@@ -19,8 +19,9 @@
 package aodv
 
 import (
-	"encoding/binary"
 	"time"
+
+	"mccls/internal/routing"
 )
 
 // Message kinds, used in canonical encodings.
@@ -51,12 +52,7 @@ type RREQ struct {
 	SeqKnown  bool   // whether DestSeq is meaningful
 	HopCount  int
 	TTL       int
-
-	// Sender is the transmitting node of this hop (hop-by-hop
-	// authentication covers the transmitter, not just the originator).
-	Sender int
-	// Auth is the transmitter's authentication tag over Encode().
-	Auth []byte
+	routing.HopAuth
 }
 
 // RREP is a route reply, unicast hop-by-hop along the reverse path.
@@ -66,9 +62,7 @@ type RREP struct {
 	DestSeq  uint32
 	HopCount int
 	Lifetime time.Duration
-
-	Sender int
-	Auth   []byte
+	routing.HopAuth
 }
 
 // RERR reports broken routes; one-hop broadcast by the node that detected
@@ -77,9 +71,7 @@ type RERR struct {
 	// Unreachable lists destinations now unreachable through the sender,
 	// with their last known sequence numbers (incremented per the RFC).
 	Unreachable []UnreachableDest
-
-	Sender int
-	Auth   []byte
+	routing.HopAuth
 }
 
 // UnreachableDest is one (destination, sequence) pair in a RERR.
@@ -100,60 +92,50 @@ type DataPacket struct {
 	HopsFwd int
 }
 
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendInt(dst []byte, v int) []byte { return appendU32(dst, uint32(int32(v))) }
-
-// Encode returns the canonical byte encoding of the RREQ as transmitted by
-// Sender (everything except Auth). This is the payload authenticated
-// hop-by-hop: it includes the mutable HopCount/TTL, so a forwarder signs
-// exactly what it sends and tampering anywhere is detected at the next hop.
-func (r *RREQ) Encode() []byte {
-	out := []byte{kindRREQ}
-	out = appendU32(out, r.ID)
-	out = appendInt(out, r.Origin)
-	out = appendU32(out, r.OriginSeq)
-	out = appendInt(out, r.Dest)
-	out = appendU32(out, r.DestSeq)
+// AppendEncode appends the canonical byte encoding of the RREQ as
+// transmitted by Sender (everything except Auth). This is the payload
+// authenticated hop-by-hop: it includes the mutable HopCount/TTL, so a
+// forwarder signs exactly what it sends and tampering anywhere is detected
+// at the next hop.
+func (r *RREQ) AppendEncode(dst []byte) []byte {
+	dst = append(dst, kindRREQ)
+	dst = routing.AppendInt(dst, int(r.ID))
+	dst = routing.AppendInt(dst, r.Origin)
+	dst = routing.AppendInt(dst, int(r.OriginSeq))
+	dst = routing.AppendInt(dst, r.Dest)
+	dst = routing.AppendInt(dst, int(r.DestSeq))
 	if r.SeqKnown {
-		out = append(out, 1)
+		dst = append(dst, 1)
 	} else {
-		out = append(out, 0)
+		dst = append(dst, 0)
 	}
-	out = appendInt(out, r.HopCount)
-	out = appendInt(out, r.TTL)
-	out = appendInt(out, r.Sender)
-	return out
+	dst = routing.AppendInt(dst, r.HopCount)
+	dst = routing.AppendInt(dst, r.TTL)
+	return routing.AppendInt(dst, r.Sender)
 }
 
-// Encode returns the canonical byte encoding of the RREP (everything except
-// Auth).
-func (r *RREP) Encode() []byte {
-	out := []byte{kindRREP}
-	out = appendInt(out, r.Origin)
-	out = appendInt(out, r.Dest)
-	out = appendU32(out, r.DestSeq)
-	out = appendInt(out, r.HopCount)
-	out = appendU32(out, uint32(r.Lifetime/time.Millisecond))
-	out = appendInt(out, r.Sender)
-	return out
+// AppendEncode appends the canonical byte encoding of the RREP (everything
+// except Auth).
+func (r *RREP) AppendEncode(dst []byte) []byte {
+	dst = append(dst, kindRREP)
+	dst = routing.AppendInt(dst, r.Origin)
+	dst = routing.AppendInt(dst, r.Dest)
+	dst = routing.AppendInt(dst, int(r.DestSeq))
+	dst = routing.AppendInt(dst, r.HopCount)
+	dst = routing.AppendInt(dst, int(r.Lifetime/time.Millisecond))
+	return routing.AppendInt(dst, r.Sender)
 }
 
-// Encode returns the canonical byte encoding of the RERR (everything except
-// Auth).
-func (r *RERR) Encode() []byte {
-	out := []byte{kindRERR}
-	out = appendInt(out, len(r.Unreachable))
+// AppendEncode appends the canonical byte encoding of the RERR (everything
+// except Auth).
+func (r *RERR) AppendEncode(dst []byte) []byte {
+	dst = append(dst, kindRERR)
+	dst = routing.AppendInt(dst, len(r.Unreachable))
 	for _, u := range r.Unreachable {
-		out = appendInt(out, u.Dest)
-		out = appendU32(out, u.DestSeq)
+		dst = routing.AppendInt(dst, u.Dest)
+		dst = routing.AppendInt(dst, int(u.DestSeq))
 	}
-	out = appendInt(out, r.Sender)
-	return out
+	return routing.AppendInt(dst, r.Sender)
 }
 
 // wireSize returns the on-air size of the RERR before authentication

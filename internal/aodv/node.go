@@ -120,7 +120,8 @@ func (c Config) ringTTL(attempt int) int {
 // injection. Nil fields select default behaviour.
 type Hooks struct {
 	// OnRREQ runs after duplicate suppression and authentication. Return
-	// false to suppress default RREQ processing.
+	// false to suppress default RREQ processing. req is the frame every
+	// receiver of the broadcast shares: read it, do not modify it.
 	OnRREQ func(n *Node, from int, req *RREQ) bool
 	// FilterData is consulted before forwarding a data packet. Return
 	// false to silently absorb it (counted as DropByAttacker).
@@ -180,6 +181,7 @@ func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth ro
 		lastHeard: make(map[int]sim.Time),
 	}
 	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.SendBufferCap, n.cfg.RREQRetries, n.issueRREQ)
+	n.Process = n.processControl
 	medium.SetHandler(id, n.handleFrame)
 	n.startHello()
 	return n
@@ -413,8 +415,7 @@ func (n *Node) discoveryComplete(dst int) {
 
 // sendRREQ signs and broadcasts an RREQ as this node.
 func (n *Node) sendRREQ(req *RREQ) {
-	req.Sender = n.ID
-	n.Transmit(routing.Broadcast, rreqWireSize, req, req.Encode(), &req.Auth)
+	n.Transmit(routing.Broadcast, rreqWireSize, req)
 }
 
 // SendRREP signs an RREP as this node and unicasts it to the given next
@@ -424,14 +425,13 @@ func (n *Node) SendRREP(to int, rep *RREP) bool {
 		n.linkBroken(to)
 		return false
 	}
-	rep.Sender = n.ID
-	return n.Transmit(to, rrepWireSize, rep, rep.Encode(), &rep.Auth)
+	return n.Transmit(to, rrepWireSize, rep)
 }
 
 // sendRERR signs and broadcasts a route-error report.
 func (n *Node) sendRERR(lost []UnreachableDest) {
-	rerr := &RERR{Unreachable: lost, Sender: n.ID}
-	if n.Transmit(routing.Broadcast, rerr.wireSize(), rerr, rerr.Encode(), &rerr.Auth) {
+	rerr := &RERR{Unreachable: lost}
+	if n.Transmit(routing.Broadcast, rerr.wireSize(), rerr) {
 		n.Stats.RERRSent++
 	}
 }
@@ -439,36 +439,39 @@ func (n *Node) sendRERR(lost []UnreachableDest) {
 // ---------------------------------------------------------------------------
 // Receive path
 
-// handleFrame dispatches frames delivered by the medium. Broadcast frames
-// share one message value among receivers, so every branch copies before
-// mutating.
+// handleFrame dispatches frames delivered by the medium; control packets
+// come back, authenticated, to processControl. Broadcast frames share one
+// message value among receivers, so whoever mutates or retains it copies.
 func (n *Node) handleFrame(from int, payload any) {
 	if !n.Listening() {
 		return
 	}
 	n.heard(from)
 	switch msg := payload.(type) {
-	case *Hello:
-		cp := *msg
-		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processHello(from, cp) })
-	case *RREQ:
-		cp := *msg
-		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processRREQ(from, cp) })
-	case *RREP:
-		cp := *msg
-		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processRREP(from, cp) })
-	case *RERR:
-		cp := *msg
-		cp.Unreachable = append([]UnreachableDest(nil), msg.Unreachable...)
-		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processRERR(from, cp) })
 	case *DataPacket:
 		cp := *msg
 		n.processData(from, &cp)
+	case routing.Packet:
+		n.Receive(from, msg)
+	}
+}
+
+// processControl dispatches an authenticated control packet.
+func (n *Node) processControl(from int, msg routing.Packet) {
+	switch msg := msg.(type) {
+	case *Hello:
+		n.processHello(from, msg)
+	case *RREQ:
+		n.processRREQ(from, msg)
+	case *RREP:
+		n.processRREP(from, msg)
+	case *RERR:
+		n.processRERR(from, msg)
 	}
 }
 
 // processRREQ implements RFC 3561 §6.5.
-func (n *Node) processRREQ(from int, req RREQ) {
+func (n *Node) processRREQ(from int, req *RREQ) {
 	if req.Origin == n.ID {
 		return // our own flood echoed back
 	}
@@ -479,7 +482,7 @@ func (n *Node) processRREQ(from int, req RREQ) {
 	n.seen[key] = n.Sim.Now()
 	n.pruneSeen()
 
-	if n.Hooks.OnRREQ != nil && !n.Hooks.OnRREQ(n, from, &req) {
+	if n.Hooks.OnRREQ != nil && !n.Hooks.OnRREQ(n, from, req) {
 		return
 	}
 
@@ -525,7 +528,7 @@ func (n *Node) processRREQ(from int, req RREQ) {
 	if req.TTL <= 1 {
 		return // ring boundary
 	}
-	fwd := req
+	fwd := *req
 	fwd.HopCount++
 	fwd.TTL--
 	n.Stats.RREQForwarded++
@@ -541,7 +544,7 @@ func (n *Node) drawJitter() time.Duration {
 }
 
 // processRREP implements RFC 3561 §6.7.
-func (n *Node) processRREP(from int, rep RREP) {
+func (n *Node) processRREP(from int, rep *RREP) {
 	n.updateRoute(from, from, 1, 0, false, n.cfg.ActiveRouteTimeout)
 	n.updateRoute(rep.Dest, from, rep.HopCount+1, rep.DestSeq, true, rep.Lifetime)
 
@@ -554,7 +557,7 @@ func (n *Node) processRREP(from int, rep RREP) {
 	if e == nil {
 		return // reverse route evaporated; the originator will retry
 	}
-	fwd := rep
+	fwd := *rep
 	fwd.HopCount++
 	n.Stats.RREPForwarded++
 	n.SendRREP(e.nextHop, &fwd)
@@ -562,7 +565,7 @@ func (n *Node) processRREP(from int, rep RREP) {
 
 // processRERR invalidates routes that relied on the reporting neighbor and
 // propagates the report if that changed anything.
-func (n *Node) processRERR(from int, rerr RERR) {
+func (n *Node) processRERR(from int, rerr *RERR) {
 	var propagated []UnreachableDest
 	for _, u := range rerr.Unreachable {
 		e := n.routes[u.Dest]

@@ -7,6 +7,7 @@ import (
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
 	"mccls/internal/routing"
+	"mccls/internal/secrouting"
 	"mccls/internal/sim"
 )
 
@@ -298,7 +299,7 @@ func TestSenderSpoofRejected(t *testing.T) {
 	s, _, ns := testNet(t, 2, Config{}, nil)
 	// Deliver a frame whose claimed Sender differs from the actual
 	// transmitter: it must be dropped even under NullAuth.
-	req := &RREQ{ID: 1, Origin: 5, Dest: 0, TTL: 3, Sender: 5}
+	req := &RREQ{ID: 1, Origin: 5, Dest: 0, TTL: 3, HopAuth: routing.HopAuth{Sender: 5}}
 	ns[1].handleFrame(0, req)
 	s.Run(time.Second)
 	if ns[1].Stats.AuthRejected != 1 {
@@ -362,5 +363,41 @@ func TestUpdateRoutePrefersFresherSeq(t *testing.T) {
 	n.updateRoute(9, 1, 7, 11, true, time.Minute)
 	if e := n.route(9); e == nil || e.destSeq != 11 || e.hops != 7 {
 		t.Fatalf("fresher seq not adopted: %+v", e)
+	}
+}
+
+// TestDuplicateRREQReceiveAllocatesNothing pins the cost of the commonest
+// event of a flood: a neighbour's rebroadcast of a request this node has
+// already handled. It is encoded into the agent's scratch buffer, verified
+// under the cost-model authenticator, held for the verification delay in a
+// pooled timer and dropped by the duplicate cache — none of which outlives
+// the call, so none of it may allocate.
+func TestDuplicateRREQReceiveAllocatesNothing(t *testing.T) {
+	auth := secrouting.NewCostModelAuth()
+	auth.Enroll(0)
+	auth.Enroll(1)
+	s, _, ns := testNet(t, 2, Config{}, auth)
+	req := &RREQ{ID: 1, Origin: 5, OriginSeq: 1, Dest: 9, TTL: 4, HopAuth: routing.HopAuth{Sender: 0}}
+	req.Auth, _, _ = auth.Sign(0, req.AppendEncode(nil))
+	receive := func() {
+		ns[1].handleFrame(0, req)
+		s.RunAll()
+	}
+	receive() // the first copy: processed, forwarded
+	if st := ns[1].Stats; st.RREQForwarded != 1 || st.AuthRejected != 0 {
+		t.Fatalf("first copy: forwarded=%d rejected=%d, want 1/0", st.RREQForwarded, st.AuthRejected)
+	}
+	if allocs := testing.AllocsPerRun(100, receive); allocs != 0 {
+		t.Fatalf("a verified duplicate RREQ allocates %.1f times, want 0", allocs)
+	}
+	if st := ns[1].Stats; st.RREQForwarded != 1 || st.AuthRejected != 0 {
+		t.Fatalf("duplicates: forwarded=%d rejected=%d, want 1/0", st.RREQForwarded, st.AuthRejected)
+	}
+	// The duplicates really were verified: the same frame with one field
+	// changed after signing is rejected.
+	req.HopCount++
+	receive()
+	if ns[1].Stats.AuthRejected != 1 {
+		t.Fatalf("tampered copy: rejected=%d, want 1", ns[1].Stats.AuthRejected)
 	}
 }

@@ -17,6 +17,8 @@ package dsr
 
 import (
 	"time"
+
+	"mccls/internal/routing"
 )
 
 // Message kinds, used in canonical encodings.
@@ -45,27 +47,21 @@ type RouteRequest struct {
 	// node has already appended itself.
 	Route []int
 	TTL   int
-
-	Sender int
-	Auth   []byte
+	routing.HopAuth
 }
 
 // RouteReply carries the complete discovered route back to the originator.
 type RouteReply struct {
 	// Route is the full path Origin … Target.
 	Route []int
-
-	Sender int
-	Auth   []byte
+	routing.HopAuth
 }
 
 // RouteError reports a broken link (From → To) back toward the originator
 // of the affected packet.
 type RouteError struct {
 	From, To int
-
-	Sender int
-	Auth   []byte
+	routing.HopAuth
 }
 
 // DataPacket is a source-routed application payload.
@@ -78,47 +74,39 @@ type DataPacket struct {
 }
 
 func appendRoute(dst []byte, route []int) []byte {
-	dst = appendInt(dst, len(route))
+	dst = routing.AppendInt(dst, len(route))
 	for _, hop := range route {
-		dst = appendInt(dst, hop)
+		dst = routing.AppendInt(dst, hop)
 	}
 	return dst
 }
 
-func appendInt(dst []byte, v int) []byte {
-	u := uint32(int32(v))
-	return append(dst, byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
+// AppendEncode appends the canonical byte encoding of the request
+// (everything except Auth); the accumulated route is covered, so an attacker
+// cannot splice itself in or out of a path it relays.
+func (r *RouteRequest) AppendEncode(dst []byte) []byte {
+	dst = append(dst, kindRequest)
+	dst = routing.AppendInt(dst, int(r.ID))
+	dst = routing.AppendInt(dst, r.Origin)
+	dst = routing.AppendInt(dst, r.Target)
+	dst = appendRoute(dst, r.Route)
+	dst = routing.AppendInt(dst, r.TTL)
+	return routing.AppendInt(dst, r.Sender)
 }
 
-// Encode returns the canonical byte encoding of the request (everything
-// except Auth); the accumulated route is covered, so an attacker cannot
-// splice itself in or out of a path it relays.
-func (r *RouteRequest) Encode() []byte {
-	out := []byte{kindRequest}
-	out = appendInt(out, int(r.ID))
-	out = appendInt(out, r.Origin)
-	out = appendInt(out, r.Target)
-	out = appendRoute(out, r.Route)
-	out = appendInt(out, r.TTL)
-	out = appendInt(out, r.Sender)
-	return out
+// AppendEncode appends the canonical byte encoding of the reply.
+func (r *RouteReply) AppendEncode(dst []byte) []byte {
+	dst = append(dst, kindReply)
+	dst = appendRoute(dst, r.Route)
+	return routing.AppendInt(dst, r.Sender)
 }
 
-// Encode returns the canonical byte encoding of the reply.
-func (r *RouteReply) Encode() []byte {
-	out := []byte{kindReply}
-	out = appendRoute(out, r.Route)
-	out = appendInt(out, r.Sender)
-	return out
-}
-
-// Encode returns the canonical byte encoding of the error report.
-func (r *RouteError) Encode() []byte {
-	out := []byte{kindError}
-	out = appendInt(out, r.From)
-	out = appendInt(out, r.To)
-	out = appendInt(out, r.Sender)
-	return out
+// AppendEncode appends the canonical byte encoding of the error report.
+func (r *RouteError) AppendEncode(dst []byte) []byte {
+	dst = append(dst, kindError)
+	dst = routing.AppendInt(dst, r.From)
+	dst = routing.AppendInt(dst, r.To)
+	return routing.AppendInt(dst, r.Sender)
 }
 
 // wireSize helpers account for the variable-length route (authentication

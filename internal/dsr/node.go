@@ -51,7 +51,8 @@ func (c Config) withDefaults() Config {
 // Hooks customize behaviour for attacks and fault injection.
 type Hooks struct {
 	// OnRequest runs after duplicate suppression and authentication;
-	// return false to suppress default processing.
+	// return false to suppress default processing. req and its Route are
+	// shared by every receiver of the broadcast: read, do not modify.
 	OnRequest func(n *Node, from int, req *RouteRequest) bool
 	// FilterData is consulted before forwarding; return false to absorb.
 	FilterData func(n *Node, pkt *DataPacket) bool
@@ -91,6 +92,7 @@ func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth ro
 		seen:  make(map[seenKey]bool),
 	}
 	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.SendBufferCap, n.cfg.Retries, n.issueRequest)
+	n.Process = n.processControl
 	medium.SetHandler(id, n.handleFrame)
 	return n
 }
@@ -201,8 +203,7 @@ func (n *Node) transmitData(pkt *DataPacket) {
 			return
 		}
 		n.Stats.DropLinkBreak++
-		rerr := &RouteError{From: n.ID, To: next, Sender: n.ID}
-		if n.Transmit(pkt.Route[pkt.Idx-1], errorWireSize, rerr, rerr.Encode(), &rerr.Auth) {
+		if n.Transmit(pkt.Route[pkt.Idx-1], errorWireSize, &RouteError{From: n.ID, To: next}) {
 			n.Stats.RERRSent++
 		}
 	}
@@ -228,44 +229,48 @@ func (n *Node) issueRequest(dst, _ int) time.Duration {
 }
 
 func (n *Node) broadcastRequest(req *RouteRequest) {
-	req.Sender = n.ID
-	n.Transmit(routing.Broadcast, req.wireSize(), req, req.Encode(), &req.Auth)
+	n.Transmit(routing.Broadcast, req.wireSize(), req)
 }
 
 // SendReply signs a route reply as this node and unicasts it to the given
 // next hop. Exported for attack behaviours.
 func (n *Node) SendReply(to int, rep *RouteReply) {
-	rep.Sender = n.ID
-	n.Transmit(to, rep.wireSize(), rep, rep.Encode(), &rep.Auth)
+	n.Transmit(to, rep.wireSize(), rep)
 }
 
 // ---------------------------------------------------------------------------
 // Receive path
 
+// handleFrame dispatches frames delivered by the medium; control packets
+// come back, authenticated, to processControl. Receivers of a broadcast
+// share one message value and its Route, so whoever mutates either copies.
 func (n *Node) handleFrame(from int, payload any) {
 	if !n.Listening() {
 		return
 	}
 	switch msg := payload.(type) {
-	case *RouteRequest:
-		cp := *msg
-		cp.Route = slices.Clone(msg.Route)
-		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processRequest(from, cp) })
-	case *RouteReply:
-		cp := *msg
-		cp.Route = slices.Clone(msg.Route)
-		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processReply(from, cp) })
-	case *RouteError:
-		cp := *msg
-		n.Receive(from, cp.Sender, cp.Encode(), cp.Auth, func() { n.processError(from, cp) })
 	case *DataPacket:
 		cp := *msg
 		cp.Route = slices.Clone(msg.Route)
 		n.processData(&cp)
+	case routing.Packet:
+		n.Receive(from, msg)
 	}
 }
 
-func (n *Node) processRequest(from int, req RouteRequest) {
+// processControl dispatches an authenticated control packet.
+func (n *Node) processControl(from int, msg routing.Packet) {
+	switch msg := msg.(type) {
+	case *RouteRequest:
+		n.processRequest(from, msg)
+	case *RouteReply:
+		n.processReply(msg)
+	case *RouteError:
+		n.purgeLink(msg.From, msg.To)
+	}
+}
+
+func (n *Node) processRequest(from int, req *RouteRequest) {
 	if slices.Contains(req.Route, n.ID) {
 		return // loop (or our own flood echoed)
 	}
@@ -278,7 +283,7 @@ func (n *Node) processRequest(from int, req RouteRequest) {
 		n.seen = make(map[seenKey]bool) // coarse reset; ids keep growing
 	}
 
-	if n.Hooks.OnRequest != nil && !n.Hooks.OnRequest(n, from, &req) {
+	if n.Hooks.OnRequest != nil && !n.Hooks.OnRequest(n, from, req) {
 		return
 	}
 
@@ -296,7 +301,7 @@ func (n *Node) processRequest(from int, req RouteRequest) {
 	if req.TTL <= 1 {
 		return
 	}
-	fwd := req
+	fwd := *req
 	fwd.Route = walked
 	fwd.TTL--
 	n.Stats.RREQForwarded++
@@ -310,7 +315,7 @@ func (n *Node) drawJitter() time.Duration {
 	return n.Jitter(n.cfg.ForwardJitterMax)
 }
 
-func (n *Node) processReply(from int, rep RouteReply) {
+func (n *Node) processReply(rep *RouteReply) {
 	idx := slices.Index(rep.Route, n.ID)
 	if idx < 0 {
 		return // not on the path; stray
@@ -334,11 +339,8 @@ func (n *Node) processReply(from int, rep RouteReply) {
 		return
 	}
 	n.Stats.RREPForwarded++
-	n.SendReply(rep.Route[idx-1], &rep)
-}
-
-func (n *Node) processError(_ int, rerr RouteError) {
-	n.purgeLink(rerr.From, rerr.To)
+	fwd := *rep
+	n.SendReply(rep.Route[idx-1], &fwd)
 }
 
 func (n *Node) processData(pkt *DataPacket) {

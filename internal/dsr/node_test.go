@@ -178,7 +178,7 @@ func TestRouteLoopRejected(t *testing.T) {
 	s, ns := lineNet(t, 2, Config{}, nil)
 	// A request whose accumulated route already contains the receiver must
 	// be dropped (loop prevention).
-	req := &RouteRequest{ID: 9, Origin: 0, Target: 5, Route: []int{0, 1}, TTL: 5, Sender: 0}
+	req := &RouteRequest{ID: 9, Origin: 0, Target: 5, Route: []int{0, 1}, TTL: 5, HopAuth: routing.HopAuth{Sender: 0}}
 	ns[1].handleFrame(0, req)
 	s.Run(time.Second)
 	if ns[1].Stats.RREQForwarded != 0 {
@@ -198,14 +198,14 @@ func TestSelfSend(t *testing.T) {
 }
 
 func TestEncodeBindsRoute(t *testing.T) {
-	a := &RouteRequest{ID: 1, Origin: 0, Target: 3, Route: []int{0, 1}, TTL: 4, Sender: 1}
-	b := &RouteRequest{ID: 1, Origin: 0, Target: 3, Route: []int{0, 2}, TTL: 4, Sender: 1}
-	if string(a.Encode()) == string(b.Encode()) {
+	a := &RouteRequest{ID: 1, Origin: 0, Target: 3, Route: []int{0, 1}, TTL: 4, HopAuth: routing.HopAuth{Sender: 1}}
+	b := &RouteRequest{ID: 1, Origin: 0, Target: 3, Route: []int{0, 2}, TTL: 4, HopAuth: routing.HopAuth{Sender: 1}}
+	if string(a.AppendEncode(nil)) == string(b.AppendEncode(nil)) {
 		t.Fatal("route not covered by the canonical encoding")
 	}
-	r1 := &RouteReply{Route: []int{0, 1, 2}, Sender: 2}
-	r2 := &RouteReply{Route: []int{0, 1, 2, 3}, Sender: 2}
-	if string(r1.Encode()) == string(r2.Encode()) {
+	r1 := &RouteReply{Route: []int{0, 1, 2}, HopAuth: routing.HopAuth{Sender: 2}}
+	r2 := &RouteReply{Route: []int{0, 1, 2, 3}, HopAuth: routing.HopAuth{Sender: 2}}
+	if string(r1.AppendEncode(nil)) == string(r2.AppendEncode(nil)) {
 		t.Fatal("reply routes collide")
 	}
 }

@@ -162,3 +162,30 @@ func TestCitySweepWorkerInvariance(t *testing.T) {
 			serial.CSV(), parallel.CSV())
 	}
 }
+
+// TestEventLoopAllocsPerEvent pins what an event costs in heap allocations
+// on a 50-node city run, set-up included: the event queue, the agents'
+// timers, the radio's delivery records and the control-packet receive path
+// are all pooled or scratch-buffered, so what is left is one copy per
+// forwarded packet and the maps that grow: 0.27 (AODV) and 0.31 (McCLS) per
+// event, against 4.02 and 4.44 before they were pooled. ROADMAP aim 4's
+// "0 allocs/op on the event loop" is what this ceiling gets tightened to.
+func TestEventLoopAllocsPerEvent(t *testing.T) {
+	for _, sec := range []SecurityMode{Plain, McCLSCost} {
+		sc := cityScenario()
+		sc.Nodes, sc.Width, sc.Height, sc.Duration, sc.Security = 50, 1000, 1000, 20*time.Second, sec
+		var events uint64
+		allocs := testing.AllocsPerRun(1, func() {
+			res, err := sc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			events = res.Events
+		})
+		if perEvent := allocs / float64(events); perEvent > 0.5 {
+			t.Errorf("%v: %.0f allocations over %d events = %.2f per event, want ≤ 0.5", sec, allocs, events, perEvent)
+		} else {
+			t.Logf("%v: %.0f allocations over %d events = %.3f per event", sec, allocs, events, perEvent)
+		}
+	}
+}

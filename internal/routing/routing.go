@@ -3,9 +3,9 @@
 // looks like. It owns the hop-by-hop authentication extension the paper
 // evaluates — the only place a control packet is signed (Transmit) and the
 // only place one is verified (Receive) — plus the crash/restart lifecycle
-// with its epoch-guarded timers, the per-node counters, packet-id minting,
-// delivery accounting, the jitter draw, and the route-discovery retry
-// machine with its bounded send buffer (Discovery).
+// with its pooled, epoch-guarded timers, the per-node counters, packet-id
+// minting, delivery accounting, the jitter draw, and the route-discovery
+// retry machine with its bounded send buffer (Discovery).
 //
 // What a protocol keeps for itself, because sharing it would make this
 // package branch on its caller: route table vs route cache, message types
@@ -14,6 +14,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"time"
 
 	"mccls/internal/radio"
@@ -29,7 +30,9 @@ type Authenticator interface {
 	// node, and reports the processing delay signing costs. A non-nil
 	// error means no usable tag could be produced (e.g. the signer's
 	// randomness source failed); the agent counts the failure and drops
-	// the packet instead of transmitting an unverifiable tag.
+	// the packet instead of transmitting an unverifiable tag. payload is
+	// the agent's scratch buffer, here and in Verify: it must not be
+	// retained past the call.
 	Sign(node int, payload []byte) (auth []byte, delay time.Duration, err error)
 	// Verify checks the tag produced by node over payload, and reports
 	// the processing delay verification costs.
@@ -90,6 +93,34 @@ type Stats struct {
 // Broadcast is the Transmit destination that addresses every neighbour.
 const Broadcast = -1
 
+// Packet is a routing control packet as the agent sees it: a canonical
+// encoding to sign and verify, and the hop header the result travels in.
+type Packet interface {
+	// AppendEncode appends the packet's canonical encoding — everything
+	// except the authentication tag, Sender included — to dst.
+	AppendEncode(dst []byte) []byte
+	Hop() *HopAuth
+}
+
+// HopAuth is the hop-by-hop authentication header every control packet
+// embeds. Transmit fills it in; Receive checks it.
+type HopAuth struct {
+	// Sender is the transmitting node of this hop (hop-by-hop
+	// authentication covers the transmitter, not just the originator).
+	Sender int
+	// Auth is Sender's authentication tag over AppendEncode.
+	Auth []byte
+}
+
+// Hop gives every type that embeds a HopAuth that half of Packet.
+func (h *HopAuth) Hop() *HopAuth { return h }
+
+// AppendInt appends the low 32 bits of v, big-endian: the one integer
+// format of every control packet's canonical encoding.
+func AppendInt(dst []byte, v int) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(v))
+}
+
 // Agent is the protocol-independent half of a routing node. Protocols embed
 // it by value and fill the exported fields at construction.
 type Agent struct {
@@ -98,6 +129,10 @@ type Agent struct {
 	Sim    *sim.Simulator
 	Medium *radio.Medium
 	Auth   Authenticator
+	// Process handles a control packet Receive has authenticated; msg is
+	// the frame every receiver of a broadcast shares, so Process copies
+	// before it mutates or retains.
+	Process func(from int, msg Packet)
 
 	// SkipVerify disables authentication checks on received control
 	// packets (an attacker does not care whether packets verify).
@@ -106,26 +141,83 @@ type Agent struct {
 	Stats Stats
 
 	// down marks a crashed node; epoch invalidates every timer armed
-	// before the crash (the event queue has no unschedule, so armed
-	// closures re-check the epoch they captured and fall through).
+	// before the crash (the event queue has no unschedule, so a timer
+	// re-checks the epoch it was armed in and falls through).
 	down    bool
 	epoch   uint64
 	nextPkt uint64
+
+	free []*timer // fired timers, ready to be armed again
+	enc  []byte   // scratch for the encoding being signed or verified
 }
 
-// Schedule arms fn after d of virtual time, tagged with the node's current
-// epoch: if the node crashes before the event fires, the closure is a no-op.
-// All node-internal timers (discovery retries, sign/verify delays, hello
-// beacons, rebroadcast jitter) go through it.
-func (a *Agent) Schedule(d time.Duration, fn func()) {
-	epoch := a.epoch
-	a.Sim.Schedule(d, func() {
-		if a.epoch != epoch || a.down {
-			return
-		}
-		fn()
-	})
+// timer is a pooled event record for anything the node does after a delay:
+// Schedule's callback, Receive's verification, Transmit's signature. It
+// carries the epoch it was armed in and rejoins the free list when it fires.
+type timer struct {
+	a     *Agent
+	epoch uint64
+	do    job
+	fn    func() // doCall
+	msg   Packet // doProcess, doSend
+	peer  int    // doProcess: the one-hop sender; doSend: the destination
+	size  int    // doSend: on-air bytes
 }
+
+type job uint8
+
+const (
+	doCall    job = iota // run fn
+	doProcess            // hand an accepted packet to Process
+	doReject             // count a packet that failed verification
+	doSend               // put a signed packet on the air
+)
+
+// Fire runs the timer's job unless the node crashed after it was armed: a
+// timer or in-flight reception that straddles a crash is dropped silently,
+// a rejection uncounted. The record is recycled first, so a job that arms
+// the next timer gets this one back.
+func (t *timer) Fire() {
+	a, j := t.a, *t
+	t.fn, t.msg = nil, nil
+	a.free = append(a.free, t)
+	if a.epoch != j.epoch || a.down {
+		return
+	}
+	switch j.do {
+	case doCall:
+		j.fn()
+	case doProcess:
+		a.Process(j.peer, j.msg)
+	case doReject:
+		a.Stats.AuthRejected++
+	case doSend:
+		if j.peer == Broadcast {
+			a.Medium.Broadcast(a.ID, j.size, j.msg)
+		} else {
+			a.Medium.Unicast(a.ID, j.peer, j.size, j.msg)
+		}
+	}
+}
+
+// arm schedules j after d of virtual time, tagged with the node's current
+// epoch. All node-internal timers (discovery retries, sign/verify delays,
+// hello beacons, rebroadcast jitter) go through it.
+func (a *Agent) arm(d time.Duration, j timer) {
+	var t *timer
+	if n := len(a.free); n > 0 {
+		t, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		t = new(timer)
+	}
+	j.a, j.epoch = a, a.epoch
+	*t = j
+	a.Sim.ScheduleAction(d, t)
+}
+
+// Schedule arms fn after d of virtual time: if the node crashes before the
+// event fires, fn never runs.
+func (a *Agent) Schedule(d time.Duration, fn func()) { a.arm(d, timer{do: doCall, fn: fn}) }
 
 // IsDown reports whether the node is currently crashed.
 func (a *Agent) IsDown() bool { return a.down }
@@ -199,50 +291,45 @@ func (a *Agent) Jitter(max time.Duration) time.Duration {
 
 // Transmit signs a control packet as this node, charges the signing delay
 // and puts it on the air: unicast to one neighbour, or to all with
-// Broadcast. payload is msg's canonical encoding, tag points at msg's Auth
-// field and size is its on-air size before authentication overhead. It
+// Broadcast. size is msg's on-air size before authentication overhead. It
 // reports false, counting a SignFailure and sending nothing, when no tag
 // could be produced.
-func (a *Agent) Transmit(to, size int, msg any, payload []byte, tag *[]byte) bool {
-	auth, delay, err := a.Auth.Sign(a.ID, payload)
+func (a *Agent) Transmit(to, size int, msg Packet) bool {
+	hop := msg.Hop()
+	hop.Sender = a.ID
+	a.enc = msg.AppendEncode(a.enc[:0])
+	auth, delay, err := a.Auth.Sign(a.ID, a.enc)
 	if err != nil {
 		a.Stats.SignFailures++
 		return false
 	}
-	*tag = auth
-	size += a.Auth.Overhead()
-	a.Schedule(delay, func() {
-		if to == Broadcast {
-			a.Medium.Broadcast(a.ID, size, msg)
-		} else {
-			a.Medium.Unicast(a.ID, to, size, msg)
-		}
-	})
+	hop.Auth = auth
+	a.arm(delay, timer{do: doSend, msg: msg, peer: to, size: size + a.Auth.Overhead()})
 	return true
 }
 
 // Receive authenticates a control packet heard from the one-hop neighbour
-// from and runs process after the verification delay. Rejections are
+// from and hands it to Process after the verification delay. Rejections are
 // counted in AuthRejected.
-func (a *Agent) Receive(from, sender int, payload, tag []byte, process func()) {
+func (a *Agent) Receive(from int, msg Packet) {
 	if a.SkipVerify {
-		process()
+		a.Process(from, msg)
 		return
 	}
-	if sender != from {
+	hop := msg.Hop()
+	if hop.Sender != from {
 		// The claimed transmitter must be the actual one-hop sender;
 		// anything else is spoofing regardless of signature validity.
 		a.Stats.AuthRejected++
 		return
 	}
-	ok, delay := a.Auth.Verify(sender, payload, tag)
-	a.Schedule(delay, func() {
-		if !ok {
-			a.Stats.AuthRejected++
-			return
-		}
-		process()
-	})
+	a.enc = msg.AppendEncode(a.enc[:0])
+	verdict := doReject
+	ok, delay := a.Auth.Verify(from, a.enc, hop.Auth)
+	if ok {
+		verdict = doProcess
+	}
+	a.arm(delay, timer{do: verdict, msg: msg, peer: from})
 }
 
 // Discovery is the route-discovery retry machine with the bounded

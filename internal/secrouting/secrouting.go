@@ -175,8 +175,11 @@ type CostModelAuth struct {
 	ParseLatency  time.Duration
 	OverheadBytes int
 
-	authorized map[int]bool
-	secret     [16]byte
+	authorized []bool // indexed by node
+	// keyed is the digest input of the current call. Reusing it keeps tag
+	// allocation-free, and makes a CostModelAuth single-goroutine like the
+	// simulation it serves.
+	keyed []byte
 }
 
 var _ routing.Authenticator = (*CostModelAuth)(nil)
@@ -189,42 +192,51 @@ func NewCostModelAuth() *CostModelAuth {
 		VerifyLatency: DefaultVerifyLatency,
 		ParseLatency:  DefaultParseLatency,
 		OverheadBytes: 64 + core.SignatureSize,
-		authorized:    make(map[int]bool),
-		secret:        [16]byte{0x4d, 0x63, 0x43, 0x4c, 0x53}, // stand-in for the KGC trust root
 	}
 }
+
+// costModelSecret stands in for the KGC trust root.
+var costModelSecret = [16]byte{0x4d, 0x63, 0x43, 0x4c, 0x53}
 
 // Enroll authorizes a node. The error is always nil; the signature matches
 // McCLSAuth.Enroll so both satisfy the enrollment Authority interface.
 func (a *CostModelAuth) Enroll(node int) error {
+	if node >= len(a.authorized) {
+		a.authorized = append(a.authorized, make([]bool, node+1-len(a.authorized))...)
+	}
 	a.authorized[node] = true
 	return nil
 }
 
 // Unenroll revokes a node's authorization (crash under online enrollment).
-func (a *CostModelAuth) Unenroll(node int) { delete(a.authorized, node) }
+func (a *CostModelAuth) Unenroll(node int) {
+	if a.Enrolled(node) {
+		a.authorized[node] = false
+	}
+}
 
 // Enrolled reports whether node is authorized.
-func (a *CostModelAuth) Enrolled(node int) bool { return a.authorized[node] }
+func (a *CostModelAuth) Enrolled(node int) bool {
+	return uint(node) < uint(len(a.authorized)) && a.authorized[node]
+}
 
-func (a *CostModelAuth) tag(node int, payload []byte) []byte {
-	h := sha256.New()
-	h.Write(a.secret[:])
-	var nb [8]byte
-	binary.BigEndian.PutUint64(nb[:], uint64(node))
-	h.Write(nb[:])
-	h.Write(payload)
-	return h.Sum(nil)
+// tag is SHA-256 over secret ‖ node ‖ payload.
+func (a *CostModelAuth) tag(node int, payload []byte) [sha256.Size]byte {
+	a.keyed = append(a.keyed[:0], costModelSecret[:]...)
+	a.keyed = binary.BigEndian.AppendUint64(a.keyed, uint64(node))
+	a.keyed = append(a.keyed, payload...)
+	return sha256.Sum256(a.keyed)
 }
 
 // Sign emits the keyed digest for enrolled nodes and an all-zero tag for
 // attackers (who cannot compute it and spend no time trying). The digest
 // cannot fail, so the error is always nil.
 func (a *CostModelAuth) Sign(node int, payload []byte) ([]byte, time.Duration, error) {
-	if !a.authorized[node] {
+	if !a.Enrolled(node) {
 		return make([]byte, sha256.Size), 0, nil
 	}
-	return a.tag(node, payload), a.SignLatency, nil
+	tag := a.tag(node, payload)
+	return tag[:], a.SignLatency, nil
 }
 
 // Verify recomputes the digest. Malformed tags cost ParseLatency, mirroring
@@ -233,13 +245,7 @@ func (a *CostModelAuth) Verify(node int, payload, auth []byte) (bool, time.Durat
 	if len(auth) != sha256.Size {
 		return false, a.ParseLatency
 	}
-	want := a.tag(node, payload)
-	for i := range want {
-		if want[i] != auth[i] {
-			return false, a.VerifyLatency
-		}
-	}
-	return true, a.VerifyLatency
+	return a.tag(node, payload) == [sha256.Size]byte(auth), a.VerifyLatency
 }
 
 // Overhead reports the modelled per-packet byte cost.

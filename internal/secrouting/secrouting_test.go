@@ -2,6 +2,7 @@ package secrouting
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"io"
 	"math/rand"
@@ -167,6 +168,36 @@ func TestCostModelLatencies(t *testing.T) {
 	}
 	if a.Overhead() <= 0 {
 		t.Fatal("overhead must be positive")
+	}
+}
+
+// TestCostModelTagPinned pins the cost-model tag to the keyed digest as it
+// was first written (a streaming hash.Hash), shows a returned tag survives
+// the scratch buffer's reuse, and walks the edges of the enrollment table
+// now that it is a slice indexed by node instead of a map.
+func TestCostModelTagPinned(t *testing.T) {
+	a := NewCostModelAuth()
+	a.Enroll(3)
+	h := sha256.New() // the construction as first written: secret ‖ node ‖ payload
+	h.Write(append([]byte("McCLS"), make([]byte, 11)...))
+	h.Write([]byte{0, 0, 0, 0, 0, 0, 0, 3})
+	h.Write([]byte("RREQ"))
+	tag, _, _ := a.Sign(3, []byte("RREQ"))
+	if !bytes.Equal(tag, h.Sum(nil)) {
+		t.Fatalf("tag %x, want %x", tag, h.Sum(nil))
+	}
+	again, _, _ := a.Sign(3, []byte("RREP")) // reuses the scratch buffer
+	if ok, _ := a.Verify(3, []byte("RREQ"), tag); !ok || bytes.Equal(tag, again) {
+		t.Fatal("a returned tag was disturbed by the next call")
+	}
+	if a.Enrolled(-1) || a.Enrolled(2) || a.Enrolled(4) || !a.Enrolled(3) {
+		t.Fatal("enrollment table reports the wrong nodes")
+	}
+	a.Unenroll(-1)
+	a.Unenroll(99)
+	a.Unenroll(3)
+	if forged, d, _ := a.Sign(3, []byte("RREQ")); a.Enrolled(3) || d != 0 || !bytes.Equal(forged, make([]byte, sha256.Size)) {
+		t.Fatal("an unenrolled node still signs")
 	}
 }
 

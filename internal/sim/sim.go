@@ -1,13 +1,12 @@
 // Package sim is a deterministic discrete-event simulation engine: a
-// virtual clock, a binary-heap event queue with stable FIFO ordering for
-// simultaneous events, and a seeded random source. It is the substrate the
-// MANET simulator (radio, AODV, traffic) runs on, standing in for QualNet's
-// kernel. Runs with the same seed and configuration are bit-for-bit
-// reproducible.
+// virtual clock, an event queue — an implicit min-heap of value entries keyed
+// on (time, sequence), so simultaneous events fire in scheduling order — and
+// a seeded random source. It is the substrate the MANET simulator (radio,
+// AODV, traffic) runs on, standing in for QualNet's kernel. Runs with the
+// same seed and configuration are bit-for-bit reproducible.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"math/rand"
 	"time"
@@ -30,34 +29,68 @@ type Time = time.Duration
 // frame-delivery hot path run allocation-free.
 type Action interface{ Fire() }
 
-// event is a scheduled callback: either a closure (fn) or a pre-allocated
-// Action (run), never both.
+// funcAction lets a closure ride in an event as an Action; a func value is
+// pointer-shaped, so the conversion allocates nothing.
+type funcAction func()
+
+func (f funcAction) Fire() { f() }
+
+// event is one queued callback with its (at, seq) key held by value, so
+// ordering the queue never reads outside the queue's own array.
 type event struct {
 	at  Time
 	seq uint64 // tiebreaker: FIFO among simultaneous events
-	fn  func()
 	run Action
 }
 
-// eventHeap orders events by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before is the total order events fire in.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// push adds e to the heap, sifting a hole up from the new leaf. The heap is
+// binary: with keys stored by value a comparison is cheap, and the extra
+// ones a wider node needs cost more than the levels it saves (DESIGN.md §5
+// has the 2/3/4/8-ary measurements).
+func (s *Simulator) push(e event) {
+	q := append(s.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	s.queue = q
+}
+
+// pop removes and returns the earliest event, sifting the last leaf down
+// from the root.
+func (s *Simulator) pop() event {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	e := q[n]
+	q[n] = event{} // drop the callback reference
+	s.queue = q[:n]
+	i := 0
+	for least := 1; least < n; least = 2*i + 1 {
+		if r := least + 1; r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if !q[least].before(&e) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	if n > 0 {
+		q[i] = e
+	}
+	return top
 }
 
 // Simulator owns the virtual clock and event queue. It is not safe for
@@ -65,20 +98,18 @@ func (h *eventHeap) Pop() any {
 type Simulator struct {
 	now       Time
 	seq       uint64
-	queue     eventHeap
+	queue     []event // min-heap on (at, seq); see push and pop
 	rng       *rand.Rand
 	processed uint64
 	maxEvents uint64
 	interrupt func() error
 	err       error
 
-	// free is the event free list: executed events are recycled here so the
-	// steady-state schedule/run cycle allocates nothing. eventAllocs counts
-	// the events that had to be freshly allocated (pool misses); the pool
-	// high-water mark is therefore eventAllocs, reached when every event
-	// ever allocated is queued at once.
-	free        []*event
-	eventAllocs uint64
+	// firing is 1 while an event's callback runs and 0 otherwise: the event
+	// has left the queue but still occupies storage, so it counts toward
+	// eventAllocs, the high-water mark of events alive at once.
+	firing      int
+	eventAllocs int
 	peakQueue   int
 }
 
@@ -99,15 +130,16 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // Pending reports how many events are queued.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
-// PeakQueue reports the high-water mark of the event queue, the natural
-// sizing figure for the pooled event store.
+// PeakQueue reports the high-water mark of the event queue, which is what
+// its backing array grows to.
 func (s *Simulator) PeakQueue() int { return s.peakQueue }
 
-// EventAllocs reports how many event records were freshly allocated (pool
-// misses). Because executed events recycle through a free list, this is the
-// total live-event high-water mark rather than the event count: a run that
-// processes millions of events typically allocates only a few hundred.
-func (s *Simulator) EventAllocs() uint64 { return s.eventAllocs }
+// EventAllocs reports how many event records the run needed at once: the
+// high-water mark of events alive together, queued plus the one executing.
+// Storage is reused as events fire, so this is the queue's footprint rather
+// than the event count: a run that processes millions of events typically
+// holds only a few hundred.
+func (s *Simulator) EventAllocs() uint64 { return uint64(s.eventAllocs) }
 
 // SetMaxEvents bounds the total number of events the simulator will execute
 // (0 = unlimited). When the budget is exhausted Run/RunAll stop and Err
@@ -149,84 +181,40 @@ func (s *Simulator) stopped() bool {
 
 // Schedule enqueues fn to run after delay d (clamped to ≥ 0). Events
 // scheduled for the same instant run in scheduling order.
-func (s *Simulator) Schedule(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.ScheduleAt(s.now+d, fn)
-}
+func (s *Simulator) Schedule(d time.Duration, fn func()) { s.enqueue(s.now+d, funcAction(fn)) }
 
 // ScheduleAt enqueues fn to run at absolute virtual time t. Times in the
 // past are clamped to now.
-func (s *Simulator) ScheduleAt(t Time, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	var e *event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		e = new(event)
-		s.eventAllocs++
-	}
-	e.at, e.seq, e.fn = t, s.seq, fn
-	heap.Push(&s.queue, e)
-	if len(s.queue) > s.peakQueue {
-		s.peakQueue = len(s.queue)
-	}
-}
+func (s *Simulator) ScheduleAt(t Time, fn func()) { s.enqueue(t, funcAction(fn)) }
 
 // ScheduleActionAt enqueues a pre-allocated Action to fire at absolute
-// virtual time t (clamped to now). Unlike ScheduleAt it performs no
-// allocation beyond the pooled event record, so callers that recycle their
-// Action values keep the schedule/fire cycle allocation-free.
-func (s *Simulator) ScheduleActionAt(t Time, a Action) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	var e *event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		e = new(event)
-		s.eventAllocs++
-	}
-	e.at, e.seq, e.run = t, s.seq, a
-	heap.Push(&s.queue, e)
-	if len(s.queue) > s.peakQueue {
-		s.peakQueue = len(s.queue)
-	}
-}
+// virtual time t (clamped to now). Unlike ScheduleAt it needs no closure, so
+// callers that recycle their Action values keep the schedule/fire cycle
+// allocation-free.
+func (s *Simulator) ScheduleActionAt(t Time, a Action) { s.enqueue(t, a) }
 
 // ScheduleAction enqueues a pre-allocated Action to fire after delay d
 // (clamped to ≥ 0).
-func (s *Simulator) ScheduleAction(d time.Duration, a Action) {
-	if d < 0 {
-		d = 0
-	}
-	s.ScheduleActionAt(s.now+d, a)
+func (s *Simulator) ScheduleAction(d time.Duration, a Action) { s.enqueue(s.now+d, a) }
+
+// enqueue is the one way into the queue: clamp to now (which also covers a
+// negative delay), stamp the FIFO tiebreaker, push, and keep the two
+// high-water marks.
+func (s *Simulator) enqueue(t Time, a Action) {
+	s.seq++
+	s.push(event{at: max(t, s.now), seq: s.seq, run: a})
+	s.peakQueue = max(s.peakQueue, len(s.queue))
+	s.eventAllocs = max(s.eventAllocs, len(s.queue)+s.firing)
 }
 
-// exec runs an event's callback, whichever form it carries.
-func (e *event) exec() {
-	if e.run != nil {
-		e.run.Fire()
-		return
-	}
-	e.fn()
-}
-
-// release returns an executed event to the free list, dropping its callback
-// references so the captured state can be collected.
-func (s *Simulator) release(e *event) {
-	e.fn, e.run = nil, nil
-	s.free = append(s.free, e)
+// fire pops the earliest event, advances the clock to it and runs it.
+func (s *Simulator) fire() {
+	next := s.pop()
+	s.now = next.at
+	s.processed++
+	s.firing = 1
+	next.run.Fire()
+	s.firing = 0
 }
 
 // Run executes events in timestamp order until the queue drains or the next
@@ -235,19 +223,11 @@ func (s *Simulator) release(e *event) {
 // when the event budget is exhausted or the interrupt hook fires; check Err
 // to distinguish a clean finish.
 func (s *Simulator) Run(until Time) {
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.at > until {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= until {
 		if s.stopped() {
 			return
 		}
-		heap.Pop(&s.queue)
-		s.now = next.at
-		s.processed++
-		next.exec()
-		s.release(next)
+		s.fire()
 	}
 	if s.err == nil && s.now < until {
 		s.now = until
@@ -259,14 +239,7 @@ func (s *Simulator) Run(until Time) {
 // chains; a self-rescheduling event makes it run forever unless an event
 // budget is set, in which case it stops with Err() == ErrEventBudget.
 func (s *Simulator) RunAll() {
-	for len(s.queue) > 0 {
-		if s.stopped() {
-			return
-		}
-		next := heap.Pop(&s.queue).(*event)
-		s.now = next.at
-		s.processed++
-		next.exec()
-		s.release(next)
+	for len(s.queue) > 0 && !s.stopped() {
+		s.fire()
 	}
 }
