@@ -104,14 +104,6 @@ func BenchmarkG2IsInSubgroup(b *testing.B) {
 	}
 }
 
-func BenchmarkHashToG1(b *testing.B) {
-	msg := []byte("benchmark message")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HashToG1("bench", msg)
-	}
-}
-
 func BenchmarkHashToG2(b *testing.B) {
 	msg := []byte("benchmark message")
 	b.ResetTimer()

@@ -270,22 +270,6 @@ func TestPairingCheck(t *testing.T) {
 	}
 }
 
-func TestHashToG1(t *testing.T) {
-	h1 := HashToG1("test", []byte("hello"))
-	h2 := HashToG1("test", []byte("hello"))
-	h3 := HashToG1("test", []byte("world"))
-	h4 := HashToG1("other", []byte("hello"))
-	if !h1.Equal(h2) {
-		t.Fatal("hash not deterministic")
-	}
-	if h1.Equal(h3) || h1.Equal(h4) {
-		t.Fatal("hash collisions across inputs/domains")
-	}
-	if !h1.IsOnCurve() || h1.IsInfinity() {
-		t.Fatal("hash output invalid")
-	}
-}
-
 func TestHashToG2(t *testing.T) {
 	h1 := HashToG2("test", []byte("id:alice"))
 	h2 := HashToG2("test", []byte("id:alice"))

@@ -13,13 +13,11 @@ import (
 // helpers (scalars stay *big.Int — they are mod-r values that cross the
 // public API) and the nonzero-inverse guard.
 //
-// fp.Element.Inverse and Sqrt report failure explicitly instead of
-// returning nil the way big.Int's ModInverse/ModSqrt do. The call sites
-// split into two audited classes: decode/hash paths where a non-residue is
-// expected data (they check ok and reject/retry), and group-law slopes or
-// Jacobian Z inversions where zero denominators are excluded by an earlier
-// branch (they go through fpMustInverse so a violated invariant panics
-// loudly instead of dereferencing nil).
+// fp.Element.Inverse reports failure explicitly instead of returning nil
+// the way big.Int's ModInverse does. Its call sites are group-law slopes
+// and Jacobian Z inversions where zero denominators are excluded by an
+// earlier branch; fpMustInverse makes a violated invariant panic loudly
+// instead of dereferencing nil.
 
 // fpMustInverse sets z = x⁻¹ and panics on zero input. Use only where the
 // caller has already established x ≠ 0.

@@ -8,9 +8,8 @@
 // Guarantees: Add, Sub, Neg, Double, Mul and Square run in constant time
 // (branch-free limb arithmetic with mask selects). Inverse and Exp run in
 // time dependent only on the (public, fixed) exponent, so Inverse is also
-// secret-independent; Sqrt shares that property. Conversions to and from
-// math/big are NOT constant time and belong at serialization boundaries
-// only.
+// secret-independent. Conversions to and from math/big are NOT constant
+// time and belong at serialization boundaries only.
 package fp
 
 import (
@@ -49,29 +48,17 @@ var (
 	// qBig is the modulus as a big.Int for the conversion boundary.
 	qBig = mustDecimal("21888242871839275222246405745257275088696311157297823662689037894645226208583")
 
-	// qMinus2 is the Inverse exponent (Fermat), qPlus1Over4 the Sqrt
-	// exponent (q ≡ 3 mod 4). Both are public constants, so the fixed
-	// exponentiation chains leak nothing about their inputs' values.
-	// The big.Int forms are retained for the init cross-check and as
-	// test oracles; the runtime Inverse/Sqrt paths use the plain limb
-	// forms below and never touch math/big.
-	qMinus2     = new(big.Int).Sub(qBig, big.NewInt(2))
-	qPlus1Over4 = new(big.Int).Rsh(new(big.Int).Add(qBig, big.NewInt(1)), 2)
+	// qMinus2 is the Inverse exponent (Fermat). It is a public constant,
+	// so the fixed exponentiation chain leaks nothing about its input's
+	// value. The big.Int form is retained for the init cross-check and as
+	// a test oracle; the runtime Inverse path uses the plain limb form
+	// below and never touches math/big.
+	qMinus2 = new(big.Int).Sub(qBig, big.NewInt(2))
 
-	// qMinus2Limbs and qPlus1Over4Limbs are the same exponents as plain
-	// (non-Montgomery) little-endian limbs for the expFixed chain.
-	// q0 ends in 0x47 and q0+1 in 0x48, so the -2 borrows nothing and
-	// the +1 carries nothing beyond limb 0.
-	qMinus2Limbs     = [4]uint64{q0 - 2, q1, q2, q3}
-	qPlus1Over4Limbs = [4]uint64{
-		uint64(q0+1)>>2 | uint64(q1&3)<<62,
-		uint64(q1)>>2 | uint64(q2&3)<<62,
-		uint64(q2)>>2 | uint64(q3&3)<<62,
-		uint64(q3) >> 2,
-	}
-
-	// qHalf = (q-1)/2 in plain (non-Montgomery) limbs, for IsNeg.
-	qHalf = bigToLimbs(new(big.Int).Rsh(qBig, 1))
+	// qMinus2Limbs is the same exponent as plain (non-Montgomery)
+	// little-endian limbs for the expFixed chain. q0 ends in 0x47, so the
+	// -2 borrows nothing.
+	qMinus2Limbs = [4]uint64{q0 - 2, q1, q2, q3}
 )
 
 func mustDecimal(s string) *big.Int {
@@ -120,9 +107,6 @@ func init() {
 	}
 	if bigToLimbs(qMinus2) != Element(qMinus2Limbs) {
 		panic("fp: qMinus2 limb constant is wrong")
-	}
-	if bigToLimbs(qPlus1Over4) != Element(qPlus1Over4Limbs) {
-		panic("fp: qPlus1Over4 limb constant is wrong")
 	}
 }
 
@@ -212,20 +196,6 @@ func (z *Element) IsOne() bool { return *z == one }
 // Equal reports whether z == x. Montgomery representatives are canonical,
 // so limb equality is field equality.
 func (z *Element) Equal(x *Element) bool { return *z == *x }
-
-// IsNeg reports the canonical "sign" of z: whether its plain value exceeds
-// (q-1)/2. Exactly one of a, -a is negative for a ≠ 0, which makes the
-// flag suitable for compressed-point y recovery.
-func (z *Element) IsNeg() bool {
-	t := *z
-	t.fromMont()
-	for i := 3; i >= 0; i-- {
-		if t[i] != qHalf[i] {
-			return t[i] > qHalf[i]
-		}
-	}
-	return false
-}
 
 // reduce conditionally subtracts q so z lands in [0, q), without
 // branching on the value.
@@ -358,21 +328,6 @@ func (z *Element) Inverse(x *Element) (ok bool) {
 		return false
 	}
 	z.expFixed(x, &qMinus2Limbs)
-	return true
-}
-
-// Sqrt sets z to a square root of x and reports whether one exists.
-// q ≡ 3 (mod 4), so the candidate is x^((q+1)/4) via the fixed expFixed
-// chain; squaring it back detects non-residues. On failure z is left
-// untouched.
-func (z *Element) Sqrt(x *Element) (ok bool) {
-	var cand, check Element
-	cand.expFixed(x, &qPlus1Over4Limbs)
-	check.Square(&cand)
-	if !check.Equal(x) {
-		return false
-	}
-	*z = cand
 	return true
 }
 

@@ -163,69 +163,6 @@ func TestInverse(t *testing.T) {
 	}
 }
 
-func TestSqrt(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	residues, nonResidues := 0, 0
-	for i := 0; i < 100; i++ {
-		a := randBig(r)
-		var ea, root, back Element
-		ea.SetBigInt(a)
-		ok := root.Sqrt(&ea)
-		if wantOK := new(big.Int).ModSqrt(a, qBig) != nil; ok != wantOK {
-			t.Fatalf("Sqrt(%v) ok=%v, big.Int says %v", a, ok, wantOK)
-		}
-		if ok {
-			residues++
-			if !back.Square(&root).Equal(&ea) {
-				t.Fatalf("Sqrt(%v)² ≠ input", a)
-			}
-		} else {
-			nonResidues++
-		}
-	}
-	if residues == 0 || nonResidues == 0 {
-		t.Fatalf("degenerate sample: %d residues, %d non-residues", residues, nonResidues)
-	}
-	var z Element
-	if ok := z.Sqrt(&Element{}); !ok || !z.IsZero() {
-		t.Fatal("Sqrt(0) should be 0")
-	}
-}
-
-func TestIsNeg(t *testing.T) {
-	half := new(big.Int).Rsh(qBig, 1)
-	cases := []struct {
-		v    *big.Int
-		want bool
-	}{
-		{big.NewInt(0), false},
-		{big.NewInt(1), false},
-		{new(big.Int).Set(half), false},
-		{new(big.Int).Add(half, big.NewInt(1)), true},
-		{new(big.Int).Sub(qBig, big.NewInt(1)), true},
-	}
-	for _, c := range cases {
-		var e Element
-		e.SetBigInt(c.v)
-		if got := e.IsNeg(); got != c.want {
-			t.Fatalf("IsNeg(%v) = %v, want %v", c.v, got, c.want)
-		}
-	}
-	// Exactly one of a, -a is negative for nonzero a.
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 50; i++ {
-		var e, n Element
-		e.SetBigInt(randBig(r))
-		if e.IsZero() {
-			continue
-		}
-		n.Neg(&e)
-		if e.IsNeg() == n.IsNeg() {
-			t.Fatalf("IsNeg symmetric for %v", e.String())
-		}
-	}
-}
-
 func TestExp(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for i := 0; i < 20; i++ {

@@ -36,11 +36,6 @@ func fpInvRef(a *big.Int) *big.Int {
 	return new(big.Int).ModInverse(a, P)
 }
 
-// fpSqrtRef returns a square root of a modulo p, or nil for non-residues.
-func fpSqrtRef(a *big.Int) *big.Int {
-	return new(big.Int).ModSqrt(a, P)
-}
-
 // fp2Ref is the big.Int reference of an Fp2 element c0 + c1·i.
 type fp2Ref struct {
 	c0, c1 *big.Int

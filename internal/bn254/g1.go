@@ -215,30 +215,6 @@ func hashBlock(domain string, msg []byte, counter uint32) []byte {
 	return h.Sum(nil)
 }
 
-// HashToG1 maps an arbitrary message into G1 by try-and-increment: derive an
-// x-coordinate candidate from the hash stream, solve y² = x³ + 3, and choose
-// the y parity from the stream. The cofactor of G1 is 1, so any curve point
-// is already in the prime-order subgroup.
-func HashToG1(domain string, msg []byte) *G1 {
-	for counter := uint32(0); ; counter++ {
-		block := hashBlock(domain, msg, counter)
-		var x, rhs, y fp.Element
-		x.SetBigInt(new(big.Int).SetBytes(block))
-		rhs.Square(&x)
-		rhs.Mul(&rhs, &x)
-		rhs.Add(&rhs, &curveB)
-		if !y.Sqrt(&rhs) {
-			continue
-		}
-		// Use one stream bit to pick between y and -y so the map is not
-		// biased toward even roots.
-		if block[len(block)-1]&1 == 1 {
-			y.Neg(&y)
-		}
-		return &G1{X: x, Y: y}
-	}
-}
-
 // HashToScalar maps an arbitrary message to a nonzero scalar in Zr*,
 // reducing 512 bits of hash output to keep the bias negligible.
 func HashToScalar(domain string, msg []byte) *big.Int {

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
-	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 
-	"mccls/internal/batch"
 	"mccls/internal/bn254"
 )
 
@@ -44,21 +44,25 @@ func multiBatch(t *testing.T, n, k int) (*KGC, *Verifier, []*PublicKey, [][]byte
 // fixedSeed is a deterministic 32-byte weight seed for invariance tests.
 func fixedSeed() *bytes.Reader { return bytes.NewReader(bytes.Repeat([]byte{0x5a}, 32)) }
 
+// testBatch is Batch with a fixed weight seed and the chunk width and
+// worker count no caller outside this package can set.
+func testBatch(vf *Verifier, chunk, workers int) *BatchVerifier {
+	bv := vf.Batch(BatchOptions{Weights: fixedSeed()})
+	bv.chunk, bv.workers = chunk, workers
+	return bv
+}
+
 func TestBatchEngineBisectionLocatesOffenders(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 20, 4)
 	bad := append([][]byte{}, msgs...)
 	bad[3] = []byte("tampered-3")
 	bad[17] = []byte("tampered-17")
-	err := vf.Batch(BatchOptions{ChunkSize: 8, Weights: fixedSeed()}).VerifyMulti(pks, bad, sigs)
+	err := testBatch(vf, 8, 0).VerifyMulti(pks, bad, sigs)
 	if !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("tampered batch: %v", err)
 	}
-	var be *batch.Error
-	if !errors.As(err, &be) {
-		t.Fatalf("rejection is not a *batch.Error: %v", err)
-	}
-	if want := []int{3, 17}; !reflect.DeepEqual(be.Bad, want) {
-		t.Fatalf("offenders %v, want %v", be.Bad, want)
+	if got, want := BatchOffenders(err), []int{3, 17}; !slices.Equal(got, want) {
+		t.Fatalf("offenders %v, want %v", got, want)
 	}
 }
 
@@ -68,26 +72,13 @@ func TestBatchEngineWorkerInvariance(t *testing.T) {
 	bad[0] = []byte("x")
 	bad[16] = []byte("y")
 	bad[32] = []byte("z")
-	var want []int
-	for _, workers := range []int{1, 4, 8} {
-		err := vf.Batch(BatchOptions{Workers: workers, ChunkSize: 8, Weights: fixedSeed()}).
-			VerifyMulti(pks, bad, sigs)
-		var be *batch.Error
-		if !errors.As(err, &be) {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, workers := range []int{1, 2, 8} {
+		err := testBatch(vf, 8, workers).VerifyMulti(pks, bad, sigs)
+		if got, want := BatchOffenders(err), []int{0, 16, 32}; !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
 		}
-		if workers == 1 {
-			want = be.Bad
-			continue
-		}
-		if !reflect.DeepEqual(be.Bad, want) {
-			t.Fatalf("workers=%d: offenders %v, want %v", workers, be.Bad, want)
-		}
-	}
-	// A clean batch must accept at every worker count too.
-	for _, workers := range []int{1, 4, 8} {
-		opts := BatchOptions{Workers: workers, ChunkSize: 8, Weights: fixedSeed()}
-		if err := vf.Batch(opts).VerifyMulti(pks, msgs, sigs); err != nil {
+		// A clean batch must accept at every worker count too.
+		if err := testBatch(vf, 8, workers).VerifyMulti(pks, msgs, sigs); err != nil {
 			t.Fatalf("workers=%d rejected a valid batch: %v", workers, err)
 		}
 	}
@@ -106,17 +97,254 @@ func TestBatchEngineSameSigner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bv := vf.Batch(BatchOptions{ChunkSize: 4, Weights: fixedSeed()})
-	if err := bv.VerifySameSigner(sk.Public(), msgs, sigs); err != nil {
+	if err := testBatch(vf, 4, 0).VerifySameSigner(sk.Public(), msgs, sigs); err != nil {
 		t.Fatalf("valid same-signer batch rejected: %v", err)
 	}
 	bad := append([][]byte{}, msgs...)
 	bad[7] = []byte("tampered")
-	err := vf.Batch(BatchOptions{ChunkSize: 4, Weights: fixedSeed()}).
-		VerifySameSigner(sk.Public(), bad, sigs)
-	var be *batch.Error
-	if !errors.As(err, &be) || !reflect.DeepEqual(be.Bad, []int{7}) {
+	err := testBatch(vf, 4, 0).VerifySameSigner(sk.Public(), bad, sigs)
+	if !slices.Equal(BatchOffenders(err), []int{7}) {
 		t.Fatalf("same-signer bisection: %v", err)
+	}
+}
+
+// checkPairwise is the differential oracle for window.check: the aggregate
+// equation with nothing folded, one Miller pair and one weighted Q_ID per
+// signature —
+//
+//	Π e(ρᵢ·Aᵢ, Sᵢ) · e(-P_pub, Σ ρᵢ·Q_IDᵢ) = 1.
+func (w *window) checkPairwise(idxs []int) bool {
+	var ps []*bn254.G1
+	var qs []*bn254.G2
+	qSum := bn254.G2Infinity()
+	for _, i := range idxs {
+		ps = append(ps, w.wa[i])
+		qs = append(qs, w.sigs[i].S)
+		qSum.Add(qSum, new(bn254.G2).ScalarMult(w.vf.params.QID(w.pks[i].ID), w.rho[i]))
+	}
+	ps = append(ps, new(bn254.G1).Neg(w.vf.params.Ppub))
+	qs = append(qs, qSum)
+	return bn254.PairingCheck(ps, qs)
+}
+
+// TestBatchGroupedVsPairwise runs the shipped chunk check against the
+// pairwise oracle under one weight seed: same error class and the same
+// offender slice on every window.
+func TestBatchGroupedVsPairwise(t *testing.T) {
+	kgc, vf, pks, msgs, sigs := multiBatch(t, 20, 4)
+	params := kgc.Params()
+	// zeroA is a signature whose commitment A = (V/h)·P - R is the point at
+	// infinity: R = k·P and V = h·k.
+	k := big.NewInt(77)
+	zeroR := new(bn254.G1).ScalarBaseMult(k)
+	zeroV := new(big.Int).Mul(params.hashH2(msgs[6], zeroR, pks[6].PID), k)
+	zeroA := &Signature{V: zeroV.Mod(zeroV, bn254.Order), S: sigs[6].S, R: zeroR}
+
+	type edit func(pks []*PublicKey, msgs [][]byte, sigs []*Signature)
+	cases := []struct {
+		name string
+		edit edit
+		bad  []int
+	}{
+		{"clean repeated signers", func([]*PublicKey, [][]byte, []*Signature) {}, nil},
+		{"tampered message", func(_ []*PublicKey, m [][]byte, _ []*Signature) { m[9] = []byte("tampered") }, []int{9}},
+		{"foreign S under a known identity", func(_ []*PublicKey, _ [][]byte, s []*Signature) {
+			s[4] = &Signature{V: s[4].V, S: s[5].S, R: s[4].R}
+		}, []int{4}},
+		{"swapped public key", func(p []*PublicKey, _ [][]byte, _ []*Signature) { p[2], p[3] = p[3], p[2] }, []int{2, 3}},
+		{"R at infinity", func(_ []*PublicKey, _ [][]byte, s []*Signature) {
+			s[13] = &Signature{V: s[13].V, S: s[13].S, R: bn254.G1Infinity()}
+		}, []int{13}},
+		{"A at infinity", func(_ []*PublicKey, _ [][]byte, s []*Signature) { s[6] = zeroA }, []int{6}},
+		{"S at infinity", func(_ []*PublicKey, _ [][]byte, s []*Signature) {
+			s[1] = &Signature{V: s[1].V, S: bn254.G2Infinity(), R: s[1].R}
+		}, nil},
+		{"every case at once", func(p []*PublicKey, m [][]byte, s []*Signature) {
+			m[9] = []byte("tampered")
+			s[4] = &Signature{V: s[4].V, S: s[5].S, R: s[4].R}
+			p[2], p[3] = p[3], p[2]
+			s[13] = &Signature{V: s[13].V, S: s[13].S, R: bn254.G1Infinity()}
+			s[6] = zeroA
+		}, []int{2, 3, 4, 6, 9, 13}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, m, s := slices.Clone(pks), slices.Clone(msgs), slices.Clone(sigs)
+			tc.edit(p, m, s)
+			got := testBatch(vf, 8, 0).VerifyMulti(p, m, s)
+
+			oracle := testBatch(vf, 8, 0)
+			w, want := oracle.newWindow(p, m, s)
+			if want == nil {
+				want = oracle.reject(len(s), w.checkPairwise, w.checkOne)
+			}
+			for _, class := range []error{ErrVerifyFailed, ErrInvalidSignature, ErrInvalidKey} {
+				if errors.Is(got, class) != errors.Is(want, class) {
+					t.Fatalf("error class: grouped %v, pairwise %v", got, want)
+				}
+			}
+			if (got == nil) != (want == nil) || !slices.Equal(BatchOffenders(got), BatchOffenders(want)) {
+				t.Fatalf("grouped %v, pairwise %v", got, want)
+			}
+			if !slices.Equal(BatchOffenders(got), tc.bad) {
+				t.Fatalf("offenders %v, want %v", BatchOffenders(got), tc.bad)
+			}
+		})
+	}
+}
+
+// TestBatchWindowOpCounts pins what folding buys, in the idiom of bn254's
+// TestMillerLoopMultiOpCounts: a clean window costs one Miller pair per
+// distinct S plus the P_pub pair, in one lockstep loop under one final
+// exponentiation.
+func TestBatchWindowOpCounts(t *testing.T) {
+	for _, tc := range []struct {
+		signers  int
+		pairings uint64
+	}{{16, 17}, {1, 2}} {
+		_, vf, pks, msgs, sigs := multiBatch(t, 64, tc.signers)
+		bv := testBatch(vf, chunkWidth, 1)
+		before := bn254.ReadOpCounts()
+		err := bv.VerifyMulti(pks, msgs, sigs)
+		if tc.signers == 1 {
+			before = bn254.ReadOpCounts()
+			err = testBatch(vf, chunkWidth, 1).VerifySameSigner(pks[0], msgs, sigs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := bn254.ReadOpCounts().Sub(before)
+		if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != 65 {
+			t.Fatalf("64 signatures / %d signers: %d pairs, %d final exps, %d Miller squarings; want %d, 1, 65",
+				tc.signers, d.Pairings, d.FinalExps, d.MillerSquarings, tc.pairings)
+		}
+	}
+}
+
+// fakeCheck is an aggregate check over a set of bad indices that counts
+// its evaluations; fakeLeaf is the matching single-index check.
+func fakeCheck(bad map[int]bool, calls *atomic.Int64) func([]int) bool {
+	return func(idxs []int) bool {
+		calls.Add(1)
+		for _, i := range idxs {
+			if bad[i] {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+func fakeLeaf(bad map[int]bool) func(int) bool {
+	return func(i int) bool { return !bad[i] }
+}
+
+func TestBatchRejectLocatesOffenders(t *testing.T) {
+	bad := map[int]bool{3: true, 17: true, 42: true, 99: true}
+	var calls atomic.Int64
+	err := (&BatchVerifier{chunk: 16}).reject(100, fakeCheck(bad, &calls), fakeLeaf(bad))
+	if got, want := BatchOffenders(err), []int{3, 17, 42, 99}; !slices.Equal(got, want) {
+		t.Fatalf("offenders %v (%v), want %v", got, err, want)
+	}
+}
+
+func TestBatchRejectAllGood(t *testing.T) {
+	var calls atomic.Int64
+	bv := &BatchVerifier{chunk: 16}
+	if err := bv.reject(100, fakeCheck(nil, &calls), fakeLeaf(nil)); err != nil {
+		t.Fatalf("clean batch: %v", err)
+	}
+	// One aggregate check per chunk, no bisection.
+	if calls.Load() != 7 {
+		t.Fatalf("clean batch ran %d checks, want 7", calls.Load())
+	}
+	if err := bv.reject(0, fakeCheck(nil, &calls), fakeLeaf(nil)); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+}
+
+func TestBatchRejectWorkerInvariance(t *testing.T) {
+	bad := map[int]bool{0: true, 31: true, 32: true, 63: true, 64: true}
+	for _, workers := range []int{1, 2, 8} {
+		var calls atomic.Int64
+		err := (&BatchVerifier{chunk: 8, workers: workers}).reject(65, fakeCheck(bad, &calls), fakeLeaf(bad))
+		if got, want := BatchOffenders(err), []int{0, 31, 32, 63, 64}; !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
+		}
+	}
+}
+
+func TestBatchRejectUsesCheckOneAtLeaves(t *testing.T) {
+	// The leaf check disagrees with the aggregate check on index 5: only 5
+	// is reported, so leaves are decided by checkOne (the single Verify).
+	var calls atomic.Int64
+	var leaves atomic.Int64
+	checkOne := func(i int) bool {
+		leaves.Add(1)
+		return i != 5
+	}
+	err := (&BatchVerifier{chunk: 8}).reject(8, fakeCheck(map[int]bool{4: true, 5: true}, &calls), checkOne)
+	if got := BatchOffenders(err); !slices.Equal(got, []int{5}) {
+		t.Fatalf("offenders %v (%v), want [5]", got, err)
+	}
+	if leaves.Load() == 0 {
+		t.Fatal("bisection never reached checkOne")
+	}
+}
+
+func TestBatchRejectPanicPropagates(t *testing.T) {
+	err := (&BatchVerifier{chunk: 2}).reject(4, func([]int) bool { panic("boom") }, fakeLeaf(nil))
+	if err == nil || BatchOffenders(err) != nil {
+		t.Fatalf("panicking check must surface as a plain error, got %v", err)
+	}
+}
+
+func TestBatchErrorUnwrap(t *testing.T) {
+	err := error(&batchError{bad: []int{1, 2}})
+	if !errors.Is(err, ErrVerifyFailed) {
+		t.Fatal("a batch rejection must unwrap to ErrVerifyFailed")
+	}
+	if got := BatchOffenders(err); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("BatchOffenders = %v, want [1 2]", got)
+	}
+	if BatchOffenders(nil) != nil || BatchOffenders(ErrBatchMismatch) != nil {
+		t.Fatal("BatchOffenders must be nil without an offender list")
+	}
+}
+
+func TestWeightsDeterministicAndBounded(t *testing.T) {
+	seed := bytes.Repeat([]byte{7}, 32)
+	w1, err := newWeightSeed(bytes.NewReader(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, _ := newWeightSeed(bytes.NewReader(seed))
+	for i := 0; i < 100; i++ {
+		a, b := w1.at(i), w2.at(i)
+		if a.Cmp(b) != 0 {
+			t.Fatalf("weight %d not deterministic", i)
+		}
+		if a.Sign() == 0 {
+			t.Fatalf("weight %d is zero", i)
+		}
+		if a.BitLen() > weightBits {
+			t.Fatalf("weight %d has %d bits, cap %d", i, a.BitLen(), weightBits)
+		}
+	}
+	if w1.at(0).Cmp(w1.at(1)) == 0 {
+		t.Fatal("distinct indices yielded equal weights")
+	}
+	// Fresh random seeds must differ.
+	r1, err := newWeightSeed(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, _ := newWeightSeed(nil)
+	if r1.at(0).Cmp(r2.at(0)) == 0 {
+		t.Fatal("independent seeds yielded equal weights")
+	}
+	if _, err := newWeightSeed(bytes.NewReader(seed[:5])); err == nil {
+		t.Fatal("a short weight source must be an error")
 	}
 }
 
@@ -168,8 +396,8 @@ func TestVerifierCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	vf := NewVerifierCap(kgc.Params(), 4)
-	if vf.CacheCap() != 4 {
-		t.Fatalf("cap = %d, want 4", vf.CacheCap())
+	if vf.rhsCache.Cap() != 4 {
+		t.Fatalf("cap = %d, want 4", vf.rhsCache.Cap())
 	}
 	msg := []byte("flood")
 	for i := 0; i < 12; i++ {
@@ -186,7 +414,7 @@ func TestVerifierCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if vf.CacheLen() != 4 {
-		t.Fatalf("cache length %d after identity flood, want 4", vf.CacheLen())
+	if vf.rhsCache.Len() != 4 {
+		t.Fatalf("cache length %d after identity flood, want 4", vf.rhsCache.Len())
 	}
 }

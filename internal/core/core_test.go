@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mccls/internal/bn254"
@@ -359,7 +360,7 @@ func TestVerifySameSigner(t *testing.T) {
 	if err := bv.VerifySameSigner(sk.Public(), badMsgs, sigs); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("tampered batch accepted: %v", err)
 	}
-	// Mixed signers must be rejected structurally.
+	// A foreign S is a group of its own and is named as the offender.
 	other, err := GenerateKeyPair(kgc.Params(), kgc.ExtractPartialPrivateKey("sensor-18"), rng)
 	if err != nil {
 		t.Fatal(err)
@@ -370,8 +371,22 @@ func TestVerifySameSigner(t *testing.T) {
 	}
 	mixed := append([]*Signature{}, sigs...)
 	mixed[0] = foreign
-	if err := bv.VerifySameSigner(sk.Public(), msgs, mixed); err == nil {
-		t.Fatal("batch with foreign S accepted")
+	err = bv.VerifySameSigner(sk.Public(), msgs, mixed)
+	if !errors.Is(err, ErrVerifyFailed) || !slices.Equal(BatchOffenders(err), []int{0}) {
+		t.Fatalf("batch with foreign S: %v", err)
+	}
+	// Malformed input is a shape error, wherever it sits in the window.
+	nilFirst := append([]*Signature{nil}, sigs[1:]...)
+	if err := bv.VerifySameSigner(sk.Public(), msgs, nilFirst); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("nil first signature: %v", err)
+	}
+	nilMiddle := append([]*Signature{}, sigs...)
+	nilMiddle[2] = nil
+	if err := bv.VerifySameSigner(sk.Public(), msgs, nilMiddle); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("nil middle signature: %v", err)
+	}
+	if err := bv.VerifySameSigner(nil, msgs, sigs); !errors.Is(err, ErrInvalidKey) {
+		t.Fatalf("nil public key: %v", err)
 	}
 	// Length mismatch and empty batch.
 	if err := bv.VerifySameSigner(sk.Public(), msgs[:2], sigs); !errors.Is(err, ErrBatchMismatch) {
@@ -384,7 +399,7 @@ func TestVerifySameSigner(t *testing.T) {
 
 func TestVerifierCache(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "alice")
-	if vf.CacheLen() != 0 {
+	if vf.rhsCache.Len() != 0 {
 		t.Fatal("fresh verifier has cached entries")
 	}
 	msg := []byte("m")
@@ -397,8 +412,8 @@ func TestVerifierCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if vf.CacheLen() != 1 {
-		t.Fatalf("cache length %d, want 1", vf.CacheLen())
+	if vf.rhsCache.Len() != 1 {
+		t.Fatalf("cache length %d, want 1", vf.rhsCache.Len())
 	}
 }
 
@@ -470,86 +485,27 @@ func TestVerifyMulti(t *testing.T) {
 	if err := bv.VerifyMulti(pks, msgs, swapped); err == nil {
 		t.Fatal("swapped signatures accepted")
 	}
+	// Malformed input is a shape error, wherever it sits in the window.
+	nilFirst := append([]*Signature{nil}, sigs[1:]...)
+	if err := bv.VerifyMulti(pks, msgs, nilFirst); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("nil first signature: %v", err)
+	}
+	nilMiddle := append([]*Signature{}, sigs...)
+	nilMiddle[2] = nil
+	if err := bv.VerifyMulti(pks, msgs, nilMiddle); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("nil middle signature: %v", err)
+	}
+	nilPK := append([]*PublicKey{}, pks...)
+	nilPK[1] = nil
+	if err := bv.VerifyMulti(nilPK, msgs, sigs); !errors.Is(err, ErrInvalidKey) {
+		t.Fatalf("nil public key: %v", err)
+	}
 	// Length mismatch and empty batch.
 	if err := bv.VerifyMulti(pks[:1], msgs, sigs); !errors.Is(err, ErrBatchMismatch) {
 		t.Fatal("length mismatch not detected")
 	}
 	if err := bv.VerifyMulti(nil, nil, nil); err != nil {
 		t.Fatal("empty batch should verify")
-	}
-}
-
-func TestRekey(t *testing.T) {
-	rng := fixedRand(51)
-	kgc, err := Setup(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vf := NewVerifier(kgc.Params())
-	sk, err := GenerateKeyPair(kgc.Params(), kgc.ExtractPartialPrivateKey("alice"), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("before rekey")
-	oldSig, err := Sign(kgc.Params(), sk, msg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk2, err := sk.Rekey(kgc.Params(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sk2.Public().PID.Equal(sk.Public().PID) {
-		t.Fatal("rekey kept the same public key")
-	}
-	if sk2.ID() != sk.ID() {
-		t.Fatal("rekey changed the identity")
-	}
-	newSig, err := Sign(kgc.Params(), sk2, msg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// New signatures verify under the new public key only.
-	if err := vf.Verify(sk2.Public(), msg, newSig); err != nil {
-		t.Fatalf("post-rekey signature rejected: %v", err)
-	}
-	if err := vf.Verify(sk.Public(), msg, newSig); err == nil {
-		t.Fatal("post-rekey signature verified under old key")
-	}
-	// Old signatures remain valid under the old public key.
-	if err := vf.Verify(sk.Public(), msg, oldSig); err != nil {
-		t.Fatalf("pre-rekey signature rejected: %v", err)
-	}
-}
-
-func TestCompactSignatureRoundTrip(t *testing.T) {
-	kgc, sk, vf := newTestSystem(t, "alice")
-	msg := []byte("compact")
-	sig, err := Sign(kgc.Params(), sk, msg, fixedRand(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := sig.MarshalCompact()
-	if len(enc) != CompactSignatureSize {
-		t.Fatalf("compact size %d, want %d", len(enc), CompactSignatureSize)
-	}
-	if len(enc) >= len(sig.Marshal()) {
-		t.Fatal("compact encoding not smaller than the plain one")
-	}
-	dec, err := UnmarshalSignatureCompact(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vf.Verify(sk.Public(), msg, dec); err != nil {
-		t.Fatalf("decoded compact signature rejected: %v", err)
-	}
-	if _, err := UnmarshalSignatureCompact(enc[:10]); err == nil {
-		t.Fatal("accepted truncated compact signature")
-	}
-	bad := append([]byte{}, enc...)
-	bad[40] ^= 0xFF
-	if _, err := UnmarshalSignatureCompact(bad); err == nil {
-		t.Fatal("accepted corrupted compact signature")
 	}
 }
 

@@ -92,24 +92,3 @@ func (sk *PrivateKey) ID() string { return sk.pub.ID }
 
 // SecretValue returns a copy of x for durable storage.
 func (sk *PrivateKey) SecretValue() *big.Int { return new(big.Int).Set(sk.x) }
-
-// Rekey replaces the user-chosen half of the key — the certificateless
-// "public key replacement" operation: the user draws a fresh secret value
-// x' and derives the new P_ID and S from the same partial private key,
-// with no KGC interaction (D_ID = x·S is recoverable from the old key).
-// Signatures made with the old key keep verifying under the old public
-// key; new signatures verify under the new one. Passing a nil reader uses
-// crypto/rand.
-func (sk *PrivateKey) Rekey(params *Params, rng io.Reader) (*PrivateKey, error) {
-	x, err := bn254.RandomScalar(rng)
-	if err != nil {
-		return nil, fmt.Errorf("mccls: rekey: %w", err)
-	}
-	d := new(bn254.G2).ScalarMult(sk.s, sk.x) // recover D_ID
-	xInv := new(big.Int).ModInverse(x, bn254.Order)
-	return &PrivateKey{
-		pub: &PublicKey{ID: sk.pub.ID, PID: new(bn254.G1).ScalarMult(params.Ppub, x)},
-		x:   x,
-		s:   new(bn254.G2).ScalarMult(d, xInv),
-	}, nil
-}

@@ -85,42 +85,3 @@ func UnmarshalSignature(data []byte) (*Signature, error) {
 	}
 	return &Signature{V: v, S: &s, R: &r}, nil
 }
-
-// CompactSignatureSize is the byte length of a compact-encoded signature:
-// 32 (V) + 65 (S compressed) + 33 (R compressed).
-const CompactSignatureSize = 32 + 65 + 33
-
-// MarshalCompact encodes the signature with compressed points, 130 bytes
-// instead of 224 — the encoding McCLS-AODV would use on the air where every
-// control byte costs serialization delay.
-func (sig *Signature) MarshalCompact() []byte {
-	out := make([]byte, 0, CompactSignatureSize)
-	var v [32]byte
-	sig.V.FillBytes(v[:])
-	out = append(out, v[:]...)
-	out = append(out, sig.S.MarshalCompressed()...)
-	return append(out, sig.R.MarshalCompressed()...)
-}
-
-// UnmarshalSignatureCompact decodes and validates a compact signature.
-func UnmarshalSignatureCompact(data []byte) (*Signature, error) {
-	if len(data) != CompactSignatureSize {
-		return nil, fmt.Errorf("%w: want %d bytes, got %d", ErrInvalidSignature, CompactSignatureSize, len(data))
-	}
-	v := new(big.Int).SetBytes(data[:32])
-	if v.Sign() == 0 || v.Cmp(bn254.Order) >= 0 {
-		return nil, fmt.Errorf("%w: V out of range", ErrInvalidSignature)
-	}
-	var s bn254.G2
-	if err := s.UnmarshalCompressed(data[32 : 32+65]); err != nil {
-		return nil, fmt.Errorf("%w: S: %v", ErrInvalidSignature, err)
-	}
-	if s.IsInfinity() {
-		return nil, fmt.Errorf("%w: S is the identity", ErrInvalidSignature)
-	}
-	var r bn254.G1
-	if err := r.UnmarshalCompressed(data[32+65:]); err != nil {
-		return nil, fmt.Errorf("%w: R: %v", ErrInvalidSignature, err)
-	}
-	return &Signature{V: v, S: &s, R: &r}, nil
-}

@@ -70,12 +70,6 @@ func (vf *Verifier) rhs(id string) *bn254.GT {
 	return gt
 }
 
-// CacheLen reports how many identities have cached pairing constants.
-func (vf *Verifier) CacheLen() int { return vf.rhsCache.Len() }
-
-// CacheCap reports the identity-cache bound.
-func (vf *Verifier) CacheCap() int { return vf.rhsCache.Cap() }
-
 // checkShape rejects structurally invalid signatures before any group math.
 func checkShape(pk *PublicKey, sig *Signature) error {
 	if sig == nil || sig.V == nil || sig.S == nil || sig.R == nil {

@@ -71,13 +71,6 @@ type Trial[T any] struct {
 	Run   func(ctx context.Context, obs *Obs) (T, error)
 }
 
-// Func wraps a bare context function as an unlabelled Trial.
-func Func[T any](label string, fn func(ctx context.Context) (T, error)) Trial[T] {
-	return Trial[T]{Label: label, Run: func(ctx context.Context, _ *Obs) (T, error) {
-		return fn(ctx)
-	}}
-}
-
 // PanicError is the per-job error a recovered trial panic converts into.
 type PanicError struct {
 	Index int

@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// trialOf wraps a bare context function as a Trial that records no Obs.
+func trialOf[T any](label string, fn func(ctx context.Context) (T, error)) Trial[T] {
+	return Trial[T]{Label: label, Run: func(ctx context.Context, _ *Obs) (T, error) {
+		return fn(ctx)
+	}}
+}
+
 // TestResultsInJobOrder is the engine's core invariant: results come back
 // in submission order no matter how the scheduler interleaves the workers.
 func TestResultsInJobOrder(t *testing.T) {
@@ -17,7 +24,7 @@ func TestResultsInJobOrder(t *testing.T) {
 	trials := make([]Trial[int], n)
 	for i := 0; i < n; i++ {
 		i := i
-		trials[i] = Func(fmt.Sprintf("job%d", i), func(context.Context) (int, error) {
+		trials[i] = trialOf(fmt.Sprintf("job%d", i), func(context.Context) (int, error) {
 			// Earlier jobs sleep longer, so completion order is roughly
 			// the reverse of submission order.
 			time.Sleep(time.Duration(n-i) * 100 * time.Microsecond)
@@ -42,7 +49,7 @@ func TestSerialAndParallelIdentical(t *testing.T) {
 		trials := make([]Trial[string], 20)
 		for i := range trials {
 			i := i
-			trials[i] = Func("t", func(context.Context) (string, error) {
+			trials[i] = trialOf("t", func(context.Context) (string, error) {
 				return fmt.Sprintf("v%d", i), nil
 			})
 		}
@@ -68,12 +75,12 @@ func TestSerialAndParallelIdentical(t *testing.T) {
 func TestLowestIndexErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	trials := []Trial[int]{
-		Func("ok", func(context.Context) (int, error) { return 1, nil }),
-		Func("fail-a", func(context.Context) (int, error) {
+		trialOf("ok", func(context.Context) (int, error) { return 1, nil }),
+		trialOf("fail-a", func(context.Context) (int, error) {
 			time.Sleep(20 * time.Millisecond) // fails *after* fail-b
 			return 0, boom
 		}),
-		Func("fail-b", func(context.Context) (int, error) { return 0, errors.New("other") }),
+		trialOf("fail-b", func(context.Context) (int, error) { return 0, errors.New("other") }),
 	}
 	_, err := Run(context.Background(), Options{Workers: 3}, trials)
 	if err == nil {
@@ -90,11 +97,11 @@ func TestLowestIndexErrorWins(t *testing.T) {
 func TestFailureCancelsSiblings(t *testing.T) {
 	var started atomic.Int32
 	trials := make([]Trial[int], 100)
-	trials[0] = Func("fail", func(context.Context) (int, error) {
+	trials[0] = trialOf("fail", func(context.Context) (int, error) {
 		return 0, errors.New("early failure")
 	})
 	for i := 1; i < len(trials); i++ {
-		trials[i] = Func("slow", func(ctx context.Context) (int, error) {
+		trials[i] = trialOf("slow", func(ctx context.Context) (int, error) {
 			started.Add(1)
 			<-ctx.Done()
 			return 0, ctx.Err()
@@ -115,8 +122,8 @@ func TestFailureCancelsSiblings(t *testing.T) {
 
 func TestPanicBecomesJobError(t *testing.T) {
 	trials := []Trial[int]{
-		Func("ok", func(context.Context) (int, error) { return 7, nil }),
-		Func("crash", func(context.Context) (int, error) { panic("scenario exploded") }),
+		trialOf("ok", func(context.Context) (int, error) { return 7, nil }),
+		trialOf("crash", func(context.Context) (int, error) { panic("scenario exploded") }),
 	}
 	_, err := Run(context.Background(), Options{Workers: 2}, trials)
 	var pe *PanicError
@@ -133,8 +140,8 @@ func TestPanicBecomesJobError(t *testing.T) {
 
 func TestPerTrialTimeout(t *testing.T) {
 	trials := []Trial[int]{
-		Func("fast", func(context.Context) (int, error) { return 1, nil }),
-		Func("hung", func(ctx context.Context) (int, error) {
+		trialOf("fast", func(context.Context) (int, error) { return 1, nil }),
+		trialOf("hung", func(ctx context.Context) (int, error) {
 			<-ctx.Done() // a context-aware trial notices the deadline
 			return 0, ctx.Err()
 		}),
@@ -153,7 +160,7 @@ func TestCallerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	trials := []Trial[int]{
-		Func("never", func(ctx context.Context) (int, error) {
+		trialOf("never", func(ctx context.Context) (int, error) {
 			<-ctx.Done()
 			return 0, ctx.Err()
 		}),
@@ -218,8 +225,8 @@ func TestEmptyBatch(t *testing.T) {
 func TestDefaultWorkerCount(t *testing.T) {
 	// Workers <= 0 must still run everything (defaults to GOMAXPROCS).
 	trials := []Trial[int]{
-		Func("a", func(context.Context) (int, error) { return 1, nil }),
-		Func("b", func(context.Context) (int, error) { return 2, nil }),
+		trialOf("a", func(context.Context) (int, error) { return 1, nil }),
+		trialOf("b", func(context.Context) (int, error) { return 2, nil }),
 	}
 	got, err := Run(context.Background(), Options{Workers: -1}, trials)
 	if err != nil || got[0] != 1 || got[1] != 2 {

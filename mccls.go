@@ -58,8 +58,7 @@ type (
 	// BatchVerifier checks windows of signatures with one multi-pairing per
 	// chunk; obtain one from Verifier.Batch.
 	BatchVerifier = core.BatchVerifier
-	// BatchOptions configure Verifier.Batch (zero value: GOMAXPROCS workers,
-	// default chunk width, crypto/rand weights).
+	// BatchOptions configure Verifier.Batch (zero value: crypto/rand weights).
 	BatchOptions = core.BatchOptions
 )
 
@@ -72,13 +71,8 @@ var (
 	ErrBatchMismatch     = core.ErrBatchMismatch
 )
 
-// SignatureSize is the byte length of a marshalled signature;
-// CompactSignatureSize is the compressed-point encoding produced by
-// Signature.MarshalCompact.
-const (
-	SignatureSize        = core.SignatureSize
-	CompactSignatureSize = core.CompactSignatureSize
-)
+// SignatureSize is the byte length of a marshalled signature.
+const SignatureSize = core.SignatureSize
 
 // Setup creates a KGC with a fresh master key. A nil reader uses
 // crypto/rand.
@@ -117,6 +111,5 @@ var (
 	UnmarshalParams            = core.UnmarshalParams
 	UnmarshalPublicKey         = core.UnmarshalPublicKey
 	UnmarshalSignature         = core.UnmarshalSignature
-	UnmarshalSignatureCompact  = core.UnmarshalSignatureCompact
 	UnmarshalPartialPrivateKey = core.UnmarshalPartialPrivateKey
 )
