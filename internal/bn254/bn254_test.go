@@ -352,8 +352,8 @@ func TestG2RejectsWrongSubgroup(t *testing.T) {
 	// Find a curve point by try-and-increment WITHOUT cofactor clearing.
 	var pt *G2
 	for ctr := uint32(0); ; ctr++ {
-		b0 := hashBlock("sub", []byte("x"), ctr)
-		x := fp2FromBig(new(big.Int).SetBytes(b0), big.NewInt(1))
+		b0 := hashBlock("sub", "", []byte("x"), ctr)
+		x := fp2FromBig(new(big.Int).SetBytes(b0[:]), big.NewInt(1))
 		rhs := new(Fp2).Mul(new(Fp2).Square(x), x)
 		rhs.Add(rhs, twistB)
 		y := new(Fp2).Sqrt(rhs)

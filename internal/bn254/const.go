@@ -4,8 +4,11 @@
 // GT ⊂ Fp12*, hashing to G1/G2/Zr, and the optimal-ate pairing
 // e: G1 × G2 → GT.
 //
-// Base-field arithmetic is fixed-width Montgomery form (internal/bn254/fp);
-// scalars remain math/big, and every derived constant (twist coefficient,
+// Base-field and scalar-field arithmetic are fixed-width Montgomery form
+// (internal/bn254/fp and internal/bn254/fr, sharing the constant-time
+// inversion of internal/bn254/modinv); *big.Int survives on the exported
+// scalar signatures as a one-conversion adapter and in init-time constant
+// derivation, and every derived constant (twist coefficient,
 // Frobenius coefficients, the signed-digit recodings of 6u+2 and u that
 // drive the Miller loop and the final exponentiation) is computed at init
 // from the curve parameter u rather than transcribed, keeping the derivation
@@ -16,6 +19,7 @@ import (
 	"math/big"
 
 	"mccls/internal/bn254/fp"
+	"mccls/internal/bn254/fr"
 )
 
 // mustBig parses a base-10 integer literal and panics on malformed input.
@@ -39,21 +43,28 @@ var (
 
 	// Order is the prime group order r = 36u^4 + 36u^3 + 18u^2 + 6u + 1
 	// of G1, G2 and GT.
-	Order = mustBig("21888242871839275222246405745257275088548364400416034343698204186575808495617")
+	Order = fr.Modulus()
 
 	// ateLoopCount is 6u + 2, the Miller loop length of the optimal-ate
 	// pairing on BN curves; the loop walks its non-adjacent form ateNAF
 	// (66 digits, 22 nonzero against 37 set bits).
 	ateLoopCount = new(big.Int).Add(new(big.Int).Mul(big.NewInt(6), u), big.NewInt(2))
-	ateNAF       = nafDigits(ateLoopCount)
+	ateNAF       = wnafDigits(nil, scalarLimbs(ateLoopCount), 2)
 
 	// uNAF (the non-adjacent form of u) drives the G2 subgroup check, uWNAF
 	// (width cycWindow) the three exponentiations by u in the final
-	// exponentiation, sixUSquared = 6u² = t - 1 (t the trace of Frobenius)
-	// the cofactor clearing.
-	uNAF        = nafDigits(u)
-	uWNAF       = wnafDigits(u, cycWindow)
-	sixUSquared = new(big.Int).Mul(big.NewInt(6), new(big.Int).Mul(u, u))
+	// exponentiation, sixUSquaredWNAF (6u² = t - 1, t the trace of
+	// Frobenius, width wnafWindow) the cofactor clearing.
+	uNAF            = wnafDigits(nil, scalarLimbs(u), 2)
+	uWNAF           = wnafDigits(nil, scalarLimbs(u), cycWindow)
+	sixUSquared     = new(big.Int).Mul(big.NewInt(6), new(big.Int).Mul(u, u))
+	sixUSquaredWNAF = wnafDigits(nil, scalarLimbs(sixUSquared), wnafWindow)
+
+	// The fixed exponents of Fp2.Sqrt and of the Frobenius constants, as
+	// plain limbs for Fp2.expFixed.
+	pMinus3Over4 = scalarLimbs(new(big.Int).Rsh(P, 2))                                              // p ≡ 3 (mod 4)
+	pMinus1Over2 = scalarLimbs(new(big.Int).Rsh(P, 1))                                              // p odd
+	pMinus1Over6 = scalarLimbs(new(big.Int).Div(new(big.Int).Sub(P, big.NewInt(1)), big.NewInt(6))) // p ≡ 1 (mod 6)
 
 	// curveB is the G1 curve coefficient: E: y^2 = x^3 + 3.
 	curveB = fp.NewElement(3)
@@ -75,14 +86,16 @@ var (
 	twistB = computeTwistB()
 )
 
-// computeFrobGamma derives the Frobenius constant table: one
-// exponentiation per row, the rest of the row by successive products.
+// computeFrobGamma derives the Frobenius constant table from the one
+// exponentiation γ = xi^((p-1)/6). Frobenius on Fp2 is conjugation, so
+// xi^((p²-1)/6) = γ^(p+1) = γ·γ̄ and xi^((p³-1)/6) = γ^(p²+p+1) = γ²·γ̄; the
+// rest of each row is successive products.
 func computeFrobGamma() (tab [3][5]Fp2) {
-	pn := big.NewInt(1)
+	var conj Fp2
+	tab[0][0].expFixed(xi(), &pMinus1Over6)
+	tab[1][0].Mul(&tab[0][0], conj.Conjugate(&tab[0][0]))
+	tab[2][0].Mul(&tab[1][0], &tab[0][0])
 	for n := range tab {
-		pn.Mul(pn, P)
-		exp := new(big.Int).Sub(pn, big.NewInt(1))
-		tab[n][0].Exp(xi(), exp.Div(exp, big.NewInt(6)))
 		for k := 1; k < len(tab[n]); k++ {
 			tab[n][k].Mul(&tab[n][k-1], &tab[n][0])
 		}

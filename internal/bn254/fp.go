@@ -1,17 +1,18 @@
 package bn254
 
 import (
-	"crypto/rand"
 	"io"
 	"math/big"
 
 	"mccls/internal/bn254/fp"
+	"mccls/internal/bn254/fr"
 )
 
-// Base-field arithmetic lives in the internal/bn254/fp sub-package as
-// fixed-width Montgomery elements; this file keeps only the scalar-field
-// helpers (scalars stay *big.Int — they are mod-r values that cross the
-// public API) and the nonzero-inverse guard.
+// Base-field arithmetic lives in internal/bn254/fp and scalar-field
+// arithmetic in internal/bn254/fr, both as fixed-width Montgomery
+// elements. Scalars are fr.Element on every per-call path; *big.Int
+// survives on the exported signatures that predate fr, each of which
+// converts once (frFromBig) into the limb-typed implementation.
 //
 // fp.Element.Inverse reports failure explicitly instead of returning nil
 // the way big.Int's ModInverse does. Its call sites are group-law slopes
@@ -27,18 +28,16 @@ func fpMustInverse(z, x *fp.Element) {
 	}
 }
 
-// RandomScalar returns a uniformly random element of Zr*.
+// frFromBig reduces k modulo r into a limb-typed scalar: the one adapter
+// under every *big.Int-typed scalar parameter.
+func frFromBig(k *big.Int) *fr.Element { return new(fr.Element).SetBigInt(k) }
+
+// RandomScalar returns a uniformly random element of Zr* (fr.Random at the
+// *big.Int boundary).
 func RandomScalar(rng io.Reader) (*big.Int, error) {
-	if rng == nil {
-		rng = rand.Reader
+	k, err := fr.Random(rng)
+	if err != nil {
+		return nil, err
 	}
-	for {
-		k, err := rand.Int(rng, Order)
-		if err != nil {
-			return nil, err
-		}
-		if k.Sign() != 0 {
-			return k, nil
-		}
-	}
+	return k.BigInt(), nil
 }

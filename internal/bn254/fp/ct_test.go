@@ -73,29 +73,39 @@ func TestConstantTimeMul(t *testing.T) {
 	_ = sink
 }
 
-// TestConstantTimeInverse does the same for the addition-chain Inverse,
-// whose schedule must depend only on the public modulus.
+// TestConstantTimeInverse does the same for Inverse. Since the Fermat chain
+// went, what must not branch is the division-step loop, not an exponent
+// schedule, so the fixed class is run over the inputs a variable-time gcd
+// would finish early or late on — the integers 1 and q-1 as the inversion
+// sees them (raw limbs), a value with long zero runs — as well as a random
+// element, each against fresh random inputs.
 func TestConstantTimeInverse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping Inverse timing smoke in -short mode")
 	}
 	rng := rand.New(rand.NewSource(43))
 	const batch, rounds = 4, 16
-	fixed := ctRandElement(rng)
-	xs := ctPools(rng, batch, rounds, fixed)
-	var sink Element
-	round := 0
-	s := cttest.Collect(400, 2, func(class int) {
-		x := xs[class][round%rounds]
-		round++
-		for i := 0; i < batch; i++ {
-			sink.Inverse(&x[i])
-		}
-	})
-	if tstat := cttest.MaxT(s); tstat > ctThreshold {
-		t.Errorf("Inverse timing leak: |t| = %.2f > %d", tstat, ctThreshold)
+	fixeds := map[string]Element{
+		"random": ctRandElement(rng),
+		"one":    {1},
+		"q-1":    {q0 - 1, q1, q2, q3},
+		"sparse": {0, 0, 0, 1 << 60},
 	}
-	_ = sink
+	for name, fixed := range fixeds {
+		xs := ctPools(rng, batch, rounds, fixed)
+		var sink Element
+		round := 0
+		s := cttest.Collect(400, 2, func(class int) {
+			x := xs[class][round%rounds]
+			round++
+			for i := 0; i < batch; i++ {
+				sink.Inverse(&x[i])
+			}
+		})
+		if tstat := cttest.MaxT(s); tstat > ctThreshold {
+			t.Errorf("Inverse timing leak (fixed class %s): |t| = %.2f > %d", name, tstat, ctThreshold)
+		}
+	}
 }
 
 // TestConstantTimeSign lives in internal/core; the base-field smokes

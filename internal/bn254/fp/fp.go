@@ -6,16 +6,20 @@
 // operation allocates.
 //
 // Guarantees: Add, Sub, Neg, Double, Mul and Square run in constant time
-// (branch-free limb arithmetic with mask selects). Inverse and Exp run in
-// time dependent only on the (public, fixed) exponent, so Inverse is also
-// secret-independent. Conversions to and from math/big are NOT constant
-// time and belong at serialization boundaries only.
+// (branch-free limb arithmetic with mask selects). Inverse is the shared
+// constant-time division-step inversion of internal/bn254/modinv (590
+// steps whatever the input; the scalar field fr uses the same code under
+// its own modulus). IsSquare's exponentiation schedule depends only on the
+// public modulus. Conversions to and from math/big are NOT constant time
+// and belong at serialization boundaries only.
 package fp
 
 import (
 	"encoding/binary"
 	"math/big"
 	"math/bits"
+
+	"mccls/internal/bn254/modinv"
 )
 
 // Element is an Fp residue in Montgomery form, little-endian limbs.
@@ -45,20 +49,18 @@ var (
 	// one = R mod q, the Montgomery image of 1.
 	one = Element{0xd35d438dc58f0d9d, 0x0a78eb28f5c70b3d, 0x666ea36f7879462c, 0x0e0a77c19a07df2f}
 
+	// rCubed = R³ mod q carries the plain inverse of a Montgomery value
+	// back into Montgomery form (see Inverse); derived at init.
+	rCubed Element
+
 	// qBig is the modulus as a big.Int for the conversion boundary.
 	qBig = mustDecimal("21888242871839275222246405745257275088696311157297823662689037894645226208583")
 
-	// qMinus2 is the Inverse exponent (Fermat). It is a public constant,
-	// so the fixed exponentiation chain leaks nothing about its input's
-	// value. The big.Int form is retained for the init cross-check and as
-	// a test oracle; the runtime Inverse path uses the plain limb form
-	// below and never touches math/big.
-	qMinus2 = new(big.Int).Sub(qBig, big.NewInt(2))
+	// qHalf = (q-1)/2 as plain limbs, the Euler-criterion exponent of
+	// IsSquare: q is odd, so it is q shifted right once.
+	qHalf = [4]uint64{q0>>1 | q1&1<<63, q1>>1 | q2&1<<63, q2>>1 | q3&1<<63, q3 >> 1}
 
-	// qMinus2Limbs is the same exponent as plain (non-Montgomery)
-	// little-endian limbs for the expFixed chain. q0 ends in 0x47, so the
-	// -2 borrows nothing.
-	qMinus2Limbs = [4]uint64{q0 - 2, q1, q2, q3}
+	inverter = modinv.NewModulus([4]uint64{q0, q1, q2, q3})
 )
 
 func mustDecimal(s string) *big.Int {
@@ -105,9 +107,7 @@ func init() {
 	if want.Uint64() != qInvNeg {
 		panic("fp: Montgomery factor qInvNeg is wrong")
 	}
-	if bigToLimbs(qMinus2) != Element(qMinus2Limbs) {
-		panic("fp: qMinus2 limb constant is wrong")
-	}
+	rCubed.Mul(&rSquare, &rSquare)
 }
 
 // NewElement returns v as a field element (in Montgomery form).
@@ -165,6 +165,17 @@ func (z *Element) SetBytesCanonical(b []byte) bool {
 	}
 	z.Mul(&t, &rSquare)
 	return true
+}
+
+// SetBytes sets z to the 256-bit big-endian integer b reduced mod q and
+// returns z; b must be 32 bytes. 2^256 < 6q, so five conditional
+// subtractions canonicalise it.
+func (z *Element) SetBytes(b []byte) *Element {
+	t := limbsFromBytes(b)
+	for i := 0; i < 5; i++ {
+		t.reduce()
+	}
+	return z.Mul(&t, &rSquare)
 }
 
 // BigInt returns z as a canonical big.Int in [0, q). Not constant time.
@@ -272,29 +283,13 @@ func (z *Element) fromMont() {
 	z.reduce()
 }
 
-// Exp sets z = x^e for a non-negative big.Int exponent and returns z.
-// The ladder's timing depends only on e, which is public at every call
-// site in this module.
-func (z *Element) Exp(x *Element, e *big.Int) *Element {
-	acc := one
-	base := *x
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		acc.Square(&acc)
-		if e.Bit(i) == 1 {
-			acc.Mul(&acc, &base)
-		}
-	}
-	*z = acc
-	return z
-}
-
 // expFixed sets z = x^e for a public 256-bit exponent held as plain
 // little-endian limbs, and returns z. It runs a fixed 4-bit-window
 // addition chain: 14 multiplications fill the odd powers of the window
 // table, then each exponent nibble costs four squarings plus (for
 // nonzero nibbles) one table multiplication. The schedule is a function
-// of e alone — both exponents used here are compile-time field
-// constants — so nothing about x leaks through timing, and the whole
+// of e alone — the one exponent used here is a compile-time field
+// constant — so nothing about x leaks through timing, and the whole
 // chain lives on the stack (no math/big, 0 allocs/op).
 func (z *Element) expFixed(x *Element, e *[4]uint64) *Element {
 	var table [16]Element
@@ -319,16 +314,22 @@ func (z *Element) expFixed(x *Element, e *[4]uint64) *Element {
 }
 
 // Inverse sets z = x⁻¹ and reports whether the inverse exists. Zero has
-// no inverse: z is set to zero and ok is false. Uses Fermat (x^(q-2))
-// through the fixed expFixed chain, so the cost is a fixed ~310
-// multiplications regardless of x and nothing allocates.
+// no inverse: z is set to zero and ok is false. The shared inversion works
+// on plain integers, so it sees x·R and returns x⁻¹·R⁻¹; one product with
+// R³ restores Montgomery form. Nothing allocates.
 func (z *Element) Inverse(x *Element) (ok bool) {
-	if x.IsZero() {
-		z.SetZero()
-		return false
-	}
-	z.expFixed(x, &qMinus2Limbs)
-	return true
+	ok = !x.IsZero()
+	inverter.Inverse((*[4]uint64)(z), (*[4]uint64)(x))
+	z.Mul(z, &rCubed)
+	return ok
+}
+
+// IsSquare reports whether z is a quadratic residue (zero counts), by
+// Euler's criterion z^((q-1)/2) ∈ {0, 1}.
+func (z *Element) IsSquare() bool {
+	var e Element
+	e.expFixed(z, &qHalf)
+	return e.IsZero() || e.IsOne()
 }
 
 // String renders z as a canonical decimal residue (not constant time).

@@ -168,15 +168,23 @@ func TestLooseAddExact(t *testing.T) {
 }
 
 // TestExpFixedVsBigLadder pins the fixed windowed chain against the
-// big.Int square-and-multiply ladder on the runtime exponent.
+// big.Int square-and-multiply ladder on the runtime exponent (q-1)/2, and
+// IsSquare against big.Int's Jacobi symbol.
 func TestExpFixedVsBigLadder(t *testing.T) {
+	half := new(big.Int).Rsh(qBig, 1)
+	if bigToLimbs(half) != Element(qHalf) {
+		t.Fatal("qHalf is not (q-1)/2")
+	}
 	vals := asmEdgeElements()
 	for i, x := range vals {
 		var chain, ladder Element
-		chain.expFixed(&x, &qMinus2Limbs)
-		ladder.Exp(&x, qMinus2)
+		chain.expFixed(&x, &qHalf)
+		ladder.Exp(&x, half)
 		if chain != ladder {
-			t.Fatalf("expFixed(qMinus2) mismatch at %d", i)
+			t.Fatalf("expFixed(qHalf) mismatch at %d", i)
+		}
+		if got, want := x.IsSquare(), big.Jacobi(x.BigInt(), qBig) >= 0; got != want {
+			t.Fatalf("IsSquare mismatch at %d: got %v", i, got)
 		}
 	}
 }

@@ -163,6 +163,20 @@ func TestInverse(t *testing.T) {
 	}
 }
 
+// Exp sets z = x^e by square-and-multiply over a big.Int exponent: the
+// oracle for expFixed (no shipped code exponentiates by a big.Int).
+func (z *Element) Exp(x *Element, e *big.Int) *Element {
+	acc, base := one, *x
+	for i := e.BitLen() - 1; i >= 0; i-- {
+		acc.Square(&acc)
+		if e.Bit(i) == 1 {
+			acc.Mul(&acc, &base)
+		}
+	}
+	*z = acc
+	return z
+}
+
 func TestExp(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for i := 0; i < 20; i++ {

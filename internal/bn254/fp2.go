@@ -206,18 +206,41 @@ func (z *Fp2) Inverse(x *Fp2) *Fp2 {
 	return z
 }
 
-// Exp sets z = x^e for a non-negative integer exponent e, by left-to-right
-// square-and-multiply.
-func (z *Fp2) Exp(x *Fp2, e *big.Int) *Fp2 {
-	acc := Fp2One()
-	base := *x
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		acc.Square(acc)
-		if e.Bit(i) == 1 {
-			acc.Mul(acc, &base)
+// expFixed sets z = x^e for a public 256-bit exponent held as plain
+// little-endian limbs, by the fixed 4-bit-window chain of fp.Element's
+// expFixed: 14 multiplications fill the window table, then each exponent
+// nibble costs four squarings plus (for nonzero nibbles) one table
+// multiplication. The exponents are init-time constants of the modulus.
+func (z *Fp2) expFixed(x *Fp2, e *[4]uint64) *Fp2 {
+	var table [16]Fp2
+	table[0] = *Fp2One()
+	table[1] = *x
+	for i := 2; i < 16; i++ {
+		table[i].Mul(&table[i-1], x)
+	}
+	acc := table[(e[3]>>60)&0xf]
+	for i := 62; i >= 0; i-- {
+		acc.Square(&acc)
+		acc.Square(&acc)
+		acc.Square(&acc)
+		acc.Square(&acc)
+		if nib := (e[i/16] >> (uint(i%16) * 4)) & 0xf; nib != 0 {
+			acc.Mul(&acc, &table[nib])
 		}
 	}
-	return z.Set(acc)
+	*z = acc
+	return z
+}
+
+// IsSquare reports whether x is a quadratic residue in Fp2 (zero counts):
+// x^((p²-1)/2) = N(x)^((p-1)/2), so x is a square exactly when its norm
+// C0² + C1² is one in Fp.
+func (z *Fp2) IsSquare() bool {
+	var norm, t fp.Element
+	norm.Square(&z.C0)
+	t.Square(&z.C1)
+	norm.Add(&norm, &t)
+	return norm.IsSquare()
 }
 
 // Sqrt sets z to a square root of x and returns z, or returns nil if x is a
@@ -227,32 +250,24 @@ func (z *Fp2) Sqrt(x *Fp2) *Fp2 {
 	if x.IsZero() {
 		return z.Set(Fp2Zero())
 	}
-	// a1 = x^((p-3)/4)
-	e := new(big.Int).Sub(P, big.NewInt(3))
-	e.Rsh(e, 2)
-	a1 := new(Fp2).Exp(x, e)
-	// x0 = a1·x, alpha = a1·x0 = x^((p-1)/2)
-	x0 := new(Fp2).Mul(a1, x)
-	alpha := new(Fp2).Mul(a1, x0)
-
-	var cand *Fp2
-	minusOne := new(Fp2).Neg(Fp2One())
-	if alpha.Equal(minusOne) {
+	// a1 = x^((p-3)/4), x0 = a1·x, alpha = a1·x0 = x^((p-1)/2)
+	var a1, x0, alpha, minusOne, cand Fp2
+	a1.expFixed(x, &pMinus3Over4)
+	x0.Mul(&a1, x)
+	alpha.Mul(&a1, &x0)
+	if alpha.Equal(minusOne.Neg(Fp2One())) {
 		// candidate = i·x0
-		i := &Fp2{C1: fp.One()}
-		cand = new(Fp2).Mul(i, x0)
+		cand.Mul(&Fp2{C1: fp.One()}, &x0)
 	} else {
 		// candidate = (1+alpha)^((p-1)/2) · x0
-		b := new(Fp2).Add(Fp2One(), alpha)
-		half := new(big.Int).Sub(P, big.NewInt(1))
-		half.Rsh(half, 1)
-		b.Exp(b, half)
-		cand = new(Fp2).Mul(b, x0)
+		cand.Add(Fp2One(), &alpha)
+		cand.expFixed(&cand, &pMinus1Over2)
+		cand.Mul(&cand, &x0)
 	}
-	if !new(Fp2).Square(cand).Equal(x) {
+	if !a1.Square(&cand).Equal(x) {
 		return nil
 	}
-	return z.Set(cand)
+	return z.Set(&cand)
 }
 
 // String renders z as "c0 + c1*i" in decimal.

@@ -2,9 +2,14 @@ package bn254
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/big"
+	"os"
+	"strings"
 	"testing"
+
+	"mccls/internal/bn254/fp"
 )
 
 // Tests for the p-power Frobenius shortcuts: the ψ-based G2 subgroup check
@@ -196,7 +201,7 @@ func FuzzG2GLVVsWNAF(f *testing.F) {
 // must split into halves of at most two bits, not run a full-width ladder.
 func TestGLVSplitOfMinusOne(t *testing.T) {
 	for _, k := range []*big.Int{big.NewInt(-1), big.NewInt(-2), big.NewInt(2)} {
-		k1, k2 := glvSplit(new(big.Int).Mod(k, Order))
+		k1, k2 := glvSplitBig(new(big.Int).Mod(k, Order))
 		if k1.BitLen() > 2 || k2.BitLen() > 2 {
 			t.Fatalf("glvSplit(%v mod r) = (%v, %v), want halves of at most 2 bits", k, k1, k2)
 		}
@@ -265,7 +270,7 @@ func TestFrobeniusShortcutOpCounts(t *testing.T) {
 	}{
 		{"IsInSubgroup", func() { q.IsInSubgroup() }},
 		{"IsInSubgroup(raw)", func() { raw.IsInSubgroup() }},
-		{"clearCofactor", func() { clearCofactor(raw) }},
+		{"clearCofactor", func() { clearCofactor(new(G2), raw) }},
 		{"ScalarMult", func() { new(G2).ScalarMult(q, big.NewInt(-1)) }},
 		{"Unmarshal", func() {
 			if err := new(G2).Unmarshal(q.Marshal()); err != nil {
@@ -302,5 +307,50 @@ func TestG2UnmarshalAllocs(t *testing.T) {
 		}
 	}); a > 1 {
 		t.Fatalf("G2.Unmarshal allocates %v times, want at most 1", a)
+	}
+}
+
+// TestHashToG2Pinned pins 64 identity hashes Q_ID = H1(ID), computed at the
+// commit before Fp2.Sqrt moved to fixed-window chains and HashToG2 gained
+// its Euler pre-check and limb reads (testdata/hash_to_g2_vectors.txt: one
+// "identity hex(Marshal)" pair per line, under core's H1 domain). A moved
+// root, a skipped candidate or a different reduction of the hashed x
+// changes every enrolled key in the field.
+func TestHashToG2Pinned(t *testing.T) {
+	raw, err := os.ReadFile("testdata/hash_to_g2_vectors.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 64 {
+		t.Fatalf("%d vectors, want 64", len(lines))
+	}
+	for _, line := range lines {
+		id, want, _ := strings.Cut(line, " ")
+		if got := hex.EncodeToString(HashToG2("mccls/v1/H1", []byte(id)).Marshal()); got != want {
+			t.Fatalf("H1(%q) moved:\n got %s\nwant %s", id, got, want)
+		}
+	}
+}
+
+// TestFp2SqrtMatchesBigExponentChain compares the fixed-window Sqrt with
+// the big.Int-exponent form it replaced — same root or same refusal — and
+// IsSquare with both, on random elements, Fp-embedded elements and zero.
+func TestFp2SqrtMatchesBigExponentChain(t *testing.T) {
+	r := testRand()
+	xs := []*Fp2{Fp2Zero(), Fp2One(), new(Fp2).Neg(Fp2One()), {C1: fp.One()}}
+	for i := 0; i < 40; i++ {
+		x := randFp2(r)
+		xs = append(xs, x, new(Fp2).Square(x), &Fp2{C0: x.C0})
+	}
+	for _, x := range xs {
+		want := fp2SqrtBigExp(x)
+		got := new(Fp2).Sqrt(x)
+		if (got == nil) != (want == nil) || (got != nil && !got.Equal(want)) {
+			t.Fatalf("Sqrt(%v) = %v, big-exponent chain %v", x, got, want)
+		}
+		if x.IsSquare() != (want != nil) {
+			t.Fatalf("IsSquare(%v) = %v disagrees with Sqrt", x, x.IsSquare())
+		}
 	}
 }

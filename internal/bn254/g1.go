@@ -8,6 +8,7 @@ import (
 	"math/big"
 
 	"mccls/internal/bn254/fp"
+	"mccls/internal/bn254/fr"
 )
 
 // G1 is a point of the order-r group E(Fp): y² = x³ + 3, in affine
@@ -128,7 +129,7 @@ func (z *G1) Double(a *G1) *G1 {
 // ScalarMult sets z = k·a via GLV decomposition and a joint wNAF ladder
 // (see glv.go), k reduced modulo r first (the split keeps -k as short as k).
 //
-// With Montgomery-form arithmetic a field inversion costs hundreds of
+// With Montgomery-form arithmetic a field inversion costs about a hundred
 // multiplications, so the affine ladder that was competitive on math/big
 // (one inversion per step ≈ one generic reduction) is no longer; the
 // Jacobian path defers to a single inversion at the end, and the GLV split
@@ -136,29 +137,26 @@ func (z *G1) Double(a *G1) *G1 {
 // the differential oracle (g1ScalarMultJac, TestG1GLVMatchesJacobian), the
 // affine one in oracle_test.go (TestJacobianMatchesAffine); see DESIGN.md
 // §5–6.
-func (z *G1) ScalarMult(a *G1, k *big.Int) *G1 {
+func (z *G1) ScalarMult(a *G1, k *big.Int) *G1 { return z.ScalarMultFr(a, frFromBig(k)) }
+
+// ScalarMultFr is ScalarMult for a limb-typed scalar: the implementation.
+func (z *G1) ScalarMultFr(a *G1, k *fr.Element) *G1 {
 	opCounters.g1Mults.Add(1)
-	e := new(big.Int).Mod(k, Order)
-	return z.Set(g1ScalarMultGLV(a, e))
+	limbs := k.Limbs()
+	return g1ScalarMultGLV(z, a, &limbs)
 }
 
 // ScalarBaseMult sets z = k·G where G is the canonical generator, using the
 // precomputed fixed-base window table (table.go): ~32 mixed additions, no
 // doublings, one inversion.
-func (z *G1) ScalarBaseMult(k *big.Int) *G1 {
-	opCounters.g1Mults.Add(1)
-	e := new(big.Int).Mod(k, Order)
-	return z.Set(g1ScalarBaseMultAdd(e, nil))
-}
+func (z *G1) ScalarBaseMult(k *big.Int) *G1 { return z.ScalarBaseMultAddFr(frFromBig(k), nil) }
 
 // ScalarBaseMultAdd sets z = k·G + q, folding the extra addition into the
 // fixed-base accumulation so the sum costs no additional normalization.
 // Verify uses this to compute (V·h⁻¹)·P - R in one pass. q may be the
 // identity.
 func (z *G1) ScalarBaseMultAdd(k *big.Int, q *G1) *G1 {
-	opCounters.g1Mults.Add(1)
-	e := new(big.Int).Mod(k, Order)
-	return z.Set(g1ScalarBaseMultAdd(e, q))
+	return z.ScalarBaseMultAddFr(frFromBig(k), q)
 }
 
 // g1MarshalledSize is the byte length of a marshalled G1 point.
@@ -166,15 +164,15 @@ const g1MarshalledSize = 64
 
 // Marshal encodes z as X‖Y, 32 big-endian bytes each. The identity encodes
 // as all zeroes.
-func (z *G1) Marshal() []byte {
-	out := make([]byte, g1MarshalledSize)
+func (z *G1) Marshal() []byte { return z.AppendMarshal(make([]byte, 0, g1MarshalledSize)) }
+
+// AppendMarshal appends the Marshal encoding of z to dst.
+func (z *G1) AppendMarshal(dst []byte) []byte {
 	if z.Inf {
-		return out
+		return append(dst, make([]byte, g1MarshalledSize)...)
 	}
 	xb, yb := z.X.Bytes(), z.Y.Bytes()
-	copy(out[:32], xb[:])
-	copy(out[32:], yb[:])
-	return out
+	return append(append(dst, xb[:]...), yb[:]...)
 }
 
 var (
@@ -204,27 +202,35 @@ func (z *G1) Unmarshal(data []byte) error {
 }
 
 // hashBlock derives 32-byte blocks from (domain, msg) via
-// SHA-256(domain ‖ counter ‖ msg).
-func hashBlock(domain string, msg []byte, counter uint32) []byte {
-	h := sha256.New()
-	h.Write([]byte(domain))
-	var ctr [4]byte
-	binary.BigEndian.PutUint32(ctr[:], counter)
-	h.Write(ctr[:])
-	h.Write(msg)
-	return h.Sum(nil)
+// SHA-256(domain ‖ suffix ‖ counter ‖ msg); suffix separates the
+// coordinates HashToG2 draws under one domain. Inputs that fit the stack
+// buffer — every identity and routing message in the tree — allocate
+// nothing.
+func hashBlock(domain, suffix string, msg []byte, counter uint32) [32]byte {
+	var stack [256]byte
+	buf := append(append(stack[:0], domain...), suffix...)
+	buf = binary.BigEndian.AppendUint32(buf, counter)
+	return sha256.Sum256(append(buf, msg...))
 }
 
-// HashToScalar maps an arbitrary message to a nonzero scalar in Zr*,
-// reducing 512 bits of hash output to keep the bias negligible.
-func HashToScalar(domain string, msg []byte) *big.Int {
+// HashToFr maps an arbitrary message to a nonzero scalar in Zr*, reducing
+// 512 bits of hash output to keep the bias negligible.
+func HashToFr(domain string, msg []byte) (k fr.Element) {
 	for counter := uint32(0); ; counter += 2 {
-		wide := append(hashBlock(domain, msg, counter), hashBlock(domain, msg, counter+1)...)
-		k := new(big.Int).Mod(new(big.Int).SetBytes(wide), Order)
-		if k.Sign() != 0 {
+		var wide [64]byte
+		lo, hi := hashBlock(domain, "", msg, counter), hashBlock(domain, "", msg, counter+1)
+		copy(wide[:32], lo[:])
+		copy(wide[32:], hi[:])
+		if !k.SetBytesWide(&wide).IsZero() {
 			return k
 		}
 	}
+}
+
+// HashToScalar is HashToFr at the *big.Int boundary.
+func HashToScalar(domain string, msg []byte) *big.Int {
+	k := HashToFr(domain, msg)
+	return k.BigInt()
 }
 
 // String renders the point for debugging.

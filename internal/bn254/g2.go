@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"mccls/internal/bn254/fp"
+	"mccls/internal/bn254/fr"
 )
 
 // G2 is a point of the order-r subgroup of the sextic twist
@@ -160,9 +161,13 @@ func (z *G2) Double(a *G2) *G2 {
 // (glv.go) keeps a negative k as short as |k|. The endomorphism is a scalar
 // only on the order-r subgroup, so a must be a decoded (subgroup-checked) or
 // derived point, never a raw point of the twist.
-func (z *G2) ScalarMult(a *G2, k *big.Int) *G2 {
+func (z *G2) ScalarMult(a *G2, k *big.Int) *G2 { return z.ScalarMultFr(a, frFromBig(k)) }
+
+// ScalarMultFr is ScalarMult for a limb-typed scalar: the implementation.
+func (z *G2) ScalarMultFr(a *G2, k *fr.Element) *G2 {
 	opCounters.g2Mults.Add(1)
-	return z.Set(g2ScalarMultGLV(a, new(big.Int).Mod(k, Order)))
+	limbs := k.Limbs()
+	return g2ScalarMultGLV(z, a, &limbs)
 }
 
 // ScalarBaseMult sets z = k·G where G is the canonical generator.
@@ -173,15 +178,18 @@ const g2MarshalledSize = 128
 
 // Marshal encodes z as X.C0‖X.C1‖Y.C0‖Y.C1, 32 big-endian bytes each. The
 // identity encodes as all zeroes.
-func (z *G2) Marshal() []byte {
-	out := make([]byte, g2MarshalledSize)
+func (z *G2) Marshal() []byte { return z.AppendMarshal(make([]byte, 0, g2MarshalledSize)) }
+
+// AppendMarshal appends the Marshal encoding of z to dst.
+func (z *G2) AppendMarshal(dst []byte) []byte {
 	if z.Inf {
-		return out
+		return append(dst, make([]byte, g2MarshalledSize)...)
 	}
-	for i, e := range [...][32]byte{z.X.C0.Bytes(), z.X.C1.Bytes(), z.Y.C0.Bytes(), z.Y.C1.Bytes()} {
-		copy(out[32*i:32*(i+1)], e[:])
+	for _, c := range [...]*fp.Element{&z.X.C0, &z.X.C1, &z.Y.C0, &z.Y.C1} {
+		b := c.Bytes()
+		dst = append(dst, b[:]...)
 	}
-	return out
+	return dst
 }
 
 // Unmarshal decodes a point produced by Marshal, validating both curve and
@@ -211,10 +219,10 @@ func (z *G2) Unmarshal(data []byte) error {
 // clearCofactor returns [2p - r]q for any non-identity point q of the twist.
 // ψ² - tψ + p = 0 on all of E'(Fp2) and 2p - r = p + t - 1, so exactly
 // [2p - r]q = R + ψ(R) + ψ(q) - ψ²(q) with R = [t - 1]q = [6u²]q: a 127-bit
-// ladder yields the same point as the 254-bit one.
-func clearCofactor(q *G2) *G2 {
+// ladder yields the same point as the 254-bit one. The result lands in z.
+func clearCofactor(z, q *G2) *G2 {
 	opCounters.g2Mults.Add(1)
-	acc := g2JacMultWNAF(q, sixUSquared)
+	acc := g2JacMultWNAF(q, sixUSquaredWNAF)
 	t := acc
 	t.frobeniusTwist()
 	acc.add(&t)
@@ -222,32 +230,36 @@ func clearCofactor(q *G2) *G2 {
 	acc.addMixed(pq.frobeniusTwist(q))
 	pq.frobeniusTwist(&pq)
 	acc.addMixed(pq.Neg(&pq))
-	return acc.affine()
+	return acc.affine(z)
 }
 
 // HashToG2 maps an arbitrary message into the order-r subgroup of the twist
 // by try-and-increment on the x-coordinate followed by cofactor clearing
-// (multiplication by 2p - r).
+// (multiplication by 2p - r). Half of all candidates have no square root;
+// Euler's criterion on the Fp norm of x³ + b' (a square in Fp2 exactly
+// when its norm is one in Fp) turns those away for one base-field
+// exponentiation instead of the two Fp2 exponentiations of Sqrt.
 func HashToG2(domain string, msg []byte) *G2 {
 	for counter := uint32(0); ; counter++ {
-		b0 := hashBlock(domain+"/x0", msg, counter)
-		b1 := hashBlock(domain+"/x1", msg, counter)
-		x := fp2FromBig(new(big.Int).SetBytes(b0), new(big.Int).SetBytes(b1))
-		var rhs, y Fp2
-		rhs.Square(x)
-		rhs.Mul(&rhs, x)
+		b0 := hashBlock(domain, "/x0", msg, counter)
+		b1 := hashBlock(domain, "/x1", msg, counter)
+		var pt G2
+		pt.X.C0.SetBytes(b0[:])
+		pt.X.C1.SetBytes(b1[:])
+		var rhs Fp2
+		rhs.Square(&pt.X)
+		rhs.Mul(&rhs, &pt.X)
 		rhs.Add(&rhs, twistB)
-		if y.Sqrt(&rhs) == nil {
+		if !rhs.IsSquare() || pt.Y.Sqrt(&rhs) == nil {
 			continue
 		}
 		if b0[len(b0)-1]&1 == 1 {
-			y.Neg(&y)
+			pt.Y.Neg(&pt.Y)
 		}
-		pt := clearCofactor(&G2{X: *x, Y: y})
-		if pt.IsInfinity() {
+		if clearCofactor(&pt, &pt).IsInfinity() {
 			continue
 		}
-		return pt
+		return new(G2).Set(&pt)
 	}
 }
 

@@ -2,6 +2,7 @@ package bn254
 
 import (
 	"math/big"
+	"math/bits"
 
 	"mccls/internal/bn254/fp"
 )
@@ -32,9 +33,14 @@ var (
 	glvLambda *big.Int
 	// glvBetaG2 is the cube root of unity in Fp with (β·x, y) = λ·Q on G2.
 	glvBetaG2 fp.Element
-	// glvV1 = (a1, b1) and glvV2 = (a2, b2) are short lattice vectors with
-	// a + b·λ ≡ 0 (mod r), used for Babai rounding in glvSplit.
-	glvA1, glvB1, glvA2, glvB2 *big.Int
+	// The Babai rounding of glvSplit in limbs, from the short lattice
+	// vectors v1 = (a1, b1), v2 = (a2, b2) with a + b·λ ≡ 0 (mod r):
+	// glvG[i] = round(2^256·|nᵢ|/r) for the numerators n = (b2, -b1), so
+	// that mᵢ = round(k·glvG[i]/2^256) ≈ |k·nᵢ/r|, and glvN[h][i] the
+	// coordinate of -sign(nᵢ)·vᵢ that half h picks up per unit of mᵢ, as a
+	// two's-complement 256-bit integer.
+	glvG [2]fp.Element
+	glvN [2][2][4]uint64
 )
 
 // cubeRootOfUnity returns a primitive cube root of unity modulo the odd
@@ -72,12 +78,22 @@ func init() {
 			panic("bn254: no eigenvalue matches the GLV endomorphism")
 		}
 	}
-	glvA1, glvB1, glvA2, glvB2 = glvLattice(Order, glvLambda)
+	a1, b1, a2, b2 := glvLattice(Order, glvLambda)
+	two256 := new(big.Int).Lsh(big.NewInt(1), 256)
+	for i, v := range [2][3]*big.Int{{b2, a1, b1}, {new(big.Int).Neg(b1), a2, b2}} {
+		g := new(big.Int).Abs(v[0])
+		g.Lsh(g, 257).Div(g, Order).Add(g, big.NewInt(1)).Rsh(g, 1) // round(2^256·|n|/r)
+		glvG[i] = fp.Element(scalarLimbs(g))
+		for h, coord := range v[1:] {
+			n := new(big.Int).Mul(coord, big.NewInt(int64(-v[0].Sign())))
+			glvN[h][i] = scalarLimbs(n.Mod(n, two256))
+		}
+	}
 	// On G2 the same β acts as λ², so β² = β̄ acts as λ⁴ = λ.
 	glvBetaG2.Square(&glvBeta)
 	phiQ := &G2{Y: g2Gen.Y}
 	phiQ.X.MulScalar(&g2Gen.X, &glvBetaG2)
-	if lq := g2JacMultWNAF(g2Gen, glvLambda); !phiQ.Equal(lq.affine()) {
+	if lq := g2JacMultWNAF(g2Gen, wnafDigits(nil, scalarLimbs(glvLambda), wnafWindow)); !phiQ.Equal(lq.affine(new(G2))) {
 		panic("bn254: β² does not act as the GLV eigenvalue on G2")
 	}
 }
@@ -113,52 +129,75 @@ func glvLattice(r, lambda *big.Int) (a1, b1, a2, b2 *big.Int) {
 	return a1, b1, a2, b2
 }
 
-// roundDiv returns round(x/y) for y > 0, rounding half away from floor:
-// floor((2x + y) / 2y).
-func roundDiv(x, y *big.Int) *big.Int {
-	n := new(big.Int).Lsh(x, 1)
-	n.Add(n, y)
-	d := new(big.Int).Lsh(y, 1)
-	return n.Div(n, d) // big.Int Div is Euclidean: floor for d > 0
+// glvSplit decomposes k ∈ [0, r) as k ≡ ±k1 ± k2·λ (mod r), returning the
+// magnitudes and signs of the two halves, each bounded by the lattice
+// diameter (≈ √r; the sub-scalar bound test pins < 2^130). Babai rounding:
+// subtract from (k, 0) its closest lattice approximation c1·v1 + c2·v2,
+// with cᵢ taken from a 256-bit fixed-point reciprocal of r — off by at
+// most one from the exact rounding, which only moves the halves by one
+// short vector. All of it is 256-bit limb arithmetic modulo 2^256; the
+// halves are far shorter, so their two's-complement sign bit is exact.
+func glvSplit(k *[4]uint64) (k1, k2 [4]uint64, neg1, neg2 bool) {
+	k1 = *k
+	for i := range glvG {
+		var w fp.Wide
+		w.Mul((*fp.Element)(k), &glvG[i])
+		var m [4]uint64 // the high half, rounded on the top bit of the low half
+		c := w[3] >> 63
+		for j := range m {
+			m[j], c = bits.Add64(w[4+j], 0, c)
+		}
+		addMulLow(&k1, &m, &glvN[0][i])
+		addMulLow(&k2, &m, &glvN[1][i])
+	}
+	neg1, neg2 = absLimbs(&k1), absLimbs(&k2)
+	return k1, k2, neg1, neg2
 }
 
-// glvSplit decomposes k ∈ [0, r) as k ≡ k1 + k2·λ (mod r) with
-// |k1|, |k2| bounded by the lattice diameter (≈ √r; the sub-scalar bound
-// test pins ≤ 2^129). Babai rounding: subtract from (k, 0) its closest
-// lattice approximation c1·v1 + c2·v2.
-func glvSplit(k *big.Int) (k1, k2 *big.Int) {
-	c1 := roundDiv(new(big.Int).Mul(glvB2, k), Order)
-	c2 := roundDiv(new(big.Int).Neg(new(big.Int).Mul(glvB1, k)), Order)
-	k1 = new(big.Int).Set(k)
-	k1.Sub(k1, new(big.Int).Mul(c1, glvA1))
-	k1.Sub(k1, new(big.Int).Mul(c2, glvA2))
-	k2 = new(big.Int).Neg(new(big.Int).Mul(c1, glvB1))
-	k2.Sub(k2, new(big.Int).Mul(c2, glvB2))
-	return k1, k2
+// addMulLow sets z += x·y mod 2^256.
+func addMulLow(z, x, y *[4]uint64) {
+	var w fp.Wide
+	w.Mul((*fp.Element)(x), (*fp.Element)(y))
+	var c uint64
+	for j := range z {
+		z[j], c = bits.Add64(z[j], w[j], c)
+	}
 }
 
-// g1OddMultiples returns [P, 3P, 5P, …, (2n-1)P] in affine coordinates,
+// absLimbs replaces the two's-complement integer z by |z| and reports
+// whether it was negative.
+func absLimbs(z *[4]uint64) (neg bool) {
+	mask := -(z[3] >> 63)
+	c := mask & 1
+	for j := range z {
+		z[j], c = bits.Add64(z[j]^mask, 0, c)
+	}
+	return mask != 0
+}
+
+// g1OddMultiples fills tab with [P, 3P, 5P, …] in affine coordinates,
 // using Jacobian additions and one batched normalization. a must not be
 // the identity.
-func g1OddMultiples(a *G1, n int) []G1 {
+func g1OddMultiples(tab *[wnafTableSize]G1, a *G1) {
 	var d g1Jac
 	d.fromAffine(a)
 	d.double()
-	twoA := d.affine() // y = 0 (two-torsion) collapses to infinity here
-	js := make([]g1Jac, n)
+	var twoA G1
+	d.affine(&twoA) // y = 0 (two-torsion) collapses to infinity here
+	var js [wnafTableSize]g1Jac
 	js[0].fromAffine(a)
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(js); i++ {
 		js[i] = js[i-1]
 		if !twoA.Inf {
-			js[i].addMixed(twoA)
+			js[i].addMixed(&twoA)
 		}
 	}
-	return g1BatchAffine(js)
+	g1BatchAffine(tab[:], js[:])
 }
 
 // addDigit adds the multiple a wNAF digit d selects from the odd-multiples
 // table tab (entry i holds (2i+1)·P) to j.
-func (j *g1Jac) addDigit(tab []G1, d int8) {
+func (j *g1Jac) addDigit(tab *[wnafTableSize]G1, d int8) {
 	if d == 0 {
 		return
 	}
@@ -172,58 +211,59 @@ func (j *g1Jac) addDigit(tab []G1, d int8) {
 	j.addMixed(&pt)
 }
 
-// g1ScalarMultGLV computes k·a for k ∈ [0, r) via GLV decomposition and a
-// joint width-5 wNAF ladder over the odd-multiple tables of a and φ(a),
-// each negated up front when its half-scalar is.
-func g1ScalarMultGLV(a *G1, k *big.Int) *G1 {
-	if a.Inf || k.Sign() == 0 {
-		return G1Infinity()
+// g1ScalarMultGLV sets z = k·a for k ∈ [0, r) (plain limbs) via GLV
+// decomposition and a joint width-5 wNAF ladder over the odd-multiple
+// tables of a and φ(a), each negated up front when its half-scalar is.
+func g1ScalarMultGLV(z, a *G1, k *[4]uint64) *G1 {
+	if a.Inf || *k == [4]uint64{} {
+		return z.Set(G1Infinity())
 	}
-	k1, k2 := glvSplit(k)
-	tab := g1OddMultiples(a, wnafTableSize)
-	tabPhi := make([]G1, len(tab))
+	k1, k2, neg1, neg2 := glvSplit(k)
+	var tab, tabPhi [wnafTableSize]G1
+	g1OddMultiples(&tab, a)
 	for i := range tab {
 		// φ distributes over addition, so φ(table) is β·x on each entry.
 		tabPhi[i] = tab[i]
 		tabPhi[i].X.Mul(&tab[i].X, &glvBeta)
-		if k1.Sign() < 0 {
+		if neg1 {
 			tab[i].Neg(&tab[i])
 		}
-		if k2.Sign() < 0 {
+		if neg2 {
 			tabPhi[i].Neg(&tabPhi[i])
 		}
 	}
-	d1 := wnafDigits(k1.Abs(k1), wnafWindow)
-	d2 := wnafDigits(k2.Abs(k2), wnafWindow)
+	var b1, b2 [wnafMaxDigits]int8
+	d1, d2 := wnafDigits(b1[:0], k1, wnafWindow), wnafDigits(b2[:0], k2, wnafWindow)
 	var acc g1Jac
 	acc.setInfinity()
 	for i := max(len(d1), len(d2)) - 1; i >= 0; i-- {
 		acc.double()
 		if i < len(d1) {
-			acc.addDigit(tab, d1[i])
+			acc.addDigit(&tab, d1[i])
 		}
 		if i < len(d2) {
-			acc.addDigit(tabPhi, d2[i])
+			acc.addDigit(&tabPhi, d2[i])
 		}
 	}
-	return acc.affine()
+	return acc.affine(z)
 }
 
 // g2OddMultiples is the G2 counterpart of g1OddMultiples.
-func g2OddMultiples(a *G2, n int) []G2 {
+func g2OddMultiples(tab *[wnafTableSize]G2, a *G2) {
 	var d g2Jac
 	d.fromAffine(a)
 	d.double()
-	twoA := d.affine()
-	js := make([]g2Jac, n)
+	var twoA G2
+	d.affine(&twoA)
+	var js [wnafTableSize]g2Jac
 	js[0].fromAffine(a)
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(js); i++ {
 		js[i] = js[i-1]
 		if !twoA.Inf {
-			js[i].addMixed(twoA)
+			js[i].addMixed(&twoA)
 		}
 	}
-	return g2BatchAffine(js)
+	g2BatchAffine(tab[:], js[:])
 }
 
 // addDigit adds the multiple a wNAF digit d selects from the odd-multiples
@@ -258,36 +298,40 @@ func g2JointWNAF(d1 []int8, tab1 []G2, d2 []int8, tab2 []G2) (acc g2Jac) {
 	return acc
 }
 
-// g2JacMultWNAF computes k·a for any point a of the twist and any
-// non-negative k, neither reduced nor assumed in the order-r subgroup (the
-// cofactor clearing passes raw hash-to-curve points), by a width-5 wNAF
-// ladder: ~k/6 additions instead of ~k/2. The result stays Jacobian so
+// g2JacMultWNAF computes k·a for any point a of the twist and the width-5
+// wNAF digits of any non-negative k, neither reduced nor assumed in the
+// order-r subgroup (the cofactor clearing passes raw hash-to-curve
+// points): ~k/6 additions instead of ~k/2. The result stays Jacobian so
 // callers can keep adding.
-func g2JacMultWNAF(a *G2, k *big.Int) g2Jac {
-	return g2JointWNAF(wnafDigits(k, wnafWindow), g2OddMultiples(a, wnafTableSize), nil, nil)
+func g2JacMultWNAF(a *G2, digits []int8) g2Jac {
+	var tab [wnafTableSize]G2
+	g2OddMultiples(&tab, a)
+	return g2JointWNAF(digits, tab[:], nil, nil)
 }
 
-// g2ScalarMultGLV computes k·a for a in the order-r subgroup and k ∈ [0, r)
-// via the GLV decomposition and a joint wNAF ladder over the odd-multiple
-// tables of a and φ(a), each negated up front when its half-scalar is.
-func g2ScalarMultGLV(a *G2, k *big.Int) *G2 {
-	if a.Inf || k.Sign() == 0 {
-		return G2Infinity()
+// g2ScalarMultGLV sets z = k·a for a in the order-r subgroup and
+// k ∈ [0, r) (plain limbs) via the GLV decomposition and a joint wNAF
+// ladder over the odd-multiple tables of a and φ(a), each negated up front
+// when its half-scalar is.
+func g2ScalarMultGLV(z, a *G2, k *[4]uint64) *G2 {
+	if a.Inf || *k == [4]uint64{} {
+		return z.Set(G2Infinity())
 	}
-	k1, k2 := glvSplit(k)
-	tab := g2OddMultiples(a, wnafTableSize)
-	tabPhi := make([]G2, len(tab))
+	k1, k2, neg1, neg2 := glvSplit(k)
+	var tab, tabPhi [wnafTableSize]G2
+	g2OddMultiples(&tab, a)
 	for i := range tab {
 		// φ distributes over addition, so φ(table) is β·x on each entry.
 		tabPhi[i] = tab[i]
 		tabPhi[i].X.MulScalar(&tab[i].X, &glvBetaG2)
-		if k1.Sign() < 0 {
+		if neg1 {
 			tab[i].Neg(&tab[i])
 		}
-		if k2.Sign() < 0 {
+		if neg2 {
 			tabPhi[i].Neg(&tabPhi[i])
 		}
 	}
-	acc := g2JointWNAF(wnafDigits(k1.Abs(k1), wnafWindow), tab, wnafDigits(k2.Abs(k2), wnafWindow), tabPhi)
-	return acc.affine()
+	var b1, b2 [wnafMaxDigits]int8
+	acc := g2JointWNAF(wnafDigits(b1[:0], k1, wnafWindow), tab[:], wnafDigits(b2[:0], k2, wnafWindow), tabPhi[:])
+	return acc.affine(z)
 }

@@ -38,18 +38,19 @@ func (j *g1Jac) fromAffine(p *G1) {
 
 func (j *g1Jac) isInfinity() bool { return j.z.IsZero() }
 
-func (j *g1Jac) affine() *G1 {
+// affine writes j into out in affine coordinates and returns out.
+func (j *g1Jac) affine(out *G1) *G1 {
 	if j.isInfinity() {
-		return G1Infinity()
+		return out.Set(G1Infinity())
 	}
 	var zInv, zInv2, zInv3 fp.Element
 	fpMustInverse(&zInv, &j.z)
 	zInv2.Square(&zInv)
 	zInv3.Mul(&zInv2, &zInv)
-	var out G1
 	out.X.Mul(&j.x, &zInv2)
 	out.Y.Mul(&j.y, &zInv3)
-	return &out
+	out.Inf = false
+	return out
 }
 
 // double sets j = 2j in place using the a=0 dbl-2009-l formulas.
@@ -85,17 +86,21 @@ func (j *g1Jac) double() {
 	j.y.Sub(&t, &c) // Y3 = E(D-X3) - 8C
 }
 
-// addMixed sets j = j + q in place for an affine, non-infinity q
-// (madd-2007-bl).
-func (j *g1Jac) addMixed(q *G1) {
+// addMixed sets j = j + q in place for an affine, non-infinity q.
+func (j *g1Jac) addMixed(q *G1) { j.addXY(&q.X, &q.Y) }
+
+// addXY sets j = j + (x, y) in place for an affine point given by its
+// coordinates (madd-2007-bl); the fixed-base table stores bare pairs.
+func (j *g1Jac) addXY(x, y *fp.Element) {
 	if j.isInfinity() {
-		j.fromAffine(q)
+		j.x, j.y = *x, *y
+		j.z.SetOne()
 		return
 	}
 	var z1z1, u2, s2 fp.Element
 	z1z1.Square(&j.z)
-	u2.Mul(&q.X, &z1z1)
-	s2.Mul(&q.Y, &j.z)
+	u2.Mul(x, &z1z1)
+	s2.Mul(y, &j.z)
 	s2.Mul(&s2, &z1z1)
 	if u2.Equal(&j.x) {
 		if !s2.Equal(&j.y) {
@@ -140,68 +145,63 @@ func (j *g1Jac) addMixed(q *G1) {
 // single field inversion (Montgomery's batch-inversion trick): one forward
 // pass accumulates prefix products of the Z coordinates, one inversion, and
 // one backward pass peels off per-point inverses. Points at infinity are
-// passed through untouched.
-func g1BatchAffine(js []g1Jac) []G1 {
-	out := make([]G1, len(js))
-	prefix := make([]fp.Element, len(js))
+// passed through untouched. The results land in out (len(out) == len(js)),
+// whose X slots double as the prefix-product scratch, so nothing allocates.
+func g1BatchAffine(out []G1, js []g1Jac) {
 	var acc fp.Element
 	acc.SetOne()
 	for i := range js {
-		if js[i].isInfinity() {
+		if out[i].Inf = js[i].isInfinity(); out[i].Inf {
 			continue
 		}
-		prefix[i] = acc
+		out[i].X = acc
 		acc.Mul(&acc, &js[i].z)
 	}
 	var inv fp.Element
 	fpMustInverse(&inv, &acc)
 	for i := len(js) - 1; i >= 0; i-- {
-		if js[i].isInfinity() {
-			out[i].Inf = true
+		if out[i].Inf {
 			continue
 		}
 		var zInv, zInv2, zInv3 fp.Element
-		zInv.Mul(&inv, &prefix[i])
+		zInv.Mul(&inv, &out[i].X)
 		inv.Mul(&inv, &js[i].z)
 		zInv2.Square(&zInv)
 		zInv3.Mul(&zInv2, &zInv)
 		out[i].X.Mul(&js[i].x, &zInv2)
 		out[i].Y.Mul(&js[i].y, &zInv3)
 	}
-	return out
 }
 
 // g2BatchAffine is the Fp2 counterpart of g1BatchAffine.
-func g2BatchAffine(js []g2Jac) []G2 {
-	out := make([]G2, len(js))
-	prefix := make([]Fp2, len(js))
+func g2BatchAffine(out []G2, js []g2Jac) {
 	acc := *Fp2One()
 	for i := range js {
-		if js[i].isInfinity() {
+		if out[i].Inf = js[i].isInfinity(); out[i].Inf {
 			continue
 		}
-		prefix[i] = acc
+		out[i].X = acc
 		acc.Mul(&acc, &js[i].z)
 	}
 	var inv Fp2
 	inv.Inverse(&acc)
 	for i := len(js) - 1; i >= 0; i-- {
-		if js[i].isInfinity() {
-			out[i].Inf = true
+		if out[i].Inf {
 			continue
 		}
 		var zInv, zInv2, zInv3 Fp2
-		zInv.Mul(&inv, &prefix[i])
+		zInv.Mul(&inv, &out[i].X)
 		inv.Mul(&inv, &js[i].z)
 		zInv2.Square(&zInv)
 		zInv3.Mul(&zInv2, &zInv)
 		out[i].X.Mul(&js[i].x, &zInv2)
 		out[i].Y.Mul(&js[i].y, &zInv3)
 	}
-	return out
 }
 
-// g1ScalarMultJac computes k·a (k already reduced and non-negative).
+// g1ScalarMultJac computes k·a (k already reduced and non-negative) by the
+// plain double-and-add ladder: the init-time check of the GLV constants
+// and the tests' differential oracle, on no per-call path.
 func g1ScalarMultJac(a *G1, k *big.Int) *G1 {
 	if a.Inf || k.Sign() == 0 {
 		return G1Infinity()
@@ -214,7 +214,7 @@ func g1ScalarMultJac(a *G1, k *big.Int) *G1 {
 			acc.addMixed(a)
 		}
 	}
-	return acc.affine()
+	return acc.affine(new(G1))
 }
 
 // g2Jac is a G2 point in Jacobian coordinates over Fp2. Z = 0 encodes
@@ -241,18 +241,19 @@ func (j *g2Jac) fromAffine(p *G2) {
 
 func (j *g2Jac) isInfinity() bool { return j.z.IsZero() }
 
-func (j *g2Jac) affine() *G2 {
+// affine writes j into out in affine coordinates and returns out.
+func (j *g2Jac) affine(out *G2) *G2 {
 	if j.isInfinity() {
-		return G2Infinity()
+		return out.Set(G2Infinity())
 	}
 	var zInv, zInv2, zInv3 Fp2
 	zInv.Inverse(&j.z)
 	zInv2.Square(&zInv)
 	zInv3.Mul(&zInv2, &zInv)
-	var out G2
 	out.X.Mul(&j.x, &zInv2)
 	out.Y.Mul(&j.y, &zInv3)
-	return &out
+	out.Inf = false
+	return out
 }
 
 func (j *g2Jac) double() {

@@ -141,6 +141,33 @@ func TestPairAllocs(t *testing.T) {
 	}
 }
 
+// TestScalarMultAllocs pins the variable-base ladders at the *big.Int
+// boundary: GLV split, wNAF digits, odd-multiple tables and the batched
+// normalisation all live on the stack, so what is left is the adapter's
+// reduction of an out-of-range scalar.
+func TestScalarMultAllocs(t *testing.T) {
+	p := new(G1).ScalarBaseMult(big.NewInt(7))
+	q := new(G2).ScalarBaseMult(big.NewInt(11))
+	k := new(big.Int).Rsh(Order, 1)
+	neg := big.NewInt(-1)
+	var zp G1
+	var zq G2
+	for _, tc := range []struct {
+		name string
+		run  func()
+		max  float64
+	}{
+		{"G2.ScalarMult", func() { zq.ScalarMult(q, k) }, 4},
+		{"G2.ScalarMult(-1)", func() { zq.ScalarMult(q, neg) }, 4},
+		{"G1.ScalarMult", func() { zp.ScalarMult(p, k) }, 4},
+		{"G1.ScalarBaseMult", func() { zp.ScalarBaseMult(k) }, 4},
+	} {
+		if a := testing.AllocsPerRun(10, tc.run); a > tc.max {
+			t.Errorf("%s allocates %v times, want at most %v", tc.name, a, tc.max)
+		}
+	}
+}
+
 // FuzzMillerLoopMultiVsSingle pins the lockstep kernel byte-identical to
 // the product of per-pair millerLoop results (the same ateNAF walk, one pair
 // at a time) on fuzzed batches, including infinity entries and length-1

@@ -1,6 +1,10 @@
 package bn254
 
-import "math/big"
+import (
+	"math/big"
+
+	"mccls/internal/bn254/fp"
+)
 
 // Reference implementations the differential tests and fuzzers compare the
 // production kernels against. None has a production caller, so they live
@@ -300,14 +304,39 @@ func g2ScalarMultJac(a *G2, k *big.Int) *G2 {
 			acc.addMixed(a)
 		}
 	}
-	return acc.affine()
+	return acc.affine(new(G2))
+}
+
+// wnafDigitsBig is the width-w NAF recoding over math/big the ladders
+// shipped with before the limb recoding: its oracle, and the recoding of
+// the test scalars wider than 256 bits.
+func wnafDigitsBig(k *big.Int, w uint) []int8 {
+	d := new(big.Int).Set(k)
+	out := make([]int8, 0, k.BitLen()+1)
+	mod := int64(1) << w
+	half := mod >> 1
+	r := new(big.Int)
+	for d.Sign() > 0 {
+		if d.Bit(0) == 1 {
+			v := r.And(d, big.NewInt(mod-1)).Int64() // d mod 2^w
+			if v >= half {
+				v -= mod
+			}
+			out = append(out, int8(v))
+			d.Sub(d, big.NewInt(v))
+		} else {
+			out = append(out, 0)
+		}
+		d.Rsh(d, 1)
+	}
+	return out
 }
 
 // g2ScalarMultWNAF is the width-agnostic wNAF ladder normalized to affine:
 // k·a for any twist point and any non-negative k.
 func g2ScalarMultWNAF(a *G2, k *big.Int) *G2 {
-	acc := g2JacMultWNAF(a, k)
-	return acc.affine()
+	acc := g2JacMultWNAF(a, wnafDigitsBig(k, wnafWindow))
+	return acc.affine(new(G2))
 }
 
 // g2Cofactor is #E'(Fp2)/r = 2p - r for BN curves: the scalar the
@@ -320,21 +349,64 @@ func g2InSubgroupByOrder(q *G2) bool {
 	return q.IsOnCurve() && g2ScalarMultWNAF(q, Order).IsInfinity()
 }
 
+// Exp sets z = x^e for a non-negative big.Int exponent by left-to-right
+// square-and-multiply: the oracle for expFixed and the Frobenius constants
+// (no shipped code exponentiates by a big.Int).
+func (z *Fp2) Exp(x *Fp2, e *big.Int) *Fp2 {
+	acc := Fp2One()
+	base := *x
+	for i := e.BitLen() - 1; i >= 0; i-- {
+		acc.Square(acc)
+		if e.Bit(i) == 1 {
+			acc.Mul(acc, &base)
+		}
+	}
+	return z.Set(acc)
+}
+
+// fp2SqrtBigExp is Fp2.Sqrt as it shipped before the fixed-window chains:
+// the same complex-extension algorithm with both exponents rebuilt as
+// big.Ints per call.
+func fp2SqrtBigExp(x *Fp2) *Fp2 {
+	if x.IsZero() {
+		return Fp2Zero()
+	}
+	e := new(big.Int).Sub(P, big.NewInt(3))
+	a1 := new(Fp2).Exp(x, e.Rsh(e, 2))
+	x0 := new(Fp2).Mul(a1, x)
+	alpha := new(Fp2).Mul(a1, x0)
+	var cand *Fp2
+	if alpha.Equal(new(Fp2).Neg(Fp2One())) {
+		cand = new(Fp2).Mul(&Fp2{C1: fp.One()}, x0)
+	} else {
+		b := new(Fp2).Add(Fp2One(), alpha)
+		half := new(big.Int).Sub(P, big.NewInt(1))
+		b.Exp(b, half.Rsh(half, 1))
+		cand = new(Fp2).Mul(b, x0)
+	}
+	if !new(Fp2).Square(cand).Equal(x) {
+		return nil
+	}
+	return cand
+}
+
 // hashToTwist derives the counter-th try-and-increment candidate of HashToG2
 // for (domain, msg) — a point of E'(Fp2) in no particular subgroup, or nil
 // when the hashed x has no y — in the code HashToG2 shipped with before the
 // ψ clearing, so the oracle below shares nothing with the new path.
 func hashToTwist(domain string, msg []byte, counter uint32) *G2 {
-	b0 := hashBlock(domain+"/x0", msg, counter)
-	b1 := hashBlock(domain+"/x1", msg, counter)
-	x := fp2FromBig(new(big.Int).SetBytes(b0), new(big.Int).SetBytes(b1))
+	b0 := hashBlock(domain, "/x0", msg, counter)
+	b1 := hashBlock(domain, "/x1", msg, counter)
+	x := fp2FromBig(new(big.Int).SetBytes(b0[:]), new(big.Int).SetBytes(b1[:]))
 	var rhs, y Fp2
 	rhs.Square(x)
 	rhs.Mul(&rhs, x)
 	rhs.Add(&rhs, twistB)
-	if y.Sqrt(&rhs) == nil {
+	root := fp2SqrtBigExp(&rhs)
+	if root == nil {
 		return nil
 	}
+	y = *root
 	if b0[len(b0)-1]&1 == 1 {
 		y.Neg(&y)
 	}

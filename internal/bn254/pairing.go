@@ -42,8 +42,8 @@ func (z *GT) Inverse(a *GT) *GT {
 // the ladder runs on cyclotomic squarings with a signed-window recoding.
 func (z *GT) Exp(a *GT, k *big.Int) *GT {
 	opCounters.gtExps.Add(1)
-	e := new(big.Int).Mod(k, Order)
-	z.v = new(Fp12).ExpCyclotomic(a.v, wnafDigits(e, cycWindow))
+	var buf [wnafMaxDigits]int8
+	z.v = new(Fp12).ExpCyclotomic(a.v, wnafDigits(buf[:0], frFromBig(k).Limbs(), cycWindow))
 	return z
 }
 

@@ -1,8 +1,10 @@
 package bn254
 
 import (
-	"math/big"
 	"sync"
+
+	"mccls/internal/bn254/fp"
+	"mccls/internal/bn254/fr"
 )
 
 // Fixed-base scalar multiplication for the G1 generator. The generator is
@@ -10,7 +12,9 @@ import (
 // repeated-doubling half of the ladder can be precomputed once: the table
 // stores d·2^(8j)·G for every byte window j and byte value d, turning a
 // 254-bit ScalarBaseMult into at most 32 mixed additions and zero
-// doublings. The table is ~570 KiB of affine points, built lazily behind a
+// doublings. The table is 510 KiB of bare (x, y) pairs — no entry is the
+// identity, so the 72-byte G1 with its flag would only dilute cache lines —
+// built lazily behind a
 // sync.Once (~8k Jacobian additions and one batched inversion, a few
 // milliseconds) and shared process-wide; core.Params.Precompute forces the
 // build at setup so first-request latency stays flat.
@@ -19,17 +23,17 @@ import (
 // reduced scalar.
 const baseTableWindows = 32
 
-// g1BaseTable[j][d-1] = d·2^(8j)·G in affine coordinates.
+// g1BaseTable[j][d-1] = d·2^(8j)·G as an affine (x, y) pair.
 var (
 	g1BaseTableOnce sync.Once
-	g1BaseTable     *[baseTableWindows][255]G1
+	g1BaseTable     *[baseTableWindows][255][2]fp.Element
 )
 
 // PrecomputeFixedBase builds the fixed-base generator table now instead of
 // on first use. Safe to call concurrently and more than once.
 func PrecomputeFixedBase() { g1FixedBaseTable() }
 
-func g1FixedBaseTable() *[baseTableWindows][255]G1 {
+func g1FixedBaseTable() *[baseTableWindows][255][2]fp.Element {
 	g1BaseTableOnce.Do(buildG1BaseTable)
 	return g1BaseTable
 }
@@ -44,7 +48,8 @@ func buildG1BaseTable() {
 			baseJacs[j].double()
 		}
 	}
-	bases := g1BatchAffine(baseJacs)
+	bases := make([]G1, len(baseJacs))
+	g1BatchAffine(bases, baseJacs)
 
 	// All 32·255 entries accumulate in Jacobian form, then one batched
 	// normalization replaces 8160 inversions with one.
@@ -57,33 +62,34 @@ func buildG1BaseTable() {
 			cur.addMixed(&bases[j])
 		}
 	}
-	affine := g1BatchAffine(entries)
+	affine := make([]G1, len(entries))
+	g1BatchAffine(affine, entries)
 
-	tab := new([baseTableWindows][255]G1)
-	for j := 0; j < baseTableWindows; j++ {
-		copy(tab[j][:], affine[j*255:(j+1)*255])
+	tab := new([baseTableWindows][255][2]fp.Element)
+	for i := range affine {
+		tab[i/255][i%255] = [2]fp.Element{affine[i].X, affine[i].Y}
 	}
 	g1BaseTable = tab
 }
 
-// g1ScalarBaseMultAdd computes k·G + extra for k ∈ [0, r) using the
-// fixed-base table, folding the optional extra point (Verify's -R) into the
-// same accumulation so the whole expression costs one final normalization.
-// extra may be nil.
-func g1ScalarBaseMultAdd(k *big.Int, extra *G1) *G1 {
+// ScalarBaseMultAddFr sets z = k·G + q using the fixed-base table, folding
+// the extra point (Verify's -R) into the same accumulation so the whole
+// expression costs one final normalization. q may be nil or the identity.
+// The window digits are the bytes of k's canonical limbs.
+func (z *G1) ScalarBaseMultAddFr(k *fr.Element, q *G1) *G1 {
+	opCounters.g1Mults.Add(1)
 	tab := g1FixedBaseTable()
-	var kb [32]byte
-	k.FillBytes(kb[:])
+	limbs := k.Limbs()
 	var acc g1Jac
 	acc.setInfinity()
 	for j := 0; j < baseTableWindows; j++ {
-		b := kb[31-j] // window j covers bits 8j..8j+7: big-endian byte 31-j
-		if b != 0 {
-			acc.addMixed(&tab[j][b-1])
+		if b := byte(limbs[j/8] >> (8 * (j % 8))); b != 0 {
+			e := &tab[j][b-1]
+			acc.addXY(&e[0], &e[1])
 		}
 	}
-	if extra != nil && !extra.Inf {
-		acc.addMixed(extra)
+	if q != nil && !q.Inf {
+		acc.addMixed(q)
 	}
-	return acc.affine()
+	return acc.affine(z)
 }

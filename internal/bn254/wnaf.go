@@ -1,34 +1,23 @@
 package bn254
 
-import "math/big"
+import (
+	"encoding/binary"
+	"math/big"
+	"math/bits"
+)
 
-// Scalar recodings shared by the GLV, windowed-NAF and cyclotomic
-// exponentiation fast paths. Both recodings are little-endian digit slices;
-// timing depends only on the scalar being recoded, which is public at every
-// call site (verification inputs, cofactors, the curve parameter u).
+// The signed-digit recoding shared by the GLV, windowed-NAF and cyclotomic
+// exponentiation fast paths. Digits are little-endian; timing depends on
+// the scalar being recoded (see DESIGN.md §6 "Non-guarantees").
 
-// nafDigits returns the non-adjacent form of a non-negative e: digits in
-// {-1, 0, 1}, no two adjacent nonzero. Average nonzero density is 1/3
-// versus 1/2 for binary, so ladders with cheap negation save a third of
-// their additions. It runs at init only: ateNAF for the Miller loop (a -1
-// digit adds -Q) and uNAF for the G2 subgroup check.
-func nafDigits(e *big.Int) []int8 {
-	d := new(big.Int).Set(e)
-	out := make([]int8, 0, e.BitLen()+1)
-	for d.Sign() > 0 {
-		if d.Bit(0) == 1 {
-			// r = d mod 4 ∈ {1, 3} → digit 1 or -1.
-			if d.Bit(1) == 0 {
-				out = append(out, 1)
-				d.Sub(d, big.NewInt(1))
-			} else {
-				out = append(out, -1)
-				d.Add(d, big.NewInt(1))
-			}
-		} else {
-			out = append(out, 0)
-		}
-		d.Rsh(d, 1)
+// scalarLimbs splits a non-negative k < 2^256 into little-endian limbs.
+// It is the init-time and boundary conversion; per-call code reads limbs
+// from fr.Element.
+func scalarLimbs(k *big.Int) (out [4]uint64) {
+	var buf [32]byte
+	k.FillBytes(buf[:])
+	for i := range out {
+		out[i] = binary.BigEndian.Uint64(buf[24-8*i:])
 	}
 	return out
 }
@@ -41,27 +30,38 @@ const wnafWindow = 5
 // wnafTableSize is the number of precomputed odd multiples per base.
 const wnafTableSize = 1 << (wnafWindow - 2)
 
-// wnafDigits returns the width-w NAF of a non-negative k: every nonzero
-// digit is odd with |d| < 2^(w-1), and any two nonzero digits are at least
-// w positions apart (average density 1/(w+1)).
-func wnafDigits(k *big.Int, w uint) []int8 {
-	d := new(big.Int).Set(k)
-	out := make([]int8, 0, k.BitLen()+1)
-	mod := int64(1) << w
-	half := mod >> 1
-	r := new(big.Int)
-	for d.Sign() > 0 {
-		if d.Bit(0) == 1 {
-			v := r.And(d, big.NewInt(mod-1)).Int64() // d mod 2^w
-			if v >= half {
-				v -= mod
+// wnafMaxDigits bounds the digits of a 256-bit scalar: a recoding can
+// carry one position past the top bit.
+const wnafMaxDigits = 257
+
+// wnafDigits appends the width-w NAF of k to dst and returns it: every
+// nonzero digit is odd with |d| < 2^(w-1), and any two nonzero digits are
+// at least w positions apart (average density 1/(w+1)). Width 2 is the
+// plain non-adjacent form, digits in {-1, 0, 1}: ateNAF for the Miller
+// loop (a -1 digit adds -Q) and uNAF for the G2 subgroup check. Callers on
+// a hot path pass a stack buffer of wnafMaxDigits capacity.
+func wnafDigits(dst []int8, k [4]uint64, w uint) []int8 {
+	d := [5]uint64{k[0], k[1], k[2], k[3]} // one spare limb for the top carry
+	mask := uint64(1)<<w - 1
+	for d[0]|d[1]|d[2]|d[3]|d[4] != 0 {
+		var digit int8
+		if d[0]&1 == 1 {
+			v := d[0] & mask // d mod 2^w
+			d[0] &^= mask
+			digit = int8(v)
+			if v > mask>>1 { // v ≥ 2^(w-1): emit v - 2^w and carry 2^w up
+				digit = int8(int64(v) - int64(mask) - 1)
+				c := mask + 1
+				for i := range d {
+					d[i], c = bits.Add64(d[i], c, 0)
+				}
 			}
-			out = append(out, int8(v))
-			d.Sub(d, big.NewInt(v))
-		} else {
-			out = append(out, 0)
 		}
-		d.Rsh(d, 1)
+		dst = append(dst, digit)
+		for i := 0; i < 4; i++ {
+			d[i] = d[i]>>1 | d[i+1]<<63
+		}
+		d[4] >>= 1
 	}
-	return out
+	return dst
 }

@@ -8,10 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"slices"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 	"mccls/internal/runner"
 )
 
@@ -116,14 +116,15 @@ func newWeightSeed(rng io.Reader) (*weightSeed, error) {
 }
 
 // at returns the weight for index i.
-func (w *weightSeed) at(i int) *big.Int {
+func (w *weightSeed) at(i int) (z fr.Element) {
 	var buf [40]byte
 	copy(buf[:32], w[:])
 	binary.BigEndian.PutUint64(buf[32:], uint64(i))
 	sum := sha256.Sum256(buf[:])
-	z := new(big.Int).SetBytes(sum[:weightBits/8])
-	if z.Sign() == 0 {
-		z.SetInt64(1) // zero would void the signature's equation; 2^-128 event
+	var wide [32]byte
+	copy(wide[32-weightBits/8:], sum[:weightBits/8])
+	if z.SetBytesCanonical(wide[:]); z.IsZero() {
+		return fr.One() // zero would void the signature's equation; 2^-128 event
 	}
 	return z
 }
@@ -141,8 +142,8 @@ type window struct {
 	pks  []*PublicKey
 	msgs [][]byte
 	sigs []*Signature
-	wa   []*bn254.G1
-	rho  []*big.Int
+	wa   []bn254.G1
+	rho  []fr.Element
 }
 
 // newWindow runs the shape checks and weighted-commitment precomputation
@@ -154,24 +155,22 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 		return nil, err
 	}
 	n := len(sigs)
-	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, wa: make([]*bn254.G1, n), rho: make([]*big.Int, n)}
+	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, wa: make([]bn254.G1, n), rho: make([]fr.Element, n)}
 	for i, sig := range sigs {
 		if err := checkShape(pks[i], sig); err != nil {
 			return nil, err
 		}
-		h := bv.vf.params.hashH2(msgs[i], sig.R, pks[i].PID)
-		hInv, err := invertH2(h)
+		k, err := bv.vf.params.vOverH(pks[i], msgs[i], sig)
 		if err != nil {
 			return nil, err
 		}
-		// ρᵢ·Aᵢ = (ρᵢ·Vᵢ·hᵢ⁻¹ mod r)·P - ρᵢ·Rᵢ: one fixed-base table pass
-		// plus one short-scalar mult.
-		rho := seed.at(i)
-		k := new(big.Int).Mul(sig.V, hInv)
-		k.Mul(k.Mod(k, bn254.Order), rho)
-		w.wa[i] = new(bn254.G1).ScalarBaseMultAdd(k,
-			new(bn254.G1).Neg(new(bn254.G1).ScalarMult(sig.R, rho)))
-		w.rho[i] = rho
+		// ρᵢ·Aᵢ = (ρᵢ·Vᵢ·hᵢ⁻¹)·P - ρᵢ·Rᵢ: one fixed-base table pass plus
+		// one short-scalar mult.
+		w.rho[i] = seed.at(i)
+		k.Mul(&k, &w.rho[i])
+		var rhoR bn254.G1
+		rhoR.ScalarMultFr(sig.R, &w.rho[i])
+		w.wa[i].ScalarBaseMultAddFr(&k, rhoR.Neg(&rhoR))
 	}
 	return w, nil
 }
@@ -184,24 +183,25 @@ func (w *window) check(idxs []int) bool {
 	ps := make([]*bn254.G1, 0, len(idxs)+1)
 	qs := make([]*bn254.G2, 0, len(idxs)+1)
 	var ids []string
-	var rhoSums []*big.Int // rhoSums[j] = Σρᵢ over the signatures under ids[j]
+	var rhoSums []fr.Element // rhoSums[j] = Σρᵢ over the signatures under ids[j]
 	for _, i := range idxs {
 		if g := slices.IndexFunc(qs, w.sigs[i].S.Equal); g >= 0 {
-			ps[g].Add(ps[g], w.wa[i])
+			ps[g].Add(ps[g], &w.wa[i])
 		} else {
-			ps = append(ps, new(bn254.G1).Set(w.wa[i]))
+			ps = append(ps, new(bn254.G1).Set(&w.wa[i]))
 			qs = append(qs, w.sigs[i].S)
 		}
 		if j := slices.Index(ids, w.pks[i].ID); j >= 0 {
-			rhoSums[j].Add(rhoSums[j], w.rho[i])
+			rhoSums[j].Add(&rhoSums[j], &w.rho[i])
 		} else {
 			ids = append(ids, w.pks[i].ID)
-			rhoSums = append(rhoSums, new(big.Int).Set(w.rho[i]))
+			rhoSums = append(rhoSums, w.rho[i])
 		}
 	}
 	qSum := bn254.G2Infinity()
+	var term bn254.G2
 	for j, id := range ids {
-		qSum.Add(qSum, new(bn254.G2).ScalarMult(w.vf.qid(id), rhoSums[j].Mod(rhoSums[j], bn254.Order)))
+		qSum.Add(qSum, term.ScalarMultFr(w.vf.qid(id), &rhoSums[j]))
 	}
 	ps = append(ps, new(bn254.G1).Neg(w.vf.params.Ppub))
 	qs = append(qs, qSum)

@@ -3,12 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
-	"math/big"
 	"slices"
 	"sync/atomic"
 	"testing"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // multiBatch builds n signatures spread across k distinct signers.
@@ -118,9 +118,9 @@ func (w *window) checkPairwise(idxs []int) bool {
 	var qs []*bn254.G2
 	qSum := bn254.G2Infinity()
 	for _, i := range idxs {
-		ps = append(ps, w.wa[i])
+		ps = append(ps, &w.wa[i])
 		qs = append(qs, w.sigs[i].S)
-		qSum.Add(qSum, new(bn254.G2).ScalarMult(w.vf.params.QID(w.pks[i].ID), w.rho[i]))
+		qSum.Add(qSum, new(bn254.G2).ScalarMult(w.vf.params.QID(w.pks[i].ID), w.rho[i].BigInt()))
 	}
 	ps = append(ps, new(bn254.G1).Neg(w.vf.params.Ppub))
 	qs = append(qs, qSum)
@@ -135,10 +135,10 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 	params := kgc.Params()
 	// zeroA is a signature whose commitment A = (V/h)·P - R is the point at
 	// infinity: R = k·P and V = h·k.
-	k := big.NewInt(77)
-	zeroR := new(bn254.G1).ScalarBaseMult(k)
-	zeroV := new(big.Int).Mul(params.hashH2(msgs[6], zeroR, pks[6].PID), k)
-	zeroA := &Signature{V: zeroV.Mod(zeroV, bn254.Order), S: sigs[6].S, R: zeroR}
+	k := fr.NewElement(77)
+	zeroR := new(bn254.G1).ScalarBaseMultAddFr(&k, nil)
+	zeroV := params.hashH2(msgs[6], zeroR, pks[6].PID)
+	zeroA := &Signature{V: *zeroV.Mul(&zeroV, &k), S: sigs[6].S, R: zeroR}
 
 	type edit func(pks []*PublicKey, msgs [][]byte, sigs []*Signature)
 	cases := []struct {
@@ -321,17 +321,17 @@ func TestWeightsDeterministicAndBounded(t *testing.T) {
 	w2, _ := newWeightSeed(bytes.NewReader(seed))
 	for i := 0; i < 100; i++ {
 		a, b := w1.at(i), w2.at(i)
-		if a.Cmp(b) != 0 {
+		if a != b {
 			t.Fatalf("weight %d not deterministic", i)
 		}
-		if a.Sign() == 0 {
+		if a.IsZero() {
 			t.Fatalf("weight %d is zero", i)
 		}
-		if a.BitLen() > weightBits {
-			t.Fatalf("weight %d has %d bits, cap %d", i, a.BitLen(), weightBits)
+		if bits := a.BigInt().BitLen(); bits > weightBits {
+			t.Fatalf("weight %d has %d bits, cap %d", i, bits, weightBits)
 		}
 	}
-	if w1.at(0).Cmp(w1.at(1)) == 0 {
+	if w1.at(0) == w1.at(1) {
 		t.Fatal("distinct indices yielded equal weights")
 	}
 	// Fresh random seeds must differ.
@@ -340,7 +340,7 @@ func TestWeightsDeterministicAndBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2, _ := newWeightSeed(nil)
-	if r1.at(0).Cmp(r2.at(0)) == 0 {
+	if r1.at(0) == r2.at(0) {
 		t.Fatal("independent seeds yielded equal weights")
 	}
 	if _, err := newWeightSeed(bytes.NewReader(seed[:5])); err == nil {
@@ -348,10 +348,9 @@ func TestWeightsDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-// TestZeroChallengeHashRejected pins the ModInverse guard: a challenge hash
-// h ≡ 0 (mod r) has no inverse and used to crash every verification path
-// with a nil-pointer dereference inside big.Int.Mul. All paths must instead
-// reject with ErrInvalidSignature.
+// TestZeroChallengeHashRejected pins the zero-challenge guard: a challenge
+// hash h ≡ 0 (mod r) has no inverse (fr.Inverse reports ok = false), and
+// every verification path must reject it with ErrInvalidSignature.
 func TestZeroChallengeHashRejected(t *testing.T) {
 	kgc, sk, _ := newTestSystem(t, "zero-h")
 	rng := fixedRand(92)
@@ -361,7 +360,7 @@ func TestZeroChallengeHashRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := kgc.Params()
-	params.h2Override = func([]byte, *bn254.G1, *bn254.G1) *big.Int { return new(big.Int) }
+	params.h2Override = func([]byte, *bn254.G1, *bn254.G1) fr.Element { return fr.Element{} }
 	vf := NewVerifier(params)
 	pk := sk.Public()
 	// Two-element windows, so the batch paths reach their own weighted

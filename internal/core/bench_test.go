@@ -52,3 +52,28 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	}
 }
+
+// TestSignVerifyAllocs pins the allocation budget of the two per-packet
+// operations now that no scalar is a big.Int: Sign allocates its result
+// (the Signature, S, R) and the nonce read buffer the io.Reader interface
+// forces to the heap; a warm Verify allocates the pairing's three values
+// and nothing for scalars, hashing or the commitment. Messages are
+// routing-sized, so H2's input fits its stack buffer.
+func TestSignVerifyAllocs(t *testing.T) {
+	kgc, sk, vf := newTestSystem(t, "allocs@manet")
+	msg := []byte("RREQ 7 from allocs@manet, forty-eight bytes long")
+	rng := fixedRand(2)
+	sig, err := Sign(kgc.Params(), sk, msg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vf.Verify(sk.Public(), msg, sig); err != nil { // warm the caches
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() { Sign(kgc.Params(), sk, msg, rng) }); a > 6 {
+		t.Errorf("Sign allocates %v times, want at most 6", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { vf.Verify(sk.Public(), msg, sig) }); a > 10 {
+		t.Errorf("warm Verify allocates %v times, want at most 10", a)
+	}
+}

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // fixedRand returns a deterministic randomness source for reproducible
@@ -63,12 +65,13 @@ func verifySpec(vf *Verifier, pk *PublicKey, msg []byte, sig *Signature) error {
 	if err := checkShape(pk, sig); err != nil {
 		return err
 	}
-	h := vf.params.hashH2(msg, sig.R, pk.PID)
-	hInv, err := invertH2(h)
-	if err != nil {
-		return err
+	hFr := vf.params.hashH2(msg, sig.R, pk.PID)
+	h := hFr.BigInt()
+	hInv := new(big.Int).ModInverse(h, bn254.Order)
+	if hInv == nil {
+		return fmt.Errorf("%w: challenge hash is zero mod r", ErrInvalidSignature)
 	}
-	left := new(bn254.G1).ScalarBaseMult(sig.V)
+	left := new(bn254.G1).ScalarBaseMult(sig.V.BigInt())
 	left.Add(left, new(bn254.G1).Neg(new(bn254.G1).ScalarMult(sig.R, h)))
 	s := new(bn254.G2).ScalarMult(sig.S, hInv)
 	if !bn254.Pair(left, s).Equal(vf.rhs(pk.ID)) {
@@ -113,7 +116,8 @@ func TestVerifyRejectsTampering(t *testing.T) {
 		}
 	})
 	t.Run("V", func(t *testing.T) {
-		bad := &Signature{V: new(big.Int).Add(sig.V, big.NewInt(1)), S: sig.S, R: sig.R}
+		one := fr.One()
+		bad := &Signature{V: *new(fr.Element).Add(&sig.V, &one), S: sig.S, R: sig.R}
 		if err := vf.Verify(sk.Public(), msg, bad); err == nil {
 			t.Fatal("accepted tampered V")
 		}
@@ -285,6 +289,16 @@ func TestSignatureMarshalRoundTrip(t *testing.T) {
 	if _, err := UnmarshalSignature(bad); err == nil {
 		t.Fatal("accepted zero V")
 	}
+	// V = r and V = 2^256 - 1: the out-of-range values checkShape can no
+	// longer be handed, since fr.Element holds only canonical residues.
+	bn254.Order.FillBytes(bad[:32])
+	if _, err := UnmarshalSignature(bad); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("V = r: got %v", err)
+	}
+	copy(bad, bytes.Repeat([]byte{0xff}, 32))
+	if _, err := UnmarshalSignature(bad); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("V = 2^256-1: got %v", err)
+	}
 	bad = bytes.Clone(enc)
 	bad[40] ^= 0xFF // corrupt S
 	if _, err := UnmarshalSignature(bad); err == nil {
@@ -430,9 +444,7 @@ func TestVerifyShapeErrors(t *testing.T) {
 		sig  *Signature
 	}{
 		{"nil signature", sk.Public(), nil},
-		{"nil V", sk.Public(), &Signature{V: nil, S: sig.S, R: sig.R}},
-		{"zero V", sk.Public(), &Signature{V: big.NewInt(0), S: sig.S, R: sig.R}},
-		{"huge V", sk.Public(), &Signature{V: new(big.Int).Set(bn254.Order), S: sig.S, R: sig.R}},
+		{"zero V", sk.Public(), &Signature{S: sig.S, R: sig.R}},
 		{"identity S", sk.Public(), &Signature{V: sig.V, S: bn254.G2Infinity(), R: sig.R}},
 		{"nil pk", nil, sig},
 		{"identity PID", &PublicKey{ID: "alice", PID: bn254.G1Infinity()}, sig},
@@ -643,20 +655,20 @@ func TestPassiveObserverForgesSignature(t *testing.T) {
 
 	// Everything below uses only what a neighbour overhears: params, pk,
 	// msg and seen.
-	hInv, err := invertH2(params.hashH2(msg, seen.R, pk.PID))
+	k, err := params.vOverH(pk, msg, seen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	X := new(bn254.G1).ScalarBaseMultAdd(new(big.Int).Mul(seen.V, hInv), new(bn254.G1).Neg(seen.R))
+	X := new(bn254.G1).ScalarBaseMultAddFr(&k, new(bn254.G1).Neg(seen.R))
 
 	forgedMsg := []byte("RREP: route to anywhere via the observer")
-	tt, err := bn254.RandomScalar(fixedRand(3))
+	tt, err := fr.Random(fixedRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	R := new(bn254.G1).ScalarBaseMultAdd(tt, new(bn254.G1).Neg(X))
+	R := new(bn254.G1).ScalarBaseMultAddFr(&tt, new(bn254.G1).Neg(X))
 	h := params.hashH2(forgedMsg, R, pk.PID)
-	forged := &Signature{V: new(big.Int).Mod(new(big.Int).Mul(h, tt), bn254.Order), S: seen.S, R: R}
+	forged := &Signature{V: *h.Mul(&h, &tt), S: seen.S, R: R}
 
 	if bytes.Equal(forgedMsg, msg) || forged.R.Equal(seen.R) {
 		t.Fatal("forgery is a replay, not a fresh signature")

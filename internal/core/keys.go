@@ -6,6 +6,7 @@ import (
 	"math/big"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // PublicKey is a user's certificateless public key P_ID = x·P_pub. There is
@@ -19,8 +20,8 @@ type PublicKey struct {
 
 // Marshal encodes the public key as len(ID)‖ID‖P_ID.
 func (pk *PublicKey) Marshal() []byte {
-	out := appendLengthPrefixed(nil, []byte(pk.ID))
-	return append(out, pk.PID.Marshal()...)
+	out := make([]byte, 0, 8+len(pk.ID)+64)
+	return pk.PID.AppendMarshal(appendLengthPrefixed(out, []byte(pk.ID)))
 }
 
 // UnmarshalPublicKey decodes a public key, validating the embedded point.
@@ -44,7 +45,7 @@ func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
 // (precomputed once, as the paper's operation counts assume).
 type PrivateKey struct {
 	pub *PublicKey
-	x   *big.Int
+	x   fr.Element
 	s   *bn254.G2
 }
 
@@ -56,11 +57,11 @@ func GenerateKeyPair(params *Params, ppk *PartialPrivateKey, rng io.Reader) (*Pr
 	if err := ppk.Validate(params); err != nil {
 		return nil, err
 	}
-	x, err := bn254.RandomScalar(rng)
+	x, err := fr.Random(rng)
 	if err != nil {
 		return nil, fmt.Errorf("mccls: keygen: %w", err)
 	}
-	return newPrivateKey(params, ppk, x)
+	return newPrivateKey(params, ppk, &x), nil
 }
 
 // NewPrivateKeyFromSecret deterministically rebuilds a private key from a
@@ -72,16 +73,18 @@ func NewPrivateKeyFromSecret(params *Params, ppk *PartialPrivateKey, x *big.Int)
 	if err := ppk.Validate(params); err != nil {
 		return nil, err
 	}
-	return newPrivateKey(params, ppk, new(big.Int).Set(x))
+	return newPrivateKey(params, ppk, new(fr.Element).SetBigInt(x)), nil
 }
 
-func newPrivateKey(params *Params, ppk *PartialPrivateKey, x *big.Int) (*PrivateKey, error) {
-	xInv := new(big.Int).ModInverse(x, bn254.Order)
+// newPrivateKey derives the key for a secret value x ≠ 0.
+func newPrivateKey(params *Params, ppk *PartialPrivateKey, x *fr.Element) *PrivateKey {
+	var xInv fr.Element
+	xInv.Inverse(x)
 	return &PrivateKey{
-		pub: &PublicKey{ID: ppk.ID, PID: new(bn254.G1).ScalarMult(params.Ppub, x)},
-		x:   x,
-		s:   new(bn254.G2).ScalarMult(ppk.D, xInv),
-	}, nil
+		pub: &PublicKey{ID: ppk.ID, PID: new(bn254.G1).ScalarMultFr(params.Ppub, x)},
+		x:   *x,
+		s:   new(bn254.G2).ScalarMultFr(ppk.D, &xInv),
+	}
 }
 
 // Public returns the corresponding public key.
@@ -91,4 +94,4 @@ func (sk *PrivateKey) Public() *PublicKey { return sk.pub }
 func (sk *PrivateKey) ID() string { return sk.pub.ID }
 
 // SecretValue returns a copy of x for durable storage.
-func (sk *PrivateKey) SecretValue() *big.Int { return new(big.Int).Set(sk.x) }
+func (sk *PrivateKey) SecretValue() *big.Int { return sk.x.BigInt() }

@@ -6,6 +6,7 @@ import (
 	"math/big"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // KGC is the Key Generation Center. It holds the master secret s and issues
@@ -14,17 +15,17 @@ import (
 // users because it never learns their secret value x.
 type KGC struct {
 	params *Params
-	master *big.Int
+	master fr.Element
 }
 
 // Setup runs the McCLS Setup algorithm: draw a master key s ← Zr* and
 // publish P_pub = s·P. Passing a nil reader uses crypto/rand.
 func Setup(rng io.Reader) (*KGC, error) {
-	s, err := bn254.RandomScalar(rng)
+	s, err := fr.Random(rng)
 	if err != nil {
 		return nil, fmt.Errorf("mccls: setup: %w", err)
 	}
-	return NewKGCFromMaster(s)
+	return newKGC(&s), nil
 }
 
 // NewKGCFromMaster reconstructs a KGC from a stored master key, e.g. after a
@@ -33,10 +34,13 @@ func NewKGCFromMaster(s *big.Int) (*KGC, error) {
 	if s == nil || s.Sign() <= 0 || s.Cmp(bn254.Order) >= 0 {
 		return nil, fmt.Errorf("%w: master key out of range", ErrInvalidKey)
 	}
-	master := new(big.Int).Set(s)
-	params := &Params{Ppub: new(bn254.G1).ScalarBaseMult(master)}
+	return newKGC(new(fr.Element).SetBigInt(s)), nil
+}
+
+func newKGC(master *fr.Element) *KGC {
+	params := &Params{Ppub: new(bn254.G1).ScalarBaseMultAddFr(master, nil)}
 	params.Precompute()
-	return &KGC{params: params, master: master}, nil
+	return &KGC{params: params, master: *master}
 }
 
 // Params returns the public system parameters.
@@ -44,7 +48,7 @@ func (k *KGC) Params() *Params { return k.params }
 
 // MasterKey returns a copy of the master secret, for durable storage by the
 // KGC operator. Handle with care.
-func (k *KGC) MasterKey() *big.Int { return new(big.Int).Set(k.master) }
+func (k *KGC) MasterKey() *big.Int { return k.master.BigInt() }
 
 // PartialPrivateKey is the KGC's contribution D_ID = s·Q_ID to a user's
 // signing key. It is bound to the identity it was extracted for.
@@ -56,7 +60,7 @@ type PartialPrivateKey struct {
 // ExtractPartialPrivateKey runs the Extract-Partial-Private-Key algorithm
 // for the given identity.
 func (k *KGC) ExtractPartialPrivateKey(id string) *PartialPrivateKey {
-	return IssuePartialKey(k.params, id, k.master)
+	return IssuePartialKey(k.params, id, &k.master)
 }
 
 // IssuePartialKey computes k·Q_ID — the Extract-Partial-Private-Key group
@@ -64,9 +68,9 @@ func (k *KGC) ExtractPartialPrivateKey(id string) *PartialPrivateKey {
 // the master secret; a threshold share-holder (internal/threshold) calls it
 // with its Shamir share, in which case the result is a key *share*, not a
 // valid partial key, until t of them are Lagrange-combined.
-func IssuePartialKey(params *Params, id string, k *big.Int) *PartialPrivateKey {
+func IssuePartialKey(params *Params, id string, k *fr.Element) *PartialPrivateKey {
 	q := params.QID(id)
-	return &PartialPrivateKey{ID: id, D: new(bn254.G2).ScalarMult(q, k)}
+	return &PartialPrivateKey{ID: id, D: q.ScalarMultFr(q, k)}
 }
 
 // Validate checks the partial key against the public parameters:
@@ -92,8 +96,8 @@ func (ppk *PartialPrivateKey) Validate(params *Params) error {
 
 // Marshal encodes the partial key as len(ID)‖ID‖D.
 func (ppk *PartialPrivateKey) Marshal() []byte {
-	out := appendLengthPrefixed(nil, []byte(ppk.ID))
-	return append(out, ppk.D.Marshal()...)
+	out := make([]byte, 0, 8+len(ppk.ID)+128)
+	return ppk.D.AppendMarshal(appendLengthPrefixed(out, []byte(ppk.ID)))
 }
 
 // UnmarshalPartialPrivateKey decodes a partial key, validating the embedded

@@ -21,9 +21,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/big"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // Domain-separation tags for the two random oracles.
@@ -53,7 +53,7 @@ type Params struct {
 	// tests only: regression tests use it to drive pathological hash
 	// values — h ≡ 0 mod r, which has no inverse — through the
 	// verification paths without finding a SHA-256 preimage.
-	h2Override func(msg []byte, r, pid *bn254.G1) *big.Int
+	h2Override func(msg []byte, r, pid *bn254.G1) fr.Element
 }
 
 // Generator returns P, the fixed system generator of G1.
@@ -71,15 +71,13 @@ func (*Params) QID(id string) *bn254.G2 {
 
 // hashH2 computes h = H2(M, R, P_ID) ∈ Zr*, length-prefixing each component
 // so distinct tuples cannot collide.
-func (p *Params) hashH2(msg []byte, r *bn254.G1, pid *bn254.G1) *big.Int {
+func (p *Params) hashH2(msg []byte, r *bn254.G1, pid *bn254.G1) fr.Element {
 	if p.h2Override != nil {
 		return p.h2Override(msg, r, pid)
 	}
-	buf := make([]byte, 0, 8+len(msg)+2*64)
-	buf = appendLengthPrefixed(buf, msg)
-	buf = append(buf, r.Marshal()...)
-	buf = append(buf, pid.Marshal()...)
-	return bn254.HashToScalar(domainH2, buf)
+	var stack [8 + 64 + 2*64]byte // routing-sized messages stay off the heap
+	buf := appendLengthPrefixed(stack[:0], msg)
+	return bn254.HashToFr(domainH2, pid.AppendMarshal(r.AppendMarshal(buf)))
 }
 
 func appendLengthPrefixed(dst, b []byte) []byte {

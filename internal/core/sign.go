@@ -3,16 +3,16 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/big"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // Signature is a McCLS signature σ = (V, S, R): a scalar V = h·r, the
 // key-derived group element S = x⁻¹·D_ID ∈ G2, and the commitment
 // R = (r - x)·P ∈ G1.
 type Signature struct {
-	V *big.Int
+	V fr.Element
 	S *bn254.G2
 	R *bn254.G1
 }
@@ -32,33 +32,28 @@ func Sign(params *Params, sk *PrivateKey, msg []byte, rng io.Reader) (*Signature
 	// R = (r - x)·P. If r == x, R would be the identity and leak x; redraw
 	// until r ≠ x (a 2⁻²⁵⁴ event per draw, so the loop terminates on the
 	// first iteration for any real RNG).
-	var r, k *big.Int
+	var r, k fr.Element
 	for {
 		var err error
-		r, err = bn254.RandomScalar(rng)
-		if err != nil {
+		if r, err = fr.Random(rng); err != nil {
 			return nil, fmt.Errorf("mccls: sign: %w", err)
 		}
-		k = new(big.Int).Mod(new(big.Int).Sub(r, sk.x), bn254.Order)
-		if k.Sign() != 0 {
+		if k.Sub(&r, &sk.x); !k.IsZero() {
 			break
 		}
 	}
-	R := new(bn254.G1).ScalarBaseMult(k)
-	h := params.hashH2(msg, R, sk.pub.PID)
-	v := new(big.Int).Mod(new(big.Int).Mul(h, r), bn254.Order)
-	return &Signature{V: v, S: new(bn254.G2).Set(sk.s), R: R}, nil
+	sig := &Signature{S: new(bn254.G2).Set(sk.s), R: new(bn254.G1).ScalarBaseMultAddFr(&k, nil)}
+	h := params.hashH2(msg, sig.R, sk.pub.PID)
+	sig.V.Mul(&h, &r)
+	return sig, nil
 }
 
 // Marshal encodes the signature as V‖S‖R.
 func (sig *Signature) Marshal() []byte {
 	out := make([]byte, 0, signatureMarshalledSize)
-	var v [32]byte
-	sig.V.FillBytes(v[:])
+	v := sig.V.Bytes()
 	out = append(out, v[:]...)
-	out = append(out, sig.S.Marshal()...)
-	out = append(out, sig.R.Marshal()...)
-	return out
+	return sig.R.AppendMarshal(sig.S.AppendMarshal(out))
 }
 
 // UnmarshalSignature decodes and validates a signature: V must be a scalar
@@ -68,8 +63,8 @@ func UnmarshalSignature(data []byte) (*Signature, error) {
 	if len(data) != signatureMarshalledSize {
 		return nil, fmt.Errorf("%w: want %d bytes, got %d", ErrInvalidSignature, signatureMarshalledSize, len(data))
 	}
-	v := new(big.Int).SetBytes(data[:32])
-	if v.Sign() == 0 || v.Cmp(bn254.Order) >= 0 {
+	var v fr.Element
+	if !v.SetBytesCanonical(data[:32]) || v.IsZero() {
 		return nil, fmt.Errorf("%w: V out of range", ErrInvalidSignature)
 	}
 	var s bn254.G2

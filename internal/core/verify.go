@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 	"mccls/internal/lru"
 )
 
@@ -72,10 +72,10 @@ func (vf *Verifier) rhs(id string) *bn254.GT {
 
 // checkShape rejects structurally invalid signatures before any group math.
 func checkShape(pk *PublicKey, sig *Signature) error {
-	if sig == nil || sig.V == nil || sig.S == nil || sig.R == nil {
+	if sig == nil || sig.S == nil || sig.R == nil {
 		return fmt.Errorf("%w: missing component", ErrInvalidSignature)
 	}
-	if sig.V.Sign() <= 0 || sig.V.Cmp(bn254.Order) >= 0 {
+	if sig.V.IsZero() {
 		return fmt.Errorf("%w: V out of range", ErrInvalidSignature)
 	}
 	if sig.S.IsInfinity() || !sig.S.IsOnCurve() {
@@ -90,15 +90,17 @@ func checkShape(pk *PublicKey, sig *Signature) error {
 	return nil
 }
 
-// invertH2 inverts the challenge hash mod r. h ≡ 0 (mod r) has no inverse
-// — a ~2⁻²⁵⁴ event for an honest oracle but reachable in principle, and
-// formerly a nil-pointer panic inside big.Int.Mul — so it is rejected as a
-// malformed signature instead.
-func invertH2(h *big.Int) (*big.Int, error) {
-	if inv := new(big.Int).ModInverse(h, bn254.Order); inv != nil {
-		return inv, nil
+// vOverH returns V·h⁻¹ for h = H2(M, R, P_ID), the fixed-base scalar of
+// A = (V/h)·P - R. h ≡ 0 (mod r) has no inverse — a ~2⁻²⁵⁴ event for an
+// honest oracle but reachable in principle — and is rejected as a malformed
+// signature.
+func (p *Params) vOverH(pk *PublicKey, msg []byte, sig *Signature) (k fr.Element, err error) {
+	h := p.hashH2(msg, sig.R, pk.PID)
+	if !k.Inverse(&h) {
+		return k, fmt.Errorf("%w: challenge hash is zero mod r", ErrInvalidSignature)
 	}
-	return nil, fmt.Errorf("%w: challenge hash is zero mod r", ErrInvalidSignature)
+	k.Mul(&k, &sig.V)
+	return k, nil
 }
 
 // Verify runs CL-Verify: with h = H2(M, R, P_ID), accept iff
@@ -115,14 +117,14 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	if err := checkShape(pk, sig); err != nil {
 		return err
 	}
-	h := vf.params.hashH2(msg, sig.R, pk.PID)
-	hInv, err := invertH2(h)
+	k, err := vf.params.vOverH(pk, msg, sig)
 	if err != nil {
 		return err
 	}
 	// A = (V/h)·P - R, fused into one fixed-base table pass.
-	a := new(bn254.G1).ScalarBaseMultAdd(new(big.Int).Mul(sig.V, hInv), new(bn254.G1).Neg(sig.R))
-	if !bn254.Pair(a, sig.S).Equal(vf.rhs(pk.ID)) {
+	var a, negR bn254.G1
+	a.ScalarBaseMultAddFr(&k, negR.Neg(sig.R))
+	if !bn254.Pair(&a, sig.S).Equal(vf.rhs(pk.ID)) {
 		return ErrVerifyFailed
 	}
 	return nil

@@ -28,7 +28,7 @@ func NewSigner(params *core.Params, share *Share) (*Signer, error) {
 	if share == nil || share.Index == 0 {
 		return nil, fmt.Errorf("threshold: signer needs a share with nonzero index")
 	}
-	if share.Value == nil || share.Value.Sign() <= 0 || share.Value.Cmp(bn254.Order) >= 0 {
+	if share.Value.IsZero() {
 		return nil, fmt.Errorf("threshold: share value out of range")
 	}
 	return &Signer{params: params, share: share}, nil
@@ -57,7 +57,7 @@ func (s *Signer) Issue(id string) *KeyShare {
 	s.mu.RLock()
 	share := s.share
 	s.mu.RUnlock()
-	ppk := core.IssuePartialKey(s.params, id, share.Value)
+	ppk := core.IssuePartialKey(s.params, id, &share.Value)
 	return &KeyShare{ID: id, Index: share.Index, Epoch: share.Epoch, D: ppk.D}
 }
 
@@ -102,7 +102,7 @@ func (ks *KeyShare) Marshal() []byte {
 	out := make([]byte, 5, keyShareMarshalledSize)
 	out[0] = ks.Index
 	binary.BigEndian.PutUint32(out[1:5], ks.Epoch)
-	return append(out, ks.D.Marshal()...)
+	return ks.D.AppendMarshal(out)
 }
 
 // UnmarshalKeyShare decodes a key share for the given identity, validating
@@ -159,7 +159,7 @@ func Combine(id string, shares []*KeyShare) (*core.PartialPrivateKey, error) {
 	acc := bn254.G2Infinity()
 	term := new(bn254.G2)
 	for i, ks := range shares {
-		term.ScalarMult(ks.D, lambda[i])
+		term.ScalarMultFr(ks.D, &lambda[i])
 		acc.Add(acc, term)
 	}
 	return &core.PartialPrivateKey{ID: id, D: acc}, nil

@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
-	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // Proactive share refresh (Herzberg-style, dealer-assisted): a mobile
@@ -28,11 +27,11 @@ import (
 //
 // Epoch bookkeeping makes the "never mix polynomials" rule mechanical:
 // every share and every issued key share carries the epoch it was minted
-// under, Combine and Reconstruct reject mixed-epoch sets, and a refresh is
-// only accepted if it advances a share by exactly one epoch.
+// under, Combine rejects mixed-epoch sets, and a refresh is only accepted
+// if it advances a share by exactly one epoch.
 
-// ErrMixedEpochs marks an attempt to combine or reconstruct shares minted
-// under different refresh epochs (they lie on different polynomials; the
+// ErrMixedEpochs marks an attempt to combine shares minted under different
+// refresh epochs (they lie on different polynomials; the
 // result would be an unrelated field/group element).
 var ErrMixedEpochs = errors.New("mixed share epochs")
 
@@ -43,7 +42,7 @@ var ErrMixedEpochs = errors.New("mixed share epochs")
 type Delta struct {
 	Index uint8
 	Epoch uint32
-	Value *big.Int
+	Value fr.Element
 }
 
 // deltaMarshalledSize is 1 index byte, 4 epoch bytes and a 32-byte scalar.
@@ -54,7 +53,8 @@ func (d *Delta) Marshal() []byte {
 	out := make([]byte, deltaMarshalledSize)
 	out[0] = d.Index
 	binary.BigEndian.PutUint32(out[1:5], d.Epoch)
-	d.Value.FillBytes(out[5:])
+	v := d.Value.Bytes()
+	copy(out[5:], v[:])
 	return out
 }
 
@@ -63,18 +63,14 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 	if len(data) != deltaMarshalledSize {
 		return nil, fmt.Errorf("threshold: delta wants %d bytes, got %d", deltaMarshalledSize, len(data))
 	}
-	d := &Delta{
-		Index: data[0],
-		Epoch: binary.BigEndian.Uint32(data[1:5]),
-		Value: new(big.Int).SetBytes(data[5:]),
-	}
+	d := &Delta{Index: data[0], Epoch: binary.BigEndian.Uint32(data[1:5])}
 	if d.Index == 0 {
 		return nil, fmt.Errorf("threshold: delta index zero")
 	}
 	if d.Epoch == 0 {
 		return nil, fmt.Errorf("threshold: delta epoch zero (epoch 0 is the initial split)")
 	}
-	if d.Value.Cmp(bn254.Order) >= 0 {
+	if !d.Value.SetBytesCanonical(data[5:]) {
 		return nil, fmt.Errorf("threshold: delta value out of range")
 	}
 	return d, nil
@@ -97,25 +93,13 @@ func RefreshDeltas(t, n int, toEpoch uint32, rng io.Reader) ([]*Delta, error) {
 	// g(x) = c_1·x + … + c_{t−1}·x^{t−1}; for t = 1 the polynomial is
 	// identically zero (a degree-0 polynomial through zero has no freedom),
 	// so the refresh is numerically a no-op and only the epoch advances.
-	coeffs := make([]*big.Int, t)
-	coeffs[0] = new(big.Int)
-	for i := 1; i < t; i++ {
-		c, err := bn254.RandomScalar(rng)
-		if err != nil {
-			return nil, fmt.Errorf("threshold: refresh: %w", err)
-		}
-		coeffs[i] = c
+	values, err := evalPolynomial(fr.Element{}, t, n, rng)
+	if err != nil {
+		return nil, fmt.Errorf("threshold: refresh: %w", err)
 	}
 	deltas := make([]*Delta, n)
-	for j := 1; j <= n; j++ {
-		x := big.NewInt(int64(j))
-		v := new(big.Int).Set(coeffs[t-1])
-		for i := t - 2; i >= 0; i-- {
-			v.Mul(v, x)
-			v.Add(v, coeffs[i])
-			v.Mod(v, bn254.Order)
-		}
-		deltas[j-1] = &Delta{Index: uint8(j), Epoch: toEpoch, Value: v}
+	for j, v := range values {
+		deltas[j] = &Delta{Index: uint8(j + 1), Epoch: toEpoch, Value: v}
 	}
 	return deltas, nil
 }
@@ -131,12 +115,8 @@ func (s *Share) Refresh(d *Delta) (*Share, error) {
 	if d.Epoch != s.Epoch+1 {
 		return nil, fmt.Errorf("threshold: delta advances to epoch %d, share is at epoch %d", d.Epoch, s.Epoch)
 	}
-	if d.Value == nil || d.Value.Sign() < 0 || d.Value.Cmp(bn254.Order) >= 0 {
-		return nil, fmt.Errorf("threshold: delta value out of range")
-	}
-	v := new(big.Int).Add(s.Value, d.Value)
-	v.Mod(v, bn254.Order)
-	if v.Sign() == 0 {
+	var v fr.Element
+	if v.Add(&s.Value, &d.Value); v.IsZero() {
 		// (f+g)(j) ≡ 0 happens with probability 1/r ≈ 2^−254; a zero share
 		// would be rejected everywhere downstream, so surface it as a
 		// redraw request rather than minting an unusable share.

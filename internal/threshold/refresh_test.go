@@ -45,7 +45,7 @@ func TestRefreshPreservesSecret(t *testing.T) {
 			if tc.t > 1 {
 				moved := false
 				for i := range shares {
-					if shares[i].Value.Cmp(prev[i].Value) != 0 {
+					if shares[i].Value != prev[i].Value {
 						moved = true
 					}
 				}
@@ -159,7 +159,7 @@ func TestRefreshDeltasRejectsBadShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range deltas {
-		if d.Value.Sign() != 0 {
+		if !d.Value.IsZero() {
 			t.Fatalf("1-of-n delta %d nonzero", d.Index)
 		}
 	}
@@ -175,7 +175,7 @@ func TestDeltaMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Index != d.Index || got.Epoch != d.Epoch || got.Value.Cmp(d.Value) != 0 {
+		if got.Index != d.Index || got.Epoch != d.Epoch || got.Value != d.Value {
 			t.Fatalf("round trip changed delta %d", d.Index)
 		}
 	}

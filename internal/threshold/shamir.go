@@ -14,8 +14,9 @@
 //
 // byte-identical to single-master issuance — which is kept in-tree as the
 // differential oracle and pinned by FuzzThresholdVsSingleMaster. The master
-// secret is never reconstructed anywhere in the issuance path; Reconstruct
-// exists for offline recovery and for the oracle side of the fuzzer.
+// secret is never reconstructed anywhere in shipped code; the Lagrange
+// reconstruction of f(0) lives in the tests, as the oracle side of the
+// fuzzers.
 package threshold
 
 import (
@@ -25,6 +26,7 @@ import (
 	"math/big"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // MaxShares bounds n. Share indices are 1-based small integers; the bound
@@ -41,7 +43,7 @@ const MaxShares = 255
 type Share struct {
 	Index uint8
 	Epoch uint32
-	Value *big.Int
+	Value fr.Element
 }
 
 // shareMarshalledSize is 1 index byte, a 4-byte big-endian epoch and a
@@ -53,7 +55,8 @@ func (s *Share) Marshal() []byte {
 	out := make([]byte, shareMarshalledSize)
 	out[0] = s.Index
 	binary.BigEndian.PutUint32(out[1:5], s.Epoch)
-	s.Value.FillBytes(out[5:])
+	v := s.Value.Bytes()
+	copy(out[5:], v[:])
 	return out
 }
 
@@ -62,23 +65,19 @@ func UnmarshalShare(data []byte) (*Share, error) {
 	if len(data) != shareMarshalledSize {
 		return nil, fmt.Errorf("threshold: share wants %d bytes, got %d", shareMarshalledSize, len(data))
 	}
-	s := &Share{
-		Index: data[0],
-		Epoch: binary.BigEndian.Uint32(data[1:5]),
-		Value: new(big.Int).SetBytes(data[5:]),
-	}
+	s := &Share{Index: data[0], Epoch: binary.BigEndian.Uint32(data[1:5])}
 	if s.Index == 0 {
 		return nil, fmt.Errorf("threshold: share index zero")
 	}
-	if s.Value.Sign() == 0 || s.Value.Cmp(bn254.Order) >= 0 {
+	if !s.Value.SetBytesCanonical(data[5:]) || s.Value.IsZero() {
 		return nil, fmt.Errorf("threshold: share value out of range")
 	}
 	return s, nil
 }
 
 // Split shards secret into n shares with reconstruction threshold t
-// (1 ≤ t ≤ n ≤ MaxShares). Passing a nil reader uses crypto/rand via
-// bn254.RandomScalar. The coefficients are drawn from Z_r*, so for t = 1
+// (1 ≤ t ≤ n ≤ MaxShares). Passing a nil reader uses crypto/rand. The
+// coefficients are drawn from Z_r*, so for t = 1
 // every share equals the secret (a degree-0 polynomial), matching the
 // single-master deployment exactly.
 func Split(secret *big.Int, t, n int, rng io.Reader) ([]*Share, error) {
@@ -88,35 +87,47 @@ func Split(secret *big.Int, t, n int, rng io.Reader) ([]*Share, error) {
 	if secret == nil || secret.Sign() <= 0 || secret.Cmp(bn254.Order) >= 0 {
 		return nil, fmt.Errorf("threshold: secret out of range")
 	}
-	// coeffs[0] = secret; coeffs[1..t-1] random.
-	coeffs := make([]*big.Int, t)
-	coeffs[0] = secret
+	values, err := evalPolynomial(*new(fr.Element).SetBigInt(secret), t, n, rng)
+	if err != nil {
+		return nil, fmt.Errorf("threshold: split: %w", err)
+	}
+	shares := make([]*Share, n)
+	for j, v := range values {
+		shares[j] = &Share{Index: uint8(j + 1), Value: v}
+	}
+	return shares, nil
+}
+
+// evalPolynomial draws a polynomial of degree t−1 with the given constant
+// term and uniformly random nonzero higher coefficients, and returns its
+// evaluations at 1..n (Horner).
+func evalPolynomial(constant fr.Element, t, n int, rng io.Reader) ([]fr.Element, error) {
+	coeffs := make([]fr.Element, t)
+	coeffs[0] = constant
 	for i := 1; i < t; i++ {
-		c, err := bn254.RandomScalar(rng)
+		c, err := fr.Random(rng)
 		if err != nil {
-			return nil, fmt.Errorf("threshold: split: %w", err)
+			return nil, err
 		}
 		coeffs[i] = c
 	}
-	shares := make([]*Share, n)
-	for j := 1; j <= n; j++ {
-		// Horner evaluation of f(j) mod r.
-		x := big.NewInt(int64(j))
-		v := new(big.Int).Set(coeffs[t-1])
+	values := make([]fr.Element, n)
+	for j := range values {
+		x := fr.NewElement(uint64(j + 1))
+		v := coeffs[t-1]
 		for i := t - 2; i >= 0; i-- {
-			v.Mul(v, x)
-			v.Add(v, coeffs[i])
-			v.Mod(v, bn254.Order)
+			v.Mul(&v, &x)
+			v.Add(&v, &coeffs[i])
 		}
-		shares[j-1] = &Share{Index: uint8(j), Value: v}
+		values[j] = v
 	}
-	return shares, nil
+	return values, nil
 }
 
 // lagrangeAtZero returns the Lagrange interpolation coefficients
 // λ_j = Π_{m≠j} x_m/(x_m − x_j) mod r evaluated at zero, one per input
 // index. Indices must be nonzero and pairwise distinct.
-func lagrangeAtZero(indices []uint8) ([]*big.Int, error) {
+func lagrangeAtZero(indices []uint8) ([]fr.Element, error) {
 	if len(indices) == 0 {
 		return nil, fmt.Errorf("threshold: no shares")
 	}
@@ -130,56 +141,20 @@ func lagrangeAtZero(indices []uint8) ([]*big.Int, error) {
 		}
 		seen[j] = true
 	}
-	out := make([]*big.Int, len(indices))
-	num := new(big.Int)
-	den := new(big.Int)
-	diff := new(big.Int)
+	out := make([]fr.Element, len(indices))
 	for i, j := range indices {
-		num.SetInt64(1)
-		den.SetInt64(1)
+		num, den := fr.One(), fr.One()
+		xj := fr.NewElement(uint64(j))
 		for _, m := range indices {
 			if m == j {
 				continue
 			}
-			num.Mul(num, big.NewInt(int64(m)))
-			num.Mod(num, bn254.Order)
-			diff.SetInt64(int64(m) - int64(j))
-			den.Mul(den, diff)
-			den.Mod(den, bn254.Order)
+			xm := fr.NewElement(uint64(m))
+			num.Mul(&num, &xm)
+			den.Mul(&den, xm.Sub(&xm, &xj))
 		}
-		li := new(big.Int).ModInverse(den, bn254.Order)
-		li.Mul(li, num)
-		li.Mod(li, bn254.Order)
-		out[i] = li
+		den.Inverse(&den) // distinct indices: every factor is nonzero
+		out[i].Mul(&num, &den)
 	}
 	return out, nil
-}
-
-// Reconstruct recovers f(0) from the given shares by Lagrange interpolation
-// at zero. It needs exactly the shares it is given: pass t genuine shares
-// of a t-threshold split and the result is the secret; pass fewer and the
-// result is an unrelated field element (which is the point — see
-// FuzzThresholdVsSingleMaster). For key issuance prefer Combine, which
-// never materializes the secret.
-func Reconstruct(shares []*Share) (*big.Int, error) {
-	indices := make([]uint8, len(shares))
-	for i, s := range shares {
-		if s.Epoch != shares[0].Epoch {
-			return nil, fmt.Errorf("threshold: %w: share %d is epoch %d, share %d is epoch %d",
-				ErrMixedEpochs, s.Index, s.Epoch, shares[0].Index, shares[0].Epoch)
-		}
-		indices[i] = s.Index
-	}
-	lambda, err := lagrangeAtZero(indices)
-	if err != nil {
-		return nil, err
-	}
-	acc := new(big.Int)
-	term := new(big.Int)
-	for i, s := range shares {
-		term.Mul(lambda[i], s.Value)
-		acc.Add(acc, term)
-		acc.Mod(acc, bn254.Order)
-	}
-	return acc, nil
 }

@@ -75,7 +75,7 @@ func TestShareMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Index != s.Index || got.Value.Cmp(s.Value) != 0 {
+		if got.Index != s.Index || got.Value != s.Value {
 			t.Fatalf("round trip changed share %d", s.Index)
 		}
 	}
