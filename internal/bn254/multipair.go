@@ -100,11 +100,11 @@ func MillerLoopMulti(ps []*G1, qs []*G2) *Fp12 {
 // Miller pass and one shared final exponentiation. Pairs with an infinity
 // member contribute the identity.
 func PairMulti(ps []*G1, qs []*G2) *GT {
-	f := MillerLoopMulti(ps, qs)
-	if f.IsOne() {
-		// Every pair was trivial (or the product collapsed before
-		// reduction); the reduced value is the identity either way.
-		return GTOne()
-	}
-	return &GT{v: finalExponentiation(f)}
+	return &GT{v: finalExponentiation(MillerLoopMulti(ps, qs))}
 }
+
+// ReducesToOne reports whether the final exponentiation of f is the
+// identity. FE is a homomorphism, so FE(f₁) = FE(f₂) ⇔ ReducesToOne(f₁·f₂⁻¹):
+// a caller holding one side as a cached Miller value decides a pairing
+// equation with one final exponentiation, not one per side.
+func ReducesToOne(f *Fp12) bool { return finalExponentiation(f).IsOne() }

@@ -35,7 +35,7 @@ func TestMillerLoopMultiMatchesSingle(t *testing.T) {
 			t.Fatalf("lockstep Miller product diverges from per-pair oracle at n=%d", n)
 		}
 		// The reduced product must agree with the product of Pair values.
-		gt := GTOne()
+		gt := &GT{v: Fp12One()}
 		for i := range ps {
 			gt.Mul(gt, Pair(ps[i], qs[i]))
 		}
@@ -80,6 +80,37 @@ func TestPairingCheckDegenerate(t *testing.T) {
 	}
 	if !PairingCheck([]*G1{G1Infinity()}, []*G2{G2Infinity()}) {
 		t.Fatal("all-trivial check must accept")
+	}
+}
+
+// TestReducesToOne: Miller values computed apart (one of them, in McCLS, on
+// an earlier call) and multiplied decide e(a·P, Q) = e(P, a·Q) with a single
+// final exponentiation, agreeing with the comparison of the two GT values.
+func TestReducesToOne(t *testing.T) {
+	r := testRand()
+	a := randScalar(r)
+	p := new(G1).ScalarBaseMult(randScalar(r))
+	q := new(G2).ScalarBaseMult(randScalar(r))
+	ap, aq := new(G1).ScalarMult(p, a), new(G2).ScalarMult(q, a)
+	cached := MillerLoopMulti([]*G1{new(G1).Neg(p)}, []*G2{aq})
+
+	before := ReadOpCounts()
+	f := MillerLoopMulti([]*G1{ap}, []*G2{q})
+	if !ReducesToOne(f.Mul(f, cached)) {
+		t.Fatal("e(a·P, Q)·e(-P, a·Q) does not reduce to one")
+	}
+	if d := ReadOpCounts().Sub(before); d.Pairings != 1 || d.FinalExps != 1 {
+		t.Fatalf("check cost %d Miller loops and %d final exps, want 1 and 1", d.Pairings, d.FinalExps)
+	}
+	f = MillerLoopMulti([]*G1{p}, []*G2{q})
+	if ReducesToOne(f.Mul(f, cached)) || Pair(p, q).Equal(Pair(p, aq)) {
+		t.Fatal("e(P, Q)·e(-P, a·Q) reduces to one")
+	}
+	if ReducesToOne(cached) {
+		t.Fatal("a bare nontrivial Miller value reduces to one")
+	}
+	if !ReducesToOne(Fp12One()) {
+		t.Fatal("the identity does not reduce to one")
 	}
 }
 

@@ -203,7 +203,7 @@ func (w *window) check(idxs []int) bool {
 	for j, id := range ids {
 		qSum.Add(qSum, term.ScalarMultFr(w.vf.qid(id), &rhoSums[j]))
 	}
-	ps = append(ps, new(bn254.G1).Neg(w.vf.params.Ppub))
+	ps = append(ps, w.vf.negPpub)
 	qs = append(qs, qSum)
 	return bn254.PairingCheck(ps, qs)
 }

@@ -60,7 +60,9 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 // verifySpec is the test oracle for Verify: the verification equation
 // exactly as written in the paper, e(V·P - h·R, h⁻¹·S) = e(P_pub, Q_ID),
 // with none of the fast path's rearrangement (no scalar folding into the
-// fixed-base pass, a real G2 scalar multiplication by h⁻¹).
+// fixed-base pass, a real G2 scalar multiplication by h⁻¹) and none of its
+// state: the right-hand side is a full pairing computed here, so the oracle
+// shares no cache with the code under test. vf supplies the parameters only.
 func verifySpec(vf *Verifier, pk *PublicKey, msg []byte, sig *Signature) error {
 	if err := checkShape(pk, sig); err != nil {
 		return err
@@ -74,7 +76,7 @@ func verifySpec(vf *Verifier, pk *PublicKey, msg []byte, sig *Signature) error {
 	left := new(bn254.G1).ScalarBaseMult(sig.V.BigInt())
 	left.Add(left, new(bn254.G1).Neg(new(bn254.G1).ScalarMult(sig.R, h)))
 	s := new(bn254.G2).ScalarMult(sig.S, hInv)
-	if !bn254.Pair(left, s).Equal(vf.rhs(pk.ID)) {
+	if !bn254.Pair(left, s).Equal(bn254.Pair(vf.params.Ppub, vf.params.QID(pk.ID))) {
 		return ErrVerifyFailed
 	}
 	return nil

@@ -11,7 +11,7 @@
 //
 // Signing requires zero pairing operations; verification requires a single
 // pairing beyond the per-identity constant e(P_pub, Q_ID), which Verifier
-// caches — the property the paper leans on for CPS timing budgets.
+// caches as a Miller value — the property the paper leans on for CPS timing.
 //
 // The paper's symmetric pairing is translated to the Type-3 setting (see
 // DESIGN.md §1): ⟨P⟩-side values (P, P_pub, R, P_ID) live in G1 and

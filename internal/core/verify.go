@@ -8,24 +8,27 @@ import (
 	"mccls/internal/lru"
 )
 
-// DefaultIdentityCacheCap bounds the Verifier's per-identity constant
-// caches (the pairing constant e(P_pub, Q_ID) and the identity hash Q_ID).
-// Generous — 16k identities ≈ 16k·(576+128) bytes of cached curve material
-// — but bounded, so a flood of unique identities recycles cache slots
-// instead of growing memory without limit.
+// DefaultIdentityCacheCap bounds the Verifier's two per-identity caches
+// (m_ID, an Fp12, and Q_ID). Generous — 16k identities ≈ 16k·(384+128)
+// bytes of curve material — but bounded, so a flood of unique identities
+// recycles cache slots instead of growing memory without limit.
 const DefaultIdentityCacheCap = 1 << 14
 
 // Verifier checks McCLS signatures. It caches two per-identity constants:
-// e(P_pub, Q_ID) — the paper's "only one pairing operation since
-// e(P_pub, Q_ID) is a constant", making steady-state verification a single
-// pairing — and Q_ID = H1(ID) itself, which the batch engine's multi-signer
-// equation consumes directly (hash-to-G2 costs ~⅕ of a pairing). Both caches
-// are LRU-bounded (DefaultIdentityCacheCap by default) so unknown-identity
-// floods cannot exhaust memory. A Verifier is safe for concurrent use.
+// m_ID = MillerLoop(-P_pub, Q_ID), the paper's e(P_pub, Q_ID) moved to the
+// left of the equation and left unreduced, so that Verify decides
+// FE(MillerLoop(A, S)·m_ID) = 1 — one Miller loop and one final
+// exponentiation for a known identity (the paper's "only one pairing
+// operation since e(P_pub, Q_ID) is a constant"), a second Miller loop but
+// no second final exponentiation on first contact — and Q_ID = H1(ID),
+// which the batch engine's multi-signer equation consumes directly. Both
+// caches are LRU-bounded (DefaultIdentityCacheCap by default) so
+// unknown-identity floods cannot exhaust memory. Safe for concurrent use.
 type Verifier struct {
-	params *Params
+	params  *Params
+	negPpub *bn254.G1 // -P_pub, the G1 side of every m_ID
 
-	rhsCache *lru.Cache[*bn254.GT]
+	rhsCache *lru.Cache[*bn254.Fp12]
 	qidCache *lru.Cache[*bn254.G2]
 }
 
@@ -40,7 +43,8 @@ func NewVerifier(params *Params) *Verifier {
 func NewVerifierCap(params *Params, cacheCap int) *Verifier {
 	return &Verifier{
 		params:   params,
-		rhsCache: lru.New[*bn254.GT](cacheCap),
+		negPpub:  new(bn254.G1).Neg(params.Ppub),
+		rhsCache: lru.New[*bn254.Fp12](cacheCap),
 		qidCache: lru.New[*bn254.G2](cacheCap),
 	}
 }
@@ -50,24 +54,23 @@ func (vf *Verifier) qid(id string) *bn254.G2 {
 	if q, ok := vf.qidCache.Get(id); ok {
 		return q
 	}
-	// Compute outside the cache lock: hash-to-G2 is an Fp2 square root plus
-	// the ψ cofactor clearing, a third of a millisecond. Two racing callers
-	// compute the same value; the second Put is idempotent.
+	// Compute outside the cache lock (hash-to-G2 is an eighth of a millisecond):
+	// racing callers compute the same value and the second Put is idempotent.
 	q := vf.params.QID(id)
 	vf.qidCache.Put(id, q)
 	return q
 }
 
-// rhs returns the cached e(P_pub, Q_ID) for an identity, computing it on
-// first use.
-func (vf *Verifier) rhs(id string) *bn254.GT {
-	if gt, ok := vf.rhsCache.Get(id); ok {
-		return gt
+// rhs returns the cached m_ID, computing it on first use: a function of
+// (params, id) only, never of the signature under check, shared read-only.
+func (vf *Verifier) rhs(id string) *bn254.Fp12 {
+	if m, ok := vf.rhsCache.Get(id); ok {
+		return m
 	}
-	// Compute outside the cache lock: a pairing is most of a millisecond.
-	gt := bn254.Pair(vf.params.Ppub, vf.qid(id))
-	vf.rhsCache.Put(id, gt)
-	return gt
+	// Compute outside the cache lock: a Miller loop is a quarter millisecond.
+	m := bn254.MillerLoopMulti([]*bn254.G1{vf.negPpub}, []*bn254.G2{vf.qid(id)})
+	vf.rhsCache.Put(id, m)
+	return m
 }
 
 // checkShape rejects structurally invalid signatures before any group math.
@@ -107,11 +110,11 @@ func (p *Params) vOverH(pk *PublicKey, msg []byte, sig *Signature) (k fr.Element
 //
 //	e(V·P - h·R, h⁻¹·S) = e(P_pub, Q_ID).
 //
-// The implementation uses the algebraically identical fast path
-// e((V·h⁻¹)·P - R, S) = e(P_pub, Q_ID), trading the G2 scalar
-// multiplication h⁻¹·S for a scalar inversion in Zr (see DESIGN.md §3).
-// The pairing runs on the shared multi-pairing kernel (a one-pair batch).
-// It returns nil on success and ErrVerifyFailed (or a shape error) on
+// The implementation decides the algebraically identical product form
+// e((V·h⁻¹)·P - R, S)·e(-P_pub, Q_ID) = 1: h⁻¹·S is traded for a scalar
+// inversion in Zr, and the constant enters as its cached Miller value, so
+// one final exponentiation reduces both pairings, cached or not (DESIGN.md
+// §3). It returns nil on success and ErrVerifyFailed (or a shape error) on
 // rejection.
 func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	if err := checkShape(pk, sig); err != nil {
@@ -124,7 +127,8 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	// A = (V/h)·P - R, fused into one fixed-base table pass.
 	var a, negR bn254.G1
 	a.ScalarBaseMultAddFr(&k, negR.Neg(sig.R))
-	if !bn254.Pair(&a, sig.S).Equal(vf.rhs(pk.ID)) {
+	f := bn254.MillerLoopMulti([]*bn254.G1{&a}, []*bn254.G2{sig.S})
+	if !bn254.ReducesToOne(f.Mul(f, vf.rhs(pk.ID))) {
 		return ErrVerifyFailed
 	}
 	return nil

@@ -24,12 +24,13 @@ type entry[V any] struct {
 	val V
 }
 
-// New creates a cache bounded to max entries (minimum 1).
+// New creates a cache bounded to max entries (minimum 1). The map is not
+// pre-sized to the bound: an empty cache costs the same whatever max is.
 func New[V any](max int) *Cache[V] {
 	if max < 1 {
 		max = 1
 	}
-	return &Cache[V]{max: max, ll: list.New(), items: make(map[string]*list.Element, max)}
+	return &Cache[V]{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
 // Get returns the value for key, marking it most recently used.
