@@ -75,10 +75,13 @@ func Modulus() *big.Int { return new(big.Int).Set(rBig) }
 func One() Element { return one }
 
 // NewElement returns v as a field element.
-func NewElement(v uint64) Element {
-	z := Element{v}
-	z.Mul(&z, &rSquare)
-	return z
+func NewElement(v uint64) Element { return *new(Element).SetLimbs([4]uint64{v}) }
+
+// SetLimbs sets z to the plain integer x < r, little-endian limbs — the
+// inverse of Limbs — and returns z.
+func (z *Element) SetLimbs(x [4]uint64) *Element {
+	*z = x
+	return z.Mul(z, &rSquare)
 }
 
 // IsZero reports whether z == 0.

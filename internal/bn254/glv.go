@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"mccls/internal/bn254/fp"
+	"mccls/internal/bn254/fr"
 )
 
 // GLV scalar multiplication (Gallant–Lambert–Vanstone). BN curves
@@ -29,8 +30,10 @@ import (
 var (
 	// glvBeta is the cube root of unity in Fp with φ(P) = λ·P for glvLambda.
 	glvBeta fp.Element
-	// glvLambda is the matching cube root of unity mod r.
-	glvLambda *big.Int
+	// glvLambda is the matching cube root of unity mod r, glvLambdaFr its
+	// limb-typed copy for EndoScalar.Fr.
+	glvLambda   *big.Int
+	glvLambdaFr fr.Element
 	// glvBetaG2 is the cube root of unity in Fp with (β·x, y) = λ·Q on G2.
 	glvBetaG2 fp.Element
 	// The Babai rounding of glvSplit in limbs, from the short lattice
@@ -78,6 +81,7 @@ func init() {
 			panic("bn254: no eigenvalue matches the GLV endomorphism")
 		}
 	}
+	glvLambdaFr = *frFromBig(glvLambda)
 	a1, b1, a2, b2 := glvLattice(Order, glvLambda)
 	two256 := new(big.Int).Lsh(big.NewInt(1), 256)
 	for i, v := range [2][3]*big.Int{{b2, a1, b1}, {new(big.Int).Neg(b1), a2, b2}} {
@@ -175,29 +179,39 @@ func absLimbs(z *[4]uint64) (neg bool) {
 	return mask != 0
 }
 
-// g1OddMultiples fills tab with [P, 3P, 5P, …] in affine coordinates,
-// using Jacobian additions and one batched normalization. a must not be
-// the identity.
-func g1OddMultiples(tab *[wnafTableSize]G1, a *G1) {
-	var d g1Jac
-	d.fromAffine(a)
-	d.double()
-	var twoA G1
-	d.affine(&twoA) // y = 0 (two-torsion) collapses to infinity here
-	var js [wnafTableSize]g1Jac
-	js[0].fromAffine(a)
-	for i := 1; i < len(js); i++ {
-		js[i] = js[i-1]
-		if !twoA.Inf {
-			js[i].addMixed(&twoA)
+// g1OddMultiples fills row i of tab (wnafTableSize entries) with
+// [Pᵢ, 3Pᵢ, 5Pᵢ, …] in affine coordinates for each of at most jointSlice
+// points, by Jacobian additions and two batched normalizations: of the
+// doubles (parked in tab meanwhile) and of the tables. A tab twice as long
+// takes the rows of φ(Pᵢ) after them: φ is additive, so β·x on each entry.
+func g1OddMultiples(tab []G1, pts []*G1) {
+	var js [jointSlice * wnafTableSize]g1Jac
+	for i, p := range pts {
+		js[i].fromAffine(p)
+		js[i].double()
+	}
+	g1BatchAffine(tab[:len(pts)], js[:len(pts)])
+	m := len(pts) * wnafTableSize
+	for i, p := range pts {
+		row := js[i*wnafTableSize:][:wnafTableSize]
+		row[0].fromAffine(p)
+		for k := 1; k < len(row); k++ {
+			row[k] = row[k-1]
+			if !tab[i].Inf { // the identity, or two-torsion (y = 0)
+				row[k].addMixed(&tab[i])
+			}
 		}
 	}
-	g1BatchAffine(tab[:], js[:])
+	g1BatchAffine(tab[:m], js[:m])
+	for i := range tab[m:] {
+		tab[m+i] = tab[i]
+		tab[m+i].X.Mul(&tab[i].X, &glvBeta)
+	}
 }
 
 // addDigit adds the multiple a wNAF digit d selects from the odd-multiples
 // table tab (entry i holds (2i+1)·P) to j.
-func (j *g1Jac) addDigit(tab *[wnafTableSize]G1, d int8) {
+func (j *g1Jac) addDigit(tab []G1, d int8) {
 	if d == 0 {
 		return
 	}
@@ -219,12 +233,10 @@ func g1ScalarMultGLV(z, a *G1, k *[4]uint64) *G1 {
 		return z.Set(G1Infinity())
 	}
 	k1, k2, neg1, neg2 := glvSplit(k)
-	var tab, tabPhi [wnafTableSize]G1
-	g1OddMultiples(&tab, a)
+	var tabs [2 * wnafTableSize]G1
+	g1OddMultiples(tabs[:], []*G1{a})
+	tab, tabPhi := tabs[:wnafTableSize], tabs[wnafTableSize:]
 	for i := range tab {
-		// φ distributes over addition, so φ(table) is β·x on each entry.
-		tabPhi[i] = tab[i]
-		tabPhi[i].X.Mul(&tab[i].X, &glvBeta)
 		if neg1 {
 			tab[i].Neg(&tab[i])
 		}
@@ -239,31 +251,39 @@ func g1ScalarMultGLV(z, a *G1, k *[4]uint64) *G1 {
 	for i := max(len(d1), len(d2)) - 1; i >= 0; i-- {
 		acc.double()
 		if i < len(d1) {
-			acc.addDigit(&tab, d1[i])
+			acc.addDigit(tab, d1[i])
 		}
 		if i < len(d2) {
-			acc.addDigit(&tabPhi, d2[i])
+			acc.addDigit(tabPhi, d2[i])
 		}
 	}
 	return acc.affine(z)
 }
 
 // g2OddMultiples is the G2 counterpart of g1OddMultiples.
-func g2OddMultiples(tab *[wnafTableSize]G2, a *G2) {
-	var d g2Jac
-	d.fromAffine(a)
-	d.double()
-	var twoA G2
-	d.affine(&twoA)
-	var js [wnafTableSize]g2Jac
-	js[0].fromAffine(a)
-	for i := 1; i < len(js); i++ {
-		js[i] = js[i-1]
-		if !twoA.Inf {
-			js[i].addMixed(&twoA)
+func g2OddMultiples(tab []G2, pts []*G2) {
+	var js [jointSlice * wnafTableSize]g2Jac
+	for i, p := range pts {
+		js[i].fromAffine(p)
+		js[i].double()
+	}
+	g2BatchAffine(tab[:len(pts)], js[:len(pts)])
+	m := len(pts) * wnafTableSize
+	for i, p := range pts {
+		row := js[i*wnafTableSize:][:wnafTableSize]
+		row[0].fromAffine(p)
+		for k := 1; k < len(row); k++ {
+			row[k] = row[k-1]
+			if !tab[i].Inf {
+				row[k].addMixed(&tab[i])
+			}
 		}
 	}
-	g2BatchAffine(tab[:], js[:])
+	g2BatchAffine(tab[:m], js[:m])
+	for i := range tab[m:] {
+		tab[m+i] = tab[i]
+		tab[m+i].X.MulScalar(&tab[i].X, &glvBetaG2)
+	}
 }
 
 // addDigit adds the multiple a wNAF digit d selects from the odd-multiples
@@ -305,7 +325,7 @@ func g2JointWNAF(d1 []int8, tab1 []G2, d2 []int8, tab2 []G2) (acc g2Jac) {
 // callers can keep adding.
 func g2JacMultWNAF(a *G2, digits []int8) g2Jac {
 	var tab [wnafTableSize]G2
-	g2OddMultiples(&tab, a)
+	g2OddMultiples(tab[:], []*G2{a})
 	return g2JointWNAF(digits, tab[:], nil, nil)
 }
 
@@ -318,12 +338,10 @@ func g2ScalarMultGLV(z, a *G2, k *[4]uint64) *G2 {
 		return z.Set(G2Infinity())
 	}
 	k1, k2, neg1, neg2 := glvSplit(k)
-	var tab, tabPhi [wnafTableSize]G2
-	g2OddMultiples(&tab, a)
+	var tabs [2 * wnafTableSize]G2
+	g2OddMultiples(tabs[:], []*G2{a})
+	tab, tabPhi := tabs[:wnafTableSize], tabs[wnafTableSize:]
 	for i := range tab {
-		// φ distributes over addition, so φ(table) is β·x on each entry.
-		tabPhi[i] = tab[i]
-		tabPhi[i].X.MulScalar(&tab[i].X, &glvBetaG2)
 		if neg1 {
 			tab[i].Neg(&tab[i])
 		}
@@ -332,6 +350,6 @@ func g2ScalarMultGLV(z, a *G2, k *[4]uint64) *G2 {
 		}
 	}
 	var b1, b2 [wnafMaxDigits]int8
-	acc := g2JointWNAF(wnafDigits(b1[:0], k1, wnafWindow), tab[:], wnafDigits(b2[:0], k2, wnafWindow), tabPhi[:])
+	acc := g2JointWNAF(wnafDigits(b1[:0], k1, wnafWindow), tab, wnafDigits(b2[:0], k2, wnafWindow), tabPhi)
 	return acc.affine(z)
 }

@@ -16,8 +16,8 @@ import "sync/atomic"
 type OpCounts struct {
 	Pairings      uint64 // Miller loops executed (PairingCheck counts one per pair)
 	FinalExps     uint64 // final exponentiations
-	G1ScalarMults uint64
-	G2ScalarMults uint64
+	G1ScalarMults uint64 // one per ScalarMult, per fixed-base pass and per point fed to a joint ladder
+	G2ScalarMults uint64 // one per ScalarMult, subgroup check, cofactor clearing and joint-ladder point
 	GTExps        uint64
 
 	// Kernel-level counters for the fast pairing path. LineDoubles and

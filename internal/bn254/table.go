@@ -72,22 +72,27 @@ func buildG1BaseTable() {
 	g1BaseTable = tab
 }
 
-// ScalarBaseMultAddFr sets z = k·G + q using the fixed-base table, folding
-// the extra point (Verify's -R) into the same accumulation so the whole
-// expression costs one final normalization. q may be nil or the identity.
-// The window digits are the bytes of k's canonical limbs.
-func (z *G1) ScalarBaseMultAddFr(k *fr.Element, q *G1) *G1 {
+// addBaseMult sets j = j + k·G using the fixed-base table, the window digits
+// being the bytes of k's canonical limbs. It counts one G1 multiplication.
+func (j *g1Jac) addBaseMult(k *fr.Element) {
 	opCounters.g1Mults.Add(1)
 	tab := g1FixedBaseTable()
 	limbs := k.Limbs()
-	var acc g1Jac
-	acc.setInfinity()
-	for j := 0; j < baseTableWindows; j++ {
-		if b := byte(limbs[j/8] >> (8 * (j % 8))); b != 0 {
-			e := &tab[j][b-1]
-			acc.addXY(&e[0], &e[1])
+	for w := 0; w < baseTableWindows; w++ {
+		if b := byte(limbs[w/8] >> (8 * (w % 8))); b != 0 {
+			e := &tab[w][b-1]
+			j.addXY(&e[0], &e[1])
 		}
 	}
+}
+
+// ScalarBaseMultAddFr sets z = k·G + q using the fixed-base table, folding
+// the extra point (Verify's -R) into the same accumulation so the whole
+// expression costs one final normalization. q may be nil or the identity.
+func (z *G1) ScalarBaseMultAddFr(k *fr.Element, q *G1) *G1 {
+	var acc g1Jac
+	acc.setInfinity()
+	acc.addBaseMult(k)
 	if q != nil && !q.Inf {
 		acc.addMixed(q)
 	}

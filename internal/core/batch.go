@@ -21,11 +21,6 @@ import (
 // benchmark's batch_flood workload prices as batch.us_per_sig.
 const chunkWidth = 64
 
-// weightBits is the weight length. 128 bits keeps the cheat probability at
-// 2^-128 while halving the scalar-multiplication cost of full-width
-// weights.
-const weightBits = 128
-
 // BatchOptions configure a BatchVerifier.
 type BatchOptions struct {
 	// Weights seeds the per-signature random weights (nil uses
@@ -42,20 +37,18 @@ type BatchOptions struct {
 //
 //	Π_S e(Σᵢ∈S ρᵢ·Aᵢ, S) · e(-P_pub, Σ_ID (Σᵢ∈ID ρᵢ)·Q_ID) = 1
 //
-// with Aᵢ = (Vᵢ·hᵢ⁻¹)·P - Rᵢ and ρᵢ independent 128-bit weights (cheat
-// probability 2⁻¹²⁸). Both per-signer constants of a McCLS check are
-// folded: signatures carrying the same S value share one G1 sum (S is
-// message-independent, so a signer contributes one pair however many
-// signatures it has in the chunk), and signatures under the same identity
-// share one weighted Q_ID term. A chunk from k signers is therefore one
-// lockstep multi-pairing of k+1 pairs — one shared Fp12 squaring per
-// Miller iteration and one shared final exponentiation — and a one-signer
-// window is its two-pair case. Grouping is on S point equality, never on
-// identity, so a forged S under a known identity forms a group of its own.
-// The accept/reject outcome and the reported offender set are bit-identical
-// at any worker count (weights are derived per-index from one seed, chunk
-// boundaries depend only on the chunk width, and chunks are decided
-// independently).
+// with Aᵢ = (Vᵢ·hᵢ⁻¹)·P - Rᵢ and ρᵢ = aᵢ + bᵢ·λ independent weights drawn
+// as two 64-bit halves over the curve's endomorphism (2¹²⁸ distinct
+// weights, cheat probability 2⁻¹²⁸; DESIGN.md §6 "Batch weights"). Both
+// per-signer constants of a McCLS check are folded: signatures carrying the
+// same S value share one G1 sum (S is message-independent, so a signer
+// contributes one pair however many signatures it has in the chunk), and
+// signatures under the same identity share one weighted Q_ID term. A chunk
+// from k signers is therefore one lockstep multi-pairing of k+1 pairs — one
+// shared Fp12 squaring per Miller iteration and one shared final
+// exponentiation — and a one-signer window is its two-pair case. Grouping
+// is on S point equality, never on identity, so a forged S under a known
+// identity forms a group of its own.
 type BatchVerifier struct {
 	vf      *Verifier
 	weights io.Reader
@@ -94,13 +87,13 @@ func BatchOffenders(err error) []int {
 }
 
 // weightSeed derives the per-index random exponents of the small-exponent
-// batch test. Every weight is a uniformly random nonzero scalar of at most
-// weightBits bits, derived deterministically from (seed, index) — so the
-// same seed yields the same accept/reject decision regardless of how the
-// engine chunks or schedules the batch, while an adversary who cannot
-// predict the seed defeats the batch equation only by cancelling a random
-// 128-bit relation (probability 2^-128, the standard small-exponent
-// batch-verification bound).
+// batch test: weight i is a + b·λ mod r for a uniformly random pair of
+// 64-bit halves (a, b) ≠ (0, 0) derived from (seed, i), so one seed yields
+// one accept/reject decision however the engine chunks or schedules the
+// batch. Distinct pairs are distinct scalars (bn254.EndoScalar), so an
+// adversary who cannot predict the seed defeats the batch equation only by
+// cancelling a random relation over 2^128 - 1 weights: probability 2^-128,
+// the standard small-exponent batch-verification bound.
 type weightSeed [32]byte
 
 // newWeightSeed draws a weight seed from rng (nil uses crypto/rand).
@@ -116,15 +109,14 @@ func newWeightSeed(rng io.Reader) (*weightSeed, error) {
 }
 
 // at returns the weight for index i.
-func (w *weightSeed) at(i int) (z fr.Element) {
+func (w *weightSeed) at(i int) (z bn254.EndoScalar) {
 	var buf [40]byte
 	copy(buf[:32], w[:])
 	binary.BigEndian.PutUint64(buf[32:], uint64(i))
 	sum := sha256.Sum256(buf[:])
-	var wide [32]byte
-	copy(wide[32-weightBits/8:], sum[:weightBits/8])
-	if z.SetBytesCanonical(wide[:]); z.IsZero() {
-		return fr.One() // zero would void the signature's equation; 2^-128 event
+	z.A[0], z.B[0] = binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:16])
+	if z.A[0]|z.B[0] == 0 {
+		z.A[0] = 1 // zero would void the signature's equation; 2^-128 event
 	}
 	return z
 }
@@ -136,76 +128,76 @@ func (bv *BatchVerifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error
 }
 
 // window is one batch call's input with its per-signature precomputation:
-// wa[i] is the weighted commitment ρᵢ·Aᵢ and rho[i] the 128-bit weight ρᵢ.
+// rho[i] is the weight ρᵢ as its halves and k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the weighted
+// fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ.
 type window struct {
 	vf   *Verifier
 	pks  []*PublicKey
 	msgs [][]byte
 	sigs []*Signature
-	wa   []bn254.G1
-	rho  []fr.Element
+	k    []fr.Element
+	rho  []bn254.EndoScalar
 }
 
-// newWindow runs the shape checks and weighted-commitment precomputation
-// for every index. Shape and zero-hash failures surface as errors, matching
-// the single-signature path.
+// newWindow runs the shape checks and draws the weights for every index: no
+// group operation yet. Shape and zero-hash failures surface as errors,
+// matching the single-signature path.
 func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Signature) (*window, error) {
 	seed, err := newWeightSeed(bv.weights)
 	if err != nil {
 		return nil, err
 	}
-	n := len(sigs)
-	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, wa: make([]bn254.G1, n), rho: make([]fr.Element, n)}
+	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, len(sigs)), rho: make([]bn254.EndoScalar, len(sigs))}
 	for i, sig := range sigs {
 		if err := checkShape(pks[i], sig); err != nil {
 			return nil, err
 		}
-		k, err := bv.vf.params.vOverH(pks[i], msgs[i], sig)
-		if err != nil {
+		if w.k[i], err = bv.vf.params.vOverH(pks[i], msgs[i], sig); err != nil {
 			return nil, err
 		}
-		// ρᵢ·Aᵢ = (ρᵢ·Vᵢ·hᵢ⁻¹)·P - ρᵢ·Rᵢ: one fixed-base table pass plus
-		// one short-scalar mult.
 		w.rho[i] = seed.at(i)
-		k.Mul(&k, &w.rho[i])
-		var rhoR bn254.G1
-		rhoR.ScalarMultFr(sig.R, &w.rho[i])
-		w.wa[i].ScalarBaseMultAddFr(&k, rhoR.Neg(&rhoR))
+		rho := w.rho[i].Fr()
+		w.k[i].Mul(&w.k[i], &rho)
 	}
 	return w, nil
 }
 
-// check decides the aggregate equation over exactly the signatures at idxs
-// with one lockstep multi-pairing. Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) is an
-// identity in GT, so folding equal-S pairs decides exactly what the
-// pairwise product decides for the same weights.
-func (w *window) check(idxs []int) bool {
-	ps := make([]*bn254.G1, 0, len(idxs)+1)
-	qs := make([]*bn254.G2, 0, len(idxs)+1)
-	var ids []string
-	var rhoSums []fr.Element // rhoSums[j] = Σρᵢ over the signatures under ids[j]
+// check evaluates the aggregate equation's left side over exactly the
+// signatures at idxs with one lockstep multi-pairing; the set passes iff the
+// product is one. Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) in GT, so folding equal-S pairs
+// yields exactly the pairwise product for the same weights. A group's point
+// Σρᵢ·Aᵢ = (Σkᵢ)·P - Σρᵢ·Rᵢ is one fixed-base pass and one joint ladder over
+// its R values, and Σ_ID (Σρᵢ)·Q_ID one joint ladder over the identities.
+func (w *window) check(idxs []int) *bn254.GT {
+	n := len(idxs)
+	ps, qs := make([]*bn254.G1, 0, n+1), make([]*bn254.G2, 0, n+1)
+	rs, rhos := make([]*bn254.G1, 0, n), make([]bn254.EndoScalar, 0, n)
+	ids, qids, rhoSums := make([]string, 0, n), make([]*bn254.G2, 0, n), make([]bn254.EndoScalar, 0, n)
 	for _, i := range idxs {
-		if g := slices.IndexFunc(qs, w.sigs[i].S.Equal); g >= 0 {
-			ps[g].Add(ps[g], &w.wa[i])
-		} else {
-			ps = append(ps, new(bn254.G1).Set(&w.wa[i]))
-			qs = append(qs, w.sigs[i].S)
+		// Each S-group and each identity is summed at its first member.
+		if s := w.sigs[i].S; !slices.ContainsFunc(qs, s.Equal) {
+			var k fr.Element
+			rs, rhos = rs[:0], rhos[:0]
+			for _, j := range idxs {
+				if w.sigs[j].S.Equal(s) {
+					k.Add(&k, &w.k[j])
+					rs, rhos = append(rs, w.sigs[j].R), append(rhos, w.rho[j])
+				}
+			}
+			ps, qs = append(ps, new(bn254.G1).ScalarBaseMultSubEndo(&k, rs, rhos)), append(qs, s)
 		}
-		if j := slices.Index(ids, w.pks[i].ID); j >= 0 {
-			rhoSums[j].Add(&rhoSums[j], &w.rho[i])
-		} else {
-			ids = append(ids, w.pks[i].ID)
-			rhoSums = append(rhoSums, w.rho[i])
+		if id := w.pks[i].ID; !slices.Contains(ids, id) {
+			var rho bn254.EndoScalar
+			for _, j := range idxs {
+				if w.pks[j].ID == id {
+					rho.Add(&rho, &w.rho[j])
+				}
+			}
+			ids, qids, rhoSums = append(ids, id), append(qids, w.vf.qid(id)), append(rhoSums, rho)
 		}
 	}
-	qSum := bn254.G2Infinity()
-	var term bn254.G2
-	for j, id := range ids {
-		qSum.Add(qSum, term.ScalarMultFr(w.vf.qid(id), &rhoSums[j]))
-	}
-	ps = append(ps, w.vf.negPpub)
-	qs = append(qs, qSum)
-	return bn254.PairingCheck(ps, qs)
+	ps, qs = append(ps, w.vf.negPpub), append(qs, new(bn254.G2).MultiScalarMultEndo(qids, rhoSums))
+	return bn254.PairMulti(ps, qs)
 }
 
 // checkOne is the bisection leaf: the cached-constant Verify, cheaper than
@@ -215,14 +207,15 @@ func (w *window) checkOne(i int) bool {
 }
 
 // reject partitions [0, n) into chunks, runs check on every chunk across
-// the worker pool, bisects failing chunks down to single signatures (decided
-// by checkOne), and reports the rejected indices as a *batchError. check
-// must be deterministic for a given index set and safe for concurrent use.
-// Chunk boundaries depend only on the chunk width and every chunk is decided
-// independently, so the result is the same at any worker count. The only
-// other error source is a panicking check, surfaced by the runner's panic
-// recovery.
-func (bv *BatchVerifier) reject(n int, check func(idxs []int) bool, checkOne func(i int) bool) error {
+// the worker pool, bisects the chunks whose product is not one down to
+// single signatures (decided by checkOne), and reports the rejected indices
+// as a *batchError. check must be deterministic for a given index set,
+// multiplicative over disjoint sets, and safe for concurrent use. Weights
+// are per index, chunk boundaries depend only on the chunk width and every
+// chunk is decided independently, so the outcome and the offender set are
+// bit-identical at any worker count. The only other error source is a
+// panicking check, surfaced by the runner's panic recovery.
+func (bv *BatchVerifier) reject(n int, check func(idxs []int) *bn254.GT, checkOne func(i int) bool) error {
 	var trials []runner.Trial[[]int]
 	for lo := 0; lo < n; lo += bv.chunk {
 		idxs := make([]int, min(bv.chunk, n-lo))
@@ -232,7 +225,7 @@ func (bv *BatchVerifier) reject(n int, check func(idxs []int) bool, checkOne fun
 		trials = append(trials, runner.Trial[[]int]{
 			Label: fmt.Sprintf("chunk[%d:%d)", lo, lo+len(idxs)),
 			Run: func(context.Context, *runner.Obs) ([]int, error) {
-				return bisect(idxs, check, checkOne), nil
+				return bisect(idxs, nil, check, checkOne), nil
 			},
 		})
 	}
@@ -247,22 +240,31 @@ func (bv *BatchVerifier) reject(n int, check func(idxs []int) bool, checkOne fun
 	return nil
 }
 
-// bisect isolates the offending indices of a non-empty index set. Subset
-// checks reuse the window's per-index weights, which is sound: a valid
-// subset satisfies its aggregate equation for any weights, and an invalid
-// one passes only with the probability the top-level check did.
-func bisect(idxs []int, check func([]int) bool, checkOne func(int) bool) []int {
+// bisect isolates the offending indices of a non-empty index set whose
+// aggregate product is v (nil at a chunk's root: not evaluated yet). Subset
+// products reuse the window's per-index weights, which is sound — a valid
+// subset's product is one for any weights, an invalid one's only with the
+// probability the chunk's was — and makes them multiplicative: a failing
+// set evaluates its left half and reads the right half's off as v·left⁻¹.
+// A half whose product is one is not descended into; a single signature —
+// a suspect, or a chunk of one — is decided by checkOne, unweighted.
+func bisect(idxs []int, v *bn254.GT, check func([]int) *bn254.GT, checkOne func(int) bool) []int {
 	if len(idxs) == 1 {
-		if checkOne(idxs[0]) {
+		if v != nil && v.IsOne() || checkOne(idxs[0]) {
 			return nil
 		}
-		return []int{idxs[0]}
+		return idxs
 	}
-	if check(idxs) {
+	if v == nil {
+		v = check(idxs)
+	}
+	if v.IsOne() {
 		return nil
 	}
 	mid := len(idxs) / 2
-	return append(bisect(idxs[:mid], check, checkOne), bisect(idxs[mid:], check, checkOne)...)
+	left := check(idxs[:mid])
+	right := new(bn254.GT).Inverse(left)
+	return append(bisect(idxs[:mid], left, check, checkOne), bisect(idxs[mid:], right.Mul(v, right), check, checkOne)...)
 }
 
 // VerifySameSigner checks n signatures by one signer: VerifyMulti with pk
@@ -283,18 +285,6 @@ func (bv *BatchVerifier) VerifySameSigner(pk *PublicKey, msgs [][]byte, sigs []*
 func (bv *BatchVerifier) VerifyMulti(pks []*PublicKey, msgs [][]byte, sigs []*Signature) error {
 	if len(pks) != len(msgs) || len(msgs) != len(sigs) {
 		return ErrBatchMismatch
-	}
-	switch len(sigs) {
-	case 0:
-		return nil
-	case 1:
-		// The cached-constant Verify with no weighting overhead, with a
-		// rejection reported in batch form.
-		err := bv.vf.Verify(pks[0], msgs[0], sigs[0])
-		if errors.Is(err, ErrVerifyFailed) {
-			return &batchError{bad: []int{0}}
-		}
-		return err
 	}
 	w, err := bv.newWindow(pks, msgs, sigs)
 	if err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/big"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -109,27 +111,55 @@ func TestBatchEngineSameSigner(t *testing.T) {
 }
 
 // checkPairwise is the differential oracle for window.check: the aggregate
-// equation with nothing folded, one Miller pair and one weighted Q_ID per
-// signature —
+// product with nothing folded and no kernel shared with the shipped path —
+// ρᵢ as a full-width scalar, Aᵢ = (Vᵢ/hᵢ)·P - Rᵢ and ρᵢ·Aᵢ by the
+// variable-base ladder, one Miller pair and one weighted Q_ID per signature:
 //
-//	Π e(ρᵢ·Aᵢ, Sᵢ) · e(-P_pub, Σ ρᵢ·Q_IDᵢ) = 1.
-func (w *window) checkPairwise(idxs []int) bool {
+//	Π e(ρᵢ·Aᵢ, Sᵢ) · e(-P_pub, Σ ρᵢ·Q_IDᵢ).
+func (w *window) checkPairwise(idxs []int) *bn254.GT {
 	var ps []*bn254.G1
 	var qs []*bn254.G2
 	qSum := bn254.G2Infinity()
+	params := w.vf.params
 	for _, i := range idxs {
-		ps = append(ps, &w.wa[i])
-		qs = append(qs, w.sigs[i].S)
-		qSum.Add(qSum, new(bn254.G2).ScalarMult(w.vf.params.QID(w.pks[i].ID), w.rho[i].BigInt()))
+		sig := w.sigs[i]
+		h := params.hashH2(w.msgs[i], sig.R, w.pks[i].PID)
+		k := new(big.Int).ModInverse(h.BigInt(), bn254.Order)
+		a := new(bn254.G1).ScalarMult(bn254.G1Generator(), k.Mul(k, sig.V.BigInt()))
+		a.Add(a, new(bn254.G1).Neg(sig.R))
+		rho := w.rho[i].Fr()
+		ps = append(ps, a.ScalarMultFr(a, &rho))
+		qs = append(qs, sig.S)
+		qSum.Add(qSum, new(bn254.G2).ScalarMultFr(params.QID(w.pks[i].ID), &rho))
 	}
-	ps = append(ps, new(bn254.G1).Neg(w.vf.params.Ppub))
+	ps = append(ps, new(bn254.G1).Neg(params.Ppub))
 	qs = append(qs, qSum)
-	return bn254.PairingCheck(ps, qs)
+	return bn254.PairMulti(ps, qs)
+}
+
+// pairwiseTrace predicts what a bisection over idxs evaluates, every node
+// decided by the pairwise oracle directly — the right halves too, which the
+// shipped bisection derives as a quotient: one "check" entry for the root
+// and every left half, one "leaf" entry per confirmed single suspect.
+func (w *window) pairwiseTrace(idxs []int, derived bool, trace []string) []string {
+	pass := w.checkPairwise(idxs).IsOne()
+	if !derived {
+		trace = append(trace, fmt.Sprint("check ", idxs, pass))
+	}
+	switch {
+	case pass:
+		return trace
+	case len(idxs) == 1:
+		return append(trace, fmt.Sprint("leaf ", idxs[0], w.checkOne(idxs[0])))
+	}
+	mid := len(idxs) / 2
+	return w.pairwiseTrace(idxs[mid:], true, w.pairwiseTrace(idxs[:mid], false, trace))
 }
 
 // TestBatchGroupedVsPairwise runs the shipped chunk check against the
-// pairwise oracle under one weight seed: same error class and the same
-// offender slice on every window.
+// pairwise oracle under one weight seed: same error class, the same
+// verdict at every bisection node and the same offender slice on every
+// window.
 func TestBatchGroupedVsPairwise(t *testing.T) {
 	kgc, vf, pks, msgs, sigs := multiBatch(t, 20, 4)
 	params := kgc.Params()
@@ -167,24 +197,48 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 			s[6] = zeroA
 		}, []int{2, 3, 4, 6, 9, 13}},
 	}
+	const chunk = 8
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, m, s := slices.Clone(pks), slices.Clone(msgs), slices.Clone(sigs)
 			tc.edit(p, m, s)
-			got := testBatch(vf, 8, 0).VerifyMulti(p, m, s)
+			got := testBatch(vf, chunk, 0).VerifyMulti(p, m, s)
 
-			oracle := testBatch(vf, 8, 0)
+			// The same window again, one worker, every evaluation recorded.
+			oracle := testBatch(vf, chunk, 1)
 			w, want := oracle.newWindow(p, m, s)
+			var gotTrace, wantTrace []string
 			if want == nil {
-				want = oracle.reject(len(s), w.checkPairwise, w.checkOne)
+				want = oracle.reject(len(s), func(idxs []int) *bn254.GT {
+					v := w.check(idxs)
+					gotTrace = append(gotTrace, fmt.Sprint("check ", idxs, v.IsOne()))
+					return v
+				}, func(i int) bool {
+					ok := w.checkOne(i)
+					gotTrace = append(gotTrace, fmt.Sprint("leaf ", i, ok))
+					return ok
+				})
+				for lo := 0; lo < len(s); lo += chunk {
+					idxs := make([]int, min(chunk, len(s)-lo))
+					for i := range idxs {
+						idxs[i] = lo + i
+					}
+					wantTrace = w.pairwiseTrace(idxs, false, wantTrace)
+					if tc.bad == nil && !(w.check(idxs).IsOne() && w.checkPairwise(idxs).IsOne()) {
+						t.Fatalf("clean chunk %v must pass at the root on both sides", idxs)
+					}
+				}
+				if !slices.Equal(gotTrace, wantTrace) {
+					t.Fatalf("bisection nodes:\ngrouped  %q\npairwise %q", gotTrace, wantTrace)
+				}
 			}
 			for _, class := range []error{ErrVerifyFailed, ErrInvalidSignature, ErrInvalidKey} {
 				if errors.Is(got, class) != errors.Is(want, class) {
-					t.Fatalf("error class: grouped %v, pairwise %v", got, want)
+					t.Fatalf("error class: grouped %v, recorded %v", got, want)
 				}
 			}
 			if (got == nil) != (want == nil) || !slices.Equal(BatchOffenders(got), BatchOffenders(want)) {
-				t.Fatalf("grouped %v, pairwise %v", got, want)
+				t.Fatalf("grouped %v, recorded %v", got, want)
 			}
 			if !slices.Equal(BatchOffenders(got), tc.bad) {
 				t.Fatalf("offenders %v, want %v", BatchOffenders(got), tc.bad)
@@ -221,17 +275,84 @@ func TestBatchWindowOpCounts(t *testing.T) {
 	}
 }
 
-// fakeCheck is an aggregate check over a set of bad indices that counts
-// its evaluations; fakeLeaf is the matching single-index check.
-func fakeCheck(bad map[int]bool, calls *atomic.Int64) func([]int) bool {
-	return func(idxs []int) bool {
-		calls.Add(1)
-		for _, i := range idxs {
-			if bad[i] {
-				return false
+// TestBatchQuotientBisection pins the bisection's cost and semantics on a
+// 64-signature/16-signer window. One forgery costs the root and one left
+// half per level — 7 aggregate products over 64, 32, 16, 8, 4, 2 and 1
+// signatures, 17+17+17+9+5+3+2 = 70 Miller pairs — plus the one checkOne
+// that confirms it, wherever it sits; the right halves come as quotients.
+func TestBatchQuotientBisection(t *testing.T) {
+	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
+	for i := 0; i < 16; i++ { // warm e(P_pub, Q_ID) for the leaves
+		if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tamper := func(at ...int) [][]byte {
+		bad := slices.Clone(msgs)
+		for _, i := range at {
+			bad[i] = []byte{0xff, byte(i)}
+		}
+		return bad
+	}
+	for _, at := range []int{0, 31, 32, 63} {
+		before := bn254.ReadOpCounts()
+		err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, tamper(at), sigs)
+		d := bn254.ReadOpCounts().Sub(before)
+		if !slices.Equal(BatchOffenders(err), []int{at}) {
+			t.Fatalf("forgery at %d: %v", at, err)
+		}
+		if d.FinalExps != 7+1 || d.Pairings != 70+1 {
+			t.Fatalf("forgery at %d: %d final exps, %d Miller pairs; want 8, 71", at, d.FinalExps, d.Pairings)
+		}
+	}
+	all := make([]int, 16)
+	for i := range all {
+		all[i] = 16 + i
+	}
+	// Two offenders in one half, one in each half, one in each chunk, and a
+	// chunk forged throughout.
+	for _, tc := range []struct {
+		chunk int
+		want  []int
+	}{{64, []int{40, 41}}, {64, []int{3, 40}}, {32, []int{5, 60}}, {16, all}} {
+		for _, workers := range []int{1, 2, 8} {
+			err := testBatch(vf, tc.chunk, workers).VerifyMulti(pks, tamper(tc.want...), sigs)
+			if got := BatchOffenders(err); !slices.Equal(got, tc.want) {
+				t.Fatalf("chunk=%d workers=%d: offenders %v (%v), want %v", tc.chunk, workers, got, err, tc.want)
 			}
 		}
-		return true
+	}
+}
+
+// TestBatchWindowAllocs keeps the joint ladders' tables and digit buffers
+// off the heap: a clean 64/16 window stays within 96 allocations.
+func TestBatchWindowAllocs(t *testing.T) {
+	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
+	bv := vf.Batch(BatchOptions{})
+	if allocs := testing.AllocsPerRun(3, func() {
+		if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 96 {
+		t.Fatalf("clean 64/16 window: %v allocations, want at most 96", allocs)
+	}
+}
+
+// fakeCheck is an aggregate check over a set of bad indices that counts
+// its evaluations; fakeLeaf is the matching single-index check. A bad index
+// i contributes e(P, Q)^(i+1), so products are multiplicative over disjoint
+// sets and one exactly when the set holds no bad index.
+func fakeCheck(bad map[int]bool, calls *atomic.Int64) func([]int) *bn254.GT {
+	g := bn254.Pair(bn254.G1Generator(), bn254.G2Generator())
+	return func(idxs []int) *bn254.GT {
+		calls.Add(1)
+		var e int64
+		for _, i := range idxs {
+			if bad[i] {
+				e += int64(i) + 1
+			}
+		}
+		return new(bn254.GT).Exp(g, big.NewInt(e))
 	}
 }
 
@@ -293,7 +414,7 @@ func TestBatchRejectUsesCheckOneAtLeaves(t *testing.T) {
 }
 
 func TestBatchRejectPanicPropagates(t *testing.T) {
-	err := (&BatchVerifier{chunk: 2}).reject(4, func([]int) bool { panic("boom") }, fakeLeaf(nil))
+	err := (&BatchVerifier{chunk: 2}).reject(4, func([]int) *bn254.GT { panic("boom") }, fakeLeaf(nil))
 	if err == nil || BatchOffenders(err) != nil {
 		t.Fatalf("panicking check must surface as a plain error, got %v", err)
 	}
@@ -324,11 +445,11 @@ func TestWeightsDeterministicAndBounded(t *testing.T) {
 		if a != b {
 			t.Fatalf("weight %d not deterministic", i)
 		}
-		if a.IsZero() {
-			t.Fatalf("weight %d is zero", i)
+		if a.A[0]|a.B[0] == 0 {
+			t.Fatalf("weight %d is (0, 0)", i)
 		}
-		if bits := a.BigInt().BitLen(); bits > weightBits {
-			t.Fatalf("weight %d has %d bits, cap %d", i, bits, weightBits)
+		if a.A[1]|a.B[1] != 0 {
+			t.Fatalf("weight %d has a half wider than 64 bits: %v", i, a)
 		}
 	}
 	if w1.at(0) == w1.at(1) {
@@ -345,6 +466,34 @@ func TestWeightsDeterministicAndBounded(t *testing.T) {
 	}
 	if _, err := newWeightSeed(bytes.NewReader(seed[:5])); err == nil {
 		t.Fatal("a short weight source must be an error")
+	}
+}
+
+// TestEndoWeights pins what the weights are: the scalar a + b·λ mod r of
+// their two halves, λ a primitive cube root of unity mod r — recomputed
+// over math/big from (0, 1), the pair that is λ itself — and nonzero, so no
+// signature's equation is voided. bn254's TestEndoScalarInjective carries
+// the other half of the argument: distinct pairs are distinct scalars.
+func TestEndoWeights(t *testing.T) {
+	r := bn254.Order
+	unit := bn254.EndoScalar{B: [2]uint64{1}}
+	unitFr := unit.Fr()
+	lambda := unitFr.BigInt()
+	cube := new(big.Int).Exp(lambda, big.NewInt(3), r)
+	if lambda.Cmp(big.NewInt(1)) == 0 || cube.Cmp(big.NewInt(1)) != 0 {
+		t.Fatalf("(0, 1) = %v is not a primitive cube root of unity mod r", lambda)
+	}
+	seed, err := newWeightSeed(fixedSeed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		w := seed.at(i)
+		want := new(big.Int).Mul(new(big.Int).SetUint64(w.B[0]), lambda)
+		want.Add(want, new(big.Int).SetUint64(w.A[0])).Mod(want, r)
+		if got := w.Fr(); got.BigInt().Cmp(want) != 0 || got.IsZero() {
+			t.Fatalf("weight %d: (%#x, %#x) = %v, want %v (nonzero)", i, w.A[0], w.B[0], got.BigInt(), want)
+		}
 	}
 }
 
