@@ -1,7 +1,7 @@
 // Command kgcload is the chaos drill for the kgcd enrollment service. It
 // self-hosts a t-of-n deployment on loopback (rate limiting disabled), and
 // while closed-loop workers keep one enrollment in flight each, a
-// deterministic faulthttp schedule kills one of the n replicas every
+// deterministic kgcd.FaultSchedule kills one of the n replicas every
 // -chaosperiod for -chaosdown (always below quorum loss for t ≤ n−1) and a
 // proactive share refresh runs at half-time. Afterwards fresh identities
 // are enrolled and byte-compared against the single-master oracle.
@@ -32,7 +32,6 @@ import (
 
 	"mccls/internal/bn254"
 	"mccls/internal/core"
-	"mccls/internal/faulthttp"
 	"mccls/internal/kgcd"
 )
 
@@ -112,14 +111,14 @@ func run(args []string, out io.Writer) (summary, error) {
 	for i := range targets {
 		targets[i] = fmt.Sprintf("replica-%d", i)
 	}
-	crashes := faulthttp.RotatingCrashes(targets, o.chaosPeriod, o.chaosDown, o.chaosFor)
-	injector := faulthttp.New(faulthttp.Schedule{Crashes: crashes})
+	crashes := kgcd.RotatingCrashes(targets, o.chaosPeriod, o.chaosDown, o.chaosFor)
+	injector := kgcd.NewInjector(kgcd.FaultSchedule{Crashes: crashes})
 	cl, err := kgcd.StartCluster(kgcd.ClusterConfig{
 		T: o.t, N: o.n,
 		Master:   master,
 		Combiner: kgcd.Config{RatePerSec: -1},
 		SignerMiddleware: func(i int, h http.Handler) http.Handler {
-			return faulthttp.Middleware(injector, targets[i], h)
+			return injector.Middleware(targets[i], h)
 		},
 	})
 	if err != nil {

@@ -30,82 +30,48 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes a circuit breaker; zero values select the defaults.
-type BreakerConfig struct {
-	// Window is the sliding outcome window (most recent requests sampled).
-	Window int
-	// MinSamples is how many outcomes the window must hold before the
-	// failure rate is trusted enough to trip.
-	MinSamples int
-	// FailureRate in (0, 1]: the windowed failure fraction that trips the
-	// breaker once MinSamples outcomes are recorded.
-	FailureRate float64
-	// Cooldown is the initial open interval; each failed half-open probe
-	// doubles it, capped at MaxCooldown.
-	Cooldown    time.Duration
-	MaxCooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window == 0 {
-		c.Window = 16
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 8
-	}
-	if c.FailureRate == 0 {
-		c.FailureRate = 0.5
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.MaxCooldown == 0 {
-		c.MaxCooldown = 30 * time.Second
-	}
-	return c
-}
+// The breaker's shape. A 16-outcome sliding window is trusted once it holds 8
+// samples and trips at a 50 % failure rate; the open interval starts at 2 s
+// and doubles with each failed half-open probe up to 30 s.
+const (
+	breakerWindow      = 16
+	breakerMinSamples  = 8
+	breakerFailureRate = 0.5
+	breakerCooldown    = 2 * time.Second
+	breakerMaxCooldown = 30 * time.Second
+)
 
 // breaker is a per-replica circuit breaker: closed → (failure rate trips) →
 // open → (cooldown elapses) → half-open → one probe → closed or open again
 // with a doubled cooldown. It keeps a dead replica from soaking up fan-out
 // slots and request deadlines: while open, gatherShares skips the replica
-// entirely and spends its budget on ones that might answer.
+// entirely and spends its budget on ones that might answer. It holds no
+// clock: the owner passes its clock's Now into every time-dependent call.
 type breaker struct {
-	cfg BreakerConfig
-	now func() time.Time // injectable for tests
-
 	mu       sync.Mutex
 	state    BreakerState
-	window   []bool // ring buffer of outcomes, true = failure
-	pos      int    // next write position
-	filled   int    // outcomes recorded, ≤ len(window)
+	window   [breakerWindow]bool // ring buffer of outcomes, true = failure
+	pos      int                 // next write position
+	filled   int                 // outcomes recorded, ≤ len(window)
 	openedAt time.Time
 	cooldown time.Duration
 	probing  bool // half-open: the single probe slot is taken
 	opens    uint64
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
-	cfg = cfg.withDefaults()
-	return &breaker{
-		cfg:      cfg,
-		now:      time.Now,
-		window:   make([]bool, cfg.Window),
-		cooldown: cfg.Cooldown,
-	}
-}
+func newBreaker() *breaker { return &breaker{cooldown: breakerCooldown} }
 
 // Allow reports whether a request may be sent. In half-open state only one
 // caller wins the probe slot; everyone else is refused until the probe's
 // outcome is recorded.
-func (b *breaker) Allow() bool {
+func (b *breaker) Allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
+		if now.Sub(b.openedAt) < b.cooldown {
 			return false
 		}
 		b.state = BreakerHalfOpen
@@ -125,7 +91,7 @@ func (b *breaker) Allow() bool {
 // when the failure rate crosses the threshold. Half-open: a success closes
 // the breaker and resets the window and cooldown; a failure re-opens with a
 // doubled cooldown. Open: late results from before the trip are ignored.
-func (b *breaker) Record(ok bool) {
+func (b *breaker) Record(now time.Time, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -135,7 +101,7 @@ func (b *breaker) Record(ok bool) {
 		if b.filled < len(b.window) {
 			b.filled++
 		}
-		if b.filled < b.cfg.MinSamples {
+		if b.filled < breakerMinSamples {
 			return
 		}
 		fails := 0
@@ -144,27 +110,27 @@ func (b *breaker) Record(ok bool) {
 				fails++
 			}
 		}
-		if float64(fails)/float64(b.filled) >= b.cfg.FailureRate {
-			b.trip()
+		if float64(fails)/float64(b.filled) >= breakerFailureRate {
+			b.trip(now)
 		}
 	case BreakerHalfOpen:
 		b.probing = false
 		if ok {
 			b.state = BreakerClosed
 			b.pos, b.filled = 0, 0
-			b.cooldown = b.cfg.Cooldown
+			b.cooldown = breakerCooldown
 			return
 		}
-		b.cooldown = min(2*b.cooldown, b.cfg.MaxCooldown)
-		b.trip()
+		b.cooldown = min(2*b.cooldown, breakerMaxCooldown)
+		b.trip(now)
 	case BreakerOpen:
 		// A straggler from before the trip; nothing to learn.
 	}
 }
 
-func (b *breaker) trip() {
+func (b *breaker) trip(now time.Time) {
 	b.state = BreakerOpen
-	b.openedAt = b.now()
+	b.openedAt = now
 	b.opens++
 }
 
@@ -187,24 +153,24 @@ func (b *breaker) Opens() uint64 {
 // consuming the half-open probe slot: closed, already half-open, or open
 // with the cooldown elapsed. The combiner counts admissible replicas to
 // decide between fanning out and degrading to 503.
-func (b *breaker) Admissible() bool {
+func (b *breaker) Admissible(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerOpen {
-		return b.now().Sub(b.openedAt) >= b.cooldown
+		return now.Sub(b.openedAt) >= b.cooldown
 	}
 	return true
 }
 
 // RemainingCooldown is how long until an open breaker admits a probe
 // (zero when not open or already cooled down). Feeds Retry-After.
-func (b *breaker) RemainingCooldown() time.Duration {
+func (b *breaker) RemainingCooldown(now time.Time) time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != BreakerOpen {
 		return 0
 	}
-	if rem := b.cooldown - b.now().Sub(b.openedAt); rem > 0 {
+	if rem := b.cooldown - now.Sub(b.openedAt); rem > 0 {
 		return rem
 	}
 	return 0

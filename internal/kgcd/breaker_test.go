@@ -5,128 +5,132 @@ import (
 	"time"
 )
 
-func newTestBreaker(cfg BreakerConfig) (*breaker, *time.Time) {
-	b := newBreaker(cfg)
-	now := time.Unix(1000, 0)
-	b.now = func() time.Time { return now }
-	return b, &now
+// feed records n outcomes at one instant.
+func feed(b *breaker, now time.Time, n int, ok bool) {
+	for i := 0; i < n; i++ {
+		b.Record(now, ok)
+	}
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	b, now := newTestBreaker(BreakerConfig{
-		Window: 4, MinSamples: 4, FailureRate: 0.5,
-		Cooldown: time.Second, MaxCooldown: 4 * time.Second,
-	})
-	if b.State() != BreakerClosed || !b.Allow() || !b.Admissible() {
+	b, now := newBreaker(), time.Unix(1000, 0)
+	if b.State() != BreakerClosed || !b.Allow(now) || !b.Admissible(now) {
 		t.Fatal("fresh breaker not closed/allowing")
 	}
 
-	// Below MinSamples nothing trips, even at 100% failure.
-	b.Record(false)
-	b.Record(false)
-	b.Record(false)
+	// Below breakerMinSamples nothing trips, even at 100% failure.
+	feed(b, now, breakerMinSamples-1, false)
 	if b.State() != BreakerClosed {
-		t.Fatal("tripped below MinSamples")
+		t.Fatal("tripped below breakerMinSamples")
 	}
-	// Fourth failure crosses the rate with a full window: open.
-	b.Record(false)
+	// The eighth failure makes the window trustworthy and over the rate: open.
+	b.Record(now, false)
 	if b.State() != BreakerOpen || b.Opens() != 1 {
 		t.Fatalf("state %v opens %d, want open/1", b.State(), b.Opens())
 	}
-	if b.Allow() || b.Admissible() {
+	if b.Allow(now) || b.Admissible(now) {
 		t.Fatal("open breaker admitted traffic inside cooldown")
 	}
-	if rem := b.RemainingCooldown(); rem != time.Second {
-		t.Fatalf("remaining cooldown %v, want 1s", rem)
+	if rem := b.RemainingCooldown(now); rem != breakerCooldown {
+		t.Fatalf("remaining cooldown %v, want %v", rem, breakerCooldown)
 	}
 
 	// Cooldown elapses: one probe wins the half-open slot, others refused.
-	*now = now.Add(time.Second)
-	if !b.Admissible() {
+	now = now.Add(breakerCooldown)
+	if !b.Admissible(now) {
 		t.Fatal("cooled-down breaker not admissible")
 	}
-	if !b.Allow() {
+	if !b.Allow(now) {
 		t.Fatal("probe refused after cooldown")
 	}
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state %v, want half-open", b.State())
 	}
-	if b.Allow() {
+	if b.Allow(now) {
 		t.Fatal("second probe admitted in half-open")
 	}
 
 	// Failed probe: reopen with doubled cooldown.
-	b.Record(false)
+	b.Record(now, false)
 	if b.State() != BreakerOpen || b.Opens() != 2 {
 		t.Fatalf("state %v opens %d after failed probe", b.State(), b.Opens())
 	}
-	if rem := b.RemainingCooldown(); rem != 2*time.Second {
-		t.Fatalf("cooldown after failed probe %v, want doubled 2s", rem)
+	if rem := b.RemainingCooldown(now); rem != 2*breakerCooldown {
+		t.Fatalf("cooldown after failed probe %v, want doubled", rem)
 	}
-	*now = now.Add(time.Second)
-	if b.Allow() {
+	now = now.Add(breakerCooldown)
+	if b.Allow(now) {
 		t.Fatal("admitted before doubled cooldown elapsed")
 	}
 
-	// Successful probe after the doubled cooldown: closed, cooldown reset.
-	*now = now.Add(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe refused after doubled cooldown")
+	// Further failed probes keep doubling, up to breakerMaxCooldown.
+	for want := 4 * breakerCooldown; ; want = min(2*want, breakerMaxCooldown) {
+		now = now.Add(breakerMaxCooldown)
+		if !b.Allow(now) {
+			t.Fatal("probe refused after the longest cooldown")
+		}
+		b.Record(now, false)
+		if rem := b.RemainingCooldown(now); rem != want {
+			t.Fatalf("cooldown %v, want %v", rem, want)
+		}
+		if want == breakerMaxCooldown {
+			break
+		}
 	}
-	b.Record(true)
+
+	// Successful probe: closed, window and cooldown reset.
+	now = now.Add(breakerMaxCooldown)
+	if !b.Allow(now) {
+		t.Fatal("probe refused after the capped cooldown")
+	}
+	b.Record(now, true)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state %v after successful probe, want closed", b.State())
 	}
-	// The window was reset: four fresh failures are needed to trip again,
-	// and the cooldown is back to the base.
-	b.Record(false)
-	b.Record(false)
-	b.Record(false)
+	feed(b, now, breakerMinSamples-1, false)
 	if b.State() != BreakerClosed {
 		t.Fatal("stale window outcomes survived the reset")
 	}
-	b.Record(false)
+	b.Record(now, false)
 	if b.State() != BreakerOpen {
-		t.Fatal("did not re-trip on a fresh full window")
+		t.Fatal("did not re-trip on a fresh window")
 	}
-	if rem := b.RemainingCooldown(); rem != time.Second {
-		t.Fatalf("cooldown %v after reset, want base 1s", rem)
+	if rem := b.RemainingCooldown(now); rem != breakerCooldown {
+		t.Fatalf("cooldown %v after reset, want base %v", rem, breakerCooldown)
 	}
 }
 
 func TestBreakerWindowSlides(t *testing.T) {
-	b, _ := newTestBreaker(BreakerConfig{
-		Window: 4, MinSamples: 4, FailureRate: 0.75,
-		Cooldown: time.Second,
-	})
-	// Alternating outcomes: 50% failure never reaches the 75% trip rate.
-	for i := 0; i < 40; i++ {
-		b.Record(i%2 == 0)
+	b, now := newBreaker(), time.Unix(1000, 0)
+	// One failure in three never reaches the 50% trip rate.
+	for i := 0; i < 3*breakerWindow; i++ {
+		b.Record(now, i%3 != 0)
 	}
 	if b.State() != BreakerClosed {
-		t.Fatal("tripped below the configured failure rate")
+		t.Fatal("tripped below the failure rate")
 	}
-	// Three failures in the 4-window stay under 75%... exactly 75% trips.
-	b.Record(false)
-	b.Record(false)
-	b.Record(false)
+	// A clean window, then failures slide in: 7 of 16 stay under the rate,
+	// the eighth is exactly 50% and trips.
+	feed(b, now, breakerWindow, true)
+	feed(b, now, breakerWindow/2-1, false)
+	if b.State() != BreakerClosed {
+		t.Fatal("tripped under the failure rate")
+	}
+	b.Record(now, false)
 	if b.State() != BreakerOpen {
 		t.Fatal("did not trip at the threshold rate")
 	}
 }
 
 func TestBreakerIgnoresLateResults(t *testing.T) {
-	b, _ := newTestBreaker(BreakerConfig{
-		Window: 2, MinSamples: 2, FailureRate: 0.5, Cooldown: time.Second,
-	})
-	b.Record(false)
-	b.Record(false)
+	b, now := newBreaker(), time.Unix(1000, 0)
+	feed(b, now, breakerMinSamples, false)
 	if b.State() != BreakerOpen {
 		t.Fatal("did not trip")
 	}
 	// Stragglers from before the trip neither close nor extend.
-	b.Record(true)
-	b.Record(false)
+	b.Record(now, true)
+	b.Record(now, false)
 	if b.State() != BreakerOpen || b.Opens() != 1 {
 		t.Fatal("late results moved an open breaker")
 	}

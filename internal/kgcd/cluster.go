@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mccls/internal/bn254"
@@ -40,7 +41,7 @@ type ClusterConfig struct {
 	// ListenAddr is the combiner's address (default "127.0.0.1:0").
 	ListenAddr string
 	// SignerMiddleware, when set, wraps each signer replica's handler —
-	// the chaos harness injects faulthttp middleware here so a "killed"
+	// the chaos harness puts Injector.Middleware here so a "killed"
 	// replica aborts connections exactly as its fault schedule dictates.
 	SignerMiddleware func(i int, h http.Handler) http.Handler
 	// Combiner carries cache/rate-limit/timeout tuning; Params, T and
@@ -59,9 +60,11 @@ type Cluster struct {
 
 	t   int
 	rng io.Reader
+	hc  *http.Client // the combiner's client to the replicas
+	clk clock
 
-	mu           sync.Mutex
-	epoch        uint32 // last refresh epoch all replicas confirmed
+	epoch        atomic.Uint32 // last refresh epoch all replicas confirmed
+	mu           sync.Mutex    // serializes Refresh
 	pending      []*threshold.Delta
 	pendingEpoch uint32
 
@@ -88,7 +91,8 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 
-	c := &Cluster{Params: kgc.Params(), t: cfg.T, rng: cfg.Rng}
+	combCfg := cfg.Combiner.withDefaults()
+	c := &Cluster{Params: kgc.Params(), t: cfg.T, rng: cfg.Rng, hc: combCfg.HTTPClient, clk: combCfg.clk}
 	fail := func(err error) (*Cluster, error) {
 		c.Close()
 		return nil, err
@@ -98,7 +102,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		if err != nil {
 			return fail(err)
 		}
-		h := NewSignerHandler(signer, cfg.Combiner.MaxIDLen)
+		h := NewSignerHandler(signer, 0)
 		if cfg.SignerMiddleware != nil {
 			h = cfg.SignerMiddleware(i, h)
 		}
@@ -109,7 +113,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.SignerURLs = append(c.SignerURLs, u)
 	}
 
-	combCfg := cfg.Combiner
 	combCfg.Params = kgc.Params()
 	combCfg.T = cfg.T
 	combCfg.SignerURLs = c.SignerURLs
@@ -139,63 +142,62 @@ func (c *Cluster) serve(addr string, h http.Handler) (string, error) {
 	return "http://" + ln.Addr().String(), nil
 }
 
-// Epoch returns the last refresh epoch every replica confirmed.
-func (c *Cluster) Epoch() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
+// Epoch returns the last refresh epoch every replica confirmed. It never
+// waits on a Refresh in progress.
+func (c *Cluster) Epoch() uint32 { return c.epoch.Load() }
 
 // Refresh executes one proactive share refresh across the replica set: it
 // draws a zero-constant polynomial, posts each replica its delta, and
 // returns the new epoch once all n confirmed. The master secret is
 // untouched — issuance before, during and after the refresh combines to
-// byte-identical partial keys. Posts are retried (the /refresh endpoint is
-// idempotent), and a replica that stays unreachable fails the refresh: the
-// epoch bookkeeping then keeps mixed share sets from combining. A failed
-// round's deltas are pinned and re-posted by the next Refresh call — a
-// retry must NOT draw a fresh polynomial, or replicas that already applied
-// the first one would idempotently skip the second and end up on different
-// polynomials under the same epoch number.
+// byte-identical partial keys. Each post goes through the combiner's HTTP
+// client under shareTimeout and is retried (the /refresh endpoint is
+// idempotent), so a stalled replica costs a bounded wait; a replica that
+// stays unreachable fails the refresh, and the epoch bookkeeping then keeps
+// mixed share sets from combining. A failed round's deltas are pinned and
+// re-posted by the next Refresh call — a retry must NOT draw a fresh
+// polynomial, or replicas that already applied the first one would
+// idempotently skip the second and end up on different polynomials under
+// the same epoch number.
 func (c *Cluster) Refresh(ctx context.Context) (uint32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	toEpoch := c.epoch + 1
+	epoch := c.epoch.Load()
+	toEpoch := epoch + 1
 	if c.pending == nil || c.pendingEpoch != toEpoch {
 		deltas, err := threshold.RefreshDeltas(c.t, len(c.SignerURLs), toEpoch, c.rng)
 		if err != nil {
-			return c.epoch, err
+			return epoch, err
 		}
 		c.pending, c.pendingEpoch = deltas, toEpoch
 	}
-	deltas := c.pending
 	for i, u := range c.SignerURLs {
-		issuer := newHTTPIssuer(u, nil)
+		issuer := newHTTPIssuer(u, c.hc)
 		var lastErr error
 		applied := false
 		for attempt := 0; attempt < 5 && !applied; attempt++ {
 			if attempt > 0 {
-				select {
-				case <-ctx.Done():
-					return c.epoch, ctx.Err()
-				case <-time.After(time.Duration(attempt) * 200 * time.Millisecond):
+				if err := sleep(ctx, c.clk, time.Duration(attempt)*200*time.Millisecond); err != nil {
+					return epoch, err
 				}
 			}
-			ep, err := issuer.Refresh(ctx, deltas[i])
+			postCtx, cancel := withTimeout(ctx, c.clk, shareTimeout)
+			ep, err := issuer.Refresh(postCtx, c.pending[i])
+			cancel()
 			if err != nil {
 				lastErr = err
 				continue
 			}
 			if ep != toEpoch {
-				return c.epoch, fmt.Errorf("kgcd: replica %d refreshed to epoch %d, want %d", i, ep, toEpoch)
+				return epoch, fmt.Errorf("kgcd: replica %d refreshed to epoch %d, want %d", i, ep, toEpoch)
 			}
 			applied = true
 		}
 		if !applied {
-			return c.epoch, fmt.Errorf("kgcd: refresh epoch %d: replica %d unreachable: %w", toEpoch, i, lastErr)
+			return epoch, fmt.Errorf("kgcd: refresh epoch %d: replica %d unreachable: %w", toEpoch, i, lastErr)
 		}
 	}
-	c.epoch = toEpoch
+	c.epoch.Store(toEpoch)
 	c.pending = nil
 	return toEpoch, nil
 }

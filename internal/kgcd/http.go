@@ -1,10 +1,14 @@
 package kgcd
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"time"
 )
 
 // limitedBody is an io.Reader view of a response body capped at n bytes,
@@ -48,12 +52,61 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
 
-// readErrorBody extracts the error string from a non-200 JSON response,
-// falling back to the HTTP status.
-func readErrorBody(resp *http.Response) string {
-	var er errorResponse
-	if err := json.NewDecoder(&limitedBody{resp.Body, maxBodyBytes}).Decode(&er); err == nil && er.Error != "" {
-		return fmt.Sprintf("status %d: %s", resp.StatusCode, er.Error)
+// call is the one JSON round trip behind every client path in the package:
+// POST in (GET when in is nil) to url and, on 200, decode the size-capped
+// reply into out (skipped when out is nil). Failures are classified by
+// EnrollError.Status: 0 transport, the HTTP status when not 200, −1 for a
+// request that could not be built or a reply that could not be decoded.
+func call(ctx context.Context, hc *http.Client, url string, in, out any) *EnrollError {
+	method, body := http.MethodGet, io.Reader(nil)
+	if in != nil {
+		raw, err := json.Marshal(in)
+		if err != nil {
+			return &EnrollError{Status: -1, Err: err}
+		}
+		method, body = http.MethodPost, bytes.NewReader(raw)
 	}
-	return fmt.Sprintf("status %d", resp.StatusCode)
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return &EnrollError{Status: -1, Err: err}
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return &EnrollError{Err: err}
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return &EnrollError{Status: resp.StatusCode, Body: errorSnippet(resp), RetryAfter: parseRetryAfter(resp)}
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.NewDecoder(&limitedBody{resp.Body, maxBodyBytes}).Decode(out); err != nil {
+		return &EnrollError{Status: -1, Err: fmt.Errorf("decode %s: %w", url, err)}
+	}
+	return nil
+}
+
+// errorSnippet extracts a bounded slice of the error string from a non-200
+// JSON reply ("" when there is none).
+func errorSnippet(resp *http.Response) string {
+	const maxSnippet = 160
+	var er errorResponse
+	if err := json.NewDecoder(&limitedBody{resp.Body, maxBodyBytes}).Decode(&er); err != nil {
+		return ""
+	}
+	return er.Error[:min(len(er.Error), maxSnippet)]
+}
+
+// parseRetryAfter reads an integer-seconds Retry-After header (the only
+// form kgcd emits; HTTP-date form is ignored).
+func parseRetryAfter(resp *http.Response) time.Duration {
+	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil || secs < 0 {
+		return 0
+	}
+	return time.Duration(secs) * time.Second
 }

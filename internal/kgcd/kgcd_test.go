@@ -20,10 +20,20 @@ func testMaster(seed byte) *big.Int {
 	return bn254.HashToScalar("kgcd/test", []byte{seed})
 }
 
-// startTestDeployment runs t-of-n signer replicas on httptest servers plus
-// a combiner, returning the combiner handler's test server and the signer
-// servers (so tests can kill replicas selectively).
-func startTestDeployment(t *testing.T, tt, n int, master *big.Int, cfg Config) (*httptest.Server, []*httptest.Server, *core.KGC) {
+// deployment is a t-of-n kgcd on httptest servers, with handles on every
+// layer a test may want to reach into.
+type deployment struct {
+	comb     *httptest.Server   // the combiner's front end
+	srv      *Server            // the combiner behind it
+	replicas []*httptest.Server // close one to kill a replica
+	signers  []*threshold.Signer
+	kgc      *core.KGC // the single-master oracle
+}
+
+// startDeployment shards master t-of-n, serves each signer replica (wrapped
+// in mw when non-nil) and a combiner over them configured by cfg.
+func startDeployment(t testing.TB, tt, n int, master *big.Int, cfg Config,
+	mw func(i int, h http.Handler) http.Handler) *deployment {
 	t.Helper()
 	kgc, err := core.NewKGCFromMaster(master)
 	if err != nil {
@@ -33,33 +43,47 @@ func startTestDeployment(t *testing.T, tt, n int, master *big.Int, cfg Config) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	var signerSrvs []*httptest.Server
-	var urls []string
-	for _, sh := range shares {
+	d := &deployment{kgc: kgc}
+	for i, sh := range shares {
 		signer, err := threshold.NewSigner(kgc.Params(), sh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(NewSignerHandler(signer, 0))
+		h := NewSignerHandler(signer, 0)
+		if mw != nil {
+			h = mw(i, h)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
-		signerSrvs = append(signerSrvs, ts)
-		urls = append(urls, ts.URL)
+		d.signers = append(d.signers, signer)
+		d.replicas = append(d.replicas, ts)
+		cfg.SignerURLs = append(cfg.SignerURLs, ts.URL)
 	}
 	cfg.Params = kgc.Params()
 	cfg.T = tt
-	cfg.SignerURLs = urls
-	srv, err := NewServer(cfg)
+	if d.srv, err = NewServer(cfg); err != nil {
+		t.Fatal(err)
+	}
+	d.comb = httptest.NewServer(d.srv.Handler())
+	t.Cleanup(d.comb.Close)
+	return d
+}
+
+// healthzStatus is the combiner's GET /healthz status code.
+func healthzStatus(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb := httptest.NewServer(srv.Handler())
-	t.Cleanup(comb.Close)
-	return comb, signerSrvs, kgc
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func TestEnrollEndToEnd(t *testing.T) {
-	comb, _, kgc := startTestDeployment(t, 2, 3, testMaster(1), Config{})
-	c := NewClient(comb.URL, nil)
+	d := startDeployment(t, 2, 3, testMaster(1), Config{}, nil)
+	kgc := d.kgc
+	c := NewClient(d.comb.URL, nil)
 	ctx := context.Background()
 
 	params, err := c.Params(ctx)
@@ -110,35 +134,35 @@ func TestEnrollEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := c.Healthz(ctx); err != nil {
-		t.Fatalf("healthz at full strength: %v", err)
+	if got := healthzStatus(t, d.comb.URL); got != http.StatusOK {
+		t.Fatalf("healthz at full strength: status %d", got)
 	}
 }
 
 func TestEnrollSurvivesReplicaLoss(t *testing.T) {
-	comb, signers, kgc := startTestDeployment(t, 2, 3, testMaster(2), Config{})
-	c := NewClient(comb.URL, nil)
+	d := startDeployment(t, 2, 3, testMaster(2), Config{}, nil)
+	c := NewClient(d.comb.URL, nil)
 	ctx := context.Background()
 
 	// n−t replicas down: still serving.
-	signers[0].Close()
+	d.replicas[0].Close()
 	res, err := c.Enroll(ctx, "node-a")
 	if err != nil {
 		t.Fatalf("enroll with 2/3 replicas: %v", err)
 	}
-	want := kgc.ExtractPartialPrivateKey("node-a")
+	want := d.kgc.ExtractPartialPrivateKey("node-a")
 	if !bytes.Equal(res.PartialKey.Marshal(), want.Marshal()) {
 		t.Fatal("degraded-mode key differs from single master")
 	}
 
 	// Below quorum: enrollment fails, healthz degrades, but cached
 	// identities are still served.
-	signers[1].Close()
-	if _, err := c.Enroll(ctx, "node-b"); err == nil {
-		t.Fatal("enroll below quorum: want error")
+	d.replicas[1].Close()
+	if status, _, _ := postEnroll(t, d.comb.URL, "node-b"); status != http.StatusServiceUnavailable {
+		t.Fatalf("enroll below quorum: status %d, want 503", status)
 	}
-	if _, err := c.Healthz(ctx); err == nil {
-		t.Fatal("healthz below quorum: want error")
+	if got := healthzStatus(t, d.comb.URL); got != http.StatusServiceUnavailable {
+		t.Fatalf("healthz below quorum: status %d, want 503", got)
 	}
 	res2, err := c.Enroll(ctx, "node-a")
 	if err != nil {
@@ -150,9 +174,9 @@ func TestEnrollSurvivesReplicaLoss(t *testing.T) {
 }
 
 func TestEnrollRejectsBadRequests(t *testing.T) {
-	comb, _, _ := startTestDeployment(t, 1, 1, testMaster(3), Config{})
+	d := startDeployment(t, 1, 1, testMaster(3), Config{}, nil)
 	post := func(body string) int {
-		resp, err := http.Post(comb.URL+"/enroll", "application/json", strings.NewReader(body))
+		resp, err := http.Post(d.comb.URL+"/enroll", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +186,7 @@ func TestEnrollRejectsBadRequests(t *testing.T) {
 	if got := post(`{"id":""}`); got != http.StatusBadRequest {
 		t.Errorf("empty id: got %d", got)
 	}
-	if got := post(`{"id":"` + strings.Repeat("x", DefaultMaxIDLen+1) + `"}`); got != http.StatusBadRequest {
+	if got := post(`{"id":"` + strings.Repeat("x", MaxIDLen+1) + `"}`); got != http.StatusBadRequest {
 		t.Errorf("oversized id: got %d", got)
 	}
 	if got := post(`{`); got != http.StatusBadRequest {
@@ -177,19 +201,27 @@ func TestEnrollRejectsBadRequests(t *testing.T) {
 }
 
 func TestEnrollRateLimited(t *testing.T) {
-	comb, _, _ := startTestDeployment(t, 1, 1, testMaster(4), Config{
+	d := startDeployment(t, 1, 1, testMaster(4), Config{
 		RatePerSec: 0.001, RateBurst: 2,
-	})
-	c := NewClient(comb.URL, nil)
+	}, nil)
+	c := NewClient(d.comb.URL, nil)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if _, err := c.Enroll(ctx, "greedy"); err != nil {
 			t.Fatalf("enroll %d within burst: %v", i, err)
 		}
 	}
-	_, err := c.Enroll(ctx, "greedy")
+	// The bucket is dry; the client's retries (429 is retryable) find it
+	// still dry, their backoff elapsing on the fake clock.
+	clk := newFakeClock()
+	c.clk = clk
+	var err error
+	clk.drive(backoffCap, func() { _, err = c.Enroll(ctx, "greedy") })
 	if err == nil || !strings.Contains(err.Error(), "429") {
 		t.Fatalf("third enroll: want 429, got %v", err)
+	}
+	if len(clk.fired) != maxAttempts-1 {
+		t.Fatalf("backoffs %v, want %d of them", clk.fired, maxAttempts-1)
 	}
 	// Other identities are unaffected.
 	if _, err := c.Enroll(ctx, "patient"); err != nil {
@@ -198,8 +230,8 @@ func TestEnrollRateLimited(t *testing.T) {
 }
 
 func TestMetricsExposition(t *testing.T) {
-	comb, _, _ := startTestDeployment(t, 2, 2, testMaster(5), Config{})
-	c := NewClient(comb.URL, nil)
+	d := startDeployment(t, 2, 2, testMaster(5), Config{}, nil)
+	c := NewClient(d.comb.URL, nil)
 	ctx := context.Background()
 	if _, err := c.Enroll(ctx, "m1"); err != nil {
 		t.Fatal(err)
@@ -274,24 +306,23 @@ func TestNewServerRejectsBadConfig(t *testing.T) {
 func TestRateLimiterRefill(t *testing.T) {
 	rl := newRateLimiter(2, 2, 16) // 2/s, burst 2
 	now := time.Unix(0, 0)
-	rl.now = func() time.Time { return now }
-	if !rl.Allow("x") || !rl.Allow("x") {
+	if !rl.Allow("x", now) || !rl.Allow("x", now) {
 		t.Fatal("burst denied")
 	}
-	if rl.Allow("x") {
+	if rl.Allow("x", now) {
 		t.Fatal("over-burst allowed")
 	}
 	now = now.Add(500 * time.Millisecond) // refills one token
-	if !rl.Allow("x") {
+	if !rl.Allow("x", now) {
 		t.Fatal("refilled token denied")
 	}
-	if rl.Allow("x") {
+	if rl.Allow("x", now) {
 		t.Fatal("second token allowed after half-second")
 	}
 	// Disabled limiter always allows.
 	open := newRateLimiter(-1, 1, 1)
 	for i := 0; i < 100; i++ {
-		if !open.Allow("y") {
+		if !open.Allow("y", now) {
 			t.Fatal("disabled limiter denied")
 		}
 	}

@@ -18,7 +18,6 @@ import (
 type rateLimiter struct {
 	rate    float64 // tokens per second
 	burst   float64
-	now     func() time.Time // injectable clock for tests
 	buckets *lru.Cache[*tokenBucket]
 }
 
@@ -36,17 +35,16 @@ func newRateLimiter(rate float64, burst int, maxIdentities int) *rateLimiter {
 	return &rateLimiter{
 		rate:    rate,
 		burst:   float64(burst),
-		now:     time.Now,
 		buckets: lru.New[*tokenBucket](maxIdentities),
 	}
 }
 
-// Allow reports whether identity id may proceed, consuming one token.
-func (rl *rateLimiter) Allow(id string) bool {
+// Allow reports whether identity id may proceed at instant now, consuming
+// one token.
+func (rl *rateLimiter) Allow(id string, now time.Time) bool {
 	if rl.rate <= 0 {
 		return true
 	}
-	now := rl.now()
 	b := rl.buckets.GetOrCreate(id, func() *tokenBucket {
 		return &tokenBucket{tokens: rl.burst, last: now}
 	})

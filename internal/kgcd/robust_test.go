@@ -3,110 +3,90 @@ package kgcd
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"math/big"
+	"fmt"
 	mrand "math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mccls/internal/core"
-	"mccls/internal/faulthttp"
 	"mccls/internal/threshold"
 )
 
-// startSignerDeployment is startTestDeployment plus direct access to the
-// threshold signers (for applying refreshes out-of-band) and per-signer
-// middleware (for injecting faults).
-func startSignerDeployment(t *testing.T, tt, n int, master *big.Int, cfg Config,
-	mw func(i int, h http.Handler) http.Handler) (*httptest.Server, []*threshold.Signer, *core.KGC) {
-	t.Helper()
-	kgc, err := core.NewKGCFromMaster(master)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares, err := threshold.Split(master, tt, n, mrand.New(mrand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var signers []*threshold.Signer
-	var urls []string
-	for i, sh := range shares {
-		signer, err := threshold.NewSigner(kgc.Params(), sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		signers = append(signers, signer)
-		var h http.Handler = NewSignerHandler(signer, 0)
-		if mw != nil {
-			h = mw(i, h)
-		}
-		ts := httptest.NewServer(h)
-		t.Cleanup(ts.Close)
-		urls = append(urls, ts.URL)
-	}
-	cfg.Params = kgc.Params()
-	cfg.T = tt
-	cfg.SignerURLs = urls
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb := httptest.NewServer(srv.Handler())
-	t.Cleanup(comb.Close)
-	return comb, signers, kgc
-}
-
-func postEnroll(t *testing.T, url, id string) *http.Response {
+// postEnroll is one raw POST /enroll — no client, so no retries and no
+// backoff. It returns the status, the headers and, on 200, the issued key.
+func postEnroll(t testing.TB, url, id string) (int, http.Header, []byte) {
 	t.Helper()
 	body, _ := json.Marshal(enrollRequest{ID: id})
 	resp, err := http.Post(url+"/enroll", "application/json", bytes.NewReader(body))
 	if err != nil {
+		t.Error(err) // not Fatal: tests call this off the test goroutine too
+		return 0, nil, nil
+	}
+	defer resp.Body.Close()
+	var er enrollResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Error(err)
+		}
+	}
+	key, err := hex.DecodeString(er.PartialKey)
+	if err != nil {
+		t.Error(err)
+	}
+	return resp.StatusCode, resp.Header, key
+}
+
+// metricsText scrapes the combiner's /metrics.
+func metricsText(t *testing.T, url string) string {
+	t.Helper()
+	text, err := NewClient(url, nil).RawMetrics(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	return resp
+	return text
 }
 
 // TestDegradedModeFailsFastWithRetryAfter drives a 1-of-1 deployment whose
 // only replica is dead: once the breaker trips, cache misses are refused
-// immediately with 503 + Retry-After while cache hits keep being served.
+// without a fan-out, with 503 + Retry-After, while cache hits keep being
+// served.
 func TestDegradedModeFailsFastWithRetryAfter(t *testing.T) {
-	comb, signerSrvs, _ := startTestDeployment(t, 1, 1, testMaster(40), Config{
-		Breaker: BreakerConfig{Window: 2, MinSamples: 2, FailureRate: 0.5, Cooldown: 30 * time.Second},
-	})
-	c := NewClientWithConfig(comb.URL, nil, ClientConfig{MaxAttempts: 1})
+	d := startDeployment(t, 1, 1, testMaster(40), Config{RatePerSec: -1, clk: newFakeClock()}, nil)
+	c := NewClient(d.comb.URL, nil)
 	ctx := context.Background()
 
 	// Warm the cache, then kill the replica.
 	if _, err := c.Enroll(ctx, "warm"); err != nil {
 		t.Fatal(err)
 	}
-	signerSrvs[0].Close()
+	d.replicas[0].Close()
 
-	// One failed miss fills the 2-slot window to the 50% trip rate (the
-	// warm success is the other sample): the breaker opens.
-	resp := postEnroll(t, comb.URL, "miss-a")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("enroll with dead replica: status %d", resp.StatusCode)
+	// With the warm success, seven failed misses fill the window to
+	// breakerMinSamples at well over the trip rate: the breaker opens.
+	for i := 0; i < breakerMinSamples-1; i++ {
+		if status, _, _ := postEnroll(t, d.comb.URL, "miss-a"); status != http.StatusServiceUnavailable {
+			t.Fatalf("enroll with dead replica: status %d", status)
+		}
 	}
 
-	// Tripped: misses fail fast with a retry hint.
-	start := time.Now()
-	resp = postEnroll(t, comb.URL, "miss-b")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("degraded miss: status %d, want 503", resp.StatusCode)
+	// Tripped: misses are refused before any share request goes out, with a
+	// retry hint of the breaker's remaining cooldown.
+	status, hdr, _ := postEnroll(t, d.comb.URL, "miss-b")
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("degraded miss: status %d, want 503", status)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("degraded 503 missing Retry-After")
-	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("degraded miss took %v, want fail-fast", d)
+	if ra := hdr.Get("Retry-After"); ra != "2" {
+		t.Fatalf("degraded 503 Retry-After %q, want the 2 s cooldown", ra)
 	}
 
 	// Cache hits are unaffected.
@@ -118,137 +98,153 @@ func TestDegradedModeFailsFastWithRetryAfter(t *testing.T) {
 		t.Error("expected a cache hit")
 	}
 
-	// The surface shows it: degraded counter and open breaker state.
-	text, err := c.RawMetrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The surface shows it: degraded counter, open breaker state, and one
+	// share request per admitted miss (the refused one sent none).
+	text := metricsText(t, d.comb.URL)
 	for _, want := range []string{
 		"kgcd_degraded_total 1",
-		`kgcd_replica_breaker_state{replica="` + signerSrvs[0].URL + `"} 1`,
-		`kgcd_replica_breaker_opens_total{replica="` + signerSrvs[0].URL + `"} 1`,
+		"kgcd_share_requests_total 8",
+		`kgcd_replica_breaker_state{replica="` + d.replicas[0].URL + `"} 1`,
+		`kgcd_replica_breaker_opens_total{replica="` + d.replicas[0].URL + `"} 1`,
 	} {
 		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q:\n%s", want, grepLines(text, "degraded")+"\n"+grepLines(text, "breaker"))
+			t.Errorf("metrics missing %q:\n%s", want, grepLines(text, "degraded")+"\n"+grepLines(text, "share_requests")+"\n"+grepLines(text, "breaker"))
 		}
 	}
 }
 
 // TestBreakerReadmitsRecoveredReplica trips a breaker, then brings the
-// replica "back" and checks a probe readmits it after the cooldown.
+// replica "back" and checks a probe readmits it once the cooldown has
+// elapsed on the clock — and not before.
 func TestBreakerReadmitsRecoveredReplica(t *testing.T) {
 	var down atomic.Bool
-	comb, _, kgc := startSignerDeployment(t, 1, 1, testMaster(41), Config{
-		Breaker: BreakerConfig{Window: 2, MinSamples: 2, FailureRate: 0.5, Cooldown: 100 * time.Millisecond},
-	}, func(i int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if down.Load() {
-				panic(http.ErrAbortHandler)
-			}
-			h.ServeHTTP(w, r)
+	clk := newFakeClock()
+	d := startDeployment(t, 1, 1, testMaster(41), Config{RatePerSec: -1, clk: clk},
+		func(i int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if down.Load() {
+					panic(http.ErrAbortHandler)
+				}
+				h.ServeHTTP(w, r)
+			})
 		})
-	})
-	ctx := context.Background()
-	c := NewClientWithConfig(comb.URL, nil, ClientConfig{MaxAttempts: 1})
 
 	down.Store(true)
-	for i := 0; i < 2; i++ {
-		resp := postEnroll(t, comb.URL, "x")
-		resp.Body.Close()
+	for i := 0; i < breakerMinSamples; i++ {
+		postEnroll(t, d.comb.URL, "x")
 	}
-	if resp := postEnroll(t, comb.URL, "x"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("tripped breaker: status %d", resp.StatusCode)
-	} else {
-		resp.Body.Close()
+	down.Store(false)
+	clk.advance(breakerCooldown - time.Nanosecond)
+	if status, _, _ := postEnroll(t, d.comb.URL, "x"); status != http.StatusServiceUnavailable {
+		t.Fatalf("inside the cooldown: status %d, want 503", status)
 	}
 
-	down.Store(false)
-	time.Sleep(150 * time.Millisecond) // past cooldown: half-open probe allowed
-	res, err := c.Enroll(ctx, "x")
-	if err != nil {
-		t.Fatalf("enroll after recovery: %v", err)
+	clk.advance(time.Nanosecond) // cooldown over: the half-open probe is admitted
+	status, _, key := postEnroll(t, d.comb.URL, "x")
+	if status != http.StatusOK {
+		t.Fatalf("enroll after recovery: status %d", status)
 	}
-	want := kgc.ExtractPartialPrivateKey("x")
-	if !bytes.Equal(res.PartialKey.Marshal(), want.Marshal()) {
+	if !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("x").Marshal()) {
 		t.Fatal("post-recovery key differs from single master")
 	}
 }
 
-// TestHedgedFanOut puts one slow replica in the initial fan-out; the hedge
-// fires a spare to the remaining replica and the enrollment completes well
-// under the injected latency.
+// TestHedgedFanOut puts one stalled replica in the initial fan-out; when the
+// hedge delay elapses a spare goes to the remaining replica and the
+// enrollment completes without the straggler.
 func TestHedgedFanOut(t *testing.T) {
-	in := faulthttp.New(faulthttp.Schedule{
-		Latency: []faulthttp.Latency{{Target: "slow", From: 0, To: time.Hour, Delay: 2 * time.Second}},
+	clk := newFakeClock()
+	in := NewInjector(FaultSchedule{
+		Latency: []Latency{{Target: "slow", From: 0, To: time.Hour, Delay: time.Hour}},
 	})
+	in.clk = clk
 	in.Start()
-	comb, _, kgc := startSignerDeployment(t, 2, 3, testMaster(42), Config{
-		HedgeDelay:     20 * time.Millisecond,
-		RequestTimeout: 5 * time.Second,
-	}, func(i int, h http.Handler) http.Handler {
-		if i == 1 { // a fresh server's rotation starts at replica 1
-			return faulthttp.Middleware(in, "slow", h)
-		}
-		return h
-	})
-	c := NewClientWithConfig(comb.URL, nil, ClientConfig{MaxAttempts: 1})
+	d := startDeployment(t, 2, 3, testMaster(42), Config{clk: clk},
+		func(i int, h http.Handler) http.Handler {
+			if i == 1 { // a fresh server's rotation starts at replica 1
+				return in.Middleware("slow", h)
+			}
+			return h
+		})
+	// net/http cannot tell a stalled handler that its peer gave up before
+	// the body is read, so elapse the straggler's stall or its server never
+	// closes.
+	defer clk.drive(time.Hour, d.replicas[1].Close)
 
-	start := time.Now()
-	res, err := c.Enroll(context.Background(), "hedged")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("enrollment took %v; the hedge did not rescue the straggler", d)
-	}
-	want := kgc.ExtractPartialPrivateKey("hedged")
-	if !bytes.Equal(res.PartialKey.Marshal(), want.Marshal()) {
+	var key []byte
+	clk.drive(hedgeFloor, func() { _, _, key = postEnroll(t, d.comb.URL, "hedged") })
+	if !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("hedged").Marshal()) {
 		t.Fatal("hedged key differs from single master")
 	}
-	text, err := c.RawMetrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if len(clk.fired) != 1 || clk.fired[0] != hedgeFloor {
+		t.Fatalf("timers fired %v, want the one %v hedge", clk.fired, hedgeFloor)
 	}
-	if !strings.Contains(text, "kgcd_hedged_requests_total 1") {
+	if text := metricsText(t, d.comb.URL); !strings.Contains(text, "kgcd_hedged_requests_total 1") {
 		t.Errorf("hedge not counted:\n%s", grepLines(text, "hedged"))
 	}
 }
 
 // TestGatherSurvivesMixedEpochs refreshes two of three replicas and leaves
-// one behind: the combiner must notice the epoch conflict, pull in the
-// third replica, and return a clean same-epoch quorum. Hedging is off so the
-// mixed-epoch path is the only path: with the adaptive hedge, a loaded box
-// can fire the 5 ms spare before the lagging replica answers, the two
-// refreshed replicas complete a clean quorum, and no conflict is ever seen.
+// one behind: the combiner must notice the epoch conflict, make sure the
+// third replica is in the gather, and return a clean same-epoch quorum.
+// Hedging is on. On a quiet clock the hedge never fires and the conflict is
+// what pulls the third replica in; when the hedge fires before any replica
+// has answered, the spare is already in flight when the conflict is seen.
+// Either way the conflict is counted exactly once and the key is right.
 func TestGatherSurvivesMixedEpochs(t *testing.T) {
-	comb, signers, kgc := startSignerDeployment(t, 2, 3, testMaster(43), Config{HedgeDelay: -1}, nil)
-	deltas, err := threshold.RefreshDeltas(2, 3, 1, mrand.New(mrand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replicas 0 and 2 advance to epoch 1; replica 1 (first in the fresh
-	// server's rotation) stays at epoch 0.
-	for _, i := range []int{0, 2} {
-		if _, err := signers[i].ApplyRefresh(deltas[i]); err != nil {
+	for _, hedgeFires := range []bool{false, true} {
+		clk := newFakeClock()
+		// Every replica holds its answer until released, so the order in
+		// which the gather sees them is the test's, not the scheduler's.
+		release := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+		d := startDeployment(t, 2, 3, testMaster(43), Config{clk: clk},
+			func(i int, h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					<-release[i]
+					h.ServeHTTP(w, r)
+				})
+			})
+		deltas, err := threshold.RefreshDeltas(2, 3, 1, mrand.New(mrand.NewSource(9)))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		// Replicas 0 and 2 advance to epoch 1; replica 1 (first in the fresh
+		// server's rotation) stays at epoch 0.
+		for _, i := range []int{0, 2} {
+			if _, err := d.signers[i].ApplyRefresh(deltas[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-	c := NewClientWithConfig(comb.URL, nil, ClientConfig{MaxAttempts: 1})
-	res, err := c.Enroll(context.Background(), "mixed")
-	if err != nil {
-		t.Fatalf("enroll across mixed epochs: %v", err)
-	}
-	want := kgc.ExtractPartialPrivateKey("mixed")
-	if !bytes.Equal(res.PartialKey.Marshal(), want.Marshal()) {
-		t.Fatal("mixed-epoch gather produced a wrong key")
-	}
-	text, err := c.RawMetrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "kgcd_epoch_conflicts_total 1") {
-		t.Errorf("epoch conflict not counted:\n%s", grepLines(text, "epoch"))
+		done := make(chan []byte, 1)
+		go func() {
+			_, _, key := postEnroll(t, d.comb.URL, "mixed")
+			done <- key
+		}()
+		clk.awaitTimer(hedgeFloor) // replicas 1 and 2 are asked, the hedge is armed
+		if hedgeFires {
+			clk.advance(hedgeFloor) // replica 0 is asked too
+		}
+		close(release[1]) // epoch 0 ...
+		close(release[2]) // ... and epoch 1, in either order: the conflict
+		for d.srv.metrics.epochConflicts.Value() == 0 {
+			runtime.Gosched() // replica 0 answers only once the gather has seen both
+		}
+		close(release[0]) // epoch 1: the quorum
+		if key := <-done; !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("mixed").Marshal()) {
+			t.Fatalf("hedge fired %v: mixed-epoch gather produced a wrong key", hedgeFires)
+		}
+		text := metricsText(t, d.comb.URL)
+		hedges := "kgcd_hedged_requests_total 0"
+		if hedgeFires {
+			hedges = "kgcd_hedged_requests_total 1"
+		}
+		for _, want := range []string{"kgcd_epoch_conflicts_total 1", "kgcd_share_requests_total 3", hedges} {
+			if !strings.Contains(text, want) {
+				t.Errorf("hedge fired %v: metrics missing %q:\n%s", hedgeFires, want,
+					grepLines(text, "epoch")+"\n"+grepLines(text, "share_requests")+"\n"+grepLines(text, "hedged"))
+			}
+		}
 	}
 }
 
@@ -262,44 +258,77 @@ func grepLines(text, substr string) string {
 	return strings.Join(out, "\n")
 }
 
+// pinnedClient is a client on a fake clock whose jitter draw is fixed.
+func pinnedClient(url string, hc *http.Client, jitter float64) (*Client, *fakeClock) {
+	c, clk := NewClient(url, hc), newFakeClock()
+	c.clk, c.jitter = clk, func() float64 { return jitter }
+	return c, clk
+}
+
 func TestClientRetriesTransientFailures(t *testing.T) {
-	comb, _, kgc := startTestDeployment(t, 1, 1, testMaster(44), Config{})
+	d := startDeployment(t, 1, 1, testMaster(44), Config{}, nil)
 	var calls atomic.Int64
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
 			writeError(w, http.StatusServiceUnavailable, "transient")
 			return
 		}
-		resp, err := http.Post(comb.URL+r.URL.Path, r.Header.Get("Content-Type"), r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadGateway, err.Error())
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		if _, err := w.Write([]byte{}); err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err == nil {
-			w.Write(buf.Bytes())
-		}
+		d.srv.Handler().ServeHTTP(w, r)
 	}))
 	defer flaky.Close()
 
-	c := NewClientWithConfig(flaky.URL, nil, ClientConfig{
-		MaxAttempts: 3, BackoffBase: 10 * time.Millisecond, JitterSeed: 7,
-	})
-	res, err := c.Enroll(context.Background(), "retry-me")
+	c, clk := pinnedClient(flaky.URL, nil, 0)
+	var res *EnrollResult
+	var err error
+	clk.drive(backoffCap, func() { res, err = c.Enroll(context.Background(), "retry-me") })
 	if err != nil {
 		t.Fatalf("enroll through flaky front-end: %v", err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("made %d attempts, want 3", got)
 	}
-	want := kgc.ExtractPartialPrivateKey("retry-me")
-	if !bytes.Equal(res.PartialKey.Marshal(), want.Marshal()) {
+	if want := []time.Duration{backoffBase, 2 * backoffBase}; !slices.Equal(clk.fired, want) {
+		t.Fatalf("backoffs %v, want %v", clk.fired, want)
+	}
+	if !bytes.Equal(res.PartialKey.Marshal(), d.kgc.ExtractPartialPrivateKey("retry-me").Marshal()) {
 		t.Fatal("retried key differs from single master")
+	}
+}
+
+// TestClientJitterDecorrelates: two default clients draw different waits (a
+// fleet rebooting together does not retry in lockstep), and a pinned draw
+// reproduces the bounds: [d, d·(1+jitterFrac)) around base·2^(n−1), the
+// Retry-After hint raising d, both capped.
+func TestClientJitterDecorrelates(t *testing.T) {
+	a, b := NewClient("http://a.invalid", nil), NewClient("http://b.invalid", nil)
+	if da, db := a.backoff(1, 0), b.backoff(1, 0); da == db {
+		t.Fatalf("two default clients drew the same first backoff %v", da)
+	}
+	for i := 0; i < 100; i++ {
+		if d := a.backoff(1, 0); d < backoffBase || d >= backoffBase+backoffBase/4 {
+			t.Fatalf("backoff %v outside [%v, %v)", d, backoffBase, backoffBase+backoffBase/4)
+		}
+	}
+	lo, _ := pinnedClient("http://a.invalid", nil, 0)
+	hi, _ := pinnedClient("http://a.invalid", nil, 1) // the supremum of the draw
+	for _, tc := range []struct {
+		n          int
+		retryAfter time.Duration
+		want       time.Duration
+	}{
+		{1, 0, backoffBase},
+		{2, 0, 2 * backoffBase},
+		{10, 0, backoffCap},
+		{1, time.Second, time.Second},
+		{1, time.Minute, backoffCap},
+		{2, time.Millisecond, 2 * backoffBase},
+	} {
+		if got := lo.backoff(tc.n, tc.retryAfter); got != tc.want {
+			t.Errorf("backoff(%d, %v) at jitter 0 = %v, want %v", tc.n, tc.retryAfter, got, tc.want)
+		}
+		if got, want := hi.backoff(tc.n, tc.retryAfter), tc.want+tc.want/4; got != want {
+			t.Errorf("backoff(%d, %v) at jitter 1 = %v, want %v", tc.n, tc.retryAfter, got, want)
+		}
 	}
 }
 
@@ -316,13 +345,15 @@ func TestEnrollErrorSemantics(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
+	enroll := func(c *Client, clk *fakeClock) (err error) {
+		clk.drive(2*backoffCap, func() { _, err = c.Enroll(context.Background(), "x") })
+		return err
+	}
 
-	// Retryable 503 with Retry-After: all attempts consumed, hint parsed.
-	hc := &http.Client{Transport: headerTransport{"X-Case", "retryable"}}
-	c := NewClientWithConfig(srv.URL, hc, ClientConfig{
-		MaxAttempts: 2, BackoffBase: 5 * time.Millisecond, BackoffCap: 20 * time.Millisecond,
-	})
-	_, err := c.Enroll(context.Background(), "x")
+	// Retryable 503 with Retry-After: all attempts consumed, hint parsed and
+	// honored up to the cap.
+	c, clk := pinnedClient(srv.URL, &http.Client{Transport: headerTransport{"X-Case", "retryable"}}, 0)
+	err := enroll(c, clk)
 	var ee *EnrollError
 	if !errors.As(err, &ee) {
 		t.Fatalf("want *EnrollError, got %T: %v", err, err)
@@ -336,15 +367,17 @@ func TestEnrollErrorSemantics(t *testing.T) {
 	if !strings.Contains(ee.Body, "quorum unavailable") {
 		t.Fatalf("body snippet %q", ee.Body)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("retryable error: %d attempts, want 2", got)
+	if got := calls.Load(); got != maxAttempts {
+		t.Fatalf("retryable error: %d attempts, want %d", got, maxAttempts)
+	}
+	if want := []time.Duration{backoffCap, backoffCap}; !slices.Equal(clk.fired, want) {
+		t.Fatalf("backoffs %v, want the capped hint %v", clk.fired, want)
 	}
 
 	// Fatal 400: a single attempt, Retryable() false.
 	calls.Store(0)
-	hc = &http.Client{Transport: headerTransport{"X-Case", "fatal"}}
-	c = NewClientWithConfig(srv.URL, hc, ClientConfig{MaxAttempts: 3, BackoffBase: 5 * time.Millisecond})
-	_, err = c.Enroll(context.Background(), "x")
+	c, clk = pinnedClient(srv.URL, &http.Client{Transport: headerTransport{"X-Case", "fatal"}}, 0)
+	err = enroll(c, clk)
 	if !errors.As(err, &ee) || ee.Status != http.StatusBadRequest || ee.Retryable() {
 		t.Fatalf("fatal case: %v", err)
 	}
@@ -354,8 +387,8 @@ func TestEnrollErrorSemantics(t *testing.T) {
 
 	// Transport failure: Status 0, retryable.
 	srv.Close()
-	c = NewClientWithConfig(srv.URL, nil, ClientConfig{MaxAttempts: 1})
-	_, err = c.Enroll(context.Background(), "x")
+	c, clk = pinnedClient(srv.URL, nil, 0)
+	err = enroll(c, clk)
 	if !errors.As(err, &ee) || ee.Status != 0 || !ee.Retryable() {
 		t.Fatalf("transport case: %v", err)
 	}
@@ -415,57 +448,264 @@ func TestClusterRefreshKeepsIssuedBytes(t *testing.T) {
 	}
 }
 
-// TestClusterShutdownDrainsInFlight slows the signer path, starts an
+// TestClusterShutdownDrainsInFlight stalls the signer path, starts an
 // enrollment, and shuts the cluster down mid-flight: the request must
 // complete, and the listeners must then be closed.
 func TestClusterShutdownDrainsInFlight(t *testing.T) {
-	in := faulthttp.New(faulthttp.Schedule{
-		Latency: []faulthttp.Latency{{From: 0, To: time.Hour, Delay: 300 * time.Millisecond}},
-	})
+	const stall = 300 * time.Millisecond
+	clk := newFakeClock()
+	in := NewInjector(FaultSchedule{Latency: []Latency{{From: 0, To: time.Hour, Delay: stall}}})
+	in.clk = clk
 	in.Start()
 	master := testMaster(46)
 	cl, err := StartCluster(ClusterConfig{
 		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(12)),
+		SignerMiddleware: func(i int, h http.Handler) http.Handler { return in.Middleware("", h) },
+		Combiner:         Config{clk: clk},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	draining := make(chan struct{})
+	cl.servers[len(cl.servers)-1].RegisterOnShutdown(func() { close(draining) })
+
+	enrolled := make(chan []byte, 1)
+	go func() {
+		_, _, key := postEnroll(t, cl.URL, "in-flight")
+		enrolled <- key
+	}()
+	clk.awaitTimer(stall) // the request is inside a signer's stall
+
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- cl.Shutdown(context.Background()) }()
+	<-draining // the combiner has stopped listening; only the stalls hold the drain
+	clk.drive(stall, func() { err = <-shutdown })
+	if err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+	kgc, err := core.NewKGCFromMaster(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(<-enrolled, kgc.ExtractPartialPrivateKey("in-flight").Marshal()) {
+		t.Fatal("drained key differs from single master")
+	}
+
+	// The drained listeners refuse new work.
+	if resp, err := http.Get(cl.URL + "/params"); err == nil {
+		resp.Body.Close()
+		t.Fatal("request accepted after shutdown")
+	}
+}
+
+// TestClusterRefreshBoundedOnStalledReplica: a replica that accepts the
+// refresh post and never answers costs Refresh its bounded retries — each
+// post cut off by shareTimeout on the clock — not a hang. Epoch stays
+// readable throughout, and the next call re-posts the pinned deltas, so the
+// replica that applied the first round and the ones that did not end up on
+// one polynomial.
+func TestClusterRefreshBoundedOnStalledReplica(t *testing.T) {
+	const outage = time.Minute
+	clk := newFakeClock()
+	in := NewInjector(FaultSchedule{Latency: []Latency{{Target: "stalled", From: 0, To: outage, Delay: time.Hour}}})
+	in.clk = clk
+	in.Start()
+	master := testMaster(47)
+	cl, err := StartCluster(ClusterConfig{
+		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(13)),
 		SignerMiddleware: func(i int, h http.Handler) http.Handler {
-			return faulthttp.Middleware(in, "", h)
+			if i == 1 { // replica 0 applies round one before replica 1 stalls it
+				return in.Middleware("stalled", h)
+			}
+			return h
 		},
+		Combiner: Config{clk: clk},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	c := NewClientWithConfig(cl.URL, nil, ClientConfig{MaxAttempts: 1})
-	type outcome struct {
-		res *EnrollResult
-		err error
-	}
-	done := make(chan outcome, 1)
+	refreshed := make(chan error, 1)
 	go func() {
-		res, err := c.Enroll(context.Background(), "in-flight")
-		done <- outcome{res, err}
+		_, err := cl.Refresh(context.Background())
+		refreshed <- err
 	}()
-	time.Sleep(100 * time.Millisecond) // request is inside the signer delay
+	for attempt := 0; attempt < 5; attempt++ {
+		if attempt > 0 {
+			wait := time.Duration(attempt) * 200 * time.Millisecond
+			clk.awaitTimer(wait)
+			clk.advance(wait)
+		}
+		clk.awaitTimer(time.Hour) // the post is inside replica 1's stall
+		if cl.Epoch() != 0 {
+			t.Fatal("epoch moved during a refresh that has not committed")
+		}
+		clk.advance(shareTimeout)
+	}
+	if err := <-refreshed; err == nil {
+		t.Fatal("refresh over a stalled replica: want an error after the bounded retries")
+	}
+	if cl.Epoch() != 0 {
+		t.Fatalf("epoch %d after a failed refresh, want 0", cl.Epoch())
+	}
+	cl.mu.Lock()
+	pinned := cl.pending
+	cl.mu.Unlock()
+	if pinned == nil {
+		t.Fatal("failed round's deltas were not pinned")
+	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := cl.Shutdown(ctx); err != nil {
-		t.Fatalf("graceful shutdown: %v", err)
+	clk.advance(outage) // the replica answers again
+	if epoch, err := cl.Refresh(context.Background()); err != nil || epoch != 1 || cl.Epoch() != 1 {
+		t.Fatalf("refresh after the outage: epoch %d, %v", epoch, err)
 	}
-	o := <-done
-	if o.err != nil {
-		t.Fatalf("in-flight enrollment failed during shutdown: %v", o.err)
-	}
+	// Three gathers rotate through every replica pair; a replica left on a
+	// different polynomial would combine to a wrong key in two of them.
 	kgc, err := core.NewKGCFromMaster(master)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(o.res.PartialKey.Marshal(), kgc.ExtractPartialPrivateKey("in-flight").Marshal()) {
-		t.Fatal("drained key differs from single master")
+	for _, id := range []string{"after-a", "after-b", "after-c"} {
+		status, _, key := postEnroll(t, cl.URL, id)
+		if status != http.StatusOK || !bytes.Equal(key, kgc.ExtractPartialPrivateKey(id).Marshal()) {
+			t.Fatalf("enroll %q after the re-posted refresh: status %d, key differs from single master", id, status)
+		}
+	}
+}
+
+// TestRefreshInterleavingsKeepOnePolynomial is the refresh protocol's safety
+// property over a live 2-of-3 cluster on the fake clock. A seeded stream
+// decides each step — let time pass (moving replicas in and out of their
+// crash windows), run a Refresh, enroll a fresh identity — and the fate of
+// every /refresh post: delivered, lost before the replica saw it, or applied
+// with the acknowledgement lost. Whatever the interleaving of failed rounds,
+// retries and re-posted deltas, after every step any two replicas at one
+// epoch hold shares of one polynomial (they combine to the single master's
+// key), no replica is ahead of or behind the committed epoch by more than
+// the round in flight, and every enrollment that succeeds is the single
+// master's, byte for byte.
+func TestRefreshInterleavingsKeepOnePolynomial(t *testing.T) {
+	var commits, failedRounds, enrolled int
+	for seed := int64(1); seed <= 4; seed++ {
+		c, f, e := refreshInterleaving(t, seed)
+		commits, failedRounds, enrolled = commits+c, failedRounds+f, enrolled+e
+	}
+	// The property is only worth its name if the interleavings happened.
+	if commits == 0 || failedRounds == 0 || enrolled == 0 {
+		t.Fatalf("%d refreshes committed, %d rounds failed, %d enrollments succeeded: want some of each", commits, failedRounds, enrolled)
+	}
+}
+
+// refreshInterleaving runs one seed's interleaving and returns how many
+// refreshes committed, how many rounds failed and how many enrollments
+// succeeded.
+func refreshInterleaving(t *testing.T, seed int64) (commits, failedRounds, enrolled int) {
+	const steps, horizon = 60, 2 * time.Minute
+	rng := mrand.New(mrand.NewSource(seed))
+	clk := newFakeClock()
+	targets := []string{"r0", "r1", "r2"}
+	var crashes []Crash
+	for _, tgt := range targets {
+		for k := 0; k < 8; k++ {
+			at := time.Duration(rng.Int63n(int64(horizon)))
+			crashes = append(crashes, Crash{Target: tgt, At: at, RestartAt: at + time.Millisecond + time.Duration(rng.Int63n(int64(3*time.Second)))})
+		}
+	}
+	in := NewInjector(FaultSchedule{Crashes: crashes})
+	in.clk = clk
+	in.Start()
+
+	// Refresh posts one replica at a time, so the fates are drawn in a
+	// fixed order; the lock is for the race detector.
+	var fateMu sync.Mutex
+	fates := mrand.New(mrand.NewSource(seed ^ 0x5eed))
+	signers := make([]http.Handler, len(targets)) // the replicas behind their faults
+	master := testMaster(byte(70 + seed))
+	cl, err := StartCluster(ClusterConfig{
+		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(seed)),
+		Combiner: Config{clk: clk, RatePerSec: -1},
+		SignerMiddleware: func(i int, h http.Handler) http.Handler {
+			signers[i] = h
+			return in.Middleware(targets[i], http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/refresh" {
+					fateMu.Lock()
+					fate := fates.Intn(3)
+					fateMu.Unlock()
+					switch fate {
+					case 0: // lost on the way in
+						panic(http.ErrAbortHandler)
+					case 1: // applied, acknowledgement lost
+						h.ServeHTTP(httptest.NewRecorder(), r)
+						panic(http.ErrAbortHandler)
+					}
+				}
+				h.ServeHTTP(w, r)
+			}))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	kgc, err := core.NewKGCFromMaster(master)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// The drained listeners refuse new work.
-	if _, err := c.Enroll(context.Background(), "too-late"); err == nil {
-		t.Fatal("enrollment accepted after shutdown")
+	for step := 0; step < steps; step++ {
+		switch rng.Intn(3) {
+		case 0:
+			clk.advance(time.Duration(rng.Int63n(int64(2 * time.Second))))
+		case 1:
+			var err error
+			clk.drive(shareTimeout-1, func() { _, err = cl.Refresh(context.Background()) })
+			if err != nil {
+				failedRounds++
+			} else {
+				commits++
+			}
+		case 2:
+			id := fmt.Sprintf("seed%d-step%d", seed, step)
+			if status, _, key := postEnroll(t, cl.URL, id); status == http.StatusOK {
+				enrolled++
+				if !bytes.Equal(key, kgc.ExtractPartialPrivateKey(id).Marshal()) {
+					t.Fatalf("seed %d step %d: enrollment differs from single master", seed, step)
+				}
+			}
+		}
+
+		const probe = "probe"
+		want := kgc.ExtractPartialPrivateKey(probe).Marshal()
+		var shares []*threshold.KeyShare
+		for _, h := range signers {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/share", strings.NewReader(`{"id":"`+probe+`"}`)))
+			var sr shareResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := hex.DecodeString(sr.Share)
+			ks, err := threshold.UnmarshalKeyShare(probe, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if committed := cl.Epoch(); ks.Epoch != committed && ks.Epoch != committed+1 {
+				t.Fatalf("seed %d step %d: replica %d at epoch %d, committed epoch %d", seed, step, ks.Index, ks.Epoch, committed)
+			}
+			for _, other := range shares {
+				if other.Epoch != ks.Epoch {
+					continue
+				}
+				ppk, err := threshold.Combine(probe, []*threshold.KeyShare{other, ks})
+				if err != nil || !bytes.Equal(ppk.Marshal(), want) {
+					t.Fatalf("seed %d step %d: replicas %d and %d hold different polynomials under epoch %d (%v)",
+						seed, step, other.Index, ks.Index, ks.Epoch, err)
+				}
+			}
+			shares = append(shares, ks)
+		}
 	}
+	return commits, failedRounds, enrolled
 }

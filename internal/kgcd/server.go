@@ -39,18 +39,28 @@ import (
 	"mccls/internal/threshold"
 )
 
-// Tunable defaults; zero values in Config select these.
+// Defaults of the values Config leaves settable; zero selects them.
 const (
-	DefaultMaxIDLen       = 256
 	DefaultCacheSize      = 1 << 16
 	DefaultRequestTimeout = 2 * time.Second
-	DefaultShareTimeout   = 1 * time.Second
-	DefaultProbeTimeout   = 1 * time.Second
 	// DefaultRatePerSec / DefaultRateBurst: a legitimate node re-enrolls at
 	// reboot cadence; 5/s sustained with a burst of 20 absorbs crash loops
 	// and flaky links without letting one identity monopolize issuance.
 	DefaultRatePerSec = 5
 	DefaultRateBurst  = 20
+)
+
+// Fixed service parameters.
+const (
+	// MaxIDLen bounds accepted identity byte length, here and on the replicas.
+	MaxIDLen = 256
+	// shareTimeout bounds a single share or refresh RPC, so one hung replica
+	// fails fast and its fan-out slot is re-spent elsewhere.
+	shareTimeout = 1 * time.Second
+	// probeTimeout bounds each per-replica /healthz probe.
+	probeTimeout = 1 * time.Second
+	// hedgeFloor is the least the fan-out waits before hedging (see hedgeDelay).
+	hedgeFloor = 5 * time.Millisecond
 )
 
 // Config parameterizes a combiner.
@@ -69,20 +79,6 @@ type Config struct {
 	RateBurst  int
 	// RequestTimeout bounds one enrollment's signer fan-out.
 	RequestTimeout time.Duration
-	// ShareTimeout bounds a single share RPC within the fan-out, so one
-	// hung replica fails fast and its slot is re-spent elsewhere.
-	ShareTimeout time.Duration
-	// ProbeTimeout bounds each per-replica /healthz probe.
-	ProbeTimeout time.Duration
-	// HedgeDelay: when the quorum is still incomplete after this long, one
-	// spare request is launched at the next untried replica. Zero selects
-	// an adaptive delay (2× the slowest replica's p95 share latency,
-	// clamped to [5ms, RequestTimeout/2]); negative disables hedging.
-	HedgeDelay time.Duration
-	// Breaker tunes the per-replica circuit breakers.
-	Breaker BreakerConfig
-	// MaxIDLen bounds accepted identity byte length.
-	MaxIDLen int
 	// ValidateCombined pairing-checks every combined key before caching.
 	// Costly (two pairings); the combination is fuzz-pinned to the
 	// single-master oracle, and clients validate on receipt anyway, so
@@ -90,6 +86,8 @@ type Config struct {
 	ValidateCombined bool
 	// HTTPClient overrides the client used to reach signer replicas.
 	HTTPClient *http.Client
+
+	clk clock // nil selects wallClock; set by this package's tests only
 }
 
 func (c Config) withDefaults() Config {
@@ -105,14 +103,8 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = DefaultRequestTimeout
 	}
-	if c.ShareTimeout == 0 {
-		c.ShareTimeout = DefaultShareTimeout
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = DefaultProbeTimeout
-	}
-	if c.MaxIDLen == 0 {
-		c.MaxIDLen = DefaultMaxIDLen
+	if c.clk == nil {
+		c.clk = wallClock{}
 	}
 	return c
 }
@@ -156,7 +148,7 @@ func NewServer(cfg Config) (*Server, error) {
 	for _, u := range cfg.SignerURLs {
 		s.replicas = append(s.replicas, &replica{
 			issuer: newHTTPIssuer(u, cfg.HTTPClient),
-			br:     newBreaker(cfg.Breaker),
+			br:     newBreaker(),
 		})
 	}
 	return s, nil
@@ -210,19 +202,19 @@ func (s *Server) handleParams(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	start := s.cfg.clk.Now()
 	var req enrollRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		s.metrics.badRequests.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(req.ID) == 0 || len(req.ID) > s.cfg.MaxIDLen {
+	if len(req.ID) == 0 || len(req.ID) > MaxIDLen {
 		s.metrics.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("identity length must be in [1, %d]", s.cfg.MaxIDLen))
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("identity length must be in [1, %d]", MaxIDLen))
 		return
 	}
-	if !s.limiter.Allow(req.ID) {
+	if !s.limiter.Allow(req.ID, start) {
 		s.metrics.rateLimited.Inc()
 		writeError(w, http.StatusTooManyRequests, "per-identity rate limit exceeded")
 		return
@@ -232,7 +224,7 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	if hexKey, ok := s.cache.Get(req.ID); ok {
 		s.metrics.cacheHits.Inc()
 		writeJSON(w, http.StatusOK, enrollResponse{ID: req.ID, PartialKey: hexKey, Cached: true})
-		s.metrics.enrollLatency.Observe(time.Since(start))
+		s.metrics.enrollLatency.Observe(s.cfg.clk.Now().Sub(start))
 		return
 	}
 	s.metrics.cacheMisses.Inc()
@@ -240,15 +232,15 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	// Graceful degradation: when the breakers say the quorum is gone, fail
 	// fast with a retry hint instead of burning the full request timeout.
 	// Cache hits (above) keep being served regardless.
-	if admissible := s.admissibleReplicas(); admissible < s.cfg.T {
+	if admissible := s.admissibleReplicas(start); admissible < s.cfg.T {
 		s.metrics.degraded.Inc()
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds(start)))
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("quorum unavailable: %d of %d replicas admissible, %d needed", admissible, len(s.replicas), s.cfg.T))
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := withTimeout(r.Context(), s.cfg.clk, s.cfg.RequestTimeout)
 	defer cancel()
 	shares, err := s.gatherShares(ctx, req.ID)
 	if err != nil {
@@ -272,13 +264,13 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	hexKey := hex.EncodeToString(ppk.Marshal())
 	s.cache.Put(req.ID, hexKey)
 	writeJSON(w, http.StatusOK, enrollResponse{ID: req.ID, PartialKey: hexKey, Cached: false})
-	s.metrics.enrollLatency.Observe(time.Since(start))
+	s.metrics.enrollLatency.Observe(s.cfg.clk.Now().Sub(start))
 }
 
-func (s *Server) admissibleReplicas() int {
+func (s *Server) admissibleReplicas(now time.Time) int {
 	n := 0
 	for _, rep := range s.replicas {
-		if rep.br.Admissible() {
+		if rep.br.Admissible(now) {
 			n++
 		}
 	}
@@ -287,10 +279,10 @@ func (s *Server) admissibleReplicas() int {
 
 // retryAfterSeconds is the soonest an open breaker will admit a probe,
 // rounded up, at least one second.
-func (s *Server) retryAfterSeconds() int {
+func (s *Server) retryAfterSeconds(now time.Time) int {
 	var soonest time.Duration
 	for _, rep := range s.replicas {
-		if rem := rep.br.RemainingCooldown(); rem > 0 && (soonest == 0 || rem < soonest) {
+		if rem := rep.br.RemainingCooldown(now); rem > 0 && (soonest == 0 || rem < soonest) {
 			soonest = rem
 		}
 	}
@@ -302,28 +294,14 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // hedgeDelay is how long the fan-out waits on stragglers before spending a
-// spare request.
+// spare request: twice the slowest replica's p95 share latency, clamped to
+// [hedgeFloor, RequestTimeout/2].
 func (s *Server) hedgeDelay() time.Duration {
-	if s.cfg.HedgeDelay > 0 {
-		return s.cfg.HedgeDelay
-	}
-	if s.cfg.HedgeDelay < 0 {
-		return s.cfg.RequestTimeout // never fires inside the deadline
-	}
 	var p95 time.Duration
 	for _, rep := range s.replicas {
-		if v := rep.lat.Percentile(0.95); v > p95 {
-			p95 = v
-		}
+		p95 = max(p95, rep.lat.Percentile(0.95))
 	}
-	d := 2 * p95
-	if lo := 5 * time.Millisecond; d < lo {
-		d = lo
-	}
-	if hi := s.cfg.RequestTimeout / 2; d > hi {
-		d = hi
-	}
-	return d
+	return min(max(2*p95, hedgeFloor), s.cfg.RequestTimeout/2)
 }
 
 // gatherShares fans out to the signer replicas and returns the first T key
@@ -348,15 +326,15 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 		for tried < n {
 			rep := s.replicas[(first+tried)%n]
 			tried++
-			if !rep.br.Allow() {
+			if !rep.br.Allow(s.cfg.clk.Now()) {
 				continue
 			}
 			launched++
 			s.metrics.shareRequests.Inc()
 			go func() {
-				shareCtx, cancel := context.WithTimeout(ctx, s.cfg.ShareTimeout)
+				shareCtx, cancel := withTimeout(ctx, s.cfg.clk, shareTimeout)
 				defer cancel()
-				t0 := time.Now()
+				t0 := s.cfg.clk.Now()
 				ks, err := rep.issuer.Issue(shareCtx, id)
 				if err != nil {
 					if ctx.Err() != nil {
@@ -365,14 +343,15 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 						results <- result{nil, ctx.Err()}
 						return
 					}
-					rep.br.Record(false)
+					rep.br.Record(s.cfg.clk.Now(), false)
 					rep.shareFailures.Inc()
 					s.metrics.shareFailures.Inc()
 					results <- result{nil, fmt.Errorf("%s: %w", rep.issuer.Name(), err)}
 					return
 				}
-				rep.br.Record(true)
-				rep.lat.Observe(time.Since(t0))
+				now := s.cfg.clk.Now()
+				rep.br.Record(now, true)
+				rep.lat.Observe(now.Sub(t0))
 				results <- result{ks, nil}
 			}()
 			return true
@@ -386,8 +365,9 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 		return nil, fmt.Errorf("no admissible replicas (all circuit breakers open)")
 	}
 
-	hedge := time.NewTimer(s.hedgeDelay())
-	defer hedge.Stop()
+	hedge := make(chan struct{}, 1)
+	stopHedge := s.cfg.clk.AfterFunc(s.hedgeDelay(), func() { hedge <- struct{}{} })
+	defer stopHedge()
 
 	byEpoch := make(map[uint32][]*threshold.KeyShare)
 	best := 0 // size of the largest same-epoch group
@@ -396,8 +376,8 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-hedge.C:
+			return nil, context.Cause(ctx)
+		case <-hedge:
 			if launch() {
 				outstanding++
 				s.metrics.hedgedRequests.Inc()
@@ -440,7 +420,7 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 // reports quorum: 200 when at least T replicas answer, 503 otherwise. The
 // per-replica section carries probe latency and breaker state.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ProbeTimeout)
+	ctx, cancel := withTimeout(r.Context(), s.cfg.clk, probeTimeout)
 	defer cancel()
 	type probe struct {
 		i  int
@@ -450,9 +430,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	probes := make(chan probe, len(s.replicas))
 	for i, rep := range s.replicas {
 		go func(i int, rep *replica) {
-			t0 := time.Now()
+			t0 := s.cfg.clk.Now()
 			err := rep.issuer.Healthy(ctx)
-			d := time.Since(t0)
+			d := s.cfg.clk.Now().Sub(t0)
 			if err != nil {
 				rep.probeNanos.Store(-1)
 			} else {

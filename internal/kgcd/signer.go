@@ -1,10 +1,8 @@
 package kgcd
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -52,10 +50,10 @@ type errorResponse struct {
 // idempotent against coordinator retries (threshold.Signer.ApplyRefresh);
 // issuance keeps running while a refresh lands — a share is swapped
 // atomically and every issued key share is epoch-stamped. maxIDLen bounds
-// identity length (≤ 0 selects DefaultMaxIDLen).
+// identity length (≤ 0 selects MaxIDLen, the combiner's bound).
 func NewSignerHandler(signer *threshold.Signer, maxIDLen int) http.Handler {
 	if maxIDLen <= 0 {
-		maxIDLen = DefaultMaxIDLen
+		maxIDLen = MaxIDLen
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /share", func(w http.ResponseWriter, r *http.Request) {
@@ -129,26 +127,9 @@ func newHTTPIssuer(base string, hc *http.Client) *httpIssuer {
 func (h *httpIssuer) Name() string { return h.base }
 
 func (h *httpIssuer) Issue(ctx context.Context, id string) (*threshold.KeyShare, error) {
-	body, err := json.Marshal(shareRequest{ID: id})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/share", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := h.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("signer %s: %s", h.base, readErrorBody(resp))
-	}
 	var sr shareResponse
-	if err := json.NewDecoder(&limitedBody{resp.Body, maxBodyBytes}).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("signer %s: decode: %w", h.base, err)
+	if err := call(ctx, h.hc, h.base+"/share", shareRequest{ID: id}, &sr); err != nil {
+		return nil, fmt.Errorf("signer %s: %w", h.base, err)
 	}
 	raw, err := hex.DecodeString(sr.Share)
 	if err != nil {
@@ -170,42 +151,16 @@ func (h *httpIssuer) Issue(ctx context.Context, id string) (*threshold.KeyShare,
 // Refresh posts one proactive-refresh delta to the replica and returns the
 // epoch it reports afterwards.
 func (h *httpIssuer) Refresh(ctx context.Context, delta *threshold.Delta) (uint32, error) {
-	body, err := json.Marshal(refreshRequest{Delta: hex.EncodeToString(delta.Marshal())})
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/refresh", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := h.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("signer %s: refresh %s", h.base, readErrorBody(resp))
-	}
 	var rr refreshResponse
-	if err := json.NewDecoder(&limitedBody{resp.Body, maxBodyBytes}).Decode(&rr); err != nil {
-		return 0, fmt.Errorf("signer %s: decode refresh: %w", h.base, err)
+	if err := call(ctx, h.hc, h.base+"/refresh", refreshRequest{Delta: hex.EncodeToString(delta.Marshal())}, &rr); err != nil {
+		return 0, fmt.Errorf("signer %s: refresh: %w", h.base, err)
 	}
 	return rr.Epoch, nil
 }
 
 func (h *httpIssuer) Healthy(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := h.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("signer %s: healthz status %d", h.base, resp.StatusCode)
+	if err := call(ctx, h.hc, h.base+"/healthz", nil, nil); err != nil {
+		return fmt.Errorf("signer %s: healthz: %w", h.base, err)
 	}
 	return nil
 }

@@ -219,9 +219,6 @@ func (a *Agent) arm(d time.Duration, j timer) {
 // event fires, fn never runs.
 func (a *Agent) Schedule(d time.Duration, fn func()) { a.arm(d, timer{do: doCall, fn: fn}) }
 
-// IsDown reports whether the node is currently crashed.
-func (a *Agent) IsDown() bool { return a.down }
-
 // Crash takes the node down: armed timers are invalidated, in-flight
 // receptions (verify delays already scheduled) are dropped and the radio
 // stops receiving. The embedding protocol discards its own volatile state.

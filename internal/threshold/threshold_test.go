@@ -245,3 +245,45 @@ func FuzzThresholdVsSingleMaster(f *testing.F) {
 		}
 	})
 }
+
+// FuzzShareCodecs: the three wire decoders reject or round-trip, never
+// panic. Arbitrary bytes go to UnmarshalShare and UnmarshalDelta (37 bytes
+// each: index‖epoch‖scalar) and to UnmarshalKeyShare (133: index‖epoch‖G2);
+// whatever one of them accepts must re-marshal to exactly the input, so no
+// two byte strings decode to the same value.
+func FuzzShareCodecs(f *testing.F) {
+	master := bn254.HashToScalar("threshold/fuzz", []byte("codecs"))
+	kgc, err := core.NewKGCFromMaster(master)
+	if err != nil {
+		f.Fatal(err)
+	}
+	shares, err := Split(master, 2, 3, detRNG(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	deltas, err := RefreshDeltas(2, 3, 1, detRNG(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	signer, err := NewSigner(kgc.Params(), shares[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(shares[0].Marshal())
+	f.Add(deltas[1].Marshal())
+	f.Add(signer.Issue("node-1").Marshal())
+	f.Add(make([]byte, shareMarshalledSize))
+	f.Add(bytes.Repeat([]byte{0xff}, keyShareMarshalledSize))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if s, err := UnmarshalShare(data); err == nil && !bytes.Equal(s.Marshal(), data) {
+			t.Fatalf("share %x re-marshals to %x", data, s.Marshal())
+		}
+		if d, err := UnmarshalDelta(data); err == nil && !bytes.Equal(d.Marshal(), data) {
+			t.Fatalf("delta %x re-marshals to %x", data, d.Marshal())
+		}
+		if ks, err := UnmarshalKeyShare("node-1", data); err == nil && !bytes.Equal(ks.Marshal(), data) {
+			t.Fatalf("key share %x re-marshals to %x", data, ks.Marshal())
+		}
+	})
+}
