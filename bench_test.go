@@ -2,11 +2,11 @@
 // (run with `go test -bench=. -benchmem`):
 //
 //   - BenchmarkTable1/*     — sign/verify cost of AP, ZWXF, YHG and McCLS
-//   - BenchmarkFigure1..5   — the five simulation figures; the series
+//   - BenchmarkFigure/<id>  — every row of the figure table; the series
 //     values are attached as custom benchmark metrics
 //   - BenchmarkAblation*    — the design-choice ablations from DESIGN.md §5
 //
-// Figure benchmarks use a reduced sweep (two speeds, one seed, 30
+// Figure benchmarks use a reduced sweep (two points, one seed, 30
 // simulated seconds) so `go test -bench=.` stays minutes-scale; use
 // cmd/manetsim for full paper-scale sweeps.
 package mccls
@@ -14,6 +14,7 @@ package mccls
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,68 +73,41 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Figures 1–5
+// Figures
 
-// benchSweep is the reduced sweep configuration for figure benchmarks.
-func benchSweep() manet.SweepConfig {
-	return manet.SweepConfig{
-		Base:    manet.Scenario{Duration: 30 * time.Second},
-		Speeds:  []float64{5, 15},
-		Repeats: 1,
-		Seed:    1,
-	}
-}
-
-// reportFigure attaches every series point as a benchmark metric, e.g.
-// "fig1_AODV@5" = PDR of the AODV series at 5 m/s.
-func reportFigure(b *testing.B, fig manet.Figure) {
-	b.Helper()
-	for _, s := range fig.Series {
-		for i, x := range s.X {
-			name := fmt.Sprintf("%s_%s@%g", fig.ID, sanitize(s.Label), x)
-			b.ReportMetric(s.Y[i], name)
+// BenchmarkFigure regenerates every row of the figure table on a reduced
+// sweep of its axis, one sub-benchmark per figure id, attaching every
+// series point as a metric, e.g. "fig1_AODV@5" = PDR of the AODV series at
+// 5 m/s.
+func BenchmarkFigure(b *testing.B) {
+	axes := map[string][]float64{"v": {5, 15}, "churn": {0, 2}, "n": {50, 100}}
+	for _, spec := range manet.Figures {
+		axis, ok := axes[spec.Axis.Name]
+		if !ok {
+			b.Fatalf("%s sweeps axis family %q, which this benchmark has no reduced axis for", spec.ID, spec.Axis.Name)
 		}
+		b.Run(spec.ID, func(b *testing.B) {
+			var fig manet.Figure
+			var err error
+			for i := 0; i < b.N; i++ {
+				fig, err = manet.RunFigure(spec.ID, manet.SweepConfig{
+					Base:    manet.Scenario{Duration: 30 * time.Second},
+					Axis:    axis,
+					Repeats: 1,
+					Seed:    1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, s := range fig.Series {
+				for i, x := range s.X {
+					b.ReportMetric(s.Y[i], fmt.Sprintf("%s_%s@%g", fig.ID, strings.ReplaceAll(s.Label, " ", "_"), x))
+				}
+			}
+		})
 	}
 }
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		if r == ' ' {
-			r = '_'
-		}
-		out = append(out, r)
-	}
-	return string(out)
-}
-
-func benchFigure(b *testing.B, gen func(manet.SweepConfig) (manet.Figure, error)) {
-	b.Helper()
-	var fig manet.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = gen(benchSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportFigure(b, fig)
-}
-
-// BenchmarkFigure1 regenerates Fig. 1 (Packet Delivery Ratio vs speed).
-func BenchmarkFigure1(b *testing.B) { benchFigure(b, manet.Figure1) }
-
-// BenchmarkFigure2 regenerates Fig. 2 (RREQ Ratio vs speed).
-func BenchmarkFigure2(b *testing.B) { benchFigure(b, manet.Figure2) }
-
-// BenchmarkFigure3 regenerates Fig. 3 (End-to-End Delay vs speed).
-func BenchmarkFigure3(b *testing.B) { benchFigure(b, manet.Figure3) }
-
-// BenchmarkFigure4 regenerates Fig. 4 (PDR under black hole and rushing).
-func BenchmarkFigure4(b *testing.B) { benchFigure(b, manet.Figure4) }
-
-// BenchmarkFigure5 regenerates Fig. 5 (Packet Drop Ratio under attack).
-func BenchmarkFigure5(b *testing.B) { benchFigure(b, manet.Figure5) }
 
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §5)
@@ -408,10 +382,6 @@ func BenchmarkAblationHello(b *testing.B) {
 	b.Run("off", func(b *testing.B) { run(b, 0) })
 	b.Run("1s", func(b *testing.B) { run(b, time.Second) })
 }
-
-// BenchmarkFigureDSR regenerates the DSR generality extension figure
-// (packet drop ratio under attack, DSR substrate).
-func BenchmarkFigureDSR(b *testing.B) { benchFigure(b, manet.FigureDSR) }
 
 // BenchmarkAblationSpatialIndex runs the same 500-node city scenario with
 // the naive O(n) neighbor scan and with the uniform-grid spatial index.

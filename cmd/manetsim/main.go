@@ -18,7 +18,12 @@
 //	manetsim -fig 9 -citynodes 100,500,2000  # city sweep, custom x-axis
 //	manetsim -all -parallel 8 -progress # 8 workers, per-trial progress
 //	manetsim -all -timeout 2m           # per-trial wall-clock deadline
+//	manetsim -table 1 [-iters N] [-csv] # Table 1: the CLS scheme comparison
 //
+// Table 1 extends the paper's operation-count comparison of AP, ZWXF, YHG
+// and McCLS with wall-clock sign/verify timings measured on this machine's
+// BN254 substrate; per-primitive timings are the repository benchmark's
+// per-layer metrics (bash bench/run.sh --workload auth_warm --trace 1).
 // Simulator throughput and the spatial-index counters are the sim_paper and
 // sim_city workloads of the repository benchmark (bash bench/run.sh
 // --workload sim_city --trace 1).
@@ -49,6 +54,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	fig := fs.Int("fig", 0, "figure to regenerate (1-5; 6 = DSR extension; 7-8 = churn resilience; 9-10 = city scale)")
 	all := fs.Bool("all", false, "regenerate all figures including the DSR, resilience and city-scale extensions")
+	table := fs.Int("table", 0, "table to regenerate (1 = the CLS scheme comparison) instead of a figure")
+	iters := fs.Int("iters", 10, "sign/verify iterations per scheme (-table 1)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	duration := fs.Duration("duration", 300*time.Second, "simulated time per run")
 	repeats := fs.Int("repeats", 3, "seeds averaged per sweep point")
@@ -65,9 +72,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if !*all && (*fig < 1 || *fig > 10) {
+	if *table != 0 {
+		return table1(*table, *iters, *csv, stdout)
+	}
+	if !*all && (*fig < 1 || *fig > len(manet.Figures)) {
 		fs.Usage()
-		return fmt.Errorf("pass -fig 1..10 or -all")
+		return fmt.Errorf("pass -fig 1..%d or -all", len(manet.Figures))
 	}
 	if *nodes < 2 {
 		return fmt.Errorf("-nodes %d: need at least 2 nodes", *nodes)
@@ -75,25 +85,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *flows < 1 {
 		return fmt.Errorf("-flows %d: need at least 1 flow", *flows)
 	}
-	speedVals, err := parseList(*speeds, "speed", 0, parseFloat)
-	if err != nil {
+	// One parsed axis per family, keyed by the family's name in the figure
+	// table; integer axes reject fractions at the flag.
+	axes := map[string][]float64{}
+	var err error
+	if axes["v"], err = parseList(*speeds, "speed", 0, parseFloat); err != nil {
 		return err
 	}
-	churnVals, err := parseList(*churn, "churn count", -1, strconv.Atoi)
-	if err != nil {
+	if axes["churn"], err = parseInts(*churn, "churn count", -1); err != nil {
 		return err
 	}
-	cityVals, err := parseList(*cityNodes, "node count", 1, strconv.Atoi)
-	if err != nil {
+	if axes["n"], err = parseInts(*cityNodes, "node count", 1); err != nil {
 		return err
 	}
 
 	// The table footer's trial count comes off the progress stream, which
-	// also powers the optional -progress trace.
+	// also powers the optional -progress trace. The base scenario is shared
+	// by every figure; -nodes does not reach figures 9-10, whose axis is the
+	// node count.
 	trials := 0
 	cfg := manet.SweepConfig{
 		Base:         manet.Scenario{Duration: *duration, Nodes: *nodes, Flows: *flows},
-		Speeds:       speedVals,
 		Repeats:      *repeats,
 		Seed:         *seed,
 		Workers:      *parallel,
@@ -113,58 +125,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 		},
 	}
 
-	// Figures 7–8 sweep churn instead of speed and carry their own config;
-	// everything else (base scenario, repeats, pool, progress) is shared.
-	rcfg := manet.ResilienceConfig{
-		Base:         cfg.Base,
-		Churn:        churnVals,
-		Repeats:      *repeats,
-		Seed:         *seed,
-		Workers:      *parallel,
-		TrialTimeout: *timeout,
-		Progress:     cfg.Progress,
-	}
-
-	// Figures 9–10 sweep node count at city scale: Manhattan streets,
-	// heterogeneous radio ranges. -nodes does not apply (the axis is the
-	// node count); -duration, -flows and the pool options carry over.
-	ccfg := manet.CityConfig{
-		Base:         manet.Scenario{Duration: *duration, Flows: *flows},
-		Nodes:        cityVals,
-		Repeats:      *repeats,
-		Seed:         *seed,
-		Workers:      *parallel,
-		TrialTimeout: *timeout,
-		Progress:     cfg.Progress,
-	}
-
-	gens := map[int]func() (manet.Figure, error){
-		1:  func() (manet.Figure, error) { return manet.Figure1(cfg) },
-		2:  func() (manet.Figure, error) { return manet.Figure2(cfg) },
-		3:  func() (manet.Figure, error) { return manet.Figure3(cfg) },
-		4:  func() (manet.Figure, error) { return manet.Figure4(cfg) },
-		5:  func() (manet.Figure, error) { return manet.Figure5(cfg) },
-		6:  func() (manet.Figure, error) { return manet.FigureDSR(cfg) },                 // extension: DSR substrate
-		7:  func() (manet.Figure, error) { return manet.FigureResilience(rcfg) },         // extension: PDR under churn
-		8:  func() (manet.Figure, error) { return manet.FigureResilienceOverhead(rcfg) }, // extension: overhead under churn
-		9:  func() (manet.Figure, error) { return manet.FigureCityPDR(ccfg) },            // extension: PDR at city scale
-		10: func() (manet.Figure, error) { return manet.FigureCityOverhead(ccfg) },       // extension: overhead at city scale
-	}
-	which := []int{*fig}
+	first, last := *fig, *fig
 	if *all {
-		which = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+		first, last = 1, len(manet.Figures)
 	}
-
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	for _, id := range which {
+	for n := first; n <= last; n++ {
+		spec := manet.Figures[n-1]
 		trials = 0
+		var ok bool
+		if cfg.Axis, ok = axes[spec.Axis.Name]; !ok {
+			return fmt.Errorf("figure %d: no flag feeds axis family %q", n, spec.Axis.Name)
+		}
 		start := time.Now()
-		figure, err := gens[id]()
+		figure, err := manet.RunFigure(spec.ID, cfg)
 		if err != nil {
-			return fmt.Errorf("figure %d: %w", id, err)
+			return fmt.Errorf("figure %d: %w", n, err)
 		}
 		wall := time.Since(start)
 		if *csv {
@@ -204,3 +183,45 @@ func parseList[T int | float64](s, what string, above T, parse func(string) (T, 
 }
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// parseInts is parseList for an integer axis, widened to the sweep's float64.
+func parseInts(s, what string, above int) ([]float64, error) {
+	ints, err := parseList(s, what, above, strconv.Atoi)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(ints))
+	for i, n := range ints {
+		out[i] = float64(n)
+	}
+	return out, nil
+}
+
+// table1 regenerates the paper's Table 1 with measured timings appended.
+func table1(table, iters int, csv bool, stdout io.Writer) error {
+	if table != 1 {
+		return fmt.Errorf("-table %d: the paper has one table, pass -table 1", table)
+	}
+	if iters < 1 {
+		return fmt.Errorf("-iters must be at least 1, got %d", iters)
+	}
+	rows, err := manet.Table1(iters, nil)
+	if err != nil {
+		return err
+	}
+	if csv {
+		fmt.Fprintln(stdout, "scheme,sign_ops,verify_ops,pubkey_len,sign_ms,verify_ms")
+		for _, r := range rows {
+			fmt.Fprintf(stdout, "%s,%s,%s,%s,%.3f,%.3f\n",
+				r.Scheme, r.Sign, r.Verify, r.PubKeyLen,
+				float64(r.SignTime)/float64(time.Millisecond),
+				float64(r.VerifyTime)/float64(time.Millisecond))
+		}
+		return nil
+	}
+	fmt.Fprintln(stdout, "Table 1 — Comparison of the CLS Schemes")
+	fmt.Fprintln(stdout, "(s: scalar multiplication; p: pairing; e: exponentiation)")
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, manet.RenderTable1(rows))
+	return nil
+}

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mccls/manet"
 )
 
 func TestParseSpeeds(t *testing.T) {
@@ -43,7 +45,7 @@ func TestRunRequiresFigureSelection(t *testing.T) {
 	if err := run(nil, new(strings.Builder), new(strings.Builder)); err == nil {
 		t.Fatal("no -fig/-all accepted")
 	}
-	if err := run([]string{"-fig", "11"}, new(strings.Builder), new(strings.Builder)); err == nil {
+	if err := run([]string{"-fig", strconv.Itoa(len(manet.Figures) + 1)}, new(strings.Builder), new(strings.Builder)); err == nil {
 		t.Fatal("out-of-range -fig accepted")
 	}
 	if err := run([]string{"-fig", "1", "-speeds", "5,5"}, new(strings.Builder), new(strings.Builder)); err == nil {
@@ -218,5 +220,55 @@ func TestRunCSVCarriesCI(t *testing.T) {
 	head := strings.SplitN(stdout.String(), "\n", 2)[0]
 	if head != "speed,AODV,AODV ci95,McCLS,McCLS ci95" {
 		t.Fatalf("csv header = %q", head)
+	}
+}
+
+// TestRunTable1 drives -table 1 in both formats: the header, then the four
+// schemes in the paper's Table 1 order with their published operation counts.
+func TestRunTable1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all four schemes with real pairings")
+	}
+	schemes := []string{"AP", "ZWXF", "YHG", "McCLS"}
+	var stdout strings.Builder
+	if err := run([]string{"-table", "1", "-iters", "1", "-csv"}, &stdout, new(strings.Builder)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != 5 || lines[0] != "scheme,sign_ops,verify_ops,pubkey_len,sign_ms,verify_ms" {
+		t.Fatalf("unexpected CSV:\n%s", stdout.String())
+	}
+	for i, name := range schemes {
+		if !strings.HasPrefix(lines[i+1], name+",") {
+			t.Fatalf("CSV row %d = %q, want scheme %s", i+1, lines[i+1], name)
+		}
+	}
+	if !strings.HasPrefix(lines[4], "McCLS,2s,1p+1s,1 point(s),") {
+		t.Fatalf("McCLS row = %q", lines[4])
+	}
+
+	stdout.Reset()
+	if err := run([]string{"-table", "1", "-iters", "1"}, &stdout, new(strings.Builder)); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != 8 || lines[0] != "Table 1 — Comparison of the CLS Schemes" ||
+		lines[1] != "(s: scalar multiplication; p: pairing; e: exponentiation)" || lines[2] != "" ||
+		!strings.HasPrefix(lines[3], "Scheme   Sign       Verify     PubKey Len") {
+		t.Fatalf("unexpected table:\n%s", stdout.String())
+	}
+	for i, name := range schemes {
+		if !strings.HasPrefix(lines[i+4], name+" ") {
+			t.Fatalf("table row %d = %q, want scheme %s", i+1, lines[i+4], name)
+		}
+	}
+}
+
+func TestRunTable1RejectsBadInput(t *testing.T) {
+	if err := run([]string{"-table", "1", "-iters", "0"}, new(strings.Builder), new(strings.Builder)); err == nil {
+		t.Fatal("-iters 0 accepted")
+	}
+	if err := run([]string{"-table", "2"}, new(strings.Builder), new(strings.Builder)); err == nil {
+		t.Fatal("-table 2 accepted")
 	}
 }

@@ -1,15 +1,11 @@
 package aodv
 
-import (
-	"time"
-
-	"mccls/internal/routing"
-)
+import "mccls/internal/routing"
 
 // HELLO beaconing (RFC 3561 §6.9): with Config.HelloInterval > 0, every
 // node periodically broadcasts a one-hop HELLO; hearing any frame from a
 // neighbor refreshes its liveness, and a neighbor silent for
-// AllowedHelloLoss intervals is declared lost, proactively invalidating
+// allowedHelloLoss intervals is declared lost, proactively invalidating
 // routes through it instead of waiting for a unicast data failure.
 //
 // HELLOs are control packets: under McCLS-AODV they are signed and
@@ -64,10 +60,10 @@ func (n *Node) heard(neighbor int) {
 	}
 }
 
-// sweepNeighbors declares neighbors lost after AllowedHelloLoss silent
+// sweepNeighbors declares neighbors lost after allowedHelloLoss silent
 // intervals and tears down routes through them.
 func (n *Node) sweepNeighbors() {
-	deadline := time.Duration(n.cfg.AllowedHelloLoss) * n.cfg.HelloInterval
+	deadline := allowedHelloLoss * n.cfg.HelloInterval
 	now := n.Sim.Now()
 	for neighbor, at := range n.lastHeard {
 		if now-at <= deadline {
@@ -81,9 +77,9 @@ func (n *Node) sweepNeighbors() {
 
 // processHello refreshes the neighbor's liveness and hop-1 route.
 func (n *Node) processHello(from int, h *Hello) {
-	lifetime := time.Duration(n.cfg.AllowedHelloLoss) * n.cfg.HelloInterval
+	lifetime := allowedHelloLoss * n.cfg.HelloInterval
 	if lifetime <= 0 {
-		lifetime = n.cfg.ActiveRouteTimeout
+		lifetime = n.cfg.activeRouteTimeout
 	}
 	n.updateRoute(from, from, 1, h.Seq, true, lifetime)
 	n.heard(from)

@@ -8,28 +8,28 @@ import (
 	"mccls/internal/sim"
 )
 
-// Config holds the AODV protocol parameters. Zero values select the
-// defaults below, which follow RFC 3561 scaled to the paper's 20-node
+// Protocol constants, following RFC 3561 scaled to the paper's 20-node
 // field.
+const (
+	// nodeTraversalTime is the per-hop latency estimate that sizes
+	// discovery timeouts.
+	nodeTraversalTime = 40 * time.Millisecond
+	// rreqRetries is how many times a failed discovery is retried.
+	rreqRetries = 2
+	// ttlIncrement widens the expanding-ring search between attempts.
+	ttlIncrement = 2
+	// allowedHelloLoss is how many silent HELLO intervals mark a neighbor
+	// as lost.
+	allowedHelloLoss = 2
+)
+
+// Config holds the AODV parameters a scenario varies. Zero values select
+// the defaults, which follow RFC 3561 scaled to the paper's 20-node field.
 type Config struct {
-	// ActiveRouteTimeout is the lifetime of a route refreshed by use
-	// (default 3s).
-	ActiveRouteTimeout time.Duration
-	// MyRouteTimeout is the lifetime a destination advertises in its own
-	// RREPs (default 6s).
-	MyRouteTimeout time.Duration
-	// NodeTraversalTime is the per-hop latency estimate used to size
-	// discovery timeouts (default 40ms).
-	NodeTraversalTime time.Duration
-	// NetDiameter bounds the network in hops (default 12).
-	NetDiameter int
-	// RREQRetries is how many times a failed discovery is retried
-	// (default 2).
-	RREQRetries int
-	// TTLStart, TTLIncrement and TTLThreshold drive the expanding-ring
-	// search (defaults 2, 2, 7). Once TTL passes TTLThreshold the search
-	// floods at NetDiameter.
-	TTLStart, TTLIncrement, TTLThreshold int
+	// TTLStart is the first ring of the expanding-ring search (default 2).
+	// Each retry widens the ring by 2; once it passes 7 the search floods
+	// the network.
+	TTLStart int
 	// RebroadcastJitterMax is the maximum uniform delay before
 	// rebroadcasting an RREQ (default 25ms, the flood-damping delay AODV
 	// implementations add to reduce broadcast collisions). This
@@ -37,69 +37,58 @@ type Config struct {
 	// attacker that forwards with zero jitter wins the
 	// duplicate-suppression race.
 	RebroadcastJitterMax time.Duration
-	// DataTTL is the hop limit on data packets (default 32).
-	DataTTL int
-	// SendBufferCap bounds the number of data packets buffered per
-	// destination during discovery (default 64).
-	SendBufferCap int
-	// AllowIntermediateReply lets nodes with a fresh-enough cached route
-	// answer RREQs (default true, per the RFC; the black hole attack
-	// abuses exactly this mechanism). Set DisableIntermediateReply to
-	// turn it off.
-	DisableIntermediateReply bool
 	// HelloInterval enables periodic one-hop HELLO beacons (RFC 3561
 	// §6.9) for proactive link-failure detection. 0 (the default)
 	// disables beaconing; link breaks are then detected on unicast
 	// failure only.
 	HelloInterval time.Duration
-	// AllowedHelloLoss is how many silent HELLO intervals mark a
-	// neighbor as lost (default 2, per the RFC).
-	AllowedHelloLoss int
+
+	// The rest is constant in every run and varied only by this package's
+	// tests. activeRouteTimeout is the lifetime of a route refreshed by use
+	// (default 3s; a destination advertises twice that in its own RREPs),
+	// netDiameter bounds the network in hops (default 12) and is what the
+	// ring search floods at once past ttlThreshold (default 7), dataTTL is
+	// the hop limit on data packets (default 32), and sendBufferCap bounds
+	// the packets buffered per destination during discovery (default 64).
+	// Nodes with a fresh-enough cached route answer RREQs, per the RFC (the
+	// black hole attack abuses exactly this), unless
+	// disableIntermediateReply.
+	activeRouteTimeout       time.Duration
+	netDiameter              int
+	ttlThreshold             int
+	dataTTL                  int
+	sendBufferCap            int
+	disableIntermediateReply bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.ActiveRouteTimeout == 0 {
-		c.ActiveRouteTimeout = 3 * time.Second
-	}
-	if c.MyRouteTimeout == 0 {
-		c.MyRouteTimeout = 2 * c.ActiveRouteTimeout
-	}
-	if c.NodeTraversalTime == 0 {
-		c.NodeTraversalTime = 40 * time.Millisecond
-	}
-	if c.NetDiameter == 0 {
-		c.NetDiameter = 12
-	}
-	if c.RREQRetries == 0 {
-		c.RREQRetries = 2
-	}
 	if c.TTLStart == 0 {
 		c.TTLStart = 2
-	}
-	if c.TTLIncrement == 0 {
-		c.TTLIncrement = 2
-	}
-	if c.TTLThreshold == 0 {
-		c.TTLThreshold = 7
 	}
 	if c.RebroadcastJitterMax == 0 {
 		c.RebroadcastJitterMax = 25 * time.Millisecond
 	}
-	if c.DataTTL == 0 {
-		c.DataTTL = 32
+	if c.activeRouteTimeout == 0 {
+		c.activeRouteTimeout = 3 * time.Second
 	}
-	if c.SendBufferCap == 0 {
-		c.SendBufferCap = 64
+	if c.netDiameter == 0 {
+		c.netDiameter = 12
 	}
-	if c.AllowedHelloLoss == 0 {
-		c.AllowedHelloLoss = 2
+	if c.ttlThreshold == 0 {
+		c.ttlThreshold = 7
+	}
+	if c.dataTTL == 0 {
+		c.dataTTL = 32
+	}
+	if c.sendBufferCap == 0 {
+		c.sendBufferCap = 64
 	}
 	return c
 }
 
 // ringTraversalTime is the discovery timeout for a given search TTL.
-func (c Config) ringTraversalTime(ttl int) time.Duration {
-	return 2 * c.NodeTraversalTime * time.Duration(ttl+2)
+func ringTraversalTime(ttl int) time.Duration {
+	return 2 * nodeTraversalTime * time.Duration(ttl+2)
 }
 
 // ringTTL is the expanding-ring search TTL of the given discovery attempt
@@ -107,9 +96,9 @@ func (c Config) ringTraversalTime(ttl int) time.Duration {
 func (c Config) ringTTL(attempt int) int {
 	ttl := c.TTLStart
 	for i := 1; i < attempt; i++ {
-		ttl += c.TTLIncrement
-		if ttl > c.TTLThreshold {
-			ttl = c.NetDiameter
+		ttl += ttlIncrement
+		if ttl > c.ttlThreshold {
+			ttl = c.netDiameter
 		}
 	}
 	return ttl
@@ -180,15 +169,15 @@ func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth ro
 		seen:      make(map[seenKey]sim.Time),
 		lastHeard: make(map[int]sim.Time),
 	}
-	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.SendBufferCap, n.cfg.RREQRetries, n.issueRREQ)
+	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.sendBufferCap, rreqRetries, n.issueRREQ)
 	n.Process = n.processControl
 	medium.SetHandler(id, n.handleFrame)
 	n.startHello()
 	return n
 }
 
-// Config returns the node's effective configuration.
-func (n *Node) Config() Config { return n.cfg }
+// MyRouteTimeout is the route lifetime the node advertises in its own RREPs.
+func (n *Node) MyRouteTimeout() time.Duration { return 2 * n.cfg.activeRouteTimeout }
 
 // seqNewer reports whether a is strictly fresher than b under RFC 3561
 // rollover arithmetic.
@@ -293,7 +282,7 @@ func (n *Node) HasRoute(dest int) (nextHop int, ok bool) {
 // touch refreshes the lifetime of an active route.
 func (n *Node) touch(dest int) {
 	if e := n.route(dest); e != nil {
-		if exp := n.Sim.Now() + n.cfg.ActiveRouteTimeout; exp > e.expires {
+		if exp := n.Sim.Now() + n.cfg.activeRouteTimeout; exp > e.expires {
 			e.expires = exp
 		}
 	}
@@ -329,7 +318,7 @@ func (n *Node) Send(dst, bytes int) {
 		Dst:    dst,
 		Bytes:  bytes,
 		SentAt: n.Sim.Now(),
-		TTL:    n.cfg.DataTTL,
+		TTL:    n.cfg.dataTTL,
 	}
 	if dst == n.ID {
 		n.deliver(pkt)
@@ -395,7 +384,7 @@ func (n *Node) issueRREQ(dst, attempt int) time.Duration {
 	// Suppress our own flooded copy.
 	n.seen[seenKey{origin: n.ID, id: req.ID}] = n.Sim.Now()
 	n.sendRREQ(req)
-	return n.cfg.ringTraversalTime(ttl)
+	return ringTraversalTime(ttl)
 }
 
 // discoveryComplete flushes the send buffer once a route to dst appears.
@@ -487,8 +476,8 @@ func (n *Node) processRREQ(from int, req *RREQ) {
 	}
 
 	// Reverse routes: to the previous hop and to the originator.
-	n.updateRoute(from, from, 1, 0, false, n.cfg.ActiveRouteTimeout)
-	n.updateRoute(req.Origin, from, req.HopCount+1, req.OriginSeq, true, n.cfg.ActiveRouteTimeout)
+	n.updateRoute(from, from, 1, 0, false, n.cfg.activeRouteTimeout)
+	n.updateRoute(req.Origin, from, req.HopCount+1, req.OriginSeq, true, n.cfg.activeRouteTimeout)
 
 	if req.Dest == n.ID {
 		// Destination replies. Keep our sequence number at least as
@@ -505,12 +494,12 @@ func (n *Node) processRREQ(from int, req *RREQ) {
 			Dest:     n.ID,
 			DestSeq:  n.seq,
 			HopCount: 0,
-			Lifetime: n.cfg.MyRouteTimeout,
+			Lifetime: n.MyRouteTimeout(),
 		})
 		return
 	}
 
-	if !n.cfg.DisableIntermediateReply {
+	if !n.cfg.disableIntermediateReply {
 		if e := n.route(req.Dest); e != nil && e.validSeq &&
 			(!req.SeqKnown || !seqNewer(req.DestSeq, e.destSeq)) {
 			n.Stats.RREPOriginated++
@@ -545,7 +534,7 @@ func (n *Node) drawJitter() time.Duration {
 
 // processRREP implements RFC 3561 §6.7.
 func (n *Node) processRREP(from int, rep *RREP) {
-	n.updateRoute(from, from, 1, 0, false, n.cfg.ActiveRouteTimeout)
+	n.updateRoute(from, from, 1, 0, false, n.cfg.activeRouteTimeout)
 	n.updateRoute(rep.Dest, from, rep.HopCount+1, rep.DestSeq, true, rep.Lifetime)
 
 	if rep.Origin == n.ID {
@@ -585,7 +574,7 @@ func (n *Node) processRERR(from int, rerr *RERR) {
 
 // processData forwards or delivers a routed data packet.
 func (n *Node) processData(from int, pkt *DataPacket) {
-	n.updateRoute(from, from, 1, 0, false, n.cfg.ActiveRouteTimeout)
+	n.updateRoute(from, from, 1, 0, false, n.cfg.activeRouteTimeout)
 	// An active flow keeps the path toward its source alive (RFC 3561 §6.2).
 	n.touch(pkt.Src)
 	if pkt.Dst == n.ID {
@@ -625,7 +614,7 @@ func (n *Node) pruneSeen() {
 	if len(n.seen) < 4096 {
 		return
 	}
-	horizon := n.Sim.Now() - 2*n.cfg.ringTraversalTime(n.cfg.NetDiameter)
+	horizon := n.Sim.Now() - 2*ringTraversalTime(n.cfg.netDiameter)
 	for k, at := range n.seen {
 		if at < horizon {
 			delete(n.seen, k)

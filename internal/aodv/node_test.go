@@ -107,7 +107,7 @@ func TestDuplicateRREQSuppression(t *testing.T) {
 func TestExpandingRingEscalation(t *testing.T) {
 	// 6-hop line with TTLStart=1: the first ring cannot reach node 5, so
 	// the discovery must retry with a wider ring and still succeed.
-	cfg := Config{TTLStart: 1, TTLIncrement: 2, TTLThreshold: 3, NetDiameter: 10}
+	cfg := Config{TTLStart: 1, ttlThreshold: 3, netDiameter: 10}
 	s, _, ns := testNet(t, 6, cfg, nil)
 	delivered := 0
 	ns[5].OnDeliver = func(*DataPacket) { delivered++ }
@@ -136,15 +136,15 @@ func TestDiscoveryFailureDropsBuffered(t *testing.T) {
 	if _, ok := ns[0].HasRoute(2); ok {
 		t.Fatal("phantom route to unreachable node")
 	}
-	// Retries happened (1 + RREQRetries attempts total).
-	if ns[0].Stats.RREQRetried != uint64(ns[0].Config().RREQRetries) {
+	// Retries happened (1 + rreqRetries attempts total).
+	if ns[0].Stats.RREQRetried != rreqRetries {
 		t.Fatalf("RREQRetried = %d", ns[0].Stats.RREQRetried)
 	}
 }
 
 func TestBufferOverflow(t *testing.T) {
 	pts := &mobility.Static{Points: []mobility.Point{{X: 0}, {X: 900}}}
-	cfg := Config{SendBufferCap: 4}
+	cfg := Config{sendBufferCap: 4}
 	s, _, ns := testNetAt(t, pts, cfg, nil)
 	for i := 0; i < 10; i++ {
 		ns[0].Send(1, 64)
@@ -182,7 +182,7 @@ func TestIntermediateReply(t *testing.T) {
 }
 
 func TestDisableIntermediateReply(t *testing.T) {
-	s, _, ns := testNet(t, 4, Config{DisableIntermediateReply: true}, nil)
+	s, _, ns := testNet(t, 4, Config{disableIntermediateReply: true}, nil)
 	delivered := 0
 	ns[3].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[1].Send(3, 64)
@@ -251,7 +251,7 @@ func TestLinkBreakTriggersRERRAndRediscovery(t *testing.T) {
 }
 
 func TestDataTTLExpiry(t *testing.T) {
-	s, _, ns := testNet(t, 4, Config{DataTTL: 1}, nil)
+	s, _, ns := testNet(t, 4, Config{dataTTL: 1}, nil)
 	delivered := 0
 	ns[3].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(3, 64)
@@ -320,7 +320,7 @@ func TestSeqNewerRollover(t *testing.T) {
 }
 
 func TestRouteExpiry(t *testing.T) {
-	cfg := Config{ActiveRouteTimeout: 500 * time.Millisecond, MyRouteTimeout: time.Second}
+	cfg := Config{activeRouteTimeout: 500 * time.Millisecond}
 	s, _, ns := testNet(t, 3, cfg, nil)
 	ns[0].Send(2, 64)
 	s.Run(300 * time.Millisecond)

@@ -51,7 +51,7 @@ func MakeBlackhole(n *aodv.Node) {
 			Dest:     req.Dest,
 			DestSeq:  req.DestSeq + seqBoost,
 			HopCount: 2, // a plausible short path, not a giveaway 1-hop claim
-			Lifetime: n.Config().MyRouteTimeout,
+			Lifetime: n.MyRouteTimeout(),
 		})
 		return false // and do not participate in honest forwarding
 	}

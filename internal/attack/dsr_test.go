@@ -28,7 +28,7 @@ func dsrDiamond(t *testing.T, auth routing.Authenticator) (*sim.Simulator, []*ds
 	}
 	nodes := make([]*dsr.Node, pts.Nodes())
 	for i := range nodes {
-		nodes[i] = dsr.NewNode(i, s, m, dsr.Config{}, auth)
+		nodes[i] = dsr.NewNode(i, s, m, auth)
 	}
 	return s, nodes
 }

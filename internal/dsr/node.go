@@ -9,44 +9,22 @@ import (
 	"mccls/internal/sim"
 )
 
-// Config holds the DSR protocol parameters. Zero values select defaults.
-type Config struct {
-	// RequestTTL bounds discovery floods in hops (default 12).
-	RequestTTL int
-	// Retries is how many times a failed discovery repeats (default 2).
-	Retries int
-	// DiscoveryTimeout is the wait per attempt (default 1s).
-	DiscoveryTimeout time.Duration
-	// ForwardJitterMax is the uniform delay before re-flooding a request
-	// (default 25ms) — the window the rushing attack exploits, as in AODV.
-	ForwardJitterMax time.Duration
-	// DataTTL bounds source routes (default 32 hops).
-	DataTTL int
-	// SendBufferCap bounds buffered packets per destination (default 64).
-	SendBufferCap int
-}
-
-func (c Config) withDefaults() Config {
-	if c.RequestTTL == 0 {
-		c.RequestTTL = 12
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.DiscoveryTimeout == 0 {
-		c.DiscoveryTimeout = time.Second
-	}
-	if c.ForwardJitterMax == 0 {
-		c.ForwardJitterMax = 25 * time.Millisecond
-	}
-	if c.DataTTL == 0 {
-		c.DataTTL = 32
-	}
-	if c.SendBufferCap == 0 {
-		c.SendBufferCap = 64
-	}
-	return c
-}
+// The DSR protocol parameters.
+const (
+	// requestTTL bounds discovery floods in hops.
+	requestTTL = 12
+	// retries is how many times a failed discovery repeats.
+	retries = 2
+	// discoveryTimeout is the wait per attempt.
+	discoveryTimeout = time.Second
+	// forwardJitterMax is the uniform delay before re-flooding a request —
+	// the window the rushing attack exploits, as in AODV.
+	forwardJitterMax = 25 * time.Millisecond
+	// dataTTL bounds source routes in hops.
+	dataTTL = 32
+	// sendBufferCap bounds buffered packets per destination.
+	sendBufferCap = 64
+)
 
 // Hooks customize behaviour for attacks and fault injection.
 type Hooks struct {
@@ -71,7 +49,6 @@ type seenKey struct {
 // its RREQ*/RREP*/RERRSent slots).
 type Node struct {
 	routing.Agent
-	cfg Config
 
 	reqID uint32
 	cache map[int][]int // best known source route per destination
@@ -84,14 +61,13 @@ type Node struct {
 
 // NewNode creates a DSR agent and registers it with the medium. The same
 // authenticators that secure AODV plug in unchanged.
-func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth routing.Authenticator) *Node {
+func NewNode(id int, s *sim.Simulator, medium *radio.Medium, auth routing.Authenticator) *Node {
 	n := &Node{
 		Agent: routing.Agent{ID: id, Sim: s, Medium: medium, Auth: auth},
-		cfg:   cfg.withDefaults(),
 		cache: make(map[int][]int),
 		seen:  make(map[seenKey]bool),
 	}
-	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.SendBufferCap, n.cfg.Retries, n.issueRequest)
+	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, sendBufferCap, retries, n.issueRequest)
 	n.Process = n.processControl
 	medium.SetHandler(id, n.handleFrame)
 	return n
@@ -121,9 +97,6 @@ func (n *Node) Up(retainRoutes bool) bool {
 	}
 	return true
 }
-
-// Config returns the node's effective configuration.
-func (n *Node) Config() Config { return n.cfg }
 
 // CachedRoute returns a copy of the cached route to dest, if any.
 func (n *Node) CachedRoute(dest int) ([]int, bool) {
@@ -221,11 +194,11 @@ func (n *Node) issueRequest(dst, _ int) time.Duration {
 		Origin: n.ID,
 		Target: dst,
 		Route:  []int{n.ID},
-		TTL:    n.cfg.RequestTTL,
+		TTL:    requestTTL,
 	}
 	n.seen[seenKey{origin: n.ID, id: req.ID}] = true
 	n.broadcastRequest(req)
-	return n.cfg.DiscoveryTimeout
+	return discoveryTimeout
 }
 
 func (n *Node) broadcastRequest(req *RouteRequest) {
@@ -312,7 +285,7 @@ func (n *Node) drawJitter() time.Duration {
 	if n.Hooks.ForwardJitter != nil {
 		return n.Hooks.ForwardJitter(n)
 	}
-	return n.Jitter(n.cfg.ForwardJitterMax)
+	return n.Jitter(forwardJitterMax)
 }
 
 func (n *Node) processReply(rep *RouteReply) {
@@ -353,7 +326,7 @@ func (n *Node) processData(pkt *DataPacket) {
 		n.deliver(pkt)
 		return
 	}
-	if len(pkt.Route) > n.cfg.DataTTL {
+	if len(pkt.Route) > dataTTL {
 		n.Stats.DropNoRoute++
 		return
 	}

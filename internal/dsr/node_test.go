@@ -12,16 +12,16 @@ import (
 
 // lineNet builds DSR nodes on a static line topology with 200m spacing
 // (radio range 250m → adjacent-only links).
-func lineNet(t *testing.T, nodes int, cfg Config, auth routing.Authenticator) (*sim.Simulator, []*Node) {
+func lineNet(t *testing.T, nodes int, auth routing.Authenticator) (*sim.Simulator, []*Node) {
 	t.Helper()
 	pts := make([]mobility.Point, nodes)
 	for i := range pts {
 		pts[i] = mobility.Point{X: float64(i) * 200}
 	}
-	return netAt(t, &mobility.Static{Points: pts}, cfg, auth)
+	return netAt(t, &mobility.Static{Points: pts}, auth)
 }
 
-func netAt(t *testing.T, mob mobility.Model, cfg Config, auth routing.Authenticator) (*sim.Simulator, []*Node) {
+func netAt(t *testing.T, mob mobility.Model, auth routing.Authenticator) (*sim.Simulator, []*Node) {
 	t.Helper()
 	s := sim.New(5)
 	m := radio.New(s, mob, radio.Config{})
@@ -30,13 +30,13 @@ func netAt(t *testing.T, mob mobility.Model, cfg Config, auth routing.Authentica
 	}
 	ns := make([]*Node, mob.Nodes())
 	for i := range ns {
-		ns[i] = NewNode(i, s, m, cfg, auth)
+		ns[i] = NewNode(i, s, m, auth)
 	}
 	return s, ns
 }
 
 func TestDiscoveryAndSourceRouting(t *testing.T) {
-	s, ns := lineNet(t, 4, Config{}, nil)
+	s, ns := lineNet(t, 4, nil)
 	var got []*DataPacket
 	ns[3].OnDeliver = func(p *DataPacket) { got = append(got, p) }
 	ns[0].Send(3, 256)
@@ -68,7 +68,7 @@ func TestDiscoveryAndSourceRouting(t *testing.T) {
 }
 
 func TestCachedRouteSkipsRediscovery(t *testing.T) {
-	s, ns := lineNet(t, 3, Config{}, nil)
+	s, ns := lineNet(t, 3, nil)
 	delivered := 0
 	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 64)
@@ -86,13 +86,13 @@ func TestCachedRouteSkipsRediscovery(t *testing.T) {
 
 func TestDiscoveryFailure(t *testing.T) {
 	pts := &mobility.Static{Points: []mobility.Point{{X: 0}, {X: 900}}}
-	s, ns := netAt(t, pts, Config{}, nil)
+	s, ns := netAt(t, pts, nil)
 	ns[0].Send(1, 64)
 	s.Run(20 * time.Second)
 	if ns[0].Stats.DropNoRoute != 1 {
 		t.Fatalf("DropNoRoute = %d, want 1", ns[0].Stats.DropNoRoute)
 	}
-	if ns[0].Stats.RREQRetried != uint64(ns[0].Config().Retries) {
+	if ns[0].Stats.RREQRetried != retries {
 		t.Fatalf("RequestRetried = %d", ns[0].Stats.RREQRetried)
 	}
 }
@@ -125,7 +125,7 @@ func (*dsrBreakable) Position(node int, ts time.Duration) mobility.Point {
 }
 
 func TestLinkBreakPurgesCacheAndReportsError(t *testing.T) {
-	s, ns := netAt(t, &dsrBreakable{}, Config{}, nil)
+	s, ns := netAt(t, &dsrBreakable{}, nil)
 	delivered := 0
 	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 64)
@@ -150,7 +150,7 @@ func TestLinkBreakPurgesCacheAndReportsError(t *testing.T) {
 }
 
 func TestDSRAuthRejectsUnenrolledRelay(t *testing.T) {
-	s, ns := lineNet(t, 3, Config{}, dsrRejectAuth{bad: 1})
+	s, ns := lineNet(t, 3, dsrRejectAuth{bad: 1})
 	delivered := 0
 	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 64)
@@ -175,7 +175,7 @@ func (a dsrRejectAuth) Verify(node int, _, _ []byte) (bool, time.Duration) {
 func (dsrRejectAuth) Overhead() int { return 1 }
 
 func TestRouteLoopRejected(t *testing.T) {
-	s, ns := lineNet(t, 2, Config{}, nil)
+	s, ns := lineNet(t, 2, nil)
 	// A request whose accumulated route already contains the receiver must
 	// be dropped (loop prevention).
 	req := &RouteRequest{ID: 9, Origin: 0, Target: 5, Route: []int{0, 1}, TTL: 5, HopAuth: routing.HopAuth{Sender: 0}}
@@ -187,7 +187,7 @@ func TestRouteLoopRejected(t *testing.T) {
 }
 
 func TestSelfSend(t *testing.T) {
-	s, ns := lineNet(t, 2, Config{}, nil)
+	s, ns := lineNet(t, 2, nil)
 	delivered := 0
 	ns[0].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(0, 10)
@@ -213,7 +213,7 @@ func TestEncodeBindsRoute(t *testing.T) {
 func TestCrashDropsBufferedPacketsAndPendingDiscoveries(t *testing.T) {
 	// 0 — 1 and nobody else: node 9 does not exist, so the discovery for it
 	// would retry and finally count the buffered packets as DropNoRoute.
-	s, ns := lineNet(t, 2, Config{}, nil)
+	s, ns := lineNet(t, 2, nil)
 	ns[0].Send(9, 64)
 	ns[0].Send(9, 64)
 	s.Run(100 * time.Millisecond)
@@ -252,7 +252,7 @@ func TestCrashDropsBufferedPacketsAndPendingDiscoveries(t *testing.T) {
 }
 
 func TestRestartRetainsOrFlushesCache(t *testing.T) {
-	s, ns := lineNet(t, 3, Config{}, nil)
+	s, ns := lineNet(t, 3, nil)
 	ns[0].Send(2, 64)
 	s.Run(time.Second)
 	if _, ok := ns[1].CachedRoute(2); !ok {

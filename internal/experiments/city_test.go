@@ -38,19 +38,6 @@ func TestManhattanScenarioRunsAndDelivers(t *testing.T) {
 	}
 }
 
-func TestHighwayScenarioRuns(t *testing.T) {
-	sc := cityScenario()
-	sc.Mobility = HighwayMobility
-	sc.Width = 2000
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DataSent == 0 {
-		t.Fatalf("highway scenario sourced no data: %+v", res.Summary)
-	}
-}
-
 func TestMobilityModelsDiverge(t *testing.T) {
 	sc := cityScenario()
 	manhattan, err := sc.Run()
@@ -109,12 +96,11 @@ func TestRangeJitterChangesTopologyNotRNG(t *testing.T) {
 }
 
 func TestFigureCityShape(t *testing.T) {
-	cfg := CityConfig{
+	fig, err := RunFigure("fig9", SweepConfig{
 		Base:    Scenario{Duration: 15 * time.Second, Flows: 5},
-		Nodes:   []int{20, 40},
+		Axis:    []float64{20, 40},
 		Repeats: 2,
-	}
-	fig, err := FigureCityPDR(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,25 +128,11 @@ func TestFigureCityShape(t *testing.T) {
 // TestCitySweepWorkerInvariance pins the scaled guarantee: a city sweep is
 // bit-identical serial vs parallel.
 func TestCitySweepWorkerInvariance(t *testing.T) {
-	cfg := CityConfig{
+	workerInvariance(t, nodesAxis, SweepConfig{
 		Base:    Scenario{Duration: 10 * time.Second, Flows: 5},
-		Nodes:   []int{20, 30},
+		Axis:    []float64{20, 30},
 		Repeats: 2,
-	}
-	cfg.Workers = 1
-	serial, err := FigureCityOverhead(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 4
-	parallel, err := FigureCityOverhead(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.CSV() != parallel.CSV() {
-		t.Fatalf("serial and parallel city sweeps diverge:\n%s\nvs\n%s",
-			serial.CSV(), parallel.CSV())
-	}
+	}, 4)
 }
 
 // TestEventLoopAllocsPerEvent pins what an event costs in heap allocations

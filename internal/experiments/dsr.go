@@ -38,7 +38,7 @@ func (sc Scenario) RunDSRContext(ctx context.Context) (Result, error) {
 
 	nodes := make([]*dsr.Node, sc.Nodes)
 	for i := range nodes {
-		nodes[i] = dsr.NewNode(i, w.s, w.medium, dsr.Config{}, auth)
+		nodes[i] = dsr.NewNode(i, w.s, w.medium, auth)
 		w.add(nodes[i], &nodes[i].Agent)
 	}
 	for id := range w.attackers {
@@ -50,22 +50,4 @@ func (sc Scenario) RunDSRContext(ctx context.Context) (Result, error) {
 		}
 	}
 	return w.drive(fault.Hooks{})
-}
-
-// FigureDSR is the generality extension experiment (no paper counterpart):
-// packet drop ratio under 2-node black hole and rushing attacks with DSR as
-// the substrate, plain vs McCLS-authenticated. The expected shape mirrors
-// Figure 5: nonzero drops for plain DSR, zero for McCLS-DSR. All curves,
-// sweep points and repeats run concurrently on the trial pool.
-func FigureDSR(cfg SweepConfig) (Figure, error) {
-	curves := []curve{
-		{label: "DSR black hole", sec: Plain, atk: Blackhole},
-		{label: "DSR rushing", sec: Plain, atk: Rushing},
-		{label: "McCLS-DSR black hole", sec: McCLSCost, atk: Blackhole},
-		{label: "McCLS-DSR rushing", sec: McCLSCost, atk: Rushing},
-	}
-	return cfg.sweep(curves, Scenario.RunDSRContext).figure(dropSel, Figure{
-		ID: "figDSR", Title: "Packet Drop Ratio (DSR extension)",
-		XLabel: "speed (m/s)", YLabel: "packet drop ratio",
-	})
 }

@@ -155,11 +155,11 @@ func TestRealCryptoMatchesCostModel(t *testing.T) {
 func TestFigure1Shape(t *testing.T) {
 	cfg := SweepConfig{
 		Base:    Scenario{Duration: 40 * time.Second},
-		Speeds:  []float64{1, 20},
+		Axis:    []float64{1, 20},
 		Repeats: 2,
 		Seed:    5,
 	}
-	fig, err := Figure1(cfg)
+	fig, err := RunFigure("fig1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +191,11 @@ func TestFigure1Shape(t *testing.T) {
 func TestFigure5Shape(t *testing.T) {
 	cfg := SweepConfig{
 		Base:    Scenario{Duration: 40 * time.Second},
-		Speeds:  []float64{5},
+		Axis:    []float64{5},
 		Repeats: 2,
 		Seed:    6,
 	}
-	fig, err := Figure5(cfg)
+	fig, err := RunFigure("fig5", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFigure5Shape(t *testing.T) {
 
 func TestFigureRendering(t *testing.T) {
 	fig := Figure{
-		ID: "figX", Title: "T", XLabel: "x", YLabel: "y",
+		ID: "figX", Title: "T", XLabel: "x", YLabel: "y", XColumn: "speed",
 		Series: []Series{{Label: "A", X: []float64{1, 2}, Y: []float64{0.5, 0.25}}},
 	}
 	txt := fig.Render()
@@ -269,58 +269,61 @@ func TestTable1RowsAndOrdering(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial is the refactor's hard invariant: a figure
-// generated on one worker is bit-identical to the same figure generated on
-// many, at any worker count — every trial owns its seed-derived RNGs and
-// all cross-trial state is read-only.
-func TestParallelMatchesSerial(t *testing.T) {
-	mk := func(workers int) SweepConfig {
-		return SweepConfig{
-			Base:    Scenario{Duration: 30 * time.Second},
-			Speeds:  []float64{1, 15},
-			Repeats: 2,
-			Seed:    9,
-			Workers: workers,
+// workerInvariance runs the ax family's sweeps serially and on each of the
+// given pool sizes, requiring bit-identical results (every summary and
+// aggregate, not one metric's projection). Worker invariance is a property
+// of the trials, and the table rows of one (family, substrate) differ only
+// in which curves they keep and which metric they plot, so the row with the
+// most curves stands for the rest.
+func workerInvariance(t *testing.T, ax *Axis, cfg SweepConfig, workers ...int) {
+	t.Helper()
+	widest := map[bool]FigureSpec{} // by substrate: AODV, DSR
+	for _, spec := range Figures {
+		if spec.Axis == ax && len(spec.Curves) > len(widest[spec.DSR].Curves) {
+			widest[spec.DSR] = spec
 		}
 	}
-	serial, err := Figure4(mk(1))
-	if err != nil {
-		t.Fatal(err)
+	if len(widest) == 0 {
+		t.Fatalf("no figure in the table sweeps the %q axis", ax.Name)
 	}
-	for _, workers := range []int{2, 8} {
-		par, err := Figure4(mk(workers))
+	for _, spec := range widest {
+		cfg.Workers = 1
+		serial, err := cfg.results(spec.Axis, spec.Curves, spec.DSR)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("figure diverges between 1 and %d workers:\nserial: %+v\nparallel: %+v",
-				workers, serial, par)
+		for _, w := range workers {
+			cfg.Workers = w
+			par, err := cfg.results(spec.Axis, spec.Curves, spec.DSR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, par) {
+				t.Fatalf("%s sweep diverges between 1 and %d workers:\nserial: %+v\nparallel: %+v",
+					spec.ID, w, serial, par)
+			}
 		}
 	}
-	// The DSR substrate rides the same engine; pin it too.
-	dsrSerial, err := FigureDSR(SweepConfig{
-		Base: Scenario{Duration: 30 * time.Second}, Speeds: []float64{5},
-		Repeats: 2, Seed: 9, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsrPar, err := FigureDSR(SweepConfig{
-		Base: Scenario{Duration: 30 * time.Second}, Speeds: []float64{5},
-		Repeats: 2, Seed: 9, Workers: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dsrSerial, dsrPar) {
-		t.Fatal("DSR figure diverges between serial and parallel execution")
-	}
+}
+
+// TestParallelMatchesSerial is the refactor's hard invariant: a sweep run
+// on one worker is bit-identical to the same sweep run on many, at any
+// worker count — every trial owns its seed-derived RNGs and all cross-trial
+// state is read-only. Both substrates of the speed axis are pinned (DSR
+// rides the same engine).
+func TestParallelMatchesSerial(t *testing.T) {
+	workerInvariance(t, speedAxis, SweepConfig{
+		Base:    Scenario{Duration: 30 * time.Second},
+		Axis:    []float64{1, 15},
+		Repeats: 2,
+		Seed:    9,
+	}, 2, 8)
 }
 
 // TestSeriesCarryConfidenceIntervals: repeats > 1 must surface error bars.
 func TestSeriesCarryConfidenceIntervals(t *testing.T) {
-	fig, err := Figure1(SweepConfig{
-		Base: Scenario{Duration: 30 * time.Second}, Speeds: []float64{5, 15},
+	fig, err := RunFigure("fig1", SweepConfig{
+		Base: Scenario{Duration: 30 * time.Second}, Axis: []float64{5, 15},
 		Repeats: 3, Seed: 2,
 	})
 	if err != nil {
@@ -342,46 +345,6 @@ func TestSeriesCarryConfidenceIntervals(t *testing.T) {
 	}
 	if !strings.Contains(fig.Render(), "±") {
 		t.Fatalf("render missing error bars:\n%s", fig.Render())
-	}
-}
-
-// TestExplicitZeroSentinels covers the withDefaults zero-value trap: plain
-// zero selects the paper default, ExplicitZero selects an actual zero.
-func TestExplicitZeroSentinels(t *testing.T) {
-	def := Scenario{}.withDefaults()
-	if def.Attackers != 2 || def.GrayholeDropProb != 0.5 {
-		t.Fatalf("paper defaults changed: %+v", def)
-	}
-	zero := Scenario{Attackers: ExplicitZero, GrayholeDropProb: ExplicitZero}.withDefaults()
-	if zero.Attackers != 0 {
-		t.Fatalf("Attackers: ExplicitZero → %d, want 0", zero.Attackers)
-	}
-	if zero.GrayholeDropProb != 0 {
-		t.Fatalf("GrayholeDropProb: ExplicitZero → %v, want 0", zero.GrayholeDropProb)
-	}
-
-	// End to end: a black hole "attack" with zero attackers behaves like
-	// no attack at all...
-	sc := quick()
-	sc.Attack = Blackhole
-	sc.Attackers = ExplicitZero
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PacketDropRatio() != 0 {
-		t.Fatalf("zero attackers still dropped packets: %v", res.PacketDropRatio())
-	}
-	// ...and a gray hole with zero drop probability forwards everything.
-	gh := quick()
-	gh.Attack = Grayhole
-	gh.GrayholeDropProb = ExplicitZero
-	ghRes, err := gh.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ghRes.PacketDropRatio() != 0 {
-		t.Fatalf("never-dropping gray hole dropped: %v", ghRes.PacketDropRatio())
 	}
 }
 
@@ -442,7 +405,7 @@ func TestRunContextCancellation(t *testing.T) {
 func TestSweepTrialTimeout(t *testing.T) {
 	cfg := SweepConfig{
 		Base:         Scenario{Duration: 300 * time.Second},
-		Speeds:       []float64{5},
+		Axis:         []float64{5},
 		Repeats:      1,
 		Seed:         3,
 		TrialTimeout: time.Nanosecond,
@@ -458,12 +421,12 @@ func TestSweepProgressObservability(t *testing.T) {
 	var updates []TrialUpdate
 	cfg := SweepConfig{
 		Base:     Scenario{Duration: 20 * time.Second},
-		Speeds:   []float64{1, 5},
+		Axis:     []float64{1, 5},
 		Repeats:  2,
 		Seed:     4,
 		Progress: func(u TrialUpdate) { updates = append(updates, u) },
 	}
-	if _, err := Figure5(cfg); err != nil {
+	if _, err := RunFigure("fig5", cfg); err != nil {
 		t.Fatal(err)
 	}
 	want := 4 * 2 * 2 // curves × speeds × repeats
@@ -583,11 +546,11 @@ func TestDSRDeterministic(t *testing.T) {
 func TestFigureDSRShape(t *testing.T) {
 	cfg := SweepConfig{
 		Base:    Scenario{Duration: 40 * time.Second},
-		Speeds:  []float64{5},
+		Axis:    []float64{5},
 		Repeats: 2,
 		Seed:    7,
 	}
-	fig, err := FigureDSR(cfg)
+	fig, err := RunFigure("figDSR", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 // Series is one labelled curve of a figure.
 type Series struct {
 	Label string
-	X     []float64 // node speed in m/s
+	X     []float64 // the swept axis: node speed in m/s, churn events or node count
 	Y     []float64
 	// YErr is the half-width of the 95% confidence interval of each Y,
 	// computed over the per-seed repeats (Student t). Empty when the
@@ -28,8 +30,7 @@ type Figure struct {
 	Title  string
 	XLabel string
 	YLabel string
-	// XColumn names the x column in rendered and CSV output; empty means
-	// "speed" (the original figures sweep node speed).
+	// XColumn names the x column in rendered and CSV output.
 	XColumn string
 	Series  []Series
 }
@@ -38,14 +39,16 @@ type Figure struct {
 // SweepConfig.Progress (one per finished simulation).
 type TrialUpdate = runner.Update
 
-// SweepConfig drives a speed sweep. Zero values select the paper's setup.
+// SweepConfig drives every figure's sweep. Zero values select the figure's
+// own setup (the paper's, for Figures 1–5).
 type SweepConfig struct {
-	// Base is the common scenario; its MaxSpeed/Security/Attack/Seed are
-	// overridden per sweep point.
+	// Base is the common scenario. Each trial overrides its Security,
+	// Attack, Seed and the field the figure's axis sweeps; the axis family
+	// fills its own defaults into the fields Base leaves zero.
 	Base Scenario
-	// Speeds are the swept maximum node speeds in m/s (default
-	// 1, 5, 10, 15, 20 — the paper's x-axis).
-	Speeds []float64
+	// Axis lists the swept values (empty selects the figure's default axis:
+	// speeds 1–20 m/s, 0–4 churn events, or 100/200/500 nodes).
+	Axis []float64
 	// Repeats averages each point over this many seeds (default 3).
 	Repeats int
 	// Seed is the base RNG seed; repeat k of a point uses Seed + k·7919.
@@ -65,78 +68,238 @@ type SweepConfig struct {
 	Context context.Context
 }
 
-// curve is one labelled configuration swept across a figure's x-axis.
-type curve struct {
-	label string
-	sec   SecurityMode
-	// atk overrides the base scenario's attack; the zero value keeps it.
-	atk AttackMode
-	// online turns on in-network enrollment for this curve.
-	online bool
+// Axis is a family of sweeps over one Scenario quantity.
+type Axis struct {
+	// Name tags a point in trial labels ("v=5"); XLabel and XColumn head
+	// the axis in a figure's rendered and CSV output.
+	Name, XLabel, XColumn string
+	// Default lists the swept values when SweepConfig.Axis is empty.
+	Default []float64
+	// integer marks a family whose points are counts: a fractional point
+	// fails the sweep instead of being truncated by set.
+	integer bool
+	// set applies one point to a trial's scenario; base, when non-nil,
+	// fills the family's defaults into the zero fields of the sweep's Base.
+	set  func(*Scenario, float64)
+	base func(*Scenario)
 }
 
-// scenarioRunner abstracts the routing substrate (Scenario.RunContext for
-// AODV, Scenario.RunDSRContext for DSR) so one sweep engine serves both.
-type scenarioRunner func(Scenario, context.Context) (Result, error)
+var (
+	// speedAxis is the paper's x-axis: maximum node speed.
+	speedAxis = &Axis{
+		Name: "v", XLabel: "speed (m/s)", XColumn: "speed", Default: []float64{1, 5, 10, 15, 20},
+		set: func(sc *Scenario, v float64) { sc.MaxSpeed = v },
+	}
+	// churnAxis is the benign-failure counterpart of the attack figures:
+	// crash/restart cycles per run, in a 900 s run of the paper's field at
+	// 5 m/s. The churn schedule at a given (events, seed) point comes from a
+	// seed-derived stream independent of the security mode, so every curve
+	// suffers the identical crash timeline (paired comparison).
+	churnAxis = &Axis{
+		Name: "churn", XLabel: "crash/restart events per run", XColumn: "churn",
+		Default: []float64{0, 1, 2, 3, 4}, integer: true,
+		set: func(sc *Scenario, events float64) { sc.ChurnEvents = int(events) },
+		base: func(sc *Scenario) {
+			if sc.Duration == 0 {
+				sc.Duration = 900 * time.Second
+			}
+			if sc.MaxSpeed == 0 {
+				sc.MaxSpeed = 5
+			}
+		},
+	}
+	// nodesAxis grows the network from a neighborhood to a city: node count
+	// in a fixed 2000×2000 m field (so it doubles as a density axis) of
+	// 10 m/s vehicles on a Manhattan street grid with ±30% radio-range
+	// jitter over a 60 s horizon — the regime the spatial neighbor index
+	// exists for (the naive all-pairs scan is quadratic in this axis).
+	nodesAxis = &Axis{
+		Name: "n", XLabel: "nodes in field", XColumn: "nodes",
+		Default: []float64{100, 200, 500}, integer: true,
+		set: func(sc *Scenario, n float64) { sc.Nodes = int(n) },
+		base: func(sc *Scenario) {
+			if sc.Width == 0 {
+				sc.Width = 2000
+			}
+			if sc.Height == 0 {
+				sc.Height = 2000
+			}
+			if sc.Duration == 0 {
+				sc.Duration = 60 * time.Second
+			}
+			if sc.MaxSpeed == 0 {
+				sc.MaxSpeed = 10
+			}
+			if sc.Mobility == RandomWaypointMobility {
+				sc.Mobility = ManhattanMobility
+			}
+			if sc.RangeJitter == 0 {
+				sc.RangeJitter = 0.3
+			}
+		},
+	}
+)
 
-// pool is the repeat and trial-pool plumbing every sweep config carries.
-type pool struct {
-	repeats  int
-	seed     int64
-	workers  int
-	timeout  time.Duration
-	progress func(TrialUpdate)
-	ctx      context.Context
+// Curve is one labelled configuration swept across a figure's x-axis.
+type Curve struct {
+	Label    string
+	Security SecurityMode
+	// Attack overrides the base scenario's attack; the zero value keeps it.
+	Attack AttackMode
+	// Online turns on in-network enrollment for this curve.
+	Online bool
 }
 
-// axisSweep is the sweep engine behind every figure: curves × axis × repeats
+// Metric is what a figure plots: a pooled-value extractor paired with the
+// matching per-repeat statistic, so a series carries both its plotted value
+// and its error bar.
+type Metric struct {
+	YLabel string
+	value  func(metrics.Summary) float64
+	stat   func(metrics.Aggregate) metrics.Stat
+}
+
+var (
+	pdrMetric = Metric{"packet delivery ratio", metrics.Summary.PacketDeliveryRatio,
+		func(a metrics.Aggregate) metrics.Stat { return a.PDR }}
+	rreqMetric = Metric{"RREQ ratio", metrics.Summary.RREQRatio,
+		func(a metrics.Aggregate) metrics.Stat { return a.RREQRatio }}
+	delayMetric = Metric{"delay (ms)",
+		func(s metrics.Summary) float64 { return float64(s.EndToEndDelay()) / float64(time.Millisecond) },
+		func(a metrics.Aggregate) metrics.Stat { return a.DelayMs }}
+	dropMetric = Metric{"packet drop ratio", metrics.Summary.PacketDropRatio,
+		func(a metrics.Aggregate) metrics.Stat { return a.DropRatio }}
+)
+
+// FigureSpec is one row of the figure table: everything that distinguishes
+// one regenerated figure from another.
+type FigureSpec struct {
+	ID, Title string
+	Axis      *Axis
+	Curves    []Curve
+	Metric    Metric
+	// DSR runs the trials on the DSR substrate (Scenario.RunDSRContext)
+	// instead of AODV.
+	DSR bool
+}
+
+// baseline is the no-attack AODV-vs-McCLS pair of Figures 1–4 and the
+// city-scale figures.
+var baseline = []Curve{
+	{Label: "AODV", Security: Plain, Attack: NoAttack},
+	{Label: "McCLS", Security: McCLSCost, Attack: NoAttack},
+}
+
+// attacked is the 2-node black hole / rushing grid of Figures 4–5.
+var attacked = []Curve{
+	{Label: "AODV black hole", Security: Plain, Attack: Blackhole},
+	{Label: "AODV rushing", Security: Plain, Attack: Rushing},
+	{Label: "McCLS black hole", Security: McCLSCost, Attack: Blackhole},
+	{Label: "McCLS rushing", Security: McCLSCost, Attack: Rushing},
+}
+
+// attackedDSR is the same grid on the DSR substrate; the expected shape
+// mirrors Figure 5 (nonzero drops for plain DSR, zero for McCLS-DSR).
+var attackedDSR = []Curve{
+	{Label: "DSR black hole", Security: Plain, Attack: Blackhole},
+	{Label: "DSR rushing", Security: Plain, Attack: Rushing},
+	{Label: "McCLS-DSR black hole", Security: McCLSCost, Attack: Blackhole},
+	{Label: "McCLS-DSR rushing", Security: McCLSCost, Attack: Rushing},
+}
+
+// underChurn pays for churn differently: AODV loses routes; McCLS also
+// loses keys and re-enrolls through the in-network KGC. Neither sets an
+// attack (Base's is kept).
+var underChurn = []Curve{
+	{Label: "AODV", Security: Plain},
+	{Label: "McCLS", Security: McCLSCost, Online: true},
+}
+
+// Figures is the figure table, in cmd/manetsim's -fig order: the paper's
+// Figures 1–5, then the extensions with no paper counterpart (DSR
+// generality, resilience under churn, city scale).
+var Figures = []FigureSpec{
+	{ID: "fig1", Title: "Packet Delivery Ratio", Axis: speedAxis, Curves: baseline, Metric: pdrMetric},
+	{ID: "fig2", Title: "RREQ Ratio", Axis: speedAxis, Curves: baseline, Metric: rreqMetric},
+	{ID: "fig3", Title: "End-to-End Delay", Axis: speedAxis, Curves: baseline, Metric: delayMetric},
+	{ID: "fig4", Title: "Packet Delivery Ratio under attack", Axis: speedAxis, Curves: slices.Concat(baseline, attacked), Metric: pdrMetric},
+	{ID: "fig5", Title: "Packet Drop Ratio", Axis: speedAxis, Curves: attacked, Metric: dropMetric},
+	{ID: "figDSR", Title: "Packet Drop Ratio (DSR extension)", Axis: speedAxis, Curves: attackedDSR, Metric: dropMetric, DSR: true},
+	{ID: "fig7", Title: "Packet Delivery Ratio under churn", Axis: churnAxis, Curves: underChurn, Metric: pdrMetric},
+	{ID: "fig8", Title: "RREQ Ratio under churn", Axis: churnAxis, Curves: underChurn, Metric: rreqMetric},
+	{ID: "fig9", Title: "Packet Delivery Ratio at city scale", Axis: nodesAxis, Curves: baseline, Metric: pdrMetric},
+	{ID: "fig10", Title: "RREQ Ratio at city scale", Axis: nodesAxis, Curves: baseline, Metric: rreqMetric},
+}
+
+// RunFigure regenerates the figure with the given table id: every curve,
+// sweep point and repeat runs concurrently on the trial pool.
+func RunFigure(id string, cfg SweepConfig) (Figure, error) {
+	for _, spec := range Figures {
+		if spec.ID != id {
+			continue
+		}
+		results, err := cfg.results(spec.Axis, spec.Curves, spec.DSR)
+		if err != nil {
+			return Figure{}, err
+		}
+		f := Figure{
+			ID: spec.ID, Title: spec.Title, YLabel: spec.Metric.YLabel,
+			XLabel: spec.Axis.XLabel, XColumn: spec.Axis.XColumn,
+		}
+		for i, c := range spec.Curves {
+			f.Series = append(f.Series, results[i].series(c.Label, spec.Metric))
+		}
+		return f, nil
+	}
+	return Figure{}, fmt.Errorf("experiments: no figure %q in the table", id)
+}
+
+// results is the sweep engine behind every figure: curves × axis × repeats
 // expand into one flat batch of trials, the batch fans out over the worker
-// pool, and the repeats fold back into per-point aggregates. SweepConfig,
-// CityConfig and ResilienceConfig each fill one in; they differ only in the
-// axis and in which Scenario field a point sets.
-type axisSweep[X int | float64] struct {
-	base   Scenario
-	curves []curve
-	name   string // axis name in trial labels
-	axis   []X
-	set    func(*Scenario, X)
-	run    scenarioRunner
-	pool
-}
-
-// results runs the sweep and returns one SweepResult per curve, in curve
-// order. Each trial is fully determined by its scenario (all RNG streams
-// derive from the per-trial seed), so the fold is bit-identical at any
-// worker count.
-func (sw axisSweep[X]) results() ([]SweepResult, error) {
-	if sw.repeats == 0 {
-		sw.repeats = 3
+// pool, and the repeats fold back into per-point aggregates, one
+// SweepResult per curve in curve order. Each trial is fully determined by
+// its scenario (all RNG streams derive from the per-trial seed), so the
+// fold is bit-identical at any worker count.
+func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) ([]SweepResult, error) {
+	if len(cfg.Axis) == 0 {
+		cfg.Axis = ax.Default
 	}
-	if sw.seed == 0 {
-		sw.seed = 1
+	xs := slices.Clone(cfg.Axis) // results must not alias the caller's (or the family's) axis
+	for _, x := range xs {
+		if ax.integer && x != math.Trunc(x) {
+			return nil, fmt.Errorf("experiments: axis point %s=%v is not a whole number", ax.Name, x)
+		}
 	}
-	if sw.ctx == nil {
-		sw.ctx = context.Background()
+	if ax.base != nil {
+		ax.base(&cfg.Base)
 	}
-	xs := make([]float64, len(sw.axis))
-	for i, x := range sw.axis {
-		xs[i] = float64(x)
+	if cfg.Repeats == 0 {
+		cfg.Repeats = 3
 	}
-	run := sw.run
-	trials := make([]runner.Trial[metrics.Summary], 0, len(sw.curves)*len(sw.axis)*sw.repeats)
-	for _, c := range sw.curves {
-		for _, x := range sw.axis {
-			for k := 0; k < sw.repeats; k++ {
-				sc := sw.base
-				sw.set(&sc, x)
-				sc.Security = c.sec
-				if c.atk != 0 {
-					sc.Attack = c.atk
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	if cfg.Context == nil {
+		cfg.Context = context.Background()
+	}
+	run := Scenario.RunContext
+	if dsr {
+		run = Scenario.RunDSRContext
+	}
+	trials := make([]runner.Trial[metrics.Summary], 0, len(curves)*len(cfg.Axis)*cfg.Repeats)
+	for _, c := range curves {
+		for _, x := range cfg.Axis {
+			for k := 0; k < cfg.Repeats; k++ {
+				sc := cfg.Base
+				ax.set(&sc, x)
+				sc.Security = c.Security
+				if c.Attack != 0 {
+					sc.Attack = c.Attack
 				}
-				sc.OnlineEnrollment = sc.OnlineEnrollment || c.online
-				sc.Seed = sw.seed + int64(k)*7919
+				sc.OnlineEnrollment = sc.OnlineEnrollment || c.Online
+				sc.Seed = cfg.Seed + int64(k)*7919
 				trials = append(trials, runner.Trial[metrics.Summary]{
-					Label: fmt.Sprintf("%s %s=%v seed=%d", c.label, sw.name, x, sc.Seed),
+					Label: fmt.Sprintf("%s %s=%v seed=%d", c.Label, ax.Name, x, sc.Seed),
 					Run: func(ctx context.Context, obs *runner.Obs) (metrics.Summary, error) {
 						res, err := run(sc, ctx)
 						obs.Events = res.Events
@@ -146,22 +309,22 @@ func (sw axisSweep[X]) results() ([]SweepResult, error) {
 			}
 		}
 	}
-	sums, err := runner.Run(sw.ctx, runner.Options{
-		Workers:  sw.workers,
-		Timeout:  sw.timeout,
-		Progress: sw.progress,
+	sums, err := runner.Run(cfg.Context, runner.Options{
+		Workers:  cfg.Workers,
+		Timeout:  cfg.TrialTimeout,
+		Progress: cfg.Progress,
 	}, trials)
 	if err != nil {
 		return nil, err
 	}
 
-	out := make([]SweepResult, len(sw.curves))
+	out := make([]SweepResult, len(curves))
 	idx := 0
-	for i := range sw.curves {
+	for i := range curves {
 		r := SweepResult{Speeds: xs}
-		for range sw.axis {
-			agg := metrics.NewAggregate(sums[idx : idx+sw.repeats])
-			idx += sw.repeats
+		for range cfg.Axis {
+			agg := metrics.NewAggregate(sums[idx : idx+cfg.Repeats])
+			idx += cfg.Repeats
 			r.Aggregates = append(r.Aggregates, agg)
 			r.Summaries = append(r.Summaries, agg.Pooled)
 		}
@@ -170,36 +333,10 @@ func (sw axisSweep[X]) results() ([]SweepResult, error) {
 	return out, nil
 }
 
-// figure runs the sweep and fills f.Series with every curve projected
-// through sel.
-func (sw axisSweep[X]) figure(sel metricSel, f Figure) (Figure, error) {
-	results, err := sw.results()
-	if err != nil {
-		return Figure{}, err
-	}
-	for i, c := range sw.curves {
-		f.Series = append(f.Series, results[i].series(c.label, sel))
-	}
-	return f, nil
-}
-
-// sweep fills the engine in for the speed axis.
-func (cfg SweepConfig) sweep(curves []curve, run scenarioRunner) axisSweep[float64] {
-	if len(cfg.Speeds) == 0 {
-		cfg.Speeds = []float64{1, 5, 10, 15, 20}
-	}
-	return axisSweep[float64]{
-		base: cfg.Base, curves: curves, run: run,
-		name: "v", axis: cfg.Speeds,
-		set:  func(sc *Scenario, v float64) { sc.MaxSpeed = v },
-		pool: pool{cfg.Repeats, cfg.Seed, cfg.Workers, cfg.TrialTimeout, cfg.Progress, cfg.Context},
-	}
-}
-
 // SweepResult holds one curve's statistics across the swept axis.
 type SweepResult struct {
-	// Speeds is the x-axis: node speeds for SweepConfig, node counts for
-	// CityConfig, churn event counts for ResilienceConfig.
+	// Speeds is the x-axis: node speeds, churn event counts or node counts,
+	// by the axis family swept.
 	Speeds []float64
 	// Summaries pool the repeats of each point (traffic-weighted, what
 	// the figures plot).
@@ -212,122 +349,32 @@ type SweepResult struct {
 // Sweep runs the speed sweep for one (security, attack) combination; all
 // points and repeats execute concurrently on the trial pool.
 func (cfg SweepConfig) Sweep(sec SecurityMode, atk AttackMode) (SweepResult, error) {
-	results, err := cfg.sweep([]curve{{label: sec.String(), sec: sec, atk: atk}}, Scenario.RunContext).results()
+	results, err := cfg.results(speedAxis, []Curve{{Label: sec.String(), Security: sec, Attack: atk}}, false)
 	if err != nil {
 		return SweepResult{}, err
 	}
 	return results[0], nil
 }
 
-// metricSel pairs a pooled-value extractor with the matching per-repeat
-// statistic, so a series carries both its plotted value and its error bar.
-type metricSel struct {
-	value func(metrics.Summary) float64
-	stat  func(metrics.Aggregate) metrics.Stat
-}
-
-var (
-	pdrSel   = metricSel{pdr, func(a metrics.Aggregate) metrics.Stat { return a.PDR }}
-	rreqSel  = metricSel{rreqRatio, func(a metrics.Aggregate) metrics.Stat { return a.RREQRatio }}
-	delaySel = metricSel{delayMs, func(a metrics.Aggregate) metrics.Stat { return a.DelayMs }}
-	dropSel  = metricSel{dropRatio, func(a metrics.Aggregate) metrics.Stat { return a.DropRatio }}
-)
-
-func pdr(s metrics.Summary) float64       { return s.PacketDeliveryRatio() }
-func rreqRatio(s metrics.Summary) float64 { return s.RREQRatio() }
-func delayMs(s metrics.Summary) float64 {
-	return float64(s.EndToEndDelay()) / float64(time.Millisecond)
-}
-func dropRatio(s metrics.Summary) float64 { return s.PacketDropRatio() }
-
-// series projects a sweep result through a metric selector, attaching the
-// 95% CI of each point as the error bar.
-func (r SweepResult) series(label string, sel metricSel) Series {
+// series projects a sweep result through a metric, attaching the 95% CI of
+// each point as the error bar.
+func (r SweepResult) series(label string, m Metric) Series {
 	s := Series{Label: label, X: r.Speeds}
 	for i, sum := range r.Summaries {
-		s.Y = append(s.Y, sel.value(sum))
+		s.Y = append(s.Y, m.value(sum))
 		if i < len(r.Aggregates) {
-			s.YErr = append(s.YErr, sel.stat(r.Aggregates[i]).CI95)
+			s.YErr = append(s.YErr, m.stat(r.Aggregates[i]).CI95)
 		}
 	}
 	return s
 }
 
-// baseline is the no-attack AODV-vs-McCLS pair shared by Figures 1–4 and
-// the city-scale figures.
-var baseline = []curve{
-	{label: "AODV", sec: Plain, atk: NoAttack},
-	{label: "McCLS", sec: McCLSCost, atk: NoAttack},
-}
-
-// attacked is the 2-node black hole / rushing grid of Figures 4–5.
-var attacked = []curve{
-	{label: "AODV black hole", sec: Plain, atk: Blackhole},
-	{label: "AODV rushing", sec: Plain, atk: Rushing},
-	{label: "McCLS black hole", sec: McCLSCost, atk: Blackhole},
-	{label: "McCLS rushing", sec: McCLSCost, atk: Rushing},
-}
-
-// Figure1 regenerates "Packet Delivery Ratio" (no attack): AODV vs McCLS
-// across node speed.
-func Figure1(cfg SweepConfig) (Figure, error) {
-	return cfg.sweep(baseline, Scenario.RunContext).figure(pdrSel, Figure{
-		ID: "fig1", Title: "Packet Delivery Ratio",
-		XLabel: "speed (m/s)", YLabel: "packet delivery ratio",
-	})
-}
-
-// Figure2 regenerates "RREQ Ratio" (no attack).
-func Figure2(cfg SweepConfig) (Figure, error) {
-	return cfg.sweep(baseline, Scenario.RunContext).figure(rreqSel, Figure{
-		ID: "fig2", Title: "RREQ Ratio",
-		XLabel: "speed (m/s)", YLabel: "RREQ ratio",
-	})
-}
-
-// Figure3 regenerates "End-to-End Delay" (no attack); McCLS pays its
-// signature/verification latency per control hop.
-func Figure3(cfg SweepConfig) (Figure, error) {
-	return cfg.sweep(baseline, Scenario.RunContext).figure(delaySel, Figure{
-		ID: "fig3", Title: "End-to-End Delay",
-		XLabel: "speed (m/s)", YLabel: "delay (ms)",
-	})
-}
-
-// Figure4 regenerates "Packet Delivery Ratio under attack": the no-attack
-// baselines plus each protocol under 2-node black hole and rushing attacks,
-// all six curves in one concurrent batch.
-func Figure4(cfg SweepConfig) (Figure, error) {
-	curves := append(append([]curve{}, baseline...), attacked...)
-	return cfg.sweep(curves, Scenario.RunContext).figure(pdrSel, Figure{
-		ID: "fig4", Title: "Packet Delivery Ratio under attack",
-		XLabel: "speed (m/s)", YLabel: "packet delivery ratio",
-	})
-}
-
-// Figure5 regenerates "Packet Drop Ratio": the fraction of sourced data
-// absorbed by the attackers for each protocol × attack combination.
-func Figure5(cfg SweepConfig) (Figure, error) {
-	return cfg.sweep(attacked, Scenario.RunContext).figure(dropSel, Figure{
-		ID: "fig5", Title: "Packet Drop Ratio",
-		XLabel: "speed (m/s)", YLabel: "packet drop ratio",
-	})
-}
-
-// Render formats a figure as an aligned text table, one row per speed;
+// Render formats a figure as an aligned text table, one row per axis point;
 // values carry their ±95% CI when repeat statistics are available.
-// xColumn is the x-axis column name shared by Render and CSV.
-func (f Figure) xColumn() string {
-	if f.XColumn != "" {
-		return f.XColumn
-	}
-	return "speed"
-}
-
 func (f Figure) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s (%s vs %s)\n", f.ID, f.Title, f.YLabel, f.XLabel)
-	fmt.Fprintf(&b, "%-8s", f.xColumn())
+	fmt.Fprintf(&b, "%-8s", f.XColumn)
 	for _, s := range f.Series {
 		fmt.Fprintf(&b, "  %22s", s.Label)
 	}
@@ -354,7 +401,7 @@ func (f Figure) Render() string {
 // half-width of its 95% confidence interval.
 func (f Figure) CSV() string {
 	var b strings.Builder
-	b.WriteString(f.xColumn())
+	b.WriteString(f.XColumn)
 	for _, s := range f.Series {
 		b.WriteString(",")
 		b.WriteString(s.Label)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -144,35 +143,21 @@ func TestExplicitFaultScheduleDeterministic(t *testing.T) {
 // TestResilienceSweepWorkerInvariance is the issue's determinism criterion:
 // the churn sweep must be bit-identical run serially and on a worker pool.
 func TestResilienceSweepWorkerInvariance(t *testing.T) {
-	cfg := ResilienceConfig{
+	workerInvariance(t, churnAxis, SweepConfig{
 		Base:    Scenario{Duration: 30 * time.Second, MaxSpeed: 5},
-		Churn:   []int{0, 2},
+		Axis:    []float64{0, 2},
 		Repeats: 2,
 		Seed:    5,
-	}
-	cfg.Workers = 1
-	serial, err := cfg.sweep().results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 4
-	pooled, err := cfg.sweep().results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, pooled) {
-		t.Fatal("sweep results depend on worker count")
-	}
+	}, 4)
 }
 
 func TestFigureResilienceShape(t *testing.T) {
-	cfg := ResilienceConfig{
+	fig, err := RunFigure("fig7", SweepConfig{
 		Base:    Scenario{Duration: 30 * time.Second, MaxSpeed: 5},
-		Churn:   []int{0, 3},
+		Axis:    []float64{0, 3},
 		Repeats: 2,
 		Seed:    3,
-	}
-	fig, err := FigureResilience(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // scheme comparison and the five figures measuring AODV vs McCLS-AODV in a
 // 20-node random-waypoint MANET, with and without black hole and rushing
 // attackers. Every table and figure has a function that regenerates its
-// rows/series; bench_test.go and cmd/manetsim are thin wrappers around
-// them.
+// rows/series — Table1 and, for the figures, RunFigure over the Figures
+// table; bench_test.go and cmd/manetsim are thin wrappers around them.
 package experiments
 
 import (
@@ -88,11 +88,8 @@ const (
 	RandomWaypointMobility MobilityModel = iota
 	// ManhattanMobility constrains nodes to a grid of orthogonal streets
 	// with probabilistic turns at intersections — the urban city-scale
-	// pattern. Street spacing comes from Scenario.StreetSpacing.
+	// pattern, on the mobility package's 100 m blocks.
 	ManhattanMobility
-	// HighwayMobility moves nodes along parallel lanes of a wrap-around
-	// highway of length Scenario.Width, alternating direction by lane.
-	HighwayMobility
 )
 
 func (m MobilityModel) String() string {
@@ -101,38 +98,33 @@ func (m MobilityModel) String() string {
 		return "random waypoint"
 	case ManhattanMobility:
 		return "manhattan"
-	case HighwayMobility:
-		return "highway"
 	default:
 		return fmt.Sprintf("MobilityModel(%d)", int(m))
 	}
 }
 
-// ExplicitZero marks a numeric Scenario field as "really zero". Because a
-// field's zero value selects the paper default (Attackers: 0 → 2,
-// GrayholeDropProb: 0 → 0.5), plain 0 is inexpressible there; set the field
-// to ExplicitZero to get an actual zero (no attackers / a gray hole that
-// never drops).
-const ExplicitZero = -1
+// The paper's adversary (§6): two attacking nodes whenever an attack is
+// enabled; the insider gray hole extension drops each packet it could
+// forward with probability one half.
+const (
+	attackerCount    = 2
+	grayholeDropProb = 0.5
+)
 
 // Scenario is one simulation configuration. Zero values select the paper's
 // setup (§6): 20 nodes in a 1500×300 m field, random waypoint with zero
-// pause, 10 CBR flows of 512-byte packets at 4 packets/s, two attackers
-// when an attack is enabled.
+// pause, 10 CBR flows of 512-byte packets at 4 packets/s (the traffic
+// package's constants), two attackers when an attack is enabled.
 type Scenario struct {
 	Nodes         int
 	Width, Height float64
 	MaxSpeed      float64 // m/s; 0 keeps nodes static
-	Pause         time.Duration
 	Duration      time.Duration
 	Seed          int64
 
 	// Mobility selects the movement model (zero value: the paper's random
-	// waypoint). StreetSpacing is the Manhattan street grid's block size in
-	// meters (0 selects the mobility package's 100 m default) and is ignored
-	// by the other models.
-	Mobility      MobilityModel
-	StreetSpacing float64
+	// waypoint).
+	Mobility MobilityModel
 	// RangeJitter spreads per-node radio ranges uniformly over
 	// Range·[1−j, 1+j] (clamped to j ≤ 0.9), modelling a heterogeneous
 	// radio population. The jitter is drawn from a seed-derived stream
@@ -140,19 +132,10 @@ type Scenario struct {
 	// the homogeneous setup.
 	RangeJitter float64
 
-	Flows       int
-	Rate        float64
-	PacketBytes int
+	Flows int
 
 	Security SecurityMode
 	Attack   AttackMode
-	// Attackers is the number of attacking nodes (default 2;
-	// ExplicitZero for an attack with none).
-	Attackers int
-	// GrayholeDropProb is the insider gray hole's per-packet drop
-	// probability (default 0.5; ExplicitZero for a gray hole that never
-	// drops; only used when Attack == Grayhole).
-	GrayholeDropProb float64
 
 	// MaxEvents bounds the simulator's event budget (0 = unlimited): a
 	// runaway event chain fails the run with sim.ErrEventBudget instead
@@ -172,13 +155,10 @@ type Scenario struct {
 	// suffers the identical churn (paired comparison).
 	ChurnEvents int
 	// OnlineEnrollment replaces out-of-band pre-enrollment with the
-	// in-network KGC protocol: nodes request keys over the radio with
-	// capped-exponential-backoff retries, and a crashed node loses its
-	// volatile keys and re-enrolls on restart. Ignored under Plain.
+	// in-network KGC protocol (KGC at node 0): nodes request keys over the
+	// radio with capped-exponential-backoff retries, and a crashed node
+	// loses its volatile keys and re-enrolls on restart. Ignored under Plain.
 	OnlineEnrollment bool
-	// Enroll parameterizes online enrollment (zero values select the
-	// secrouting defaults: KGC at node 0, 500ms timeout, 1s–16s backoff).
-	Enroll secrouting.EnrollConfig
 
 	Radio radio.Config
 	AODV  aodv.Config
@@ -200,29 +180,11 @@ func (sc Scenario) withDefaults() Scenario {
 	if sc.Flows == 0 {
 		sc.Flows = 10
 	}
-	if sc.Rate == 0 {
-		sc.Rate = 4
-	}
-	if sc.PacketBytes == 0 {
-		sc.PacketBytes = 512
-	}
 	if sc.Security == 0 {
 		sc.Security = Plain
 	}
 	if sc.Attack == 0 {
 		sc.Attack = NoAttack
-	}
-	switch {
-	case sc.Attackers == 0:
-		sc.Attackers = 2
-	case sc.Attackers < 0: // ExplicitZero
-		sc.Attackers = 0
-	}
-	switch {
-	case sc.GrayholeDropProb == 0:
-		sc.GrayholeDropProb = 0.5
-	case sc.GrayholeDropProb < 0: // ExplicitZero
-		sc.GrayholeDropProb = 0
 	}
 	if sc.Radio.Range == 0 {
 		// QualNet's default 802.11 radio at 2 Mb/s reaches ≈370 m; with
@@ -317,7 +279,7 @@ func (sc Scenario) setup(ctx context.Context) (*world, error) {
 	// placement is as good as anyone's.
 	attackers := map[int]bool{}
 	if sc.Attack != NoAttack {
-		for i := 0; i < sc.Attackers && i < sc.Nodes-2; i++ {
+		for i := 0; i < attackerCount && i < sc.Nodes-2; i++ {
 			attackers[sc.Nodes-1-i] = true
 		}
 	}
@@ -353,10 +315,8 @@ func (w *world) drive(hooks fault.Hooks) (Result, error) {
 	}
 	flows := traffic.RandomFlows(sc.Flows, honest, s.Rand())
 	traffic.StartCBR(s, w.senders, flows, traffic.CBRConfig{
-		Rate:        sc.Rate,
-		PacketBytes: sc.PacketBytes,
-		Start:       2 * time.Second,
-		Stop:        2*time.Second + sc.Duration,
+		Start: 2 * time.Second,
+		Stop:  2*time.Second + sc.Duration,
 	})
 
 	s.Run(sc.Duration + 12*time.Second)
@@ -400,34 +360,28 @@ func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
 		case Rushing:
 			attack.MakeRushing(nodes[id])
 		case Grayhole:
-			attack.MakeGrayhole(nodes[id], sc.GrayholeDropProb,
+			attack.MakeGrayhole(nodes[id], grayholeDropProb,
 				rand.New(rand.NewSource(sc.Seed+int64(id))))
 		}
 	}
 
-	// Online enrollment: the KGC lives at a node; everyone the paper's
+	// Online enrollment: the KGC lives at node 0; everyone else the paper's
 	// rule would key (honest nodes, plus gray hole insiders) becomes a
 	// client and must fetch its key over the air. The handler interposer
 	// requires the routing handlers to be installed already.
 	var enr *secrouting.Enrollment
 	if sc.OnlineEnrollment && authority != nil {
 		var clients []int
-		for i := 0; i < sc.Nodes; i++ {
-			if i == sc.Enroll.KGCNode {
-				continue
-			}
+		for i := 1; i < sc.Nodes; i++ {
 			if sc.Attack == Grayhole || !attackers[i] {
 				clients = append(clients, i)
 			}
 		}
-		enrollCfg := sc.Enroll
-		if enrollCfg.JitterSeed == 0 {
-			// Backoff jitter on its own seed-derived stream, like range
-			// jitter and churn: retry schedules must not shift any shared
-			// simulation draws.
-			enrollCfg.JitterSeed = sc.Seed ^ 0x626b6a74 // "bkjt"
-		}
-		enr = secrouting.NewEnrollment(s, medium, authority, clients, enrollCfg)
+		// Backoff jitter on its own seed-derived stream, like range jitter
+		// and churn: retry schedules must not shift any shared simulation
+		// draws.
+		enr = secrouting.NewEnrollment(s, medium, authority, clients,
+			secrouting.EnrollConfig{JitterSeed: sc.Seed ^ 0x626b6a74}) // "bkjt"
 		if err := enr.Start(); err != nil {
 			return Result{}, err
 		}
@@ -456,18 +410,11 @@ func (sc Scenario) buildMobility(horizon time.Duration, rng *rand.Rand) (mobilit
 			Width:    sc.Width,
 			Height:   sc.Height,
 			MaxSpeed: sc.MaxSpeed,
-			Pause:    sc.Pause,
 		}, sc.Nodes, horizon, rng), nil
 	case ManhattanMobility:
 		return mobility.NewManhattanGrid(mobility.ManhattanGridConfig{
 			Width:    sc.Width,
 			Height:   sc.Height,
-			Spacing:  sc.StreetSpacing,
-			MaxSpeed: sc.MaxSpeed,
-		}, sc.Nodes, horizon, rng), nil
-	case HighwayMobility:
-		return mobility.NewHighway(mobility.HighwayConfig{
-			Length:   sc.Width,
 			MaxSpeed: sc.MaxSpeed,
 		}, sc.Nodes, horizon, rng), nil
 	default:

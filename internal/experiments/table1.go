@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -48,24 +47,15 @@ func opString(pairings, scalars, exps int) string {
 // paper plus sign/verify wall-clock means over iters iterations per scheme.
 // The verifier caches are warmed first where the published counts assume
 // caching (McCLS, YHG), so measurements reflect steady state.
+// Measurement is strictly serial — timings would be meaningless with
+// schemes contending for the CPU.
 func Table1(iters int, rng io.Reader) ([]Table1Row, error) {
-	return Table1Context(context.Background(), iters, rng)
-}
-
-// Table1Context is Table1 under a context, checked between schemes so a
-// cancelled or timed-out caller is not stuck behind the slow pairing
-// benchmarks. Measurement stays strictly serial — timings would be
-// meaningless with schemes contending for the CPU.
-func Table1Context(ctx context.Context, iters int, rng io.Reader) ([]Table1Row, error) {
 	if iters <= 0 {
 		iters = 5
 	}
 	msg := []byte("Table 1 benchmark message: AODV RREQ payload equivalent")
 	var rows []Table1Row
 	for _, sch := range schemes.All() {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("table1: %w", err)
-		}
 		p := sch.Profile()
 		sys, err := sch.Setup(rng)
 		if err != nil {

@@ -31,13 +31,16 @@ func (l *limitedBody) Read(p []byte) (int, error) {
 }
 
 // decodeJSON decodes a request body with a hard size cap and strict field
-// checking.
+// checking; the body must be exactly one JSON value.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("bad request body: %v", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return fmt.Errorf("bad request body: trailing data after the JSON value")
 	}
 	return nil
 }

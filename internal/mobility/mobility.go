@@ -1,10 +1,9 @@
 // Package mobility provides node-mobility models for the MANET simulator.
 // The paper's evaluation uses the random waypoint model in a rectangular
 // field with zero pause time and maximum speeds swept from 0 to 20 m/s;
-// RandomWaypoint implements exactly that. The city-scale extensions add
-// ManhattanGrid (vehicles on a street grid with probabilistic turns) and
-// Highway (multi-lane bidirectional traffic with wrap-around), the two
-// canonical VANET mobility patterns. Positions are precomputed as
+// RandomWaypoint implements exactly that. The city-scale extension adds
+// ManhattanGrid (vehicles on a street grid with probabilistic turns), the
+// canonical urban VANET mobility pattern. Positions are precomputed as
 // piecewise-linear legs, so lookups are pure functions of time, the whole
 // trajectory is deterministic given the seed, and consumers (the radio
 // medium's spatial index) can bound where a node will be over a time window
@@ -49,7 +48,7 @@ type Model interface {
 
 // leg is one linear segment of a trajectory: the node moves from From at
 // time Start, reaching To at time End, then the next leg applies. A pause
-// is a leg with From == To; a wrap/teleport is a leg with Start == End.
+// is a leg with From == To.
 type leg struct {
 	start, end time.Duration
 	from, to   Point
@@ -57,8 +56,8 @@ type leg struct {
 
 // legModel is the shared engine of every precomputed piecewise-linear
 // mobility model: per-node leg lists plus binary-search Position and Leg
-// lookups. RandomWaypoint, ManhattanGrid and Highway all embed it and only
-// differ in how they generate the legs.
+// lookups. RandomWaypoint and ManhattanGrid both embed it and only differ in
+// how they generate the legs.
 type legModel struct {
 	legs [][]leg
 }
@@ -115,10 +114,10 @@ func (m *legModel) Position(node int, t time.Duration) Point {
 
 // Leg returns the trajectory segment covering [t, t1): the first leg whose
 // end lies strictly after t, so callers walking a trajectory window always
-// make progress and zero-duration legs (wrap-around teleports) are stepped
-// over, surfacing as a `from` discontinuity on the following leg. Before the
-// first leg and after the last, the node holds its position, reported as a
-// degenerate open-ended leg.
+// make progress and zero-duration legs are stepped over, surfacing as a
+// `from` discontinuity on the following leg. Before the first leg and after
+// the last, the node holds its position, reported as a degenerate open-ended
+// leg.
 func (m *legModel) Leg(node int, t time.Duration) (from, to Point, t0, t1 time.Duration) {
 	ls := m.legs[node]
 	if len(ls) == 0 {
@@ -146,9 +145,8 @@ func (m *legModel) Leg(node int, t time.Duration) (from, to Point, t0, t1 time.D
 }
 
 // RandomWaypoint is the classic random waypoint model: each node repeatedly
-// picks a uniform destination in the field and a uniform speed in
-// [MinSpeed, MaxSpeed], travels there in a straight line, pauses for Pause,
-// and repeats.
+// picks a uniform destination in the field and a uniform speed up to
+// MaxSpeed, travels there in a straight line, optionally pauses, and repeats.
 type RandomWaypoint struct {
 	legModel
 }
@@ -157,11 +155,13 @@ type RandomWaypoint struct {
 type RandomWaypointConfig struct {
 	// Width and Height are the field dimensions in meters.
 	Width, Height float64
-	// MinSpeed and MaxSpeed bound the per-leg speed in m/s. MaxSpeed == 0
-	// makes all nodes static at their initial positions.
-	MinSpeed, MaxSpeed float64
-	// Pause is the dwell time at each waypoint.
-	Pause time.Duration
+	// MaxSpeed bounds the per-leg speed in m/s; 0 makes all nodes static at
+	// their initial positions.
+	MaxSpeed float64
+
+	// pause is the dwell time at each waypoint: zero in the paper's setup
+	// (§6), set only by this package's tests.
+	pause time.Duration
 }
 
 // NewRandomWaypoint precomputes trajectories for n nodes up to the horizon.
@@ -177,19 +177,13 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, n int, horizon time.Duration, r
 		}
 		for now < horizon && cfg.MaxSpeed > 0 {
 			dst := Point{X: rng.Float64() * cfg.Width, Y: rng.Float64() * cfg.Height}
-			minSpeed := cfg.MinSpeed
-			if minSpeed <= 0 {
-				// Avoid the classic RWP speed-decay pathology of
-				// near-zero speeds.
-				minSpeed = math.Min(0.1, cfg.MaxSpeed)
-			}
-			speed := minSpeed + rng.Float64()*(cfg.MaxSpeed-minSpeed)
+			speed := drawSpeed(rng, cfg.MaxSpeed)
 			travel := time.Duration(pos.Dist(dst) / speed * float64(time.Second))
 			ls = append(ls, leg{start: now, end: now + travel, from: pos, to: dst})
 			now += travel
-			if cfg.Pause > 0 && now < horizon {
-				ls = append(ls, leg{start: now, end: now + cfg.Pause, from: dst, to: dst})
-				now += cfg.Pause
+			if cfg.pause > 0 && now < horizon {
+				ls = append(ls, leg{start: now, end: now + cfg.pause, from: dst, to: dst})
+				now += cfg.pause
 			}
 			pos = dst
 		}
@@ -198,29 +192,32 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, n int, horizon time.Duration, r
 	return m
 }
 
+// drawSpeed draws a leg's speed uniformly from [min(0.1, maxSpeed),
+// maxSpeed]; the floor avoids the classic random-waypoint speed-decay
+// pathology of near-zero speeds.
+func drawSpeed(rng *rand.Rand, maxSpeed float64) float64 {
+	floor := math.Min(0.1, maxSpeed)
+	return floor + rng.Float64()*(maxSpeed-floor)
+}
+
 // ManhattanGridConfig parameterizes the Manhattan mobility model: vehicles
 // constrained to a grid of orthogonal streets, turning probabilistically at
 // intersections — the standard urban VANET pattern.
 type ManhattanGridConfig struct {
-	// Width and Height are the field dimensions in meters; streets run
-	// every Spacing meters in both axes (default 100 m blocks).
-	Width, Height, Spacing float64
-	// MinSpeed and MaxSpeed bound the per-block speed in m/s. MaxSpeed == 0
-	// parks every vehicle at its starting intersection.
-	MinSpeed, MaxSpeed float64
-	// StraightProb is the probability of continuing straight at an
-	// intersection where straight is possible (default 0.5); the remainder
-	// splits uniformly over the available turns. U-turns happen only at
-	// dead ends.
-	StraightProb float64
+	// Width and Height are the field dimensions in meters.
+	Width, Height float64
+	// MaxSpeed bounds the per-block speed in m/s; 0 parks every vehicle at
+	// its starting intersection.
+	MaxSpeed float64
+
+	// spacing is the block size: streets run every spacing meters in both
+	// axes (default 100 m; set only by this package's tests).
+	spacing float64
 }
 
 func (cfg ManhattanGridConfig) withDefaults() ManhattanGridConfig {
-	if cfg.Spacing <= 0 {
-		cfg.Spacing = 100
-	}
-	if cfg.StraightProb <= 0 {
-		cfg.StraightProb = 0.5
+	if cfg.spacing <= 0 {
+		cfg.spacing = 100
 	}
 	return cfg
 }
@@ -239,15 +236,15 @@ var manhattanDirs = [4][2]int{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}
 // Vehicles start at uniformly drawn intersections.
 func NewManhattanGrid(cfg ManhattanGridConfig, n int, horizon time.Duration, rng *rand.Rand) *ManhattanGrid {
 	cfg = cfg.withDefaults()
-	// Intersections live at (i*Spacing, j*Spacing) for i in [0, nx],
+	// Intersections live at (i*spacing, j*spacing) for i in [0, nx],
 	// j in [0, ny]; a degenerate axis (field thinner than one block)
 	// still leaves a single street along the other axis.
-	nx := int(cfg.Width / cfg.Spacing)
-	ny := int(cfg.Height / cfg.Spacing)
+	nx := int(cfg.Width / cfg.spacing)
+	ny := int(cfg.Height / cfg.spacing)
 	m := &ManhattanGrid{legModel{legs: make([][]leg, n)}}
 	for node := 0; node < n; node++ {
 		ix, iy := rng.Intn(nx+1), rng.Intn(ny+1)
-		pos := Point{X: float64(ix) * cfg.Spacing, Y: float64(iy) * cfg.Spacing}
+		pos := Point{X: float64(ix) * cfg.spacing, Y: float64(iy) * cfg.spacing}
 		var ls []leg
 		if cfg.MaxSpeed <= 0 || (nx == 0 && ny == 0) {
 			m.legs[node] = append(ls, leg{start: 0, end: horizon, from: pos, to: pos})
@@ -256,15 +253,11 @@ func NewManhattanGrid(cfg ManhattanGridConfig, n int, horizon time.Duration, rng
 		dir := rng.Intn(4)
 		now := time.Duration(0)
 		for now < horizon {
-			dir = nextManhattanDir(rng, cfg.StraightProb, dir, ix, iy, nx, ny)
+			dir = nextManhattanDir(rng, dir, ix, iy, nx, ny)
 			ix += manhattanDirs[dir][0]
 			iy += manhattanDirs[dir][1]
-			dst := Point{X: float64(ix) * cfg.Spacing, Y: float64(iy) * cfg.Spacing}
-			minSpeed := cfg.MinSpeed
-			if minSpeed <= 0 {
-				minSpeed = math.Min(0.1, cfg.MaxSpeed)
-			}
-			speed := minSpeed + rng.Float64()*(cfg.MaxSpeed-minSpeed)
+			dst := Point{X: float64(ix) * cfg.spacing, Y: float64(iy) * cfg.spacing}
+			speed := drawSpeed(rng, cfg.MaxSpeed)
 			travel := time.Duration(pos.Dist(dst) / speed * float64(time.Second))
 			ls = append(ls, leg{start: now, end: now + travel, from: pos, to: dst})
 			now += travel
@@ -276,10 +269,11 @@ func NewManhattanGrid(cfg ManhattanGridConfig, n int, horizon time.Duration, rng
 }
 
 // nextManhattanDir draws the direction taken out of intersection (ix, iy) by
-// a vehicle that arrived heading dir: straight with StraightProb when the
-// grid allows it, otherwise a uniform choice among the available turns,
-// U-turning only at dead ends.
-func nextManhattanDir(rng *rand.Rand, straightProb float64, dir, ix, iy, nx, ny int) int {
+// a vehicle that arrived heading dir: straight with probability straightProb
+// when the grid allows it, otherwise a uniform choice among the available
+// turns, U-turning only at dead ends.
+func nextManhattanDir(rng *rand.Rand, dir, ix, iy, nx, ny int) int {
+	const straightProb = 0.5
 	ok := func(d int) bool {
 		jx, jy := ix+manhattanDirs[d][0], iy+manhattanDirs[d][1]
 		return jx >= 0 && jx <= nx && jy >= 0 && jy <= ny
@@ -303,83 +297,6 @@ func nextManhattanDir(rng *rand.Rand, straightProb float64, dir, ix, iy, nx, ny 
 		return reverse // dead end
 	}
 	return turns[rng.Intn(len(turns))]
-}
-
-// HighwayConfig parameterizes the highway mobility model: a straight
-// multi-lane road with half the lanes flowing each way and wrap-around at
-// the ends, the standard freeway VANET pattern.
-type HighwayConfig struct {
-	// Length is the highway length in meters; LaneWidth separates adjacent
-	// lanes (default 5 m). Lanes is the lane count (default 4); even lane
-	// indices flow east (+x), odd ones west.
-	Length, LaneWidth float64
-	Lanes             int
-	// MinSpeed and MaxSpeed bound each vehicle's cruise speed in m/s;
-	// a vehicle keeps one speed for the whole run. MaxSpeed == 0 parks
-	// every vehicle.
-	MinSpeed, MaxSpeed float64
-}
-
-func (cfg HighwayConfig) withDefaults() HighwayConfig {
-	if cfg.Length <= 0 {
-		cfg.Length = 1000
-	}
-	if cfg.Lanes <= 0 {
-		cfg.Lanes = 4
-	}
-	if cfg.LaneWidth <= 0 {
-		cfg.LaneWidth = 5
-	}
-	return cfg
-}
-
-// Highway moves nodes along a straight multi-lane road at constant per-node
-// speed, wrapping from one end to the other (an instantaneous teleport leg)
-// so density stays stationary over time.
-type Highway struct {
-	legModel
-}
-
-// NewHighway precomputes trajectories for n nodes up to the horizon.
-// Vehicles are dealt round-robin onto lanes at uniform starting offsets.
-func NewHighway(cfg HighwayConfig, n int, horizon time.Duration, rng *rand.Rand) *Highway {
-	cfg = cfg.withDefaults()
-	m := &Highway{legModel{legs: make([][]leg, n)}}
-	for node := 0; node < n; node++ {
-		lane := node % cfg.Lanes
-		y := (float64(lane) + 0.5) * cfg.LaneWidth
-		x := rng.Float64() * cfg.Length
-		east := lane%2 == 0
-		pos := Point{X: x, Y: y}
-		var ls []leg
-		if cfg.MaxSpeed <= 0 {
-			m.legs[node] = append(ls, leg{start: 0, end: horizon, from: pos, to: pos})
-			continue
-		}
-		minSpeed := cfg.MinSpeed
-		if minSpeed <= 0 {
-			minSpeed = math.Min(0.1, cfg.MaxSpeed)
-		}
-		speed := minSpeed + rng.Float64()*(cfg.MaxSpeed-minSpeed)
-		now := time.Duration(0)
-		for now < horizon {
-			var edge Point
-			if east {
-				edge = Point{X: cfg.Length, Y: y}
-			} else {
-				edge = Point{X: 0, Y: y}
-			}
-			travel := time.Duration(pos.Dist(edge) / speed * float64(time.Second))
-			ls = append(ls, leg{start: now, end: now + travel, from: pos, to: edge})
-			now += travel
-			// Wrap to the opposite end: a zero-duration teleport leg keeps
-			// the trajectory piecewise-linear.
-			pos = Point{X: cfg.Length - edge.X, Y: y}
-			ls = append(ls, leg{start: now, end: now, from: edge, to: pos})
-		}
-		m.legs[node] = ls
-	}
-	return m
 }
 
 // Static places nodes at fixed positions; useful for unit tests and

@@ -76,7 +76,7 @@ func TestRandomWaypointMoves(t *testing.T) {
 }
 
 func TestRandomWaypointDeterministic(t *testing.T) {
-	cfg := RandomWaypointConfig{Width: 1000, Height: 300, MaxSpeed: 15, Pause: time.Second}
+	cfg := RandomWaypointConfig{Width: 1000, Height: 300, MaxSpeed: 15, pause: time.Second}
 	a := NewRandomWaypoint(cfg, 4, time.Minute, rand.New(rand.NewSource(5)))
 	b := NewRandomWaypoint(cfg, 4, time.Minute, rand.New(rand.NewSource(5)))
 	for node := 0; node < 4; node++ {
@@ -94,11 +94,9 @@ func TestRandomWaypointDeterministic(t *testing.T) {
 func TestLegMatchesPosition(t *testing.T) {
 	horizon := 120 * time.Second
 	models := map[string]Model{
-		"rwp": NewRandomWaypoint(RandomWaypointConfig{Width: 1000, Height: 500, MaxSpeed: 20, Pause: time.Second},
+		"rwp": NewRandomWaypoint(RandomWaypointConfig{Width: 1000, Height: 500, MaxSpeed: 20, pause: time.Second},
 			6, horizon, rand.New(rand.NewSource(11))),
-		"manhattan": NewManhattanGrid(ManhattanGridConfig{Width: 1000, Height: 500, Spacing: 100, MaxSpeed: 15},
-			6, horizon, rand.New(rand.NewSource(11))),
-		"highway": NewHighway(HighwayConfig{Length: 2000, MinSpeed: 20, MaxSpeed: 33},
+		"manhattan": NewManhattanGrid(ManhattanGridConfig{Width: 1000, Height: 500, spacing: 100, MaxSpeed: 15},
 			6, horizon, rand.New(rand.NewSource(11))),
 		"static": &Static{Points: []Point{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}, {11, 12}}},
 	}
@@ -143,7 +141,7 @@ func TestLegMatchesPosition(t *testing.T) {
 
 func TestManhattanGridStaysOnStreets(t *testing.T) {
 	const spacing = 100.0
-	cfg := ManhattanGridConfig{Width: 1000, Height: 600, Spacing: spacing, MaxSpeed: 15}
+	cfg := ManhattanGridConfig{Width: 1000, Height: 600, spacing: spacing, MaxSpeed: 15}
 	m := NewManhattanGrid(cfg, 20, 300*time.Second, rand.New(rand.NewSource(4)))
 	onStreet := func(v float64) bool {
 		_, frac := math.Modf(v / spacing)
@@ -174,59 +172,6 @@ func TestManhattanGridMovesAndIsDeterministic(t *testing.T) {
 			if a.Position(node, ts) != b.Position(node, ts) {
 				t.Fatal("same seed produced different trajectories")
 			}
-		}
-	}
-}
-
-func TestHighwayLanesAndWrap(t *testing.T) {
-	cfg := HighwayConfig{Length: 1000, Lanes: 4, LaneWidth: 5, MinSpeed: 25, MaxSpeed: 25}
-	m := NewHighway(cfg, 8, 2*time.Minute, rand.New(rand.NewSource(2)))
-	for node := 0; node < m.Nodes(); node++ {
-		lane := node % 4
-		wantY := (float64(lane) + 0.5) * 5
-		east := lane%2 == 0
-		prev := m.Position(node, 0)
-		for ts := 100 * time.Millisecond; ts <= 2*time.Minute; ts += 100 * time.Millisecond {
-			p := m.Position(node, ts)
-			if p.Y != wantY {
-				t.Fatalf("node %d drifted off lane %d: y=%v want %v", node, lane, p.Y, wantY)
-			}
-			if p.X < 0 || p.X > 1000 {
-				t.Fatalf("node %d off the highway: x=%v", node, p.X)
-			}
-			dx := p.X - prev.X
-			// At 25 m/s a 100 ms step moves 2.5 m in the lane direction,
-			// except across a wrap where the sign flips by nearly -Length.
-			if east && dx < 0 && dx > -900 {
-				t.Fatalf("eastbound node %d moved backwards: dx=%v at %v", node, dx, ts)
-			}
-			if !east && dx > 0 && dx < 900 {
-				t.Fatalf("westbound node %d moved backwards: dx=%v at %v", node, dx, ts)
-			}
-			prev = p
-		}
-	}
-}
-
-func TestHighwaySpeedConstant(t *testing.T) {
-	cfg := HighwayConfig{Length: 5000, Lanes: 2, MinSpeed: 10, MaxSpeed: 30}
-	m := NewHighway(cfg, 4, time.Minute, rand.New(rand.NewSource(8)))
-	for node := 0; node < 4; node++ {
-		p0 := m.Position(node, 10*time.Second)
-		p1 := m.Position(node, 11*time.Second)
-		p2 := m.Position(node, 12*time.Second)
-		v01, v12 := p0.Dist(p1), p1.Dist(p2)
-		// Constant cruise speed away from wraps (5 km highway, ≤30 m/s, so
-		// t∈[10s,12s] cannot wrap for nodes starting in the middle; allow a
-		// wrap by skipping implausible jumps).
-		if v01 > 100 || v12 > 100 {
-			continue
-		}
-		if math.Abs(v01-v12) > 1e-6 {
-			t.Fatalf("node %d speed varied: %v then %v m/s", node, v01, v12)
-		}
-		if v01 < 10-1e-9 || v01 > 30+1e-9 {
-			t.Fatalf("node %d cruise speed %v outside [10,30]", node, v01)
 		}
 	}
 }

@@ -28,7 +28,7 @@ type regionOutage struct {
 }
 
 // lossWindow raises the channel loss rate during [from, to). Windows
-// compose with each other and with Config.LossRate as independent loss
+// compose with each other and with Config.lossRate as independent loss
 // processes.
 type lossWindow struct {
 	from, to sim.Time
@@ -89,10 +89,10 @@ func (m *Medium) linkFaulted(a, b int) bool {
 //
 //	loss = 1 − (1−base)·Π(1−rateᵢ)
 //
-// With no active windows this returns Config.LossRate unchanged, so the RNG
+// With no active windows this returns Config.lossRate unchanged, so the RNG
 // draw sequence of existing (fault-free) scenarios is untouched.
 func (m *Medium) lossAt(t sim.Time) float64 {
-	loss := m.cfg.LossRate
+	loss := m.cfg.lossRate
 	for _, w := range m.lossWindows {
 		if w.active(t) {
 			loss = 1 - (1-loss)*(1-w.rate)

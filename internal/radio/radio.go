@@ -29,45 +29,44 @@ const Broadcast = -1
 // Handler receives a delivered frame payload at a node.
 type Handler func(from int, payload any)
 
+const (
+	// bitRate is the air data rate in bits/s (2 Mb/s).
+	bitRate = 2e6
+	// indexEpoch is the spatial index's validity window: the grid indexes
+	// where every node can be over the next epoch and is only rebuilt when
+	// the clock leaves the window. Longer epochs rebuild less but fatten
+	// each node's cell footprint by its reachable area.
+	indexEpoch = time.Second
+)
+
 // Config parameterizes the medium. Zero values select defaults.
 type Config struct {
 	// Range is the transmission radius in meters (default 250, the
 	// canonical 802.11 outdoor figure used in the AODV literature).
 	Range float64
-	// BitRate is the air data rate in bits/s (default 2 Mb/s).
-	BitRate float64
-	// MACDelayMax is the maximum uniform channel-access delay per
-	// transmission (default 2ms); it models contention backoff.
-	MACDelayMax time.Duration
-	// LossRate is an i.i.d. per-delivery loss probability in [0, 1).
-	LossRate float64
 	// Collisions enables the receiver-side overlap model: two frames
 	// arriving at the same node with overlapping air time corrupt each
 	// other.
 	Collisions bool
-	// IndexEpoch is the spatial index's validity window (default 1s): the
-	// grid indexes where every node can be over the next epoch and is only
-	// rebuilt when the clock leaves the window. Longer epochs rebuild less
-	// but fatten each node's cell footprint by its reachable area.
-	IndexEpoch time.Duration
 	// NoIndex disables the spatial index, forcing the naive O(n) neighbor
 	// scan on every lookup. The naive path is the differential oracle the
 	// grid is tested against, and the baseline the benchmarks compare to.
 	NoIndex bool
+
+	// Varied only by this package's tests: macDelayMax is the maximum
+	// uniform channel-access delay per transmission (default 2ms; it
+	// models contention backoff, negative disables it) and lossRate an
+	// i.i.d. per-delivery loss probability in [0, 1).
+	macDelayMax time.Duration
+	lossRate    float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Range == 0 {
 		c.Range = 250
 	}
-	if c.BitRate == 0 {
-		c.BitRate = 2e6
-	}
-	if c.MACDelayMax == 0 {
-		c.MACDelayMax = 2 * time.Millisecond
-	}
-	if c.IndexEpoch == 0 {
-		c.IndexEpoch = time.Second
+	if c.macDelayMax == 0 {
+		c.macDelayMax = 2 * time.Millisecond
 	}
 	return c
 }
@@ -139,7 +138,7 @@ func New(s *sim.Simulator, mob mobility.Model, cfg Config) *Medium {
 		down: make([]bool, mob.Nodes()),
 	}
 	if !cfg.NoIndex {
-		m.grid = newGrid(mob, cfg.Range, cfg.IndexEpoch)
+		m.grid = newGrid(mob, cfg.Range, indexEpoch)
 	}
 	return m
 }
@@ -268,7 +267,7 @@ func (m *Medium) GridStats() GridStats {
 
 // serialization returns the air time of a frame of the given size.
 func (m *Medium) serialization(bytes int) time.Duration {
-	return time.Duration(float64(bytes*8) / m.cfg.BitRate * float64(time.Second))
+	return time.Duration(float64(bytes*8) / bitRate * float64(time.Second))
 }
 
 // propagation returns the speed-of-light delay over dist meters.
@@ -278,10 +277,10 @@ func propagation(dist float64) time.Duration {
 
 // macDelay draws the uniform channel-access delay.
 func (m *Medium) macDelay() time.Duration {
-	if m.cfg.MACDelayMax <= 0 {
+	if m.cfg.macDelayMax <= 0 {
 		return 0
 	}
-	return time.Duration(m.sim.Rand().Int63n(int64(m.cfg.MACDelayMax)))
+	return time.Duration(m.sim.Rand().Int63n(int64(m.cfg.macDelayMax)))
 }
 
 // txJob is a pooled transmission event: the frame waiting out its MAC

@@ -76,7 +76,7 @@ func TestUnicastDeliveryAndLinkFailure(t *testing.T) {
 func TestDeliveryDelayIncludesSerialization(t *testing.T) {
 	s := sim.New(1)
 	// Disable MAC jitter so the delay is deterministic.
-	m := New(s, line(2), Config{MACDelayMax: -1})
+	m := New(s, line(2), Config{macDelayMax: -1})
 	var at sim.Time
 	m.SetHandler(1, func(int, any) { at = s.Now() })
 	m.Unicast(0, 1, 250, "x") // 250 B at 2 Mb/s = 1 ms serialization
@@ -88,7 +88,7 @@ func TestDeliveryDelayIncludesSerialization(t *testing.T) {
 
 func TestLossRateDropsFrames(t *testing.T) {
 	s := sim.New(1)
-	m := New(s, line(2), Config{LossRate: 1.0})
+	m := New(s, line(2), Config{lossRate: 1.0})
 	m.SetHandler(1, func(int, any) { t.Fatal("lossy channel delivered") })
 	for i := 0; i < 10; i++ {
 		m.Unicast(0, 1, 64, i)
@@ -103,7 +103,7 @@ func TestCollisionModel(t *testing.T) {
 	// Nodes 0 and 2 both in range of 1; simultaneous sends collide at 1.
 	s := sim.New(1)
 	pts := &mobility.Static{Points: []mobility.Point{{X: 0}, {X: 200}, {X: 400}}}
-	m := New(s, pts, Config{Collisions: true, MACDelayMax: -1})
+	m := New(s, pts, Config{Collisions: true, macDelayMax: -1})
 	delivered := 0
 	m.SetHandler(1, func(int, any) { delivered++ })
 	m.Unicast(0, 1, 512, "a")

@@ -29,7 +29,7 @@ func TestDataPacketsAreConserved(t *testing.T) {
 			return n, &n.Agent
 		},
 		"dsr": func(id int, s *sim.Simulator, m *radio.Medium, auth routing.Authenticator) (sender, *routing.Agent) {
-			n := dsr.NewNode(id, s, m, dsr.Config{}, auth)
+			n := dsr.NewNode(id, s, m, auth)
 			return n, &n.Agent
 		},
 	} {

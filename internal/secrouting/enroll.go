@@ -26,7 +26,7 @@ import (
 // that crashes loses its volatile keys and re-enrolls through the same
 // path on restart.
 
-// Enrollment protocol defaults. Derivation (see EXPERIMENTS.md,
+// Enrollment protocol constants. Derivation (see EXPERIMENTS.md,
 // "Resilience"): a TTL-12 flood crosses the default 1500×300 m field in
 // ≤ 12 hops × (2 ms MAC jitter bound + sub-ms air time) per direction, so
 // 500 ms bounds a request/reply round trip with an order of magnitude of
@@ -40,6 +40,9 @@ const (
 	DefaultBackoffCap    = 16 * time.Second
 	DefaultJitterFrac    = 0.25
 	DefaultEnrollTTL     = 12
+
+	// enrollStartJitterMax desynchronizes the initial requests at t=0.
+	enrollStartJitterMax = 200 * time.Millisecond
 
 	// enrollRelayJitterMax damps the enrollment flood like the RREQ
 	// rebroadcast jitter damps route discovery.
@@ -76,22 +79,11 @@ type Authority interface {
 	Enrolled(node int) bool
 }
 
-// EnrollConfig parameterizes the online enrollment protocol. Zero values
-// select the defaults above.
+// EnrollConfig places the online enrollment protocol in a run; its timing
+// is the constants above.
 type EnrollConfig struct {
 	// KGCNode is the node index hosting the KGC.
 	KGCNode int
-	// Timeout is how long one request waits for a reply before the
-	// attempt is declared failed.
-	Timeout time.Duration
-	// BackoffBase and BackoffCap bound the retry delay
-	// min(cap, base·2^k) after the k-th failed attempt.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// JitterFrac spreads each retry delay uniformly over
-	// [delay, delay·(1+JitterFrac)] so synchronized failures do not
-	// retry in lockstep.
-	JitterFrac float64
 	// JitterSeed seeds the per-node backoff-jitter streams. Each client
 	// derives its own RNG from this seed, so jitter draws never perturb
 	// the shared simulation stream (waypoints, MAC delays) and a node's
@@ -100,33 +92,6 @@ type EnrollConfig struct {
 	// simulator RNG at NewEnrollment (exactly one draw, keeping the
 	// shared stream's advance fixed regardless of retry counts).
 	JitterSeed int64
-	// TTL bounds the enrollment flood.
-	TTL int
-	// StartJitterMax desynchronizes the initial requests at t=0
-	// (default 200ms).
-	StartJitterMax time.Duration
-}
-
-func (c EnrollConfig) withDefaults() EnrollConfig {
-	if c.Timeout == 0 {
-		c.Timeout = DefaultEnrollTimeout
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = DefaultBackoffBase
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = DefaultBackoffCap
-	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = DefaultJitterFrac
-	}
-	if c.TTL == 0 {
-		c.TTL = DefaultEnrollTTL
-	}
-	if c.StartJitterMax == 0 {
-		c.StartJitterMax = 200 * time.Millisecond
-	}
-	return c
 }
 
 // EnrollStats counts enrollment protocol events (per node, and summed by
@@ -139,7 +104,7 @@ type EnrollStats struct {
 	RepliesRelayed  uint64
 	RepliesSent     uint64 // KGC only
 	// MaxBackoff is the largest jittered retry delay this node ever
-	// waited; bounded by BackoffCap·(1+JitterFrac).
+	// waited; bounded by DefaultBackoffCap·(1+DefaultJitterFrac).
 	MaxBackoff time.Duration
 }
 
@@ -191,7 +156,7 @@ func NewEnrollment(s *sim.Simulator, medium *radio.Medium, auth Authority, clien
 		sim:        s,
 		medium:     medium,
 		auth:       auth,
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		registered: make(map[int]bool, len(clients)),
 		state:      make([]*enrollState, n),
 		seen:       make([]map[enrollSeen]bool, n),
@@ -242,7 +207,7 @@ func (e *Enrollment) Start() error {
 			continue
 		}
 		c := c
-		offset := time.Duration(e.sim.Rand().Int63n(int64(e.cfg.StartJitterMax)))
+		offset := time.Duration(e.sim.Rand().Int63n(int64(enrollStartJitterMax)))
 		e.sim.Schedule(offset, func() { e.begin(c) })
 	}
 	return nil
@@ -263,12 +228,12 @@ func (e *Enrollment) sendRequest(node int) {
 	}
 	st := e.state[node]
 	e.stats[node].Attempts++
-	req := &EnrollRequest{Node: node, Attempt: st.attempt, TTL: e.cfg.TTL, Sender: node}
+	req := &EnrollRequest{Node: node, Attempt: st.attempt, TTL: DefaultEnrollTTL, Sender: node}
 	e.seen[node][enrollSeen{enrollKindReq, node, st.attempt}] = true
 	e.medium.Broadcast(node, enrollReqWireSize, req)
 
 	gen, attempt := st.gen, st.attempt
-	e.sim.Schedule(e.cfg.Timeout, func() {
+	e.sim.Schedule(DefaultEnrollTimeout, func() {
 		if st.gen != gen || e.auth.Enrolled(node) {
 			return
 		}
@@ -285,16 +250,17 @@ func (e *Enrollment) sendRequest(node int) {
 }
 
 // backoff computes the jittered retry delay after the k-th failed attempt:
-// min(cap, base·2^k) stretched by a uniform factor in [1, 1+JitterFrac]
-// drawn from the node's private jitter stream.
+// min(cap, base·2^k) stretched by a uniform factor in [1, 1+DefaultJitterFrac]
+// drawn from the node's private jitter stream, so synchronized failures do
+// not retry in lockstep.
 func (e *Enrollment) backoff(node, k int) time.Duration {
-	d := e.cfg.BackoffCap
+	d := DefaultBackoffCap
 	if k < 62 {
-		if exp := e.cfg.BackoffBase << uint(k); exp > 0 && exp < d {
+		if exp := DefaultBackoffBase << uint(k); exp > 0 && exp < d {
 			d = exp
 		}
 	}
-	d = time.Duration(float64(d) * (1 + e.cfg.JitterFrac*e.state[node].jrng.Float64()))
+	d = time.Duration(float64(d) * (1 + DefaultJitterFrac*e.state[node].jrng.Float64()))
 	if d > e.stats[node].MaxBackoff {
 		e.stats[node].MaxBackoff = d
 	}
@@ -318,7 +284,7 @@ func (e *Enrollment) onRequest(me int, req EnrollRequest) {
 			return // unknown identity: attackers get nothing
 		}
 		e.stats[me].RepliesSent++
-		rep := &EnrollReply{Node: req.Node, Attempt: req.Attempt, TTL: e.cfg.TTL, Sender: me}
+		rep := &EnrollReply{Node: req.Node, Attempt: req.Attempt, TTL: DefaultEnrollTTL, Sender: me}
 		e.seen[me][enrollSeen{enrollKindRep, rep.Node, rep.Attempt}] = true
 		e.medium.Broadcast(me, enrollRepWireSize, rep)
 		return

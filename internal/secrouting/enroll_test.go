@@ -59,28 +59,23 @@ func TestEnrollmentHappyPath(t *testing.T) {
 }
 
 // TestEnrollmentKGCOutageBackoff is the issue's acceptance test: with the
-// KGC down for the first 30 s, every client retries with capped exponential
+// KGC down for the first 70 s, every client retries with capped exponential
 // backoff and all of them enroll after the outage ends; both the retry
-// count and the backoff bound are asserted.
+// count and the backoff bound are asserted. The outage outlasts the
+// uncapped schedule (1+2+4+8+16 s), so the sixth backoff would be 32 s if
+// the cap did not clamp it.
 func TestEnrollmentKGCOutageBackoff(t *testing.T) {
-	cfg := EnrollConfig{
-		KGCNode:     0,
-		Timeout:     500 * time.Millisecond,
-		BackoffBase: time.Second,
-		BackoffCap:  8 * time.Second,
-		JitterFrac:  0.25,
-	}
-	s, m, auth, e := enrollNet(t, 5, cfg)
+	s, m, auth, e := enrollNet(t, 5, EnrollConfig{KGCNode: 0})
 
 	// The KGC host crashes immediately: radio dark, signing key lost.
 	m.SetNodeDown(0, true)
 	e.OnCrash(0)
-	s.Schedule(30*time.Second, func() {
+	s.Schedule(70*time.Second, func() {
 		m.SetNodeDown(0, false)
 		e.OnRestart(0)
 	})
 
-	s.Run(60 * time.Second)
+	s.Run(140 * time.Second)
 
 	if !e.AllEnrolled() {
 		t.Fatal("outage ended but enrollment never completed")
@@ -88,27 +83,29 @@ func TestEnrollmentKGCOutageBackoff(t *testing.T) {
 	if !auth.Enrolled(0) {
 		t.Fatal("restarted KGC did not re-derive its own key")
 	}
-	// With timeout 0.5 s and backoff 1,2,4,8,8,... (jitter ≤ ×1.25), a
-	// client fits at most ~12 attempts in 30 s and needs at least 3 to
-	// outlast the outage; the last pre-restart backoff is ≤ cap·1.25 = 10 s,
-	// so everyone is enrolled well before t=60 s.
+	// With timeout 0.5 s and backoff 1,2,4,8,16,16,... (jitter ≤ ×1.25),
+	// attempt k ≥ 5 goes out 16.5–20.5 s after attempt k−1: the sixth
+	// attempt times out by t=42 s and draws the first capped backoff, a
+	// client makes 7 or 8 attempts inside the outage and one more after it,
+	// and the last pre-restart backoff is ≤ cap·1.25 = 20 s, so everyone is
+	// enrolled well before t=140 s.
 	for c := 1; c < 5; c++ {
 		st := e.Stats(c)
-		if st.Attempts < 3 || st.Attempts > 12 {
-			t.Fatalf("node %d made %d attempts, want 3..12", c, st.Attempts)
+		if st.Attempts < 7 || st.Attempts > 10 {
+			t.Fatalf("node %d made %d attempts, want 7..10", c, st.Attempts)
 		}
-		if st.Timeouts < 2 {
-			t.Fatalf("node %d saw %d timeouts during a 30 s outage", c, st.Timeouts)
+		if st.Timeouts < 6 {
+			t.Fatalf("node %d saw %d timeouts during a 70 s outage", c, st.Timeouts)
 		}
 		if st.Successes != 1 {
 			t.Fatalf("node %d Successes = %d", c, st.Successes)
 		}
-		maxJittered := time.Duration(float64(cfg.BackoffCap) * (1 + cfg.JitterFrac))
+		maxJittered := time.Duration(float64(DefaultBackoffCap) * (1 + DefaultJitterFrac))
 		if st.MaxBackoff > maxJittered {
 			t.Fatalf("node %d backoff %v exceeds cap bound %v", c, st.MaxBackoff, maxJittered)
 		}
-		if st.MaxBackoff < 2*time.Second {
-			t.Fatalf("node %d backoff never grew past the base: %v", c, st.MaxBackoff)
+		if st.MaxBackoff < DefaultBackoffCap {
+			t.Fatalf("node %d backoff never grew to the cap: %v", c, st.MaxBackoff)
 		}
 	}
 }
@@ -288,6 +285,15 @@ func TestBackoffJitterDrawSequence(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("draw %d = %d, want %d (jitter stream derivation changed)", i, got[i], want[i])
+		}
+	}
+
+	// Past base·2^4 the cap clamps every draw into [cap, cap·(1+frac)], the
+	// shift-overflow range (k ≥ 62) included.
+	for _, k := range []int{5, 40, 62, 100} {
+		lo, hi := DefaultBackoffCap, time.Duration(float64(DefaultBackoffCap)*(1+DefaultJitterFrac))
+		if d := e.backoff(1, k); d < lo || d > hi {
+			t.Fatalf("backoff(k=%d) = %v, want within [%v, %v]", k, d, lo, hi)
 		}
 	}
 

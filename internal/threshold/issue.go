@@ -62,15 +62,15 @@ func (s *Signer) Issue(id string) *KeyShare {
 }
 
 // ApplyRefresh advances the signer's share by one epoch (see refresh.go).
-// It is idempotent against retries: a delta targeting the epoch the signer
-// is already at is reported as success without touching the share, so a
-// coordinator that lost an acknowledgement can safely re-send. Any other
-// epoch mismatch is an error. Returns the epoch the signer is at after the
-// call.
+// It is idempotent against retries: a delta addressed to this signer and
+// targeting the epoch it is already at is reported as success without
+// touching the share, so a coordinator that lost an acknowledgement can
+// safely re-send. Another holder's delta or any other epoch mismatch is an
+// error. Returns the epoch the signer is at after the call.
 func (s *Signer) ApplyRefresh(d *Delta) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d.Epoch == s.share.Epoch {
+	if d.Index == s.share.Index && d.Epoch == s.share.Epoch {
 		return s.share.Epoch, nil // retry of an already-applied refresh
 	}
 	next, err := s.share.Refresh(d)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"mccls/internal/bn254"
@@ -125,6 +126,14 @@ func TestApplyRefreshIdempotentAndOrdered(t *testing.T) {
 	// Retrying the same epoch is an idempotent success (lost-ack replay).
 	if ep, err := s.ApplyRefresh(deltas[0]); err != nil || ep != 1 {
 		t.Fatalf("replayed apply: epoch %d, err %v", ep, err)
+	}
+	// Another holder's delta for that epoch is no replay: it is refused like
+	// any wrong-index delta, however often it is re-sent.
+	for i := 0; i < 2; i++ {
+		if ep, err := s.ApplyRefresh(deltas[1]); err == nil || ep != 1 ||
+			!strings.Contains(err.Error(), "delta for index 2 applied to share 1") {
+			t.Fatalf("wrong-index replay %d: epoch %d, err %v", i, ep, err)
+		}
 	}
 	// Skipping an epoch is refused.
 	gap, err := RefreshDeltas(2, 2, 3, detRNG(5))

@@ -22,23 +22,30 @@ type Flow struct {
 	Src, Dst int
 }
 
-// CBRConfig parameterizes the generator. Zero values select defaults
-// matching the AODV literature (4 packets/s of 512 bytes).
+// The paper's workload, matching the AODV literature: every flow emits
+// cbrRate packets per second of cbrPacketBytes application payload each.
+const (
+	cbrRate        = 4
+	cbrPacketBytes = 512
+)
+
+// CBRConfig parameterizes the generator.
 type CBRConfig struct {
-	// Rate is packets per second per flow (default 4).
-	Rate float64
-	// PacketBytes is the application payload size (default 512).
-	PacketBytes int
 	// Start and Stop bound the emission window.
 	Start, Stop time.Duration
+
+	// rate and packetBytes replace cbrRate and cbrPacketBytes when
+	// non-zero; only this package's tests set them.
+	rate        float64
+	packetBytes int
 }
 
 func (c CBRConfig) withDefaults() CBRConfig {
-	if c.Rate == 0 {
-		c.Rate = 4
+	if c.rate == 0 {
+		c.rate = cbrRate
 	}
-	if c.PacketBytes == 0 {
-		c.PacketBytes = 512
+	if c.packetBytes == 0 {
+		c.packetBytes = cbrPacketBytes
 	}
 	return c
 }
@@ -73,7 +80,7 @@ func RandomFlows(n int, eligible []int, rng *rand.Rand) []Flow {
 // so flows do not synchronize.
 func StartCBR(s *sim.Simulator, nodes []Sender, flows []Flow, cfg CBRConfig) {
 	cfg = cfg.withDefaults()
-	period := time.Duration(float64(time.Second) / cfg.Rate)
+	period := time.Duration(float64(time.Second) / cfg.rate)
 	for _, f := range flows {
 		f := f
 		offset := time.Duration(s.Rand().Int63n(int64(period)))
@@ -82,7 +89,7 @@ func StartCBR(s *sim.Simulator, nodes []Sender, flows []Flow, cfg CBRConfig) {
 			if s.Now() >= cfg.Stop {
 				return
 			}
-			nodes[f.Src].Send(f.Dst, cfg.PacketBytes)
+			nodes[f.Src].Send(f.Dst, cfg.packetBytes)
 			s.Schedule(period, tick)
 		}
 		s.ScheduleAt(cfg.Start+offset, tick)

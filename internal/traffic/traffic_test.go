@@ -62,8 +62,8 @@ func TestCBRRateAndWindow(t *testing.T) {
 		aodv.NewNode(1, s, m, aodv.Config{}, routing.NullAuth{}),
 	}
 	StartCBR(s, senders(nodes), []Flow{{Src: 0, Dst: 1}}, CBRConfig{
-		Rate:        10,
-		PacketBytes: 100,
+		rate:        10,
+		packetBytes: 100,
 		Start:       time.Second,
 		Stop:        11 * time.Second,
 	})
@@ -91,7 +91,7 @@ func TestCBRMultipleFlowsDesynchronized(t *testing.T) {
 		nodes[i] = aodv.NewNode(i, s, m, aodv.Config{}, routing.NullAuth{})
 	}
 	StartCBR(s, senders(nodes), []Flow{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}}, CBRConfig{
-		Rate: 4, Stop: 5 * time.Second,
+		Stop: 5 * time.Second,
 	})
 	s.Run(10 * time.Second)
 	if nodes[0].Stats.DataSent == 0 || nodes[2].Stats.DataSent == 0 {

@@ -31,13 +31,13 @@ func TestScenarioZeroValueDefaults(t *testing.T) {
 
 // TestParallelSweepSurface exercises the parallel-runner surface of the
 // public API: worker count, per-trial progress with event observability,
-// explicit-zero sentinel, and per-point confidence intervals.
+// and per-point confidence intervals.
 func TestParallelSweepSurface(t *testing.T) {
 	var trials int
 	var lastAgg manet.Aggregate
 	cfg := manet.SweepConfig{
 		Base:     manet.Scenario{Duration: 15 * time.Second},
-		Speeds:   []float64{5},
+		Axis:     []float64{5},
 		Repeats:  2,
 		Seed:     2,
 		Workers:  4,
@@ -57,47 +57,41 @@ func TestParallelSweepSurface(t *testing.T) {
 	if lastAgg.N != 2 || lastAgg.PDR.Mean <= 0 {
 		t.Fatalf("aggregate malformed: %+v", lastAgg)
 	}
-
-	// ExplicitZero is re-exported and really means zero.
-	sc := manet.Scenario{
-		Duration: 15 * time.Second, Seed: 3, MaxSpeed: 5,
-		Attack: manet.Blackhole, Attackers: manet.ExplicitZero,
-	}
-	r, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.PacketDropRatio() != 0 {
-		t.Fatal("ExplicitZero attackers still dropped traffic")
-	}
 }
 
-// TestFigureGeneratorsWired makes sure every figure function is exported
-// and produces its expected series count on a minimal sweep.
+// TestFigureGeneratorsWired makes sure every row of the exported figure
+// table regenerates through the façade, under its own id and with every
+// curve plotted at the one point asked for, on a minimal sweep of its axis.
 func TestFigureGeneratorsWired(t *testing.T) {
-	cfg := manet.SweepConfig{
-		Base:    manet.Scenario{Duration: 15 * time.Second},
-		Speeds:  []float64{5},
-		Repeats: 1,
-		Seed:    2,
-	}
-	cases := []struct {
-		gen  func(manet.SweepConfig) (manet.Figure, error)
-		want int
-	}{
-		{manet.Figure1, 2},
-		{manet.Figure2, 2},
-		{manet.Figure3, 2},
-		{manet.Figure4, 6},
-		{manet.Figure5, 4},
-	}
-	for i, tc := range cases {
-		fig, err := tc.gen(cfg)
+	axes := map[string][]float64{"v": {5}, "churn": {1}, "n": {20}}
+	for _, spec := range manet.Figures {
+		axis, ok := axes[spec.Axis.Name]
+		if !ok {
+			t.Fatalf("%s sweeps axis family %q, which this test has no point for", spec.ID, spec.Axis.Name)
+		}
+		fig, err := manet.RunFigure(spec.ID, manet.SweepConfig{
+			Base:    manet.Scenario{Duration: 15 * time.Second},
+			Axis:    axis,
+			Repeats: 1,
+			Seed:    2,
+		})
 		if err != nil {
-			t.Fatalf("figure %d: %v", i+1, err)
+			t.Fatalf("%s: %v", spec.ID, err)
 		}
-		if len(fig.Series) != tc.want {
-			t.Fatalf("figure %d has %d series, want %d", i+1, len(fig.Series), tc.want)
+		if fig.ID != spec.ID || len(fig.Series) == 0 {
+			t.Fatalf("%s came back as %q with %d series", spec.ID, fig.ID, len(fig.Series))
 		}
+		for _, s := range fig.Series {
+			if s.Label == "" || len(s.X) != 1 || s.X[0] != axis[0] || len(s.Y) != 1 {
+				t.Fatalf("%s series %q: x=%v y=%v, want one point at %v", spec.ID, s.Label, s.X, s.Y, axis[0])
+			}
+		}
+	}
+	if _, err := manet.RunFigure("fig0", manet.SweepConfig{}); err == nil {
+		t.Fatal("unknown figure id accepted")
+	}
+	// Count axes take whole numbers: 2.5 churn events is not 2.
+	if _, err := manet.RunFigure("fig7", manet.SweepConfig{Axis: []float64{2.5}}); err == nil {
+		t.Fatal("fractional churn count accepted")
 	}
 }

@@ -1,0 +1,286 @@
+// Static gates over the repository tree. They used to be shell steps of
+// .github/workflows/ci.yml, where no tier-1 run could see them; here a
+// violation fails `go test ./...`.
+package mccls
+
+import (
+	"bytes"
+	"go/ast"
+	"go/build"
+	"go/format"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"mccls/internal/aodv"
+	"mccls/internal/experiments"
+	"mccls/internal/radio"
+	"mccls/internal/secrouting"
+)
+
+// maxNonTestLines is the ceiling on non-test Go outside bench/, as counted
+// by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
+// xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
+// subtraction, raise it only with a reason in CHANGES.md.
+const maxNonTestLines = 14800
+
+// mathBigFiles are the shipped files that may import math/big: init-time
+// constant derivation, the *big.Int adapters of the exported API, the
+// comparison schemes and key-file parsing. Scalars are fr.Element on every
+// per-call path, so a new importer is a regression until shown otherwise.
+var mathBigFiles = map[string]bool{
+	"mccls.go":                     true,
+	"cmd/kgcd/main.go":             true,
+	"cmd/mcclskeys/main.go":        true,
+	"internal/bn254/const.go":      true,
+	"internal/bn254/fp.go":         true,
+	"internal/bn254/fp/fp.go":      true,
+	"internal/bn254/fp2.go":        true,
+	"internal/bn254/fr/fr.go":      true,
+	"internal/bn254/g1.go":         true,
+	"internal/bn254/g2.go":         true,
+	"internal/bn254/glv.go":        true,
+	"internal/bn254/jacobian.go":   true,
+	"internal/bn254/pairing.go":    true,
+	"internal/bn254/wnaf.go":       true,
+	"internal/core/keys.go":        true,
+	"internal/core/kgc.go":         true,
+	"internal/kgcd/cluster.go":     true,
+	"internal/schemes/ap.go":       true,
+	"internal/schemes/yhg.go":      true,
+	"internal/schemes/zwxf.go":     true,
+	"internal/threshold/shamir.go": true,
+}
+
+// deletedNames are identifiers (bare, or package-qualified) of surfaces that
+// were folded away and may not come back under their old names: the compact
+// wire encoding, kgcd's client/breaker option structs, the per-family sweep
+// configs, the zero sentinel, DSR's config and the highway model.
+var deletedNames = []string{
+	"MarshalCompact", "MarshalCompressed",
+	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
+	"ResilienceConfig", "CityConfig", "ExplicitZero", "dsr.Config", "HighwayMobility",
+}
+
+// deletedDirs are the packages and commands that went with them.
+var deletedDirs = []string{"internal/batch", "internal/faulthttp", "cmd/mcclsbench"}
+
+// goFile is one parsed .go file of the tree, path relative to the root.
+type goFile struct {
+	path string
+	src  []byte
+	ast  *ast.File
+}
+
+func (f goFile) shipped() bool {
+	return !strings.HasSuffix(f.path, "_test.go") && !strings.HasPrefix(f.path, "bench/")
+}
+
+// repoFiles parses every .go file under the repository root (hidden
+// directories — .git, the benchmark's .bench_build — excepted).
+func repoFiles(t *testing.T) []goFile {
+	t.Helper()
+	var files []goFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		parsed, err := parser.ParseFile(fset, path, src, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		files = append(files, goFile{filepath.ToSlash(path), src, parsed})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRepoTree parses the tree once and runs the per-file gates over it.
+func TestRepoTree(t *testing.T) {
+	files := repoFiles(t)
+	t.Run("gofmt", func(t *testing.T) { gofmtClean(t, files) })
+	t.Run("line-ceiling", func(t *testing.T) { nonTestLineCeiling(t, files) })
+	t.Run("math-big-allow-list", func(t *testing.T) { mathBigAllowList(t, files) })
+	t.Run("deleted-surfaces", func(t *testing.T) { deletedSurfacesStayDeleted(t, files) })
+	t.Run("kgcd-one-clock", func(t *testing.T) { kgcdOneClock(t, files) })
+}
+
+func gofmtClean(t *testing.T, files []goFile) {
+	for _, f := range files {
+		want, err := format.Source(f.src)
+		if err != nil {
+			t.Fatalf("%s: %v", f.path, err)
+		}
+		if !bytes.Equal(want, f.src) {
+			t.Errorf("%s needs gofmt", f.path)
+		}
+	}
+}
+
+func nonTestLineCeiling(t *testing.T, files []goFile) {
+	lines := 0
+	for _, f := range files {
+		if f.shipped() {
+			lines += bytes.Count(f.src, []byte("\n"))
+		}
+	}
+	t.Logf("non-test lines: %d (ceiling %d)", lines, maxNonTestLines)
+	if lines > maxNonTestLines {
+		t.Errorf("%d non-test lines, ceiling is %d", lines, maxNonTestLines)
+	}
+}
+
+func mathBigAllowList(t *testing.T, files []goFile) {
+	importers := map[string]bool{}
+	for _, f := range files {
+		if !f.shipped() {
+			continue
+		}
+		for _, imp := range f.ast.Imports {
+			if imp.Path.Value == `"math/big"` {
+				importers[f.path] = true
+				if !mathBigFiles[f.path] {
+					t.Errorf("%s imports math/big and is not on the allow-list", f.path)
+				}
+			}
+		}
+	}
+	for path := range mathBigFiles {
+		if !importers[path] {
+			t.Errorf("%s is on the math/big allow-list but no longer imports it: drop the entry", path)
+		}
+	}
+}
+
+// TestRepoLayering: internal/routing is the substrate both protocols embed;
+// DSR, the authenticators and the metrics must not reach it through AODV.
+func TestRepoLayering(t *testing.T) {
+	var reaches func(dir string, seen map[string]bool) bool
+	reaches = func(dir string, seen map[string]bool) bool {
+		if seen[dir] {
+			return false
+		}
+		seen[dir] = true
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, imp := range pkg.Imports {
+			if imp == "mccls/internal/aodv" {
+				return true
+			}
+			if rest, ok := strings.CutPrefix(imp, "mccls/"); ok && reaches(rest, seen) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, dir := range []string{"internal/dsr", "internal/secrouting", "internal/metrics"} {
+		if reaches(dir, map[string]bool{}) {
+			t.Errorf("%s depends on internal/aodv", dir)
+		}
+	}
+}
+
+func deletedSurfacesStayDeleted(t *testing.T, files []goFile) {
+	for _, dir := range deletedDirs {
+		if _, err := os.Stat(dir); err == nil {
+			t.Errorf("%s is back", dir)
+		}
+	}
+	for _, f := range files {
+		if f.path == "repo_test.go" {
+			continue
+		}
+		// Every identifier, every pkg.Name selector, and every type
+		// declaration qualified by its own package.
+		used := map[string]bool{}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				used[n.Name] = true
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					used[x.Name+"."+n.Sel.Name] = true
+				}
+			case *ast.TypeSpec:
+				used[f.ast.Name.Name+"."+n.Name.Name] = true
+			}
+			return true
+		})
+		for _, name := range deletedNames {
+			if used[name] {
+				t.Errorf("%s mentions %s, which was deleted", f.path, name)
+			}
+		}
+	}
+}
+
+// kgcdOneClock: kgcd owns one clock (internal/kgcd/clock.go);
+// everything else in the package, tests included, tells and spends time
+// through it, so its tests never wait on the wall clock.
+func kgcdOneClock(t *testing.T, files []goFile) {
+	wall := map[string]bool{
+		"time.Now": true, "time.Since": true, "time.Sleep": true, "time.After": true,
+		"time.NewTimer": true, "time.AfterFunc": true, "time.Tick": true,
+		"context.WithTimeout": true, "context.WithDeadline": true,
+	}
+	for _, f := range files {
+		if filepath.Dir(f.path) != "internal/kgcd" || f.path == "internal/kgcd/clock.go" {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && wall[x.Name+"."+sel.Sel.Name] {
+					t.Errorf("%s uses %s.%s outside clock.go", f.path, x.Name, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// TestRepoOptionCounts pins the independently settable exported values of
+// the experiment plane's configs, so the next knob is a failing test and a
+// deliberate edit here, not a review comment.
+func TestRepoOptionCounts(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  any
+		want int
+	}{
+		{experiments.Scenario{}, 19}, // 17 of its own + the Radio and AODV structs below
+		{experiments.SweepConfig{}, 8},
+		{aodv.Config{}, 3},
+		{radio.Config{}, 3},
+		{secrouting.EnrollConfig{}, 2},
+	} {
+		typ, got := reflect.TypeOf(tc.cfg), 0
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				got++
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%v has %d exported fields, pinned at %d", typ, got, tc.want)
+		}
+	}
+}
