@@ -133,11 +133,6 @@ func (e *routeEntry) usable(now sim.Time) bool {
 	return e != nil && e.valid && e.expires > now
 }
 
-type seenKey struct {
-	origin int
-	id     uint32
-}
-
 // Node is one AODV router plus its application endpoint. Identity, the
 // authenticated send/receive path, the crash lifecycle and Stats come from
 // the embedded routing.Agent.
@@ -149,7 +144,7 @@ type Node struct {
 	rreqID uint32
 
 	routes    map[int]*routeEntry
-	seen      map[seenKey]sim.Time
+	seen      map[uint64]sim.Time
 	disc      *routing.Discovery[*DataPacket]
 	lastHeard map[int]sim.Time
 
@@ -166,7 +161,7 @@ func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth ro
 		Agent:     routing.Agent{ID: id, Sim: s, Medium: medium, Auth: auth},
 		cfg:       cfg.withDefaults(),
 		routes:    make(map[int]*routeEntry),
-		seen:      make(map[seenKey]sim.Time),
+		seen:      make(map[uint64]sim.Time),
 		lastHeard: make(map[int]sim.Time),
 	}
 	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.sendBufferCap, rreqRetries, n.issueRREQ)
@@ -212,7 +207,7 @@ func (n *Node) Up(retainRoutes bool) bool {
 	}
 	if !retainRoutes {
 		n.routes = make(map[int]*routeEntry)
-		n.seen = make(map[seenKey]sim.Time)
+		n.seen = make(map[uint64]sim.Time)
 	}
 	n.startHello()
 	return true
@@ -382,7 +377,7 @@ func (n *Node) issueRREQ(dst, attempt int) time.Duration {
 		req.DestSeq, req.SeqKnown = e.destSeq, true
 	}
 	// Suppress our own flooded copy.
-	n.seen[seenKey{origin: n.ID, id: req.ID}] = n.Sim.Now()
+	n.seen[routing.FloodKey(n.ID, req.ID)] = n.Sim.Now()
 	n.sendRREQ(req)
 	return ringTraversalTime(ttl)
 }
@@ -464,7 +459,7 @@ func (n *Node) processRREQ(from int, req *RREQ) {
 	if req.Origin == n.ID {
 		return // our own flood echoed back
 	}
-	key := seenKey{origin: req.Origin, id: req.ID}
+	key := routing.FloodKey(req.Origin, req.ID)
 	if _, dup := n.seen[key]; dup {
 		return
 	}

@@ -38,11 +38,6 @@ type Hooks struct {
 	ForwardJitter func(n *Node) time.Duration
 }
 
-type seenKey struct {
-	origin int
-	id     uint32
-}
-
 // Node is one DSR router plus its application endpoint. Identity, the
 // authenticated send/receive path, the crash lifecycle and Stats come from
 // the embedded routing.Agent (requests, replies and errors are counted in
@@ -52,7 +47,7 @@ type Node struct {
 
 	reqID uint32
 	cache map[int][]int // best known source route per destination
-	seen  map[seenKey]bool
+	seen  map[uint64]bool
 	disc  *routing.Discovery[*DataPacket]
 
 	Hooks     Hooks
@@ -65,7 +60,7 @@ func NewNode(id int, s *sim.Simulator, medium *radio.Medium, auth routing.Authen
 	n := &Node{
 		Agent: routing.Agent{ID: id, Sim: s, Medium: medium, Auth: auth},
 		cache: make(map[int][]int),
-		seen:  make(map[seenKey]bool),
+		seen:  make(map[uint64]bool),
 	}
 	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, sendBufferCap, retries, n.issueRequest)
 	n.Process = n.processControl
@@ -93,7 +88,7 @@ func (n *Node) Up(retainRoutes bool) bool {
 	}
 	if !retainRoutes {
 		n.cache = make(map[int][]int)
-		n.seen = make(map[seenKey]bool)
+		n.seen = make(map[uint64]bool)
 	}
 	return true
 }
@@ -196,7 +191,7 @@ func (n *Node) issueRequest(dst, _ int) time.Duration {
 		Route:  []int{n.ID},
 		TTL:    requestTTL,
 	}
-	n.seen[seenKey{origin: n.ID, id: req.ID}] = true
+	n.seen[routing.FloodKey(n.ID, req.ID)] = true
 	n.broadcastRequest(req)
 	return discoveryTimeout
 }
@@ -247,13 +242,13 @@ func (n *Node) processRequest(from int, req *RouteRequest) {
 	if slices.Contains(req.Route, n.ID) {
 		return // loop (or our own flood echoed)
 	}
-	key := seenKey{origin: req.Origin, id: req.ID}
+	key := routing.FloodKey(req.Origin, req.ID)
 	if n.seen[key] {
 		return
 	}
 	n.seen[key] = true
 	if len(n.seen) > 8192 {
-		n.seen = make(map[seenKey]bool) // coarse reset; ids keep growing
+		n.seen = make(map[uint64]bool) // coarse reset; ids keep growing
 	}
 
 	if n.Hooks.OnRequest != nil && !n.Hooks.OnRequest(n, from, req) {

@@ -7,7 +7,9 @@
 // piecewise-linear legs, so lookups are pure functions of time, the whole
 // trajectory is deterministic given the seed, and consumers (the radio
 // medium's spatial index) can bound where a node will be over a time window
-// through the Leg view.
+// through the Leg view. A leg-based model remembers the last leg it answered
+// from per node, so it is single-goroutine like the Simulator it serves:
+// build one per trial, never share one across goroutines.
 package mobility
 
 import (
@@ -55,18 +57,22 @@ type leg struct {
 }
 
 // legModel is the shared engine of every precomputed piecewise-linear
-// mobility model: per-node leg lists plus binary-search Position and Leg
-// lookups. RandomWaypoint and ManhattanGrid both embed it and only differ in
-// how they generate the legs.
+// mobility model: per-node leg lists (contiguous, ordered by time) plus
+// Position and Leg lookups. RandomWaypoint and ManhattanGrid both embed it
+// and only differ in how they generate the legs.
 type legModel struct {
 	legs [][]leg
+	// hint is the leg each node's last searched Position landed on. Virtual
+	// time only moves forward inside a run, so the next lookup almost always
+	// lands on it again; the value returned never depends on it.
+	hint []int32
 }
 
 // Nodes returns the number of nodes the model covers.
 func (m *legModel) Nodes() int { return len(m.legs) }
 
 // find returns the index of the leg active at time t (the first leg whose
-// end is >= t), assuming t lies strictly inside the trajectory span.
+// end is >= t), assuming t is no later than the last leg's end.
 func (m *legModel) find(node int, t time.Duration) int {
 	ls := m.legs[node]
 	lo, hi := 0, len(ls)-1
@@ -81,31 +87,28 @@ func (m *legModel) find(node int, t time.Duration) int {
 	return lo
 }
 
-// Position returns the location of node at time t by binary search over its
-// legs followed by linear interpolation.
+// Position returns the location of node at time t by linear interpolation
+// over the leg active at t: the hinted one when t lies strictly inside it
+// (legs are contiguous, so that is the leg find would return), else by
+// binary search.
 func (m *legModel) Position(node int, t time.Duration) Point {
 	ls := m.legs[node]
 	if len(ls) == 0 {
 		return Point{}
 	}
-	if t <= ls[0].start {
-		return ls[0].from
+	l := &ls[m.hint[node]]
+	if t <= l.start || t >= l.end {
+		if t <= ls[0].start {
+			return ls[0].from
+		}
+		if last := &ls[len(ls)-1]; t >= last.end {
+			return last.to
+		}
+		m.hint[node] = int32(m.find(node, t))
+		l = &ls[m.hint[node]]
 	}
-	last := ls[len(ls)-1]
-	if t >= last.end {
-		return last.to
-	}
-	l := ls[m.find(node, t)]
-	if l.end == l.start {
-		return l.to
-	}
+	// Legs are contiguous, so l.start < t <= l.end: frac is in (0, 1].
 	frac := float64(t-l.start) / float64(l.end-l.start)
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
 	return Point{
 		X: l.from.X + (l.to.X-l.from.X)*frac,
 		Y: l.from.Y + (l.to.Y-l.from.Y)*frac,
@@ -130,17 +133,9 @@ func (m *legModel) Leg(node int, t time.Duration) (from, to Point, t0, t1 time.D
 	if t >= last.end {
 		return last.to, last.to, last.end, Forever
 	}
-	// First leg with end > t (strict): t >= last.end was excluded above.
-	lo, hi := 0, len(ls)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ls[mid].end <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	l := ls[lo]
+	// First leg with end > t (strict), which on integer time is end >= t+1;
+	// t >= last.end was excluded above.
+	l := ls[m.find(node, t+1)]
 	return l.from, l.to, l.start, l.end
 }
 
@@ -167,7 +162,7 @@ type RandomWaypointConfig struct {
 // NewRandomWaypoint precomputes trajectories for n nodes up to the horizon.
 // Positions requested beyond the horizon hold the last waypoint.
 func NewRandomWaypoint(cfg RandomWaypointConfig, n int, horizon time.Duration, rng *rand.Rand) *RandomWaypoint {
-	m := &RandomWaypoint{legModel{legs: make([][]leg, n)}}
+	m := &RandomWaypoint{legModel{legs: make([][]leg, n), hint: make([]int32, n)}}
 	for node := 0; node < n; node++ {
 		pos := Point{X: rng.Float64() * cfg.Width, Y: rng.Float64() * cfg.Height}
 		var ls []leg
@@ -241,7 +236,7 @@ func NewManhattanGrid(cfg ManhattanGridConfig, n int, horizon time.Duration, rng
 	// still leaves a single street along the other axis.
 	nx := int(cfg.Width / cfg.spacing)
 	ny := int(cfg.Height / cfg.spacing)
-	m := &ManhattanGrid{legModel{legs: make([][]leg, n)}}
+	m := &ManhattanGrid{legModel{legs: make([][]leg, n), hint: make([]int32, n)}}
 	for node := 0; node < n; node++ {
 		ix, iy := rng.Intn(nx+1), rng.Intn(ny+1)
 		pos := Point{X: float64(ix) * cfg.spacing, Y: float64(iy) * cfg.spacing}

@@ -1,8 +1,10 @@
 package mobility
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -194,4 +196,139 @@ func TestRandomWaypointBeyondHorizonHolds(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("position changed beyond horizon")
 	}
+}
+
+// searchPosition and searchLeg are the lookups as they were before the leg
+// hint and before Leg shared find: a plain binary search per call, clamps
+// included. They are the oracle FuzzPositionHintVsSearch replays against.
+func searchPosition(ls []leg, t time.Duration) Point {
+	if len(ls) == 0 {
+		return Point{}
+	}
+	if t <= ls[0].start {
+		return ls[0].from
+	}
+	if last := ls[len(ls)-1]; t >= last.end {
+		return last.to
+	}
+	l := ls[sort.Search(len(ls), func(i int) bool { return ls[i].end >= t })]
+	if l.end == l.start {
+		return l.to
+	}
+	frac := math.Max(0, math.Min(1, float64(t-l.start)/float64(l.end-l.start)))
+	return Point{X: l.from.X + (l.to.X-l.from.X)*frac, Y: l.from.Y + (l.to.Y-l.from.Y)*frac}
+}
+
+func searchLeg(ls []leg, t time.Duration) (from, to Point, t0, t1 time.Duration) {
+	if len(ls) == 0 {
+		return Point{}, Point{}, 0, Forever
+	}
+	if t < ls[0].start {
+		return ls[0].from, ls[0].from, 0, ls[0].start
+	}
+	if last := ls[len(ls)-1]; t >= last.end {
+		return last.to, last.to, last.end, Forever
+	}
+	l := ls[sort.Search(len(ls), func(i int) bool { return ls[i].end > t })]
+	return l.from, l.to, l.start, l.end
+}
+
+// stutterModel hand-builds contiguous trajectories dense in the cases the
+// generators rarely draw: zero-length legs (singly and in runs, also first
+// and last), pauses, and legs one nanosecond long.
+func stutterModel(n int, rng *rand.Rand) *legModel {
+	m := &legModel{legs: make([][]leg, n), hint: make([]int32, n)}
+	durations := []time.Duration{0, 0, 1, time.Millisecond, time.Second, 3 * time.Second}
+	for node := range m.legs {
+		now := time.Duration(rng.Intn(2)) * time.Second // some trajectories start late
+		pos := Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+		for k := rng.Intn(12); k >= 0; k-- {
+			dst := pos // pause or zero-length hold
+			if rng.Intn(3) > 0 {
+				dst = Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+			}
+			d := durations[rng.Intn(len(durations))]
+			m.legs[node] = append(m.legs[node], leg{start: now, end: now + d, from: pos, to: dst})
+			now, pos = now+d, dst
+		}
+	}
+	return m
+}
+
+// FuzzPositionHintVsSearch pins the leg hint as invisible: over both
+// generated models and the hand-built stutter model, any sequence of
+// Position and Leg calls — times non-monotone, before the first leg, past
+// the horizon, exactly on leg boundaries — returns bit for bit what a fresh
+// binary search returns. Each 5-byte op of script is (node and kind, time).
+func FuzzPositionHintVsSearch(f *testing.F) {
+	// Seed corpus: every boundary of each node's first legs, approached with
+	// the hint parked on that leg, on its neighbour and far away, over each
+	// model kind; plus times before the first leg and past the horizon.
+	var walk []byte
+	for k := uint32(0); k < 14; k++ {
+		for node := byte(0); node < 4; node++ {
+			for _, op := range []byte{0x20, 0x40, 0x20, 0x60, 0xc0, 0xe0, 0x20, 0x00, 0x40, 0x60, 0x80} {
+				arg := k
+				if op&0x60 == 0 {
+					arg = k * 330_000_000 // a plain time: k·3.3 s − 1 s
+				}
+				walk = binary.BigEndian.AppendUint32(append(walk, op|node), arg)
+			}
+		}
+	}
+	for kind := uint8(0); kind < 6; kind++ {
+		f.Add(int64(kind)+1, kind, walk)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, kind uint8, script []byte) {
+		const n, horizon = 4, 30 * time.Second
+		rng := rand.New(rand.NewSource(seed))
+		var m *legModel
+		switch kind % 3 {
+		case 0:
+			pause := time.Duration(kind/3%2) * time.Second
+			m = &NewRandomWaypoint(RandomWaypointConfig{Width: 500, Height: 300, MaxSpeed: 20, pause: pause}, n, horizon, rng).legModel
+		case 1:
+			m = &NewManhattanGrid(ManhattanGridConfig{Width: 400, Height: 400, MaxSpeed: float64(kind / 3 % 2 * 15)}, n, horizon, rng).legModel
+		default:
+			m = stutterModel(n, rng)
+		}
+		// The invariant the hint (and the absent clamps) rest on.
+		for node, ls := range m.legs {
+			for i, l := range ls {
+				if l.end < l.start || i > 0 && l.start != ls[i-1].end {
+					t.Fatalf("node %d leg %d [%v,%v] is not contiguous with its predecessor", node, i, l.start, l.end)
+				}
+			}
+		}
+		for ; len(script) >= 5; script = script[5:] {
+			node := int(script[0] % n)
+			ls := m.legs[node]
+			arg := binary.BigEndian.Uint32(script[1:5])
+			// Times span [-1 s, 42 s) in 10 ns steps; with bit 5 or 6 set,
+			// arg instead picks a leg and the time is its midpoint (0x20),
+			// its end (0x40) or its start (0x60).
+			at := time.Duration(arg)*10 - time.Second
+			if len(ls) > 0 {
+				switch l := ls[int(arg)%len(ls)]; script[0] & 0x60 {
+				case 0x20:
+					at = l.start + (l.end-l.start)/2
+				case 0x40:
+					at = l.end
+				case 0x60:
+					at = l.start
+				}
+			}
+			if script[0]&0x80 != 0 {
+				from, to, t0, t1 := m.Leg(node, at)
+				wf, wt, w0, w1 := searchLeg(ls, at)
+				if from != wf || to != wt || t0 != w0 || t1 != w1 {
+					t.Fatalf("Leg(%d, %v) = (%v,%v,%v,%v), search says (%v,%v,%v,%v)", node, at, from, to, t0, t1, wf, wt, w0, w1)
+				}
+				continue
+			}
+			if got, want := m.Position(node, at), searchPosition(ls, at); got != want {
+				t.Fatalf("Position(%d, %v) = %v with hint, %v by search", node, at, got, want)
+			}
+		}
+	})
 }

@@ -77,7 +77,9 @@ func (m *Medium) linkFaulted(a, b int) bool {
 		if !w.active(now) {
 			continue
 		}
-		if m.Position(a).Dist(w.center) <= w.radius || m.Position(b).Dist(w.center) <= w.radius {
+		_, ina := within(w.center, m.Position(a), w.radius)
+		_, inb := within(w.center, m.Position(b), w.radius)
+		if ina || inb {
 			return true
 		}
 	}

@@ -12,6 +12,12 @@
 // NeighborsNaive, the differential oracle. Transmissions, deliveries and
 // collision records are pooled sim.Actions, keeping the whole broadcast
 // hot path allocation-free.
+//
+// A transmission does its geometry once: every range test (grid, oracle,
+// InRange, region outages) is the squared-distance predicate within, a
+// broadcast asks the mobility model for the sender's position once and each
+// candidate's once, and the fan-out takes its propagation delays from the
+// squared distances the audience scan left in Medium.d2.
 package radio
 
 import (
@@ -100,16 +106,17 @@ type Medium struct {
 	recv [][]*reception
 
 	// grid is the spatial neighbor index (nil under Config.NoIndex);
-	// ranges overrides per-node radio ranges (nil = homogeneous
-	// Config.Range).
+	// ranges holds each node's radio range (Config.Range unless overridden).
 	grid   *grid
 	ranges []float64
 
 	// Scratch buffers and free lists for the allocation-free hot path:
-	// nbuf holds the neighbor set of the in-flight broadcast, cbuf the
-	// grid's candidate ids, and the pools recycle transmission, delivery
-	// and reception records.
+	// nbuf holds the neighbor set of the in-flight broadcast, d2[i] node
+	// i's squared distance from the node of the last neighbor scan that
+	// accepted it, cbuf the grid's candidate ids, and the pools recycle
+	// transmission, delivery and reception records.
 	nbuf    []int
+	d2      []float64
 	cbuf    []int32
 	txPool  []*txJob
 	dlvPool []*delivery
@@ -136,6 +143,9 @@ func New(s *sim.Simulator, mob mobility.Model, cfg Config) *Medium {
 		hand: make([]Handler, mob.Nodes()),
 		recv: make([][]*reception, mob.Nodes()),
 		down: make([]bool, mob.Nodes()),
+		d2:   make([]float64, mob.Nodes()),
+
+		ranges: slices.Repeat([]float64{cfg.Range}, mob.Nodes()),
 	}
 	if !cfg.NoIndex {
 		m.grid = newGrid(mob, cfg.Range, indexEpoch)
@@ -163,37 +173,35 @@ func (m *Medium) Position(node int) mobility.Point {
 // The link rule stays symmetric: two nodes hear each other iff their
 // distance is within the smaller of their ranges, keeping every link
 // bidirectional the way AODV's HELLO/ACK machinery assumes.
-func (m *Medium) SetNodeRange(node int, r float64) {
-	if m.ranges == nil {
-		m.ranges = make([]float64, m.Nodes())
-		for i := range m.ranges {
-			m.ranges[i] = m.cfg.Range
-		}
-	}
-	m.ranges[node] = r
-}
+func (m *Medium) SetNodeRange(node int, r float64) { m.ranges[node] = r }
 
-// rangeOf returns a node's radio range.
-func (m *Medium) rangeOf(node int) float64 {
-	if m.ranges == nil {
-		return m.cfg.Range
-	}
-	return m.ranges[node]
+// within returns the squared distance between p and q and whether q lies in
+// the closed disk of radius r around p (empty for a negative r). It is the
+// one range predicate of the medium, and it takes no square root.
+func within(p, q mobility.Point, r float64) (d2 float64, ok bool) {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	d2 = dx*dx + dy*dy
+	return d2, r >= 0 && d2 <= r*r
 }
 
 // InRange reports whether two nodes can currently hear each other: within
 // both radios' range, both powered, and no fault window severing the link.
 func (m *Medium) InRange(a, b int) bool {
-	if a == b {
+	return !m.down[a] && m.hears(a, m.Position(a), b)
+}
+
+// hears reports whether other can currently hear node, a powered radio at
+// p, and records their squared distance for the fan-out if so.
+func (m *Medium) hears(node int, p mobility.Point, other int) bool {
+	if other == node || m.down[other] {
 		return false
 	}
-	if m.down[a] || m.down[b] {
+	d2, ok := within(p, m.Position(other), min(m.ranges[node], m.ranges[other]))
+	if !ok || m.linkFaulted(node, other) {
 		return false
 	}
-	if m.Position(a).Dist(m.Position(b)) > math.Min(m.rangeOf(a), m.rangeOf(b)) {
-		return false
-	}
-	return !m.linkFaulted(a, b)
+	m.d2[other] = d2
+	return true
 }
 
 // Neighbors returns the nodes currently within range of node, in ascending
@@ -214,24 +222,14 @@ func (m *Medium) AppendNeighbors(node int, buf []int) []int {
 	if m.down[node] {
 		return buf
 	}
-	now := m.sim.Now()
-	m.grid.ensure(now)
-	r := m.rangeOf(node)
-	p := m.mob.Position(node, now)
-	m.cbuf = m.grid.appendCandidates(p, r, m.cbuf[:0])
+	m.grid.ensure(m.sim.Now())
+	p := m.Position(node)
+	m.cbuf = m.grid.appendCandidates(p, m.ranges[node], m.cbuf[:0])
 	start := len(buf)
 	for _, id := range m.cbuf {
-		other := int(id)
-		if other == node || m.down[other] {
-			continue
+		if m.hears(node, p, int(id)) {
+			buf = append(buf, int(id))
 		}
-		if p.Dist(m.mob.Position(other, now)) > math.Min(r, m.rangeOf(other)) {
-			continue
-		}
-		if m.linkFaulted(node, other) {
-			continue
-		}
-		buf = append(buf, other)
 	}
 	// Candidates arrive in cell order; the naive scan defines the
 	// canonical ascending-id order.
@@ -248,8 +246,12 @@ func (m *Medium) NeighborsNaive(node int) []int {
 }
 
 func (m *Medium) appendNeighborsNaive(node int, buf []int) []int {
+	if m.down[node] {
+		return buf
+	}
+	p := m.Position(node)
 	for other := 0; other < m.Nodes(); other++ {
-		if other != node && m.InRange(node, other) {
+		if m.hears(node, p, other) {
 			buf = append(buf, other)
 		}
 	}
@@ -270,9 +272,10 @@ func (m *Medium) serialization(bytes int) time.Duration {
 	return time.Duration(float64(bytes*8) / bitRate * float64(time.Second))
 }
 
-// propagation returns the speed-of-light delay over dist meters.
-func propagation(dist float64) time.Duration {
-	return time.Duration(dist / 3e8 * float64(time.Second))
+// propagation returns the speed-of-light delay over a squared distance in
+// square meters: the one square root a delivered frame costs.
+func propagation(d2 float64) time.Duration {
+	return time.Duration(math.Sqrt(d2) / 3e8 * float64(time.Second))
 }
 
 // macDelay draws the uniform channel-access delay.
@@ -302,10 +305,12 @@ func (j *txJob) Fire() {
 	if j.to == Broadcast {
 		m.nbuf = m.AppendNeighbors(j.from, m.nbuf[:0])
 		for _, to := range m.nbuf {
-			m.deliver(j.from, to, j.bytes, j.payload, txStart)
+			m.deliver(j.from, to, j.bytes, j.payload, txStart, m.d2[to])
 		}
 	} else {
-		m.deliver(j.from, j.to, j.bytes, j.payload, txStart)
+		// Distance only: Unicast checked the range at send time.
+		d2, _ := within(m.Position(j.from), m.Position(j.to), 0)
+		m.deliver(j.from, j.to, j.bytes, j.payload, txStart, d2)
 	}
 	j.payload = nil
 	m.txPool = append(m.txPool, j)
@@ -376,12 +381,11 @@ func (m *Medium) newReception(start, end sim.Time) *reception {
 	return r
 }
 
-// deliver schedules the arrival of a frame at one receiver, applying loss
-// and (optionally) collision corruption. It must be called at virtual time
-// txStart.
-func (m *Medium) deliver(from, to int, bytes int, payload any, txStart sim.Time) {
-	dist := m.mob.Position(from, txStart).Dist(m.mob.Position(to, txStart))
-	arrive := txStart + m.serialization(bytes) + propagation(dist)
+// deliver schedules the arrival of a frame at one receiver d2 square meters
+// away, applying loss and (optionally) collision corruption. It must be
+// called at virtual time txStart.
+func (m *Medium) deliver(from, to int, bytes int, payload any, txStart sim.Time, d2 float64) {
+	arrive := txStart + m.serialization(bytes) + propagation(d2)
 
 	if loss := m.lossAt(txStart); loss > 0 && m.sim.Rand().Float64() < loss {
 		m.Stats.Lost++
@@ -443,10 +447,4 @@ func (m *Medium) Unicast(from, to int, bytes int, payload any) bool {
 	m.Stats.BytesOnAir += uint64(bytes)
 	m.sim.ScheduleAction(m.macDelay(), m.newTxJob(from, to, bytes, payload))
 	return true
-}
-
-// Dist returns the current distance between two nodes, primarily for
-// scenario debugging.
-func (m *Medium) Dist(a, b int) float64 {
-	return math.Abs(m.Position(a).Dist(m.Position(b)))
 }

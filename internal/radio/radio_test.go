@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -157,4 +159,92 @@ func (*movingAway) Position(node int, t time.Duration) mobility.Point {
 func (m *movingAway) Leg(node int, t time.Duration) (from, to mobility.Point, t0, t1 time.Duration) {
 	p := m.Position(node, t)
 	return p, p, t, t
+}
+
+// TestRangeBoundaryClosedDisk pins the squared predicate to the closed-disk
+// rule the Hypot one had: a 150-200-250 pair sits exactly at range and is
+// linked on every path; one ulp further out it is not.
+func TestRangeBoundaryClosedDisk(t *testing.T) {
+	for _, c := range []struct {
+		p      mobility.Point
+		linked bool
+	}{
+		{mobility.Point{X: 150, Y: 200}, true},
+		{mobility.Point{X: 250}, true},
+		{mobility.Point{X: math.Nextafter(250, 300)}, false},
+		{mobility.Point{Y: -math.Nextafter(250, 300)}, false},
+	} {
+		m := New(sim.New(1), &mobility.Static{Points: []mobility.Point{{}, c.p}}, Config{Range: 250})
+		grid, naive := m.AppendNeighbors(0, nil), m.NeighborsNaive(0)
+		if len(grid) == 1 != c.linked || len(naive) == 1 != c.linked || m.InRange(0, 1) != c.linked || m.InRange(1, 0) != c.linked {
+			t.Errorf("node at %v: grid=%v naive=%v InRange=%v, want linked=%v", c.p, grid, naive, m.InRange(0, 1), c.linked)
+		}
+	}
+	// A negative range is an empty disk, not the disk of its square.
+	m := New(sim.New(1), &mobility.Static{Points: make([]mobility.Point, 2)}, Config{})
+	m.SetNodeRange(1, -250)
+	if m.InRange(0, 1) || len(m.AppendNeighbors(0, nil)) != 0 {
+		t.Error("a radio of negative range is linked to a co-located node")
+	}
+}
+
+// countingModel counts the Position lookups a medium makes.
+type countingModel struct {
+	mobility.Model
+	calls int
+}
+
+func (c *countingModel) Position(node int, t time.Duration) mobility.Point {
+	c.calls++
+	return c.Model.Position(node, t)
+}
+
+// TestBroadcastPositionCalls pins the geometry-once rule by count: a
+// broadcast looks up the sender's position and each candidate's once and
+// the fan-out to its k receivers looks up none, so it costs at most
+// candidates + 1 lookups however large k is; a unicast costs at most 4 (the
+// range check at send time, the distance at transmission time).
+func TestBroadcastPositionCalls(t *testing.T) {
+	for _, noIndex := range []bool{false, true} {
+		const n = 80
+		s := sim.New(9)
+		mob := &countingModel{Model: mobility.NewManhattanGrid(mobility.ManhattanGridConfig{
+			Width: 1000, Height: 1000, MaxSpeed: 10,
+		}, n, time.Minute, rand.New(rand.NewSource(9)))}
+		m := New(s, mob, Config{Range: 250, NoIndex: noIndex, macDelayMax: -1})
+		delivered := 0
+		for i := 0; i < n; i++ {
+			m.SetHandler(i, func(int, any) { delivered++ })
+		}
+		s.Run(5 * time.Second)
+		m.AppendNeighbors(0, nil) // build this epoch's index outside the counts
+		rebuilds, receivers := m.GridStats().Rebuilds, 0
+		for node := 0; node < n; node++ {
+			candidates := n - 1
+			scanned := m.GridStats().Candidates
+			mob.calls, delivered = 0, 0
+			m.Broadcast(node, 64, "x")
+			s.RunAll()
+			if !noIndex {
+				candidates = int(m.GridStats().Candidates - scanned)
+			}
+			if mob.calls > candidates+1 {
+				t.Fatalf("noIndex=%v: broadcast from %d to %d receivers made %d Position calls over %d candidates, want <= candidates+1",
+					noIndex, node, delivered, mob.calls, candidates)
+			}
+			receivers += delivered
+
+			to := (node + 1) % n
+			mob.calls = 0
+			m.Unicast(node, to, 64, "x")
+			s.RunAll()
+			if mob.calls > 4 {
+				t.Fatalf("noIndex=%v: unicast %d->%d made %d Position calls, want <= 4", noIndex, node, to, mob.calls)
+			}
+		}
+		if receivers < n || m.GridStats().Rebuilds != rebuilds {
+			t.Fatalf("noIndex=%v: %d receivers over %d broadcasts, %d index rebuilds inside the counts: the test lost its footing",
+				noIndex, receivers, n, m.GridStats().Rebuilds-rebuilds)
+		}
+	}
 }

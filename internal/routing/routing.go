@@ -121,6 +121,10 @@ func AppendInt(dst []byte, v int) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(v))
 }
 
+// FloodKey packs a flooded request's (origin, id) into one word, so the
+// protocols' duplicate caches take the runtime's 64-bit map path.
+func FloodKey(origin int, id uint32) uint64 { return uint64(uint32(origin))<<32 | uint64(id) }
+
 // Agent is the protocol-independent half of a routing node. Protocols embed
 // it by value and fill the exported fields at construction.
 type Agent struct {
