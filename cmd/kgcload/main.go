@@ -102,7 +102,8 @@ func run(args []string, out io.Writer) (summary, error) {
 	// so post-churn issuance can be byte-compared.
 	var seedBytes [8]byte
 	binary.BigEndian.PutUint64(seedBytes[:], uint64(o.seed))
-	master := bn254.HashToScalar("kgcload/chaos", seedBytes[:])
+	h := bn254.HashToFr("kgcload/chaos", seedBytes[:])
+	master := h.BigInt()
 	oracle, err := core.NewKGCFromMaster(master)
 	if err != nil {
 		return summary{}, err

@@ -85,6 +85,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *flows < 1 {
 		return fmt.Errorf("-flows %d: need at least 1 flow", *flows)
 	}
+	if *repeats < 1 {
+		return fmt.Errorf("-repeats %d: need at least 1 seed per point", *repeats)
+	}
+	if *duration <= 0 {
+		return fmt.Errorf("-duration %v: need a positive simulated time", *duration)
+	}
 	// One parsed axis per family, keyed by the family's name in the figure
 	// table; integer axes reject fractions at the flag.
 	axes := map[string][]float64{}

@@ -63,6 +63,12 @@ func TestRunRequiresFigureSelection(t *testing.T) {
 	if err := run([]string{"-fig", "1", "-flows", "0"}, new(strings.Builder), new(strings.Builder)); err == nil {
 		t.Fatal("non-positive -flows accepted")
 	}
+	if err := run([]string{"-fig", "1", "-repeats", "-1", "-speeds", "5", "-duration", "5s"}, new(strings.Builder), new(strings.Builder)); err == nil {
+		t.Fatal("negative -repeats accepted")
+	}
+	if err := run([]string{"-fig", "1", "-repeats", "1", "-speeds", "5", "-duration", "-5s"}, new(strings.Builder), new(strings.Builder)); err == nil {
+		t.Fatal("negative -duration accepted")
+	}
 	if err := run([]string{"-fig", "9", "-citynodes", "1,50"}, new(strings.Builder), new(strings.Builder)); err == nil {
 		t.Fatal("sub-minimum city node count accepted")
 	}

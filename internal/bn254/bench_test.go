@@ -15,7 +15,7 @@ func benchPoints(b *testing.B) (*G1, *G2) {
 	b.Helper()
 	r := rand.New(rand.NewSource(1))
 	p := new(G1).ScalarBaseMult(new(big.Int).Rand(r, Order))
-	q := new(G2).ScalarBaseMult(new(big.Int).Rand(r, Order))
+	q := g2BaseMult(new(big.Int).Rand(r, Order))
 	return p, q
 }
 
@@ -128,6 +128,6 @@ func BenchmarkGTExp(b *testing.B) {
 	k := new(big.Int).Rand(rand.New(rand.NewSource(4)), Order)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		new(GT).Exp(gt, k)
+		new(GT).Exp(gt, frFromBig(k))
 	}
 }

@@ -19,6 +19,9 @@ func randScalar(r *rand.Rand) *big.Int {
 	return k
 }
 
+// g2BaseMult is k·G2 for a *big.Int scalar.
+func g2BaseMult(k *big.Int) *G2 { return new(G2).ScalarMult(G2Generator(), k) }
+
 func TestCurveParameters(t *testing.T) {
 	// p and r are the BN polynomials evaluated at u.
 	u2 := new(big.Int).Mul(u, u)
@@ -217,14 +220,14 @@ func TestPairingBilinearity(t *testing.T) {
 		t.Fatal("e(P, Q) degenerate")
 	}
 	// Order-r: e(P,Q)^r = 1.
-	if !new(GT).Exp(base, Order).IsOne() {
+	if !new(GT).Exp(base, frFromBig(Order)).IsOne() {
 		t.Fatal("pairing value not of order dividing r")
 	}
 	for i := 0; i < 3; i++ {
 		a, b := randScalar(r), randScalar(r)
 		left := Pair(new(G1).ScalarMult(p, a), new(G2).ScalarMult(q, b))
 		ab := new(big.Int).Mod(new(big.Int).Mul(a, b), Order)
-		right := new(GT).Exp(base, ab)
+		right := new(GT).Exp(base, frFromBig(ab))
 		if !left.Equal(right) {
 			t.Fatalf("bilinearity failed: e(aP, bQ) != e(P, Q)^ab (a=%v b=%v)", a, b)
 		}
@@ -286,13 +289,13 @@ func TestHashToG2(t *testing.T) {
 }
 
 func TestHashToScalar(t *testing.T) {
-	s1 := HashToScalar("d", []byte("m"))
-	s2 := HashToScalar("d", []byte("m"))
-	s3 := HashToScalar("d", []byte("m2"))
-	if s1.Cmp(s2) != 0 || s1.Cmp(s3) == 0 {
+	s1 := HashToFr("d", []byte("m"))
+	s2 := HashToFr("d", []byte("m"))
+	s3 := HashToFr("d", []byte("m2"))
+	if s1 != s2 || s1 == s3 {
 		t.Fatal("scalar hash determinism/collision failure")
 	}
-	if s1.Sign() <= 0 || s1.Cmp(Order) >= 0 {
+	if v := s1.BigInt(); v.Sign() <= 0 || v.Cmp(Order) >= 0 {
 		t.Fatal("scalar out of range")
 	}
 }
@@ -328,7 +331,7 @@ func TestG1MarshalRoundTrip(t *testing.T) {
 func TestG2MarshalRoundTrip(t *testing.T) {
 	r := testRand()
 	for i := 0; i < 3; i++ {
-		p := new(G2).ScalarBaseMult(randScalar(r))
+		p := g2BaseMult(randScalar(r))
 		var q G2
 		if err := q.Unmarshal(p.Marshal()); err != nil {
 			t.Fatal(err)
@@ -386,7 +389,7 @@ func TestG1ScalarMultProperty(t *testing.T) {
 
 func TestGTMarshalDistinct(t *testing.T) {
 	a := Pair(G1Generator(), G2Generator())
-	b := new(GT).Exp(a, big.NewInt(2))
+	b := new(GT).Exp(a, frFromBig(big.NewInt(2)))
 	if bytes.Equal(a.Marshal(), b.Marshal()) {
 		t.Fatal("distinct GT elements marshal identically")
 	}
@@ -414,7 +417,7 @@ func TestFinalExponentiationFastMatchesNaive(t *testing.T) {
 	r := testRand()
 	for i := 0; i < 3; i++ {
 		p := new(G1).ScalarBaseMult(randScalar(r))
-		q := new(G2).ScalarBaseMult(randScalar(r))
+		q := g2BaseMult(randScalar(r))
 		f := millerLoop(p, q)
 		fast := finalExponentiation(f)
 		naive := finalExponentiationNaive(f)

@@ -206,7 +206,7 @@ func TestGLVSplitOfMinusOne(t *testing.T) {
 			t.Fatalf("glvSplit(%v mod r) = (%v, %v), want halves of at most 2 bits", k, k1, k2)
 		}
 	}
-	q := new(G2).ScalarBaseMult(big.NewInt(77))
+	q := g2BaseMult(big.NewInt(77))
 	if got := new(G2).ScalarMult(q, big.NewInt(-1)); !got.Equal(new(G2).Neg(q)) {
 		t.Fatal("[-1]Q != -Q")
 	}
@@ -262,7 +262,7 @@ func TestFp12FrobeniusTables(t *testing.T) {
 // squarings of one final exponentiation (three ladders by u, at most one
 // squaring per digit of u's NAF, plus the chain's four).
 func TestFrobeniusShortcutOpCounts(t *testing.T) {
-	q := new(G2).ScalarBaseMult(big.NewInt(12345))
+	q := g2BaseMult(big.NewInt(12345))
 	raw := firstTwistPoint([]byte("opcount"))
 	for _, c := range []struct {
 		name string
@@ -299,7 +299,7 @@ func TestFrobeniusShortcutOpCounts(t *testing.T) {
 // TestG2UnmarshalAllocs pins the decode path at one allocation at most: no
 // math/big, no coordinate slice, and a subgroup check on the stack.
 func TestG2UnmarshalAllocs(t *testing.T) {
-	enc := new(G2).ScalarBaseMult(big.NewInt(99)).Marshal()
+	enc := g2BaseMult(big.NewInt(99)).Marshal()
 	var q G2
 	if a := testing.AllocsPerRun(20, func() {
 		if err := q.Unmarshal(enc); err != nil {

@@ -227,12 +227,6 @@ func HashToFr(domain string, msg []byte) (k fr.Element) {
 	}
 }
 
-// HashToScalar is HashToFr at the *big.Int boundary.
-func HashToScalar(domain string, msg []byte) *big.Int {
-	k := HashToFr(domain, msg)
-	return k.BigInt()
-}
-
 // String renders the point for debugging.
 func (z *G1) String() string {
 	if z.Inf {

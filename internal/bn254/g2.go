@@ -170,9 +170,6 @@ func (z *G2) ScalarMultFr(a *G2, k *fr.Element) *G2 {
 	return g2ScalarMultGLV(z, a, &limbs)
 }
 
-// ScalarBaseMult sets z = k·G where G is the canonical generator.
-func (z *G2) ScalarBaseMult(k *big.Int) *G2 { return z.ScalarMult(G2Generator(), k) }
-
 // g2MarshalledSize is the byte length of a marshalled G2 point.
 const g2MarshalledSize = 128
 

@@ -75,7 +75,7 @@ func TestJacobianDegenerateCases(t *testing.T) {
 	if !j.isInfinity() {
 		t.Fatal("P + (-P) != ∞ via mixed addition")
 	}
-	q := new(G2).ScalarBaseMult(big.NewInt(3))
+	q := g2BaseMult(big.NewInt(3))
 	var j2 g2Jac
 	j2.fromAffine(q)
 	j2.addMixed(new(G2).Neg(q))

@@ -1,8 +1,6 @@
 package bn254
 
-import (
-	"math/big"
-)
+import "mccls/internal/bn254/fr"
 
 // GT is an element of the order-r target group (the cyclotomic subgroup of
 // Fp12*). Values are produced by Pair and combined with Mul/Exp.
@@ -29,12 +27,13 @@ func (z *GT) Inverse(a *GT) *GT {
 	return z
 }
 
-// Exp sets z = a^k. Negative k inverts first. GT elements are unitary, so
-// the ladder runs on cyclotomic squarings with a signed-window recoding.
-func (z *GT) Exp(a *GT, k *big.Int) *GT {
+// Exp sets z = a^k (a^-k is Exp by k's negation: GT has order r). GT
+// elements are unitary, so the ladder runs on cyclotomic squarings with a
+// signed-window recoding.
+func (z *GT) Exp(a *GT, k *fr.Element) *GT {
 	opCounters.gtExps.Add(1)
 	var buf [wnafMaxDigits]int8
-	z.v = new(Fp12).ExpCyclotomic(a.v, wnafDigits(buf[:0], frFromBig(k).Limbs(), cycWindow))
+	z.v = new(Fp12).ExpCyclotomic(a.v, wnafDigits(buf[:0], k.Limbs(), cycWindow))
 	return z
 }
 

@@ -352,7 +352,7 @@ func fakeCheck(bad map[int]bool, calls *atomic.Int64) func([]int) *bn254.GT {
 				e += int64(i) + 1
 			}
 		}
-		return new(bn254.GT).Exp(g, big.NewInt(e))
+		return new(bn254.GT).Exp(g, new(fr.Element).SetBigInt(big.NewInt(e)))
 	}
 }
 

@@ -63,7 +63,7 @@ func TestSignTranscriptCrossKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	g1 := new(bn254.G1).ScalarBaseMult(s1)
-	g2 := new(bn254.G2).ScalarBaseMult(s2)
+	g2 := new(bn254.G2).ScalarMult(bn254.G2Generator(), s2)
 	h.Write(bn254.Pair(g1, g2).Marshal())
 
 	got := hex.EncodeToString(h.Sum(nil))

@@ -22,7 +22,7 @@ func TestManhattanScenarioRunsAndDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.DataSent == 0 || res.DataDelivered == 0 {
-		t.Fatalf("city scenario moved no data: %+v", res.Summary)
+		t.Fatalf("city scenario moved no data: %+v", res.Stats)
 	}
 	if res.PeakQueue == 0 || res.EventAllocs == 0 {
 		t.Fatalf("missing event-core observability: peak=%d allocs=%d",
@@ -49,7 +49,7 @@ func TestMobilityModelsDiverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(manhattan.Summary, rwp.Summary) {
+	if reflect.DeepEqual(manhattan.Stats, rwp.Stats) {
 		t.Fatal("manhattan and random-waypoint runs produced identical summaries")
 	}
 }
@@ -90,7 +90,7 @@ func TestRangeJitterChangesTopologyNotRNG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a.Summary, c.Summary) {
+	if reflect.DeepEqual(a.Stats, c.Stats) {
 		t.Fatal("range jitter had no observable effect")
 	}
 }

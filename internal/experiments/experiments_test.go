@@ -52,15 +52,15 @@ func TestScenarioDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Summary != r2.Summary {
-		t.Fatalf("same seed, different results:\n%+v\n%+v", r1.Summary, r2.Summary)
+	if r1.Stats != r2.Stats {
+		t.Fatalf("same seed, different results:\n%+v\n%+v", r1.Stats, r2.Stats)
 	}
 	sc.Seed++
 	r3, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Summary == r3.Summary {
+	if r1.Stats == r3.Stats {
 		t.Fatal("different seeds produced identical results")
 	}
 }
@@ -143,9 +143,9 @@ func TestRealCryptoMatchesCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if costRes.Summary != realRes.Summary {
+	if costRes.Stats != realRes.Stats {
 		t.Fatalf("cost model and real crypto diverged:\ncost: %+v\nreal: %+v",
-			costRes.Summary, realRes.Summary)
+			costRes.Stats, realRes.Stats)
 	}
 	if realRes.PacketDropRatio() != 0 {
 		t.Fatal("real-crypto McCLS leaked packets to the attacker")
@@ -214,14 +214,14 @@ func TestFigure5Shape(t *testing.T) {
 func TestFigureRendering(t *testing.T) {
 	fig := Figure{
 		ID: "figX", Title: "T", XLabel: "x", YLabel: "y", XColumn: "speed",
-		Series: []Series{{Label: "A", X: []float64{1, 2}, Y: []float64{0.5, 0.25}}},
+		Series: []Series{{Label: "A", X: []float64{1, 2}, Y: []float64{0.5, 0.25}, YErr: []float64{0.1, 0}}},
 	}
 	txt := fig.Render()
-	if !strings.Contains(txt, "figX") || !strings.Contains(txt, "0.500") {
+	if !strings.Contains(txt, "figX") || !strings.Contains(txt, "0.500 ±0.100") {
 		t.Fatalf("render missing content:\n%s", txt)
 	}
 	csv := fig.CSV()
-	if !strings.HasPrefix(csv, "speed,A\n") || !strings.Contains(csv, "1,0.5000") {
+	if !strings.HasPrefix(csv, "speed,A,A ci95\n") || !strings.Contains(csv, "1,0.5000,0.1000") {
 		t.Fatalf("csv malformed:\n%s", csv)
 	}
 }
@@ -270,8 +270,8 @@ func TestTable1RowsAndOrdering(t *testing.T) {
 }
 
 // workerInvariance runs the ax family's sweeps serially and on each of the
-// given pool sizes, requiring bit-identical results (every summary and
-// aggregate, not one metric's projection). Worker invariance is a property
+// given pool sizes, requiring bit-identical results (every counter of every
+// repeat, not one metric's projection). Worker invariance is a property
 // of the trials, and the table rows of one (family, substrate) differ only
 // in which curves they keep and which metric they plot, so the row with the
 // most curves stands for the rest.
@@ -288,13 +288,13 @@ func workerInvariance(t *testing.T, ax *Axis, cfg SweepConfig, workers ...int) {
 	}
 	for _, spec := range widest {
 		cfg.Workers = 1
-		serial, err := cfg.results(spec.Axis, spec.Curves, spec.DSR)
+		_, serial, err := cfg.results(spec.Axis, spec.Curves, spec.DSR)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range workers {
 			cfg.Workers = w
-			par, err := cfg.results(spec.Axis, spec.Curves, spec.DSR)
+			_, par, err := cfg.results(spec.Axis, spec.Curves, spec.DSR)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,7 +410,7 @@ func TestSweepTrialTimeout(t *testing.T) {
 		Seed:         3,
 		TrialTimeout: time.Nanosecond,
 	}
-	_, err := cfg.Sweep(Plain, NoAttack)
+	_, err := RunFigure("fig1", cfg)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -479,13 +479,13 @@ func TestScenarioWithCollisionsAndHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1.PacketDeliveryRatio() < 0.5 {
-		t.Fatalf("network collapsed under collision model: %s", r1.Summary)
+		t.Fatalf("network collapsed under collision model: %s", r1.Headline())
 	}
 	r2, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Summary != r2.Summary {
+	if r1.Stats != r2.Stats {
 		t.Fatal("collision model broke determinism")
 	}
 }
@@ -536,7 +536,7 @@ func TestDSRDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Summary != r2.Summary {
+	if r1.Stats != r2.Stats {
 		t.Fatal("DSR run not deterministic")
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"mccls/internal/metrics"
+	"mccls/internal/routing"
 	"mccls/internal/runner"
 )
 
@@ -18,8 +18,8 @@ type Series struct {
 	X     []float64 // the swept axis: node speed in m/s, churn events or node count
 	Y     []float64
 	// YErr is the half-width of the 95% confidence interval of each Y,
-	// computed over the per-seed repeats (Student t). Empty when the
-	// series was built without repeat statistics.
+	// computed over the per-seed repeats (Student t); 0 with fewer than
+	// two repeats. Plot as Y ± YErr.
 	YErr []float64
 }
 
@@ -150,25 +150,21 @@ type Curve struct {
 	Online bool
 }
 
-// Metric is what a figure plots: a pooled-value extractor paired with the
-// matching per-repeat statistic, so a series carries both its plotted value
-// and its error bar.
+// Metric is what a figure plots: one function of a counter record. A point
+// plots it over its pooled repeats (routing.Stats.Add, so runs weigh in by
+// traffic volume) and takes its error bar from its value on each repeat.
 type Metric struct {
 	YLabel string
-	value  func(metrics.Summary) float64
-	stat   func(metrics.Aggregate) metrics.Stat
+	value  func(routing.Stats) float64
 }
 
 var (
-	pdrMetric = Metric{"packet delivery ratio", metrics.Summary.PacketDeliveryRatio,
-		func(a metrics.Aggregate) metrics.Stat { return a.PDR }}
-	rreqMetric = Metric{"RREQ ratio", metrics.Summary.RREQRatio,
-		func(a metrics.Aggregate) metrics.Stat { return a.RREQRatio }}
-	delayMetric = Metric{"delay (ms)",
-		func(s metrics.Summary) float64 { return float64(s.EndToEndDelay()) / float64(time.Millisecond) },
-		func(a metrics.Aggregate) metrics.Stat { return a.DelayMs }}
-	dropMetric = Metric{"packet drop ratio", metrics.Summary.PacketDropRatio,
-		func(a metrics.Aggregate) metrics.Stat { return a.DropRatio }}
+	pdrMetric   = Metric{"packet delivery ratio", routing.Stats.PacketDeliveryRatio}
+	rreqMetric  = Metric{"RREQ ratio", routing.Stats.RREQRatio}
+	delayMetric = Metric{"delay (ms)", func(s routing.Stats) float64 {
+		return float64(s.EndToEndDelay()) / float64(time.Millisecond)
+	}}
+	dropMetric = Metric{"packet drop ratio", routing.Stats.PacketDropRatio}
 )
 
 // FigureSpec is one row of the figure table: everything that distinguishes
@@ -178,8 +174,7 @@ type FigureSpec struct {
 	Axis      *Axis
 	Curves    []Curve
 	Metric    Metric
-	// DSR runs the trials on the DSR substrate (Scenario.RunDSRContext)
-	// instead of AODV.
+	// DSR runs the trials on the DSR substrate instead of AODV.
 	DSR bool
 }
 
@@ -232,13 +227,14 @@ var Figures = []FigureSpec{
 }
 
 // RunFigure regenerates the figure with the given table id: every curve,
-// sweep point and repeat runs concurrently on the trial pool.
+// sweep point and repeat runs concurrently on the trial pool, and each
+// point's repeats fold into one plotted value and its error bar.
 func RunFigure(id string, cfg SweepConfig) (Figure, error) {
 	for _, spec := range Figures {
 		if spec.ID != id {
 			continue
 		}
-		results, err := cfg.results(spec.Axis, spec.Curves, spec.DSR)
+		xs, runs, err := cfg.results(spec.Axis, spec.Curves, spec.DSR)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -247,7 +243,18 @@ func RunFigure(id string, cfg SweepConfig) (Figure, error) {
 			XLabel: spec.Axis.XLabel, XColumn: spec.Axis.XColumn,
 		}
 		for i, c := range spec.Curves {
-			f.Series = append(f.Series, results[i].series(c.Label, spec.Metric))
+			s := Series{Label: c.Label, X: xs}
+			for _, repeats := range runs[i] {
+				var pooled routing.Stats
+				vals := make([]float64, len(repeats))
+				for k, r := range repeats {
+					pooled.Add(r)
+					vals[k] = spec.Metric.value(r)
+				}
+				s.Y = append(s.Y, spec.Metric.value(pooled))
+				s.YErr = append(s.YErr, ci95(vals))
+			}
+			f.Series = append(f.Series, s)
 		}
 		return f, nil
 	}
@@ -256,22 +263,25 @@ func RunFigure(id string, cfg SweepConfig) (Figure, error) {
 
 // results is the sweep engine behind every figure: curves × axis × repeats
 // expand into one flat batch of trials, the batch fans out over the worker
-// pool, and the repeats fold back into per-point aggregates, one
-// SweepResult per curve in curve order. Each trial is fully determined by
-// its scenario (all RNG streams derive from the per-trial seed), so the
-// fold is bit-identical at any worker count.
-func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) ([]SweepResult, error) {
+// pool, and the counters come back as runs[curve][point][repeat] beside the
+// axis points swept. Each trial is fully determined by its scenario (all
+// RNG streams derive from the per-trial seed), so runs is bit-identical at
+// any worker count.
+func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) (xs []float64, runs [][][]routing.Stats, err error) {
 	if len(cfg.Axis) == 0 {
 		cfg.Axis = ax.Default
 	}
-	xs := slices.Clone(cfg.Axis) // results must not alias the caller's (or the family's) axis
+	xs = slices.Clone(cfg.Axis) // a figure must not alias the caller's (or the family's) axis
 	for _, x := range xs {
 		if ax.integer && x != math.Trunc(x) {
-			return nil, fmt.Errorf("experiments: axis point %s=%v is not a whole number", ax.Name, x)
+			return nil, nil, fmt.Errorf("experiments: axis point %s=%v is not a whole number", ax.Name, x)
 		}
 	}
 	if ax.base != nil {
 		ax.base(&cfg.Base)
+	}
+	if cfg.Repeats < 0 {
+		return nil, nil, fmt.Errorf("experiments: %d repeats", cfg.Repeats)
 	}
 	if cfg.Repeats == 0 {
 		cfg.Repeats = 3
@@ -282,13 +292,9 @@ func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) ([]SweepResul
 	if cfg.Context == nil {
 		cfg.Context = context.Background()
 	}
-	run := Scenario.RunContext
-	if dsr {
-		run = Scenario.RunDSRContext
-	}
-	trials := make([]runner.Trial[metrics.Summary], 0, len(curves)*len(cfg.Axis)*cfg.Repeats)
+	trials := make([]runner.Trial[routing.Stats], 0, len(curves)*len(xs)*cfg.Repeats)
 	for _, c := range curves {
-		for _, x := range cfg.Axis {
+		for _, x := range xs {
 			for k := 0; k < cfg.Repeats; k++ {
 				sc := cfg.Base
 				ax.set(&sc, x)
@@ -298,79 +304,72 @@ func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) ([]SweepResul
 				}
 				sc.OnlineEnrollment = sc.OnlineEnrollment || c.Online
 				sc.Seed = cfg.Seed + int64(k)*7919
-				trials = append(trials, runner.Trial[metrics.Summary]{
+				trials = append(trials, runner.Trial[routing.Stats]{
 					Label: fmt.Sprintf("%s %s=%v seed=%d", c.Label, ax.Name, x, sc.Seed),
-					Run: func(ctx context.Context, obs *runner.Obs) (metrics.Summary, error) {
-						res, err := run(sc, ctx)
+					Run: func(ctx context.Context, obs *runner.Obs) (routing.Stats, error) {
+						res, err := sc.run(ctx, dsr)
 						obs.Events = res.Events
-						return res.Summary, err
+						return res.Stats, err
 					},
 				})
 			}
 		}
 	}
-	sums, err := runner.Run(cfg.Context, runner.Options{
+	stats, err := runner.Run(cfg.Context, runner.Options{
 		Workers:  cfg.Workers,
 		Timeout:  cfg.TrialTimeout,
 		Progress: cfg.Progress,
 	}, trials)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	out := make([]SweepResult, len(curves))
-	idx := 0
-	for i := range curves {
-		r := SweepResult{Speeds: xs}
-		for range cfg.Axis {
-			agg := metrics.NewAggregate(sums[idx : idx+cfg.Repeats])
-			idx += cfg.Repeats
-			r.Aggregates = append(r.Aggregates, agg)
-			r.Summaries = append(r.Summaries, agg.Pooled)
+	for range curves {
+		points := make([][]routing.Stats, len(xs))
+		for j := range points {
+			points[j], stats = stats[:cfg.Repeats], stats[cfg.Repeats:]
 		}
-		out[i] = r
+		runs = append(runs, points)
 	}
-	return out, nil
+	return xs, runs, nil
 }
 
-// SweepResult holds one curve's statistics across the swept axis.
-type SweepResult struct {
-	// Speeds is the x-axis: node speeds, churn event counts or node counts,
-	// by the axis family swept.
-	Speeds []float64
-	// Summaries pool the repeats of each point (traffic-weighted, what
-	// the figures plot).
-	Summaries []metrics.Summary
-	// Aggregates carry the per-point mean/stddev/95% CI across repeats,
-	// aligned with Summaries.
-	Aggregates []metrics.Aggregate
+// t95 holds the two-sided 95% Student-t critical values for 1–30 degrees of
+// freedom; beyond that the normal approximation (1.96) is used. Sweeps
+// typically repeat 3 seeds per point (df = 2, t = 4.303), where the normal
+// quantile would understate the interval by more than 2×.
+var t95 = [...]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
 }
 
-// Sweep runs the speed sweep for one (security, attack) combination; all
-// points and repeats execute concurrently on the trial pool.
-func (cfg SweepConfig) Sweep(sec SecurityMode, atk AttackMode) (SweepResult, error) {
-	results, err := cfg.results(speedAxis, []Curve{{Label: sec.String(), Security: sec, Attack: atk}}, false)
-	if err != nil {
-		return SweepResult{}, err
+// ci95 is the half-width of the two-sided 95% confidence interval for the
+// mean of vals (Student t over the sample standard deviation); 0 when
+// fewer than two values exist — no NaN-by-division.
+func ci95(vals []float64) float64 {
+	n := len(vals)
+	if n < 2 {
+		return 0
 	}
-	return results[0], nil
-}
-
-// series projects a sweep result through a metric, attaching the 95% CI of
-// each point as the error bar.
-func (r SweepResult) series(label string, m Metric) Series {
-	s := Series{Label: label, X: r.Speeds}
-	for i, sum := range r.Summaries {
-		s.Y = append(s.Y, m.value(sum))
-		if i < len(r.Aggregates) {
-			s.YErr = append(s.YErr, m.stat(r.Aggregates[i]).CI95)
-		}
+	var sum float64
+	for _, v := range vals {
+		sum += v
 	}
-	return s
+	mean := sum / float64(n)
+	var ss float64
+	for _, v := range vals {
+		d := v - mean
+		ss += d * d
+	}
+	t := 1.96
+	if df := n - 1; df <= len(t95) {
+		t = t95[df-1]
+	}
+	return t * math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
 }
 
-// Render formats a figure as an aligned text table, one row per axis point;
-// values carry their ±95% CI when repeat statistics are available.
+// Render formats a figure as an aligned text table, one row per axis point,
+// each value with its ±95% CI.
 func (f Figure) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s (%s vs %s)\n", f.ID, f.Title, f.YLabel, f.XLabel)
@@ -385,11 +384,7 @@ func (f Figure) Render() string {
 	for i, x := range f.Series[0].X {
 		fmt.Fprintf(&b, "%-8.0f", x)
 		for _, s := range f.Series {
-			if i < len(s.YErr) {
-				fmt.Fprintf(&b, "  %22s", fmt.Sprintf("%.3f ±%.3f", s.Y[i], s.YErr[i]))
-			} else {
-				fmt.Fprintf(&b, "  %22.3f", s.Y[i])
-			}
+			fmt.Fprintf(&b, "  %22s", fmt.Sprintf("%.3f ±%.3f", s.Y[i], s.YErr[i]))
 		}
 		b.WriteByte('\n')
 	}
@@ -397,18 +392,13 @@ func (f Figure) Render() string {
 }
 
 // CSV renders the figure as comma-separated values with a header row; each
-// series with repeat statistics gains a "<label> ci95" column holding the
-// half-width of its 95% confidence interval.
+// series is followed by its "<label> ci95" column, the half-width of its 95%
+// confidence interval.
 func (f Figure) CSV() string {
 	var b strings.Builder
 	b.WriteString(f.XColumn)
 	for _, s := range f.Series {
-		b.WriteString(",")
-		b.WriteString(s.Label)
-		if len(s.YErr) > 0 {
-			b.WriteString(",")
-			b.WriteString(s.Label + " ci95")
-		}
+		fmt.Fprintf(&b, ",%s,%s ci95", s.Label, s.Label)
 	}
 	b.WriteByte('\n')
 	if len(f.Series) == 0 {
@@ -417,10 +407,7 @@ func (f Figure) CSV() string {
 	for i, x := range f.Series[0].X {
 		fmt.Fprintf(&b, "%g", x)
 		for _, s := range f.Series {
-			fmt.Fprintf(&b, ",%.4f", s.Y[i])
-			if i < len(s.YErr) {
-				fmt.Fprintf(&b, ",%.4f", s.YErr[i])
-			}
+			fmt.Fprintf(&b, ",%.4f,%.4f", s.Y[i], s.YErr[i])
 		}
 		b.WriteByte('\n')
 	}

@@ -38,12 +38,12 @@ func TestChurnScenarioDeterministicAndPaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Summary != r2.Summary || r1.Enroll != r2.Enroll {
+	if r1.Stats != r2.Stats || r1.Enroll != r2.Enroll {
 		t.Fatal("same seed + churn produced different results")
 	}
-	if r1.Summary.Crashes != 3 || r1.Summary.Restarts == 0 {
+	if r1.Crashes != 3 || r1.Restarts == 0 {
 		t.Fatalf("churn not applied: crashes=%d restarts=%d",
-			r1.Summary.Crashes, r1.Summary.Restarts)
+			r1.Crashes, r1.Restarts)
 	}
 
 	// The churn stream is derived from Seed independently of the security
@@ -56,9 +56,9 @@ func TestChurnScenarioDeterministicAndPaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Summary.Crashes != r1.Summary.Crashes {
+	if rp.Crashes != r1.Crashes {
 		t.Fatalf("churn schedule depends on security mode: %d vs %d crashes",
-			rp.Summary.Crashes, r1.Summary.Crashes)
+			rp.Crashes, r1.Crashes)
 	}
 }
 
@@ -78,14 +78,14 @@ func TestDSRChurnScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Summary != r2.Summary {
+	if r1.Stats != r2.Stats {
 		t.Fatal("same seed + churn produced different DSR results")
 	}
-	if r1.Summary.Crashes != 3 || r1.Summary.Restarts == 0 {
+	if r1.Crashes != 3 || r1.Restarts == 0 {
 		t.Fatalf("churn not applied to DSR: crashes=%d restarts=%d",
-			r1.Summary.Crashes, r1.Summary.Restarts)
+			r1.Crashes, r1.Restarts)
 	}
-	if r1.Summary.NodeDownDrops == 0 {
+	if r1.DropNodeDown == 0 {
 		t.Fatal("crashed DSR nodes discarded nothing")
 	}
 
@@ -96,16 +96,16 @@ func TestDSRChurnScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Summary.Crashes != r1.Summary.Crashes || rp.Summary.Restarts != r1.Summary.Restarts {
+	if rp.Crashes != r1.Crashes || rp.Restarts != r1.Restarts {
 		t.Fatalf("churn schedule depends on security mode: %d/%d vs %d/%d crashes/restarts",
-			rp.Summary.Crashes, rp.Summary.Restarts, r1.Summary.Crashes, r1.Summary.Restarts)
+			rp.Crashes, rp.Restarts, r1.Crashes, r1.Restarts)
 	}
 	clean, err := quick().RunDSR()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Summary.Crashes != 0 || clean.Summary.NodeDownDrops != 0 {
-		t.Fatalf("fault-free DSR run reports faults: %+v", clean.Summary)
+	if clean.Crashes != 0 || clean.DropNodeDown != 0 {
+		t.Fatalf("fault-free DSR run reports faults: %+v", clean.Stats)
 	}
 }
 
@@ -123,11 +123,11 @@ func TestExplicitFaultScheduleDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Summary != r2.Summary {
+	if r1.Stats != r2.Stats {
 		t.Fatal("explicit fault schedule broke determinism")
 	}
-	if r1.Summary.Crashes != 1 || r1.Summary.Restarts != 1 {
-		t.Fatalf("scheduled crash not applied: %+v", r1.Summary)
+	if r1.Crashes != 1 || r1.Restarts != 1 {
+		t.Fatalf("scheduled crash not applied: %+v", r1.Stats)
 	}
 
 	base := quick()
@@ -135,7 +135,7 @@ func TestExplicitFaultScheduleDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb.Summary == r1.Summary {
+	if rb.Stats == r1.Stats {
 		t.Fatal("a 30% loss window plus a relay crash changed nothing")
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 	"mccls/internal/aodv"
 	"mccls/internal/attack"
+	"mccls/internal/dsr"
 	"mccls/internal/fault"
-	"mccls/internal/metrics"
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
 	"mccls/internal/routing"
@@ -195,10 +195,11 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
-// Result bundles a run's metrics with the environment counters useful for
-// debugging scenarios.
+// Result is a run's routing counters — every node's routing.Stats summed,
+// every drop reason included, with the paper's four metrics as its
+// methods — plus the environment counters useful for debugging scenarios.
 type Result struct {
-	metrics.Summary
+	routing.Stats
 	Radio radio.Stats
 	// Enroll sums the online-enrollment counters (zero when the scenario
 	// pre-enrolls out of band).
@@ -216,35 +217,88 @@ type Result struct {
 	Grid radio.GridStats
 }
 
-// Run executes the scenario and returns its metrics.
-func (sc Scenario) Run() (Result, error) {
-	return sc.RunContext(context.Background())
+// routingNode is a node of either protocol as a run drives it: a traffic
+// source with a crashable lifecycle.
+type routingNode interface {
+	traffic.Sender
+	fault.Node
 }
 
-// world is the substrate-independent half of a run, shared by the AODV and
-// DSR entry points: the defaulted scenario, its simulator and medium, the
-// attacker set, and the routing nodes the entry point adds — each seen three
-// ways: as a traffic source, as a crashable lifecycle, and as the counters
-// metrics.Collect folds.
+// substrate is one row of the routing-protocol table (substrates): what a
+// run over AODV does differently from a run over DSR.
+type substrate struct {
+	// salt derives the crypto RNG from the scenario seed. It is a stream
+	// separate from the simulation's, so McCLSReal and McCLSCost runs
+	// consume the simulator RNG identically and produce identical routing
+	// behaviour (asserted by tests).
+	salt int64
+	// node builds node id of the world, as the scenario's adversary when
+	// the world lists it among the attackers.
+	node func(w *world, id int, auth routing.Authenticator) (routingNode, *routing.Agent, error)
+}
+
+// substrates is keyed by FigureSpec.DSR: false is AODV, true is DSR.
+var substrates = map[bool]substrate{
+	false: {salt: 0x6d63434c53, node: func(w *world, id int, auth routing.Authenticator) (routingNode, *routing.Agent, error) {
+		n := aodv.NewNode(id, w.s, w.medium, w.sc.AODV, auth)
+		if w.attackers[id] {
+			switch w.sc.Attack {
+			case Blackhole:
+				attack.MakeBlackhole(n)
+			case Rushing:
+				attack.MakeRushing(n)
+			case Grayhole:
+				attack.MakeGrayhole(n, grayholeDropProb,
+					rand.New(rand.NewSource(w.sc.Seed+int64(id))))
+			}
+		}
+		return n, &n.Agent, nil
+	}},
+	true: {salt: 0x647372, node: func(w *world, id int, auth routing.Authenticator) (routingNode, *routing.Agent, error) {
+		n := dsr.NewNode(id, w.s, w.medium, auth)
+		if w.attackers[id] {
+			switch w.sc.Attack {
+			case Blackhole:
+				attack.MakeDSRBlackhole(n)
+			case Rushing:
+				attack.MakeDSRRushing(n)
+			default:
+				return nil, nil, fmt.Errorf("experiments: attack %q has no DSR overlay", w.sc.Attack)
+			}
+		}
+		return n, &n.Agent, nil
+	}},
+}
+
+// Run executes the scenario over AODV and returns its result.
+func (sc Scenario) Run() (Result, error) { return sc.run(context.Background(), false) }
+
+// RunContext is Run under a context: cancellation (or a deadline) is polled
+// by the simulator's interrupt hook and aborts the run with the context's
+// error.
+func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
+	return sc.run(ctx, false)
+}
+
+// RunDSR executes the scenario with DSR instead of AODV as the routing
+// protocol — the generality extension: the same McCLS authenticator, cost
+// model, traffic, faults, online enrollment and metrics run unchanged over
+// a source-routing protocol, against the black hole and rushing overlays
+// (the insider gray hole exists for AODV only and fails the run).
+func (sc Scenario) RunDSR() (Result, error) { return sc.run(context.Background(), true) }
+
+// RunDSRContext is RunDSR under a context; see RunContext.
+func (sc Scenario) RunDSRContext(ctx context.Context) (Result, error) {
+	return sc.run(ctx, true)
+}
+
+// world is what a run's nodes are built into: the defaulted scenario, its
+// simulator and medium, and the attacker set.
 type world struct {
 	sc        Scenario
 	s         *sim.Simulator
 	medium    *radio.Medium
 	attackers map[int]bool
-
-	senders []traffic.Sender
-	faulty  []fault.Node
-	agents  []*routing.Agent
-}
-
-// add registers one routing node (index = call order) with the world.
-func (w *world) add(n interface {
-	traffic.Sender
-	fault.Node
-}, a *routing.Agent) {
-	w.senders = append(w.senders, n)
-	w.faulty = append(w.faulty, n)
-	w.agents = append(w.agents, a)
 }
 
 // setup builds the world: simulator, mobility, medium (with range jitter)
@@ -253,6 +307,9 @@ func (sc Scenario) setup(ctx context.Context) (*world, error) {
 	sc = sc.withDefaults()
 	if sc.Nodes < 2 {
 		return nil, fmt.Errorf("experiments: %d nodes, need at least 2", sc.Nodes)
+	}
+	if sc.Duration < 0 {
+		return nil, fmt.Errorf("experiments: negative duration %v", sc.Duration)
 	}
 	s := sim.New(sc.Seed)
 	s.SetMaxEvents(sc.MaxEvents)
@@ -286,13 +343,60 @@ func (sc Scenario) setup(ctx context.Context) (*world, error) {
 	return &world{sc: sc, s: s, medium: medium, attackers: attackers}, nil
 }
 
-// drive installs the fault schedule (explicit faults plus seed-derived
-// churn, applied through the node lifecycle, with hooks observing each
-// transition), starts CBR traffic between honest nodes, runs the simulator
-// past the traffic window so in-flight packets drain, and assembles the
-// result around the nodes' collected counters.
-func (w *world) drive(hooks fault.Hooks) (Result, error) {
-	sc, s := w.sc, w.s
+// run is the one run body behind the four entry points: build the world,
+// key it, add the substrate's nodes, wire online enrollment, install the
+// fault schedule (explicit faults plus seed-derived churn, applied through
+// the node lifecycle), start CBR traffic between honest nodes, run the
+// simulator past the traffic window so in-flight packets drain, and sum the
+// nodes' counters into the result.
+func (sc Scenario) run(ctx context.Context, overDSR bool) (Result, error) {
+	w, err := sc.setup(ctx)
+	if err != nil {
+		return Result{}, err
+	}
+	sc, s, sub := w.sc, w.s, substrates[overDSR]
+	auth, authority, err := sc.buildAuth(rand.New(rand.NewSource(sc.Seed^sub.salt)), w.attackers)
+	if err != nil {
+		return Result{}, err
+	}
+	// Each node is seen three ways: as a traffic source, as a crashable
+	// lifecycle, and as the counters the result sums.
+	senders := make([]traffic.Sender, sc.Nodes)
+	faulty := make([]fault.Node, sc.Nodes)
+	agents := make([]*routing.Agent, sc.Nodes)
+	for id := range agents {
+		n, a, err := sub.node(w, id, auth)
+		if err != nil {
+			return Result{}, err
+		}
+		senders[id], faulty[id], agents[id] = n, n, a
+	}
+
+	// Online enrollment: the KGC lives at node 0; everyone else the paper's
+	// rule would key (honest nodes, plus gray hole insiders) becomes a
+	// client and must fetch its key over the air. The handler interposer
+	// requires the routing handlers to be installed already. Crashes reach
+	// the enrollment layer too, so key state tracks them.
+	var enr *secrouting.Enrollment
+	var hooks fault.Hooks
+	if sc.OnlineEnrollment && authority != nil {
+		var clients []int
+		for i := 1; i < sc.Nodes; i++ {
+			if sc.Attack == Grayhole || !w.attackers[i] {
+				clients = append(clients, i)
+			}
+		}
+		// Backoff jitter on its own seed-derived stream, like range jitter
+		// and churn: retry schedules must not shift any shared simulation
+		// draws.
+		enr = secrouting.NewEnrollment(s, w.medium, authority, clients,
+			secrouting.EnrollConfig{JitterSeed: sc.Seed ^ 0x626b6a74}) // "bkjt"
+		if err := enr.Start(); err != nil {
+			return Result{}, err
+		}
+		hooks = fault.Hooks{OnCrash: enr.OnCrash, OnRestart: enr.OnRestart}
+	}
+
 	sched := sc.Faults
 	if sc.ChurnEvents > 0 {
 		churnRng := rand.New(rand.NewSource(sc.Seed ^ 0x6368726e)) // "chrn"
@@ -304,7 +408,7 @@ func (w *world) drive(hooks fault.Hooks) (Result, error) {
 		sched.Crashes = append(append([]fault.Crash{}, sched.Crashes...), churn.Crashes...)
 	}
 	if !sched.Empty() {
-		fault.Apply(s, sched, w.faulty, w.medium, hooks)
+		fault.Apply(s, sched, faulty, w.medium, hooks)
 	}
 
 	var honest []int
@@ -314,7 +418,7 @@ func (w *world) drive(hooks fault.Hooks) (Result, error) {
 		}
 	}
 	flows := traffic.RandomFlows(sc.Flows, honest, s.Rand())
-	traffic.StartCBR(s, w.senders, flows, traffic.CBRConfig{
+	traffic.StartCBR(s, senders, flows, traffic.CBRConfig{
 		Start: 2 * time.Second,
 		Stop:  2*time.Second + sc.Duration,
 	})
@@ -323,80 +427,17 @@ func (w *world) drive(hooks fault.Hooks) (Result, error) {
 	if err := s.Err(); err != nil {
 		return Result{}, fmt.Errorf("scenario aborted after %d events: %w", s.Processed(), err)
 	}
-	return Result{
-		Summary: metrics.Collect(w.agents), Radio: w.medium.Stats, Events: s.Processed(),
+	res := Result{
+		Radio: w.medium.Stats, Events: s.Processed(),
 		PeakQueue: s.PeakQueue(), EventAllocs: s.EventAllocs(), Grid: w.medium.GridStats(),
-	}, nil
-}
-
-// RunContext executes the scenario under a context: cancellation (or a
-// deadline) is polled by the simulator's interrupt hook and aborts the run
-// with the context's error.
-func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
-	w, err := sc.setup(ctx)
-	if err != nil {
-		return Result{}, err
 	}
-	sc, s, medium, attackers := w.sc, w.s, w.medium, w.attackers
-
-	// Crypto randomness is drawn from a stream separate from the
-	// simulation's, so McCLSReal and McCLSCost runs consume the simulator
-	// RNG identically and produce identical routing behaviour (asserted
-	// by tests).
-	auth, authority, err := sc.buildAuth(rand.New(rand.NewSource(sc.Seed^0x6d63434c53)), attackers)
-	if err != nil {
-		return Result{}, err
+	for _, a := range agents {
+		res.Add(a.Stats)
 	}
-
-	nodes := make([]*aodv.Node, sc.Nodes)
-	for i := range nodes {
-		nodes[i] = aodv.NewNode(i, s, medium, sc.AODV, auth)
-		w.add(nodes[i], &nodes[i].Agent)
-	}
-	for id := range attackers {
-		switch sc.Attack {
-		case Blackhole:
-			attack.MakeBlackhole(nodes[id])
-		case Rushing:
-			attack.MakeRushing(nodes[id])
-		case Grayhole:
-			attack.MakeGrayhole(nodes[id], grayholeDropProb,
-				rand.New(rand.NewSource(sc.Seed+int64(id))))
-		}
-	}
-
-	// Online enrollment: the KGC lives at node 0; everyone else the paper's
-	// rule would key (honest nodes, plus gray hole insiders) becomes a
-	// client and must fetch its key over the air. The handler interposer
-	// requires the routing handlers to be installed already.
-	var enr *secrouting.Enrollment
-	if sc.OnlineEnrollment && authority != nil {
-		var clients []int
-		for i := 1; i < sc.Nodes; i++ {
-			if sc.Attack == Grayhole || !attackers[i] {
-				clients = append(clients, i)
-			}
-		}
-		// Backoff jitter on its own seed-derived stream, like range jitter
-		// and churn: retry schedules must not shift any shared simulation
-		// draws.
-		enr = secrouting.NewEnrollment(s, medium, authority, clients,
-			secrouting.EnrollConfig{JitterSeed: sc.Seed ^ 0x626b6a74}) // "bkjt"
-		if err := enr.Start(); err != nil {
-			return Result{}, err
-		}
-	}
-
-	// Crashes reach the enrollment layer too, so key state tracks them.
-	var hooks fault.Hooks
 	if enr != nil {
-		hooks = fault.Hooks{OnCrash: enr.OnCrash, OnRestart: enr.OnRestart}
-	}
-	res, err := w.drive(hooks)
-	if err == nil && enr != nil {
 		res.Enroll = enr.Totals()
 	}
-	return res, err
+	return res, nil
 }
 
 // buildMobility constructs the scenario's movement model. All models draw

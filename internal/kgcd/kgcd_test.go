@@ -17,7 +17,8 @@ import (
 )
 
 func testMaster(seed byte) *big.Int {
-	return bn254.HashToScalar("kgcd/test", []byte{seed})
+	k := bn254.HashToFr("kgcd/test", []byte{seed})
+	return k.BigInt()
 }
 
 // deployment is a t-of-n kgcd on httptest servers, with handles on every

@@ -56,14 +56,13 @@ func TestDataPacketsAreConserved(t *testing.T) {
 				}
 				s.RunAll()
 
-				var sent, delivered, dropped uint64
+				var st routing.Stats
 				for _, a := range agents {
-					st := a.Stats
-					sent += st.DataSent
-					delivered += st.DataDelivered
-					dropped += st.DropNoRoute + st.DropBufferOverflow + st.DropLinkBreak +
-						st.DropTTLExpired + st.DropByAttacker + st.DropNodeDown
+					st.Add(a.Stats)
 				}
+				sent, delivered := st.DataSent, st.DataDelivered
+				dropped := st.DropNoRoute + st.DropBufferOverflow + st.DropLinkBreak +
+					st.DropTTLExpired + st.DropByAttacker + st.DropNodeDown
 				if sent != 3 || sent != delivered+dropped {
 					t.Fatalf("outage at %v: sent %d, delivered %d + dropped %d", from, sent, delivered, dropped)
 				}

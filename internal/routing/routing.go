@@ -15,6 +15,7 @@ package routing
 
 import (
 	"encoding/binary"
+	"fmt"
 	"time"
 
 	"mccls/internal/radio"
@@ -56,9 +57,11 @@ func (NullAuth) Verify(int, []byte, []byte) (bool, time.Duration) { return true,
 // Overhead is zero.
 func (NullAuth) Overhead() int { return 0 }
 
-// Stats counts per-node protocol events. The paper's four metrics are
-// computed from these by package metrics. DSR counts its route requests,
-// replies and errors in the RREQ*/RREP*/RERRSent slots.
+// Stats counts per-node protocol events, and is the one counter record of
+// the evaluation: a run's result is the Add of its nodes' Stats, a sweep
+// point's the Add of its repeats', and the paper's four metrics (§6) are
+// the ratio methods below. DSR counts its route requests, replies and
+// errors in the RREQ*/RREP*/RERRSent slots.
 type Stats struct {
 	DataSent      uint64 // originated by this node
 	DataDelivered uint64 // received here as final destination
@@ -88,6 +91,79 @@ type Stats struct {
 
 	DelaySum   time.Duration // end-to-end, summed at this destination
 	DelayCount uint64
+}
+
+// Add sums o into s, counter by counter: nodes into a run, repeats into a
+// sweep point (whose ratios are thereby weighted by traffic volume).
+func (s *Stats) Add(o Stats) {
+	s.DataSent += o.DataSent
+	s.DataDelivered += o.DataDelivered
+	s.DataForwarded += o.DataForwarded
+	s.RREQInitiated += o.RREQInitiated
+	s.RREQRetried += o.RREQRetried
+	s.RREQForwarded += o.RREQForwarded
+	s.RREPOriginated += o.RREPOriginated
+	s.RREPForwarded += o.RREPForwarded
+	s.RERRSent += o.RERRSent
+	s.HelloSent += o.HelloSent
+	s.NeighborsLost += o.NeighborsLost
+	s.AuthRejected += o.AuthRejected
+	s.SignFailures += o.SignFailures
+	s.Crashes += o.Crashes
+	s.Restarts += o.Restarts
+	s.DropNoRoute += o.DropNoRoute
+	s.DropBufferOverflow += o.DropBufferOverflow
+	s.DropLinkBreak += o.DropLinkBreak
+	s.DropTTLExpired += o.DropTTLExpired
+	s.DropByAttacker += o.DropByAttacker
+	s.DropNodeDown += o.DropNodeDown
+	s.DelaySum += o.DelaySum
+	s.DelayCount += o.DelayCount
+}
+
+// PacketDeliveryRatio is packets received by destinations over packets sent
+// by sources, in [0, 1]; 0 when nothing was sent.
+func (s Stats) PacketDeliveryRatio() float64 {
+	if s.DataSent == 0 {
+		return 0
+	}
+	return float64(s.DataDelivered) / float64(s.DataSent)
+}
+
+// RREQRatio is RREQs initiated, forwarded and retried over data packets
+// sent and forwarded: the paper's control-overhead metric.
+func (s Stats) RREQRatio() float64 {
+	denom := s.DataSent + s.DataForwarded
+	if denom == 0 {
+		return 0
+	}
+	return float64(s.RREQInitiated+s.RREQForwarded+s.RREQRetried) / float64(denom)
+}
+
+// EndToEndDelay is the mean source→destination latency of delivered
+// packets; 0 when nothing was delivered.
+func (s Stats) EndToEndDelay() time.Duration {
+	if s.DelayCount == 0 {
+		return 0
+	}
+	return s.DelaySum / time.Duration(s.DelayCount)
+}
+
+// PacketDropRatio is packets discarded by attack nodes over packets sent by
+// all sources.
+func (s Stats) PacketDropRatio() float64 {
+	if s.DataSent == 0 {
+		return 0
+	}
+	return float64(s.DropByAttacker) / float64(s.DataSent)
+}
+
+// Headline renders the four metrics on one line. It is deliberately not
+// String: a record embedding Stats must print every field under %+v.
+func (s Stats) Headline() string {
+	return fmt.Sprintf("PDR=%.3f RREQratio=%.3f delay=%v dropRatio=%.3f (sent=%d delivered=%d attackerDrops=%d)",
+		s.PacketDeliveryRatio(), s.RREQRatio(), s.EndToEndDelay(), s.PacketDropRatio(),
+		s.DataSent, s.DataDelivered, s.DropByAttacker)
 }
 
 // Broadcast is the Transmit destination that addresses every neighbour.

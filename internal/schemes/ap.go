@@ -3,9 +3,9 @@ package schemes
 import (
 	"fmt"
 	"io"
-	"math/big"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // AP is the Al-Riyami–Paterson certificateless signature scheme
@@ -37,21 +37,21 @@ const apDomainH1 = "ap/H1"
 const apDomainH2 = "ap/H2"
 
 type apSystem struct {
-	master *big.Int
+	master fr.Element
 	ppub   *bn254.G1 // s·P
 	ppub2  *bn254.G2 // s·G2, for the key-consistency check
 }
 
 // Setup draws the master key and publishes (P_pub, P_pub2).
 func (AP) Setup(rng io.Reader) (System, error) {
-	s, err := bn254.RandomScalar(rng)
+	s, err := fr.Random(rng)
 	if err != nil {
 		return nil, err
 	}
 	return &apSystem{
 		master: s,
-		ppub:   new(bn254.G1).ScalarBaseMult(s),
-		ppub2:  new(bn254.G2).ScalarBaseMult(s),
+		ppub:   new(bn254.G1).ScalarBaseMultAddFr(&s, nil),
+		ppub2:  new(bn254.G2).ScalarMultFr(bn254.G2Generator(), &s),
 	}, nil
 }
 
@@ -64,16 +64,16 @@ type apUser struct {
 
 func (sys *apSystem) NewUser(id string, rng io.Reader) (User, error) {
 	qa := bn254.HashToG2(apDomainH1, []byte(id))
-	da := new(bn254.G2).ScalarMult(qa, sys.master)
-	x, err := bn254.RandomScalar(rng)
+	da := new(bn254.G2).ScalarMultFr(qa, &sys.master)
+	x, err := fr.Random(rng)
 	if err != nil {
 		return nil, err
 	}
 	return &apUser{
 		id: id,
-		sa: new(bn254.G2).ScalarMult(da, x),
-		xa: new(bn254.G1).ScalarBaseMult(x),
-		ya: new(bn254.G1).ScalarMult(sys.ppub, x),
+		sa: new(bn254.G2).ScalarMultFr(da, &x),
+		xa: new(bn254.G1).ScalarBaseMultAddFr(&x, nil),
+		ya: new(bn254.G1).ScalarMultFr(sys.ppub, &x),
 	}, nil
 }
 
@@ -86,24 +86,22 @@ func (u *apUser) PublicKey() []byte {
 // Sign: a ← Zr, rr = e(a·P, G2) (the scheme's one signing pairing),
 // v = H2(M, rr), U = v·S_A + a·G2. Signature is (U, v).
 func (u *apUser) Sign(msg []byte, rng io.Reader) ([]byte, error) {
-	a, err := bn254.RandomScalar(rng)
+	a, err := fr.Random(rng)
 	if err != nil {
 		return nil, err
 	}
-	rr := bn254.Pair(new(bn254.G1).ScalarBaseMult(a), bn254.G2Generator())
+	rr := bn254.Pair(new(bn254.G1).ScalarBaseMultAddFr(&a, nil), bn254.G2Generator())
 	v := apHashV(msg, rr)
-	uPt := new(bn254.G2).ScalarMult(u.sa, v)
-	uPt.Add(uPt, new(bn254.G2).ScalarBaseMult(a))
-	out := uPt.Marshal()
-	var vb [32]byte
-	v.FillBytes(vb[:])
-	return append(out, vb[:]...), nil
+	uPt := new(bn254.G2).ScalarMultFr(u.sa, &v)
+	uPt.Add(uPt, new(bn254.G2).ScalarMultFr(bn254.G2Generator(), &a))
+	vb := v.Bytes()
+	return append(uPt.Marshal(), vb[:]...), nil
 }
 
-func apHashV(msg []byte, rr *bn254.GT) *big.Int {
+func apHashV(msg []byte, rr *bn254.GT) fr.Element {
 	buf := append([]byte{}, rr.Marshal()...)
 	buf = append(buf, msg...)
-	return bn254.HashToScalar(apDomainH2, buf)
+	return bn254.HashToFr(apDomainH2, buf)
 }
 
 // Verify first checks key consistency e(X_A, P_pub2) = e(Y_A, G2), then
@@ -126,8 +124,8 @@ func (sys *apSystem) Verify(id string, publicKey, msg, sig []byte) error {
 	if err := uPt.Unmarshal(sig[:128]); err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	v := new(big.Int).SetBytes(sig[128:])
-	if v.Sign() == 0 || v.Cmp(bn254.Order) >= 0 {
+	var v fr.Element
+	if !v.SetBytesCanonical(sig[128:]) || v.IsZero() {
 		return fmt.Errorf("%w: v out of range", ErrMalformed)
 	}
 
@@ -143,9 +141,9 @@ func (sys *apSystem) Verify(id string, publicKey, msg, sig []byte) error {
 	// rr' = e(P, U)·e(Y_A, Q_A)^{-v} (pairings 3 and 4, one GT exponent).
 	qa := bn254.HashToG2(apDomainH1, []byte(id))
 	rr := bn254.Pair(bn254.G1Generator(), &uPt)
-	adj := new(bn254.GT).Exp(bn254.Pair(&ya, qa), new(big.Int).Neg(v))
+	adj := new(bn254.GT).Exp(bn254.Pair(&ya, qa), new(fr.Element).Neg(&v))
 	rr.Mul(rr, adj)
-	if apHashV(msg, rr).Cmp(v) != 0 {
+	if apHashV(msg, rr) != v {
 		return ErrVerifyFailed
 	}
 	return nil

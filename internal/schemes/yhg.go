@@ -3,10 +3,10 @@ package schemes
 import (
 	"fmt"
 	"io"
-	"math/big"
 	"sync"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // YHG is the Yap–Heng–Goi certificateless signature scheme (EUC 2006),
@@ -42,7 +42,7 @@ const (
 )
 
 type yhgSystem struct {
-	master *big.Int
+	master fr.Element
 	ppub   *bn254.G1
 
 	mu    sync.Mutex
@@ -51,13 +51,13 @@ type yhgSystem struct {
 
 // Setup draws the master key and publishes P_pub = s·P.
 func (YHG) Setup(rng io.Reader) (System, error) {
-	s, err := bn254.RandomScalar(rng)
+	s, err := fr.Random(rng)
 	if err != nil {
 		return nil, err
 	}
 	return &yhgSystem{
 		master: s,
-		ppub:   new(bn254.G1).ScalarBaseMult(s),
+		ppub:   new(bn254.G1).ScalarBaseMultAddFr(&s, nil),
 		cache:  make(map[string]*bn254.GT),
 	}, nil
 }
@@ -65,21 +65,21 @@ func (YHG) Setup(rng io.Reader) (System, error) {
 type yhgUser struct {
 	id  string
 	d   *bn254.G2
-	x   *big.Int
+	x   fr.Element
 	pid *bn254.G1
 	t   *bn254.G2 // T = H3(ID, P_ID), fixed per key
 }
 
 func (sys *yhgSystem) NewUser(id string, rng io.Reader) (User, error) {
 	q := bn254.HashToG2(yhgDomainH1, []byte(id))
-	x, err := bn254.RandomScalar(rng)
+	x, err := fr.Random(rng)
 	if err != nil {
 		return nil, err
 	}
-	pid := new(bn254.G1).ScalarBaseMult(x)
+	pid := new(bn254.G1).ScalarBaseMultAddFr(&x, nil)
 	return &yhgUser{
 		id:  id,
-		d:   new(bn254.G2).ScalarMult(q, sys.master),
+		d:   new(bn254.G2).ScalarMultFr(q, &sys.master),
 		x:   x,
 		pid: pid,
 		t:   yhgT(id, pid),
@@ -90,13 +90,13 @@ func yhgT(id string, pid *bn254.G1) *bn254.G2 {
 	return bn254.HashToG2(yhgDomainH3, append([]byte(id), pid.Marshal()...))
 }
 
-func yhgH(msg []byte, id string, uPt, pid *bn254.G1) *big.Int {
+func yhgH(msg []byte, id string, uPt, pid *bn254.G1) fr.Element {
 	buf := append([]byte{}, msg...)
 	buf = append(buf, 0)
 	buf = append(buf, id...)
 	buf = append(buf, uPt.Marshal()...)
 	buf = append(buf, pid.Marshal()...)
-	return bn254.HashToScalar(yhgDomainH2, buf)
+	return bn254.HashToFr(yhgDomainH2, buf)
 }
 
 func (u *yhgUser) ID() string        { return u.id }
@@ -105,16 +105,16 @@ func (u *yhgUser) PublicKey() []byte { return u.pid.Marshal() }
 // Sign produces (U, V) with two scalar multiplications (U = r·P and the
 // single G2 multiplication by r + h·x) and no pairings.
 func (u *yhgUser) Sign(msg []byte, rng io.Reader) ([]byte, error) {
-	r, err := bn254.RandomScalar(rng)
+	r, err := fr.Random(rng)
 	if err != nil {
 		return nil, err
 	}
-	uPt := new(bn254.G1).ScalarBaseMult(r)
+	uPt := new(bn254.G1).ScalarBaseMultAddFr(&r, nil)
 	h := yhgH(msg, u.id, uPt, u.pid)
-	k := new(big.Int).Mul(h, u.x)
-	k.Add(k, r)
-	k.Mod(k, bn254.Order)
-	v := new(bn254.G2).ScalarMult(u.t, k)
+	var k fr.Element
+	k.Mul(&h, &u.x)
+	k.Add(&k, &r) // r + h·x
+	v := new(bn254.G2).ScalarMultFr(u.t, &k)
 	v.Add(v, u.d)
 	return append(uPt.Marshal(), v.Marshal()...), nil
 }
@@ -141,7 +141,7 @@ func (sys *yhgSystem) Verify(id string, publicKey, msg, sig []byte) error {
 	}
 	h := yhgH(msg, id, &uPt, &pid)
 	t := yhgT(id, &pid)
-	lhsArg := new(bn254.G1).ScalarMult(&pid, h)
+	lhsArg := new(bn254.G1).ScalarMultFr(&pid, &h)
 	lhsArg.Add(lhsArg, &uPt)
 
 	sys.mu.Lock()

@@ -3,9 +3,9 @@ package schemes
 import (
 	"fmt"
 	"io"
-	"math/big"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fr"
 )
 
 // ZWXF is the Zhang–Wong–Xu–Feng certificateless signature scheme
@@ -39,37 +39,37 @@ const (
 )
 
 type zwxfSystem struct {
-	master *big.Int
+	master fr.Element
 	ppub   *bn254.G1
 }
 
 // Setup draws the master key and publishes P_pub = s·P.
 func (ZWXF) Setup(rng io.Reader) (System, error) {
-	s, err := bn254.RandomScalar(rng)
+	s, err := fr.Random(rng)
 	if err != nil {
 		return nil, err
 	}
-	return &zwxfSystem{master: s, ppub: new(bn254.G1).ScalarBaseMult(s)}, nil
+	return &zwxfSystem{master: s, ppub: new(bn254.G1).ScalarBaseMultAddFr(&s, nil)}, nil
 }
 
 type zwxfUser struct {
 	id  string
 	d   *bn254.G2 // D_ID = s·Q_ID
-	x   *big.Int
+	x   fr.Element
 	pid *bn254.G1 // P_ID = x·P
 }
 
 func (sys *zwxfSystem) NewUser(id string, rng io.Reader) (User, error) {
 	q := bn254.HashToG2(zwxfDomainH1, []byte(id))
-	x, err := bn254.RandomScalar(rng)
+	x, err := fr.Random(rng)
 	if err != nil {
 		return nil, err
 	}
 	return &zwxfUser{
 		id:  id,
-		d:   new(bn254.G2).ScalarMult(q, sys.master),
+		d:   new(bn254.G2).ScalarMultFr(q, &sys.master),
 		x:   x,
-		pid: new(bn254.G1).ScalarBaseMult(x),
+		pid: new(bn254.G1).ScalarBaseMultAddFr(&x, nil),
 	}, nil
 }
 
@@ -87,16 +87,16 @@ func zwxfBind(msg []byte, id string, uPt, pid *bn254.G1) []byte {
 
 // Sign produces (U, V) with four scalar multiplications and no pairings.
 func (u *zwxfUser) Sign(msg []byte, rng io.Reader) ([]byte, error) {
-	r, err := bn254.RandomScalar(rng)
+	r, err := fr.Random(rng)
 	if err != nil {
 		return nil, err
 	}
-	uPt := new(bn254.G1).ScalarBaseMult(r)
+	uPt := new(bn254.G1).ScalarBaseMultAddFr(&r, nil)
 	bind := zwxfBind(msg, u.id, uPt, u.pid)
 	w := bn254.HashToG2(zwxfDomainH2, bind)
 	wp := bn254.HashToG2(zwxfDomainH3, bind)
-	v := new(bn254.G2).ScalarMult(w, r)
-	v.Add(v, new(bn254.G2).ScalarMult(wp, u.x))
+	v := new(bn254.G2).ScalarMultFr(w, &r)
+	v.Add(v, new(bn254.G2).ScalarMultFr(wp, &u.x))
 	v.Add(v, u.d)
 	return append(uPt.Marshal(), v.Marshal()...), nil
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"mccls/internal/bn254"
 	"mccls/internal/core"
 )
 
@@ -223,7 +222,7 @@ func FuzzRefreshVsSingleMaster(f *testing.F) {
 		id := string(idBytes)
 		rng := detRNG(seed)
 
-		master := bn254.HashToScalar("threshold/refresh-fuzz", append([]byte{byte(seed)}, idBytes...))
+		master := hashToScalar("threshold/refresh-fuzz", append([]byte{byte(seed)}, idBytes...))
 		kgc, err := core.NewKGCFromMaster(master)
 		if err != nil {
 			t.Fatal(err)

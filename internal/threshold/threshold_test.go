@@ -89,11 +89,17 @@ func TestShareMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// hashToScalar derives a deterministic test master secret.
+func hashToScalar(domain string, msg []byte) *big.Int {
+	k := bn254.HashToFr(domain, msg)
+	return k.BigInt()
+}
+
 // newThresholdKGC splits a fresh deterministic master and returns the
 // single-master oracle plus per-share signers.
 func newThresholdKGC(t *testing.T, tt, n int, seed int64) (*core.KGC, []*Signer) {
 	t.Helper()
-	master := bn254.HashToScalar("threshold/test", []byte{byte(seed)})
+	master := hashToScalar("threshold/test", []byte{byte(seed)})
 	kgc, err := core.NewKGCFromMaster(master)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +193,7 @@ func FuzzThresholdVsSingleMaster(f *testing.F) {
 		id := string(idBytes)
 		rng := detRNG(seed)
 
-		master := bn254.HashToScalar("threshold/fuzz", append([]byte{byte(seed)}, idBytes...))
+		master := hashToScalar("threshold/fuzz", append([]byte{byte(seed)}, idBytes...))
 		kgc, err := core.NewKGCFromMaster(master)
 		if err != nil {
 			t.Fatal(err)
@@ -252,7 +258,7 @@ func FuzzThresholdVsSingleMaster(f *testing.F) {
 // whatever one of them accepts must re-marshal to exactly the input, so no
 // two byte strings decode to the same value.
 func FuzzShareCodecs(f *testing.F) {
-	master := bn254.HashToScalar("threshold/fuzz", []byte("codecs"))
+	master := hashToScalar("threshold/fuzz", []byte("codecs"))
 	kgc, err := core.NewKGCFromMaster(master)
 	if err != nil {
 		f.Fatal(err)

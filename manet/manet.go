@@ -10,7 +10,12 @@
 //		Security: manet.McCLS,
 //		Attack:   manet.Blackhole,
 //	}.Run()
-//	fmt.Println(res.Summary)
+//	fmt.Println(res.Headline())
+//
+// A Result carries every routing counter of the run summed over its nodes
+// (routing.Stats: traffic, control packets, every drop reason) with the
+// paper's four metrics as methods, plus the radio, enrollment and
+// event-loop counters.
 //
 // Or regenerate a whole paper figure — every sweep point and repeat runs
 // concurrently on a bounded worker pool (default GOMAXPROCS workers) with
@@ -28,7 +33,6 @@ import (
 
 	"mccls/internal/experiments"
 	"mccls/internal/fault"
-	"mccls/internal/metrics"
 )
 
 // Core types, aliased from the implementation.
@@ -36,18 +40,14 @@ type (
 	// Scenario is one simulation configuration; zero values select the
 	// paper's §6 setup (20 nodes, 1500×300 m, 10 CBR flows, 2 attackers).
 	Scenario = experiments.Scenario
-	// Result is a run's metrics plus radio-level counters.
+	// Result is a run's routing counters and metrics plus radio-level
+	// counters.
 	Result = experiments.Result
-	// Aggregate is the per-sweep-point statistic across repeated seeds:
-	// the pooled summary plus mean/stddev/95% CI of each headline metric.
-	Aggregate = metrics.Aggregate
 	// SweepConfig drives a figure's sweep: the base scenario, the swept
 	// axis values (empty selects the figure's own), repeats and seed.
 	// Workers, TrialTimeout and Progress control the parallel trial pool;
 	// output is bit-identical at any worker count.
 	SweepConfig = experiments.SweepConfig
-	// SweepResult is one curve's per-point summaries and aggregates.
-	SweepResult = experiments.SweepResult
 	// TrialUpdate is the per-trial progress record (wall time, simulator
 	// events, events/sec) delivered to SweepConfig.Progress.
 	TrialUpdate = experiments.TrialUpdate

@@ -1,6 +1,8 @@
 package manet_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,28 +36,39 @@ func TestScenarioZeroValueDefaults(t *testing.T) {
 // and per-point confidence intervals.
 func TestParallelSweepSurface(t *testing.T) {
 	var trials int
-	var lastAgg manet.Aggregate
-	cfg := manet.SweepConfig{
+	fig, err := manet.RunFigure("fig1", manet.SweepConfig{
 		Base:     manet.Scenario{Duration: 15 * time.Second},
 		Axis:     []float64{5},
 		Repeats:  2,
 		Seed:     2,
 		Workers:  4,
 		Progress: func(u manet.TrialUpdate) { trials++ },
-	}
-	res, err := cfg.Sweep(manet.AODV, manet.NoAttack)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trials != 2 {
-		t.Fatalf("progress saw %d trials, want 2", trials)
+	if trials != 4 {
+		t.Fatalf("progress saw %d trials, want 2 curves × 2 repeats", trials)
 	}
-	if len(res.Aggregates) != 1 {
-		t.Fatalf("want 1 aggregate, got %d", len(res.Aggregates))
+	for _, s := range fig.Series {
+		if len(s.Y) != 1 || len(s.YErr) != 1 || s.Y[0] <= 0 || s.YErr[0] < 0 {
+			t.Fatalf("series %q malformed: y=%v yerr=%v", s.Label, s.Y, s.YErr)
+		}
 	}
-	lastAgg = res.Aggregates[0]
-	if lastAgg.N != 2 || lastAgg.PDR.Mean <= 0 {
-		t.Fatalf("aggregate malformed: %+v", lastAgg)
+}
+
+// TestResultPrintsEveryField: a Result is what the benchmark's digest
+// hashes through %+v, so nothing it embeds may promote a String method
+// that would hide the other fields.
+func TestResultPrintsEveryField(t *testing.T) {
+	if _, ok := any(manet.Result{}).(fmt.Stringer); ok {
+		t.Fatal("manet.Result is a fmt.Stringer")
+	}
+	out := fmt.Sprintf("%+v", manet.Result{Events: 42, PeakQueue: 7})
+	for _, frag := range []string{"Events:42", "PeakQueue:7", "DropTTLExpired:0"} {
+		if !strings.Contains(out, frag) {
+			t.Fatalf("%%+v of a Result lacks %q: %s", frag, out)
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func TestManetFacadeSmoke(t *testing.T) {
 		t.Fatalf("McCLS drop ratio %.3f via facade", res.PacketDropRatio())
 	}
 	if res.DataSent == 0 || res.PacketDeliveryRatio() < 0.9 {
-		t.Fatalf("unhealthy facade run: %s", res.Summary)
+		t.Fatalf("unhealthy facade run: %s", res.Headline())
 	}
 }
 
