@@ -138,9 +138,11 @@ func TestCitySweepWorkerInvariance(t *testing.T) {
 // TestEventLoopAllocsPerEvent pins what an event costs in heap allocations
 // on a 50-node city run, set-up included: the event queue, the agents'
 // timers, the radio's delivery records and the control-packet receive path
-// are all pooled or scratch-buffered, so what is left is one copy per
-// forwarded packet and the maps that grow: 0.27 (AODV) and 0.31 (McCLS) per
-// event, against 4.02 and 4.44 before they were pooled. ROADMAP aim 4's
+// are all pooled or scratch-buffered, and so are the queue's lanes and
+// fan-out runs, so what is left is one copy per forwarded packet and the
+// maps that grow: 0.270 (AODV) and 0.316 (McCLS) per event (0.268 / 0.312
+// before the queue held sources; 4.02 and 4.44 before the pools). The 0.35
+// ceiling fails a lane or run that allocates per event. ROADMAP aim 4's
 // "0 allocs/op on the event loop" is what this ceiling gets tightened to.
 func TestEventLoopAllocsPerEvent(t *testing.T) {
 	for _, sec := range []SecurityMode{Plain, McCLSCost} {
@@ -154,8 +156,8 @@ func TestEventLoopAllocsPerEvent(t *testing.T) {
 			}
 			events = res.Events
 		})
-		if perEvent := allocs / float64(events); perEvent > 0.5 {
-			t.Errorf("%v: %.0f allocations over %d events = %.2f per event, want ≤ 0.5", sec, allocs, events, perEvent)
+		if perEvent := allocs / float64(events); perEvent > 0.35 {
+			t.Errorf("%v: %.0f allocations over %d events = %.3f per event, want ≤ 0.35", sec, allocs, events, perEvent)
 		} else {
 			t.Logf("%v: %.0f allocations over %d events = %.3f per event", sec, allocs, events, perEvent)
 		}

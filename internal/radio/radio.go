@@ -312,21 +312,15 @@ func (j *txJob) Fire() {
 		d2, _ := within(m.Position(j.from), m.Position(j.to), 0)
 		m.deliver(j.from, j.to, j.bytes, j.payload, txStart, d2)
 	}
+	m.sim.ScheduleStaged()
 	j.payload = nil
 	m.txPool = append(m.txPool, j)
 }
 
 // newTxJob takes a transmission record from the pool.
 func (m *Medium) newTxJob(from, to, bytes int, payload any) *txJob {
-	var j *txJob
-	if n := len(m.txPool); n > 0 {
-		j = m.txPool[n-1]
-		m.txPool[n-1] = nil
-		m.txPool = m.txPool[:n-1]
-	} else {
-		j = &txJob{m: m}
-	}
-	j.from, j.to, j.bytes, j.payload = from, to, bytes, payload
+	j := sim.Reuse(&m.txPool)
+	*j = txJob{m, from, to, bytes, payload}
 	return j
 }
 
@@ -353,37 +347,9 @@ func (d *delivery) Fire() {
 	m.dlvPool = append(m.dlvPool, d)
 }
 
-// newDelivery takes a delivery record from the pool.
-func (m *Medium) newDelivery(from, to int, payload any, rec *reception) *delivery {
-	var d *delivery
-	if n := len(m.dlvPool); n > 0 {
-		d = m.dlvPool[n-1]
-		m.dlvPool[n-1] = nil
-		m.dlvPool = m.dlvPool[:n-1]
-	} else {
-		d = &delivery{m: m}
-	}
-	d.from, d.to, d.payload, d.rec = from, to, payload, rec
-	return d
-}
-
-// newReception takes a collision record from the pool.
-func (m *Medium) newReception(start, end sim.Time) *reception {
-	var r *reception
-	if n := len(m.recPool); n > 0 {
-		r = m.recPool[n-1]
-		m.recPool[n-1] = nil
-		m.recPool = m.recPool[:n-1]
-	} else {
-		r = &reception{}
-	}
-	r.start, r.end, r.corrupted = start, end, false
-	return r
-}
-
-// deliver schedules the arrival of a frame at one receiver d2 square meters
+// deliver stages the arrival of a frame at one receiver d2 square meters
 // away, applying loss and (optionally) collision corruption. It must be
-// called at virtual time txStart.
+// called at virtual time txStart, and Fire schedules what it staged.
 func (m *Medium) deliver(from, to int, bytes int, payload any, txStart sim.Time, d2 float64) {
 	arrive := txStart + m.serialization(bytes) + propagation(d2)
 
@@ -394,10 +360,13 @@ func (m *Medium) deliver(from, to int, bytes int, payload any, txStart sim.Time,
 
 	var rec *reception
 	if m.cfg.Collisions {
-		rec = m.newReception(txStart, arrive)
+		rec = sim.Reuse(&m.recPool)
+		*rec = reception{start: txStart, end: arrive}
 		m.trackReception(to, rec)
 	}
-	m.sim.ScheduleActionAt(arrive, m.newDelivery(from, to, payload, rec))
+	d := sim.Reuse(&m.dlvPool)
+	*d = delivery{m, from, to, payload, rec}
+	m.sim.StageAt(arrive, d)
 }
 
 // trackReception records a reception interval and corrupts any overlapping

@@ -282,17 +282,17 @@ func (t *timer) Fire() {
 
 // arm schedules j after d of virtual time, tagged with the node's current
 // epoch. All node-internal timers (discovery retries, sign/verify delays,
-// hello beacons, rebroadcast jitter) go through it.
+// hello beacons, rebroadcast jitter) go through it. The authenticator's
+// delays are constants, so its jobs ride the simulator's lanes.
 func (a *Agent) arm(d time.Duration, j timer) {
-	var t *timer
-	if n := len(a.free); n > 0 {
-		t, a.free = a.free[n-1], a.free[:n-1]
-	} else {
-		t = new(timer)
-	}
+	t := sim.Reuse(&a.free)
 	j.a, j.epoch = a, a.epoch
 	*t = j
-	a.Sim.ScheduleAction(d, t)
+	if j.do == doCall {
+		a.Sim.ScheduleAction(d, t)
+	} else {
+		a.Sim.ScheduleLane(d, t)
+	}
 }
 
 // Schedule arms fn after d of virtual time: if the node crashes before the

@@ -239,6 +239,30 @@ func TestDiscoveryCompleteDisarmsTimer(t *testing.T) {
 	}
 }
 
+// TestStaleDiscoveryTimerRetriesEarly pins ROADMAP item 2(b) as it stands,
+// not as it should be: a timeout matches its attempt by gen alone and a new
+// attempt starts again at gen 0, so the timer of a completed discovery fires
+// the retry of the next discovery for the same destination early.
+func TestStaleDiscoveryTimerRetriesEarly(t *testing.T) {
+	s, a, d, attempts := discoveryFixture(8, 2)
+	d.Start(9) // attempt 1, times out at 1 s
+	s.Run(500 * time.Millisecond)
+	d.Complete(9)
+	s.Run(600 * time.Millisecond)
+	d.Start(9) // a new attempt 1, times out at 1.6 s
+	s.Run(1200 * time.Millisecond)
+	// Item 2(b): the 1 s timer took the new attempt for its own and retried
+	// it 0.4 s early. The model-epoch-2 fix (the timer also requires
+	// d.pending[dst] == cur) flips this to 0.
+	if a.Stats.RREQRetried != 1 {
+		t.Fatalf("RREQRetried = %d by 1.2 s, want the stale timer's early retry (1)", a.Stats.RREQRetried)
+	}
+	if a.Stats.RREQInitiated != 2 || (*attempts)[1] != 1 {
+		t.Fatalf("initiated=%d attempts=%v, want two discoveries each starting at attempt 1",
+			a.Stats.RREQInitiated, *attempts)
+	}
+}
+
 func TestEnqueuePastCapCountsOverflow(t *testing.T) {
 	_, a, d, _ := discoveryFixture(2, 2)
 	for pkt := 0; pkt < 5; pkt++ {

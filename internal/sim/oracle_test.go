@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"slices"
 	"testing"
+	"time"
 )
 
 // oracleSim is the event queue as it was before the value-keyed heap: a
@@ -92,6 +93,12 @@ func (s *oracleSim) schedule(t Time, fn func(), a Action) {
 func (s *oracleSim) ScheduleAt(t Time, fn func())      { s.schedule(t, fn, nil) }
 func (s *oracleSim) ScheduleActionAt(t Time, a Action) { s.schedule(t, nil, a) }
 
+// The oracle has no sources: a lane's or a fan-out's actions are plain
+// ScheduleActionAt calls in the order they are made.
+func (s *oracleSim) ScheduleLane(d time.Duration, a Action) { s.ScheduleActionAt(s.now+d, a) }
+func (s *oracleSim) StageAt(t Time, a Action)               { s.ScheduleActionAt(t, a) }
+func (s *oracleSim) ScheduleStaged()                        {}
+
 func (s *oracleSim) fire() {
 	next := heap.Pop(&s.queue).(*oracleEvent)
 	s.now = next.at
@@ -127,6 +134,9 @@ func (s *oracleSim) RunAll() {
 type eventQueue interface {
 	ScheduleAt(Time, func())
 	ScheduleActionAt(Time, Action)
+	ScheduleLane(time.Duration, Action)
+	StageAt(Time, Action)
+	ScheduleStaged()
 	Run(Time)
 	RunAll()
 	SetMaxEvents(uint64)
@@ -155,17 +165,34 @@ type driver struct {
 
 // node is a scheduled callback. Firing it logs it and schedules one child
 // per spawn byte — the byte picks the child's delay (−2…5 ns: past-time
-// clamping and same-instant ties) and whether it is a closure or an Action;
-// each child inherits a strictly shorter spawn list, so a tree is finite.
+// clamping and same-instant ties) and how it is scheduled: a closure, an
+// Action, into a lane (delay laneDelays[b%8]) or staged into a fan-out the
+// callback schedules once it has spawned everything. Each child inherits a
+// strictly shorter spawn list, so a tree is finite.
 type node struct {
 	d     *driver
 	seq   uint64
 	spawn []byte
 }
 
-func (d *driver) schedule(t Time, asAction bool, spawn []byte) {
+// How a spawned child is scheduled, from its spawn byte.
+const (
+	spawnAction = 8
+	spawnLane   = 16
+	spawnStaged = 32
+)
+
+// laneDelays is the constant-delay set: more delays than maxLanes, so
+// ScheduleLane's heap fallback runs too, with 0 for same-instant ties.
+var laneDelays = [8]time.Duration{0, 3, 1, 5, 2, 0, 7, 4}
+
+func (d *driver) node(spawn []byte) *node {
 	d.seq++
-	n := &node{d: d, seq: d.seq, spawn: spawn}
+	return &node{d: d, seq: d.seq, spawn: spawn}
+}
+
+func (d *driver) schedule(t Time, asAction bool, spawn []byte) {
+	n := d.node(spawn)
 	if asAction {
 		d.q.ScheduleActionAt(t, n)
 	} else {
@@ -177,8 +204,17 @@ func (n *node) Fire() {
 	d := n.d
 	d.log = append(d.log, fired{d.q.Now(), n.seq})
 	for i, b := range n.spawn {
-		d.schedule(d.q.Now()+Time(b%8)-2, b&8 != 0, n.spawn[i+1:])
+		spawn := n.spawn[i+1:]
+		switch {
+		case b&spawnStaged != 0:
+			d.q.StageAt(d.q.Now()+Time(b%8)-2, d.node(spawn))
+		case b&spawnLane != 0:
+			d.q.ScheduleLane(laneDelays[b%8], d.node(spawn))
+		default:
+			d.schedule(d.q.Now()+Time(b%8)-2, b&spawnAction != 0, spawn)
+		}
 	}
+	d.q.ScheduleStaged()
 }
 
 // holder is bench/'s queueNS pattern: an Action that reschedules itself up to
@@ -210,11 +246,14 @@ const (
 	opRunAll
 	opBudget  // SetMaxEvents(processed + arg)
 	opHolders // seed arg·16 self-rescheduling holders
+	opLane    // ScheduleLane(laneDelays[arg%8]) a node, spawn bytes as opTree
+	opFanOut  // stage 1 + arg%8 leaves, one time byte each, and schedule them
 	opCount
 )
 
 // step executes the instruction at the head of program — opcode, argument,
-// and for opTree up to five spawn bytes — and returns its length.
+// and for opTree and opLane up to five spawn bytes, for opFanOut up to eight
+// time bytes — and returns its length.
 func (d *driver) step(program []byte) int {
 	op, arg, n := program[0]%opCount, program[1], 2
 	at := d.q.Now() + Time(arg%16) - 4 // up to 4 ns in the past: clamped
@@ -224,9 +263,20 @@ func (d *driver) step(program []byte) int {
 	case opTree:
 		n += min(int(arg>>4)%6, len(program)-2)
 		d.schedule(at, arg&8 != 0, program[2:n])
+	case opLane:
+		n += min(int(arg>>4)%6, len(program)-2)
+		d.q.ScheduleLane(laneDelays[arg%8], d.node(program[2:n]))
+	case opFanOut:
+		// Unsorted, tied and past times, as a broadcast's arrivals are.
+		n += min(1+int(arg%8), len(program)-2)
+		for _, b := range program[2:n] {
+			d.q.StageAt(d.q.Now()+Time(b%16)-4, d.node(nil))
+		}
+		d.q.ScheduleStaged()
 	case opBudget:
+		// A budget of 0 is no budget: it must not let holders run forever.
 		d.q.SetMaxEvents(d.q.Processed() + uint64(arg))
-		d.budgeted = true
+		d.budgeted = d.q.Processed()+uint64(arg) > 0
 	case opHolders:
 		for k := 0; k < int(arg)*16; k++ {
 			(&holder{d: d, x: uint64(k)}).schedule()
@@ -249,10 +299,11 @@ func (d *driver) step(program []byte) int {
 
 // FuzzEventQueueVsContainerHeap drives the shipped queue and the
 // container/heap oracle with the same random interleaving of ScheduleAt,
-// ScheduleActionAt, scheduling from inside callbacks, Run(until), RunAll and
-// MaxEvents cut-offs, dense with same-instant ties and past times. After
-// every instruction the clocks and all four counters must agree; at the end
-// so must the full (at, seq) firing order.
+// ScheduleActionAt, ScheduleLane, staged fan-outs, scheduling from inside
+// callbacks, Run(until), RunAll and MaxEvents cut-offs, dense with
+// same-instant ties and past times. After every instruction the clocks and
+// all four counters must agree; at the end so must the full (at, seq) firing
+// order.
 func FuzzEventQueueVsContainerHeap(f *testing.F) {
 	// bench/'s queue workload: 3 808 holders, cut off by the event budget.
 	f.Add([]byte{opHolders, 238, opRunAll, 0})
@@ -262,6 +313,22 @@ func FuzzEventQueueVsContainerHeap(f *testing.F) {
 	// A budget that trips mid-drain, then more scheduling against the stopped queue.
 	f.Add([]byte{opTree, 0x50, 2, 2, 2, 2, 2, opTree, 0x58, 10, 10, 10, 10, 10, opBudget, 9,
 		opRunAll, 0, opAction, 5, opRun, 3, opRunAll, 0})
+	// A zero budget is no budget: the holders must still be cut off.
+	f.Add([]byte{opBudget, 0, opHolders, 1, opRunAll, 0})
+	// Every lane delay, more than maxLanes of them, two at once, a lane node
+	// that spawns into lanes, run in slices so lanes drain and refill.
+	f.Add([]byte{opLane, 0, opLane, 1, opLane, 1, opLane, 2, opLane, 3, opLane, 4, opLane, 5, opLane, 6,
+		opLane, 7, opRun, 2, opLane, 0x40, 16, 17, 21, 16, opRun, 3, opLane, 0x23, 18, 19, opRunAll, 0,
+		opLane, 0, opLane, 0, opRunAll, 0})
+	// A lane that stays busy while its storage fills: trees spawning into
+	// the 3 ns lane, so its fired prefix is reused rather than grown.
+	f.Add([]byte{opLane, 0x51, 17, 17, 17, 17, 17, opLane, 0x51, 17, 17, 17, 17, 17, opRunAll, 0})
+	// Fan-outs of 1, 5, 8 and 3 with unsorted, tied and past times, drained
+	// part-way by Run(until), interleaved with single events and a fan-out
+	// staged from inside callbacks.
+	f.Add([]byte{opFanOut, 0, 7, opFanOut, 4, 9, 2, 9, 0, 15, opAction, 3, opRun, 2,
+		opFanOut, 7, 15, 3, 3, 0, 12, 8, 1, 3, opTree, 0x48, 33, 40, 34, 32, opRun, 4,
+		opBudget, 6, opRunAll, 0, opFanOut, 2, 4, 4, 4, opRunAll, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		got, want := &driver{q: New(1)}, &driver{q: &oracleSim{}}
 		for pc := 0; len(program) >= 2; pc++ {

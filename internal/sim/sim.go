@@ -1,9 +1,15 @@
 // Package sim is a deterministic discrete-event simulation engine: a
-// virtual clock, an event queue — an implicit min-heap of value entries keyed
-// on (time, sequence), so simultaneous events fire in scheduling order — and
-// a seeded random source. It is the substrate the MANET simulator (radio,
-// AODV, traffic) runs on, standing in for QualNet's kernel. Runs with the
-// same seed and configuration are bit-for-bit reproducible.
+// virtual clock, an event queue and a seeded random source. It is the
+// substrate the MANET simulator (radio, AODV, traffic) runs on, standing in
+// for QualNet's kernel. Runs with the same seed and configuration are
+// bit-for-bit reproducible.
+//
+// Every event is keyed on (time, sequence) when scheduled, so simultaneous
+// events fire in scheduling order. The queue is a min-heap of sources, each
+// under its next event's key: a single event, a constant-delay lane
+// (ScheduleLane) or a fan-out's run (StageAt). Lanes fill in key order and a
+// run is sorted once, so ordered work costs the heap one entry, not one per
+// event, and fires in exactly the order a heap of single events gives.
 package sim
 
 import (
@@ -35,8 +41,22 @@ type funcAction func()
 
 func (f funcAction) Fire() { f() }
 
+// Reuse pops a record off the free list *free, or allocates a zero one if it
+// is empty: how pooled Actions are recycled.
+func Reuse[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	t := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return t
+}
+
 // event is one queued callback with its (at, seq) key held by value, so
-// ordering the queue never reads outside the queue's own array.
+// ordering the queue never reads outside the queue's own array. In a heap
+// entry that stands for a source, run is the *source and the key its head's.
 type event struct {
 	at  Time
 	seq uint64 // tiebreaker: FIFO among simultaneous events
@@ -48,10 +68,26 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
+// maxLanes bounds the constant-delay lanes.
+const maxLanes = 4
+
+// source is the FIFO of events, in firing order, behind one heap entry: a
+// lane, which stays when it drains, or a fan-out's run, which is pooled.
+type source struct {
+	ev    []event // ev[head:] are queued
+	head  int
+	lane  bool
+	delay time.Duration // a lane's
+}
+
+// Fire is never called: fire takes a source's head event instead.
+func (*source) Fire() { panic("sim: source fired") }
+
 // push adds e to the heap, sifting a hole up from the new leaf. The heap is
 // binary: with keys stored by value a comparison is cheap, and the extra
 // ones a wider node needs cost more than the levels it saves (DESIGN.md §5
-// has the 2/3/4/8-ary measurements).
+// has the 2/3/4/8-ary measurements). An entry is a source under its head's
+// key; every source is in key order, so the least head is the earliest event.
 func (s *Simulator) push(e event) {
 	q := append(s.queue, e)
 	i := len(q) - 1
@@ -67,15 +103,17 @@ func (s *Simulator) push(e event) {
 	s.queue = q
 }
 
-// pop removes and returns the earliest event, sifting the last leaf down
-// from the root.
-func (s *Simulator) pop() event {
-	q := s.queue
-	top := q[0]
-	n := len(q) - 1
-	e := q[n]
+// pop removes the root, sifting the last leaf down in its place.
+func (s *Simulator) pop() {
+	q, n := s.queue, len(s.queue)-1
+	s.down(q[n], n)
 	q[n] = event{} // drop the callback reference
 	s.queue = q[:n]
+}
+
+// down sifts e down from the root of the heap's first n entries.
+func (s *Simulator) down(e event, n int) {
+	q := s.queue
 	i := 0
 	for least := 1; least < n; least = 2*i + 1 {
 		if r := least + 1; r < n && q[r].before(&q[least]) {
@@ -87,10 +125,26 @@ func (s *Simulator) pop() event {
 		q[i] = q[least]
 		i = least
 	}
-	if n > 0 {
-		q[i] = e
+	q[i] = e
+}
+
+// take removes the head of src, the root, and returns its action: src stays
+// at the root under its next head's key — one sift-down, no push — or,
+// drained, leaves the heap.
+func (s *Simulator) take(src *source) Action {
+	run := src.ev[src.head].run
+	src.ev[src.head].run = nil
+	if src.head++; src.head < len(src.ev) {
+		next := &src.ev[src.head]
+		s.down(event{next.at, next.seq, src}, len(s.queue))
+		return run
 	}
-	return top
+	src.ev, src.head = src.ev[:0], 0
+	if !src.lane {
+		s.runs = append(s.runs, src)
+	}
+	s.pop()
+	return run
 }
 
 // Simulator owns the virtual clock and event queue. It is not safe for
@@ -98,7 +152,11 @@ func (s *Simulator) pop() event {
 type Simulator struct {
 	now       Time
 	seq       uint64
-	queue     []event // min-heap on (at, seq); see push and pop
+	queue     []event // min-heap of sources on (at, seq); see push
+	pending   int     // events queued, counted through their sources
+	lanes     []*source
+	runs      []*source // drained runs, ready to stage into
+	staged    *source   // the fan-out StageAt builds
 	rng       *rand.Rand
 	processed uint64
 	maxEvents uint64
@@ -115,7 +173,7 @@ type Simulator struct {
 
 // New creates a simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), staged: new(source)}
 }
 
 // Now returns the current virtual time.
@@ -128,10 +186,9 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending reports how many events are queued.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.pending }
 
-// PeakQueue reports the high-water mark of the event queue, which is what
-// its backing array grows to.
+// PeakQueue reports the high-water mark of events queued at once.
 func (s *Simulator) PeakQueue() int { return s.peakQueue }
 
 // EventAllocs reports how many event records the run needed at once: the
@@ -197,23 +254,99 @@ func (s *Simulator) ScheduleActionAt(t Time, a Action) { s.enqueue(t, a) }
 // (clamped to ≥ 0).
 func (s *Simulator) ScheduleAction(d time.Duration, a Action) { s.enqueue(s.now+d, a) }
 
-// enqueue is the one way into the queue: clamp to now (which also covers a
-// negative delay), stamp the FIFO tiebreaker, push, and keep the two
-// high-water marks.
-func (s *Simulator) enqueue(t Time, a Action) {
-	s.seq++
-	s.push(event{at: max(t, s.now), seq: s.seq, run: a})
-	s.peakQueue = max(s.peakQueue, len(s.queue))
-	s.eventAllocs = max(s.eventAllocs, len(s.queue)+s.firing)
+// ScheduleLane is ScheduleAction for one of many actions scheduled after the
+// same constant delay d: d's lane, a FIFO that needs no sorting (the clock
+// never goes back and sequence numbers only grow), takes one heap entry. The
+// first maxLanes delays get a lane; any other schedules a single event.
+func (s *Simulator) ScheduleLane(d time.Duration, a Action) {
+	i := 0
+	for i < len(s.lanes) && s.lanes[i].delay != d {
+		i++
+	}
+	if i == maxLanes {
+		s.enqueue(s.now+d, a)
+		return
+	}
+	if i == len(s.lanes) {
+		s.lanes = append(s.lanes, &source{lane: true, delay: d})
+	}
+	l, e := s.lanes[i], s.stamp(s.now+d, a)
+	if len(l.ev) == 0 {
+		s.push(event{e.at, e.seq, l})
+	} else if len(l.ev) == cap(l.ev) && 2*l.head >= len(l.ev) {
+		// Reuse the fired half, so a lane that never drains stops growing.
+		n := copy(l.ev, l.ev[l.head:])
+		clear(l.ev[n:])
+		l.ev, l.head = l.ev[:n], 0
+	}
+	l.ev = append(l.ev, e)
+	s.queued(1)
 }
 
-// fire pops the earliest event, advances the clock to it and runs it.
+// StageAt stages a to fire at absolute time t (clamped to now) in the
+// fan-out ScheduleStaged queues next, such as one broadcast's deliveries. It
+// takes its sequence number now, so the order is exactly ScheduleActionAt's.
+func (s *Simulator) StageAt(t Time, a Action) {
+	s.staged.ev = append(s.staged.ev, s.stamp(t, a))
+}
+
+// ScheduleStaged queues what was staged since the last call: one event as
+// itself, more as one run in firing order — the seqs ascend in staging
+// order, so a stable insertion sort on the time alone orders it.
+func (s *Simulator) ScheduleStaged() {
+	r, ev := s.staged, s.staged.ev
+	switch len(ev) {
+	case 0:
+		return
+	case 1:
+		s.push(ev[0])
+		ev[0], r.ev = event{}, ev[:0]
+	default:
+		for i := 1; i < len(ev); i++ {
+			e, j := ev[i], i
+			for ; j > 0 && e.at < ev[j-1].at; j-- {
+				ev[j] = ev[j-1]
+			}
+			ev[j] = e
+		}
+		s.push(event{ev[0].at, ev[0].seq, r})
+		s.staged = Reuse(&s.runs)
+	}
+	s.queued(len(ev))
+}
+
+// stamp keys an event, clamped to now, with the next FIFO tiebreaker.
+func (s *Simulator) stamp(t Time, a Action) event {
+	s.seq++
+	return event{at: max(t, s.now), seq: s.seq, run: a}
+}
+
+// enqueue is the way into the heap for a single event.
+func (s *Simulator) enqueue(t Time, a Action) {
+	s.push(s.stamp(t, a))
+	s.queued(1)
+}
+
+// queued counts n more pending events and keeps the two high-water marks.
+func (s *Simulator) queued(n int) {
+	s.pending += n
+	s.peakQueue = max(s.peakQueue, s.pending)
+	s.eventAllocs = max(s.eventAllocs, s.pending+s.firing)
+}
+
+// fire takes the earliest event, advances the clock to it and runs it.
 func (s *Simulator) fire() {
-	next := s.pop()
-	s.now = next.at
+	run := s.queue[0].run
+	s.now = s.queue[0].at
+	if src, ok := run.(*source); ok {
+		run = s.take(src)
+	} else {
+		s.pop()
+	}
+	s.pending--
 	s.processed++
 	s.firing = 1
-	next.run.Fire()
+	run.Fire()
 	s.firing = 0
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -212,19 +213,73 @@ func TestPeakQueueHighWaterMark(t *testing.T) {
 	}
 }
 
+type nop struct{}
+
+func (nop) Fire() {}
+
 // TestScheduleSteadyStateZeroAlloc pins the zero-allocation guarantee of the
-// schedule/run cycle once the pool is warm.
+// schedule/run cycle once the pool is warm, through every entry point: a
+// single event, a lane, and a fan-out run.
 func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	s := New(1)
 	fn := func() {}
-	s.Schedule(0, fn)
-	s.RunAll()
-	allocs := testing.AllocsPerRun(100, func() {
+	cycle := func() {
 		s.Schedule(0, fn)
+		s.ScheduleLane(time.Millisecond, nop{})
+		s.ScheduleLane(time.Millisecond, nop{})
+		for _, d := range []Time{3, 1, 2, 1} {
+			s.StageAt(s.Now()+d, nop{})
+		}
+		s.ScheduleStaged()
 		s.RunAll()
-	})
-	if allocs > 0 {
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
 		t.Fatalf("steady-state schedule/run allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestSourcesPendingMatchesOracle pins the two moments a source changes
+// shape under Run(until): a lane that drains and is refilled, and a run cut
+// off part-way. Pending counts events, not heap entries, so it must read
+// what the container/heap oracle reads at every step.
+func TestSourcesPendingMatchesOracle(t *testing.T) {
+	got, want := &driver{q: New(1)}, &driver{q: &oracleSim{}}
+	steps := []func(d *driver){
+		// Three events in the 3 ns lane, drained, then two more.
+		func(d *driver) {
+			for range 3 {
+				d.q.ScheduleLane(3, d.node(nil))
+			}
+		},
+		func(d *driver) { d.q.Run(d.q.Now() + 5) },
+		func(d *driver) {
+			d.q.ScheduleLane(3, d.node(nil))
+			d.q.ScheduleLane(3, d.node(nil))
+		},
+		// A run of five, unsorted with a tie, cut off after two.
+		func(d *driver) {
+			for _, at := range []Time{40, 10, 30, 10, 20} {
+				d.q.StageAt(d.q.Now()+at, d.node(nil))
+			}
+			d.q.ScheduleStaged()
+		},
+		func(d *driver) { d.q.Run(d.q.Now() + 15) },
+		func(d *driver) { d.q.Run(d.q.Now() + 10) },
+		func(d *driver) { d.q.RunAll() },
+	}
+	for i, step := range steps {
+		step(got)
+		step(want)
+		if g, w := got.q.Pending(), want.q.Pending(); g != w {
+			t.Fatalf("step %d: Pending %d, oracle %d", i, g, w)
+		}
+		if g, w := got.q.PeakQueue(), want.q.PeakQueue(); g != w {
+			t.Fatalf("step %d: PeakQueue %d, oracle %d", i, g, w)
+		}
+	}
+	if !slices.Equal(got.log, want.log) || len(got.log) != 10 {
+		t.Fatalf("fired %v, oracle %v", got.log, want.log)
 	}
 }
 
