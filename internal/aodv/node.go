@@ -143,8 +143,13 @@ type Node struct {
 	seq    uint32
 	rreqID uint32
 
-	routes    map[int]*routeEntry
-	seen      map[uint64]sim.Time
+	routes map[int]*routeEntry
+	seen   map[uint64]sim.Time
+	// lastSeen is the key processRREQ last added to seen, while hasLast:
+	// copies of one flood arrive back to back, so most duplicates match it
+	// without a map lookup. Whatever removes keys from seen clears hasLast.
+	lastSeen  uint64
+	hasLast   bool
 	disc      *routing.Discovery[*DataPacket]
 	lastHeard map[int]sim.Time
 
@@ -208,6 +213,7 @@ func (n *Node) Up(retainRoutes bool) bool {
 	if !retainRoutes {
 		n.routes = make(map[int]*routeEntry)
 		n.seen = make(map[uint64]sim.Time)
+		n.hasLast = false
 	}
 	n.startHello()
 	return true
@@ -460,11 +466,15 @@ func (n *Node) processRREQ(from int, req *RREQ) {
 		return // our own flood echoed back
 	}
 	key := routing.FloodKey(req.Origin, req.ID)
+	if n.hasLast && key == n.lastSeen {
+		return
+	}
 	if _, dup := n.seen[key]; dup {
 		return
 	}
 	n.seen[key] = n.Sim.Now()
 	n.pruneSeen()
+	n.lastSeen, n.hasLast = key, true
 
 	if n.Hooks.OnRREQ != nil && !n.Hooks.OnRREQ(n, from, req) {
 		return
@@ -609,6 +619,7 @@ func (n *Node) pruneSeen() {
 	if len(n.seen) < 4096 {
 		return
 	}
+	n.hasLast = false
 	horizon := n.Sim.Now() - 2*ringTraversalTime(n.cfg.netDiameter)
 	for k, at := range n.seen {
 		if at < horizon {

@@ -7,9 +7,9 @@
 // piecewise-linear legs, so lookups are pure functions of time, the whole
 // trajectory is deterministic given the seed, and consumers (the radio
 // medium's spatial index) can bound where a node will be over a time window
-// through the Leg view. A leg-based model remembers the last leg it answered
-// from per node, so it is single-goroutine like the Simulator it serves:
-// build one per trial, never share one across goroutines.
+// through the Leg view. A leg-based model copies the last leg it answered from
+// per node, so it is single-goroutine like the Simulator it serves: build one
+// per trial, never share one across goroutines.
 package mobility
 
 import (
@@ -62,10 +62,11 @@ type leg struct {
 // and only differ in how they generate the legs.
 type legModel struct {
 	legs [][]leg
-	// hint is the leg each node's last searched Position landed on. Virtual
-	// time only moves forward inside a run, so the next lookup almost always
-	// lands on it again; the value returned never depends on it.
-	hint []int32
+	// hint is a copy of the leg each node's last searched Position landed on
+	// (until then the zero leg, which holds no time strictly inside). Time
+	// only moves forward inside a run, so the next lookup almost always lands
+	// on it again; the value returned never depends on it.
+	hint []leg
 }
 
 // Nodes returns the number of nodes the model covers.
@@ -92,20 +93,19 @@ func (m *legModel) find(node int, t time.Duration) int {
 // (legs are contiguous, so that is the leg find would return), else by
 // binary search.
 func (m *legModel) Position(node int, t time.Duration) Point {
-	ls := m.legs[node]
-	if len(ls) == 0 {
-		return Point{}
-	}
-	l := &ls[m.hint[node]]
+	l := &m.hint[node]
 	if t <= l.start || t >= l.end {
+		ls := m.legs[node]
+		if len(ls) == 0 {
+			return Point{}
+		}
 		if t <= ls[0].start {
 			return ls[0].from
 		}
 		if last := &ls[len(ls)-1]; t >= last.end {
 			return last.to
 		}
-		m.hint[node] = int32(m.find(node, t))
-		l = &ls[m.hint[node]]
+		*l = ls[m.find(node, t)]
 	}
 	// Legs are contiguous, so l.start < t <= l.end: frac is in (0, 1].
 	frac := float64(t-l.start) / float64(l.end-l.start)
@@ -162,7 +162,7 @@ type RandomWaypointConfig struct {
 // NewRandomWaypoint precomputes trajectories for n nodes up to the horizon.
 // Positions requested beyond the horizon hold the last waypoint.
 func NewRandomWaypoint(cfg RandomWaypointConfig, n int, horizon time.Duration, rng *rand.Rand) *RandomWaypoint {
-	m := &RandomWaypoint{legModel{legs: make([][]leg, n), hint: make([]int32, n)}}
+	m := &RandomWaypoint{legModel{legs: make([][]leg, n), hint: make([]leg, n)}}
 	for node := 0; node < n; node++ {
 		pos := Point{X: rng.Float64() * cfg.Width, Y: rng.Float64() * cfg.Height}
 		var ls []leg
@@ -236,7 +236,7 @@ func NewManhattanGrid(cfg ManhattanGridConfig, n int, horizon time.Duration, rng
 	// still leaves a single street along the other axis.
 	nx := int(cfg.Width / cfg.spacing)
 	ny := int(cfg.Height / cfg.spacing)
-	m := &ManhattanGrid{legModel{legs: make([][]leg, n), hint: make([]int32, n)}}
+	m := &ManhattanGrid{legModel{legs: make([][]leg, n), hint: make([]leg, n)}}
 	for node := 0; node < n; node++ {
 		ix, iy := rng.Intn(nx+1), rng.Intn(ny+1)
 		pos := Point{X: float64(ix) * cfg.spacing, Y: float64(iy) * cfg.spacing}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -237,7 +238,7 @@ func searchLeg(ls []leg, t time.Duration) (from, to Point, t0, t1 time.Duration)
 // generators rarely draw: zero-length legs (singly and in runs, also first
 // and last), pauses, and legs one nanosecond long.
 func stutterModel(n int, rng *rand.Rand) *legModel {
-	m := &legModel{legs: make([][]leg, n), hint: make([]int32, n)}
+	m := &legModel{legs: make([][]leg, n), hint: make([]leg, n)}
 	durations := []time.Duration{0, 0, 1, time.Millisecond, time.Second, 3 * time.Second}
 	for node := range m.legs {
 		now := time.Duration(rng.Intn(2)) * time.Second // some trajectories start late
@@ -324,10 +325,12 @@ func FuzzPositionHintVsSearch(f *testing.F) {
 				if from != wf || to != wt || t0 != w0 || t1 != w1 {
 					t.Fatalf("Leg(%d, %v) = (%v,%v,%v,%v), search says (%v,%v,%v,%v)", node, at, from, to, t0, t1, wf, wt, w0, w1)
 				}
-				continue
-			}
-			if got, want := m.Position(node, at), searchPosition(ls, at); got != want {
+			} else if got, want := m.Position(node, at), searchPosition(ls, at); got != want {
 				t.Fatalf("Position(%d, %v) = %v with hint, %v by search", node, at, got, want)
+			}
+			// The hint is the zero leg or a copy of one of the node's legs.
+			if h := m.hint[node]; h != (leg{}) && !slices.Contains(ls, h) {
+				t.Fatalf("node %d hint %+v is none of its legs", node, h)
 			}
 		}
 	})

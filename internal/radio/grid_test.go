@@ -22,13 +22,17 @@ func gridTestMedium(seed int64, n int, width, height float64) (*sim.Simulator, *
 }
 
 // checkGridVsNaive compares the indexed and naive neighbor sets of every
-// node at the medium's current virtual time.
+// node at the medium's current virtual time. The indexed queries run back to
+// back, one sender after another, so an audience bit one query left set
+// would surface in the next one's set.
 func checkGridVsNaive(t *testing.T, m *Medium, label string) {
 	t.Helper()
-	for node := 0; node < m.Nodes(); node++ {
-		grid := m.AppendNeighbors(node, nil)
-		naive := m.NeighborsNaive(node)
-		if !slices.Equal(grid, naive) {
+	grids := make([][]int, m.Nodes())
+	for node := range grids {
+		grids[node] = m.AppendNeighbors(node, nil)
+	}
+	for node, grid := range grids {
+		if naive := m.NeighborsNaive(node); !slices.Equal(grid, naive) {
 			t.Fatalf("%s node %d: grid=%v naive=%v", label, node, grid, naive)
 		}
 	}
@@ -57,6 +61,20 @@ func TestNeighborsGridMatchesNaive(t *testing.T) {
 	m.SetNodeDown(3, false)
 	m.SetNodeDown(12, true)
 	checkGridVsNaive(t, m, "after churn flip")
+
+	// Node counts at the edges of the audience bitset's 64-id words, dense
+	// enough that audiences straddle words; a warm query allocates nothing.
+	for _, n := range []int{63, 64, 65, 128, 129} {
+		s, m := gridTestMedium(int64(n), n, 800, 300)
+		for _, target := range []time.Duration{0, 41 * time.Second} {
+			s.Run(target)
+			checkGridVsNaive(t, m, fmt.Sprintf("n=%d t=%v", n, target))
+		}
+		buf := m.AppendNeighbors(n-1, make([]int, 0, n))
+		if allocs := testing.AllocsPerRun(20, func() { buf = m.AppendNeighbors(n-1, buf[:0]) }); allocs != 0 {
+			t.Fatalf("n=%d: a warm AppendNeighbors allocates %.1f times, want 0", n, allocs)
+		}
+	}
 }
 
 // TestNeighborsGridHeterogeneousRanges pins grid==naive when nodes carry
@@ -193,14 +211,17 @@ func TestReceptionRecordsPooled(t *testing.T) {
 }
 
 // FuzzNeighborsGridVsNaive fuzzes the differential property: arbitrary
-// seeds, query times, down masks and fault windows must never make the
-// indexed neighbor sets diverge from the naive scan.
+// seeds, node counts, query times, down masks and fault windows must never
+// make the indexed neighbor sets diverge from the naive scan.
 func FuzzNeighborsGridVsNaive(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint16(3000), uint32(0), uint16(100), uint16(600))
-	f.Add(int64(42), uint16(500), uint16(9999), uint32(0b1010), uint16(0), uint16(65535))
-	f.Add(int64(-7), uint16(65535), uint16(1), uint32(^uint32(0)), uint16(250), uint16(250))
-	f.Fuzz(func(t *testing.T, seed int64, t1ms, t2ms uint16, downMask uint32, regX, regR uint16) {
-		const n = 24
+	f.Add(int64(1), uint16(0), uint16(3000), uint32(0), uint16(100), uint16(600), uint8(24))
+	f.Add(int64(42), uint16(500), uint16(9999), uint32(0b1010), uint16(0), uint16(65535), uint8(24))
+	f.Add(int64(-7), uint16(65535), uint16(1), uint32(^uint32(0)), uint16(250), uint16(250), uint8(24))
+	for _, n := range []uint8{63, 64, 65, 128, 129} { // the audience bitset's word edges
+		f.Add(int64(n), uint16(2000), uint16(40000), uint32(1<<7|1<<20), uint16(700), uint16(200), n)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, t1ms, t2ms uint16, downMask uint32, regX, regR uint16, nodes uint8) {
+		n := max(int(nodes), 1)
 		s := sim.New(seed)
 		mob := mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
 			Width: 1500, Height: 300, MaxSpeed: 20,
@@ -223,13 +244,7 @@ func FuzzNeighborsGridVsNaive(f *testing.F) {
 		slices.Sort(times)
 		for _, target := range times {
 			s.Run(target)
-			for node := 0; node < n; node++ {
-				grid := m.AppendNeighbors(node, nil)
-				naive := m.NeighborsNaive(node)
-				if !slices.Equal(grid, naive) {
-					t.Fatalf("t=%v node %d: grid=%v naive=%v", target, node, grid, naive)
-				}
-			}
+			checkGridVsNaive(t, m, fmt.Sprintf("n=%d t=%v", n, target))
 		}
 	})
 }

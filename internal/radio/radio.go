@@ -22,6 +22,7 @@ package radio
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -113,11 +114,13 @@ type Medium struct {
 	// Scratch buffers and free lists for the allocation-free hot path:
 	// nbuf holds the neighbor set of the in-flight broadcast, d2[i] node
 	// i's squared distance from the node of the last neighbor scan that
-	// accepted it, cbuf the grid's candidate ids, and the pools recycle
-	// transmission, delivery and reception records.
+	// accepted it, cbuf the grid's candidate ids, heard one bit per node
+	// (all clear between scans) for putting the accepted ones in id order,
+	// and the pools recycle transmission, delivery and reception records.
 	nbuf    []int
 	d2      []float64
 	cbuf    []int32
+	heard   []uint64
 	txPool  []*txJob
 	dlvPool []*delivery
 	recPool []*reception
@@ -149,6 +152,7 @@ func New(s *sim.Simulator, mob mobility.Model, cfg Config) *Medium {
 	}
 	if !cfg.NoIndex {
 		m.grid = newGrid(mob, cfg.Range, indexEpoch)
+		m.heard = make([]uint64, (mob.Nodes()+63)/64)
 	}
 	return m
 }
@@ -225,15 +229,23 @@ func (m *Medium) AppendNeighbors(node int, buf []int) []int {
 	m.grid.ensure(m.sim.Now())
 	p := m.Position(node)
 	m.cbuf = m.grid.appendCandidates(p, m.ranges[node], m.cbuf[:0])
-	start := len(buf)
+	// Candidates arrive in cell order. Marking the accepted ones in a bitset
+	// and reading it back word by word, clearing as it goes, yields the naive
+	// scan's ascending-id order without a sort.
+	lo, hi := len(m.heard), -1
 	for _, id := range m.cbuf {
 		if m.hears(node, p, int(id)) {
-			buf = append(buf, int(id))
+			w := int(id >> 6)
+			m.heard[w] |= 1 << (id & 63)
+			lo, hi = min(lo, w), max(hi, w)
 		}
 	}
-	// Candidates arrive in cell order; the naive scan defines the
-	// canonical ascending-id order.
-	slices.Sort(buf[start:])
+	for w := lo; w <= hi; w++ {
+		for b := m.heard[w]; b != 0; b &= b - 1 {
+			buf = append(buf, w<<6|bits.TrailingZeros64(b))
+		}
+		m.heard[w] = 0
+	}
 	return buf
 }
 

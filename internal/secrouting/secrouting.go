@@ -166,9 +166,9 @@ func reassemblePublicKey(id string, pid []byte) (*core.PublicKey, error) {
 func (a *McCLSAuth) Overhead() int { return 64 + core.SignatureSize }
 
 // CostModelAuth mirrors McCLSAuth's accept/reject behaviour without the
-// group arithmetic: enrolled nodes produce a keyed digest over the payload;
-// everyone else produces garbage. Latencies and overhead default to the
-// McCLS figures.
+// group arithmetic: enrolled nodes produce a keyed digest over the payload,
+// recomputed by every Verify; everyone else produces garbage. Tag bytes
+// reach no output. Latencies and overhead default to the McCLS figures.
 type CostModelAuth struct {
 	SignLatency   time.Duration
 	VerifyLatency time.Duration
@@ -220,10 +220,11 @@ func (a *CostModelAuth) Enrolled(node int) bool {
 	return uint(node) < uint(len(a.authorized)) && a.authorized[node]
 }
 
-// tag is SHA-256 over secret ‖ node ‖ payload.
+// tag is SHA-256 over secret ‖ uint32(node) ‖ payload: a four-byte node keeps
+// every AODV control packet's keyed input to one compression (≤ 55 bytes).
 func (a *CostModelAuth) tag(node int, payload []byte) [sha256.Size]byte {
 	a.keyed = append(a.keyed[:0], costModelSecret[:]...)
-	a.keyed = binary.BigEndian.AppendUint64(a.keyed, uint64(node))
+	a.keyed = routing.AppendInt(a.keyed, node)
 	a.keyed = append(a.keyed, payload...)
 	return sha256.Sum256(a.keyed)
 }

@@ -5,9 +5,12 @@ import (
 	"crypto/sha256"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"mccls/internal/aodv"
 	"mccls/internal/routing"
 )
 
@@ -171,16 +174,20 @@ func TestCostModelLatencies(t *testing.T) {
 	}
 }
 
-// TestCostModelTagPinned pins the cost-model tag to the keyed digest as it
-// was first written (a streaming hash.Hash), shows a returned tag survives
-// the scratch buffer's reuse, and walks the edges of the enrollment table
-// now that it is a slice indexed by node instead of a map.
+// TestCostModelTagPinned pins the cost-model tag to the keyed digest written
+// out as a streaming hash.Hash, shows a returned tag survives the scratch
+// buffer's reuse, and walks the edges of the enrollment table now that it is
+// a slice indexed by node instead of a map.
 func TestCostModelTagPinned(t *testing.T) {
 	a := NewCostModelAuth()
 	a.Enroll(3)
-	h := sha256.New() // the construction as first written: secret ‖ node ‖ payload
+	// secret ‖ uint32(node) ‖ payload. The node was first a uint64; four
+	// bytes are what the control-packet encodings use, and they keep an
+	// AODV control packet's keyed input to one SHA-256 compression
+	// (TestCostModelKeyedInputOneBlock).
+	h := sha256.New()
 	h.Write(append([]byte("McCLS"), make([]byte, 11)...))
-	h.Write([]byte{0, 0, 0, 0, 0, 0, 0, 3})
+	h.Write([]byte{0, 0, 0, 3})
 	h.Write([]byte("RREQ"))
 	tag, _, _ := a.Sign(3, []byte("RREQ"))
 	if !bytes.Equal(tag, h.Sum(nil)) {
@@ -198,6 +205,43 @@ func TestCostModelTagPinned(t *testing.T) {
 	a.Unenroll(3)
 	if forged, d, _ := a.Sign(3, []byte("RREQ")); a.Enrolled(3) || d != 0 || !bytes.Equal(forged, make([]byte, sha256.Size)) {
 		t.Fatal("an unenrolled node still signs")
+	}
+}
+
+// TestCostModelKeyedInputOneBlock guards the cost model's price: SHA-256
+// pads a message with at least 9 bytes, so an input of up to 55 bytes is one
+// 64-byte compression and anything longer is two. Every AODV control packet
+// the city figures flood, at maximal field values, must stay in one block;
+// an encoding field that pushes the RREQ to two would cost the simulator a
+// second compression on every receive.
+func TestCostModelKeyedInputOneBlock(t *testing.T) {
+	const maxInt = math.MaxUint32
+	hop := routing.HopAuth{Sender: maxInt}
+	dest := aodv.UnreachableDest{Dest: maxInt, DestSeq: math.MaxUint32}
+	for _, tc := range []struct {
+		name string
+		msg  routing.Packet
+	}{
+		{"RREQ", &aodv.RREQ{ID: math.MaxUint32, Origin: maxInt, OriginSeq: math.MaxUint32, Dest: maxInt,
+			DestSeq: math.MaxUint32, SeqKnown: true, HopCount: maxInt, TTL: maxInt, HopAuth: hop}},
+		{"RREP", &aodv.RREP{Origin: maxInt, Dest: maxInt, DestSeq: math.MaxUint32, HopCount: maxInt,
+			Lifetime: maxInt * time.Millisecond, HopAuth: hop}},
+		{"HELLO", &aodv.Hello{Seq: math.MaxUint32, HopAuth: hop}},
+		{"RERR/1", &aodv.RERR{Unreachable: []aodv.UnreachableDest{dest}, HopAuth: hop}},
+		{"RERR/2", &aodv.RERR{Unreachable: []aodv.UnreachableDest{dest, dest}, HopAuth: hop}},
+		{"RERR/3", &aodv.RERR{Unreachable: []aodv.UnreachableDest{dest, dest, dest}, HopAuth: hop}},
+	} {
+		const node = 499 // the node is four bytes whatever its value
+		a := NewCostModelAuth()
+		a.Enroll(node)
+		payload := tc.msg.AppendEncode(nil)
+		tag, _, _ := a.Sign(node, payload)
+		if ok, _ := a.Verify(node, payload, tag); !ok {
+			t.Fatalf("%s: tag rejected", tc.name)
+		}
+		if len(a.keyed) > 55 {
+			t.Errorf("%s: keyed input is %d bytes (payload %d), more than one SHA-256 block holds (55)", tc.name, len(a.keyed), len(payload))
+		}
 	}
 }
 

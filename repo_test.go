@@ -27,7 +27,7 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14700
+const maxNonTestLines = 14724
 
 // mathBigFiles are the shipped files that may import math/big: init-time
 // constant derivation, the *big.Int adapters of the exported API and
