@@ -25,7 +25,7 @@ func TestHelloBeaconing(t *testing.T) {
 		t.Fatalf("HelloSent = %d, want ≈10", ns[0].Stats.HelloSent)
 	}
 	// Beacons establish hop-1 routes without any data traffic.
-	if hop, ok := ns[0].HasRoute(1); !ok || hop != 1 {
+	if hop, ok := hasRoute(ns[0], 1); !ok || hop != 1 {
 		t.Fatal("HELLO did not install neighbor route")
 	}
 }
@@ -54,7 +54,7 @@ func TestHelloDetectsDeadNeighborProactively(t *testing.T) {
 	if ns[0].Stats.NeighborsLost == 0 {
 		t.Fatal("dead neighbor never detected")
 	}
-	if _, ok := ns[0].HasRoute(2); ok {
+	if _, ok := hasRoute(ns[0], 2); ok {
 		t.Fatal("route through dead neighbor still valid")
 	}
 }
@@ -68,11 +68,11 @@ func TestHelloAuthenticatedUnderMcCLS(t *testing.T) {
 	if ns[0].Stats.AuthRejected == 0 {
 		t.Fatal("unauthenticated HELLOs not rejected")
 	}
-	if _, ok := ns[0].HasRoute(1); ok {
+	if _, ok := hasRoute(ns[0], 1); ok {
 		t.Fatal("attacker HELLO installed a route")
 	}
 	// The enrolled node's HELLOs still pass in the other direction.
-	if _, ok := ns[1].HasRoute(0); !ok {
+	if _, ok := hasRoute(ns[1], 0); !ok {
 		t.Fatal("legitimate HELLO rejected")
 	}
 }

@@ -60,19 +60,19 @@ func TestRestartRetainsOrFlushesRoutes(t *testing.T) {
 	s, _, ns := testNet(t, 3, Config{}, nil)
 	ns[0].Send(2, 64)
 	s.Run(time.Second)
-	if _, ok := ns[1].HasRoute(2); !ok {
+	if _, ok := hasRoute(ns[1], 2); !ok {
 		t.Fatal("relay has no route before crash")
 	}
 
 	ns[1].Down()
 	ns[1].Up(true)
-	if _, ok := ns[1].HasRoute(2); !ok {
+	if _, ok := hasRoute(ns[1], 2); !ok {
 		t.Fatal("warm restart must retain routing state")
 	}
 
 	ns[1].Down()
 	ns[1].Up(false)
-	if _, ok := ns[1].HasRoute(2); ok {
+	if _, ok := hasRoute(ns[1], 2); ok {
 		t.Fatal("cold restart must flush routing state")
 	}
 }

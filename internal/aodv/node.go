@@ -271,15 +271,6 @@ func (n *Node) route(dest int) *routeEntry {
 	return e
 }
 
-// HasRoute reports whether the node currently holds a usable route to dest,
-// and its next hop. Exposed for tests and attack implementations.
-func (n *Node) HasRoute(dest int) (nextHop int, ok bool) {
-	if e := n.route(dest); e != nil {
-		return e.nextHop, true
-	}
-	return 0, false
-}
-
 // touch refreshes the lifetime of an active route.
 func (n *Node) touch(dest int) {
 	if e := n.route(dest); e != nil {

@@ -36,6 +36,14 @@ func testNetAt(t *testing.T, mob mobility.Model, cfg Config, auth routing.Authen
 	return s, m, ns
 }
 
+// hasRoute reports whether n holds a usable route to dest, and its next hop.
+func hasRoute(n *Node, dest int) (nextHop int, ok bool) {
+	if e := n.route(dest); e != nil {
+		return e.nextHop, true
+	}
+	return 0, false
+}
+
 func TestRouteDiscoveryAndDelivery(t *testing.T) {
 	s, _, ns := testNet(t, 4, Config{}, nil)
 	var got []*DataPacket
@@ -49,10 +57,10 @@ func TestRouteDiscoveryAndDelivery(t *testing.T) {
 		t.Fatalf("bad packet: %+v", got[0])
 	}
 	// Forward route at source and reverse route at destination.
-	if hop, ok := ns[0].HasRoute(3); !ok || hop != 1 {
+	if hop, ok := hasRoute(ns[0], 3); !ok || hop != 1 {
 		t.Fatalf("source route = (%d, %v), want via 1", hop, ok)
 	}
-	if hop, ok := ns[3].HasRoute(0); !ok || hop != 2 {
+	if hop, ok := hasRoute(ns[3], 0); !ok || hop != 2 {
 		t.Fatalf("dest reverse route = (%d, %v), want via 2", hop, ok)
 	}
 	if ns[0].Stats.RREQInitiated != 1 {
@@ -133,7 +141,7 @@ func TestDiscoveryFailureDropsBuffered(t *testing.T) {
 	if ns[0].Stats.DropNoRoute != 2 {
 		t.Fatalf("DropNoRoute = %d, want 2", ns[0].Stats.DropNoRoute)
 	}
-	if _, ok := ns[0].HasRoute(2); ok {
+	if _, ok := hasRoute(ns[0], 2); ok {
 		t.Fatal("phantom route to unreachable node")
 	}
 	// Retries happened (1 + rreqRetries attempts total).
@@ -245,7 +253,7 @@ func TestLinkBreakTriggersRERRAndRediscovery(t *testing.T) {
 	if ns[0].Stats.DropLinkBreak == 0 && ns[0].Stats.DropNoRoute == 0 {
 		t.Fatalf("no link-break detected: %+v", ns[0].Stats)
 	}
-	if _, ok := ns[0].HasRoute(2); ok {
+	if _, ok := hasRoute(ns[0], 2); ok {
 		t.Fatal("broken route still marked valid")
 	}
 }
@@ -324,11 +332,11 @@ func TestRouteExpiry(t *testing.T) {
 	s, _, ns := testNet(t, 3, cfg, nil)
 	ns[0].Send(2, 64)
 	s.Run(300 * time.Millisecond)
-	if _, ok := ns[0].HasRoute(2); !ok {
+	if _, ok := hasRoute(ns[0], 2); !ok {
 		t.Fatal("route missing right after discovery window")
 	}
 	s.Run(10 * time.Second)
-	if _, ok := ns[0].HasRoute(2); ok {
+	if _, ok := hasRoute(ns[0], 2); ok {
 		t.Fatal("route survived well past its lifetime")
 	}
 }

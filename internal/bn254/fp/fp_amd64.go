@@ -8,15 +8,6 @@ package fp
 // independent flag, so dispatch leaks nothing about operand values.
 var SupportAdx = cpuHasAdx()
 
-// KernelPath names the active Mul/Square implementation for benchmark
-// reports.
-func KernelPath() string {
-	if SupportAdx {
-		return "adx"
-	}
-	return "generic"
-}
-
 // cpuHasAdx reports whether the CPU implements both ADX and BMI2.
 func cpuHasAdx() bool
 

@@ -7,10 +7,6 @@ package fp
 // assembly, so it is constant false.
 const SupportAdx = false
 
-// KernelPath names the active Mul/Square implementation for benchmark
-// reports.
-func KernelPath() string { return "generic" }
-
 func mul(z, x, y *Element)           { mulGeneric(z, x, y) }
 func square(z, x *Element)           { squareGeneric(z, x) }
 func add(z, x, y *Element)           { addGeneric(z, x, y) }

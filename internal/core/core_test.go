@@ -645,7 +645,7 @@ func TestSignRedrawsWhenROverlapsSecret(t *testing.T) {
 // private key, a KGC query or a key replacement: the verifier computes
 // (V'·h'⁻¹)·P − R' = X and e(X, S) = e(P_pub, Q_ID) as for an honest tag.
 // See DESIGN.md §8; the game harness over the other schemes is ROADMAP
-// item 1.
+// item 4.
 func TestPassiveObserverForgesSignature(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "victim@manet")
 	params, pk := kgc.Params(), sk.Public()

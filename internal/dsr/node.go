@@ -93,12 +93,6 @@ func (n *Node) Up(retainRoutes bool) bool {
 	return true
 }
 
-// CachedRoute returns a copy of the cached route to dest, if any.
-func (n *Node) CachedRoute(dest int) ([]int, bool) {
-	r, ok := n.cache[dest]
-	return slices.Clone(r), ok
-}
-
 // cacheRoute keeps the shortest known route per destination. Routes start
 // at n.ID.
 func (n *Node) cacheRoute(route []int) {

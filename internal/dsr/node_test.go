@@ -44,7 +44,7 @@ func TestDiscoveryAndSourceRouting(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("delivered %d, want 1", len(got))
 	}
-	route, ok := ns[0].CachedRoute(3)
+	route, ok := ns[0].cache[3]
 	if !ok {
 		t.Fatal("no cached route at source")
 	}
@@ -62,7 +62,7 @@ func TestDiscoveryAndSourceRouting(t *testing.T) {
 		t.Fatal("unexpected forwarding counts")
 	}
 	// Reverse-path caching: the target learned a route back to the origin.
-	if _, ok := ns[3].CachedRoute(0); !ok {
+	if _, ok := ns[3].cache[0]; !ok {
 		t.Fatal("target did not cache the reverse route")
 	}
 }
@@ -141,7 +141,7 @@ func TestLinkBreakPurgesCacheAndReportsError(t *testing.T) {
 	if ns[0].Stats.DropNoRoute == 0 {
 		t.Fatalf("stale-route failure not handled: %+v", ns[0].Stats)
 	}
-	if _, ok := ns[0].CachedRoute(2); ok {
+	if _, ok := ns[0].cache[2]; ok {
 		t.Fatal("stale route still cached")
 	}
 	if delivered != 1 {
@@ -255,19 +255,19 @@ func TestRestartRetainsOrFlushesCache(t *testing.T) {
 	s, ns := lineNet(t, 3, nil)
 	ns[0].Send(2, 64)
 	s.Run(time.Second)
-	if _, ok := ns[1].CachedRoute(2); !ok {
+	if _, ok := ns[1].cache[2]; !ok {
 		t.Fatal("relay cached no route before the crash")
 	}
 
 	ns[1].Down()
 	ns[1].Up(true)
-	if _, ok := ns[1].CachedRoute(2); !ok {
+	if _, ok := ns[1].cache[2]; !ok {
 		t.Fatal("warm restart must keep the route cache")
 	}
 
 	ns[1].Down()
 	ns[1].Up(false)
-	if _, ok := ns[1].CachedRoute(2); ok {
+	if _, ok := ns[1].cache[2]; ok {
 		t.Fatal("cold restart must flush the route cache")
 	}
 }

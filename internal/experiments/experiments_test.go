@@ -394,7 +394,7 @@ func TestMaxEventsFailsTrial(t *testing.T) {
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := quick().RunContext(ctx)
+	_, err := quick().run(ctx, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

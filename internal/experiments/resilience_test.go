@@ -109,34 +109,49 @@ func TestDSRChurnScenario(t *testing.T) {
 	}
 }
 
+// TestExplicitFaultScheduleDeterministic runs each part of a fault.Schedule
+// through Scenario.Faults: a crash with a loss window, and each radio window
+// alone — which only the medium evaluates, so a scenario that did not hand
+// the schedule to it would reproduce the clean run. Every schedule must be
+// deterministic and must differ from the clean run.
 func TestExplicitFaultScheduleDeterministic(t *testing.T) {
-	sc := quick()
-	sc.Faults = fault.Schedule{
-		Crashes: []fault.Crash{{Node: 5, At: 10 * time.Second, RestartAt: 25 * time.Second}},
-		Loss:    []fault.LossWindow{{From: 5 * time.Second, To: 40 * time.Second, Rate: 0.3}},
-	}
-	r1, err := sc.Run()
+	clean, err := quick().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stats != r2.Stats {
-		t.Fatal("explicit fault schedule broke determinism")
-	}
-	if r1.Crashes != 1 || r1.Restarts != 1 {
-		t.Fatalf("scheduled crash not applied: %+v", r1.Stats)
-	}
-
-	base := quick()
-	rb, err := base.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Stats == r1.Stats {
-		t.Fatal("a 30% loss window plus a relay crash changed nothing")
+	for name, sched := range map[string]fault.Schedule{
+		"crash+loss": {
+			Crashes: []fault.Crash{{Node: 5, At: 10 * time.Second, RestartAt: 25 * time.Second}},
+			Loss:    []fault.LossWindow{{From: 5 * time.Second, To: 40 * time.Second, Rate: 0.3}},
+		},
+		"loss":   {Loss: []fault.LossWindow{{From: 5 * time.Second, To: 40 * time.Second, Rate: 0.3}}},
+		"link":   {Links: []fault.LinkOutage{{A: 0, B: 1, To: 60 * time.Second}}},
+		"region": {Regions: []fault.RegionOutage{{X: 750, Y: 150, Radius: 200, From: 5 * time.Second, To: 40 * time.Second}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc := quick()
+			sc.Faults = sched
+			r1, err := sc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := sc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r1 != r2 {
+				t.Fatal("explicit fault schedule broke determinism")
+			}
+			if r1 == clean {
+				t.Fatal("the schedule changed nothing")
+			}
+			if want := uint64(len(sched.Crashes)); r1.Crashes != want || r1.Restarts != want {
+				t.Fatalf("crashes/restarts = %d/%d, want %d/%d", r1.Crashes, r1.Restarts, want, want)
+			}
+			if len(sched.Loss) > 0 && r1.Radio.Lost == 0 {
+				t.Fatal("a 30% loss window lost no frame")
+			}
+		})
 	}
 }
 

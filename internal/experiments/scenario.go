@@ -273,24 +273,12 @@ var substrates = map[bool]substrate{
 // Run executes the scenario over AODV and returns its result.
 func (sc Scenario) Run() (Result, error) { return sc.run(context.Background(), false) }
 
-// RunContext is Run under a context: cancellation (or a deadline) is polled
-// by the simulator's interrupt hook and aborts the run with the context's
-// error.
-func (sc Scenario) RunContext(ctx context.Context) (Result, error) {
-	return sc.run(ctx, false)
-}
-
 // RunDSR executes the scenario with DSR instead of AODV as the routing
 // protocol — the generality extension: the same McCLS authenticator, cost
 // model, traffic, faults, online enrollment and metrics run unchanged over
 // a source-routing protocol, against the black hole and rushing overlays
 // (the insider gray hole exists for AODV only and fails the run).
 func (sc Scenario) RunDSR() (Result, error) { return sc.run(context.Background(), true) }
-
-// RunDSRContext is RunDSR under a context; see RunContext.
-func (sc Scenario) RunDSRContext(ctx context.Context) (Result, error) {
-	return sc.run(ctx, true)
-}
 
 // world is what a run's nodes are built into: the defaulted scenario, its
 // simulator and medium, and the attacker set.
@@ -343,12 +331,13 @@ func (sc Scenario) setup(ctx context.Context) (*world, error) {
 	return &world{sc: sc, s: s, medium: medium, attackers: attackers}, nil
 }
 
-// run is the one run body behind the four entry points: build the world,
-// key it, add the substrate's nodes, wire online enrollment, install the
-// fault schedule (explicit faults plus seed-derived churn, applied through
-// the node lifecycle), start CBR traffic between honest nodes, run the
-// simulator past the traffic window so in-flight packets drain, and sum the
-// nodes' counters into the result.
+// run is the one run body behind Run, RunDSR and RunFigure's trials, whose
+// ctx the simulator's interrupt hook polls: build the world, key it, add the
+// substrate's nodes, wire online enrollment, install the fault schedule
+// (explicit faults plus seed-derived churn: its windows on the medium, its
+// crashes through the node lifecycle), start CBR traffic between honest
+// nodes, run the simulator past the traffic window so in-flight packets
+// drain, and sum the nodes' counters into the result.
 func (sc Scenario) run(ctx context.Context, overDSR bool) (Result, error) {
 	w, err := sc.setup(ctx)
 	if err != nil {
@@ -389,8 +378,7 @@ func (sc Scenario) run(ctx context.Context, overDSR bool) (Result, error) {
 		// Backoff jitter on its own seed-derived stream, like range jitter
 		// and churn: retry schedules must not shift any shared simulation
 		// draws.
-		enr = secrouting.NewEnrollment(s, w.medium, authority, clients,
-			secrouting.EnrollConfig{JitterSeed: sc.Seed ^ 0x626b6a74}) // "bkjt"
+		enr = secrouting.NewEnrollment(s, w.medium, authority, clients, sc.Seed^0x626b6a74) // "bkjt"
 		if err := enr.Start(); err != nil {
 			return Result{}, err
 		}
@@ -407,9 +395,8 @@ func (sc Scenario) run(ctx context.Context, overDSR bool) (Result, error) {
 		})
 		sched.Crashes = append(append([]fault.Crash{}, sched.Crashes...), churn.Crashes...)
 	}
-	if !sched.Empty() {
-		fault.Apply(s, sched, faulty, w.medium, hooks)
-	}
+	w.medium.SetFaults(sched)
+	fault.Apply(s, sched.Crashes, faulty, hooks)
 
 	var honest []int
 	for i := 0; i < sc.Nodes; i++ {

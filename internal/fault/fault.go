@@ -1,19 +1,20 @@
-// Package fault builds and applies deterministic fault schedules for the
-// MANET simulator: node crash/restart churn, per-link and regional radio
+// Package fault is the one vocabulary of deterministic fault schedules for
+// the MANET simulator: node crash/restart churn, per-link and regional radio
 // outages, and time-windowed channel-loss degradation. A Schedule is plain
 // data — fully decided before t=0 from a seeded generator (or written by
-// hand in a test) — and Apply installs it into a simulation by scheduling
-// lifecycle events against the virtual clock and registering radio windows.
-// Because nothing about a schedule depends on execution order, faulted runs
-// compose with the internal/runner parallel engine exactly like clean ones:
-// same seed + same schedule → bit-identical results at any worker count.
+// hand in a test) — and two parties evaluate it: radio.Medium.SetFaults
+// takes the whole schedule and reads its Links, Regions and Loss windows
+// against the virtual clock on every transmission, and Apply schedules its
+// Crashes as lifecycle events. Because nothing about a schedule depends on
+// execution order, faulted runs compose with the internal/runner parallel
+// engine exactly like clean ones: same seed + same schedule → bit-identical
+// results at any worker count.
 package fault
 
 import (
 	"math/rand"
 	"time"
 
-	"mccls/internal/mobility"
 	"mccls/internal/sim"
 )
 
@@ -54,11 +55,6 @@ type Schedule struct {
 	Links   []LinkOutage
 	Regions []RegionOutage
 	Loss    []LossWindow
-}
-
-// Empty reports whether the schedule injects no faults at all.
-func (s Schedule) Empty() bool {
-	return len(s.Crashes) == 0 && len(s.Links) == 0 && len(s.Regions) == 0 && len(s.Loss) == 0
 }
 
 // ChurnConfig parameterizes the random crash/restart generator.
@@ -130,14 +126,6 @@ type Node interface {
 	Up(retainRoutes bool) bool
 }
 
-// Medium is the radio surface Apply registers outage and loss windows on;
-// radio.Medium implements it.
-type Medium interface {
-	AddLinkOutage(a, b int, from, to sim.Time)
-	AddRegionOutage(center mobility.Point, radius float64, from, to sim.Time)
-	AddLossWindow(from, to sim.Time, rate float64)
-}
-
 // Hooks observe lifecycle transitions as they are applied. OnCrash runs
 // after the node goes down (the secure-routing layer uses it to discard the
 // node's volatile key material); OnRestart runs after the node comes back
@@ -147,21 +135,12 @@ type Hooks struct {
 	OnRestart func(node int)
 }
 
-// Apply installs the schedule: radio windows are registered immediately and
-// crash/restart transitions are scheduled on the simulator clock. nodes
-// maps a node index to its lifecycle (entries may be nil for indices the
-// schedule never touches — crashes against nil entries are ignored).
-func Apply(s *sim.Simulator, sched Schedule, nodes []Node, medium Medium, hooks Hooks) {
-	for _, w := range sched.Links {
-		medium.AddLinkOutage(w.A, w.B, w.From, w.To)
-	}
-	for _, w := range sched.Regions {
-		medium.AddRegionOutage(mobility.Point{X: w.X, Y: w.Y}, w.Radius, w.From, w.To)
-	}
-	for _, w := range sched.Loss {
-		medium.AddLossWindow(w.From, w.To, w.Rate)
-	}
-	for _, c := range sched.Crashes {
+// Apply schedules a schedule's crash/restart transitions on the simulator
+// clock, in slice order; its radio windows are the medium's (SetFaults).
+// nodes maps a node index to its lifecycle (entries may be nil for indices
+// the schedule never touches — crashes against nil entries are ignored).
+func Apply(s *sim.Simulator, crashes []Crash, nodes []Node, hooks Hooks) {
+	for _, c := range crashes {
 		c := c
 		if c.Node < 0 || c.Node >= len(nodes) || nodes[c.Node] == nil {
 			continue

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mccls/internal/mobility"
 	"mccls/internal/sim"
 )
 
@@ -48,7 +47,7 @@ func TestChurnEmptyCases(t *testing.T) {
 		{Events: 3, Nodes: 2, Duration: time.Minute, Exclude: []int{0, 1}},
 		{Events: 3, Nodes: 5},
 	} {
-		if s := Churn(rng, cfg); !s.Empty() {
+		if s := Churn(rng, cfg); !reflect.DeepEqual(s, Schedule{}) {
 			t.Fatalf("config %+v produced non-empty schedule", cfg)
 		}
 	}
@@ -79,12 +78,6 @@ func (n *recNode) Up(bool) bool {
 	return true
 }
 
-type recMedium struct{ links, regions, losses int }
-
-func (m *recMedium) AddLinkOutage(a, b int, from, to sim.Time)                      { m.links++ }
-func (m *recMedium) AddRegionOutage(_ mobility.Point, _ float64, from, to sim.Time) { m.regions++ }
-func (m *recMedium) AddLossWindow(from, to sim.Time, rate float64)                  { m.losses++ }
-
 func TestApplyLifecycleAndHooks(t *testing.T) {
 	s := sim.New(1)
 	nodes := []*recNode{{}, {}, {}}
@@ -92,33 +85,24 @@ func TestApplyLifecycleAndHooks(t *testing.T) {
 	for i, n := range nodes {
 		fnodes[i] = n
 	}
-	med := &recMedium{}
 	var crashed, restarted []int
-	sched := Schedule{
-		Crashes: []Crash{
-			{Node: 1, At: 1 * time.Second, RestartAt: 5 * time.Second},
-			// Overlapping window for the same node: the Down is a no-op,
-			// so the crash hook must not fire twice; its restart lands
-			// while the node is already up and must also be a no-op.
-			{Node: 1, At: 2 * time.Second, RestartAt: 3 * time.Second},
-			// Permanent crash (no restart).
-			{Node: 2, At: 4 * time.Second},
-			// Out-of-range victim: ignored.
-			{Node: 99, At: 1 * time.Second},
-		},
-		Links:   []LinkOutage{{A: 0, B: 1, From: 0, To: time.Second}},
-		Regions: []RegionOutage{{X: 1, Y: 2, Radius: 100, From: 0, To: time.Second}},
-		Loss:    []LossWindow{{From: 0, To: time.Second, Rate: 0.5}},
+	crashes := []Crash{
+		{Node: 1, At: 1 * time.Second, RestartAt: 5 * time.Second},
+		// Overlapping window for the same node: the Down is a no-op, so the
+		// crash hook must not fire twice; its restart lands while the node
+		// is already up and must also be a no-op.
+		{Node: 1, At: 2 * time.Second, RestartAt: 3 * time.Second},
+		// Permanent crash (no restart).
+		{Node: 2, At: 4 * time.Second},
+		// Out-of-range victim: ignored.
+		{Node: 99, At: 1 * time.Second},
 	}
-	Apply(s, sched, fnodes, med, Hooks{
+	Apply(s, crashes, fnodes, Hooks{
 		OnCrash:   func(n int) { crashed = append(crashed, n) },
 		OnRestart: func(n int) { restarted = append(restarted, n) },
 	})
 	s.Run(10 * time.Second)
 
-	if med.links != 1 || med.regions != 1 || med.losses != 1 {
-		t.Fatalf("windows registered: links=%d regions=%d losses=%d", med.links, med.regions, med.losses)
-	}
 	if nodes[1].crashes != 1 || nodes[1].restarts != 1 {
 		t.Fatalf("node 1 transitions: crashes=%d restarts=%d, want 1/1", nodes[1].crashes, nodes[1].restarts)
 	}

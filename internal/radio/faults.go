@@ -1,43 +1,20 @@
 package radio
 
 import (
+	"mccls/internal/fault"
 	"mccls/internal/mobility"
 	"mccls/internal/sim"
 )
 
 // Radio-layer fault injection: the medium can be told that a node's radio is
-// powered off (crash/restart churn), that a specific link or a geographic
-// region is severed for a time window (obstruction, jamming), or that the
-// channel loss rate is elevated for a window (interference burst). All
-// checks are pure functions of the virtual clock and the pre-registered
-// windows, so a faulted run is exactly as deterministic as a clean one.
-// Schedules are built by package fault and installed before t=0.
-
-// linkOutage severs the symmetric link a↔b during [from, to).
-type linkOutage struct {
-	a, b     int
-	from, to sim.Time
-}
-
-// regionOutage kills every link with an endpoint inside the disk during
-// [from, to).
-type regionOutage struct {
-	center   mobility.Point
-	radius   float64
-	from, to sim.Time
-}
-
-// lossWindow raises the channel loss rate during [from, to). Windows
-// compose with each other and with Config.lossRate as independent loss
-// processes.
-type lossWindow struct {
-	from, to sim.Time
-	rate     float64
-}
-
-func (w linkOutage) active(now sim.Time) bool   { return now >= w.from && now < w.to }
-func (w regionOutage) active(now sim.Time) bool { return now >= w.from && now < w.to }
-func (w lossWindow) active(now sim.Time) bool   { return now >= w.from && now < w.to }
+// powered off (crash/restart churn), and it evaluates the radio part of a
+// fault.Schedule — the Links and Regions outages that sever links for a time
+// window (obstruction, jamming) and the Loss windows that raise the channel
+// loss rate (interference burst). The schedule's Crashes are not the
+// medium's: fault.Apply turns them into lifecycle events, which reach the
+// radio through SetNodeDown. All checks are pure functions of the virtual
+// clock and the schedule installed before t=0, so a faulted run is exactly
+// as deterministic as a clean one.
 
 // SetNodeDown powers a node's radio off or on. A down node neither
 // transmits nor receives and unicasts toward it fail at send time (no MAC
@@ -47,38 +24,28 @@ func (m *Medium) SetNodeDown(node int, down bool) { m.down[node] = down }
 // NodeDown reports whether a node's radio is currently off.
 func (m *Medium) NodeDown(node int) bool { return m.down[node] }
 
-// AddLinkOutage severs the link between a and b (both directions) during
-// [from, to).
-func (m *Medium) AddLinkOutage(a, b int, from, to sim.Time) {
-	m.linkOutages = append(m.linkOutages, linkOutage{a: a, b: b, from: from, to: to})
-}
+// SetFaults installs the schedule whose Links, Regions and Loss windows the
+// medium evaluates from then on; it ignores the Crashes.
+func (m *Medium) SetFaults(s fault.Schedule) { m.faults = s }
 
-// AddRegionOutage severs every link touching the disk of the given center
-// and radius during [from, to).
-func (m *Medium) AddRegionOutage(center mobility.Point, radius float64, from, to sim.Time) {
-	m.regOutages = append(m.regOutages, regionOutage{center: center, radius: radius, from: from, to: to})
-}
-
-// AddLossWindow raises the channel loss rate by rate (a probability in
-// [0, 1)) during [from, to).
-func (m *Medium) AddLossWindow(from, to sim.Time, rate float64) {
-	m.lossWindows = append(m.lossWindows, lossWindow{from: from, to: to, rate: rate})
-}
+// active reports whether now lies in the window [from, to).
+func active(now, from, to sim.Time) bool { return now >= from && now < to }
 
 // linkFaulted reports whether a fault window currently severs the a↔b link.
 func (m *Medium) linkFaulted(a, b int) bool {
 	now := m.sim.Now()
-	for _, w := range m.linkOutages {
-		if w.active(now) && ((w.a == a && w.b == b) || (w.a == b && w.b == a)) {
+	for _, w := range m.faults.Links {
+		if active(now, w.From, w.To) && ((w.A == a && w.B == b) || (w.A == b && w.B == a)) {
 			return true
 		}
 	}
-	for _, w := range m.regOutages {
-		if !w.active(now) {
+	for _, w := range m.faults.Regions {
+		if !active(now, w.From, w.To) {
 			continue
 		}
-		_, ina := within(w.center, m.Position(a), w.radius)
-		_, inb := within(w.center, m.Position(b), w.radius)
+		center := mobility.Point{X: w.X, Y: w.Y}
+		_, ina := within(center, m.Position(a), w.Radius)
+		_, inb := within(center, m.Position(b), w.Radius)
 		if ina || inb {
 			return true
 		}
@@ -95,9 +62,9 @@ func (m *Medium) linkFaulted(a, b int) bool {
 // draw sequence of existing (fault-free) scenarios is untouched.
 func (m *Medium) lossAt(t sim.Time) float64 {
 	loss := m.cfg.lossRate
-	for _, w := range m.lossWindows {
-		if w.active(t) {
-			loss = 1 - (1-loss)*(1-w.rate)
+	for _, w := range m.faults.Loss {
+		if active(t, w.From, w.To) {
+			loss = 1 - (1-loss)*(1-w.Rate)
 		}
 	}
 	return loss

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mccls/internal/fault"
 	"mccls/internal/mobility"
 	"mccls/internal/sim"
 )
@@ -47,8 +48,10 @@ func TestNeighborsGridMatchesNaive(t *testing.T) {
 	// Faults: two dead radios, a severed link, a jammed region mid-field.
 	m.SetNodeDown(3, true)
 	m.SetNodeDown(41, true)
-	m.AddLinkOutage(5, 9, 10*time.Second, 200*time.Second)
-	m.AddRegionOutage(mobility.Point{X: 750, Y: 150}, 300, 50*time.Second, 150*time.Second)
+	m.SetFaults(fault.Schedule{
+		Links:   []fault.LinkOutage{{A: 5, B: 9, From: 10 * time.Second, To: 200 * time.Second}},
+		Regions: []fault.RegionOutage{{X: 750, Y: 150, Radius: 300, From: 50 * time.Second, To: 150 * time.Second}},
+	})
 
 	for _, target := range []time.Duration{0, 3 * time.Second, 9999 * time.Millisecond,
 		30 * time.Second, 77 * time.Second, 149 * time.Second, 151 * time.Second, 299 * time.Second} {
@@ -112,7 +115,7 @@ func TestNeighborsGridBoundaryCells(t *testing.T) {
 	if !m.InRange(0, 1) {
 		t.Fatal("exact-range pair not in range")
 	}
-	got := m.Neighbors(0)
+	got := m.AppendNeighbors(0, nil)
 	want := m.NeighborsNaive(0)
 	if !slices.Equal(got, want) || len(got) == 0 {
 		t.Fatalf("boundary neighbors: grid=%v naive=%v", got, want)
@@ -125,12 +128,12 @@ func TestNeighborsGridBoundaryCells(t *testing.T) {
 func TestNeighborsGridInstantFallback(t *testing.T) {
 	s := sim.New(1)
 	m := New(s, &movingAway{}, Config{})
-	if got := m.Neighbors(0); !slices.Equal(got, []int{1}) {
+	if got := m.AppendNeighbors(0, nil); !slices.Equal(got, []int{1}) {
 		t.Fatalf("neighbors at t=0: %v", got)
 	}
 	before := m.GridStats().Rebuilds
 	s.Run(40 * time.Second) // node 1 is now 500 m away
-	if got := m.Neighbors(0); len(got) != 0 {
+	if got := m.AppendNeighbors(0, nil); len(got) != 0 {
 		t.Fatalf("neighbors after recession: %v", got)
 	}
 	if m.GridStats().Rebuilds == before {
@@ -233,9 +236,11 @@ func FuzzNeighborsGridVsNaive(f *testing.F) {
 				m.SetNodeDown(i, true)
 			}
 		}
-		m.AddLinkOutage(int(t1ms)%n, int(t2ms)%n, 0, time.Duration(t2ms)*time.Millisecond)
-		m.AddRegionOutage(mobility.Point{X: float64(regX), Y: 150}, float64(regR),
-			time.Duration(t1ms)*time.Millisecond, 60*time.Second)
+		m.SetFaults(fault.Schedule{
+			Links: []fault.LinkOutage{{A: int(t1ms) % n, B: int(t2ms) % n, To: time.Duration(t2ms) * time.Millisecond}},
+			Regions: []fault.RegionOutage{{X: float64(regX), Y: 150, Radius: float64(regR),
+				From: time.Duration(t1ms) * time.Millisecond, To: 60 * time.Second}},
+		})
 
 		times := []time.Duration{
 			time.Duration(t1ms) * time.Millisecond,

@@ -26,6 +26,7 @@ import (
 	"slices"
 	"time"
 
+	"mccls/internal/fault"
 	"mccls/internal/mobility"
 	"mccls/internal/sim"
 )
@@ -125,12 +126,10 @@ type Medium struct {
 	dlvPool []*delivery
 	recPool []*reception
 
-	// Fault-injection state (see faults.go): powered-off radios and
-	// time-windowed link/region outages and loss degradation.
-	down        []bool
-	linkOutages []linkOutage
-	regOutages  []regionOutage
-	lossWindows []lossWindow
+	// Fault-injection state (see faults.go): powered-off radios, and the
+	// schedule whose link/region outages and loss windows SetFaults set.
+	down   []bool
+	faults fault.Schedule
 
 	// Stats is exported for scenario-level reporting.
 	Stats Stats
@@ -206,13 +205,6 @@ func (m *Medium) hears(node int, p mobility.Point, other int) bool {
 	}
 	m.d2[other] = d2
 	return true
-}
-
-// Neighbors returns the nodes currently within range of node, in ascending
-// id order. It allocates a fresh slice; hot paths should use
-// AppendNeighbors with a reused buffer instead.
-func (m *Medium) Neighbors(node int) []int {
-	return m.AppendNeighbors(node, nil)
 }
 
 // AppendNeighbors appends the nodes currently within range of node to buf

@@ -23,7 +23,7 @@ func line(n int) *mobility.Static {
 func TestNeighborsDiskModel(t *testing.T) {
 	s := sim.New(1)
 	m := New(s, line(4), Config{})
-	got := m.Neighbors(1)
+	got := m.AppendNeighbors(1, nil)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("neighbors(1) = %v, want [0 2]", got)
 	}

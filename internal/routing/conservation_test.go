@@ -6,6 +6,7 @@ import (
 
 	"mccls/internal/aodv"
 	"mccls/internal/dsr"
+	"mccls/internal/fault"
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
 	"mccls/internal/routing"
@@ -39,7 +40,7 @@ func TestDataPacketsAreConserved(t *testing.T) {
 				s := sim.New(1)
 				line := &mobility.Static{Points: []mobility.Point{{X: 0}, {X: 200}, {X: 400}}}
 				m := radio.New(s, line, radio.Config{})
-				m.AddLinkOutage(0, 1, from, from+50*time.Millisecond)
+				m.SetFaults(fault.Schedule{Links: []fault.LinkOutage{{A: 0, B: 1, From: from, To: from + 50*time.Millisecond}}})
 				auth := secrouting.NewCostModelAuth()
 				var src sender
 				var agents []*routing.Agent

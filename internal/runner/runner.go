@@ -32,8 +32,8 @@ type Options struct {
 	Workers int
 	// Timeout is the per-trial wall-clock deadline (0 = none). A trial
 	// only observes it through the context it receives, so trials must be
-	// context-aware (Scenario.RunContext wires it into the simulator's
-	// interrupt hook).
+	// context-aware (the experiment plane's RunFigure hands it to the
+	// simulator's interrupt hook).
 	Timeout time.Duration
 	// Progress, when non-nil, receives one Update per finished trial.
 	// Calls are serialized; the callback must not block for long or it

@@ -41,6 +41,9 @@ const (
 	DefaultJitterFrac    = 0.25
 	DefaultEnrollTTL     = 12
 
+	// kgcNode is the node index hosting the KGC.
+	kgcNode = 0
+
 	// enrollStartJitterMax desynchronizes the initial requests at t=0.
 	enrollStartJitterMax = 200 * time.Millisecond
 
@@ -79,21 +82,6 @@ type Authority interface {
 	Enrolled(node int) bool
 }
 
-// EnrollConfig places the online enrollment protocol in a run; its timing
-// is the constants above.
-type EnrollConfig struct {
-	// KGCNode is the node index hosting the KGC.
-	KGCNode int
-	// JitterSeed seeds the per-node backoff-jitter streams. Each client
-	// derives its own RNG from this seed, so jitter draws never perturb
-	// the shared simulation stream (waypoints, MAC delays) and a node's
-	// backoff schedule depends only on its identity and attempt count —
-	// not on global event interleaving. Zero draws a seed from the
-	// simulator RNG at NewEnrollment (exactly one draw, keeping the
-	// shared stream's advance fixed regardless of retry counts).
-	JitterSeed int64
-}
-
 // EnrollStats counts enrollment protocol events (per node, and summed by
 // Enrollment.Totals).
 type EnrollStats struct {
@@ -126,7 +114,7 @@ type enrollState struct {
 	gen     int // invalidates armed timers across crash/success
 	attempt int
 	// jrng is this node's private backoff-jitter stream (see
-	// EnrollConfig.JitterSeed).
+	// NewEnrollment's jitterSeed).
 	jrng *rand.Rand
 }
 
@@ -137,7 +125,6 @@ type Enrollment struct {
 	sim    *sim.Simulator
 	medium *radio.Medium
 	auth   Authority
-	cfg    EnrollConfig
 
 	registered map[int]bool // KGC identity whitelist
 	state      []*enrollState
@@ -146,23 +133,28 @@ type Enrollment struct {
 }
 
 // NewEnrollment wires the protocol onto the medium for the given client
-// nodes (the KGC host must not be listed; attackers are simply omitted —
-// the KGC's whitelist is what keeps them out). Each client's current
-// receive handler is wrapped, so call this after aodv.NewNode installed
-// the routing handlers.
-func NewEnrollment(s *sim.Simulator, medium *radio.Medium, auth Authority, clients []int, cfg EnrollConfig) *Enrollment {
+// nodes (the KGC host, node 0, must not be listed; attackers are simply
+// omitted — the KGC's whitelist is what keeps them out). Each client's
+// current receive handler is wrapped, so call this after aodv.NewNode
+// installed the routing handlers.
+//
+// jitterSeed seeds the per-node backoff-jitter streams. Each client derives
+// its own RNG from it, so jitter draws never perturb the shared simulation
+// stream (waypoints, MAC delays) and a node's backoff schedule depends only
+// on its identity and attempt count — not on global event interleaving.
+// Zero draws a seed from the simulator RNG here (exactly one draw, keeping
+// the shared stream's advance fixed regardless of retry counts).
+func NewEnrollment(s *sim.Simulator, medium *radio.Medium, auth Authority, clients []int, jitterSeed int64) *Enrollment {
 	n := medium.Nodes()
 	e := &Enrollment{
 		sim:        s,
 		medium:     medium,
 		auth:       auth,
-		cfg:        cfg,
 		registered: make(map[int]bool, len(clients)),
 		state:      make([]*enrollState, n),
 		seen:       make([]map[enrollSeen]bool, n),
 		stats:      make([]EnrollStats, n),
 	}
-	jitterSeed := e.cfg.JitterSeed
 	if jitterSeed == 0 {
 		jitterSeed = s.Rand().Int63()
 	}
@@ -199,7 +191,7 @@ func NewEnrollment(s *sim.Simulator, medium *radio.Medium, auth Authority, clien
 // needed) and kicks off every client's first request with a small
 // desynchronizing jitter.
 func (e *Enrollment) Start() error {
-	if err := e.auth.Enroll(e.cfg.KGCNode); err != nil {
+	if err := e.auth.Enroll(kgcNode); err != nil {
 		return err
 	}
 	for c := range e.state {
@@ -279,7 +271,7 @@ func (e *Enrollment) onRequest(me int, req EnrollRequest) {
 	}
 	e.seen[me][key] = true
 
-	if me == e.cfg.KGCNode {
+	if me == kgcNode {
 		if !e.registered[req.Node] {
 			return // unknown identity: attackers get nothing
 		}
@@ -359,7 +351,7 @@ func (e *Enrollment) OnCrash(node int) {
 // OnRestart reacts to a node coming back up: the KGC re-derives its own
 // key locally; a client starts enrollment over from a fresh backoff.
 func (e *Enrollment) OnRestart(node int) {
-	if node == e.cfg.KGCNode {
+	if node == kgcNode {
 		// Ignoring the error mirrors Start: with a broken crypto RNG the
 		// KGC host simply stays unenrolled and its packets are rejected.
 		_ = e.auth.Enroll(node)
@@ -369,9 +361,6 @@ func (e *Enrollment) OnRestart(node int) {
 		e.begin(node)
 	}
 }
-
-// Stats returns node's enrollment counters.
-func (e *Enrollment) Stats(node int) EnrollStats { return e.stats[node] }
 
 // Totals sums the per-node counters; MaxBackoff is the maximum over nodes.
 func (e *Enrollment) Totals() EnrollStats {
@@ -388,18 +377,4 @@ func (e *Enrollment) Totals() EnrollStats {
 		}
 	}
 	return t
-}
-
-// AllEnrolled reports whether every registered client (and the KGC host)
-// currently holds a key.
-func (e *Enrollment) AllEnrolled() bool {
-	if !e.auth.Enrolled(e.cfg.KGCNode) {
-		return false
-	}
-	for c := range e.registered {
-		if !e.auth.Enrolled(c) {
-			return false
-		}
-	}
-	return true
 }

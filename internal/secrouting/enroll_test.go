@@ -11,9 +11,9 @@ import (
 )
 
 // enrollNet builds a static line topology (200 m spacing, default 250 m
-// radio) with the KGC at cfg.KGCNode and every other node as an enrollment
+// radio) with the KGC at node 0 and every other node as an enrollment
 // client, and starts the protocol.
-func enrollNet(t *testing.T, n int, cfg EnrollConfig) (*sim.Simulator, *radio.Medium, *CostModelAuth, *Enrollment) {
+func enrollNet(t *testing.T, n int) (*sim.Simulator, *radio.Medium, *CostModelAuth, *Enrollment) {
 	t.Helper()
 	s := sim.New(11)
 	pts := make([]mobility.Point, n)
@@ -23,26 +23,38 @@ func enrollNet(t *testing.T, n int, cfg EnrollConfig) (*sim.Simulator, *radio.Me
 	m := radio.New(s, &mobility.Static{Points: pts}, radio.Config{})
 	auth := NewCostModelAuth()
 	var clients []int
-	for i := 0; i < n; i++ {
-		if i != cfg.KGCNode {
-			clients = append(clients, i)
-		}
+	for i := 1; i < n; i++ {
+		clients = append(clients, i)
 	}
-	e := NewEnrollment(s, m, auth, clients, cfg)
+	e := NewEnrollment(s, m, auth, clients, 0)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	return s, m, auth, e
 }
 
+// allEnrolled reports whether every registered client and the KGC host
+// currently hold a key.
+func allEnrolled(e *Enrollment) bool {
+	if !e.auth.Enrolled(kgcNode) {
+		return false
+	}
+	for c := range e.registered {
+		if !e.auth.Enrolled(c) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEnrollmentHappyPath(t *testing.T) {
-	s, _, auth, e := enrollNet(t, 5, EnrollConfig{KGCNode: 0})
+	s, _, auth, e := enrollNet(t, 5)
 	s.Run(5 * time.Second)
-	if !e.AllEnrolled() {
+	if !allEnrolled(e) {
 		t.Fatal("not everyone enrolled over a healthy network")
 	}
 	for c := 1; c < 5; c++ {
-		st := e.Stats(c)
+		st := e.stats[c]
 		if st.Attempts != 1 {
 			t.Fatalf("node %d took %d attempts over a healthy network", c, st.Attempts)
 		}
@@ -65,7 +77,7 @@ func TestEnrollmentHappyPath(t *testing.T) {
 // uncapped schedule (1+2+4+8+16 s), so the sixth backoff would be 32 s if
 // the cap did not clamp it.
 func TestEnrollmentKGCOutageBackoff(t *testing.T) {
-	s, m, auth, e := enrollNet(t, 5, EnrollConfig{KGCNode: 0})
+	s, m, auth, e := enrollNet(t, 5)
 
 	// The KGC host crashes immediately: radio dark, signing key lost.
 	m.SetNodeDown(0, true)
@@ -77,7 +89,7 @@ func TestEnrollmentKGCOutageBackoff(t *testing.T) {
 
 	s.Run(140 * time.Second)
 
-	if !e.AllEnrolled() {
+	if !allEnrolled(e) {
 		t.Fatal("outage ended but enrollment never completed")
 	}
 	if !auth.Enrolled(0) {
@@ -90,7 +102,7 @@ func TestEnrollmentKGCOutageBackoff(t *testing.T) {
 	// and the last pre-restart backoff is ≤ cap·1.25 = 20 s, so everyone is
 	// enrolled well before t=140 s.
 	for c := 1; c < 5; c++ {
-		st := e.Stats(c)
+		st := e.stats[c]
 		if st.Attempts < 7 || st.Attempts > 10 {
 			t.Fatalf("node %d made %d attempts, want 7..10", c, st.Attempts)
 		}
@@ -111,7 +123,7 @@ func TestEnrollmentKGCOutageBackoff(t *testing.T) {
 }
 
 func TestEnrollmentClientCrashReenrolls(t *testing.T) {
-	s, m, auth, e := enrollNet(t, 3, EnrollConfig{KGCNode: 0})
+	s, m, auth, e := enrollNet(t, 3)
 	s.Run(5 * time.Second)
 	if !auth.Enrolled(2) {
 		t.Fatal("client never enrolled")
@@ -132,7 +144,7 @@ func TestEnrollmentClientCrashReenrolls(t *testing.T) {
 	if !auth.Enrolled(2) {
 		t.Fatal("restarted client never re-enrolled")
 	}
-	if st := e.Stats(2); st.Successes != 2 {
+	if st := e.stats[2]; st.Successes != 2 {
 		t.Fatalf("Successes = %d, want 2 (enroll + re-enroll)", st.Successes)
 	}
 }
@@ -147,7 +159,7 @@ func TestEnrollmentKGCIgnoresUnregistered(t *testing.T) {
 	}
 	m := radio.New(s, &mobility.Static{Points: pts}, radio.Config{})
 	auth := NewCostModelAuth()
-	e := NewEnrollment(s, m, auth, []int{1, 2}, EnrollConfig{KGCNode: 0})
+	e := NewEnrollment(s, m, auth, []int{1, 2}, 0)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +171,8 @@ func TestEnrollmentKGCIgnoresUnregistered(t *testing.T) {
 	if !auth.Enrolled(1) || !auth.Enrolled(2) {
 		t.Fatal("registered clients failed to enroll")
 	}
-	if e.Stats(0).RepliesSent != 2 {
-		t.Fatalf("KGC sent %d replies for 2 registered clients", e.Stats(0).RepliesSent)
+	if e.stats[0].RepliesSent != 2 {
+		t.Fatalf("KGC sent %d replies for 2 registered clients", e.stats[0].RepliesSent)
 	}
 }
 
@@ -198,7 +210,7 @@ func (r radioLifecycle) Up(bool) bool {
 // region clears, while nodes that merely lost connectivity (not power) keep
 // the keys they already hold: a partition is not a key loss.
 func TestEnrollmentCrashOverlappingRegionOutage(t *testing.T) {
-	s, m, auth, e := enrollNet(t, 5, EnrollConfig{KGCNode: 0})
+	s, m, auth, e := enrollNet(t, 5)
 
 	sched := fault.Schedule{
 		Crashes: []fault.Crash{{Node: 3, At: 5 * time.Second, RestartAt: 10 * time.Second}},
@@ -211,7 +223,8 @@ func TestEnrollmentCrashOverlappingRegionOutage(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = radioLifecycle{m: m, node: i}
 	}
-	fault.Apply(s, sched, nodes, m, fault.Hooks{OnCrash: e.OnCrash, OnRestart: e.OnRestart})
+	m.SetFaults(sched)
+	fault.Apply(s, sched.Crashes, nodes, fault.Hooks{OnCrash: e.OnCrash, OnRestart: e.OnRestart})
 
 	// Mid-partition probe: node 3 is back up but must still be unenrolled,
 	// while node 4 — partitioned but never powered off — keeps its key.
@@ -229,10 +242,10 @@ func TestEnrollmentCrashOverlappingRegionOutage(t *testing.T) {
 	if !midEnrolled4 {
 		t.Fatal("node 4 lost its key to a radio outage (partition is not a crash)")
 	}
-	if !e.AllEnrolled() {
+	if !allEnrolled(e) {
 		t.Fatal("region cleared but enrollment never completed")
 	}
-	st := e.Stats(3)
+	st := e.stats[3]
 	if st.Successes != 2 {
 		t.Fatalf("node 3 Successes = %d, want 2 (initial + post-restart)", st.Successes)
 	}
@@ -244,14 +257,14 @@ func TestEnrollmentCrashOverlappingRegionOutage(t *testing.T) {
 	}
 	// Nodes that only lost links made exactly their one initial attempt.
 	for _, c := range []int{1, 2, 4} {
-		if st := e.Stats(c); st.Attempts != 1 || st.Successes != 1 {
+		if st := e.stats[c]; st.Attempts != 1 || st.Successes != 1 {
 			t.Fatalf("node %d attempts/successes = %d/%d, want 1/1", c, st.Attempts, st.Successes)
 		}
 	}
 }
 
 // TestBackoffJitterDrawSequence pins the per-node jitter streams: with a
-// fixed JitterSeed, every node's backoff sequence is a deterministic
+// fixed jitter seed, every node's backoff sequence is a deterministic
 // function of (seed, node, attempt) — independent of event interleaving,
 // other nodes' retries, and every shared simulation draw. The golden
 // values guard the derivation (seed ^ (node+1)·goldenRatio) and the
@@ -263,7 +276,7 @@ func TestBackoffJitterDrawSequence(t *testing.T) {
 			pts := []mobility.Point{{X: 0}, {X: 200}, {X: 400}}
 			m := radio.New(s, &mobility.Static{Points: pts}, radio.Config{})
 			auth := NewCostModelAuth()
-			e := NewEnrollment(s, m, auth, []int{1, 2}, EnrollConfig{KGCNode: 0, JitterSeed: 42})
+			e := NewEnrollment(s, m, auth, []int{1, 2}, 42)
 			return s, m, auth, e
 		}()
 		return e

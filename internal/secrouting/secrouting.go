@@ -66,11 +66,10 @@ type McCLSAuth struct {
 	keys map[int]*core.PrivateKey
 
 	// SignLatency and VerifyLatency are the virtual-time processing
-	// delays charged per operation; ParseLatency is charged for
+	// delays charged per operation; DefaultParseLatency is charged for
 	// rejecting a malformed tag before any curve arithmetic runs.
 	SignLatency   time.Duration
 	VerifyLatency time.Duration
-	ParseLatency  time.Duration
 
 	rng io.Reader
 }
@@ -90,7 +89,6 @@ func NewMcCLSAuth(rng io.Reader) (*McCLSAuth, error) {
 		keys:          make(map[int]*core.PrivateKey),
 		SignLatency:   DefaultSignLatency,
 		VerifyLatency: DefaultVerifyLatency,
-		ParseLatency:  DefaultParseLatency,
 		rng:           rng,
 	}, nil
 }
@@ -134,18 +132,18 @@ func (a *McCLSAuth) Sign(node int, payload []byte) ([]byte, time.Duration, error
 
 // Verify checks the tag against the identity derived from the transmitting
 // node's index. Malformed tags are rejected before any curve arithmetic,
-// but the deserialization attempt itself is charged at ParseLatency.
+// but the deserialization attempt itself is charged at DefaultParseLatency.
 func (a *McCLSAuth) Verify(node int, payload, auth []byte) (bool, time.Duration) {
 	if len(auth) != 64+core.SignatureSize {
-		return false, a.ParseLatency
+		return false, DefaultParseLatency
 	}
 	pk, err := reassemblePublicKey(NodeIdentity(node), auth[:64])
 	if err != nil {
-		return false, a.ParseLatency
+		return false, DefaultParseLatency
 	}
 	sig, err := core.UnmarshalSignature(auth[64:])
 	if err != nil {
-		return false, a.ParseLatency
+		return false, DefaultParseLatency
 	}
 	return a.vf.Verify(pk, payload, sig) == nil, a.VerifyLatency
 }
@@ -168,12 +166,11 @@ func (a *McCLSAuth) Overhead() int { return 64 + core.SignatureSize }
 // CostModelAuth mirrors McCLSAuth's accept/reject behaviour without the
 // group arithmetic: enrolled nodes produce a keyed digest over the payload,
 // recomputed by every Verify; everyone else produces garbage. Tag bytes
-// reach no output. Latencies and overhead default to the McCLS figures.
+// reach no output. Latencies default to the McCLS figures, and the wire
+// overhead is McCLS's.
 type CostModelAuth struct {
 	SignLatency   time.Duration
 	VerifyLatency time.Duration
-	ParseLatency  time.Duration
-	OverheadBytes int
 
 	authorized []bool // indexed by node
 	// keyed is the digest input of the current call. Reusing it keeps tag
@@ -185,14 +182,9 @@ type CostModelAuth struct {
 var _ routing.Authenticator = (*CostModelAuth)(nil)
 
 // NewCostModelAuth creates a cost-model authenticator with the default
-// McCLS latencies and wire overhead.
+// McCLS latencies.
 func NewCostModelAuth() *CostModelAuth {
-	return &CostModelAuth{
-		SignLatency:   DefaultSignLatency,
-		VerifyLatency: DefaultVerifyLatency,
-		ParseLatency:  DefaultParseLatency,
-		OverheadBytes: 64 + core.SignatureSize,
-	}
+	return &CostModelAuth{SignLatency: DefaultSignLatency, VerifyLatency: DefaultVerifyLatency}
 }
 
 // costModelSecret stands in for the KGC trust root.
@@ -240,14 +232,15 @@ func (a *CostModelAuth) Sign(node int, payload []byte) ([]byte, time.Duration, e
 	return tag[:], a.SignLatency, nil
 }
 
-// Verify recomputes the digest. Malformed tags cost ParseLatency, mirroring
-// McCLSAuth.
+// Verify recomputes the digest. Malformed tags cost DefaultParseLatency,
+// mirroring McCLSAuth.
 func (a *CostModelAuth) Verify(node int, payload, auth []byte) (bool, time.Duration) {
 	if len(auth) != sha256.Size {
-		return false, a.ParseLatency
+		return false, DefaultParseLatency
 	}
 	return a.tag(node, payload) == [sha256.Size]byte(auth), a.VerifyLatency
 }
 
-// Overhead reports the modelled per-packet byte cost.
-func (a *CostModelAuth) Overhead() int { return a.OverheadBytes }
+// Overhead reports the modelled per-packet byte cost: McCLSAuth's P_ID plus
+// signature.
+func (a *CostModelAuth) Overhead() int { return 64 + core.SignatureSize }

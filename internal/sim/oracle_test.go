@@ -52,7 +52,7 @@ func (h *oracleHeap) Pop() any {
 
 func (s *oracleSim) Now() Time             { return s.now }
 func (s *oracleSim) Processed() uint64     { return s.processed }
-func (s *oracleSim) Pending() int          { return len(s.queue) }
+func (s *oracleSim) pendingEvents() int    { return len(s.queue) }
 func (s *oracleSim) PeakQueue() int        { return s.peakQueue }
 func (s *oracleSim) EventAllocs() uint64   { return s.eventAllocs }
 func (s *oracleSim) SetMaxEvents(n uint64) { s.maxEvents = n }
@@ -91,13 +91,19 @@ func (s *oracleSim) schedule(t Time, fn func(), a Action) {
 }
 
 func (s *oracleSim) ScheduleAt(t Time, fn func())      { s.schedule(t, fn, nil) }
-func (s *oracleSim) ScheduleActionAt(t Time, a Action) { s.schedule(t, nil, a) }
+func (s *oracleSim) scheduleActionAt(t Time, a Action) { s.schedule(t, nil, a) }
 
 // The oracle has no sources: a lane's or a fan-out's actions are plain
-// ScheduleActionAt calls in the order they are made.
-func (s *oracleSim) ScheduleLane(d time.Duration, a Action) { s.ScheduleActionAt(s.now+d, a) }
-func (s *oracleSim) StageAt(t Time, a Action)               { s.ScheduleActionAt(t, a) }
+// scheduleActionAt calls in the order they are made.
+func (s *oracleSim) ScheduleLane(d time.Duration, a Action) { s.scheduleActionAt(s.now+d, a) }
+func (s *oracleSim) StageAt(t Time, a Action)               { s.scheduleActionAt(t, a) }
 func (s *oracleSim) ScheduleStaged()                        {}
+
+// scheduleActionAt (a single Action event at an absolute time) and
+// pendingEvents (the queued count) are the two calls only this harness makes
+// of the shipped queue.
+func (s *Simulator) scheduleActionAt(t Time, a Action) { s.enqueue(t, a) }
+func (s *Simulator) pendingEvents() int                { return s.pending }
 
 func (s *oracleSim) fire() {
 	next := heap.Pop(&s.queue).(*oracleEvent)
@@ -133,7 +139,7 @@ func (s *oracleSim) RunAll() {
 // eventQueue is what the fuzzer drives on both implementations.
 type eventQueue interface {
 	ScheduleAt(Time, func())
-	ScheduleActionAt(Time, Action)
+	scheduleActionAt(Time, Action)
 	ScheduleLane(time.Duration, Action)
 	StageAt(Time, Action)
 	ScheduleStaged()
@@ -142,7 +148,7 @@ type eventQueue interface {
 	SetMaxEvents(uint64)
 	Now() Time
 	Processed() uint64
-	Pending() int
+	pendingEvents() int
 	PeakQueue() int
 	EventAllocs() uint64
 	Err() error
@@ -194,7 +200,7 @@ func (d *driver) node(spawn []byte) *node {
 func (d *driver) schedule(t Time, asAction bool, spawn []byte) {
 	n := d.node(spawn)
 	if asAction {
-		d.q.ScheduleActionAt(t, n)
+		d.q.scheduleActionAt(t, n)
 	} else {
 		d.q.ScheduleAt(t, n.Fire)
 	}
@@ -230,7 +236,7 @@ func (h *holder) schedule() {
 	d.seq++
 	h.seq = d.seq
 	h.x = h.x*6364136223846793005 + 1442695040888963407
-	d.q.ScheduleActionAt(d.q.Now()+Time(h.x>>54)+1, h)
+	d.q.scheduleActionAt(d.q.Now()+Time(h.x>>54)+1, h)
 }
 
 func (h *holder) Fire() {
@@ -240,7 +246,7 @@ func (h *holder) Fire() {
 
 const (
 	opClosure = iota // ScheduleAt a leaf
-	opAction         // ScheduleActionAt a leaf
+	opAction         // scheduleActionAt a leaf
 	opTree           // schedule a node that schedules from inside its callback
 	opRun            // Run(now + arg%8)
 	opRunAll
@@ -299,7 +305,7 @@ func (d *driver) step(program []byte) int {
 
 // FuzzEventQueueVsContainerHeap drives the shipped queue and the
 // container/heap oracle with the same random interleaving of ScheduleAt,
-// ScheduleActionAt, ScheduleLane, staged fan-outs, scheduling from inside
+// scheduleActionAt, ScheduleLane, staged fan-outs, scheduling from inside
 // callbacks, Run(until), RunAll and MaxEvents cut-offs, dense with
 // same-instant ties and past times. After every instruction the clocks and
 // all four counters must agree; at the end so must the full (at, seq) firing
@@ -336,10 +342,10 @@ func FuzzEventQueueVsContainerHeap(f *testing.F) {
 			want.step(program)
 			program = program[n:]
 			g, w := got.q, want.q
-			if g.Now() != w.Now() || g.Processed() != w.Processed() || g.Pending() != w.Pending() ||
+			if g.Now() != w.Now() || g.Processed() != w.Processed() || g.pendingEvents() != w.pendingEvents() ||
 				g.PeakQueue() != w.PeakQueue() || g.EventAllocs() != w.EventAllocs() || g.Err() != w.Err() {
 				t.Fatalf("after instruction %d: now %v/%v processed %d/%d pending %d/%d peak %d/%d allocs %d/%d err %v/%v (queue/oracle)",
-					pc, g.Now(), w.Now(), g.Processed(), w.Processed(), g.Pending(), w.Pending(),
+					pc, g.Now(), w.Now(), g.Processed(), w.Processed(), g.pendingEvents(), w.pendingEvents(),
 					g.PeakQueue(), w.PeakQueue(), g.EventAllocs(), w.EventAllocs(), g.Err(), w.Err())
 			}
 		}

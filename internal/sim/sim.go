@@ -185,9 +185,6 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // Processed reports how many events have been executed.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Pending reports how many events are queued.
-func (s *Simulator) Pending() int { return s.pending }
-
 // PeakQueue reports the high-water mark of events queued at once.
 func (s *Simulator) PeakQueue() int { return s.peakQueue }
 
@@ -244,12 +241,6 @@ func (s *Simulator) Schedule(d time.Duration, fn func()) { s.enqueue(s.now+d, fu
 // past are clamped to now.
 func (s *Simulator) ScheduleAt(t Time, fn func()) { s.enqueue(t, funcAction(fn)) }
 
-// ScheduleActionAt enqueues a pre-allocated Action to fire at absolute
-// virtual time t (clamped to now). Unlike ScheduleAt it needs no closure, so
-// callers that recycle their Action values keep the schedule/fire cycle
-// allocation-free.
-func (s *Simulator) ScheduleActionAt(t Time, a Action) { s.enqueue(t, a) }
-
 // ScheduleAction enqueues a pre-allocated Action to fire after delay d
 // (clamped to ≥ 0).
 func (s *Simulator) ScheduleAction(d time.Duration, a Action) { s.enqueue(s.now+d, a) }
@@ -285,7 +276,8 @@ func (s *Simulator) ScheduleLane(d time.Duration, a Action) {
 
 // StageAt stages a to fire at absolute time t (clamped to now) in the
 // fan-out ScheduleStaged queues next, such as one broadcast's deliveries. It
-// takes its sequence number now, so the order is exactly ScheduleActionAt's.
+// takes its sequence number now, so the order is exactly that of single
+// events scheduled at the same points.
 func (s *Simulator) StageAt(t Time, a Action) {
 	s.staged.ev = append(s.staged.ev, s.stamp(t, a))
 }

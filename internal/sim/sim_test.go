@@ -60,7 +60,7 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	if ran {
 		t.Fatal("event beyond horizon executed")
 	}
-	if s.Pending() != 1 {
+	if s.pending != 1 {
 		t.Fatal("pending event lost")
 	}
 	s.Run(3 * time.Second)
@@ -271,8 +271,8 @@ func TestSourcesPendingMatchesOracle(t *testing.T) {
 	for i, step := range steps {
 		step(got)
 		step(want)
-		if g, w := got.q.Pending(), want.q.Pending(); g != w {
-			t.Fatalf("step %d: Pending %d, oracle %d", i, g, w)
+		if g, w := got.q.pendingEvents(), want.q.pendingEvents(); g != w {
+			t.Fatalf("step %d: pending %d, oracle %d", i, g, w)
 		}
 		if g, w := got.q.PeakQueue(), want.q.PeakQueue(); g != w {
 			t.Fatalf("step %d: PeakQueue %d, oracle %d", i, g, w)

@@ -48,9 +48,6 @@ func (s *Signer) Epoch() uint32 {
 	return s.share.Epoch
 }
 
-// Params returns the public parameters the signer issues under.
-func (s *Signer) Params() *core.Params { return s.params }
-
 // Issue computes this holder's key share D_j = s_j·Q_ID for an identity,
 // stamped with the epoch it was issued under.
 func (s *Signer) Issue(id string) *KeyShare {
