@@ -68,16 +68,14 @@ func run(ctx context.Context, args []string) error {
 	burst := fs.Int("burst", kgcd.DefaultRateBurst, "per-identity burst size")
 	timeout := fs.Duration("timeout", kgcd.DefaultRequestTimeout, "per-enrollment fan-out timeout")
 	grace := fs.Duration("grace", 10*time.Second, "drain budget for graceful shutdown on SIGINT/SIGTERM")
-	validate := fs.Bool("validate", false, "pairing-check every combined key before serving it")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	combCfg := kgcd.Config{
-		CacheSize:        *cacheSize,
-		RatePerSec:       *rate,
-		RateBurst:        *burst,
-		RequestTimeout:   *timeout,
-		ValidateCombined: *validate,
+		CacheSize:      *cacheSize,
+		RatePerSec:     *rate,
+		RateBurst:      *burst,
+		RequestTimeout: *timeout,
 	}
 	switch *role {
 	case "all":

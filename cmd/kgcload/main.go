@@ -1,7 +1,7 @@
 // Command kgcload is the chaos drill for the kgcd enrollment service. It
 // self-hosts a t-of-n deployment on loopback (rate limiting disabled), and
 // while closed-loop workers keep one enrollment in flight each, a
-// deterministic kgcd.FaultSchedule kills one of the n replicas every
+// deterministic fault.Rotation kills one of the n replicas every
 // -chaosperiod for -chaosdown (always below quorum loss for t ≤ n−1) and a
 // proactive share refresh runs at half-time. Afterwards fresh identities
 // are enrolled and byte-compared against the single-master oracle.
@@ -32,6 +32,7 @@ import (
 
 	"mccls/internal/bn254"
 	"mccls/internal/core"
+	"mccls/internal/fault"
 	"mccls/internal/kgcd"
 )
 
@@ -108,19 +109,13 @@ func run(args []string, out io.Writer) (summary, error) {
 	if err != nil {
 		return summary{}, err
 	}
-	targets := make([]string, o.n)
-	for i := range targets {
-		targets[i] = fmt.Sprintf("replica-%d", i)
-	}
-	crashes := kgcd.RotatingCrashes(targets, o.chaosPeriod, o.chaosDown, o.chaosFor)
-	injector := kgcd.NewInjector(kgcd.FaultSchedule{Crashes: crashes})
+	crashes := fault.Rotation(o.n, o.chaosPeriod, o.chaosDown, o.chaosFor)
+	injector := kgcd.NewInjector(crashes)
 	cl, err := kgcd.StartCluster(kgcd.ClusterConfig{
 		T: o.t, N: o.n,
-		Master:   master,
-		Combiner: kgcd.Config{RatePerSec: -1},
-		SignerMiddleware: func(i int, h http.Handler) http.Handler {
-			return injector.Middleware(targets[i], h)
-		},
+		Master:           master,
+		Combiner:         kgcd.Config{RatePerSec: -1},
+		SignerMiddleware: injector.Middleware,
 	})
 	if err != nil {
 		return summary{}, fmt.Errorf("self-host: %w", err)

@@ -83,13 +83,11 @@ type UnreachableDest struct {
 // DataPacket is an application payload being routed. Data packets are not
 // signed (the paper authenticates routing control only).
 type DataPacket struct {
-	ID      uint64
-	Src     int
-	Dst     int
-	Bytes   int // application payload size
-	SentAt  time.Duration
-	TTL     int
-	HopsFwd int
+	Src    int
+	Dst    int
+	Bytes  int // application payload size
+	SentAt time.Duration
+	TTL    int
 }
 
 // AppendEncode appends the canonical byte encoding of the RREQ as

@@ -300,12 +300,10 @@ func (n *Node) invalidateVia(hop int) []UnreachableDest {
 // Send originates a data packet of the given payload size toward dst,
 // buffering it and starting route discovery if necessary.
 func (n *Node) Send(dst, bytes int) {
-	id, ok := n.Originate()
-	if !ok {
+	if !n.Originate() {
 		return
 	}
 	pkt := &DataPacket{
-		ID:     id,
 		Src:    n.ID,
 		Dst:    dst,
 		Bytes:  bytes,
@@ -586,7 +584,6 @@ func (n *Node) processData(from int, pkt *DataPacket) {
 		n.Stats.DropTTLExpired++
 		return
 	}
-	pkt.HopsFwd++
 	e := n.route(pkt.Dst)
 	if e == nil {
 		n.Stats.DropNoRoute++

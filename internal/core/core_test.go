@@ -332,6 +332,41 @@ func TestPublicKeyAndParamsMarshal(t *testing.T) {
 	}
 }
 
+// TestNewPublicKeyMatchesUnmarshal: the bare P_ID decode and the
+// length-prefixed one are the same decode — equal keys for a valid point,
+// ErrInvalidKey for the identity, an off-curve point and short input.
+func TestNewPublicKeyMatchesUnmarshal(t *testing.T) {
+	_, sk, _ := newTestSystem(t, "alice")
+	pk := sk.Public()
+	offCurve := pk.PID.Marshal()
+	offCurve[63] ^= 1
+	for _, tc := range []struct {
+		name  string
+		pid   []byte
+		valid bool
+	}{
+		{"valid", pk.PID.Marshal(), true},
+		{"identity", make([]byte, 64), false},
+		{"off curve", offCurve, false},
+		{"short", pk.PID.Marshal()[:63], false},
+	} {
+		bare, errBare := NewPublicKey(pk.ID, tc.pid)
+		prefixed, errPrefixed := UnmarshalPublicKey(append(appendLengthPrefixed(nil, []byte(pk.ID)), tc.pid...))
+		if !tc.valid {
+			if !errors.Is(errBare, ErrInvalidKey) || !errors.Is(errPrefixed, ErrInvalidKey) {
+				t.Errorf("%s: NewPublicKey %v, UnmarshalPublicKey %v; want ErrInvalidKey from both", tc.name, errBare, errPrefixed)
+			}
+			continue
+		}
+		if errBare != nil || errPrefixed != nil {
+			t.Fatalf("%s: NewPublicKey %v, UnmarshalPublicKey %v", tc.name, errBare, errPrefixed)
+		}
+		if bare.ID != prefixed.ID || !bare.PID.Equal(prefixed.PID) || !bytes.Equal(bare.Marshal(), pk.Marshal()) {
+			t.Errorf("%s: NewPublicKey and UnmarshalPublicKey disagree", tc.name)
+		}
+	}
+}
+
 func TestPartialKeyMarshalRoundTrip(t *testing.T) {
 	kgc, _, _ := newTestSystem(t, "alice")
 	ppk := kgc.ExtractPartialPrivateKey("alice")

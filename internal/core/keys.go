@@ -30,14 +30,22 @@ func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidKey, err)
 	}
-	var pid bn254.G1
-	if err := pid.Unmarshal(rest); err != nil {
+	return NewPublicKey(string(id), rest)
+}
+
+// NewPublicKey is the one validating P_ID decode: the public key of id
+// whose point is the bare 64-byte encoding pid, which must be on the curve
+// and not the identity element. Callers that carry the identity out of
+// band (a node index, a scheme's user ID) use it directly.
+func NewPublicKey(id string, pid []byte) (*PublicKey, error) {
+	var p bn254.G1
+	if err := p.Unmarshal(pid); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidKey, err)
 	}
-	if pid.IsInfinity() {
+	if p.IsInfinity() {
 		return nil, fmt.Errorf("%w: P_ID is the identity element", ErrInvalidKey)
 	}
-	return &PublicKey{ID: string(id), PID: &pid}, nil
+	return &PublicKey{ID: id, PID: &p}, nil
 }
 
 // PrivateKey is a user's full signing key: the secret value x chosen by the

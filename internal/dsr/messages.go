@@ -66,7 +66,6 @@ type RouteError struct {
 
 // DataPacket is a source-routed application payload.
 type DataPacket struct {
-	ID     uint64
 	Route  []int // full path, source first
 	Idx    int   // index of the current holder within Route
 	Bytes  int

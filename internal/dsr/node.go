@@ -124,11 +124,10 @@ func (n *Node) purgeLink(a, b int) {
 // Send originates a data packet toward dst, discovering a route first if
 // none is cached.
 func (n *Node) Send(dst, bytes int) {
-	id, ok := n.Originate()
-	if !ok {
+	if !n.Originate() {
 		return
 	}
-	pkt := &DataPacket{ID: id, Bytes: bytes, SentAt: n.Sim.Now()}
+	pkt := &DataPacket{Bytes: bytes, SentAt: n.Sim.Now()}
 	if dst == n.ID {
 		n.deliver(pkt)
 		return

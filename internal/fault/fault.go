@@ -1,11 +1,14 @@
-// Package fault is the one vocabulary of deterministic fault schedules for
-// the MANET simulator: node crash/restart churn, per-link and regional radio
-// outages, and time-windowed channel-loss degradation. A Schedule is plain
-// data — fully decided before t=0 from a seeded generator (or written by
-// hand in a test) — and two parties evaluate it: radio.Medium.SetFaults
-// takes the whole schedule and reads its Links, Regions and Loss windows
-// against the virtual clock on every transmission, and Apply schedules its
-// Crashes as lifecycle events. Because nothing about a schedule depends on
+// Package fault is the one vocabulary of deterministic fault schedules:
+// node crash/restart churn, per-link and regional radio outages, and
+// time-windowed channel-loss degradation. A Schedule is plain data — fully
+// decided before t=0 from a seeded generator (or written by hand in a
+// test) — and the MANET simulator evaluates it in two places:
+// radio.Medium.SetFaults takes the whole schedule and reads its Links,
+// Regions and Loss windows against the virtual clock on every
+// transmission, and Apply schedules its Crashes as lifecycle events. The
+// KGC service's chaos injector (kgcd.Injector) is the second evaluator of
+// Crashes: the same windows over signer replicas, polled per request
+// against its clock. Because nothing about a schedule depends on
 // execution order, faulted runs compose with the internal/runner parallel
 // engine exactly like clean ones: same seed + same schedule → bit-identical
 // results at any worker count.
@@ -115,6 +118,23 @@ func Churn(rng *rand.Rand, cfg ChurnConfig) Schedule {
 		})
 	}
 	return s
+}
+
+// Rotation is Churn's deterministic sibling, the canonical chaos rotation:
+// the k-th crash takes node k mod nodes down during
+// [k·period, k·period+downFor), for every period boundary inside the
+// horizon. With downFor < period exactly one node is dark at any instant —
+// below quorum loss for any t ≤ n−1 deployment.
+func Rotation(nodes int, period, downFor, horizon time.Duration) []Crash {
+	if nodes <= 0 || period <= 0 || downFor <= 0 {
+		return nil
+	}
+	var out []Crash
+	for k := 0; time.Duration(k)*period < horizon; k++ {
+		at := time.Duration(k) * period
+		out = append(out, Crash{Node: k % nodes, At: at, RestartAt: at + downFor})
+	}
+	return out
 }
 
 // Node is the lifecycle surface Apply drives; aodv.Node and dsr.Node

@@ -122,3 +122,39 @@ func TestApplyLifecycleAndHooks(t *testing.T) {
 		t.Fatalf("restart hooks fired for %v, want [1]", restarted)
 	}
 }
+
+func TestRotation(t *testing.T) {
+	const nodes = 3
+	crashes := Rotation(nodes, 5*time.Second, 2*time.Second, 15*time.Second)
+	if len(crashes) != 3 {
+		t.Fatalf("got %d crashes, want 3", len(crashes))
+	}
+	for k, c := range crashes {
+		if c.Node != k%nodes {
+			t.Errorf("crash %d takes node %d, want %d", k, c.Node, k%nodes)
+		}
+		if c.At != time.Duration(k)*5*time.Second || c.RestartAt != c.At+2*time.Second || c.RetainRoutes {
+			t.Errorf("crash %d window [%v, %v) retain %v", k, c.At, c.RestartAt, c.RetainRoutes)
+		}
+	}
+	// At any instant at most one node is dark, and each one is in its turn.
+	everDark := map[int]bool{}
+	for e := time.Duration(0); e < 15*time.Second; e += 250 * time.Millisecond {
+		dark := 0
+		for _, c := range crashes {
+			if e >= c.At && e < c.RestartAt {
+				dark++
+				everDark[c.Node] = true
+			}
+		}
+		if dark > 1 {
+			t.Fatalf("%d nodes dark at %v", dark, e)
+		}
+	}
+	if len(everDark) != nodes {
+		t.Fatalf("nodes crashed over the horizon: %v, want all %d", everDark, nodes)
+	}
+	if Rotation(0, time.Second, time.Second, time.Minute) != nil {
+		t.Error("no nodes: want nil")
+	}
+}

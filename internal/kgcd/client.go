@@ -164,7 +164,7 @@ func (c *Client) backoff(n int, retryAfter time.Duration) time.Duration {
 // enrollOnce performs a single enrollment round trip.
 func (c *Client) enrollOnce(ctx context.Context, id string) (*EnrollResult, *EnrollError) {
 	var er enrollResponse
-	if eerr := call(ctx, c.hc, c.base+"/enroll", enrollRequest{ID: id}, &er); eerr != nil {
+	if eerr := call(ctx, c.hc, c.base+"/enroll", idRequest{ID: id}, &er); eerr != nil {
 		return nil, eerr
 	}
 	if er.ID != id {

@@ -80,7 +80,7 @@ func FuzzEnrollBody(f *testing.F) {
 			return
 		}
 		// Accepted: the key is the single master's for the identity asked.
-		var req enrollRequest
+		var req idRequest
 		var resp enrollResponse
 		request(t, body, &req)
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.ID != req.ID {
@@ -101,7 +101,7 @@ func FuzzShareBody(f *testing.F) {
 		if rec.Code != http.StatusOK {
 			return
 		}
-		var req shareRequest
+		var req idRequest
 		var resp shareResponse
 		request(t, body, &req)
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {

@@ -11,25 +11,6 @@ import (
 	"time"
 )
 
-// limitedBody is an io.Reader view of a response body capped at n bytes,
-// so a misbehaving peer cannot balloon a JSON decode.
-type limitedBody struct {
-	r io.Reader
-	n int64
-}
-
-func (l *limitedBody) Read(p []byte) (int, error) {
-	if l.n <= 0 {
-		return 0, fmt.Errorf("kgcd: response body exceeds %d bytes", maxBodyBytes)
-	}
-	if int64(len(p)) > l.n {
-		p = p[:l.n]
-	}
-	n, err := l.r.Read(p)
-	l.n -= int64(n)
-	return n, err
-}
-
 // decodeJSON decodes a request body with a hard size cap and strict field
 // checking; the body must be exactly one JSON value.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
@@ -56,8 +37,9 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // call is the one JSON round trip behind every client path in the package:
-// POST in (GET when in is nil) to url and, on 200, decode the size-capped
-// reply into out (skipped when out is nil). Failures are classified by
+// POST in (GET when in is nil) to url and, on 200, decode the reply into out
+// (skipped when out is nil). Replies are read through a maxBodyBytes cap, so
+// a misbehaving peer cannot balloon a decode. Failures are classified by
 // EnrollError.Status: 0 transport, the HTTP status when not 200, −1 for a
 // request that could not be built or a reply that could not be decoded.
 func call(ctx context.Context, hc *http.Client, url string, in, out any) *EnrollError {
@@ -87,18 +69,18 @@ func call(ctx context.Context, hc *http.Client, url string, in, out any) *Enroll
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(&limitedBody{resp.Body, maxBodyBytes}).Decode(out); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxBodyBytes)).Decode(out); err != nil {
 		return &EnrollError{Status: -1, Err: fmt.Errorf("decode %s: %w", url, err)}
 	}
 	return nil
 }
 
 // errorSnippet extracts a bounded slice of the error string from a non-200
-// JSON reply ("" when there is none).
+// JSON reply, read through the same cap ("" when there is none).
 func errorSnippet(resp *http.Response) string {
 	const maxSnippet = 160
 	var er errorResponse
-	if err := json.NewDecoder(&limitedBody{resp.Body, maxBodyBytes}).Decode(&er); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxBodyBytes)).Decode(&er); err != nil {
 		return ""
 	}
 	return er.Error[:min(len(er.Error), maxSnippet)]

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mccls/internal/core"
+	"mccls/internal/fault"
 	"mccls/internal/threshold"
 )
 
@@ -26,7 +27,7 @@ import (
 // backoff. It returns the status, the headers and, on 200, the issued key.
 func postEnroll(t testing.TB, url, id string) (int, http.Header, []byte) {
 	t.Helper()
-	body, _ := json.Marshal(enrollRequest{ID: id})
+	body, _ := json.Marshal(idRequest{ID: id})
 	resp, err := http.Post(url+"/enroll", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Error(err) // not Fatal: tests call this off the test goroutine too
@@ -154,15 +155,10 @@ func TestBreakerReadmitsRecoveredReplica(t *testing.T) {
 // enrollment completes without the straggler.
 func TestHedgedFanOut(t *testing.T) {
 	clk := newFakeClock()
-	in := NewInjector(FaultSchedule{
-		Latency: []Latency{{Target: "slow", From: 0, To: time.Hour, Delay: time.Hour}},
-	})
-	in.clk = clk
-	in.Start()
 	d := startDeployment(t, 2, 3, testMaster(42), Config{clk: clk},
 		func(i int, h http.Handler) http.Handler {
 			if i == 1 { // a fresh server's rotation starts at replica 1
-				return in.Middleware("slow", h)
+				return stalled(clk, time.Hour, time.Hour, h)
 			}
 			return h
 		})
@@ -402,6 +398,42 @@ func (t headerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
+// TestOversizedReplyRejected pads a 1-of-1 deployment's /share replies with
+// leading whitespace: a reply whose closing brace is byte maxBodyBytes is
+// decoded and the enrollment succeeds; one more byte and the combiner
+// refuses to read it, so the miss fails with 503 instead of decoding an
+// unbounded body.
+func TestOversizedReplyRejected(t *testing.T) {
+	var size atomic.Int64 // total /share reply length to pad to
+	d := startDeployment(t, 1, 1, testMaster(48), Config{RatePerSec: -1, clk: newFakeClock()},
+		func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, r)
+				body := bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")) // the reply ends at its '}'
+				w.WriteHeader(rec.Code)
+				w.Write(append(bytes.Repeat([]byte(" "), max(0, int(size.Load())-len(body))), body...))
+			})
+		})
+	for _, tc := range []struct {
+		id     string
+		size   int
+		status int
+	}{
+		{"at-cap", maxBodyBytes, http.StatusOK},
+		{"over-cap", maxBodyBytes + 1, http.StatusServiceUnavailable},
+	} {
+		size.Store(int64(tc.size))
+		status, _, key := postEnroll(t, d.comb.URL, tc.id)
+		if status != tc.status {
+			t.Fatalf("%d-byte share reply: status %d, want %d", tc.size, status, tc.status)
+		}
+		if status == http.StatusOK && !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey(tc.id).Marshal()) {
+			t.Fatalf("%d-byte share reply: key differs from single master", tc.size)
+		}
+	}
+}
+
 // TestClusterRefreshKeepsIssuedBytes runs a full proactive refresh over a
 // live cluster and pins issuance on both sides of it to the single-master
 // oracle: the epoch moves, the keys do not.
@@ -454,13 +486,10 @@ func TestClusterRefreshKeepsIssuedBytes(t *testing.T) {
 func TestClusterShutdownDrainsInFlight(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	clk := newFakeClock()
-	in := NewInjector(FaultSchedule{Latency: []Latency{{From: 0, To: time.Hour, Delay: stall}}})
-	in.clk = clk
-	in.Start()
 	master := testMaster(46)
 	cl, err := StartCluster(ClusterConfig{
 		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(12)),
-		SignerMiddleware: func(i int, h http.Handler) http.Handler { return in.Middleware("", h) },
+		SignerMiddleware: func(i int, h http.Handler) http.Handler { return stalled(clk, time.Hour, stall, h) },
 		Combiner:         Config{clk: clk},
 	})
 	if err != nil {
@@ -508,15 +537,12 @@ func TestClusterShutdownDrainsInFlight(t *testing.T) {
 func TestClusterRefreshBoundedOnStalledReplica(t *testing.T) {
 	const outage = time.Minute
 	clk := newFakeClock()
-	in := NewInjector(FaultSchedule{Latency: []Latency{{Target: "stalled", From: 0, To: outage, Delay: time.Hour}}})
-	in.clk = clk
-	in.Start()
 	master := testMaster(47)
 	cl, err := StartCluster(ClusterConfig{
 		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(13)),
 		SignerMiddleware: func(i int, h http.Handler) http.Handler {
 			if i == 1 { // replica 0 applies round one before replica 1 stalls it
-				return in.Middleware("stalled", h)
+				return stalled(clk, outage, time.Hour, h)
 			}
 			return h
 		},
@@ -605,15 +631,15 @@ func refreshInterleaving(t *testing.T, seed int64) (commits, failedRounds, enrol
 	const steps, horizon = 60, 2 * time.Minute
 	rng := mrand.New(mrand.NewSource(seed))
 	clk := newFakeClock()
-	targets := []string{"r0", "r1", "r2"}
-	var crashes []Crash
-	for _, tgt := range targets {
+	const replicas = 3
+	var crashes []fault.Crash
+	for i := 0; i < replicas; i++ {
 		for k := 0; k < 8; k++ {
 			at := time.Duration(rng.Int63n(int64(horizon)))
-			crashes = append(crashes, Crash{Target: tgt, At: at, RestartAt: at + time.Millisecond + time.Duration(rng.Int63n(int64(3*time.Second)))})
+			crashes = append(crashes, fault.Crash{Node: i, At: at, RestartAt: at + time.Millisecond + time.Duration(rng.Int63n(int64(3*time.Second)))})
 		}
 	}
-	in := NewInjector(FaultSchedule{Crashes: crashes})
+	in := NewInjector(crashes)
 	in.clk = clk
 	in.Start()
 
@@ -621,14 +647,14 @@ func refreshInterleaving(t *testing.T, seed int64) (commits, failedRounds, enrol
 	// fixed order; the lock is for the race detector.
 	var fateMu sync.Mutex
 	fates := mrand.New(mrand.NewSource(seed ^ 0x5eed))
-	signers := make([]http.Handler, len(targets)) // the replicas behind their faults
+	signers := make([]http.Handler, replicas) // the replicas behind their faults
 	master := testMaster(byte(70 + seed))
 	cl, err := StartCluster(ClusterConfig{
 		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(seed)),
 		Combiner: Config{clk: clk, RatePerSec: -1},
 		SignerMiddleware: func(i int, h http.Handler) http.Handler {
 			signers[i] = h
-			return in.Middleware(targets[i], http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			return in.Middleware(i, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/refresh" {
 					fateMu.Lock()
 					fate := fates.Intn(3)

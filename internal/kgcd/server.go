@@ -79,11 +79,6 @@ type Config struct {
 	RateBurst  int
 	// RequestTimeout bounds one enrollment's signer fan-out.
 	RequestTimeout time.Duration
-	// ValidateCombined pairing-checks every combined key before caching.
-	// Costly (two pairings); the combination is fuzz-pinned to the
-	// single-master oracle, and clients validate on receipt anyway, so
-	// this is off by default and exists for belt-and-braces deployments.
-	ValidateCombined bool
 	// HTTPClient overrides the client used to reach signer replicas.
 	HTTPClient *http.Client
 
@@ -154,12 +149,8 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// enrollRequest / enrollResponse are the public enrollment wire format.
-// PartialKey is hex of PartialPrivateKey.Marshal.
-type enrollRequest struct {
-	ID string `json:"id"`
-}
-
+// enrollResponse answers the public POST /enroll (an idRequest). PartialKey
+// is hex of PartialPrivateKey.Marshal.
 type enrollResponse struct {
 	ID         string `json:"id"`
 	PartialKey string `json:"partial_key"`
@@ -203,7 +194,7 @@ func (s *Server) handleParams(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	start := s.cfg.clk.Now()
-	var req enrollRequest
+	var req idRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		s.metrics.badRequests.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -253,13 +244,6 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		s.metrics.enrollErrors.Inc()
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("combine: %v", err))
 		return
-	}
-	if s.cfg.ValidateCombined {
-		if err := ppk.Validate(s.cfg.Params); err != nil {
-			s.metrics.enrollErrors.Inc()
-			writeError(w, http.StatusInternalServerError, fmt.Sprintf("combined key invalid: %v", err))
-			return
-		}
 	}
 	hexKey := hex.EncodeToString(ppk.Marshal())
 	s.cache.Put(req.ID, hexKey)

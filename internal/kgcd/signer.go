@@ -13,12 +13,13 @@ import (
 // request is an identity string, so 4 KiB is generous.
 const maxBodyBytes = 4 << 10
 
-// shareRequest / shareResponse are the signer replica's wire format. The
-// share is hex of KeyShare.Marshal (index byte ‖ 128-byte G2 point).
-type shareRequest struct {
+// idRequest is the body of both POST /share and the combiner's POST /enroll.
+type idRequest struct {
 	ID string `json:"id"`
 }
 
+// shareResponse is the signer replica's reply. The share is hex of
+// KeyShare.Marshal (index byte ‖ 128-byte G2 point).
 type shareResponse struct {
 	Index uint8  `json:"index"`
 	Epoch uint32 `json:"epoch"`
@@ -57,7 +58,7 @@ func NewSignerHandler(signer *threshold.Signer, maxIDLen int) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /share", func(w http.ResponseWriter, r *http.Request) {
-		var req shareRequest
+		var req idRequest
 		if err := decodeJSON(w, r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
@@ -128,7 +129,7 @@ func (h *httpIssuer) Name() string { return h.base }
 
 func (h *httpIssuer) Issue(ctx context.Context, id string) (*threshold.KeyShare, error) {
 	var sr shareResponse
-	if err := call(ctx, h.hc, h.base+"/share", shareRequest{ID: id}, &sr); err != nil {
+	if err := call(ctx, h.hc, h.base+"/share", idRequest{ID: id}, &sr); err != nil {
 		return nil, fmt.Errorf("signer %s: %w", h.base, err)
 	}
 	raw, err := hex.DecodeString(sr.Share)

@@ -223,9 +223,8 @@ type Agent struct {
 	// down marks a crashed node; epoch invalidates every timer armed
 	// before the crash (the event queue has no unschedule, so a timer
 	// re-checks the epoch it was armed in and falls through).
-	down    bool
-	epoch   uint64
-	nextPkt uint64
+	down  bool
+	epoch uint64
 
 	free []*timer // fired timers, ready to be armed again
 	enc  []byte   // scratch for the encoding being signed or verified
@@ -326,18 +325,16 @@ func (a *Agent) Restart() bool {
 	return true
 }
 
-// Originate accounts for one application send and mints its packet id. It
-// reports false when the node is down: offered load during an outage counts
-// against the delivery ratio.
-func (a *Agent) Originate() (id uint64, ok bool) {
+// Originate accounts for one application send. It reports false when the
+// node is down: offered load during an outage counts against the delivery
+// ratio.
+func (a *Agent) Originate() bool {
 	a.Stats.DataSent++
 	if a.down {
 		a.Stats.DropNodeDown++
-		return 0, false
+		return false
 	}
-	id = uint64(a.ID)<<40 | a.nextPkt
-	a.nextPkt++
-	return id, true
+	return true
 }
 
 // Listening reports whether the node can take a frame off the radio,

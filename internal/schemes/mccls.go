@@ -69,11 +69,7 @@ func (u *mcclsUser) Sign(msg []byte, rng io.Reader) ([]byte, error) {
 }
 
 func (sys *mcclsSystem) Verify(id string, publicKey, msg, sig []byte) error {
-	pkBytes := make([]byte, 0, 8+len(id)+len(publicKey))
-	pkBytes = appendU64(pkBytes, uint64(len(id)))
-	pkBytes = append(pkBytes, id...)
-	pkBytes = append(pkBytes, publicKey...)
-	pk, err := core.UnmarshalPublicKey(pkBytes)
+	pk, err := core.NewPublicKey(id, publicKey)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
@@ -85,9 +81,4 @@ func (sys *mcclsSystem) Verify(id string, publicKey, msg, sig []byte) error {
 		return fmt.Errorf("%w: %v", ErrVerifyFailed, err)
 	}
 	return nil
-}
-
-func appendU64(dst []byte, n uint64) []byte {
-	return append(dst, byte(n>>56), byte(n>>48), byte(n>>40), byte(n>>32),
-		byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 }

@@ -63,7 +63,6 @@ type EnrollRequest struct {
 	Node    int // requesting identity
 	Attempt int // retry counter; dedup key component
 	TTL     int
-	Sender  int // relaying transmitter
 }
 
 // EnrollReply carries the issued key material back. Flooded.
@@ -71,7 +70,6 @@ type EnrollReply struct {
 	Node    int // enrollee the reply is addressed to
 	Attempt int // echo of the request's attempt
 	TTL     int
-	Sender  int
 }
 
 // Authority is the key-issuing surface the enrollment protocol drives;
@@ -220,7 +218,7 @@ func (e *Enrollment) sendRequest(node int) {
 	}
 	st := e.state[node]
 	e.stats[node].Attempts++
-	req := &EnrollRequest{Node: node, Attempt: st.attempt, TTL: DefaultEnrollTTL, Sender: node}
+	req := &EnrollRequest{Node: node, Attempt: st.attempt, TTL: DefaultEnrollTTL}
 	e.seen[node][enrollSeen{enrollKindReq, node, st.attempt}] = true
 	e.medium.Broadcast(node, enrollReqWireSize, req)
 
@@ -276,7 +274,7 @@ func (e *Enrollment) onRequest(me int, req EnrollRequest) {
 			return // unknown identity: attackers get nothing
 		}
 		e.stats[me].RepliesSent++
-		rep := &EnrollReply{Node: req.Node, Attempt: req.Attempt, TTL: DefaultEnrollTTL, Sender: me}
+		rep := &EnrollReply{Node: req.Node, Attempt: req.Attempt, TTL: DefaultEnrollTTL}
 		e.seen[me][enrollSeen{enrollKindRep, rep.Node, rep.Attempt}] = true
 		e.medium.Broadcast(me, enrollRepWireSize, rep)
 		return
@@ -286,7 +284,6 @@ func (e *Enrollment) onRequest(me int, req EnrollRequest) {
 	}
 	fwd := req
 	fwd.TTL--
-	fwd.Sender = me
 	e.stats[me].RequestsRelayed++
 	e.relay(me, enrollReqWireSize, &fwd)
 }
@@ -321,7 +318,6 @@ func (e *Enrollment) onReply(me int, rep EnrollReply) {
 	}
 	fwd := rep
 	fwd.TTL--
-	fwd.Sender = me
 	e.stats[me].RepliesRelayed++
 	e.relay(me, enrollRepWireSize, &fwd)
 }

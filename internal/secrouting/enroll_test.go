@@ -163,7 +163,7 @@ func TestEnrollmentKGCIgnoresUnregistered(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	e.onRequest(0, EnrollRequest{Node: 3, Attempt: 0, TTL: 12, Sender: 3})
+	e.onRequest(0, EnrollRequest{Node: 3, Attempt: 0, TTL: 12})
 	s.Run(5 * time.Second)
 	if auth.Enrolled(3) {
 		t.Fatal("unregistered identity got a key")

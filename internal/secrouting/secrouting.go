@@ -19,7 +19,6 @@ package secrouting
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -137,7 +136,7 @@ func (a *McCLSAuth) Verify(node int, payload, auth []byte) (bool, time.Duration)
 	if len(auth) != 64+core.SignatureSize {
 		return false, DefaultParseLatency
 	}
-	pk, err := reassemblePublicKey(NodeIdentity(node), auth[:64])
+	pk, err := core.NewPublicKey(NodeIdentity(node), auth[:64])
 	if err != nil {
 		return false, DefaultParseLatency
 	}
@@ -146,18 +145,6 @@ func (a *McCLSAuth) Verify(node int, payload, auth []byte) (bool, time.Duration)
 		return false, DefaultParseLatency
 	}
 	return a.vf.Verify(pk, payload, sig) == nil, a.VerifyLatency
-}
-
-// reassemblePublicKey rebuilds a core.PublicKey from an identity and a bare
-// P_ID encoding.
-func reassemblePublicKey(id string, pid []byte) (*core.PublicKey, error) {
-	buf := make([]byte, 0, 8+len(id)+len(pid))
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(id)))
-	buf = append(buf, n[:]...)
-	buf = append(buf, id...)
-	buf = append(buf, pid...)
-	return core.UnmarshalPublicKey(buf)
 }
 
 // Overhead is the per-packet cost of carrying P_ID plus the signature.

@@ -20,6 +20,7 @@ import (
 
 	"mccls/internal/aodv"
 	"mccls/internal/experiments"
+	"mccls/internal/kgcd"
 	"mccls/internal/radio"
 	"mccls/internal/secrouting"
 )
@@ -28,11 +29,11 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14578
+const maxNonTestLines = 14481
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
-const maxDesignLines = 856
+const maxDesignLines = 854
 
 // mathBigFiles are the shipped files that may import math/big: init-time
 // constant derivation, the *big.Int adapters of the exported API and
@@ -64,7 +65,10 @@ var mathBigFiles = map[string]bool{
 // configs, the zero sentinel, DSR's config, the highway model, the second
 // and third declarations of the routing counters, the *big.Int hash, the
 // accessors only tests reached, the enrollment config, the cost model's
-// overhead knob, and the radio's copy of the fault-window vocabulary.
+// overhead knob, the radio's copy of the fault-window vocabulary, kgcd's
+// copy of it (manet.FaultSchedule, the public alias of fault.Schedule,
+// stays), the knob and the reader nobody needed, the re-encoding public-key
+// decodes and a hop counter nobody read.
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -74,6 +78,8 @@ var deletedNames = []string{
 	"HasRoute", "CachedRoute", "AllEnrolled", "RunContext", "RunDSRContext", "KernelPath",
 	"EnrollConfig", "OverheadBytes", "AddLinkOutage", "AddRegionOutage", "AddLossWindow",
 	"ScheduleActionAt",
+	"kgcd.FaultSchedule", "kgcd.Latency", "kgcd.Crash", "RotatingCrashes", "ValidateCombined",
+	"limitedBody", "reassemblePublicKey", "appendU64", "HopsFwd",
 }
 
 // deletedDirs are the packages and commands that went with them.
@@ -289,8 +295,8 @@ func kgcdOneClock(t *testing.T, files []goFile) {
 }
 
 // TestRepoOptionCounts pins the independently settable exported values of
-// the experiment plane's configs, so the next knob is a failing test and a
-// deliberate edit here, not a review comment.
+// the experiment plane's and the KGC service's configs, so the next knob is
+// a failing test and a deliberate edit here, not a review comment.
 func TestRepoOptionCounts(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  any
@@ -302,6 +308,8 @@ func TestRepoOptionCounts(t *testing.T) {
 		{radio.Config{}, 3},
 		{secrouting.McCLSAuth{}, 2},
 		{secrouting.CostModelAuth{}, 2},
+		{kgcd.Config{}, 8},
+		{kgcd.ClusterConfig{}, 7},
 	} {
 		typ, got := reflect.TypeOf(tc.cfg), 0
 		for i := 0; i < typ.NumField(); i++ {
