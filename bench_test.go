@@ -339,75 +339,3 @@ func BenchmarkAblationMultiSignerBatch(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationCollisions toggles the receiver-overlap collision model
-// (off in the headline figures, matching the disk-model abstraction level):
-// the PDR metric shows how much broadcast storms cost when frames can
-// corrupt each other.
-func BenchmarkAblationCollisions(b *testing.B) {
-	run := func(b *testing.B, collisions bool) {
-		var pdr float64
-		for i := 0; i < b.N; i++ {
-			sc := manet.Scenario{Duration: 30 * time.Second, MaxSpeed: 10, Seed: 8}
-			sc.Radio.Collisions = collisions
-			res, err := sc.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			pdr = res.PacketDeliveryRatio()
-		}
-		b.ReportMetric(pdr, "PDR")
-	}
-	b.Run("disk-model", func(b *testing.B) { run(b, false) })
-	b.Run("collisions", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkAblationHello toggles HELLO beaconing: proactive link-failure
-// detection trades control overhead (RREQ ratio unaffected, beacon bytes
-// added) for fewer data packets lost on stale routes.
-func BenchmarkAblationHello(b *testing.B) {
-	run := func(b *testing.B, hello time.Duration) {
-		var pdr float64
-		for i := 0; i < b.N; i++ {
-			sc := manet.Scenario{Duration: 30 * time.Second, MaxSpeed: 20, Seed: 9}
-			sc.AODV.HelloInterval = hello
-			res, err := sc.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			pdr = res.PacketDeliveryRatio()
-		}
-		b.ReportMetric(pdr, "PDR")
-	}
-	b.Run("off", func(b *testing.B) { run(b, 0) })
-	b.Run("1s", func(b *testing.B) { run(b, time.Second) })
-}
-
-// BenchmarkAblationSpatialIndex runs the same 500-node city scenario with
-// the naive O(n) neighbor scan and with the uniform-grid spatial index.
-// Results are bit-identical (the grid is pinned against the naive scan by
-// differential tests); only the wall clock moves. The events/sec gap here
-// is the simulator-level view of the BenchmarkNeighbors/BenchmarkBroadcastWave
-// kernel numbers.
-func BenchmarkAblationSpatialIndex(b *testing.B) {
-	run := func(b *testing.B, noIndex bool) {
-		var evPerSec float64
-		for i := 0; i < b.N; i++ {
-			sc := manet.Scenario{
-				Nodes: 500, Width: 2000, Height: 2000,
-				Mobility: manet.Manhattan, MaxSpeed: 10, RangeJitter: 0.3,
-				Duration: 20 * time.Second, Seed: 1,
-			}
-			sc.Radio.NoIndex = noIndex
-			start := time.Now()
-			res, err := sc.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			evPerSec = float64(res.Events) / time.Since(start).Seconds()
-		}
-		b.ReportMetric(evPerSec, "events/sec")
-	}
-	b.Run("naive", func(b *testing.B) { run(b, true) })
-	b.Run("grid", func(b *testing.B) { run(b, false) })
-}

@@ -77,25 +77,6 @@ func TestRestartRetainsOrFlushesRoutes(t *testing.T) {
 	}
 }
 
-func TestCrashCancelsHelloTimers(t *testing.T) {
-	s, _, ns := testNet(t, 2, Config{HelloInterval: time.Second}, nil)
-	s.Run(3 * time.Second)
-	sent := ns[0].Stats.HelloSent
-	if sent == 0 {
-		t.Fatal("no HELLOs before crash")
-	}
-	ns[0].Down()
-	s.Run(8 * time.Second)
-	if ns[0].Stats.HelloSent != sent {
-		t.Fatalf("crashed node kept beaconing: %d → %d", sent, ns[0].Stats.HelloSent)
-	}
-	ns[0].Up(false)
-	s.Run(13 * time.Second)
-	if ns[0].Stats.HelloSent <= sent {
-		t.Fatal("restarted node never resumed beaconing")
-	}
-}
-
 func TestDownNodeDropsInFlightFrames(t *testing.T) {
 	// The medium stops offering frames to a down node at transmission
 	// start, but a frame already in flight still arrives at the dead

@@ -12,10 +12,9 @@
 // from the routing.Agent every Node embeds.
 //
 // Simplifications relative to the full RFC, chosen because they do not
-// affect the paper's metrics: HELLO beacons are off unless
-// Config.HelloInterval enables them (hello.go; link breaks are otherwise
-// detected by link-layer unicast failure), no precursor lists (RERRs are
-// one-hop broadcast), and no local repair.
+// affect the paper's metrics: no HELLO beacons (link breaks are detected by
+// link-layer unicast failure), no precursor lists (RERRs are one-hop
+// broadcast), and no local repair.
 package aodv
 
 import (
@@ -26,10 +25,9 @@ import (
 
 // Message kinds, used in canonical encodings.
 const (
-	kindRREQ  = 1
-	kindRREP  = 2
-	kindRERR  = 3
-	kindHello = 5
+	kindRREQ = 1
+	kindRREP = 2
+	kindRERR = 3
 )
 
 // Wire sizes in bytes (protocol fields plus IP/MAC framing), matching the

@@ -18,9 +18,6 @@ const (
 	rreqRetries = 2
 	// ttlIncrement widens the expanding-ring search between attempts.
 	ttlIncrement = 2
-	// allowedHelloLoss is how many silent HELLO intervals mark a neighbor
-	// as lost.
-	allowedHelloLoss = 2
 )
 
 // Config holds the AODV parameters a scenario varies. Zero values select
@@ -37,11 +34,6 @@ type Config struct {
 	// attacker that forwards with zero jitter wins the
 	// duplicate-suppression race.
 	RebroadcastJitterMax time.Duration
-	// HelloInterval enables periodic one-hop HELLO beacons (RFC 3561
-	// §6.9) for proactive link-failure detection. 0 (the default)
-	// disables beaconing; link breaks are then detected on unicast
-	// failure only.
-	HelloInterval time.Duration
 
 	// The rest is constant in every run and varied only by this package's
 	// tests. activeRouteTimeout is the lifetime of a route refreshed by use
@@ -50,15 +42,11 @@ type Config struct {
 	// ring search floods at once past ttlThreshold (default 7), dataTTL is
 	// the hop limit on data packets (default 32), and sendBufferCap bounds
 	// the packets buffered per destination during discovery (default 64).
-	// Nodes with a fresh-enough cached route answer RREQs, per the RFC (the
-	// black hole attack abuses exactly this), unless
-	// disableIntermediateReply.
-	activeRouteTimeout       time.Duration
-	netDiameter              int
-	ttlThreshold             int
-	dataTTL                  int
-	sendBufferCap            int
-	disableIntermediateReply bool
+	activeRouteTimeout time.Duration
+	netDiameter        int
+	ttlThreshold       int
+	dataTTL            int
+	sendBufferCap      int
 }
 
 func (c Config) withDefaults() Config {
@@ -148,10 +136,9 @@ type Node struct {
 	// lastSeen is the key processRREQ last added to seen, while hasLast:
 	// copies of one flood arrive back to back, so most duplicates match it
 	// without a map lookup. Whatever removes keys from seen clears hasLast.
-	lastSeen  uint64
-	hasLast   bool
-	disc      *routing.Discovery[*DataPacket]
-	lastHeard map[int]sim.Time
+	lastSeen uint64
+	hasLast  bool
+	disc     *routing.Discovery[*DataPacket]
 
 	// Hooks customize behaviour (attacks, fault injection).
 	Hooks Hooks
@@ -163,16 +150,14 @@ type Node struct {
 // medium.
 func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth routing.Authenticator) *Node {
 	n := &Node{
-		Agent:     routing.Agent{ID: id, Sim: s, Medium: medium, Auth: auth},
-		cfg:       cfg.withDefaults(),
-		routes:    make(map[int]*routeEntry),
-		seen:      make(map[uint64]sim.Time),
-		lastHeard: make(map[int]sim.Time),
+		Agent:  routing.Agent{ID: id, Sim: s, Medium: medium, Auth: auth},
+		cfg:    cfg.withDefaults(),
+		routes: make(map[int]*routeEntry),
+		seen:   make(map[uint64]sim.Time),
 	}
 	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.sendBufferCap, rreqRetries, n.issueRREQ)
 	n.Process = n.processControl
 	medium.SetHandler(id, n.handleFrame)
-	n.startHello()
 	return n
 }
 
@@ -186,16 +171,15 @@ func seqNewer(a, b uint32) bool { return int32(a-b) > 0 }
 // ---------------------------------------------------------------------------
 // Crash/restart lifecycle (fault injection)
 
-// Down crashes the node (see routing.Agent.Crash): buffered data, pending
-// discoveries and neighbour liveness are lost with the process. Routing
-// state is kept in memory so Up can choose to retain or flush it. Returns
-// false if the node was already down.
+// Down crashes the node (see routing.Agent.Crash): buffered data and
+// pending discoveries are lost with the process. Routing state is kept in
+// memory so Up can choose to retain or flush it. Returns false if the node
+// was already down.
 func (n *Node) Down() bool {
 	if !n.Crash() {
 		return false
 	}
 	n.disc.Reset()
-	n.lastHeard = make(map[int]sim.Time)
 	return true
 }
 
@@ -215,7 +199,6 @@ func (n *Node) Up(retainRoutes bool) bool {
 		n.seen = make(map[uint64]sim.Time)
 		n.hasLast = false
 	}
-	n.startHello()
 	return true
 }
 
@@ -425,7 +408,6 @@ func (n *Node) handleFrame(from int, payload any) {
 	if !n.Listening() {
 		return
 	}
-	n.heard(from)
 	switch msg := payload.(type) {
 	case *DataPacket:
 		cp := *msg
@@ -438,8 +420,6 @@ func (n *Node) handleFrame(from int, payload any) {
 // processControl dispatches an authenticated control packet.
 func (n *Node) processControl(from int, msg routing.Packet) {
 	switch msg := msg.(type) {
-	case *Hello:
-		n.processHello(from, msg)
 	case *RREQ:
 		n.processRREQ(from, msg)
 	case *RREP:
@@ -493,19 +473,19 @@ func (n *Node) processRREQ(from int, req *RREQ) {
 		return
 	}
 
-	if !n.cfg.disableIntermediateReply {
-		if e := n.route(req.Dest); e != nil && e.validSeq &&
-			(!req.SeqKnown || !seqNewer(req.DestSeq, e.destSeq)) {
-			n.Stats.RREPOriginated++
-			n.SendRREP(from, &RREP{
-				Origin:   req.Origin,
-				Dest:     req.Dest,
-				DestSeq:  e.destSeq,
-				HopCount: e.hops,
-				Lifetime: e.expires - n.Sim.Now(),
-			})
-			return
-		}
+	// A fresh-enough cached route answers for the destination, per the RFC;
+	// the black hole attack abuses exactly this.
+	if e := n.route(req.Dest); e != nil && e.validSeq &&
+		(!req.SeqKnown || !seqNewer(req.DestSeq, e.destSeq)) {
+		n.Stats.RREPOriginated++
+		n.SendRREP(from, &RREP{
+			Origin:   req.Origin,
+			Dest:     req.Dest,
+			DestSeq:  e.destSeq,
+			HopCount: e.hops,
+			Lifetime: e.expires - n.Sim.Now(),
+		})
+		return
 	}
 
 	if req.TTL <= 1 {

@@ -189,25 +189,6 @@ func TestIntermediateReply(t *testing.T) {
 	}
 }
 
-func TestDisableIntermediateReply(t *testing.T) {
-	s, _, ns := testNet(t, 4, Config{disableIntermediateReply: true}, nil)
-	delivered := 0
-	ns[3].OnDeliver = func(*DataPacket) { delivered++ }
-	ns[1].Send(3, 64)
-	s.Run(2 * time.Second)
-	ns[0].Send(3, 64)
-	s.Run(4 * time.Second)
-	if delivered != 2 {
-		t.Fatal("sends not delivered")
-	}
-	if ns[1].Stats.RREPOriginated != 0 {
-		t.Fatal("intermediate replied although disabled")
-	}
-	if ns[3].Stats.RREPOriginated != 2 {
-		t.Fatalf("destination originated %d RREPs, want 2", ns[3].Stats.RREPOriginated)
-	}
-}
-
 // breakableLink places node 1 within range initially; it walks away after
 // the first second, severing the 0-1 link.
 type breakableLink struct{}

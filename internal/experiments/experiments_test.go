@@ -466,30 +466,6 @@ func TestInsiderGrayholeNotStoppedByMcCLS(t *testing.T) {
 	}
 }
 
-// TestScenarioWithCollisionsAndHello exercises the optional radio collision
-// model and HELLO beaconing inside a full scenario: the network must stay
-// functional (a weaker bound than the disk model's) and remain
-// deterministic.
-func TestScenarioWithCollisionsAndHello(t *testing.T) {
-	sc := quick()
-	sc.Radio.Collisions = true
-	sc.AODV.HelloInterval = time.Second
-	r1, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.PacketDeliveryRatio() < 0.5 {
-		t.Fatalf("network collapsed under collision model: %s", r1.Headline())
-	}
-	r2, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stats != r2.Stats {
-		t.Fatal("collision model broke determinism")
-	}
-}
-
 // TestDSRScenario checks the DSR runner end-to-end: healthy baseline,
 // attack degradation, and McCLS protection — the generality claim.
 func TestDSRScenario(t *testing.T) {

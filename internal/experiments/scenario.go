@@ -212,8 +212,7 @@ type Result struct {
 	// events processed).
 	PeakQueue   int
 	EventAllocs uint64
-	// Grid reports the spatial neighbor index's work (all zero when the
-	// scenario disables it via Radio.NoIndex).
+	// Grid reports the spatial neighbor index's work.
 	Grid radio.GridStats
 }
 

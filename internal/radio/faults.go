@@ -53,15 +53,15 @@ func (m *Medium) linkFaulted(a, b int) bool {
 	return false
 }
 
-// lossAt composes the base loss rate with every loss window active at t,
-// treating each as an independent loss process:
+// lossAt composes every loss window active at t, treating each as an
+// independent loss process:
 //
-//	loss = 1 − (1−base)·Π(1−rateᵢ)
+//	loss = 1 − Π(1−rateᵢ)
 //
-// With no active windows this returns Config.lossRate unchanged, so the RNG
-// draw sequence of existing (fault-free) scenarios is untouched.
+// With no active window it returns 0 and deliver draws nothing, so the RNG
+// draw sequence of fault-free scenarios is untouched.
 func (m *Medium) lossAt(t sim.Time) float64 {
-	loss := m.cfg.lossRate
+	var loss float64
 	for _, w := range m.faults.Loss {
 		if active(t, w.From, w.To) {
 			loss = 1 - (1-loss)*(1-w.Rate)

@@ -1,21 +1,20 @@
 // Package radio models the wireless medium for the MANET simulator: a
-// disk-propagation link model with serialization and propagation delay,
-// uniform channel-access (MAC) jitter, optional i.i.d. packet loss, and an
-// optional receiver-side collision model. It stands in for QualNet's
-// 802.11-style PHY/MAC at the fidelity the paper's routing experiments
-// need (see DESIGN.md §1).
+// disk-propagation link model with serialization and propagation delay and
+// uniform channel-access (MAC) jitter, plus the fault windows of a
+// fault.Schedule (faults.go). It stands in for QualNet's 802.11-style
+// PHY/MAC at the fidelity the paper's routing experiments need (see
+// DESIGN.md §1).
 //
 // Neighbor discovery runs through a uniform-grid spatial index (grid.go)
 // rebuilt lazily per virtual-time epoch from the mobility model's
 // piecewise-linear legs, so a broadcast wave costs O(degree) per sender
-// instead of O(n); the pre-index all-pairs scan survives as
-// NeighborsNaive, the differential oracle. Transmissions, deliveries and
-// collision records are pooled sim.Actions, keeping the whole broadcast
-// hot path allocation-free.
+// instead of O(n); the tests pin it against an all-pairs scan.
+// Transmissions and deliveries are pooled sim.Actions, keeping the whole
+// broadcast hot path allocation-free.
 //
-// A transmission does its geometry once: every range test (grid, oracle,
-// InRange, region outages) is the squared-distance predicate within, a
-// broadcast asks the mobility model for the sender's position once and each
+// A transmission does its geometry once: every range test (grid, InRange,
+// region outages) is the squared-distance predicate within, a broadcast
+// asks the mobility model for the sender's position once and each
 // candidate's once, and the fan-out takes its propagation delays from the
 // squared distances the audience scan left in Medium.d2.
 package radio
@@ -52,21 +51,11 @@ type Config struct {
 	// Range is the transmission radius in meters (default 250, the
 	// canonical 802.11 outdoor figure used in the AODV literature).
 	Range float64
-	// Collisions enables the receiver-side overlap model: two frames
-	// arriving at the same node with overlapping air time corrupt each
-	// other.
-	Collisions bool
-	// NoIndex disables the spatial index, forcing the naive O(n) neighbor
-	// scan on every lookup. The naive path is the differential oracle the
-	// grid is tested against, and the baseline the benchmarks compare to.
-	NoIndex bool
 
 	// Varied only by this package's tests: macDelayMax is the maximum
 	// uniform channel-access delay per transmission (default 2ms; it
-	// models contention backoff, negative disables it) and lossRate an
-	// i.i.d. per-delivery loss probability in [0, 1).
+	// models contention backoff, negative disables it).
 	macDelayMax time.Duration
-	lossRate    float64
 }
 
 func (c Config) withDefaults() Config {
@@ -85,18 +74,8 @@ type Stats struct {
 	UnicastFailed uint64 // link-layer failures detected at send time
 	BroadcastSent uint64
 	Deliveries    uint64
-	Lost          uint64 // random losses
-	Collided      uint64 // losses due to reception overlap
+	Lost          uint64 // losses in fault.Schedule loss windows
 	BytesOnAir    uint64
-}
-
-// reception tracks one in-flight frame at a receiver for the collision
-// model. Records are pooled: trackReception recycles every reception whose
-// air time has strictly passed, so per-node lists stay bounded by the
-// number of simultaneously in-flight frames even over long runs.
-type reception struct {
-	start, end sim.Time
-	corrupted  bool
 }
 
 // Medium connects nodes over a shared wireless channel.
@@ -105,10 +84,9 @@ type Medium struct {
 	mob  mobility.Model
 	cfg  Config
 	hand []Handler
-	recv [][]*reception
 
-	// grid is the spatial neighbor index (nil under Config.NoIndex);
-	// ranges holds each node's radio range (Config.Range unless overridden).
+	// grid is the spatial neighbor index; ranges holds each node's radio
+	// range (Config.Range unless overridden).
 	grid   *grid
 	ranges []float64
 
@@ -117,14 +95,13 @@ type Medium struct {
 	// i's squared distance from the node of the last neighbor scan that
 	// accepted it, cbuf the grid's candidate ids, heard one bit per node
 	// (all clear between scans) for putting the accepted ones in id order,
-	// and the pools recycle transmission, delivery and reception records.
+	// and the pools recycle transmission and delivery records.
 	nbuf    []int
 	d2      []float64
 	cbuf    []int32
 	heard   []uint64
 	txPool  []*txJob
 	dlvPool []*delivery
-	recPool []*reception
 
 	// Fault-injection state (see faults.go): powered-off radios, and the
 	// schedule whose link/region outages and loss windows SetFaults set.
@@ -138,22 +115,18 @@ type Medium struct {
 // New builds a medium over the given mobility model.
 func New(s *sim.Simulator, mob mobility.Model, cfg Config) *Medium {
 	cfg = cfg.withDefaults()
-	m := &Medium{
-		sim:  s,
-		mob:  mob,
-		cfg:  cfg,
-		hand: make([]Handler, mob.Nodes()),
-		recv: make([][]*reception, mob.Nodes()),
-		down: make([]bool, mob.Nodes()),
-		d2:   make([]float64, mob.Nodes()),
+	return &Medium{
+		sim:   s,
+		mob:   mob,
+		cfg:   cfg,
+		hand:  make([]Handler, mob.Nodes()),
+		down:  make([]bool, mob.Nodes()),
+		d2:    make([]float64, mob.Nodes()),
+		heard: make([]uint64, (mob.Nodes()+63)/64),
 
+		grid:   newGrid(mob, cfg.Range, indexEpoch),
 		ranges: slices.Repeat([]float64{cfg.Range}, mob.Nodes()),
 	}
-	if !cfg.NoIndex {
-		m.grid = newGrid(mob, cfg.Range, indexEpoch)
-		m.heard = make([]uint64, (mob.Nodes()+63)/64)
-	}
-	return m
 }
 
 // Nodes returns the number of attached nodes.
@@ -175,7 +148,7 @@ func (m *Medium) Position(node int) mobility.Point {
 // SetNodeRange overrides one node's radio range (heterogeneous radios).
 // The link rule stays symmetric: two nodes hear each other iff their
 // distance is within the smaller of their ranges, keeping every link
-// bidirectional the way AODV's HELLO/ACK machinery assumes.
+// bidirectional the way AODV's reverse routes and link-layer ACKs assume.
 func (m *Medium) SetNodeRange(node int, r float64) { m.ranges[node] = r }
 
 // within returns the squared distance between p and q and whether q lies in
@@ -208,13 +181,10 @@ func (m *Medium) hears(node int, p mobility.Point, other int) bool {
 }
 
 // AppendNeighbors appends the nodes currently within range of node to buf
-// in ascending id order and returns the extended slice. With the spatial
-// index enabled it scans only the grid cells within radio range — O(degree)
-// instead of O(n) — and performs no allocation beyond growing buf.
+// in ascending id order and returns the extended slice. It scans only the
+// spatial index's cells within radio range — O(degree) instead of O(n) —
+// and performs no allocation beyond growing buf.
 func (m *Medium) AppendNeighbors(node int, buf []int) []int {
-	if m.grid == nil {
-		return m.appendNeighborsNaive(node, buf)
-	}
 	if m.down[node] {
 		return buf
 	}
@@ -241,35 +211,8 @@ func (m *Medium) AppendNeighbors(node int, buf []int) []int {
 	return buf
 }
 
-// NeighborsNaive returns the neighbor set by the pre-index all-pairs scan.
-// It is the differential oracle the spatial index is pinned against
-// (TestNeighborsGridMatchesNaive, FuzzNeighborsGridVsNaive) and the
-// baseline of the neighbor benchmarks.
-func (m *Medium) NeighborsNaive(node int) []int {
-	return m.appendNeighborsNaive(node, nil)
-}
-
-func (m *Medium) appendNeighborsNaive(node int, buf []int) []int {
-	if m.down[node] {
-		return buf
-	}
-	p := m.Position(node)
-	for other := 0; other < m.Nodes(); other++ {
-		if m.hears(node, p, other) {
-			buf = append(buf, other)
-		}
-	}
-	return buf
-}
-
-// GridStats reports the spatial index's counters (zero when the index is
-// disabled).
-func (m *Medium) GridStats() GridStats {
-	if m.grid == nil {
-		return GridStats{}
-	}
-	return m.grid.stats
-}
+// GridStats reports the spatial index's counters.
+func (m *Medium) GridStats() GridStats { return m.grid.stats }
 
 // serialization returns the air time of a frame of the given size.
 func (m *Medium) serialization(bytes int) time.Duration {
@@ -334,26 +277,22 @@ type delivery struct {
 	from    int
 	to      int
 	payload any
-	rec     *reception
 }
 
-// Fire lands the frame: a collision-corrupted reception is counted and
-// dropped, anything else goes to the receiver's handler.
+// Fire lands the frame at the receiver's handler.
 func (d *delivery) Fire() {
 	m := d.m
-	if d.rec != nil && d.rec.corrupted {
-		m.Stats.Collided++
-	} else if h := m.hand[d.to]; h != nil {
+	if h := m.hand[d.to]; h != nil {
 		m.Stats.Deliveries++
 		h(d.from, d.payload)
 	}
-	d.payload, d.rec = nil, nil
+	d.payload = nil
 	m.dlvPool = append(m.dlvPool, d)
 }
 
 // deliver stages the arrival of a frame at one receiver d2 square meters
-// away, applying loss and (optionally) collision corruption. It must be
-// called at virtual time txStart, and Fire schedules what it staged.
+// away, applying loss. It must be called at virtual time txStart, and Fire
+// schedules what it staged.
 func (m *Medium) deliver(from, to int, bytes int, payload any, txStart sim.Time, d2 float64) {
 	arrive := txStart + m.serialization(bytes) + propagation(d2)
 
@@ -361,40 +300,9 @@ func (m *Medium) deliver(from, to int, bytes int, payload any, txStart sim.Time,
 		m.Stats.Lost++
 		return
 	}
-
-	var rec *reception
-	if m.cfg.Collisions {
-		rec = sim.Reuse(&m.recPool)
-		*rec = reception{start: txStart, end: arrive}
-		m.trackReception(to, rec)
-	}
 	d := sim.Reuse(&m.dlvPool)
-	*d = delivery{m, from, to, payload, rec}
+	*d = delivery{m, from, to, payload}
 	m.sim.StageAt(arrive, d)
-}
-
-// trackReception records a reception interval and corrupts any overlapping
-// ones (including the new one), pruning completed intervals as it goes.
-// Strictly-finished records recycle through the pool: their delivery events
-// (scheduled at their end time) have already fired, so the list held the
-// last reference. A record ending exactly now may not have fired yet and is
-// dropped to the garbage collector instead.
-func (m *Medium) trackReception(node int, rec *reception) {
-	live := m.recv[node][:0]
-	for _, other := range m.recv[node] {
-		if other.end <= rec.start {
-			if other.end < rec.start {
-				m.recPool = append(m.recPool, other)
-			}
-			continue // finished before we started; prune
-		}
-		if other.start < rec.end && rec.start < other.end {
-			other.corrupted = true
-			rec.corrupted = true
-		}
-		live = append(live, other)
-	}
-	m.recv[node] = append(live, rec)
 }
 
 // Broadcast transmits a frame to every node in range at the (jittered)
@@ -408,8 +316,8 @@ func (m *Medium) Broadcast(from int, bytes int, payload any) {
 // Unicast transmits a frame to one neighbor. It returns false — modelling
 // the missing link-layer ACK AODV uses for link-break detection — when the
 // destination is out of range at send time; the frame is then not
-// transmitted. Losses after a successful send (random loss, collisions) are
-// not reported to the sender, as with a real half-duplex MAC whose ACK
+// transmitted. Losses after a successful send (loss windows) are not
+// reported to the sender, as with a real half-duplex MAC whose ACK
 // timeout is longer than the simulation's decision point.
 func (m *Medium) Unicast(from, to int, bytes int, payload any) bool {
 	m.Stats.UnicastSent++

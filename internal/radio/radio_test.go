@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mccls/internal/fault"
 	"mccls/internal/mobility"
 	"mccls/internal/sim"
 )
@@ -90,7 +91,8 @@ func TestDeliveryDelayIncludesSerialization(t *testing.T) {
 
 func TestLossRateDropsFrames(t *testing.T) {
 	s := sim.New(1)
-	m := New(s, line(2), Config{lossRate: 1.0})
+	m := New(s, line(2), Config{})
+	m.SetFaults(fault.Schedule{Loss: []fault.LossWindow{{To: time.Hour, Rate: 1}}})
 	m.SetHandler(1, func(int, any) { t.Fatal("lossy channel delivered") })
 	for i := 0; i < 10; i++ {
 		m.Unicast(0, 1, 64, i)
@@ -98,32 +100,6 @@ func TestLossRateDropsFrames(t *testing.T) {
 	s.Run(time.Second)
 	if m.Stats.Lost != 10 {
 		t.Fatalf("lost = %d, want 10", m.Stats.Lost)
-	}
-}
-
-func TestCollisionModel(t *testing.T) {
-	// Nodes 0 and 2 both in range of 1; simultaneous sends collide at 1.
-	s := sim.New(1)
-	pts := &mobility.Static{Points: []mobility.Point{{X: 0}, {X: 200}, {X: 400}}}
-	m := New(s, pts, Config{Collisions: true, macDelayMax: -1})
-	delivered := 0
-	m.SetHandler(1, func(int, any) { delivered++ })
-	m.Unicast(0, 1, 512, "a")
-	m.Unicast(2, 1, 512, "b")
-	s.Run(time.Second)
-	if delivered != 0 {
-		t.Fatalf("overlapping frames delivered: %d", delivered)
-	}
-	if m.Stats.Collided != 2 {
-		t.Fatalf("collided = %d, want 2", m.Stats.Collided)
-	}
-	// Non-overlapping transmissions are fine.
-	m.Unicast(0, 1, 64, "c")
-	s.Run(2 * time.Second)
-	m.Unicast(2, 1, 64, "d")
-	s.Run(3 * time.Second)
-	if delivered != 2 {
-		t.Fatalf("sequential frames delivered %d, want 2", delivered)
 	}
 }
 
@@ -175,7 +151,7 @@ func TestRangeBoundaryClosedDisk(t *testing.T) {
 		{mobility.Point{Y: -math.Nextafter(250, 300)}, false},
 	} {
 		m := New(sim.New(1), &mobility.Static{Points: []mobility.Point{{}, c.p}}, Config{Range: 250})
-		grid, naive := m.AppendNeighbors(0, nil), m.NeighborsNaive(0)
+		grid, naive := m.AppendNeighbors(0, nil), appendNeighborsNaive(m, 0, nil)
 		if len(grid) == 1 != c.linked || len(naive) == 1 != c.linked || m.InRange(0, 1) != c.linked || m.InRange(1, 0) != c.linked {
 			t.Errorf("node at %v: grid=%v naive=%v InRange=%v, want linked=%v", c.p, grid, naive, m.InRange(0, 1), c.linked)
 		}
@@ -205,46 +181,41 @@ func (c *countingModel) Position(node int, t time.Duration) mobility.Point {
 // candidates + 1 lookups however large k is; a unicast costs at most 4 (the
 // range check at send time, the distance at transmission time).
 func TestBroadcastPositionCalls(t *testing.T) {
-	for _, noIndex := range []bool{false, true} {
-		const n = 80
-		s := sim.New(9)
-		mob := &countingModel{Model: mobility.NewManhattanGrid(mobility.ManhattanGridConfig{
-			Width: 1000, Height: 1000, MaxSpeed: 10,
-		}, n, time.Minute, rand.New(rand.NewSource(9)))}
-		m := New(s, mob, Config{Range: 250, NoIndex: noIndex, macDelayMax: -1})
-		delivered := 0
-		for i := 0; i < n; i++ {
-			m.SetHandler(i, func(int, any) { delivered++ })
+	const n = 80
+	s := sim.New(9)
+	mob := &countingModel{Model: mobility.NewManhattanGrid(mobility.ManhattanGridConfig{
+		Width: 1000, Height: 1000, MaxSpeed: 10,
+	}, n, time.Minute, rand.New(rand.NewSource(9)))}
+	m := New(s, mob, Config{Range: 250, macDelayMax: -1})
+	delivered := 0
+	for i := 0; i < n; i++ {
+		m.SetHandler(i, func(int, any) { delivered++ })
+	}
+	s.Run(5 * time.Second)
+	m.AppendNeighbors(0, nil) // build this epoch's index outside the counts
+	rebuilds, receivers := m.GridStats().Rebuilds, 0
+	for node := 0; node < n; node++ {
+		scanned := m.GridStats().Candidates
+		mob.calls, delivered = 0, 0
+		m.Broadcast(node, 64, "x")
+		s.RunAll()
+		candidates := int(m.GridStats().Candidates - scanned)
+		if mob.calls > candidates+1 {
+			t.Fatalf("broadcast from %d to %d receivers made %d Position calls over %d candidates, want <= candidates+1",
+				node, delivered, mob.calls, candidates)
 		}
-		s.Run(5 * time.Second)
-		m.AppendNeighbors(0, nil) // build this epoch's index outside the counts
-		rebuilds, receivers := m.GridStats().Rebuilds, 0
-		for node := 0; node < n; node++ {
-			candidates := n - 1
-			scanned := m.GridStats().Candidates
-			mob.calls, delivered = 0, 0
-			m.Broadcast(node, 64, "x")
-			s.RunAll()
-			if !noIndex {
-				candidates = int(m.GridStats().Candidates - scanned)
-			}
-			if mob.calls > candidates+1 {
-				t.Fatalf("noIndex=%v: broadcast from %d to %d receivers made %d Position calls over %d candidates, want <= candidates+1",
-					noIndex, node, delivered, mob.calls, candidates)
-			}
-			receivers += delivered
+		receivers += delivered
 
-			to := (node + 1) % n
-			mob.calls = 0
-			m.Unicast(node, to, 64, "x")
-			s.RunAll()
-			if mob.calls > 4 {
-				t.Fatalf("noIndex=%v: unicast %d->%d made %d Position calls, want <= 4", noIndex, node, to, mob.calls)
-			}
+		to := (node + 1) % n
+		mob.calls = 0
+		m.Unicast(node, to, 64, "x")
+		s.RunAll()
+		if mob.calls > 4 {
+			t.Fatalf("unicast %d->%d made %d Position calls, want <= 4", node, to, mob.calls)
 		}
-		if receivers < n || m.GridStats().Rebuilds != rebuilds {
-			t.Fatalf("noIndex=%v: %d receivers over %d broadcasts, %d index rebuilds inside the counts: the test lost its footing",
-				noIndex, receivers, n, m.GridStats().Rebuilds-rebuilds)
-		}
+	}
+	if receivers < n || m.GridStats().Rebuilds != rebuilds {
+		t.Fatalf("%d receivers over %d broadcasts, %d index rebuilds inside the counts: the test lost its footing",
+			receivers, n, m.GridStats().Rebuilds-rebuilds)
 	}
 }

@@ -9,8 +9,8 @@
 //
 // What a protocol keeps for itself, because sharing it would make this
 // package branch on its caller: route table vs route cache, message types
-// and their encodings, duplicate-suppression policy, the typed behaviour
-// hooks, and AODV's HELLO beacons.
+// and their encodings, duplicate-suppression policy, and the typed behaviour
+// hooks.
 package routing
 
 import (
@@ -73,8 +73,6 @@ type Stats struct {
 	RREPOriginated uint64
 	RREPForwarded  uint64
 	RERRSent       uint64
-	HelloSent      uint64
-	NeighborsLost  uint64 // neighbors declared dead by HELLO loss
 
 	AuthRejected uint64 // control packets dropped for bad authentication
 	SignFailures uint64 // control packets not sent because signing failed
@@ -105,8 +103,6 @@ func (s *Stats) Add(o Stats) {
 	s.RREPOriginated += o.RREPOriginated
 	s.RREPForwarded += o.RREPForwarded
 	s.RERRSent += o.RERRSent
-	s.HelloSent += o.HelloSent
-	s.NeighborsLost += o.NeighborsLost
 	s.AuthRejected += o.AuthRejected
 	s.SignFailures += o.SignFailures
 	s.Crashes += o.Crashes

@@ -1,6 +1,6 @@
 // Package secrouting implements the McCLS routing-authentication extension
-// the paper evaluates: routing control packets (AODV's RREQ/RREP/RERR/HELLO,
-// DSR's request/reply/error) are signed hop-by-hop by their transmitter and
+// the paper evaluates: routing control packets (AODV's RREQ/RREP/RERR, DSR's
+// request/reply/error) are signed hop-by-hop by their transmitter and
 // verified before processing, so nodes without a KGC-issued key — the black
 // hole and rushing attackers — cannot inject or relay routing state. The
 // signing and verifying call sites are routing.Agent's; this package

@@ -226,7 +226,6 @@ func TestCostModelKeyedInputOneBlock(t *testing.T) {
 			DestSeq: math.MaxUint32, SeqKnown: true, HopCount: maxInt, TTL: maxInt, HopAuth: hop}},
 		{"RREP", &aodv.RREP{Origin: maxInt, Dest: maxInt, DestSeq: math.MaxUint32, HopCount: maxInt,
 			Lifetime: maxInt * time.Millisecond, HopAuth: hop}},
-		{"HELLO", &aodv.Hello{Seq: math.MaxUint32, HopAuth: hop}},
 		{"RERR/1", &aodv.RERR{Unreachable: []aodv.UnreachableDest{dest}, HopAuth: hop}},
 		{"RERR/2", &aodv.RERR{Unreachable: []aodv.UnreachableDest{dest, dest}, HopAuth: hop}},
 		{"RERR/3", &aodv.RERR{Unreachable: []aodv.UnreachableDest{dest, dest, dest}, HopAuth: hop}},

@@ -70,8 +70,8 @@ func TestBenchmarkTrialDigests(t *testing.T) {
 		trials []benchTrial
 		want   string
 	}{
-		{"sim_paper", simPaperTrials(), "ad10df39e5642039ccfd6b89e76e4bce4e8cbfe4183f5b2d5698c1eb46bfe530"},
-		{"sim_city", simCityTrials(), "c8aa3bc2e71a6428b357e93b12e129c99f5ee722735d9ae4cc1305459dd3f625"},
+		{"sim_paper", simPaperTrials(), "36a64fc263d934a4ccde1b83b3cabf8799e7178d936695983daef0ec7e69c3e2"},
+		{"sim_city", simCityTrials(), "b5e5d90768e2699ef053ff2cf5a07dec7ad421c7a0994e1a6dcc27cc9bb4a273"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
