@@ -9,13 +9,11 @@ import (
 func TestCrashDropsTrafficAndRestartRecovers(t *testing.T) {
 	// 0—1—2 line: node 1 is the only relay.
 	s, m, ns := testNet(t, 3, Config{}, nil)
-	delivered := 0
-	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 
 	ns[0].Send(2, 64)
 	s.Run(2 * time.Second)
-	if delivered != 1 {
-		t.Fatalf("pre-crash delivery = %d, want 1", delivered)
+	if ns[2].Stats.DataDelivered != 1 {
+		t.Fatalf("pre-crash delivery = %d, want 1", ns[2].Stats.DataDelivered)
 	}
 
 	if !ns[1].Down() {
@@ -32,8 +30,8 @@ func TestCrashDropsTrafficAndRestartRecovers(t *testing.T) {
 	// and fail discovery; nothing arrives.
 	ns[0].Send(2, 64)
 	s.Run(22 * time.Second)
-	if delivered != 1 {
-		t.Fatalf("delivery through a crashed relay: %d", delivered)
+	if ns[2].Stats.DataDelivered != 1 {
+		t.Fatalf("delivery through a crashed relay: %d", ns[2].Stats.DataDelivered)
 	}
 	if ns[1].Stats.Crashes != 1 {
 		t.Fatalf("Crashes = %d", ns[1].Stats.Crashes)
@@ -48,8 +46,8 @@ func TestCrashDropsTrafficAndRestartRecovers(t *testing.T) {
 	}
 	ns[0].Send(2, 64)
 	s.Run(30 * time.Second)
-	if delivered != 2 {
-		t.Fatalf("post-restart delivery = %d, want 2", delivered)
+	if ns[2].Stats.DataDelivered != 2 {
+		t.Fatalf("post-restart delivery = %d, want 2", ns[2].Stats.DataDelivered)
 	}
 	if ns[1].Stats.Restarts != 1 {
 		t.Fatalf("Restarts = %d", ns[1].Stats.Restarts)

@@ -142,8 +142,6 @@ type Node struct {
 
 	// Hooks customize behaviour (attacks, fault injection).
 	Hooks Hooks
-	// OnDeliver, if set, observes every data packet delivered here.
-	OnDeliver func(*DataPacket)
 }
 
 // NewNode creates an AODV agent for node id and registers it with the
@@ -294,7 +292,7 @@ func (n *Node) Send(dst, bytes int) {
 		TTL:    n.cfg.dataTTL,
 	}
 	if dst == n.ID {
-		n.deliver(pkt)
+		n.Delivered(pkt.SentAt)
 		return
 	}
 	if e := n.route(dst); e != nil {
@@ -303,14 +301,6 @@ func (n *Node) Send(dst, bytes int) {
 	}
 	n.disc.Enqueue(dst, pkt)
 	n.disc.Start(dst)
-}
-
-// deliver hands a packet to the application layer.
-func (n *Node) deliver(pkt *DataPacket) {
-	n.Delivered(pkt.SentAt)
-	if n.OnDeliver != nil {
-		n.OnDeliver(pkt)
-	}
 }
 
 // transmitData unicasts a data packet along a routing entry, handling
@@ -552,7 +542,7 @@ func (n *Node) processData(from int, pkt *DataPacket) {
 	// An active flow keeps the path toward its source alive (RFC 3561 §6.2).
 	n.touch(pkt.Src)
 	if pkt.Dst == n.ID {
-		n.deliver(pkt)
+		n.Delivered(pkt.SentAt)
 		return
 	}
 	if n.Hooks.FilterData != nil && !n.Hooks.FilterData(n, pkt) {

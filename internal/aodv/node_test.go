@@ -45,13 +45,20 @@ func hasRoute(n *Node, dest int) (nextHop int, ok bool) {
 }
 
 func TestRouteDiscoveryAndDelivery(t *testing.T) {
-	s, _, ns := testNet(t, 4, Config{}, nil)
+	s, m, ns := testNet(t, 4, Config{}, nil)
+	// The destination's radio handler sees the packet it delivers.
 	var got []*DataPacket
-	ns[3].OnDeliver = func(p *DataPacket) { got = append(got, p) }
+	handle := m.Handler(3)
+	m.SetHandler(3, func(from int, payload any) {
+		if p, ok := payload.(*DataPacket); ok {
+			got = append(got, p)
+		}
+		handle(from, payload)
+	})
 	ns[0].Send(3, 512)
 	s.Run(time.Second)
-	if len(got) != 1 {
-		t.Fatalf("delivered %d packets, want 1", len(got))
+	if len(got) != 1 || ns[3].Stats.DataDelivered != 1 {
+		t.Fatalf("delivered %d packets (%d data frames), want 1", ns[3].Stats.DataDelivered, len(got))
 	}
 	if got[0].Src != 0 || got[0].Dst != 3 || got[0].Bytes != 512 {
 		t.Fatalf("bad packet: %+v", got[0])
@@ -78,15 +85,13 @@ func TestRouteDiscoveryAndDelivery(t *testing.T) {
 
 func TestSecondSendUsesCachedRoute(t *testing.T) {
 	s, _, ns := testNet(t, 3, Config{}, nil)
-	delivered := 0
-	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 100)
 	s.Run(2 * time.Second)
 	rreqsAfterFirst := ns[0].Stats.RREQInitiated
 	ns[0].Send(2, 100)
 	s.Run(4 * time.Second)
-	if delivered != 2 {
-		t.Fatalf("delivered %d, want 2", delivered)
+	if ns[2].Stats.DataDelivered != 2 {
+		t.Fatalf("delivered %d, want 2", ns[2].Stats.DataDelivered)
 	}
 	if ns[0].Stats.RREQInitiated != rreqsAfterFirst {
 		t.Fatal("second send re-discovered despite cached route")
@@ -100,12 +105,10 @@ func TestDuplicateRREQSuppression(t *testing.T) {
 		{X: 0, Y: 100}, {X: 200, Y: 0}, {X: 200, Y: 200}, {X: 400, Y: 100},
 	}}
 	s, _, ns := testNetAt(t, pts, Config{}, nil)
-	delivered := 0
-	ns[3].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(3, 64)
 	s.Run(3 * time.Second)
-	if delivered != 1 {
-		t.Fatalf("delivered %d, want exactly 1", delivered)
+	if ns[3].Stats.DataDelivered != 1 {
+		t.Fatalf("delivered %d, want exactly 1", ns[3].Stats.DataDelivered)
 	}
 	if ns[3].Stats.RREPOriginated != 1 {
 		t.Fatalf("destination replied %d times, want 1", ns[3].Stats.RREPOriginated)
@@ -117,12 +120,10 @@ func TestExpandingRingEscalation(t *testing.T) {
 	// the discovery must retry with a wider ring and still succeed.
 	cfg := Config{TTLStart: 1, ttlThreshold: 3, netDiameter: 10}
 	s, _, ns := testNet(t, 6, cfg, nil)
-	delivered := 0
-	ns[5].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(5, 64)
 	s.Run(20 * time.Second)
-	if delivered != 1 {
-		t.Fatalf("delivered %d, want 1", delivered)
+	if ns[5].Stats.DataDelivered != 1 {
+		t.Fatalf("delivered %d, want 1", ns[5].Stats.DataDelivered)
 	}
 	if ns[0].Stats.RREQRetried == 0 {
 		t.Fatal("expected at least one ring escalation")
@@ -165,12 +166,10 @@ func TestBufferOverflow(t *testing.T) {
 
 func TestIntermediateReply(t *testing.T) {
 	s, _, ns := testNet(t, 4, Config{}, nil)
-	delivered := 0
-	ns[3].OnDeliver = func(*DataPacket) { delivered++ }
 	// Prime node 1 with a fresh route to 3 by running a discovery from it.
 	ns[1].Send(3, 64)
 	s.Run(2 * time.Second)
-	if delivered != 1 {
+	if ns[3].Stats.DataDelivered != 1 {
 		t.Fatal("priming send failed")
 	}
 	// Node 0's discovery should be answered by node 1 from cache: node 3
@@ -178,7 +177,7 @@ func TestIntermediateReply(t *testing.T) {
 	repliesBefore := ns[3].Stats.RREPOriginated
 	ns[0].Send(3, 64)
 	s.Run(4 * time.Second)
-	if delivered != 2 {
+	if ns[3].Stats.DataDelivered != 2 {
 		t.Fatal("second send not delivered")
 	}
 	if ns[3].Stats.RREPOriginated != repliesBefore {
@@ -219,11 +218,9 @@ func (*breakableLink) Position(node int, ts time.Duration) mobility.Point {
 
 func TestLinkBreakTriggersRERRAndRediscovery(t *testing.T) {
 	s, _, ns := testNetAt(t, &breakableLink{}, Config{}, nil)
-	delivered := 0
-	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 64)
 	s.Run(time.Second)
-	if delivered != 1 {
+	if ns[2].Stats.DataDelivered != 1 {
 		t.Fatal("initial delivery failed")
 	}
 	// At t≈4s node 1 is ≈260m from 0: the link is broken. Sending again
@@ -241,11 +238,9 @@ func TestLinkBreakTriggersRERRAndRediscovery(t *testing.T) {
 
 func TestDataTTLExpiry(t *testing.T) {
 	s, _, ns := testNet(t, 4, Config{dataTTL: 1}, nil)
-	delivered := 0
-	ns[3].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(3, 64)
 	s.Run(5 * time.Second)
-	if delivered != 0 {
+	if ns[3].Stats.DataDelivered != 0 {
 		t.Fatal("packet with TTL 1 crossed 3 hops")
 	}
 	if ns[1].Stats.DropTTLExpired != 1 {
@@ -269,11 +264,9 @@ func TestAuthRejectionBlocksControl(t *testing.T) {
 	// Node 1 is the only path 0→2 but fails authentication: discovery
 	// must fail and the rejection must be counted.
 	s, _, ns := testNet(t, 3, Config{}, rejectAuth{bad: 1})
-	delivered := 0
-	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 64)
 	s.Run(20 * time.Second)
-	if delivered != 0 {
+	if ns[2].Stats.DataDelivered != 0 {
 		t.Fatal("data delivered through unauthenticated relay")
 	}
 	if ns[0].Stats.DropNoRoute == 0 {
@@ -324,11 +317,9 @@ func TestRouteExpiry(t *testing.T) {
 
 func TestSelfSendDeliversLocally(t *testing.T) {
 	s, _, ns := testNet(t, 2, Config{}, nil)
-	delivered := 0
-	ns[0].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(0, 10)
 	s.Run(time.Second)
-	if delivered != 1 || ns[0].Stats.DataDelivered != 1 {
+	if ns[0].Stats.DataDelivered != 1 {
 		t.Fatal("loopback delivery failed")
 	}
 }

@@ -64,8 +64,6 @@ func enrolledCostAuth(n int, attackers ...int) *secrouting.CostModelAuth {
 func TestBlackholeAbsorbsDataUnderPlainAODV(t *testing.T) {
 	s, nodes := diamond(t, nil)
 	MakeBlackhole(nodes[1])
-	delivered := 0
-	nodes[4].OnDeliver = func(*aodv.DataPacket) { delivered++ }
 	for i := 0; i < 20; i++ {
 		s.Schedule(time.Duration(i)*100*time.Millisecond, func() { nodes[0].Send(4, 256) })
 	}
@@ -73,9 +71,9 @@ func TestBlackholeAbsorbsDataUnderPlainAODV(t *testing.T) {
 	// The forged instant RREP must beat the real 3-hop route: traffic is
 	// absorbed.
 	if nodes[1].Stats.DropByAttacker == 0 {
-		t.Fatalf("black hole absorbed nothing: delivered=%d", delivered)
+		t.Fatalf("black hole absorbed nothing: delivered=%d", nodes[4].Stats.DataDelivered)
 	}
-	if delivered == 20 {
+	if nodes[4].Stats.DataDelivered == 20 {
 		t.Fatal("attack had no effect on delivery")
 	}
 }
@@ -84,8 +82,6 @@ func TestBlackholeNeutralizedByMcCLS(t *testing.T) {
 	auth := enrolledCostAuth(5, 1)
 	s, nodes := diamond(t, auth)
 	MakeBlackhole(nodes[1])
-	delivered := 0
-	nodes[4].OnDeliver = func(*aodv.DataPacket) { delivered++ }
 	for i := 0; i < 20; i++ {
 		s.Schedule(time.Duration(i)*100*time.Millisecond, func() { nodes[0].Send(4, 256) })
 	}
@@ -93,8 +89,8 @@ func TestBlackholeNeutralizedByMcCLS(t *testing.T) {
 	if nodes[1].Stats.DropByAttacker != 0 {
 		t.Fatalf("black hole absorbed %d packets despite authentication", nodes[1].Stats.DropByAttacker)
 	}
-	if delivered != 20 {
-		t.Fatalf("delivered %d/20 around the black hole", delivered)
+	if nodes[4].Stats.DataDelivered != 20 {
+		t.Fatalf("delivered %d/20 around the black hole", nodes[4].Stats.DataDelivered)
 	}
 	// The forged RREPs were rejected somewhere.
 	rejections := uint64(0)
@@ -109,8 +105,6 @@ func TestBlackholeNeutralizedByMcCLS(t *testing.T) {
 func TestRushingWinsRaceUnderPlainAODV(t *testing.T) {
 	s, nodes := diamond(t, nil)
 	MakeRushing(nodes[1])
-	delivered := 0
-	nodes[4].OnDeliver = func(*aodv.DataPacket) { delivered++ }
 	for i := 0; i < 20; i++ {
 		s.Schedule(time.Duration(i)*100*time.Millisecond, func() { nodes[0].Send(4, 256) })
 	}
@@ -119,10 +113,10 @@ func TestRushingWinsRaceUnderPlainAODV(t *testing.T) {
 	// so the reverse path (and the data) runs through node 1.
 	if nodes[1].Stats.DropByAttacker == 0 {
 		t.Fatalf("rushing attacker captured nothing: delivered=%d honest=%d",
-			delivered, nodes[2].Stats.DataForwarded)
+			nodes[4].Stats.DataDelivered, nodes[2].Stats.DataForwarded)
 	}
-	if delivered != 0 {
-		t.Fatalf("expected total capture on this topology, delivered=%d", delivered)
+	if nodes[4].Stats.DataDelivered != 0 {
+		t.Fatalf("expected total capture on this topology, delivered=%d", nodes[4].Stats.DataDelivered)
 	}
 }
 
@@ -130,8 +124,6 @@ func TestRushingNeutralizedByMcCLS(t *testing.T) {
 	auth := enrolledCostAuth(5, 1)
 	s, nodes := diamond(t, auth)
 	MakeRushing(nodes[1])
-	delivered := 0
-	nodes[4].OnDeliver = func(*aodv.DataPacket) { delivered++ }
 	for i := 0; i < 20; i++ {
 		s.Schedule(time.Duration(i)*100*time.Millisecond, func() { nodes[0].Send(4, 256) })
 	}
@@ -139,8 +131,8 @@ func TestRushingNeutralizedByMcCLS(t *testing.T) {
 	if nodes[1].Stats.DropByAttacker != 0 {
 		t.Fatalf("rushing attacker absorbed %d packets despite authentication", nodes[1].Stats.DropByAttacker)
 	}
-	if delivered != 20 {
-		t.Fatalf("delivered %d/20", delivered)
+	if nodes[4].Stats.DataDelivered != 20 {
+		t.Fatalf("delivered %d/20", nodes[4].Stats.DataDelivered)
 	}
 	// Node 3 must have rejected the rushed (unauthenticated) forwards.
 	if nodes[3].Stats.AuthRejected == 0 {
@@ -166,8 +158,6 @@ func TestGrayholeSelectiveDrop(t *testing.T) {
 	MakeGrayhole(nodes[1], 0.5, rand.New(rand.NewSource(5)))
 	// Force the path through node 1 by moving node 2 out of range.
 	nodes[2].Hooks.OnRREQ = func(*aodv.Node, int, *aodv.RREQ) bool { return false }
-	delivered := 0
-	nodes[4].OnDeliver = func(*aodv.DataPacket) { delivered++ }
 	const total = 60
 	for i := 0; i < total; i++ {
 		s.Schedule(time.Duration(i)*100*time.Millisecond, func() { nodes[0].Send(4, 128) })
@@ -177,7 +167,7 @@ func TestGrayholeSelectiveDrop(t *testing.T) {
 	if dropped == 0 || dropped == total {
 		t.Fatalf("gray hole dropped %d/%d, want selective dropping", dropped, total)
 	}
-	if delivered == 0 {
+	if nodes[4].Stats.DataDelivered == 0 {
 		t.Fatal("gray hole absorbed everything; should forward a fraction")
 	}
 	// Roughly half should vanish (generous bounds; the route flaps as

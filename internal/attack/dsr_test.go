@@ -42,12 +42,10 @@ func sendBurst(s *sim.Simulator, src *dsr.Node, dst int, n int) {
 func TestDSRBlackholePlain(t *testing.T) {
 	s, nodes := dsrDiamond(t, nil)
 	MakeDSRBlackhole(nodes[1])
-	delivered := 0
-	nodes[4].OnDeliver = func(*dsr.DataPacket) { delivered++ }
 	sendBurst(s, nodes[0], 4, 20)
 	s.Run(10 * time.Second)
 	if nodes[1].Stats.DropByAttacker == 0 {
-		t.Fatalf("DSR black hole absorbed nothing (delivered=%d)", delivered)
+		t.Fatalf("DSR black hole absorbed nothing (delivered=%d)", nodes[4].Stats.DataDelivered)
 	}
 }
 
@@ -55,30 +53,26 @@ func TestDSRBlackholeNeutralizedByMcCLS(t *testing.T) {
 	auth := enrolledCostAuth(5, 1)
 	s, nodes := dsrDiamond(t, auth)
 	MakeDSRBlackhole(nodes[1])
-	delivered := 0
-	nodes[4].OnDeliver = func(*dsr.DataPacket) { delivered++ }
 	sendBurst(s, nodes[0], 4, 20)
 	s.Run(10 * time.Second)
 	if nodes[1].Stats.DropByAttacker != 0 {
 		t.Fatalf("DSR black hole absorbed %d despite authentication", nodes[1].Stats.DropByAttacker)
 	}
-	if delivered != 20 {
-		t.Fatalf("delivered %d/20 around the black hole", delivered)
+	if nodes[4].Stats.DataDelivered != 20 {
+		t.Fatalf("delivered %d/20 around the black hole", nodes[4].Stats.DataDelivered)
 	}
 }
 
 func TestDSRRushingPlain(t *testing.T) {
 	s, nodes := dsrDiamond(t, nil)
 	MakeDSRRushing(nodes[1])
-	delivered := 0
-	nodes[4].OnDeliver = func(*dsr.DataPacket) { delivered++ }
 	sendBurst(s, nodes[0], 4, 20)
 	s.Run(10 * time.Second)
 	if nodes[1].Stats.DropByAttacker == 0 {
-		t.Fatalf("DSR rushing captured nothing (delivered=%d)", delivered)
+		t.Fatalf("DSR rushing captured nothing (delivered=%d)", nodes[4].Stats.DataDelivered)
 	}
-	if delivered != 0 {
-		t.Fatalf("expected total capture on this topology, delivered=%d", delivered)
+	if nodes[4].Stats.DataDelivered != 0 {
+		t.Fatalf("expected total capture on this topology, delivered=%d", nodes[4].Stats.DataDelivered)
 	}
 }
 
@@ -86,14 +80,12 @@ func TestDSRRushingNeutralizedByMcCLS(t *testing.T) {
 	auth := enrolledCostAuth(5, 1)
 	s, nodes := dsrDiamond(t, auth)
 	MakeDSRRushing(nodes[1])
-	delivered := 0
-	nodes[4].OnDeliver = func(*dsr.DataPacket) { delivered++ }
 	sendBurst(s, nodes[0], 4, 20)
 	s.Run(10 * time.Second)
 	if nodes[1].Stats.DropByAttacker != 0 {
 		t.Fatalf("DSR rushing absorbed %d despite authentication", nodes[1].Stats.DropByAttacker)
 	}
-	if delivered != 20 {
-		t.Fatalf("delivered %d/20", delivered)
+	if nodes[4].Stats.DataDelivered != 20 {
+		t.Fatalf("delivered %d/20", nodes[4].Stats.DataDelivered)
 	}
 }

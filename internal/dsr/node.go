@@ -50,8 +50,7 @@ type Node struct {
 	seen  map[uint64]bool
 	disc  *routing.Discovery[*DataPacket]
 
-	Hooks     Hooks
-	OnDeliver func(*DataPacket)
+	Hooks Hooks
 }
 
 // NewNode creates a DSR agent and registers it with the medium. The same
@@ -129,7 +128,7 @@ func (n *Node) Send(dst, bytes int) {
 	}
 	pkt := &DataPacket{Bytes: bytes, SentAt: n.Sim.Now()}
 	if dst == n.ID {
-		n.deliver(pkt)
+		n.Delivered(pkt.SentAt)
 		return
 	}
 	if route, ok := n.cache[dst]; ok {
@@ -139,13 +138,6 @@ func (n *Node) Send(dst, bytes int) {
 	}
 	n.disc.Enqueue(dst, pkt)
 	n.disc.Start(dst)
-}
-
-func (n *Node) deliver(pkt *DataPacket) {
-	n.Delivered(pkt.SentAt)
-	if n.OnDeliver != nil {
-		n.OnDeliver(pkt)
-	}
 }
 
 // transmitData unicasts the packet to the next hop of its source route. A
@@ -311,7 +303,7 @@ func (n *Node) processData(pkt *DataPacket) {
 	}
 	pkt.Idx = idx
 	if idx == len(pkt.Route)-1 {
-		n.deliver(pkt)
+		n.Delivered(pkt.SentAt)
 		return
 	}
 	if len(pkt.Route) > dataTTL {

@@ -37,12 +37,10 @@ func netAt(t *testing.T, mob mobility.Model, auth routing.Authenticator) (*sim.S
 
 func TestDiscoveryAndSourceRouting(t *testing.T) {
 	s, ns := lineNet(t, 4, nil)
-	var got []*DataPacket
-	ns[3].OnDeliver = func(p *DataPacket) { got = append(got, p) }
 	ns[0].Send(3, 256)
 	s.Run(3 * time.Second)
-	if len(got) != 1 {
-		t.Fatalf("delivered %d, want 1", len(got))
+	if ns[3].Stats.DataDelivered != 1 {
+		t.Fatalf("delivered %d, want 1", ns[3].Stats.DataDelivered)
 	}
 	route, ok := ns[0].cache[3]
 	if !ok {
@@ -69,15 +67,13 @@ func TestDiscoveryAndSourceRouting(t *testing.T) {
 
 func TestCachedRouteSkipsRediscovery(t *testing.T) {
 	s, ns := lineNet(t, 3, nil)
-	delivered := 0
-	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 64)
 	s.Run(2 * time.Second)
 	reqs := ns[0].Stats.RREQInitiated
 	ns[0].Send(2, 64)
 	s.Run(4 * time.Second)
-	if delivered != 2 {
-		t.Fatalf("delivered %d, want 2", delivered)
+	if ns[2].Stats.DataDelivered != 2 {
+		t.Fatalf("delivered %d, want 2", ns[2].Stats.DataDelivered)
 	}
 	if ns[0].Stats.RREQInitiated != reqs {
 		t.Fatal("second send re-discovered despite cache")
@@ -126,11 +122,9 @@ func (*dsrBreakable) Position(node int, ts time.Duration) mobility.Point {
 
 func TestLinkBreakPurgesCacheAndReportsError(t *testing.T) {
 	s, ns := netAt(t, &dsrBreakable{}, nil)
-	delivered := 0
-	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 64)
 	s.Run(time.Second)
-	if delivered != 1 {
+	if ns[2].Stats.DataDelivered != 1 {
 		t.Fatal("initial delivery failed")
 	}
 	s.Run(5 * time.Second) // node 1 walks away
@@ -144,18 +138,16 @@ func TestLinkBreakPurgesCacheAndReportsError(t *testing.T) {
 	if _, ok := ns[0].cache[2]; ok {
 		t.Fatal("stale route still cached")
 	}
-	if delivered != 1 {
-		t.Fatalf("delivered %d, want just the pre-break packet", delivered)
+	if ns[2].Stats.DataDelivered != 1 {
+		t.Fatalf("delivered %d, want just the pre-break packet", ns[2].Stats.DataDelivered)
 	}
 }
 
 func TestDSRAuthRejectsUnenrolledRelay(t *testing.T) {
 	s, ns := lineNet(t, 3, dsrRejectAuth{bad: 1})
-	delivered := 0
-	ns[2].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(2, 64)
 	s.Run(20 * time.Second)
-	if delivered != 0 {
+	if ns[2].Stats.DataDelivered != 0 {
 		t.Fatal("data crossed an unauthenticated relay")
 	}
 	if ns[0].Stats.DropNoRoute == 0 {
@@ -188,11 +180,9 @@ func TestRouteLoopRejected(t *testing.T) {
 
 func TestSelfSend(t *testing.T) {
 	s, ns := lineNet(t, 2, nil)
-	delivered := 0
-	ns[0].OnDeliver = func(*DataPacket) { delivered++ }
 	ns[0].Send(0, 10)
 	s.Run(time.Second)
-	if delivered != 1 {
+	if ns[0].Stats.DataDelivered != 1 {
 		t.Fatal("loopback delivery failed")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mccls/internal/secrouting"
-	"mccls/internal/sim"
 )
 
 // quick returns a small, fast scenario for integration tests.
@@ -371,22 +370,6 @@ func TestCryptoLatencyOverridesReachAuthenticator(t *testing.T) {
 				t.Fatalf("%v: verify ok=%v latency %v, want %v", sec, ok, d, tc.wantVerify)
 			}
 		}
-	}
-}
-
-// TestMaxEventsFailsTrial: the event budget converts a too-long event chain
-// into a per-run error instead of unbounded work.
-func TestMaxEventsFailsTrial(t *testing.T) {
-	sc := quick()
-	sc.MaxEvents = 50
-	_, err := sc.Run()
-	if !errors.Is(err, sim.ErrEventBudget) {
-		t.Fatalf("err = %v, want sim.ErrEventBudget", err)
-	}
-	// The same budget fails a DSR run too.
-	_, err = sc.RunDSR()
-	if !errors.Is(err, sim.ErrEventBudget) {
-		t.Fatalf("DSR err = %v, want sim.ErrEventBudget", err)
 	}
 }
 

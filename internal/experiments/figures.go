@@ -64,8 +64,6 @@ type SweepConfig struct {
 	// Progress, when non-nil, receives one update per finished trial
 	// (serialized calls; keep it fast).
 	Progress func(TrialUpdate)
-	// Context cancels the whole sweep when done (nil = Background).
-	Context context.Context
 }
 
 // Axis is a family of sweeps over one Scenario quantity.
@@ -289,9 +287,6 @@ func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) (xs []float64
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Context == nil {
-		cfg.Context = context.Background()
-	}
 	trials := make([]runner.Trial[routing.Stats], 0, len(curves)*len(xs)*cfg.Repeats)
 	for _, c := range curves {
 		for _, x := range xs {
@@ -315,7 +310,7 @@ func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) (xs []float64
 			}
 		}
 	}
-	stats, err := runner.Run(cfg.Context, runner.Options{
+	stats, err := runner.Run(context.Background(), runner.Options{
 		Workers:  cfg.Workers,
 		Timeout:  cfg.TrialTimeout,
 		Progress: cfg.Progress,

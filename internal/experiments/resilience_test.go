@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 	"time"
-
-	"mccls/internal/fault"
 )
 
 func TestOnlineEnrollmentScenario(t *testing.T) {
@@ -62,10 +60,9 @@ func TestChurnScenarioDeterministicAndPaired(t *testing.T) {
 	}
 }
 
-// TestDSRChurnScenario: the crash lifecycle and the fault schedule are the
-// substrate's, so a DSR run suffers churn exactly like an AODV one (before
-// internal/routing, RunDSR ignored Faults and ChurnEvents and reported
-// Crashes: 0 with a clean PDR).
+// TestDSRChurnScenario: the crash lifecycle is the substrate's, so a DSR run
+// suffers churn exactly like an AODV one (before internal/routing, RunDSR
+// ignored ChurnEvents and reported Crashes: 0 with a clean PDR).
 func TestDSRChurnScenario(t *testing.T) {
 	sc := quick()
 	sc.Security = McCLSCost
@@ -106,52 +103,6 @@ func TestDSRChurnScenario(t *testing.T) {
 	}
 	if clean.Crashes != 0 || clean.DropNodeDown != 0 {
 		t.Fatalf("fault-free DSR run reports faults: %+v", clean.Stats)
-	}
-}
-
-// TestExplicitFaultScheduleDeterministic runs each part of a fault.Schedule
-// through Scenario.Faults: a crash with a loss window, and each radio window
-// alone — which only the medium evaluates, so a scenario that did not hand
-// the schedule to it would reproduce the clean run. Every schedule must be
-// deterministic and must differ from the clean run.
-func TestExplicitFaultScheduleDeterministic(t *testing.T) {
-	clean, err := quick().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, sched := range map[string]fault.Schedule{
-		"crash+loss": {
-			Crashes: []fault.Crash{{Node: 5, At: 10 * time.Second, RestartAt: 25 * time.Second}},
-			Loss:    []fault.LossWindow{{From: 5 * time.Second, To: 40 * time.Second, Rate: 0.3}},
-		},
-		"loss":   {Loss: []fault.LossWindow{{From: 5 * time.Second, To: 40 * time.Second, Rate: 0.3}}},
-		"link":   {Links: []fault.LinkOutage{{A: 0, B: 1, To: 60 * time.Second}}},
-		"region": {Regions: []fault.RegionOutage{{X: 750, Y: 150, Radius: 200, From: 5 * time.Second, To: 40 * time.Second}}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			sc := quick()
-			sc.Faults = sched
-			r1, err := sc.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, err := sc.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r1 != r2 {
-				t.Fatal("explicit fault schedule broke determinism")
-			}
-			if r1 == clean {
-				t.Fatal("the schedule changed nothing")
-			}
-			if want := uint64(len(sched.Crashes)); r1.Crashes != want || r1.Restarts != want {
-				t.Fatalf("crashes/restarts = %d/%d, want %d/%d", r1.Crashes, r1.Restarts, want, want)
-			}
-			if len(sched.Loss) > 0 && r1.Radio.Lost == 0 {
-				t.Fatal("a 30% loss window lost no frame")
-			}
-		})
 	}
 }
 

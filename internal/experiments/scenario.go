@@ -111,6 +111,12 @@ const (
 	grayholeDropProb = 0.5
 )
 
+// radioRange is every scenario's radio range in meters. QualNet's default
+// 802.11 radio at 2 Mb/s reaches ≈370 m; with the radio package's default
+// 250 m disk the 1500×300 m field starts partitioned and mobility *helps*
+// delivery, inverting the paper's trends.
+const radioRange = 350
+
 // Scenario is one simulation configuration. Zero values select the paper's
 // setup (§6): 20 nodes in a 1500×300 m field, random waypoint with zero
 // pause, 10 CBR flows of 512-byte packets at 4 packets/s (the traffic
@@ -126,7 +132,7 @@ type Scenario struct {
 	// waypoint).
 	Mobility MobilityModel
 	// RangeJitter spreads per-node radio ranges uniformly over
-	// Range·[1−j, 1+j] (clamped to j ≤ 0.9), modelling a heterogeneous
+	// radioRange·[1−j, 1+j] (clamped to j ≤ 0.9), modelling a heterogeneous
 	// radio population. The jitter is drawn from a seed-derived stream
 	// independent of the simulation RNG, so 0 leaves runs bit-identical to
 	// the homogeneous setup.
@@ -137,22 +143,14 @@ type Scenario struct {
 	Security SecurityMode
 	Attack   AttackMode
 
-	// MaxEvents bounds the simulator's event budget (0 = unlimited): a
-	// runaway event chain fails the run with sim.ErrEventBudget instead
-	// of hanging its worker.
-	MaxEvents uint64
-
 	// SignLatency and VerifyLatency override the injected crypto costs
 	// (0 selects the secrouting defaults). Ignored under Plain.
 	SignLatency, VerifyLatency time.Duration
 
-	// Faults is an explicit fault schedule applied to the run: node
-	// crash/restart cycles, link and region outages, loss windows.
-	Faults fault.Schedule
-	// ChurnEvents adds this many random crash/restart cycles on top of
-	// Faults. The schedule is drawn from Seed on a stream independent of
-	// the simulation RNG, so every security mode at the same seed
-	// suffers the identical churn (paired comparison).
+	// ChurnEvents is the number of random crash/restart cycles in the run.
+	// They are drawn from Seed on a stream independent of the simulation
+	// RNG, so every security mode at the same seed suffers the identical
+	// churn (paired comparison).
 	ChurnEvents int
 	// OnlineEnrollment replaces out-of-band pre-enrollment with the
 	// in-network KGC protocol (KGC at node 0): nodes request keys over the
@@ -160,8 +158,7 @@ type Scenario struct {
 	// loses its volatile keys and re-enrolls on restart. Ignored under Plain.
 	OnlineEnrollment bool
 
-	Radio radio.Config
-	AODV  aodv.Config
+	AODV aodv.Config
 }
 
 func (sc Scenario) withDefaults() Scenario {
@@ -185,12 +182,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.Attack == 0 {
 		sc.Attack = NoAttack
-	}
-	if sc.Radio.Range == 0 {
-		// QualNet's default 802.11 radio at 2 Mb/s reaches ≈370 m; with
-		// the default 250 m disk the 1500×300 m field starts partitioned
-		// and mobility *helps* delivery, inverting the paper's trends.
-		sc.Radio.Range = 350
 	}
 	return sc
 }
@@ -299,7 +290,6 @@ func (sc Scenario) setup(ctx context.Context) (*world, error) {
 		return nil, fmt.Errorf("experiments: negative duration %v", sc.Duration)
 	}
 	s := sim.New(sc.Seed)
-	s.SetMaxEvents(sc.MaxEvents)
 	s.SetInterrupt(ctx.Err)
 
 	horizon := sc.Duration + 30*time.Second
@@ -307,7 +297,7 @@ func (sc Scenario) setup(ctx context.Context) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	medium := radio.New(s, mob, sc.Radio)
+	medium := radio.New(s, mob, radio.Config{Range: radioRange})
 	if sc.RangeJitter > 0 {
 		// A stream independent of the simulation RNG: jitter must not shift
 		// waypoint or MAC draws, and the same seed must give every security
@@ -315,7 +305,7 @@ func (sc Scenario) setup(ctx context.Context) (*world, error) {
 		j := math.Min(sc.RangeJitter, 0.9)
 		jrng := rand.New(rand.NewSource(sc.Seed ^ 0x726a7472)) // "rjtr"
 		for i := 0; i < sc.Nodes; i++ {
-			medium.SetNodeRange(i, sc.Radio.Range*(1+j*(2*jrng.Float64()-1)))
+			medium.SetNodeRange(i, radioRange*(1+j*(2*jrng.Float64()-1)))
 		}
 	}
 
@@ -332,11 +322,10 @@ func (sc Scenario) setup(ctx context.Context) (*world, error) {
 
 // run is the one run body behind Run, RunDSR and RunFigure's trials, whose
 // ctx the simulator's interrupt hook polls: build the world, key it, add the
-// substrate's nodes, wire online enrollment, install the fault schedule
-// (explicit faults plus seed-derived churn: its windows on the medium, its
-// crashes through the node lifecycle), start CBR traffic between honest
-// nodes, run the simulator past the traffic window so in-flight packets
-// drain, and sum the nodes' counters into the result.
+// substrate's nodes, wire online enrollment, schedule the seed-derived churn
+// through the node lifecycle, start CBR traffic between honest nodes, run
+// the simulator past the traffic window so in-flight packets drain, and sum
+// the nodes' counters into the result.
 func (sc Scenario) run(ctx context.Context, overDSR bool) (Result, error) {
 	w, err := sc.setup(ctx)
 	if err != nil {
@@ -384,18 +373,8 @@ func (sc Scenario) run(ctx context.Context, overDSR bool) (Result, error) {
 		hooks = fault.Hooks{OnCrash: enr.OnCrash, OnRestart: enr.OnRestart}
 	}
 
-	sched := sc.Faults
-	if sc.ChurnEvents > 0 {
-		churnRng := rand.New(rand.NewSource(sc.Seed ^ 0x6368726e)) // "chrn"
-		churn := fault.Churn(churnRng, fault.ChurnConfig{
-			Events:   sc.ChurnEvents,
-			Nodes:    sc.Nodes,
-			Duration: sc.Duration,
-		})
-		sched.Crashes = append(append([]fault.Crash{}, sched.Crashes...), churn.Crashes...)
-	}
-	w.medium.SetFaults(sched)
-	fault.Apply(s, sched.Crashes, faulty, hooks)
+	churnRng := rand.New(rand.NewSource(sc.Seed ^ 0x6368726e)) // "chrn"
+	fault.Apply(s, fault.Churn(churnRng, sc.ChurnEvents, sc.Nodes, sc.Duration), faulty, hooks)
 
 	var honest []int
 	for i := 0; i < sc.Nodes; i++ {

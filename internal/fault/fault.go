@@ -1,17 +1,13 @@
-// Package fault is the one vocabulary of deterministic fault schedules:
-// node crash/restart churn, per-link and regional radio outages, and
-// time-windowed channel-loss degradation. A Schedule is plain data — fully
-// decided before t=0 from a seeded generator (or written by hand in a
-// test) — and the MANET simulator evaluates it in two places:
-// radio.Medium.SetFaults takes the whole schedule and reads its Links,
-// Regions and Loss windows against the virtual clock on every
-// transmission, and Apply schedules its Crashes as lifecycle events. The
-// KGC service's chaos injector (kgcd.Injector) is the second evaluator of
-// Crashes: the same windows over signer replicas, polled per request
-// against its clock. Because nothing about a schedule depends on
-// execution order, faulted runs compose with the internal/runner parallel
-// engine exactly like clean ones: same seed + same schedule → bit-identical
-// results at any worker count.
+// Package fault is the one vocabulary of deterministic faults: node
+// crash/restart windows. A crash list is plain data — fully decided before
+// t=0 by a generator (Churn from a seeded stream, Rotation by rule) or
+// written by hand in a test — and it has two evaluators: Apply schedules
+// its windows as lifecycle events on the MANET simulator's clock, and the
+// KGC service's chaos injector (kgcd.Injector) polls the same windows over
+// signer replicas per request against its clock. Because nothing about a
+// crash list depends on execution order, faulted runs compose with the
+// internal/runner parallel engine exactly like clean ones: same seed + same
+// crashes → bit-identical results at any worker count.
 package fault
 
 import (
@@ -32,92 +28,31 @@ type Crash struct {
 	RetainRoutes bool
 }
 
-// LinkOutage severs the symmetric link A↔B during [From, To).
-type LinkOutage struct {
-	A, B     int
-	From, To time.Duration
-}
+// Churn's draws: downtimes are uniform in [½·meanDowntime, 1½·meanDowntime],
+// and a restarted node keeps its routing table with probability retainProb,
+// so both the warm- and cold-boot paths run.
+const (
+	meanDowntime = 30 * time.Second
+	retainProb   = 0.5
+)
 
-// RegionOutage severs every link touching the disk at (X, Y) with the given
-// Radius during [From, To) — an obstruction or jammer.
-type RegionOutage struct {
-	X, Y, Radius float64
-	From, To     time.Duration
-}
-
-// LossWindow raises the channel loss rate by Rate during [From, To),
-// composing with the base rate as an independent loss process.
-type LossWindow struct {
-	From, To time.Duration
-	Rate     float64
-}
-
-// Schedule is a complete fault plan for one simulation run.
-type Schedule struct {
-	Crashes []Crash
-	Links   []LinkOutage
-	Regions []RegionOutage
-	Loss    []LossWindow
-}
-
-// ChurnConfig parameterizes the random crash/restart generator.
-type ChurnConfig struct {
-	// Events is the number of crash/restart cycles over the run.
-	Events int
-	// Nodes is the node population; victims are drawn from [0, Nodes).
-	Nodes int
-	// Duration is the window crashes are placed in.
-	Duration time.Duration
-	// MeanDowntime is the average outage length (default 30s). Downtimes
-	// are uniform in [½·mean, 1½·mean].
-	MeanDowntime time.Duration
-	// RetainProb is the probability a restarted node keeps its routing
-	// table (default 0.5), so both the warm- and cold-boot paths run.
-	RetainProb float64
-	// Exclude lists nodes never crashed (e.g. the KGC in enrollment
-	// availability studies, or traffic endpoints).
-	Exclude []int
-}
-
-// Churn draws a crash/restart schedule from rng. The generator consumes a
-// fixed number of rng draws per event regardless of outcomes, and every
-// decision is made here — before the simulation starts — so the schedule is
-// a pure function of (rng seed, config).
-func Churn(rng *rand.Rand, cfg ChurnConfig) Schedule {
-	if cfg.MeanDowntime <= 0 {
-		cfg.MeanDowntime = 30 * time.Second
+// Churn draws events crash/restart cycles of victims in [0, nodes), placed
+// in [0, duration), from rng. The generator consumes a fixed number of rng
+// draws per event regardless of outcomes, and every decision is made here —
+// before the simulation starts — so the crashes are a pure function of
+// (rng seed, events, nodes, duration).
+func Churn(rng *rand.Rand, events, nodes int, duration time.Duration) []Crash {
+	if nodes <= 0 || events <= 0 || duration <= 0 {
+		return nil
 	}
-	if cfg.RetainProb == 0 {
-		cfg.RetainProb = 0.5
+	crashes := make([]Crash, events)
+	for i := range crashes {
+		node := rng.Intn(nodes)
+		at := time.Duration(rng.Int63n(int64(duration)))
+		down := meanDowntime/2 + time.Duration(rng.Int63n(int64(meanDowntime)))
+		crashes[i] = Crash{Node: node, At: at, RestartAt: at + down, RetainRoutes: rng.Float64() < retainProb}
 	}
-	excluded := make(map[int]bool, len(cfg.Exclude))
-	for _, n := range cfg.Exclude {
-		excluded[n] = true
-	}
-	var victims []int
-	for n := 0; n < cfg.Nodes; n++ {
-		if !excluded[n] {
-			victims = append(victims, n)
-		}
-	}
-	var s Schedule
-	if len(victims) == 0 || cfg.Events <= 0 || cfg.Duration <= 0 {
-		return s
-	}
-	for i := 0; i < cfg.Events; i++ {
-		node := victims[rng.Intn(len(victims))]
-		at := time.Duration(rng.Int63n(int64(cfg.Duration)))
-		// Uniform in [½·mean, 1½·mean].
-		down := cfg.MeanDowntime/2 + time.Duration(rng.Int63n(int64(cfg.MeanDowntime)))
-		retain := rng.Float64() < cfg.RetainProb
-		s.Crashes = append(s.Crashes, Crash{
-			Node:         node,
-			At:           at,
-			RestartAt:    at + down,
-			RetainRoutes: retain,
-		})
-	}
-	return s
+	return crashes
 }
 
 // Rotation is Churn's deterministic sibling, the canonical chaos rotation:
@@ -155,10 +90,9 @@ type Hooks struct {
 	OnRestart func(node int)
 }
 
-// Apply schedules a schedule's crash/restart transitions on the simulator
-// clock, in slice order; its radio windows are the medium's (SetFaults).
-// nodes maps a node index to its lifecycle (entries may be nil for indices
-// the schedule never touches — crashes against nil entries are ignored).
+// Apply schedules the crash/restart transitions on the simulator clock, in
+// slice order. nodes maps a node index to its lifecycle (entries may be nil
+// for indices no crash touches — crashes against nil entries are ignored).
 func Apply(s *sim.Simulator, crashes []Crash, nodes []Node, hooks Hooks) {
 	for _, c := range crashes {
 		c := c

@@ -10,45 +10,49 @@ import (
 )
 
 func TestChurnDeterministicAndBounded(t *testing.T) {
-	cfg := ChurnConfig{Events: 50, Nodes: 20, Duration: 900 * time.Second, Exclude: []int{0, 7}}
-	a := Churn(rand.New(rand.NewSource(42)), cfg)
-	b := Churn(rand.New(rand.NewSource(42)), cfg)
+	const events, nodes, duration = 50, 20, 900 * time.Second
+	a := Churn(rand.New(rand.NewSource(42)), events, nodes, duration)
+	b := Churn(rand.New(rand.NewSource(42)), events, nodes, duration)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different schedules")
+		t.Fatal("same seed produced different crashes")
 	}
-	c := Churn(rand.New(rand.NewSource(43)), cfg)
+	c := Churn(rand.New(rand.NewSource(43)), events, nodes, duration)
 	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical schedules")
+		t.Fatal("different seeds produced identical crashes")
 	}
-	if len(a.Crashes) != cfg.Events {
-		t.Fatalf("got %d crashes, want %d", len(a.Crashes), cfg.Events)
+	if len(a) != events {
+		t.Fatalf("got %d crashes, want %d", len(a), events)
 	}
-	for _, cr := range a.Crashes {
-		if cr.Node < 0 || cr.Node >= cfg.Nodes {
+	retained := map[bool]int{}
+	for _, cr := range a {
+		if cr.Node < 0 || cr.Node >= nodes {
 			t.Fatalf("victim %d out of range", cr.Node)
 		}
-		if cr.Node == 0 || cr.Node == 7 {
-			t.Fatalf("excluded node %d crashed", cr.Node)
-		}
-		if cr.At < 0 || cr.At >= cfg.Duration {
+		if cr.At < 0 || cr.At >= duration {
 			t.Fatalf("crash at %v outside run", cr.At)
 		}
-		if cr.RestartAt <= cr.At {
-			t.Fatalf("restart %v not after crash %v", cr.RestartAt, cr.At)
+		if down := cr.RestartAt - cr.At; down < 15*time.Second || down >= 45*time.Second {
+			t.Fatalf("downtime %v outside [15s, 45s)", down)
 		}
+		retained[cr.RetainRoutes]++
+	}
+	if retained[true] == 0 || retained[false] == 0 {
+		t.Fatalf("RetainRoutes true/false = %d/%d: both boot paths must occur", retained[true], retained[false])
 	}
 }
 
 func TestChurnEmptyCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, cfg := range []ChurnConfig{
-		{Events: 0, Nodes: 5, Duration: time.Minute},
-		{Events: 3, Nodes: 0, Duration: time.Minute},
-		{Events: 3, Nodes: 2, Duration: time.Minute, Exclude: []int{0, 1}},
-		{Events: 3, Nodes: 5},
+	for _, c := range []struct {
+		events, nodes int
+		duration      time.Duration
+	}{
+		{0, 5, time.Minute},
+		{3, 0, time.Minute},
+		{3, 5, 0},
 	} {
-		if s := Churn(rng, cfg); !reflect.DeepEqual(s, Schedule{}) {
-			t.Fatalf("config %+v produced non-empty schedule", cfg)
+		if crashes := Churn(rng, c.events, c.nodes, c.duration); crashes != nil {
+			t.Fatalf("%+v produced crashes %v", c, crashes)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"mccls/internal/fault"
 	"mccls/internal/mobility"
 	"mccls/internal/sim"
 )
@@ -55,18 +54,14 @@ func checkGridVsNaive(t *testing.T, m *Medium, label string) {
 }
 
 // TestNeighborsGridMatchesNaive is the differential test of the spatial
-// index: under moving nodes, powered-down radios, link and region outages,
-// the grid must return exactly the naive all-pairs scan's neighbor sets.
+// index: under moving nodes and powered-down radios, the grid must return
+// exactly the naive all-pairs scan's neighbor sets.
 func TestNeighborsGridMatchesNaive(t *testing.T) {
 	s, m := gridTestMedium(7, 60, 1500, 300)
 
-	// Faults: two dead radios, a severed link, a jammed region mid-field.
+	// Two dead radios.
 	m.SetNodeDown(3, true)
 	m.SetNodeDown(41, true)
-	m.SetFaults(fault.Schedule{
-		Links:   []fault.LinkOutage{{A: 5, B: 9, From: 10 * time.Second, To: 200 * time.Second}},
-		Regions: []fault.RegionOutage{{X: 750, Y: 150, Radius: 300, From: 50 * time.Second, To: 150 * time.Second}},
-	})
 
 	for _, target := range []time.Duration{0, 3 * time.Second, 9999 * time.Millisecond,
 		30 * time.Second, 77 * time.Second, 149 * time.Second, 151 * time.Second, 299 * time.Second} {
@@ -209,16 +204,16 @@ func TestBroadcastWaveZeroAlloc(t *testing.T) {
 }
 
 // FuzzNeighborsGridVsNaive fuzzes the differential property: arbitrary
-// seeds, node counts, query times, down masks and fault windows must never
-// make the indexed neighbor sets diverge from the naive scan.
+// seeds, node counts, query times and down masks must never make the
+// indexed neighbor sets diverge from the naive scan.
 func FuzzNeighborsGridVsNaive(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint16(3000), uint32(0), uint16(100), uint16(600), uint8(24))
-	f.Add(int64(42), uint16(500), uint16(9999), uint32(0b1010), uint16(0), uint16(65535), uint8(24))
-	f.Add(int64(-7), uint16(65535), uint16(1), uint32(^uint32(0)), uint16(250), uint16(250), uint8(24))
+	f.Add(int64(1), uint16(0), uint16(3000), uint32(0), uint8(24))
+	f.Add(int64(42), uint16(500), uint16(9999), uint32(0b1010), uint8(24))
+	f.Add(int64(-7), uint16(65535), uint16(1), uint32(^uint32(0)), uint8(24))
 	for _, n := range []uint8{63, 64, 65, 128, 129} { // the audience bitset's word edges
-		f.Add(int64(n), uint16(2000), uint16(40000), uint32(1<<7|1<<20), uint16(700), uint16(200), n)
+		f.Add(int64(n), uint16(2000), uint16(40000), uint32(1<<7|1<<20), n)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, t1ms, t2ms uint16, downMask uint32, regX, regR uint16, nodes uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, t1ms, t2ms uint16, downMask uint32, nodes uint8) {
 		n := max(int(nodes), 1)
 		s := sim.New(seed)
 		mob := mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
@@ -231,11 +226,6 @@ func FuzzNeighborsGridVsNaive(f *testing.F) {
 				m.SetNodeDown(i, true)
 			}
 		}
-		m.SetFaults(fault.Schedule{
-			Links: []fault.LinkOutage{{A: int(t1ms) % n, B: int(t2ms) % n, To: time.Duration(t2ms) * time.Millisecond}},
-			Regions: []fault.RegionOutage{{X: float64(regX), Y: 150, Radius: float64(regR),
-				From: time.Duration(t1ms) * time.Millisecond, To: 60 * time.Second}},
-		})
 
 		times := []time.Duration{
 			time.Duration(t1ms) * time.Millisecond,

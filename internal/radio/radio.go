@@ -1,7 +1,7 @@
 // Package radio models the wireless medium for the MANET simulator: a
 // disk-propagation link model with serialization and propagation delay and
-// uniform channel-access (MAC) jitter, plus the fault windows of a
-// fault.Schedule (faults.go). It stands in for QualNet's 802.11-style
+// uniform channel-access (MAC) jitter, and a per-node power switch that
+// crash/restart churn drives. It stands in for QualNet's 802.11-style
 // PHY/MAC at the fidelity the paper's routing experiments need (see
 // DESIGN.md §1).
 //
@@ -12,11 +12,11 @@
 // Transmissions and deliveries are pooled sim.Actions, keeping the whole
 // broadcast hot path allocation-free.
 //
-// A transmission does its geometry once: every range test (grid, InRange,
-// region outages) is the squared-distance predicate within, a broadcast
-// asks the mobility model for the sender's position once and each
-// candidate's once, and the fan-out takes its propagation delays from the
-// squared distances the audience scan left in Medium.d2.
+// A transmission does its geometry once: every range test (grid, InRange)
+// is the squared-distance predicate within, a broadcast asks the mobility
+// model for the sender's position once and each candidate's once, and the
+// fan-out takes its propagation delays from the squared distances the
+// audience scan left in Medium.d2.
 package radio
 
 import (
@@ -25,7 +25,6 @@ import (
 	"slices"
 	"time"
 
-	"mccls/internal/fault"
 	"mccls/internal/mobility"
 	"mccls/internal/sim"
 )
@@ -74,7 +73,6 @@ type Stats struct {
 	UnicastFailed uint64 // link-layer failures detected at send time
 	BroadcastSent uint64
 	Deliveries    uint64
-	Lost          uint64 // losses in fault.Schedule loss windows
 	BytesOnAir    uint64
 }
 
@@ -103,10 +101,8 @@ type Medium struct {
 	txPool  []*txJob
 	dlvPool []*delivery
 
-	// Fault-injection state (see faults.go): powered-off radios, and the
-	// schedule whose link/region outages and loss windows SetFaults set.
-	down   []bool
-	faults fault.Schedule
+	// down marks the powered-off radios.
+	down []bool
 
 	// Stats is exported for scenario-level reporting.
 	Stats Stats
@@ -151,6 +147,14 @@ func (m *Medium) Position(node int) mobility.Point {
 // bidirectional the way AODV's reverse routes and link-layer ACKs assume.
 func (m *Medium) SetNodeRange(node int, r float64) { m.ranges[node] = r }
 
+// SetNodeDown powers a node's radio off or on. A down node neither
+// transmits nor receives and unicasts toward it fail at send time (no MAC
+// ACK), which is what lets neighbors detect the crash as a link break.
+func (m *Medium) SetNodeDown(node int, down bool) { m.down[node] = down }
+
+// NodeDown reports whether a node's radio is currently off.
+func (m *Medium) NodeDown(node int) bool { return m.down[node] }
+
 // within returns the squared distance between p and q and whether q lies in
 // the closed disk of radius r around p (empty for a negative r). It is the
 // one range predicate of the medium, and it takes no square root.
@@ -161,7 +165,7 @@ func within(p, q mobility.Point, r float64) (d2 float64, ok bool) {
 }
 
 // InRange reports whether two nodes can currently hear each other: within
-// both radios' range, both powered, and no fault window severing the link.
+// both radios' range and both powered.
 func (m *Medium) InRange(a, b int) bool {
 	return !m.down[a] && m.hears(a, m.Position(a), b)
 }
@@ -173,7 +177,7 @@ func (m *Medium) hears(node int, p mobility.Point, other int) bool {
 		return false
 	}
 	d2, ok := within(p, m.Position(other), min(m.ranges[node], m.ranges[other]))
-	if !ok || m.linkFaulted(node, other) {
+	if !ok {
 		return false
 	}
 	m.d2[other] = d2
@@ -291,18 +295,12 @@ func (d *delivery) Fire() {
 }
 
 // deliver stages the arrival of a frame at one receiver d2 square meters
-// away, applying loss. It must be called at virtual time txStart, and Fire
-// schedules what it staged.
+// away. It must be called at virtual time txStart, and Fire schedules what
+// it staged.
 func (m *Medium) deliver(from, to int, bytes int, payload any, txStart sim.Time, d2 float64) {
-	arrive := txStart + m.serialization(bytes) + propagation(d2)
-
-	if loss := m.lossAt(txStart); loss > 0 && m.sim.Rand().Float64() < loss {
-		m.Stats.Lost++
-		return
-	}
 	d := sim.Reuse(&m.dlvPool)
 	*d = delivery{m, from, to, payload}
-	m.sim.StageAt(arrive, d)
+	m.sim.StageAt(txStart+m.serialization(bytes)+propagation(d2), d)
 }
 
 // Broadcast transmits a frame to every node in range at the (jittered)
@@ -316,9 +314,7 @@ func (m *Medium) Broadcast(from int, bytes int, payload any) {
 // Unicast transmits a frame to one neighbor. It returns false — modelling
 // the missing link-layer ACK AODV uses for link-break detection — when the
 // destination is out of range at send time; the frame is then not
-// transmitted. Losses after a successful send (loss windows) are not
-// reported to the sender, as with a real half-duplex MAC whose ACK
-// timeout is longer than the simulation's decision point.
+// transmitted.
 func (m *Medium) Unicast(from, to int, bytes int, payload any) bool {
 	m.Stats.UnicastSent++
 	if !m.InRange(from, to) {

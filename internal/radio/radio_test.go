@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mccls/internal/fault"
 	"mccls/internal/mobility"
 	"mccls/internal/sim"
 )
@@ -86,20 +85,6 @@ func TestDeliveryDelayIncludesSerialization(t *testing.T) {
 	s.Run(time.Second)
 	if at < time.Millisecond || at > time.Millisecond+10*time.Microsecond {
 		t.Fatalf("delivery at %v, want ≈1ms", at)
-	}
-}
-
-func TestLossRateDropsFrames(t *testing.T) {
-	s := sim.New(1)
-	m := New(s, line(2), Config{})
-	m.SetFaults(fault.Schedule{Loss: []fault.LossWindow{{To: time.Hour, Rate: 1}}})
-	m.SetHandler(1, func(int, any) { t.Fatal("lossy channel delivered") })
-	for i := 0; i < 10; i++ {
-		m.Unicast(0, 1, 64, i)
-	}
-	s.Run(time.Second)
-	if m.Stats.Lost != 10 {
-		t.Fatalf("lost = %d, want 10", m.Stats.Lost)
 	}
 }
 

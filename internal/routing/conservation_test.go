@@ -6,7 +6,6 @@ import (
 
 	"mccls/internal/aodv"
 	"mccls/internal/dsr"
-	"mccls/internal/fault"
 	"mccls/internal/mobility"
 	"mccls/internal/radio"
 	"mccls/internal/routing"
@@ -16,10 +15,10 @@ import (
 
 // TestDataPacketsAreConserved: every data packet a node originates ends up
 // delivered or in exactly one Drop* counter once the run has drained. The
-// sweep slides a 50 ms outage of link 0↔1 across the moment node 0's route
-// discovery completes on a 3-node line (2 ms verify delay, three packets
-// buffered): in a few placements the reply arrives over the live link but
-// the buffer is flushed into the dead one. Before internal/routing, DSR's
+// sweep slides a 50 ms power-off of node 1's radio across the moment node
+// 0's route discovery completes on a 3-node line (2 ms verify delay, three
+// packets buffered): in a few placements the reply arrives while node 1 is
+// up but the buffer is flushed after it went dark. Before internal/routing, DSR's
 // flush re-buffered those packets and then deleted the queue it had just
 // re-buffered them into — sent 3, delivered 0, dropped 0, waiting 0.
 func TestDataPacketsAreConserved(t *testing.T) {
@@ -40,7 +39,8 @@ func TestDataPacketsAreConserved(t *testing.T) {
 				s := sim.New(1)
 				line := &mobility.Static{Points: []mobility.Point{{X: 0}, {X: 200}, {X: 400}}}
 				m := radio.New(s, line, radio.Config{})
-				m.SetFaults(fault.Schedule{Links: []fault.LinkOutage{{A: 0, B: 1, From: from, To: from + 50*time.Millisecond}}})
+				s.ScheduleAt(from, func() { m.SetNodeDown(1, true) })
+				s.ScheduleAt(from+50*time.Millisecond, func() { m.SetNodeDown(1, false) })
 				auth := secrouting.NewCostModelAuth()
 				var src sender
 				var agents []*routing.Agent
@@ -65,7 +65,7 @@ func TestDataPacketsAreConserved(t *testing.T) {
 				dropped := st.DropNoRoute + st.DropBufferOverflow + st.DropLinkBreak +
 					st.DropTTLExpired + st.DropByAttacker + st.DropNodeDown
 				if sent != 3 || sent != delivered+dropped {
-					t.Fatalf("outage at %v: sent %d, delivered %d + dropped %d", from, sent, delivered, dropped)
+					t.Fatalf("power-off at %v: sent %d, delivered %d + dropped %d", from, sent, delivered, dropped)
 				}
 			}
 		})

@@ -3,9 +3,9 @@
 // looks like. It owns the hop-by-hop authentication extension the paper
 // evaluates — the only place a control packet is signed (Transmit) and the
 // only place one is verified (Receive) — plus the crash/restart lifecycle
-// with its pooled, epoch-guarded timers, the per-node counters, packet-id
-// minting, delivery accounting, the jitter draw, and the route-discovery
-// retry machine with its bounded send buffer (Discovery).
+// with its pooled, epoch-guarded timers, the per-node counters, delivery
+// accounting, the jitter draw, and the route-discovery retry machine with
+// its bounded send buffer (Discovery).
 //
 // What a protocol keeps for itself, because sharing it would make this
 // package branch on its caller: route table vs route cache, message types
@@ -277,7 +277,7 @@ func (t *timer) Fire() {
 
 // arm schedules j after d of virtual time, tagged with the node's current
 // epoch. All node-internal timers (discovery retries, sign/verify delays,
-// hello beacons, rebroadcast jitter) go through it. The authenticator's
+// rebroadcast jitter) go through it. The authenticator's
 // delays are constants, so its jobs ride the simulator's lanes.
 func (a *Agent) arm(d time.Duration, j timer) {
 	t := sim.Reuse(&a.free)

@@ -52,8 +52,9 @@ const (
 	enrollRelayJitterMax = 25 * time.Millisecond
 
 	// Wire sizes: the request is bare framing plus identities; the reply
-	// carries the partial private key D_ID, a G1 point (64 bytes
-	// uncompressed).
+	// carries the partial private key D_ID, a G2 point of 128 bytes
+	// uncompressed (PartialPrivateKey.Marshal), for which it charges only
+	// 64 (ROADMAP item 2 re-pins the size with the figures it moves).
 	enrollReqWireSize = 44
 	enrollRepWireSize = 44 + 64
 )

@@ -177,8 +177,8 @@ func TestEnrollmentKGCIgnoresUnregistered(t *testing.T) {
 }
 
 // radioLifecycle adapts the medium's per-node radio power switch to the
-// fault.Node lifecycle surface, so declarative fault schedules can drive
-// enrollment tests that have no routing layer underneath. The bool returns
+// fault.Node lifecycle surface, so crash lists can drive enrollment tests
+// that have no routing layer underneath. The bool returns
 // deduplicate transitions exactly like aodv.Node's.
 type radioLifecycle struct {
 	m    *radio.Medium
@@ -201,30 +201,29 @@ func (r radioLifecycle) Up(bool) bool {
 	return true
 }
 
-// TestEnrollmentCrashOverlappingRegionOutage drives the enrollment protocol
-// with a declarative fault.Schedule that composes two failure modes: node 3
-// crashes (losing its volatile keys) and restarts *inside* a regional
-// outage that severs every link around nodes 1 and 2 — cutting the whole
-// right half of the line off from the KGC. The crashed node must keep
-// backing off against the unreachable KGC and re-enroll only after the
-// region clears, while nodes that merely lost connectivity (not power) keep
-// the keys they already hold: a partition is not a key loss.
-func TestEnrollmentCrashOverlappingRegionOutage(t *testing.T) {
+// TestEnrollmentCrashOverlappingPartition composes two failure modes: node
+// 3 crashes (losing its volatile keys) and restarts *inside* a partition —
+// nodes 1 and 2, the only bridge, lose radio power with no crash hook —
+// that cuts the whole right half of the line off from the KGC. The crashed
+// node must keep backing off against the unreachable KGC and re-enroll only
+// after the partition heals, while nodes that merely lost connectivity
+// (their radio, not their process) keep the keys they already hold: a
+// partition is not a key loss.
+func TestEnrollmentCrashOverlappingPartition(t *testing.T) {
 	s, m, auth, e := enrollNet(t, 5)
 
-	sched := fault.Schedule{
-		Crashes: []fault.Crash{{Node: 3, At: 5 * time.Second, RestartAt: 10 * time.Second}},
-		// Disk at (300,0) r=150 covers nodes 1 (x=200) and 2 (x=400): every
-		// link touching either is dark during [8s, 20s), so nodes 1–4 cannot
-		// reach the KGC at node 0.
-		Regions: []fault.RegionOutage{{X: 300, Y: 0, Radius: 150, From: 8 * time.Second, To: 20 * time.Second}},
-	}
 	nodes := make([]fault.Node, 5)
 	for i := range nodes {
 		nodes[i] = radioLifecycle{m: m, node: i}
 	}
-	m.SetFaults(sched)
-	fault.Apply(s, sched.Crashes, nodes, fault.Hooks{OnCrash: e.OnCrash, OnRestart: e.OnRestart})
+	crashes := []fault.Crash{{Node: 3, At: 5 * time.Second, RestartAt: 10 * time.Second}}
+	fault.Apply(s, crashes, nodes, fault.Hooks{OnCrash: e.OnCrash, OnRestart: e.OnRestart})
+	// Nodes 1 (x=200) and 2 (x=400) are dark during [8s, 20s), so nodes 3
+	// and 4 cannot reach the KGC at node 0.
+	for _, bridge := range []int{1, 2} {
+		s.ScheduleAt(8*time.Second, func() { m.SetNodeDown(bridge, true) })
+		s.ScheduleAt(20*time.Second, func() { m.SetNodeDown(bridge, false) })
+	}
 
 	// Mid-partition probe: node 3 is back up but must still be unenrolled,
 	// while node 4 — partitioned but never powered off — keeps its key.
@@ -240,10 +239,10 @@ func TestEnrollmentCrashOverlappingRegionOutage(t *testing.T) {
 		t.Fatal("node 3 re-enrolled across the partition")
 	}
 	if !midEnrolled4 {
-		t.Fatal("node 4 lost its key to a radio outage (partition is not a crash)")
+		t.Fatal("node 4 lost its key to a partition (a partition is not a crash)")
 	}
 	if !allEnrolled(e) {
-		t.Fatal("region cleared but enrollment never completed")
+		t.Fatal("partition healed but enrollment never completed")
 	}
 	st := e.stats[3]
 	if st.Successes != 2 {
@@ -255,7 +254,8 @@ func TestEnrollmentCrashOverlappingRegionOutage(t *testing.T) {
 	if st.MaxBackoff < 2*time.Second {
 		t.Fatalf("node 3 backoff never grew past the base: %v", st.MaxBackoff)
 	}
-	// Nodes that only lost links made exactly their one initial attempt.
+	// Nodes that only lost links or radio power made exactly their one
+	// initial attempt.
 	for _, c := range []int{1, 2, 4} {
 		if st := e.stats[c]; st.Attempts != 1 || st.Successes != 1 {
 			t.Fatalf("node %d attempts/successes = %d/%d, want 1/1", c, st.Attempts, st.Successes)

@@ -32,7 +32,6 @@ import (
 	"io"
 
 	"mccls/internal/experiments"
-	"mccls/internal/fault"
 )
 
 // Core types, aliased from the implementation.
@@ -59,18 +58,6 @@ type (
 	AttackMode = experiments.AttackMode
 	// Table1Row is one scheme's Table 1 entry with measured timings.
 	Table1Row = experiments.Table1Row
-
-	// FaultSchedule is an explicit fault-injection plan for one run:
-	// node crashes, link/region outages and loss windows.
-	FaultSchedule = fault.Schedule
-	// Crash is one node crash (and optional restart) in a FaultSchedule.
-	Crash = fault.Crash
-	// LinkOutage silences one link for a time window.
-	LinkOutage = fault.LinkOutage
-	// RegionOutage silences every link crossing a disk for a time window.
-	RegionOutage = fault.RegionOutage
-	// LossWindow raises the frame-loss probability for a time window.
-	LossWindow = fault.LossWindow
 )
 
 // Security modes.

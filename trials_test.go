@@ -70,8 +70,8 @@ func TestBenchmarkTrialDigests(t *testing.T) {
 		trials []benchTrial
 		want   string
 	}{
-		{"sim_paper", simPaperTrials(), "36a64fc263d934a4ccde1b83b3cabf8799e7178d936695983daef0ec7e69c3e2"},
-		{"sim_city", simCityTrials(), "b5e5d90768e2699ef053ff2cf5a07dec7ad421c7a0994e1a6dcc27cc9bb4a273"},
+		{"sim_paper", simPaperTrials(), "a95cb9f3b517d15a410956f9fc12a2f71b441de10ba199162b2ca0adbc477d98"},
+		{"sim_city", simCityTrials(), "69b3bfd55ce8b34004652e0d7323305d7cd763137da94109d9f896c323febee3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
