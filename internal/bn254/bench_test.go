@@ -53,6 +53,28 @@ func BenchmarkMillerLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkMillerLoopLines is BenchmarkMillerLoop's pair with q's line
+// table built once: the per-packet cost of a known signer's S.
+func BenchmarkMillerLoopLines(b *testing.B) {
+	p, q := benchPoints(b)
+	lines := NewG2Lines(q)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MillerLoopLines(p, lines)
+	}
+}
+
+// BenchmarkNewG2Lines is the one-off build a first contact pays.
+func BenchmarkNewG2Lines(b *testing.B) {
+	_, q := benchPoints(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewG2Lines(q)
+	}
+}
+
 func BenchmarkFinalExponentiation(b *testing.B) {
 	p, q := benchPoints(b)
 	f := MillerLoopMulti([]*G1{p}, []*G2{q})

@@ -418,6 +418,12 @@ func TestMulByLineMatchesDense(t *testing.T) {
 		if !sparse.Equal(dense) {
 			t.Fatalf("sparse line multiplication diverges (iteration %d)", i)
 		}
+		// A nil c0 is the normalised line 1 + c1·w + c3·w³.
+		l.c0 = *Fp2One()
+		dense = new(Fp12).Mul(z, l.fp12())
+		if unit := new(Fp12).Set(z).mulBySparse(nil, &l.c1, &l.c3); !unit.Equal(dense) {
+			t.Fatalf("unit-line multiplication diverges (iteration %d)", i)
+		}
 	}
 }
 

@@ -1,0 +1,116 @@
+package bn254
+
+import "mccls/internal/bn254/fp"
+
+// ateLines is the number of lines one ate walk folds: 65 doubling lines, 21
+// addition lines and 2 Frobenius lines (ateLineCounts derives it in tests).
+const ateLines = 88
+
+// G2Lines is the Miller line table of one G2 point, the fixed-argument
+// pairing of Costello–Stebila (LATINCRYPT 2010): a G2 argument that recurs —
+// in McCLS a signer's S — has its doubling and addition chain run once.
+// Each unevaluated line a·yP + b·xP·w + c·w³ is stored as (b/a, c/a), in
+// walk order, 11,264 bytes in all. It is immutable, so one table may be
+// replayed concurrently.
+type G2Lines struct {
+	q     G2
+	lines [ateLines][2]Fp2
+}
+
+// Q returns the point the table was built from. It must not be modified.
+func (t *G2Lines) Q() *G2 { return &t.q }
+
+// NewG2Lines runs q's chain once and returns its line table; the identity
+// yields a table that replays to 1. It returns nil when a line's a
+// vanishes, which needs the chain to meet the identity or ±q: never on the
+// twist (its small prime factors 10069, 5864401 and 1875725156269 divide no
+// chain multiple k or k ± 1), but possible for a point off the curve.
+func NewG2Lines(q *G2) *G2Lines {
+	t := &G2Lines{q: *q}
+	if q.IsInfinity() {
+		return t
+	}
+	var as [ateLines]Fp2
+	var l lineEval
+	n := 0
+	record := func() {
+		as[n], t.lines[n] = l.c0, [2]Fp2{l.c1, l.c3}
+		n++
+	}
+	var acc g2Proj
+	acc.fromAffine(q)
+	var negQ, q1, q2 G2
+	negQ.Neg(q)
+	for i := len(ateNAF) - 2; i >= 0; i-- {
+		acc.doubleStepProj(&l)
+		record()
+		if d := ateNAF[i]; d != 0 {
+			qd := q
+			if d < 0 {
+				qd = &negQ
+			}
+			acc.addStepProj(&l, qd)
+			record()
+		}
+	}
+	acc.addStepProj(&l, q1.frobeniusTwist(q))
+	record()
+	acc.addStepProj(&l, q2.Neg(q2.frobeniusTwist(&q1)))
+	record()
+
+	// Divide each line by its a with one inversion (Montgomery's trick).
+	var pre [ateLines]Fp2
+	prod := *Fp2One()
+	for i := range as {
+		pre[i] = prod
+		prod.Mul(&prod, &as[i])
+	}
+	if prod.IsZero() {
+		return nil
+	}
+	var inv, aInv Fp2
+	inv.Inverse(&prod)
+	for i := ateLines - 1; i >= 0; i-- {
+		aInv.Mul(&inv, &pre[i])
+		inv.Mul(&inv, &as[i])
+		t.lines[i][0].Mul(&t.lines[i][0], &aInv)
+		t.lines[i][1].Mul(&t.lines[i][1], &aInv)
+	}
+	return t
+}
+
+// MillerLoopLines replays t at p: line i becomes
+// 1 + (bᵢ/aᵢ)·(xP/yP)·w + (cᵢ/aᵢ)·yP⁻¹·w³, the line MillerLoopMulti folds
+// divided by aᵢ·yP ∈ Fp2. So the result is MillerLoopMulti([p], [q]) up to
+// a factor in Fp2, and the final exponentiation maps both to one GT element.
+// A line costs 4 Fp multiplications and a 12-product sparse fold; a replay
+// counts one pairing, 65 squarings and 88 sparse multiplications. p must be
+// in G1, where no point has yP = 0.
+func MillerLoopLines(p *G1, t *G2Lines) *Fp12 {
+	f := Fp12One()
+	if p.IsInfinity() || t.q.IsInfinity() {
+		return f
+	}
+	opCounters.pairings.Add(1)
+	var yInv, xy fp.Element
+	yInv.Inverse(&p.Y)
+	xy.Mul(&p.X, &yInv)
+	var c1, c3 Fp2
+	fold := func(l *[2]Fp2) {
+		f.mulBySparse(nil, c1.MulScalar(&l[0], &xy), c3.MulScalar(&l[1], &yInv))
+	}
+	lines := t.lines[:]
+	for i := len(ateNAF) - 2; i >= 0; i-- {
+		opCounters.millerSquarings.Add(1)
+		f.Square(f)
+		fold(&lines[0])
+		if ateNAF[i] != 0 {
+			fold(&lines[1])
+			lines = lines[1:]
+		}
+		lines = lines[1:]
+	}
+	fold(&lines[0]) // the two Frobenius lines
+	fold(&lines[1])
+	return f
+}

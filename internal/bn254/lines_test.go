@@ -1,0 +1,151 @@
+package bn254
+
+import (
+	"math/big"
+	"testing"
+)
+
+// millerRatioInFp2 reports whether f·g⁻¹ lies in Fp2 (its w¹…w⁵
+// coefficients are zero): the exact, pre-exponentiation relation between
+// MillerLoopMulti and a replay of the same point's line table.
+func millerRatioInFp2(f, g *Fp12) bool {
+	ratio := new(Fp12).Inverse(g)
+	ratio.Mul(ratio, f)
+	for k := 1; k < 6; k++ {
+		if !ratio.C[k].IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzMillerLoopLinesVsMulti holds the fixed-argument replay to the lockstep
+// kernel on fuzzed (p, q), infinity on either side included: the unreduced
+// values differ by a factor in Fp2 — checked exactly, before any
+// exponentiation — and are equal after finalExponentiation.
+func FuzzMillerLoopLinesVsMulti(f *testing.F) {
+	f.Add([]byte{1}, []byte{2}, byte(0))
+	f.Add([]byte{7, 7}, []byte{9}, byte(1))
+	f.Add([]byte{255}, []byte{255, 255}, byte(2))
+	f.Add([]byte{3}, []byte{}, byte(3))
+	f.Fuzz(func(t *testing.T, aBytes, bBytes []byte, infMask byte) {
+		a := new(big.Int).Mod(new(big.Int).SetBytes(aBytes), Order)
+		b := new(big.Int).Mod(new(big.Int).SetBytes(bBytes), Order)
+		p, q := new(G1).ScalarBaseMult(a), g2BaseMult(b) // scalar 0 is infinity too
+		if infMask&1 != 0 {
+			p = G1Infinity()
+		}
+		if infMask&2 != 0 {
+			q = G2Infinity()
+		}
+		lines := NewG2Lines(q)
+		if lines == nil {
+			t.Fatalf("no line table for a subgroup point: b=%v mask=%02b", b, infMask)
+		}
+		if !lines.Q().Equal(q) {
+			t.Fatal("the table does not name its point")
+		}
+		multi, replay := MillerLoopMulti([]*G1{p}, []*G2{q}), MillerLoopLines(p, lines)
+		if !millerRatioInFp2(multi, replay) {
+			t.Fatalf("replay / lockstep ratio leaves Fp2: a=%v b=%v mask=%02b", a, b, infMask)
+		}
+		if !finalExponentiation(multi).Equal(finalExponentiation(replay)) {
+			t.Fatalf("reduced replay diverges from the lockstep kernel: a=%v b=%v mask=%02b", a, b, infMask)
+		}
+	})
+}
+
+// TestMillerLoopLinesOpCounts splits the one-pair Miller loop's profile
+// between the two halves: the build runs every G2 step and nothing of the
+// accumulator, the replay every accumulator squaring and sparse fold and no
+// G2 step, and only the replay counts as a pairing.
+func TestMillerLoopLinesOpCounts(t *testing.T) {
+	r := testRand()
+	p := new(G1).ScalarBaseMult(randScalar(r))
+	q := g2BaseMult(randScalar(r))
+	doubles, adds := ateLineCounts()
+
+	before := ReadOpCounts()
+	lines := NewG2Lines(q)
+	d := ReadOpCounts().Sub(before)
+	if d.LineDoubles != doubles || d.LineAdds != adds || d.MillerSquarings != 0 || d.SparseMuls != 0 || d.Pairings != 0 {
+		t.Fatalf("build: %d doubles, %d adds, %d squarings, %d sparse muls, %d pairings; want %d, %d, 0, 0, 0",
+			d.LineDoubles, d.LineAdds, d.MillerSquarings, d.SparseMuls, d.Pairings, doubles, adds)
+	}
+	if ateLines != doubles+adds {
+		t.Fatalf("tables hold %d lines, want %d", ateLines, doubles+adds)
+	}
+
+	before = ReadOpCounts()
+	MillerLoopLines(p, lines)
+	d = ReadOpCounts().Sub(before)
+	if d.LineDoubles != 0 || d.LineAdds != 0 || d.MillerSquarings != doubles || d.SparseMuls != doubles+adds || d.Pairings != 1 {
+		t.Fatalf("replay: %d doubles, %d adds, %d squarings, %d sparse muls, %d pairings; want 0, 0, %d, %d, 1",
+			d.LineDoubles, d.LineAdds, d.MillerSquarings, d.SparseMuls, d.Pairings, doubles, doubles+adds)
+	}
+}
+
+// TestMillerLoopLinesAllocs: a replay allocates no more than the one-pair
+// lockstep kernel it replaces (its returned value).
+func TestMillerLoopLinesAllocs(t *testing.T) {
+	p := new(G1).ScalarBaseMult(big.NewInt(7))
+	q := g2BaseMult(big.NewInt(11))
+	ps, qs, lines := []*G1{p}, []*G2{q}, NewG2Lines(q)
+	multi := testing.AllocsPerRun(10, func() { MillerLoopMulti(ps, qs) })
+	if a := testing.AllocsPerRun(10, func() { MillerLoopLines(p, lines) }); a > multi {
+		t.Fatalf("replay allocates %v times, MillerLoopMulti %v", a, multi)
+	}
+}
+
+// TestG2LinesOffSubgroup feeds NewG2Lines twist points outside the r-order
+// subgroup — raw try-and-increment candidates, and points of the twist's
+// small prime orders — and a point off the curve. Nothing may panic. A
+// table that is built must replay to MillerLoopMulti's GT value; the
+// small-order points must get one (no chain multiple k or k ± 1 is
+// divisible by their order), and y = 0 must not (its first tangent has
+// a = 0).
+func TestG2LinesOffSubgroup(t *testing.T) {
+	r := testRand()
+	p := new(G1).ScalarBaseMult(randScalar(r))
+	agree := func(q *G2) bool {
+		lines := NewG2Lines(q)
+		if lines == nil {
+			return false
+		}
+		multi := MillerLoopMulti([]*G1{p}, []*G2{q})
+		if !finalExponentiation(multi).Equal(finalExponentiation(MillerLoopLines(p, lines))) {
+			t.Fatalf("replay of %v diverges from MillerLoopMulti after the final exponentiation", q)
+		}
+		return true
+	}
+	var raw []*G2
+	for counter := uint32(0); len(raw) < 4; counter++ {
+		if q := hashToTwist("lines-test", []byte("off-subgroup"), counter); q != nil {
+			if q.IsInSubgroup() {
+				t.Fatal("a raw candidate is in the subgroup")
+			}
+			raw = append(raw, q)
+			agree(q)
+		}
+	}
+	twistOrder := new(big.Int).Mul(Order, g2Cofactor)
+	for _, d := range []int64{10069, 5864401, 1875725156269} {
+		order := big.NewInt(d)
+		k := new(big.Int).Div(twistOrder, order)
+		var q *G2
+		for _, cand := range raw {
+			if q = g2ScalarMultJac(cand, k); !q.IsInfinity() {
+				break
+			}
+		}
+		if q.IsInfinity() || !q.IsOnCurve() || !g2ScalarMultJac(q, order).IsInfinity() {
+			t.Fatalf("no point of order %d", d)
+		}
+		if !agree(q) {
+			t.Fatalf("no line table for a point of order %d", d)
+		}
+	}
+	if NewG2Lines(&G2{X: *Fp2One()}) != nil {
+		t.Fatal("a point with y = 0 got a line table")
+	}
+}

@@ -69,15 +69,15 @@ func MillerLoopMulti(ps []*G1, qs []*G2) *Fp12 {
 		f.Square(f)
 		for j := range pairs {
 			pr := &pairs[j]
-			pr.t.doubleStepProj(&l, pr.p)
-			f.mulByLine(&l)
+			pr.t.doubleStepProj(&l)
+			f.mulByLine(l.at(pr.p))
 			if d := ateNAF[i]; d != 0 {
 				q := pr.q
 				if d < 0 {
 					q = &pr.negQ
 				}
-				pr.t.addStepProj(&l, q, pr.p)
-				f.mulByLine(&l)
+				pr.t.addStepProj(&l, q)
+				f.mulByLine(l.at(pr.p))
 			}
 		}
 	}
@@ -86,12 +86,12 @@ func MillerLoopMulti(ps []*G1, qs []*G2) *Fp12 {
 	for j := range pairs {
 		pr := &pairs[j]
 		q1.frobeniusTwist(pr.q)
-		pr.t.addStepProj(&l, &q1, pr.p)
-		f.mulByLine(&l)
+		pr.t.addStepProj(&l, &q1)
+		f.mulByLine(l.at(pr.p))
 		q2.frobeniusTwist(&q1)
 		q2.Neg(&q2)
-		pr.t.addStepProj(&l, &q2, pr.p)
-		f.mulByLine(&l)
+		pr.t.addStepProj(&l, &q2)
+		f.mulByLine(l.at(pr.p))
 	}
 	return f
 }

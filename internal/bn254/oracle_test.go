@@ -109,24 +109,24 @@ func millerLoop(p *G1, q *G2) *Fp12 {
 	for i := len(ateNAF) - 2; i >= 0; i-- {
 		opCounters.millerSquarings.Add(1)
 		f = fp12SquareSchoolbook(f)
-		t.doubleStepProj(&l, p)
-		f.mulByLine(&l)
+		t.doubleStepProj(&l)
+		f.mulByLine(l.at(p))
 		if d := ateNAF[i]; d != 0 {
 			qd := q
 			if d < 0 {
 				qd = negQ
 			}
-			t.addStepProj(&l, qd, p)
-			f.mulByLine(&l)
+			t.addStepProj(&l, qd)
+			f.mulByLine(l.at(p))
 		}
 	}
 	q1 := new(G2).frobeniusTwist(q)
-	t.addStepProj(&l, q1, p)
-	f.mulByLine(&l)
+	t.addStepProj(&l, q1)
+	f.mulByLine(l.at(p))
 	q2 := new(G2).frobeniusTwist(q1)
 	q2.Neg(q2)
-	t.addStepProj(&l, q2, p)
-	f.mulByLine(&l)
+	t.addStepProj(&l, q2)
+	f.mulByLine(l.at(p))
 	return f
 }
 

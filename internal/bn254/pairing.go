@@ -48,10 +48,10 @@ func (z *GT) Marshal() []byte {
 	return out
 }
 
-// lineEval is the sparse Fp12 element c0 + c1·w + c3·w³ produced by
-// evaluating a Miller line at a G1 point. In the affine (naive) path c0 has
-// a zero i-component; the projective path scales the line by an Fp2 factor
-// (killed by the final exponentiation), filling all three coefficients.
+// lineEval is the sparse Fp12 element c0 + c1·w + c3·w³ of a Miller line,
+// unevaluated as a projective step returns it or evaluated by at. In the
+// affine (naive) path c0 has a zero i-component; the projective path scales
+// the line by an Fp2 factor, which the final exponentiation kills.
 type lineEval struct {
 	c0 Fp2
 	c1 Fp2
@@ -63,34 +63,44 @@ type lineEval struct {
 // intermediate Fp12 allocation. Each output coefficient accumulates its
 // three products in an unreduced fp2Wide and Montgomery-reduces once —
 // 12 reductions per line instead of 36. The xi factor that wrapped terms
-// pick up is applied to the (reduced, canonical) z coefficients up front,
-// which keeps every mulAcc operand within the bounds fp2Wide assumes.
+// pick up is applied to the (reduced, canonical) line coefficients up
+// front, which keeps every mulAcc operand within the bounds fp2Wide assumes.
 // The dense equivalent (expand the line to a full Fp12, then Mul) is the
 // oracle in the differential tests.
-func (z *Fp12) mulByLine(l *lineEval) *Fp12 {
+func (z *Fp12) mulByLine(l *lineEval) *Fp12 { return z.mulBySparse(&l.c0, &l.c1, &l.c3) }
+
+// mulBySparse is mulByLine on loose coefficients, where a nil c0 stands for
+// 1: a replayed, normalised line (lines.go) then skips the six w⁰ products
+// and adds z.C[k] after the reduction instead — 12 Fp2 products.
+func (z *Fp12) mulBySparse(c0, c1, c3 *Fp2) *Fp12 {
 	opCounters.sparseMuls.Add(1)
-	// zXi[j] = xi·z.C[3+j], consumed by the w-wrap terms below.
-	var zXi [3]Fp2
-	for j := 0; j < 3; j++ {
-		zXi[j].MulByXi(&z.C[3+j])
-	}
+	// Terms that wrap past w^5 pick up xi: two MulByXi on the line instead
+	// of three on z.C[3..5].
+	var c1Xi, c3Xi Fp2
+	c1Xi.MulByXi(c1)
+	c3Xi.MulByXi(c3)
 	var res Fp12
 	for k := 0; k < 6; k++ {
 		var acc fp2Wide
-		acc.mulAcc(&z.C[k], &l.c0)
-		// c1·w: wraps past w^5 pick up xi.
+		if c0 != nil {
+			acc.mulAcc(&z.C[k], c0)
+		}
+		// c1·w.
 		if k == 0 {
-			acc.mulAcc(&zXi[2], &l.c1)
+			acc.mulAcc(&z.C[5], &c1Xi)
 		} else {
-			acc.mulAcc(&z.C[k-1], &l.c1)
+			acc.mulAcc(&z.C[k-1], c1)
 		}
 		// c3·w³.
 		if k < 3 {
-			acc.mulAcc(&zXi[k], &l.c3)
+			acc.mulAcc(&z.C[k+3], &c3Xi)
 		} else {
-			acc.mulAcc(&z.C[k-3], &l.c3)
+			acc.mulAcc(&z.C[k-3], c3)
 		}
 		acc.reduce(&res.C[k])
+		if c0 == nil {
+			res.C[k].Add(&res.C[k], &z.C[k])
+		}
 	}
 	return z.Set(&res)
 }
@@ -113,16 +123,17 @@ func (p *g2Proj) fromAffine(q *G2) {
 // twistB3 is 3·b', cached for the doubling step.
 var twistB3 = new(Fp2).Add(twistB, new(Fp2).Add(twistB, twistB))
 
-// doubleStepProj doubles p in place and evaluates the tangent line at the
-// G1 point (xP, yP). Formulas follow Costello–Lange–Naehrig (eprint
-// 2010/526) for y² = x³ + b': with A = XY/2, B = Y², C = Z², E = 3b'C,
-// F = 3E, G = (B+F)/2, H = (Y+Z)² - B - C:
+// doubleStepProj doubles p in place and returns the tangent line in l,
+// not yet evaluated at a G1 point (lineEval.at does that). Formulas follow
+// Costello–Lange–Naehrig (eprint 2010/526) for y² = x³ + b': with
+// A = XY/2, B = Y², C = Z², E = 3b'C, F = 3E, G = (B+F)/2,
+// H = (Y+Z)² - B - C:
 //
 //	X₃ = A(B-F), Y₃ = G² - 3E², Z₃ = BH
 //
 // and the line (up to the Fp2 factor Z, which the final exponentiation
 // kills) is -H·yP + 3X²·xP·w + (E-B)·w³.
-func (p *g2Proj) doubleStepProj(l *lineEval, pt *G1) {
+func (p *g2Proj) doubleStepProj(l *lineEval) {
 	opCounters.lineDoubles.Add(1)
 	var a, b, c, e, f, g, h, i, j, ee, t Fp2
 	a.Mul(&p.x, &p.y)
@@ -150,22 +161,21 @@ func (p *g2Proj) doubleStepProj(l *lineEval, pt *G1) {
 	p.y.Sub(&t, &a)
 	p.z.Mul(&b, &h)
 
-	l.c0.MulScalar(&h, &pt.Y)
-	l.c0.Neg(&l.c0)
-	t.Add(&j, &j)
-	t.Add(&t, &j)
-	l.c1.MulScalar(&t, &pt.X)
+	l.c0.Neg(&h)
+	l.c1.Add(&j, &j)
+	l.c1.Add(&l.c1, &j)
 	l.c3 = i
 }
 
-// addStepProj adds the affine point q to p in place and evaluates the chord
-// line through them at the G1 point. With O = Y - yQ·Z, L = X - xQ·Z,
-// t1 = L², t2 = L·t1, t3 = t1·X, W = O²·Z + t2 - 2t3:
+// addStepProj adds the affine point q to p in place and returns the chord
+// line through them in l, not yet evaluated at a G1 point. With
+// O = Y - yQ·Z, L = X - xQ·Z, t1 = L², t2 = L·t1, t3 = t1·X,
+// W = O²·Z + t2 - 2t3:
 //
 //	X₃ = L·W, Y₃ = O·(t3 - W) - t2·Y, Z₃ = t2·Z
 //
 // and the line (up to the factor L) is -L·yP + O·xP·w + (L·yQ - O·xQ)·w³.
-func (p *g2Proj) addStepProj(l *lineEval, q *G2, pt *G1) {
+func (p *g2Proj) addStepProj(l *lineEval, q *G2) {
 	opCounters.lineAdds.Add(1)
 	var o, lam, t1, t2, t3, t4, w, t Fp2
 	t.Mul(&q.Y, &p.z)
@@ -189,12 +199,19 @@ func (p *g2Proj) addStepProj(l *lineEval, q *G2, pt *G1) {
 	p.y.Sub(&t, &t4)
 	p.z.Mul(&p.z, &t2)
 
-	l.c0.MulScalar(&lam, &pt.Y)
-	l.c0.Neg(&l.c0)
-	l.c1.MulScalar(&o, &pt.X)
+	l.c0.Neg(&lam)
+	l.c1 = o
 	t.Mul(&lam, &q.Y)
 	t4.Mul(&o, &q.X)
 	l.c3.Sub(&t, &t4)
+}
+
+// at evaluates a line from doubleStepProj or addStepProj at the G1 point
+// (xP, yP): c0 scales by yP and c1 by xP.
+func (l *lineEval) at(pt *G1) *lineEval {
+	l.c0.MulScalar(&l.c0, &pt.Y)
+	l.c1.MulScalar(&l.c1, &pt.X)
+	return l
 }
 
 // easyPart sets z = f^((p^6-1)(p^2+1)), mapping f into the cyclotomic

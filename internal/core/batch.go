@@ -140,26 +140,54 @@ type window struct {
 }
 
 // newWindow runs the shape checks and draws the weights for every index: no
-// group operation yet. Shape and zero-hash failures surface as errors,
-// matching the single-signature path.
+// group operation yet. The challenges are inverted together, with one field
+// inversion. Shape and zero-hash failures surface as errors, matching the
+// single-signature path.
 func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Signature) (*window, error) {
 	seed, err := newWeightSeed(bv.weights)
 	if err != nil {
 		return nil, err
 	}
 	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, len(sigs)), rho: make([]bn254.EndoScalar, len(sigs))}
+	hs := make([]fr.Element, len(sigs))
 	for i, sig := range sigs {
 		if err := checkShape(pks[i], sig); err != nil {
 			return nil, err
 		}
-		if w.k[i], err = bv.vf.params.vOverH(pks[i], msgs[i], sig); err != nil {
-			return nil, err
-		}
+		hs[i] = bv.vf.params.hashH2(msgs[i], sig.R, pks[i].PID)
+	}
+	if i := batchInverse(w.k, hs); i >= 0 {
+		return nil, fmt.Errorf("%w (index %d)", errZeroChallenge, i)
+	}
+	for i, sig := range sigs {
 		w.rho[i] = seed.at(i)
 		rho := w.rho[i].Fr()
+		w.k[i].Mul(&w.k[i], &sig.V)
 		w.k[i].Mul(&w.k[i], &rho)
 	}
 	return w, nil
+}
+
+// batchInverse sets out[i] = xs[i]⁻¹ with one field inversion (Montgomery's
+// trick): prefix products into out, one inversion of the whole product, and
+// a backward pass that peels each inverse off. It returns -1, or the index
+// of the first zero, which has no inverse; out is then not inverses.
+func batchInverse(out, xs []fr.Element) int {
+	prod := fr.One()
+	for i := range xs {
+		if xs[i].IsZero() {
+			return i
+		}
+		out[i] = prod
+		prod.Mul(&prod, &xs[i])
+	}
+	var inv fr.Element
+	inv.Inverse(&prod)
+	for i := len(xs) - 1; i >= 0; i-- {
+		out[i].Mul(&out[i], &inv)
+		inv.Mul(&inv, &xs[i])
+	}
+	return -1
 }
 
 // check evaluates the aggregate equation's left side over exactly the

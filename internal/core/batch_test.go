@@ -535,6 +535,40 @@ func TestZeroChallengeHashRejected(t *testing.T) {
 	}
 }
 
+// TestBatchInverse holds the window's one-inversion helper to fr.Inverse
+// index by index, and to reporting the first zero wherever it sits.
+func TestBatchInverse(t *testing.T) {
+	rng := fixedRand(95)
+	xs := make([]fr.Element, 9)
+	for i := range xs {
+		var err error
+		if xs[i], err = fr.Random(rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make([]fr.Element, len(xs))
+	if i := batchInverse(out, xs); i != -1 {
+		t.Fatalf("no zero, but index %d reported", i)
+	}
+	for i := range xs {
+		var want fr.Element
+		want.Inverse(&xs[i])
+		if out[i] != want {
+			t.Fatalf("index %d: batch inverse differs from fr.Inverse", i)
+		}
+	}
+	if batchInverse(nil, nil) != -1 {
+		t.Fatal("an empty batch reported a zero")
+	}
+	for _, at := range []int{0, len(xs) / 2, len(xs) - 1} {
+		zs := slices.Clone(xs)
+		zs[at], zs[len(zs)-1] = fr.Element{}, fr.Element{} // a later zero is not the first
+		if i := batchInverse(out, zs); i != at {
+			t.Fatalf("zero at %d reported at %d", at, i)
+		}
+	}
+}
+
 // TestVerifierCacheBounded floods a small-capacity verifier with unique
 // identities and checks the per-identity caches stay within their bound.
 func TestVerifierCacheBounded(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -48,6 +49,46 @@ func BenchmarkVerify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := vf.Verify(sk.Public(), msg, sig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyManySigners verifies 512 recurring signers round-robin
+// through one default Verifier: every m_ID stays cached, but only 256 line
+// tables fit, so half the signers run the plain Miller loop.
+func BenchmarkVerifyManySigners(b *testing.B) {
+	rng := fixedRand(1)
+	kgc, err := Setup(rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := kgc.Params()
+	msg := []byte("RREQ 7 from a city node")
+	pks := make([]*PublicKey, 512)
+	sigs := make([]*Signature, len(pks))
+	vf := NewVerifier(params)
+	for i := range pks {
+		sk, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey(fmt.Sprintf("city-%d", i)), rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sigs[i], err = Sign(params, sk, msg, rng); err != nil {
+			b.Fatal(err)
+		}
+		pks[i] = sk.Public()
+	}
+	for range 2 { // first contact, then second sighting
+		for i := range pks {
+			if err := vf.Verify(pks[i], msg, sigs[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := vf.Verify(pks[i%len(pks)], msg, sigs[i%len(pks)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,28 +8,38 @@ import (
 	"mccls/internal/lru"
 )
 
-// DefaultIdentityCacheCap bounds the Verifier's two per-identity caches
-// (m_ID, an Fp12, and Q_ID). Generous — 16k identities ≈ 16k·(384+128)
-// bytes of curve material — but bounded, so a flood of unique identities
-// recycles cache slots instead of growing memory without limit.
+// DefaultIdentityCacheCap bounds the Verifier's per-identity caches (m_ID,
+// an Fp12; Q_ID; S's line table, further capped by lineCacheCap). Generous
+// — 16k identities ≈ 16k·(384+128) bytes of curve material — but bounded,
+// so a flood of unique identities recycles cache slots instead of growing
+// memory without limit.
 const DefaultIdentityCacheCap = 1 << 14
 
-// Verifier checks McCLS signatures. It caches two per-identity constants:
+// lineCacheCap caps the line-table cache: 256 tables of 11,264 bytes are
+// ≈ 2.9 MB, where DefaultIdentityCacheCap of them would be ≈ 185 MB. A full
+// cache admits no new identity: beyond 256 recurring signers, evicting to
+// build would cost every packet a build and a replay, more than the plain
+// Miller loop, so the first 256 keep their tables and the rest run the loop.
+const lineCacheCap = 256
+
+// Verifier checks McCLS signatures. It caches three per-identity values:
 // m_ID = MillerLoop(-P_pub, Q_ID), the paper's e(P_pub, Q_ID) moved to the
 // left of the equation and left unreduced, so that Verify decides
 // FE(MillerLoop(A, S)·m_ID) = 1 — one Miller loop and one final
 // exponentiation for a known identity (the paper's "only one pairing
 // operation since e(P_pub, Q_ID) is a constant"), a second Miller loop but
-// no second final exponentiation on first contact — and Q_ID = H1(ID),
-// which the batch engine's multi-signer equation consumes directly. Both
-// caches are LRU-bounded (DefaultIdentityCacheCap by default) so
-// unknown-identity floods cannot exhaust memory. Safe for concurrent use.
+// no second final exponentiation on first contact; Q_ID = H1(ID), which the
+// batch engine's multi-signer equation consumes directly; and the line
+// table of the signer's S, so that a known signer's Miller loop does no G2
+// arithmetic. All three caches are LRU-bounded so unknown-identity floods
+// cannot exhaust memory. Safe for concurrent use.
 type Verifier struct {
 	params  *Params
 	negPpub *bn254.G1 // -P_pub, the G1 side of every m_ID
 
-	rhsCache *lru.Cache[*bn254.Fp12]
-	qidCache *lru.Cache[*bn254.G2]
+	rhsCache  *lru.Cache[*bn254.Fp12]
+	qidCache  *lru.Cache[*bn254.G2]
+	lineCache *lru.Cache[*bn254.G2Lines]
 }
 
 // NewVerifier creates a verifier for the given system parameters with the
@@ -42,10 +52,11 @@ func NewVerifier(params *Params) *Verifier {
 // cacheCap identities (minimum 1).
 func NewVerifierCap(params *Params, cacheCap int) *Verifier {
 	return &Verifier{
-		params:   params,
-		negPpub:  new(bn254.G1).Neg(params.Ppub),
-		rhsCache: lru.New[*bn254.Fp12](cacheCap),
-		qidCache: lru.New[*bn254.G2](cacheCap),
+		params:    params,
+		negPpub:   new(bn254.G1).Neg(params.Ppub),
+		rhsCache:  lru.New[*bn254.Fp12](cacheCap),
+		qidCache:  lru.New[*bn254.G2](cacheCap),
+		lineCache: lru.New[*bn254.G2Lines](min(cacheCap, lineCacheCap)),
 	}
 }
 
@@ -61,16 +72,17 @@ func (vf *Verifier) qid(id string) *bn254.G2 {
 	return q
 }
 
-// rhs returns the cached m_ID, computing it on first use: a function of
-// (params, id) only, never of the signature under check, shared read-only.
-func (vf *Verifier) rhs(id string) *bn254.Fp12 {
+// rhs returns the m_ID, computing it on first use (cached reports which): a
+// function of (params, id) only, never of the signature under check, shared
+// read-only.
+func (vf *Verifier) rhs(id string) (m *bn254.Fp12, cached bool) {
 	if m, ok := vf.rhsCache.Get(id); ok {
-		return m
+		return m, true
 	}
 	// Compute outside the cache lock: a Miller loop is a quarter millisecond.
-	m := bn254.MillerLoopMulti([]*bn254.G1{vf.negPpub}, []*bn254.G2{vf.qid(id)})
+	m = bn254.MillerLoopMulti([]*bn254.G1{vf.negPpub}, []*bn254.G2{vf.qid(id)})
 	vf.rhsCache.Put(id, m)
-	return m
+	return m, false
 }
 
 // checkShape rejects structurally invalid signatures before any group math.
@@ -93,14 +105,17 @@ func checkShape(pk *PublicKey, sig *Signature) error {
 	return nil
 }
 
+// errZeroChallenge rejects h = H2(M, R, P_ID) ≡ 0 (mod r), which has no
+// inverse — a ~2⁻²⁵⁴ event for an honest oracle but reachable in principle —
+// as a malformed signature.
+var errZeroChallenge = fmt.Errorf("%w: challenge hash is zero mod r", ErrInvalidSignature)
+
 // vOverH returns V·h⁻¹ for h = H2(M, R, P_ID), the fixed-base scalar of
-// A = (V/h)·P - R. h ≡ 0 (mod r) has no inverse — a ~2⁻²⁵⁴ event for an
-// honest oracle but reachable in principle — and is rejected as a malformed
-// signature.
+// A = (V/h)·P - R.
 func (p *Params) vOverH(pk *PublicKey, msg []byte, sig *Signature) (k fr.Element, err error) {
 	h := p.hashH2(msg, sig.R, pk.PID)
 	if !k.Inverse(&h) {
-		return k, fmt.Errorf("%w: challenge hash is zero mod r", ErrInvalidSignature)
+		return k, errZeroChallenge
 	}
 	k.Mul(&k, &sig.V)
 	return k, nil
@@ -113,9 +128,9 @@ func (p *Params) vOverH(pk *PublicKey, msg []byte, sig *Signature) (k fr.Element
 // The implementation decides the algebraically identical product form
 // e((V·h⁻¹)·P - R, S)·e(-P_pub, Q_ID) = 1: h⁻¹·S is traded for a scalar
 // inversion in Zr, and the constant enters as its cached Miller value, so
-// one final exponentiation reduces both pairings, cached or not (DESIGN.md
-// §3). It returns nil on success and ErrVerifyFailed (or a shape error) on
-// rejection.
+// one final exponentiation reduces both pairings, cached or not, and the
+// Miller loop over S replays S's line table (DESIGN.md §3). It returns nil
+// on success and ErrVerifyFailed (or a shape error) on rejection.
 func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	if err := checkShape(pk, sig); err != nil {
 		return err
@@ -127,9 +142,34 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	// A = (V/h)·P - R, fused into one fixed-base table pass.
 	var a, negR bn254.G1
 	a.ScalarBaseMultAddFr(&k, negR.Neg(sig.R))
-	f := bn254.MillerLoopMulti([]*bn254.G1{&a}, []*bn254.G2{sig.S})
-	if !bn254.ReducesToOne(f.Mul(f, vf.rhs(pk.ID))) {
+	// S's Miller loop replays the identity's line table if it was built
+	// from this S. A known identity (m_ID cached) gets a table for a new S,
+	// cached only once a signature under it verifies, so a forged S
+	// displaces none. A first contact runs the plain loop (cheaper than
+	// build + replay), and so does a new identity once the table cache is
+	// full (lineCacheCap).
+	m, known := vf.rhs(pk.ID)
+	l, ok := vf.lineCache.Get(pk.ID)
+	var lines *bn254.G2Lines
+	built := false
+	switch {
+	case ok && l.Q().Equal(sig.S):
+		lines = l
+	case known && (ok || vf.lineCache.Len() < vf.lineCache.Cap()):
+		lines = bn254.NewG2Lines(sig.S) // nil only for an S off the curve
+		built = lines != nil
+	}
+	var f *bn254.Fp12
+	if lines != nil {
+		f = bn254.MillerLoopLines(&a, lines)
+	} else {
+		f = bn254.MillerLoopMulti([]*bn254.G1{&a}, []*bn254.G2{sig.S})
+	}
+	if !bn254.ReducesToOne(f.Mul(f, m)) {
 		return ErrVerifyFailed
+	}
+	if built {
+		vf.lineCache.Put(pk.ID, lines)
 	}
 	return nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"mccls/internal/bn254"
+	"mccls/internal/bn254/fp"
 	"mccls/internal/bn254/fr"
 )
 
@@ -21,7 +23,10 @@ func verifyOps(t *testing.T, vf *Verifier, pk *PublicKey, msg []byte, sig *Signa
 
 // TestVerifyOpCounts pins what a Verify costs the pairing layer: one final
 // exponentiation whether or not the identity's constant is cached, one
-// Miller loop on a hit and two on a first contact.
+// Miller loop on a hit and two on a first contact. The G2 steps follow S's
+// line table: a first contact runs two plain loops, the second sighting
+// builds the table, a hit replays it with no G2 step at all, and a new S
+// under the known identity builds again.
 func TestVerifyOpCounts(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "ops@manet")
 	msg := []byte("RREQ 7 from ops@manet")
@@ -29,11 +34,32 @@ func TestVerifyOpCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := verifyOps(t, vf, sk.Public(), msg, sig); d.Pairings != 2 || d.FinalExps != 1 || d.MillerSquarings != 130 {
-		t.Errorf("miss: %d Miller loops, %d final exps, %d squarings; want 2, 1, 130", d.Pairings, d.FinalExps, d.MillerSquarings)
+	// A second key pair for the same identity: the same m_ID, a new S.
+	sk2, err := GenerateKeyPair(kgc.Params(), kgc.ExtractPartialPrivateKey("ops@manet"), fixedRand(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := verifyOps(t, vf, sk.Public(), msg, sig); d.Pairings != 1 || d.FinalExps != 1 || d.MillerSquarings != 65 {
-		t.Errorf("hit: %d Miller loops, %d final exps, %d squarings; want 1, 1, 65", d.Pairings, d.FinalExps, d.MillerSquarings)
+	sig2, err := Sign(kgc.Params(), sk2, msg, fixedRand(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name                            string
+		sk                              *PrivateKey
+		sig                             *Signature
+		pairings, squarings, dbls, adds uint64
+	}{
+		{"first contact", sk, sig, 2, 130, 130, 46},
+		{"second sighting", sk, sig, 1, 65, 65, 23},
+		{"hit", sk, sig, 1, 65, 0, 0},
+		{"new S", sk2, sig2, 1, 65, 65, 23},
+		{"hit on the new S", sk2, sig2, 1, 65, 0, 0},
+	} {
+		d := verifyOps(t, vf, tc.sk.Public(), msg, tc.sig)
+		if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != tc.squarings || d.LineDoubles != tc.dbls || d.LineAdds != tc.adds {
+			t.Errorf("%s: %d Miller loops, %d final exps, %d squarings, %d doubles, %d adds; want %d, 1, %d, %d, %d", tc.name,
+				d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, tc.pairings, tc.squarings, tc.dbls, tc.adds)
+		}
 	}
 }
 
@@ -51,7 +77,9 @@ func TestNewVerifierAllocs(t *testing.T) {
 // TestForgedFirstContactDoesNotPoisonCache: the cached Miller value is a
 // function of (params, ID) only, so a forgery arriving before any valid
 // signature from that identity is rejected and leaves the exact entry a
-// valid first contact would have left.
+// valid first contact would have left. A line table is cached only once a
+// signature under it verifies, so a forged S under the identity leaves the
+// signer's table in place.
 func TestForgedFirstContactDoesNotPoisonCache(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "victim@manet")
 	params, pk := kgc.Params(), sk.Public()
@@ -82,6 +110,13 @@ func TestForgedFirstContactDoesNotPoisonCache(t *testing.T) {
 	}
 	if again, _ := vf.rhsCache.Get(pk.ID); !again.Equal(fresh) {
 		t.Fatal("a verify mutated the shared cached Miller value")
+	}
+	forgedS := &Signature{V: sig.V, S: new(bn254.G2).Add(sig.S, sig.S), R: sig.R}
+	if err := vf.Verify(pk, msg, forgedS); !errors.Is(err, ErrVerifyFailed) {
+		t.Fatalf("forged S: want ErrVerifyFailed, got %v", err)
+	}
+	if d := verifyOps(t, vf, pk, msg, sig); d.LineDoubles != 0 || d.LineAdds != 0 {
+		t.Fatalf("valid signature after a forged S ran %d doubling and %d addition steps, want a table hit", d.LineDoubles, d.LineAdds)
 	}
 }
 
@@ -124,8 +159,9 @@ func TestVerifyRejectsInfinityCommitment(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstContact: racing first contacts of one identity may
-// each compute the constant, but all accept and one entry remains.
+// TestConcurrentFirstContact: racing first contacts of one identity, each
+// followed by a second sighting, may each compute the constants, but all
+// accept and one entry of each remains.
 func TestConcurrentFirstContact(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "racer@manet")
 	msg := []byte("HELLO from racer")
@@ -139,7 +175,9 @@ func TestConcurrentFirstContact(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[g] = vf.Verify(sk.Public(), msg, sig)
+			if errs[g] = vf.Verify(sk.Public(), msg, sig); errs[g] == nil {
+				errs[g] = vf.Verify(sk.Public(), msg, sig)
+			}
 		}()
 	}
 	wg.Wait()
@@ -148,8 +186,160 @@ func TestConcurrentFirstContact(t *testing.T) {
 			t.Errorf("goroutine %d: %v", g, err)
 		}
 	}
-	if n, q := vf.rhsCache.Len(), vf.qidCache.Len(); n != 1 || q != 1 {
-		t.Fatalf("cache entries after a racing first contact: %d Miller values, %d Q_IDs, want 1 and 1", n, q)
+	if n, q, l := vf.rhsCache.Len(), vf.qidCache.Len(), vf.lineCache.Len(); n != 1 || q != 1 || l != 1 {
+		t.Fatalf("cache entries after a racing first contact: %d Miller values, %d Q_IDs, %d line tables, want 1 of each", n, q, l)
+	}
+}
+
+// TestConcurrentSChange: two key pairs of one identity — two S values that
+// replace each other's line table — verified concurrently all accept.
+func TestConcurrentSChange(t *testing.T) {
+	kgc, sk, vf := newTestSystem(t, "twice@manet")
+	params := kgc.Params()
+	sk2, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey("twice@manet"), fixedRand(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("RREP from twice@manet")
+	var sigs [2]*Signature
+	for i, k := range []*PrivateKey{sk, sk2} {
+		if sigs[i], err = Sign(params, k, msg, fixedRand(int64(6+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sigs[0].S.Equal(sigs[1].S) {
+		t.Fatal("two key pairs share an S")
+	}
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := []*PrivateKey{sk, sk2}[g%2]
+			for range 3 {
+				if err := vf.Verify(k.Public(), msg, sigs[g%2]); err != nil {
+					errs[g] = err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
+	}
+}
+
+// TestVerifierLineTableBound: 300 identities, each verified twice (the
+// second sighting builds the table), leave lineCacheCap line tables of 88
+// lines each (a replay folds one sparse product per line). The full cache
+// admits no later identity, however often it recurs, so the first
+// lineCacheCap signers keep their tables.
+func TestVerifierLineTableBound(t *testing.T) {
+	rng := fixedRand(94)
+	kgc, err := Setup(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := kgc.Params()
+	vf := NewVerifier(params)
+	msg := []byte("flood")
+	ids := make([]string, 300)
+	verify := func(sk *PrivateKey, sig *Signature, times int) {
+		for range times {
+			if err := vf.Verify(sk.Public(), msg, sig); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range ids {
+		ids[i] = fmt.Sprintf("table-%d", i)
+		sk, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey(ids[i]), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := Sign(params, sk, msg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify(sk, sig, 2)
+		if i >= lineCacheCap {
+			verify(sk, sig, 2)
+		}
+	}
+	if n := vf.lineCache.Len(); n != lineCacheCap {
+		t.Fatalf("%d line tables after %d identities, want %d", n, len(ids), lineCacheCap)
+	}
+	if n := vf.rhsCache.Len(); n != len(ids) {
+		t.Fatalf("%d Miller values after %d identities, want %d: the table bound is the line cache's alone", n, len(ids), len(ids))
+	}
+	g := bn254.G1Generator()
+	for i, id := range ids {
+		lines, ok := vf.lineCache.Get(id)
+		if ok != (i < lineCacheCap) {
+			t.Fatalf("%s (identity %d) has a line table: %v, want %v", id, i, ok, i < lineCacheCap)
+		}
+		if !ok {
+			continue
+		}
+		before := bn254.ReadOpCounts()
+		bn254.MillerLoopLines(g, lines)
+		if d := bn254.ReadOpCounts().Sub(before); d.SparseMuls != 88 {
+			t.Fatalf("%s: table of %d lines, want 88", id, d.SparseMuls)
+		}
+	}
+}
+
+// twistPointOffSubgroup returns a point of the twist E'(Fp2) outside the
+// r-order subgroup: what checkShape lets through, since it tests S against
+// the curve equation only (UnmarshalSignature would refuse it).
+func twistPointOffSubgroup(t *testing.T) *bn254.G2 {
+	t.Helper()
+	g := bn254.G2Generator()
+	var b, x3 bn254.Fp2 // b' = y² - x³ on the generator
+	b.Square(&g.Y)
+	x3.Square(&g.X)
+	b.Sub(&b, x3.Mul(&x3, &g.X))
+	for x := uint64(1); x < 64; x++ {
+		q := &bn254.G2{X: bn254.Fp2{C0: fp.NewElement(x)}}
+		var rhs bn254.Fp2
+		rhs.Square(&q.X)
+		rhs.Add(rhs.Mul(&rhs, &q.X), &b)
+		if q.Y.Sqrt(&rhs) != nil && q.IsOnCurve() && !q.IsInSubgroup() {
+			return q
+		}
+	}
+	t.Fatal("no twist point off the subgroup")
+	return nil
+}
+
+// TestVerifyOffSubgroupS: an on-curve S outside the r-order subgroup is
+// rejected without a panic, by a warm verifier (which builds its table) and
+// a cold one (which runs the plain loop) alike, and leaves no line table
+// behind: the warm verifier keeps the signer's.
+func TestVerifyOffSubgroupS(t *testing.T) {
+	kgc, sk, warm := newTestSystem(t, "twist@manet")
+	pk, msg := sk.Public(), []byte("RREQ with a stray S")
+	sig, err := Sign(kgc.Params(), sk, msg, fixedRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := warm.Verify(pk, msg, sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := &Signature{V: sig.V, S: twistPointOffSubgroup(t), R: sig.R}
+	cold := NewVerifier(kgc.Params())
+	for name, vf := range map[string]*Verifier{"warm": warm, "cold": cold} {
+		if err := vf.Verify(pk, msg, bad); !errors.Is(err, ErrVerifyFailed) {
+			t.Errorf("%s: want ErrVerifyFailed, got %v", name, err)
+		}
+	}
+	if lines, ok := warm.lineCache.Get(pk.ID); !ok || !lines.Q().Equal(sig.S) || cold.lineCache.Len() != 0 {
+		t.Fatal("an off-subgroup S changed the line-table cache")
 	}
 }
 
@@ -170,11 +360,20 @@ func verdict(err error) string {
 
 // FuzzVerifyColdWarmSpecAgree drives one wire-decoded (public key,
 // signature) pair through a first-contact Verifier, a Verifier that has
-// every enrolled identity cached, and the paper-literal oracle. The fuzz
-// input picks the message, the signer and an XOR mask laid over the 224
-// signature bytes followed by the public-key bytes (identity included, so
-// a masked key can name a never-seen identity to the warm Verifier too).
-// All three must land in the same accept/reject class.
+// every enrolled identity cached, a one-entry Verifier and the
+// paper-literal oracle. The fuzz input picks the message, the signer and an
+// XOR mask laid over the 224 signature bytes followed by the public-key
+// bytes (identity included, so a masked key can name a never-seen identity
+// to the warm Verifier too). The warm Verifier sees the signer's honest
+// signature, the masked one — a changed S under a known identity when the
+// mask hits S — and the honest one again; the one-entry Verifier alternates
+// another signer's signature with the masked one seen twice, so every
+// identity change evicts the m_ID cache and the masked signature is checked
+// by the plain Miller loop of a first contact and then by its identity's
+// line table — replayed, rebuilt for a new S, or, while the one table slot
+// holds another identity, the plain loop again.
+// All five verdicts must land in the same accept/reject class, and the
+// honest signatures must keep verifying around the masked one.
 func FuzzVerifyColdWarmSpecAgree(f *testing.F) {
 	rng := fixedRand(71)
 	kgc, err := Setup(rng)
@@ -182,7 +381,7 @@ func FuzzVerifyColdWarmSpecAgree(f *testing.F) {
 		f.Fatal(err)
 	}
 	params := kgc.Params()
-	warm := NewVerifier(params)
+	warm, evict := NewVerifier(params), NewVerifierCap(params, 1)
 	var sks []*PrivateKey
 	for _, id := range []string{"fz-a", "fz-b", "fz-c", "fz-d"} {
 		sk, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey(id), rng)
@@ -203,8 +402,12 @@ func FuzzVerifyColdWarmSpecAgree(f *testing.F) {
 	f.Add([]byte("DATA"), byte(6), flip(SignatureSize+8+4+63, 1)) // P_ID off the curve
 
 	f.Fuzz(func(t *testing.T, msg []byte, signer byte, mask []byte) {
-		sk := sks[int(signer)%len(sks)]
+		sk, other := sks[int(signer)%len(sks)], sks[(int(signer)+1)%len(sks)]
 		sig, err := Sign(params, sk, msg, fixedRand(int64(signer)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		otherSig, err := Sign(params, other, msg, fixedRand(int64(signer)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,11 +423,22 @@ func FuzzVerifyColdWarmSpecAgree(f *testing.F) {
 		if err != nil {
 			return
 		}
+		honest := func(vf *Verifier, sk *PrivateKey, sig *Signature) {
+			if err := vf.Verify(sk.Public(), msg, sig); err != nil {
+				t.Fatalf("honest signature of %s rejected around the masked one: %v", sk.Public().ID, err)
+			}
+		}
 		cold := verdict(NewVerifierCap(params, 1).Verify(pk, msg, gotSig))
-		hot := verdict(warm.Verify(pk, msg, gotSig))
 		spec := verdict(verifySpec(warm, pk, msg, gotSig))
-		if cold != hot || cold != spec {
-			t.Fatalf("cold %q, warm %q, spec %q", cold, hot, spec)
+		honest(warm, sk, sig)
+		hot := verdict(warm.Verify(pk, msg, gotSig))
+		honest(warm, sk, sig)
+		honest(evict, other, otherSig)
+		evicted := verdict(evict.Verify(pk, msg, gotSig))
+		tabled := verdict(evict.Verify(pk, msg, gotSig))
+		honest(evict, other, otherSig)
+		if cold != hot || cold != spec || cold != evicted || cold != tabled {
+			t.Fatalf("cold %q, warm %q, one-entry %q then %q, spec %q", cold, hot, evicted, tabled, spec)
 		}
 	})
 }
