@@ -11,8 +11,9 @@
 //
 // All-in-one shards a master key (fresh, or -master file) and runs the n
 // replicas plus the combiner in one process — each replica on its own
-// listener, so the traffic is real HTTP. -sharedir dumps the shares and
-// parameters so the same deployment can later be split across machines:
+// listener, so the traffic is real HTTP. -sharedir dumps the very shares
+// and parameters it runs, so the same deployment can later be split across
+// machines:
 //
 //	kgcd -t 2 -n 3 -listen 127.0.0.1:7600 -sharedir ./shares
 //	kgcd -role signer -params ./shares/params.pub -share ./shares/share-1.hex -listen :7611
@@ -115,17 +116,17 @@ func runAll(ctx context.Context, listen string, t, n int, masterPath, shareDir s
 			return err
 		}
 	}
+	kgc, err := core.NewKGCFromMaster(master)
+	if err != nil {
+		return err
+	}
+	shares, err := threshold.Split(master, t, n, nil)
+	if err != nil {
+		return err
+	}
 	if shareDir != "" {
 		// Dump the deployment material before serving, so the operator can
 		// move replicas onto separate machines with the same shares.
-		kgc, err := core.NewKGCFromMaster(master)
-		if err != nil {
-			return err
-		}
-		shares, err := threshold.Split(master, t, n, nil)
-		if err != nil {
-			return err
-		}
 		if err := os.MkdirAll(shareDir, 0o700); err != nil {
 			return err
 		}
@@ -140,12 +141,8 @@ func runAll(ctx context.Context, listen string, t, n int, masterPath, shareDir s
 		}
 		fmt.Printf("kgcd: wrote params + %d shares to %s\n", n, shareDir)
 	}
-	cl, err := kgcd.StartCluster(kgcd.ClusterConfig{
-		T: t, N: n,
-		Master:     master,
-		ListenAddr: listen,
-		Combiner:   combCfg,
-	})
+	combCfg.Params, combCfg.T = kgc.Params(), t
+	cl, err := kgcd.StartCluster(kgcd.ClusterConfig{Shares: shares, ListenAddr: listen, Combiner: combCfg})
 	if err != nil {
 		return err
 	}

@@ -1,16 +1,19 @@
 // Command kgcload is the chaos drill for the kgcd enrollment service. It
 // self-hosts a t-of-n deployment on loopback (rate limiting disabled), and
-// while closed-loop workers keep one enrollment in flight each, a
-// deterministic fault.Rotation kills one of the n replicas every
-// -chaosperiod for -chaosdown (always below quorum loss for t ≤ n−1) and a
-// proactive share refresh runs at half-time. Afterwards fresh identities
-// are enrolled and byte-compared against the single-master oracle.
+// while closed-loop workers keep one enrollment in flight each — every one
+// for an identity never enrolled before, so every one is a cache miss that
+// fans out to the replicas — a deterministic fault.Rotation kills one of
+// the n replicas every -chaosperiod for -chaosdown (always below quorum
+// loss for t ≤ n−1) and a proactive share refresh runs at half-time.
+// Afterwards fresh identities are enrolled and byte-compared against the
+// single-master oracle.
 //
 //	kgcload -t 2 -n 3 -concurrency 8 -chaosfor 30s -chaosperiod 5s -chaosdown 2500ms
 //
 // The drill asserts in-process and exits nonzero when any enrollment failed
-// under the below-quorum faults, no replica was killed, no traffic ran, the
-// refresh never committed, or the oracle disagreed. Throughput and latency
+// under the below-quorum faults, no replica was killed, no kill reached the
+// fan-out (the combiner counted no failed share request), no traffic ran,
+// the refresh never committed, or the oracle disagreed. Throughput and latency
 // of the fault-free service are the kgc_cold and kgc_warm workloads of the
 // repository benchmark (bash bench/run.sh --workload kgc_cold).
 package main
@@ -22,10 +25,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +38,7 @@ import (
 	"mccls/internal/core"
 	"mccls/internal/fault"
 	"mccls/internal/kgcd"
+	"mccls/internal/threshold"
 )
 
 func main() {
@@ -51,7 +56,6 @@ type options struct {
 	chaosFor    time.Duration
 	chaosPeriod time.Duration
 	chaosDown   time.Duration
-	chaosIDs    int
 }
 
 func parseOptions(args []string) (options, error) {
@@ -61,19 +65,18 @@ func parseOptions(args []string) (options, error) {
 	fs.IntVar(&o.n, "n", 3, "replica count")
 	fs.IntVar(&o.concurrency, "concurrency", 32, "concurrent workers")
 	fs.IntVar(&o.validate, "validate", 4, "post-churn enrollments byte-compared against the single-master oracle (≥ 1)")
-	fs.Int64Var(&o.seed, "seed", 1, "seed for the master secret and the identity draws")
+	fs.Int64Var(&o.seed, "seed", 1, "seed for the master secret")
 	fs.DurationVar(&o.chaosFor, "chaosfor", 30*time.Second, "drill duration")
 	fs.DurationVar(&o.chaosPeriod, "chaosperiod", 5*time.Second, "interval between replica kills")
 	fs.DurationVar(&o.chaosDown, "chaosdown", 2500*time.Millisecond, "how long each killed replica stays down")
-	fs.IntVar(&o.chaosIDs, "chaosids", 200, "identity pool size")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
 	if fs.NArg() != 0 {
 		return o, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if o.n < 1 || o.concurrency < 1 || o.validate < 1 || o.chaosIDs < 1 {
-		return o, fmt.Errorf("-n, -concurrency, -validate and -chaosids must be ≥ 1")
+	if o.n < 1 || o.concurrency < 1 || o.validate < 1 {
+		return o, fmt.Errorf("-n, -concurrency and -validate must be ≥ 1")
 	}
 	if o.chaosDown >= o.chaosPeriod {
 		return o, fmt.Errorf("-chaosdown must be < -chaosperiod (one dark replica at a time)")
@@ -86,6 +89,7 @@ type summary struct {
 	Requests      int // enrollments attempted under churn
 	Errors        int // of which failed
 	Kills         int
+	ShareFailures int    // share requests the combiner saw fail under churn
 	Epoch         uint32 // share epoch after the mid-churn refresh
 	OracleChecked int
 	P50, P99      time.Duration // successful enrollments under churn
@@ -109,12 +113,15 @@ func run(args []string, out io.Writer) (summary, error) {
 	if err != nil {
 		return summary{}, err
 	}
+	shares, err := threshold.Split(master, o.t, o.n, nil)
+	if err != nil {
+		return summary{}, err
+	}
 	crashes := fault.Rotation(o.n, o.chaosPeriod, o.chaosDown, o.chaosFor)
 	injector := kgcd.NewInjector(crashes)
 	cl, err := kgcd.StartCluster(kgcd.ClusterConfig{
-		T: o.t, N: o.n,
-		Master:           master,
-		Combiner:         kgcd.Config{RatePerSec: -1},
+		Shares:           shares,
+		Combiner:         kgcd.Config{Params: oracle.Params(), T: o.t, RatePerSec: -1},
 		SignerMiddleware: injector.Middleware,
 	})
 	if err != nil {
@@ -162,9 +169,8 @@ func run(args []string, out io.Writer) (summary, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(o.seed ^ int64(w+1)))
-			for time.Now().Before(deadline) {
-				id := fmt.Sprintf("chaos-node-%08d", rng.Intn(o.chaosIDs))
+			for k := 0; time.Now().Before(deadline); k++ {
+				id := fmt.Sprintf("chaos-node-%d-%d", w, k)
 				t0 := time.Now()
 				_, err := client.Enroll(ctx, id)
 				reqs.Add(1)
@@ -180,12 +186,21 @@ func run(args []string, out io.Writer) (summary, error) {
 	}
 	wg.Wait()
 	refreshErr := <-refreshed
+	text, err := client.RawMetrics(ctx)
+	if err != nil {
+		return summary{}, fmt.Errorf("scrape metrics: %w", err)
+	}
+	shareFailures, err := counter(text, "kgcd_share_failures_total")
+	if err != nil {
+		return summary{}, err
+	}
 
 	sum := summary{
-		Requests: int(reqs.Load()),
-		Errors:   int(errs.Load()),
-		Kills:    len(crashes),
-		Epoch:    cl.Epoch(),
+		Requests:      int(reqs.Load()),
+		Errors:        int(errs.Load()),
+		Kills:         len(crashes),
+		ShareFailures: shareFailures,
+		Epoch:         cl.Epoch(),
 	}
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
@@ -213,15 +228,17 @@ func run(args []string, out io.Writer) (summary, error) {
 	if sum.Requests > 0 {
 		availability = float64(sum.Requests-sum.Errors) / float64(sum.Requests)
 	}
-	fmt.Fprintf(out, "kgcload: %d reqs  avail %.4f  p50 %v  p99 %v  kills %d  epoch %d  oracle %d  errors %d\n",
+	fmt.Fprintf(out, "kgcload: %d reqs  avail %.4f  p50 %v  p99 %v  kills %d  share failures %d  epoch %d  oracle %d  errors %d\n",
 		sum.Requests, availability, sum.P50.Round(time.Microsecond), sum.P99.Round(time.Microsecond),
-		sum.Kills, sum.Epoch, sum.OracleChecked, sum.Errors)
+		sum.Kills, sum.ShareFailures, sum.Epoch, sum.OracleChecked, sum.Errors)
 
 	switch {
 	case sum.Kills == 0:
 		return sum, fmt.Errorf("the schedule never killed a replica (-chaosfor %v)", o.chaosFor)
 	case sum.Requests == 0:
 		return sum, fmt.Errorf("no traffic during the drill (-chaosfor %v)", o.chaosFor)
+	case sum.ShareFailures == 0:
+		return sum, fmt.Errorf("no kill reached the fan-out: the combiner counted 0 failed share requests")
 	case sum.Errors > 0:
 		return sum, fmt.Errorf("%d of %d enrollments failed under below-quorum faults", sum.Errors, sum.Requests)
 	case refreshErr != nil:
@@ -232,4 +249,14 @@ func run(args []string, out io.Writer) (summary, error) {
 		return sum, oracleErr
 	}
 	return sum, nil
+}
+
+// counter reads one unlabeled counter from a Prometheus text exposition.
+func counter(text, name string) (int, error) {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return strconv.Atoi(v)
+		}
+	}
+	return 0, fmt.Errorf("metrics: no %s counter", name)
 }

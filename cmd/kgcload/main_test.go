@@ -17,7 +17,7 @@ func TestChaosSmoke(t *testing.T) {
 	var out strings.Builder
 	sum, err := run([]string{
 		"-t", "2", "-n", "3", "-concurrency", "4", "-validate", "2",
-		"-chaosfor", "4s", "-chaosperiod", "1s", "-chaosdown", "400ms", "-chaosids", "20",
+		"-chaosfor", "4s", "-chaosperiod", "1s", "-chaosdown", "400ms",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +63,8 @@ func TestBadFlags(t *testing.T) {
 		{"-addr", "http://example.invalid"},
 		{"-cold", "10"},
 		{"-chaos"},
+		// The retired identity pool: every request is a fresh identity.
+		{"-chaosids", "20"},
 	} {
 		if _, err := run(args, io.Discard); err == nil {
 			t.Errorf("args %v: want error", args)

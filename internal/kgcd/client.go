@@ -3,7 +3,6 @@ package kgcd
 import (
 	"context"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	mrand "math/rand"
@@ -23,23 +22,16 @@ const (
 	jitterFrac  = 0.25
 )
 
-// ErrCircuitOpen marks an Enroll attempt refused locally because the
-// client's breaker is open: the combiner failed enough recent requests
-// that sending more would only add load.
-var ErrCircuitOpen = errors.New("kgcd client: circuit open")
-
 // EnrollError is a failed round trip (an enrollment attempt, or any other
 // request made through call) with enough structure to act on: the HTTP
-// status (0 for transport-level failures), a snippet of the response body,
-// and the server's Retry-After hint when it sent one.
+// status (0 for transport-level failures) and a snippet of the response
+// body.
 type EnrollError struct {
 	// Status is the HTTP status code; 0 means the request never got an
 	// HTTP response (connection refused, reset, timeout).
 	Status int
 	// Body is a bounded snippet of the error body.
 	Body string
-	// RetryAfter is the parsed Retry-After hint (0 when absent).
-	RetryAfter time.Duration
 	// Err is the underlying error, if any.
 	Err error
 }
@@ -72,12 +64,10 @@ func (e *EnrollError) Retryable() bool {
 // harness, or the example) uses to talk to a kgcd combiner. All decoded
 // material goes through the validating Unmarshal paths, so a tampered or
 // misdirected response is rejected here. Enroll retries retryable failures
-// with capped exponential backoff and jitter, honors Retry-After, and trips
-// a local circuit breaker when the combiner keeps failing.
+// with capped exponential backoff and jitter.
 type Client struct {
 	base string
 	hc   *http.Client
-	br   *breaker
 	clk  clock
 	// jitter draws from [0, 1). math/rand's top-level source is randomly
 	// seeded and safe for concurrent use, so the clients of a rebooting
@@ -91,7 +81,7 @@ func NewClient(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = &http.Client{Timeout: 5 * time.Second}
 	}
-	return &Client{base: base, hc: hc, br: newBreaker(), clk: wallClock{}, jitter: mrand.Float64}
+	return &Client{base: base, hc: hc, clk: wallClock{}, jitter: mrand.Float64}
 }
 
 // EnrollResult is a successful enrollment: the validated partial private
@@ -99,19 +89,6 @@ func NewClient(base string, hc *http.Client) *Client {
 type EnrollResult struct {
 	PartialKey *core.PartialPrivateKey
 	Cached     bool
-}
-
-// Params fetches and validates the public system parameters.
-func (c *Client) Params(ctx context.Context) (*core.Params, error) {
-	var pr paramsResponse
-	if err := call(ctx, c.hc, c.base+"/params", nil, &pr); err != nil {
-		return nil, err
-	}
-	raw, err := hex.DecodeString(pr.Ppub)
-	if err != nil {
-		return nil, fmt.Errorf("kgcd client: params hex: %w", err)
-	}
-	return core.UnmarshalParams(raw)
 }
 
 // Enroll requests a partial private key for an identity, retrying
@@ -123,22 +100,14 @@ func (c *Client) Enroll(ctx context.Context, id string) (*EnrollResult, error) {
 	var last *EnrollError
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
-			if err := sleep(ctx, c.clk, c.backoff(attempt-1, last.RetryAfter)); err != nil {
+			if err := sleep(ctx, c.clk, c.backoff(attempt-1)); err != nil {
 				return nil, err
 			}
 		}
-		if !c.br.Allow(c.clk.Now()) {
-			last = &EnrollError{Err: ErrCircuitOpen}
-			continue
-		}
 		res, eerr := c.enrollOnce(ctx, id)
 		if eerr == nil {
-			c.br.Record(c.clk.Now(), true)
 			return res, nil
 		}
-		// The breaker tracks the combiner's health, not ours: transport
-		// failures and 5xx count against it; 4xx means it answered.
-		c.br.Record(c.clk.Now(), eerr.Status != 0 && eerr.Status < 500)
 		last = eerr
 		if !eerr.Retryable() {
 			return nil, eerr
@@ -151,13 +120,9 @@ func (c *Client) Enroll(ctx context.Context, id string) (*EnrollResult, error) {
 }
 
 // backoff is the wait before retry n (1-based): backoffBase·2^(n−1), capped,
-// raised to the server's Retry-After hint (also capped) when one was given,
 // then stretched by the jitter draw into [d, d·(1+jitterFrac)).
-func (c *Client) backoff(n int, retryAfter time.Duration) time.Duration {
+func (c *Client) backoff(n int) time.Duration {
 	d := min(backoffBase<<(n-1), backoffCap)
-	if retryAfter > d {
-		d = min(retryAfter, backoffCap)
-	}
 	return d + time.Duration(jitterFrac*c.jitter()*float64(d))
 }
 

@@ -51,6 +51,7 @@ func (c *fakeClock) AfterFunc(d time.Duration, f func()) func() bool {
 			return false
 		}
 		c.timers = slices.Delete(c.timers, i, i+1)
+		c.cond.Broadcast()
 		return true
 	}
 }
@@ -94,6 +95,24 @@ func (c *fakeClock) awaitTimer(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.earliest(func(t *fakeTimer) bool { return t.d == d && t.deadline.Equal(c.now.Add(d)) }) < 0 {
+		c.cond.Wait()
+	}
+}
+
+// awaitPending blocks until exactly k timers armed for d are pending.
+func (c *fakeClock) awaitPending(d time.Duration, k int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		n := 0
+		for _, t := range c.timers {
+			if t.d == d {
+				n++
+			}
+		}
+		if n == k {
+			return
+		}
 		c.cond.Wait()
 	}
 }

@@ -3,16 +3,12 @@ package kgcd
 import (
 	"context"
 	"fmt"
-	"io"
-	"math/big"
 	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mccls/internal/bn254"
-	"mccls/internal/core"
 	"mccls/internal/threshold"
 )
 
@@ -32,20 +28,18 @@ func NewHTTPServer(h http.Handler) *http.Server {
 // signer replicas (each on its own loopback listener — real HTTP traffic,
 // not function calls) plus the combiner.
 type ClusterConfig struct {
-	// T of N quorum shape.
-	T, N int
-	// Master is the master secret to shard; nil draws a fresh one from Rng.
-	Master *big.Int
-	// Rng feeds Setup, Split and refresh polynomials; nil uses crypto/rand.
-	Rng io.Reader
+	// Shares are the n replicas' shares, one replica each, as
+	// threshold.Split returned them under Combiner.Params.
+	Shares []*threshold.Share
 	// ListenAddr is the combiner's address (default "127.0.0.1:0").
 	ListenAddr string
 	// SignerMiddleware, when set, wraps each signer replica's handler —
 	// the chaos harness puts Injector.Middleware here so a "killed"
 	// replica aborts connections exactly as its fault schedule dictates.
 	SignerMiddleware func(i int, h http.Handler) http.Handler
-	// Combiner carries cache/rate-limit/timeout tuning; Params, T and
-	// SignerURLs are filled in here.
+	// Combiner carries the parameters the shares were split under, the
+	// quorum T and the cache/rate-limit/timeout tuning; SignerURLs are
+	// filled in here.
 	Combiner Config
 }
 
@@ -55,11 +49,8 @@ type Cluster struct {
 	URL string
 	// SignerURLs are the replica base URLs.
 	SignerURLs []string
-	// Params are the public parameters the shares were split under.
-	Params *core.Params
 
 	t   int
-	rng io.Reader
 	hc  *http.Client // the combiner's client to the replicas
 	clk clock
 
@@ -72,33 +63,17 @@ type Cluster struct {
 	listeners []net.Listener
 }
 
-// StartCluster shards the master secret t-of-n, starts the n signer
-// replicas and the combiner, and returns once all listeners are accepting.
+// StartCluster starts one signer replica per share and the combiner over
+// them, and returns once all listeners are accepting.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
-	master := cfg.Master
-	if master == nil {
-		var err error
-		if master, err = bn254.RandomScalar(cfg.Rng); err != nil {
-			return nil, fmt.Errorf("kgcd: draw master: %w", err)
-		}
-	}
-	kgc, err := core.NewKGCFromMaster(master)
-	if err != nil {
-		return nil, err
-	}
-	shares, err := threshold.Split(master, cfg.T, cfg.N, cfg.Rng)
-	if err != nil {
-		return nil, err
-	}
-
 	combCfg := cfg.Combiner.withDefaults()
-	c := &Cluster{Params: kgc.Params(), t: cfg.T, rng: cfg.Rng, hc: combCfg.HTTPClient, clk: combCfg.clk}
+	c := &Cluster{t: combCfg.T, hc: combCfg.HTTPClient, clk: combCfg.clk}
 	fail := func(err error) (*Cluster, error) {
 		c.Close()
 		return nil, err
 	}
-	for i, sh := range shares {
-		signer, err := threshold.NewSigner(kgc.Params(), sh)
+	for i, sh := range cfg.Shares {
+		signer, err := threshold.NewSigner(combCfg.Params, sh)
 		if err != nil {
 			return fail(err)
 		}
@@ -113,8 +88,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.SignerURLs = append(c.SignerURLs, u)
 	}
 
-	combCfg.Params = kgc.Params()
-	combCfg.T = cfg.T
 	combCfg.SignerURLs = c.SignerURLs
 	srv, err := NewServer(combCfg)
 	if err != nil {
@@ -147,7 +120,7 @@ func (c *Cluster) serve(addr string, h http.Handler) (string, error) {
 func (c *Cluster) Epoch() uint32 { return c.epoch.Load() }
 
 // Refresh executes one proactive share refresh across the replica set: it
-// draws a zero-constant polynomial, posts each replica its delta, and
+// draws a zero-constant polynomial from crypto/rand, posts each replica its delta, and
 // returns the new epoch once all n confirmed. The master secret is
 // untouched — issuance before, during and after the refresh combines to
 // byte-identical partial keys. Each post goes through the combiner's HTTP
@@ -165,7 +138,7 @@ func (c *Cluster) Refresh(ctx context.Context) (uint32, error) {
 	epoch := c.epoch.Load()
 	toEpoch := epoch + 1
 	if c.pending == nil || c.pendingEpoch != toEpoch {
-		deltas, err := threshold.RefreshDeltas(c.t, len(c.SignerURLs), toEpoch, c.rng)
+		deltas, err := threshold.RefreshDeltas(c.t, len(c.SignerURLs), toEpoch, nil)
 		if err != nil {
 			return epoch, err
 		}

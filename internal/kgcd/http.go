@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"time"
 )
 
 // decodeJSON decodes a request body with a hard size cap and strict field
@@ -64,7 +62,7 @@ func call(ctx context.Context, hc *http.Client, url string, in, out any) *Enroll
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return &EnrollError{Status: resp.StatusCode, Body: errorSnippet(resp), RetryAfter: parseRetryAfter(resp)}
+		return &EnrollError{Status: resp.StatusCode, Body: errorSnippet(resp)}
 	}
 	if out == nil {
 		return nil
@@ -84,14 +82,4 @@ func errorSnippet(resp *http.Response) string {
 		return ""
 	}
 	return er.Error[:min(len(er.Error), maxSnippet)]
-}
-
-// parseRetryAfter reads an integer-seconds Retry-After header (the only
-// form kgcd emits; HTTP-date form is ignored).
-func parseRetryAfter(resp *http.Response) time.Duration {
-	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }

@@ -3,6 +3,7 @@ package kgcd
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"math/big"
 	mrand "math/rand"
 	"net/http"
@@ -70,6 +71,27 @@ func startDeployment(t testing.TB, tt, n int, master *big.Int, cfg Config,
 	return d
 }
 
+// testCluster splits master 2-of-3 and starts a Cluster over the shares,
+// with cfg's middleware and combiner tuning; it returns the cluster and the
+// single-master oracle.
+func testCluster(t *testing.T, master *big.Int, cfg ClusterConfig) (*Cluster, *core.KGC) {
+	t.Helper()
+	kgc, err := core.NewKGCFromMaster(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Shares, err = threshold.Split(master, 2, 3, mrand.New(mrand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Combiner.Params, cfg.Combiner.T = kgc.Params(), 2
+	cl, err := StartCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return cl, kgc
+}
+
 // healthzStatus is the combiner's GET /healthz status code.
 func healthzStatus(t *testing.T, url string) int {
 	t.Helper()
@@ -87,11 +109,12 @@ func TestEnrollEndToEnd(t *testing.T) {
 	c := NewClient(d.comb.URL, nil)
 	ctx := context.Background()
 
-	params, err := c.Params(ctx)
-	if err != nil {
+	params := kgc.Params()
+	var pr paramsResponse
+	if err := call(ctx, http.DefaultClient, d.comb.URL+"/params", nil, &pr); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(params.Marshal(), kgc.Params().Marshal()) {
+	if pr.Ppub != hex.EncodeToString(params.Marshal()) {
 		t.Fatal("served parameters differ from KGC's")
 	}
 
@@ -159,7 +182,7 @@ func TestEnrollSurvivesReplicaLoss(t *testing.T) {
 	// Below quorum: enrollment fails, healthz degrades, but cached
 	// identities are still served.
 	d.replicas[1].Close()
-	if status, _, _ := postEnroll(t, d.comb.URL, "node-b"); status != http.StatusServiceUnavailable {
+	if status, _ := postEnroll(t, d.comb.URL, "node-b"); status != http.StatusServiceUnavailable {
 		t.Fatalf("enroll below quorum: status %d, want 503", status)
 	}
 	if got := healthzStatus(t, d.comb.URL); got != http.StatusServiceUnavailable {
@@ -259,24 +282,12 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 func TestStartCluster(t *testing.T) {
-	cl, err := StartCluster(ClusterConfig{
-		T: 2, N: 3,
-		Master: testMaster(6),
-		Rng:    mrand.New(mrand.NewSource(7)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl, kgc := testCluster(t, testMaster(6), ClusterConfig{})
 	if len(cl.SignerURLs) != 3 {
 		t.Fatalf("got %d signer URLs", len(cl.SignerURLs))
 	}
 	c := NewClient(cl.URL, nil)
 	res, err := c.Enroll(context.Background(), "cluster-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kgc, err := core.NewKGCFromMaster(testMaster(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,5 +337,25 @@ func TestRateLimiterRefill(t *testing.T) {
 		if !open.Allow("y", now) {
 			t.Fatal("disabled limiter denied")
 		}
+	}
+}
+
+func TestLatencyRingPercentile(t *testing.T) {
+	var r latencyRing
+	if r.Percentile(0.95) != 0 {
+		t.Fatal("empty ring: want 0")
+	}
+	for i := 1; i <= 100; i++ { // wraps the 64-slot ring; last 64 survive
+		r.Observe(time.Duration(i) * time.Millisecond)
+	}
+	p50 := r.Percentile(0.5)
+	if p50 < 37*time.Millisecond || p50 > 100*time.Millisecond {
+		t.Fatalf("p50 %v outside retained window", p50)
+	}
+	if p95 := r.Percentile(0.95); p95 < p50 {
+		t.Fatalf("p95 %v below p50 %v", p95, p50)
+	}
+	if r.Percentile(1) != 100*time.Millisecond {
+		t.Fatalf("max %v, want 100ms", r.Percentile(1))
 	}
 }

@@ -93,7 +93,6 @@ type metrics struct {
 	shareFailures  counter // issuance RPCs that errored
 	paramsTotal    counter // /params requests
 	hedgedRequests counter // spare share RPCs launched for stragglers
-	degraded       counter // cache misses refused fast with 503 + Retry-After
 	epochConflicts counter // gathers that saw shares from more than one epoch
 	enrollLatency  histogram
 }
@@ -113,7 +112,6 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	writeCounter("kgcd_share_failures_total", "Key-share RPCs that errored or timed out.", &m.shareFailures)
 	writeCounter("kgcd_params_total", "Parameter requests served.", &m.paramsTotal)
 	writeCounter("kgcd_hedged_requests_total", "Spare share RPCs launched when the quorum straggled.", &m.hedgedRequests)
-	writeCounter("kgcd_degraded_total", "Cache misses refused fast with 503 + Retry-After below quorum.", &m.degraded)
 	writeCounter("kgcd_epoch_conflicts_total", "Share gathers that observed more than one refresh epoch.", &m.epochConflicts)
 
 	const name = "kgcd_enroll_latency_seconds"

@@ -18,20 +18,19 @@ import (
 	"testing"
 	"time"
 
-	"mccls/internal/core"
 	"mccls/internal/fault"
 	"mccls/internal/threshold"
 )
 
 // postEnroll is one raw POST /enroll — no client, so no retries and no
-// backoff. It returns the status, the headers and, on 200, the issued key.
-func postEnroll(t testing.TB, url, id string) (int, http.Header, []byte) {
+// backoff. It returns the status and, on 200, the issued key.
+func postEnroll(t testing.TB, url, id string) (int, []byte) {
 	t.Helper()
 	body, _ := json.Marshal(idRequest{ID: id})
 	resp, err := http.Post(url+"/enroll", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Error(err) // not Fatal: tests call this off the test goroutine too
-		return 0, nil, nil
+		return 0, nil
 	}
 	defer resp.Body.Close()
 	var er enrollResponse
@@ -44,7 +43,7 @@ func postEnroll(t testing.TB, url, id string) (int, http.Header, []byte) {
 	if err != nil {
 		t.Error(err)
 	}
-	return resp.StatusCode, resp.Header, key
+	return resp.StatusCode, key
 }
 
 // metricsText scrapes the combiner's /metrics.
@@ -57,70 +56,15 @@ func metricsText(t *testing.T, url string) string {
 	return text
 }
 
-// TestDegradedModeFailsFastWithRetryAfter drives a 1-of-1 deployment whose
-// only replica is dead: once the breaker trips, cache misses are refused
-// without a fan-out, with 503 + Retry-After, while cache hits keep being
-// served.
-func TestDegradedModeFailsFastWithRetryAfter(t *testing.T) {
-	d := startDeployment(t, 1, 1, testMaster(40), Config{RatePerSec: -1, clk: newFakeClock()}, nil)
-	c := NewClient(d.comb.URL, nil)
-	ctx := context.Background()
-
-	// Warm the cache, then kill the replica.
-	if _, err := c.Enroll(ctx, "warm"); err != nil {
-		t.Fatal(err)
-	}
-	d.replicas[0].Close()
-
-	// With the warm success, seven failed misses fill the window to
-	// breakerMinSamples at well over the trip rate: the breaker opens.
-	for i := 0; i < breakerMinSamples-1; i++ {
-		if status, _, _ := postEnroll(t, d.comb.URL, "miss-a"); status != http.StatusServiceUnavailable {
-			t.Fatalf("enroll with dead replica: status %d", status)
-		}
-	}
-
-	// Tripped: misses are refused before any share request goes out, with a
-	// retry hint of the breaker's remaining cooldown.
-	status, hdr, _ := postEnroll(t, d.comb.URL, "miss-b")
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("degraded miss: status %d, want 503", status)
-	}
-	if ra := hdr.Get("Retry-After"); ra != "2" {
-		t.Fatalf("degraded 503 Retry-After %q, want the 2 s cooldown", ra)
-	}
-
-	// Cache hits are unaffected.
-	res, err := c.Enroll(ctx, "warm")
-	if err != nil {
-		t.Fatalf("cached enroll while degraded: %v", err)
-	}
-	if !res.Cached {
-		t.Error("expected a cache hit")
-	}
-
-	// The surface shows it: degraded counter, open breaker state, and one
-	// share request per admitted miss (the refused one sent none).
-	text := metricsText(t, d.comb.URL)
-	for _, want := range []string{
-		"kgcd_degraded_total 1",
-		"kgcd_share_requests_total 8",
-		`kgcd_replica_breaker_state{replica="` + d.replicas[0].URL + `"} 1`,
-		`kgcd_replica_breaker_opens_total{replica="` + d.replicas[0].URL + `"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q:\n%s", want, grepLines(text, "degraded")+"\n"+grepLines(text, "share_requests")+"\n"+grepLines(text, "breaker"))
-		}
-	}
-}
-
-// TestBreakerReadmitsRecoveredReplica trips a breaker, then brings the
-// replica "back" and checks a probe readmits it once the cooldown has
-// elapsed on the clock — and not before.
-func TestBreakerReadmitsRecoveredReplica(t *testing.T) {
+// TestRecoveredReplicaServesNextRequest drives a 1-of-1 deployment whose
+// only replica aborts every connection for a while: each miss meanwhile is
+// one failed share request and a 503, a cache hit is still served, and the
+// first miss after the replica recovers is issued — no cooldown holds a
+// recovered replica out. The clock never moves.
+func TestRecoveredReplicaServesNextRequest(t *testing.T) {
+	const outage = 16
 	var down atomic.Bool
-	clk := newFakeClock()
-	d := startDeployment(t, 1, 1, testMaster(41), Config{RatePerSec: -1, clk: clk},
+	d := startDeployment(t, 1, 1, testMaster(41), Config{RatePerSec: -1, clk: newFakeClock()},
 		func(i int, h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if down.Load() {
@@ -129,24 +73,83 @@ func TestBreakerReadmitsRecoveredReplica(t *testing.T) {
 				h.ServeHTTP(w, r)
 			})
 		})
+	if status, _ := postEnroll(t, d.comb.URL, "warm"); status != http.StatusOK {
+		t.Fatalf("enroll before the outage: status %d", status)
+	}
 
 	down.Store(true)
-	for i := 0; i < breakerMinSamples; i++ {
-		postEnroll(t, d.comb.URL, "x")
+	for i := 0; i < outage; i++ {
+		if status, _ := postEnroll(t, d.comb.URL, "x"); status != http.StatusServiceUnavailable {
+			t.Fatalf("miss %d with the replica down: status %d, want 503", i, status)
+		}
 	}
-	down.Store(false)
-	clk.advance(breakerCooldown - time.Nanosecond)
-	if status, _, _ := postEnroll(t, d.comb.URL, "x"); status != http.StatusServiceUnavailable {
-		t.Fatalf("inside the cooldown: status %d, want 503", status)
+	if status, key := postEnroll(t, d.comb.URL, "warm"); status != http.StatusOK ||
+		!bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("warm").Marshal()) {
+		t.Fatalf("cache hit with the replica down: status %d", status)
 	}
 
-	clk.advance(time.Nanosecond) // cooldown over: the half-open probe is admitted
-	status, _, key := postEnroll(t, d.comb.URL, "x")
+	down.Store(false)
+	status, key := postEnroll(t, d.comb.URL, "x")
 	if status != http.StatusOK {
-		t.Fatalf("enroll after recovery: status %d", status)
+		t.Fatalf("first miss after recovery: status %d, want 200", status)
 	}
 	if !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("x").Marshal()) {
 		t.Fatal("post-recovery key differs from single master")
+	}
+	// One share request per miss, and every one in the outage failed.
+	text := metricsText(t, d.comb.URL)
+	for _, want := range []string{
+		fmt.Sprintf("kgcd_share_requests_total %d", outage+2),
+		fmt.Sprintf("kgcd_share_failures_total %d", outage),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q:\n%s", want, grepLines(text, "share_"))
+		}
+	}
+}
+
+// TestLostQuorumIsNotAnEpochConflict: in a 2-of-3 deployment two replicas
+// answer 500 and the survivor answers last. Every share the gather holds
+// is from one epoch, so the failure is a lost quorum, not ErrMixedEpochs,
+// and no epoch conflict is counted.
+func TestLostQuorumIsNotAnEpochConflict(t *testing.T) {
+	clk := newFakeClock()
+	arrived, release := make(chan struct{}), make(chan struct{})
+	d := startDeployment(t, 2, 3, testMaster(49), Config{clk: clk},
+		func(i int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if i != 0 {
+					writeError(w, http.StatusInternalServerError, "replica fault")
+					return
+				}
+				close(arrived)
+				<-release
+				h.ServeHTTP(w, r)
+			})
+		})
+
+	// A fresh server's rotation asks replicas 1 and 2; the first failure
+	// sends the replacement to replica 0.
+	gathered := make(chan error, 1)
+	go func() {
+		_, err := d.srv.gatherShares(context.Background(), "lost")
+		gathered <- err
+	}()
+	<-arrived
+	for d.srv.metrics.shareFailures.Value() < 2 {
+		runtime.Gosched()
+	}
+	// A share request's timer is stopped only after its result is queued, so
+	// with replica 0's the only one left both failures are ahead of its share.
+	clk.awaitPending(shareTimeout, 1)
+	close(release)
+
+	err := <-gathered
+	if err == nil || errors.Is(err, threshold.ErrMixedEpochs) || !strings.Contains(err.Error(), "quorum not reached: 1 of 2 shares") {
+		t.Fatalf("gather with one replica up: %v, want a lost quorum", err)
+	}
+	if n := d.srv.metrics.epochConflicts.Value(); n != 0 {
+		t.Fatalf("%d epoch conflicts counted in a one-epoch gather", n)
 	}
 }
 
@@ -168,7 +171,7 @@ func TestHedgedFanOut(t *testing.T) {
 	defer clk.drive(time.Hour, d.replicas[1].Close)
 
 	var key []byte
-	clk.drive(hedgeFloor, func() { _, _, key = postEnroll(t, d.comb.URL, "hedged") })
+	clk.drive(hedgeFloor, func() { _, key = postEnroll(t, d.comb.URL, "hedged") })
 	if !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("hedged").Marshal()) {
 		t.Fatal("hedged key differs from single master")
 	}
@@ -214,7 +217,7 @@ func TestGatherSurvivesMixedEpochs(t *testing.T) {
 
 		done := make(chan []byte, 1)
 		go func() {
-			_, _, key := postEnroll(t, d.comb.URL, "mixed")
+			_, key := postEnroll(t, d.comb.URL, "mixed")
 			done <- key
 		}()
 		clk.awaitTimer(hedgeFloor) // replicas 1 and 2 are asked, the hedge is armed
@@ -293,37 +296,32 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 
 // TestClientJitterDecorrelates: two default clients draw different waits (a
 // fleet rebooting together does not retry in lockstep), and a pinned draw
-// reproduces the bounds: [d, d·(1+jitterFrac)) around base·2^(n−1), the
-// Retry-After hint raising d, both capped.
+// reproduces the bounds: [d, d·(1+jitterFrac)) around base·2^(n−1), capped.
 func TestClientJitterDecorrelates(t *testing.T) {
 	a, b := NewClient("http://a.invalid", nil), NewClient("http://b.invalid", nil)
-	if da, db := a.backoff(1, 0), b.backoff(1, 0); da == db {
+	if da, db := a.backoff(1), b.backoff(1); da == db {
 		t.Fatalf("two default clients drew the same first backoff %v", da)
 	}
 	for i := 0; i < 100; i++ {
-		if d := a.backoff(1, 0); d < backoffBase || d >= backoffBase+backoffBase/4 {
+		if d := a.backoff(1); d < backoffBase || d >= backoffBase+backoffBase/4 {
 			t.Fatalf("backoff %v outside [%v, %v)", d, backoffBase, backoffBase+backoffBase/4)
 		}
 	}
 	lo, _ := pinnedClient("http://a.invalid", nil, 0)
 	hi, _ := pinnedClient("http://a.invalid", nil, 1) // the supremum of the draw
 	for _, tc := range []struct {
-		n          int
-		retryAfter time.Duration
-		want       time.Duration
+		n    int
+		want time.Duration
 	}{
-		{1, 0, backoffBase},
-		{2, 0, 2 * backoffBase},
-		{10, 0, backoffCap},
-		{1, time.Second, time.Second},
-		{1, time.Minute, backoffCap},
-		{2, time.Millisecond, 2 * backoffBase},
+		{1, backoffBase},
+		{2, 2 * backoffBase},
+		{10, backoffCap},
 	} {
-		if got := lo.backoff(tc.n, tc.retryAfter); got != tc.want {
-			t.Errorf("backoff(%d, %v) at jitter 0 = %v, want %v", tc.n, tc.retryAfter, got, tc.want)
+		if got := lo.backoff(tc.n); got != tc.want {
+			t.Errorf("backoff(%d) at jitter 0 = %v, want %v", tc.n, got, tc.want)
 		}
-		if got, want := hi.backoff(tc.n, tc.retryAfter), tc.want+tc.want/4; got != want {
-			t.Errorf("backoff(%d, %v) at jitter 1 = %v, want %v", tc.n, tc.retryAfter, got, want)
+		if got, want := hi.backoff(tc.n), tc.want+tc.want/4; got != want {
+			t.Errorf("backoff(%d) at jitter 1 = %v, want %v", tc.n, got, want)
 		}
 	}
 }
@@ -336,7 +334,6 @@ func TestEnrollErrorSemantics(t *testing.T) {
 		case "fatal":
 			writeError(w, http.StatusBadRequest, "identity length must be in [1, 256]")
 		default:
-			w.Header().Set("Retry-After", "7")
 			writeError(w, http.StatusServiceUnavailable, "quorum unavailable")
 		}
 	}))
@@ -346,8 +343,7 @@ func TestEnrollErrorSemantics(t *testing.T) {
 		return err
 	}
 
-	// Retryable 503 with Retry-After: all attempts consumed, hint parsed and
-	// honored up to the cap.
+	// Retryable 503: all attempts consumed, on the backoff schedule.
 	c, clk := pinnedClient(srv.URL, &http.Client{Transport: headerTransport{"X-Case", "retryable"}}, 0)
 	err := enroll(c, clk)
 	var ee *EnrollError
@@ -357,17 +353,14 @@ func TestEnrollErrorSemantics(t *testing.T) {
 	if ee.Status != http.StatusServiceUnavailable || !ee.Retryable() {
 		t.Fatalf("status %d retryable %v", ee.Status, ee.Retryable())
 	}
-	if ee.RetryAfter != 7*time.Second {
-		t.Fatalf("RetryAfter %v, want 7s", ee.RetryAfter)
-	}
 	if !strings.Contains(ee.Body, "quorum unavailable") {
 		t.Fatalf("body snippet %q", ee.Body)
 	}
 	if got := calls.Load(); got != maxAttempts {
 		t.Fatalf("retryable error: %d attempts, want %d", got, maxAttempts)
 	}
-	if want := []time.Duration{backoffCap, backoffCap}; !slices.Equal(clk.fired, want) {
-		t.Fatalf("backoffs %v, want the capped hint %v", clk.fired, want)
+	if want := []time.Duration{backoffBase, 2 * backoffBase}; !slices.Equal(clk.fired, want) {
+		t.Fatalf("backoffs %v, want %v", clk.fired, want)
 	}
 
 	// Fatal 400: a single attempt, Retryable() false.
@@ -424,7 +417,7 @@ func TestOversizedReplyRejected(t *testing.T) {
 		{"over-cap", maxBodyBytes + 1, http.StatusServiceUnavailable},
 	} {
 		size.Store(int64(tc.size))
-		status, _, key := postEnroll(t, d.comb.URL, tc.id)
+		status, key := postEnroll(t, d.comb.URL, tc.id)
 		if status != tc.status {
 			t.Fatalf("%d-byte share reply: status %d, want %d", tc.size, status, tc.status)
 		}
@@ -438,18 +431,7 @@ func TestOversizedReplyRejected(t *testing.T) {
 // live cluster and pins issuance on both sides of it to the single-master
 // oracle: the epoch moves, the keys do not.
 func TestClusterRefreshKeepsIssuedBytes(t *testing.T) {
-	master := testMaster(45)
-	cl, err := StartCluster(ClusterConfig{
-		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(11)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	kgc, err := core.NewKGCFromMaster(master)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl, kgc := testCluster(t, testMaster(45), ClusterConfig{})
 	c := NewClient(cl.URL, nil)
 	ctx := context.Background()
 
@@ -486,22 +468,16 @@ func TestClusterRefreshKeepsIssuedBytes(t *testing.T) {
 func TestClusterShutdownDrainsInFlight(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	clk := newFakeClock()
-	master := testMaster(46)
-	cl, err := StartCluster(ClusterConfig{
-		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(12)),
+	cl, kgc := testCluster(t, testMaster(46), ClusterConfig{
 		SignerMiddleware: func(i int, h http.Handler) http.Handler { return stalled(clk, time.Hour, stall, h) },
 		Combiner:         Config{clk: clk},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 	draining := make(chan struct{})
 	cl.servers[len(cl.servers)-1].RegisterOnShutdown(func() { close(draining) })
 
 	enrolled := make(chan []byte, 1)
 	go func() {
-		_, _, key := postEnroll(t, cl.URL, "in-flight")
+		_, key := postEnroll(t, cl.URL, "in-flight")
 		enrolled <- key
 	}()
 	clk.awaitTimer(stall) // the request is inside a signer's stall
@@ -509,13 +485,10 @@ func TestClusterShutdownDrainsInFlight(t *testing.T) {
 	shutdown := make(chan error, 1)
 	go func() { shutdown <- cl.Shutdown(context.Background()) }()
 	<-draining // the combiner has stopped listening; only the stalls hold the drain
+	var err error
 	clk.drive(stall, func() { err = <-shutdown })
 	if err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
-	}
-	kgc, err := core.NewKGCFromMaster(master)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !bytes.Equal(<-enrolled, kgc.ExtractPartialPrivateKey("in-flight").Marshal()) {
 		t.Fatal("drained key differs from single master")
@@ -537,9 +510,7 @@ func TestClusterShutdownDrainsInFlight(t *testing.T) {
 func TestClusterRefreshBoundedOnStalledReplica(t *testing.T) {
 	const outage = time.Minute
 	clk := newFakeClock()
-	master := testMaster(47)
-	cl, err := StartCluster(ClusterConfig{
-		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(13)),
+	cl, kgc := testCluster(t, testMaster(47), ClusterConfig{
 		SignerMiddleware: func(i int, h http.Handler) http.Handler {
 			if i == 1 { // replica 0 applies round one before replica 1 stalls it
 				return stalled(clk, outage, time.Hour, h)
@@ -548,10 +519,6 @@ func TestClusterRefreshBoundedOnStalledReplica(t *testing.T) {
 		},
 		Combiner: Config{clk: clk},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 
 	refreshed := make(chan error, 1)
 	go func() {
@@ -589,12 +556,8 @@ func TestClusterRefreshBoundedOnStalledReplica(t *testing.T) {
 	}
 	// Three gathers rotate through every replica pair; a replica left on a
 	// different polynomial would combine to a wrong key in two of them.
-	kgc, err := core.NewKGCFromMaster(master)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, id := range []string{"after-a", "after-b", "after-c"} {
-		status, _, key := postEnroll(t, cl.URL, id)
+		status, key := postEnroll(t, cl.URL, id)
 		if status != http.StatusOK || !bytes.Equal(key, kgc.ExtractPartialPrivateKey(id).Marshal()) {
 			t.Fatalf("enroll %q after the re-posted refresh: status %d, key differs from single master", id, status)
 		}
@@ -648,9 +611,7 @@ func refreshInterleaving(t *testing.T, seed int64) (commits, failedRounds, enrol
 	var fateMu sync.Mutex
 	fates := mrand.New(mrand.NewSource(seed ^ 0x5eed))
 	signers := make([]http.Handler, replicas) // the replicas behind their faults
-	master := testMaster(byte(70 + seed))
-	cl, err := StartCluster(ClusterConfig{
-		T: 2, N: 3, Master: master, Rng: mrand.New(mrand.NewSource(seed)),
+	cl, kgc := testCluster(t, testMaster(byte(70+seed)), ClusterConfig{
 		Combiner: Config{clk: clk, RatePerSec: -1},
 		SignerMiddleware: func(i int, h http.Handler) http.Handler {
 			signers[i] = h
@@ -671,14 +632,6 @@ func refreshInterleaving(t *testing.T, seed int64) (commits, failedRounds, enrol
 			}))
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	kgc, err := core.NewKGCFromMaster(master)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for step := 0; step < steps; step++ {
 		switch rng.Intn(3) {
@@ -694,7 +647,7 @@ func refreshInterleaving(t *testing.T, seed int64) (commits, failedRounds, enrol
 			}
 		case 2:
 			id := fmt.Sprintf("seed%d-step%d", seed, step)
-			if status, _, key := postEnroll(t, cl.URL, id); status == http.StatusOK {
+			if status, key := postEnroll(t, cl.URL, id); status == http.StatusOK {
 				enrolled++
 				if !bytes.Equal(key, kgc.ExtractPartialPrivateKey(id).Marshal()) {
 					t.Fatalf("seed %d step %d: enrollment differs from single master", seed, step)

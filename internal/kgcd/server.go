@@ -17,12 +17,11 @@
 // limiting (429), an LRU partial-key cache (re-enrollment is the common
 // case for a rebooting fleet), bounded request bodies and identity
 // lengths, and a per-request fan-out timeout. Against replica failure the
-// combiner holds a circuit breaker per replica (a dead replica is skipped
-// instead of soaking up fan-out slots), hedges stragglers with a spare
-// request, groups gathered shares by refresh epoch (a refresh in flight
-// must not poison a combination), and degrades gracefully: below quorum
-// it keeps serving cache hits and answers misses with 503 + Retry-After
-// instead of letting every request run into its deadline.
+// combiner replaces every failed share request with one to the next
+// untried replica, hedges stragglers with a spare request, and groups
+// gathered shares by refresh epoch (a refresh in flight must not poison a
+// combination). Below quorum it keeps serving cache hits and answers
+// misses with 503.
 package kgcd
 
 import (
@@ -105,11 +104,10 @@ func (c Config) withDefaults() Config {
 }
 
 // replica is the combiner's stateful view of one signer: the transport, a
-// circuit breaker, a share-latency ring (feeds the adaptive hedge delay)
-// and the latest health-probe latency.
+// share-latency ring (feeds the adaptive hedge delay) and the latest
+// health-probe latency.
 type replica struct {
 	issuer        shareIssuer
-	br            *breaker
 	lat           latencyRing
 	probeNanos    atomic.Int64 // last /healthz probe; -1 = failed, 0 = unprobed
 	shareFailures counter
@@ -141,10 +139,7 @@ func NewServer(cfg Config) (*Server, error) {
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst, 2*cfg.CacheSize),
 	}
 	for _, u := range cfg.SignerURLs {
-		s.replicas = append(s.replicas, &replica{
-			issuer: newHTTPIssuer(u, cfg.HTTPClient),
-			br:     newBreaker(),
-		})
+		s.replicas = append(s.replicas, &replica{issuer: newHTTPIssuer(u, cfg.HTTPClient)})
 	}
 	return s, nil
 }
@@ -165,8 +160,7 @@ type replicaHealth struct {
 	Name string `json:"name"`
 	Up   bool   `json:"up"`
 	// ProbeMicros is the probe round-trip in microseconds (-1 on failure).
-	ProbeMicros int64  `json:"probe_micros"`
-	Breaker     string `json:"breaker"`
+	ProbeMicros int64 `json:"probe_micros"`
 }
 
 type healthResponse struct {
@@ -220,17 +214,6 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.cacheMisses.Inc()
 
-	// Graceful degradation: when the breakers say the quorum is gone, fail
-	// fast with a retry hint instead of burning the full request timeout.
-	// Cache hits (above) keep being served regardless.
-	if admissible := s.admissibleReplicas(start); admissible < s.cfg.T {
-		s.metrics.degraded.Inc()
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds(start)))
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("quorum unavailable: %d of %d replicas admissible, %d needed", admissible, len(s.replicas), s.cfg.T))
-		return
-	}
-
 	ctx, cancel := withTimeout(r.Context(), s.cfg.clk, s.cfg.RequestTimeout)
 	defer cancel()
 	shares, err := s.gatherShares(ctx, req.ID)
@@ -251,32 +234,6 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	s.metrics.enrollLatency.Observe(s.cfg.clk.Now().Sub(start))
 }
 
-func (s *Server) admissibleReplicas(now time.Time) int {
-	n := 0
-	for _, rep := range s.replicas {
-		if rep.br.Admissible(now) {
-			n++
-		}
-	}
-	return n
-}
-
-// retryAfterSeconds is the soonest an open breaker will admit a probe,
-// rounded up, at least one second.
-func (s *Server) retryAfterSeconds(now time.Time) int {
-	var soonest time.Duration
-	for _, rep := range s.replicas {
-		if rem := rep.br.RemainingCooldown(now); rem > 0 && (soonest == 0 || rem < soonest) {
-			soonest = rem
-		}
-	}
-	secs := int((soonest + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
 // hedgeDelay is how long the fan-out waits on stragglers before spending a
 // spare request: twice the slowest replica's p95 share latency, clamped to
 // [hedgeFloor, RequestTimeout/2].
@@ -290,12 +247,12 @@ func (s *Server) hedgeDelay() time.Duration {
 
 // gatherShares fans out to the signer replicas and returns the first T key
 // shares that agree on a refresh epoch. It starts T requests in parallel
-// (rotating the starting replica for load balance, skipping replicas whose
-// circuit breaker refuses), launches a replacement for every failure, and
-// hedges stragglers: if the quorum is still incomplete after hedgeDelay, a
-// spare request goes to the next untried replica. Shares are grouped by
-// epoch so that a proactive refresh landing mid-gather yields a clean
-// same-epoch quorum instead of an ErrMixedEpochs combination.
+// (rotating the starting replica for load balance), launches a replacement
+// to the next untried replica for every failure, and hedges stragglers: if
+// the quorum is still incomplete after hedgeDelay, a spare request goes to
+// the next untried replica. Shares are grouped by epoch so that a proactive
+// refresh landing mid-gather yields a clean same-epoch quorum instead of an
+// ErrMixedEpochs combination.
 func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyShare, error) {
 	n := len(s.replicas)
 	type result struct {
@@ -305,15 +262,10 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 	results := make(chan result, n)
 	first := int(s.rr.Add(1))
 	tried := 0
-	launched := 0
 	launch := func() bool {
-		for tried < n {
+		if tried < n {
 			rep := s.replicas[(first+tried)%n]
 			tried++
-			if !rep.br.Allow(s.cfg.clk.Now()) {
-				continue
-			}
-			launched++
 			s.metrics.shareRequests.Inc()
 			go func() {
 				shareCtx, cancel := withTimeout(ctx, s.cfg.clk, shareTimeout)
@@ -323,19 +275,16 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 				if err != nil {
 					if ctx.Err() != nil {
 						// The gather as a whole ended; this tells us nothing
-						// about the replica, so don't charge its breaker.
+						// about the replica, so it is not a share failure.
 						results <- result{nil, ctx.Err()}
 						return
 					}
-					rep.br.Record(s.cfg.clk.Now(), false)
 					rep.shareFailures.Inc()
 					s.metrics.shareFailures.Inc()
 					results <- result{nil, fmt.Errorf("%s: %w", rep.issuer.Name(), err)}
 					return
 				}
-				now := s.cfg.clk.Now()
-				rep.br.Record(now, true)
-				rep.lat.Observe(now.Sub(t0))
+				rep.lat.Observe(s.cfg.clk.Now().Sub(t0))
 				results <- result{ks, nil}
 			}()
 			return true
@@ -345,9 +294,6 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 	for i := 0; i < s.cfg.T; i++ {
 		launch()
 	}
-	if launched == 0 {
-		return nil, fmt.Errorf("no admissible replicas (all circuit breakers open)")
-	}
 
 	hedge := make(chan struct{}, 1)
 	stopHedge := s.cfg.clk.AfterFunc(s.hedgeDelay(), func() { hedge <- struct{}{} })
@@ -355,7 +301,7 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 
 	byEpoch := make(map[uint32][]*threshold.KeyShare)
 	best := 0 // size of the largest same-epoch group
-	outstanding := launched
+	outstanding := s.cfg.T
 	var lastErr error
 	for {
 		select {
@@ -372,37 +318,39 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 				lastErr = r.err
 				if launch() {
 					outstanding++
-				} else if outstanding == 0 {
-					return nil, fmt.Errorf("quorum not reached, no replicas left: %w", lastErr)
 				}
+			} else {
+				g := append(byEpoch[r.ks.Epoch], r.ks)
+				byEpoch[r.ks.Epoch] = g
+				if len(g) >= s.cfg.T {
+					return g, nil
+				}
+				if len(byEpoch) > 1 && len(g) == 1 {
+					s.metrics.epochConflicts.Inc()
+				}
+				best = max(best, len(g))
+				// Mixed epochs dilute the fan-out: keep enough requests in
+				// flight to complete the largest same-epoch group.
+				for best+outstanding < s.cfg.T && launch() {
+					outstanding++
+				}
+			}
+			if outstanding > 0 {
 				continue
 			}
-			g := append(byEpoch[r.ks.Epoch], r.ks)
-			byEpoch[r.ks.Epoch] = g
-			if len(g) >= s.cfg.T {
-				return g, nil
-			}
-			if len(byEpoch) > 1 && len(g) == 1 {
-				s.metrics.epochConflicts.Inc()
-			}
-			if len(g) > best {
-				best = len(g)
-			}
-			// Mixed epochs dilute the fan-out: keep enough requests in
-			// flight to complete the largest same-epoch group.
-			for best+outstanding < s.cfg.T && launch() {
-				outstanding++
-			}
-			if outstanding == 0 {
+			// Every replica has answered. Only shares from more than one
+			// epoch make this an epoch conflict; otherwise too few answered.
+			if len(byEpoch) > 1 {
 				return nil, fmt.Errorf("replicas disagree on refresh epoch: %w", threshold.ErrMixedEpochs)
 			}
+			return nil, fmt.Errorf("quorum not reached: %d of %d shares, no replicas left: %w", best, s.cfg.T, lastErr)
 		}
 	}
 }
 
 // handleHealthz probes every replica concurrently with a short deadline and
 // reports quorum: 200 when at least T replicas answer, 503 otherwise. The
-// per-replica section carries probe latency and breaker state.
+// per-replica section carries probe latency.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := withTimeout(r.Context(), s.cfg.clk, probeTimeout)
 	defer cancel()
@@ -435,12 +383,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			alive++
 			micros = p.d.Microseconds()
 		}
-		rh[p.i] = replicaHealth{
-			Name:        rep.issuer.Name(),
-			Up:          p.up,
-			ProbeMicros: micros,
-			Breaker:     rep.br.State().String(),
-		}
+		rh[p.i] = replicaHealth{Name: rep.issuer.Name(), Up: p.up, ProbeMicros: micros}
 	}
 	h := healthResponse{Status: "ok", T: s.cfg.T, N: len(s.replicas), SignersUp: alive, Replicas: rh}
 	status := http.StatusOK
@@ -457,17 +400,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.writeReplicaMetrics(w)
 }
 
-// writeReplicaMetrics renders the labeled per-replica series: breaker
-// position and trip count, last probe latency, share-RPC failures.
+// writeReplicaMetrics renders the labeled per-replica series: last probe
+// latency and share-RPC failures.
 func (s *Server) writeReplicaMetrics(w io.Writer) {
-	fmt.Fprint(w, "# HELP kgcd_replica_breaker_state Circuit breaker position per replica (0 closed, 1 open, 2 half-open).\n# TYPE kgcd_replica_breaker_state gauge\n")
-	for _, rep := range s.replicas {
-		fmt.Fprintf(w, "kgcd_replica_breaker_state{replica=%q} %d\n", rep.issuer.Name(), rep.br.State())
-	}
-	fmt.Fprint(w, "# HELP kgcd_replica_breaker_opens_total Times each replica's circuit breaker tripped open.\n# TYPE kgcd_replica_breaker_opens_total counter\n")
-	for _, rep := range s.replicas {
-		fmt.Fprintf(w, "kgcd_replica_breaker_opens_total{replica=%q} %d\n", rep.issuer.Name(), rep.br.Opens())
-	}
 	fmt.Fprint(w, "# HELP kgcd_replica_probe_latency_seconds Last health-probe round-trip per replica (-1 = probe failed, 0 = never probed).\n# TYPE kgcd_replica_probe_latency_seconds gauge\n")
 	for _, rep := range s.replicas {
 		v := float64(rep.probeNanos.Load()) / 1e9

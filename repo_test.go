@@ -29,11 +29,11 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14280
+const maxNonTestLines = 13986
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
-const maxDesignLines = 882
+const maxDesignLines = 881
 
 // mathBigFiles are the shipped files that may import math/big: init-time
 // constant derivation, the *big.Int adapters of the exported API and
@@ -55,7 +55,6 @@ var mathBigFiles = map[string]bool{
 	"internal/bn254/wnaf.go":       true,
 	"internal/core/keys.go":        true,
 	"internal/core/kgc.go":         true,
-	"internal/kgcd/cluster.go":     true,
 	"internal/threshold/shamir.go": true,
 }
 
@@ -71,8 +70,10 @@ var mathBigFiles = map[string]bool{
 // and switches no figure ran (HELLO beacons, the collision model, the
 // no-index switch with its shipped naive scan, the base loss rate and the
 // intermediate-reply switch), the fault windows themselves (link, region
-// and loss) with the schedule that carried them, and the scenario's event
-// budget and the test-only delivery hooks.
+// and loss) with the schedule that carried them, the scenario's event
+// budget and the test-only delivery hooks, and kgcd's two circuit breakers
+// with the below-quorum precheck and the Retry-After hint that served them,
+// and the drill's identity pool that kept its traffic in the cache.
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -88,6 +89,8 @@ var deletedNames = []string{
 	"Collisions", "Collided", "trackReception", "NoIndex", "NeighborsNaive", "lossRate",
 	"LinkOutage", "RegionOutage", "LossWindow", "fault.Schedule", "FaultSchedule", "ChurnConfig",
 	"SetFaults", "linkFaulted", "lossAt", "MaxEvents", "OnDeliver",
+	"ErrCircuitOpen", "BreakerState", "newBreaker", "admissibleReplicas", "retryAfterSeconds",
+	"parseRetryAfter", "RetryAfter", "chaosIDs",
 }
 
 // deletedDirs are the packages and commands that went with them.
@@ -317,7 +320,7 @@ func TestRepoOptionCounts(t *testing.T) {
 		{secrouting.McCLSAuth{}, 2},
 		{secrouting.CostModelAuth{}, 2},
 		{kgcd.Config{}, 8},
-		{kgcd.ClusterConfig{}, 7},
+		{kgcd.ClusterConfig{}, 4},
 	} {
 		typ, got := reflect.TypeOf(tc.cfg), 0
 		for i := 0; i < typ.NumField(); i++ {
