@@ -61,7 +61,7 @@ func BenchmarkMillerLoopLines(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MillerLoopLines(p, lines)
+		MillerLoopMixed([]*G1{p}, []*G2Lines{lines}, nil, nil)
 	}
 }
 

@@ -1,7 +1,5 @@
 package bn254
 
-import "mccls/internal/bn254/fp"
-
 // ateLines is the number of lines one ate walk folds: 65 doubling lines, 21
 // addition lines and 2 Frobenius lines (ateLineCounts derives it in tests).
 const ateLines = 88
@@ -10,8 +8,10 @@ const ateLines = 88
 // pairing of Costello–Stebila (LATINCRYPT 2010): a G2 argument that recurs —
 // in McCLS a signer's S — has its doubling and addition chain run once.
 // Each unevaluated line a·yP + b·xP·w + c·w³ is stored as (b/a, c/a), in
-// walk order, 11,264 bytes in all. It is immutable, so one table may be
-// replayed concurrently.
+// walk order, 11,264 bytes in all. MillerLoopMixed replays it at a G1 point
+// as 1 + (b/a)·(xP/yP)·w + (c/a)·yP⁻¹·w³, the stepped line divided by
+// a·yP ∈ Fp2: 4 Fp products and a 12-product sparse fold per line. It is
+// immutable, so one table may be replayed concurrently.
 type G2Lines struct {
 	q     G2
 	lines [ateLines][2]Fp2
@@ -77,40 +77,4 @@ func NewG2Lines(q *G2) *G2Lines {
 		t.lines[i][1].Mul(&t.lines[i][1], &aInv)
 	}
 	return t
-}
-
-// MillerLoopLines replays t at p: line i becomes
-// 1 + (bᵢ/aᵢ)·(xP/yP)·w + (cᵢ/aᵢ)·yP⁻¹·w³, the line MillerLoopMulti folds
-// divided by aᵢ·yP ∈ Fp2. So the result is MillerLoopMulti([p], [q]) up to
-// a factor in Fp2, and the final exponentiation maps both to one GT element.
-// A line costs 4 Fp multiplications and a 12-product sparse fold; a replay
-// counts one pairing, 65 squarings and 88 sparse multiplications. p must be
-// in G1, where no point has yP = 0.
-func MillerLoopLines(p *G1, t *G2Lines) *Fp12 {
-	f := Fp12One()
-	if p.IsInfinity() || t.q.IsInfinity() {
-		return f
-	}
-	opCounters.pairings.Add(1)
-	var yInv, xy fp.Element
-	yInv.Inverse(&p.Y)
-	xy.Mul(&p.X, &yInv)
-	var c1, c3 Fp2
-	fold := func(l *[2]Fp2) {
-		f.mulBySparse(nil, c1.MulScalar(&l[0], &xy), c3.MulScalar(&l[1], &yInv))
-	}
-	lines := t.lines[:]
-	for i := len(ateNAF) - 2; i >= 0; i-- {
-		opCounters.millerSquarings.Add(1)
-		f.Square(f)
-		fold(&lines[0])
-		if ateNAF[i] != 0 {
-			fold(&lines[1])
-			lines = lines[1:]
-		}
-		lines = lines[1:]
-	}
-	fold(&lines[0]) // the two Frobenius lines
-	fold(&lines[1])
-	return f
 }

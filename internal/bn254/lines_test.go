@@ -19,38 +19,58 @@ func millerRatioInFp2(f, g *Fp12) bool {
 	return true
 }
 
-// FuzzMillerLoopLinesVsMulti holds the fixed-argument replay to the lockstep
-// kernel on fuzzed (p, q), infinity on either side included: the unreduced
-// values differ by a factor in Fp2 — checked exactly, before any
+// replay is MillerLoopMixed with one table pair: Verify's hit path.
+func replay(p *G1, t *G2Lines) *Fp12 { return MillerLoopMixed([]*G1{p}, []*G2Lines{t}, nil, nil) }
+
+// FuzzMillerLoopLinesVsMulti holds the mixed kernel to MillerLoopMulti over
+// the same pairs: shape%5 table pairs beside shape/5%5 point pairs, infMask
+// putting infinity on one side of any pair, and odd shape/25 giving the last
+// pair the first pair's Q (across the two kinds when both are present). The
+// unreduced values differ by a factor in Fp2 — checked exactly, before any
 // exponentiation — and are equal after finalExponentiation.
 func FuzzMillerLoopLinesVsMulti(f *testing.F) {
-	f.Add([]byte{1}, []byte{2}, byte(0))
-	f.Add([]byte{7, 7}, []byte{9}, byte(1))
-	f.Add([]byte{255}, []byte{255, 255}, byte(2))
-	f.Add([]byte{3}, []byte{}, byte(3))
-	f.Fuzz(func(t *testing.T, aBytes, bBytes []byte, infMask byte) {
-		a := new(big.Int).Mod(new(big.Int).SetBytes(aBytes), Order)
-		b := new(big.Int).Mod(new(big.Int).SetBytes(bBytes), Order)
-		p, q := new(G1).ScalarBaseMult(a), g2BaseMult(b) // scalar 0 is infinity too
-		if infMask&1 != 0 {
-			p = G1Infinity()
+	f.Add([]byte{1}, []byte{2}, byte(1), byte(0)) // one table pair
+	f.Add([]byte{7, 7}, []byte{9}, byte(4+5*1), byte(1))
+	f.Add([]byte{255}, []byte{255, 255}, byte(2+5*3+25), byte(0x22))
+	f.Add([]byte{3}, []byte{}, byte(5*2), byte(3))
+	f.Add([]byte{5}, []byte{6}, byte(4+5*4+25), byte(0x81))
+	f.Fuzz(func(t *testing.T, aBytes, bBytes []byte, shape, infMask byte) {
+		nt, n := int(shape%5), int(shape%5+shape/5%5)
+		a, b := new(big.Int).SetBytes(aBytes), new(big.Int).SetBytes(bBytes)
+		var tps, ps, allP []*G1
+		var qs, allQ []*G2
+		var ts []*G2Lines
+		for i := range n {
+			ka := new(big.Int).Mod(new(big.Int).Add(a, big.NewInt(int64(i+1))), Order)
+			kb := new(big.Int).Mod(new(big.Int).Add(b, big.NewInt(int64(3*i+1))), Order)
+			p, q := new(G1).ScalarBaseMult(ka), g2BaseMult(kb) // scalar 0 is infinity too
+			if shape/25%2 == 1 && i == n-1 && i > 0 {
+				q = allQ[0]
+			}
+			if infMask&(1<<i) != 0 {
+				if i%2 == 0 {
+					p = G1Infinity()
+				} else {
+					q = G2Infinity()
+				}
+			}
+			allP, allQ = append(allP, p), append(allQ, q)
+			if i >= nt {
+				ps, qs = append(ps, p), append(qs, q)
+				continue
+			}
+			lines := NewG2Lines(q)
+			if lines == nil || !lines.Q().Equal(q) {
+				t.Fatalf("no line table naming a subgroup point: pair %d, shape=%d mask=%08b", i, shape, infMask)
+			}
+			tps, ts = append(tps, p), append(ts, lines)
 		}
-		if infMask&2 != 0 {
-			q = G2Infinity()
+		multi, mixed := MillerLoopMulti(allP, allQ), MillerLoopMixed(tps, ts, ps, qs)
+		if !millerRatioInFp2(multi, mixed) {
+			t.Fatalf("mixed / lockstep ratio leaves Fp2: a=%v b=%v shape=%d mask=%08b", a, b, shape, infMask)
 		}
-		lines := NewG2Lines(q)
-		if lines == nil {
-			t.Fatalf("no line table for a subgroup point: b=%v mask=%02b", b, infMask)
-		}
-		if !lines.Q().Equal(q) {
-			t.Fatal("the table does not name its point")
-		}
-		multi, replay := MillerLoopMulti([]*G1{p}, []*G2{q}), MillerLoopLines(p, lines)
-		if !millerRatioInFp2(multi, replay) {
-			t.Fatalf("replay / lockstep ratio leaves Fp2: a=%v b=%v mask=%02b", a, b, infMask)
-		}
-		if !finalExponentiation(multi).Equal(finalExponentiation(replay)) {
-			t.Fatalf("reduced replay diverges from the lockstep kernel: a=%v b=%v mask=%02b", a, b, infMask)
+		if !finalExponentiation(multi).Equal(finalExponentiation(mixed)) {
+			t.Fatalf("reduced mixed product diverges from the lockstep kernel: a=%v b=%v shape=%d mask=%08b", a, b, shape, infMask)
 		}
 	})
 }
@@ -77,7 +97,7 @@ func TestMillerLoopLinesOpCounts(t *testing.T) {
 	}
 
 	before = ReadOpCounts()
-	MillerLoopLines(p, lines)
+	replay(p, lines)
 	d = ReadOpCounts().Sub(before)
 	if d.LineDoubles != 0 || d.LineAdds != 0 || d.MillerSquarings != doubles || d.SparseMuls != doubles+adds || d.Pairings != 1 {
 		t.Fatalf("replay: %d doubles, %d adds, %d squarings, %d sparse muls, %d pairings; want 0, 0, %d, %d, 1",
@@ -85,15 +105,15 @@ func TestMillerLoopLinesOpCounts(t *testing.T) {
 	}
 }
 
-// TestMillerLoopLinesAllocs: a replay allocates no more than the one-pair
-// lockstep kernel it replaces (its returned value).
+// TestMillerLoopLinesAllocs: a single pair of either kind keeps its state on
+// the stack, so the kernel allocates its returned value and nothing else.
 func TestMillerLoopLinesAllocs(t *testing.T) {
 	p := new(G1).ScalarBaseMult(big.NewInt(7))
 	q := g2BaseMult(big.NewInt(11))
 	ps, qs, lines := []*G1{p}, []*G2{q}, NewG2Lines(q)
 	multi := testing.AllocsPerRun(10, func() { MillerLoopMulti(ps, qs) })
-	if a := testing.AllocsPerRun(10, func() { MillerLoopLines(p, lines) }); a > multi {
-		t.Fatalf("replay allocates %v times, MillerLoopMulti %v", a, multi)
+	if a := testing.AllocsPerRun(10, func() { replay(p, lines) }); a > 1 || multi > 1 {
+		t.Fatalf("replay allocates %v times, MillerLoopMulti %v; want 1 each", a, multi)
 	}
 }
 
@@ -113,7 +133,7 @@ func TestG2LinesOffSubgroup(t *testing.T) {
 			return false
 		}
 		multi := MillerLoopMulti([]*G1{p}, []*G2{q})
-		if !finalExponentiation(multi).Equal(finalExponentiation(MillerLoopLines(p, lines))) {
+		if !finalExponentiation(multi).Equal(finalExponentiation(replay(p, lines))) {
 			t.Fatalf("replay of %v diverges from MillerLoopMulti after the final exponentiation", q)
 		}
 		return true

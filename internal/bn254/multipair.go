@@ -1,5 +1,7 @@
 package bn254
 
+import "mccls/internal/bn254/fp"
+
 // Lockstep multi-pairing kernel. A product of optimal-ate pairings
 // Π e(Pⱼ, Qⱼ) shares two expensive pieces of work across the batch:
 //
@@ -18,90 +20,136 @@ package bn254
 // + one final exponentiation (shared) plus n·65 doubling steps, n·(21+2)
 // addition steps (nonzero digits below the top, plus two Frobenius lines)
 // and one sparse multiplication per line (per pair) — the amortization the
-// op-count regression tests pin. Field arithmetic is exact, so the lockstep
-// product is byte-identical to the product of per-pair Miller values;
-// FuzzMillerLoopMultiVsSingle enforces this against the per-pair oracle in
-// oracle_test.go.
+// op-count regression tests pin. A table pair (lines.go) replays its lines
+// instead of stepping. Field arithmetic is exact, so the lockstep product is
+// byte-identical to the product of per-pair Miller values
+// (FuzzMillerLoopMultiVsSingle, against oracle_test.go's per-pair loop).
 
-// MillerLoopMulti computes the unreduced product Π fⱼ of the optimal-ate
-// Miller values of the pairs (ps[j], qs[j]), running all doubling chains in
-// lockstep so the accumulator squaring is shared across the batch. Pairs
-// with an infinity member contribute the identity and are skipped. The
-// result must still pass a final exponentiation to become a GT element;
-// Pair, PairingCheck and the batch-verification engine all sit on this
-// kernel. ps and qs must have equal length.
-func MillerLoopMulti(ps []*G1, qs []*G2) *Fp12 {
-	if len(ps) != len(qs) {
-		panic("bn254: MillerLoopMulti length mismatch")
+// MillerLoopMulti is MillerLoopMixed over point pairs only, the unreduced
+// Π fⱼ of the pairs (ps[j], qs[j]): Pair, PairingCheck and m_ID sit on it.
+func MillerLoopMulti(ps []*G1, qs []*G2) *Fp12 { return MillerLoopMixed(nil, nil, ps, qs) }
+
+// MillerLoopMixed computes the unreduced product of the Miller values of the
+// table pairs (tps[j], ts[j]) and the point pairs (ps[j], qs[j]) in one
+// lockstep loop: per iteration one shared Fp12 squaring, a replayed line per
+// table pair and a projective step per point pair. Pairs with an infinity
+// member are skipped. A table pair counts as a pairing; its value is the
+// stepped one over a factor in Fp2 (NewG2Lines), which the final
+// exponentiation kills. tps must be in G1, where no yP is 0.
+func MillerLoopMixed(tps []*G1, ts []*G2Lines, ps []*G1, qs []*G2) *Fp12 {
+	if len(tps) != len(ts) || len(ps) != len(qs) {
+		panic("bn254: MillerLoopMixed length mismatch")
 	}
-	// Per-pair state; negQ serves the -1 digits. A single pair (every
-	// Verify) stays on the stack.
-	type pair struct {
-		p    *G1
-		q    *G2
-		negQ G2
-		t    g2Proj
+	// Per-pair state, copied so no argument escapes; negQ serves the -1
+	// digits. A single pair of either kind (every Verify) stays on the stack.
+	type tablePair struct {
+		lines      *[ateLines][2]Fp2
+		y, yInv, x fp.Element // x becomes xP/yP
 	}
-	var one [1]pair
-	pairs := one[:0]
-	if len(ps) > len(one) {
-		pairs = make([]pair, 0, len(ps))
+	type pointPair struct {
+		p       G1
+		q, negQ G2
+		t       g2Proj
 	}
-	// Filter trivial pairs once so the lockstep loop has no branches.
+	var oneT [1]tablePair
+	var oneP [1]pointPair
+	tabs, pairs := oneT[:0], oneP[:0]
+	if len(ts) > len(oneT) {
+		tabs = make([]tablePair, 0, len(ts))
+	}
+	if len(qs) > len(oneP) {
+		pairs = make([]pointPair, 0, len(qs))
+	}
+	// Filter trivial pairs once so the lockstep loop has no branches. The
+	// table pairs' yP are inverted together (Montgomery's trick): prefix
+	// products in yInv, one inversion, a backward pass.
+	prod := fp.One()
+	for i := range ts {
+		if tps[i].IsInfinity() || ts[i].q.IsInfinity() {
+			continue
+		}
+		tabs = append(tabs, tablePair{lines: &ts[i].lines, y: tps[i].Y, yInv: prod, x: tps[i].X})
+		prod.Mul(&prod, &tps[i].Y)
+	}
+	if len(tabs) > 0 { // no inversion for point pairs alone
+		var inv fp.Element
+		inv.Inverse(&prod)
+		for j := len(tabs) - 1; j >= 0; j-- {
+			tp := &tabs[j]
+			tp.yInv.Mul(&tp.yInv, &inv)
+			inv.Mul(&inv, &tp.y)
+			tp.x.Mul(&tp.x, &tp.yInv)
+		}
+	}
 	for i := range ps {
 		if ps[i].IsInfinity() || qs[i].IsInfinity() {
 			continue
 		}
-		pairs = append(pairs, pair{p: ps[i], q: qs[i]})
+		pairs = append(pairs, pointPair{p: *ps[i], q: *qs[i]})
 		pr := &pairs[len(pairs)-1]
-		pr.negQ.Neg(pr.q)
-		pr.t.fromAffine(pr.q)
+		pr.negQ.Neg(&pr.q)
+		pr.t.fromAffine(&pr.q)
 	}
 	f := Fp12One()
-	if len(pairs) == 0 {
+	if len(tabs)+len(pairs) == 0 {
 		return f
 	}
-	opCounters.pairings.Add(uint64(len(pairs)))
+	opCounters.pairings.Add(uint64(len(tabs) + len(pairs)))
 
+	// Line n of every table is 1 + (b/a)·(xP/yP)·w + (c/a)·yP⁻¹·w³.
+	var c1, c3 Fp2
+	fold := func(n int) {
+		for j := range tabs {
+			tp := &tabs[j]
+			l := &tp.lines[n]
+			f.mulBySparse(nil, c1.MulScalar(&l[0], &tp.x), c3.MulScalar(&l[1], &tp.yInv))
+		}
+	}
 	var l lineEval
+	n := 0
 	for i := len(ateNAF) - 2; i >= 0; i-- {
 		opCounters.millerSquarings.Add(1)
 		f.Square(f)
+		d := ateNAF[i]
+		fold(n)
+		n++
+		if d != 0 {
+			fold(n)
+			n++
+		}
 		for j := range pairs {
 			pr := &pairs[j]
 			pr.t.doubleStepProj(&l)
-			f.mulByLine(l.at(pr.p))
-			if d := ateNAF[i]; d != 0 {
-				q := pr.q
+			f.mulByLine(l.at(&pr.p))
+			if d != 0 {
+				q := &pr.q
 				if d < 0 {
 					q = &pr.negQ
 				}
 				pr.t.addStepProj(&l, q)
-				f.mulByLine(l.at(pr.p))
+				f.mulByLine(l.at(&pr.p))
 			}
 		}
 	}
 	// Frobenius correction lines, two per pair; no interleaved squarings.
+	fold(n)
+	fold(n + 1)
 	var q1, q2 G2
 	for j := range pairs {
 		pr := &pairs[j]
-		q1.frobeniusTwist(pr.q)
+		q1.frobeniusTwist(&pr.q)
 		pr.t.addStepProj(&l, &q1)
-		f.mulByLine(l.at(pr.p))
+		f.mulByLine(l.at(&pr.p))
 		q2.frobeniusTwist(&q1)
 		q2.Neg(&q2)
 		pr.t.addStepProj(&l, &q2)
-		f.mulByLine(l.at(pr.p))
+		f.mulByLine(l.at(&pr.p))
 	}
 	return f
 }
 
-// PairMulti computes the reduced product Π e(ps[j], qs[j]) with one lockstep
-// Miller pass and one shared final exponentiation. Pairs with an infinity
-// member contribute the identity.
-func PairMulti(ps []*G1, qs []*G2) *GT {
-	return &GT{v: finalExponentiation(MillerLoopMulti(ps, qs))}
-}
+// FinalExp reduces an unreduced Miller value to its GT element.
+func FinalExp(f *Fp12) *GT { return &GT{v: finalExponentiation(f)} }
 
 // ReducesToOne reports whether the final exponentiation of f is the
 // identity. FE is a homomorphism, so FE(f₁) = FE(f₂) ⇔ ReducesToOne(f₁·f₂⁻¹):

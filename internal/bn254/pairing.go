@@ -284,7 +284,7 @@ func finalExponentiation(f *Fp12) *Fp12 {
 // in either slot yields the identity of GT. It is a one-pair wrapper over
 // the lockstep multi-pairing kernel (see multipair.go).
 func Pair(p *G1, q *G2) *GT {
-	return PairMulti([]*G1{p}, []*G2{q})
+	return FinalExp(MillerLoopMulti([]*G1{p}, []*G2{q}))
 }
 
 // PairingCheck reports whether Π e(p_i, q_i) = 1. One lockstep Miller pass

@@ -48,7 +48,10 @@ type BatchOptions struct {
 // shared Fp12 squaring per Miller iteration and one shared final
 // exponentiation — and a one-signer window is its two-pair case. Grouping
 // is on S point equality, never on identity, so a forged S under a known
-// identity forms a group of its own.
+// identity forms a group of its own. A group's S replays its line table
+// under Verify's rule (Verifier.lineTable), so a warm window steps one G2
+// chain, the Q_ID sum's; a table built for a chunk is cached only once the
+// chunk's product is one.
 type BatchVerifier struct {
 	vf      *Verifier
 	weights io.Reader
@@ -129,14 +132,18 @@ func (bv *BatchVerifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error
 
 // window is one batch call's input with its per-signature precomputation:
 // rho[i] is the weight ρᵢ as its halves and k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the weighted
-// fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ.
+// fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ. lines[i], the table of i's
+// S-group (nil: a point pair), is resolved by the first check over i, its
+// chunk's root, and reused by that chunk's bisection: one worker's entries.
 type window struct {
-	vf   *Verifier
-	pks  []*PublicKey
-	msgs [][]byte
-	sigs []*Signature
-	k    []fr.Element
-	rho  []bn254.EndoScalar
+	vf       *Verifier
+	pks      []*PublicKey
+	msgs     [][]byte
+	sigs     []*Signature
+	k        []fr.Element
+	rho      []bn254.EndoScalar
+	lines    []*bn254.G2Lines
+	resolved []bool
 }
 
 // newWindow runs the shape checks and draws the weights for every index: no
@@ -148,7 +155,9 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 	if err != nil {
 		return nil, err
 	}
-	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, len(sigs)), rho: make([]bn254.EndoScalar, len(sigs))}
+	n := len(sigs)
+	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, n), rho: make([]bn254.EndoScalar, n),
+		lines: make([]*bn254.G2Lines, n), resolved: make([]bool, n)}
 	hs := make([]fr.Element, len(sigs))
 	for i, sig := range sigs {
 		if err := checkShape(pks[i], sig); err != nil {
@@ -196,23 +205,40 @@ func batchInverse(out, xs []fr.Element) int {
 // yields exactly the pairwise product for the same weights. A group's point
 // Σρᵢ·Aᵢ = (Σkᵢ)·P - Σρᵢ·Rᵢ is one fixed-base pass and one joint ladder over
 // its R values, and Σ_ID (Σρᵢ)·Q_ID one joint ladder over the identities.
+// A group with a line table is a table pair of the Miller loop, the rest
+// point pairs; tables this check built are cached if its product is one.
 func (w *window) check(idxs []int) *bn254.GT {
 	n := len(idxs)
+	ss, tps, ts := make([]*bn254.G2, 0, n), make([]*bn254.G1, 0, n), make([]*bn254.G2Lines, 0, n)
 	ps, qs := make([]*bn254.G1, 0, n+1), make([]*bn254.G2, 0, n+1)
 	rs, rhos := make([]*bn254.G1, 0, n), make([]bn254.EndoScalar, 0, n)
 	ids, qids, rhoSums := make([]string, 0, n), make([]*bn254.G2, 0, n), make([]bn254.EndoScalar, 0, n)
+	var built []int
 	for _, i := range idxs {
 		// Each S-group and each identity is summed at its first member.
-		if s := w.sigs[i].S; !slices.ContainsFunc(qs, s.Equal) {
+		if s := w.sigs[i].S; !slices.ContainsFunc(ss, s.Equal) {
+			if !w.resolved[i] {
+				_, known := w.vf.rhsCache.Get(w.pks[i].ID)
+				var b bool
+				if w.lines[i], b = w.vf.lineTable(w.pks[i].ID, s, known); b {
+					built = append(built, i)
+				}
+			}
 			var k fr.Element
 			rs, rhos = rs[:0], rhos[:0]
 			for _, j := range idxs {
 				if w.sigs[j].S.Equal(s) {
 					k.Add(&k, &w.k[j])
 					rs, rhos = append(rs, w.sigs[j].R), append(rhos, w.rho[j])
+					w.lines[j], w.resolved[j] = w.lines[i], true
 				}
 			}
-			ps, qs = append(ps, new(bn254.G1).ScalarBaseMultSubEndo(&k, rs, rhos)), append(qs, s)
+			a := new(bn254.G1).ScalarBaseMultSubEndo(&k, rs, rhos)
+			if ss = append(ss, s); w.lines[i] != nil {
+				tps, ts = append(tps, a), append(ts, w.lines[i])
+			} else {
+				ps, qs = append(ps, a), append(qs, s)
+			}
 		}
 		if id := w.pks[i].ID; !slices.Contains(ids, id) {
 			var rho bn254.EndoScalar
@@ -225,7 +251,13 @@ func (w *window) check(idxs []int) *bn254.GT {
 		}
 	}
 	ps, qs = append(ps, w.vf.negPpub), append(qs, new(bn254.G2).MultiScalarMultEndo(qids, rhoSums))
-	return bn254.PairMulti(ps, qs)
+	v := bn254.FinalExp(bn254.MillerLoopMixed(tps, ts, ps, qs))
+	if v.IsOne() {
+		for _, i := range built {
+			w.vf.lineCache.PutIfRoom(w.pks[i].ID, w.lines[i])
+		}
+	}
+	return v
 }
 
 // checkOne is the bisection leaf: the cached-constant Verify, cheaper than

@@ -14,7 +14,7 @@ import (
 )
 
 // multiBatch builds n signatures spread across k distinct signers.
-func multiBatch(t *testing.T, n, k int) (*KGC, *Verifier, []*PublicKey, [][]byte, []*Signature) {
+func multiBatch(t testing.TB, n, k int) (*KGC, *Verifier, []*PublicKey, [][]byte, []*Signature) {
 	t.Helper()
 	rng := fixedRand(90)
 	kgc, err := Setup(rng)
@@ -134,7 +134,7 @@ func (w *window) checkPairwise(idxs []int) *bn254.GT {
 	}
 	ps = append(ps, new(bn254.G1).Neg(params.Ppub))
 	qs = append(qs, qSum)
-	return bn254.PairMulti(ps, qs)
+	return bn254.FinalExp(bn254.MillerLoopMulti(ps, qs))
 }
 
 // pairwiseTrace predicts what a bisection over idxs evaluates, every node
@@ -247,30 +247,186 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 	}
 }
 
-// TestBatchWindowOpCounts pins what folding buys, in the idiom of bn254's
-// TestMillerLoopMultiOpCounts: a clean window costs one Miller pair per
-// distinct S plus the P_pub pair, in one lockstep loop under one final
-// exponentiation.
+// TestBatchWindowOpCounts pins what folding and line tables buy, in the
+// idiom of bn254's TestMillerLoopMultiOpCounts: a clean window costs one
+// Miller pair per distinct S plus the P_pub pair, in one lockstep loop under
+// one final exponentiation, and every pair folds its 88 lines. On a cold
+// verifier every pair steps its G2 chain (65 doubling, 23 addition steps).
+// Once the signers are known and a window has cached their tables, only
+// the Q_ID sum does.
 func TestBatchWindowOpCounts(t *testing.T) {
 	for _, tc := range []struct {
-		signers  int
-		pairings uint64
-	}{{16, 17}, {1, 2}} {
+		signers           int
+		warm              bool
+		pairings, stepped uint64
+	}{{16, false, 17, 17}, {1, false, 2, 2}, {16, true, 17, 1}} {
 		_, vf, pks, msgs, sigs := multiBatch(t, 64, tc.signers)
+		if tc.warm {
+			for i := range tc.signers { // m_ID, then the tables
+				if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
+				t.Fatal(err)
+			}
+		}
 		bv := testBatch(vf, chunkWidth, 1)
 		before := bn254.ReadOpCounts()
-		err := bv.VerifyMulti(pks, msgs, sigs)
+		var err error
 		if tc.signers == 1 {
-			before = bn254.ReadOpCounts()
-			err = testBatch(vf, chunkWidth, 1).VerifySameSigner(pks[0], msgs, sigs)
+			err = bv.VerifySameSigner(pks[0], msgs, sigs)
+		} else {
+			err = bv.VerifyMulti(pks, msgs, sigs)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := bn254.ReadOpCounts().Sub(before)
-		if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != 65 {
-			t.Fatalf("64 signatures / %d signers: %d pairs, %d final exps, %d Miller squarings; want %d, 1, 65",
-				tc.signers, d.Pairings, d.FinalExps, d.MillerSquarings, tc.pairings)
+		if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != 65 ||
+			d.LineDoubles != 65*tc.stepped || d.LineAdds != 23*tc.stepped || d.SparseMuls != 88*tc.pairings {
+			t.Fatalf("64 signatures / %d signers (warm %v): %d pairs, %d final exps, %d Miller squarings, %d doubling and %d addition steps, %d sparse products; want %d, 1, 65, %d, %d, %d",
+				tc.signers, tc.warm, d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, d.SparseMuls,
+				tc.pairings, 65*tc.stepped, 23*tc.stepped, 88*tc.pairings)
+		}
+		// Verify's rule: no table for an identity whose m_ID is not cached.
+		want := 0
+		if tc.warm {
+			want = tc.signers
+		}
+		if vf.lineCache.Len() != want {
+			t.Fatalf("64 signatures / %d signers (warm %v): %d line tables cached, want %d", tc.signers, tc.warm, vf.lineCache.Len(), want)
+		}
+	}
+}
+
+// TestBatchTablesMatchVerify runs windows that mix line-table hits, a forged
+// S under a known identity, a forgery carrying its signer's real S (a valid
+// signature over another message) and a replaced key (a new S for a known
+// identity), at 1, 2 and 8 workers. Chunk c holds signers 2c and 2c+1 only;
+// tab-7 is unknown (no m_ID cached) until a leaf Verify meets it. Offenders
+// must be the indices a fresh verifier's Verify rejects. After each window
+// every cached table must have been cached before it or carry an S of a
+// clean chunk under its identity — a table built in a chunk with an
+// offender is never cached — and an identity known before the window with
+// one S across the clean chunks must hold that S's table, an unknown one
+// none.
+func TestBatchTablesMatchVerify(t *testing.T) {
+	rng := fixedRand(97)
+	kgc, err := Setup(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := kgc.Params()
+	keyPair := func(id string) *PrivateKey {
+		sk, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey(id), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sk
+	}
+	sign := func(sk *PrivateKey, msg []byte) *Signature {
+		sig, err := Sign(params, sk, msg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig
+	}
+	const n, chunk = 32, 8
+	sks := make([]*PrivateKey, 8)
+	for j := range sks {
+		sks[j] = keyPair(fmt.Sprintf("tab-%d", j))
+	}
+	replaced := keyPair("tab-6")
+	forgedS := new(bn254.G2).ScalarMult(bn254.G2Generator(), big.NewInt(1234567))
+	pks, msgs, sigs := make([]*PublicKey, n), make([][]byte, n), make([]*Signature, n)
+	for i := range n {
+		sk := sks[i/chunk*2+i%2]
+		pks[i], msgs[i] = sk.Public(), []byte{byte(i)}
+		sigs[i] = sign(sk, msgs[i])
+	}
+	windows := []struct {
+		name string
+		edit func(p []*PublicKey, m [][]byte, s []*Signature)
+		bad  []int
+		p    []*PublicKey
+		m    [][]byte
+		s    []*Signature
+	}{
+		{name: "forgeries and a replaced key", edit: func(p []*PublicKey, m [][]byte, s []*Signature) {
+			s[10] = &Signature{V: s[10].V, S: forgedS, R: s[10].R}  // tab-2, whose table is cached
+			s[20] = s[22]                                           // tab-4's real S over another message
+			p[24], s[24] = replaced.Public(), sign(replaced, m[24]) // tab-6's new S, in a clean chunk
+		}, bad: []int{10, 20}},
+		{name: "clean", edit: func([]*PublicKey, [][]byte, []*Signature) {}},
+		{name: "a replaced key in a dirty chunk", edit: func(p []*PublicKey, m [][]byte, s []*Signature) {
+			p[26], s[26] = replaced.Public(), sign(replaced, m[26])
+			s[29] = s[31]
+		}, bad: []int{29}},
+	}
+	for k := range windows {
+		w := &windows[k]
+		w.p, w.m, w.s = slices.Clone(pks), slices.Clone(msgs), slices.Clone(sigs)
+		w.edit(w.p, w.m, w.s)
+		fresh := NewVerifier(params)
+		var want []int
+		for i := range w.s {
+			if fresh.Verify(w.p[i], w.m[i], w.s[i]) != nil {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(want, w.bad) {
+			t.Fatalf("%s: a fresh Verify rejects %v, planted %v", w.name, want, w.bad)
+		}
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		vf := NewVerifier(params)
+		sightings := []int{2, 2, 2, 1, 1, 1, 1, 0} // a second one builds the table
+		for j, sk := range sks {
+			sig := sign(sk, msgs[0])
+			for range sightings[j] {
+				if err := vf.Verify(sk.Public(), msgs[0], sig); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, w := range windows {
+			before, known := map[string]*bn254.G2{}, map[string]bool{}
+			for _, sk := range sks {
+				id := sk.Public().ID
+				if l, ok := vf.lineCache.Get(id); ok {
+					before[id] = l.Q()
+				}
+				_, known[id] = vf.rhsCache.Get(id)
+			}
+			err := testBatch(vf, chunk, workers).VerifyMulti(w.p, w.m, w.s)
+			if got := BatchOffenders(err); !slices.Equal(got, w.bad) || (err == nil) != (w.bad == nil) {
+				t.Fatalf("workers=%d %s: offenders %v (%v), want %v", workers, w.name, got, err, w.bad)
+			}
+			clean := map[string][]*bn254.G2{} // the distinct S of each identity's clean-chunk signatures
+			for lo := 0; lo < n; lo += chunk {
+				if slices.ContainsFunc(w.bad, func(i int) bool { return i/chunk == lo/chunk }) {
+					continue
+				}
+				for i := lo; i < lo+chunk; i++ {
+					if id := w.p[i].ID; !slices.ContainsFunc(clean[id], w.s[i].S.Equal) {
+						clean[id] = append(clean[id], w.s[i].S)
+					}
+				}
+			}
+			for _, sk := range sks {
+				id := sk.Public().ID
+				l, ok := vf.lineCache.Get(id)
+				switch {
+				case ok && !known[id]:
+					t.Fatalf("workers=%d %s: unknown %s got a table", workers, w.name, id)
+				case ok && !(before[id] != nil && l.Q().Equal(before[id])) && !slices.ContainsFunc(clean[id], l.Q().Equal):
+					t.Fatalf("workers=%d %s: %s caches a table built in a chunk with an offender", workers, w.name, id)
+				case known[id] && len(clean[id]) == 1 && !(ok && l.Q().Equal(clean[id][0])):
+					t.Fatalf("workers=%d %s: %s's clean S has no cached table", workers, w.name, id)
+				}
+			}
 		}
 	}
 }

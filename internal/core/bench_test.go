@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"mccls/internal/bn254"
+	"mccls/internal/lru"
 )
 
 // End-to-end McCLS benchmarks. They live here rather than in
@@ -92,6 +95,40 @@ func BenchmarkVerifyManySigners(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBatchWindow prices one clean 64-signature window from 16 known
+// signers (every m_ID cached) through VerifyMulti: warm replays the
+// signers' cached line tables, first is the window that builds them (a
+// fresh table cache per iteration).
+func BenchmarkBatchWindow(b *testing.B) {
+	_, vf, pks, msgs, sigs := multiBatch(b, 64, 16)
+	run := func(b *testing.B, vf *Verifier) {
+		if err := vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range 16 {
+		if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("warm", func(b *testing.B) {
+		run(b, vf) // builds and caches the tables
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			run(b, vf)
+		}
+	})
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			first := *vf
+			first.lineCache = lru.New[*bn254.G2Lines](lineCacheCap)
+			run(b, &first)
+		}
+	})
 }
 
 // TestSignVerifyAllocs pins the allocation budget of the two per-packet

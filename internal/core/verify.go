@@ -142,26 +142,11 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	// A = (V/h)·P - R, fused into one fixed-base table pass.
 	var a, negR bn254.G1
 	a.ScalarBaseMultAddFr(&k, negR.Neg(sig.R))
-	// S's Miller loop replays the identity's line table if it was built
-	// from this S. A known identity (m_ID cached) gets a table for a new S,
-	// cached only once a signature under it verifies, so a forged S
-	// displaces none. A first contact runs the plain loop (cheaper than
-	// build + replay), and so does a new identity once the table cache is
-	// full (lineCacheCap).
 	m, known := vf.rhs(pk.ID)
-	l, ok := vf.lineCache.Get(pk.ID)
-	var lines *bn254.G2Lines
-	built := false
-	switch {
-	case ok && l.Q().Equal(sig.S):
-		lines = l
-	case known && (ok || vf.lineCache.Len() < vf.lineCache.Cap()):
-		lines = bn254.NewG2Lines(sig.S) // nil only for an S off the curve
-		built = lines != nil
-	}
+	lines, built := vf.lineTable(pk.ID, sig.S, known)
 	var f *bn254.Fp12
 	if lines != nil {
-		f = bn254.MillerLoopLines(&a, lines)
+		f = bn254.MillerLoopMixed([]*bn254.G1{&a}, []*bn254.G2Lines{lines}, nil, nil)
 	} else {
 		f = bn254.MillerLoopMulti([]*bn254.G1{&a}, []*bn254.G2{sig.S})
 	}
@@ -169,7 +154,25 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 		return ErrVerifyFailed
 	}
 	if built {
-		vf.lineCache.Put(pk.ID, lines)
+		vf.lineCache.PutIfRoom(pk.ID, lines)
 	}
 	return nil
+}
+
+// lineTable is S's one table rule, for Verify and the batch chunk: id's
+// cached table if built from s; else, for a known id (m_ID cached), a new
+// one (built) while the cache holds id or has room; else nil, the plain
+// loop — cheaper than build + replay on a first contact. Callers cache a
+// built table with PutIfRoom once a signature under it verifies, so a forged
+// S displaces none and racing admitters never evict a signer.
+func (vf *Verifier) lineTable(id string, s *bn254.G2, known bool) (lines *bn254.G2Lines, built bool) {
+	l, ok := vf.lineCache.Get(id)
+	switch {
+	case ok && l.Q().Equal(s):
+		return l, false
+	case known && (ok || vf.lineCache.Len() < vf.lineCache.Cap()):
+		lines = bn254.NewG2Lines(s) // nil only for an S off the curve
+		return lines, lines != nil
+	}
+	return nil, false
 }

@@ -9,6 +9,7 @@ import (
 	"mccls/internal/bn254"
 	"mccls/internal/bn254/fp"
 	"mccls/internal/bn254/fr"
+	"mccls/internal/lru"
 )
 
 // verifyOps returns the pairing-layer operations one Verify call performs.
@@ -285,10 +286,72 @@ func TestVerifierLineTableBound(t *testing.T) {
 			continue
 		}
 		before := bn254.ReadOpCounts()
-		bn254.MillerLoopLines(g, lines)
+		bn254.MillerLoopMixed([]*bn254.G1{g}, []*bn254.G2Lines{lines}, nil, nil)
 		if d := bn254.ReadOpCounts().Sub(before); d.SparseMuls != 88 {
 			t.Fatalf("%s: table of %d lines, want 88", id, d.SparseMuls)
 		}
+	}
+}
+
+// TestLineTableAdmissionRace: a four-slot table cache holding three signers'
+// tables, and six more known identities verified at once, each a new table
+// to admit. The room check and the insert are one critical section
+// (lru.PutIfRoom), so exactly one of the six is cached and the three signers
+// keep theirs.
+func TestLineTableAdmissionRace(t *testing.T) {
+	rng := fixedRand(98)
+	kgc, err := Setup(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := kgc.Params()
+	vf := NewVerifier(params)
+	vf.lineCache = lru.New[*bn254.G2Lines](4)
+	msg := []byte("RREQ from a racing signer")
+	pks, sigs := make([]*PublicKey, 9), make([]*Signature, 9)
+	for i := range pks {
+		sk, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey(fmt.Sprintf("race-%d", i)), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sigs[i], err = Sign(params, sk, msg, rng); err != nil {
+			t.Fatal(err)
+		}
+		pks[i] = sk.Public()
+		vf.rhs(pks[i].ID) // known, so a verified S is admitted
+	}
+	verify := func(i int) {
+		if err := vf.Verify(pks[i], msg, sigs[i]); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := range 3 {
+		verify(i)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 3; i < len(pks); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			verify(i)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	admitted := 0
+	for i, pk := range pks {
+		lines, ok := vf.lineCache.Get(pk.ID)
+		if ok && !lines.Q().Equal(sigs[i].S) || i < 3 && !ok {
+			t.Fatalf("%s: table cached %v, or for another S", pk.ID, ok)
+		}
+		if ok && i >= 3 {
+			admitted++
+		}
+	}
+	if admitted != 1 || vf.lineCache.Len() != 4 {
+		t.Fatalf("%d racing identities admitted, %d tables; want 1 and 4", admitted, vf.lineCache.Len())
 	}
 }
 

@@ -47,16 +47,28 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 
 // Put inserts or replaces the value for key, evicting the least recently
 // used entry when over capacity.
-func (c *Cache[V]) Put(key string, val V) {
+func (c *Cache[V]) Put(key string, val V) { c.put(key, val, true) }
+
+// PutIfRoom is Put that never evicts: it stores val when key is present or
+// the cache is below capacity, and reports whether it did. The room check
+// and the insert are one critical section, so concurrent callers at one
+// free slot admit exactly one new key.
+func (c *Cache[V]) PutIfRoom(key string, val V) bool { return c.put(key, val, false) }
+
+func (c *Cache[V]) put(key string, val V, evict bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*entry[V]).val = val
 		c.ll.MoveToFront(el)
-		return
+		return true
+	}
+	if !evict && c.ll.Len() >= c.max {
+		return false
 	}
 	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: val})
 	c.evict()
+	return true
 }
 
 // GetOrCreate returns the value for key, inserting newV() under the lock

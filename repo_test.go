@@ -29,7 +29,7 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 13986
+const maxNonTestLines = 14045
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
@@ -73,7 +73,9 @@ var mathBigFiles = map[string]bool{
 // and loss) with the schedule that carried them, the scenario's event
 // budget and the test-only delivery hooks, and kgcd's two circuit breakers
 // with the below-quorum precheck and the Retry-After hint that served them,
-// and the drill's identity pool that kept its traffic in the cache.
+// the drill's identity pool that kept its traffic in the cache, and the
+// single-table replay and reduced multi-pairing that MillerLoopMixed and
+// FinalExp replaced.
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -91,6 +93,7 @@ var deletedNames = []string{
 	"SetFaults", "linkFaulted", "lossAt", "MaxEvents", "OnDeliver",
 	"ErrCircuitOpen", "BreakerState", "newBreaker", "admissibleReplicas", "retryAfterSeconds",
 	"parseRetryAfter", "RetryAfter", "chaosIDs",
+	"MillerLoopLines", "PairMulti",
 }
 
 // deletedDirs are the packages and commands that went with them.
