@@ -11,7 +11,7 @@
 // Usage:
 //
 //	manetsim -fig 1                     # one figure
-//	manetsim -all                       # all five + DSR + resilience + city
+//	manetsim -all                       # all five + DSR + resilience + city, each at its own scale
 //	manetsim -fig 5 -csv                # machine-readable output
 //	manetsim -fig 3 -duration 900s -repeats 5 -seed 42
 //	manetsim -fig 7 -churn 0,2,4        # churn sweep, custom x-axis
@@ -57,14 +57,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	table := fs.Int("table", 0, "table to regenerate (1 = the CLS scheme comparison) instead of a figure")
 	iters := fs.Int("iters", 10, "sign/verify iterations per scheme (-table 1)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	duration := fs.Duration("duration", 300*time.Second, "simulated time per run")
+	duration := fs.Duration("duration", 0, "simulated time per run (0 = the figure's own: 300s, 900s for figures 7-8)")
 	repeats := fs.Int("repeats", 3, "seeds averaged per sweep point")
 	seed := fs.Int64("seed", 1, "base RNG seed")
-	speeds := fs.String("speeds", "1,5,10,15,20", "comma-separated node speeds (m/s)")
-	churn := fs.String("churn", "0,1,2,3,4", "comma-separated crash/restart event counts (figures 7-8)")
-	nodes := fs.Int("nodes", 20, "number of nodes")
-	cityNodes := fs.String("citynodes", "100,200,500", "comma-separated node counts swept by the city-scale figures 9-10")
-	flows := fs.Int("flows", 10, "CBR flows")
+	speeds := fs.String("speeds", "", "comma-separated node speeds in m/s (empty = 1,5,10,15,20)")
+	churn := fs.String("churn", "", "comma-separated crash/restart event counts of figures 7-8 (empty = 0,1,2,3,4)")
+	nodes := fs.Int("nodes", 0, "number of nodes (0 = 20)")
+	cityNodes := fs.String("citynodes", "", "comma-separated node counts swept by the city-scale figures 9-10 (empty = 100,200,500)")
+	flows := fs.Int("flows", 0, "CBR flows (0 = 10)")
 	parallel := fs.Int("parallel", 0, "trial worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	timeout := fs.Duration("timeout", 0, "per-trial wall-clock deadline (0 = none)")
 	progress := fs.Bool("progress", false, "print one line per finished trial to stderr")
@@ -79,20 +79,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("pass -fig 1..%d or -all", len(manet.Figures))
 	}
-	if *nodes < 2 {
+	if *nodes < 0 || *nodes == 1 {
 		return fmt.Errorf("-nodes %d: need at least 2 nodes", *nodes)
 	}
-	if *flows < 1 {
+	if *flows < 0 {
 		return fmt.Errorf("-flows %d: need at least 1 flow", *flows)
 	}
 	if *repeats < 1 {
 		return fmt.Errorf("-repeats %d: need at least 1 seed per point", *repeats)
 	}
-	if *duration <= 0 {
+	if *duration < 0 {
 		return fmt.Errorf("-duration %v: need a positive simulated time", *duration)
 	}
 	// One parsed axis per family, keyed by the family's name in the figure
-	// table; integer axes reject fractions at the flag.
+	// table; integer axes reject fractions at the flag, and an empty one
+	// leaves the figure its own.
 	axes := map[string][]float64{}
 	var err error
 	if axes["v"], err = parseList(*speeds, "speed", 0, parseFloat); err != nil {
@@ -107,8 +108,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// The table footer's trial count comes off the progress stream, which
 	// also powers the optional -progress trace. The base scenario is shared
-	// by every figure; -nodes does not reach figures 9-10, whose axis is the
-	// node count.
+	// by every figure, and its zero fields are each figure's own; -nodes
+	// does not reach figures 9-10, whose axis is the node count.
 	trials := 0
 	cfg := manet.SweepConfig{
 		Base:         manet.Scenario{Duration: *duration, Nodes: *nodes, Flows: *flows},
@@ -147,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("figure %d: no flag feeds axis family %q", n, spec.Axis.Name)
 		}
 		start := time.Now()
-		figure, err := manet.RunFigure(spec.ID, cfg)
+		figure, err := runFigure(spec.ID, cfg)
 		if err != nil {
 			return fmt.Errorf("figure %d: %w", n, err)
 		}
@@ -163,12 +164,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
+// runFigure is manet.RunFigure; tests swap it to see the sweep a flag set
+// builds without running it.
+var runFigure = manet.RunFigure
+
 // parseList parses a comma-separated axis flag (-speeds, -churn, -citynodes)
 // into distinct numbers strictly greater than `above`: a speed must be
 // positive, a node count at least 2 to form a network, and a churn count may
 // be zero (the fault-free baseline anchors that sweep). A duplicate would
-// silently double-count a sweep point.
+// silently double-count a sweep point. The empty string is the nil axis.
 func parseList[T int | float64](s, what string, above T, parse func(string) (T, error)) ([]T, error) {
+	if s == "" {
+		return nil, nil
+	}
 	var out []T
 	seen := map[T]bool{}
 	for _, part := range strings.Split(s, ",") {
@@ -193,7 +201,7 @@ func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 // parseInts is parseList for an integer axis, widened to the sweep's float64.
 func parseInts(s, what string, above int) ([]float64, error) {
 	ints, err := parseList(s, what, above, strconv.Atoi)
-	if err != nil {
+	if err != nil || ints == nil {
 		return nil, err
 	}
 	out := make([]float64, len(ints))

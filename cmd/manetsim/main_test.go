@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,14 +55,14 @@ func TestRunRequiresFigureSelection(t *testing.T) {
 	if err := run([]string{"-fig", "7", "-churn", "0,-1"}, new(strings.Builder), new(strings.Builder)); err == nil {
 		t.Fatal("negative churn accepted")
 	}
-	if err := run([]string{"-fig", "1", "-nodes", "0"}, new(strings.Builder), new(strings.Builder)); err == nil {
-		t.Fatal("non-positive -nodes accepted")
+	if err := run([]string{"-fig", "1", "-nodes", "1"}, new(strings.Builder), new(strings.Builder)); err == nil {
+		t.Fatal("one-node -nodes accepted")
 	}
 	if err := run([]string{"-fig", "1", "-nodes", "-20"}, new(strings.Builder), new(strings.Builder)); err == nil {
 		t.Fatal("negative -nodes accepted")
 	}
-	if err := run([]string{"-fig", "1", "-flows", "0"}, new(strings.Builder), new(strings.Builder)); err == nil {
-		t.Fatal("non-positive -flows accepted")
+	if err := run([]string{"-fig", "1", "-flows", "-1"}, new(strings.Builder), new(strings.Builder)); err == nil {
+		t.Fatal("negative -flows accepted")
 	}
 	if err := run([]string{"-fig", "1", "-repeats", "-1", "-speeds", "5", "-duration", "5s"}, new(strings.Builder), new(strings.Builder)); err == nil {
 		t.Fatal("negative -repeats accepted")
@@ -71,6 +72,28 @@ func TestRunRequiresFigureSelection(t *testing.T) {
 	}
 	if err := run([]string{"-fig", "9", "-citynodes", "1,50"}, new(strings.Builder), new(strings.Builder)); err == nil {
 		t.Fatal("sub-minimum city node count accepted")
+	}
+}
+
+// TestRunDefaultsAreTheFigures pins that a run with none of -duration,
+// -speeds, -churn, -citynodes, -nodes or -flows hands every figure the zero
+// SweepConfig Base and Axis, so each runs at its own scale (300 s, 900 s for
+// figures 7-8) — the scale its checked-in CSV was generated at.
+func TestRunDefaultsAreTheFigures(t *testing.T) {
+	defer func(f func(string, manet.SweepConfig) (manet.Figure, error)) { runFigure = f }(runFigure)
+	var ids []string
+	runFigure = func(id string, cfg manet.SweepConfig) (manet.Figure, error) {
+		ids = append(ids, id)
+		if !reflect.ValueOf(cfg.Base).IsZero() || cfg.Axis != nil {
+			t.Errorf("%s: Base %+v, Axis %v; want both zero", id, cfg.Base, cfg.Axis)
+		}
+		return manet.Figure{ID: id}, nil
+	}
+	if err := run([]string{"-all", "-csv"}, new(strings.Builder), new(strings.Builder)); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != len(manet.Figures) {
+		t.Fatalf("ran %v, want all %d figures", ids, len(manet.Figures))
 	}
 }
 

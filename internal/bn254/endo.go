@@ -42,24 +42,15 @@ func (e *EndoScalar) Fr() (z fr.Element) {
 // build, all on the stack; longer inputs run slice by slice.
 const jointSlice = 8
 
-// endoLadder walks the joint width-5 wNAF doubling chain of a slice: double
-// once per digit position from the top, add(r, d) for each nonzero digit d
-// of row r — row i recodes wsᵢ.A and row len(ws)+i recodes wsᵢ.B, the order
-// of the OddMultiples tables. A half has 128 bits and the recoding's carry.
-func endoLadder(ws []EndoScalar, double func(), add func(r int, d int8)) {
-	var rows [2 * jointSlice][130]int8
+// endoRows is glvRows for scalars born split: it recodes the halves as they
+// are, wsᵢ = rows[i] + rows[len(ws)+i]·λ.
+func endoRows(buf *[2 * jointSlice][halfDigits]int8, ws []EndoScalar) (rows [2 * jointSlice][]int8) {
 	for i, w := range ws {
-		wnafDigits(rows[i][:0], [4]uint64{w.A[0], w.A[1]}, wnafWindow)
-		wnafDigits(rows[len(ws)+i][:0], [4]uint64{w.B[0], w.B[1]}, wnafWindow)
+		j := len(ws) + i
+		rows[i] = wnafDigits(buf[i][:0], [4]uint64{w.A[0], w.A[1]}, wnafWindow)
+		rows[j] = wnafDigits(buf[j][:0], [4]uint64{w.B[0], w.B[1]}, wnafWindow)
 	}
-	for pos := len(rows[0]) - 1; pos >= 0; pos-- {
-		double()
-		for r := range 2 * len(ws) {
-			if d := rows[r][pos]; d != 0 {
-				add(r, d)
-			}
-		}
-	}
+	return rows
 }
 
 // ScalarBaseMultSubEndo sets z = k·G − Σ (wsᵢ.A + wsᵢ.B·λ)·ptsᵢ: per slice
@@ -73,11 +64,9 @@ func (z *G1) ScalarBaseMultSubEndo(k *fr.Element, pts []*G1, ws []EndoScalar) *G
 	sum.setInfinity()
 	for len(pts) > 0 {
 		n := min(len(pts), jointSlice)
-		var tab [2 * jointSlice * wnafTableSize]G1
-		g1OddMultiples(tab[:2*n*wnafTableSize], pts[:n])
-		var acc g1Jac
-		acc.setInfinity()
-		endoLadder(ws[:n], acc.double, func(r int, d int8) { acc.addDigit(tab[r*wnafTableSize:], d) })
+		var buf [2 * jointSlice][halfDigits]int8
+		rows := endoRows(&buf, ws[:n])
+		acc := g1Joint(pts[:n], rows[:2*n])
 		if !sum.isInfinity() { // past one slice: one more inversion per slice
 			acc.addMixed(sum.affine(new(G1)))
 		}
@@ -97,11 +86,9 @@ func (z *G2) MultiScalarMultEndo(pts []*G2, ws []EndoScalar) *G2 {
 	sum.setInfinity()
 	for len(pts) > 0 {
 		n := min(len(pts), jointSlice)
-		var tab [2 * jointSlice * wnafTableSize]G2
-		g2OddMultiples(tab[:2*n*wnafTableSize], pts[:n])
-		var acc g2Jac
-		acc.setInfinity()
-		endoLadder(ws[:n], acc.double, func(r int, d int8) { acc.addDigit(tab[r*wnafTableSize:], d) })
+		var buf [2 * jointSlice][halfDigits]int8
+		rows := endoRows(&buf, ws[:n])
+		acc := g2Joint(pts[:n], rows[:2*n])
 		sum.add(&acc)
 		pts, ws = pts[n:], ws[n:]
 	}

@@ -62,6 +62,12 @@ func endoSeeds(f *testing.F) {
 		nine = append(nine, [3]uint64{10 + i, max64 - i, i * i * 0x9e3779b97f4a7c15})
 	}
 	f.Add(endoCase(nine...), uint64(6)) // one point past a slice
+	// For MultiScalarMultFr, whose scalars FuzzG2JointEndoVsNaive negates
+	// by the bits of its second argument: r−1, zero and r−1 on the
+	// identity; k·P − k·P on a repeated point; signs across a slice.
+	f.Add(endoCase([3]uint64{1, 1, 0}, [3]uint64{2, 0, 0}, [3]uint64{0, 1, 0}), uint64(0b101))
+	f.Add(endoCase([3]uint64{6, 11, 13}, [3]uint64{6, 11, 13}), uint64(0b10))
+	f.Add(endoCase(nine...), uint64(0x155))
 }
 
 // FuzzG1JointEndoVsNaive drives the joint endomorphism ladder, alone
@@ -91,19 +97,32 @@ func FuzzG1JointEndoVsNaive(f *testing.F) {
 	})
 }
 
-// FuzzG2JointEndoVsNaive is the G2 counterpart, on subgroup points.
+// FuzzG2JointEndoVsNaive is the G2 counterpart, on subgroup points, with
+// MultiScalarMultFr as a second arm on the same points: scalar i is
+// wsᵢ.Fr(), negated when bit i of neg is set.
 func FuzzG2JointEndoVsNaive(f *testing.F) {
 	endoSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte, _ uint64) {
+	f.Fuzz(func(t *testing.T, data []byte, neg uint64) {
 		ws, ks, mults := endoParse(data)
-		want := G2Infinity()
+		want, wantFr := G2Infinity(), G2Infinity()
 		var pts []*G2
+		var frs []fr.Element
 		for i, m := range mults {
 			pts = append(pts, g2ScalarMultJac(g2Gen, new(big.Int).Mod(big.NewInt(m), Order)))
 			want.Add(want, g2ScalarMultJac(pts[i], ks[i]))
+			k, kBig := ws[i].Fr(), new(big.Int).Set(ks[i])
+			if neg>>i&1 == 1 {
+				k.Neg(&k)
+				kBig.Sub(Order, kBig).Mod(kBig, Order)
+			}
+			frs = append(frs, k)
+			wantFr.Add(wantFr, g2ScalarMultJac(pts[i], kBig))
 		}
 		if got := new(G2).MultiScalarMultEndo(pts, ws); !got.Equal(want) {
 			t.Fatalf("joint ladder diverges on %d points: got %v want %v", len(pts), got, want)
+		}
+		if got := new(G2).MultiScalarMultFr(pts, frs); !got.Equal(wantFr) {
+			t.Fatalf("MultiScalarMultFr diverges on %d points (neg %#x): got %v want %v", len(pts), neg, got, wantFr)
 		}
 	})
 }

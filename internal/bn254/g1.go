@@ -130,20 +130,20 @@ func (z *G1) Double(a *G1) *G1 {
 // (see glv.go), k reduced modulo r first (the split keeps -k as short as k).
 //
 // With Montgomery-form arithmetic a field inversion costs about a hundred
-// multiplications, so the affine ladder that was competitive on math/big
-// (one inversion per step ≈ one generic reduction) is no longer; the
-// Jacobian path defers to a single inversion at the end, and the GLV split
-// halves its doubling count again. The plain Jacobian ladder survives as
-// the differential oracle (g1ScalarMultJac, TestG1GLVMatchesJacobian), the
-// affine one in oracle_test.go (TestJacobianMatchesAffine); see DESIGN.md
-// §5–6.
+// multiplications, so the ladder runs in Jacobian coordinates under a
+// single inversion at the end, and the GLV split halves its doubling count.
+// The plain Jacobian and affine ladders are the differential oracles in
+// oracle_test.go (TestG1GLVMatchesJacobian, TestJacobianMatchesAffine); see
+// DESIGN.md §5–6.
 func (z *G1) ScalarMult(a *G1, k *big.Int) *G1 { return z.ScalarMultFr(a, frFromBig(k)) }
 
 // ScalarMultFr is ScalarMult for a limb-typed scalar: the implementation.
 func (z *G1) ScalarMultFr(a *G1, k *fr.Element) *G1 {
 	opCounters.g1Mults.Add(1)
-	limbs := k.Limbs()
-	return g1ScalarMultGLV(z, a, &limbs)
+	var buf [2 * jointSlice][halfDigits]int8
+	rows := glvRows(&buf, []fr.Element{*k})
+	acc := g1Joint([]*G1{a}, rows[:2])
+	return acc.affine(z)
 }
 
 // ScalarBaseMult sets z = k·G where G is the canonical generator, using the

@@ -85,7 +85,11 @@ func (z *G2) IsInSubgroup() bool {
 	if z.Inf {
 		return true
 	}
-	sum := g2JointWNAF(uNAF, []G2{*z}, nil, nil) // [u]Q: a NAF is a width-2 wNAF
+	// [u]Q: the digits of a NAF are ±1, so Q alone is the table.
+	q := [1]G2{*z}
+	var sum g2Jac
+	sum.setInfinity()
+	walkWNAF([][]int8{uNAF}, sum.double, func(_ int, d int8) { sum.addDigit(q[:], d) })
 	t := sum
 	sum.addMixed(z)
 	t.frobeniusTwist()
@@ -163,11 +167,30 @@ func (z *G2) Double(a *G2) *G2 {
 // derived point, never a raw point of the twist.
 func (z *G2) ScalarMult(a *G2, k *big.Int) *G2 { return z.ScalarMultFr(a, frFromBig(k)) }
 
-// ScalarMultFr is ScalarMult for a limb-typed scalar: the implementation.
+// ScalarMultFr is ScalarMult for a limb-typed scalar: MultiScalarMultFr's
+// one-point case.
 func (z *G2) ScalarMultFr(a *G2, k *fr.Element) *G2 {
-	opCounters.g2Mults.Add(1)
-	limbs := k.Limbs()
-	return g2ScalarMultGLV(z, a, &limbs)
+	return z.MultiScalarMultFr([]*G2{a}, []fr.Element{*k})
+}
+
+// MultiScalarMultFr sets z = Σ ksᵢ·ptsᵢ for points of the order-r subgroup
+// (decoded, hashed or derived, as for ScalarMult): per slice of jointSlice
+// points the GLV rows of every scalar, one table build and one walk whose
+// doublings all points share, then one normalization. Points may repeat,
+// cancel or be the identity. It counts one G2 multiplication per point.
+func (z *G2) MultiScalarMultFr(pts []*G2, ks []fr.Element) *G2 {
+	opCounters.g2Mults.Add(uint64(len(pts)))
+	var sum g2Jac
+	sum.setInfinity()
+	for len(pts) > 0 {
+		n := min(len(pts), jointSlice)
+		var buf [2 * jointSlice][halfDigits]int8
+		rows := glvRows(&buf, ks[:n])
+		acc := g2Joint(pts[:n], rows[:2*n])
+		sum.add(&acc)
+		pts, ks = pts[n:], ks[n:]
+	}
+	return sum.affine(z)
 }
 
 // g2MarshalledSize is the byte length of a marshalled G2 point.
@@ -219,7 +242,7 @@ func (z *G2) Unmarshal(data []byte) error {
 // ladder yields the same point as the 254-bit one. The result lands in z.
 func clearCofactor(z, q *G2) *G2 {
 	opCounters.g2Mults.Add(1)
-	acc := g2JacMultWNAF(q, sixUSquaredWNAF)
+	acc := g2Joint([]*G2{q}, [][]int8{sixUSquaredWNAF}) // one row: no φ off the subgroup
 	t := acc
 	t.frobeniusTwist()
 	acc.add(&t)

@@ -24,8 +24,12 @@ import (
 // roots) is resolved empirically: φ must act as λ, not λ².
 //
 // The twist has j-invariant 0 too: with glvBetaG2 the same map acts on G2 as
-// λ and G2 shares glvSplit. Outside the subgroup φ is no scalar, so
-// g2ScalarMultGLV is for subgroup points only, g2JacMultWNAF for the rest.
+// λ and G2 shares glvSplit. Outside the subgroup φ is no scalar, so a raw
+// twist point gets one row and no φ table (clearCofactor).
+//
+// Every variable-base multiplication on either group is one walkWNAF over
+// rows from one of two recoders — glvRows for a full-width fr.Element,
+// endoRows for an EndoScalar born split — through g1Joint or g2Joint.
 
 var (
 	// glvBeta is the cube root of unity in Fp with φ(P) = λ·P for glvLambda.
@@ -70,14 +74,16 @@ func init() {
 	glvBeta.SetBigInt(cubeRootOfUnity(P))
 	glvLambda = cubeRootOfUnity(Order)
 	// Two candidate eigenvalues: λ and λ² = -1-λ. Pick the one matching
-	// φ(G) = (β·x, y) on the generator, checked with the plain ladder.
+	// φ(G) = (β·x, y) on the generator, checked by a one-row walk, which
+	// builds no φ table.
 	g := G1Generator()
 	phi := &G1{Y: g.Y}
 	phi.X.Mul(&g.X, &glvBeta)
-	if !g1ScalarMultJac(g, glvLambda).Equal(phi) {
+	lambdaRows := func() [][]int8 { return [][]int8{wnafDigits(nil, scalarLimbs(glvLambda), wnafWindow)} }
+	if lg := g1Joint([]*G1{g}, lambdaRows()); !phi.Equal(lg.affine(new(G1))) {
 		glvLambda.Sub(Order, glvLambda)
 		glvLambda.Sub(glvLambda, big.NewInt(1))
-		if !g1ScalarMultJac(g, glvLambda).Equal(phi) {
+		if lg := g1Joint([]*G1{g}, lambdaRows()); !phi.Equal(lg.affine(new(G1))) {
 			panic("bn254: no eigenvalue matches the GLV endomorphism")
 		}
 	}
@@ -97,7 +103,7 @@ func init() {
 	glvBetaG2.Square(&glvBeta)
 	phiQ := &G2{Y: g2Gen.Y}
 	phiQ.X.MulScalar(&g2Gen.X, &glvBetaG2)
-	if lq := g2JacMultWNAF(g2Gen, wnafDigits(nil, scalarLimbs(glvLambda), wnafWindow)); !phiQ.Equal(lq.affine(new(G2))) {
+	if lq := g2Joint([]*G2{g2Gen}, lambdaRows()); !phiQ.Equal(lq.affine(new(G2))) {
 		panic("bn254: β² does not act as the GLV eigenvalue on G2")
 	}
 }
@@ -179,6 +185,28 @@ func absLimbs(z *[4]uint64) (neg bool) {
 	return mask != 0
 }
 
+// glvRows recodes at most jointSlice scalars into buf in the row order of
+// g1Joint/g2Joint: the GLV halves of ksᵢ, ksᵢ ≡ rows[i] + rows[len(ks)+i]·λ
+// (mod r), a negative half's digits negated so that the tables stay those
+// of P and φ(P). The rows come back by value: stored through a pointer they
+// would move buf to the heap.
+func glvRows(buf *[2 * jointSlice][halfDigits]int8, ks []fr.Element) (rows [2 * jointSlice][]int8) {
+	for i := range ks {
+		limbs := ks[i].Limbs()
+		k1, k2, neg1, neg2 := glvSplit(&limbs)
+		halves, negs := [2][4]uint64{k1, k2}, [2]bool{neg1, neg2}
+		for h, r := range [2]int{i, len(ks) + i} {
+			rows[r] = wnafDigits(buf[r][:0], halves[h], wnafWindow)
+			if negs[h] {
+				for x := range rows[r] {
+					rows[r][x] = -rows[r][x]
+				}
+			}
+		}
+	}
+	return rows
+}
+
 // g1OddMultiples fills row i of tab (wnafTableSize entries) with
 // [Pᵢ, 3Pᵢ, 5Pᵢ, …] in affine coordinates for each of at most jointSlice
 // points, by Jacobian additions and two batched normalizations: of the
@@ -209,12 +237,9 @@ func g1OddMultiples(tab []G1, pts []*G1) {
 	}
 }
 
-// addDigit adds the multiple a wNAF digit d selects from the odd-multiples
-// table tab (entry i holds (2i+1)·P) to j.
+// addDigit adds the multiple a nonzero wNAF digit d selects from the
+// odd-multiples table tab (entry i holds (2i+1)·P) to j.
 func (j *g1Jac) addDigit(tab []G1, d int8) {
-	if d == 0 {
-		return
-	}
 	pt := tab[(max(d, -d)-1)/2]
 	if pt.Inf {
 		return
@@ -225,39 +250,16 @@ func (j *g1Jac) addDigit(tab []G1, d int8) {
 	j.addMixed(&pt)
 }
 
-// g1ScalarMultGLV sets z = k·a for k ∈ [0, r) (plain limbs) via GLV
-// decomposition and a joint width-5 wNAF ladder over the odd-multiple
-// tables of a and φ(a), each negated up front when its half-scalar is.
-func g1ScalarMultGLV(z, a *G1, k *[4]uint64) *G1 {
-	if a.Inf || *k == [4]uint64{} {
-		return z.Set(G1Infinity())
-	}
-	k1, k2, neg1, neg2 := glvSplit(k)
-	var tabs [2 * wnafTableSize]G1
-	g1OddMultiples(tabs[:], []*G1{a})
-	tab, tabPhi := tabs[:wnafTableSize], tabs[wnafTableSize:]
-	for i := range tab {
-		if neg1 {
-			tab[i].Neg(&tab[i])
-		}
-		if neg2 {
-			tabPhi[i].Neg(&tabPhi[i])
-		}
-	}
-	var b1, b2 [wnafMaxDigits]int8
-	d1, d2 := wnafDigits(b1[:0], k1, wnafWindow), wnafDigits(b2[:0], k2, wnafWindow)
+// g1Joint returns the Jacobian sum the rows select for at most jointSlice
+// points: row i holds the digits of pts[i] and, with two rows per point,
+// row len(pts)+i those of φ(pts[i]). One table build, one walk.
+func g1Joint(pts []*G1, rows [][]int8) g1Jac {
+	var tab [2 * jointSlice * wnafTableSize]G1
+	g1OddMultiples(tab[:len(rows)*wnafTableSize], pts)
 	var acc g1Jac
 	acc.setInfinity()
-	for i := max(len(d1), len(d2)) - 1; i >= 0; i-- {
-		acc.double()
-		if i < len(d1) {
-			acc.addDigit(tab, d1[i])
-		}
-		if i < len(d2) {
-			acc.addDigit(tabPhi, d2[i])
-		}
-	}
-	return acc.affine(z)
+	walkWNAF(rows, acc.double, func(r int, d int8) { acc.addDigit(tab[r*wnafTableSize:], d) })
+	return acc
 }
 
 // g2OddMultiples is the G2 counterpart of g1OddMultiples.
@@ -286,12 +288,8 @@ func g2OddMultiples(tab []G2, pts []*G2) {
 	}
 }
 
-// addDigit adds the multiple a wNAF digit d selects from the odd-multiples
-// table tab (entry i holds (2i+1)·P) to j.
+// addDigit is the G2 counterpart of g1Jac.addDigit.
 func (j *g2Jac) addDigit(tab []G2, d int8) {
-	if d == 0 {
-		return
-	}
 	pt := tab[(max(d, -d)-1)/2]
 	if pt.Inf {
 		return
@@ -302,54 +300,13 @@ func (j *g2Jac) addDigit(tab []G2, d int8) {
 	j.addMixed(&pt)
 }
 
-// g2JointWNAF runs one doubling chain over two wNAF digit strings, each with
-// its own odd-multiples table: Σ d1ᵢ2ⁱ·P1 + Σ d2ᵢ2ⁱ·P2. d2 may be empty.
-func g2JointWNAF(d1 []int8, tab1 []G2, d2 []int8, tab2 []G2) (acc g2Jac) {
+// g2Joint is the G2 counterpart of g1Joint. φ is a scalar only on the
+// order-r subgroup, so a raw twist point takes one row.
+func g2Joint(pts []*G2, rows [][]int8) g2Jac {
+	var tab [2 * jointSlice * wnafTableSize]G2
+	g2OddMultiples(tab[:len(rows)*wnafTableSize], pts)
+	var acc g2Jac
 	acc.setInfinity()
-	for i := max(len(d1), len(d2)) - 1; i >= 0; i-- {
-		acc.double()
-		if i < len(d1) {
-			acc.addDigit(tab1, d1[i])
-		}
-		if i < len(d2) {
-			acc.addDigit(tab2, d2[i])
-		}
-	}
+	walkWNAF(rows, acc.double, func(r int, d int8) { acc.addDigit(tab[r*wnafTableSize:], d) })
 	return acc
-}
-
-// g2JacMultWNAF computes k·a for any point a of the twist and the width-5
-// wNAF digits of any non-negative k, neither reduced nor assumed in the
-// order-r subgroup (the cofactor clearing passes raw hash-to-curve
-// points): ~k/6 additions instead of ~k/2. The result stays Jacobian so
-// callers can keep adding.
-func g2JacMultWNAF(a *G2, digits []int8) g2Jac {
-	var tab [wnafTableSize]G2
-	g2OddMultiples(tab[:], []*G2{a})
-	return g2JointWNAF(digits, tab[:], nil, nil)
-}
-
-// g2ScalarMultGLV sets z = k·a for a in the order-r subgroup and
-// k ∈ [0, r) (plain limbs) via the GLV decomposition and a joint wNAF
-// ladder over the odd-multiple tables of a and φ(a), each negated up front
-// when its half-scalar is.
-func g2ScalarMultGLV(z, a *G2, k *[4]uint64) *G2 {
-	if a.Inf || *k == [4]uint64{} {
-		return z.Set(G2Infinity())
-	}
-	k1, k2, neg1, neg2 := glvSplit(k)
-	var tabs [2 * wnafTableSize]G2
-	g2OddMultiples(tabs[:], []*G2{a})
-	tab, tabPhi := tabs[:wnafTableSize], tabs[wnafTableSize:]
-	for i := range tab {
-		if neg1 {
-			tab[i].Neg(&tab[i])
-		}
-		if neg2 {
-			tabPhi[i].Neg(&tabPhi[i])
-		}
-	}
-	var b1, b2 [wnafMaxDigits]int8
-	acc := g2JointWNAF(wnafDigits(b1[:0], k1, wnafWindow), tab, wnafDigits(b2[:0], k2, wnafWindow), tabPhi)
-	return acc.affine(z)
 }

@@ -36,11 +36,8 @@ func glvSplitBig(k *big.Int) (k1, k2 *big.Int) {
 	return signed(a1, neg1), signed(a2, neg2)
 }
 
-// g1MultGLV runs the GLV ladder on a reduced big.Int scalar.
-func g1MultGLV(a *G1, k *big.Int) *G1 {
-	limbs := scalarLimbs(k)
-	return g1ScalarMultGLV(new(G1), a, &limbs)
-}
+// g1MultGLV runs the GLV rows through the joint engine on a big.Int scalar.
+func g1MultGLV(a *G1, k *big.Int) *G1 { return new(G1).ScalarMultFr(a, frFromBig(k)) }
 
 // TestGLVSplitBounds checks that the Babai decomposition really produces
 // half-length sub-scalars (|k1|, |k2| < 2^130 — the theoretical bound is

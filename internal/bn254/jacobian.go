@@ -1,10 +1,6 @@
 package bn254
 
-import (
-	"math/big"
-
-	"mccls/internal/bn254/fp"
-)
+import "mccls/internal/bn254/fp"
 
 // Jacobian-coordinate scalar multiplication for G1 and G2. A point (X, Y, Z)
 // represents the affine point (X/Z², Y/Z³); doubling and addition avoid the
@@ -197,24 +193,6 @@ func g2BatchAffine(out []G2, js []g2Jac) {
 		out[i].X.Mul(&js[i].x, &zInv2)
 		out[i].Y.Mul(&js[i].y, &zInv3)
 	}
-}
-
-// g1ScalarMultJac computes k·a (k already reduced and non-negative) by the
-// plain double-and-add ladder: the init-time check of the GLV constants
-// and the tests' differential oracle, on no per-call path.
-func g1ScalarMultJac(a *G1, k *big.Int) *G1 {
-	if a.Inf || k.Sign() == 0 {
-		return G1Infinity()
-	}
-	var acc g1Jac
-	acc.setInfinity()
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.double()
-		if k.Bit(i) == 1 {
-			acc.addMixed(a)
-		}
-	}
-	return acc.affine(new(G1))
 }
 
 // g2Jac is a G2 point in Jacobian coordinates over Fp2. Z = 0 encodes

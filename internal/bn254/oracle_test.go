@@ -13,11 +13,10 @@ import (
 // exponentiation (vs the Devegili–Scott–Dahab chain), the schoolbook Fp12
 // product and square, the Galois-norm Fp12 inverse and the generic Fp12
 // ladder (vs the Fp6-view kernels and the cyclotomic wNAF ladder), the
-// affine and plain-Jacobian scalar ladders (vs GLV / wNAF), and the
-// full-width forms the Frobenius shortcuts replaced: the [r]Q subgroup
+// affine and plain-Jacobian scalar ladders (vs the walkWNAF engine), and
+// the full-width forms the Frobenius shortcuts replaced: the [r]Q subgroup
 // check, the [2p - r]Q cofactor clearing and the power-rebuilding Fp12
-// Frobenius with its six-fold conjugate. g1ScalarMultJac stays in
-// jacobian.go: the GLV start-up cross-check calls it.
+// Frobenius with its six-fold conjugate.
 
 // finalExpHard is (p^4 - p^2 + 1)/r, the hard part of the final
 // exponentiation (the easy part (p^6-1)(p^2+1) is applied via Frobenius
@@ -290,6 +289,23 @@ func g2ScalarMultAffine(a *G2, k *big.Int) *G2 {
 	return acc
 }
 
+// g1ScalarMultJac computes k·a (k already reduced and non-negative) by the
+// plain double-and-add ladder.
+func g1ScalarMultJac(a *G1, k *big.Int) *G1 {
+	if a.Inf || k.Sign() == 0 {
+		return G1Infinity()
+	}
+	var acc g1Jac
+	acc.setInfinity()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc.double()
+		if k.Bit(i) == 1 {
+			acc.addMixed(a)
+		}
+	}
+	return acc.affine(new(G1))
+}
+
 // g2ScalarMultJac computes k·a for any non-negative k (not reduced; used
 // for cofactor clearing and subgroup checks too).
 func g2ScalarMultJac(a *G2, k *big.Int) *G2 {
@@ -332,10 +348,10 @@ func wnafDigitsBig(k *big.Int, w uint) []int8 {
 	return out
 }
 
-// g2ScalarMultWNAF is the width-agnostic wNAF ladder normalized to affine:
-// k·a for any twist point and any non-negative k.
+// g2ScalarMultWNAF is the shipped engine's one-row walk (clearCofactor's)
+// normalized to affine: k·a for any twist point and any non-negative k.
 func g2ScalarMultWNAF(a *G2, k *big.Int) *G2 {
-	acc := g2JacMultWNAF(a, wnafDigitsBig(k, wnafWindow))
+	acc := g2Joint([]*G2{a}, [][]int8{wnafDigitsBig(k, wnafWindow)})
 	return acc.affine(new(G2))
 }
 

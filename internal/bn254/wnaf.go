@@ -22,9 +22,9 @@ func scalarLimbs(k *big.Int) (out [4]uint64) {
 	return out
 }
 
-// wnafWindow is the window width shared by the G1 GLV ladder and the G2
-// variable-base ladder: odd digits |d| ≤ 2^(w-1)-1, so the precomputed
-// table holds the 2^(w-2) odd multiples P, 3P, …, 15P.
+// wnafWindow is the window width of every G1 and G2 variable-base walk:
+// odd digits |d| ≤ 2^(w-1)-1, so the precomputed table holds the 2^(w-2)
+// odd multiples P, 3P, …, 15P.
 const wnafWindow = 5
 
 // wnafTableSize is the number of precomputed odd multiples per base.
@@ -34,12 +34,17 @@ const wnafTableSize = 1 << (wnafWindow - 2)
 // carry one position past the top bit.
 const wnafMaxDigits = 257
 
+// halfDigits bounds the digits of a GLV half (below 2^130,
+// TestGLVSplitBounds) or a born-split EndoScalar half (below 2^128), carry
+// included.
+const halfDigits = 131
+
 // wnafDigits appends the width-w NAF of k to dst and returns it: every
 // nonzero digit is odd with |d| < 2^(w-1), and any two nonzero digits are
 // at least w positions apart (average density 1/(w+1)). Width 2 is the
 // plain non-adjacent form, digits in {-1, 0, 1}: ateNAF for the Miller
 // loop (a -1 digit adds -Q) and uNAF for the G2 subgroup check. Callers on
-// a hot path pass a stack buffer of wnafMaxDigits capacity.
+// a hot path pass a stack buffer of wnafMaxDigits (halfDigits) capacity.
 func wnafDigits(dst []int8, k [4]uint64, w uint) []int8 {
 	d := [5]uint64{k[0], k[1], k[2], k[3]} // one spare limb for the top carry
 	mask := uint64(1)<<w - 1
@@ -64,4 +69,25 @@ func wnafDigits(dst []int8, k [4]uint64, w uint) []int8 {
 		d[4] >>= 1
 	}
 	return dst
+}
+
+// walkWNAF is the one doubling chain of every G1 and G2 scalar
+// multiplication: from the top digit position of the longest row down,
+// double() once, then add(r, d) for each nonzero digit d of row r at that
+// position. Rows are little-endian signed digits of any lengths. The group
+// comes in through the two closures, which do not escape, so callers keep
+// their accumulators, tables and digit rows on the stack.
+func walkWNAF(rows [][]int8, double func(), add func(r int, d int8)) {
+	top := 0
+	for _, row := range rows {
+		top = max(top, len(row))
+	}
+	for pos := top - 1; pos >= 0; pos-- {
+		double()
+		for r, row := range rows {
+			if pos < len(row) && row[pos] != 0 {
+				add(r, row[pos])
+			}
+		}
+	}
 }

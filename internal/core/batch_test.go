@@ -480,17 +480,24 @@ func TestBatchQuotientBisection(t *testing.T) {
 	}
 }
 
-// TestBatchWindowAllocs keeps the joint ladders' tables and digit buffers
-// off the heap: a clean 64/16 window stays within 96 allocations.
+// TestBatchWindowAllocs keeps the joint walks' tables and digit rows off
+// the heap: a clean warm 64/16 window makes exactly its measured 56
+// allocations, so one escaped row buffer (18 more) fails here. Under -race,
+// fmt's printer cache (a sync.Pool) loses entries at random, and the chunk
+// label can cost one more allocation per window on average over the runs.
 func TestBatchWindowAllocs(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
 	bv := vf.Batch(BatchOptions{})
-	if allocs := testing.AllocsPerRun(3, func() {
+	most := 56.0
+	if raceEnabled {
+		most++
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
 		if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 96 {
-		t.Fatalf("clean 64/16 window: %v allocations, want at most 96", allocs)
+	}); allocs < 56 || allocs > most {
+		t.Fatalf("clean 64/16 window: %v allocations, want 56", allocs)
 	}
 }
 

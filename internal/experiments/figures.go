@@ -109,8 +109,9 @@ var (
 	// nodesAxis grows the network from a neighborhood to a city: node count
 	// in a fixed 2000×2000 m field (so it doubles as a density axis) of
 	// 10 m/s vehicles on a Manhattan street grid with ±30% radio-range
-	// jitter over a 60 s horizon — the regime the spatial neighbor index
-	// exists for (the naive all-pairs scan is quadratic in this axis).
+	// jitter over the Scenario's 300 s horizon — the regime the spatial
+	// neighbor index exists for (the naive all-pairs scan is quadratic in
+	// this axis).
 	nodesAxis = &Axis{
 		Name: "n", XLabel: "nodes in field", XColumn: "nodes",
 		Default: []float64{100, 200, 500}, integer: true,
@@ -121,9 +122,6 @@ var (
 			}
 			if sc.Height == 0 {
 				sc.Height = 2000
-			}
-			if sc.Duration == 0 {
-				sc.Duration = 60 * time.Second
 			}
 			if sc.MaxSpeed == 0 {
 				sc.MaxSpeed = 10

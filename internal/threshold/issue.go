@@ -136,6 +136,7 @@ func Combine(id string, shares []*KeyShare) (*core.PartialPrivateKey, error) {
 		return nil, fmt.Errorf("threshold: no key shares to combine")
 	}
 	indices := make([]uint8, len(shares))
+	ds := make([]*bn254.G2, len(shares))
 	for i, ks := range shares {
 		if ks.ID != id {
 			return nil, fmt.Errorf("threshold: key share for %q, want %q", ks.ID, id)
@@ -147,17 +148,11 @@ func Combine(id string, shares []*KeyShare) (*core.PartialPrivateKey, error) {
 			return nil, fmt.Errorf("threshold: %w: key share %d is epoch %d, key share %d is epoch %d",
 				ErrMixedEpochs, ks.Index, ks.Epoch, shares[0].Index, shares[0].Epoch)
 		}
-		indices[i] = ks.Index
+		indices[i], ds[i] = ks.Index, ks.D
 	}
 	lambda, err := lagrangeAtZero(indices)
 	if err != nil {
 		return nil, err
 	}
-	acc := bn254.G2Infinity()
-	term := new(bn254.G2)
-	for i, ks := range shares {
-		term.ScalarMultFr(ks.D, &lambda[i])
-		acc.Add(acc, term)
-	}
-	return &core.PartialPrivateKey{ID: id, D: acc}, nil
+	return &core.PartialPrivateKey{ID: id, D: new(bn254.G2).MultiScalarMultFr(ds, lambda)}, nil
 }

@@ -140,6 +140,32 @@ func TestCombineMatchesSingleMaster(t *testing.T) {
 	}
 }
 
+// TestCombineOpCount pins Combine of t key shares at exactly t
+// G2ScalarMults, one per share fed to the joint walk, and at the
+// single-master key, for quorums on both sides of the walk's eight-point
+// slice. The benchmark's bn254.g2_mults_per_cold_enroll reads this count.
+func TestCombineOpCount(t *testing.T) {
+	const id = "valve-3"
+	for _, tt := range []int{1, 2, 3, 8, 9} {
+		kgc, signers := newThresholdKGC(t, tt, tt, int64(20+tt))
+		ks := make([]*KeyShare, tt)
+		for i, s := range signers {
+			ks[i] = s.Issue(id)
+		}
+		before := bn254.ReadOpCounts()
+		got, err := Combine(id, ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := bn254.ReadOpCounts().Sub(before); d.G2ScalarMults != uint64(tt) {
+			t.Errorf("%d-of-%d combine ran %d G2 multiplications, want %d", tt, tt, d.G2ScalarMults, tt)
+		}
+		if !bytes.Equal(got.Marshal(), kgc.ExtractPartialPrivateKey(id).Marshal()) {
+			t.Errorf("%d-of-%d combine differs from single master", tt, tt)
+		}
+	}
+}
+
 func TestCombineRejectsMismatchedIdentity(t *testing.T) {
 	_, signers := newThresholdKGC(t, 2, 2, 8)
 	ks := []*KeyShare{signers[0].Issue("alice"), signers[1].Issue("bob")}

@@ -29,7 +29,7 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14045
+const maxNonTestLines = 14017
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
@@ -51,7 +51,6 @@ var mathBigFiles = map[string]bool{
 	"internal/bn254/g1.go":         true,
 	"internal/bn254/g2.go":         true,
 	"internal/bn254/glv.go":        true,
-	"internal/bn254/jacobian.go":   true,
 	"internal/bn254/wnaf.go":       true,
 	"internal/core/keys.go":        true,
 	"internal/core/kgc.go":         true,
@@ -73,9 +72,9 @@ var mathBigFiles = map[string]bool{
 // and loss) with the schedule that carried them, the scenario's event
 // budget and the test-only delivery hooks, and kgcd's two circuit breakers
 // with the below-quorum precheck and the Retry-After hint that served them,
-// the drill's identity pool that kept its traffic in the cache, and the
+// the drill's identity pool that kept its traffic in the cache, the
 // single-table replay and reduced multi-pairing that MillerLoopMixed and
-// FinalExp replaced.
+// FinalExp replaced, and the G1/G2 doubling chains walkWNAF replaced.
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -94,6 +93,7 @@ var deletedNames = []string{
 	"ErrCircuitOpen", "BreakerState", "newBreaker", "admissibleReplicas", "retryAfterSeconds",
 	"parseRetryAfter", "RetryAfter", "chaosIDs",
 	"MillerLoopLines", "PairMulti",
+	"g1ScalarMultGLV", "g2ScalarMultGLV", "g2JointWNAF", "g2JacMultWNAF", "endoLadder",
 }
 
 // deletedDirs are the packages and commands that went with them.
