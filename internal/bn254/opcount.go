@@ -37,6 +37,8 @@ type OpCounts struct {
 	// iteration across the whole batch, so a batch of n pairs performs 65
 	// squarings total (not 65·n) while LineDoubles/LineAdds/SparseMuls keep
 	// scaling with n — the amortization TestMillerLoopMultiOpCounts pins.
+	// A caller that cuts its pairs into parts, one lockstep loop per core,
+	// pays 65 per part and multiplies the parts' values: the same product.
 	MillerSquarings uint64
 }
 

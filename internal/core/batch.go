@@ -8,7 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"mccls/internal/bn254"
 	"mccls/internal/bn254/fr"
@@ -51,7 +54,8 @@ type BatchOptions struct {
 // identity forms a group of its own. A group's S replays its line table
 // under Verify's rule (Verifier.lineTable), so a warm window steps one G2
 // chain, the Q_ID sum's; a table built for a chunk is cached only once the
-// chunk's product is one.
+// chunk's product is one. A chunk's work spreads over the P's the other
+// chunks leave free (window.check).
 type BatchVerifier struct {
 	vf      *Verifier
 	weights io.Reader
@@ -132,18 +136,22 @@ func (bv *BatchVerifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error
 
 // window is one batch call's input with its per-signature precomputation:
 // rho[i] is the weight ρᵢ as its halves and k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the weighted
-// fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ. lines[i], the table of i's
+// fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ. known[i] records whether i's
+// identity was seen before this window (its m_ID or Q_ID cached): a second
+// sighting, which earns its S a line table. lines[i], the table of i's
 // S-group (nil: a point pair), is resolved by the first check over i, its
 // chunk's root, and reused by that chunk's bisection: one worker's entries.
+// width is the fan-out of each check: GOMAXPROCS shared among the chunks.
 type window struct {
-	vf       *Verifier
-	pks      []*PublicKey
-	msgs     [][]byte
-	sigs     []*Signature
-	k        []fr.Element
-	rho      []bn254.EndoScalar
-	lines    []*bn254.G2Lines
-	resolved []bool
+	vf              *Verifier
+	pks             []*PublicKey
+	msgs            [][]byte
+	sigs            []*Signature
+	k               []fr.Element
+	rho             []bn254.EndoScalar
+	lines           []*bn254.G2Lines
+	resolved, known []bool
+	width           int
 }
 
 // newWindow runs the shape checks and draws the weights for every index: no
@@ -155,15 +163,20 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 	if err != nil {
 		return nil, err
 	}
-	n := len(sigs)
+	n, chunks := len(sigs), (len(sigs)+bv.chunk-1)/bv.chunk
+	flags := make([]bool, 2*n)
 	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, n), rho: make([]bn254.EndoScalar, n),
-		lines: make([]*bn254.G2Lines, n), resolved: make([]bool, n)}
+		lines: make([]*bn254.G2Lines, n), resolved: flags[:n:n], known: flags[n:], width: max(1, runtime.GOMAXPROCS(0)/max(1, chunks))}
 	hs := make([]fr.Element, len(sigs))
 	for i, sig := range sigs {
 		if err := checkShape(pks[i], sig); err != nil {
 			return nil, err
 		}
 		hs[i] = bv.vf.params.hashH2(msgs[i], sig.R, pks[i].PID)
+		id := pks[i].ID
+		if _, w.known[i] = bv.vf.qidCache.Get(id); !w.known[i] {
+			_, w.known[i] = bv.vf.rhsCache.Get(id)
+		}
 	}
 	if i := batchInverse(w.k, hs); i >= 0 {
 		return nil, fmt.Errorf("%w (index %d)", errZeroChallenge, i)
@@ -200,64 +213,197 @@ func batchInverse(out, xs []fr.Element) int {
 }
 
 // check evaluates the aggregate equation's left side over exactly the
-// signatures at idxs with one lockstep multi-pairing; the set passes iff the
+// signatures at idxs with one final exponentiation; the set passes iff the
 // product is one. Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) in GT, so folding equal-S pairs
 // yields exactly the pairwise product for the same weights. A group's point
 // Σρᵢ·Aᵢ = (Σkᵢ)·P - Σρᵢ·Rᵢ is one fixed-base pass and one joint ladder over
 // its R values, and Σ_ID (Σρᵢ)·Q_ID one joint ladder over the identities.
 // A group with a line table is a table pair of the Miller loop, the rest
 // point pairs; tables this check built are cached if its product is one.
+//
+// After the serial grouping, the Q_ID misses, the table builds, the group
+// points and the Q_ID sum are tasks for the window's width of workers, and
+// the pairs are cut into one Miller loop per worker. Squaring distributes
+// over the product, so the parts multiply to the one-loop value.
 func (w *window) check(idxs []int) *bn254.GT {
 	n := len(idxs)
-	ss, tps, ts := make([]*bn254.G2, 0, n), make([]*bn254.G1, 0, n), make([]*bn254.G2Lines, 0, n)
-	ps, qs := make([]*bn254.G1, 0, n+1), make([]*bn254.G2, 0, n+1)
-	rs, rhos := make([]*bn254.G1, 0, n), make([]bn254.EndoScalar, 0, n)
-	ids, qids, rhoSums := make([]string, 0, n), make([]*bn254.G2, 0, n), make([]bn254.EndoScalar, 0, n)
-	var built []int
+	p := &pass{w: w, idxs: idxs, gs: make([]group, 0, n),
+		rs: make([]*bn254.G1, 0, n), rhos: make([]bn254.EndoScalar, 0, n),
+		ids: make([]string, 0, n), qids: make([]*bn254.G2, 0, n), rhoSums: make([]bn254.EndoScalar, 0, n),
+		tps: make([]*bn254.G1, 0, n), ts: make([]*bn254.G2Lines, 0, n),
+		ps: make([]*bn254.G1, 0, n+1), qs: make([]*bn254.G2, 0, n+1)}
 	for _, i := range idxs {
 		// Each S-group and each identity is summed at its first member.
-		if s := w.sigs[i].S; !slices.ContainsFunc(ss, s.Equal) {
+		if s := w.sigs[i].S; !slices.ContainsFunc(p.gs, func(g group) bool { return g.s.Equal(s) }) {
+			g := group{s: s, first: i, lo: len(p.rs)}
 			if !w.resolved[i] {
-				_, known := w.vf.rhsCache.Get(w.pks[i].ID)
-				var b bool
-				if w.lines[i], b = w.vf.lineTable(w.pks[i].ID, s, known); b {
-					built = append(built, i)
-				}
+				w.lines[i], g.build = w.vf.lineTable(w.pks[i].ID, s, w.known[i])
 			}
-			var k fr.Element
-			rs, rhos = rs[:0], rhos[:0]
+			g.lines = w.lines[i]
 			for _, j := range idxs {
 				if w.sigs[j].S.Equal(s) {
-					k.Add(&k, &w.k[j])
-					rs, rhos = append(rs, w.sigs[j].R), append(rhos, w.rho[j])
+					g.k.Add(&g.k, &w.k[j])
+					p.rs, p.rhos = append(p.rs, w.sigs[j].R), append(p.rhos, w.rho[j])
 					w.lines[j], w.resolved[j] = w.lines[i], true
 				}
 			}
-			a := new(bn254.G1).ScalarBaseMultSubEndo(&k, rs, rhos)
-			if ss = append(ss, s); w.lines[i] != nil {
-				tps, ts = append(tps, a), append(ts, w.lines[i])
-			} else {
-				ps, qs = append(ps, a), append(qs, s)
-			}
+			g.hi = len(p.rs)
+			p.gs = append(p.gs, g)
 		}
-		if id := w.pks[i].ID; !slices.Contains(ids, id) {
+		if id := w.pks[i].ID; !slices.Contains(p.ids, id) {
 			var rho bn254.EndoScalar
 			for _, j := range idxs {
 				if w.pks[j].ID == id {
 					rho.Add(&rho, &w.rho[j])
 				}
 			}
-			ids, qids, rhoSums = append(ids, id), append(qids, w.vf.qid(id)), append(rhoSums, rho)
+			q, _ := w.vf.qidCache.Get(id) // nil: hashed by lookup
+			p.ids, p.qids, p.rhoSums = append(p.ids, id), append(p.qids, q), append(p.rhoSums, rho)
 		}
 	}
-	ps, qs = append(ps, w.vf.negPpub), append(qs, new(bn254.G2).MultiScalarMultEndo(qids, rhoSums))
-	v := bn254.FinalExp(bn254.MillerLoopMixed(tps, ts, ps, qs))
+	if slices.Contains(p.qids, nil) {
+		fanOut(w.width, len(p.ids), p, (*pass).lookup)
+	}
+	fanOut(w.width, 1+len(p.gs), p, (*pass).point) // the Q_ID sum first: the longest task
+	for _, g := range p.gs {
+		if g.lines != nil {
+			p.tps, p.ts = append(p.tps, g.a), append(p.ts, g.lines)
+		} else {
+			p.ps, p.qs = append(p.ps, g.a), append(p.qs, g.s)
+		}
+	}
+	p.ps, p.qs = append(p.ps, w.vf.negPpub), append(p.qs, &p.qsum)
+	var f *bn254.Fp12
+	if parts := min(w.width, len(p.tps)+len(p.ps)); parts == 1 {
+		f = bn254.MillerLoopMixed(p.tps, p.ts, p.ps, p.qs)
+	} else {
+		p.fs = make([]*bn254.Fp12, parts)
+		fanOut(parts, parts, p, (*pass).miller)
+		f = p.fs[0]
+		for _, fk := range p.fs[1:] {
+			f.Mul(f, fk)
+		}
+	}
+	v := bn254.FinalExp(f)
 	if v.IsOne() {
-		for _, i := range built {
-			w.vf.lineCache.PutIfRoom(w.pks[i].ID, w.lines[i])
+		for _, g := range p.gs {
+			if g.build && g.lines != nil {
+				w.vf.lineCache.PutIfRoom(w.pks[g.first].ID, g.lines)
+			}
 		}
 	}
 	return v
+}
+
+// group is one S-group of a check: its members' R values and weights are
+// rs[lo:hi] and rhos[lo:hi] of the pass, k their Σkᵢ, a the point Σρᵢ·Aᵢ
+// and lines S's table (nil: a point pair), built by the check when build.
+type group struct {
+	s      *bn254.G2
+	lines  *bn254.G2Lines
+	build  bool
+	first  int
+	k      fr.Element
+	lo, hi int
+	a      *bn254.G1
+}
+
+// pass is one check's working set, shared by its tasks. Each task writes
+// only its own slot: a group, a Q_ID, the Q_ID sum or a Miller part.
+type pass struct {
+	w             *window
+	idxs          []int
+	gs            []group
+	rs            []*bn254.G1
+	rhos, rhoSums []bn254.EndoScalar
+	ids           []string
+	qids          []*bn254.G2
+	qsum          bn254.G2
+	tps, ps       []*bn254.G1
+	ts            []*bn254.G2Lines
+	qs            []*bn254.G2
+	fs            []*bn254.Fp12
+}
+
+// lookup is task t of the Q_ID round: identity t's Q_ID, hashed on a miss.
+func (p *pass) lookup(t int) {
+	if p.qids[t] == nil {
+		p.qids[t] = p.w.vf.qid(p.ids[t])
+	}
+}
+
+// point is task t of the point round: the Q_ID sum for t = 0, else group
+// t-1's table build and its point Σρᵢ·Aᵢ.
+func (p *pass) point(t int) {
+	if t == 0 {
+		p.qsum.MultiScalarMultEndo(p.qids, p.rhoSums)
+		return
+	}
+	g := &p.gs[t-1]
+	if g.build {
+		g.lines = bn254.NewG2Lines(g.s) // nil only for an S off the curve
+		for _, j := range p.idxs {
+			if p.w.sigs[j].S.Equal(g.s) {
+				p.w.lines[j] = g.lines
+			}
+		}
+	}
+	g.a = new(bn254.G1).ScalarBaseMultSubEndo(&g.k, p.rs[g.lo:g.hi], p.rhos[g.lo:g.hi])
+}
+
+// miller is Miller part k of len(p.fs): the pairs from start(k) to
+// start(k+1) in the order point pairs, then table pairs.
+func (p *pass) miller(k int) {
+	lo, hi, np := p.start(k), p.start(k+1), len(p.ps)
+	tlo, thi := max(lo, np)-np, max(hi, np)-np
+	lo, hi = min(lo, np), min(hi, np)
+	p.fs[k] = bn254.MillerLoopMixed(p.tps[tlo:thi], p.ts[tlo:thi], p.ps[lo:hi], p.qs[lo:hi])
+}
+
+// start is where Miller part k begins, the parts cut to near-equal cost: a
+// point pair steps its G2 chain, about twice the cost of a table pair's
+// folds. Every part holds at least one pair.
+func (p *pass) start(k int) int {
+	parts, np, all := len(p.fs), len(p.ps), len(p.ps)+len(p.tps)
+	total := 2*np + len(p.tps)
+	j, cost := 0, 0
+	for q := 1; q <= k; q++ {
+		for lo := j; j < all-(parts-q) && (j == lo || cost*parts < q*total); j++ {
+			if cost++; j < np {
+				cost++
+			}
+		}
+	}
+	return j
+}
+
+// fanOut runs task(p, 0), …, task(p, n-1) on min(width, n) goroutines, the
+// caller one of them, each claiming the next index from a shared counter, so
+// tasks start in index order. At width 1 they run inline, in order, and the
+// fan-out allocates nothing.
+func fanOut(width, n int, p *pass, task func(*pass, int)) {
+	if width = min(width, n); width <= 1 {
+		for t := range n {
+			task(p, t)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	run := func() {
+		for t := int(next.Add(1)) - 1; t < n; t = int(next.Add(1)) - 1 {
+			task(p, t)
+		}
+	}
+	wg.Add(width - 1)
+	for range width - 1 {
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 }
 
 // checkOne is the bisection leaf: the cached-constant Verify, cheaper than

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -247,55 +249,144 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 	}
 }
 
+// atProcs runs f at GOMAXPROCS procs, the width a window's checks fan out
+// to, and restores the old setting.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 // TestBatchWindowOpCounts pins what folding and line tables buy, in the
 // idiom of bn254's TestMillerLoopMultiOpCounts: a clean window costs one
-// Miller pair per distinct S plus the P_pub pair, in one lockstep loop under
-// one final exponentiation, and every pair folds its 88 lines. On a cold
-// verifier every pair steps its G2 chain (65 doubling, 23 addition steps).
-// Once the signers are known and a window has cached their tables, only
-// the Q_ID sum does.
+// Miller pair per distinct S plus the P_pub pair under one final
+// exponentiation, and every pair folds its 88 lines. On a cold verifier
+// every pair steps its G2 chain (65 doubling, 23 addition steps). Once the
+// signers are known and a window has cached their tables, only the Q_ID sum
+// does. The pairs are cut into one lockstep loop per worker, so only the
+// Miller squarings move with the width: 65 per part.
 func TestBatchWindowOpCounts(t *testing.T) {
-	for _, tc := range []struct {
-		signers           int
-		warm              bool
-		pairings, stepped uint64
-	}{{16, false, 17, 17}, {1, false, 2, 2}, {16, true, 17, 1}} {
-		_, vf, pks, msgs, sigs := multiBatch(t, 64, tc.signers)
-		if tc.warm {
-			for i := range tc.signers { // m_ID, then the tables
-				if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+	for _, procs := range []int{1, 2, 4} {
+		for _, tc := range []struct {
+			signers           int
+			warm              bool
+			pairings, stepped uint64
+		}{{16, false, 17, 17}, {1, false, 2, 2}, {16, true, 17, 1}} {
+			_, vf, pks, msgs, sigs := multiBatch(t, 64, tc.signers)
+			if tc.warm {
+				for i := range tc.signers { // m_ID, then the tables
+					if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
-				t.Fatal(err)
+			bv := testBatch(vf, chunkWidth, 1)
+			var d bn254.OpCounts
+			atProcs(procs, func() {
+				before := bn254.ReadOpCounts()
+				var err error
+				if tc.signers == 1 {
+					err = bv.VerifySameSigner(pks[0], msgs, sigs)
+				} else {
+					err = bv.VerifyMulti(pks, msgs, sigs)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				d = bn254.ReadOpCounts().Sub(before)
+			})
+			parts := min(uint64(procs), tc.pairings)
+			if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != 65*parts ||
+				d.LineDoubles != 65*tc.stepped || d.LineAdds != 23*tc.stepped || d.SparseMuls != 88*tc.pairings {
+				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %v): %d pairs, %d final exps, %d Miller squarings, %d doubling and %d addition steps, %d sparse products; want %d, 1, %d, %d, %d, %d",
+					procs, tc.signers, tc.warm, d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, d.SparseMuls,
+					tc.pairings, 65*parts, 65*tc.stepped, 23*tc.stepped, 88*tc.pairings)
+			}
+			// Verify's rule: no table for an identity seen for the first time.
+			want := 0
+			if tc.warm {
+				want = tc.signers
+			}
+			if vf.lineCache.Len() != want {
+				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %v): %d line tables cached, want %d", procs, tc.signers, tc.warm, vf.lineCache.Len(), want)
 			}
 		}
-		bv := testBatch(vf, chunkWidth, 1)
+	}
+}
+
+// TestBatchSecondSightingBuildsTables: a signer seen only through the batch
+// earns its table as through Verify, at its second sighting. On a fresh
+// verifier the same clean 64/16 window steps 17 G2 chains (every pair a
+// point pair), then 17 again (16 table builds and the Q_ID sum), then 1,
+// and leaves the 16 tables cached.
+func TestBatchSecondSightingBuildsTables(t *testing.T) {
+	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
+	for k, stepped := range []uint64{17, 17, 1} {
 		before := bn254.ReadOpCounts()
-		var err error
-		if tc.signers == 1 {
-			err = bv.VerifySameSigner(pks[0], msgs, sigs)
-		} else {
-			err = bv.VerifyMulti(pks, msgs, sigs)
-		}
-		if err != nil {
+		if err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
 			t.Fatal(err)
 		}
-		d := bn254.ReadOpCounts().Sub(before)
-		if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != 65 ||
-			d.LineDoubles != 65*tc.stepped || d.LineAdds != 23*tc.stepped || d.SparseMuls != 88*tc.pairings {
-			t.Fatalf("64 signatures / %d signers (warm %v): %d pairs, %d final exps, %d Miller squarings, %d doubling and %d addition steps, %d sparse products; want %d, 1, 65, %d, %d, %d",
-				tc.signers, tc.warm, d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, d.SparseMuls,
-				tc.pairings, 65*tc.stepped, 23*tc.stepped, 88*tc.pairings)
+		if d := bn254.ReadOpCounts().Sub(before); d.LineDoubles != 65*stepped || d.LineAdds != 23*stepped {
+			t.Fatalf("window %d: %d doubling and %d addition steps, want %d and %d", k+1, d.LineDoubles, d.LineAdds, 65*stepped, 23*stepped)
 		}
-		// Verify's rule: no table for an identity whose m_ID is not cached.
-		want := 0
-		if tc.warm {
-			want = tc.signers
+	}
+	if n := vf.lineCache.Len(); n != 16 {
+		t.Fatalf("%d line tables cached after three windows, want 16", n)
+	}
+}
+
+// TestBatchFanOutInvariance runs a clean, a forged and a first window (a
+// fresh verifier) at GOMAXPROCS 1, 2 and 4: the chunk's reduced product and
+// the offender set must be byte-equal at every width.
+func TestBatchFanOutInvariance(t *testing.T) {
+	_, warm, pks, msgs, sigs := multiBatch(t, 64, 16)
+	for range 2 { // Q_ID, then the tables
+		if err := testBatch(warm, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
+			t.Fatal(err)
 		}
-		if vf.lineCache.Len() != want {
-			t.Fatalf("64 signatures / %d signers (warm %v): %d line tables cached, want %d", tc.signers, tc.warm, vf.lineCache.Len(), want)
+	}
+	forged := slices.Clone(msgs)
+	forged[37] = []byte("forged")
+	params := warm.params
+	idxs := make([]int, len(sigs))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	for _, tc := range []struct {
+		name    string
+		vf      func() *Verifier
+		msgs    [][]byte
+		wantBad []int
+	}{
+		{"clean", func() *Verifier { return warm }, msgs, nil},
+		{"forged", func() *Verifier { return warm }, forged, []int{37}},
+		{"first", func() *Verifier { return NewVerifier(params) }, msgs, nil},
+	} {
+		var ref []byte
+		for _, procs := range []int{1, 2, 4} {
+			atProcs(procs, func() {
+				bv := testBatch(tc.vf(), chunkWidth, 0)
+				w, err := bv.newWindow(pks, tc.msgs, sigs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gt := w.check(idxs)
+				if gt.IsOne() != (tc.wantBad == nil) {
+					t.Fatalf("%s: GOMAXPROCS %d: product is one %v, want %v", tc.name, procs, gt.IsOne(), tc.wantBad == nil)
+				}
+				v := gt.Marshal()
+				if ref == nil {
+					ref = v
+				} else if !bytes.Equal(v, ref) {
+					t.Fatalf("%s: GOMAXPROCS %d reduces to another product than GOMAXPROCS 1", tc.name, procs)
+				}
+				err = testBatch(tc.vf(), chunkWidth, 0).VerifyMulti(pks, tc.msgs, sigs)
+				if got := BatchOffenders(err); !slices.Equal(got, tc.wantBad) || (err == nil) != (tc.wantBad == nil) {
+					t.Fatalf("%s: GOMAXPROCS %d: offenders %v (%v), want %v", tc.name, procs, got, err, tc.wantBad)
+				}
+			})
 		}
 	}
 }
@@ -304,7 +395,8 @@ func TestBatchWindowOpCounts(t *testing.T) {
 // S under a known identity, a forgery carrying its signer's real S (a valid
 // signature over another message) and a replaced key (a new S for a known
 // identity), at 1, 2 and 8 workers. Chunk c holds signers 2c and 2c+1 only;
-// tab-7 is unknown (no m_ID cached) until a leaf Verify meets it. Offenders
+// tab-7 is unknown (neither m_ID nor Q_ID cached) until the first window
+// meets it, so it earns a table in the second. Offenders
 // must be the indices a fresh verifier's Verify rejects. After each window
 // every cached table must have been cached before it or carry an S of a
 // clean chunk under its identity — a table built in a chunk with an
@@ -398,7 +490,9 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 				if l, ok := vf.lineCache.Get(id); ok {
 					before[id] = l.Q()
 				}
-				_, known[id] = vf.rhsCache.Get(id)
+				_, m := vf.rhsCache.Get(id)
+				_, q := vf.qidCache.Get(id)
+				known[id] = m || q
 			}
 			err := testBatch(vf, chunk, workers).VerifyMulti(w.p, w.m, w.s)
 			if got := BatchOffenders(err); !slices.Equal(got, w.bad) || (err == nil) != (w.bad == nil) {
@@ -482,23 +576,59 @@ func TestBatchQuotientBisection(t *testing.T) {
 
 // TestBatchWindowAllocs keeps the joint walks' tables and digit rows off
 // the heap: a clean warm 64/16 window makes exactly its measured 56
-// allocations, so one escaped row buffer (18 more) fails here. Under -race,
-// fmt's printer cache (a sync.Pool) loses entries at random, and the chunk
-// label can cost one more allocation per window on average over the runs.
+// allocations at GOMAXPROCS 1, so one escaped row buffer (18 more) fails
+// here, as does a fan-out that allocates when it runs inline. At
+// GOMAXPROCS 2 each of the two fan-outs (the points, the Miller parts) adds
+// its counter, wait group and two closures, and the Miller parts add their
+// slice and one more loop's accumulator and table-pair state: 67. Under -race, fmt's printer cache (a sync.Pool) loses entries
+// at random, and the chunk label can cost one more allocation per window on
+// average over the runs.
 func TestBatchWindowAllocs(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
 	bv := vf.Batch(BatchOptions{})
-	most := 56.0
-	if raceEnabled {
-		most++
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
+	for range 2 { // Q_ID, then the tables
 		if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs < 56 || allocs > most {
-		t.Fatalf("clean 64/16 window: %v allocations, want 56", allocs)
 	}
+	for _, tc := range []struct {
+		procs  int
+		allocs uint64
+	}{{1, 56}, {2, 67}} {
+		most := tc.allocs
+		if raceEnabled {
+			most++
+		}
+		if allocs := allocsAt(tc.procs, 20, func() {
+			if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs < tc.allocs || allocs > most {
+			t.Errorf("clean warm 64/16 window at GOMAXPROCS %d: %v allocations, want %v", tc.procs, allocs, tc.allocs)
+		}
+	}
+}
+
+// allocsAt is testing.AllocsPerRun at GOMAXPROCS procs (AllocsPerRun runs
+// at 1): heap allocations per call of f, averaged over runs calls. The
+// runtime allocates too at more than one P, when a new goroutine finds no
+// free goroutine record on its P, and that only ever adds: the least of
+// five such averages is what f itself allocates.
+func allocsAt(procs, runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&ms)
+		least = min(least, (ms.Mallocs-before)/uint64(runs))
+	}
+	return least
 }
 
 // fakeCheck is an aggregate check over a set of bad indices that counts
@@ -761,5 +891,31 @@ func TestVerifierCacheBounded(t *testing.T) {
 	}
 	if vf.rhsCache.Len() != 4 {
 		t.Fatalf("cache length %d after identity flood, want 4", vf.rhsCache.Len())
+	}
+}
+
+// TestMillerPartsCover checks the cut of a check's pairs into Miller parts
+// for every mix of up to 20 point and 20 table pairs and every part count
+// up to the pair count: the parts are consecutive, none is empty, they
+// cover every pair, and no part's cost (a point pair 2, a table pair 1)
+// exceeds an equal share by more than one pair's.
+func TestMillerPartsCover(t *testing.T) {
+	for np := range 21 {
+		for nt := range 21 {
+			all, total := np+nt, 2*np+nt
+			for parts := 1; parts <= all; parts++ {
+				p := &pass{ps: make([]*bn254.G1, np), tps: make([]*bn254.G1, nt), fs: make([]*bn254.Fp12, parts)}
+				if p.start(0) != 0 || p.start(parts) != all {
+					t.Fatalf("%d point + %d table pairs in %d parts: cut from %d to %d, want 0 to %d", np, nt, parts, p.start(0), p.start(parts), all)
+				}
+				for k := range parts {
+					lo, hi := p.start(k), p.start(k+1)
+					cost := hi - lo + max(0, min(hi, np)-lo)
+					if hi <= lo || (cost-2)*parts > total {
+						t.Fatalf("%d point + %d table pairs, part %d of %d: pairs [%d, %d) cost %d of %d", np, nt, k, parts, lo, hi, cost, total)
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mccls/internal/bn254"
@@ -97,10 +98,12 @@ func BenchmarkVerifyManySigners(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchWindow prices one clean 64-signature window from 16 known
+// BenchmarkBatchWindow prices one 64-signature window from 16 known
 // signers (every m_ID cached) through VerifyMulti: warm replays the
 // signers' cached line tables, first is the window that builds them (a
-// fresh table cache per iteration).
+// fresh table cache per iteration), and forged is a warm window with one
+// planted forgery, bisected down to it (7 aggregate checks and one Verify,
+// 8 final exponentiations); its operation counts per window are logged.
 func BenchmarkBatchWindow(b *testing.B) {
 	_, vf, pks, msgs, sigs := multiBatch(b, 64, 16)
 	run := func(b *testing.B, vf *Verifier) {
@@ -129,14 +132,36 @@ func BenchmarkBatchWindow(b *testing.B) {
 			run(b, &first)
 		}
 	})
+	b.Run("forged", func(b *testing.B) {
+		forged := slices.Clone(msgs)
+		forged[37] = []byte("forged")
+		run(b, vf) // the tables, in case warm did not run
+		b.ReportAllocs()
+		before := bn254.ReadOpCounts()
+		b.ResetTimer()
+		for range b.N {
+			err := vf.Batch(BatchOptions{}).VerifyMulti(pks, forged, sigs)
+			if !slices.Equal(BatchOffenders(err), []int{37}) {
+				b.Fatalf("offenders %v (%v), want [37]", BatchOffenders(err), err)
+			}
+		}
+		b.StopTimer()
+		d, n := bn254.ReadOpCounts().Sub(before), uint64(b.N)
+		b.Logf("per window: %d final exps, %d Miller pairs, %d Miller squarings, %d G1 and %d G2 mults",
+			d.FinalExps/n, d.Pairings/n, d.MillerSquarings/n, d.G1ScalarMults/n, d.G2ScalarMults/n)
+	})
 }
 
-// TestSignVerifyAllocs pins the allocation budget of the two per-packet
+// TestSignVerifyAllocs pins the allocation budget of the per-packet
 // operations now that no scalar is a big.Int: Sign allocates its result
 // (the Signature, S, R) and the nonce read buffer the io.Reader interface
-// forces to the heap; a warm Verify allocates the pairing's three values
-// and nothing for scalars, hashing or the commitment. Messages are
-// routing-sized, so H2's input fits its stack buffer.
+// forces to the heap; a warm Verify allocates its Miller value and final
+// exponentiation and nothing for scalars, hashing or the commitment, and
+// no closure, channel or goroutine. A first contact (a verifier that holds
+// one identity, two identities taking turns) adds Q_ID, m_ID and their
+// cache entries, and at GOMAXPROCS 2 the goroutine that computes m_ID
+// beside the caller's loop and its channel. Messages are routing-sized, so
+// H2's input fits its stack buffer.
 func TestSignVerifyAllocs(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "allocs@manet")
 	msg := []byte("RREQ 7 from allocs@manet, forty-eight bytes long")
@@ -148,10 +173,38 @@ func TestSignVerifyAllocs(t *testing.T) {
 	if err := vf.Verify(sk.Public(), msg, sig); err != nil { // warm the caches
 		t.Fatal(err)
 	}
-	if a := testing.AllocsPerRun(20, func() { Sign(kgc.Params(), sk, msg, rng) }); a > 6 {
-		t.Errorf("Sign allocates %v times, want at most 6", a)
+	if a := testing.AllocsPerRun(20, func() { Sign(kgc.Params(), sk, msg, rng) }); a != 4 {
+		t.Errorf("Sign allocates %v times, want 4", a)
 	}
-	if a := testing.AllocsPerRun(10, func() { vf.Verify(sk.Public(), msg, sig) }); a > 10 {
-		t.Errorf("warm Verify allocates %v times, want at most 10", a)
+	if a := testing.AllocsPerRun(10, func() { vf.Verify(sk.Public(), msg, sig) }); a != 2 {
+		t.Errorf("warm Verify allocates %v times, want 2", a)
+	}
+
+	other, err := GenerateKeyPair(kgc.Params(), kgc.ExtractPartialPrivateKey("other@manet"), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherSig, err := Sign(kgc.Params(), other, msg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := NewVerifierCap(kgc.Params(), 1)
+	turn := 0
+	firstContact := func() {
+		k, s := sk, sig
+		if turn++; turn%2 == 0 {
+			k, s = other, otherSig
+		}
+		if err := one.Verify(k.Public(), msg, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		procs  int
+		allocs uint64
+	}{{1, 8}, {2, 10}} {
+		if a := allocsAt(tc.procs, 40, firstContact); a != tc.allocs {
+			t.Errorf("first-contact Verify at GOMAXPROCS %d allocates %v times, want %v", tc.procs, a, tc.allocs)
+		}
 	}
 }

@@ -27,8 +27,15 @@ func verifyOps(t *testing.T, vf *Verifier, pk *PublicKey, msg []byte, sig *Signa
 // Miller loop on a hit and two on a first contact. The G2 steps follow S's
 // line table: a first contact runs two plain loops, the second sighting
 // builds the table, a hit replays it with no G2 step at all, and a new S
-// under the known identity builds again.
+// under the known identity builds again. A first contact's m_ID runs on a
+// goroutine of its own at more than one P, which moves no count.
 func TestVerifyOpCounts(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		atProcs(procs, func() { verifyOpCounts(t, procs) })
+	}
+}
+
+func verifyOpCounts(t *testing.T, procs int) {
 	kgc, sk, vf := newTestSystem(t, "ops@manet")
 	msg := []byte("RREQ 7 from ops@manet")
 	sig, err := Sign(kgc.Params(), sk, msg, fixedRand(2))
@@ -58,7 +65,7 @@ func TestVerifyOpCounts(t *testing.T) {
 	} {
 		d := verifyOps(t, vf, tc.sk.Public(), msg, tc.sig)
 		if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != tc.squarings || d.LineDoubles != tc.dbls || d.LineAdds != tc.adds {
-			t.Errorf("%s: %d Miller loops, %d final exps, %d squarings, %d doubles, %d adds; want %d, 1, %d, %d, %d", tc.name,
+			t.Errorf("GOMAXPROCS %d, %s: %d Miller loops, %d final exps, %d squarings, %d doubles, %d adds; want %d, 1, %d, %d, %d", procs, tc.name,
 				d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, tc.pairings, tc.squarings, tc.dbls, tc.adds)
 		}
 	}
@@ -162,8 +169,16 @@ func TestVerifyRejectsInfinityCommitment(t *testing.T) {
 
 // TestConcurrentFirstContact: racing first contacts of one identity, each
 // followed by a second sighting, may each compute the constants, but all
-// accept and one entry of each remains.
+// accept and one entry of each remains. At more than one P each first
+// contact computes m_ID on a goroutine of its own, so the racers number
+// twice the callers.
 func TestConcurrentFirstContact(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		atProcs(procs, func() { concurrentFirstContact(t) })
+	}
+}
+
+func concurrentFirstContact(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "racer@manet")
 	msg := []byte("HELLO from racer")
 	sig, err := Sign(kgc.Params(), sk, msg, fixedRand(2))
