@@ -1,13 +1,14 @@
 package core
 
 import (
-	"context"
+	"cmp"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -15,7 +16,6 @@ import (
 
 	"mccls/internal/bn254"
 	"mccls/internal/bn254/fr"
-	"mccls/internal/runner"
 )
 
 // chunkWidth is the number of signatures per aggregate check. One chunk is
@@ -35,8 +35,9 @@ type BatchOptions struct {
 // BatchVerifier is the batch-verification engine for McCLS, obtained from
 // Verifier.Batch, the tree's one batch entry point. A window of n
 // signatures is cut into chunks of chunkWidth, every chunk is decided by
-// one aggregate equation on a worker pool, and a failing chunk is bisected
-// until the offending signatures are isolated. The equation is
+// one aggregate equation on a worker pool, and a failing chunk's lone
+// offender is located by one position-scaled check, more are bisected
+// (bisect). The equation is
 //
 //	Π_S e(Σᵢ∈S ρᵢ·Aᵢ, S) · e(-P_pub, Σ_ID (Σᵢ∈ID ρᵢ)·Q_ID) = 1
 //
@@ -214,7 +215,8 @@ func batchInverse(out, xs []fr.Element) int {
 
 // check evaluates the aggregate equation's left side over exactly the
 // signatures at idxs with one final exponentiation; the set passes iff the
-// product is one. Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) in GT, so folding equal-S pairs
+// product is one; scaled, the index at position q weighs (q+1)·ρᵢ (locate).
+// Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) in GT, so folding equal-S pairs
 // yields exactly the pairwise product for the same weights. A group's point
 // Σρᵢ·Aᵢ = (Σkᵢ)·P - Σρᵢ·Rᵢ is one fixed-base pass and one joint ladder over
 // its R values, and Σ_ID (Σρᵢ)·Q_ID one joint ladder over the identities.
@@ -225,7 +227,7 @@ func batchInverse(out, xs []fr.Element) int {
 // points and the Q_ID sum are tasks for the window's width of workers, and
 // the pairs are cut into one Miller loop per worker. Squaring distributes
 // over the product, so the parts multiply to the one-loop value.
-func (w *window) check(idxs []int) *bn254.GT {
+func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 	n := len(idxs)
 	p := &pass{w: w, idxs: idxs, gs: make([]group, 0, n),
 		rs: make([]*bn254.G1, 0, n), rhos: make([]bn254.EndoScalar, 0, n),
@@ -240,10 +242,11 @@ func (w *window) check(idxs []int) *bn254.GT {
 				w.lines[i], g.build = w.vf.lineTable(w.pks[i].ID, s, w.known[i])
 			}
 			g.lines = w.lines[i]
-			for _, j := range idxs {
+			for q, j := range idxs {
 				if w.sigs[j].S.Equal(s) {
-					g.k.Add(&g.k, &w.k[j])
-					p.rs, p.rhos = append(p.rs, w.sigs[j].R), append(p.rhos, w.rho[j])
+					k, rho := w.weight(j, q, scaled)
+					g.k.Add(&g.k, &k)
+					p.rs, p.rhos = append(p.rs, w.sigs[j].R), append(p.rhos, rho)
 					w.lines[j], w.resolved[j] = w.lines[i], true
 				}
 			}
@@ -252,9 +255,10 @@ func (w *window) check(idxs []int) *bn254.GT {
 		}
 		if id := w.pks[i].ID; !slices.Contains(p.ids, id) {
 			var rho bn254.EndoScalar
-			for _, j := range idxs {
+			for q, j := range idxs {
 				if w.pks[j].ID == id {
-					rho.Add(&rho, &w.rho[j])
+					_, rhoJ := w.weight(j, q, scaled)
+					rho.Add(&rho, &rhoJ)
 				}
 			}
 			q, _ := w.vf.qidCache.Get(id) // nil: hashed by lookup
@@ -285,7 +289,7 @@ func (w *window) check(idxs []int) *bn254.GT {
 		}
 	}
 	v := bn254.FinalExp(f)
-	if v.IsOne() {
+	if v.IsOne() && !scaled {
 		for _, g := range p.gs {
 			if g.build && g.lines != nil {
 				w.vf.lineCache.PutIfRoom(w.pks[g.first].ID, g.lines)
@@ -293,6 +297,19 @@ func (w *window) check(idxs []int) *bn254.GT {
 		}
 	}
 	return v
+}
+
+// weight is index j's (kⱼ, ρⱼ) at position q of a check, both times q+1
+// when scaled: the halves are 64-bit, so a scaled half stays below 2⁷¹.
+func (w *window) weight(j, q int, scaled bool) (fr.Element, bn254.EndoScalar) {
+	k, rho := w.k[j], w.rho[j]
+	if scaled {
+		m := fr.NewElement(uint64(q + 1))
+		k.Mul(&k, &m)
+		rho.A[1], rho.A[0] = bits.Mul64(rho.A[0], uint64(q+1))
+		rho.B[1], rho.B[0] = bits.Mul64(rho.B[0], uint64(q+1))
+	}
+	return k, rho
 }
 
 // group is one S-group of a check: its members' R values and weights are
@@ -377,33 +394,50 @@ func (p *pass) start(k int) int {
 	return j
 }
 
-// fanOut runs task(p, 0), …, task(p, n-1) on min(width, n) goroutines, the
+// fanOut runs task(x, 0), …, task(x, n-1) on min(width, n) goroutines, the
 // caller one of them, each claiming the next index from a shared counter, so
 // tasks start in index order. At width 1 they run inline, in order, and the
-// fan-out allocates nothing.
-func fanOut(width, n int, p *pass, task func(*pass, int)) {
+// fan-out allocates nothing. A task's panic stops its worker; the others
+// finish, and the caller re-raises the first panic once they have.
+func fanOut[T any](width, n int, x T, task func(T, int)) {
 	if width = min(width, n); width <= 1 {
 		for t := range n {
-			task(p, t)
+			task(x, t)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var f struct {
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		fault any
+	}
 	run := func() {
-		for t := int(next.Add(1)) - 1; t < n; t = int(next.Add(1)) - 1 {
-			task(p, t)
+		defer func() {
+			if v := recover(); v != nil {
+				f.mu.Lock()
+				if f.fault == nil {
+					f.fault = v
+				}
+				f.mu.Unlock()
+			}
+		}()
+		for t := int(f.next.Add(1)) - 1; t < n; t = int(f.next.Add(1)) - 1 {
+			task(x, t)
 		}
 	}
-	wg.Add(width - 1)
+	f.wg.Add(width - 1)
 	for range width - 1 {
 		go func() {
-			defer wg.Done()
+			defer f.wg.Done()
 			run()
 		}()
 	}
 	run()
-	wg.Wait()
+	f.wg.Wait()
+	if f.fault != nil {
+		panic(f.fault)
+	}
 }
 
 // checkOne is the bisection leaf: the cached-constant Verify, cheaper than
@@ -412,38 +446,58 @@ func (w *window) checkOne(i int) bool {
 	return w.vf.Verify(w.pks[i], w.msgs[i], w.sigs[i]) == nil
 }
 
-// reject partitions [0, n) into chunks, runs check on every chunk across
-// the worker pool, bisects the chunks whose product is not one down to
-// single signatures (decided by checkOne), and reports the rejected indices
-// as a *batchError. check must be deterministic for a given index set,
-// multiplicative over disjoint sets, and safe for concurrent use. Weights
-// are per index, chunk boundaries depend only on the chunk width and every
-// chunk is decided independently, so the outcome and the offender set are
-// bit-identical at any worker count. The only other error source is a
-// panicking check, surfaced by the runner's panic recovery.
-func (bv *BatchVerifier) reject(n int, check func(idxs []int) *bn254.GT, checkOne func(i int) bool) error {
-	var trials []runner.Trial[[]int]
-	for lo := 0; lo < n; lo += bv.chunk {
-		idxs := make([]int, min(bv.chunk, n-lo))
-		for i := range idxs {
-			idxs[i] = lo + i
-		}
-		trials = append(trials, runner.Trial[[]int]{
-			Label: fmt.Sprintf("chunk[%d:%d)", lo, lo+len(idxs)),
-			Run: func(context.Context, *runner.Obs) ([]int, error) {
-				return bisect(idxs, nil, check, checkOne), nil
-			},
-		})
-	}
-	results, err := runner.Run(context.Background(), runner.Options{Workers: bv.workers}, trials)
-	if err != nil {
+// judge is what reject asks of a window: the aggregate product over a set
+// (window.check) and the verdict on one signature (window.checkOne). check
+// must be deterministic for a given index set, multiplicative over disjoint
+// sets and safe for concurrent use.
+type judge interface {
+	check(idxs []int, scaled bool) *bn254.GT
+	checkOne(i int) bool
+}
+
+// rejection is one reject call: chunk t is indices [t·width, (t+1)·width)
+// of n, bad[t] its offenders and errs[t] its recovered panic.
+type rejection struct {
+	jd       judge
+	n, width int
+	bad      [][]int
+	errs     []error
+}
+
+// reject partitions [0, n) into chunks, decides every chunk on a fanOut of
+// bv.workers (0: GOMAXPROCS), bisects the chunks whose product is not one
+// down to single signatures (decided by checkOne), and reports the rejected
+// indices as a *batchError. Weights are per index, chunk boundaries depend
+// only on the chunk width and every chunk is decided independently, so the
+// outcome and the offender set are bit-identical at any worker count. The
+// only other error source is a panicking check, which its chunk recovers,
+// from the check's fanOut workers too: the batch fails, not the process.
+func (bv *BatchVerifier) reject(n int, jd judge) error {
+	chunks := (n + bv.chunk - 1) / bv.chunk
+	r := &rejection{jd: jd, n: n, width: bv.chunk, bad: make([][]int, chunks), errs: make([]error, chunks)}
+	fanOut(cmp.Or(bv.workers, runtime.GOMAXPROCS(0)), chunks, r, (*rejection).chunk)
+	if err := errors.Join(r.errs...); err != nil {
 		return fmt.Errorf("mccls: batch: %w", err)
 	}
 	// Chunks are in index order, so the concatenation stays sorted.
-	if bad := slices.Concat(results...); len(bad) > 0 {
+	if bad := slices.Concat(r.bad...); len(bad) > 0 {
 		return &batchError{bad: bad}
 	}
 	return nil
+}
+
+// chunk decides chunk t: its offenders, or the panic its check raised.
+func (r *rejection) chunk(t int) {
+	defer func() {
+		if v := recover(); v != nil {
+			r.errs[t] = fmt.Errorf("chunk %d panicked: %v", t, v)
+		}
+	}()
+	idxs := make([]int, min(r.width, r.n-t*r.width))
+	for i := range idxs {
+		idxs[i] = t*r.width + i
+	}
+	r.bad[t] = bisect(r.jd, idxs, nil)
 }
 
 // bisect isolates the offending indices of a non-empty index set whose
@@ -452,25 +506,53 @@ func (bv *BatchVerifier) reject(n int, check func(idxs []int) *bn254.GT, checkOn
 // subset's product is one for any weights, an invalid one's only with the
 // probability the chunk's was — and makes them multiplicative: a failing
 // set evaluates its left half and reads the right half's off as v·left⁻¹.
-// A half whose product is one is not descended into; a single signature —
-// a suspect, or a chunk of one — is decided by checkOne, unweighted.
-func bisect(idxs []int, v *bn254.GT, check func([]int) *bn254.GT, checkOne func(int) bool) []int {
-	if len(idxs) == 1 {
-		if v != nil && v.IsOne() || checkOne(idxs[0]) {
+// A failing root first locates a lone offender and halves only when that
+// fails; a half whose product is one is not descended into. A single
+// signature — a suspect, or a chunk of one — is decided by checkOne,
+// unweighted.
+func bisect(jd judge, idxs []int, v *bn254.GT) []int {
+	switch {
+	case v != nil && v.IsOne():
+		return nil
+	case len(idxs) == 1:
+		if jd.checkOne(idxs[0]) {
 			return nil
 		}
 		return idxs
-	}
-	if v == nil {
-		v = check(idxs)
-	}
-	if v.IsOne() {
-		return nil
+	case v == nil:
+		if v = jd.check(idxs, false); v.IsOne() {
+			return nil
+		}
+		if p := locate(jd, idxs, v); p >= 0 {
+			return bisect(jd, idxs[p:p+1], v)
+		}
 	}
 	mid := len(idxs) / 2
-	left := check(idxs[:mid])
+	left := jd.check(idxs[:mid], false)
 	right := new(bn254.GT).Inverse(left)
-	return append(bisect(idxs[:mid], left, check, checkOne), bisect(idxs[mid:], right.Mul(v, right), check, checkOne)...)
+	return append(bisect(jd, idxs[:mid], left), bisect(jd, idxs[mid:], right.Mul(v, right))...)
+}
+
+// locate returns the position of a failing set's lone offender, or -1. The
+// product is v = Π xᵢ ≠ 1, xᵢ one exactly when i is valid (ρᵢ ≠ 0, GT of
+// prime order r), and the scaled check's v₁ = Π xᵢ^(p+1) over positions p.
+// One offender, at p, makes v₁ = v^(p+1), and as v has order r > len(idxs)
+// the first power of v equal to v₁ names p. If the product at p alone is v,
+// the rest has product one and passes with the bound of any sub-check; no
+// match, or another product, means two offenders or more.
+func locate(jd judge, idxs []int, v *bn254.GT) int {
+	v1 := jd.check(idxs, true)
+	u := v
+	for p := range idxs {
+		if u.Equal(v1) {
+			if jd.check(idxs[p:p+1], false).Equal(v) {
+				return p
+			}
+			return -1
+		}
+		u = new(bn254.GT).Mul(u, v)
+	}
+	return -1
 }
 
 // VerifySameSigner checks n signatures by one signer: VerifyMulti with pk
@@ -496,5 +578,5 @@ func (bv *BatchVerifier) VerifyMulti(pks []*PublicKey, msgs [][]byte, sigs []*Si
 	if err != nil {
 		return err
 	}
-	return bv.reject(len(sigs), w.check, w.checkOne)
+	return bv.reject(len(sigs), w)
 }

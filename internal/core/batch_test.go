@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -114,22 +115,27 @@ func TestBatchEngineSameSigner(t *testing.T) {
 
 // checkPairwise is the differential oracle for window.check: the aggregate
 // product with nothing folded and no kernel shared with the shipped path —
-// ρᵢ as a full-width scalar, Aᵢ = (Vᵢ/hᵢ)·P - Rᵢ and ρᵢ·Aᵢ by the
-// variable-base ladder, one Miller pair and one weighted Q_ID per signature:
+// ρᵢ as a full-width scalar (times q+1 at position q when scaled),
+// Aᵢ = (Vᵢ/hᵢ)·P - Rᵢ and ρᵢ·Aᵢ by the variable-base ladder, one Miller pair
+// and one weighted Q_ID per signature:
 //
 //	Π e(ρᵢ·Aᵢ, Sᵢ) · e(-P_pub, Σ ρᵢ·Q_IDᵢ).
-func (w *window) checkPairwise(idxs []int) *bn254.GT {
+func (w *window) checkPairwise(idxs []int, scaled bool) *bn254.GT {
 	var ps []*bn254.G1
 	var qs []*bn254.G2
 	qSum := bn254.G2Infinity()
 	params := w.vf.params
-	for _, i := range idxs {
+	for q, i := range idxs {
 		sig := w.sigs[i]
 		h := params.hashH2(w.msgs[i], sig.R, w.pks[i].PID)
 		k := new(big.Int).ModInverse(h.BigInt(), bn254.Order)
 		a := new(bn254.G1).ScalarMult(bn254.G1Generator(), k.Mul(k, sig.V.BigInt()))
 		a.Add(a, new(bn254.G1).Neg(sig.R))
 		rho := w.rho[i].Fr()
+		if scaled {
+			m := fr.NewElement(uint64(q + 1))
+			rho.Mul(&rho, &m)
+		}
 		ps = append(ps, a.ScalarMultFr(a, &rho))
 		qs = append(qs, sig.S)
 		qSum.Add(qSum, new(bn254.G2).ScalarMultFr(params.QID(w.pks[i].ID), &rho))
@@ -139,29 +145,63 @@ func (w *window) checkPairwise(idxs []int) *bn254.GT {
 	return bn254.FinalExp(bn254.MillerLoopMulti(ps, qs))
 }
 
-// pairwiseTrace predicts what a bisection over idxs evaluates, every node
-// decided by the pairwise oracle directly — the right halves too, which the
-// shipped bisection derives as a quotient: one "check" entry for the root
-// and every left half, one "leaf" entry per confirmed single suspect.
-func (w *window) pairwiseTrace(idxs []int, derived bool, trace []string) []string {
-	pass := w.checkPairwise(idxs).IsOne()
-	if !derived {
-		trace = append(trace, fmt.Sprint("check ", idxs, pass))
+// node is a trace entry for one evaluated product: the set, whether it was
+// scaled, and the product's leading bytes, which the grouped and the
+// pairwise product share exactly.
+func node(idxs []int, scaled bool, v *bn254.GT) string {
+	return fmt.Sprintf("check %v scaled=%v %x", idxs, scaled, v.Marshal()[:8])
+}
+
+// pairwiseTrace predicts what reject evaluates over one chunk, every node
+// decided by the pairwise oracle directly — the right parts too, which the
+// shipped bisection derives as a quotient: one "check" entry per evaluated
+// product (the root, the scaled root, a located suspect's confirmation and
+// every left half), one "leaf" entry per single suspect. It finds the lone
+// offender's position by GT.Exp, not by repeated products.
+func (w *window) pairwiseTrace(chunk []int, trace []string) []string {
+	eval := func(idxs []int, scaled bool) *bn254.GT {
+		v := w.checkPairwise(idxs, scaled)
+		trace = append(trace, node(idxs, scaled, v))
+		return v
 	}
-	switch {
-	case pass:
+	leaf := func(i int) { trace = append(trace, fmt.Sprint("leaf ", i, w.checkOne(i))) }
+	if len(chunk) == 1 {
+		leaf(chunk[0])
 		return trace
-	case len(idxs) == 1:
-		return append(trace, fmt.Sprint("leaf ", idxs[0], w.checkOne(idxs[0])))
 	}
-	mid := len(idxs) / 2
-	return w.pairwiseTrace(idxs[mid:], true, w.pairwiseTrace(idxs[:mid], false, trace))
+	v := eval(chunk, false)
+	if v.IsOne() {
+		return trace
+	}
+	v1 := eval(chunk, true)
+	for p := range chunk {
+		if m := fr.NewElement(uint64(p + 1)); new(bn254.GT).Exp(v, &m).Equal(v1) {
+			if eval(chunk[p:p+1], false).Equal(v) {
+				leaf(chunk[p])
+				return trace
+			}
+			break
+		}
+	}
+	var halve func(idxs []int, v *bn254.GT)
+	halve = func(idxs []int, v *bn254.GT) {
+		switch mid := len(idxs) / 2; {
+		case v.IsOne():
+		case mid == 0:
+			leaf(idxs[0])
+		default:
+			halve(idxs[:mid], eval(idxs[:mid], false))
+			halve(idxs[mid:], w.checkPairwise(idxs[mid:], false))
+		}
+	}
+	halve(chunk, v)
+	return trace
 }
 
 // TestBatchGroupedVsPairwise runs the shipped chunk check against the
-// pairwise oracle under one weight seed: same error class, the same
-// verdict at every bisection node and the same offender slice on every
-// window.
+// pairwise oracle under one weight seed: same error class, the same nodes
+// with the same products (scaled ones too) and the same offender slice on
+// every window.
 func TestBatchGroupedVsPairwise(t *testing.T) {
 	kgc, vf, pks, msgs, sigs := multiBatch(t, 20, 4)
 	params := kgc.Params()
@@ -211,22 +251,25 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 			w, want := oracle.newWindow(p, m, s)
 			var gotTrace, wantTrace []string
 			if want == nil {
-				want = oracle.reject(len(s), func(idxs []int) *bn254.GT {
-					v := w.check(idxs)
-					gotTrace = append(gotTrace, fmt.Sprint("check ", idxs, v.IsOne()))
-					return v
-				}, func(i int) bool {
-					ok := w.checkOne(i)
-					gotTrace = append(gotTrace, fmt.Sprint("leaf ", i, ok))
-					return ok
+				want = oracle.reject(len(s), judgeFuncs{
+					checkF: func(idxs []int, scaled bool) *bn254.GT {
+						v := w.check(idxs, scaled)
+						gotTrace = append(gotTrace, node(idxs, scaled, v))
+						return v
+					},
+					oneF: func(i int) bool {
+						ok := w.checkOne(i)
+						gotTrace = append(gotTrace, fmt.Sprint("leaf ", i, ok))
+						return ok
+					},
 				})
 				for lo := 0; lo < len(s); lo += chunk {
 					idxs := make([]int, min(chunk, len(s)-lo))
 					for i := range idxs {
 						idxs[i] = lo + i
 					}
-					wantTrace = w.pairwiseTrace(idxs, false, wantTrace)
-					if tc.bad == nil && !(w.check(idxs).IsOne() && w.checkPairwise(idxs).IsOne()) {
+					wantTrace = w.pairwiseTrace(idxs, wantTrace)
+					if tc.bad == nil && !(w.check(idxs, false).IsOne() && w.checkPairwise(idxs, false).IsOne()) {
 						t.Fatalf("clean chunk %v must pass at the root on both sides", idxs)
 					}
 				}
@@ -338,8 +381,8 @@ func TestBatchSecondSightingBuildsTables(t *testing.T) {
 }
 
 // TestBatchFanOutInvariance runs a clean, a forged and a first window (a
-// fresh verifier) at GOMAXPROCS 1, 2 and 4: the chunk's reduced product and
-// the offender set must be byte-equal at every width.
+// fresh verifier) at GOMAXPROCS 1, 2 and 4: the chunk's reduced product,
+// plain and scaled, and the offender set must be byte-equal at every width.
 func TestBatchFanOutInvariance(t *testing.T) {
 	_, warm, pks, msgs, sigs := multiBatch(t, 64, 16)
 	for range 2 { // Q_ID, then the tables
@@ -372,11 +415,11 @@ func TestBatchFanOutInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gt := w.check(idxs)
+				gt := w.check(idxs, false)
 				if gt.IsOne() != (tc.wantBad == nil) {
 					t.Fatalf("%s: GOMAXPROCS %d: product is one %v, want %v", tc.name, procs, gt.IsOne(), tc.wantBad == nil)
 				}
-				v := gt.Marshal()
+				v := append(gt.Marshal(), w.check(idxs, true).Marshal()...)
 				if ref == nil {
 					ref = v
 				} else if !bytes.Equal(v, ref) {
@@ -526,10 +569,15 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 }
 
 // TestBatchQuotientBisection pins the bisection's cost and semantics on a
-// 64-signature/16-signer window. One forgery costs the root and one left
-// half per level — 7 aggregate products over 64, 32, 16, 8, 4, 2 and 1
-// signatures, 17+17+17+9+5+3+2 = 70 Miller pairs — plus the one checkOne
-// that confirms it, wherever it sits; the right halves come as quotients.
+// 64-signature/16-signer window, signer i mod 16 at index i, so S-group g is
+// {g, g+16, g+32, g+48}. A lone forgery, wherever it sits, costs the root
+// (17 Miller pairs), its scaled twin (17), the one-signature confirmation of
+// the located position (2) and the checkOne that decides it (1): 4 final
+// exponentiations, 37 pairs. Two offenders or more find no match in the
+// scan and fall back to halving in index order, each left half one check and
+// its right half a quotient: the halving's cost plus the scaled root's one
+// final exp and 17 pairs. Offenders {3, 40} cost 15 final exps and 125
+// pairs, {40, 56} 14 and 108, {3, 20, 40, 57} 25 and 165.
 func TestBatchQuotientBisection(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
 	for i := 0; i < 16; i++ { // warm e(P_pub, Q_ID) for the leaves
@@ -544,15 +592,21 @@ func TestBatchQuotientBisection(t *testing.T) {
 		}
 		return bad
 	}
-	for _, at := range []int{0, 31, 32, 63} {
+	for _, tc := range []struct {
+		at               []int
+		finalExps, pairs uint64
+	}{
+		{[]int{0}, 4, 37}, {[]int{31}, 4, 37}, {[]int{32}, 4, 37}, {[]int{63}, 4, 37},
+		{[]int{3, 40}, 15, 125}, {[]int{40, 56}, 14, 108}, {[]int{3, 20, 40, 57}, 25, 165},
+	} {
 		before := bn254.ReadOpCounts()
-		err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, tamper(at), sigs)
+		err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, tamper(tc.at...), sigs)
 		d := bn254.ReadOpCounts().Sub(before)
-		if !slices.Equal(BatchOffenders(err), []int{at}) {
-			t.Fatalf("forgery at %d: %v", at, err)
+		if !slices.Equal(BatchOffenders(err), tc.at) {
+			t.Fatalf("forgeries at %v: %v", tc.at, err)
 		}
-		if d.FinalExps != 7+1 || d.Pairings != 70+1 {
-			t.Fatalf("forgery at %d: %d final exps, %d Miller pairs; want 8, 71", at, d.FinalExps, d.Pairings)
+		if d.FinalExps != tc.finalExps || d.Pairings != tc.pairs {
+			t.Fatalf("forgeries at %v: %d final exps, %d Miller pairs; want %d, %d", tc.at, d.FinalExps, d.Pairings, tc.finalExps, tc.pairs)
 		}
 	}
 	all := make([]int, 16)
@@ -575,14 +629,15 @@ func TestBatchQuotientBisection(t *testing.T) {
 }
 
 // TestBatchWindowAllocs keeps the joint walks' tables and digit rows off
-// the heap: a clean warm 64/16 window makes exactly its measured 56
+// the heap: a clean warm 64/16 window makes exactly its measured 42
 // allocations at GOMAXPROCS 1, so one escaped row buffer (18 more) fails
 // here, as does a fan-out that allocates when it runs inline. At
 // GOMAXPROCS 2 each of the two fan-outs (the points, the Miller parts) adds
-// its counter, wait group and two closures, and the Miller parts add their
-// slice and one more loop's accumulator and table-pair state: 67. Under -race, fmt's printer cache (a sync.Pool) loses entries
-// at random, and the chunk label can cost one more allocation per window on
-// average over the runs.
+// its shared state (counter, wait group, first panic) and two closures, and
+// the Miller parts add their slice and one more loop's accumulator and
+// table-pair state: 51. The chunk
+// runs inline (one chunk), and nothing on the path draws on a sync.Pool, so
+// the counts are exact under -race too.
 func TestBatchWindowAllocs(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
 	bv := vf.Batch(BatchOptions{})
@@ -594,19 +649,146 @@ func TestBatchWindowAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		procs  int
 		allocs uint64
-	}{{1, 56}, {2, 67}} {
-		most := tc.allocs
-		if raceEnabled {
-			most++
-		}
+	}{{1, 42}, {2, 51}} {
 		if allocs := allocsAt(tc.procs, 20, func() {
 			if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
 				t.Fatal(err)
 			}
-		}); allocs < tc.allocs || allocs > most {
+		}); allocs != tc.allocs {
 			t.Errorf("clean warm 64/16 window at GOMAXPROCS %d: %v allocations, want %v", tc.procs, allocs, tc.allocs)
 		}
 	}
+}
+
+// FuzzBatchVsVerify is the batch plane's differential oracle: a window the
+// fuzz bytes draw — n = 1–80 signatures over k = 1–20 signers (order[i]
+// names index i's signer, i mod k past its end), chunks of 1 + chunk mod n,
+// warm or cold caches (flags bit 0), GOMAXPROCS 1 or 2 (bit 1) — with up to
+// four planted faults, each three bytes (kind, index, aux): a tampered
+// message; an S forged under a known identity, aux naming one of four forged
+// points, so faults can share an S-group; the identity's key replaced, the
+// signature re-signed under it for odd aux (valid) or kept (invalid); or the
+// signature filed under another identity. The offenders must be exactly the
+// indices a fresh Verifier's Verify rejects, and a table cached by the window
+// must carry an S of a clean chunk under its identity, one known before the
+// window, unless it was cached before.
+func FuzzBatchVsVerify(f *testing.F) {
+	rng := fixedRand(98)
+	kgc, err := Setup(rng)
+	if err != nil {
+		f.Fatal(err)
+	}
+	params := kgc.Params()
+	var sks, replaced []*PrivateKey
+	for j := range 20 {
+		ppk := kgc.ExtractPartialPrivateKey(fmt.Sprintf("fz-%d", j))
+		for _, to := range []*[]*PrivateKey{&sks, &replaced} {
+			sk, err := GenerateKeyPair(params, ppk, rng)
+			if err != nil {
+				f.Fatal(err)
+			}
+			*to = append(*to, sk)
+		}
+	}
+	type signed struct {
+		sk  *PrivateKey
+		msg string
+	}
+	memo := map[signed]*Signature{}
+	sign := func(t *testing.T, sk *PrivateKey, msg []byte) *Signature {
+		key := signed{sk, string(msg)}
+		if memo[key] == nil {
+			sig, err := Sign(params, sk, msg, fixedRand(int64(len(msg))<<8|int64(msg[0])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			memo[key] = sig
+		}
+		return memo[key]
+	}
+	var forged [4]*bn254.G2
+	for j := range forged {
+		forged[j] = new(bn254.G2).ScalarMult(bn254.G2Generator(), big.NewInt(int64(1000+j)))
+	}
+
+	f.Fuzz(func(t *testing.T, n, signers, chunk, flags uint8, faults, order []byte) {
+		nn, k := 1+int(n)%80, 1+int(signers)%20
+		who := make([]int, nn)
+		p, m, s := make([]*PublicKey, nn), make([][]byte, nn), make([]*Signature, nn)
+		for i := range nn {
+			if who[i] = i % k; i < len(order) {
+				who[i] = int(order[i]) % k
+			}
+			p[i], m[i] = sks[who[i]].Public(), []byte{byte(i)}
+			s[i] = sign(t, sks[who[i]], m[i])
+		}
+		for at := 0; at+3 <= min(len(faults), 12); at += 3 {
+			kind, i, aux := faults[at]%4, int(faults[at+1])%nn, int(faults[at+2])
+			switch kind {
+			case 0:
+				m[i] = []byte{0xfe, byte(i), byte(aux)}
+			case 1:
+				s[i] = &Signature{V: s[i].V, S: forged[aux%len(forged)], R: s[i].R}
+			case 2:
+				if p[i] = replaced[who[i]].Public(); aux%2 == 1 {
+					s[i] = sign(t, replaced[who[i]], m[i])
+				}
+			case 3:
+				p[i] = sks[(who[i]+1+aux%19)%20].Public()
+			}
+		}
+		fresh := NewVerifier(params)
+		var want []int
+		for i := range nn {
+			if fresh.Verify(p[i], m[i], s[i]) != nil {
+				want = append(want, i)
+			}
+		}
+
+		vf := NewVerifier(params)
+		if flags&1 != 0 { // m_ID, then the table, of every signer's honest S
+			for _, j := range who {
+				for range 2 {
+					if err := vf.Verify(sks[j].Public(), []byte("warm"), sign(t, sks[j], []byte("warm"))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		before, known := map[string]*bn254.G2{}, map[string]bool{}
+		for _, sk := range append(slices.Clone(sks), replaced...) {
+			id := sk.Public().ID
+			if l, ok := vf.lineCache.Get(id); ok {
+				before[id] = l.Q()
+			}
+			_, m := vf.rhsCache.Get(id)
+			_, q := vf.qidCache.Get(id)
+			known[id] = m || q
+		}
+		width := 1 + int(chunk)%nn
+		var err error
+		atProcs(1+int(flags>>1&1), func() { err = testBatch(vf, width, 0).VerifyMulti(p, m, s) })
+		if got := BatchOffenders(err); !slices.Equal(got, want) || (err == nil) != (want == nil) {
+			t.Fatalf("%d signatures / %d signers in chunks of %d: offenders %v (%v), a fresh Verify rejects %v", nn, k, width, got, err, want)
+		}
+
+		clean := map[string][]*bn254.G2{} // each identity's S values in chunks with no offender
+		for i := range nn {
+			if id := p[i].ID; !slices.ContainsFunc(want, func(j int) bool { return j/width == i/width }) {
+				clean[id] = append(clean[id], s[i].S)
+			}
+		}
+		for id := range known {
+			l, ok := vf.lineCache.Get(id)
+			switch {
+			case !ok || before[id] != nil && l.Q().Equal(before[id]):
+			case !known[id]:
+				t.Fatalf("%s, unknown before the window, got a table", id)
+			case !slices.ContainsFunc(clean[id], l.Q().Equal):
+				t.Fatalf("%s caches a table built in a chunk with an offender", id)
+			}
+		}
+	})
 }
 
 // allocsAt is testing.AllocsPerRun at GOMAXPROCS procs (AllocsPerRun runs
@@ -631,18 +813,31 @@ func allocsAt(procs, runs int, f func()) uint64 {
 	return least
 }
 
+// judgeFuncs is a judge made of functions.
+type judgeFuncs struct {
+	checkF func(idxs []int, scaled bool) *bn254.GT
+	oneF   func(i int) bool
+}
+
+func (f judgeFuncs) check(idxs []int, scaled bool) *bn254.GT { return f.checkF(idxs, scaled) }
+func (f judgeFuncs) checkOne(i int) bool                     { return f.oneF(i) }
+
 // fakeCheck is an aggregate check over a set of bad indices that counts
 // its evaluations; fakeLeaf is the matching single-index check. A bad index
-// i contributes e(P, Q)^(i+1), so products are multiplicative over disjoint
-// sets and one exactly when the set holds no bad index.
-func fakeCheck(bad map[int]bool, calls *atomic.Int64) func([]int) *bn254.GT {
+// i at position q contributes e(P, Q)^(i+1), scaled e(P, Q)^((q+1)·(i+1)),
+// so products are multiplicative over disjoint sets and one exactly when
+// the set holds no bad index.
+func fakeCheck(bad map[int]bool, calls *atomic.Int64) func([]int, bool) *bn254.GT {
 	g := bn254.Pair(bn254.G1Generator(), bn254.G2Generator())
-	return func(idxs []int) *bn254.GT {
+	return func(idxs []int, scaled bool) *bn254.GT {
 		calls.Add(1)
 		var e int64
-		for _, i := range idxs {
-			if bad[i] {
-				e += int64(i) + 1
+		for q, i := range idxs {
+			if m := int64(1); bad[i] {
+				if scaled {
+					m = int64(q) + 1
+				}
+				e += m * (int64(i) + 1)
 			}
 		}
 		return new(bn254.GT).Exp(g, new(fr.Element).SetBigInt(big.NewInt(e)))
@@ -653,26 +848,36 @@ func fakeLeaf(bad map[int]bool) func(int) bool {
 	return func(i int) bool { return !bad[i] }
 }
 
+// fakeJudge is the judge of fakeCheck and fakeLeaf.
+func fakeJudge(bad map[int]bool, calls *atomic.Int64) judgeFuncs {
+	return judgeFuncs{fakeCheck(bad, calls), fakeLeaf(bad)}
+}
+
 func TestBatchRejectLocatesOffenders(t *testing.T) {
 	bad := map[int]bool{3: true, 17: true, 42: true, 99: true}
 	var calls atomic.Int64
-	err := (&BatchVerifier{chunk: 16}).reject(100, fakeCheck(bad, &calls), fakeLeaf(bad))
+	err := (&BatchVerifier{chunk: 16}).reject(100, fakeJudge(bad, &calls))
 	if got, want := BatchOffenders(err), []int{3, 17, 42, 99}; !slices.Equal(got, want) {
 		t.Fatalf("offenders %v (%v), want %v", got, err, want)
+	}
+	// Seven roots, and per failing chunk its scaled root and the located
+	// suspect's confirmation: no bisection.
+	if calls.Load() != 7+2*4 {
+		t.Fatalf("%d checks, want 15", calls.Load())
 	}
 }
 
 func TestBatchRejectAllGood(t *testing.T) {
 	var calls atomic.Int64
 	bv := &BatchVerifier{chunk: 16}
-	if err := bv.reject(100, fakeCheck(nil, &calls), fakeLeaf(nil)); err != nil {
+	if err := bv.reject(100, fakeJudge(nil, &calls)); err != nil {
 		t.Fatalf("clean batch: %v", err)
 	}
 	// One aggregate check per chunk, no bisection.
 	if calls.Load() != 7 {
 		t.Fatalf("clean batch ran %d checks, want 7", calls.Load())
 	}
-	if err := bv.reject(0, fakeCheck(nil, &calls), fakeLeaf(nil)); err != nil {
+	if err := bv.reject(0, fakeJudge(nil, &calls)); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -681,7 +886,7 @@ func TestBatchRejectWorkerInvariance(t *testing.T) {
 	bad := map[int]bool{0: true, 31: true, 32: true, 63: true, 64: true}
 	for _, workers := range []int{1, 2, 8} {
 		var calls atomic.Int64
-		err := (&BatchVerifier{chunk: 8, workers: workers}).reject(65, fakeCheck(bad, &calls), fakeLeaf(bad))
+		err := (&BatchVerifier{chunk: 8, workers: workers}).reject(65, fakeJudge(bad, &calls))
 		if got, want := BatchOffenders(err), []int{0, 31, 32, 63, 64}; !slices.Equal(got, want) {
 			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
 		}
@@ -693,11 +898,12 @@ func TestBatchRejectUsesCheckOneAtLeaves(t *testing.T) {
 	// is reported, so leaves are decided by checkOne (the single Verify).
 	var calls atomic.Int64
 	var leaves atomic.Int64
-	checkOne := func(i int) bool {
+	jd := fakeJudge(map[int]bool{4: true, 5: true}, &calls)
+	jd.oneF = func(i int) bool {
 		leaves.Add(1)
 		return i != 5
 	}
-	err := (&BatchVerifier{chunk: 8}).reject(8, fakeCheck(map[int]bool{4: true, 5: true}, &calls), checkOne)
+	err := (&BatchVerifier{chunk: 8}).reject(8, jd)
 	if got := BatchOffenders(err); !slices.Equal(got, []int{5}) {
 		t.Fatalf("offenders %v (%v), want [5]", got, err)
 	}
@@ -706,11 +912,43 @@ func TestBatchRejectUsesCheckOneAtLeaves(t *testing.T) {
 	}
 }
 
+// TestBatchRejectPanicPropagates: a chunk recovers its check's panic as an
+// error, inline and on a second goroutine alike.
 func TestBatchRejectPanicPropagates(t *testing.T) {
-	err := (&BatchVerifier{chunk: 2}).reject(4, func([]int) *bn254.GT { panic("boom") }, fakeLeaf(nil))
-	if err == nil || BatchOffenders(err) != nil {
-		t.Fatalf("panicking check must surface as a plain error, got %v", err)
+	for _, workers := range []int{1, 2} {
+		jd := fakeJudge(nil, new(atomic.Int64))
+		jd.checkF = func([]int, bool) *bn254.GT { panic("boom") }
+		err := (&BatchVerifier{chunk: 2, workers: workers}).reject(4, jd)
+		if err == nil || BatchOffenders(err) != nil {
+			t.Fatalf("workers=%d: a panicking check must surface as a plain error, got %v", workers, err)
+		}
 	}
+}
+
+// TestBatchCheckPanicOnFanOutWorker: a real check at GOMAXPROCS 2 fans its
+// group points out to a second goroutine; with every R gone after the shape
+// checks, at least two point tasks panic and the caller claims at most one
+// of them, so a spawned worker panics too. The panic reaches the chunk's
+// recovery as an error instead of ending the process.
+func TestBatchCheckPanicOnFanOutWorker(t *testing.T) {
+	_, vf, pks, msgs, sigs := multiBatch(t, 16, 4)
+	atProcs(2, func() {
+		bv := testBatch(vf, chunkWidth, 1)
+		s := slices.Clone(sigs)
+		w, err := bv.newWindow(pks, msgs, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.width != 2 {
+			t.Fatalf("one chunk at GOMAXPROCS 2 fans out to %d workers, want 2", w.width)
+		}
+		for i := range s {
+			s[i] = &Signature{V: s[i].V, S: s[i].S}
+		}
+		if err := bv.reject(len(s), w); err == nil || BatchOffenders(err) != nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("a check panicking on a fan-out worker must surface as a plain error, got %v", err)
+		}
+	})
 }
 
 func TestBatchErrorUnwrap(t *testing.T) {

@@ -101,9 +101,12 @@ func BenchmarkVerifyManySigners(b *testing.B) {
 // BenchmarkBatchWindow prices one 64-signature window from 16 known
 // signers (every m_ID cached) through VerifyMulti: warm replays the
 // signers' cached line tables, first is the window that builds them (a
-// fresh table cache per iteration), and forged is a warm window with one
-// planted forgery, bisected down to it (7 aggregate checks and one Verify,
-// 8 final exponentiations); its operation counts per window are logged.
+// fresh table cache per iteration), forged is a warm window with one
+// planted forgery, located by one scaled check and confirmed (3 aggregate
+// checks and one Verify, 4 final exponentiations), and forged2 one with two
+// forgeries in different S-groups, which the scaled check cannot locate, so
+// the window is halved after it. The forged windows log their operation
+// counts per window.
 func BenchmarkBatchWindow(b *testing.B) {
 	_, vf, pks, msgs, sigs := multiBatch(b, 64, 16)
 	run := func(b *testing.B, vf *Verifier) {
@@ -132,24 +135,30 @@ func BenchmarkBatchWindow(b *testing.B) {
 			run(b, &first)
 		}
 	})
-	b.Run("forged", func(b *testing.B) {
-		forged := slices.Clone(msgs)
-		forged[37] = []byte("forged")
-		run(b, vf) // the tables, in case warm did not run
-		b.ReportAllocs()
-		before := bn254.ReadOpCounts()
-		b.ResetTimer()
-		for range b.N {
-			err := vf.Batch(BatchOptions{}).VerifyMulti(pks, forged, sigs)
-			if !slices.Equal(BatchOffenders(err), []int{37}) {
-				b.Fatalf("offenders %v (%v), want [37]", BatchOffenders(err), err)
+	forged := func(at ...int) func(b *testing.B) {
+		return func(b *testing.B) {
+			bad := slices.Clone(msgs)
+			for _, i := range at {
+				bad[i] = []byte("forged")
 			}
+			run(b, vf) // the tables, in case warm did not run
+			b.ReportAllocs()
+			before := bn254.ReadOpCounts()
+			b.ResetTimer()
+			for range b.N {
+				err := vf.Batch(BatchOptions{}).VerifyMulti(pks, bad, sigs)
+				if !slices.Equal(BatchOffenders(err), at) {
+					b.Fatalf("offenders %v (%v), want %v", BatchOffenders(err), err, at)
+				}
+			}
+			b.StopTimer()
+			d, n := bn254.ReadOpCounts().Sub(before), uint64(b.N)
+			b.Logf("per window: %d final exps, %d Miller pairs, %d Miller squarings, %d G1 and %d G2 mults",
+				d.FinalExps/n, d.Pairings/n, d.MillerSquarings/n, d.G1ScalarMults/n, d.G2ScalarMults/n)
 		}
-		b.StopTimer()
-		d, n := bn254.ReadOpCounts().Sub(before), uint64(b.N)
-		b.Logf("per window: %d final exps, %d Miller pairs, %d Miller squarings, %d G1 and %d G2 mults",
-			d.FinalExps/n, d.Pairings/n, d.MillerSquarings/n, d.G1ScalarMults/n, d.G2ScalarMults/n)
-	})
+	}
+	b.Run("forged", forged(37))
+	b.Run("forged2", forged(3, 40))
 }
 
 // TestSignVerifyAllocs pins the allocation budget of the per-packet
