@@ -53,10 +53,10 @@ type BatchOptions struct {
 // exponentiation — and a one-signer window is its two-pair case. Grouping
 // is on S point equality, never on identity, so a forged S under a known
 // identity forms a group of its own. A group's S replays its line table
-// under Verify's rule (Verifier.lineTable), so a warm window steps one G2
-// chain, the Q_ID sum's; a table built for a chunk is cached only once the
-// chunk's product is one. A chunk's work spreads over the P's the other
-// chunks leave free (window.check).
+// under Verify's rule (lineTable), so a warm window steps one G2 chain, the
+// Q_ID sum's; a table built for a chunk is stored only once the chunk's
+// product is one. A chunk's work spreads over the P's the other chunks leave
+// free (window.check).
 type BatchVerifier struct {
 	vf      *Verifier
 	weights io.Reader
@@ -66,7 +66,7 @@ type BatchVerifier struct {
 }
 
 // Batch creates a batch-verification engine over this verifier's
-// parameters and caches.
+// parameters and signer records.
 func (vf *Verifier) Batch(opts BatchOptions) *BatchVerifier {
 	return &BatchVerifier{vf: vf, weights: opts.Weights, chunk: chunkWidth}
 }
@@ -136,23 +136,30 @@ func (bv *BatchVerifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error
 }
 
 // window is one batch call's input with its per-signature precomputation:
-// rho[i] is the weight ρᵢ as its halves and k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the weighted
-// fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ. known[i] records whether i's
-// identity was seen before this window (its m_ID or Q_ID cached): a second
-// sighting, which earns its S a line table. lines[i], the table of i's
-// S-group (nil: a point pair), is resolved by the first check over i, its
-// chunk's root, and reused by that chunk's bisection: one worker's entries.
-// width is the fan-out of each check: GOMAXPROCS shared among the chunks.
+// rho[i] is the weight ρᵢ as its halves, k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the weighted
+// fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ, and at[i] the rest of index
+// i's state. width is the fan-out of each check: GOMAXPROCS shared among
+// the chunks.
 type window struct {
-	vf              *Verifier
-	pks             []*PublicKey
-	msgs            [][]byte
-	sigs            []*Signature
-	k               []fr.Element
-	rho             []bn254.EndoScalar
-	lines           []*bn254.G2Lines
-	resolved, known []bool
-	width           int
+	vf    *Verifier
+	pks   []*PublicKey
+	msgs  [][]byte
+	sigs  []*Signature
+	k     []fr.Element
+	rho   []bn254.EndoScalar
+	at    []slot
+	width int
+}
+
+// slot is one index's state in a window. r is its identity's record if that
+// existed before the window (nil: a first contact): a second sighting, which
+// earns its S a line table. lines, the table of its S-group (nil: a point
+// pair), is resolved by the first check over the index, its chunk's root,
+// and reused by that chunk's bisection: one worker's entries.
+type slot struct {
+	r        *signer
+	lines    *bn254.G2Lines
+	resolved bool
 }
 
 // newWindow runs the shape checks and draws the weights for every index: no
@@ -165,19 +172,15 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 		return nil, err
 	}
 	n, chunks := len(sigs), (len(sigs)+bv.chunk-1)/bv.chunk
-	flags := make([]bool, 2*n)
 	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, n), rho: make([]bn254.EndoScalar, n),
-		lines: make([]*bn254.G2Lines, n), resolved: flags[:n:n], known: flags[n:], width: max(1, runtime.GOMAXPROCS(0)/max(1, chunks))}
+		at: make([]slot, n), width: max(1, runtime.GOMAXPROCS(0)/max(1, chunks))}
 	hs := make([]fr.Element, len(sigs))
 	for i, sig := range sigs {
 		if err := checkShape(pks[i], sig); err != nil {
 			return nil, err
 		}
 		hs[i] = bv.vf.params.hashH2(msgs[i], sig.R, pks[i].PID)
-		id := pks[i].ID
-		if _, w.known[i] = bv.vf.qidCache.Get(id); !w.known[i] {
-			_, w.known[i] = bv.vf.rhsCache.Get(id)
-		}
+		w.at[i].r, _ = bv.vf.signers.Get(pks[i].ID)
 	}
 	if i := batchInverse(w.k, hs); i >= 0 {
 		return nil, fmt.Errorf("%w (index %d)", errZeroChallenge, i)
@@ -221,7 +224,7 @@ func batchInverse(out, xs []fr.Element) int {
 // Σρᵢ·Aᵢ = (Σkᵢ)·P - Σρᵢ·Rᵢ is one fixed-base pass and one joint ladder over
 // its R values, and Σ_ID (Σρᵢ)·Q_ID one joint ladder over the identities.
 // A group with a line table is a table pair of the Miller loop, the rest
-// point pairs; tables this check built are cached if its product is one.
+// point pairs; tables this check built are stored if its product is one.
 //
 // After the serial grouping, the Q_ID misses, the table builds, the group
 // points and the Q_ID sum are tasks for the window's width of workers, and
@@ -238,16 +241,16 @@ func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 		// Each S-group and each identity is summed at its first member.
 		if s := w.sigs[i].S; !slices.ContainsFunc(p.gs, func(g group) bool { return g.s.Equal(s) }) {
 			g := group{s: s, first: i, lo: len(p.rs)}
-			if !w.resolved[i] {
-				w.lines[i], g.build = w.vf.lineTable(w.pks[i].ID, s, w.known[i])
+			if !w.at[i].resolved {
+				w.at[i].lines, g.build = lineTable(w.at[i].r, s)
 			}
-			g.lines = w.lines[i]
+			g.lines = w.at[i].lines
 			for q, j := range idxs {
 				if w.sigs[j].S.Equal(s) {
 					k, rho := w.weight(j, q, scaled)
 					g.k.Add(&g.k, &k)
 					p.rs, p.rhos = append(p.rs, w.sigs[j].R), append(p.rhos, rho)
-					w.lines[j], w.resolved[j] = w.lines[i], true
+					w.at[j].lines, w.at[j].resolved = w.at[i].lines, true
 				}
 			}
 			g.hi = len(p.rs)
@@ -261,7 +264,10 @@ func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 					rho.Add(&rho, &rhoJ)
 				}
 			}
-			q, _ := w.vf.qidCache.Get(id) // nil: hashed by lookup
+			var q *bn254.G2 // nil: looked up by lookup
+			if r := w.at[i].r; r != nil {
+				q = r.q
+			}
 			p.ids, p.qids, p.rhoSums = append(p.ids, id), append(p.qids, q), append(p.rhoSums, rho)
 		}
 	}
@@ -292,7 +298,7 @@ func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 	if v.IsOne() && !scaled {
 		for _, g := range p.gs {
 			if g.build && g.lines != nil {
-				w.vf.lineCache.PutIfRoom(w.pks[g.first].ID, g.lines)
+				w.at[g.first].r.lines.Store(g.lines)
 			}
 		}
 	}
@@ -342,10 +348,11 @@ type pass struct {
 	fs            []*bn254.Fp12
 }
 
-// lookup is task t of the Q_ID round: identity t's Q_ID, hashed on a miss.
+// lookup is task t of the Q_ID round: the Q_ID of identity t, from its
+// record, which is created (Q_ID hashed) if absent.
 func (p *pass) lookup(t int) {
 	if p.qids[t] == nil {
-		p.qids[t] = p.w.vf.qid(p.ids[t])
+		p.qids[t] = p.w.vf.record(p.ids[t]).q
 	}
 }
 
@@ -361,7 +368,7 @@ func (p *pass) point(t int) {
 		g.lines = bn254.NewG2Lines(g.s) // nil only for an S off the curve
 		for _, j := range p.idxs {
 			if p.w.sigs[j].S.Equal(g.s) {
-				p.w.lines[j] = g.lines
+				p.w.at[j].lines = g.lines
 			}
 		}
 	}

@@ -352,8 +352,8 @@ func TestBatchWindowOpCounts(t *testing.T) {
 			if tc.warm {
 				want = tc.signers
 			}
-			if vf.lineCache.Len() != want {
-				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %v): %d line tables cached, want %d", procs, tc.signers, tc.warm, vf.lineCache.Len(), want)
+			if n := tables(vf, pks); n != want {
+				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %v): %d line tables cached, want %d", procs, tc.signers, tc.warm, n, want)
 			}
 		}
 	}
@@ -375,7 +375,7 @@ func TestBatchSecondSightingBuildsTables(t *testing.T) {
 			t.Fatalf("window %d: %d doubling and %d addition steps, want %d and %d", k+1, d.LineDoubles, d.LineAdds, 65*stepped, 23*stepped)
 		}
 	}
-	if n := vf.lineCache.Len(); n != 16 {
+	if n := tables(vf, pks); n != 16 {
 		t.Fatalf("%d line tables cached after three windows, want 16", n)
 	}
 }
@@ -530,12 +530,10 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 			before, known := map[string]*bn254.G2{}, map[string]bool{}
 			for _, sk := range sks {
 				id := sk.Public().ID
-				if l, ok := vf.lineCache.Get(id); ok {
+				if l, ok := tableOf(vf, id); ok {
 					before[id] = l.Q()
 				}
-				_, m := vf.rhsCache.Get(id)
-				_, q := vf.qidCache.Get(id)
-				known[id] = m || q
+				_, known[id] = vf.signers.Get(id)
 			}
 			err := testBatch(vf, chunk, workers).VerifyMulti(w.p, w.m, w.s)
 			if got := BatchOffenders(err); !slices.Equal(got, w.bad) || (err == nil) != (w.bad == nil) {
@@ -554,7 +552,7 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 			}
 			for _, sk := range sks {
 				id := sk.Public().ID
-				l, ok := vf.lineCache.Get(id)
+				l, ok := tableOf(vf, id)
 				switch {
 				case ok && !known[id]:
 					t.Fatalf("workers=%d %s: unknown %s got a table", workers, w.name, id)
@@ -629,13 +627,13 @@ func TestBatchQuotientBisection(t *testing.T) {
 }
 
 // TestBatchWindowAllocs keeps the joint walks' tables and digit rows off
-// the heap: a clean warm 64/16 window makes exactly its measured 42
+// the heap: a clean warm 64/16 window makes exactly its measured 41
 // allocations at GOMAXPROCS 1, so one escaped row buffer (18 more) fails
 // here, as does a fan-out that allocates when it runs inline. At
 // GOMAXPROCS 2 each of the two fan-outs (the points, the Miller parts) adds
 // its shared state (counter, wait group, first panic) and two closures, and
 // the Miller parts add their slice and one more loop's accumulator and
-// table-pair state: 51. The chunk
+// table-pair state: 50. The chunk
 // runs inline (one chunk), and nothing on the path draws on a sync.Pool, so
 // the counts are exact under -race too.
 func TestBatchWindowAllocs(t *testing.T) {
@@ -649,7 +647,7 @@ func TestBatchWindowAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		procs  int
 		allocs uint64
-	}{{1, 42}, {2, 51}} {
+	}{{1, 41}, {2, 50}} {
 		if allocs := allocsAt(tc.procs, 20, func() {
 			if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
 				t.Fatal(err)
@@ -758,12 +756,10 @@ func FuzzBatchVsVerify(f *testing.F) {
 		before, known := map[string]*bn254.G2{}, map[string]bool{}
 		for _, sk := range append(slices.Clone(sks), replaced...) {
 			id := sk.Public().ID
-			if l, ok := vf.lineCache.Get(id); ok {
+			if l, ok := tableOf(vf, id); ok {
 				before[id] = l.Q()
 			}
-			_, m := vf.rhsCache.Get(id)
-			_, q := vf.qidCache.Get(id)
-			known[id] = m || q
+			_, known[id] = vf.signers.Get(id)
 		}
 		width := 1 + int(chunk)%nn
 		var err error
@@ -779,7 +775,7 @@ func FuzzBatchVsVerify(f *testing.F) {
 			}
 		}
 		for id := range known {
-			l, ok := vf.lineCache.Get(id)
+			l, ok := tableOf(vf, id)
 			switch {
 			case !ok || before[id] != nil && l.Q().Equal(before[id]):
 			case !known[id]:
@@ -1109,9 +1105,6 @@ func TestVerifierCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	vf := NewVerifierCap(kgc.Params(), 4)
-	if vf.rhsCache.Cap() != 4 {
-		t.Fatalf("cap = %d, want 4", vf.rhsCache.Cap())
-	}
 	msg := []byte("flood")
 	for i := 0; i < 12; i++ {
 		id := "flood-" + string(rune('a'+i))
@@ -1127,8 +1120,8 @@ func TestVerifierCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if vf.rhsCache.Len() != 4 {
-		t.Fatalf("cache length %d after identity flood, want 4", vf.rhsCache.Len())
+	if vf.signers.Len() != 4 {
+		t.Fatalf("cache length %d after identity flood, want 4", vf.signers.Len())
 	}
 }
 

@@ -450,7 +450,7 @@ func TestVerifySameSigner(t *testing.T) {
 
 func TestVerifierCache(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "alice")
-	if vf.rhsCache.Len() != 0 {
+	if vf.signers.Len() != 0 {
 		t.Fatal("fresh verifier has cached entries")
 	}
 	msg := []byte("m")
@@ -463,8 +463,8 @@ func TestVerifierCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if vf.rhsCache.Len() != 1 {
-		t.Fatalf("cache length %d, want 1", vf.rhsCache.Len())
+	if vf.signers.Len() != 1 {
+		t.Fatalf("cache length %d, want 1", vf.signers.Len())
 	}
 }
 

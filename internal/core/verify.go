@@ -3,44 +3,45 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"mccls/internal/bn254"
 	"mccls/internal/bn254/fr"
 	"mccls/internal/lru"
 )
 
-// DefaultIdentityCacheCap bounds the Verifier's per-identity caches (m_ID,
-// an Fp12; Q_ID; S's line table, further capped by lineCacheCap). Generous
-// — 16k identities ≈ 16k·(384+128) bytes of curve material — but bounded,
-// so a flood of unique identities recycles cache slots instead of growing
-// memory without limit.
-const DefaultIdentityCacheCap = 1 << 14
+// DefaultIdentityCacheCap bounds the Verifier's signer records. 512 records,
+// each holding its line table (11,264 bytes), are ≈ 6.6 MB at worst, so a
+// flood of unique identities recycles records instead of growing memory
+// without limit. Past 512 recurring signers every verify is a first contact.
+const DefaultIdentityCacheCap = 1 << 9
 
-// lineCacheCap caps the line-table cache: 256 tables of 11,264 bytes are
-// ≈ 2.9 MB, where DefaultIdentityCacheCap of them would be ≈ 185 MB. A full
-// cache admits no new identity: beyond 256 recurring signers, evicting to
-// build would cost every packet a build and a replay, more than the plain
-// Miller loop, so the first 256 keep their tables and the rest run the loop.
-const lineCacheCap = 256
+// signer is one identity's record. q = Q_ID = H1(ID) is set before the
+// record is shared; m = m_ID is filled by the identity's first Verify; lines
+// is S's table, stored once a signature under it verifies. The three live
+// and are evicted together.
+type signer struct {
+	q     *bn254.G2
+	m     atomic.Pointer[bn254.Fp12]
+	lines atomic.Pointer[bn254.G2Lines]
+}
 
-// Verifier checks McCLS signatures. It caches three per-identity values:
-// m_ID = MillerLoop(-P_pub, Q_ID), the paper's e(P_pub, Q_ID) moved to the
-// left of the equation and left unreduced, so that Verify decides
-// FE(MillerLoop(A, S)·m_ID) = 1 — one Miller loop and one final
-// exponentiation for a known identity (the paper's "only one pairing
-// operation since e(P_pub, Q_ID) is a constant"), a second Miller loop but
-// no second final exponentiation on first contact; Q_ID = H1(ID), which the
-// batch engine's multi-signer equation consumes directly; and the line
-// table of the signer's S, so that a known signer's Miller loop does no G2
-// arithmetic. All three caches are LRU-bounded so unknown-identity floods
-// cannot exhaust memory. Safe for concurrent use.
+// Verifier checks McCLS signatures. It keeps one record per identity
+// (signer) with three values: m_ID = MillerLoop(-P_pub, Q_ID), the paper's
+// e(P_pub, Q_ID) moved to the left of the equation and left unreduced, so
+// that Verify decides FE(MillerLoop(A, S)·m_ID) = 1 — one Miller loop and
+// one final exponentiation for a known identity (the paper's "only one
+// pairing operation since e(P_pub, Q_ID) is a constant"), a second Miller
+// loop but no second final exponentiation on first contact; Q_ID = H1(ID),
+// which the batch engine's multi-signer equation consumes directly; and the
+// line table of the signer's S, so that a known signer's Miller loop does no
+// G2 arithmetic. An identity is known when its record existed before the
+// call. The records are LRU-bounded so unknown-identity floods cannot
+// exhaust memory. Safe for concurrent use.
 type Verifier struct {
 	params  *Params
 	negPpub *bn254.G1 // -P_pub, the G1 side of every m_ID
-
-	rhsCache  *lru.Cache[*bn254.Fp12]
-	qidCache  *lru.Cache[*bn254.G2]
-	lineCache *lru.Cache[*bn254.G2Lines]
+	signers *lru.Cache[*signer]
 }
 
 // NewVerifier creates a verifier for the given system parameters with the
@@ -49,45 +50,40 @@ func NewVerifier(params *Params) *Verifier {
 	return NewVerifierCap(params, DefaultIdentityCacheCap)
 }
 
-// NewVerifierCap creates a verifier whose per-identity caches hold at most
-// cacheCap identities (minimum 1).
+// NewVerifierCap creates a verifier that holds at most cacheCap signer
+// records (minimum 1).
 func NewVerifierCap(params *Params, cacheCap int) *Verifier {
-	return &Verifier{
-		params:    params,
-		negPpub:   new(bn254.G1).Neg(params.Ppub),
-		rhsCache:  lru.New[*bn254.Fp12](cacheCap),
-		qidCache:  lru.New[*bn254.G2](cacheCap),
-		lineCache: lru.New[*bn254.G2Lines](min(cacheCap, lineCacheCap)),
+	return &Verifier{params: params, negPpub: new(bn254.G1).Neg(params.Ppub), signers: lru.New[*signer](cacheCap)}
+}
+
+// record returns id's record, created if absent. Q_ID is hashed outside the
+// cache lock (hash-to-G2 costs about 40 % of a Miller loop): racing creators
+// hash the same value and share the first record stored.
+func (vf *Verifier) record(id string) *signer {
+	if r, ok := vf.signers.Get(id); ok {
+		return r
 	}
+	r := &signer{q: vf.params.QID(id)}
+	return vf.signers.GetOrCreate(id, func() *signer { return r })
 }
 
-// qid returns the cached Q_ID = H1(id), computing it on first use.
-func (vf *Verifier) qid(id string) *bn254.G2 {
-	if q, ok := vf.qidCache.Get(id); ok {
-		return q
+// rhs fills the m_ID of record r (nil: id's, created if absent) and returns
+// the record. m_ID is a function of (params, id) only, never of the
+// signature under check, and is shared read-only; racing callers store the
+// same value.
+func (vf *Verifier) rhs(r *signer, id string) *signer {
+	if r == nil {
+		r = vf.record(id)
 	}
-	// Compute outside the cache lock (hash-to-G2 costs about 40 % of a Miller
-	// loop): racing callers compute the same value and the second Put is
-	// idempotent.
-	q := vf.params.QID(id)
-	vf.qidCache.Put(id, q)
-	return q
+	r.m.Store(bn254.MillerLoopMulti([]*bn254.G1{vf.negPpub}, []*bn254.G2{r.q}))
+	return r
 }
 
-// rhs computes and caches id's m_ID: a function of (params, id) only, never
-// of the signature under check, shared read-only. Racing first contacts
-// compute the same value, and the second Put is idempotent.
-func (vf *Verifier) rhs(id string) *bn254.Fp12 {
-	m := bn254.MillerLoopMulti([]*bn254.G1{vf.negPpub}, []*bn254.G2{vf.qid(id)})
-	vf.rhsCache.Put(id, m)
-	return m
-}
-
-// rhsBeside runs rhs(id) on a goroutine of its own, which delivers the m_ID
-// when the caller receives it. The caller must receive.
-func (vf *Verifier) rhsBeside(id string) <-chan *bn254.Fp12 {
-	c := make(chan *bn254.Fp12)
-	go func() { c <- vf.rhs(id) }()
+// rhsBeside runs rhs(r, id) on a goroutine of its own, which delivers the
+// record when the caller receives it. The caller must receive.
+func (vf *Verifier) rhsBeside(r *signer, id string) <-chan *signer {
+	c := make(chan *signer)
+	go func() { c <- vf.rhs(r, id) }()
 	return c
 }
 
@@ -147,19 +143,19 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	if err != nil {
 		return err
 	}
-	m, known := vf.rhsCache.Get(pk.ID)
-	var later <-chan *bn254.Fp12
+	r, _ := vf.signers.Get(pk.ID) // nil: a first contact
+	lines, build := lineTable(r, sig.S)
+	var later <-chan *signer
 	switch {
-	case known:
+	case r != nil && r.m.Load() != nil:
 	case runtime.GOMAXPROCS(0) > 1:
-		later = vf.rhsBeside(pk.ID)
+		later = vf.rhsBeside(r, pk.ID)
 	default:
-		m = vf.rhs(pk.ID)
+		r = vf.rhs(r, pk.ID)
 	}
 	// A = (V/h)·P - R, fused into one fixed-base table pass.
 	var a, negR bn254.G1
 	a.ScalarBaseMultAddFr(&k, negR.Neg(sig.R))
-	lines, build := vf.lineTable(pk.ID, sig.S, known)
 	if build {
 		lines = bn254.NewG2Lines(sig.S) // nil only for an S off the curve
 	}
@@ -170,31 +166,29 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 		f = bn254.MillerLoopMulti([]*bn254.G1{&a}, []*bn254.G2{sig.S})
 	}
 	if later != nil {
-		m = <-later
+		r = <-later
 	}
-	if !bn254.ReducesToOne(f.Mul(f, m)) {
+	if !bn254.ReducesToOne(f.Mul(f, r.m.Load())) {
 		return ErrVerifyFailed
 	}
 	if build && lines != nil {
-		vf.lineCache.PutIfRoom(pk.ID, lines)
+		r.lines.Store(lines)
 	}
 	return nil
 }
 
-// lineTable is S's one table rule, for Verify and the batch chunk: id's
-// cached table if built from s; else, for a known id (seen before: m_ID
-// cached, or in a batch Q_ID), build (the caller builds a new one) while the
-// cache holds id or has room; else nil, the plain loop — cheaper than
-// build + replay on a first contact. Callers cache a built table with
-// PutIfRoom once a signature under it verifies, so a forged S displaces
-// none and racing admitters never evict a signer.
-func (vf *Verifier) lineTable(id string, s *bn254.G2, known bool) (lines *bn254.G2Lines, build bool) {
-	l, ok := vf.lineCache.Get(id)
-	switch {
-	case ok && l.Q().Equal(s):
-		return l, false
-	case known && (ok || vf.lineCache.Len() < vf.lineCache.Cap()):
-		return nil, true
+// lineTable is S's one table rule, for Verify and the batch chunk, given
+// r, the identity's record if it existed before the call (nil: a first
+// contact): r's table if built from s; else, for a known identity, build
+// (the caller builds a new one); else nil, the plain loop — cheaper than
+// build + replay on a first contact. Callers store a built table in the
+// record once a signature under it verifies, so a forged S displaces none.
+func lineTable(r *signer, s *bn254.G2) (lines *bn254.G2Lines, build bool) {
+	if r == nil {
+		return nil, false
 	}
-	return nil, false
+	if l := r.lines.Load(); l != nil && l.Q().Equal(s) {
+		return l, false
+	}
+	return nil, true
 }

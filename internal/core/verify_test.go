@@ -9,7 +9,6 @@ import (
 	"mccls/internal/bn254"
 	"mccls/internal/bn254/fp"
 	"mccls/internal/bn254/fr"
-	"mccls/internal/lru"
 )
 
 // verifyOps returns the pairing-layer operations one Verify call performs.
@@ -20,6 +19,28 @@ func verifyOps(t *testing.T, vf *Verifier, pk *PublicKey, msg []byte, sig *Signa
 		t.Fatal(err)
 	}
 	return bn254.ReadOpCounts().Sub(before)
+}
+
+// tableOf returns the line table in id's record, if it has one. It reads
+// through the cache's Get, which marks the record used.
+func tableOf(vf *Verifier, id string) (*bn254.G2Lines, bool) {
+	if r, ok := vf.signers.Get(id); ok {
+		l := r.lines.Load()
+		return l, l != nil
+	}
+	return nil, false
+}
+
+// tables counts the distinct identities of pks whose record holds a line
+// table.
+func tables(vf *Verifier, pks []*PublicKey) int {
+	held := map[string]bool{}
+	for _, pk := range pks {
+		if _, ok := tableOf(vf, pk.ID); ok {
+			held[pk.ID] = true
+		}
+	}
+	return len(held)
 }
 
 // TestVerifyOpCounts pins what a Verify costs the pairing layer: one final
@@ -72,13 +93,14 @@ func verifyOpCounts(t *testing.T, procs int) {
 }
 
 // TestNewVerifierAllocs pins an empty Verifier's cost independent of its
-// cache bound: the two LRUs must not pre-size their maps to 16k entries.
+// cache bound: the Verifier, -P_pub and the record LRU's struct, list and
+// map, which must not be pre-sized to 512 entries.
 func TestNewVerifierAllocs(t *testing.T) {
 	kgc, _, _ := newTestSystem(t, "allocs@manet")
 	params := kgc.Params()
 	small := testing.AllocsPerRun(10, func() { NewVerifierCap(params, 1) })
-	if a := testing.AllocsPerRun(10, func() { NewVerifier(params) }); a != small || a > 12 {
-		t.Errorf("NewVerifier allocates %v times (%v at cap 1), want the same and at most 12", a, small)
+	if a := testing.AllocsPerRun(10, func() { NewVerifier(params) }); a != small || a != 5 {
+		t.Errorf("NewVerifier allocates %v times (%v at cap 1), want 5 at both", a, small)
 	}
 }
 
@@ -104,10 +126,11 @@ func TestForgedFirstContactDoesNotPoisonCache(t *testing.T) {
 	if err := verifySpec(vf, pk, msg, forged); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("oracle on the forgery: want ErrVerifyFailed, got %v", err)
 	}
-	cached, ok := vf.rhsCache.Get(pk.ID)
+	r, ok := vf.signers.Get(pk.ID)
 	if !ok {
 		t.Fatal("first contact left no cache entry")
 	}
+	cached := r.m.Load()
 	negPpub := new(bn254.G1).Neg(params.Ppub)
 	fresh := bn254.MillerLoopMulti([]*bn254.G1{negPpub}, []*bn254.G2{params.QID(pk.ID)})
 	if !cached.Equal(fresh) {
@@ -116,7 +139,7 @@ func TestForgedFirstContactDoesNotPoisonCache(t *testing.T) {
 	if d := verifyOps(t, vf, pk, msg, sig); d.Pairings != 1 {
 		t.Fatalf("valid signature after the forgery ran %d Miller loops, want 1 (a hit)", d.Pairings)
 	}
-	if again, _ := vf.rhsCache.Get(pk.ID); !again.Equal(fresh) {
+	if again, _ := vf.signers.Get(pk.ID); !again.m.Load().Equal(fresh) {
 		t.Fatal("a verify mutated the shared cached Miller value")
 	}
 	forgedS := &Signature{V: sig.V, S: new(bn254.G2).Add(sig.S, sig.S), R: sig.R}
@@ -202,8 +225,9 @@ func concurrentFirstContact(t *testing.T) {
 			t.Errorf("goroutine %d: %v", g, err)
 		}
 	}
-	if n, q, l := vf.rhsCache.Len(), vf.qidCache.Len(), vf.lineCache.Len(); n != 1 || q != 1 || l != 1 {
-		t.Fatalf("cache entries after a racing first contact: %d Miller values, %d Q_IDs, %d line tables, want 1 of each", n, q, l)
+	r, _ := vf.signers.Get(sk.Public().ID)
+	if n := vf.signers.Len(); n != 1 || r.m.Load() == nil || r.q == nil || r.lines.Load() == nil {
+		t.Fatalf("after a racing first contact: %d records, want 1 with a Miller value, a Q_ID and a line table", n)
 	}
 }
 
@@ -248,82 +272,78 @@ func TestConcurrentSChange(t *testing.T) {
 	}
 }
 
-// TestVerifierLineTableBound: 300 identities, each verified twice (the
-// second sighting builds the table), leave lineCacheCap line tables of 88
-// lines each (a replay folds one sparse product per line). The full cache
-// admits no later identity, however often it recurs, so the first
-// lineCacheCap signers keep their tables.
-func TestVerifierLineTableBound(t *testing.T) {
+// TestVerifierRecordBound: 12 identities, each verified twice in order
+// (the second sighting builds the table), through an 8-record verifier leave
+// the last 8 records, each holding a line table of 88 lines (a replay folds
+// one sparse product per line). Evicting a record drops its table with it,
+// so re-verifying the first identity is a first contact.
+func TestVerifierRecordBound(t *testing.T) {
 	rng := fixedRand(94)
 	kgc, err := Setup(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := kgc.Params()
-	vf := NewVerifier(params)
+	vf := NewVerifierCap(params, 8)
 	msg := []byte("flood")
-	ids := make([]string, 300)
-	verify := func(sk *PrivateKey, sig *Signature, times int) {
-		for range times {
-			if err := vf.Verify(sk.Public(), msg, sig); err != nil {
+	pks, sigs := make([]*PublicKey, 12), make([]*Signature, 12)
+	for i := range pks {
+		sk, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey(fmt.Sprintf("table-%d", i)), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sigs[i], err = Sign(params, sk, msg, rng); err != nil {
+			t.Fatal(err)
+		}
+		pks[i] = sk.Public()
+		for range 2 {
+			if err := vf.Verify(pks[i], msg, sigs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for i := range ids {
-		ids[i] = fmt.Sprintf("table-%d", i)
-		sk, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey(ids[i]), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sig, err := Sign(params, sk, msg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verify(sk, sig, 2)
-		if i >= lineCacheCap {
-			verify(sk, sig, 2)
-		}
-	}
-	if n := vf.lineCache.Len(); n != lineCacheCap {
-		t.Fatalf("%d line tables after %d identities, want %d", n, len(ids), lineCacheCap)
-	}
-	if n := vf.rhsCache.Len(); n != len(ids) {
-		t.Fatalf("%d Miller values after %d identities, want %d: the table bound is the line cache's alone", n, len(ids), len(ids))
+	if n := vf.signers.Len(); n != 8 {
+		t.Fatalf("%d records after %d identities, want 8", n, len(pks))
 	}
 	g := bn254.G1Generator()
-	for i, id := range ids {
-		lines, ok := vf.lineCache.Get(id)
-		if ok != (i < lineCacheCap) {
-			t.Fatalf("%s (identity %d) has a line table: %v, want %v", id, i, ok, i < lineCacheCap)
+	for i, pk := range pks {
+		lines, ok := tableOf(vf, pk.ID)
+		if ok != (i >= 4) {
+			t.Fatalf("%s (identity %d) has a line table: %v, want %v", pk.ID, i, ok, i >= 4)
 		}
 		if !ok {
 			continue
 		}
+		if !lines.Q().Equal(sigs[i].S) {
+			t.Fatalf("%s: table of another S", pk.ID)
+		}
 		before := bn254.ReadOpCounts()
 		bn254.MillerLoopMixed([]*bn254.G1{g}, []*bn254.G2Lines{lines}, nil, nil)
 		if d := bn254.ReadOpCounts().Sub(before); d.SparseMuls != 88 {
-			t.Fatalf("%s: table of %d lines, want 88", id, d.SparseMuls)
+			t.Fatalf("%s: table of %d lines, want 88", pk.ID, d.SparseMuls)
 		}
+	}
+	if d := verifyOps(t, vf, pks[0], msg, sigs[0]); d.Pairings != 2 || d.LineDoubles != 130 || d.LineAdds != 46 {
+		t.Fatalf("evicted identity re-verified: %d Miller loops, %d doubling and %d addition steps; want a first contact's 2, 130 and 46",
+			d.Pairings, d.LineDoubles, d.LineAdds)
 	}
 }
 
-// TestLineTableAdmissionRace: a four-slot table cache holding three signers'
-// tables, and six more known identities verified at once, each a new table
-// to admit. The room check and the insert are one critical section
-// (lru.PutIfRoom), so exactly one of the six is cached and the three signers
-// keep theirs.
-func TestLineTableAdmissionRace(t *testing.T) {
+// TestVerifierEvictionRace: 16 identities verified twice each, one
+// goroutine apiece, through a 4-record verifier, so records are created,
+// filled and evicted under one another's feet. Every signature verifies,
+// the bound holds, and every table a record still holds is its identity's
+// S.
+func TestVerifierEvictionRace(t *testing.T) {
 	rng := fixedRand(98)
 	kgc, err := Setup(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := kgc.Params()
-	vf := NewVerifier(params)
-	vf.lineCache = lru.New[*bn254.G2Lines](4)
+	vf := NewVerifierCap(params, 4)
 	msg := []byte("RREQ from a racing signer")
-	pks, sigs := make([]*PublicKey, 9), make([]*Signature, 9)
+	pks, sigs := make([]*PublicKey, 16), make([]*Signature, 16)
 	for i := range pks {
 		sk, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey(fmt.Sprintf("race-%d", i)), rng)
 		if err != nil {
@@ -333,40 +353,30 @@ func TestLineTableAdmissionRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		pks[i] = sk.Public()
-		vf.rhs(pks[i].ID) // known, so a verified S is admitted
-	}
-	verify := func(i int) {
-		if err := vf.Verify(pks[i], msg, sigs[i]); err != nil {
-			t.Error(err)
-		}
-	}
-	for i := range 3 {
-		verify(i)
 	}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 3; i < len(pks); i++ {
+	for i := range pks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			verify(i)
+			for range 2 {
+				if err := vf.Verify(pks[i], msg, sigs[i]); err != nil {
+					t.Error(err)
+				}
+			}
 		}()
 	}
 	close(start)
 	wg.Wait()
-	admitted := 0
-	for i, pk := range pks {
-		lines, ok := vf.lineCache.Get(pk.ID)
-		if ok && !lines.Q().Equal(sigs[i].S) || i < 3 && !ok {
-			t.Fatalf("%s: table cached %v, or for another S", pk.ID, ok)
-		}
-		if ok && i >= 3 {
-			admitted++
-		}
+	if n := vf.signers.Len(); n > 4 {
+		t.Fatalf("%d records, bound 4", n)
 	}
-	if admitted != 1 || vf.lineCache.Len() != 4 {
-		t.Fatalf("%d racing identities admitted, %d tables; want 1 and 4", admitted, vf.lineCache.Len())
+	for i, pk := range pks {
+		if lines, ok := tableOf(vf, pk.ID); ok && !lines.Q().Equal(sigs[i].S) {
+			t.Fatalf("%s: table of another S", pk.ID)
+		}
 	}
 }
 
@@ -416,7 +426,8 @@ func TestVerifyOffSubgroupS(t *testing.T) {
 			t.Errorf("%s: want ErrVerifyFailed, got %v", name, err)
 		}
 	}
-	if lines, ok := warm.lineCache.Get(pk.ID); !ok || !lines.Q().Equal(sig.S) || cold.lineCache.Len() != 0 {
+	lines, ok := tableOf(warm, pk.ID)
+	if _, coldOK := tableOf(cold, pk.ID); !ok || !lines.Q().Equal(sig.S) || coldOK {
 		t.Fatal("an off-subgroup S changed the line-table cache")
 	}
 }
@@ -446,10 +457,10 @@ func verdict(err error) string {
 // signature, the masked one — a changed S under a known identity when the
 // mask hits S — and the honest one again; the one-entry Verifier alternates
 // another signer's signature with the masked one seen twice, so every
-// identity change evicts the m_ID cache and the masked signature is checked
-// by the plain Miller loop of a first contact and then by its identity's
-// line table — replayed, rebuilt for a new S, or, while the one table slot
-// holds another identity, the plain loop again.
+// identity change evicts the one record, and the masked signature is
+// checked by the plain Miller loop of a first contact and then by a line
+// table built for its S — or, when the mask names the other signer, by that
+// signer's table, replayed or rebuilt for a new S.
 // All five verdicts must land in the same accept/reject class, and the
 // honest signatures must keep verifying around the masked one.
 func FuzzVerifyColdWarmSpecAgree(f *testing.F) {
@@ -466,7 +477,7 @@ func FuzzVerifyColdWarmSpecAgree(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		warm.rhs(id)
+		warm.rhs(nil, id)
 		sks = append(sks, sk)
 	}
 

@@ -1,9 +1,9 @@
 // Package lru provides a small thread-safe fixed-capacity least-recently-
-// used map keyed by string. It started life inside the kgcd service (as the
-// partial-key cache and the rate limiter's bucket table) and is shared so
-// every per-identity cache in the tree — including the Verifier's pairing-
-// constant cache, which would otherwise grow without bound under a flood of
-// unique identities — carries the same bounded-memory guarantee.
+// used map keyed by string. It holds every per-identity table in the tree —
+// kgcd's partial-key cache and its rate limiter's buckets, and the
+// Verifier's signer records, which would otherwise grow without bound under
+// a flood of unique identities — so all carry the same bounded-memory
+// guarantee.
 package lru
 
 import (
@@ -47,34 +47,22 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 
 // Put inserts or replaces the value for key, evicting the least recently
 // used entry when over capacity.
-func (c *Cache[V]) Put(key string, val V) { c.put(key, val, true) }
-
-// PutIfRoom is Put that never evicts: it stores val when key is present or
-// the cache is below capacity, and reports whether it did. The room check
-// and the insert are one critical section, so concurrent callers at one
-// free slot admit exactly one new key.
-func (c *Cache[V]) PutIfRoom(key string, val V) bool { return c.put(key, val, false) }
-
-func (c *Cache[V]) put(key string, val V, evict bool) bool {
+func (c *Cache[V]) Put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*entry[V]).val = val
 		c.ll.MoveToFront(el)
-		return true
-	}
-	if !evict && c.ll.Len() >= c.max {
-		return false
+		return
 	}
 	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: val})
 	c.evict()
-	return true
 }
 
 // GetOrCreate returns the value for key, inserting newV() under the lock
-// if absent — the atomic fetch-or-insert the rate limiter needs so two
-// concurrent requests for a fresh identity share one token bucket. newV
-// must not call back into the cache.
+// if absent — the atomic fetch-or-insert that makes two concurrent callers
+// for a fresh key share one value: the rate limiter's token bucket, the
+// Verifier's signer record. newV must not call back into the cache.
 func (c *Cache[V]) GetOrCreate(key string, newV func() V) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -104,6 +92,3 @@ func (c *Cache[V]) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// Cap reports the capacity bound.
-func (c *Cache[V]) Cap() int { return c.max }

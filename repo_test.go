@@ -29,7 +29,7 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14270
+const maxNonTestLines = 14256
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
@@ -74,7 +74,9 @@ var mathBigFiles = map[string]bool{
 // with the below-quorum precheck and the Retry-After hint that served them,
 // the drill's identity pool that kept its traffic in the cache, the
 // single-table replay and reduced multi-pairing that MillerLoopMixed and
-// FinalExp replaced, and the G1/G2 doubling chains walkWNAF replaced.
+// FinalExp replaced, the G1/G2 doubling chains walkWNAF replaced, and the
+// Verifier's three identity caches with the table cap and the no-evict
+// insert that one signer record per identity replaced.
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -94,6 +96,7 @@ var deletedNames = []string{
 	"parseRetryAfter", "RetryAfter", "chaosIDs",
 	"MillerLoopLines", "PairMulti",
 	"g1ScalarMultGLV", "g2ScalarMultGLV", "g2JointWNAF", "g2JacMultWNAF", "endoLadder",
+	"rhsCache", "qidCache", "lineCache", "lineCacheCap", "PutIfRoom",
 }
 
 // deletedDirs are the packages and commands that went with them.
