@@ -6,9 +6,9 @@ import (
 )
 
 // clock is the package's one source of time: every timestamp is Now, every
-// wait (hedge, backoff, refresh retry, injected latency) and every deadline
-// an AfterFunc. wallClock is the only shipped implementation; tests put a
-// manually advanced fake in the unexported clk fields.
+// wait (backoff, refresh retry) and every deadline an AfterFunc. wallClock
+// is the only shipped implementation; tests put a manually advanced fake in
+// the unexported clk fields.
 type clock interface {
 	Now() time.Time
 	// AfterFunc calls f once d has elapsed, unless stop is called first.

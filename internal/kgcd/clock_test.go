@@ -119,7 +119,7 @@ func (c *fakeClock) awaitPending(d time.Duration, k int) {
 
 // drive runs f on its own goroutine and, until it returns, elapses every wait
 // of at most limit as soon as it is armed. With limit below shareTimeout that
-// is hedges, backoffs and refresh retries but no deadline, so f's waits cost
+// is backoffs and refresh retries but no deadline, so f's waits cost
 // no wall time and the sequence of advances depends only on what f arms.
 func (c *fakeClock) drive(limit time.Duration, f func()) {
 	done := false

@@ -339,23 +339,3 @@ func TestRateLimiterRefill(t *testing.T) {
 		}
 	}
 }
-
-func TestLatencyRingPercentile(t *testing.T) {
-	var r latencyRing
-	if r.Percentile(0.95) != 0 {
-		t.Fatal("empty ring: want 0")
-	}
-	for i := 1; i <= 100; i++ { // wraps the 64-slot ring; last 64 survive
-		r.Observe(time.Duration(i) * time.Millisecond)
-	}
-	p50 := r.Percentile(0.5)
-	if p50 < 37*time.Millisecond || p50 > 100*time.Millisecond {
-		t.Fatalf("p50 %v outside retained window", p50)
-	}
-	if p95 := r.Percentile(0.95); p95 < p50 {
-		t.Fatalf("p95 %v below p50 %v", p95, p50)
-	}
-	if r.Percentile(1) != 100*time.Millisecond {
-		t.Fatalf("max %v, want 100ms", r.Percentile(1))
-	}
-}

@@ -3,8 +3,6 @@ package kgcd
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -44,42 +42,6 @@ func (h *histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// latencyRing keeps the most recent request latencies for one replica, for
-// percentile estimation (the adaptive hedge delay). 64 samples is enough to
-// read a p95 and cheap enough to sort on every estimate.
-type latencyRing struct {
-	mu  sync.Mutex
-	buf [64]time.Duration
-	n   int // samples held, ≤ len(buf)
-	pos int // next write position
-}
-
-func (r *latencyRing) Observe(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.pos] = d
-	r.pos = (r.pos + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// Percentile returns the p-quantile (p in [0,1]) of the held samples, zero
-// when no samples have been observed yet.
-func (r *latencyRing) Percentile(p float64) time.Duration {
-	r.mu.Lock()
-	n := r.n
-	sorted := make([]time.Duration, n)
-	copy(sorted, r.buf[:n])
-	r.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(p * float64(n-1))
-	return sorted[i]
-}
-
 // metrics are the service's observability surface, rendered as Prometheus
 // text exposition on /metrics.
 type metrics struct {
@@ -92,7 +54,6 @@ type metrics struct {
 	shareRequests  counter // issuance RPCs sent to signer replicas
 	shareFailures  counter // issuance RPCs that errored
 	paramsTotal    counter // /params requests
-	hedgedRequests counter // spare share RPCs launched for stragglers
 	epochConflicts counter // gathers that saw shares from more than one epoch
 	enrollLatency  histogram
 }
@@ -111,7 +72,6 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	writeCounter("kgcd_share_requests_total", "Key-share RPCs sent to signer replicas.", &m.shareRequests)
 	writeCounter("kgcd_share_failures_total", "Key-share RPCs that errored or timed out.", &m.shareFailures)
 	writeCounter("kgcd_params_total", "Parameter requests served.", &m.paramsTotal)
-	writeCounter("kgcd_hedged_requests_total", "Spare share RPCs launched when the quorum straggled.", &m.hedgedRequests)
 	writeCounter("kgcd_epoch_conflicts_total", "Share gathers that observed more than one refresh epoch.", &m.epochConflicts)
 
 	const name = "kgcd_enroll_latency_seconds"

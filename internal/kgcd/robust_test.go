@@ -153,15 +153,23 @@ func TestLostQuorumIsNotAnEpochConflict(t *testing.T) {
 	}
 }
 
-// TestHedgedFanOut puts one stalled replica in the initial fan-out; when the
-// hedge delay elapses a spare goes to the remaining replica and the
-// enrollment completes without the straggler.
-func TestHedgedFanOut(t *testing.T) {
+// TestStalledReplicaReplacedAtShareTimeout puts one stalled replica in the
+// initial fan-out: its share request is failed by the share timeout, a
+// replacement goes to the remaining replica, and the enrollment completes
+// without the straggler.
+func TestStalledReplicaReplacedAtShareTimeout(t *testing.T) {
 	clk := newFakeClock()
+	served := make(chan struct{})
 	d := startDeployment(t, 2, 3, testMaster(42), Config{clk: clk},
 		func(i int, h http.Handler) http.Handler {
-			if i == 1 { // a fresh server's rotation starts at replica 1
+			switch i {
+			case 1: // a fresh server's rotation starts at replica 1
 				return stalled(clk, time.Hour, time.Hour, h)
+			case 2:
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					h.ServeHTTP(w, r)
+					close(served)
+				})
 			}
 			return h
 		})
@@ -170,79 +178,76 @@ func TestHedgedFanOut(t *testing.T) {
 	// closes.
 	defer clk.drive(time.Hour, d.replicas[1].Close)
 
-	var key []byte
-	clk.drive(hedgeFloor, func() { _, key = postEnroll(t, d.comb.URL, "hedged") })
-	if !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("hedged").Marshal()) {
-		t.Fatal("hedged key differs from single master")
+	done := make(chan []byte, 1)
+	go func() {
+		_, key := postEnroll(t, d.comb.URL, "stalled")
+		done <- key
+	}()
+	clk.awaitTimer(time.Hour) // replica 1 holds its share request
+	<-served
+	clk.awaitPending(shareTimeout, 1) // replica 2 has answered; only the straggler's timer is left
+	clk.advance(shareTimeout)         // the straggler fails and replica 0 is asked
+	if key := <-done; !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("stalled").Marshal()) {
+		t.Fatal("key issued around a stalled replica differs from single master")
 	}
-	if len(clk.fired) != 1 || clk.fired[0] != hedgeFloor {
-		t.Fatalf("timers fired %v, want the one %v hedge", clk.fired, hedgeFloor)
+	if len(clk.fired) != 1 || clk.fired[0] != shareTimeout {
+		t.Fatalf("timers fired %v, want the one %v share timeout", clk.fired, shareTimeout)
 	}
-	if text := metricsText(t, d.comb.URL); !strings.Contains(text, "kgcd_hedged_requests_total 1") {
-		t.Errorf("hedge not counted:\n%s", grepLines(text, "hedged"))
+	text := metricsText(t, d.comb.URL)
+	for _, want := range []string{"kgcd_share_requests_total 3", "kgcd_share_failures_total 1"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q:\n%s", want, grepLines(text, "share_"))
+		}
 	}
 }
 
 // TestGatherSurvivesMixedEpochs refreshes two of three replicas and leaves
-// one behind: the combiner must notice the epoch conflict, make sure the
-// third replica is in the gather, and return a clean same-epoch quorum.
-// Hedging is on. On a quiet clock the hedge never fires and the conflict is
-// what pulls the third replica in; when the hedge fires before any replica
-// has answered, the spare is already in flight when the conflict is seen.
-// Either way the conflict is counted exactly once and the key is right.
+// one behind: the combiner must notice the epoch conflict, pull the third
+// replica into the gather, and return a clean same-epoch quorum. The
+// conflict is counted exactly once and the key is right.
 func TestGatherSurvivesMixedEpochs(t *testing.T) {
-	for _, hedgeFires := range []bool{false, true} {
-		clk := newFakeClock()
-		// Every replica holds its answer until released, so the order in
-		// which the gather sees them is the test's, not the scheduler's.
-		release := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
-		d := startDeployment(t, 2, 3, testMaster(43), Config{clk: clk},
-			func(i int, h http.Handler) http.Handler {
-				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					<-release[i]
-					h.ServeHTTP(w, r)
-				})
+	clk := newFakeClock()
+	// Every replica holds its answer until released, so the order in which
+	// the gather sees them is the test's, not the scheduler's.
+	release := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+	d := startDeployment(t, 2, 3, testMaster(43), Config{clk: clk},
+		func(i int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				<-release[i]
+				h.ServeHTTP(w, r)
 			})
-		deltas, err := threshold.RefreshDeltas(2, 3, 1, mrand.New(mrand.NewSource(9)))
-		if err != nil {
+		})
+	deltas, err := threshold.RefreshDeltas(2, 3, 1, mrand.New(mrand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replicas 0 and 2 advance to epoch 1; replica 1 (first in the fresh
+	// server's rotation) stays at epoch 0.
+	for _, i := range []int{0, 2} {
+		if _, err := d.signers[i].ApplyRefresh(deltas[i]); err != nil {
 			t.Fatal(err)
 		}
-		// Replicas 0 and 2 advance to epoch 1; replica 1 (first in the fresh
-		// server's rotation) stays at epoch 0.
-		for _, i := range []int{0, 2} {
-			if _, err := d.signers[i].ApplyRefresh(deltas[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
+	}
 
-		done := make(chan []byte, 1)
-		go func() {
-			_, key := postEnroll(t, d.comb.URL, "mixed")
-			done <- key
-		}()
-		clk.awaitTimer(hedgeFloor) // replicas 1 and 2 are asked, the hedge is armed
-		if hedgeFires {
-			clk.advance(hedgeFloor) // replica 0 is asked too
-		}
-		close(release[1]) // epoch 0 ...
-		close(release[2]) // ... and epoch 1, in either order: the conflict
-		for d.srv.metrics.epochConflicts.Value() == 0 {
-			runtime.Gosched() // replica 0 answers only once the gather has seen both
-		}
-		close(release[0]) // epoch 1: the quorum
-		if key := <-done; !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("mixed").Marshal()) {
-			t.Fatalf("hedge fired %v: mixed-epoch gather produced a wrong key", hedgeFires)
-		}
-		text := metricsText(t, d.comb.URL)
-		hedges := "kgcd_hedged_requests_total 0"
-		if hedgeFires {
-			hedges = "kgcd_hedged_requests_total 1"
-		}
-		for _, want := range []string{"kgcd_epoch_conflicts_total 1", "kgcd_share_requests_total 3", hedges} {
-			if !strings.Contains(text, want) {
-				t.Errorf("hedge fired %v: metrics missing %q:\n%s", hedgeFires, want,
-					grepLines(text, "epoch")+"\n"+grepLines(text, "share_requests")+"\n"+grepLines(text, "hedged"))
-			}
+	done := make(chan []byte, 1)
+	go func() {
+		_, key := postEnroll(t, d.comb.URL, "mixed")
+		done <- key
+	}()
+	clk.awaitPending(shareTimeout, 2) // replicas 1 and 2 are asked
+	close(release[1])                 // epoch 0 ...
+	close(release[2])                 // ... and epoch 1, in either order: the conflict
+	for d.srv.metrics.epochConflicts.Value() == 0 {
+		runtime.Gosched() // replica 0 answers only once the gather has seen both
+	}
+	close(release[0]) // epoch 1: the quorum
+	if key := <-done; !bytes.Equal(key, d.kgc.ExtractPartialPrivateKey("mixed").Marshal()) {
+		t.Fatal("mixed-epoch gather produced a wrong key")
+	}
+	text := metricsText(t, d.comb.URL)
+	for _, want := range []string{"kgcd_epoch_conflicts_total 1", "kgcd_share_requests_total 3"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q:\n%s", want, grepLines(text, "epoch")+"\n"+grepLines(text, "share_requests"))
 		}
 	}
 }

@@ -17,9 +17,9 @@
 // limiting (429), an LRU partial-key cache (re-enrollment is the common
 // case for a rebooting fleet), bounded request bodies and identity
 // lengths, and a per-request fan-out timeout. Against replica failure the
-// combiner replaces every failed share request with one to the next
-// untried replica, hedges stragglers with a spare request, and groups
-// gathered shares by refresh epoch (a refresh in flight must not poison a
+// combiner replaces every share request that fails or outlives its 1 s
+// share timeout with one to the next untried replica, and groups gathered
+// shares by refresh epoch (a refresh in flight must not poison a
 // combination). Below quorum it keeps serving cache hits and answers
 // misses with 503.
 package kgcd
@@ -58,8 +58,6 @@ const (
 	shareTimeout = 1 * time.Second
 	// probeTimeout bounds each per-replica /healthz probe.
 	probeTimeout = 1 * time.Second
-	// hedgeFloor is the least the fan-out waits before hedging (see hedgeDelay).
-	hedgeFloor = 5 * time.Millisecond
 )
 
 // Config parameterizes a combiner.
@@ -103,12 +101,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// replica is the combiner's stateful view of one signer: the transport, a
-// share-latency ring (feeds the adaptive hedge delay) and the latest
-// health-probe latency.
+// replica is the combiner's stateful view of one signer: the transport,
+// the latest health-probe latency and its share-failure count.
 type replica struct {
 	issuer        shareIssuer
-	lat           latencyRing
 	probeNanos    atomic.Int64 // last /healthz probe; -1 = failed, 0 = unprobed
 	shareFailures counter
 }
@@ -234,24 +230,13 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	s.metrics.enrollLatency.Observe(s.cfg.clk.Now().Sub(start))
 }
 
-// hedgeDelay is how long the fan-out waits on stragglers before spending a
-// spare request: twice the slowest replica's p95 share latency, clamped to
-// [hedgeFloor, RequestTimeout/2].
-func (s *Server) hedgeDelay() time.Duration {
-	var p95 time.Duration
-	for _, rep := range s.replicas {
-		p95 = max(p95, rep.lat.Percentile(0.95))
-	}
-	return min(max(2*p95, hedgeFloor), s.cfg.RequestTimeout/2)
-}
-
 // gatherShares fans out to the signer replicas and returns the first T key
 // shares that agree on a refresh epoch. It starts T requests in parallel
-// (rotating the starting replica for load balance), launches a replacement
-// to the next untried replica for every failure, and hedges stragglers: if
-// the quorum is still incomplete after hedgeDelay, a spare request goes to
-// the next untried replica. Shares are grouped by epoch so that a proactive
-// refresh landing mid-gather yields a clean same-epoch quorum instead of an
+// (rotating the starting replica for load balance) and launches a
+// replacement to the next untried replica for every one that fails or
+// outlives shareTimeout, so a hung replica costs one share timeout, not the
+// enrollment. Shares are grouped by epoch so that a proactive refresh
+// landing mid-gather yields a clean same-epoch quorum instead of an
 // ErrMixedEpochs combination.
 func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyShare, error) {
 	n := len(s.replicas)
@@ -270,7 +255,6 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 			go func() {
 				shareCtx, cancel := withTimeout(ctx, s.cfg.clk, shareTimeout)
 				defer cancel()
-				t0 := s.cfg.clk.Now()
 				ks, err := rep.issuer.Issue(shareCtx, id)
 				if err != nil {
 					if ctx.Err() != nil {
@@ -284,7 +268,6 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 					results <- result{nil, fmt.Errorf("%s: %w", rep.issuer.Name(), err)}
 					return
 				}
-				rep.lat.Observe(s.cfg.clk.Now().Sub(t0))
 				results <- result{ks, nil}
 			}()
 			return true
@@ -295,10 +278,6 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 		launch()
 	}
 
-	hedge := make(chan struct{}, 1)
-	stopHedge := s.cfg.clk.AfterFunc(s.hedgeDelay(), func() { hedge <- struct{}{} })
-	defer stopHedge()
-
 	byEpoch := make(map[uint32][]*threshold.KeyShare)
 	best := 0 // size of the largest same-epoch group
 	outstanding := s.cfg.T
@@ -307,11 +286,6 @@ func (s *Server) gatherShares(ctx context.Context, id string) ([]*threshold.KeyS
 		select {
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
-		case <-hedge:
-			if launch() {
-				outstanding++
-				s.metrics.hedgedRequests.Inc()
-			}
 		case r := <-results:
 			outstanding--
 			if r.err != nil {

@@ -29,11 +29,11 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14256
+const maxNonTestLines = 14190
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
-const maxDesignLines = 881
+const maxDesignLines = 880
 
 // mathBigFiles are the shipped files that may import math/big: init-time
 // constant derivation, the *big.Int adapters of the exported API and
@@ -76,7 +76,9 @@ var mathBigFiles = map[string]bool{
 // single-table replay and reduced multi-pairing that MillerLoopMixed and
 // FinalExp replaced, the G1/G2 doubling chains walkWNAF replaced, and the
 // Verifier's three identity caches with the table cap and the no-evict
-// insert that one signer record per identity replaced.
+// insert that one signer record per identity replaced, and kgcd's hedge
+// with its adaptive delay, its floor, the per-replica latency ring that fed
+// it and its counter.
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -97,6 +99,7 @@ var deletedNames = []string{
 	"MillerLoopLines", "PairMulti",
 	"g1ScalarMultGLV", "g2ScalarMultGLV", "g2JointWNAF", "g2JacMultWNAF", "endoLadder",
 	"rhsCache", "qidCache", "lineCache", "lineCacheCap", "PutIfRoom",
+	"hedgeDelay", "hedgeFloor", "latencyRing", "hedgedRequests",
 }
 
 // deletedDirs are the packages and commands that went with them.
