@@ -33,11 +33,12 @@ type BatchOptions struct {
 }
 
 // BatchVerifier is the batch-verification engine for McCLS, obtained from
-// Verifier.Batch, the tree's one batch entry point. A window of n
-// signatures is cut into chunks of chunkWidth, every chunk is decided by
-// one aggregate equation on a worker pool, and a failing chunk's lone
-// offender is located by one position-scaled check, more are bisected
-// (bisect). The equation is
+// Verifier.Batch, the tree's one batch entry point. A signature whose S and
+// A its identity's record holds as the pair Verify last accepted is valid
+// exactly and enters no check (window.accept). The rest of a window is cut
+// into chunks of chunkWidth, every chunk is decided by one aggregate
+// equation on a worker pool, and a failing chunk's lone offender is located
+// by one position-scaled check, more are bisected (bisect). The equation is
 //
 //	Π_S e(Σᵢ∈S ρᵢ·Aᵢ, S) · e(-P_pub, Σ_ID (Σᵢ∈ID ρᵢ)·Q_ID) = 1
 //
@@ -53,10 +54,10 @@ type BatchOptions struct {
 // exponentiation — and a one-signer window is its two-pair case. Grouping
 // is on S point equality, never on identity, so a forged S under a known
 // identity forms a group of its own. A group's S replays its line table
-// under Verify's rule (lineTable), so a warm window steps one G2 chain, the
-// Q_ID sum's; a table built for a chunk is stored only once the chunk's
-// product is one. A chunk's work spreads over the P's the other chunks leave
-// free (window.check).
+// under Verify's rule (lineTable), so a chunk of known signers whose tables
+// are cached steps one G2 chain, the Q_ID sum's; a table built for a chunk
+// is stored only once the chunk's product is one. A chunk's work spreads
+// over the P's the other chunks leave free (window.check).
 type BatchVerifier struct {
 	vf      *Verifier
 	weights io.Reader
@@ -135,11 +136,11 @@ func (bv *BatchVerifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error
 	return bv.vf.Verify(pk, msg, sig)
 }
 
-// window is one batch call's input with its per-signature precomputation:
-// rho[i] is the weight ρᵢ as its halves, k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the weighted
-// fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ, and at[i] the rest of index
-// i's state. width is the fan-out of each check: GOMAXPROCS shared among
-// the chunks.
+// window is one batch call's input with its per-signature precomputation.
+// rest lists the indices accept did not settle. For those, rho[i] is the
+// weight ρᵢ as its halves and k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the weighted fixed-base
+// scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ; at[i] is the rest of index i's state.
+// width is the fan-out of each check: GOMAXPROCS shared among the chunks.
 type window struct {
 	vf    *Verifier
 	pks   []*PublicKey
@@ -148,50 +149,77 @@ type window struct {
 	k     []fr.Element
 	rho   []bn254.EndoScalar
 	at    []slot
+	rest  []int
 	width int
 }
 
 // slot is one index's state in a window. r is its identity's record if that
 // existed before the window (nil: a first contact): a second sighting, which
-// earns its S a line table. lines, the table of its S-group (nil: a point
-// pair), is resolved by the first check over the index, its chunk's root,
-// and reused by that chunk's bisection: one worker's entries.
+// earns its S a line table. ok is r's accepted pair while it may be the
+// index's own, and stays set only if it is. lines, the table of its S-group
+// (nil: a point pair), is resolved by the first check over the index, its
+// chunk's root, and reused by that chunk's bisection: one worker's entries.
 type slot struct {
 	r        *signer
+	ok       *accepted
 	lines    *bn254.G2Lines
 	resolved bool
 }
 
-// newWindow runs the shape checks and draws the weights for every index: no
-// group operation yet. The challenges are inverted together, with one field
-// inversion. Shape and zero-hash failures surface as errors, matching the
-// single-signature path.
+// newWindow runs the shape checks, settles the indices it can by accept and
+// draws the weights for the rest. The challenges are inverted together, with
+// one field inversion. Shape and zero-hash failures surface as errors,
+// matching the single-signature path.
 func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Signature) (*window, error) {
 	seed, err := newWeightSeed(bv.weights)
 	if err != nil {
 		return nil, err
 	}
-	n, chunks := len(sigs), (len(sigs)+bv.chunk-1)/bv.chunk
+	n, matched := len(sigs), 0
 	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, n), rho: make([]bn254.EndoScalar, n),
-		at: make([]slot, n), width: max(1, runtime.GOMAXPROCS(0)/max(1, chunks))}
+		at: make([]slot, n), rest: make([]int, 0, n)}
 	hs := make([]fr.Element, len(sigs))
 	for i, sig := range sigs {
 		if err := checkShape(pks[i], sig); err != nil {
 			return nil, err
 		}
 		hs[i] = bv.vf.params.hashH2(msgs[i], sig.R, pks[i].PID)
-		w.at[i].r, _ = bv.vf.signers.Get(pks[i].ID)
+		at := &w.at[i]
+		if at.r, _ = bv.vf.signers.Get(pks[i].ID); at.r != nil {
+			if ok := at.r.ok.Load(); ok != nil && ok.s.Equal(sig.S) {
+				at.ok, matched = ok, matched+1
+			}
+		}
 	}
 	if i := batchInverse(w.k, hs); i >= 0 {
 		return nil, fmt.Errorf("%w (index %d)", errZeroChallenge, i)
 	}
-	for i, sig := range sigs {
-		w.rho[i] = seed.at(i)
-		rho := w.rho[i].Fr()
-		w.k[i].Mul(&w.k[i], &sig.V)
-		w.k[i].Mul(&w.k[i], &rho)
+	fanOut(min(matched, runtime.GOMAXPROCS(0)), n, w, (*window).accept)
+	for i := range n {
+		if w.at[i].ok == nil {
+			w.rest = append(w.rest, i)
+			w.rho[i] = seed.at(i)
+			rho := w.rho[i].Fr()
+			w.k[i].Mul(&w.k[i], &rho)
+		}
 	}
+	w.width = max(1, runtime.GOMAXPROCS(0)/max(1, (len(w.rest)+bv.chunk-1)/bv.chunk))
 	return w, nil
+}
+
+// accept is task i of the accept round: k[i] becomes Vᵢ·hᵢ⁻¹ and, for an
+// index whose accepted S is Sᵢ, Aᵢ = k[i]·P - Rᵢ (one fixed-base pass) is
+// compared with the accepted A. An equal A settles the index: Verify
+// accepted that (A, S) under this identity, so it accepts this signature.
+// Otherwise ok is cleared and the index goes to a check.
+func (w *window) accept(i int) {
+	w.k[i].Mul(&w.k[i], &w.sigs[i].V)
+	if ok := w.at[i].ok; ok != nil {
+		var a, negR bn254.G1
+		if !a.ScalarBaseMultAddFr(&w.k[i], negR.Neg(w.sigs[i].R)).Equal(&ok.a) {
+			w.at[i].ok = nil
+		}
+	}
 }
 
 // batchInverse sets out[i] = xs[i]⁻¹ with one field inversion (Montgomery's
@@ -462,26 +490,28 @@ type judge interface {
 	checkOne(i int) bool
 }
 
-// rejection is one reject call: chunk t is indices [t·width, (t+1)·width)
-// of n, bad[t] its offenders and errs[t] its recovered panic.
+// rejection is one reject call: chunk t is idxs[t·width : (t+1)·width],
+// bad[t] its offenders and errs[t] its recovered panic.
 type rejection struct {
-	jd       judge
-	n, width int
-	bad      [][]int
-	errs     []error
+	jd    judge
+	idxs  []int
+	width int
+	bad   [][]int
+	errs  []error
 }
 
-// reject partitions [0, n) into chunks, decides every chunk on a fanOut of
-// bv.workers (0: GOMAXPROCS), bisects the chunks whose product is not one
-// down to single signatures (decided by checkOne), and reports the rejected
-// indices as a *batchError. Weights are per index, chunk boundaries depend
-// only on the chunk width and every chunk is decided independently, so the
-// outcome and the offender set are bit-identical at any worker count. The
-// only other error source is a panicking check, which its chunk recovers,
-// from the check's fanOut workers too: the batch fails, not the process.
-func (bv *BatchVerifier) reject(n int, jd judge) error {
-	chunks := (n + bv.chunk - 1) / bv.chunk
-	r := &rejection{jd: jd, n: n, width: bv.chunk, bad: make([][]int, chunks), errs: make([]error, chunks)}
+// reject cuts the sorted index list idxs into chunks, decides every chunk on
+// a fanOut of bv.workers (0: GOMAXPROCS), bisects the chunks whose product
+// is not one down to single signatures (decided by checkOne), and reports
+// the rejected indices as a *batchError. Weights are per index, chunk
+// boundaries depend only on idxs and the chunk width and every chunk is
+// decided independently, so the outcome and the offender set are
+// bit-identical at any worker count. The only other error source is a
+// panicking check, which its chunk recovers, from the check's fanOut
+// workers too: the batch fails, not the process.
+func (bv *BatchVerifier) reject(idxs []int, jd judge) error {
+	chunks := (len(idxs) + bv.chunk - 1) / bv.chunk
+	r := &rejection{jd: jd, idxs: idxs, width: bv.chunk, bad: make([][]int, chunks), errs: make([]error, chunks)}
 	fanOut(cmp.Or(bv.workers, runtime.GOMAXPROCS(0)), chunks, r, (*rejection).chunk)
 	if err := errors.Join(r.errs...); err != nil {
 		return fmt.Errorf("mccls: batch: %w", err)
@@ -500,11 +530,8 @@ func (r *rejection) chunk(t int) {
 			r.errs[t] = fmt.Errorf("chunk %d panicked: %v", t, v)
 		}
 	}()
-	idxs := make([]int, min(r.width, r.n-t*r.width))
-	for i := range idxs {
-		idxs[i] = t*r.width + i
-	}
-	r.bad[t] = bisect(r.jd, idxs, nil)
+	lo, hi := t*r.width, min((t+1)*r.width, len(r.idxs))
+	r.bad[t] = bisect(r.jd, r.idxs[lo:hi:hi], nil)
 }
 
 // bisect isolates the offending indices of a non-empty index set whose
@@ -525,7 +552,7 @@ func bisect(jd judge, idxs []int, v *bn254.GT) []int {
 		if jd.checkOne(idxs[0]) {
 			return nil
 		}
-		return idxs
+		return slices.Clip(idxs) // appending to it must not write into the list
 	case v == nil:
 		if v = jd.check(idxs, false); v.IsOne() {
 			return nil
@@ -585,5 +612,5 @@ func (bv *BatchVerifier) VerifyMulti(pks []*PublicKey, msgs [][]byte, sigs []*Si
 	if err != nil {
 		return err
 	}
-	return bv.reject(len(sigs), w)
+	return bv.reject(w.rest, w)
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -48,6 +49,36 @@ func multiBatch(t testing.TB, n, k int) (*KGC, *Verifier, []*PublicKey, [][]byte
 
 // fixedSeed is a deterministic 32-byte weight seed for invariance tests.
 func fixedSeed() *bytes.Reader { return bytes.NewReader(bytes.Repeat([]byte{0x5a}, 32)) }
+
+// upTo returns the index list 0, 1, …, n-1.
+func upTo(n int) []int {
+	idxs := make([]int, n)
+	for i := range idxs {
+		idxs[i] = i
+	}
+	return idxs
+}
+
+// tableOnly readies vf the way a consumer that only batches finds it: every
+// identity of pks holds m_ID, and one window over the signatures has cached
+// their line tables. No record holds an accepted pair (only Verify stores
+// one), so a later window decides every index by the aggregate equation.
+func tableOnly(t testing.TB, vf *Verifier, pks []*PublicKey, msgs [][]byte, sigs []*Signature) {
+	t.Helper()
+	for _, pk := range pks {
+		if _, ok := vf.signers.Get(pk.ID); !ok {
+			vf.rhs(nil, pk.ID)
+		}
+	}
+	if err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range pks {
+		if r, _ := vf.signers.Get(pk.ID); r.ok.Load() != nil {
+			t.Fatalf("%s holds an accepted pair after a clean window", pk.ID)
+		}
+	}
+}
 
 // testBatch is Batch with a fixed weight seed and the chunk width and
 // worker count no caller outside this package can set.
@@ -127,10 +158,7 @@ func (w *window) checkPairwise(idxs []int, scaled bool) *bn254.GT {
 	params := w.vf.params
 	for q, i := range idxs {
 		sig := w.sigs[i]
-		h := params.hashH2(w.msgs[i], sig.R, w.pks[i].PID)
-		k := new(big.Int).ModInverse(h.BigInt(), bn254.Order)
-		a := new(bn254.G1).ScalarMult(bn254.G1Generator(), k.Mul(k, sig.V.BigInt()))
-		a.Add(a, new(bn254.G1).Neg(sig.R))
+		a := commitment(params, w.pks[i], w.msgs[i], sig)
 		rho := w.rho[i].Fr()
 		if scaled {
 			m := fr.NewElement(uint64(q + 1))
@@ -251,7 +279,7 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 			w, want := oracle.newWindow(p, m, s)
 			var gotTrace, wantTrace []string
 			if want == nil {
-				want = oracle.reject(len(s), judgeFuncs{
+				want = oracle.reject(w.rest, judgeFuncs{
 					checkF: func(idxs []int, scaled bool) *bn254.GT {
 						v := w.check(idxs, scaled)
 						gotTrace = append(gotTrace, node(idxs, scaled, v))
@@ -263,11 +291,8 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 						return ok
 					},
 				})
-				for lo := 0; lo < len(s); lo += chunk {
-					idxs := make([]int, min(chunk, len(s)-lo))
-					for i := range idxs {
-						idxs[i] = lo + i
-					}
+				for lo := 0; lo < len(w.rest); lo += chunk {
+					idxs := w.rest[lo:min(lo+chunk, len(w.rest))]
 					wantTrace = w.pairwiseTrace(idxs, wantTrace)
 					if tc.bad == nil && !(w.check(idxs, false).IsOne() && w.checkPairwise(idxs, false).IsOne()) {
 						t.Fatalf("clean chunk %v must pass at the root on both sides", idxs)
@@ -299,30 +324,37 @@ func atProcs(procs int, f func()) {
 	f()
 }
 
-// TestBatchWindowOpCounts pins what folding and line tables buy, in the
-// idiom of bn254's TestMillerLoopMultiOpCounts: a clean window costs one
-// Miller pair per distinct S plus the P_pub pair under one final
-// exponentiation, and every pair folds its 88 lines. On a cold verifier
-// every pair steps its G2 chain (65 doubling, 23 addition steps). Once the
-// signers are known and a window has cached their tables, only the Q_ID sum
-// does. The pairs are cut into one lockstep loop per worker, so only the
-// Miller squarings move with the width: 65 per part.
+// TestBatchWindowOpCounts pins what folding, line tables and accepted pairs
+// buy, in the idiom of bn254's TestMillerLoopMultiOpCounts: a clean window
+// that reaches the aggregate equation costs one Miller pair per distinct S
+// plus the P_pub pair under one final exponentiation, and every pair folds
+// its 88 lines. On a cold verifier every pair steps its G2 chain (65
+// doubling, 23 addition steps). Once the signers' records hold their tables,
+// cached by an earlier window, only the Q_ID sum does. The pairs are cut
+// into one lockstep loop per worker, so only the Miller squarings move with
+// the width: 65 per part. G1 mults: 64 R's fed to the joint ladders and one
+// fixed-base pass per S-group; G2 mults: one Q_ID per identity fed to the
+// Q_ID sum, and on a cold verifier one more in hashing it. Once Verify has
+// accepted each signer's (S, A), the window costs one fixed-base pass per
+// signature and no pairing.
 func TestBatchWindowOpCounts(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		for _, tc := range []struct {
-			signers           int
-			warm              bool
-			pairings, stepped uint64
-		}{{16, false, 17, 17}, {1, false, 2, 2}, {16, true, 17, 1}} {
+			signers                   int
+			warm                      string // "", "tables" or "accepted"
+			pairings, stepped, g1, g2 uint64
+		}{{16, "", 17, 17, 80, 32}, {1, "", 2, 2, 65, 2}, {16, "tables", 17, 1, 80, 16}, {16, "accepted", 0, 0, 64, 0}} {
 			_, vf, pks, msgs, sigs := multiBatch(t, 64, tc.signers)
-			if tc.warm {
-				for i := range tc.signers { // m_ID, then the tables
-					if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
-						t.Fatal(err)
+			switch tc.warm {
+			case "tables":
+				tableOnly(t, vf, pks, msgs, sigs)
+			case "accepted":
+				for range 2 { // m_ID and the accepted pair, then the table
+					for i := range tc.signers {
+						if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				if err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
-					t.Fatal(err)
 				}
 			}
 			bv := testBatch(vf, chunkWidth, 1)
@@ -340,20 +372,21 @@ func TestBatchWindowOpCounts(t *testing.T) {
 				}
 				d = bn254.ReadOpCounts().Sub(before)
 			})
-			parts := min(uint64(procs), tc.pairings)
-			if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != 65*parts ||
-				d.LineDoubles != 65*tc.stepped || d.LineAdds != 23*tc.stepped || d.SparseMuls != 88*tc.pairings {
-				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %v): %d pairs, %d final exps, %d Miller squarings, %d doubling and %d addition steps, %d sparse products; want %d, 1, %d, %d, %d, %d",
-					procs, tc.signers, tc.warm, d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, d.SparseMuls,
-					tc.pairings, 65*parts, 65*tc.stepped, 23*tc.stepped, 88*tc.pairings)
+			parts, finalExps := min(uint64(procs), tc.pairings), min(tc.pairings, 1)
+			if d.Pairings != tc.pairings || d.FinalExps != finalExps || d.MillerSquarings != 65*parts ||
+				d.LineDoubles != 65*tc.stepped || d.LineAdds != 23*tc.stepped || d.SparseMuls != 88*tc.pairings ||
+				d.G1ScalarMults != tc.g1 || d.G2ScalarMults != tc.g2 {
+				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %q): %d pairs, %d final exps, %d Miller squarings, %d doubling and %d addition steps, %d sparse products, %d G1 and %d G2 mults; want %d, %d, %d, %d, %d, %d, %d, %d",
+					procs, tc.signers, tc.warm, d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, d.SparseMuls, d.G1ScalarMults, d.G2ScalarMults,
+					tc.pairings, finalExps, 65*parts, 65*tc.stepped, 23*tc.stepped, 88*tc.pairings, tc.g1, tc.g2)
 			}
 			// Verify's rule: no table for an identity seen for the first time.
 			want := 0
-			if tc.warm {
+			if tc.warm != "" {
 				want = tc.signers
 			}
 			if n := tables(vf, pks); n != want {
-				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %v): %d line tables cached, want %d", procs, tc.signers, tc.warm, n, want)
+				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %q): %d line tables cached, want %d", procs, tc.signers, tc.warm, n, want)
 			}
 		}
 	}
@@ -393,10 +426,7 @@ func TestBatchFanOutInvariance(t *testing.T) {
 	forged := slices.Clone(msgs)
 	forged[37] = []byte("forged")
 	params := warm.params
-	idxs := make([]int, len(sigs))
-	for i := range idxs {
-		idxs[i] = i
-	}
+	idxs := upTo(len(sigs))
 	for _, tc := range []struct {
 		name    string
 		vf      func() *Verifier
@@ -437,9 +467,11 @@ func TestBatchFanOutInvariance(t *testing.T) {
 // TestBatchTablesMatchVerify runs windows that mix line-table hits, a forged
 // S under a known identity, a forgery carrying its signer's real S (a valid
 // signature over another message) and a replaced key (a new S for a known
-// identity), at 1, 2 and 8 workers. Chunk c holds signers 2c and 2c+1 only;
-// tab-7 is unknown (neither m_ID nor Q_ID cached) until the first window
-// meets it, so it earns a table in the second. Offenders
+// identity), at 1, 2 and 8 workers. Chunk c holds signers 2c and 2c+1 only.
+// No record holds an accepted pair, so every index reaches a chunk: tab-0 to
+// tab-2 start with m_ID and a table cached by an earlier window, tab-3 to
+// tab-6 with m_ID only, and tab-7 is unknown (no record) until the first
+// window meets it, so it earns a table in the second. Offenders
 // must be the indices a fresh verifier's Verify rejects. After each window
 // every cached table must have been cached before it or carry an S of a
 // clean chunk under its identity — a table built in a chunk with an
@@ -517,14 +549,15 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		vf := NewVerifier(params)
-		sightings := []int{2, 2, 2, 1, 1, 1, 1, 0} // a second one builds the table
-		for j, sk := range sks {
-			sig := sign(sk, msgs[0])
-			for range sightings[j] {
-				if err := vf.Verify(sk.Public(), msgs[0], sig); err != nil {
-					t.Fatal(err)
-				}
-			}
+		var tp []*PublicKey
+		var tm [][]byte
+		var ts []*Signature
+		for _, sk := range sks[:3] {
+			tp, tm, ts = append(tp, sk.Public()), append(tm, msgs[0]), append(ts, sign(sk, msgs[0]))
+		}
+		tableOnly(t, vf, tp, tm, ts)
+		for _, sk := range sks[3:7] {
+			vf.rhs(nil, sk.Public().ID)
 		}
 		for _, w := range windows {
 			before, known := map[string]*bn254.G2{}, map[string]bool{}
@@ -568,18 +601,26 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 
 // TestBatchQuotientBisection pins the bisection's cost and semantics on a
 // 64-signature/16-signer window, signer i mod 16 at index i, so S-group g is
-// {g, g+16, g+32, g+48}. A lone forgery, wherever it sits, costs the root
+// {g, g+16, g+32, g+48}, over records that hold m_ID and line tables but no
+// accepted pair, so every index reaches the aggregate equation. A lone
+// forgery, wherever it sits, costs the root
 // (17 Miller pairs), its scaled twin (17), the one-signature confirmation of
 // the located position (2) and the checkOne that decides it (1): 4 final
 // exponentiations, 37 pairs. Two offenders or more find no match in the
 // scan and fall back to halving in index order, each left half one check and
 // its right half a quotient: the halving's cost plus the scaled root's one
 // final exp and 17 pairs. Offenders {3, 40} cost 15 final exps and 125
-// pairs, {40, 56} 14 and 108, {3, 20, 40, 57} 25 and 165.
+// pairs, {40, 56} 14 and 108, {3, 20, 40, 57} 25 and 165. Once Verify has
+// accepted every signer's (S, A), only the forgeries reach a check: a lone
+// one is its chunk of one, decided by one Verify (1 final exp, 1 Miller
+// loop), and {3, 40} a chunk of two: root and scaled root (3 pairs each),
+// the left half (2) and two leaves, 5 final exps and 10 pairs.
 func TestBatchQuotientBisection(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
-	for i := 0; i < 16; i++ { // warm e(P_pub, Q_ID) for the leaves
-		if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+	tableOnly(t, vf, pks, msgs, sigs) // m_ID for the leaves, the tables for the roots
+	known := NewVerifier(vf.params)
+	for i := 0; i < 16; i++ {
+		if err := known.Verify(pks[i], msgs[i], sigs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -591,20 +632,22 @@ func TestBatchQuotientBisection(t *testing.T) {
 		return bad
 	}
 	for _, tc := range []struct {
+		vf               *Verifier
 		at               []int
 		finalExps, pairs uint64
 	}{
-		{[]int{0}, 4, 37}, {[]int{31}, 4, 37}, {[]int{32}, 4, 37}, {[]int{63}, 4, 37},
-		{[]int{3, 40}, 15, 125}, {[]int{40, 56}, 14, 108}, {[]int{3, 20, 40, 57}, 25, 165},
+		{vf, []int{0}, 4, 37}, {vf, []int{31}, 4, 37}, {vf, []int{32}, 4, 37}, {vf, []int{63}, 4, 37},
+		{vf, []int{3, 40}, 15, 125}, {vf, []int{40, 56}, 14, 108}, {vf, []int{3, 20, 40, 57}, 25, 165},
+		{known, []int{0}, 1, 1}, {known, []int{37}, 1, 1}, {known, []int{3, 40}, 5, 10},
 	} {
 		before := bn254.ReadOpCounts()
-		err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, tamper(tc.at...), sigs)
+		err := testBatch(tc.vf, chunkWidth, 1).VerifyMulti(pks, tamper(tc.at...), sigs)
 		d := bn254.ReadOpCounts().Sub(before)
 		if !slices.Equal(BatchOffenders(err), tc.at) {
-			t.Fatalf("forgeries at %v: %v", tc.at, err)
+			t.Fatalf("forgeries at %v (known keys %v): %v", tc.at, tc.vf == known, err)
 		}
 		if d.FinalExps != tc.finalExps || d.Pairings != tc.pairs {
-			t.Fatalf("forgeries at %v: %d final exps, %d Miller pairs; want %d, %d", tc.at, d.FinalExps, d.Pairings, tc.finalExps, tc.pairs)
+			t.Fatalf("forgeries at %v (known keys %v): %d final exps, %d Miller pairs; want %d, %d", tc.at, tc.vf == known, d.FinalExps, d.Pairings, tc.finalExps, tc.pairs)
 		}
 	}
 	all := make([]int, 16)
@@ -626,16 +669,85 @@ func TestBatchQuotientBisection(t *testing.T) {
 	}
 }
 
+// TestBatchAcceptedRace: two valid key pairs of one identity take turns
+// through Verify on two goroutines, so the identity's accepted pair flips
+// between their (S, A), while two more goroutines run windows over
+// signatures of both keys and of a second identity, two of them over a
+// tampered message. Whichever pair a window reads, its offenders must be
+// the indices per-index Verify rejects.
+func TestBatchAcceptedRace(t *testing.T) {
+	rng := fixedRand(99)
+	kgc, err := Setup(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := kgc.Params()
+	var keys []*PrivateKey
+	for _, id := range []string{"twice@manet", "twice@manet", "other@manet"} {
+		sk, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey(id), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, sk)
+	}
+	const n = 24
+	pks, msgs, sigs := make([]*PublicKey, n), make([][]byte, n), make([]*Signature, n)
+	for i := range n {
+		sk := keys[i%len(keys)]
+		pks[i], msgs[i] = sk.Public(), []byte{byte(i)}
+		if sigs[i], err = Sign(params, sk, msgs[i], rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msgs[4], msgs[13] = []byte("tampered-4"), []byte("tampered-13")
+	var want []int
+	for i, fresh := 0, NewVerifier(params); i < n; i++ {
+		if fresh.Verify(pks[i], msgs[i], sigs[i]) != nil {
+			want = append(want, i)
+		}
+	}
+	if !slices.Equal(want, []int{4, 13}) {
+		t.Fatalf("a fresh Verify rejects %v, planted [4 13]", want)
+	}
+
+	vf := NewVerifier(params)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for range 8 {
+				if g < 2 { // key g's honest signature, index g
+					if err := vf.Verify(pks[g], msgs[g], sigs[g]); err != nil {
+						t.Error(err)
+					}
+					continue
+				}
+				err := testBatch(vf, 8, 0).VerifyMulti(pks, msgs, sigs)
+				if got := BatchOffenders(err); !slices.Equal(got, want) {
+					t.Errorf("offenders %v (%v), want %v", got, err, want)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+}
+
 // TestBatchWindowAllocs keeps the joint walks' tables and digit rows off
-// the heap: a clean warm 64/16 window makes exactly its measured 41
-// allocations at GOMAXPROCS 1, so one escaped row buffer (18 more) fails
-// here, as does a fan-out that allocates when it runs inline. At
-// GOMAXPROCS 2 each of the two fan-outs (the points, the Miller parts) adds
-// its shared state (counter, wait group, first panic) and two closures, and
-// the Miller parts add their slice and one more loop's accumulator and
-// table-pair state: 50. The chunk
-// runs inline (one chunk), and nothing on the path draws on a sync.Pool, so
-// the counts are exact under -race too.
+// the heap: a clean 64/16 window over records that hold line tables but no
+// accepted pair makes exactly its measured 41 allocations at GOMAXPROCS 1,
+// so one escaped row buffer (18 more) fails here, as does a fan-out that
+// allocates when it runs inline. At GOMAXPROCS 2 each of the two fan-outs
+// (the points, the Miller parts) adds its shared state (counter, wait
+// group, first panic) and two closures, and the Miller parts add their
+// slice and one more loop's accumulator and table-pair state: 50. The chunk
+// runs inline (one chunk). A window that accepted pairs settle entirely
+// makes 8: the weight seed, the window, its five per-index slices and the
+// rejection; at GOMAXPROCS 2 the accept round's fan-out adds 3. Nothing on
+// the path draws on a sync.Pool, so the counts are exact under -race too.
 func TestBatchWindowAllocs(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
 	bv := vf.Batch(BatchOptions{})
@@ -644,16 +756,24 @@ func TestBatchWindowAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	known := NewVerifier(vf.params)
+	for i := range 16 {
+		if err := known.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
-		procs  int
-		allocs uint64
-	}{{1, 41}, {2, 50}} {
+		bv       *BatchVerifier
+		accepted bool
+		procs    int
+		allocs   uint64
+	}{{bv, false, 1, 41}, {bv, false, 2, 50}, {known.Batch(BatchOptions{}), true, 1, 8}, {known.Batch(BatchOptions{}), true, 2, 11}} {
 		if allocs := allocsAt(tc.procs, 20, func() {
-			if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
+			if err := tc.bv.VerifyMulti(pks, msgs, sigs); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != tc.allocs {
-			t.Errorf("clean warm 64/16 window at GOMAXPROCS %d: %v allocations, want %v", tc.procs, allocs, tc.allocs)
+			t.Errorf("clean warm 64/16 window (accepted pairs %v) at GOMAXPROCS %d: %v allocations, want %v", tc.accepted, tc.procs, allocs, tc.allocs)
 		}
 	}
 }
@@ -661,15 +781,21 @@ func TestBatchWindowAllocs(t *testing.T) {
 // FuzzBatchVsVerify is the batch plane's differential oracle: a window the
 // fuzz bytes draw — n = 1–80 signatures over k = 1–20 signers (order[i]
 // names index i's signer, i mod k past its end), chunks of 1 + chunk mod n,
-// warm or cold caches (flags bit 0), GOMAXPROCS 1 or 2 (bit 1) — with up to
-// four planted faults, each three bytes (kind, index, aux): a tampered
-// message; an S forged under a known identity, aux naming one of four forged
-// points, so faults can share an S-group; the identity's key replaced, the
-// signature re-signed under it for odd aux (valid) or kept (invalid); or the
-// signature filed under another identity. The offenders must be exactly the
-// indices a fresh Verifier's Verify rejects, and a table cached by the window
-// must carry an S of a clean chunk under its identity, one known before the
-// window, unless it was cached before.
+// warm or cold caches (flags bit 0: every signer's m_ID, accepted pair and
+// table, from its honest key or, with bit 2, from its replaced one, so the
+// accepted S and the window's S disagree either way), GOMAXPROCS 1 or 2
+// (bit 1) — with up to four planted faults, each three bytes (kind, index,
+// aux): a tampered message; an S forged under a known identity, aux naming
+// one of four forged points, so faults can share an S-group; the identity's
+// key replaced, the signature re-signed under it for odd aux (valid) or kept
+// (invalid); or the signature filed under another identity. The offenders
+// must be exactly the indices a fresh Verifier's Verify rejects. The indices
+// the accept rule does not settle, recomputed here with A by math/big, are
+// the ones chunked: a table cached by the window must carry an S of a clean
+// chunk under its identity, unless it was cached before; of a chunk of one
+// if the identity was unknown before the window (a leaf's Verify, at its
+// second sighting, builds a table as any Verify does); and an accepted
+// pair the window stored must be that of a valid signature in it.
 func FuzzBatchVsVerify(f *testing.F) {
 	rng := fixedRand(98)
 	kgc, err := Setup(rng)
@@ -744,47 +870,90 @@ func FuzzBatchVsVerify(f *testing.F) {
 		}
 
 		vf := NewVerifier(params)
-		if flags&1 != 0 { // m_ID, then the table, of every signer's honest S
+		if flags&1 != 0 { // m_ID and the accepted pair, then the table
+			warm := sks
+			if flags&4 != 0 {
+				warm = replaced
+			}
 			for _, j := range who {
 				for range 2 {
-					if err := vf.Verify(sks[j].Public(), []byte("warm"), sign(t, sks[j], []byte("warm"))); err != nil {
+					if err := vf.Verify(warm[j].Public(), []byte("warm"), sign(t, warm[j], []byte("warm"))); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 		}
-		before, known := map[string]*bn254.G2{}, map[string]bool{}
-		for _, sk := range append(slices.Clone(sks), replaced...) {
+		before, known, oks := map[string]*bn254.G2{}, map[string]bool{}, map[string]*accepted{}
+		for _, sk := range sks {
 			id := sk.Public().ID
 			if l, ok := tableOf(vf, id); ok {
 				before[id] = l.Q()
 			}
-			_, known[id] = vf.signers.Get(id)
+			var r *signer
+			if r, known[id] = vf.signers.Get(id); known[id] {
+				oks[id] = r.ok.Load()
+			}
+		}
+		// The accept rule, recomputed: an index is settled before any check
+		// iff its identity's record holds its (S, A); the rest are chunked.
+		as, rest := make([]*bn254.G1, nn), []int{}
+		for i := range nn {
+			as[i] = commitment(params, p[i], m[i], s[i])
+			if ok := oks[p[i].ID]; ok == nil || !ok.s.Equal(s[i].S) || !ok.a.Equal(as[i]) {
+				rest = append(rest, i)
+			}
 		}
 		width := 1 + int(chunk)%nn
 		var err error
 		atProcs(1+int(flags>>1&1), func() { err = testBatch(vf, width, 0).VerifyMulti(p, m, s) })
 		if got := BatchOffenders(err); !slices.Equal(got, want) || (err == nil) != (want == nil) {
-			t.Fatalf("%d signatures / %d signers in chunks of %d: offenders %v (%v), a fresh Verify rejects %v", nn, k, width, got, err, want)
+			t.Fatalf("%d signatures / %d signers (%d settled) in chunks of %d: offenders %v (%v), a fresh Verify rejects %v", nn, k, nn-len(rest), width, got, err, want)
 		}
 
-		clean := map[string][]*bn254.G2{} // each identity's S values in chunks with no offender
-		for i := range nn {
-			if id := p[i].ID; !slices.ContainsFunc(want, func(j int) bool { return j/width == i/width }) {
-				clean[id] = append(clean[id], s[i].S)
+		// Each identity's S values in chunks with no offender, and in those
+		// of one signature, which Verify decides as a leaf.
+		clean, leaves := map[string][]*bn254.G2{}, map[string][]*bn254.G2{}
+		for lo := 0; lo < len(rest); lo += width {
+			if c := rest[lo:min(lo+width, len(rest))]; !slices.ContainsFunc(c, func(i int) bool { return slices.Contains(want, i) }) {
+				for _, i := range c {
+					clean[p[i].ID] = append(clean[p[i].ID], s[i].S)
+					if len(c) == 1 {
+						leaves[p[i].ID] = append(leaves[p[i].ID], s[i].S)
+					}
+				}
 			}
 		}
 		for id := range known {
 			l, ok := tableOf(vf, id)
 			switch {
 			case !ok || before[id] != nil && l.Q().Equal(before[id]):
-			case !known[id]:
-				t.Fatalf("%s, unknown before the window, got a table", id)
+			case !known[id] && !slices.ContainsFunc(leaves[id], l.Q().Equal):
+				t.Fatalf("%s, unknown before the window, got a table outside a leaf's Verify", id)
 			case !slices.ContainsFunc(clean[id], l.Q().Equal):
 				t.Fatalf("%s caches a table built in a chunk with an offender", id)
 			}
+			// Only a leaf's Verify stores a pair: one of a valid signature.
+			var pair *accepted
+			if r, found := vf.signers.Get(id); found {
+				pair = r.ok.Load()
+			}
+			if pair != oks[id] && !slices.ContainsFunc(upTo(nn), func(i int) bool {
+				return p[i].ID == id && !slices.Contains(want, i) && pair.s.Equal(s[i].S) && pair.a.Equal(as[i])
+			}) {
+				t.Fatalf("%s holds an accepted pair of no valid signature in the window", id)
+			}
 		}
 	})
+}
+
+// commitment is a signature's A = (V/h)·P - R by the variable-base ladder
+// over math/big, no kernel shared with the fixed-base pass Verify and the
+// batch run.
+func commitment(params *Params, pk *PublicKey, msg []byte, sig *Signature) *bn254.G1 {
+	h := params.hashH2(msg, sig.R, pk.PID)
+	k := new(big.Int).ModInverse(h.BigInt(), bn254.Order)
+	a := new(bn254.G1).ScalarMult(bn254.G1Generator(), k.Mul(k, sig.V.BigInt()))
+	return a.Add(a, new(bn254.G1).Neg(sig.R))
 }
 
 // allocsAt is testing.AllocsPerRun at GOMAXPROCS procs (AllocsPerRun runs
@@ -852,7 +1021,7 @@ func fakeJudge(bad map[int]bool, calls *atomic.Int64) judgeFuncs {
 func TestBatchRejectLocatesOffenders(t *testing.T) {
 	bad := map[int]bool{3: true, 17: true, 42: true, 99: true}
 	var calls atomic.Int64
-	err := (&BatchVerifier{chunk: 16}).reject(100, fakeJudge(bad, &calls))
+	err := (&BatchVerifier{chunk: 16}).reject(upTo(100), fakeJudge(bad, &calls))
 	if got, want := BatchOffenders(err), []int{3, 17, 42, 99}; !slices.Equal(got, want) {
 		t.Fatalf("offenders %v (%v), want %v", got, err, want)
 	}
@@ -863,17 +1032,43 @@ func TestBatchRejectLocatesOffenders(t *testing.T) {
 	}
 }
 
+// TestBatchRejectOverResidual: the chunks are cut from the index list reject
+// is given, the indices a window left to the aggregate equation, and its
+// offenders are window indices. An index outside the list is never judged.
+func TestBatchRejectOverResidual(t *testing.T) {
+	var odd []int
+	for i := 1; i < 100; i += 2 {
+		odd = append(odd, i)
+	}
+	bad := map[int]bool{3: true, 42: true, 77: true, 99: true}
+	for _, workers := range []int{1, 2} {
+		var calls atomic.Int64
+		err := (&BatchVerifier{chunk: 16, workers: workers}).reject(odd, fakeJudge(bad, &calls))
+		if got, want := BatchOffenders(err), []int{3, 77, 99}; !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
+		}
+		// Four chunks of the 50 odd indices, three of them failing: roots,
+		// then the scaled root and the confirmation of each located suspect.
+		if calls.Load() != 4+2*3 {
+			t.Fatalf("workers=%d: %d checks, want 10", workers, calls.Load())
+		}
+		if !slices.Equal(odd[:3], []int{1, 3, 5}) || odd[49] != 99 {
+			t.Fatalf("workers=%d: reject rewrote its index list", workers)
+		}
+	}
+}
+
 func TestBatchRejectAllGood(t *testing.T) {
 	var calls atomic.Int64
 	bv := &BatchVerifier{chunk: 16}
-	if err := bv.reject(100, fakeJudge(nil, &calls)); err != nil {
+	if err := bv.reject(upTo(100), fakeJudge(nil, &calls)); err != nil {
 		t.Fatalf("clean batch: %v", err)
 	}
 	// One aggregate check per chunk, no bisection.
 	if calls.Load() != 7 {
 		t.Fatalf("clean batch ran %d checks, want 7", calls.Load())
 	}
-	if err := bv.reject(0, fakeJudge(nil, &calls)); err != nil {
+	if err := bv.reject(nil, fakeJudge(nil, &calls)); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -882,7 +1077,7 @@ func TestBatchRejectWorkerInvariance(t *testing.T) {
 	bad := map[int]bool{0: true, 31: true, 32: true, 63: true, 64: true}
 	for _, workers := range []int{1, 2, 8} {
 		var calls atomic.Int64
-		err := (&BatchVerifier{chunk: 8, workers: workers}).reject(65, fakeJudge(bad, &calls))
+		err := (&BatchVerifier{chunk: 8, workers: workers}).reject(upTo(65), fakeJudge(bad, &calls))
 		if got, want := BatchOffenders(err), []int{0, 31, 32, 63, 64}; !slices.Equal(got, want) {
 			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
 		}
@@ -899,7 +1094,7 @@ func TestBatchRejectUsesCheckOneAtLeaves(t *testing.T) {
 		leaves.Add(1)
 		return i != 5
 	}
-	err := (&BatchVerifier{chunk: 8}).reject(8, jd)
+	err := (&BatchVerifier{chunk: 8}).reject(upTo(8), jd)
 	if got := BatchOffenders(err); !slices.Equal(got, []int{5}) {
 		t.Fatalf("offenders %v (%v), want [5]", got, err)
 	}
@@ -914,7 +1109,7 @@ func TestBatchRejectPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		jd := fakeJudge(nil, new(atomic.Int64))
 		jd.checkF = func([]int, bool) *bn254.GT { panic("boom") }
-		err := (&BatchVerifier{chunk: 2, workers: workers}).reject(4, jd)
+		err := (&BatchVerifier{chunk: 2, workers: workers}).reject(upTo(4), jd)
 		if err == nil || BatchOffenders(err) != nil {
 			t.Fatalf("workers=%d: a panicking check must surface as a plain error, got %v", workers, err)
 		}
@@ -941,7 +1136,7 @@ func TestBatchCheckPanicOnFanOutWorker(t *testing.T) {
 		for i := range s {
 			s[i] = &Signature{V: s[i].V, S: s[i].S}
 		}
-		if err := bv.reject(len(s), w); err == nil || BatchOffenders(err) != nil || !strings.Contains(err.Error(), "panicked") {
+		if err := bv.reject(w.rest, w); err == nil || BatchOffenders(err) != nil || !strings.Contains(err.Error(), "panicked") {
 			t.Fatalf("a check panicking on a fan-out worker must surface as a plain error, got %v", err)
 		}
 	})

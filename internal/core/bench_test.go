@@ -61,7 +61,7 @@ func BenchmarkVerify(b *testing.B) {
 // through one default Verifier, each after a first contact and a second
 // sighting. Up to DefaultIdentityCacheCap (512) signers every record stays
 // with its m_ID and line table, so every verify replays a table; that is
-// what the bound's ≈ 6.4 MB buys. Past it the round-robin evicts each record
+// what the bound's ≈ 6.58 MB buys. Past it the round-robin evicts each record
 // before its signer recurs, so at 1,024 signers every verify is a first
 // contact: a hash to G2 and two Miller loops.
 func BenchmarkVerifyManySigners(b *testing.B) {
@@ -106,53 +106,37 @@ func BenchmarkVerifyManySigners(b *testing.B) {
 }
 
 // BenchmarkBatchWindow prices one 64-signature window from 16 known
-// signers (every m_ID cached) through VerifyMulti: warm replays the
-// signers' cached line tables, first is the window that builds them (a
-// fresh verifier per iteration whose records hold m_ID), forged is a warm
-// window with one planted forgery, located by one scaled check and
-// confirmed (3 aggregate checks and one Verify, 4 final exponentiations),
-// and forged2 one with two forgeries in different S-groups, which the
-// scaled check cannot locate, so the window is halved after it. The forged
-// windows log their operation counts per window.
+// signers (every m_ID cached) through VerifyMulti, on two verifiers. On one
+// whose records hold the (S, A) Verify accepted, warm settles every
+// signature without a pairing and forged-known has one planted forgery,
+// decided by one Verify. On one that has only batched (records with m_ID
+// and line tables, no accepted pair), first is the window that builds the
+// tables (a fresh verifier per iteration whose records hold m_ID), forged
+// has one forgery, located by one scaled check and confirmed (3 aggregate
+// checks and one Verify, 4 final exponentiations), and forged2 two in
+// different S-groups, which the scaled check cannot locate, so the window
+// is halved after it. The forged windows log their operation counts per
+// window.
 func BenchmarkBatchWindow(b *testing.B) {
-	_, vf, pks, msgs, sigs := multiBatch(b, 64, 16)
+	_, known, pks, msgs, sigs := multiBatch(b, 64, 16)
 	run := func(b *testing.B, vf *Verifier) {
 		if err := vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs); err != nil {
 			b.Fatal(err)
 		}
 	}
 	for i := range 16 {
-		if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+		if err := known.Verify(pks[i], msgs[i], sigs[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.Run("warm", func(b *testing.B) {
-		run(b, vf) // builds and caches the tables
-		b.ReportAllocs()
-		b.ResetTimer()
-		for range b.N {
-			run(b, vf)
-		}
-	})
-	b.Run("first", func(b *testing.B) {
-		b.ReportAllocs()
-		for range b.N {
-			b.StopTimer()
-			first := NewVerifier(vf.params)
-			for i := range 16 {
-				first.rhs(nil, pks[i].ID)
-			}
-			b.StartTimer()
-			run(b, first)
-		}
-	})
-	forged := func(at ...int) func(b *testing.B) {
+	tabled := NewVerifier(known.params)
+	tableOnly(b, tabled, pks, msgs, sigs)
+	forged := func(vf *Verifier, at ...int) func(b *testing.B) {
 		return func(b *testing.B) {
 			bad := slices.Clone(msgs)
 			for _, i := range at {
 				bad[i] = []byte("forged")
 			}
-			run(b, vf) // the tables, in case warm did not run
 			b.ReportAllocs()
 			before := bn254.ReadOpCounts()
 			b.ResetTimer()
@@ -168,8 +152,27 @@ func BenchmarkBatchWindow(b *testing.B) {
 				d.FinalExps/n, d.Pairings/n, d.MillerSquarings/n, d.G1ScalarMults/n, d.G2ScalarMults/n)
 		}
 	}
-	b.Run("forged", forged(37))
-	b.Run("forged2", forged(3, 40))
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			run(b, known)
+		}
+	})
+	b.Run("forged-known", forged(known, 37))
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			b.StopTimer()
+			first := NewVerifier(known.params)
+			for i := range 16 {
+				first.rhs(nil, pks[i].ID)
+			}
+			b.StartTimer()
+			run(b, first)
+		}
+	})
+	b.Run("forged", forged(tabled, 37))
+	b.Run("forged2", forged(tabled, 3, 40))
 }
 
 // TestSignVerifyAllocs pins the allocation budget of the per-packet
@@ -179,9 +182,10 @@ func BenchmarkBatchWindow(b *testing.B) {
 // exponentiation and nothing for scalars, hashing or the commitment, and
 // no closure, channel or goroutine. A first contact (a verifier that holds
 // one identity, two identities taking turns) adds the signer record, its
-// Q_ID, its m_ID and its two cache-entry allocations, and at GOMAXPROCS 2
-// the goroutine that computes m_ID beside the caller's loop and its
-// channel. Messages are routing-sized, so H2's input fits its stack buffer.
+// Q_ID, its m_ID, its accepted (S, A) and its two cache-entry allocations,
+// and at GOMAXPROCS 2 the goroutine that computes m_ID beside the caller's
+// loop and its channel. A warm hit on the accepted pair stores nothing.
+// Messages are routing-sized, so H2's input fits its stack buffer.
 func TestSignVerifyAllocs(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "allocs@manet")
 	msg := []byte("RREQ 7 from allocs@manet, forty-eight bytes long")
@@ -222,7 +226,7 @@ func TestSignVerifyAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		procs  int
 		allocs uint64
-	}{{1, 7}, {2, 9}} {
+	}{{1, 8}, {2, 10}} {
 		if a := allocsAt(tc.procs, 40, firstContact); a != tc.allocs {
 			t.Errorf("first-contact Verify at GOMAXPROCS %d allocates %v times, want %v", tc.procs, a, tc.allocs)
 		}

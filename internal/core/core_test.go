@@ -721,3 +721,72 @@ func TestPassiveObserverForgesSignature(t *testing.T) {
 		t.Fatalf("forged tag rejected after a wire round trip: %v", err)
 	}
 }
+
+// TestAcceptedAIsSignatureInvariant pins the fact the batch engine's
+// accepted pairs rest on: an honest key's A = (V/h)·P − R is x·P in every
+// signature, whatever the message and nonce, so Verify stores one (S, A) per
+// key and keeps it. The passive observer's forgery above carries that same
+// pair, so it is settled too: a window over it and a later honest signature
+// runs no pairing on a verifier that holds the pair, and the aggregate
+// equation of one that does not accepts the same window.
+func TestAcceptedAIsSignatureInvariant(t *testing.T) {
+	kgc, sk, vf := newTestSystem(t, "victim@manet")
+	params, pk := kgc.Params(), sk.Public()
+	xP := new(bn254.G1).ScalarBaseMultAddFr(&sk.x, nil)
+	msgs := [][]byte{[]byte("RREQ 7 from victim"), []byte("RREP 8 from victim")}
+	sigs := make([]*Signature, len(msgs))
+	for i, msg := range msgs {
+		var err error
+		if sigs[i], err = Sign(params, sk, msg, fixedRand(int64(2+i))); err != nil {
+			t.Fatal(err)
+		}
+		if a := commitment(params, pk, msg, sigs[i]); !a.Equal(xP) {
+			t.Fatalf("signature %d: A is not x·P", i)
+		}
+	}
+	if sigs[0].R.Equal(sigs[1].R) {
+		t.Fatal("two signatures share a nonce")
+	}
+	if err := vf.Verify(pk, msgs[0], sigs[0]); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := vf.signers.Get(pk.ID)
+	pair := r.ok.Load()
+	if pair == nil || !pair.s.Equal(sigs[0].S) || !pair.a.Equal(xP) {
+		t.Fatal("Verify did not store the accepted (S, x·P)")
+	}
+	if err := vf.Verify(pk, msgs[1], sigs[1]); err != nil || r.ok.Load() != pair {
+		t.Fatalf("a second honest signature replaced the accepted pair (%v)", err)
+	}
+
+	// The forgery of TestPassiveObserverForgesSignature, from sigs[0] alone.
+	k, err := params.vOverH(pk, msgs[0], sigs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	X := new(bn254.G1).ScalarBaseMultAddFr(&k, new(bn254.G1).Neg(sigs[0].R))
+	forgedMsg := []byte("RREP: route to anywhere via the observer")
+	tt, err := fr.Random(fixedRand(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	R := new(bn254.G1).ScalarBaseMultAddFr(&tt, new(bn254.G1).Neg(X))
+	h := params.hashH2(forgedMsg, R, pk.PID)
+	forged := &Signature{V: *h.Mul(&h, &tt), S: sigs[0].S, R: R}
+	if a := commitment(params, pk, forgedMsg, forged); !a.Equal(&pair.a) {
+		t.Fatal("the forgery's A is not the accepted one")
+	}
+
+	pks, wm, ws := []*PublicKey{pk, pk}, [][]byte{msgs[1], forgedMsg}, []*Signature{sigs[1], forged}
+	before := bn254.ReadOpCounts()
+	err = vf.Batch(BatchOptions{}).VerifyMulti(pks, wm, ws)
+	if d := bn254.ReadOpCounts().Sub(before); err != nil || d.Pairings != 0 || d.FinalExps != 0 {
+		t.Fatalf("window over the accepted pair: %v, %d pairs and %d final exps; want nil, 0 and 0", err, d.Pairings, d.FinalExps)
+	}
+	fresh := NewVerifier(params)
+	before = bn254.ReadOpCounts()
+	err = fresh.Batch(BatchOptions{}).VerifyMulti(pks, wm, ws)
+	if d := bn254.ReadOpCounts().Sub(before); err != nil || d.FinalExps != 1 {
+		t.Fatalf("aggregate equation over the same window: %v, %d final exps; want nil and 1", err, d.FinalExps)
+	}
+}

@@ -11,19 +11,30 @@ import (
 )
 
 // DefaultIdentityCacheCap bounds the Verifier's signer records. 512 records,
-// each holding its line table (11,264 bytes), are ≈ 6.6 MB at worst, so a
-// flood of unique identities recycles records instead of growing memory
-// without limit. Past 512 recurring signers every verify is a first contact.
+// each holding its line table (11,264 bytes) and accepted pair (208 bytes),
+// are ≈ 6.58 MB of heap at worst (measured after GC), so a flood of unique
+// identities recycles records instead of growing memory without limit. Past
+// 512 recurring signers every verify is a first contact.
 const DefaultIdentityCacheCap = 1 << 9
 
 // signer is one identity's record. q = Q_ID = H1(ID) is set before the
 // record is shared; m = m_ID is filled by the identity's first Verify; lines
-// is S's table, stored once a signature under it verifies. The three live
-// and are evicted together.
+// is S's table, stored once a signature under it verifies; ok is the (S, A)
+// of the last signature Verify accepted. The four live and are evicted
+// together.
 type signer struct {
 	q     *bn254.G2
 	m     atomic.Pointer[bn254.Fp12]
 	lines atomic.Pointer[bn254.G2Lines]
+	ok    atomic.Pointer[accepted]
+}
+
+// accepted is a signature's (S, A = (V/h)·P - R) that Verify accepted under
+// the record's identity. Verify's verdict depends on (A, S, Q_ID) only, so
+// every signature carrying the same S and A under that identity is valid.
+type accepted struct {
+	s bn254.G2
+	a bn254.G1
 }
 
 // Verifier checks McCLS signatures. It keeps one record per identity
@@ -35,9 +46,10 @@ type signer struct {
 // loop but no second final exponentiation on first contact; Q_ID = H1(ID),
 // which the batch engine's multi-signer equation consumes directly; and the
 // line table of the signer's S, so that a known signer's Miller loop does no
-// G2 arithmetic. An identity is known when its record existed before the
-// call. The records are LRU-bounded so unknown-identity floods cannot
-// exhaust memory. Safe for concurrent use.
+// G2 arithmetic. It also keeps the (S, A) Verify last accepted, which spares
+// the batch engine a known signer's pairing. An identity is known when its
+// record existed before the call. The records are LRU-bounded so
+// unknown-identity floods cannot exhaust memory. Safe for concurrent use.
 type Verifier struct {
 	params  *Params
 	negPpub *bn254.G1 // -P_pub, the G1 side of every m_ID
@@ -173,6 +185,9 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	}
 	if build && lines != nil {
 		r.lines.Store(lines)
+	}
+	if ok := r.ok.Load(); ok == nil || !ok.s.Equal(sig.S) || !ok.a.Equal(&a) {
+		r.ok.Store(&accepted{s: *sig.S, a: a})
 	}
 	return nil
 }
