@@ -169,7 +169,9 @@ func TestG1FixedBaseMatchesJacobian(t *testing.T) {
 }
 
 // TestScalarBaseMultAdd checks the fused k·G + q path, including the
-// cancellation case k·G + (-k·G) = O and a nil/identity extra.
+// cancellation case k·G + (-k·G) = O and a nil/identity extra, and
+// EqualBaseMultAdd's Jacobian compare against the affine sum and its
+// neighbours: the negated sum (same x), the sum plus G, and the identity.
 func TestScalarBaseMultAdd(t *testing.T) {
 	r := testRand()
 	for i := 0; i < 8; i++ {
@@ -179,11 +181,23 @@ func TestScalarBaseMultAdd(t *testing.T) {
 		if !new(G1).ScalarBaseMultAdd(k, q).Equal(want) {
 			t.Fatalf("ScalarBaseMultAdd diverges at iteration %d", i)
 		}
+		kf := frFromBig(k)
+		if !want.EqualBaseMultAdd(kf, q) {
+			t.Fatalf("EqualBaseMultAdd rejects k·G + q at iteration %d", i)
+		}
+		for _, other := range []*G1{new(G1).Neg(want), new(G1).Add(want, G1Generator()), G1Infinity()} {
+			if other.EqualBaseMultAdd(kf, q) {
+				t.Fatalf("EqualBaseMultAdd accepts %v for k·G + q at iteration %d", other, i)
+			}
+		}
 	}
 	k := randScalar(r)
 	neg := new(G1).Neg(g1ScalarMultJac(G1Generator(), k))
 	if !new(G1).ScalarBaseMultAdd(k, neg).IsInfinity() {
 		t.Fatal("k·G - k·G should be the identity")
+	}
+	if !G1Infinity().EqualBaseMultAdd(frFromBig(k), neg) || G1Generator().EqualBaseMultAdd(frFromBig(k), neg) {
+		t.Fatal("EqualBaseMultAdd: k·G - k·G is the identity and only the identity")
 	}
 	if !new(G1).ScalarBaseMultAdd(big.NewInt(0), G1Infinity()).IsInfinity() {
 		t.Fatal("0·G + O should be the identity")

@@ -90,11 +90,29 @@ func (j *g1Jac) addBaseMult(k *fr.Element) {
 // the extra point (Verify's -R) into the same accumulation so the whole
 // expression costs one final normalization. q may be nil or the identity.
 func (z *G1) ScalarBaseMultAddFr(k *fr.Element, q *G1) *G1 {
-	var acc g1Jac
+	acc := baseMultAdd(k, q)
+	return acc.affine(z)
+}
+
+// EqualBaseMultAdd reports whether z = k·G + q, with ScalarBaseMultAddFr's
+// accumulation but no field inversion: z is lifted to the sum's Z instead,
+// X = x·Z² and Y = y·Z³. q may be nil or the identity.
+func (z *G1) EqualBaseMultAdd(k *fr.Element, q *G1) bool {
+	acc := baseMultAdd(k, q)
+	if z.Inf || acc.isInfinity() {
+		return z.Inf == acc.isInfinity()
+	}
+	var zz, zzz, x, y fp.Element
+	zzz.Mul(zz.Square(&acc.z), &acc.z)
+	return x.Mul(&z.X, &zz).Equal(&acc.x) && y.Mul(&z.Y, &zzz).Equal(&acc.y)
+}
+
+// baseMultAdd returns k·G + q in Jacobian coordinates.
+func baseMultAdd(k *fr.Element, q *G1) (acc g1Jac) {
 	acc.setInfinity()
 	acc.addBaseMult(k)
 	if q != nil && !q.Inf {
 		acc.addMixed(q)
 	}
-	return acc.affine(z)
+	return acc
 }

@@ -33,9 +33,9 @@ type BatchOptions struct {
 }
 
 // BatchVerifier is the batch-verification engine for McCLS, obtained from
-// Verifier.Batch, the tree's one batch entry point. A signature whose S and
-// A its identity's record holds as the pair Verify last accepted is valid
-// exactly and enters no check (window.accept). The rest of a window is cut
+// Verifier.Batch, the tree's one batch entry point. A signature under the S
+// of the pair Verify last accepted for its identity is decided exactly by
+// its A and enters no check (window.accept). The rest of a window is cut
 // into chunks of chunkWidth, every chunk is decided by one aggregate
 // equation on a worker pool, and a failing chunk's lone offender is located
 // by one position-scaled check, more are bisected (bisect). The equation is
@@ -137,9 +137,10 @@ func (bv *BatchVerifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error
 }
 
 // window is one batch call's input with its per-signature precomputation.
-// rest lists the indices accept did not settle. For those, rho[i] is the
-// weight ρᵢ as its halves and k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the weighted fixed-base
-// scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ; at[i] is the rest of index i's state.
+// rest lists the indices accept did not settle, bad those it rejected. For
+// the rest, rho[i] is the weight ρᵢ as its halves and k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the
+// weighted fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ; at[i] is the rest
+// of index i's state.
 // width is the fan-out of each check: GOMAXPROCS shared among the chunks.
 type window struct {
 	vf    *Verifier
@@ -149,19 +150,22 @@ type window struct {
 	k     []fr.Element
 	rho   []bn254.EndoScalar
 	at    []slot
+	bad   []int
 	rest  []int
 	width int
 }
 
 // slot is one index's state in a window. r is its identity's record if that
 // existed before the window (nil: a first contact): a second sighting, which
-// earns its S a line table. ok is r's accepted pair while it may be the
-// index's own, and stays set only if it is. lines, the table of its S-group
-// (nil: a point pair), is resolved by the first check over the index, its
-// chunk's root, and reused by that chunk's bisection: one worker's entries.
+// earns its S a line table. ok is r's accepted pair while its S is the
+// index's, and stays set only if it settles the index, valid or bad. lines,
+// the table of its S-group (nil: a point pair), is resolved by the first
+// check over the index, its chunk's root, and reused by that chunk's
+// bisection: one worker's entries.
 type slot struct {
 	r        *signer
 	ok       *accepted
+	bad      bool
 	lines    *bn254.G2Lines
 	resolved bool
 }
@@ -196,6 +200,9 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 	}
 	fanOut(min(matched, runtime.GOMAXPROCS(0)), n, w, (*window).accept)
 	for i := range n {
+		if w.at[i].bad {
+			w.bad = append(w.bad, i)
+		}
 		if w.at[i].ok == nil {
 			w.rest = append(w.rest, i)
 			w.rho[i] = seed.at(i)
@@ -208,15 +215,20 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 }
 
 // accept is task i of the accept round: k[i] becomes Vᵢ·hᵢ⁻¹ and, for an
-// index whose accepted S is Sᵢ, Aᵢ = k[i]·P - Rᵢ (one fixed-base pass) is
-// compared with the accepted A. An equal A settles the index: Verify
-// accepted that (A, S) under this identity, so it accepts this signature.
-// Otherwise ok is cleared and the index goes to a check.
+// index whose accepted S is Sᵢ, Aᵢ = k[i]·P - Rᵢ (one fixed-base pass, not
+// normalised) is compared with the accepted A. An equal A settles the index:
+// Verify accepted that (A, S) under this identity, so it accepts this
+// signature. Another A rejects it if Sᵢ is in G2 (accepted). Otherwise ok is
+// cleared and the index goes to a check.
 func (w *window) accept(i int) {
 	w.k[i].Mul(&w.k[i], &w.sigs[i].V)
 	if ok := w.at[i].ok; ok != nil {
-		var a, negR bn254.G1
-		if !a.ScalarBaseMultAddFr(&w.k[i], negR.Neg(w.sigs[i].R)).Equal(&ok.a) {
+		var negR bn254.G1
+		switch {
+		case ok.a.EqualBaseMultAdd(&w.k[i], negR.Neg(w.sigs[i].R)):
+		case w.sigs[i].S.IsInSubgroup():
+			w.at[i].bad = true
+		default:
 			w.at[i].ok = nil
 		}
 	}
@@ -612,5 +624,8 @@ func (bv *BatchVerifier) VerifyMulti(pks []*PublicKey, msgs [][]byte, sigs []*Si
 	if err != nil {
 		return err
 	}
-	return bv.reject(w.rest, w)
+	if err = bv.reject(w.rest, w); len(w.bad) == 0 || err != nil && BatchOffenders(err) == nil {
+		return err // none rejected by accept, or a chunk panicked
+	}
+	return &batchError{bad: slices.Sorted(slices.Values(append(w.bad, BatchOffenders(err)...)))}
 }

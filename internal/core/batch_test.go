@@ -611,10 +611,10 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 // its right half a quotient: the halving's cost plus the scaled root's one
 // final exp and 17 pairs. Offenders {3, 40} cost 15 final exps and 125
 // pairs, {40, 56} 14 and 108, {3, 20, 40, 57} 25 and 165. Once Verify has
-// accepted every signer's (S, A), only the forgeries reach a check: a lone
-// one is its chunk of one, decided by one Verify (1 final exp, 1 Miller
-// loop), and {3, 40} a chunk of two: root and scaled root (3 pairs each),
-// the left half (2) and two leaves, 5 final exps and 10 pairs.
+// accepted every signer's (S, A), a tampered message carries its signer's
+// accepted S with another A, so the accept round rejects it by that A and
+// a subgroup check: no index reaches a check, 0 final exps and 0 pairs for
+// one forgery or two.
 func TestBatchQuotientBisection(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
 	tableOnly(t, vf, pks, msgs, sigs) // m_ID for the leaves, the tables for the roots
@@ -638,7 +638,7 @@ func TestBatchQuotientBisection(t *testing.T) {
 	}{
 		{vf, []int{0}, 4, 37}, {vf, []int{31}, 4, 37}, {vf, []int{32}, 4, 37}, {vf, []int{63}, 4, 37},
 		{vf, []int{3, 40}, 15, 125}, {vf, []int{40, 56}, 14, 108}, {vf, []int{3, 20, 40, 57}, 25, 165},
-		{known, []int{0}, 1, 1}, {known, []int{37}, 1, 1}, {known, []int{3, 40}, 5, 10},
+		{known, []int{0}, 0, 0}, {known, []int{37}, 0, 0}, {known, []int{3, 40}, 0, 0},
 	} {
 		before := bn254.ReadOpCounts()
 		err := testBatch(tc.vf, chunkWidth, 1).VerifyMulti(pks, tamper(tc.at...), sigs)
@@ -672,9 +672,12 @@ func TestBatchQuotientBisection(t *testing.T) {
 // TestBatchAcceptedRace: two valid key pairs of one identity take turns
 // through Verify on two goroutines, so the identity's accepted pair flips
 // between their (S, A), while two more goroutines run windows over
-// signatures of both keys and of a second identity, two of them over a
-// tampered message. Whichever pair a window reads, its offenders must be
-// the indices per-index Verify rejects.
+// signatures of both keys and of a second identity. Four are forged under
+// the flipping identity, so the accept round rejects each while its key's
+// pair is the accepted one and a check decides it otherwise: tampered
+// messages under each key (4, 13 under the second, 9 under the first) and
+// the first key's S with the second's V and R (21). Whichever pair a window
+// reads, its offenders must be the indices per-index Verify rejects.
 func TestBatchAcceptedRace(t *testing.T) {
 	rng := fixedRand(99)
 	kgc, err := Setup(rng)
@@ -699,15 +702,16 @@ func TestBatchAcceptedRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	msgs[4], msgs[13] = []byte("tampered-4"), []byte("tampered-13")
+	msgs[4], msgs[9], msgs[13] = []byte("tampered-4"), []byte("tampered-9"), []byte("tampered-13")
+	sigs[21] = &Signature{V: sigs[22].V, S: sigs[21].S, R: sigs[22].R}
 	var want []int
 	for i, fresh := 0, NewVerifier(params); i < n; i++ {
 		if fresh.Verify(pks[i], msgs[i], sigs[i]) != nil {
 			want = append(want, i)
 		}
 	}
-	if !slices.Equal(want, []int{4, 13}) {
-		t.Fatalf("a fresh Verify rejects %v, planted [4 13]", want)
+	if !slices.Equal(want, []int{4, 9, 13, 21}) {
+		t.Fatalf("a fresh Verify rejects %v, planted [4 9 13 21]", want)
 	}
 
 	vf := NewVerifier(params)
@@ -790,12 +794,13 @@ func TestBatchWindowAllocs(t *testing.T) {
 // key replaced, the signature re-signed under it for odd aux (valid) or kept
 // (invalid); or the signature filed under another identity. The offenders
 // must be exactly the indices a fresh Verifier's Verify rejects. The indices
-// the accept rule does not settle, recomputed here with A by math/big, are
-// the ones chunked: a table cached by the window must carry an S of a clean
-// chunk under its identity, unless it was cached before; of a chunk of one
-// if the identity was unknown before the window (a leaf's Verify, at its
-// second sighting, builds a table as any Verify does); and an accepted
-// pair the window stored must be that of a valid signature in it.
+// the accept rule does not settle, valid or forged, recomputed here with A
+// by math/big, are the ones chunked: a table cached by the window must
+// carry an S of a clean chunk under its identity, unless it was cached
+// before; of a chunk of one if the identity was unknown before the window
+// (a leaf's Verify, at its second sighting, builds a table as any Verify
+// does); and an accepted pair the window stored must be that of a valid
+// signature in it.
 func FuzzBatchVsVerify(f *testing.F) {
 	rng := fixedRand(98)
 	kgc, err := Setup(rng)
@@ -895,11 +900,12 @@ func FuzzBatchVsVerify(f *testing.F) {
 			}
 		}
 		// The accept rule, recomputed: an index is settled before any check
-		// iff its identity's record holds its (S, A); the rest are chunked.
+		// iff its identity's record holds its S, valid if also its A, else
+		// an offender if S is in G2; the rest are chunked.
 		as, rest := make([]*bn254.G1, nn), []int{}
 		for i := range nn {
 			as[i] = commitment(params, p[i], m[i], s[i])
-			if ok := oks[p[i].ID]; ok == nil || !ok.s.Equal(s[i].S) || !ok.a.Equal(as[i]) {
+			if ok := oks[p[i].ID]; ok == nil || !ok.s.Equal(s[i].S) || !ok.a.Equal(as[i]) && !s[i].S.IsInSubgroup() {
 				rest = append(rest, i)
 			}
 		}

@@ -31,7 +31,8 @@ type signer struct {
 
 // accepted is a signature's (S, A = (V/h)·P - R) that Verify accepted under
 // the record's identity. Verify's verdict depends on (A, S, Q_ID) only, so
-// every signature carrying the same S and A under that identity is valid.
+// every signature carrying the same S and A under that identity is valid,
+// and, e(·, S) being injective for S in G2, every other A under S invalid.
 type accepted struct {
 	s bn254.G2
 	a bn254.G1
@@ -143,8 +144,9 @@ func (p *Params) vOverH(pk *PublicKey, msg []byte, sig *Signature) (k fr.Element
 // e((V·h⁻¹)·P - R, S)·e(-P_pub, Q_ID) = 1: h⁻¹·S is traded for a scalar
 // inversion in Zr, and the constant enters as its cached Miller value, so
 // one final exponentiation reduces both pairings, cached or not, and the
-// Miller loop over S replays S's line table (DESIGN.md §3). It returns nil
-// on success and ErrVerifyFailed (or a shape error) on rejection.
+// Miller loop over S replays S's line table (DESIGN.md §3); another A under
+// a known identity's accepted S in G2 is rejected with no pairing (accepted).
+// It returns nil on success and ErrVerifyFailed (or a shape error) on rejection.
 // At GOMAXPROCS > 1 a first contact computes m_ID on a goroutine beside
 // its own Miller loop (rhsBeside).
 func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
@@ -168,6 +170,11 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	// A = (V/h)·P - R, fused into one fixed-base table pass.
 	var a, negR bn254.G1
 	a.ScalarBaseMultAddFr(&k, negR.Neg(sig.R))
+	if r != nil && later == nil { // later: no m_ID yet, so no accepted pair
+		if ok := r.ok.Load(); ok != nil && ok.s.Equal(sig.S) && !ok.a.Equal(&a) && sig.S.IsInSubgroup() {
+			return ErrVerifyFailed // e(·, S) is injective: only the accepted A verifies
+		}
+	}
 	if build {
 		lines = bn254.NewG2Lines(sig.S) // nil only for an S off the curve
 	}

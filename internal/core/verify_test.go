@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -49,7 +50,10 @@ func tables(vf *Verifier, pks []*PublicKey) int {
 // line table: a first contact runs two plain loops, the second sighting
 // builds the table, a hit replays it with no G2 step at all, and a new S
 // under the known identity builds again. A first contact's m_ID runs on a
-// goroutine of its own at more than one P, which moves no count.
+// goroutine of its own at more than one P, which moves no count. A
+// signature rejected under the accepted S (a tampered message: S's A is
+// not the accepted one) costs no pairing and no final exponentiation, only
+// the fixed-base pass for A and the subgroup check on S.
 func TestVerifyOpCounts(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		atProcs(procs, func() { verifyOpCounts(t, procs) })
@@ -90,6 +94,113 @@ func verifyOpCounts(t *testing.T, procs int) {
 				d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, tc.pairings, tc.squarings, tc.dbls, tc.adds)
 		}
 	}
+	before := bn254.ReadOpCounts()
+	if err := vf.Verify(sk2.Public(), []byte("tampered"), sig2); !errors.Is(err, ErrVerifyFailed) {
+		t.Fatalf("GOMAXPROCS %d: a tampered message under the accepted S: %v", procs, err)
+	}
+	if d := bn254.ReadOpCounts().Sub(before); d.Pairings != 0 || d.FinalExps != 0 || d.G1ScalarMults != 1 || d.G2ScalarMults != 1 {
+		t.Errorf("GOMAXPROCS %d, rejected under the accepted S: %d Miller loops, %d final exps, %d G1 and %d G2 mults; want 0, 0, 1, 1", procs,
+			d.Pairings, d.FinalExps, d.G1ScalarMults, d.G2ScalarMults)
+	}
+}
+
+// TestAcceptedPairRejectsExactly: once Verify has accepted a signer's
+// (S, A), a signature under that S is decided by its A alone, as S is in
+// G2 and e(·, S) injective there. Verify and a window of the one signature
+// must still agree with a fresh Verifier on each case: another honest
+// signature (the same A, valid), a tampered message, a replaced R, a
+// replaced V, and the accepted S with another signer's V and R (a foreign
+// A). The four forgeries cost Verify no pairing, and the window settles
+// every case with no final exponentiation. A record whose accepted S is off
+// the subgroup (stored here by hand: no such S reaches the record through
+// Verify unless it verified) proves nothing about another A, so a
+// signature under that S falls through to the pairing in both.
+func TestAcceptedPairRejectsExactly(t *testing.T) {
+	kgc, sk, vf := newTestSystem(t, "exact@manet")
+	params, pk := kgc.Params(), sk.Public()
+	other, err := GenerateKeyPair(params, kgc.ExtractPartialPrivateKey("other@manet"), fixedRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sign := func(sk *PrivateKey, msg string, seed int64) *Signature {
+		sig, err := Sign(params, sk, []byte(msg), fixedRand(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig
+	}
+	msg := []byte("RREQ 7 from exact@manet")
+	sig, again, foreign := sign(sk, string(msg), 2), sign(sk, "RREP 8 from exact@manet", 4), sign(other, string(msg), 5)
+	if err := vf.Verify(pk, msg, sig); err != nil {
+		t.Fatal(err)
+	}
+	one := fr.One()
+	// decide checks one case; paired: a forgery is left to the pairing, one
+	// Miller loop and one final exp in Verify and in the window.
+	decide := func(name string, m []byte, s *Signature, paired bool) {
+		t.Helper()
+		want := NewVerifier(params).Verify(pk, m, s)
+		before := bn254.ReadOpCounts()
+		got := vf.Verify(pk, m, s)
+		d := bn254.ReadOpCounts().Sub(before)
+		if (got == nil) != (want == nil) || want != nil && !errors.Is(got, ErrVerifyFailed) {
+			t.Fatalf("%s: Verify says %v, a fresh Verifier %v", name, got, want)
+		}
+		loops := uint64(0) // Verify's Miller loops and final exps on a forgery
+		if paired {
+			loops = 1
+		}
+		if want != nil && (d.Pairings != loops || d.FinalExps != loops) {
+			t.Errorf("%s: Verify ran %d Miller loops and %d final exps, want %d and %d", name, d.Pairings, d.FinalExps, loops, loops)
+		}
+		var bad []int
+		if want != nil {
+			bad = []int{0}
+		}
+		before = bn254.ReadOpCounts()
+		err := vf.Batch(BatchOptions{}).VerifyMulti([]*PublicKey{pk}, [][]byte{m}, []*Signature{s})
+		if d := bn254.ReadOpCounts().Sub(before); !slices.Equal(BatchOffenders(err), bad) || (err == nil) != (bad == nil) || d.FinalExps != loops {
+			t.Errorf("%s: the window rejects %v (%v) with %d final exps; want %v and %d", name, BatchOffenders(err), err, d.FinalExps, bad, loops)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		msg  []byte
+		sig  *Signature
+	}{
+		{"another honest signature", []byte("RREP 8 from exact@manet"), again},
+		{"tampered message", []byte("tampered"), sig},
+		{"replaced R", msg, &Signature{V: sig.V, S: sig.S, R: foreign.R}},
+		{"replaced V", msg, &Signature{V: *new(fr.Element).Add(&sig.V, &one), S: sig.S, R: sig.R}},
+		{"accepted S, foreign A", msg, &Signature{V: foreign.V, S: sig.S, R: foreign.R}},
+	} {
+		decide(tc.name, tc.msg, tc.sig, false)
+	}
+
+	off := offSubgroupG2(t)
+	r, _ := vf.signers.Get(pk.ID)
+	r.ok.Store(&accepted{s: *off, a: *commitment(params, pk, msg, sig)})
+	decide("accepted S off the subgroup", msg, &Signature{V: foreign.V, S: off, R: foreign.R}, true)
+}
+
+// offSubgroupG2 returns a point of the twist E'(Fp2) outside G2: the first
+// x = c + i with a square x³ + b' whose point fails the subgroup check, with
+// no cofactor clearing. b' = y² - x³ is read off the generator.
+func offSubgroupG2(t *testing.T) *bn254.G2 {
+	t.Helper()
+	g := bn254.G2Generator()
+	var b, x3 bn254.Fp2
+	b.Sub(b.Square(&g.Y), x3.Mul(x3.Square(&g.X), &g.X))
+	for c := uint64(1); c < 256; c++ {
+		pt := &bn254.G2{X: bn254.Fp2{C0: fp.NewElement(c), C1: fp.One()}}
+		var rhs bn254.Fp2
+		rhs.Add(rhs.Mul(rhs.Square(&pt.X), &pt.X), &b)
+		if pt.Y.Sqrt(&rhs) != nil && pt.IsOnCurve() && !pt.IsInSubgroup() {
+			return pt
+		}
+	}
+	t.Fatal("no point off the subgroup among 255 candidates")
+	return nil
 }
 
 // TestNewVerifierAllocs pins an empty Verifier's cost independent of its

@@ -29,11 +29,11 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14232
+const maxNonTestLines = 14272
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
-const maxDesignLines = 901
+const maxDesignLines = 908
 
 // mathBigFiles are the shipped files that may import math/big: init-time
 // constant derivation, the *big.Int adapters of the exported API and
