@@ -350,7 +350,8 @@ func TestG2MarshalRoundTrip(t *testing.T) {
 }
 
 // TestG2RejectsWrongSubgroup builds a twist point outside the order-r
-// subgroup and checks that Unmarshal refuses it.
+// subgroup and checks that Unmarshal refuses it and UnmarshalOnCurve
+// accepts it.
 func TestG2RejectsWrongSubgroup(t *testing.T) {
 	// Find a curve point by try-and-increment WITHOUT cofactor clearing.
 	var pt *G2
@@ -370,6 +371,9 @@ func TestG2RejectsWrongSubgroup(t *testing.T) {
 	}
 	if err := new(G2).Unmarshal(pt.Marshal()); err == nil {
 		t.Fatal("accepted out-of-subgroup G2 point")
+	}
+	if q := new(G2); q.UnmarshalOnCurve(pt.Marshal()) != nil || !q.Equal(pt) {
+		t.Fatal("curve-only decode refused a point of the twist")
 	}
 }
 

@@ -32,20 +32,36 @@ func FuzzG1Unmarshal(f *testing.F) {
 	})
 }
 
+// FuzzG2Unmarshal drives both G2 decodes: UnmarshalOnCurve accepts exactly
+// the canonical encodings of points of the twist, Unmarshal exactly those
+// of them in the subgroup (or the identity). The seeds include a twist
+// point off the subgroup, which only the curve-only decode accepts.
 func FuzzG2Unmarshal(f *testing.F) {
 	f.Add(G2Generator().Marshal())
 	f.Add(G2Infinity().Marshal())
 	f.Add(make([]byte, 128))
+	for counter := uint32(0); ; counter++ {
+		if q := hashToTwist("fuzz", []byte("off-subgroup"), counter); q != nil {
+			f.Add(q.Marshal())
+			break
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var p G2
-		if err := p.Unmarshal(data); err != nil {
-			return
+		var c, p G2
+		errC, errP := c.UnmarshalOnCurve(data), p.Unmarshal(data)
+		if errC == nil {
+			if !c.IsOnCurve() {
+				t.Fatal("curve-only decode accepted an off-curve point")
+			}
+			if !bytes.Equal(c.Marshal(), data) {
+				t.Fatal("curve-only decode accepted a non-canonical encoding")
+			}
 		}
-		if !p.IsInSubgroup() {
-			t.Fatal("accepted point outside the subgroup")
+		if want := errC == nil && (c.IsInfinity() || c.IsInSubgroup()); (errP == nil) != want {
+			t.Fatalf("Unmarshal says %v, curve-only decode %v and subgroup membership %v", errP, errC, want)
 		}
-		if !bytes.Equal(p.Marshal(), data) {
-			t.Fatal("accepted non-canonical encoding")
+		if errP == nil && !p.Equal(&c) {
+			t.Fatal("the two decodes disagree on an accepted point")
 		}
 	})
 }

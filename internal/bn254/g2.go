@@ -212,10 +212,24 @@ func (z *G2) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-// Unmarshal decodes a point produced by Marshal, validating both curve and
-// subgroup membership (the twist has a large cofactor, so the subgroup check
-// is mandatory for untrusted inputs).
+// Unmarshal is UnmarshalOnCurve followed by the subgroup check, which the
+// twist's large cofactor makes mandatory before a pairing or ScalarMult.
 func (z *G2) Unmarshal(data []byte) error {
+	var cand G2
+	if err := cand.UnmarshalOnCurve(data); err != nil {
+		return err
+	}
+	if !cand.Inf && !cand.IsInSubgroup() {
+		return fmt.Errorf("%w: G2 point not in subgroup", ErrInvalidPoint)
+	}
+	z.Set(&cand)
+	return nil
+}
+
+// UnmarshalOnCurve decodes a point produced by Marshal, validating that the
+// encoding is canonical and the point on the twist, not in the subgroup: the
+// caller checks IsInSubgroup before the point is used.
+func (z *G2) UnmarshalOnCurve(data []byte) error {
 	if len(data) != g2MarshalledSize {
 		return fmt.Errorf("%w: G2 wants %d bytes, got %d", ErrInvalidPoint, g2MarshalledSize, len(data))
 	}
@@ -229,8 +243,8 @@ func (z *G2) Unmarshal(data []byte) error {
 		z.Set(G2Infinity())
 		return nil
 	}
-	if !cand.IsInSubgroup() {
-		return fmt.Errorf("%w: G2 point not in subgroup", ErrInvalidPoint)
+	if !cand.IsOnCurve() {
+		return fmt.Errorf("%w: G2 point not on curve", ErrInvalidPoint)
 	}
 	z.Set(&cand)
 	return nil

@@ -35,7 +35,8 @@ type BatchOptions struct {
 // BatchVerifier is the batch-verification engine for McCLS, obtained from
 // Verifier.Batch, the tree's one batch entry point. A signature under the S
 // of the pair Verify last accepted for its identity is decided exactly by
-// its A and enters no check (window.accept). The rest of a window is cut
+// its A and enters no check (window.accept), nor does one whose S is not in
+// G2, checked once per S (newWindow). The rest of a window is cut
 // into chunks of chunkWidth, every chunk is decided by one aggregate
 // equation on a worker pool, and a failing chunk's lone offender is located
 // by one position-scaled check, more are bisected (bisect). The equation is
@@ -158,9 +159,9 @@ type window struct {
 // slot is one index's state in a window. r is its identity's record if that
 // existed before the window (nil: a first contact): a second sighting, which
 // earns its S a line table. ok is r's accepted pair while its S is the
-// index's, and stays set only if it settles the index, valid or bad. lines,
-// the table of its S-group (nil: a point pair), is resolved by the first
-// check over the index, its chunk's root, and reused by that chunk's
+// index's: it settles the index, valid or bad; bad also marks an S off G2.
+// lines, the table of its S-group (nil: a point pair), is resolved by the
+// first check over the index, its chunk's root, and reused by that chunk's
 // bisection: one worker's entries.
 type slot struct {
 	r        *signer
@@ -170,10 +171,11 @@ type slot struct {
 	resolved bool
 }
 
-// newWindow runs the shape checks, settles the indices it can by accept and
-// draws the weights for the rest. The challenges are inverted together, with
-// one field inversion. Shape and zero-hash failures surface as errors,
-// matching the single-signature path.
+// newWindow runs the shape checks, settles the indices it can by accept,
+// rejects the others whose S is off G2 (one check per S: the small-exponent
+// equation needs prime-order points) and draws the weights for the rest.
+// The challenges are inverted together, with one field inversion. Shape and
+// zero-hash failures surface as errors, matching the single-signature path.
 func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Signature) (*window, error) {
 	seed, err := newWeightSeed(bv.weights)
 	if err != nil {
@@ -200,10 +202,16 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 	}
 	fanOut(min(matched, runtime.GOMAXPROCS(0)), n, w, (*window).accept)
 	for i := range n {
-		if w.at[i].bad {
-			w.bad = append(w.bad, i)
+		at := &w.at[i]
+		if at.ok == nil { // S is in G2 if an earlier index's is: pinned, or checked
+			j := slices.IndexFunc(sigs, func(s *Signature) bool { return s.S.Equal(sigs[i].S) })
+			if at.bad = w.at[j].ok == nil && w.at[j].bad; j == i {
+				at.bad = !sigs[i].S.IsInSubgroup()
+			}
 		}
-		if w.at[i].ok == nil {
+		if at.bad {
+			w.bad = append(w.bad, i)
+		} else if at.ok == nil {
 			w.rest = append(w.rest, i)
 			w.rho[i] = seed.at(i)
 			rho := w.rho[i].Fr()
@@ -218,19 +226,12 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 // index whose accepted S is Sᵢ, Aᵢ = k[i]·P - Rᵢ (one fixed-base pass, not
 // normalised) is compared with the accepted A. An equal A settles the index:
 // Verify accepted that (A, S) under this identity, so it accepts this
-// signature. Another A rejects it if Sᵢ is in G2 (accepted). Otherwise ok is
-// cleared and the index goes to a check.
+// signature. Another A rejects it: an accepted S is in G2 (accepted).
 func (w *window) accept(i int) {
 	w.k[i].Mul(&w.k[i], &w.sigs[i].V)
 	if ok := w.at[i].ok; ok != nil {
 		var negR bn254.G1
-		switch {
-		case ok.a.EqualBaseMultAdd(&w.k[i], negR.Neg(w.sigs[i].R)):
-		case w.sigs[i].S.IsInSubgroup():
-			w.at[i].bad = true
-		default:
-			w.at[i].ok = nil
-		}
+		w.at[i].bad = !ok.a.EqualBaseMultAdd(&w.k[i], negR.Neg(w.sigs[i].R))
 	}
 }
 

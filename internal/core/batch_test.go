@@ -334,16 +334,16 @@ func atProcs(procs int, f func()) {
 // into one lockstep loop per worker, so only the Miller squarings move with
 // the width: 65 per part. G1 mults: 64 R's fed to the joint ladders and one
 // fixed-base pass per S-group; G2 mults: one Q_ID per identity fed to the
-// Q_ID sum, and on a cold verifier one more in hashing it. Once Verify has
-// accepted each signer's (S, A), the window costs one fixed-base pass per
-// signature and no pairing.
+// Q_ID sum, one subgroup check per S, and on a cold verifier one more in
+// hashing Q_ID. Once Verify has accepted each signer's (S, A), the window
+// costs one fixed-base pass per signature, no pairing and no subgroup check.
 func TestBatchWindowOpCounts(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		for _, tc := range []struct {
 			signers                   int
 			warm                      string // "", "tables" or "accepted"
 			pairings, stepped, g1, g2 uint64
-		}{{16, "", 17, 17, 80, 32}, {1, "", 2, 2, 65, 2}, {16, "tables", 17, 1, 80, 16}, {16, "accepted", 0, 0, 64, 0}} {
+		}{{16, "", 17, 17, 80, 48}, {1, "", 2, 2, 65, 3}, {16, "tables", 17, 1, 80, 32}, {16, "accepted", 0, 0, 64, 0}} {
 			_, vf, pks, msgs, sigs := multiBatch(t, 64, tc.signers)
 			switch tc.warm {
 			case "tables":
@@ -612,9 +612,9 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 // final exp and 17 pairs. Offenders {3, 40} cost 15 final exps and 125
 // pairs, {40, 56} 14 and 108, {3, 20, 40, 57} 25 and 165. Once Verify has
 // accepted every signer's (S, A), a tampered message carries its signer's
-// accepted S with another A, so the accept round rejects it by that A and
-// a subgroup check: no index reaches a check, 0 final exps and 0 pairs for
-// one forgery or two.
+// accepted S with another A, so the accept round rejects it by that A
+// alone: no index reaches a check, 0 final exps and 0 pairs for one forgery
+// or two.
 func TestBatchQuotientBisection(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
 	tableOnly(t, vf, pks, msgs, sigs) // m_ID for the leaves, the tables for the roots
@@ -790,12 +790,13 @@ func TestBatchWindowAllocs(t *testing.T) {
 // accepted S and the window's S disagree either way), GOMAXPROCS 1 or 2
 // (bit 1) — with up to four planted faults, each three bytes (kind, index,
 // aux): a tampered message; an S forged under a known identity, aux naming
-// one of four forged points, so faults can share an S-group; the identity's
+// one of five forged points, the last on the curve but off G2, so faults
+// can share an S-group; the identity's
 // key replaced, the signature re-signed under it for odd aux (valid) or kept
 // (invalid); or the signature filed under another identity. The offenders
 // must be exactly the indices a fresh Verifier's Verify rejects. The indices
-// the accept rule does not settle, valid or forged, recomputed here with A
-// by math/big, are the ones chunked: a table cached by the window must
+// the accept rule does not settle and whose S is in G2, valid or forged,
+// recomputed here with A by math/big, are the ones chunked: a table cached by the window must
 // carry an S of a clean chunk under its identity, unless it was cached
 // before; of a chunk of one if the identity was unknown before the window
 // (a leaf's Verify, at its second sighting, builds a table as any Verify
@@ -835,10 +836,11 @@ func FuzzBatchVsVerify(f *testing.F) {
 		}
 		return memo[key]
 	}
-	var forged [4]*bn254.G2
-	for j := range forged {
+	var forged [5]*bn254.G2
+	for j := range 4 {
 		forged[j] = new(bn254.G2).ScalarMult(bn254.G2Generator(), big.NewInt(int64(1000+j)))
 	}
+	forged[4] = offSubgroupG2(f)
 
 	f.Fuzz(func(t *testing.T, n, signers, chunk, flags uint8, faults, order []byte) {
 		nn, k := 1+int(n)%80, 1+int(signers)%20
@@ -901,11 +903,11 @@ func FuzzBatchVsVerify(f *testing.F) {
 		}
 		// The accept rule, recomputed: an index is settled before any check
 		// iff its identity's record holds its S, valid if also its A, else
-		// an offender if S is in G2; the rest are chunked.
+		// an offender, or its S is off G2, an offender; the rest are chunked.
 		as, rest := make([]*bn254.G1, nn), []int{}
 		for i := range nn {
 			as[i] = commitment(params, p[i], m[i], s[i])
-			if ok := oks[p[i].ID]; ok == nil || !ok.s.Equal(s[i].S) || !ok.a.Equal(as[i]) && !s[i].S.IsInSubgroup() {
+			if ok := oks[p[i].ID]; (ok == nil || !ok.s.Equal(s[i].S)) && s[i].S.IsInSubgroup() {
 				rest = append(rest, i)
 			}
 		}

@@ -45,9 +45,9 @@ func BenchmarkSign(b *testing.B) {
 // BenchmarkVerify prices one Verify of a known signer whose record holds
 // the (S, A) of its honest signature: warm verifies that signature again
 // (one Miller loop over S's table, one final exponentiation), and
-// forged-known a tampered message under the accepted S, which its A and a
-// subgroup check on S reject with no pairing: what each forgery of a flood
-// costs.
+// forged-known a tampered message under the accepted S, which its A alone
+// rejects, with no pairing and no subgroup check: what each forgery of a
+// flood costs.
 func BenchmarkVerify(b *testing.B) {
 	kgc, sk, vf := benchSystem(b)
 	msg := []byte("RREQ 7 from bench-node")
@@ -124,15 +124,14 @@ func BenchmarkVerifyManySigners(b *testing.B) {
 // whose records hold the (S, A) Verify accepted, warm settles every
 // signature without a pairing and forged-known has one planted forgery
 // under its signer's accepted S, which the accept round rejects by its A
-// and one subgroup check: 64 fixed-base passes, one G2 subgroup check and
-// no pairing either. On one that has only batched (records with m_ID
-// and line tables, no accepted pair), first is the window that builds the
-// tables (a fresh verifier per iteration whose records hold m_ID), forged
-// has one forgery, located by one scaled check and confirmed (3 aggregate
-// checks and one Verify, 4 final exponentiations), and forged2 two in
-// different S-groups, which the scaled check cannot locate, so the window
-// is halved after it. The forged windows log their operation counts per
-// window.
+// alone: 64 fixed-base passes and no pairing either. On one that has only
+// batched (records with m_ID and line tables, no accepted pair), first is
+// the window that builds the tables (a fresh verifier per iteration whose
+// records hold m_ID), forged has one forgery, located by one scaled check
+// and confirmed (3 aggregate checks and one Verify, 4 final
+// exponentiations), and forged2 two in different S-groups, which the scaled
+// check cannot locate, so the window is halved after it. The forged windows
+// log their operation counts per window.
 func BenchmarkBatchWindow(b *testing.B) {
 	_, known, pks, msgs, sigs := multiBatch(b, 64, 16)
 	run := func(b *testing.B, vf *Verifier) {

@@ -67,6 +67,9 @@ func verifySpec(vf *Verifier, pk *PublicKey, msg []byte, sig *Signature) error {
 	if err := checkShape(pk, sig); err != nil {
 		return err
 	}
+	if !sig.S.IsInSubgroup() { // the paper's S is in G2
+		return ErrVerifyFailed
+	}
 	hFr := vf.params.hashH2(msg, sig.R, pk.PID)
 	h := hFr.BigInt()
 	hInv := new(big.Int).ModInverse(h, bn254.Order)
@@ -270,8 +273,8 @@ func TestSignatureMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := sig.Marshal()
-	if len(enc) != signatureMarshalledSize {
-		t.Fatalf("marshalled size %d, want %d", len(enc), signatureMarshalledSize)
+	if len(enc) != SignatureSize {
+		t.Fatalf("marshalled size %d, want %d", len(enc), SignatureSize)
 	}
 	dec, err := UnmarshalSignature(enc)
 	if err != nil {
@@ -573,6 +576,7 @@ func FuzzUnmarshalSignature(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(sig.Marshal())
+	f.Add((&Signature{V: sig.V, S: offSubgroupG2(f), R: sig.R}).Marshal()) // accepted: Verify checks S
 	f.Add(make([]byte, SignatureSize))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -100,15 +100,15 @@ func (ppk *PartialPrivateKey) Marshal() []byte {
 	return ppk.D.AppendMarshal(appendLengthPrefixed(out, []byte(ppk.ID)))
 }
 
-// UnmarshalPartialPrivateKey decodes a partial key, validating the embedded
-// point (curve and subgroup membership).
+// UnmarshalPartialPrivateKey decodes a partial key whose point is on the
+// curve; Validate, which every key derivation runs first, checks the rest.
 func UnmarshalPartialPrivateKey(data []byte) (*PartialPrivateKey, error) {
 	id, rest, err := readLengthPrefixed(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidKey, err)
 	}
 	var d bn254.G2
-	if err := d.Unmarshal(rest); err != nil {
+	if err := d.UnmarshalOnCurve(rest); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidKey, err)
 	}
 	return &PartialPrivateKey{ID: string(id), D: &d}, nil

@@ -21,9 +21,6 @@ type Signature struct {
 // 32 (V) + 128 (S) + 64 (R).
 const SignatureSize = 32 + 128 + 64
 
-// signatureMarshalledSize is retained as the internal alias.
-const signatureMarshalledSize = SignatureSize
-
 // Sign runs CL-Sign: draw r ← Zr*, output (V, S, R) with R = (r-x)·P,
 // h = H2(M, R, P_ID), V = h·r. No pairing operations are performed; the
 // per-message cost is a single G1 scalar multiplication (S is precomputed
@@ -50,25 +47,25 @@ func Sign(params *Params, sk *PrivateKey, msg []byte, rng io.Reader) (*Signature
 
 // Marshal encodes the signature as V‖S‖R.
 func (sig *Signature) Marshal() []byte {
-	out := make([]byte, 0, signatureMarshalledSize)
+	out := make([]byte, 0, SignatureSize)
 	v := sig.V.Bytes()
 	out = append(out, v[:]...)
 	return sig.R.AppendMarshal(sig.S.AppendMarshal(out))
 }
 
 // UnmarshalSignature decodes and validates a signature: V must be a scalar
-// in [1, r), S a non-identity element of the order-r subgroup of G2, R a
-// point of G1.
+// in [1, r), S a non-identity point of the twist, R a point of G1. S's
+// subgroup membership is Verify's to check, where a pairing consumes S.
 func UnmarshalSignature(data []byte) (*Signature, error) {
-	if len(data) != signatureMarshalledSize {
-		return nil, fmt.Errorf("%w: want %d bytes, got %d", ErrInvalidSignature, signatureMarshalledSize, len(data))
+	if len(data) != SignatureSize {
+		return nil, fmt.Errorf("%w: want %d bytes, got %d", ErrInvalidSignature, SignatureSize, len(data))
 	}
 	var v fr.Element
 	if !v.SetBytesCanonical(data[:32]) || v.IsZero() {
 		return nil, fmt.Errorf("%w: V out of range", ErrInvalidSignature)
 	}
 	var s bn254.G2
-	if err := s.Unmarshal(data[32 : 32+128]); err != nil {
+	if err := s.UnmarshalOnCurve(data[32 : 32+128]); err != nil {
 		return nil, fmt.Errorf("%w: S: %v", ErrInvalidSignature, err)
 	}
 	if s.IsInfinity() {

@@ -32,7 +32,7 @@ type signer struct {
 // accepted is a signature's (S, A = (V/h)·P - R) that Verify accepted under
 // the record's identity. Verify's verdict depends on (A, S, Q_ID) only, so
 // every signature carrying the same S and A under that identity is valid,
-// and, e(·, S) being injective for S in G2, every other A under S invalid.
+// and, S being in G2 (checked) with e(·, S) injective, every other A invalid.
 type accepted struct {
 	s bn254.G2
 	a bn254.G1
@@ -145,10 +145,10 @@ func (p *Params) vOverH(pk *PublicKey, msg []byte, sig *Signature) (k fr.Element
 // inversion in Zr, and the constant enters as its cached Miller value, so
 // one final exponentiation reduces both pairings, cached or not, and the
 // Miller loop over S replays S's line table (DESIGN.md §3); another A under
-// a known identity's accepted S in G2 is rejected with no pairing (accepted).
-// It returns nil on success and ErrVerifyFailed (or a shape error) on rejection.
-// At GOMAXPROCS > 1 a first contact computes m_ID on a goroutine beside
-// its own Miller loop (rhsBeside).
+// a known identity's accepted S is rejected with no pairing (accepted), and
+// any other S is checked in G2 before its pairing. It returns nil on success
+// and ErrVerifyFailed (or a shape error) on rejection. At GOMAXPROCS > 1 a
+// first contact computes m_ID on a goroutine beside its own work (rhsBeside).
 func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	if err := checkShape(pk, sig); err != nil {
 		return err
@@ -170,10 +170,16 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	// A = (V/h)·P - R, fused into one fixed-base table pass.
 	var a, negR bn254.G1
 	a.ScalarBaseMultAddFr(&k, negR.Neg(sig.R))
+	var ok *accepted
 	if r != nil && later == nil { // later: no m_ID yet, so no accepted pair
-		if ok := r.ok.Load(); ok != nil && ok.s.Equal(sig.S) && !ok.a.Equal(&a) && sig.S.IsInSubgroup() {
-			return ErrVerifyFailed // e(·, S) is injective: only the accepted A verifies
+		ok = r.ok.Load()
+	}
+	// Under an accepted S only its A verifies; any other S is checked in G2.
+	if pinned := ok != nil && ok.s.Equal(sig.S); pinned && !ok.a.Equal(&a) || !pinned && !sig.S.IsInSubgroup() {
+		if later != nil {
+			<-later
 		}
+		return ErrVerifyFailed
 	}
 	if build {
 		lines = bn254.NewG2Lines(sig.S) // nil only for an S off the curve

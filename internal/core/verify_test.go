@@ -52,8 +52,9 @@ func tables(vf *Verifier, pks []*PublicKey) int {
 // under the known identity builds again. A first contact's m_ID runs on a
 // goroutine of its own at more than one P, which moves no count. A
 // signature rejected under the accepted S (a tampered message: S's A is
-// not the accepted one) costs no pairing and no final exponentiation, only
-// the fixed-base pass for A and the subgroup check on S.
+// not the accepted one) costs no pairing, no final exponentiation and no
+// subgroup check, as the accepted S passed one: only the fixed-base pass
+// for A.
 func TestVerifyOpCounts(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		atProcs(procs, func() { verifyOpCounts(t, procs) })
@@ -98,8 +99,8 @@ func verifyOpCounts(t *testing.T, procs int) {
 	if err := vf.Verify(sk2.Public(), []byte("tampered"), sig2); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("GOMAXPROCS %d: a tampered message under the accepted S: %v", procs, err)
 	}
-	if d := bn254.ReadOpCounts().Sub(before); d.Pairings != 0 || d.FinalExps != 0 || d.G1ScalarMults != 1 || d.G2ScalarMults != 1 {
-		t.Errorf("GOMAXPROCS %d, rejected under the accepted S: %d Miller loops, %d final exps, %d G1 and %d G2 mults; want 0, 0, 1, 1", procs,
+	if d := bn254.ReadOpCounts().Sub(before); d.Pairings != 0 || d.FinalExps != 0 || d.G1ScalarMults != 1 || d.G2ScalarMults != 0 {
+		t.Errorf("GOMAXPROCS %d, rejected under the accepted S: %d Miller loops, %d final exps, %d G1 and %d G2 mults; want 0, 0, 1, 0", procs,
 			d.Pairings, d.FinalExps, d.G1ScalarMults, d.G2ScalarMults)
 	}
 }
@@ -111,10 +112,9 @@ func verifyOpCounts(t *testing.T, procs int) {
 // signature (the same A, valid), a tampered message, a replaced R, a
 // replaced V, and the accepted S with another signer's V and R (a foreign
 // A). The four forgeries cost Verify no pairing, and the window settles
-// every case with no final exponentiation. A record whose accepted S is off
-// the subgroup (stored here by hand: no such S reaches the record through
-// Verify unless it verified) proves nothing about another A, so a
-// signature under that S falls through to the pairing in both.
+// every case with no final exponentiation. So does a signature whose S is
+// off the subgroup, which its subgroup check rejects before any pairing in
+// both, and which never becomes the accepted S.
 func TestAcceptedPairRejectsExactly(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "exact@manet")
 	params, pk := kgc.Params(), sk.Public()
@@ -135,9 +135,9 @@ func TestAcceptedPairRejectsExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := fr.One()
-	// decide checks one case; paired: a forgery is left to the pairing, one
-	// Miller loop and one final exp in Verify and in the window.
-	decide := func(name string, m []byte, s *Signature, paired bool) {
+	// decide checks one case: a forgery costs no Miller loop and no final
+	// exp, in Verify and in the window.
+	decide := func(name string, m []byte, s *Signature) {
 		t.Helper()
 		want := NewVerifier(params).Verify(pk, m, s)
 		before := bn254.ReadOpCounts()
@@ -146,12 +146,8 @@ func TestAcceptedPairRejectsExactly(t *testing.T) {
 		if (got == nil) != (want == nil) || want != nil && !errors.Is(got, ErrVerifyFailed) {
 			t.Fatalf("%s: Verify says %v, a fresh Verifier %v", name, got, want)
 		}
-		loops := uint64(0) // Verify's Miller loops and final exps on a forgery
-		if paired {
-			loops = 1
-		}
-		if want != nil && (d.Pairings != loops || d.FinalExps != loops) {
-			t.Errorf("%s: Verify ran %d Miller loops and %d final exps, want %d and %d", name, d.Pairings, d.FinalExps, loops, loops)
+		if want != nil && (d.Pairings != 0 || d.FinalExps != 0) {
+			t.Errorf("%s: Verify ran %d Miller loops and %d final exps, want 0 and 0", name, d.Pairings, d.FinalExps)
 		}
 		var bad []int
 		if want != nil {
@@ -159,8 +155,8 @@ func TestAcceptedPairRejectsExactly(t *testing.T) {
 		}
 		before = bn254.ReadOpCounts()
 		err := vf.Batch(BatchOptions{}).VerifyMulti([]*PublicKey{pk}, [][]byte{m}, []*Signature{s})
-		if d := bn254.ReadOpCounts().Sub(before); !slices.Equal(BatchOffenders(err), bad) || (err == nil) != (bad == nil) || d.FinalExps != loops {
-			t.Errorf("%s: the window rejects %v (%v) with %d final exps; want %v and %d", name, BatchOffenders(err), err, d.FinalExps, bad, loops)
+		if d := bn254.ReadOpCounts().Sub(before); !slices.Equal(BatchOffenders(err), bad) || (err == nil) != (bad == nil) || d.FinalExps != 0 {
+			t.Errorf("%s: the window rejects %v (%v) with %d final exps; want %v and 0", name, BatchOffenders(err), err, d.FinalExps, bad)
 		}
 	}
 	for _, tc := range []struct {
@@ -173,20 +169,21 @@ func TestAcceptedPairRejectsExactly(t *testing.T) {
 		{"replaced R", msg, &Signature{V: sig.V, S: sig.S, R: foreign.R}},
 		{"replaced V", msg, &Signature{V: *new(fr.Element).Add(&sig.V, &one), S: sig.S, R: sig.R}},
 		{"accepted S, foreign A", msg, &Signature{V: foreign.V, S: sig.S, R: foreign.R}},
+		{"S off the subgroup", msg, &Signature{V: sig.V, S: offSubgroupG2(t), R: sig.R}},
 	} {
-		decide(tc.name, tc.msg, tc.sig, false)
+		decide(tc.name, tc.msg, tc.sig)
 	}
-
-	off := offSubgroupG2(t)
-	r, _ := vf.signers.Get(pk.ID)
-	r.ok.Store(&accepted{s: *off, a: *commitment(params, pk, msg, sig)})
-	decide("accepted S off the subgroup", msg, &Signature{V: foreign.V, S: off, R: foreign.R}, true)
+	if r, _ := vf.signers.Get(pk.ID); !r.ok.Load().s.Equal(sig.S) {
+		t.Fatal("the accepted S changed")
+	}
 }
 
 // offSubgroupG2 returns a point of the twist E'(Fp2) outside G2: the first
 // x = c + i with a square x³ + b' whose point fails the subgroup check, with
-// no cofactor clearing. b' = y² - x³ is read off the generator.
-func offSubgroupG2(t *testing.T) *bn254.G2 {
+// no cofactor clearing. b' = y² - x³ is read off the generator. checkShape
+// and UnmarshalSignature let it through: they test S against the curve
+// equation only.
+func offSubgroupG2(t testing.TB) *bn254.G2 {
 	t.Helper()
 	g := bn254.G2Generator()
 	var b, x3 bn254.Fp2
@@ -491,33 +488,12 @@ func TestVerifierEvictionRace(t *testing.T) {
 	}
 }
 
-// twistPointOffSubgroup returns a point of the twist E'(Fp2) outside the
-// r-order subgroup: what checkShape lets through, since it tests S against
-// the curve equation only (UnmarshalSignature would refuse it).
-func twistPointOffSubgroup(t *testing.T) *bn254.G2 {
-	t.Helper()
-	g := bn254.G2Generator()
-	var b, x3 bn254.Fp2 // b' = y² - x³ on the generator
-	b.Square(&g.Y)
-	x3.Square(&g.X)
-	b.Sub(&b, x3.Mul(&x3, &g.X))
-	for x := uint64(1); x < 64; x++ {
-		q := &bn254.G2{X: bn254.Fp2{C0: fp.NewElement(x)}}
-		var rhs bn254.Fp2
-		rhs.Square(&q.X)
-		rhs.Add(rhs.Mul(&rhs, &q.X), &b)
-		if q.Y.Sqrt(&rhs) != nil && q.IsOnCurve() && !q.IsInSubgroup() {
-			return q
-		}
-	}
-	t.Fatal("no twist point off the subgroup")
-	return nil
-}
-
-// TestVerifyOffSubgroupS: an on-curve S outside the r-order subgroup is
-// rejected without a panic, by a warm verifier (which builds its table) and
-// a cold one (which runs the plain loop) alike, and leaves no line table
-// behind: the warm verifier keeps the signer's.
+// TestVerifyOffSubgroupS: an on-curve S outside the r-order subgroup, which
+// UnmarshalSignature accepts, is rejected without a panic and before any
+// pairing, by a warm verifier and a cold one alike. The cold one computes
+// only m_ID, a function of the identity, which its record keeps: one Miller
+// loop and no final exponentiation. Neither pins the S or caches a table
+// for it: the warm verifier keeps the signer's.
 func TestVerifyOffSubgroupS(t *testing.T) {
 	kgc, sk, warm := newTestSystem(t, "twist@manet")
 	pk, msg := sk.Public(), []byte("RREQ with a stray S")
@@ -530,11 +506,25 @@ func TestVerifyOffSubgroupS(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bad := &Signature{V: sig.V, S: twistPointOffSubgroup(t), R: sig.R}
+	bad, err := UnmarshalSignature((&Signature{V: sig.V, S: offSubgroupG2(t), R: sig.R}).Marshal())
+	if err != nil {
+		t.Fatalf("an on-curve S off the subgroup: %v", err)
+	}
 	cold := NewVerifier(kgc.Params())
-	for name, vf := range map[string]*Verifier{"warm": warm, "cold": cold} {
-		if err := vf.Verify(pk, msg, bad); !errors.Is(err, ErrVerifyFailed) {
-			t.Errorf("%s: want ErrVerifyFailed, got %v", name, err)
+	for _, tc := range []struct {
+		name  string
+		vf    *Verifier
+		loops uint64
+	}{{"warm", warm, 0}, {"cold", cold, 1}} {
+		before := bn254.ReadOpCounts()
+		if err := tc.vf.Verify(pk, msg, bad); !errors.Is(err, ErrVerifyFailed) {
+			t.Errorf("%s: want ErrVerifyFailed, got %v", tc.name, err)
+		}
+		if d := bn254.ReadOpCounts().Sub(before); d.Pairings != tc.loops || d.FinalExps != 0 {
+			t.Errorf("%s: %d Miller loops and %d final exps, want %d and 0", tc.name, d.Pairings, d.FinalExps, tc.loops)
+		}
+		if r, ok := tc.vf.signers.Get(pk.ID); !ok || r.m.Load() == nil || r.ok.Load() != nil && !r.ok.Load().s.Equal(sig.S) {
+			t.Errorf("%s: the record lost m_ID or accepted the S off the subgroup", tc.name)
 		}
 	}
 	lines, ok := tableOf(warm, pk.ID)
@@ -593,13 +583,18 @@ func FuzzVerifyColdWarmSpecAgree(f *testing.F) {
 	}
 
 	flip := func(off int, b byte) []byte { return append(make([]byte, off), b) }
-	f.Add([]byte("RREQ 7"), byte(0), []byte{})                    // untouched: accept
-	f.Add([]byte{}, byte(1), flip(31, 1))                         // V
-	f.Add([]byte("RREP"), byte(2), flip(32+127, 1))               // S off the curve
-	f.Add([]byte("RERR"), byte(3), flip(32+128+63, 1))            // R off the curve
-	f.Add([]byte("HELLO"), byte(4), flip(SignatureSize+8+3, 'z')) // identity: an unseen signer
-	f.Add([]byte("HELLO"), byte(5), flip(SignatureSize+7, 1))     // identity length prefix
-	f.Add([]byte("DATA"), byte(6), flip(SignatureSize+8+4+63, 1)) // P_ID off the curve
+	off := offSubgroupG2(f).Marshal()
+	for i, b := range sks[1].s.Marshal() {
+		off[i] ^= b
+	}
+	f.Add([]byte("RREQ 7"), byte(0), []byte{})                         // untouched: accept
+	f.Add([]byte("RREQ 8"), byte(1), append(make([]byte, 32), off...)) // S on the curve, off G2
+	f.Add([]byte{}, byte(1), flip(31, 1))                              // V
+	f.Add([]byte("RREP"), byte(2), flip(32+127, 1))                    // S off the curve
+	f.Add([]byte("RERR"), byte(3), flip(32+128+63, 1))                 // R off the curve
+	f.Add([]byte("HELLO"), byte(4), flip(SignatureSize+8+3, 'z'))      // identity: an unseen signer
+	f.Add([]byte("HELLO"), byte(5), flip(SignatureSize+7, 1))          // identity length prefix
+	f.Add([]byte("DATA"), byte(6), flip(SignatureSize+8+4+63, 1))      // P_ID off the curve
 
 	f.Fuzz(func(t *testing.T, msg []byte, signer byte, mask []byte) {
 		sk, other := sks[int(signer)%len(sks)], sks[(int(signer)+1)%len(sks)]

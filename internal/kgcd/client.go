@@ -62,7 +62,7 @@ func (e *EnrollError) Retryable() bool {
 
 // Client is the enrollment client library: what a field node (or the load
 // harness, or the example) uses to talk to a kgcd combiner. All decoded
-// material goes through the validating Unmarshal paths, so a tampered or
+// material goes through the validating Unmarshal paths, so a malformed or
 // misdirected response is rejected here. Enroll retries retryable failures
 // with capped exponential backoff and jitter.
 type Client struct {
@@ -93,9 +93,9 @@ type EnrollResult struct {
 
 // Enroll requests a partial private key for an identity, retrying
 // retryable failures up to maxAttempts with capped exponential backoff.
-// The returned key has passed point/subgroup validation but not the
-// pairing check against the parameters — GenerateKeyPair performs that
-// (and must, since only the enrollee knows which parameters it trusts).
+// The returned key is only curve-checked: GenerateKeyPair and
+// NewPrivateKeyFromSecret validate it (subgroup, pairing) before using D,
+// as they must, since only the enrollee knows which parameters it trusts.
 func (c *Client) Enroll(ctx context.Context, id string) (*EnrollResult, error) {
 	var last *EnrollError
 	for attempt := 1; attempt <= maxAttempts; attempt++ {

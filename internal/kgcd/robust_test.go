@@ -18,6 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"mccls/internal/bn254"
+	"mccls/internal/bn254/fp"
+	"mccls/internal/core"
 	"mccls/internal/fault"
 	"mccls/internal/threshold"
 )
@@ -692,4 +695,70 @@ func refreshInterleaving(t *testing.T, seed int64) (commits, failedRounds, enrol
 		}
 	}
 	return commits, failedRounds, enrolled
+}
+
+// offSubgroupD returns a point of the twist E'(Fp2) outside G2, the D_ID a
+// malicious combiner could serve: the first x = c + i with a square
+// x³ + b' (b' = y² - x³ read off the generator) whose point fails the
+// subgroup check. It is on the curve, so a curve-only decode accepts it.
+func offSubgroupD(t *testing.T) *bn254.G2 {
+	t.Helper()
+	g := bn254.G2Generator()
+	var b, x3 bn254.Fp2
+	b.Sub(b.Square(&g.Y), x3.Mul(x3.Square(&g.X), &g.X))
+	for c := uint64(1); c < 256; c++ {
+		pt := &bn254.G2{X: bn254.Fp2{C0: fp.NewElement(c), C1: fp.One()}}
+		var rhs bn254.Fp2
+		rhs.Add(rhs.Mul(rhs.Square(&pt.X), &pt.X), &b)
+		if pt.Y.Sqrt(&rhs) != nil && pt.IsOnCurve() && !pt.IsInSubgroup() {
+			return pt
+		}
+	}
+	t.Fatal("no point off the subgroup among 255 candidates")
+	return nil
+}
+
+// TestMaliciousCombinerOffSubgroupKey: a combiner answers /enroll with a
+// D_ID on the twist but outside G2. Enroll checks the curve only, so it
+// returns the key; GenerateKeyPair and NewPrivateKeyFromSecret, the only
+// consumers of D, run Validate first and refuse it. A replica that serves a
+// share of that form is refused at UnmarshalKeyShare, in the combiner's
+// issuer too, so Combine never multiplies one.
+func TestMaliciousCombinerOffSubgroupKey(t *testing.T) {
+	const id = "pump-station-9"
+	off := offSubgroupD(t)
+	ppk := &core.PartialPrivateKey{ID: id, D: off}
+	comb := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, enrollResponse{ID: id, PartialKey: hex.EncodeToString(ppk.Marshal())})
+	}))
+	t.Cleanup(comb.Close)
+	res, err := NewClient(comb.URL, nil).Enroll(context.Background(), id)
+	if err != nil {
+		t.Fatalf("Enroll refused a partial key on the curve: %v", err)
+	}
+	if !res.PartialKey.D.Equal(off) {
+		t.Fatal("Enroll returned another point")
+	}
+	kgc, err := core.NewKGCFromMaster(testMaster(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.GenerateKeyPair(kgc.Params(), res.PartialKey, nil); !errors.Is(err, core.ErrPartialKeyInvalid) {
+		t.Errorf("GenerateKeyPair: %v, want ErrPartialKeyInvalid", err)
+	}
+	if _, err := core.NewPrivateKeyFromSecret(kgc.Params(), res.PartialKey, testMaster(4)); !errors.Is(err, core.ErrPartialKeyInvalid) {
+		t.Errorf("NewPrivateKeyFromSecret: %v, want ErrPartialKeyInvalid", err)
+	}
+
+	share := (&threshold.KeyShare{ID: id, Index: 1, D: off}).Marshal()
+	if _, err := threshold.UnmarshalKeyShare(id, share); err == nil {
+		t.Error("UnmarshalKeyShare accepted a share off the subgroup")
+	}
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, shareResponse{Index: 1, Share: hex.EncodeToString(share)})
+	}))
+	t.Cleanup(replica.Close)
+	if ks, err := newHTTPIssuer(replica.URL, nil).Issue(context.Background(), id); err == nil {
+		t.Errorf("the combiner's issuer accepted share %v off the subgroup", ks)
+	}
 }

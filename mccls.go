@@ -105,8 +105,9 @@ func NewVerifier(params *Params) *Verifier { return core.NewVerifier(params) }
 // BatchVerifier rejection (nil for nil or structural errors).
 func BatchOffenders(err error) []int { return core.BatchOffenders(err) }
 
-// Decoding helpers for material received over the wire; all validate group
-// membership.
+// Decoding helpers for material received over the wire; all check that a
+// point is canonical and on its curve. A G2 point is checked in its subgroup
+// where it is used: S by Verifier.Verify, D by PartialPrivateKey.Validate.
 var (
 	UnmarshalParams            = core.UnmarshalParams
 	UnmarshalPublicKey         = core.UnmarshalPublicKey
