@@ -51,14 +51,23 @@ var (
 	ateLoopCount = new(big.Int).Add(new(big.Int).Mul(big.NewInt(6), u), big.NewInt(2))
 	ateNAF       = wnafDigits(nil, scalarLimbs(ateLoopCount), 2)
 
-	// uNAF (the non-adjacent form of u) drives the G2 subgroup check, uWNAF
-	// (width cycWindow) the three exponentiations by u in the final
-	// exponentiation, sixUSquaredWNAF (6u² = t - 1, t the trace of
-	// Frobenius, width wnafWindow) the cofactor clearing.
-	uNAF            = wnafDigits(nil, scalarLimbs(u), 2)
-	uWNAF           = wnafDigits(nil, scalarLimbs(u), cycWindow)
-	sixUSquared     = new(big.Int).Mul(big.NewInt(6), new(big.Int).Mul(u, u))
-	sixUSquaredWNAF = wnafDigits(nil, scalarLimbs(sixUSquared), wnafWindow)
+	// uNAF (the non-adjacent form of u) drives the G2 subgroup check and the
+	// cofactor clearing, uWNAF (width cycWindow) the three exponentiations by
+	// u in the final exponentiation.
+	uNAF  = wnafDigits(nil, scalarLimbs(u), 2)
+	uWNAF = wnafDigits(nil, scalarLimbs(u), cycWindow)
+
+	// hashToG2Scale is c′ = (2p - r)·e(p)⁻¹ mod r for the polynomial
+	// e(x) = u + 3u·x + u·x² + x³ of clearCofactor: [2p - r]q = c′·e(ψ)q.
+	hashToG2Scale = func() (c fr.Element) {
+		e := new(big.Int).Add(P, u) // Horner: ((p + u)·p + 3u)·p + u
+		e.Mul(e, P).Add(e, new(big.Int).Mul(big.NewInt(3), u))
+		e.Mul(e, P).Add(e, u).Mod(e, Order)
+		if e.ModInverse(e, Order) == nil {
+			panic("bn254: e(p) is not invertible mod r")
+		}
+		return *c.SetBigInt(e.Mul(e, new(big.Int).Sub(new(big.Int).Lsh(P, 1), Order)))
+	}()
 
 	// The fixed exponents of Fp2.Sqrt and of the Frobenius constants, as
 	// plain limbs for Fp2.expFixed.

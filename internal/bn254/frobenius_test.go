@@ -13,7 +13,7 @@ import (
 )
 
 // Tests for the p-power Frobenius shortcuts: the ψ-based G2 subgroup check
-// and cofactor clearing, the G2 GLV ladder and the tabulated Fp12 Frobenius,
+// and the short cofactor clearing, the G2 GLV ladder and the tabulated Fp12 Frobenius,
 // each against the full-width form it replaced (oracle_test.go).
 
 // firstTwistPoint returns the first try-and-increment candidate for seed: a
@@ -74,51 +74,59 @@ func TestPsiSubgroupNorm(t *testing.T) {
 	}
 }
 
+// twistClasses is the number of input classes twistPointOfClass builds.
+const twistClasses = 7
+
+// twistPointOfClass builds, from the raw twist point of seed, the input class
+// class % twistClasses: 0 the raw point, 1 its cofactor-cleared image (in
+// G2), 2 its pure-cofactor part [r]Q, 3 a multiple of 1 plus 2, 4 infinity,
+// 5 an off-curve pair (on the curve only by chance), 6 a point of order
+// dividing the smallest cofactor prime.
+func twistPointOfClass(seed []byte, class uint8, kBytes []byte) *G2 {
+	raw := firstTwistPoint(seed)
+	switch class % twistClasses {
+	case 1:
+		return g2ScalarMultWNAF(raw, g2Cofactor)
+	case 2:
+		return g2ScalarMultWNAF(raw, Order)
+	case 3:
+		k := new(big.Int).SetBytes(kBytes)
+		return new(G2).Add(g2ScalarMultWNAF(raw, k.Mul(k, g2Cofactor)), g2ScalarMultWNAF(raw, Order))
+	case 4:
+		return G2Infinity()
+	case 5:
+		raw.X.C0.Add(&raw.X.C0, &curveB)
+	case 6:
+		e := new(big.Int).Mul(g2Cofactor, Order)
+		return g2ScalarMultWNAF(raw, e.Div(e, smallCofactorPrime))
+	}
+	return raw
+}
+
 // FuzzG2SubgroupPsiVsOrder compares the ψ subgroup test with [r]Q = O on
-// every class of input a decoder can meet: a raw twist point, its
-// cofactor-cleared image, its pure-cofactor part [r]Q, a small-order point,
-// sums of a subgroup point and a cofactor point, infinity and an off-curve
-// pair.
+// every class of input a decoder can meet (twistPointOfClass).
 func FuzzG2SubgroupPsiVsOrder(f *testing.F) {
-	for class := uint8(0); class < 7; class++ {
+	for class := uint8(0); class < twistClasses; class++ {
 		f.Add([]byte{class, 1}, class, []byte{3})
 	}
 	f.Add([]byte("seed"), uint8(3), Order.Bytes())
 	f.Fuzz(func(t *testing.T, seed []byte, class uint8, kBytes []byte) {
-		raw := firstTwistPoint(seed)
-		cleared := g2ScalarMultWNAF(raw, g2Cofactor)
-		cof := g2ScalarMultWNAF(raw, Order)
-		var q *G2
+		q := twistPointOfClass(seed, class, kBytes)
 		want := -1 // 1 must accept, 0 must reject, -1 whatever the oracle says
-		switch class % 7 {
-		case 0:
-			q = raw
-		case 1:
-			q, want = cleared, 1
-		case 2:
-			q = cof
-		case 3:
-			k := new(big.Int).SetBytes(kBytes)
-			q = new(G2).Add(g2ScalarMultWNAF(cleared, k), cof)
-		case 4:
-			q, want = G2Infinity(), 1
+		switch class % twistClasses {
+		case 1, 4:
+			want = 1
 		case 5:
-			q, want = new(G2).Set(raw), 0
-			q.X.C0.Add(&q.X.C0, &curveB)
-			if q.IsOnCurve() {
-				want = -1
+			if !q.IsOnCurve() {
+				want = 0
 			}
-		case 6:
-			// A point of order dividing the smallest cofactor prime.
-			e := new(big.Int).Mul(g2Cofactor, Order)
-			q = g2ScalarMultWNAF(raw, e.Div(e, smallCofactorPrime))
 		}
 		got, oracle := q.IsInSubgroup(), g2InSubgroupByOrder(q)
 		if got != oracle {
-			t.Fatalf("class %d: ψ test says %v, [r]Q = O says %v for %v", class%7, got, oracle, q)
+			t.Fatalf("class %d: ψ test says %v, [r]Q = O says %v for %v", class%twistClasses, got, oracle, q)
 		}
 		if want >= 0 && got != (want == 1) {
-			t.Fatalf("class %d: IsInSubgroup = %v", class%7, got)
+			t.Fatalf("class %d: IsInSubgroup = %v", class%twistClasses, got)
 		}
 	})
 }
@@ -145,6 +153,64 @@ func TestG2SubgroupCheckRejectsCofactorPoints(t *testing.T) {
 	}
 	if small == 0 {
 		t.Fatalf("no point of order %v found", smallCofactorPrime)
+	}
+}
+
+// checkShortClearing asserts the three properties of the short clearing on
+// a twist point q: Y = clearCofactor(q) is in G2 ([r]Y = O), c′·Y equals
+// [2p - r]q under both oracles byte for byte, and Y = O exactly when the
+// cleared point is.
+func checkShortClearing(t *testing.T, q *G2) {
+	t.Helper()
+	y := clearCofactor(new(G2), q)
+	if !g2InSubgroupByOrder(y) {
+		t.Fatalf("clearCofactor(%v) = %v is not in G2", q, y)
+	}
+	want := g2ScalarMultWNAF(q, g2Cofactor)
+	got := new(G2).ScalarMultFr(y, &hashToG2Scale)
+	if !bytes.Equal(got.Marshal(), want.Marshal()) || !bytes.Equal(got.Marshal(), clearCofactorTrace(q).Marshal()) {
+		t.Fatalf("c′·clearCofactor(%v) = %v, [2p - r]q = %v", q, got, want)
+	}
+	if y.IsInfinity() != want.IsInfinity() {
+		t.Fatalf("clearCofactor(%v) is O: %v, [2p - r]q is O: %v", q, y.IsInfinity(), want.IsInfinity())
+	}
+}
+
+// FuzzShortClearingVsCofactor drives clearCofactor over every on-curve
+// input class of twistPointOfClass: raw points, [r]-parts, small-order
+// points, mixed sums, G2 points and infinity.
+func FuzzShortClearingVsCofactor(f *testing.F) {
+	for class := uint8(0); class < twistClasses; class++ {
+		f.Add([]byte{class, 2}, class, []byte{5})
+	}
+	f.Fuzz(func(t *testing.T, seed []byte, class uint8, kBytes []byte) {
+		if q := twistPointOfClass(seed, class, kBytes); q.IsOnCurve() {
+			checkShortClearing(t, q)
+		}
+	})
+}
+
+// TestShortClearingVsCofactorSeeded is the fuzz property over eight seeds
+// of every class, so tier-1 covers it without -fuzz; it also makes sure
+// both outcomes of the Y = O property occur.
+func TestShortClearingVsCofactorSeeded(t *testing.T) {
+	zero, nonzero := 0, 0
+	for seed := byte(0); seed < 8; seed++ {
+		for class := uint8(0); class < twistClasses; class++ {
+			q := twistPointOfClass([]byte{seed, class}, class, []byte{seed + 3})
+			if !q.IsOnCurve() {
+				continue
+			}
+			checkShortClearing(t, q)
+			if clearCofactor(new(G2), q).IsInfinity() {
+				zero++
+			} else {
+				nonzero++
+			}
+		}
+	}
+	if zero == 0 || nonzero == 0 {
+		t.Fatalf("%d inputs cleared to O and %d did not, want both", zero, nonzero)
 	}
 }
 
@@ -257,8 +323,9 @@ func TestFp12FrobeniusTables(t *testing.T) {
 }
 
 // TestFrobeniusShortcutOpCounts pins the counters the benchmark reads: one
-// G2ScalarMults tick per subgroup check, per cofactor clearing and per
-// ScalarMult, exactly as with the full-width ladders, and the cyclotomic
+// G2ScalarMults tick per subgroup check, per (short) cofactor clearing and
+// per ScalarMult, exactly as with the full-width ladders, two for the exact
+// HashToG2 (the short clearing, then c′), and the cyclotomic
 // squarings of one final exponentiation (three ladders by u, at most one
 // squaring per digit of u's NAF, plus the chain's four).
 func TestFrobeniusShortcutOpCounts(t *testing.T) {
@@ -267,21 +334,24 @@ func TestFrobeniusShortcutOpCounts(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		run  func()
+		want uint64
 	}{
-		{"IsInSubgroup", func() { q.IsInSubgroup() }},
-		{"IsInSubgroup(raw)", func() { raw.IsInSubgroup() }},
-		{"clearCofactor", func() { clearCofactor(new(G2), raw) }},
-		{"ScalarMult", func() { new(G2).ScalarMult(q, big.NewInt(-1)) }},
+		{"IsInSubgroup", func() { q.IsInSubgroup() }, 1},
+		{"IsInSubgroup(raw)", func() { raw.IsInSubgroup() }, 1},
+		{"clearCofactor", func() { clearCofactor(new(G2), raw) }, 1},
+		{"HashToG2Short", func() { HashToG2Short("opcount", nil) }, 1},
+		{"HashToG2", func() { HashToG2("opcount", nil) }, 2},
+		{"ScalarMult", func() { new(G2).ScalarMult(q, big.NewInt(-1)) }, 1},
 		{"Unmarshal", func() {
 			if err := new(G2).Unmarshal(q.Marshal()); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, 1},
 	} {
 		before := ReadOpCounts()
 		c.run()
-		if d := ReadOpCounts().Sub(before); d.G2ScalarMults != 1 {
-			t.Errorf("%s ticked G2ScalarMults %d times, want 1", c.name, d.G2ScalarMults)
+		if d := ReadOpCounts().Sub(before); d.G2ScalarMults != c.want {
+			t.Errorf("%s ticked G2ScalarMults %d times, want %d", c.name, d.G2ScalarMults, c.want)
 		}
 	}
 

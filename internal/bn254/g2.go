@@ -250,30 +250,36 @@ func (z *G2) UnmarshalOnCurve(data []byte) error {
 	return nil
 }
 
-// clearCofactor returns [2p - r]q for any non-identity point q of the twist.
-// ψ² - tψ + p = 0 on all of E'(Fp2) and 2p - r = p + t - 1, so exactly
-// [2p - r]q = R + ψ(R) + ψ(q) - ψ²(q) with R = [t - 1]q = [6u²]q: a 127-bit
-// ladder yields the same point as the 254-bit one. The result lands in z.
+// clearCofactor returns Y = [u]q + ψ([3u]q) + ψ²([u]q) + ψ³(q) for any point
+// q of the twist (Fuentes-Castañeda–Knapp–Rodríguez-Henríquez, SAC 2011):
+// Y is in G2 and [2p - r]q = c′·Y for the fixed c′ = hashToG2Scale, so Y = O
+// exactly when [2p - r]q = O. One 63-bit walk on q alone, like IsInSubgroup's.
 func clearCofactor(z, q *G2) *G2 {
 	opCounters.g2Mults.Add(1)
-	acc := g2Joint([]*G2{q}, [][]int8{sixUSquaredWNAF}) // one row: no φ off the subgroup
-	t := acc
+	tab := [1]G2{*q}
+	var a g2Jac // [u]q
+	a.setInfinity()
+	walkWNAF([][]int8{uNAF}, a.double, func(_ int, d int8) { a.addDigit(tab[:], d) })
+	t, pa := a, a // t = [3u]q + ψ([u]q), so ψ(t) = ψ([3u]q) + ψ²([u]q)
+	t.double()
+	t.add(&a)
+	pa.frobeniusTwist()
+	t.add(&pa)
 	t.frobeniusTwist()
-	acc.add(&t)
-	var pq G2
-	acc.addMixed(pq.frobeniusTwist(q))
-	pq.frobeniusTwist(&pq)
-	acc.addMixed(pq.Neg(&pq))
-	return acc.affine(z)
+	a.add(&t)
+	var p3 G2
+	a.addMixed(p3.frobeniusTwist(p3.frobeniusTwist(p3.frobeniusTwist(q))))
+	return a.affine(z)
 }
 
-// HashToG2 maps an arbitrary message into the order-r subgroup of the twist
-// by try-and-increment on the x-coordinate followed by cofactor clearing
-// (multiplication by 2p - r). Half of all candidates have no square root;
-// Euler's criterion on the Fp norm of x³ + b' (a square in Fp2 exactly
-// when its norm is one in Fp) turns those away for one base-field
-// exponentiation instead of the two Fp2 exponentiations of Sqrt.
-func HashToG2(domain string, msg []byte) *G2 {
+// HashToG2Short maps an arbitrary message into the order-r subgroup of the
+// twist by try-and-increment on the x-coordinate followed by clearCofactor:
+// HashToG2 = c′·HashToG2Short for c′ = HashToG2Scale(), which callers fold
+// into a scalar or point they already pay for. Half of all candidates have
+// no square root; Euler's criterion on the Fp norm of x³ + b' (a square in
+// Fp2 exactly when its norm is one in Fp) turns those away for one
+// base-field exponentiation instead of the two Fp2 exponentiations of Sqrt.
+func HashToG2Short(domain string, msg []byte) *G2 {
 	for counter := uint32(0); ; counter++ {
 		b0 := hashBlock(domain, "/x0", msg, counter)
 		b1 := hashBlock(domain, "/x1", msg, counter)
@@ -296,6 +302,15 @@ func HashToG2(domain string, msg []byte) *G2 {
 		return new(G2).Set(&pt)
 	}
 }
+
+// HashToG2 is the exact hash: the try-and-increment candidate times the
+// cofactor 2p - r, as c′·HashToG2Short.
+func HashToG2(domain string, msg []byte) *G2 {
+	return new(G2).ScalarMultFr(HashToG2Short(domain, msg), &hashToG2Scale)
+}
+
+// HashToG2Scale returns c′, the scalar with HashToG2 = c′·HashToG2Short.
+func HashToG2Scale() fr.Element { return hashToG2Scale }
 
 // frobeniusTwist applies the untwist-Frobenius-twist endomorphism
 // π(x, y) = (x̄·xi^((p-1)/3), ȳ·xi^((p-1)/2)) used by the optimal-ate

@@ -24,8 +24,7 @@ import (
 // roots) is resolved empirically: φ must act as λ, not λ².
 //
 // The twist has j-invariant 0 too: with glvBetaG2 the same map acts on G2 as
-// λ and G2 shares glvSplit. Outside the subgroup φ is no scalar, so a raw
-// twist point gets one row and no φ table (clearCofactor).
+// λ and G2 shares glvSplit.
 //
 // Every variable-base multiplication on either group is one walkWNAF over
 // rows from one of two recoders — glvRows for a full-width fr.Element,
@@ -300,8 +299,7 @@ func (j *g2Jac) addDigit(tab []G2, d int8) {
 	j.addMixed(&pt)
 }
 
-// g2Joint is the G2 counterpart of g1Joint. φ is a scalar only on the
-// order-r subgroup, so a raw twist point takes one row.
+// g2Joint is the G2 counterpart of g1Joint.
 func g2Joint(pts []*G2, rows [][]int8) g2Jac {
 	var tab [2 * jointSlice * wnafTableSize]G2
 	g2OddMultiples(tab[:len(rows)*wnafTableSize], pts)

@@ -348,8 +348,8 @@ func wnafDigitsBig(k *big.Int, w uint) []int8 {
 	return out
 }
 
-// g2ScalarMultWNAF is the shipped engine's one-row walk (clearCofactor's)
-// normalized to affine: k·a for any twist point and any non-negative k.
+// g2ScalarMultWNAF is the shipped engine's walk on one row, which needs no
+// φ, normalized to affine: k·a for any twist point and any non-negative k.
 func g2ScalarMultWNAF(a *G2, k *big.Int) *G2 {
 	acc := g2Joint([]*G2{a}, [][]int8{wnafDigitsBig(k, wnafWindow)})
 	return acc.affine(new(G2))
@@ -427,6 +427,30 @@ func hashToTwist(domain string, msg []byte, counter uint32) *G2 {
 		y.Neg(&y)
 	}
 	return &G2{X: *x, Y: y}
+}
+
+// sixUSquared is 6u² = t - 1, t the trace of Frobenius; sixUSquaredWNAF its
+// width-wnafWindow recoding for clearCofactorTrace.
+var (
+	sixUSquared     = new(big.Int).Mul(big.NewInt(6), new(big.Int).Mul(u, u))
+	sixUSquaredWNAF = wnafDigits(nil, scalarLimbs(sixUSquared), wnafWindow)
+)
+
+// clearCofactorTrace is the exact cofactor clearing HashToG2 shipped with
+// before the short map: ψ² - tψ + p = 0 on all of E'(Fp2) and
+// 2p - r = p + t - 1, so [2p - r]q = R + ψ(R) + ψ(q) - ψ²(q) with
+// R = [t - 1]q = [6u²]q, a 127-bit ladder — a second oracle for c′·Y that
+// shares no walk with clearCofactor.
+func clearCofactorTrace(q *G2) *G2 {
+	acc := g2Joint([]*G2{q}, [][]int8{sixUSquaredWNAF}) // one row: no φ off the subgroup
+	t := acc
+	t.frobeniusTwist()
+	acc.add(&t)
+	var pq G2
+	acc.addMixed(pq.frobeniusTwist(q))
+	pq.frobeniusTwist(&pq)
+	acc.addMixed(pq.Neg(&pq))
+	return acc.affine(new(G2))
 }
 
 // hashToG2FullCofactor is HashToG2 with the cofactor cleared by the

@@ -41,22 +41,23 @@ type BatchOptions struct {
 // equation on a worker pool, and a failing chunk's lone offender is located
 // by one position-scaled check, more are bisected (bisect). The equation is
 //
-//	Π_S e(Σᵢ∈S ρᵢ·Aᵢ, S) · e(-P_pub, Σ_ID (Σᵢ∈ID ρᵢ)·Q_ID) = 1
+//	Π_S e(Σᵢ∈S ρᵢ·Aᵢ, S) · e(-c′·P_pub, Σ_ID (Σᵢ∈ID ρᵢ)·Y_ID) = 1
 //
-// with Aᵢ = (Vᵢ·hᵢ⁻¹)·P - Rᵢ and ρᵢ = aᵢ + bᵢ·λ independent weights drawn
-// as two 64-bit halves over the curve's endomorphism (2¹²⁸ distinct
-// weights, cheat probability 2⁻¹²⁸; DESIGN.md §6 "Batch weights"). Both
+// with Aᵢ = (Vᵢ·hᵢ⁻¹)·P - Rᵢ, Q_ID = c′·Y_ID (Verifier) and ρᵢ = aᵢ + bᵢ·λ
+// independent weights drawn as two 64-bit halves over the curve's
+// endomorphism (2¹²⁸ distinct weights, cheat probability 2⁻¹²⁸; DESIGN.md
+// §6 "Batch weights"). Both
 // per-signer constants of a McCLS check are folded: signatures carrying the
 // same S value share one G1 sum (S is message-independent, so a signer
 // contributes one pair however many signatures it has in the chunk), and
-// signatures under the same identity share one weighted Q_ID term. A chunk
+// signatures under the same identity share one weighted Y_ID term. A chunk
 // from k signers is therefore one lockstep multi-pairing of k+1 pairs — one
 // shared Fp12 squaring per Miller iteration and one shared final
 // exponentiation — and a one-signer window is its two-pair case. Grouping
 // is on S point equality, never on identity, so a forged S under a known
 // identity forms a group of its own. A group's S replays its line table
 // under Verify's rule (lineTable), so a chunk of known signers whose tables
-// are cached steps one G2 chain, the Q_ID sum's; a table built for a chunk
+// are cached steps one G2 chain, the Y_ID sum's; a table built for a chunk
 // is stored only once the chunk's product is one. A chunk's work spreads
 // over the P's the other chunks leave free (window.check).
 type BatchVerifier struct {
@@ -263,19 +264,19 @@ func batchInverse(out, xs []fr.Element) int {
 // Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) in GT, so folding equal-S pairs
 // yields exactly the pairwise product for the same weights. A group's point
 // Σρᵢ·Aᵢ = (Σkᵢ)·P - Σρᵢ·Rᵢ is one fixed-base pass and one joint ladder over
-// its R values, and Σ_ID (Σρᵢ)·Q_ID one joint ladder over the identities.
+// its R values, and Σ_ID (Σρᵢ)·Y_ID one joint ladder over the identities.
 // A group with a line table is a table pair of the Miller loop, the rest
 // point pairs; tables this check built are stored if its product is one.
 //
-// After the serial grouping, the Q_ID misses, the table builds, the group
-// points and the Q_ID sum are tasks for the window's width of workers, and
+// After the serial grouping, the Y_ID misses, the table builds, the group
+// points and the Y_ID sum are tasks for the window's width of workers, and
 // the pairs are cut into one Miller loop per worker. Squaring distributes
 // over the product, so the parts multiply to the one-loop value.
 func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 	n := len(idxs)
 	p := &pass{w: w, idxs: idxs, gs: make([]group, 0, n),
 		rs: make([]*bn254.G1, 0, n), rhos: make([]bn254.EndoScalar, 0, n),
-		ids: make([]string, 0, n), qids: make([]*bn254.G2, 0, n), rhoSums: make([]bn254.EndoScalar, 0, n),
+		ids: make([]string, 0, n), ys: make([]*bn254.G2, 0, n), rhoSums: make([]bn254.EndoScalar, 0, n),
 		tps: make([]*bn254.G1, 0, n), ts: make([]*bn254.G2Lines, 0, n),
 		ps: make([]*bn254.G1, 0, n+1), qs: make([]*bn254.G2, 0, n+1)}
 	for _, i := range idxs {
@@ -305,17 +306,17 @@ func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 					rho.Add(&rho, &rhoJ)
 				}
 			}
-			var q *bn254.G2 // nil: looked up by lookup
+			var y *bn254.G2 // nil: looked up by lookup
 			if r := w.at[i].r; r != nil {
-				q = r.q
+				y = r.y
 			}
-			p.ids, p.qids, p.rhoSums = append(p.ids, id), append(p.qids, q), append(p.rhoSums, rho)
+			p.ids, p.ys, p.rhoSums = append(p.ids, id), append(p.ys, y), append(p.rhoSums, rho)
 		}
 	}
-	if slices.Contains(p.qids, nil) {
+	if slices.Contains(p.ys, nil) {
 		fanOut(w.width, len(p.ids), p, (*pass).lookup)
 	}
-	fanOut(w.width, 1+len(p.gs), p, (*pass).point) // the Q_ID sum first: the longest task
+	fanOut(w.width, 1+len(p.gs), p, (*pass).point) // the Y_ID sum first: the longest task
 	for _, g := range p.gs {
 		if g.lines != nil {
 			p.tps, p.ts = append(p.tps, g.a), append(p.ts, g.lines)
@@ -323,7 +324,7 @@ func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 			p.ps, p.qs = append(p.ps, g.a), append(p.qs, g.s)
 		}
 	}
-	p.ps, p.qs = append(p.ps, w.vf.negPpub), append(p.qs, &p.qsum)
+	p.ps, p.qs = append(p.ps, w.vf.negPpub), append(p.qs, &p.ysum)
 	var f *bn254.Fp12
 	if parts := min(w.width, len(p.tps)+len(p.ps)); parts == 1 {
 		f = bn254.MillerLoopMixed(p.tps, p.ts, p.ps, p.qs)
@@ -373,7 +374,7 @@ type group struct {
 }
 
 // pass is one check's working set, shared by its tasks. Each task writes
-// only its own slot: a group, a Q_ID, the Q_ID sum or a Miller part.
+// only its own slot: a group, a Y_ID, the Y_ID sum or a Miller part.
 type pass struct {
 	w             *window
 	idxs          []int
@@ -381,27 +382,27 @@ type pass struct {
 	rs            []*bn254.G1
 	rhos, rhoSums []bn254.EndoScalar
 	ids           []string
-	qids          []*bn254.G2
-	qsum          bn254.G2
+	ys            []*bn254.G2
+	ysum          bn254.G2
 	tps, ps       []*bn254.G1
 	ts            []*bn254.G2Lines
 	qs            []*bn254.G2
 	fs            []*bn254.Fp12
 }
 
-// lookup is task t of the Q_ID round: the Q_ID of identity t, from its
-// record, which is created (Q_ID hashed) if absent.
+// lookup is task t of the Y_ID round: the Y_ID of identity t, from its
+// record, which is created (Y_ID hashed) if absent.
 func (p *pass) lookup(t int) {
-	if p.qids[t] == nil {
-		p.qids[t] = p.w.vf.record(p.ids[t]).q
+	if p.ys[t] == nil {
+		p.ys[t] = p.w.vf.record(p.ids[t]).y
 	}
 }
 
-// point is task t of the point round: the Q_ID sum for t = 0, else group
+// point is task t of the point round: the Y_ID sum for t = 0, else group
 // t-1's table build and its point Σρᵢ·Aᵢ.
 func (p *pass) point(t int) {
 	if t == 0 {
-		p.qsum.MultiScalarMultEndo(p.qids, p.rhoSums)
+		p.ysum.MultiScalarMultEndo(p.ys, p.rhoSums)
 		return
 	}
 	g := &p.gs[t-1]

@@ -166,7 +166,7 @@ func (w *window) checkPairwise(idxs []int, scaled bool) *bn254.GT {
 		}
 		ps = append(ps, a.ScalarMultFr(a, &rho))
 		qs = append(qs, sig.S)
-		qSum.Add(qSum, new(bn254.G2).ScalarMultFr(params.QID(w.pks[i].ID), &rho))
+		qSum.Add(qSum, new(bn254.G2).ScalarMultFr(qID(w.pks[i].ID), &rho))
 	}
 	ps = append(ps, new(bn254.G1).Neg(params.Ppub))
 	qs = append(qs, qSum)

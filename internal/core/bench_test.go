@@ -78,6 +78,17 @@ func BenchmarkVerify(b *testing.B) {
 // what the bound's ≈ 6.58 MB buys. Past it the round-robin evicts each record
 // before its signer recurs, so at 1,024 signers every verify is a first
 // contact: a hash to G2 and two Miller loops.
+// BenchmarkIssuePartialKey prices what one KGC replica pays per identity:
+// the short hash and one multiplication by its share folded with c′.
+func BenchmarkIssuePartialKey(b *testing.B) {
+	kgc, _, _ := benchSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		IssuePartialKey(kgc.Params(), fmt.Sprintf("node-%d@manet", i), &kgc.master)
+	}
+}
+
 func BenchmarkVerifyManySigners(b *testing.B) {
 	rng := fixedRand(1)
 	kgc, err := Setup(rng)

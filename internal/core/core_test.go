@@ -17,6 +17,10 @@ import (
 // tests. It is NOT cryptographically secure.
 func fixedRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// qID is the exact identity hash Q_ID = H1(ID), which no shipped path
+// computes: they fold c′ into a scalar or point and use Y_ID instead.
+func qID(id string) *bn254.G2 { return bn254.HashToG2(domainH1, []byte(id)) }
+
 // newTestSystem builds a KGC and one enrolled user.
 func newTestSystem(t *testing.T, id string) (*KGC, *PrivateKey, *Verifier) {
 	t.Helper()
@@ -79,7 +83,7 @@ func verifySpec(vf *Verifier, pk *PublicKey, msg []byte, sig *Signature) error {
 	left := new(bn254.G1).ScalarBaseMult(sig.V.BigInt())
 	left.Add(left, new(bn254.G1).Neg(new(bn254.G1).ScalarMult(sig.R, h)))
 	s := new(bn254.G2).ScalarMult(sig.S, hInv)
-	if !bn254.Pair(left, s).Equal(bn254.Pair(vf.params.Ppub, vf.params.QID(pk.ID))) {
+	if !bn254.Pair(left, s).Equal(bn254.Pair(vf.params.Ppub, qID(pk.ID))) {
 		return ErrVerifyFailed
 	}
 	return nil
@@ -217,6 +221,32 @@ func TestPartialKeyValidate(t *testing.T) {
 	// GenerateKeyPair must refuse an invalid partial key.
 	if _, err := GenerateKeyPair(kgc.Params(), forged, rng); err == nil {
 		t.Fatal("keygen accepted invalid partial key")
+	}
+}
+
+// TestIssuePartialKeyMatchesExactHash pins the fused issuance, (k·c′)·Y_ID,
+// byte for byte to k·H1(ID) with the exact hash, at the edges of the scalar
+// range and at a random scalar.
+func TestIssuePartialKeyMatchesExactHash(t *testing.T) {
+	kgc, err := Setup(fixedRand(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	random, err := fr.Random(fixedRand(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := fr.One()
+	var minusOne fr.Element
+	minusOne.Neg(&one)
+	for _, k := range []fr.Element{one, fr.NewElement(2), minusOne, random} {
+		for _, id := range []string{"alice", "node-7@manet", ""} {
+			got := IssuePartialKey(kgc.Params(), id, &k)
+			want := new(bn254.G2).ScalarMultFr(qID(id), &k)
+			if got.ID != id || !bytes.Equal(got.D.Marshal(), want.Marshal()) {
+				t.Fatalf("IssuePartialKey(%q, %v) = %v, want k·H1(ID) = %v", id, k.BigInt(), got.D, want)
+			}
+		}
 	}
 }
 

@@ -67,28 +67,30 @@ func (k *KGC) ExtractPartialPrivateKey(id string) *PartialPrivateKey {
 // operation with an explicit scalar. The single-master KGC calls it with
 // the master secret; a threshold share-holder (internal/threshold) calls it
 // with its Shamir share, in which case the result is a key *share*, not a
-// valid partial key, until t of them are Lagrange-combined.
+// valid partial key, until t of them are Lagrange-combined. It runs
+// (k·c′)·Y_ID, Q_ID being c′·Y_ID (bn254.HashToG2Short).
 func IssuePartialKey(params *Params, id string, k *fr.Element) *PartialPrivateKey {
-	q := params.QID(id)
-	return &PartialPrivateKey{ID: id, D: q.ScalarMultFr(q, k)}
+	y, kc := bn254.HashToG2Short(domainH1, []byte(id)), bn254.HashToG2Scale()
+	return &PartialPrivateKey{ID: id, D: y.ScalarMultFr(y, kc.Mul(&kc, k))}
 }
+
+// negInvScaleP is -c′⁻¹·P, Validate's G1 point beside D_ID.
+var negInvScaleP = func() *bn254.G1 {
+	c, p := bn254.HashToG2Scale(), bn254.G1Generator()
+	c.Inverse(&c)
+	return p.Neg(p.ScalarMultFr(p, &c))
+}()
 
 // Validate checks the partial key against the public parameters:
 // e(P, D_ID) must equal e(P_pub, Q_ID). A user should run this on any
 // partial key received over an untrusted channel before deriving a keypair.
+// It decides e(-c′⁻¹·P, D_ID)·e(P_pub, Y_ID) = 1, that equation to the -c′⁻¹.
 func (ppk *PartialPrivateKey) Validate(params *Params) error {
 	if ppk.D == nil || ppk.D.IsInfinity() || !ppk.D.IsInSubgroup() {
 		return fmt.Errorf("%w: D_ID not a valid subgroup element", ErrPartialKeyInvalid)
 	}
-	q := params.QID(ppk.ID)
-	negP := new(bn254.G1).Neg(params.Generator())
-	// e(P, D)·e(-P_pub, Q_ID) == 1  ⇔  e(P, D) == e(P_pub, Q_ID)
-	ok := bn254.PairingCheck(
-		[]*bn254.G1{negP, params.Ppub},
-		[]*bn254.G2{ppk.D, q},
-	)
-	// PairingCheck computes Π e(p_i, q_i); we need e(-P, D)·e(P_pub, Q) = 1.
-	if !ok {
+	y := bn254.HashToG2Short(domainH1, []byte(ppk.ID))
+	if !bn254.PairingCheck([]*bn254.G1{negInvScaleP, params.Ppub}, []*bn254.G2{ppk.D, y}) {
 		return ErrPartialKeyInvalid
 	}
 	return nil

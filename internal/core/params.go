@@ -56,18 +56,10 @@ type Params struct {
 	h2Override func(msg []byte, r, pid *bn254.G1) fr.Element
 }
 
-// Generator returns P, the fixed system generator of G1.
-func (*Params) Generator() *bn254.G1 { return bn254.G1Generator() }
-
 // Precompute builds the fixed-base table for the system generator so the
 // first Sign/Verify call does not pay the one-time table cost. Setup and
 // UnmarshalParams call it; it is idempotent and safe concurrently.
 func (*Params) Precompute() { bn254.PrecomputeFixedBase() }
-
-// QID computes the identity hash Q_ID = H1(ID) ∈ G2.
-func (*Params) QID(id string) *bn254.G2 {
-	return bn254.HashToG2(domainH1, []byte(id))
-}
 
 // hashH2 computes h = H2(M, R, P_ID) ∈ Zr*, length-prefixing each component
 // so distinct tuples cannot collide.

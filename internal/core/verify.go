@@ -17,13 +17,13 @@ import (
 // 512 recurring signers every verify is a first contact.
 const DefaultIdentityCacheCap = 1 << 9
 
-// signer is one identity's record. q = Q_ID = H1(ID) is set before the
-// record is shared; m = m_ID is filled by the identity's first Verify; lines
-// is S's table, stored once a signature under it verifies; ok is the (S, A)
-// of the last signature Verify accepted. The four live and are evicted
-// together.
+// signer is one identity's record. y = Y_ID (Q_ID = H1(ID) = c′·Y_ID) is set
+// before the record is shared; m = m_ID is filled by the identity's first
+// Verify; lines is S's table, stored once a signature under it verifies; ok
+// is the (S, A) of the last signature Verify accepted. The four live and are
+// evicted together.
 type signer struct {
-	q     *bn254.G2
+	y     *bn254.G2
 	m     atomic.Pointer[bn254.Fp12]
 	lines atomic.Pointer[bn254.G2Lines]
 	ok    atomic.Pointer[accepted]
@@ -39,13 +39,14 @@ type accepted struct {
 }
 
 // Verifier checks McCLS signatures. It keeps one record per identity
-// (signer) with three values: m_ID = MillerLoop(-P_pub, Q_ID), the paper's
-// e(P_pub, Q_ID) moved to the left of the equation and left unreduced, so
-// that Verify decides FE(MillerLoop(A, S)·m_ID) = 1 — one Miller loop and
-// one final exponentiation for a known identity (the paper's "only one
+// (signer) with three values: m_ID = MillerLoop(-c′·P_pub, Y_ID), the
+// paper's e(P_pub, Q_ID) (= e(c′·P_pub, Y_ID)) moved to the left of the
+// equation and left unreduced, so that Verify decides
+// FE(MillerLoop(A, S)·m_ID) = 1 — one Miller loop and one final
+// exponentiation for a known identity (the paper's "only one
 // pairing operation since e(P_pub, Q_ID) is a constant"), a second Miller
-// loop but no second final exponentiation on first contact; Q_ID = H1(ID),
-// which the batch engine's multi-signer equation consumes directly; and the
+// loop but no second final exponentiation on first contact; Y_ID, which the
+// batch engine's multi-signer equation pairs with the same -c′·P_pub; and the
 // line table of the signer's S, so that a known signer's Miller loop does no
 // G2 arithmetic. It also keeps the (S, A) Verify last accepted, which spares
 // the batch engine a known signer's pairing. An identity is known when its
@@ -53,7 +54,7 @@ type accepted struct {
 // unknown-identity floods cannot exhaust memory. Safe for concurrent use.
 type Verifier struct {
 	params  *Params
-	negPpub *bn254.G1 // -P_pub, the G1 side of every m_ID
+	negPpub *bn254.G1 // -c′·P_pub, the G1 side of every m_ID
 	signers *lru.Cache[*signer]
 }
 
@@ -66,17 +67,18 @@ func NewVerifier(params *Params) *Verifier {
 // NewVerifierCap creates a verifier that holds at most cacheCap signer
 // records (minimum 1).
 func NewVerifierCap(params *Params, cacheCap int) *Verifier {
-	return &Verifier{params: params, negPpub: new(bn254.G1).Neg(params.Ppub), signers: lru.New[*signer](cacheCap)}
+	c, negPpub := bn254.HashToG2Scale(), new(bn254.G1)
+	return &Verifier{params: params, negPpub: negPpub.Neg(negPpub.ScalarMultFr(params.Ppub, &c)), signers: lru.New[*signer](cacheCap)}
 }
 
-// record returns id's record, created if absent. Q_ID is hashed outside the
-// cache lock (hash-to-G2 costs about 40 % of a Miller loop): racing creators
-// hash the same value and share the first record stored.
+// record returns id's record, created if absent. Y_ID is hashed outside the
+// cache lock (the short hash costs about 40 % of a Miller loop): racing
+// creators hash the same value and share the first record stored.
 func (vf *Verifier) record(id string) *signer {
 	if r, ok := vf.signers.Get(id); ok {
 		return r
 	}
-	r := &signer{q: vf.params.QID(id)}
+	r := &signer{y: bn254.HashToG2Short(domainH1, []byte(id))}
 	return vf.signers.GetOrCreate(id, func() *signer { return r })
 }
 
@@ -88,7 +90,7 @@ func (vf *Verifier) rhs(r *signer, id string) *signer {
 	if r == nil {
 		r = vf.record(id)
 	}
-	r.m.Store(bn254.MillerLoopMulti([]*bn254.G1{vf.negPpub}, []*bn254.G2{r.q}))
+	r.m.Store(bn254.MillerLoopMulti([]*bn254.G1{vf.negPpub}, []*bn254.G2{r.y}))
 	return r
 }
 

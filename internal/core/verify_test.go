@@ -239,10 +239,17 @@ func TestForgedFirstContactDoesNotPoisonCache(t *testing.T) {
 		t.Fatal("first contact left no cache entry")
 	}
 	cached := r.m.Load()
-	negPpub := new(bn254.G1).Neg(params.Ppub)
-	fresh := bn254.MillerLoopMulti([]*bn254.G1{negPpub}, []*bn254.G2{params.QID(pk.ID)})
+	c := bn254.HashToG2Scale()
+	negScaledPpub := new(bn254.G1).ScalarMultFr(params.Ppub, &c)
+	negScaledPpub.Neg(negScaledPpub)
+	y := bn254.HashToG2Short(domainH1, []byte(pk.ID))
+	fresh := bn254.MillerLoopMulti([]*bn254.G1{negScaledPpub}, []*bn254.G2{y})
 	if !cached.Equal(fresh) {
-		t.Fatal("cached Miller value differs from MillerLoop(-P_pub, Q_ID)")
+		t.Fatal("cached Miller value differs from MillerLoop(-c′·P_pub, Y_ID)")
+	}
+	negPpub := new(bn254.G1).Neg(params.Ppub)
+	if !bn254.FinalExp(cached).Equal(bn254.FinalExp(bn254.MillerLoopMulti([]*bn254.G1{negPpub}, []*bn254.G2{qID(pk.ID)}))) {
+		t.Fatal("cached Miller value does not reduce to e(-P_pub, Q_ID)")
 	}
 	if d := verifyOps(t, vf, pk, msg, sig); d.Pairings != 1 {
 		t.Fatalf("valid signature after the forgery ran %d Miller loops, want 1 (a hit)", d.Pairings)
@@ -334,8 +341,8 @@ func concurrentFirstContact(t *testing.T) {
 		}
 	}
 	r, _ := vf.signers.Get(sk.Public().ID)
-	if n := vf.signers.Len(); n != 1 || r.m.Load() == nil || r.q == nil || r.lines.Load() == nil {
-		t.Fatalf("after a racing first contact: %d records, want 1 with a Miller value, a Q_ID and a line table", n)
+	if n := vf.signers.Len(); n != 1 || r.m.Load() == nil || r.y == nil || r.lines.Load() == nil {
+		t.Fatalf("after a racing first contact: %d records, want 1 with a Miller value, a Y_ID and a line table", n)
 	}
 }
 

@@ -140,6 +140,27 @@ func TestCombineMatchesSingleMaster(t *testing.T) {
 	}
 }
 
+// TestIssueMatchesExactHash pins every holder's key share to s_j·H1(ID)
+// with the exact hash (c′ is folded into the share scalar), at two
+// G2ScalarMults an issuance: the short clearing and the one multiplication.
+func TestIssueMatchesExactHash(t *testing.T) {
+	_, signers := newThresholdKGC(t, 2, 3, 9)
+	for _, id := range []string{"pump-station-9", "valve-3", ""} {
+		q := bn254.HashToG2("mccls/v1/H1", []byte(id))
+		for _, s := range signers {
+			before := bn254.ReadOpCounts()
+			ks := s.Issue(id)
+			if d := bn254.ReadOpCounts().Sub(before); d.G2ScalarMults != 2 {
+				t.Errorf("share %d: Issue ran %d G2 multiplications, want 2", s.Index(), d.G2ScalarMults)
+			}
+			want := new(bn254.G2).ScalarMultFr(q, &s.share.Value)
+			if ks.ID != id || ks.Index != s.Index() || !bytes.Equal(ks.D.Marshal(), want.Marshal()) {
+				t.Fatalf("share %d: Issue(%q) = %v, want s_j·H1(ID) = %v", s.Index(), id, ks.D, want)
+			}
+		}
+	}
+}
+
 // TestCombineOpCount pins Combine of t key shares at exactly t
 // G2ScalarMults, one per share fed to the joint walk, and at the
 // single-master key, for quorums on both sides of the walk's eight-point

@@ -29,7 +29,7 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14291
+const maxNonTestLines = 14310
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
@@ -78,7 +78,8 @@ var mathBigFiles = map[string]bool{
 // Verifier's three identity caches with the table cap and the no-evict
 // insert that one signer record per identity replaced, and kgcd's hedge
 // with its adaptive delay, its floor, the per-replica latency ring that fed
-// it and its counter.
+// it and its counter, and Params.QID and Params.Generator, whose last
+// callers the short hash to G2 replaced (methods: the gate sees bare names).
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -100,6 +101,7 @@ var deletedNames = []string{
 	"g1ScalarMultGLV", "g2ScalarMultGLV", "g2JointWNAF", "g2JacMultWNAF", "endoLadder",
 	"rhsCache", "qidCache", "lineCache", "lineCacheCap", "PutIfRoom",
 	"hedgeDelay", "hedgeFloor", "latencyRing", "hedgedRequests",
+	"QID", "Generator",
 }
 
 // deletedDirs are the packages and commands that went with them.
