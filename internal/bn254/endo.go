@@ -20,7 +20,7 @@ type EndoScalar struct{ A, B [2]uint64 }
 
 // Add sets e = x + y half by half, with no reduction: the caller keeps the
 // sums below 2¹²⁸ (the batch verifier adds at most 2⁶ halves, each a 64-bit
-// weight times at most 2⁶ when scaled: below 2⁷¹, sums below 2⁷⁷).
+// weight: sums below 2⁷⁰).
 func (e *EndoScalar) Add(x, y *EndoScalar) *EndoScalar {
 	var c uint64
 	e.A[0], c = bits.Add64(x.A[0], y.A[0], 0)

@@ -20,13 +20,6 @@ func (z *GT) Mul(a, b *GT) *GT {
 	return z
 }
 
-// Inverse sets z = a⁻¹. GT elements are unitary, so inversion is the p^6
-// Frobenius (conjugation).
-func (z *GT) Inverse(a *GT) *GT {
-	z.v = new(Fp12).Conjugate(a.v)
-	return z
-}
-
 // Exp sets z = a^k (a^-k is Exp by k's negation: GT has order r). GT
 // elements are unitary, so the ladder runs on cyclotomic squarings with a
 // signed-window recoding.

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -20,8 +19,9 @@ import (
 
 // chunkWidth is the number of signatures per aggregate check. One chunk is
 // one shared final exponentiation, so wider chunks amortize better;
-// narrower chunks parallelize and bisect better. 64 is the window the
-// benchmark's batch_flood workload prices as batch.us_per_sig.
+// narrower chunks parallelize better and hand fewer indices to a failing
+// chunk's window.settle. 64 is the window the benchmark's batch_flood
+// workload prices as batch.us_per_sig.
 const chunkWidth = 64
 
 // BatchOptions configure a BatchVerifier.
@@ -38,8 +38,8 @@ type BatchOptions struct {
 // its A and enters no check (window.accept), nor does one whose S is not in
 // G2, checked once per S (newWindow). The rest of a window is cut
 // into chunks of chunkWidth, every chunk is decided by one aggregate
-// equation on a worker pool, and a failing chunk's lone offender is located
-// by one position-scaled check, more are bisected (bisect). The equation is
+// equation on a worker pool, and a failing chunk is settled index by index,
+// one S-group at a time (window.settle). The equation is
 //
 //	Π_S e(Σᵢ∈S ρᵢ·Aᵢ, S) · e(-c′·P_pub, Σ_ID (Σᵢ∈ID ρᵢ)·Y_ID) = 1
 //
@@ -59,7 +59,7 @@ type BatchOptions struct {
 // under Verify's rule (lineTable), so a chunk of known signers whose tables
 // are cached steps one G2 chain, the Y_ID sum's; a table built for a chunk
 // is stored only once the chunk's product is one. A chunk's work spreads
-// over the P's the other chunks leave free (window.check).
+// over the P's the other chunks leave free (window.check, window.settle).
 type BatchVerifier struct {
 	vf      *Verifier
 	weights io.Reader
@@ -132,18 +132,18 @@ func (w *weightSeed) at(i int) (z bn254.EndoScalar) {
 	return z
 }
 
-// Verify checks a single signature (the bisection leaf path; identical to
-// Verifier.Verify).
+// Verify checks a single signature, exactly as Verifier.Verify does.
 func (bv *BatchVerifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	return bv.vf.Verify(pk, msg, sig)
 }
 
 // window is one batch call's input with its per-signature precomputation.
-// rest lists the indices accept did not settle, bad those it rejected. For
-// the rest, rho[i] is the weight ρᵢ as its halves and k[i] = ρᵢ·Vᵢ·hᵢ⁻¹ the
-// weighted fixed-base scalar of ρᵢ·Aᵢ = k[i]·P - ρᵢ·Rᵢ; at[i] is the rest
-// of index i's state.
-// width is the fan-out of each check: GOMAXPROCS shared among the chunks.
+// rest lists the indices accept did not settle, bad those it rejected.
+// k[i] = Vᵢ·hᵢ⁻¹ is the fixed-base scalar of Aᵢ = k[i]·P - Rᵢ and, for the
+// rest, rho[i] the weight ρᵢ as its halves; at[i] is the rest of index i's
+// state.
+// width is the fan-out of each check and settle: GOMAXPROCS shared among
+// the chunks.
 type window struct {
 	vf    *Verifier
 	pks   []*PublicKey
@@ -160,16 +160,12 @@ type window struct {
 // slot is one index's state in a window. r is its identity's record if that
 // existed before the window (nil: a first contact): a second sighting, which
 // earns its S a line table. ok is r's accepted pair while its S is the
-// index's: it settles the index, valid or bad; bad also marks an S off G2.
-// lines, the table of its S-group (nil: a point pair), is resolved by the
-// first check over the index, its chunk's root, and reused by that chunk's
-// bisection: one worker's entries.
+// index's: it settles the index, valid or bad; bad also marks an S off G2
+// and an offender window.settle found.
 type slot struct {
-	r        *signer
-	ok       *accepted
-	bad      bool
-	lines    *bn254.G2Lines
-	resolved bool
+	r   *signer
+	ok  *accepted
+	bad bool
 }
 
 // newWindow runs the shape checks, settles the indices it can by accept,
@@ -215,25 +211,28 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 		} else if at.ok == nil {
 			w.rest = append(w.rest, i)
 			w.rho[i] = seed.at(i)
-			rho := w.rho[i].Fr()
-			w.k[i].Mul(&w.k[i], &rho)
 		}
 	}
 	w.width = max(1, runtime.GOMAXPROCS(0)/max(1, (len(w.rest)+bv.chunk-1)/bv.chunk))
 	return w, nil
 }
 
-// accept is task i of the accept round: k[i] becomes Vᵢ·hᵢ⁻¹ and, for an
-// index whose accepted S is Sᵢ, Aᵢ = k[i]·P - Rᵢ (one fixed-base pass, not
-// normalised) is compared with the accepted A. An equal A settles the index:
-// Verify accepted that (A, S) under this identity, so it accepts this
-// signature. Another A rejects it: an accepted S is in G2 (accepted).
+// accept is task i of the accept round: k[i] becomes Vᵢ·hᵢ⁻¹ and an index
+// whose accepted S is Sᵢ is decided by its A (matches).
 func (w *window) accept(i int) {
 	w.k[i].Mul(&w.k[i], &w.sigs[i].V)
 	if ok := w.at[i].ok; ok != nil {
-		var negR bn254.G1
-		w.at[i].bad = !ok.a.EqualBaseMultAdd(&w.k[i], negR.Neg(w.sigs[i].R))
+		w.at[i].bad = !w.matches(i, ok)
 	}
+}
+
+// matches reports whether index i's Aᵢ = k[i]·P - Rᵢ (one fixed-base pass,
+// not normalised) is the accepted A of ok, a pair under Sᵢ. That decides the
+// index exactly: Verify accepted (A, S) under this identity, so it accepts
+// this signature, and no other A, an accepted S being in G2 (accepted).
+func (w *window) matches(i int, ok *accepted) bool {
+	var negR bn254.G1
+	return ok.a.EqualBaseMultAdd(&w.k[i], negR.Neg(w.sigs[i].R))
 }
 
 // batchInverse sets out[i] = xs[i]⁻¹ with one field inversion (Montgomery's
@@ -260,11 +259,11 @@ func batchInverse(out, xs []fr.Element) int {
 
 // check evaluates the aggregate equation's left side over exactly the
 // signatures at idxs with one final exponentiation; the set passes iff the
-// product is one; scaled, the index at position q weighs (q+1)·ρᵢ (locate).
-// Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) in GT, so folding equal-S pairs
-// yields exactly the pairwise product for the same weights. A group's point
-// Σρᵢ·Aᵢ = (Σkᵢ)·P - Σρᵢ·Rᵢ is one fixed-base pass and one joint ladder over
-// its R values, and Σ_ID (Σρᵢ)·Y_ID one joint ladder over the identities.
+// product is one. Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) in GT, so folding equal-S
+// pairs yields exactly the pairwise product for the same weights. A group's
+// point Σρᵢ·Aᵢ = (Σρᵢ·kᵢ)·P - Σρᵢ·Rᵢ is one fixed-base pass and one joint
+// ladder over its R values, and Σ_ID (Σρᵢ)·Y_ID one joint ladder over the
+// identities.
 // A group with a line table is a table pair of the Miller loop, the rest
 // point pairs; tables this check built are stored if its product is one.
 //
@@ -272,7 +271,7 @@ func batchInverse(out, xs []fr.Element) int {
 // points and the Y_ID sum are tasks for the window's width of workers, and
 // the pairs are cut into one Miller loop per worker. Squaring distributes
 // over the product, so the parts multiply to the one-loop value.
-func (w *window) check(idxs []int, scaled bool) *bn254.GT {
+func (w *window) check(idxs []int) *bn254.GT {
 	n := len(idxs)
 	p := &pass{w: w, idxs: idxs, gs: make([]group, 0, n),
 		rs: make([]*bn254.G1, 0, n), rhos: make([]bn254.EndoScalar, 0, n),
@@ -283,16 +282,12 @@ func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 		// Each S-group and each identity is summed at its first member.
 		if s := w.sigs[i].S; !slices.ContainsFunc(p.gs, func(g group) bool { return g.s.Equal(s) }) {
 			g := group{s: s, first: i, lo: len(p.rs)}
-			if !w.at[i].resolved {
-				w.at[i].lines, g.build = lineTable(w.at[i].r, s)
-			}
-			g.lines = w.at[i].lines
-			for q, j := range idxs {
+			g.lines, g.build = lineTable(w.at[i].r, s)
+			for _, j := range idxs {
 				if w.sigs[j].S.Equal(s) {
-					k, rho := w.weight(j, q, scaled)
-					g.k.Add(&g.k, &k)
-					p.rs, p.rhos = append(p.rs, w.sigs[j].R), append(p.rhos, rho)
-					w.at[j].lines, w.at[j].resolved = w.at[i].lines, true
+					k := w.rho[j].Fr()
+					g.k.Add(&g.k, k.Mul(&k, &w.k[j]))
+					p.rs, p.rhos = append(p.rs, w.sigs[j].R), append(p.rhos, w.rho[j])
 				}
 			}
 			g.hi = len(p.rs)
@@ -300,10 +295,9 @@ func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 		}
 		if id := w.pks[i].ID; !slices.Contains(p.ids, id) {
 			var rho bn254.EndoScalar
-			for q, j := range idxs {
+			for _, j := range idxs {
 				if w.pks[j].ID == id {
-					_, rhoJ := w.weight(j, q, scaled)
-					rho.Add(&rho, &rhoJ)
+					rho.Add(&rho, &w.rho[j])
 				}
 			}
 			var y *bn254.G2 // nil: looked up by lookup
@@ -337,7 +331,7 @@ func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 		}
 	}
 	v := bn254.FinalExp(f)
-	if v.IsOne() && !scaled {
+	if v.IsOne() {
 		for _, g := range p.gs {
 			if g.build && g.lines != nil {
 				w.at[g.first].r.lines.Store(g.lines)
@@ -347,21 +341,8 @@ func (w *window) check(idxs []int, scaled bool) *bn254.GT {
 	return v
 }
 
-// weight is index j's (kⱼ, ρⱼ) at position q of a check, both times q+1
-// when scaled: the halves are 64-bit, so a scaled half stays below 2⁷¹.
-func (w *window) weight(j, q int, scaled bool) (fr.Element, bn254.EndoScalar) {
-	k, rho := w.k[j], w.rho[j]
-	if scaled {
-		m := fr.NewElement(uint64(q + 1))
-		k.Mul(&k, &m)
-		rho.A[1], rho.A[0] = bits.Mul64(rho.A[0], uint64(q+1))
-		rho.B[1], rho.B[0] = bits.Mul64(rho.B[0], uint64(q+1))
-	}
-	return k, rho
-}
-
 // group is one S-group of a check: its members' R values and weights are
-// rs[lo:hi] and rhos[lo:hi] of the pass, k their Σkᵢ, a the point Σρᵢ·Aᵢ
+// rs[lo:hi] and rhos[lo:hi] of the pass, k their Σρᵢ·kᵢ, a the point Σρᵢ·Aᵢ
 // and lines S's table (nil: a point pair), built by the check when build.
 type group struct {
 	s      *bn254.G2
@@ -408,11 +389,6 @@ func (p *pass) point(t int) {
 	g := &p.gs[t-1]
 	if g.build {
 		g.lines = bn254.NewG2Lines(g.s) // nil only for an S off the curve
-		for _, j := range p.idxs {
-			if p.w.sigs[j].S.Equal(g.s) {
-				p.w.at[j].lines = g.lines
-			}
-		}
 	}
 	g.a = new(bn254.G1).ScalarBaseMultSubEndo(&g.k, p.rs[g.lo:g.hi], p.rhos[g.lo:g.hi])
 }
@@ -489,43 +465,28 @@ func fanOut[T any](width, n int, x T, task func(T, int)) {
 	}
 }
 
-// checkOne is the bisection leaf: the cached-constant Verify, cheaper than
-// a one-element aggregate equation.
-func (w *window) checkOne(i int) bool {
-	return w.vf.Verify(w.pks[i], w.msgs[i], w.sigs[i]) == nil
-}
-
-// judge is what reject asks of a window: the aggregate product over a set
-// (window.check) and the verdict on one signature (window.checkOne). check
-// must be deterministic for a given index set, multiplicative over disjoint
-// sets and safe for concurrent use.
-type judge interface {
-	check(idxs []int, scaled bool) *bn254.GT
-	checkOne(i int) bool
-}
-
 // rejection is one reject call: chunk t is idxs[t·width : (t+1)·width],
 // bad[t] its offenders and errs[t] its recovered panic.
 type rejection struct {
-	jd    judge
+	w     *window
 	idxs  []int
 	width int
 	bad   [][]int
 	errs  []error
 }
 
-// reject cuts the sorted index list idxs into chunks, decides every chunk on
-// a fanOut of bv.workers (0: GOMAXPROCS), bisects the chunks whose product
-// is not one down to single signatures (decided by checkOne), and reports
+// reject cuts the sorted index list idxs of w into chunks, decides every
+// chunk by one aggregate check on a fanOut of bv.workers (0: GOMAXPROCS),
+// settles the chunks whose product is not one (window.settle), and reports
 // the rejected indices as a *batchError. Weights are per index, chunk
-// boundaries depend only on idxs and the chunk width and every chunk is
-// decided independently, so the outcome and the offender set are
-// bit-identical at any worker count. The only other error source is a
-// panicking check, which its chunk recovers, from the check's fanOut
-// workers too: the batch fails, not the process.
-func (bv *BatchVerifier) reject(idxs []int, jd judge) error {
+// boundaries depend only on idxs and the chunk width, and a failing chunk's
+// verdicts are exact, so the outcome and the offender set are identical at
+// any worker count. The only other error source is a panicking chunk, which
+// recovers the panic, from its fanOut workers too: the batch fails, not the
+// process.
+func (bv *BatchVerifier) reject(idxs []int, w *window) error {
 	chunks := (len(idxs) + bv.chunk - 1) / bv.chunk
-	r := &rejection{jd: jd, idxs: idxs, width: bv.chunk, bad: make([][]int, chunks), errs: make([]error, chunks)}
+	r := &rejection{w: w, idxs: idxs, width: bv.chunk, bad: make([][]int, chunks), errs: make([]error, chunks)}
 	fanOut(cmp.Or(bv.workers, runtime.GOMAXPROCS(0)), chunks, r, (*rejection).chunk)
 	if err := errors.Join(r.errs...); err != nil {
 		return fmt.Errorf("mccls: batch: %w", err)
@@ -537,7 +498,7 @@ func (bv *BatchVerifier) reject(idxs []int, jd judge) error {
 	return nil
 }
 
-// chunk decides chunk t: its offenders, or the panic its check raised.
+// chunk decides chunk t: its offenders, or the panic it raised.
 func (r *rejection) chunk(t int) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -545,62 +506,44 @@ func (r *rejection) chunk(t int) {
 		}
 	}()
 	lo, hi := t*r.width, min((t+1)*r.width, len(r.idxs))
-	r.bad[t] = bisect(r.jd, r.idxs[lo:hi:hi], nil)
+	if c := r.idxs[lo:hi:hi]; !r.w.check(c).IsOne() {
+		r.bad[t] = r.w.settle(c)
+	}
 }
 
-// bisect isolates the offending indices of a non-empty index set whose
-// aggregate product is v (nil at a chunk's root: not evaluated yet). Subset
-// products reuse the window's per-index weights, which is sound — a valid
-// subset's product is one for any weights, an invalid one's only with the
-// probability the chunk's was — and makes them multiplicative: a failing
-// set evaluates its left half and reads the right half's off as v·left⁻¹.
-// A failing root first locates a lone offender and halves only when that
-// fails; a half whose product is one is not descended into. A single
-// signature — a suspect, or a chunk of one — is decided by checkOne,
-// unweighted.
-func bisect(jd judge, idxs []int, v *bn254.GT) []int {
-	switch {
-	case v != nil && v.IsOne():
-		return nil
-	case len(idxs) == 1:
-		if jd.checkOne(idxs[0]) {
-			return nil
-		}
-		return slices.Clip(idxs) // appending to it must not write into the list
-	case v == nil:
-		if v = jd.check(idxs, false); v.IsOne() {
-			return nil
-		}
-		if p := locate(jd, idxs, v); p >= 0 {
-			return bisect(jd, idxs[p:p+1], v)
+// settle returns the offenders of a chunk whose product is not one, each
+// index decided exactly. The chunk's S-groups are tasks for the window's
+// width of workers, and a group walks its indices in index order: an index
+// whose identity's record holds an accepted pair under its S by then is
+// decided by that pair (matches), any other by Verify, which pins the pair
+// when it accepts. A group's first valid index thus pays one pairing and
+// each later one under the same identity one fixed-base pass.
+func (w *window) settle(chunk []int) []int {
+	var groups [][]int
+	for _, i := range chunk {
+		if g := slices.IndexFunc(groups, func(g []int) bool { return w.sigs[g[0]].S.Equal(w.sigs[i].S) }); g >= 0 {
+			groups[g] = append(groups[g], i)
+		} else {
+			groups = append(groups, []int{i})
 		}
 	}
-	mid := len(idxs) / 2
-	left := jd.check(idxs[:mid], false)
-	right := new(bn254.GT).Inverse(left)
-	return append(bisect(jd, idxs[:mid], left), bisect(jd, idxs[mid:], right.Mul(v, right))...)
+	fanOut(w.width, len(groups), groups, func(groups [][]int, g int) {
+		for _, i := range groups[g] {
+			w.at[i].bad = !w.valid(i)
+		}
+	})
+	return slices.DeleteFunc(slices.Clone(chunk), func(i int) bool { return !w.at[i].bad })
 }
 
-// locate returns the position of a failing set's lone offender, or -1. The
-// product is v = Π xᵢ ≠ 1, xᵢ one exactly when i is valid (ρᵢ ≠ 0, GT of
-// prime order r), and the scaled check's v₁ = Π xᵢ^(p+1) over positions p.
-// One offender, at p, makes v₁ = v^(p+1), and as v has order r > len(idxs)
-// the first power of v equal to v₁ names p. If the product at p alone is v,
-// the rest has product one and passes with the bound of any sub-check; no
-// match, or another product, means two offenders or more.
-func locate(jd judge, idxs []int, v *bn254.GT) int {
-	v1 := jd.check(idxs, true)
-	u := v
-	for p := range idxs {
-		if u.Equal(v1) {
-			if jd.check(idxs[p:p+1], false).Equal(v) {
-				return p
-			}
-			return -1
+// valid decides index i exactly: by its identity's accepted pair if that is
+// under Sᵢ, else by Verify.
+func (w *window) valid(i int) bool {
+	if r, _ := w.vf.signers.Get(w.pks[i].ID); r != nil {
+		if ok := r.ok.Load(); ok != nil && ok.s.Equal(w.sigs[i].S) {
+			return w.matches(i, ok)
 		}
-		u = new(bn254.GT).Mul(u, v)
 	}
-	return -1
+	return w.vf.Verify(w.pks[i], w.msgs[i], w.sigs[i]) == nil
 }
 
 // VerifySameSigner checks n signatures by one signer: VerifyMulti with pk

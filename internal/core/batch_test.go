@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"mccls/internal/bn254"
@@ -88,7 +87,7 @@ func testBatch(vf *Verifier, chunk, workers int) *BatchVerifier {
 	return bv
 }
 
-func TestBatchEngineBisectionLocatesOffenders(t *testing.T) {
+func TestBatchEngineLocatesOffenders(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 20, 4)
 	bad := append([][]byte{}, msgs...)
 	bad[3] = []byte("tampered-3")
@@ -140,30 +139,25 @@ func TestBatchEngineSameSigner(t *testing.T) {
 	bad[7] = []byte("tampered")
 	err := testBatch(vf, 4, 0).VerifySameSigner(sk.Public(), bad, sigs)
 	if !slices.Equal(BatchOffenders(err), []int{7}) {
-		t.Fatalf("same-signer bisection: %v", err)
+		t.Fatalf("same-signer window: %v", err)
 	}
 }
 
 // checkPairwise is the differential oracle for window.check: the aggregate
 // product with nothing folded and no kernel shared with the shipped path —
-// ρᵢ as a full-width scalar (times q+1 at position q when scaled),
-// Aᵢ = (Vᵢ/hᵢ)·P - Rᵢ and ρᵢ·Aᵢ by the variable-base ladder, one Miller pair
-// and one weighted Q_ID per signature:
+// ρᵢ as a full-width scalar, Aᵢ = (Vᵢ/hᵢ)·P - Rᵢ and ρᵢ·Aᵢ by the
+// variable-base ladder, one Miller pair and one weighted Q_ID per signature:
 //
 //	Π e(ρᵢ·Aᵢ, Sᵢ) · e(-P_pub, Σ ρᵢ·Q_IDᵢ).
-func (w *window) checkPairwise(idxs []int, scaled bool) *bn254.GT {
+func (w *window) checkPairwise(idxs []int) *bn254.GT {
 	var ps []*bn254.G1
 	var qs []*bn254.G2
 	qSum := bn254.G2Infinity()
 	params := w.vf.params
-	for q, i := range idxs {
+	for _, i := range idxs {
 		sig := w.sigs[i]
 		a := commitment(params, w.pks[i], w.msgs[i], sig)
 		rho := w.rho[i].Fr()
-		if scaled {
-			m := fr.NewElement(uint64(q + 1))
-			rho.Mul(&rho, &m)
-		}
 		ps = append(ps, a.ScalarMultFr(a, &rho))
 		qs = append(qs, sig.S)
 		qSum.Add(qSum, new(bn254.G2).ScalarMultFr(qID(w.pks[i].ID), &rho))
@@ -173,65 +167,13 @@ func (w *window) checkPairwise(idxs []int, scaled bool) *bn254.GT {
 	return bn254.FinalExp(bn254.MillerLoopMulti(ps, qs))
 }
 
-// node is a trace entry for one evaluated product: the set, whether it was
-// scaled, and the product's leading bytes, which the grouped and the
-// pairwise product share exactly.
-func node(idxs []int, scaled bool, v *bn254.GT) string {
-	return fmt.Sprintf("check %v scaled=%v %x", idxs, scaled, v.Marshal()[:8])
-}
-
-// pairwiseTrace predicts what reject evaluates over one chunk, every node
-// decided by the pairwise oracle directly — the right parts too, which the
-// shipped bisection derives as a quotient: one "check" entry per evaluated
-// product (the root, the scaled root, a located suspect's confirmation and
-// every left half), one "leaf" entry per single suspect. It finds the lone
-// offender's position by GT.Exp, not by repeated products.
-func (w *window) pairwiseTrace(chunk []int, trace []string) []string {
-	eval := func(idxs []int, scaled bool) *bn254.GT {
-		v := w.checkPairwise(idxs, scaled)
-		trace = append(trace, node(idxs, scaled, v))
-		return v
-	}
-	leaf := func(i int) { trace = append(trace, fmt.Sprint("leaf ", i, w.checkOne(i))) }
-	if len(chunk) == 1 {
-		leaf(chunk[0])
-		return trace
-	}
-	v := eval(chunk, false)
-	if v.IsOne() {
-		return trace
-	}
-	v1 := eval(chunk, true)
-	for p := range chunk {
-		if m := fr.NewElement(uint64(p + 1)); new(bn254.GT).Exp(v, &m).Equal(v1) {
-			if eval(chunk[p:p+1], false).Equal(v) {
-				leaf(chunk[p])
-				return trace
-			}
-			break
-		}
-	}
-	var halve func(idxs []int, v *bn254.GT)
-	halve = func(idxs []int, v *bn254.GT) {
-		switch mid := len(idxs) / 2; {
-		case v.IsOne():
-		case mid == 0:
-			leaf(idxs[0])
-		default:
-			halve(idxs[:mid], eval(idxs[:mid], false))
-			halve(idxs[mid:], w.checkPairwise(idxs[mid:], false))
-		}
-	}
-	halve(chunk, v)
-	return trace
-}
-
 // TestBatchGroupedVsPairwise runs the shipped chunk check against the
-// pairwise oracle under one weight seed: same error class, the same nodes
-// with the same products (scaled ones too) and the same offender slice on
-// every window.
+// pairwise oracle under one weight seed: every chunk's product byte-equal
+// to the pairwise one, a clean chunk's one on both sides, and the same
+// error class and offender slice as a run that records the products, each
+// run on a fresh verifier.
 func TestBatchGroupedVsPairwise(t *testing.T) {
-	kgc, vf, pks, msgs, sigs := multiBatch(t, 20, 4)
+	kgc, _, pks, msgs, sigs := multiBatch(t, 20, 4)
 	params := kgc.Params()
 	// zeroA is a signature whose commitment A = (V/h)·P - R is the point at
 	// infinity: R = k·P and V = h·k.
@@ -272,34 +214,25 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p, m, s := slices.Clone(pks), slices.Clone(msgs), slices.Clone(sigs)
 			tc.edit(p, m, s)
-			got := testBatch(vf, chunk, 0).VerifyMulti(p, m, s)
+			got := testBatch(NewVerifier(params), chunk, 0).VerifyMulti(p, m, s)
 
-			// The same window again, one worker, every evaluation recorded.
-			oracle := testBatch(vf, chunk, 1)
+			// The same window again, one worker, every chunk's product
+			// recorded and held to the oracle before reject decides it.
+			oracle := testBatch(NewVerifier(params), chunk, 1)
 			w, want := oracle.newWindow(p, m, s)
-			var gotTrace, wantTrace []string
 			if want == nil {
-				want = oracle.reject(w.rest, judgeFuncs{
-					checkF: func(idxs []int, scaled bool) *bn254.GT {
-						v := w.check(idxs, scaled)
-						gotTrace = append(gotTrace, node(idxs, scaled, v))
-						return v
-					},
-					oneF: func(i int) bool {
-						ok := w.checkOne(i)
-						gotTrace = append(gotTrace, fmt.Sprint("leaf ", i, ok))
-						return ok
-					},
-				})
 				for lo := 0; lo < len(w.rest); lo += chunk {
 					idxs := w.rest[lo:min(lo+chunk, len(w.rest))]
-					wantTrace = w.pairwiseTrace(idxs, wantTrace)
-					if tc.bad == nil && !(w.check(idxs, false).IsOne() && w.checkPairwise(idxs, false).IsOne()) {
-						t.Fatalf("clean chunk %v must pass at the root on both sides", idxs)
+					v := w.check(idxs)
+					if !bytes.Equal(v.Marshal(), w.checkPairwise(idxs).Marshal()) {
+						t.Fatalf("chunk %v: the grouped product differs from the pairwise one", idxs)
+					}
+					if tc.bad == nil && !v.IsOne() {
+						t.Fatalf("clean chunk %v must pass", idxs)
 					}
 				}
-				if !slices.Equal(gotTrace, wantTrace) {
-					t.Fatalf("bisection nodes:\ngrouped  %q\npairwise %q", gotTrace, wantTrace)
+				if err := oracle.reject(w.rest, w); err != nil || len(w.bad) > 0 {
+					want = &batchError{bad: slices.Sorted(slices.Values(append(w.bad, BatchOffenders(err)...)))}
 				}
 			}
 			for _, class := range []error{ErrVerifyFailed, ErrInvalidSignature, ErrInvalidKey} {
@@ -414,15 +347,13 @@ func TestBatchSecondSightingBuildsTables(t *testing.T) {
 }
 
 // TestBatchFanOutInvariance runs a clean, a forged and a first window (a
-// fresh verifier) at GOMAXPROCS 1, 2 and 4: the chunk's reduced product,
-// plain and scaled, and the offender set must be byte-equal at every width.
+// fresh verifier) at GOMAXPROCS 1, 2 and 4: the chunk's reduced product and
+// the offender set must be byte-equal at every width. The forged window
+// pins its signers' pairs, so each of its runs gets a fresh verifier with
+// the clean one's records.
 func TestBatchFanOutInvariance(t *testing.T) {
 	_, warm, pks, msgs, sigs := multiBatch(t, 64, 16)
-	for range 2 { // Q_ID, then the tables
-		if err := testBatch(warm, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tableOnly(t, warm, pks, msgs, sigs)
 	forged := slices.Clone(msgs)
 	forged[37] = []byte("forged")
 	params := warm.params
@@ -434,7 +365,11 @@ func TestBatchFanOutInvariance(t *testing.T) {
 		wantBad []int
 	}{
 		{"clean", func() *Verifier { return warm }, msgs, nil},
-		{"forged", func() *Verifier { return warm }, forged, []int{37}},
+		{"forged", func() *Verifier {
+			vf := NewVerifier(params)
+			tableOnly(t, vf, pks, msgs, sigs)
+			return vf
+		}, forged, []int{37}},
 		{"first", func() *Verifier { return NewVerifier(params) }, msgs, nil},
 	} {
 		var ref []byte
@@ -445,12 +380,11 @@ func TestBatchFanOutInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gt := w.check(idxs, false)
+				gt := w.check(idxs)
 				if gt.IsOne() != (tc.wantBad == nil) {
 					t.Fatalf("%s: GOMAXPROCS %d: product is one %v, want %v", tc.name, procs, gt.IsOne(), tc.wantBad == nil)
 				}
-				v := append(gt.Marshal(), w.check(idxs, true).Marshal()...)
-				if ref == nil {
+				if v := gt.Marshal(); ref == nil {
 					ref = v
 				} else if !bytes.Equal(v, ref) {
 					t.Fatalf("%s: GOMAXPROCS %d reduces to another product than GOMAXPROCS 1", tc.name, procs)
@@ -473,11 +407,10 @@ func TestBatchFanOutInvariance(t *testing.T) {
 // tab-6 with m_ID only, and tab-7 is unknown (no record) until the first
 // window meets it, so it earns a table in the second. Offenders
 // must be the indices a fresh verifier's Verify rejects. After each window
-// every cached table must have been cached before it or carry an S of a
-// clean chunk under its identity — a table built in a chunk with an
-// offender is never cached — and an identity known before the window with
-// one S across the clean chunks must hold that S's table, an unknown one
-// none.
+// every cached table and accepted pair must have been there before it or
+// carry the S (and the A) of a valid signature under its identity in the
+// window — a forged S displaces nothing — and an identity known before the
+// window with one S across the clean chunks must hold that S's table.
 func TestBatchTablesMatchVerify(t *testing.T) {
 	rng := fixedRand(97)
 	kgc, err := Setup(rng)
@@ -560,13 +493,16 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 			vf.rhs(nil, sk.Public().ID)
 		}
 		for _, w := range windows {
-			before, known := map[string]*bn254.G2{}, map[string]bool{}
+			before, known, oks := map[string]*bn254.G2{}, map[string]bool{}, map[string]*accepted{}
 			for _, sk := range sks {
 				id := sk.Public().ID
 				if l, ok := tableOf(vf, id); ok {
 					before[id] = l.Q()
 				}
-				_, known[id] = vf.signers.Get(id)
+				var r *signer
+				if r, known[id] = vf.signers.Get(id); known[id] {
+					oks[id] = r.ok.Load()
+				}
 			}
 			err := testBatch(vf, chunk, workers).VerifyMulti(w.p, w.m, w.s)
 			if got := BatchOffenders(err); !slices.Equal(got, w.bad) || (err == nil) != (w.bad == nil) {
@@ -587,38 +523,45 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 				id := sk.Public().ID
 				l, ok := tableOf(vf, id)
 				switch {
-				case ok && !known[id]:
-					t.Fatalf("workers=%d %s: unknown %s got a table", workers, w.name, id)
-				case ok && !(before[id] != nil && l.Q().Equal(before[id])) && !slices.ContainsFunc(clean[id], l.Q().Equal):
-					t.Fatalf("workers=%d %s: %s caches a table built in a chunk with an offender", workers, w.name, id)
+				case ok && !(before[id] != nil && l.Q().Equal(before[id])) && !ofValid(params, w.p, w.m, w.s, w.bad, id, l.Q(), nil):
+					t.Fatalf("workers=%d %s: %s caches a table of no valid signature in the window", workers, w.name, id)
 				case known[id] && len(clean[id]) == 1 && !(ok && l.Q().Equal(clean[id][0])):
 					t.Fatalf("workers=%d %s: %s's clean S has no cached table", workers, w.name, id)
+				}
+				if r, found := vf.signers.Get(id); found {
+					if pair := r.ok.Load(); pair != oks[id] && !ofValid(params, w.p, w.m, w.s, w.bad, id, &pair.s, &pair.a) {
+						t.Fatalf("workers=%d %s: %s holds an accepted pair of no valid signature in the window", workers, w.name, id)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestBatchQuotientBisection pins the bisection's cost and semantics on a
+// TestBatchFailingChunkCost pins what a failing chunk costs on a
 // 64-signature/16-signer window, signer i mod 16 at index i, so S-group g is
 // {g, g+16, g+32, g+48}, over records that hold m_ID and line tables but no
-// accepted pair, so every index reaches the aggregate equation. A lone
-// forgery, wherever it sits, costs the root
-// (17 Miller pairs), its scaled twin (17), the one-signature confirmation of
-// the located position (2) and the checkOne that decides it (1): 4 final
-// exponentiations, 37 pairs. Two offenders or more find no match in the
-// scan and fall back to halving in index order, each left half one check and
-// its right half a quotient: the halving's cost plus the scaled root's one
-// final exp and 17 pairs. Offenders {3, 40} cost 15 final exps and 125
-// pairs, {40, 56} 14 and 108, {3, 20, 40, 57} 25 and 165. Once Verify has
+// accepted pair, so every index reaches the aggregate equation. The chunk's
+// check is one final exponentiation and 17 Miller pairs. settle then walks
+// each S-group in index order: Verify up to and including its first valid
+// index (one final exp and one table pair each: m_ID is cached), which pins
+// the signer's pair, then one fixed-base pass per later index. A group
+// pays one Verify more when its first index is forged: {0} costs 18 final
+// exps and 34 pairs, a lone forgery anywhere else 17 and 33, and 2, 4 or 8
+// offenders with one or two of them first in their group 18/34 or 19/35.
+// Each case gets a fresh verifier, as settle pins pairs. Once Verify has
 // accepted every signer's (S, A), a tampered message carries its signer's
 // accepted S with another A, so the accept round rejects it by that A
-// alone: no index reaches a check, 0 final exps and 0 pairs for one forgery
-// or two.
-func TestBatchQuotientBisection(t *testing.T) {
-	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
-	tableOnly(t, vf, pks, msgs, sigs) // m_ID for the leaves, the tables for the roots
-	known := NewVerifier(vf.params)
+// alone: no index reaches a check, 0 final exps and 0 pairs.
+func TestBatchFailingChunkCost(t *testing.T) {
+	kgc, _, pks, msgs, sigs := multiBatch(t, 64, 16)
+	params := kgc.Params()
+	tabled := func() *Verifier {
+		vf := NewVerifier(params)
+		tableOnly(t, vf, pks, msgs, sigs)
+		return vf
+	}
+	known := NewVerifier(params)
 	for i := 0; i < 16; i++ {
 		if err := known.Verify(pks[i], msgs[i], sigs[i]); err != nil {
 			t.Fatal(err)
@@ -632,36 +575,41 @@ func TestBatchQuotientBisection(t *testing.T) {
 		return bad
 	}
 	for _, tc := range []struct {
-		vf               *Verifier
+		known            bool
 		at               []int
 		finalExps, pairs uint64
 	}{
-		{vf, []int{0}, 4, 37}, {vf, []int{31}, 4, 37}, {vf, []int{32}, 4, 37}, {vf, []int{63}, 4, 37},
-		{vf, []int{3, 40}, 15, 125}, {vf, []int{40, 56}, 14, 108}, {vf, []int{3, 20, 40, 57}, 25, 165},
-		{known, []int{0}, 0, 0}, {known, []int{37}, 0, 0}, {known, []int{3, 40}, 0, 0},
+		{false, []int{0}, 18, 34}, {false, []int{31}, 17, 33}, {false, []int{32}, 17, 33}, {false, []int{37}, 17, 33},
+		{false, []int{63}, 17, 33}, {false, []int{3, 40}, 18, 34}, {false, []int{40, 56}, 17, 33},
+		{false, []int{3, 20, 40, 57}, 18, 34}, {false, []int{3, 12, 20, 29, 40, 46, 57, 63}, 19, 35},
+		{true, []int{0}, 0, 0}, {true, []int{37}, 0, 0}, {true, []int{3, 40}, 0, 0},
 	} {
+		vf := known
+		if !tc.known {
+			vf = tabled()
+		}
 		before := bn254.ReadOpCounts()
-		err := testBatch(tc.vf, chunkWidth, 1).VerifyMulti(pks, tamper(tc.at...), sigs)
+		err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, tamper(tc.at...), sigs)
 		d := bn254.ReadOpCounts().Sub(before)
 		if !slices.Equal(BatchOffenders(err), tc.at) {
-			t.Fatalf("forgeries at %v (known keys %v): %v", tc.at, tc.vf == known, err)
+			t.Fatalf("forgeries at %v (known keys %v): %v", tc.at, tc.known, err)
 		}
 		if d.FinalExps != tc.finalExps || d.Pairings != tc.pairs {
-			t.Fatalf("forgeries at %v (known keys %v): %d final exps, %d Miller pairs; want %d, %d", tc.at, tc.vf == known, d.FinalExps, d.Pairings, tc.finalExps, tc.pairs)
+			t.Fatalf("forgeries at %v (known keys %v): %d final exps, %d Miller pairs; want %d, %d", tc.at, tc.known, d.FinalExps, d.Pairings, tc.finalExps, tc.pairs)
 		}
 	}
 	all := make([]int, 16)
 	for i := range all {
 		all[i] = 16 + i
 	}
-	// Two offenders in one half, one in each half, one in each chunk, and a
-	// chunk forged throughout.
+	// Two adjacent offenders, two far apart, one in each chunk, and a chunk
+	// forged throughout.
 	for _, tc := range []struct {
 		chunk int
 		want  []int
 	}{{64, []int{40, 41}}, {64, []int{3, 40}}, {32, []int{5, 60}}, {16, all}} {
 		for _, workers := range []int{1, 2, 8} {
-			err := testBatch(vf, tc.chunk, workers).VerifyMulti(pks, tamper(tc.want...), sigs)
+			err := testBatch(tabled(), tc.chunk, workers).VerifyMulti(pks, tamper(tc.want...), sigs)
 			if got := BatchOffenders(err); !slices.Equal(got, tc.want) {
 				t.Fatalf("chunk=%d workers=%d: offenders %v (%v), want %v", tc.chunk, workers, got, err, tc.want)
 			}
@@ -794,14 +742,11 @@ func TestBatchWindowAllocs(t *testing.T) {
 // can share an S-group; the identity's
 // key replaced, the signature re-signed under it for odd aux (valid) or kept
 // (invalid); or the signature filed under another identity. The offenders
-// must be exactly the indices a fresh Verifier's Verify rejects. The indices
-// the accept rule does not settle and whose S is in G2, valid or forged,
-// recomputed here with A by math/big, are the ones chunked: a table cached by the window must
-// carry an S of a clean chunk under its identity, unless it was cached
-// before; of a chunk of one if the identity was unknown before the window
-// (a leaf's Verify, at its second sighting, builds a table as any Verify
-// does); and an accepted pair the window stored must be that of a valid
-// signature in it.
+// must be exactly the indices a fresh Verifier's Verify rejects. A table or
+// accepted pair the window stored (a clean chunk's check stores tables, a
+// failing chunk's Verify calls tables and pairs) must carry the S, and the
+// A recomputed by math/big, of a valid signature under its identity in the
+// window: a forged S displaces nothing.
 func FuzzBatchVsVerify(f *testing.F) {
 	rng := fixedRand(98)
 	kgc, err := Setup(rng)
@@ -890,65 +835,32 @@ func FuzzBatchVsVerify(f *testing.F) {
 				}
 			}
 		}
-		before, known, oks := map[string]*bn254.G2{}, map[string]bool{}, map[string]*accepted{}
+		before, oks := map[string]*bn254.G2{}, map[string]*accepted{}
 		for _, sk := range sks {
 			id := sk.Public().ID
 			if l, ok := tableOf(vf, id); ok {
 				before[id] = l.Q()
 			}
-			var r *signer
-			if r, known[id] = vf.signers.Get(id); known[id] {
+			if r, ok := vf.signers.Get(id); ok {
 				oks[id] = r.ok.Load()
-			}
-		}
-		// The accept rule, recomputed: an index is settled before any check
-		// iff its identity's record holds its S, valid if also its A, else
-		// an offender, or its S is off G2, an offender; the rest are chunked.
-		as, rest := make([]*bn254.G1, nn), []int{}
-		for i := range nn {
-			as[i] = commitment(params, p[i], m[i], s[i])
-			if ok := oks[p[i].ID]; (ok == nil || !ok.s.Equal(s[i].S)) && s[i].S.IsInSubgroup() {
-				rest = append(rest, i)
 			}
 		}
 		width := 1 + int(chunk)%nn
 		var err error
 		atProcs(1+int(flags>>1&1), func() { err = testBatch(vf, width, 0).VerifyMulti(p, m, s) })
 		if got := BatchOffenders(err); !slices.Equal(got, want) || (err == nil) != (want == nil) {
-			t.Fatalf("%d signatures / %d signers (%d settled) in chunks of %d: offenders %v (%v), a fresh Verify rejects %v", nn, k, nn-len(rest), width, got, err, want)
+			t.Fatalf("%d signatures / %d signers in chunks of %d: offenders %v (%v), a fresh Verify rejects %v", nn, k, width, got, err, want)
 		}
 
-		// Each identity's S values in chunks with no offender, and in those
-		// of one signature, which Verify decides as a leaf.
-		clean, leaves := map[string][]*bn254.G2{}, map[string][]*bn254.G2{}
-		for lo := 0; lo < len(rest); lo += width {
-			if c := rest[lo:min(lo+width, len(rest))]; !slices.ContainsFunc(c, func(i int) bool { return slices.Contains(want, i) }) {
-				for _, i := range c {
-					clean[p[i].ID] = append(clean[p[i].ID], s[i].S)
-					if len(c) == 1 {
-						leaves[p[i].ID] = append(leaves[p[i].ID], s[i].S)
-					}
+		for _, sk := range sks {
+			id := sk.Public().ID
+			if l, ok := tableOf(vf, id); ok && !(before[id] != nil && l.Q().Equal(before[id])) && !ofValid(params, p, m, s, want, id, l.Q(), nil) {
+				t.Fatalf("%s caches a table of no valid signature in the window", id)
+			}
+			if r, ok := vf.signers.Get(id); ok {
+				if pair := r.ok.Load(); pair != oks[id] && !ofValid(params, p, m, s, want, id, &pair.s, &pair.a) {
+					t.Fatalf("%s holds an accepted pair of no valid signature in the window", id)
 				}
-			}
-		}
-		for id := range known {
-			l, ok := tableOf(vf, id)
-			switch {
-			case !ok || before[id] != nil && l.Q().Equal(before[id]):
-			case !known[id] && !slices.ContainsFunc(leaves[id], l.Q().Equal):
-				t.Fatalf("%s, unknown before the window, got a table outside a leaf's Verify", id)
-			case !slices.ContainsFunc(clean[id], l.Q().Equal):
-				t.Fatalf("%s caches a table built in a chunk with an offender", id)
-			}
-			// Only a leaf's Verify stores a pair: one of a valid signature.
-			var pair *accepted
-			if r, found := vf.signers.Get(id); found {
-				pair = r.ok.Load()
-			}
-			if pair != oks[id] && !slices.ContainsFunc(upTo(nn), func(i int) bool {
-				return p[i].ID == id && !slices.Contains(want, i) && pair.s.Equal(s[i].S) && pair.a.Equal(as[i])
-			}) {
-				t.Fatalf("%s holds an accepted pair of no valid signature in the window", id)
 			}
 		}
 	})
@@ -962,6 +874,17 @@ func commitment(params *Params, pk *PublicKey, msg []byte, sig *Signature) *bn25
 	k := new(big.Int).ModInverse(h.BigInt(), bn254.Order)
 	a := new(bn254.G1).ScalarMult(bn254.G1Generator(), k.Mul(k, sig.V.BigInt()))
 	return a.Add(a, new(bn254.G1).Neg(sig.R))
+}
+
+// ofValid reports whether an index of the window that is not in bad, under
+// identity id, carries S = s and, unless a is nil, A = a (by commitment).
+func ofValid(params *Params, pks []*PublicKey, msgs [][]byte, sigs []*Signature, bad []int, id string, s *bn254.G2, a *bn254.G1) bool {
+	for i := range sigs {
+		if pks[i].ID == id && !slices.Contains(bad, i) && sigs[i].S.Equal(s) && (a == nil || a.Equal(commitment(params, pks[i], msgs[i], sigs[i]))) {
+			return true
+		}
+	}
+	return false
 }
 
 // allocsAt is testing.AllocsPerRun at GOMAXPROCS procs (AllocsPerRun runs
@@ -986,58 +909,41 @@ func allocsAt(procs, runs int, f func()) uint64 {
 	return least
 }
 
-// judgeFuncs is a judge made of functions.
-type judgeFuncs struct {
-	checkF func(idxs []int, scaled bool) *bn254.GT
-	oneF   func(i int) bool
-}
-
-func (f judgeFuncs) check(idxs []int, scaled bool) *bn254.GT { return f.checkF(idxs, scaled) }
-func (f judgeFuncs) checkOne(i int) bool                     { return f.oneF(i) }
-
-// fakeCheck is an aggregate check over a set of bad indices that counts
-// its evaluations; fakeLeaf is the matching single-index check. A bad index
-// i at position q contributes e(P, Q)^(i+1), scaled e(P, Q)^((q+1)·(i+1)),
-// so products are multiplicative over disjoint sets and one exactly when
-// the set holds no bad index.
-func fakeCheck(bad map[int]bool, calls *atomic.Int64) func([]int, bool) *bn254.GT {
-	g := bn254.Pair(bn254.G1Generator(), bn254.G2Generator())
-	return func(idxs []int, scaled bool) *bn254.GT {
-		calls.Add(1)
-		var e int64
-		for q, i := range idxs {
-			if m := int64(1); bad[i] {
-				if scaled {
-					m = int64(q) + 1
-				}
-				e += m * (int64(i) + 1)
-			}
-		}
-		return new(bn254.GT).Exp(g, new(fr.Element).SetBigInt(big.NewInt(e)))
+// rejectWindow is a window of n signatures from k signers over a fresh
+// verifier, the messages at bad tampered, in chunks of 16 on one worker:
+// no record holds a pair, so every index is in the window's rest.
+func rejectWindow(t *testing.T, n, k int, bad ...int) (*BatchVerifier, *window) {
+	t.Helper()
+	_, vf, pks, msgs, sigs := multiBatch(t, n, k)
+	for _, i := range bad {
+		msgs[i] = []byte{0xfe, byte(i)}
 	}
+	bv := testBatch(vf, 16, 1)
+	w, err := bv.newWindow(pks, msgs, sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bv, w
 }
 
-func fakeLeaf(bad map[int]bool) func(int) bool {
-	return func(i int) bool { return !bad[i] }
-}
-
-// fakeJudge is the judge of fakeCheck and fakeLeaf.
-func fakeJudge(bad map[int]bool, calls *atomic.Int64) judgeFuncs {
-	return judgeFuncs{fakeCheck(bad, calls), fakeLeaf(bad)}
-}
-
+// TestBatchRejectLocatesOffenders: 100 signatures from 10 signers in chunks
+// of 16 are 7 checks, four of them failing. At one worker and one P the
+// chunks run in order: the first failing chunk's settle runs Verify on each
+// of its 10 S-groups, once more for index 3, which is first in its group,
+// and pins every signer's pair, so the later failing chunks are settled by
+// fixed-base passes alone: 7 + 11 final exponentiations.
 func TestBatchRejectLocatesOffenders(t *testing.T) {
-	bad := map[int]bool{3: true, 17: true, 42: true, 99: true}
-	var calls atomic.Int64
-	err := (&BatchVerifier{chunk: 16}).reject(upTo(100), fakeJudge(bad, &calls))
-	if got, want := BatchOffenders(err), []int{3, 17, 42, 99}; !slices.Equal(got, want) {
-		t.Fatalf("offenders %v (%v), want %v", got, err, want)
-	}
-	// Seven roots, and per failing chunk its scaled root and the located
-	// suspect's confirmation: no bisection.
-	if calls.Load() != 7+2*4 {
-		t.Fatalf("%d checks, want 15", calls.Load())
-	}
+	atProcs(1, func() {
+		bv, w := rejectWindow(t, 100, 10, 3, 17, 42, 99)
+		before := bn254.ReadOpCounts()
+		err := bv.reject(w.rest, w)
+		if got, want := BatchOffenders(err), []int{3, 17, 42, 99}; !slices.Equal(got, want) {
+			t.Fatalf("offenders %v (%v), want %v", got, err, want)
+		}
+		if d := bn254.ReadOpCounts().Sub(before); d.FinalExps != 7+11 {
+			t.Fatalf("%d final exps, want 18", d.FinalExps)
+		}
+	})
 }
 
 // TestBatchRejectOverResidual: the chunks are cut from the index list reject
@@ -1048,17 +954,12 @@ func TestBatchRejectOverResidual(t *testing.T) {
 	for i := 1; i < 100; i += 2 {
 		odd = append(odd, i)
 	}
-	bad := map[int]bool{3: true, 42: true, 77: true, 99: true}
 	for _, workers := range []int{1, 2} {
-		var calls atomic.Int64
-		err := (&BatchVerifier{chunk: 16, workers: workers}).reject(odd, fakeJudge(bad, &calls))
+		bv, w := rejectWindow(t, 100, 10, 3, 42, 77, 99)
+		bv.workers = workers
+		err := bv.reject(odd, w)
 		if got, want := BatchOffenders(err), []int{3, 77, 99}; !slices.Equal(got, want) {
 			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
-		}
-		// Four chunks of the 50 odd indices, three of them failing: roots,
-		// then the scaled root and the confirmation of each located suspect.
-		if calls.Load() != 4+2*3 {
-			t.Fatalf("workers=%d: %d checks, want 10", workers, calls.Load())
 		}
 		if !slices.Equal(odd[:3], []int{1, 3, 5}) || odd[49] != 99 {
 			t.Fatalf("workers=%d: reject rewrote its index list", workers)
@@ -1066,59 +967,80 @@ func TestBatchRejectOverResidual(t *testing.T) {
 	}
 }
 
+// TestBatchRejectAllGood: a clean window is one check per chunk, 7 final
+// exponentiations for 100 signatures in chunks of 16, and no Verify, so no
+// record gets a pair; an empty list is none.
 func TestBatchRejectAllGood(t *testing.T) {
-	var calls atomic.Int64
-	bv := &BatchVerifier{chunk: 16}
-	if err := bv.reject(upTo(100), fakeJudge(nil, &calls)); err != nil {
-		t.Fatalf("clean batch: %v", err)
+	bv, w := rejectWindow(t, 100, 10)
+	for _, tc := range []struct {
+		idxs      []int
+		finalExps uint64
+	}{{w.rest, 7}, {nil, 0}} {
+		before := bn254.ReadOpCounts()
+		if err := bv.reject(tc.idxs, w); err != nil {
+			t.Fatalf("clean batch of %d: %v", len(tc.idxs), err)
+		}
+		if d := bn254.ReadOpCounts().Sub(before); d.FinalExps != tc.finalExps {
+			t.Fatalf("clean batch of %d: %d final exps, want %d", len(tc.idxs), d.FinalExps, tc.finalExps)
+		}
 	}
-	// One aggregate check per chunk, no bisection.
-	if calls.Load() != 7 {
-		t.Fatalf("clean batch ran %d checks, want 7", calls.Load())
-	}
-	if err := bv.reject(nil, fakeJudge(nil, &calls)); err != nil {
-		t.Fatalf("empty batch: %v", err)
+	for _, pk := range w.pks {
+		if r, _ := w.vf.signers.Get(pk.ID); r.ok.Load() != nil {
+			t.Fatalf("%s holds an accepted pair after a clean window", pk.ID)
+		}
 	}
 }
 
 func TestBatchRejectWorkerInvariance(t *testing.T) {
-	bad := map[int]bool{0: true, 31: true, 32: true, 63: true, 64: true}
 	for _, workers := range []int{1, 2, 8} {
-		var calls atomic.Int64
-		err := (&BatchVerifier{chunk: 8, workers: workers}).reject(upTo(65), fakeJudge(bad, &calls))
+		bv, w := rejectWindow(t, 65, 5, 0, 31, 32, 63, 64)
+		bv.chunk, bv.workers = 8, workers
+		err := bv.reject(w.rest, w)
 		if got, want := BatchOffenders(err), []int{0, 31, 32, 63, 64}; !slices.Equal(got, want) {
 			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
 		}
 	}
 }
 
-func TestBatchRejectUsesCheckOneAtLeaves(t *testing.T) {
-	// The leaf check disagrees with the aggregate check on index 5: only 5
-	// is reported, so leaves are decided by checkOne (the single Verify).
-	var calls atomic.Int64
-	var leaves atomic.Int64
-	jd := fakeJudge(map[int]bool{4: true, 5: true}, &calls)
-	jd.oneF = func(i int) bool {
-		leaves.Add(1)
-		return i != 5
-	}
-	err := (&BatchVerifier{chunk: 8}).reject(upTo(8), jd)
-	if got := BatchOffenders(err); !slices.Equal(got, []int{5}) {
-		t.Fatalf("offenders %v (%v), want [5]", got, err)
-	}
-	if leaves.Load() == 0 {
-		t.Fatal("bisection never reached checkOne")
-	}
+// TestBatchRejectSettlesByVerify: a failing chunk of signers a (even
+// indices) and b (odd), index 0 tampered and index 5 carrying a forged S,
+// is three S-groups. a's runs Verify on 0 (rejected) and 2 (accepted,
+// pinning a's pair), then decides 4 and 6 by that pair; b's runs Verify on 1
+// alone; the forged S's, on 5, which b's pair cannot decide. The check and
+// four Verify calls are 5 final exponentiations, and each record holds the
+// (S, A) of its signer's first valid index.
+func TestBatchRejectSettlesByVerify(t *testing.T) {
+	atProcs(1, func() {
+		bv, w := rejectWindow(t, 8, 2, 0)
+		w.sigs[5] = &Signature{V: w.sigs[5].V, S: new(bn254.G2).ScalarMult(bn254.G2Generator(), big.NewInt(55)), R: w.sigs[5].R}
+		before := bn254.ReadOpCounts()
+		err := bv.reject(w.rest, w)
+		if got := BatchOffenders(err); !slices.Equal(got, []int{0, 5}) {
+			t.Fatalf("offenders %v (%v), want [0 5]", got, err)
+		}
+		if d := bn254.ReadOpCounts().Sub(before); d.FinalExps != 5 {
+			t.Fatalf("%d final exps, want 5", d.FinalExps)
+		}
+		for _, i := range []int{2, 1} {
+			r, _ := w.vf.signers.Get(w.pks[i].ID)
+			if ok := r.ok.Load(); ok == nil || !ok.s.Equal(w.sigs[i].S) || !ok.a.Equal(commitment(w.vf.params, w.pks[i], w.msgs[i], w.sigs[i])) {
+				t.Fatalf("%s does not hold the pair of index %d", w.pks[i].ID, i)
+			}
+		}
+	})
 }
 
 // TestBatchRejectPanicPropagates: a chunk recovers its check's panic as an
-// error, inline and on a second goroutine alike.
+// error, inline and on a second goroutine alike. Every R is gone after the
+// shape checks, so each check panics.
 func TestBatchRejectPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		jd := fakeJudge(nil, new(atomic.Int64))
-		jd.checkF = func([]int, bool) *bn254.GT { panic("boom") }
-		err := (&BatchVerifier{chunk: 2, workers: workers}).reject(upTo(4), jd)
-		if err == nil || BatchOffenders(err) != nil {
+		bv, w := rejectWindow(t, 4, 2)
+		bv.chunk, bv.workers = 2, workers
+		for i, sig := range w.sigs {
+			w.sigs[i] = &Signature{V: sig.V, S: sig.S}
+		}
+		if err := bv.reject(w.rest, w); err == nil || BatchOffenders(err) != nil {
 			t.Fatalf("workers=%d: a panicking check must surface as a plain error, got %v", workers, err)
 		}
 	}

@@ -138,11 +138,12 @@ func BenchmarkVerifyManySigners(b *testing.B) {
 // alone: 64 fixed-base passes and no pairing either. On one that has only
 // batched (records with m_ID and line tables, no accepted pair), first is
 // the window that builds the tables (a fresh verifier per iteration whose
-// records hold m_ID), forged has one forgery, located by one scaled check
-// and confirmed (3 aggregate checks and one Verify, 4 final
-// exponentiations), and forged2 two in different S-groups, which the scaled
-// check cannot locate, so the window is halved after it. The forged windows
-// log their operation counts per window.
+// records hold m_ID), and forged, forged2, forged4 and forged8 carry 1, 2, 4
+// and 8 forgeries: the failing check, then one Verify per S-group and one
+// more per group whose first index is forged (17–19 final exponentiations).
+// settle pins pairs, so each forged iteration gets a fresh such verifier,
+// built off the clock. The forged windows log their operation counts per
+// window.
 func BenchmarkBatchWindow(b *testing.B) {
 	_, known, pks, msgs, sigs := multiBatch(b, 64, 16)
 	run := func(b *testing.B, vf *Verifier) {
@@ -155,27 +156,32 @@ func BenchmarkBatchWindow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	tabled := NewVerifier(known.params)
-	tableOnly(b, tabled, pks, msgs, sigs)
-	forged := func(vf *Verifier, at ...int) func(b *testing.B) {
+	// tabled: a fresh batch-only verifier per iteration, else known.
+	forged := func(tabled bool, at ...int) func(b *testing.B) {
 		return func(b *testing.B) {
 			bad := slices.Clone(msgs)
 			for _, i := range at {
 				bad[i] = []byte("forged")
 			}
 			b.ReportAllocs()
-			before := bn254.ReadOpCounts()
-			b.ResetTimer()
+			var d bn254.OpCounts
 			for range b.N {
+				vf := known
+				if tabled {
+					b.StopTimer()
+					vf = NewVerifier(known.params)
+					tableOnly(b, vf, pks, msgs, sigs)
+					b.StartTimer()
+				}
+				before := bn254.ReadOpCounts()
 				err := vf.Batch(BatchOptions{}).VerifyMulti(pks, bad, sigs)
+				d = bn254.ReadOpCounts().Sub(before) // every iteration's, on equal state
 				if !slices.Equal(BatchOffenders(err), at) {
 					b.Fatalf("offenders %v (%v), want %v", BatchOffenders(err), err, at)
 				}
 			}
-			b.StopTimer()
-			d, n := bn254.ReadOpCounts().Sub(before), uint64(b.N)
 			b.Logf("per window: %d final exps, %d Miller pairs, %d Miller squarings, %d G1 and %d G2 mults",
-				d.FinalExps/n, d.Pairings/n, d.MillerSquarings/n, d.G1ScalarMults/n, d.G2ScalarMults/n)
+				d.FinalExps, d.Pairings, d.MillerSquarings, d.G1ScalarMults, d.G2ScalarMults)
 		}
 	}
 	b.Run("warm", func(b *testing.B) {
@@ -184,7 +190,7 @@ func BenchmarkBatchWindow(b *testing.B) {
 			run(b, known)
 		}
 	})
-	b.Run("forged-known", forged(known, 37))
+	b.Run("forged-known", forged(false, 37))
 	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
@@ -197,8 +203,10 @@ func BenchmarkBatchWindow(b *testing.B) {
 			run(b, first)
 		}
 	})
-	b.Run("forged", forged(tabled, 37))
-	b.Run("forged2", forged(tabled, 3, 40))
+	b.Run("forged", forged(true, 37))
+	b.Run("forged2", forged(true, 3, 40))
+	b.Run("forged4", forged(true, 3, 20, 40, 57))
+	b.Run("forged8", forged(true, 3, 12, 20, 29, 40, 46, 57, 63))
 }
 
 // TestSignVerifyAllocs pins the allocation budget of the per-packet
