@@ -1,11 +1,13 @@
 package bn254
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
 
 	"mccls/internal/bn254/fp"
+	"mccls/internal/bn254/fr"
 )
 
 // Micro-benchmarks for the pairing substrate, including the Miller-loop vs
@@ -103,6 +105,34 @@ func BenchmarkG1ScalarBaseMult(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		new(G1).ScalarBaseMult(k)
 	}
+}
+
+// BenchmarkEqualBaseMultAddMany prices a block of n fixed-base compares
+// a = k·G + q through the shared-inversion tree, per scalar (ns/scalar),
+// beside the Jacobian walk per index (walk).
+func BenchmarkEqualBaseMultAddMany(b *testing.B) {
+	r := rand.New(rand.NewSource(6))
+	PrecomputeFixedBase()
+	zs, ks, qs := make([]*G1, BaseMultAddBlock), make([]fr.Element, BaseMultAddBlock), make([]*G1, BaseMultAddBlock)
+	for i := range ks {
+		ks[i].SetBigInt(new(big.Int).Rand(r, Order))
+		qs[i] = new(G1).ScalarBaseMult(new(big.Int).Rand(r, Order))
+		zs[i] = new(G1).ScalarBaseMultAddFr(&ks[i], qs[i])
+	}
+	for _, n := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for range b.N {
+				EqualBaseMultAddMany(zs[:n], ks[:n], qs[:n])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/scalar")
+		})
+	}
+	b.Run("walk", func(b *testing.B) {
+		for i := range b.N {
+			equalWalk(zs[i%BaseMultAddBlock], &ks[i%BaseMultAddBlock], qs[i%BaseMultAddBlock])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/scalar")
+	})
 }
 
 func BenchmarkG2ScalarMult(b *testing.B) {

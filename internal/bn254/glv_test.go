@@ -170,8 +170,8 @@ func TestG1FixedBaseMatchesJacobian(t *testing.T) {
 
 // TestScalarBaseMultAdd checks the fused k·G + q path, including the
 // cancellation case k·G + (-k·G) = O and a nil/identity extra, and
-// EqualBaseMultAdd's Jacobian compare against the affine sum and its
-// neighbours: the negated sum (same x), the sum plus G, and the identity.
+// EqualBaseMultAddMany's compare, on one index, against the affine sum and
+// its neighbours: the negated sum (same x), the sum plus G, and the identity.
 func TestScalarBaseMultAdd(t *testing.T) {
 	r := testRand()
 	for i := 0; i < 8; i++ {
@@ -182,12 +182,12 @@ func TestScalarBaseMultAdd(t *testing.T) {
 			t.Fatalf("ScalarBaseMultAdd diverges at iteration %d", i)
 		}
 		kf := frFromBig(k)
-		if !want.EqualBaseMultAdd(kf, q) {
-			t.Fatalf("EqualBaseMultAdd rejects k·G + q at iteration %d", i)
+		if !equalOne(want, kf, q) {
+			t.Fatalf("EqualBaseMultAddMany rejects k·G + q at iteration %d", i)
 		}
 		for _, other := range []*G1{new(G1).Neg(want), new(G1).Add(want, G1Generator()), G1Infinity()} {
-			if other.EqualBaseMultAdd(kf, q) {
-				t.Fatalf("EqualBaseMultAdd accepts %v for k·G + q at iteration %d", other, i)
+			if equalOne(other, kf, q) {
+				t.Fatalf("EqualBaseMultAddMany accepts %v for k·G + q at iteration %d", other, i)
 			}
 		}
 	}
@@ -196,8 +196,8 @@ func TestScalarBaseMultAdd(t *testing.T) {
 	if !new(G1).ScalarBaseMultAdd(k, neg).IsInfinity() {
 		t.Fatal("k·G - k·G should be the identity")
 	}
-	if !G1Infinity().EqualBaseMultAdd(frFromBig(k), neg) || G1Generator().EqualBaseMultAdd(frFromBig(k), neg) {
-		t.Fatal("EqualBaseMultAdd: k·G - k·G is the identity and only the identity")
+	if !equalOne(G1Infinity(), frFromBig(k), neg) || equalOne(G1Generator(), frFromBig(k), neg) {
+		t.Fatal("EqualBaseMultAddMany: k·G - k·G is the identity and only the identity")
 	}
 	if !new(G1).ScalarBaseMultAdd(big.NewInt(0), G1Infinity()).IsInfinity() {
 		t.Fatal("0·G + O should be the identity")

@@ -1,6 +1,7 @@
 package bn254
 
 import (
+	"slices"
 	"sync"
 
 	"mccls/internal/bn254/fp"
@@ -94,11 +95,8 @@ func (z *G1) ScalarBaseMultAddFr(k *fr.Element, q *G1) *G1 {
 	return acc.affine(z)
 }
 
-// EqualBaseMultAdd reports whether z = k·G + q, with ScalarBaseMultAddFr's
-// accumulation but no field inversion: z is lifted to the sum's Z instead,
-// X = x·Z² and Y = y·Z³. q may be nil or the identity.
-func (z *G1) EqualBaseMultAdd(k *fr.Element, q *G1) bool {
-	acc := baseMultAdd(k, q)
+// equalJac reports whether z = acc, z lifted to acc's Z: X = x·Z², Y = y·Z³.
+func (z *G1) equalJac(acc g1Jac) bool {
 	if z.Inf || acc.isInfinity() {
 		return z.Inf == acc.isInfinity()
 	}
@@ -115,4 +113,69 @@ func baseMultAdd(k *fr.Element, q *G1) (acc g1Jac) {
 		acc.addMixed(q)
 	}
 	return acc
+}
+
+// BaseMultAddBlock is the most indices one EqualBaseMultAddMany call takes.
+const BaseMultAddBlock = 32
+
+// EqualBaseMultAddMany reports as bit i whether zs[i] = ks[i]·G + qs[i] (qs[i]
+// nil or the identity: ks[i]·G), i < len(ks) ≤ BaseMultAddBlock, one G1 mult
+// counted per index. Level s of its binary tree adds each index's table slot
+// j+s into slot j (j a multiple of 2s) in affine, ~6 products an addition to
+// addXY's 11, all sharing one field inversion; x differs (DESIGN.md §6). From
+// the first level of < 24 additions, too few to repay an inversion, the
+// remaining slots and qᵢ add in Jacobian and the sum is compared unnormalised.
+func EqualBaseMultAddMany(zs []*G1, ks []fr.Element, qs []*G1) (eq uint32) {
+	const slots = baseTableWindows // index i's entries are pts[i·slots:][:m[i]]
+	var pts [BaseMultAddBlock * slots][2]fp.Element
+	var m [BaseMultAddBlock]int
+	var pre, dens [BaseMultAddBlock * slots / 2]fp.Element
+	var left [BaseMultAddBlock * slots / 2]uint16
+	tab := g1FixedBaseTable()
+	for i := range ks {
+		limbs := ks[i].Limbs()
+		for w := range baseTableWindows {
+			if b := byte(limbs[w/8] >> (8 * (w % 8))); b != 0 {
+				pts[i*slots+m[i]], m[i] = tab[w][b-1], m[i]+1
+			}
+		}
+	}
+	s := 1
+	for ; s < slices.Max(m[:]); s *= 2 {
+		acc, n := fp.One(), 0
+		for i := range ks {
+			for j := i * slots; j+s < i*slots+m[i]; j, n = j+2*s, n+1 {
+				pre[n], left[n] = acc, uint16(j)
+				acc.Mul(&acc, dens[n].Sub(&pts[j+s][0], &pts[j][0]))
+			}
+		}
+		if n < 24 { // an inversion costs about what 24 affine additions save
+			break
+		}
+		fpMustInverse(&acc, &acc) // acc is now the inverse of the denominators' product
+		for n--; n >= 0; n-- {
+			l, r := &pts[left[n]], &pts[int(left[n])+s]
+			var lambda, x3, t fp.Element
+			lambda.Mul(lambda.Sub(&r[1], &l[1]), t.Mul(&acc, &pre[n]))
+			acc.Mul(&acc, &dens[n])
+			x3.Sub(x3.Sub(x3.Square(&lambda), &l[0]), &r[0])
+			l[1].Sub(t.Mul(t.Sub(&l[0], &x3), &lambda), &l[1])
+			l[0] = x3
+		}
+	}
+	opCounters.g1Mults.Add(uint64(len(ks)))
+	for i := range ks {
+		var acc g1Jac
+		acc.setInfinity()
+		for j := i * slots; j < i*slots+m[i]; j += s {
+			acc.addXY(&pts[j][0], &pts[j][1])
+		}
+		if q := qs[i]; q != nil && !q.Inf {
+			acc.addMixed(q)
+		}
+		if zs[i].equalJac(acc) {
+			eq |= 1 << i
+		}
+	}
+	return eq
 }

@@ -35,11 +35,11 @@ type BatchOptions struct {
 // BatchVerifier is the batch-verification engine for McCLS, obtained from
 // Verifier.Batch, the tree's one batch entry point. A signature under the S
 // of the pair Verify last accepted for its identity is decided exactly by
-// its A and enters no check (window.accept), nor does one whose S is not in
-// G2, checked once per S (newWindow). The rest of a window is cut
-// into chunks of chunkWidth, every chunk is decided by one aggregate
-// equation on a worker pool, and a failing chunk is settled index by index,
-// one S-group at a time (window.settle). The equation is
+// its A, in blocks sharing their inversions (window.accept), and enters no
+// check, nor does one whose S is not in G2, checked once per S (newWindow).
+// The rest is cut into chunks of chunkWidth, each decided by one aggregate
+// equation on a worker pool; a failing chunk is settled index by index, one
+// S-group at a time (window.settle). The equation is
 //
 //	Π_S e(Σᵢ∈S ρᵢ·Aᵢ, S) · e(-c′·P_pub, Σ_ID (Σᵢ∈ID ρᵢ)·Y_ID) = 1
 //
@@ -141,20 +141,22 @@ func (bv *BatchVerifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error
 // rest lists the indices accept did not settle, bad those it rejected.
 // k[i] = Vᵢ·hᵢ⁻¹ is the fixed-base scalar of Aᵢ = k[i]·P - Rᵢ and, for the
 // rest, rho[i] the weight ρᵢ as its halves; at[i] is the rest of index i's
-// state.
-// width is the fan-out of each check and settle: GOMAXPROCS shared among
-// the chunks.
+// state. known, the indices accept decides, shares rest's storage, which
+// fills after the accept round; blocks is its cut. width is the fan-out of
+// each check and settle: GOMAXPROCS shared among the chunks.
 type window struct {
-	vf    *Verifier
-	pks   []*PublicKey
-	msgs  [][]byte
-	sigs  []*Signature
-	k     []fr.Element
-	rho   []bn254.EndoScalar
-	at    []slot
-	bad   []int
-	rest  []int
-	width int
+	vf     *Verifier
+	pks    []*PublicKey
+	msgs   [][]byte
+	sigs   []*Signature
+	k      []fr.Element
+	rho    []bn254.EndoScalar
+	at     []slot
+	bad    []int
+	rest   []int
+	known  []int
+	blocks int
+	width  int
 }
 
 // slot is one index's state in a window. r is its identity's record if that
@@ -178,9 +180,10 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 	if err != nil {
 		return nil, err
 	}
-	n, matched := len(sigs), 0
+	n := len(sigs)
 	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, n), rho: make([]bn254.EndoScalar, n),
 		at: make([]slot, n), rest: make([]int, 0, n)}
+	w.known = w.rest
 	hs := make([]fr.Element, len(sigs))
 	for i, sig := range sigs {
 		if err := checkShape(pks[i], sig); err != nil {
@@ -190,14 +193,18 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 		at := &w.at[i]
 		if at.r, _ = bv.vf.signers.Get(pks[i].ID); at.r != nil {
 			if ok := at.r.ok.Load(); ok != nil && ok.s.Equal(sig.S) {
-				at.ok, matched = ok, matched+1
+				at.ok, w.known = ok, append(w.known, i)
 			}
 		}
 	}
 	if i := batchInverse(w.k, hs); i >= 0 {
 		return nil, fmt.Errorf("%w (index %d)", errZeroChallenge, i)
 	}
-	fanOut(min(matched, runtime.GOMAXPROCS(0)), n, w, (*window).accept)
+	for i := range n {
+		w.k[i].Mul(&w.k[i], &sigs[i].V)
+	}
+	w.blocks = max((len(w.known)+bn254.BaseMultAddBlock-1)/bn254.BaseMultAddBlock, min(len(w.known), runtime.GOMAXPROCS(0)))
+	fanOut(min(w.blocks, runtime.GOMAXPROCS(0)), w.blocks, w, (*window).accept)
 	for i := range n {
 		at := &w.at[i]
 		if at.ok == nil { // S is in G2 if an earlier index's is: pinned, or checked
@@ -217,12 +224,21 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 	return w, nil
 }
 
-// accept is task i of the accept round: k[i] becomes Vᵢ·hᵢ⁻¹ and an index
-// whose accepted S is Sᵢ is decided by its A (matches).
-func (w *window) accept(i int) {
-	w.k[i].Mul(&w.k[i], &w.sigs[i].V)
-	if ok := w.at[i].ok; ok != nil {
-		w.at[i].bad = !w.matches(i, ok)
+// accept is task t of the accept round: block t of known, a near-equal cut
+// of ≤ bn254.BaseMultAddBlock indices with at least one per P, each decided
+// as matches decides one index, all in one bn254.EqualBaseMultAddMany call,
+// whose fixed-base passes share their field inversions.
+func (w *window) accept(t int) {
+	var ks [bn254.BaseMultAddBlock]fr.Element
+	var negR [bn254.BaseMultAddBlock]bn254.G1
+	var as, qs [bn254.BaseMultAddBlock]*bn254.G1
+	idxs := w.known[t*len(w.known)/w.blocks : (t+1)*len(w.known)/w.blocks]
+	for b, i := range idxs {
+		ks[b], as[b], qs[b] = w.k[i], &w.at[i].ok.a, negR[b].Neg(w.sigs[i].R)
+	}
+	eq := bn254.EqualBaseMultAddMany(as[:len(idxs)], ks[:len(idxs)], qs[:len(idxs)])
+	for b, i := range idxs {
+		w.at[i].bad = eq>>b&1 == 0
 	}
 }
 
@@ -232,7 +248,7 @@ func (w *window) accept(i int) {
 // this signature, and no other A, an accepted S being in G2 (accepted).
 func (w *window) matches(i int, ok *accepted) bool {
 	var negR bn254.G1
-	return ok.a.EqualBaseMultAdd(&w.k[i], negR.Neg(w.sigs[i].R))
+	return bn254.EqualBaseMultAddMany([]*bn254.G1{&ok.a}, w.k[i:i+1], []*bn254.G1{negR.Neg(w.sigs[i].R)}) == 1
 }
 
 // batchInverse sets out[i] = xs[i]⁻¹ with one field inversion (Montgomery's

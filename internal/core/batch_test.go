@@ -325,6 +325,53 @@ func TestBatchWindowOpCounts(t *testing.T) {
 	}
 }
 
+// TestBatchAcceptBlocks cuts windows of 1, 31, 32, 33, 64, 65 and 100
+// pinned indices into accept blocks at GOMAXPROCS 1, 2 and 8, clean and
+// with a forgery (the signer's signature under another message: its S
+// pinned, its A not) at both ends of every block. The offenders must be
+// exactly those per-index Verify rejects, and every index must cost one
+// fixed-base pass and no pairing.
+func TestBatchAcceptBlocks(t *testing.T) {
+	_, vf, pks, msgs, sigs := multiBatch(t, 100, 16)
+	for i := range 16 {
+		if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle, forged := NewVerifier(vf.params), []byte("forged")
+	rejects := make([]bool, len(sigs)) // Verify's verdict on index i under forged
+	for i := range sigs {
+		rejects[i] = oracle.Verify(pks[i], forged, sigs[i]) != nil
+	}
+	for _, n := range []int{1, 31, 32, 33, 64, 65, 100} {
+		for _, procs := range []int{1, 2, 8} {
+			blocks := max((n+bn254.BaseMultAddBlock-1)/bn254.BaseMultAddBlock, min(n, procs))
+			for _, edges := range []bool{false, true} {
+				bad, want := slices.Clone(msgs[:n]), []int{}
+				for b := 0; edges && b < blocks; b++ {
+					bad[b*n/blocks], bad[(b+1)*n/blocks-1] = forged, forged
+				}
+				for i := range n {
+					if bytes.Equal(bad[i], forged) && rejects[i] {
+						want = append(want, i)
+					}
+				}
+				atProcs(procs, func() {
+					before := bn254.ReadOpCounts()
+					err := vf.Batch(BatchOptions{}).VerifyMulti(pks[:n], bad, sigs[:n])
+					d := bn254.ReadOpCounts().Sub(before)
+					if got := BatchOffenders(err); !slices.Equal(got, want) || (err == nil) != (len(want) == 0) {
+						t.Fatalf("%d pinned indices at GOMAXPROCS %d (%d blocks): offenders %v (%v), want %v", n, procs, blocks, got, err, want)
+					}
+					if d.G1ScalarMults != uint64(n) || d.Pairings != 0 {
+						t.Fatalf("%d pinned indices at GOMAXPROCS %d: %d G1 mults and %d pairings, want %d and 0", n, procs, d.G1ScalarMults, d.Pairings, n)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestBatchSecondSightingBuildsTables: a signer seen only through the batch
 // earns its table as through Verify, at its second sighting. On a fresh
 // verifier the same clean 64/16 window steps 17 G2 chains (every pair a

@@ -31,7 +31,7 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14246
+const maxNonTestLines = 14325
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
@@ -83,7 +83,9 @@ var mathBigFiles = map[string]bool{
 // it and its counter, Params.QID and Params.Generator, whose last
 // callers the short hash to G2 replaced (methods: the gate sees bare names),
 // and the batch fallback's lone-offender scan, quotient bisection, leaf
-// check and the interface over them, which one Verify per S-group replaced.
+// check and the interface over them, which one Verify per S-group replaced,
+// and the one-index compare that EqualBaseMultAddMany's Jacobian tail
+// replaced (the tests keep the walk as their oracle, equalWalk).
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -107,6 +109,7 @@ var deletedNames = []string{
 	"hedgeDelay", "hedgeFloor", "latencyRing", "hedgedRequests",
 	"QID", "Generator",
 	"locate", "bisect", "checkOne", "judge",
+	"EqualBaseMultAdd",
 }
 
 // deletedDirs are the packages and commands that went with them.
