@@ -193,3 +193,64 @@ func BenchmarkGTExp(b *testing.B) {
 		new(GT).Exp(gt, frFromBig(k))
 	}
 }
+
+// BenchmarkFp2 prices each Fp2 operation the tower is built from, one
+// result feeding the next so nothing is hoisted out of the loop.
+func BenchmarkFp2(b *testing.B) {
+	r := rand.New(rand.NewSource(7))
+	var x, y Fp2
+	x.C0.SetBigInt(new(big.Int).Rand(r, P))
+	x.C1.SetBigInt(new(big.Int).Rand(r, P))
+	y.C0.SetBigInt(new(big.Int).Rand(r, P))
+	y.C1.SetBigInt(new(big.Int).Rand(r, P))
+	for _, bc := range []struct {
+		name string
+		op   func(z *Fp2)
+	}{
+		{"add", func(z *Fp2) { z.Add(z, &y) }},
+		{"double", func(z *Fp2) { z.Double(z) }},
+		{"mulByXi", func(z *Fp2) { z.MulByXi(z) }},
+		{"square", func(z *Fp2) { z.Square(z) }},
+		{"mul", func(z *Fp2) { z.Mul(z, &y) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			z := x
+			for range b.N {
+				bc.op(&z)
+			}
+		})
+	}
+}
+
+// BenchmarkCyclotomicSquare is one squaring of the final exponentiation's
+// hard part, on a unitary element.
+func BenchmarkCyclotomicSquare(b *testing.B) {
+	p, q := benchPoints(b)
+	u := new(Fp12).easyPart(millerLoop(p, q))
+	b.ResetTimer()
+	for range b.N {
+		u.CyclotomicSquare(u)
+	}
+}
+
+// BenchmarkFp12Square is one Miller-loop squaring of the accumulator.
+func BenchmarkFp12Square(b *testing.B) {
+	p, q := benchPoints(b)
+	f := millerLoop(p, q)
+	b.ResetTimer()
+	for range b.N {
+		f.Square(f)
+	}
+}
+
+// BenchmarkMulBySparse folds one replayed, normalised line into the
+// accumulator: the 12-product step a line-table replay pays per line.
+func BenchmarkMulBySparse(b *testing.B) {
+	p, q := benchPoints(b)
+	f := millerLoop(p, q)
+	l := &NewG2Lines(q).lines[0]
+	b.ResetTimer()
+	for range b.N {
+		f.mulBySparse(nil, &l[0], &l[1])
+	}
+}

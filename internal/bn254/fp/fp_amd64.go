@@ -73,3 +73,33 @@ func reduceWide(z *Element, w *Wide) {
 	}
 	reduceWideGeneric(z, w)
 }
+
+//go:noescape
+func fpAddE2(z, x, y *E2)
+
+//go:noescape
+func fpSubE2(z, x, y *E2)
+
+//go:noescape
+func fpDoubleE2(z, x *E2)
+
+//go:noescape
+func fpMulByXiE2(z, x *E2)
+
+//go:noescape
+func fpMulAccE2(c0, c1 *Wide, x, y *E2)
+
+// The E2 kernels: add/sub/double/ξ in assembly on every amd64, as Add/Sub
+// are; the accumulate runs fpMulWide's MULX rows, so it falls back with it.
+func addE2(z, x, y *E2)  { fpAddE2(z, x, y) }
+func subE2(z, x, y *E2)  { fpSubE2(z, x, y) }
+func doubleE2(z, x *E2)  { fpDoubleE2(z, x) }
+func mulByXiE2(z, x *E2) { fpMulByXiE2(z, x) }
+
+func mulAccE2(c0, c1 *Wide, x, y *E2) {
+	if SupportAdx {
+		fpMulAccE2(c0, c1, x, y)
+		return
+	}
+	mulAccComposed(c0, c1, x, y)
+}

@@ -6,8 +6,10 @@
 // applies because q's top limb is < 2^62). fpMulWide/fpReduceWide split
 // the same arithmetic into its two halves for the lazy-reduction tower
 // paths. fpAdd/fpSub/fpNeg/fpDouble are branch-free ADD/ADC + CMOV/mask
-// sequences that run on every amd64; the MULX kernels are gated on the
-// runtime ADX+BMI2 probe (cpuHasAdx) from fp_amd64.go.
+// sequences that run on every amd64, as do the Fp2 pair kernels
+// fpAddE2/fpSubE2/fpDoubleE2/fpMulByXiE2 built from them; the MULX kernels,
+// fpMulAccE2 among them, are gated on the runtime ADX+BMI2 probe
+// (cpuHasAdx) from fp_amd64.go.
 
 #include "textflag.h"
 
@@ -225,10 +227,67 @@ TEXT ·fpMul(SB), NOSPLIT, $0-24
 	MOVQ    R14, 24(AX)
 	RET
 
+// mulWide sets the eight limbs at doff(dst) to the full product of the x
+// limbs in DI, R8, R9, R10 and the y limbs at yoff(yp): the multiply half
+// of fpMul with the reduction left out. Four rows build the 512-bit
+// product, storing the finished low limb of the window after each row and
+// rotating the window (R11–R14, CX) down. Clobbers AX and DX.
+#define mulWide(yp, yoff, dst, doff) \
+	XORQ  CX, CX;              \
+	MOVQ  yoff+0(yp), DX;      \
+	MULXQ DI, R11, R12;        \
+	MULXQ R8, AX, R13;         \
+	ADOXQ AX, R12;             \
+	MULXQ R9, AX, R14;         \
+	ADOXQ AX, R13;             \
+	MULXQ R10, AX, CX;         \
+	ADOXQ AX, R14;             \
+	MOVQ  $0, AX;              \
+	ADOXQ AX, CX;              \
+	MOVQ  R11, doff+0(dst);    \
+	MOVQ  R12, R11;            \
+	MOVQ  R13, R12;            \
+	MOVQ  R14, R13;            \
+	MOVQ  CX, R14;             \
+	mulWideRow(yp, yoff+8);    \
+	MOVQ  R11, doff+8(dst);    \
+	MOVQ  R12, R11;            \
+	MOVQ  R13, R12;            \
+	MOVQ  R14, R13;            \
+	MOVQ  CX, R14;             \
+	mulWideRow(yp, yoff+16);   \
+	MOVQ  R11, doff+16(dst);   \
+	MOVQ  R12, R11;            \
+	MOVQ  R13, R12;            \
+	MOVQ  R14, R13;            \
+	MOVQ  CX, R14;             \
+	mulWideRow(yp, yoff+24);   \
+	MOVQ  R11, doff+24(dst);   \
+	MOVQ  R12, doff+32(dst);   \
+	MOVQ  R13, doff+40(dst);   \
+	MOVQ  R14, doff+48(dst);   \
+	MOVQ  CX, doff+56(dst)
+
+// mulWideRow adds x · (the y limb at off(yp)) into the window.
+#define mulWideRow(yp, off) \
+	XORQ  AX, AX;       \
+	MOVQ  off(yp), DX;  \
+	MULXQ DI, AX, CX;   \
+	ADOXQ AX, R11;      \
+	ADCXQ CX, R12;      \
+	MULXQ R8, AX, CX;   \
+	ADOXQ AX, R12;      \
+	ADCXQ CX, R13;      \
+	MULXQ R9, AX, CX;   \
+	ADOXQ AX, R13;      \
+	ADCXQ CX, R14;      \
+	MULXQ R10, AX, CX;  \
+	ADOXQ AX, R14;      \
+	MOVQ  $0, AX;       \
+	ADCXQ AX, CX;       \
+	ADOXQ AX, CX
+
 // func fpMulWide(w *Wide, x, y *Element)
-// The multiply half of fpMul with the reduction left out: four rounds
-// build the full 512-bit product, storing the finished low limb of the
-// window after each round and rotating the window down.
 TEXT ·fpMulWide(SB), NOSPLIT, $0-24
 	MOVQ x+8(FP), AX
 	MOVQ y+16(FP), SI
@@ -237,93 +296,7 @@ TEXT ·fpMulWide(SB), NOSPLIT, $0-24
 	MOVQ 8(AX), R8
 	MOVQ 16(AX), R9
 	MOVQ 24(AX), R10
-
-	// row 0: window = x · y[0]
-	XORQ  CX, CX
-	MOVQ  0(SI), DX
-	MULXQ DI, R11, R12
-	MULXQ R8, AX, R13
-	ADOXQ AX, R12
-	MULXQ R9, AX, R14
-	ADOXQ AX, R13
-	MULXQ R10, AX, CX
-	ADOXQ AX, R14
-	MOVQ  $0, AX
-	ADOXQ AX, CX
-	MOVQ  R11, 0(BX)
-	MOVQ  R12, R11
-	MOVQ  R13, R12
-	MOVQ  R14, R13
-	MOVQ  CX, R14
-
-	// row 1: window += x · y[1]
-	XORQ  AX, AX
-	MOVQ  8(SI), DX
-	MULXQ DI, AX, CX
-	ADOXQ AX, R11
-	ADCXQ CX, R12
-	MULXQ R8, AX, CX
-	ADOXQ AX, R12
-	ADCXQ CX, R13
-	MULXQ R9, AX, CX
-	ADOXQ AX, R13
-	ADCXQ CX, R14
-	MULXQ R10, AX, CX
-	ADOXQ AX, R14
-	MOVQ  $0, AX
-	ADCXQ AX, CX
-	ADOXQ AX, CX
-	MOVQ  R11, 8(BX)
-	MOVQ  R12, R11
-	MOVQ  R13, R12
-	MOVQ  R14, R13
-	MOVQ  CX, R14
-
-	// row 2: window += x · y[2]
-	XORQ  AX, AX
-	MOVQ  16(SI), DX
-	MULXQ DI, AX, CX
-	ADOXQ AX, R11
-	ADCXQ CX, R12
-	MULXQ R8, AX, CX
-	ADOXQ AX, R12
-	ADCXQ CX, R13
-	MULXQ R9, AX, CX
-	ADOXQ AX, R13
-	ADCXQ CX, R14
-	MULXQ R10, AX, CX
-	ADOXQ AX, R14
-	MOVQ  $0, AX
-	ADCXQ AX, CX
-	ADOXQ AX, CX
-	MOVQ  R11, 16(BX)
-	MOVQ  R12, R11
-	MOVQ  R13, R12
-	MOVQ  R14, R13
-	MOVQ  CX, R14
-
-	// row 3: window += x · y[3]
-	XORQ  AX, AX
-	MOVQ  24(SI), DX
-	MULXQ DI, AX, CX
-	ADOXQ AX, R11
-	ADCXQ CX, R12
-	MULXQ R8, AX, CX
-	ADOXQ AX, R12
-	ADCXQ CX, R13
-	MULXQ R9, AX, CX
-	ADOXQ AX, R13
-	ADCXQ CX, R14
-	MULXQ R10, AX, CX
-	ADOXQ AX, R14
-	MOVQ  $0, AX
-	ADCXQ AX, CX
-	ADOXQ AX, CX
-	MOVQ  R11, 24(BX)
-	MOVQ  R12, 32(BX)
-	MOVQ  R13, 40(BX)
-	MOVQ  R14, 48(BX)
-	MOVQ  CX, 56(BX)
+	mulWide(SI, 0, BX, 0)
 	RET
 
 // func fpReduceWide(z *Element, w *Wide)
@@ -601,4 +574,224 @@ TEXT ·fpNeg(SB), NOSPLIT, $0-16
 	MOVQ R11, 8(AX)
 	MOVQ R12, 16(AX)
 	MOVQ R13, 24(AX)
+	RET
+
+// The E2 kernels work on both coefficients of a pair (C0 at offset 0, C1
+// at 32) in one call. A coefficient's inputs are all read before it is
+// stored, so z may alias x or y.
+
+// reduceOnce canonicalises a0..a3 < 2q: subtract q in s0..s3 and keep the
+// difference unless it borrowed.
+#define reduceOnce(a0, a1, a2, a3, s0, s1, s2, s3) \
+	MOVQ    a0, s0;            \
+	MOVQ    a1, s1;            \
+	MOVQ    a2, s2;            \
+	MOVQ    a3, s3;            \
+	SUBQ    q<>+0(SB), s0;     \
+	SBBQ    q<>+8(SB), s1;     \
+	SBBQ    q<>+16(SB), s2;    \
+	SBBQ    q<>+24(SB), s3;    \
+	CMOVQCC s0, a0;            \
+	CMOVQCC s1, a1;            \
+	CMOVQCC s2, a2;            \
+	CMOVQCC s3, a3
+
+// doubleMod sets a0..a3 = 2a mod q.
+#define doubleMod(a0, a1, a2, a3, s0, s1, s2, s3) \
+	ADDQ a0, a0;                                   \
+	ADCQ a1, a1;                                   \
+	ADCQ a2, a2;                                   \
+	ADCQ a3, a3;                                   \
+	reduceOnce(a0, a1, a2, a3, s0, s1, s2, s3)
+
+// addMod sets a0..a3 = a + m mod q for m in memory at off(p).
+#define addMod(p, off, a0, a1, a2, a3, s0, s1, s2, s3) \
+	ADDQ off+0(p), a0;                                  \
+	ADCQ off+8(p), a1;                                  \
+	ADCQ off+16(p), a2;                                 \
+	ADCQ off+24(p), a3;                                 \
+	reduceOnce(a0, a1, a2, a3, s0, s1, s2, s3)
+
+#define load(p, off, a0, a1, a2, a3) \
+	MOVQ off+0(p), a0;                \
+	MOVQ off+8(p), a1;                \
+	MOVQ off+16(p), a2;               \
+	MOVQ off+24(p), a3
+
+#define store(p, off, a0, a1, a2, a3) \
+	MOVQ a0, off+0(p);                 \
+	MOVQ a1, off+8(p);                 \
+	MOVQ a2, off+16(p);                \
+	MOVQ a3, off+24(p)
+
+// subMod sets a0..a3 = a − m mod q for m at off(p): on a borrow, add q
+// back, masked by s4.
+#define subMod(p, off, a0, a1, a2, a3, s0, s1, s2, s3, s4) \
+	SUBQ off+0(p), a0;                                      \
+	SBBQ off+8(p), a1;                                      \
+	SBBQ off+16(p), a2;                                     \
+	SBBQ off+24(p), a3;                                     \
+	SBBQ s4, s4;                                            \
+	MOVQ q<>+0(SB), s0;                                     \
+	MOVQ q<>+8(SB), s1;                                     \
+	MOVQ q<>+16(SB), s2;                                    \
+	MOVQ q<>+24(SB), s3;                                    \
+	ANDQ s4, s0;                                            \
+	ANDQ s4, s1;                                            \
+	ANDQ s4, s2;                                            \
+	ANDQ s4, s3;                                            \
+	ADDQ s0, a0;                                            \
+	ADCQ s1, a1;                                            \
+	ADCQ s2, a2;                                            \
+	ADCQ s3, a3
+
+// func fpAddE2(z, x, y *E2)
+TEXT ·fpAddE2(SB), NOSPLIT, $0-24
+	MOVQ x+8(FP), AX
+	MOVQ y+16(FP), BX
+	MOVQ z+0(FP), DX
+	load(AX, 0, CX, DI, SI, R8)
+	addMod(BX, 0, CX, DI, SI, R8, R9, R10, R11, R12)
+	store(DX, 0, CX, DI, SI, R8)
+	load(AX, 32, CX, DI, SI, R8)
+	addMod(BX, 32, CX, DI, SI, R8, R9, R10, R11, R12)
+	store(DX, 32, CX, DI, SI, R8)
+	RET
+
+// func fpSubE2(z, x, y *E2)
+TEXT ·fpSubE2(SB), NOSPLIT, $0-24
+	MOVQ x+8(FP), AX
+	MOVQ y+16(FP), BX
+	MOVQ z+0(FP), DX
+	load(AX, 0, CX, DI, SI, R8)
+	subMod(BX, 0, CX, DI, SI, R8, R9, R10, R11, R12, R13)
+	store(DX, 0, CX, DI, SI, R8)
+	load(AX, 32, CX, DI, SI, R8)
+	subMod(BX, 32, CX, DI, SI, R8, R9, R10, R11, R12, R13)
+	store(DX, 32, CX, DI, SI, R8)
+	RET
+
+// func fpDoubleE2(z, x *E2)
+TEXT ·fpDoubleE2(SB), NOSPLIT, $0-16
+	MOVQ x+8(FP), AX
+	MOVQ z+0(FP), DX
+	load(AX, 0, CX, DI, SI, R8)
+	doubleMod(CX, DI, SI, R8, R9, R10, R11, R12)
+	store(DX, 0, CX, DI, SI, R8)
+	load(AX, 32, CX, DI, SI, R8)
+	doubleMod(CX, DI, SI, R8, R9, R10, R11, R12)
+	store(DX, 32, CX, DI, SI, R8)
+	RET
+
+// func fpMulByXiE2(z, x *E2)
+// (a, b) ↦ (9a − b, a + 9b) with a, b read from x (AX) throughout: 9a by
+// three doublings and an addition in R8–R11, then 9a + (q − b) < 2q and
+// one subtraction give C0; 9b the same way in BX, CX, DX, SI, plus a, gives
+// C1. R12–R14 and DI are scratch. Both results stay in registers until
+// the stores, so z may alias x.
+TEXT ·fpMulByXiE2(SB), NOSPLIT, $0-16
+	MOVQ x+8(FP), AX
+	load(AX, 0, R8, R9, R10, R11)
+	doubleMod(R8, R9, R10, R11, R12, R13, R14, DI)
+	doubleMod(R8, R9, R10, R11, R12, R13, R14, DI)
+	doubleMod(R8, R9, R10, R11, R12, R13, R14, DI)
+	addMod(AX, 0, R8, R9, R10, R11, R12, R13, R14, DI)
+	MOVQ q<>+0(SB), R12
+	MOVQ q<>+8(SB), R13
+	MOVQ q<>+16(SB), R14
+	MOVQ q<>+24(SB), DI
+	SUBQ 32(AX), R12
+	SBBQ 40(AX), R13
+	SBBQ 48(AX), R14
+	SBBQ 56(AX), DI
+	ADDQ R12, R8
+	ADCQ R13, R9
+	ADCQ R14, R10
+	ADCQ DI, R11
+	reduceOnce(R8, R9, R10, R11, R12, R13, R14, DI)
+
+	load(AX, 32, BX, CX, DX, SI)
+	doubleMod(BX, CX, DX, SI, R12, R13, R14, DI)
+	doubleMod(BX, CX, DX, SI, R12, R13, R14, DI)
+	doubleMod(BX, CX, DX, SI, R12, R13, R14, DI)
+	addMod(AX, 32, BX, CX, DX, SI, R12, R13, R14, DI)
+	addMod(AX, 0, BX, CX, DX, SI, R12, R13, R14, DI)
+
+	MOVQ z+0(FP), AX
+	store(AX, 0, R8, R9, R10, R11)
+	store(AX, 32, BX, CX, DX, SI)
+	RET
+
+// q² as a Wide, the pad of fpMulAccE2's C0.
+DATA q2<>+0(SB)/8, $0x3b5458a2275d69b1
+DATA q2<>+8(SB)/8, $0xa602072d09eac101
+DATA q2<>+16(SB)/8, $0x4a50189c6d96cadc
+DATA q2<>+24(SB)/8, $0x04689e957a1242c8
+DATA q2<>+32(SB)/8, $0x26edfa5c34c6b38d
+DATA q2<>+40(SB)/8, $0xb00b855116375606
+DATA q2<>+48(SB)/8, $0x599a6f7c0348d21c
+DATA q2<>+56(SB)/8, $0x0925c4b8763cbf9c
+GLOBL q2<>(SB), RODATA, $64
+
+#define load8(p, off, a0, a1, a2, a3, a4, a5, a6, a7) \
+	load(p, off, a0, a1, a2, a3); \
+	load(p, off+32, a4, a5, a6, a7)
+
+#define store8(p, off, a0, a1, a2, a3, a4, a5, a6, a7) \
+	store(p, off, a0, a1, a2, a3); \
+	store(p, off+32, a4, a5, a6, a7)
+
+// op8 applies op0 then the carrying op to the eight limbs at off(p).
+#define op8(op0, op, p, off, a0, a1, a2, a3, a4, a5, a6, a7) \
+	op0 off+0(p), a0;  \
+	op  off+8(p), a1;  \
+	op  off+16(p), a2; \
+	op  off+24(p), a3; \
+	op  off+32(p), a4; \
+	op  off+40(p), a5; \
+	op  off+48(p), a6; \
+	op  off+56(p), a7
+
+// func fpMulAccE2(c0, c1 *Wide, x, y *E2)
+// MulAcc in one call: ac, bd, the loose sum s' = y.C0 + y.C1 and
+// s·s' live in the frame (0, 64, 128 and 160(SP)); then
+// c0 += ac + q² − bd and c1 += (s·s' − ac − bd), eight limbs at a time in
+// BX, CX, DX, SI, DI, R8, R9, R10.
+TEXT ·fpMulAccE2(SB), NOSPLIT, $224-32
+	MOVQ x+16(FP), AX
+	MOVQ y+24(FP), SI
+	load(AX, 0, DI, R8, R9, R10)
+	mulWide(SI, 0, SP, 0)
+	MOVQ x+16(FP), AX
+	load(AX, 32, DI, R8, R9, R10)
+	mulWide(SI, 32, SP, 64)
+
+	load(SI, 0, DI, R8, R9, R10)
+	ADDQ 32(SI), DI
+	ADCQ 40(SI), R8
+	ADCQ 48(SI), R9
+	ADCQ 56(SI), R10
+	store(SP, 128, DI, R8, R9, R10)
+	MOVQ x+16(FP), AX
+	load(AX, 0, DI, R8, R9, R10)
+	ADDQ 32(AX), DI
+	ADCQ 40(AX), R8
+	ADCQ 48(AX), R9
+	ADCQ 56(AX), R10
+	LEAQ 128(SP), SI
+	mulWide(SI, 0, SP, 160)
+
+	MOVQ c0+0(FP), AX
+	load8(AX, 0, BX, CX, DX, SI, DI, R8, R9, R10)
+	op8(ADDQ, ADCQ, SP, 0, BX, CX, DX, SI, DI, R8, R9, R10)
+	op8(ADDQ, ADCQ, SB, q2<>, BX, CX, DX, SI, DI, R8, R9, R10)
+	op8(SUBQ, SBBQ, SP, 64, BX, CX, DX, SI, DI, R8, R9, R10)
+	store8(AX, 0, BX, CX, DX, SI, DI, R8, R9, R10)
+
+	load8(SP, 160, BX, CX, DX, SI, DI, R8, R9, R10)
+	op8(SUBQ, SBBQ, SP, 0, BX, CX, DX, SI, DI, R8, R9, R10)
+	op8(SUBQ, SBBQ, SP, 64, BX, CX, DX, SI, DI, R8, R9, R10)
+	MOVQ c1+8(FP), AX
+	op8(ADDQ, ADCQ, AX, 0, BX, CX, DX, SI, DI, R8, R9, R10)
+	store8(AX, 0, BX, CX, DX, SI, DI, R8, R9, R10)
 	RET

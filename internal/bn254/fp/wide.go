@@ -8,7 +8,7 @@ import "math/bits"
 // accumulate several products into one Wide and pay a single Montgomery
 // reduction (Reduce) at the end instead of one per product.
 //
-// Contract: the accumulated value must stay below 4·q·R (≈ 15 q², with
+// Contract: the accumulated value must stay below 4·q·R (≈ 21.2 q², with
 // q ≈ 0.189·R, R = 2^256) — Reduce's REDC output is then < 5q and its
 // four fixed conditional-subtract passes land in [0, q). Every lazy
 // call site in internal/bn254 documents its slot budget against this

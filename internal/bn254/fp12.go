@@ -91,7 +91,7 @@ func (z *fp6) mulByV(x *fp6) {
 }
 
 // mul sets z = x·y. Each output coefficient accumulates its three Fp2
-// products in an unreduced fp2Wide (≤ 7q² of the ~15q² Wide contract, the
+// products in an unreduced fp2Wide (≤ 7q² of the ≈ 21q² Wide contract, the
 // budget of mulByLine) and reduces once: 9 wide products and 6 Montgomery
 // reductions. The xi that wrapped terms pick up is applied to x's canonical
 // coefficients up front, as in mulByLine.

@@ -48,17 +48,19 @@ func (z *Fp2) IsOne() bool { return z.C0.IsOne() && z.C1.IsZero() }
 // Equal reports whether z and x represent the same field element.
 func (z *Fp2) Equal(x *Fp2) bool { return z.C0.Equal(&x.C0) && z.C1.Equal(&x.C1) }
 
+// e2 views x as the coefficient pair of the fp kernels, which has Fp2's
+// underlying type.
+func e2(x *Fp2) *fp.E2 { return (*fp.E2)(x) }
+
 // Add sets z = x + y.
 func (z *Fp2) Add(x, y *Fp2) *Fp2 {
-	z.C0.Add(&x.C0, &y.C0)
-	z.C1.Add(&x.C1, &y.C1)
+	e2(z).Add(e2(x), e2(y))
 	return z
 }
 
 // Sub sets z = x - y.
 func (z *Fp2) Sub(x, y *Fp2) *Fp2 {
-	z.C0.Sub(&x.C0, &y.C0)
-	z.C1.Sub(&x.C1, &y.C1)
+	e2(z).Sub(e2(x), e2(y))
 	return z
 }
 
@@ -96,40 +98,17 @@ func (z *Fp2) Mul(x, y *Fp2) *Fp2 {
 // fp2Wide is an unreduced Fp2 accumulator for lazy-reduction paths:
 // one 512-bit Wide per coefficient. Call sites accumulate several Fp2
 // products with mulAcc and pay the two Montgomery reductions once, in
-// reduce. Each mulAcc adds at most 2 q²-units to either coefficient
-// (see below), and fp.Wide's contract allows ~15 units, so up to six
-// products may share one accumulator — every caller in this package
-// stays at or below that.
+// reduce. Each mulAcc adds at most 2 q²-units to either coefficient and
+// peaks one unit higher (fp.MulAcc); fp.Wide's contract allows ≈ 21.2
+// units, so n products peak at 2n + 1 and up to ten may share one
+// accumulator. Every caller in this package stays at or below three, the
+// schoolbook oracle in the tests at six.
 type fp2Wide struct {
 	c0, c1 fp.Wide
 }
 
-// mulAcc accumulates x·y into w without reducing, by Karatsuba on wide
-// limbs. With ac = x.C0·y.C0, bd = x.C1·y.C1 and the loose (unreduced)
-// sums s = x.C0+x.C1, s' = y.C0+y.C1:
-//
-//	c0 += ac + q² − bd   (the q² pad keeps the difference non-negative;
-//	                      ac ≤ q², so the net contribution is ≤ 2q²)
-//	c1 += s·s' − ac − bd (exact integer identity: s·s' = ac+ad+bc+bd,
-//	                      so no pad is needed and the net is ad+bc ≤ 2q²)
-//
-// The loose sums are < 2q and fit four limbs; their product is < 4q²,
-// comfortably inside the Wide contract as a transient.
-func (w *fp2Wide) mulAcc(x, y *Fp2) {
-	var ac, bd, cross fp.Wide
-	ac.Mul(&x.C0, &y.C0)
-	bd.Mul(&x.C1, &y.C1)
-	var sx, sy fp.Element
-	fp.LooseAdd(&sx, &x.C0, &x.C1)
-	fp.LooseAdd(&sy, &y.C0, &y.C1)
-	cross.Mul(&sx, &sy)
-	cross.Sub(&ac)
-	cross.Sub(&bd)
-	w.c0.Add(&ac)
-	w.c0.AddQSquared()
-	w.c0.Sub(&bd)
-	w.c1.Add(&cross)
-}
+// mulAcc accumulates x·y into w without reducing (fp.MulAcc).
+func (w *fp2Wide) mulAcc(x, y *Fp2) { fp.MulAcc(&w.c0, &w.c1, e2(x), e2(y)) }
 
 // reduce Montgomery-reduces the accumulator into z.
 func (w *fp2Wide) reduce(z *Fp2) {
@@ -138,22 +117,10 @@ func (w *fp2Wide) reduce(z *Fp2) {
 }
 
 // MulByXi sets z = xi·x for the sextic non-residue xi = 9 + i:
-// (a+bi)(9+i) = (9a-b) + (a+9b)i, computed with shifts and additions
+// (a+bi)(9+i) = (9a-b) + (a+9b)i, computed with doublings and additions
 // instead of multiplications.
 func (z *Fp2) MulByXi(x *Fp2) *Fp2 {
-	var a9, b9, c0 fp.Element
-	a9.Double(&x.C0)
-	a9.Double(&a9)
-	a9.Double(&a9)
-	a9.Add(&a9, &x.C0) // 9a
-	b9.Double(&x.C1)
-	b9.Double(&b9)
-	b9.Double(&b9)
-	b9.Add(&b9, &x.C1) // 9b
-	c0.Sub(&a9, &x.C1)
-	b9.Add(&b9, &x.C0)
-	z.C0 = c0
-	z.C1 = b9
+	e2(z).MulByXi(e2(x))
 	return z
 }
 
@@ -166,8 +133,7 @@ func (z *Fp2) Halve(x *Fp2) *Fp2 {
 
 // Double sets z = 2x.
 func (z *Fp2) Double(x *Fp2) *Fp2 {
-	z.C0.Double(&x.C0)
-	z.C1.Double(&x.C1)
+	e2(z).Double(e2(x))
 	return z
 }
 

@@ -166,9 +166,9 @@ func millerLoopNaive(p *G1, q *G2) *Fp12 {
 
 // fp12MulSchoolbook is x·y by the 36-product convolution with reduction
 // w^6 = xi the Fp6-view Karatsuba replaced: each of the 11 convolution
-// slots accumulates in an unreduced fp2Wide (at most six products, 12q² of
-// the ~15q² Wide contract), and the xi fold for slots 6..10 happens after
-// reduction.
+// slots accumulates in an unreduced fp2Wide (at most six products, a 13q²
+// peak of the ≈ 21q² Wide contract), and the xi fold for slots 6..10
+// happens after reduction.
 func fp12MulSchoolbook(x, y *Fp12) *Fp12 {
 	var acc [11]fp2Wide
 	for a := 0; a < 6; a++ {
