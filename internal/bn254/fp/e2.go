@@ -19,6 +19,14 @@ func (z *E2) Double(x *E2) { doubleE2(z, x) }
 // (a + bi)(9 + i) = (9a − b) + (a + 9b)i.
 func (z *E2) MulByXi(x *E2) { mulByXiE2(z, x) }
 
+// Mul sets z = x·y by Karatsuba: with ac = x.C0·y.C0 and bd = x.C1·y.C1,
+// (a + bi)(c + di) = (ac − bd) + ((a + b)(c + d) − ac − bd)i, three
+// base-field products instead of four.
+func (z *E2) Mul(x, y *E2) { mulE2(z, x, y) }
+
+// Square sets z = x² = (a + b)(a − b) + 2ab·i, two base-field products.
+func (z *E2) Square(x *E2) { squareE2(z, x) }
+
 // MulAcc adds x·y to the unreduced accumulators (c0, c1) by Karatsuba on
 // wide limbs, with ac = x.C0·y.C0, bd = x.C1·y.C1 and the loose sums
 // s = x.C0 + x.C1, s' = y.C0 + y.C1 (< 2q, four limbs):
@@ -60,18 +68,40 @@ func mulByXiComposed(z, x *E2) {
 	z.C0 = c0
 }
 
+func mulE2Composed(z, x, y *E2) {
+	var t1, t2, s1, s2 Element
+	t1.Mul(&x.C0, &y.C0)
+	t2.Mul(&x.C1, &y.C1)
+	s1.Add(&x.C0, &x.C1)
+	s2.Add(&y.C0, &y.C1)
+	s1.Mul(&s1, &s2)
+	s1.Sub(&s1, &t1)
+	s1.Sub(&s1, &t2)
+	z.C0.Sub(&t1, &t2)
+	z.C1 = s1
+}
+
+func squareE2Composed(z, x *E2) {
+	var sum, diff, ab Element
+	sum.Add(&x.C0, &x.C1)
+	diff.Sub(&x.C0, &x.C1)
+	ab.Mul(&x.C0, &x.C1)
+	z.C0.Mul(&sum, &diff)
+	z.C1.Double(&ab)
+}
+
 func mulAccComposed(c0, c1 *Wide, x, y *E2) {
 	var ac, bd, cross Wide
 	ac.Mul(&x.C0, &y.C0)
 	bd.Mul(&x.C1, &y.C1)
 	var sx, sy Element
-	LooseAdd(&sx, &x.C0, &x.C1)
-	LooseAdd(&sy, &y.C0, &y.C1)
+	looseAdd(&sx, &x.C0, &x.C1)
+	looseAdd(&sy, &y.C0, &y.C1)
 	cross.Mul(&sx, &sy)
-	cross.Sub(&ac)
-	cross.Sub(&bd)
-	c0.Add(&ac)
-	c0.AddQSquared()
-	c0.Sub(&bd)
-	c1.Add(&cross)
+	cross.sub(&ac)
+	cross.sub(&bd)
+	c0.add(&ac)
+	c0.addQSquared()
+	c0.sub(&bd)
+	c1.add(&cross)
 }

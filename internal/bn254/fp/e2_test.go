@@ -48,6 +48,8 @@ func checkE2Kernels(t *testing.T, x, y E2) {
 		{"sub", subE2, subE2Composed},
 		{"double", func(z, x, _ *E2) { doubleE2(z, x) }, func(z, x, _ *E2) { doubleE2Composed(z, x) }},
 		{"mulByXi", func(z, x, _ *E2) { mulByXiE2(z, x) }, func(z, x, _ *E2) { mulByXiComposed(z, x) }},
+		{"mul", mulE2, mulE2Composed},
+		{"square", func(z, x, _ *E2) { squareE2(z, x) }, func(z, x, _ *E2) { squareE2Composed(z, x) }},
 	}
 	for _, op := range binary {
 		var want E2
@@ -59,6 +61,17 @@ func checkE2Kernels(t *testing.T, x, y E2) {
 		op.kernel(&zy, &x, &zy)
 		if got != want || zx != want || zy != want {
 			t.Fatalf("%s(%v, %v): kernel %v, z=x %v, z=y %v; composition %v", op.name, x, y, got, zx, zy, want)
+		}
+		// x·x with z = x = y, and the second pair on its own for the
+		// unary kernels.
+		op.oracle(&want, &x, &x)
+		zx = x
+		op.kernel(&zx, &zx, &zx)
+		var wy, gy E2
+		op.oracle(&wy, &y, &y)
+		op.kernel(&gy, &y, &y)
+		if zx != want || gy != wy {
+			t.Fatalf("%s on (%v, %v): kernel %v, %v; composition %v, %v", op.name, x, y, zx, gy, want, wy)
 		}
 	}
 	var w0, w1, g0, g1 Wide

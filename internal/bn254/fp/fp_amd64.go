@@ -89,12 +89,34 @@ func fpMulByXiE2(z, x *E2)
 //go:noescape
 func fpMulAccE2(c0, c1 *Wide, x, y *E2)
 
+//go:noescape
+func fpMulE2(z, x, y *E2)
+
+//go:noescape
+func fpSquareE2(z, x *E2)
+
 // The E2 kernels: add/sub/double/ξ in assembly on every amd64, as Add/Sub
-// are; the accumulate runs fpMulWide's MULX rows, so it falls back with it.
+// are; the products run fpMulWide's MULX rows, so they fall back with it.
 func addE2(z, x, y *E2)  { fpAddE2(z, x, y) }
 func subE2(z, x, y *E2)  { fpSubE2(z, x, y) }
 func doubleE2(z, x *E2)  { fpDoubleE2(z, x) }
 func mulByXiE2(z, x *E2) { fpMulByXiE2(z, x) }
+
+func mulE2(z, x, y *E2) {
+	if SupportAdx {
+		fpMulE2(z, x, y)
+		return
+	}
+	mulE2Composed(z, x, y)
+}
+
+func squareE2(z, x *E2) {
+	if SupportAdx {
+		fpSquareE2(z, x)
+		return
+	}
+	squareE2Composed(z, x)
+}
 
 func mulAccE2(c0, c1 *Wide, x, y *E2) {
 	if SupportAdx {

@@ -117,12 +117,12 @@ func TestWideAccumulationBounds(t *testing.T) {
 	accBig := new(big.Int)
 	prodBig := new(big.Int).Mul(new(big.Int).Sub(qBig, big.NewInt(1)), new(big.Int).Sub(qBig, big.NewInt(1)))
 	for k := 0; k < 12; k++ {
-		acc.Add(&prod)
+		acc.add(&prod)
 		accBig.Add(accBig, prodBig)
 	}
 	q2Big := new(big.Int).Mul(qBig, qBig)
 	for k := 0; k < 3; k++ {
-		acc.AddQSquared()
+		acc.addQSquared()
 		accBig.Add(accBig, q2Big)
 	}
 	// Contract check: the accumulated value must be below 4qR.
@@ -150,12 +150,12 @@ func TestWideAccumulationBounds(t *testing.T) {
 	}
 }
 
-// TestLooseAddExact checks LooseAdd is the plain integer sum (< 2q
+// TestLooseAddExact checks looseAdd is the plain integer sum (< 2q
 // fits four limbs).
 func TestLooseAddExact(t *testing.T) {
 	qm1 := Element{q0 - 1, q1, q2, q3}
 	var l Element
-	LooseAdd(&l, &qm1, &qm1)
+	looseAdd(&l, &qm1, &qm1)
 	want := new(big.Int).Sub(qBig, big.NewInt(1))
 	want.Lsh(want, 1)
 	var buf [32]byte
@@ -163,7 +163,7 @@ func TestLooseAddExact(t *testing.T) {
 	got := bigToLimbs(want)
 	_ = buf
 	if l != got {
-		t.Fatalf("LooseAdd not the integer sum: got %v want %v", l, got)
+		t.Fatalf("looseAdd not the integer sum: got %v want %v", l, got)
 	}
 }
 
@@ -284,9 +284,9 @@ func FuzzFpWideAsmVsGeneric(f *testing.F) {
 		var p Wide
 		p.Mul(&y, &y)
 		for k := 0; k < 11; k++ {
-			acc.Add(&p)
+			acc.add(&p)
 		}
-		acc.AddQSquared()
+		acc.addQSquared()
 		var rf, rs Element
 		reduceWide(&rf, &acc)
 		reduceWideGeneric(&rs, &acc)

@@ -19,4 +19,6 @@ func addE2(z, x, y *E2)               { addE2Composed(z, x, y) }
 func subE2(z, x, y *E2)               { subE2Composed(z, x, y) }
 func doubleE2(z, x *E2)               { doubleE2Composed(z, x) }
 func mulByXiE2(z, x *E2)              { mulByXiComposed(z, x) }
+func mulE2(z, x, y *E2)               { mulE2Composed(z, x, y) }
+func squareE2(z, x *E2)               { squareE2Composed(z, x) }
 func mulAccE2(c0, c1 *Wide, x, y *E2) { mulAccComposed(c0, c1, x, y) }

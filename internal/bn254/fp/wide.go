@@ -29,12 +29,12 @@ func init() {
 	mulWideGeneric(&qSquaredWide, &qLimbs, &qLimbs)
 }
 
-// LooseAdd sets z = x + y WITHOUT modular reduction. The sum of two
+// looseAdd sets z = x + y WITHOUT modular reduction. The sum of two
 // canonical elements is < 2q < 2^256, so it fits the four limbs; the
 // result is NOT canonical and may only flow into Wide.Mul operands
 // (Karatsuba cross terms need the exact integer sum to keep
 // s·s' − ac − bd non-negative without padding).
-func LooseAdd(z, x, y *Element) *Element {
+func looseAdd(z, x, y *Element) *Element {
 	var c uint64
 	z[0], c = bits.Add64(x[0], y[0], 0)
 	z[1], c = bits.Add64(x[1], y[1], c)
@@ -51,9 +51,9 @@ func (w *Wide) Mul(x, y *Element) *Wide {
 	return w
 }
 
-// Add sets w += v and returns w. The caller's budget guarantees the sum
+// add sets w += v and returns w. The caller's budget guarantees the sum
 // stays below 4qR, so the top limb never carries out.
-func (w *Wide) Add(v *Wide) *Wide {
+func (w *Wide) add(v *Wide) *Wide {
 	var c uint64
 	w[0], c = bits.Add64(w[0], v[0], 0)
 	w[1], c = bits.Add64(w[1], v[1], c)
@@ -66,10 +66,10 @@ func (w *Wide) Add(v *Wide) *Wide {
 	return w
 }
 
-// Sub sets w -= v and returns w. The caller must guarantee w ≥ v as
+// sub sets w -= v and returns w. The caller must guarantee w ≥ v as
 // integers — either through an exact identity (Karatsuba's
-// s·s' ≥ ac + bd) or by adding an AddQSquared pad first.
-func (w *Wide) Sub(v *Wide) *Wide {
+// s·s' ≥ ac + bd) or by adding an addQSquared pad first.
+func (w *Wide) sub(v *Wide) *Wide {
 	var b uint64
 	w[0], b = bits.Sub64(w[0], v[0], 0)
 	w[1], b = bits.Sub64(w[1], v[1], b)
@@ -82,10 +82,10 @@ func (w *Wide) Sub(v *Wide) *Wide {
 	return w
 }
 
-// AddQSquared sets w += q² and returns w: one padding quantum per
+// addQSquared sets w += q² and returns w: one padding quantum per
 // subtracted single product. q² ≡ 0 mod q, so padding never changes the
 // reduced value.
-func (w *Wide) AddQSquared() *Wide { return w.Add(&qSquaredWide) }
+func (w *Wide) addQSquared() *Wide { return w.add(&qSquaredWide) }
 
 // Reduce Montgomery-reduces the accumulator into z (z = w·R⁻¹ mod q,
 // canonical) and returns z. Contract: w < 4qR. The REDC quotient adds

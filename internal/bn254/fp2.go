@@ -78,20 +78,9 @@ func (z *Fp2) Conjugate(x *Fp2) *Fp2 {
 	return z
 }
 
-// Mul sets z = x·y by Karatsuba: with t1 = ac and t2 = bd,
-// (a+bi)(c+di) = (t1-t2) + ((a+b)(c+d)-t1-t2)i — three base-field
-// multiplications instead of four.
+// Mul sets z = x·y by Karatsuba (fp.E2.Mul).
 func (z *Fp2) Mul(x, y *Fp2) *Fp2 {
-	var t1, t2, s1, s2 fp.Element
-	t1.Mul(&x.C0, &y.C0)
-	t2.Mul(&x.C1, &y.C1)
-	s1.Add(&x.C0, &x.C1)
-	s2.Add(&y.C0, &y.C1)
-	s1.Mul(&s1, &s2)
-	s1.Sub(&s1, &t1)
-	s1.Sub(&s1, &t2)
-	z.C0.Sub(&t1, &t2)
-	z.C1 = s1
+	e2(z).Mul(e2(x), e2(y))
 	return z
 }
 
@@ -137,15 +126,9 @@ func (z *Fp2) Double(x *Fp2) *Fp2 {
 	return z
 }
 
-// Square sets z = x² using (a+bi)² = (a+b)(a-b) + 2ab·i (three
-// multiplications instead of four).
+// Square sets z = x² = (a+b)(a-b) + 2ab·i (fp.E2.Square).
 func (z *Fp2) Square(x *Fp2) *Fp2 {
-	var sum, diff, ab fp.Element
-	sum.Add(&x.C0, &x.C1)
-	diff.Sub(&x.C0, &x.C1)
-	ab.Mul(&x.C0, &x.C1)
-	z.C0.Mul(&sum, &diff)
-	z.C1.Double(&ab)
+	e2(z).Square(e2(x))
 	return z
 }
 
@@ -222,8 +205,9 @@ func (z *Fp2) Sqrt(x *Fp2) *Fp2 {
 	x0.Mul(&a1, x)
 	alpha.Mul(&a1, &x0)
 	if alpha.Equal(minusOne.Neg(Fp2One())) {
-		// candidate = i·x0
-		cand.Mul(&Fp2{C1: fp.One()}, &x0)
+		// candidate = i·x0 = −x0.C1 + x0.C0·i
+		cand.C0.Neg(&x0.C1)
+		cand.C1 = x0.C0
 	} else {
 		// candidate = (1+alpha)^((p-1)/2) · x0
 		cand.Add(Fp2One(), &alpha)

@@ -31,7 +31,7 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14403
+const maxNonTestLines = 14441
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
@@ -85,7 +85,9 @@ var mathBigFiles = map[string]bool{
 // and the batch fallback's lone-offender scan, quotient bisection, leaf
 // check and the interface over them, which one Verify per S-group replaced,
 // and the one-index compare that EqualBaseMultAddMany's Jacobian tail
-// replaced (the tests keep the walk as their oracle, equalWalk).
+// replaced (the tests keep the walk as their oracle, equalWalk), and fp's
+// exported loose sum and q² pad, which only its own composition and tests
+// reached once the Fp2 products became kernels.
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -110,6 +112,7 @@ var deletedNames = []string{
 	"QID", "Generator",
 	"locate", "bisect", "checkOne", "judge",
 	"EqualBaseMultAdd",
+	"LooseAdd", "AddQSquared",
 }
 
 // deletedDirs are the packages and commands that went with them.
