@@ -69,11 +69,9 @@ var (
 		return *c.SetBigInt(e.Mul(e, new(big.Int).Sub(new(big.Int).Lsh(P, 1), Order)))
 	}()
 
-	// The fixed exponents of Fp2.Sqrt and of the Frobenius constants, as
-	// plain limbs for Fp2.expFixed.
-	pMinus3Over4 = scalarLimbs(new(big.Int).Rsh(P, 2))                                              // p ≡ 3 (mod 4)
-	pMinus1Over2 = scalarLimbs(new(big.Int).Rsh(P, 1))                                              // p odd
-	pMinus1Over6 = scalarLimbs(new(big.Int).Div(new(big.Int).Sub(P, big.NewInt(1)), big.NewInt(6))) // p ≡ 1 (mod 6)
+	// pMinus1Over6 is the fixed exponent of the Frobenius constants, as
+	// plain limbs for Fp2.expFixed: p ≡ 1 (mod 6).
+	pMinus1Over6 = scalarLimbs(new(big.Int).Div(new(big.Int).Sub(P, big.NewInt(1)), big.NewInt(6)))
 
 	// curveB is the G1 curve coefficient: E: y^2 = x^3 + 3.
 	curveB = fp.NewElement(3)

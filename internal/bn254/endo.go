@@ -6,12 +6,12 @@ import (
 	"mccls/internal/bn254/fr"
 )
 
-// Joint scalar multiplication for scalars born split. glvSplit gains nothing
-// on a short scalar (a 128-bit k splits into a ~126-bit and a ~65-bit half),
-// so a caller free to choose its scalars — the batch verifier's weights —
-// draws the two halves and feeds them to the ladder as they are. Distinct
-// pairs of 64-bit halves are distinct scalars: DESIGN.md §6 "Batch weights",
-// TestEndoScalarInjective.
+// Joint scalar multiplication for scalars born split. The GLV split gains
+// nothing on a short scalar (a 128-bit k splits into a ~126-bit and a
+// ~65-bit half), so a caller free to choose its scalars — the batch
+// verifier's weights — draws the two halves and feeds them to the ladder as
+// they are. Distinct pairs of 64-bit halves are distinct scalars: DESIGN.md
+// §6 "Batch weights", TestEndoScalarInjective.
 
 // EndoScalar is the scalar A + B·λ mod r held as its two halves, each a
 // little-endian integer below 2¹²⁸, λ being the eigenvalue of the GLV
@@ -43,7 +43,7 @@ func (e *EndoScalar) Fr() (z fr.Element) {
 // build, all on the stack; longer inputs run slice by slice.
 const jointSlice = 8
 
-// endoRows is glvRows for scalars born split: it recodes the halves as they
+// endoRows is glv.rows for scalars born split: it recodes the halves as they
 // are, wsᵢ = rows[i] + rows[len(ws)+i]·λ.
 func endoRows(buf *[2 * jointSlice][halfDigits]int8, ws []EndoScalar) (rows [2 * jointSlice][]int8) {
 	for i, w := range ws {
@@ -89,7 +89,7 @@ func (z *G2) MultiScalarMultEndo(pts []*G2, ws []EndoScalar) *G2 {
 		n := min(len(pts), jointSlice)
 		var buf [2 * jointSlice][halfDigits]int8
 		rows := endoRows(&buf, ws[:n])
-		acc := g2Joint(pts[:n], rows[:2*n])
+		acc := g2Joint(pts[:n], rows[:2*n], false)
 		sum.add(&acc)
 		pts, ws = pts[n:], ws[n:]
 	}

@@ -134,9 +134,8 @@ func FuzzG2JointEndoVsNaive(f *testing.F) {
 // (checked on the basis here), which is positive and at most 3·2^128 < r for
 // such a vector. The basis itself is far longer than that.
 func TestEndoScalarInjective(t *testing.T) {
-	a1, b1, a2, b2 := glvLattice(Order, glvLambda)
 	bound := new(big.Int).Lsh(big.NewInt(1), 65)
-	for _, v := range [][2]*big.Int{{a1, b1}, {a2, b2}} {
+	for _, v := range glvBasis() {
 		norm := new(big.Int).Mul(v[0], v[0])
 		norm.Sub(norm, new(big.Int).Mul(v[0], v[1])).Add(norm, new(big.Int).Mul(v[1], v[1]))
 		if norm.Sign() <= 0 || new(big.Int).Mod(norm, Order).Sign() != 0 {

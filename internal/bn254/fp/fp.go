@@ -9,7 +9,7 @@
 // (branch-free limb arithmetic with mask selects). Inverse is the shared
 // constant-time division-step inversion of internal/bn254/modinv (590
 // steps whatever the input; the scalar field fr uses the same code under
-// its own modulus). IsSquare's exponentiation schedule depends only on the
+// its own modulus). Sqrt's exponentiation schedule depends only on the
 // public modulus. Conversions to and from math/big are NOT constant time
 // and belong at serialization boundaries only.
 package fp
@@ -56,9 +56,9 @@ var (
 	// qBig is the modulus as a big.Int for the conversion boundary.
 	qBig = mustDecimal("21888242871839275222246405745257275088696311157297823662689037894645226208583")
 
-	// qHalf = (q-1)/2 as plain limbs, the Euler-criterion exponent of
-	// IsSquare: q is odd, so it is q shifted right once.
-	qHalf = [4]uint64{q0>>1 | q1&1<<63, q1>>1 | q2&1<<63, q2>>1 | q3&1<<63, q3 >> 1}
+	// qQuarter = (q-3)/4 as plain limbs, the exponent of Sqrt: q ≡ 3
+	// (mod 4), so it is q shifted right twice.
+	qQuarter = [4]uint64{q0>>2 | q1&3<<62, q1>>2 | q2&3<<62, q2>>2 | q3&3<<62, q3 >> 2}
 
 	inverter = modinv.NewModulus([4]uint64{q0, q1, q2, q3})
 )
@@ -324,12 +324,17 @@ func (z *Element) Inverse(x *Element) (ok bool) {
 	return ok
 }
 
-// IsSquare reports whether z is a quadratic residue (zero counts), by
-// Euler's criterion z^((q-1)/2) ∈ {0, 1}.
-func (z *Element) IsSquare() bool {
-	var e Element
-	e.expFixed(z, &qHalf)
-	return e.IsZero() || e.IsOne()
+// Sqrt sets z = x^((q+1)/4) and w = x^((q-3)/4) by one exponentiation and
+// reports whether z² = x, that is whether x is a square (zero counts).
+// Since q ≡ 3 (mod 4), z is then the one of the two roots that is itself a
+// square, and for x ≠ 0 w = 1/z, which spares a caller an inversion.
+func (z *Element) Sqrt(w, x *Element) bool {
+	var t, y, c Element
+	t.expFixed(x, &qQuarter)
+	y.Mul(&t, x)
+	ok := c.Square(&y).Equal(x)
+	*w, *z = t, y
+	return ok
 }
 
 // String renders z as a canonical decimal residue (not constant time).

@@ -167,24 +167,51 @@ func TestLooseAddExact(t *testing.T) {
 	}
 }
 
+// qHalf = (q-1)/2 as plain limbs, the Euler-criterion exponent the
+// windowed chain is pinned on: q is odd, so it is q shifted right once.
+var qHalf = [4]uint64{q0>>1 | q1&1<<63, q1>>1 | q2&1<<63, q2>>1 | q3&1<<63, q3 >> 1}
+
 // TestExpFixedVsBigLadder pins the fixed windowed chain against the
-// big.Int square-and-multiply ladder on the runtime exponent (q-1)/2, and
-// IsSquare against big.Int's Jacobi symbol.
+// big.Int square-and-multiply ladder on the runtime exponents (q-1)/2 and
+// (q-3)/4, and Sqrt against big.Jacobi: a root exactly for the squares,
+// itself a square, with w its inverse.
 func TestExpFixedVsBigLadder(t *testing.T) {
 	half := new(big.Int).Rsh(qBig, 1)
-	if bigToLimbs(half) != Element(qHalf) {
-		t.Fatal("qHalf is not (q-1)/2")
+	quarter := new(big.Int).Rsh(qBig, 2)
+	if bigToLimbs(half) != Element(qHalf) || bigToLimbs(quarter) != Element(qQuarter) {
+		t.Fatal("qHalf is not (q-1)/2 or qQuarter is not (q-3)/4")
 	}
 	vals := asmEdgeElements()
+	for i := range 64 {
+		var x Element
+		x.SetUint64(uint64(i))
+		vals = append(vals, x)
+	}
 	for i, x := range vals {
-		var chain, ladder Element
-		chain.expFixed(&x, &qHalf)
-		ladder.Exp(&x, half)
-		if chain != ladder {
-			t.Fatalf("expFixed(qHalf) mismatch at %d", i)
+		for _, e := range []struct {
+			limbs *[4]uint64
+			big   *big.Int
+		}{{&qHalf, half}, {&qQuarter, quarter}} {
+			var chain, ladder Element
+			chain.expFixed(&x, e.limbs)
+			ladder.Exp(&x, e.big)
+			if chain != ladder {
+				t.Fatalf("expFixed(%v) mismatch at %d", e.big, i)
+			}
 		}
-		if got, want := x.IsSquare(), big.Jacobi(x.BigInt(), qBig) >= 0; got != want {
-			t.Fatalf("IsSquare mismatch at %d: got %v", i, got)
+		var z, w, c Element
+		ok := z.Sqrt(&w, &x)
+		if want := big.Jacobi(x.BigInt(), qBig) >= 0; ok != want {
+			t.Fatalf("Sqrt reports %v at %d, Jacobi says %v", ok, i, want)
+		}
+		if !ok {
+			continue
+		}
+		if !c.Square(&z).Equal(&x) || big.Jacobi(z.BigInt(), qBig) < 0 {
+			t.Fatalf("Sqrt at %d: %v is not the square root that is a square", i, z)
+		}
+		if !x.IsZero() && !c.Mul(&z, &w).IsOne() {
+			t.Fatalf("Sqrt at %d: w is not 1/z", i)
 		}
 	}
 }

@@ -181,43 +181,46 @@ func (z *Fp2) expFixed(x *Fp2, e *[4]uint64) *Fp2 {
 	return z
 }
 
-// IsSquare reports whether x is a quadratic residue in Fp2 (zero counts):
-// x^((p²-1)/2) = N(x)^((p-1)/2), so x is a square exactly when its norm
-// C0² + C1² is one in Fp.
-func (z *Fp2) IsSquare() bool {
-	var norm, t fp.Element
-	norm.Square(&z.C0)
-	t.Square(&z.C1)
-	norm.Add(&norm, &t)
-	return norm.IsSquare()
-}
-
-// Sqrt sets z to a square root of x and returns z, or returns nil if x is a
-// quadratic non-residue. Uses the p ≡ 3 (mod 4) complex-extension algorithm
-// (Adj & Rodríguez-Henríquez) and verifies the result.
+// Sqrt sets z to a square root of x and returns z, or returns nil if x is
+// not a square, by the norm method for p ≡ 3 (mod 4) (Adj & Rodríguez-
+// Henríquez, "Square root computation over even extension fields"). Every
+// √ below is fp.Element.Sqrt, the root that is itself a square in Fp. For
+// x = a + b·i with b ≠ 0, x is a square exactly when its norm n = a² + b²
+// is one in Fp; then exactly one of δ = (a ± √n)/2 is a square, and the
+// root is √δ + b/(2√δ)·i, the one of ±y whose real part is a square, so
+// the same root the complex method returns (DESIGN.md §6). For b = 0 it is
+// (√a, 0), or (0, √−a) when a is not a square.
 func (z *Fp2) Sqrt(x *Fp2) *Fp2 {
-	if x.IsZero() {
-		return z.Set(Fp2Zero())
-	}
-	// a1 = x^((p-3)/4), x0 = a1·x, alpha = a1·x0 = x^((p-1)/2)
-	var a1, x0, alpha, minusOne, cand Fp2
-	a1.expFixed(x, &pMinus3Over4)
-	x0.Mul(&a1, x)
-	alpha.Mul(&a1, &x0)
-	if alpha.Equal(minusOne.Neg(Fp2One())) {
-		// candidate = i·x0 = −x0.C1 + x0.C0·i
-		cand.C0.Neg(&x0.C1)
-		cand.C1 = x0.C0
+	var c Fp2
+	var w fp.Element // 1/c.C0 when b ≠ 0
+	if x.C1.IsZero() {
+		if !c.C0.Sqrt(&w, &x.C0) {
+			c.C1.Neg(&x.C0)
+			c.C1.Sqrt(&w, &c.C1)
+			c.C0.SetZero()
+		}
 	} else {
-		// candidate = (1+alpha)^((p-1)/2) · x0
-		cand.Add(Fp2One(), &alpha)
-		cand.expFixed(&cand, &pMinus1Over2)
-		cand.Mul(&cand, &x0)
+		var n, t, lambda, delta fp.Element
+		n.Square(&x.C0)
+		t.Square(&x.C1)
+		n.Add(&n, &t)
+		if !lambda.Sqrt(&w, &n) {
+			return nil
+		}
+		delta.Add(&x.C0, &lambda)
+		delta.Halve(&delta)
+		if !c.C0.Sqrt(&w, &delta) {
+			delta.Sub(&delta, &lambda)
+			c.C0.Sqrt(&w, &delta)
+		}
+		c.C1.Mul(&x.C1, &w)
+		c.C1.Halve(&c.C1)
 	}
-	if !a1.Square(&cand).Equal(x) {
+	var chk Fp2
+	if !chk.Square(&c).Equal(x) {
 		return nil
 	}
-	return z.Set(&cand)
+	return z.Set(&c)
 }
 
 // String renders z as "c0 + c1*i" in decimal.

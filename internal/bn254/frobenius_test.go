@@ -239,8 +239,9 @@ func TestHashToG2MatchesFullCofactorSeeded(t *testing.T) {
 	}
 }
 
-// FuzzG2GLVVsWNAF drives G2.ScalarMult (GLV) against the width-agnostic wNAF
-// ladder on subgroup points, with scalars outside [0, r) as well.
+// FuzzG2GLVVsWNAF drives G2.ScalarMult (the ψ split) against the
+// width-agnostic wNAF ladder on subgroup points, with scalars outside
+// [0, r) as well.
 func FuzzG2GLVVsWNAF(f *testing.F) {
 	rm1 := new(big.Int).Sub(Order, big.NewInt(1))
 	f.Add([]byte{1}, []byte{0}, false)
@@ -264,12 +265,18 @@ func FuzzG2GLVVsWNAF(f *testing.F) {
 
 // TestGLVSplitOfMinusOne pins the bug fix behind the Lagrange coefficient -1
 // (2-of-3 combine over replicas {1, 2}): reduced modulo r it is r - 1, which
-// must split into halves of at most two bits, not run a full-width ladder.
+// must split into parts of at most two bits, not run a full-width ladder,
+// under G1's GLV split and G2's ψ split alike: the ψ split of ±1, ±2 is
+// (±1, 0, 0, 0), (±2, 0, 0, 0), so its table stops at one entry.
 func TestGLVSplitOfMinusOne(t *testing.T) {
 	for _, k := range []*big.Int{big.NewInt(-1), big.NewInt(-2), big.NewInt(2)} {
 		k1, k2 := glvSplitBig(new(big.Int).Mod(k, Order))
 		if k1.BitLen() > 2 || k2.BitLen() > 2 {
-			t.Fatalf("glvSplit(%v mod r) = (%v, %v), want halves of at most 2 bits", k, k1, k2)
+			t.Fatalf("GLV split of %v mod r = (%v, %v), want halves of at most 2 bits", k, k1, k2)
+		}
+		parts := splitBig(&gls, new(big.Int).Mod(k, Order))
+		if parts[0].Cmp(k) != 0 || parts[1].Sign()|parts[2].Sign()|parts[3].Sign() != 0 {
+			t.Fatalf("ψ split of %v mod r = %v, want (%v, 0, 0, 0)", k, parts, k)
 		}
 	}
 	q := g2BaseMult(big.NewInt(77))
@@ -382,10 +389,11 @@ func TestG2UnmarshalAllocs(t *testing.T) {
 
 // TestHashToG2Pinned pins 64 identity hashes Q_ID = H1(ID), computed at the
 // commit before Fp2.Sqrt moved to fixed-window chains and HashToG2 gained
-// its Euler pre-check and limb reads (testdata/hash_to_g2_vectors.txt: one
-// "identity hex(Marshal)" pair per line, under core's H1 domain). A moved
-// root, a skipped candidate or a different reduction of the hashed x
-// changes every enrolled key in the field.
+// its Euler pre-check and limb reads, and held since through the norm-method
+// root (testdata/hash_to_g2_vectors.txt: one "identity hex(Marshal)" pair
+// per line, under core's H1 domain). A moved root, a skipped candidate or a
+// different reduction of the hashed x changes every enrolled key in the
+// field.
 func TestHashToG2Pinned(t *testing.T) {
 	raw, err := os.ReadFile("testdata/hash_to_g2_vectors.txt")
 	if err != nil {
@@ -403,9 +411,10 @@ func TestHashToG2Pinned(t *testing.T) {
 	}
 }
 
-// TestFp2SqrtMatchesBigExponentChain compares the fixed-window Sqrt with
-// the big.Int-exponent form it replaced — same root or same refusal — and
-// IsSquare with both, on random elements, Fp-embedded elements and zero.
+// TestFp2SqrtMatchesBigExponentChain compares the norm-method Sqrt with the
+// big.Int-exponent complex method it replaced — same root or same refusal —
+// and its existence with Euler's criterion on the norm over math/big, on
+// random elements, squares, Fp-embedded elements and zero.
 func TestFp2SqrtMatchesBigExponentChain(t *testing.T) {
 	r := testRand()
 	xs := []*Fp2{Fp2Zero(), Fp2One(), new(Fp2).Neg(Fp2One()), {C1: fp.One()}}
@@ -414,13 +423,50 @@ func TestFp2SqrtMatchesBigExponentChain(t *testing.T) {
 		xs = append(xs, x, new(Fp2).Square(x), &Fp2{C0: x.C0})
 	}
 	for _, x := range xs {
-		want := fp2SqrtBigExp(x)
+		want := fp2SqrtAdjRodriguez(x)
 		got := new(Fp2).Sqrt(x)
 		if (got == nil) != (want == nil) || (got != nil && !got.Equal(want)) {
 			t.Fatalf("Sqrt(%v) = %v, big-exponent chain %v", x, got, want)
 		}
-		if x.IsSquare() != (want != nil) {
-			t.Fatalf("IsSquare(%v) = %v disagrees with Sqrt", x, x.IsSquare())
+		a, b := x.C0.BigInt(), x.C1.BigInt()
+		norm := new(big.Int).Add(a.Mul(a, a), b.Mul(b, b))
+		if square := big.Jacobi(norm.Mod(norm, P), P) >= 0; square != (got != nil) {
+			t.Fatalf("Sqrt(%v) = %v, but Euler's criterion on the norm says square = %v", x, got, square)
 		}
 	}
+}
+
+// FuzzFp2SqrtVsAdjRodriguez holds Sqrt to the complex method's root, not
+// just to ±, on inputs data[1:] reads as up to two coefficients c0, c1 and
+// data[0] shapes: 0 x = c0 + c1·i, 1 x = c0 in Fp (a square or not), 2
+// x = −c0² (no root in Fp, so its root is imaginary), 3 x = (c0 + c1·i)²
+// (always a square), 4 x = c1·i. Empty coefficients give zero.
+func FuzzFp2SqrtVsAdjRodriguez(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		var buf [64]byte
+		copy(buf[:], data[1:])
+		y := fp2FromBig(new(big.Int).SetBytes(buf[:32]), new(big.Int).SetBytes(buf[32:]))
+		x := new(Fp2)
+		switch data[0] % 5 {
+		case 0:
+			x.Set(y)
+		case 1:
+			x.C0 = y.C0
+		case 2:
+			x.C0.Square(&y.C0)
+			x.C0.Neg(&x.C0)
+		case 3:
+			x.Square(y)
+		case 4:
+			x.C1 = y.C1
+		}
+		want := fp2SqrtAdjRodriguez(x)
+		got := new(Fp2).Sqrt(x)
+		if (got == nil) != (want == nil) || (got != nil && !got.Equal(want)) {
+			t.Fatalf("Sqrt(%v) = %v, complex method %v", x, got, want)
+		}
+	})
 }

@@ -161,7 +161,7 @@ func (z *G2) Double(a *G2) *G2 {
 	return z
 }
 
-// ScalarMult sets z = k·a with k reduced modulo r first; the GLV split
+// ScalarMult sets z = k·a with k reduced modulo r first; the ψ split
 // (glv.go) keeps a negative k as short as |k|. The endomorphism is a scalar
 // only on the order-r subgroup, so a must be a decoded (subgroup-checked) or
 // derived point, never a raw point of the twist.
@@ -174,19 +174,20 @@ func (z *G2) ScalarMultFr(a *G2, k *fr.Element) *G2 {
 }
 
 // MultiScalarMultFr sets z = Σ ksᵢ·ptsᵢ for points of the order-r subgroup
-// (decoded, hashed or derived, as for ScalarMult): per slice of jointSlice
-// points the GLV rows of every scalar, one table build and one walk whose
-// doublings all points share, then one normalization. Points may repeat,
-// cancel or be the identity. It counts one G2 multiplication per point.
+// (decoded, hashed or derived, as for ScalarMult): per slice of glsSlice
+// points the four ψ-split rows of every scalar, one table build and one
+// walk whose doublings all points share, then one normalization. Points may
+// repeat, cancel or be the identity. It counts one G2 multiplication per
+// point.
 func (z *G2) MultiScalarMultFr(pts []*G2, ks []fr.Element) *G2 {
 	opCounters.g2Mults.Add(uint64(len(pts)))
 	var sum g2Jac
 	sum.setInfinity()
 	for len(pts) > 0 {
-		n := min(len(pts), jointSlice)
+		n := min(len(pts), glsSlice)
 		var buf [2 * jointSlice][halfDigits]int8
-		rows := glvRows(&buf, ks[:n])
-		acc := g2Joint(pts[:n], rows[:2*n])
+		rows := gls.rows(&buf, ks[:n])
+		acc := g2Joint(pts[:n], rows[:4*n], true)
 		sum.add(&acc)
 		pts, ks = pts[n:], ks[n:]
 	}
@@ -276,9 +277,8 @@ func clearCofactor(z, q *G2) *G2 {
 // twist by try-and-increment on the x-coordinate followed by clearCofactor:
 // HashToG2 = c′·HashToG2Short for c′ = HashToG2Scale(), which callers fold
 // into a scalar or point they already pay for. Half of all candidates have
-// no square root; Euler's criterion on the Fp norm of x³ + b' (a square in
-// Fp2 exactly when its norm is one in Fp) turns those away for one
-// base-field exponentiation instead of the two Fp2 exponentiations of Sqrt.
+// no square root; Sqrt's first step, the root of the Fp norm of x³ + b',
+// turns those away for one base-field exponentiation.
 func HashToG2Short(domain string, msg []byte) *G2 {
 	for counter := uint32(0); ; counter++ {
 		b0 := hashBlock(domain, "/x0", msg, counter)
@@ -290,7 +290,7 @@ func HashToG2Short(domain string, msg []byte) *G2 {
 		rhs.Square(&pt.X)
 		rhs.Mul(&rhs, &pt.X)
 		rhs.Add(&rhs, twistB)
-		if !rhs.IsSquare() || pt.Y.Sqrt(&rhs) == nil {
+		if pt.Y.Sqrt(&rhs) == nil {
 			continue
 		}
 		if b0[len(b0)-1]&1 == 1 {

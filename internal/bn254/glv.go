@@ -11,191 +11,271 @@ import (
 // GLV scalar multiplication (Gallant–Lambert–Vanstone). BN curves
 // have j-invariant 0, so E(Fp) carries the cheap endomorphism
 // φ(x, y) = (β·x, y) with β a primitive cube root of unity in Fp; on the
-// order-r subgroup φ acts as multiplication by λ, a cube root of unity
-// mod r. A 254-bit scalar k therefore splits as k ≡ k1 + k2·λ (mod r) with
-// |k1|, |k2| ≈ √r ≈ 2^127, and k·P = k1·P + k2·φ(P) runs as a joint
-// width-5 wNAF ladder of half the length: ~127 doublings instead of ~254.
+// order-r subgroup φ acts as multiplication by λ = 36u³ + 18u² + 6u + 1, a
+// cube root of unity mod r. A 254-bit scalar k therefore splits as
+// k ≡ k1 + k2·λ (mod r) with |k1|, |k2| ≈ √r ≈ 2^127, and
+// k·P = k1·P + k2·φ(P) runs as a joint width-5 wNAF ladder of half the
+// length: ~127 doublings instead of ~254.
 //
-// Every constant below is derived at init from the curve parameters (β and
-// λ as roots of x² + x + 1 in Fp and Zr, the lattice basis by the extended
-// Euclidean algorithm on (r, λ)) and cross-checked against the naive
-// ladder, so a transcription error aborts startup instead of corrupting
-// scalar multiplications. The matching of β to λ (each has two candidate
-// roots) is resolved empirically: φ must act as λ, not λ².
+// G2 has a better map (Galbraith–Lin–Scott): ψ = frobeniusTwist acts on it
+// as μ = p mod r = 6u², whose minimal polynomial mod r has degree four, so
+// a full-width scalar splits four ways, k ≡ k0 + k1·μ + k2·μ² + k3·μ³
+// (mod r) with |kᵢ| ≈ r^(1/4) ≈ 2^64, and the walk is ~64 doublings long.
+// The map (β²·x, y) still acts on G2 as λ for the batch weights, which are
+// born split over it.
 //
-// The twist has j-invariant 0 too: with glvBetaG2 the same map acts on G2 as
-// λ and G2 shares glvSplit.
+// Both splits are Babai rounding against a short basis written as
+// polynomials in u (Galbraith–Scott), derived at init, checked to lie in
+// the lattice, and the maps checked to act as their eigenvalues by a naive
+// walk, so a transcription error aborts startup instead of corrupting
+// scalar multiplications. Which cube root of unity β is (Fp has two) is
+// resolved empirically: φ must act as λ, not λ².
 //
 // Every variable-base multiplication on either group is one walkWNAF over
-// rows from one of two recoders — glvRows for a full-width fr.Element,
-// endoRows for an EndoScalar born split — through g1Joint or g2Joint.
+// rows from glv.rows (a full-width G1 scalar), gls.rows (a full-width G2
+// scalar) or endoRows (an EndoScalar born split), through g1Joint or
+// g2Joint.
+
+// A scalarSplit is the Babai rounding of k ≡ Σ kᵢ·εⁱ (mod r) in limbs for
+// an endomorphism acting as ε, from a short basis v₀…v_{dim−1} of the
+// lattice {v : Σ vᵢ·εⁱ ≡ 0 (mod r)}. The coefficient of vⱼ in
+// (1, 0, …)·B⁻¹ is cⱼ = ±a[j]/d, a[j] the cofactor of B's entry (j, 0) and
+// d the determinant, in absolute value; g[j] = round(2^256·a[j]/d) is its
+// fixed-point reciprocal. n[i][j] is coordinate i of -sign(cⱼ)·vⱼ, the
+// amount part i picks up per unit of mⱼ = round(k·a[j]/d), as a
+// two's-complement 256-bit integer.
+type scalarSplit struct {
+	dim  int
+	g    [4]fp.Element
+	a    [4][4]uint64
+	d    [4]uint64
+	half [5]uint64 // (d − 1)/2
+	n    [4][4][4]uint64
+}
 
 var (
 	// glvBeta is the cube root of unity in Fp with φ(P) = λ·P for glvLambda.
 	glvBeta fp.Element
-	// glvLambda is the matching cube root of unity mod r, glvLambdaFr its
-	// limb-typed copy for EndoScalar.Fr.
-	glvLambda   *big.Int
+	// glvLambda is λ, glvLambdaFr its limb-typed copy for EndoScalar.Fr.
+	glvLambda   = uPoly(36, 18, 6, 1)
 	glvLambdaFr fr.Element
 	// glvBetaG2 is the cube root of unity in Fp with (β·x, y) = λ·Q on G2.
 	glvBetaG2 fp.Element
-	// The Babai rounding of glvSplit in limbs, from the short lattice
-	// vectors v1 = (a1, b1), v2 = (a2, b2) with a + b·λ ≡ 0 (mod r):
-	// glvG[i] = round(2^256·|nᵢ|/r) for the numerators n = (b2, -b1), so
-	// that mᵢ = round(k·glvG[i]/2^256) ≈ |k·nᵢ/r|, and glvN[h][i] the
-	// coordinate of -sign(nᵢ)·vᵢ that half h picks up per unit of mᵢ, as a
-	// two's-complement 256-bit integer.
-	glvG [2]fp.Element
-	glvN [2][2][4]uint64
+	// glv splits over λ, gls over μ.
+	glv, gls scalarSplit
 )
 
-// cubeRootOfUnity returns a primitive cube root of unity modulo the odd
-// prime m ≡ 1 (mod 3): (-1 + sqrt(-3))/2.
-func cubeRootOfUnity(m *big.Int) *big.Int {
-	s := new(big.Int).ModSqrt(new(big.Int).Mod(big.NewInt(-3), m), m)
-	if s == nil {
-		panic("bn254: -3 is not a square; modulus not ≡ 1 mod 3")
+// uPoly returns Σ cᵢ·u^(len(c)−1−i), the coefficients highest first.
+func uPoly(c ...int64) *big.Int {
+	v := new(big.Int)
+	for _, ci := range c {
+		v.Mul(v, u).Add(v, big.NewInt(ci))
 	}
-	w := new(big.Int).Sub(s, big.NewInt(1))
-	w.Mul(w, new(big.Int).ModInverse(big.NewInt(2), m))
-	w.Mod(w, m)
-	// Assert w² + w + 1 ≡ 0 (mod m).
-	chk := new(big.Int).Mul(w, w)
-	chk.Add(chk, w)
-	chk.Add(chk, big.NewInt(1))
-	if chk.Mod(chk, m).Sign() != 0 {
-		panic("bn254: cube root of unity derivation failed")
-	}
-	return w
+	return v
 }
 
 func init() {
-	glvBeta.SetBigInt(cubeRootOfUnity(P))
-	glvLambda = cubeRootOfUnity(Order)
-	// Two candidate eigenvalues: λ and λ² = -1-λ. Pick the one matching
-	// φ(G) = (β·x, y) on the generator, checked by a one-row walk, which
-	// builds no φ table.
-	g := G1Generator()
-	phi := &G1{Y: g.Y}
-	phi.X.Mul(&g.X, &glvBeta)
-	lambdaRows := func() [][]int8 { return [][]int8{wnafDigits(nil, scalarLimbs(glvLambda), wnafWindow)} }
-	if lg := g1Joint([]*G1{g}, lambdaRows()); !phi.Equal(lg.affine(new(G1))) {
-		glvLambda.Sub(Order, glvLambda)
-		glvLambda.Sub(glvLambda, big.NewInt(1))
-		if lg := g1Joint([]*G1{g}, lambdaRows()); !phi.Equal(lg.affine(new(G1))) {
-			panic("bn254: no eigenvalue matches the GLV endomorphism")
-		}
-	}
 	glvLambdaFr = *frFromBig(glvLambda)
-	a1, b1, a2, b2 := glvLattice(Order, glvLambda)
-	two256 := new(big.Int).Lsh(big.NewInt(1), 256)
-	for i, v := range [2][3]*big.Int{{b2, a1, b1}, {new(big.Int).Neg(b1), a2, b2}} {
-		g := new(big.Int).Abs(v[0])
-		g.Lsh(g, 257).Div(g, Order).Add(g, big.NewInt(1)).Rsh(g, 1) // round(2^256·|n|/r)
-		glvG[i] = fp.Element(scalarLimbs(g))
-		for h, coord := range v[1:] {
-			n := new(big.Int).Mul(coord, big.NewInt(int64(-v[0].Sign())))
-			glvN[h][i] = scalarLimbs(n.Mod(n, two256))
+	// β = (-1 + √-3)/2 or β², the two primitive cube roots of unity in Fp:
+	// pick the one whose φ(G) = (β·x, y) acts as λ on the generator, checked
+	// by a one-row walk, which builds no φ table.
+	var w fp.Element
+	if glvBeta.Neg(new(fp.Element).SetUint64(3)); !glvBeta.Sqrt(&w, &glvBeta) {
+		panic("bn254: -3 is not a square mod p")
+	}
+	glvBeta.Sub(&glvBeta, new(fp.Element).SetOne()).Halve(&glvBeta)
+	g := G1Generator()
+	lambdaRows := [][]int8{wnafDigits(nil, scalarLimbs(glvLambda), wnafWindow)}
+	lg := g1Joint([]*G1{g}, lambdaRows)
+	phi := func() *G1 { return &G1{X: *new(fp.Element).Mul(&g.X, &glvBeta), Y: g.Y} }
+	if !phi().Equal(lg.affine(new(G1))) {
+		if glvBeta.Square(&glvBeta); !phi().Equal(lg.affine(new(G1))) {
+			panic("bn254: no cube root of unity acts as the GLV eigenvalue")
 		}
 	}
 	// On G2 the same β acts as λ², so β² = β̄ acts as λ⁴ = λ.
 	glvBetaG2.Square(&glvBeta)
 	phiQ := &G2{Y: g2Gen.Y}
 	phiQ.X.MulScalar(&g2Gen.X, &glvBetaG2)
-	if lq := g2Joint([]*G2{g2Gen}, lambdaRows()); !phiQ.Equal(lq.affine(new(G2))) {
+	if lq := g2Joint([]*G2{g2Gen}, lambdaRows, false); !phiQ.Equal(lq.affine(new(G2))) {
 		panic("bn254: β² does not act as the GLV eigenvalue on G2")
 	}
+	mu := new(big.Int).Mod(P, Order)
+	psiQ := new(G2).frobeniusTwist(g2Gen)
+	muRows := [][]int8{wnafDigits(nil, scalarLimbs(mu), wnafWindow)}
+	if mq := g2Joint([]*G2{g2Gen}, muRows, false); !psiQ.Equal(mq.affine(new(G2))) {
+		panic("bn254: ψ does not act on G2 as p mod r")
+	}
+	glv = newScalarSplit(glvLambda, glvBasis())
+	gls = newScalarSplit(mu, glsBasis())
 }
 
-// glvLattice finds two short vectors of the lattice
-// {(a, b) : a + b·λ ≡ 0 mod r} via the extended Euclidean algorithm on
-// (r, λ), stopping at the first remainder below √r (Guide to ECC,
-// Alg. 3.74). Each remainder rᵢ = sᵢ·r + tᵢ·λ yields the vector (rᵢ, -tᵢ).
-func glvLattice(r, lambda *big.Int) (a1, b1, a2, b2 *big.Int) {
-	sqrtR := new(big.Int).Sqrt(r)
-	r0, r1 := new(big.Int).Set(r), new(big.Int).Set(lambda)
-	t0, t1 := big.NewInt(0), big.NewInt(1)
-	for r1.Cmp(sqrtR) >= 0 {
-		q := new(big.Int).Div(r0, r1)
-		r0, r1 = r1, new(big.Int).Sub(r0, new(big.Int).Mul(q, r1))
-		t0, t1 = t1, new(big.Int).Sub(t0, new(big.Int).Mul(q, t1))
-	}
-	// (r1, -t1) is short; pair it with the shorter of (r0, -t0) and the
-	// next remainder's vector.
-	q := new(big.Int).Div(r0, r1)
-	r2 := new(big.Int).Sub(r0, new(big.Int).Mul(q, r1))
-	t2 := new(big.Int).Sub(t0, new(big.Int).Mul(q, t1))
-	normSq := func(a, b *big.Int) *big.Int {
-		n := new(big.Int).Mul(a, a)
-		return n.Add(n, new(big.Int).Mul(b, b))
-	}
-	a1, b1 = r1, new(big.Int).Neg(t1)
-	if normSq(r0, t0).Cmp(normSq(r2, t2)) <= 0 {
-		a2, b2 = r0, new(big.Int).Neg(t0)
-	} else {
-		a2, b2 = r2, new(big.Int).Neg(t2)
-	}
-	return a1, b1, a2, b2
+// glvBasis and glsBasis are the short bases of the two splits' lattices,
+// one vector per row (Galbraith–Scott). The ψ one has determinant -3r: it
+// spans a sublattice of index 3, which Babai rounding needs no more than
+// a basis.
+func glvBasis() [][]*big.Int {
+	return [][]*big.Int{{uPoly(2, 1), uPoly(-6, -2, 0)}, {uPoly(6, 4, 1), uPoly(2, 1)}}
 }
 
-// glvSplit decomposes k ∈ [0, r) as k ≡ ±k1 ± k2·λ (mod r), returning the
-// magnitudes and signs of the two halves, each bounded by the lattice
-// diameter (≈ √r; the sub-scalar bound test pins < 2^130). Babai rounding:
-// subtract from (k, 0) its closest lattice approximation c1·v1 + c2·v2,
-// with cᵢ taken from a 256-bit fixed-point reciprocal of r — off by at
-// most one from the exact rounding, which only moves the halves by one
-// short vector. All of it is 256-bit limb arithmetic modulo 2^256; the
-// halves are far shorter, so their two's-complement sign bit is exact.
-func glvSplit(k *[4]uint64) (k1, k2 [4]uint64, neg1, neg2 bool) {
-	k1 = *k
-	for i := range glvG {
-		var w fp.Wide
-		w.Mul((*fp.Element)(k), &glvG[i])
-		var m [4]uint64 // the high half, rounded on the top bit of the low half
-		c := w[3] >> 63
-		for j := range m {
-			m[j], c = bits.Add64(w[4+j], 0, c)
+func glsBasis() [][]*big.Int {
+	return [][]*big.Int{
+		{uPoly(1, 1), u, u, uPoly(-2, 0)},
+		{uPoly(2, 1), uPoly(-1, 0), uPoly(-1, -1), uPoly(-1, 0)},
+		{uPoly(2, 0), uPoly(2, 1), uPoly(2, 1), uPoly(2, 1)},
+		{uPoly(1, -1), uPoly(4, 2), uPoly(-2, 1), uPoly(1, -1)},
+	}
+}
+
+// newScalarSplit derives the rounding constants of a basis b of the
+// lattice of eps after checking that every vector lies in it: cⱼ is
+// cofⱼ/det for cofⱼ the cofactor of b[j][0], column 0 of the adjugate.
+func newScalarSplit(eps *big.Int, b [][]*big.Int) (s scalarSplit) {
+	s.dim = len(b)
+	det := new(big.Int)
+	cof := make([]*big.Int, s.dim)
+	for j, v := range b {
+		sum, pow := new(big.Int), big.NewInt(1)
+		for _, c := range v {
+			sum.Add(sum, new(big.Int).Mul(c, pow))
+			pow.Mul(pow, eps).Mod(pow, Order)
 		}
-		addMulLow(&k1, &m, &glvN[0][i])
-		addMulLow(&k2, &m, &glvN[1][i])
+		if sum.Mod(sum, Order).Sign() != 0 {
+			panic("bn254: a scalar-split basis vector is not in the lattice")
+		}
+		var minor [][]*big.Int
+		for i, w := range b {
+			if i != j {
+				minor = append(minor, w[1:])
+			}
+		}
+		cof[j] = detBig(minor)
+		if j%2 == 1 {
+			cof[j].Neg(cof[j])
+		}
+		det.Add(det, new(big.Int).Mul(v[0], cof[j]))
 	}
-	neg1, neg2 = absLimbs(&k1), absLimbs(&k2)
-	return k1, k2, neg1, neg2
+	two256 := new(big.Int).Lsh(big.NewInt(1), 256)
+	absDet := new(big.Int).Abs(det)
+	s.d = scalarLimbs(absDet)
+	half := scalarLimbs(new(big.Int).Rsh(absDet, 1))
+	copy(s.half[:], half[:])
+	for j, c := range cof {
+		a := new(big.Int).Abs(c)
+		s.a[j] = scalarLimbs(a)
+		g := new(big.Int).Lsh(a, 257)
+		s.g[j] = fp.Element(scalarLimbs(g.Div(g, absDet).Add(g, big.NewInt(1)).Rsh(g, 1)))
+		sign := big.NewInt(int64(-c.Sign() * det.Sign()))
+		for i := range s.dim {
+			n := new(big.Int).Mul(b[j][i], sign)
+			s.n[i][j] = scalarLimbs(n.Mod(n, two256))
+		}
+	}
+	return s
 }
 
-// addMulLow sets z += x·y mod 2^256.
-func addMulLow(z, x, y *[4]uint64) {
-	var w fp.Wide
-	w.Mul((*fp.Element)(x), (*fp.Element)(y))
-	var c uint64
-	for j := range z {
-		z[j], c = bits.Add64(z[j], w[j], c)
+// detBig returns the determinant of a square integer matrix by cofactor
+// expansion along its first row.
+func detBig(m [][]*big.Int) *big.Int {
+	if len(m) == 1 {
+		return new(big.Int).Set(m[0][0])
 	}
+	d := new(big.Int)
+	for j := range m {
+		var minor [][]*big.Int
+		for _, row := range m[1:] {
+			minor = append(minor, append(append([]*big.Int{}, row[:j]...), row[j+1:]...))
+		}
+		t := detBig(minor)
+		if t.Mul(t, m[0][j]); j%2 == 1 {
+			t.Neg(t)
+		}
+		d.Add(d, t)
+	}
+	return d
 }
 
-// absLimbs replaces the two's-complement integer z by |z| and reports
-// whether it was negative.
-func absLimbs(z *[4]uint64) (neg bool) {
-	mask := -(z[3] >> 63)
-	c := mask & 1
-	for j := range z {
-		z[j], c = bits.Add64(z[j]^mask, 0, c)
+// split decomposes k ∈ [0, r) as k ≡ Σ ±partsᵢ·εⁱ (mod r), returning the
+// magnitudes and signs of the dim parts, each bounded by the basis
+// (TestGLVSplitBounds pins the halves below 2^130, TestGLSSplitBounds the
+// quarters below 2^66). Babai rounding: subtract from (k, 0, …) its
+// closest lattice approximation Σ mⱼ·vⱼ, mⱼ rounded exactly, as
+// math/big would (TestGLSSplitVsExactBabai). All of it is 256-bit limb
+// arithmetic modulo 2^256; the parts are far shorter, so their
+// two's-complement sign bit is exact.
+func (s *scalarSplit) split(k *[4]uint64) (parts [4][4]uint64, negs [4]bool) {
+	parts[0] = *k
+	for j := range s.dim {
+		m := s.round(k, j)
+		for i := range s.dim {
+			var p fp.Wide // parts[i] += mⱼ·n[i][j] mod 2^256
+			p.Mul((*fp.Element)(&m), (*fp.Element)(&s.n[i][j]))
+			var c uint64
+			for x := range parts[i] {
+				parts[i][x], c = bits.Add64(parts[i][x], p[x], c)
+			}
+		}
 	}
-	return mask != 0
+	for i := range s.dim { // |parts[i]|
+		mask := -(parts[i][3] >> 63)
+		c := mask & 1
+		for x := range parts[i] {
+			parts[i][x], c = bits.Add64(parts[i][x]^mask, 0, c)
+		}
+		negs[i] = mask != 0
+	}
+	return parts, negs
 }
 
-// glvRows recodes at most jointSlice scalars into buf in the row order of
-// g1Joint/g2Joint: the GLV halves of ksᵢ, ksᵢ ≡ rows[i] + rows[len(ks)+i]·λ
-// (mod r), a negative half's digits negated so that the tables stay those
-// of P and φ(P). The rows come back by value: stored through a pointer they
-// would move buf to the heap.
-func glvRows(buf *[2 * jointSlice][halfDigits]int8, ks []fr.Element) (rows [2 * jointSlice][]int8) {
+// round returns mⱼ = round(k·a[j]/d). The fixed-point product k·g[j]/2^256
+// is within 1/8 of k·a[j]/d, so its rounding m is off by at most one: up
+// when k·a[j] − m·d > h for h = (d − 1)/2 (d is r or 3r, odd), down when
+// it is below −h. That settles the near-ties a fixed-point rounding gets
+// wrong, which the Lagrange coefficients −1/2 and 3/2 of a 2-of-3 combine
+// sit on: the exact split of each has a part of ±1, a row of one digit.
+func (s *scalarSplit) round(k *[4]uint64, j int) (m [4]uint64) {
+	var w, v fp.Wide
+	w.Mul((*fp.Element)(k), &s.g[j])
+	c := w[3] >> 63
+	for x := range m {
+		m[x], c = bits.Add64(w[4+x], 0, c)
+	}
+	w.Mul((*fp.Element)(k), (*fp.Element)(&s.a[j]))
+	v.Mul((*fp.Element)(&m), (*fp.Element)(&s.d))
+	// |k·a − m·d| < 1.5d < 2^257: five limbs carry the difference and the
+	// top limbs of h − diff and diff + h their signs.
+	var diff, up, down, b, bu, bd uint64
+	for x := range s.half {
+		diff, b = bits.Sub64(w[x], v[x], b)
+		up, bu = bits.Sub64(s.half[x], diff, bu)
+		down, bd = bits.Add64(diff, s.half[x], bd)
+	}
+	step := uint64(0)
+	if up>>63 == 1 {
+		step = 1
+	} else if down>>63 == 1 {
+		step = ^uint64(0)
+	}
+	c = 0
+	for x := range m {
+		m[x], c = bits.Add64(m[x], step, c)
+		step = -(step >> 63) // -1 extends its sign, +1 does not
+	}
+	return m
+}
+
+// rows recodes at most 2·jointSlice/dim scalars into buf in the row order
+// of g1Joint and g2Joint, ksᵢ ≡ Σₕ rows[h·len(ks)+i]·εʰ (mod r), a negative
+// part's digits negated so that the tables stay those of εʰ(P). The rows
+// come back by value: stored through a pointer they would move buf to the
+// heap.
+func (s *scalarSplit) rows(buf *[2 * jointSlice][halfDigits]int8, ks []fr.Element) (rows [2 * jointSlice][]int8) {
 	for i := range ks {
 		limbs := ks[i].Limbs()
-		k1, k2, neg1, neg2 := glvSplit(&limbs)
-		halves, negs := [2][4]uint64{k1, k2}, [2]bool{neg1, neg2}
-		for h, r := range [2]int{i, len(ks) + i} {
-			rows[r] = wnafDigits(buf[r][:0], halves[h], wnafWindow)
+		parts, negs := s.split(&limbs)
+		for h := range s.dim {
+			r := h*len(ks) + i
+			rows[r] = wnafDigits(buf[r][:0], parts[h], wnafWindow)
 			if negs[h] {
 				for x := range rows[r] {
 					rows[r][x] = -rows[r][x]
@@ -205,6 +285,10 @@ func glvRows(buf *[2 * jointSlice][halfDigits]int8, ks []fr.Element) (rows [2 * 
 	}
 	return rows
 }
+
+// glsSlice is how many G2 points share one ψ-split walk: four rows each
+// fill the row buffer and table of jointSlice two-row points.
+const glsSlice = jointSlice / 2
 
 // g1OddMultiples fills row i of tab (wnafTableSize entries) with
 // [Pᵢ, 3Pᵢ, 5Pᵢ, …] in affine coordinates for each of at most jointSlice
@@ -261,29 +345,44 @@ func g1Joint(pts []*G1, rows [][]int8) g1Jac {
 	return acc
 }
 
-// g2OddMultiples is the G2 counterpart of g1OddMultiples.
-func g2OddMultiples(tab []G2, pts []*G2) {
-	var js [jointSlice * wnafTableSize]g2Jac
-	for i, p := range pts {
-		js[i].fromAffine(p)
-		js[i].double()
-	}
-	g2BatchAffine(tab[:len(pts)], js[:len(pts)])
-	m := len(pts) * wnafTableSize
-	for i, p := range pts {
-		row := js[i*wnafTableSize:][:wnafTableSize]
-		row[0].fromAffine(p)
-		for k := 1; k < len(row); k++ {
-			row[k] = row[k-1]
-			if !tab[i].Inf {
-				row[k].addMixed(&tab[i])
+// g2OddMultiples fills tab with size odd multiples [Pᵢ, 3Pᵢ, …] per point
+// in affine coordinates, as g1OddMultiples does, and each block after the
+// first with the endomorphism of the block before, ψ if psi is set and
+// φ = (β²·x, y) otherwise: the entries of ψʰ(Pᵢ) or φ(Pᵢ), both maps being
+// additive. A table of one entry per point is the points themselves, with
+// no normalization.
+func g2OddMultiples(tab []G2, pts []*G2, size int, psi bool) {
+	m := len(pts) * size
+	if size == 1 {
+		for i, p := range pts {
+			tab[i] = *p
+		}
+	} else if size > 1 {
+		var js [jointSlice * wnafTableSize]g2Jac
+		for i, p := range pts {
+			js[i].fromAffine(p)
+			js[i].double()
+		}
+		g2BatchAffine(tab[:len(pts)], js[:len(pts)])
+		for i, p := range pts {
+			row := js[i*size:][:size]
+			row[0].fromAffine(p)
+			for k := 1; k < len(row); k++ {
+				row[k] = row[k-1]
+				if !tab[i].Inf {
+					row[k].addMixed(&tab[i])
+				}
 			}
 		}
+		g2BatchAffine(tab[:m], js[:m])
 	}
-	g2BatchAffine(tab[:m], js[:m])
 	for i := range tab[m:] {
-		tab[m+i] = tab[i]
-		tab[m+i].X.MulScalar(&tab[i].X, &glvBetaG2)
+		if psi {
+			tab[m+i].frobeniusTwist(&tab[i])
+		} else {
+			tab[m+i] = tab[i]
+			tab[m+i].X.MulScalar(&tab[i].X, &glvBetaG2)
+		}
 	}
 }
 
@@ -299,12 +398,20 @@ func (j *g2Jac) addDigit(tab []G2, d int8) {
 	j.addMixed(&pt)
 }
 
-// g2Joint is the G2 counterpart of g1Joint.
-func g2Joint(pts []*G2, rows [][]int8) g2Jac {
+// g2Joint is g1Joint on the twist: row h·len(pts)+i holds the digits of
+// ψʰ(pts[i]) if psi is set, of φʰ(pts[i]) for h ≤ 1 otherwise. The tables
+// stop at the largest digit the rows use.
+func g2Joint(pts []*G2, rows [][]int8, psi bool) g2Jac {
+	size := 0
+	for _, row := range rows {
+		for _, d := range row {
+			size = max(size, (int(max(d, -d))+1)/2)
+		}
+	}
 	var tab [2 * jointSlice * wnafTableSize]G2
-	g2OddMultiples(tab[:len(rows)*wnafTableSize], pts)
+	g2OddMultiples(tab[:len(rows)*size], pts, size, psi)
 	var acc g2Jac
 	acc.setInfinity()
-	walkWNAF(rows, acc.double, func(r int, d int8) { acc.addDigit(tab[r*wnafTableSize:], d) })
+	walkWNAF(rows, acc.double, func(r int, d int8) { acc.addDigit(tab[r*size:], d) })
 	return acc
 }

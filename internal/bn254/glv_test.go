@@ -18,22 +18,28 @@ func randG1(t *testing.T, k *big.Int) *G1 {
 	return g1ScalarMultJac(G1Generator(), new(big.Int).Mod(k, Order))
 }
 
-// glvSplitBig runs the limb-typed glvSplit on a reduced big.Int scalar and
-// returns the signed halves.
-func glvSplitBig(k *big.Int) (k1, k2 *big.Int) {
+// splitBig runs a limb-typed split on a reduced big.Int scalar and returns
+// its signed parts.
+func splitBig(s *scalarSplit, k *big.Int) []*big.Int {
 	limbs := scalarLimbs(k)
-	a1, a2, neg1, neg2 := glvSplit(&limbs)
-	signed := func(abs [4]uint64, neg bool) *big.Int {
-		v := new(big.Int)
-		for i := 3; i >= 0; i-- {
-			v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(abs[i]))
+	abs, negs := s.split(&limbs)
+	parts := make([]*big.Int, s.dim)
+	for i := range parts {
+		parts[i] = new(big.Int)
+		for j := 3; j >= 0; j-- {
+			parts[i].Lsh(parts[i], 64).Or(parts[i], new(big.Int).SetUint64(abs[i][j]))
 		}
-		if neg {
-			v.Neg(v)
+		if negs[i] {
+			parts[i].Neg(parts[i])
 		}
-		return v
 	}
-	return signed(a1, neg1), signed(a2, neg2)
+	return parts
+}
+
+// glvSplitBig is splitBig for the GLV halves.
+func glvSplitBig(k *big.Int) (k1, k2 *big.Int) {
+	parts := splitBig(&glv, k)
+	return parts[0], parts[1]
 }
 
 // g1MultGLV runs the GLV rows through the joint engine on a big.Int scalar.
@@ -69,52 +75,121 @@ func TestGLVSplitBounds(t *testing.T) {
 	}
 }
 
-// TestGLVSplitVsExactBabai compares the limb split with exact Babai
-// rounding over math/big (round(b2·k/r), round(-b1·k/r) by integer
-// division, the form glvSplit had before fr): the fixed-point reciprocal
-// may round a coefficient the other way on a near-tie, so the halves agree
-// up to one step along each short lattice vector, and mostly exactly.
-func TestGLVSplitVsExactBabai(t *testing.T) {
-	a1, b1, a2, b2 := glvLattice(Order, glvLambda)
-	roundDiv := func(x *big.Int) *big.Int { // floor((2x + r) / 2r): big.Int Div is Euclidean
-		n := new(big.Int).Lsh(x, 1)
-		return n.Add(n, Order).Div(n, new(big.Int).Lsh(Order, 1))
+// checkSplitVsExactBabai holds a limb split to exact Babai rounding over
+// math/big: row 0 of B⁻¹ by Gaussian elimination over big.Rat, then
+// cⱼ = round(k·B⁻¹[0][j]) and parts (k, 0, …) − Σ cⱼ·vⱼ, on random scalars
+// and on the Lagrange coefficients of a 2-of-3 combine, whose coefficients
+// sit near half-integers. (No cⱼ is a tie: that would need r | 2k·aⱼ.)
+func checkSplitVsExactBabai(t *testing.T, s *scalarSplit, b [][]*big.Int) {
+	t.Helper()
+	dim := len(b)
+	// Solve x·B = (1, 0, …): the augmented system Bᵀ | e₀.
+	m := make([][]*big.Rat, dim)
+	for i := range m {
+		for j := range dim {
+			m[i] = append(m[i], new(big.Rat).SetInt(b[j][i]))
+		}
+		m[i] = append(m[i], big.NewRat(int64(1-min(i, 1)), 1))
 	}
-	r := testRand()
-	exact := 0
-	const n = 500
-	for i := 0; i < n; i++ {
-		k := randScalar(r)
-		c1 := roundDiv(new(big.Int).Mul(b2, k))
-		c2 := roundDiv(new(big.Int).Neg(new(big.Int).Mul(b1, k)))
-		got1, got2 := glvSplitBig(k)
-		// (k, 0) - (got1, got2) = d1·v1 + d2·v2; solve for the coefficient
-		// offsets d - c through the first coordinate and check the second.
-		ok := false
-		for _, e1 := range []int64{-1, 0, 1} {
-			for _, e2 := range []int64{-1, 0, 1} {
-				d1 := new(big.Int).Add(c1, big.NewInt(e1))
-				d2 := new(big.Int).Add(c2, big.NewInt(e2))
-				w1 := new(big.Int).Sub(k, new(big.Int).Mul(d1, a1))
-				w1.Sub(w1, new(big.Int).Mul(d2, a2))
-				w2 := new(big.Int).Neg(new(big.Int).Mul(d1, b1))
-				w2.Sub(w2, new(big.Int).Mul(d2, b2))
-				if w1.Cmp(got1) == 0 && w2.Cmp(got2) == 0 {
-					ok = true
-					if e1 == 0 && e2 == 0 {
-						exact++
-					}
+	for c := range dim {
+		piv := c
+		for m[piv][c].Sign() == 0 {
+			piv++
+		}
+		m[c], m[piv] = m[piv], m[c]
+		for i := range dim {
+			if i != c && m[i][c].Sign() != 0 {
+				f := new(big.Rat).Quo(m[i][c], m[c][c])
+				for j := c; j <= dim; j++ {
+					m[i][j] = new(big.Rat).Sub(m[i][j], new(big.Rat).Mul(f, m[c][j]))
 				}
 			}
 		}
-		if !ok {
-			t.Fatalf("glvSplit(%v) = (%v, %v) is more than one rounding step from Babai", k, got1, got2)
+	}
+	inv2 := new(big.Int).ModInverse(big.NewInt(2), Order)
+	ks := []*big.Int{big.NewInt(2), big.NewInt(3), new(big.Int).Sub(Order, big.NewInt(1)), new(big.Int).Sub(Order, big.NewInt(2)),
+		new(big.Int).Mod(new(big.Int).Mul(big.NewInt(3), inv2), Order), new(big.Int).Sub(Order, inv2)}
+	r := testRand()
+	for range 300 {
+		ks = append(ks, randScalar(r))
+	}
+	for _, k := range ks {
+		want := make([]*big.Int, dim)
+		for i := range want {
+			want[i] = new(big.Int)
+		}
+		want[0].Set(k)
+		for j := range dim { // cⱼ = floor(k·xⱼ + 1/2); big.Int Div is Euclidean
+			y := new(big.Rat).Mul(new(big.Rat).SetInt(k), new(big.Rat).Quo(m[j][dim], m[j][j]))
+			y.Add(y, big.NewRat(1, 2))
+			c := new(big.Int).Div(y.Num(), y.Denom())
+			for i := range dim {
+				want[i].Sub(want[i], new(big.Int).Mul(c, b[j][i]))
+			}
+		}
+		if got := splitBig(s, k); !slices.EqualFunc(got, want, func(x, y *big.Int) bool { return x.Cmp(y) == 0 }) {
+			t.Fatalf("split(%v) = %v, exact Babai %v", k, got, want)
 		}
 	}
-	if exact < n*9/10 {
-		t.Fatalf("only %d of %d splits match exact rounding", exact, n)
+}
+
+// TestGLVSplitVsExactBabai holds the GLV halves to exact Babai rounding.
+func TestGLVSplitVsExactBabai(t *testing.T) { checkSplitVsExactBabai(t, &glv, glvBasis()) }
+
+// glsMu is μ = p mod r, the eigenvalue of ψ on G2.
+var glsMu = new(big.Int).Mod(P, Order)
+
+// glsRecompose returns Σ partsᵢ·μⁱ mod r.
+func glsRecompose(parts []*big.Int) *big.Int {
+	sum, pow := new(big.Int), big.NewInt(1)
+	for _, c := range parts {
+		sum.Add(sum, new(big.Int).Mul(c, pow))
+		pow.Mul(pow, glsMu).Mod(pow, Order)
+	}
+	return sum.Mod(sum, Order)
+}
+
+// TestGLSSplitBounds checks that the ψ split is a decomposition,
+// Σ kᵢ·μⁱ ≡ k (mod r), into parts below 2^66 (r^(1/4) ≈ 2^64 plus the
+// rounding), on 0, 1, r − 1, the powers of μ, multiples of each basis
+// vector's first coordinate and random scalars; and that each basis
+// vector really is in the lattice.
+func TestGLSSplitBounds(t *testing.T) {
+	bound := new(big.Int).Lsh(big.NewInt(1), 66)
+	cases := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(Order, big.NewInt(1))}
+	pow := big.NewInt(1)
+	for range 3 {
+		pow = new(big.Int).Mod(new(big.Int).Mul(pow, glsMu), Order)
+		cases = append(cases, pow, new(big.Int).Sub(Order, pow))
+	}
+	for _, v := range glsBasis() {
+		if glsRecompose(v).Sign() != 0 {
+			t.Fatalf("basis vector %v is not in the lattice", v)
+		}
+		for _, m := range []*big.Int{big.NewInt(1), big.NewInt(3), big.NewInt(-1), new(big.Int).Lsh(big.NewInt(1), 63), new(big.Int).Lsh(big.NewInt(1), 130)} {
+			cases = append(cases, new(big.Int).Mod(new(big.Int).Mul(m, v[0]), Order))
+		}
+	}
+	r := testRand()
+	for range 300 {
+		cases = append(cases, randScalar(r))
+	}
+	for _, k := range cases {
+		parts := splitBig(&gls, k)
+		for _, c := range parts {
+			if new(big.Int).Abs(c).Cmp(bound) >= 0 {
+				t.Fatalf("ψ split of %v = %v: a part reaches 2^66", k, parts)
+			}
+		}
+		if glsRecompose(parts).Cmp(k) != 0 {
+			t.Fatalf("ψ split of %v = %v does not recompose", k, parts)
+		}
 	}
 }
+
+// TestGLSSplitVsExactBabai holds the ψ split's parts to exact Babai
+// rounding.
+func TestGLSSplitVsExactBabai(t *testing.T) { checkSplitVsExactBabai(t, &gls, glsBasis()) }
 
 // TestG1GLVMatchesJacobian drives the GLV ladder against the plain Jacobian
 // ladder on random points and scalars.
@@ -503,10 +578,19 @@ func FuzzG1ScalarMultVsNaive(f *testing.F) {
 }
 
 // FuzzG2ScalarMultVsNaive drives the G2 wNAF ladder against the affine
-// oracle, including scalars wider than the group order.
+// oracle, including scalars wider than the group order, and G2.ScalarMult
+// (the ψ split) against it modulo r. Seeds include the Lagrange
+// coefficients a 2-of-3 combine meets: 2 and −1, 3 and −2, 3/2 and −1/2.
 func FuzzG2ScalarMultVsNaive(f *testing.F) {
 	f.Add([]byte{0}, []byte{1})
 	f.Add([]byte{2}, new(big.Int).Mul(Order, big.NewInt(2)).Bytes())
+	inv2 := new(big.Int).ModInverse(big.NewInt(2), Order)
+	for i, k := range []*big.Int{
+		big.NewInt(2), big.NewInt(-1), big.NewInt(3), big.NewInt(-2),
+		new(big.Int).Mul(big.NewInt(3), inv2), new(big.Int).Neg(inv2),
+	} {
+		f.Add([]byte{byte(7 + i)}, k.Mod(k, Order).Bytes())
+	}
 	f.Fuzz(func(t *testing.T, qBytes, kBytes []byte) {
 		qScalar := new(big.Int).Mod(new(big.Int).SetBytes(qBytes), Order)
 		k := new(big.Int).SetBytes(kBytes)
@@ -517,6 +601,9 @@ func FuzzG2ScalarMultVsNaive(f *testing.F) {
 		want := g2ScalarMultAffine(q, k)
 		if got := g2ScalarMultWNAF(q, k); !got.Equal(want) {
 			t.Fatalf("G2 wNAF diverges: point seed %v scalar %v", qScalar, k)
+		}
+		if got := new(G2).ScalarMult(q, k); !got.Equal(want) {
+			t.Fatalf("G2 ψ split diverges: point seed %v scalar %v", qScalar, k)
 		}
 	})
 }

@@ -351,7 +351,7 @@ func wnafDigitsBig(k *big.Int, w uint) []int8 {
 // g2ScalarMultWNAF is the shipped engine's walk on one row, which needs no
 // φ, normalized to affine: k·a for any twist point and any non-negative k.
 func g2ScalarMultWNAF(a *G2, k *big.Int) *G2 {
-	acc := g2Joint([]*G2{a}, [][]int8{wnafDigitsBig(k, wnafWindow)})
+	acc := g2Joint([]*G2{a}, [][]int8{wnafDigitsBig(k, wnafWindow)}, false)
 	return acc.affine(new(G2))
 }
 
@@ -380,10 +380,12 @@ func (z *Fp2) Exp(x *Fp2, e *big.Int) *Fp2 {
 	return z.Set(acc)
 }
 
-// fp2SqrtBigExp is Fp2.Sqrt as it shipped before the fixed-window chains:
-// the same complex-extension algorithm with both exponents rebuilt as
-// big.Ints per call.
-func fp2SqrtBigExp(x *Fp2) *Fp2 {
+// fp2SqrtAdjRodriguez is Fp2.Sqrt as it shipped before the norm method:
+// the complex-extension algorithm for p ≡ 3 (mod 4) of Adj & Rodríguez-
+// Henríquez, both exponents rebuilt as big.Ints per call, so it shares no
+// chain with the shipped root. Its root is χ(2·Re y)·y for either root y,
+// and χ(2) = 1 for p ≡ 7 (mod 8): the root whose real part is a square.
+func fp2SqrtAdjRodriguez(x *Fp2) *Fp2 {
 	if x.IsZero() {
 		return Fp2Zero()
 	}
@@ -418,7 +420,7 @@ func hashToTwist(domain string, msg []byte, counter uint32) *G2 {
 	rhs.Square(x)
 	rhs.Mul(&rhs, x)
 	rhs.Add(&rhs, twistB)
-	root := fp2SqrtBigExp(&rhs)
+	root := fp2SqrtAdjRodriguez(&rhs)
 	if root == nil {
 		return nil
 	}
@@ -442,7 +444,7 @@ var (
 // R = [t - 1]q = [6u²]q, a 127-bit ladder — a second oracle for c′·Y that
 // shares no walk with clearCofactor.
 func clearCofactorTrace(q *G2) *G2 {
-	acc := g2Joint([]*G2{q}, [][]int8{sixUSquaredWNAF}) // one row: no φ off the subgroup
+	acc := g2Joint([]*G2{q}, [][]int8{sixUSquaredWNAF}, false) // one row: no φ off the subgroup
 	t := acc
 	t.frobeniusTwist()
 	acc.add(&t)

@@ -97,7 +97,7 @@ func hashToScalar(domain string, msg []byte) *big.Int {
 
 // newThresholdKGC splits a fresh deterministic master and returns the
 // single-master oracle plus per-share signers.
-func newThresholdKGC(t *testing.T, tt, n int, seed int64) (*core.KGC, []*Signer) {
+func newThresholdKGC(t testing.TB, tt, n int, seed int64) (*core.KGC, []*Signer) {
 	t.Helper()
 	master := hashToScalar("threshold/test", []byte{byte(seed)})
 	kgc, err := core.NewKGCFromMaster(master)
@@ -163,11 +163,12 @@ func TestIssueMatchesExactHash(t *testing.T) {
 
 // TestCombineOpCount pins Combine of t key shares at exactly t
 // G2ScalarMults, one per share fed to the joint walk, and at the
-// single-master key, for quorums on both sides of the walk's eight-point
-// slice. The benchmark's bn254.g2_mults_per_cold_enroll reads this count.
+// single-master key, for quorums on both sides of the walk's four-point
+// slice and of two slices. The benchmark's bn254.g2_mults_per_cold_enroll
+// reads this count.
 func TestCombineOpCount(t *testing.T) {
 	const id = "valve-3"
-	for _, tt := range []int{1, 2, 3, 8, 9} {
+	for _, tt := range []int{1, 2, 3, 4, 5, 8, 9} {
 		kgc, signers := newThresholdKGC(t, tt, tt, int64(20+tt))
 		ks := make([]*KeyShare, tt)
 		for i, s := range signers {
