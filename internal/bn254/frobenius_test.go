@@ -74,6 +74,77 @@ func TestPsiSubgroupNorm(t *testing.T) {
 	}
 }
 
+// TestAteMembershipNorm proves the Miller loop's membership test sound and
+// complete from the curve constants alone. A point pair's chain ends on
+// T = [6u+2]Q + ψ(Q) - ψ²(Q), and the loop accepts Q iff T = -ψ³(Q), that is
+// a(ψ)Q = O for a = (6u+2) + ψ - ψ² + ψ³, whenever the chain meets no
+// exceptional addition. As in TestPsiSubgroupNorm, a reduces in Z[ψ] to
+// a0 + a1ψ with norm N, an accepted Q has order dividing
+// gcd(N, #E'(Fp2)), and gcd(N, 2p - r) = 1 leaves only G2 (soundness);
+// a(p) ≡ 0 (mod r) is completeness. For Q in G2 the two Frobenius additions
+// are exceptional iff [6u+2]Q = ±[p]Q or [6u+2+p]Q = ∓[p²]Q, so the four
+// residues must be nonzero; a chain that does meet one ends with Z = 0,
+// which the loop rejects.
+func TestAteMembershipNorm(t *testing.T) {
+	mul := func(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
+	one := big.NewInt(1)
+	tr := new(big.Int).Add(sixUSquared, one) // trace t = 6u² + 1
+	// ψ² = tψ - p and ψ³ = (t² - p)ψ - tp, so
+	// a0 = 6u+2 + p - tp and a1 = 1 - t + t² - p.
+	a0 := new(big.Int).Add(ateLoopCount, P)
+	a0.Sub(a0, mul(tr, P))
+	a1 := new(big.Int).Sub(one, tr)
+	a1.Add(a1, mul(tr, tr))
+	a1.Sub(a1, P)
+
+	norm := mul(a0, a0)
+	norm.Add(norm, mul(mul(a0, a1), tr))
+	norm.Add(norm, mul(mul(a1, a1), P))
+	if new(big.Int).Mod(norm, Order).Sign() != 0 {
+		t.Fatal("r does not divide N: the loop test would reject points of G2")
+	}
+	if g := new(big.Int).GCD(nil, nil, new(big.Int).Abs(norm), g2Cofactor); g.Cmp(one) != 0 {
+		t.Fatalf("gcd(N, 2p - r) = %v, want 1: the loop test would accept points outside G2", g)
+	}
+	atP := new(big.Int).Add(a0, mul(a1, P))
+	if atP.Mod(atP, Order).Sign() != 0 {
+		t.Fatal("a(p) != 0 mod r: the loop test would reject points of G2")
+	}
+	p2 := mul(P, P)
+	afterPsi := new(big.Int).Add(ateLoopCount, P)
+	for _, k := range []*big.Int{
+		new(big.Int).Sub(ateLoopCount, P), new(big.Int).Add(ateLoopCount, P),
+		new(big.Int).Sub(afterPsi, p2), new(big.Int).Add(afterPsi, p2),
+	} {
+		if k.Mod(k, Order).Sign() == 0 {
+			t.Fatal("a Frobenius addition of the ate chain is exceptional on G2")
+		}
+	}
+}
+
+// FuzzMillerLoopMembershipVsOrder holds the Miller loop's membership verdict,
+// MillerLoopMulti's and NewG2Lines's alike, to [r]Q = O on every on-curve
+// class of twistPointOfClass (the checked-in corpus has a seed per class),
+// and, for a member, the table's replay to the stepped loop.
+func FuzzMillerLoopMembershipVsOrder(f *testing.F) {
+	p := new(G1).ScalarBaseMult(big.NewInt(7))
+	f.Fuzz(func(t *testing.T, seed []byte, class uint8, kBytes []byte) {
+		q := twistPointOfClass(seed, class, kBytes)
+		if !q.IsOnCurve() {
+			return
+		}
+		want := g2InSubgroupByOrder(q)
+		multi, lines := MillerLoopMulti([]*G1{p}, []*G2{q}), NewG2Lines(q)
+		if (multi != nil) != want || (lines != nil) != want {
+			t.Fatalf("class %d: the loop says %v, the table build %v, [r]Q = O says %v for %v",
+				class%twistClasses, multi != nil, lines != nil, want, q)
+		}
+		if want && !finalExponentiation(multi).Equal(finalExponentiation(replay(p, lines))) {
+			t.Fatalf("class %d: the replay of %v diverges from MillerLoopMulti", class%twistClasses, q)
+		}
+	})
+}
+
 // twistClasses is the number of input classes twistPointOfClass builds.
 const twistClasses = 7
 

@@ -229,7 +229,7 @@ func (z *G2) Unmarshal(data []byte) error {
 
 // UnmarshalOnCurve decodes a point produced by Marshal, validating that the
 // encoding is canonical and the point on the twist, not in the subgroup: the
-// caller checks IsInSubgroup before the point is used.
+// caller checks that first, by IsInSubgroup or the Miller loop pairing it.
 func (z *G2) UnmarshalOnCurve(data []byte) error {
 	if len(data) != g2MarshalledSize {
 		return fmt.Errorf("%w: G2 wants %d bytes, got %d", ErrInvalidPoint, g2MarshalledSize, len(data))

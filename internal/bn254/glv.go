@@ -357,7 +357,16 @@ func g2OddMultiples(tab []G2, pts []*G2, size int, psi bool) {
 		for i, p := range pts {
 			tab[i] = *p
 		}
-	} else if size > 1 {
+	} else if size == 2 { // 3P as the Jacobian 2P plus the affine P: one normalization
+		var js [2 * jointSlice]g2Jac
+		for i, p := range pts {
+			js[2*i].fromAffine(p)
+			js[2*i+1] = js[2*i]
+			js[2*i+1].double()
+			js[2*i+1].addMixed(p) // P = O: O + O
+		}
+		g2BatchAffine(tab[:m], js[:m])
+	} else if size > 2 {
 		var js [jointSlice * wnafTableSize]g2Jac
 		for i, p := range pts {
 			js[i].fromAffine(p)

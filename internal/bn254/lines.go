@@ -21,10 +21,10 @@ type G2Lines struct {
 func (t *G2Lines) Q() *G2 { return &t.q }
 
 // NewG2Lines runs q's chain once and returns its line table; the identity
-// yields a table that replays to 1. It returns nil when a line's a
-// vanishes, which needs the chain to meet the identity or ±q: never on the
-// twist (its small prime factors 10069, 5864401 and 1875725156269 divide no
-// chain multiple k or k ± 1), but possible for a point off the curve.
+// yields a table that replays to 1. q must be on the twist; a q off G2,
+// which the chain's end point shows as in MillerLoopMixed, yields nil. No
+// a vanishes on the twist: its small primes 10069, 5864401 and
+// 1875725156269 divide no chain multiple k or k ± 1.
 func NewG2Lines(q *G2) *G2Lines {
 	t := &G2Lines{q: *q}
 	if q.IsInfinity() {
@@ -57,6 +57,9 @@ func NewG2Lines(q *G2) *G2Lines {
 	record()
 	acc.addStepProj(&l, q2.Neg(q2.frobeniusTwist(&q1)))
 	record()
+	if !acc.is(q1.frobeniusTwist(&q2)) {
+		return nil
+	}
 
 	// Divide each line by its a with one inversion (Montgomery's trick).
 	var pre [ateLines]Fp2
@@ -64,9 +67,6 @@ func NewG2Lines(q *G2) *G2Lines {
 	for i := range as {
 		pre[i] = prod
 		prod.Mul(&prod, &as[i])
-	}
-	if prod.IsZero() {
-		return nil
 	}
 	var inv, aInv Fp2
 	inv.Inverse(&prod)

@@ -117,26 +117,20 @@ func TestMillerLoopLinesAllocs(t *testing.T) {
 	}
 }
 
-// TestG2LinesOffSubgroup feeds NewG2Lines twist points outside the r-order
-// subgroup — raw try-and-increment candidates, and points of the twist's
-// small prime orders — and a point off the curve. Nothing may panic. A
-// table that is built must replay to MillerLoopMulti's GT value; the
-// small-order points must get one (no chain multiple k or k ± 1 is
-// divisible by their order), and y = 0 must not (its first tangent has
-// a = 0).
+// TestG2LinesOffSubgroup feeds NewG2Lines and MillerLoopMulti twist points
+// outside the r-order subgroup — raw try-and-increment candidates, and
+// points of the twist's small prime orders — and a point off the curve with
+// y = 0. Nothing may panic, and neither may pair any of them: no table, no
+// Miller value. The small-order points step a whole chain (no chain
+// multiple k or k ± 1 is divisible by their order) to an end point that is
+// not -ψ³(Q); y = 0 ends with Z = 0 (its first tangent has a = 0).
 func TestG2LinesOffSubgroup(t *testing.T) {
 	r := testRand()
 	p := new(G1).ScalarBaseMult(randScalar(r))
-	agree := func(q *G2) bool {
-		lines := NewG2Lines(q)
-		if lines == nil {
-			return false
+	unpaired := func(q *G2) {
+		if NewG2Lines(q) != nil || MillerLoopMulti([]*G1{p}, []*G2{q}) != nil {
+			t.Fatalf("%v off G2 was paired", q)
 		}
-		multi := MillerLoopMulti([]*G1{p}, []*G2{q})
-		if !finalExponentiation(multi).Equal(finalExponentiation(replay(p, lines))) {
-			t.Fatalf("replay of %v diverges from MillerLoopMulti after the final exponentiation", q)
-		}
-		return true
 	}
 	var raw []*G2
 	for counter := uint32(0); len(raw) < 4; counter++ {
@@ -145,7 +139,7 @@ func TestG2LinesOffSubgroup(t *testing.T) {
 				t.Fatal("a raw candidate is in the subgroup")
 			}
 			raw = append(raw, q)
-			agree(q)
+			unpaired(q)
 		}
 	}
 	twistOrder := new(big.Int).Mul(Order, g2Cofactor)
@@ -161,11 +155,7 @@ func TestG2LinesOffSubgroup(t *testing.T) {
 		if q.IsInfinity() || !q.IsOnCurve() || !g2ScalarMultJac(q, order).IsInfinity() {
 			t.Fatalf("no point of order %d", d)
 		}
-		if !agree(q) {
-			t.Fatalf("no line table for a point of order %d", d)
-		}
+		unpaired(q)
 	}
-	if NewG2Lines(&G2{X: *Fp2One()}) != nil {
-		t.Fatal("a point with y = 0 got a line table")
-	}
+	unpaired(&G2{X: *Fp2One()})
 }

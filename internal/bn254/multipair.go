@@ -35,7 +35,8 @@ func MillerLoopMulti(ps []*G1, qs []*G2) *Fp12 { return MillerLoopMixed(nil, nil
 // table pair and a projective step per point pair. Pairs with an infinity
 // member are skipped. A table pair counts as a pairing; its value is the
 // stepped one over a factor in Fp2 (NewG2Lines), which the final
-// exponentiation kills. tps must be in G1, where no yP is 0.
+// exponentiation kills. tps must be in G1 (no yP is 0) and qs on the twist;
+// a stepped Q off G2, whose chain does not end on -ψ³(Q), makes it nil.
 func MillerLoopMixed(tps []*G1, ts []*G2Lines, ps []*G1, qs []*G2) *Fp12 {
 	if len(tps) != len(ts) || len(ps) != len(qs) {
 		panic("bn254: MillerLoopMixed length mismatch")
@@ -144,15 +145,23 @@ func MillerLoopMixed(tps []*G1, ts []*G2Lines, ps []*G1, qs []*G2) *Fp12 {
 		q2.Neg(&q2)
 		pr.t.addStepProj(&l, &q2)
 		f.mulByLine(l.at(&pr.p))
+		if !pr.t.is(q1.frobeniusTwist(&q2)) {
+			return nil
+		}
 	}
 	return f
 }
 
-// FinalExp reduces an unreduced Miller value to its GT element.
-func FinalExp(f *Fp12) *GT { return &GT{v: finalExponentiation(f)} }
+// FinalExp reduces an unreduced Miller value, nil for nil, to its GT element.
+func FinalExp(f *Fp12) *GT {
+	if f == nil {
+		return nil
+	}
+	return &GT{v: finalExponentiation(f)}
+}
 
 // ReducesToOne reports whether the final exponentiation of f is the
-// identity. FE is a homomorphism, so FE(f₁) = FE(f₂) ⇔ ReducesToOne(f₁·f₂⁻¹):
-// a caller holding one side as a cached Miller value decides a pairing
-// equation with one final exponentiation, not one per side.
-func ReducesToOne(f *Fp12) bool { return finalExponentiation(f).IsOne() }
+// identity (false for nil). FE is a homomorphism, so FE(f₁) = FE(f₂) ⇔
+// ReducesToOne(f₁·f₂⁻¹): a caller holding one side as a cached Miller value
+// decides a pairing equation with one final exponentiation, not one per side.
+func ReducesToOne(f *Fp12) bool { return f != nil && finalExponentiation(f).IsOne() }

@@ -11,8 +11,8 @@ type GT struct {
 // Equal reports whether z and x represent the same GT element.
 func (z *GT) Equal(x *GT) bool { return z.v.Equal(x.v) }
 
-// IsOne reports whether z is the identity.
-func (z *GT) IsOne() bool { return z.v.IsOne() }
+// IsOne reports whether z is the identity (false for nil: a point off G2).
+func (z *GT) IsOne() bool { return z != nil && z.v.IsOne() }
 
 // Mul sets z = a·b.
 func (z *GT) Mul(a, b *GT) *GT {
@@ -111,6 +111,12 @@ func (p *g2Proj) fromAffine(q *G2) {
 	p.x = q.X
 	p.y = q.Y
 	p.z = *Fp2One()
+}
+
+// is reports whether p is the affine point q ≠ O.
+func (p *g2Proj) is(q *G2) bool {
+	var t Fp2
+	return !p.z.IsZero() && p.x.Equal(t.Mul(&q.X, &p.z)) && p.y.Equal(t.Mul(&q.Y, &p.z))
 }
 
 // twistB3 is 3·b', cached for the doubling step.
@@ -273,16 +279,16 @@ func finalExponentiation(f *Fp12) *Fp12 {
 	return new(Fp12).Mul(&t0, &t1)
 }
 
-// Pair computes the optimal-ate pairing e(p, q). Pairing with the identity
-// in either slot yields the identity of GT. It is a one-pair wrapper over
-// the lockstep multi-pairing kernel (see multipair.go).
+// Pair computes the optimal-ate pairing e(p, q), nil for q off G2 and p ≠ O.
+// Pairing with the identity in either slot yields the identity of GT. It is
+// a one-pair wrapper over the lockstep multi-pairing kernel (multipair.go).
 func Pair(p *G1, q *G2) *GT {
 	return FinalExp(MillerLoopMulti([]*G1{p}, []*G2{q}))
 }
 
-// PairingCheck reports whether Π e(p_i, q_i) = 1. One lockstep Miller pass
-// shares the accumulator squarings across all pairs, and one final
-// exponentiation reduces the product.
+// PairingCheck reports whether Π e(p_i, q_i) = 1 (false if a q_i beside a
+// p_i ≠ O is off G2): one lockstep Miller pass shares the squarings across
+// all pairs, and one final exponentiation reduces the product.
 func PairingCheck(ps []*G1, qs []*G2) bool {
 	if len(ps) != len(qs) {
 		return false

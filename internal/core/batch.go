@@ -36,10 +36,10 @@ type BatchOptions struct {
 // Verifier.Batch, the tree's one batch entry point. A signature under the S
 // of the pair Verify last accepted for its identity is decided exactly by
 // its A, in blocks sharing their inversions (window.accept), and enters no
-// check, nor does one whose S is not in G2, checked once per S (newWindow).
-// The rest is cut into chunks of chunkWidth, each decided by one aggregate
-// equation on a worker pool; a failing chunk is settled index by index, one
-// S-group at a time (window.settle). The equation is
+// check. The rest is cut into chunks of chunkWidth, each decided by one
+// aggregate equation on a worker pool, whose Miller loop or table build
+// fails a chunk with an S off G2; a failing chunk is settled index by
+// index, one S-group at a time (window.settle). The equation is
 //
 //	Π_S e(Σᵢ∈S ρᵢ·Aᵢ, S) · e(-c′·P_pub, Σ_ID (Σᵢ∈ID ρᵢ)·Y_ID) = 1
 //
@@ -162,18 +162,18 @@ type window struct {
 // slot is one index's state in a window. r is its identity's record if that
 // existed before the window (nil: a first contact): a second sighting, which
 // earns its S a line table. ok is r's accepted pair while its S is the
-// index's: it settles the index, valid or bad; bad also marks an S off G2
-// and an offender window.settle found.
+// index's: it settles the index, valid or bad; bad also marks an offender
+// window.settle found.
 type slot struct {
 	r   *signer
 	ok  *accepted
 	bad bool
 }
 
-// newWindow runs the shape checks, settles the indices it can by accept,
-// rejects the others whose S is off G2 (one check per S: the small-exponent
-// equation needs prime-order points) and draws the weights for the rest.
-// The challenges are inverted together, with one field inversion. Shape and
+// newWindow runs the shape checks, settles the indices it can by accept and
+// draws the weights for the rest, whose S a chunk's loop or table build
+// checks in G2 (the small-exponent equation needs prime-order points). The
+// challenges are inverted together, with one field inversion. Shape and
 // zero-hash failures surface as errors, matching the single-signature path.
 func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Signature) (*window, error) {
 	seed, err := newWeightSeed(bv.weights)
@@ -186,15 +186,20 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 	w.known = w.rest
 	hs := make([]fr.Element, len(sigs))
 	for i, sig := range sigs {
-		if err := checkShape(pks[i], sig); err != nil {
+		at := &w.at[i]
+		if pks[i] != nil {
+			if at.r, _ = bv.vf.signers.Get(pks[i].ID); at.r != nil {
+				at.ok = at.r.ok.Load()
+			}
+		}
+		if err := checkShape(pks[i], sig, at.ok); err != nil {
 			return nil, err
 		}
 		hs[i] = bv.vf.params.hashH2(msgs[i], sig.R, pks[i].PID)
-		at := &w.at[i]
-		if at.r, _ = bv.vf.signers.Get(pks[i].ID); at.r != nil {
-			if ok := at.r.ok.Load(); ok != nil && ok.s.Equal(sig.S) {
-				at.ok, w.known = ok, append(w.known, i)
-			}
+		if at.ok != nil && at.ok.s.Equal(sig.S) {
+			w.known = append(w.known, i)
+		} else {
+			at.ok = nil
 		}
 	}
 	if i := batchInverse(w.k, hs); i >= 0 {
@@ -206,16 +211,9 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 	w.blocks = max((len(w.known)+bn254.BaseMultAddBlock-1)/bn254.BaseMultAddBlock, min(len(w.known), runtime.GOMAXPROCS(0)))
 	fanOut(min(w.blocks, runtime.GOMAXPROCS(0)), w.blocks, w, (*window).accept)
 	for i := range n {
-		at := &w.at[i]
-		if at.ok == nil { // S is in G2 if an earlier index's is: pinned, or checked
-			j := slices.IndexFunc(sigs, func(s *Signature) bool { return s.S.Equal(sigs[i].S) })
-			if at.bad = w.at[j].ok == nil && w.at[j].bad; j == i {
-				at.bad = !sigs[i].S.IsInSubgroup()
-			}
-		}
-		if at.bad {
+		if w.at[i].bad {
 			w.bad = append(w.bad, i)
-		} else if at.ok == nil {
+		} else if w.at[i].ok == nil {
 			w.rest = append(w.rest, i)
 			w.rho[i] = seed.at(i)
 		}
@@ -275,8 +273,9 @@ func batchInverse(out, xs []fr.Element) int {
 
 // check evaluates the aggregate equation's left side over exactly the
 // signatures at idxs with one final exponentiation; the set passes iff the
-// product is one. Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) in GT, so folding equal-S
-// pairs yields exactly the pairwise product for the same weights. A group's
+// product is one, and nil if a Miller loop finds an S off G2.
+// Π e(ρᵢ·Aᵢ, S) = e(Σρᵢ·Aᵢ, S) in GT, so folding equal-S pairs yields
+// exactly the pairwise product for the same weights. A group's
 // point Σρᵢ·Aᵢ = (Σρᵢ·kᵢ)·P - Σρᵢ·Rᵢ is one fixed-base pass and one joint
 // ladder over its R values, and Σ_ID (Σρᵢ)·Y_ID one joint ladder over the
 // identities.
@@ -341,6 +340,9 @@ func (w *window) check(idxs []int) *bn254.GT {
 	} else {
 		p.fs = make([]*bn254.Fp12, parts)
 		fanOut(parts, parts, p, (*pass).miller)
+		if slices.Contains(p.fs, nil) {
+			return nil
+		}
 		f = p.fs[0]
 		for _, fk := range p.fs[1:] {
 			f.Mul(f, fk)
@@ -404,7 +406,7 @@ func (p *pass) point(t int) {
 	}
 	g := &p.gs[t-1]
 	if g.build {
-		g.lines = bn254.NewG2Lines(g.s) // nil only for an S off the curve
+		g.lines = bn254.NewG2Lines(g.s) // nil for an S off G2
 	}
 	g.a = new(bn254.G1).ScalarBaseMultSubEndo(&g.k, p.rs[g.lo:g.hi], p.rhos[g.lo:g.hi])
 }

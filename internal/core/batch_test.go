@@ -267,16 +267,17 @@ func atProcs(procs int, f func()) {
 // into one lockstep loop per worker, so only the Miller squarings move with
 // the width: 65 per part. G1 mults: 64 R's fed to the joint ladders and one
 // fixed-base pass per S-group; G2 mults: one Q_ID per identity fed to the
-// Q_ID sum, one subgroup check per S, and on a cold verifier one more in
-// hashing Q_ID. Once Verify has accepted each signer's (S, A), the window
-// costs one fixed-base pass per signature, no pairing and no subgroup check.
+// Q_ID sum and on a cold verifier one more in hashing Q_ID; S needs no
+// subgroup check, as its Miller loop or table build is one. Once Verify has
+// accepted each signer's (S, A), the window costs one fixed-base pass per
+// signature and no pairing.
 func TestBatchWindowOpCounts(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		for _, tc := range []struct {
 			signers                   int
 			warm                      string // "", "tables" or "accepted"
 			pairings, stepped, g1, g2 uint64
-		}{{16, "", 17, 17, 80, 48}, {1, "", 2, 2, 65, 3}, {16, "tables", 17, 1, 80, 32}, {16, "accepted", 0, 0, 64, 0}} {
+		}{{16, "", 17, 17, 80, 32}, {1, "", 2, 2, 65, 2}, {16, "tables", 17, 1, 80, 16}, {16, "accepted", 0, 0, 64, 0}} {
 			_, vf, pks, msgs, sigs := multiBatch(t, 64, tc.signers)
 			switch tc.warm {
 			case "tables":
@@ -659,6 +660,36 @@ func TestBatchFailingChunkCost(t *testing.T) {
 			err := testBatch(tabled(), tc.chunk, workers).VerifyMulti(pks, tamper(tc.want...), sigs)
 			if got := BatchOffenders(err); !slices.Equal(got, tc.want) {
 				t.Fatalf("chunk=%d workers=%d: offenders %v (%v), want %v", tc.chunk, workers, got, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestBatchOffSubgroupS: a window whose index 5 carries an on-curve S off
+// G2 names exactly that index, whether its identity is a first contact (the
+// chunk's Miller loop finds the S) or holds a line table (the chunk's table
+// build does), at every chunk width and GOMAXPROCS, once its chunk is
+// settled by Verify; no record accepts the S or caches a table for it.
+func TestBatchOffSubgroupS(t *testing.T) {
+	kgc, _, pks, msgs, sigs := multiBatch(t, 16, 4)
+	sigs = slices.Clone(sigs)
+	sigs[5] = &Signature{V: sigs[5].V, S: offSubgroupG2(t), R: sigs[5].R}
+	for _, tabled := range []bool{false, true} {
+		for _, chunk := range []int{chunkWidth, 8} {
+			for _, procs := range []int{1, 2} {
+				vf := NewVerifier(kgc.Params())
+				if tabled {
+					tableOnly(t, vf, pks[:4], msgs[:4], sigs[:4])
+				}
+				var err error
+				atProcs(procs, func() { err = testBatch(vf, chunk, 0).VerifyMulti(pks, msgs, sigs) })
+				if got := BatchOffenders(err); !slices.Equal(got, []int{5}) {
+					t.Fatalf("tabled %v, chunk %d, GOMAXPROCS %d: offenders %v (%v), want [5]", tabled, chunk, procs, got, err)
+				}
+				r, _ := vf.signers.Get(pks[5].ID)
+				if ok := r.ok.Load(); ok != nil && ok.s.Equal(sigs[5].S) || r.lines.Load() != nil && r.lines.Load().Q().Equal(sigs[5].S) {
+					t.Fatalf("tabled %v, chunk %d, GOMAXPROCS %d: the record took the S off G2", tabled, chunk, procs)
+				}
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 // state: the right-hand side is a full pairing computed here, so the oracle
 // shares no cache with the code under test. vf supplies the parameters only.
 func verifySpec(vf *Verifier, pk *PublicKey, msg []byte, sig *Signature) error {
-	if err := checkShape(pk, sig); err != nil {
+	if err := checkShape(pk, sig, nil); err != nil {
 		return err
 	}
 	if !sig.S.IsInSubgroup() { // the paper's S is in G2

@@ -86,8 +86,8 @@ var negInvScaleP = func() *bn254.G1 {
 // partial key received over an untrusted channel before deriving a keypair.
 // It decides e(-c′⁻¹·P, D_ID)·e(P_pub, Y_ID) = 1, that equation to the -c′⁻¹.
 func (ppk *PartialPrivateKey) Validate(params *Params) error {
-	if ppk.D == nil || ppk.D.IsInfinity() || !ppk.D.IsInSubgroup() {
-		return fmt.Errorf("%w: D_ID not a valid subgroup element", ErrPartialKeyInvalid)
+	if ppk.D == nil || ppk.D.IsInfinity() || !ppk.D.IsOnCurve() { // the loop checks G2
+		return fmt.Errorf("%w: D_ID not a point of the twist", ErrPartialKeyInvalid)
 	}
 	y := bn254.HashToG2Short(domainH1, []byte(ppk.ID))
 	if !bn254.PairingCheck([]*bn254.G1{negInvScaleP, params.Ppub}, []*bn254.G2{ppk.D, y}) {

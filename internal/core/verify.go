@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"mccls/internal/bn254"
@@ -94,23 +95,15 @@ func (vf *Verifier) rhs(r *signer, id string) *signer {
 	return r
 }
 
-// rhsBeside runs rhs(r, id) on a goroutine of its own, which delivers the
-// record when the caller receives it. The caller must receive.
-func (vf *Verifier) rhsBeside(r *signer, id string) <-chan *signer {
-	c := make(chan *signer)
-	go func() { c <- vf.rhs(r, id) }()
-	return c
-}
-
-// checkShape rejects structurally invalid signatures before any group math.
-func checkShape(pk *PublicKey, sig *Signature) error {
+// checkShape rejects malformed signatures (ok's S, accepted, is on the curve).
+func checkShape(pk *PublicKey, sig *Signature, ok *accepted) error {
 	if sig == nil || sig.S == nil || sig.R == nil {
 		return fmt.Errorf("%w: missing component", ErrInvalidSignature)
 	}
 	if sig.V.IsZero() {
 		return fmt.Errorf("%w: V out of range", ErrInvalidSignature)
 	}
-	if sig.S.IsInfinity() || !sig.S.IsOnCurve() {
+	if sig.S.IsInfinity() || (ok == nil || !ok.s.Equal(sig.S)) && !sig.S.IsOnCurve() {
 		return fmt.Errorf("%w: S invalid", ErrInvalidSignature)
 	}
 	if !sig.R.IsOnCurve() {
@@ -148,11 +141,11 @@ func (p *Params) vOverH(pk *PublicKey, msg []byte, sig *Signature) (k fr.Element
 // one final exponentiation reduces both pairings, cached or not, and the
 // Miller loop over S replays S's line table (DESIGN.md §3); another A under
 // a known identity's accepted S is rejected with no pairing (accepted), and
-// any other S is checked in G2 before its pairing. It returns nil on success
-// and ErrVerifyFailed (or a shape error) on rejection. At GOMAXPROCS > 1 a
-// first contact computes m_ID on a goroutine beside its own work (rhsBeside).
+// any other S is checked in G2 by the loop or table build pairing it. It
+// returns nil on success and ErrVerifyFailed (or a shape error) on
+// rejection; a first contact hashes Y_ID and computes m_ID beside S's side.
 func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
-	if err := checkShape(pk, sig); err != nil {
+	if err := checkShape(pk, sig, nil); err != nil {
 		return err
 	}
 	k, err := vf.params.vOverH(pk, msg, sig)
@@ -160,51 +153,62 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 		return err
 	}
 	r, _ := vf.signers.Get(pk.ID) // nil: a first contact
-	lines, build := lineTable(r, sig.S)
-	var later <-chan *signer
+	s := sSide{k: k}
+	s.lines, s.build = lineTable(r, sig.S)
 	switch {
 	case r != nil && r.m.Load() != nil:
+		s.run(sig, r.ok.Load())
 	case runtime.GOMAXPROCS(0) > 1:
-		later = vf.rhsBeside(r, pk.ID)
+		b := &sSide{k: k, build: s.build, lines: s.lines}
+		b.wg.Add(1)
+		go func() { b.run(sig, nil); b.wg.Done() }()
+		runtime.Gosched() // b runs on this P at once; an idle P resumes the caller
+		r = vf.rhs(r, pk.ID)
+		b.wg.Wait()
+		s.lines, s.a, s.f = b.lines, b.a, b.f
 	default:
 		r = vf.rhs(r, pk.ID)
+		s.run(sig, nil)
 	}
-	// A = (V/h)·P - R, fused into one fixed-base table pass.
-	var a, negR bn254.G1
-	a.ScalarBaseMultAddFr(&k, negR.Neg(sig.R))
-	var ok *accepted
-	if r != nil && later == nil { // later: no m_ID yet, so no accepted pair
-		ok = r.ok.Load()
-	}
-	// Under an accepted S only its A verifies; any other S is checked in G2.
-	if pinned := ok != nil && ok.s.Equal(sig.S); pinned && !ok.a.Equal(&a) || !pinned && !sig.S.IsInSubgroup() {
-		if later != nil {
-			<-later
-		}
+	if s.f == nil || !bn254.ReducesToOne(s.f.Mul(s.f, r.m.Load())) {
 		return ErrVerifyFailed
 	}
-	if build {
-		lines = bn254.NewG2Lines(sig.S) // nil only for an S off the curve
+	if s.build {
+		r.lines.Store(s.lines)
 	}
-	var f *bn254.Fp12
-	if lines != nil {
-		f = bn254.MillerLoopMixed([]*bn254.G1{&a}, []*bn254.G2Lines{lines}, nil, nil)
-	} else {
-		f = bn254.MillerLoopMulti([]*bn254.G1{&a}, []*bn254.G2{sig.S})
-	}
-	if later != nil {
-		r = <-later
-	}
-	if !bn254.ReducesToOne(f.Mul(f, r.m.Load())) {
-		return ErrVerifyFailed
-	}
-	if build && lines != nil {
-		r.lines.Store(lines)
-	}
-	if ok := r.ok.Load(); ok == nil || !ok.s.Equal(sig.S) || !ok.a.Equal(&a) {
-		r.ok.Store(&accepted{s: *sig.S, a: a})
+	if ok := r.ok.Load(); ok == nil || !ok.s.Equal(sig.S) || !ok.a.Equal(&s.a) {
+		r.ok.Store(&accepted{s: *sig.S, a: s.a})
 	}
 	return nil
+}
+
+// sSide is S's side of a Verify, which needs no hash: A = k·P - R for
+// k = V/h, and e(A, S)'s Miller value f, nil for an S off G2 or, under an
+// accepted S, another A; wg joins a first contact's side run beside rhs.
+type sSide struct {
+	k     fr.Element
+	build bool
+	lines *bn254.G2Lines
+	a     bn254.G1
+	f     *bn254.Fp12
+	wg    sync.WaitGroup
+}
+
+// run fills s for sig under the record's accepted pair ok (nil: none).
+func (s *sSide) run(sig *Signature, ok *accepted) {
+	var negR bn254.G1
+	s.a.ScalarBaseMultAddFr(&s.k, negR.Neg(sig.R)) // one fixed-base table pass
+	if ok != nil && ok.s.Equal(sig.S) && !ok.a.Equal(&s.a) {
+		return
+	}
+	if s.build {
+		s.lines = bn254.NewG2Lines(sig.S) // nil for an S off G2: no loop
+	}
+	if s.lines != nil {
+		s.f = bn254.MillerLoopMixed([]*bn254.G1{&s.a}, []*bn254.G2Lines{s.lines}, nil, nil)
+	} else if !s.build {
+		s.f = bn254.MillerLoopMulti([]*bn254.G1{&s.a}, []*bn254.G2{sig.S})
+	}
 }
 
 // lineTable is S's one table rule, for Verify and the batch chunk, given

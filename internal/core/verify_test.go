@@ -49,12 +49,12 @@ func tables(vf *Verifier, pks []*PublicKey) int {
 // Miller loop on a hit and two on a first contact. The G2 steps follow S's
 // line table: a first contact runs two plain loops, the second sighting
 // builds the table, a hit replays it with no G2 step at all, and a new S
-// under the known identity builds again. A first contact's m_ID runs on a
-// goroutine of its own at more than one P, which moves no count. A
-// signature rejected under the accepted S (a tampered message: S's A is
-// not the accepted one) costs no pairing, no final exponentiation and no
-// subgroup check, as the accepted S passed one: only the fixed-base pass
-// for A.
+// under the known identity builds again. S's loop or table build is its
+// subgroup check, so the one G2 multiplication is a first contact's hash of
+// Q_ID. A first contact's S side runs on a goroutine of its own at more
+// than one P, which moves no count. A signature rejected under the accepted
+// S (a tampered message: S's A is not the accepted one) costs no pairing
+// and no final exponentiation: only the fixed-base pass for A.
 func TestVerifyOpCounts(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		atProcs(procs, func() { verifyOpCounts(t, procs) })
@@ -82,17 +82,18 @@ func verifyOpCounts(t *testing.T, procs int) {
 		sk                              *PrivateKey
 		sig                             *Signature
 		pairings, squarings, dbls, adds uint64
+		g2                              uint64
 	}{
-		{"first contact", sk, sig, 2, 130, 130, 46},
-		{"second sighting", sk, sig, 1, 65, 65, 23},
-		{"hit", sk, sig, 1, 65, 0, 0},
-		{"new S", sk2, sig2, 1, 65, 65, 23},
-		{"hit on the new S", sk2, sig2, 1, 65, 0, 0},
+		{"first contact", sk, sig, 2, 130, 130, 46, 1},
+		{"second sighting", sk, sig, 1, 65, 65, 23, 0},
+		{"hit", sk, sig, 1, 65, 0, 0, 0},
+		{"new S", sk2, sig2, 1, 65, 65, 23, 0},
+		{"hit on the new S", sk2, sig2, 1, 65, 0, 0, 0},
 	} {
 		d := verifyOps(t, vf, tc.sk.Public(), msg, tc.sig)
-		if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != tc.squarings || d.LineDoubles != tc.dbls || d.LineAdds != tc.adds {
-			t.Errorf("GOMAXPROCS %d, %s: %d Miller loops, %d final exps, %d squarings, %d doubles, %d adds; want %d, 1, %d, %d, %d", procs, tc.name,
-				d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, tc.pairings, tc.squarings, tc.dbls, tc.adds)
+		if d.Pairings != tc.pairings || d.FinalExps != 1 || d.MillerSquarings != tc.squarings || d.LineDoubles != tc.dbls || d.LineAdds != tc.adds || d.G2ScalarMults != tc.g2 {
+			t.Errorf("GOMAXPROCS %d, %s: %d Miller loops, %d final exps, %d squarings, %d doubles, %d adds, %d G2 mults; want %d, 1, %d, %d, %d, %d", procs, tc.name,
+				d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, d.G2ScalarMults, tc.pairings, tc.squarings, tc.dbls, tc.adds, tc.g2)
 		}
 	}
 	before := bn254.ReadOpCounts()
@@ -113,7 +114,7 @@ func verifyOpCounts(t *testing.T, procs int) {
 // replaced V, and the accepted S with another signer's V and R (a foreign
 // A). The four forgeries cost Verify no pairing, and the window settles
 // every case with no final exponentiation. So does a signature whose S is
-// off the subgroup, which its subgroup check rejects before any pairing in
+// off the subgroup, which its table build rejects before any pairing in
 // both, and which never becomes the accepted S.
 func TestAcceptedPairRejectsExactly(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "exact@manet")
@@ -497,10 +498,11 @@ func TestVerifierEvictionRace(t *testing.T) {
 
 // TestVerifyOffSubgroupS: an on-curve S outside the r-order subgroup, which
 // UnmarshalSignature accepts, is rejected without a panic and before any
-// pairing, by a warm verifier and a cold one alike. The cold one computes
-// only m_ID, a function of the identity, which its record keeps: one Miller
-// loop and no final exponentiation. Neither pins the S or caches a table
-// for it: the warm verifier keeps the signer's.
+// final exponentiation, by a warm verifier and a cold one alike. The warm
+// one's table build finds the S off G2: no Miller loop. The cold one runs
+// m_ID, a function of the identity, which its record keeps, beside S's
+// Miller loop, which finds the S off G2: two Miller loops. Neither pins the
+// S or caches a table for it: the warm verifier keeps the signer's.
 func TestVerifyOffSubgroupS(t *testing.T) {
 	kgc, sk, warm := newTestSystem(t, "twist@manet")
 	pk, msg := sk.Public(), []byte("RREQ with a stray S")
@@ -522,7 +524,7 @@ func TestVerifyOffSubgroupS(t *testing.T) {
 		name  string
 		vf    *Verifier
 		loops uint64
-	}{{"warm", warm, 0}, {"cold", cold, 1}} {
+	}{{"warm", warm, 0}, {"cold", cold, 2}} {
 		before := bn254.ReadOpCounts()
 		if err := tc.vf.Verify(pk, msg, bad); !errors.Is(err, ErrVerifyFailed) {
 			t.Errorf("%s: want ErrVerifyFailed, got %v", tc.name, err)
