@@ -83,7 +83,7 @@ func BenchmarkFinalExponentiation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		finalExponentiation(f)
+		finalExponentiation(new(Fp12), f)
 	}
 }
 

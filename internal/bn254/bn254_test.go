@@ -423,7 +423,7 @@ func TestFinalExponentiationFastMatchesNaive(t *testing.T) {
 		p := new(G1).ScalarBaseMult(randScalar(r))
 		q := g2BaseMult(randScalar(r))
 		f := millerLoop(p, q)
-		fast := finalExponentiation(f)
+		fast := finalExponentiation(new(Fp12), f)
 		naive := finalExponentiationNaive(f)
 		if !fast.Equal(naive) {
 			t.Fatalf("optimized final exponentiation diverges (iteration %d)", i)

@@ -453,7 +453,7 @@ func TestExpByUMatchesExp(t *testing.T) {
 		}
 	}
 
-	gt := &GT{v: finalExponentiation(base)}
+	gt := &GT{v: finalExponentiation(new(Fp12), base)}
 	exps := []*big.Int{
 		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(7), big.NewInt(8),
 		new(big.Int).Sub(Order, big.NewInt(1)), new(big.Int).Set(u),
@@ -481,8 +481,8 @@ func TestMillerLoopSparseMatchesNaive(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p := new(G1).ScalarBaseMult(randScalar(r))
 		q := g2BaseMult(randScalar(r))
-		fast := finalExponentiation(millerLoop(p, q))
-		naive := finalExponentiation(millerLoopNaive(p, q))
+		fast := finalExponentiation(new(Fp12), millerLoop(p, q))
+		naive := finalExponentiation(new(Fp12), millerLoopNaive(p, q))
 		if !fast.Equal(naive) {
 			t.Fatalf("projective sparse Miller loop diverges from affine oracle (iteration %d)", i)
 		}
@@ -546,7 +546,7 @@ func TestMillerLoopOpCounts(t *testing.T) {
 	// going to the odd-power table instead) plus the chain's four — and, in
 	// particular, more than zero.
 	before = ReadOpCounts()
-	finalExponentiation(f)
+	finalExponentiation(new(Fp12), f)
 	d = ReadOpCounts().Sub(before)
 	if want := uint64(3*len(uWNAF) + 4); d.CycSquares != want {
 		t.Fatalf("final exponentiation used %d cyclotomic squarings, want %d — fell back to generic?", d.CycSquares, want)

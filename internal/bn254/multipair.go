@@ -157,11 +157,11 @@ func FinalExp(f *Fp12) *GT {
 	if f == nil {
 		return nil
 	}
-	return &GT{v: finalExponentiation(f)}
+	return &GT{v: finalExponentiation(new(Fp12), f)}
 }
 
 // ReducesToOne reports whether the final exponentiation of f is the
 // identity (false for nil). FE is a homomorphism, so FE(f₁) = FE(f₂) ⇔
 // ReducesToOne(f₁·f₂⁻¹): a caller holding one side as a cached Miller value
 // decides a pairing equation with one final exponentiation, not one per side.
-func ReducesToOne(f *Fp12) bool { return f != nil && finalExponentiation(f).IsOne() }
+func ReducesToOne(f *Fp12) bool { return f != nil && finalExponentiation(new(Fp12), f).IsOne() }

@@ -249,7 +249,7 @@ func FuzzMillerLoopMultiVsSingle(f *testing.F) {
 			t.Fatalf("lockstep product diverges: n=%d a=%v b=%v mask=%08b", n, a, b, infMask)
 		}
 		naive := productOfSingleLoops(ps, qs, millerLoopNaive)
-		if !finalExponentiation(got).Equal(finalExponentiation(naive)) {
+		if !finalExponentiation(new(Fp12), got).Equal(finalExponentiation(new(Fp12), naive)) {
 			t.Fatalf("reduced lockstep product diverges from the binary affine oracle: n=%d a=%v b=%v mask=%08b", n, a, b, infMask)
 		}
 	})

@@ -230,10 +230,11 @@ func (z *Fp12) easyPart(f *Fp12) *Fp12 {
 // (conjugations). Past the easy part every value is unitary, so all
 // squarings — inside the u-exponentiations and in the chain itself — use
 // the Granger–Scott cyclotomic formulas. Equivalence with plain
-// square-and-multiply by (p^4-p^2+1)/r is asserted by tests.
-func finalExponentiation(f *Fp12) *Fp12 {
+// square-and-multiply by (p^4-p^2+1)/r is asserted by tests. It sets z to
+// the result and returns z.
+func finalExponentiation(z, f *Fp12) *Fp12 {
 	if f.IsOne() { // a product of trivial pairs; the identity reduces to itself
-		return f
+		return z.Set(f)
 	}
 	opCounters.finalExps.Add(1)
 	var r, fp, fp2, fp3, fu, fu2, fu3, fu2p, fu3p Fp12
@@ -276,7 +277,7 @@ func finalExponentiation(f *Fp12) *Fp12 {
 	t0.Mul(&t1, &y1)
 	t1.Mul(&t1, &y0)
 	t0.CyclotomicSquare(&t0)
-	return new(Fp12).Mul(&t0, &t1)
+	return z.Mul(&t0, &t1)
 }
 
 // Pair computes the optimal-ate pairing e(p, q), nil for q off G2 and p ≠ O.

@@ -35,7 +35,7 @@ type BatchOptions struct {
 // BatchVerifier is the batch-verification engine for McCLS, obtained from
 // Verifier.Batch, the tree's one batch entry point. A signature under the S
 // of the pair Verify last accepted for its identity is decided exactly by
-// its A, in blocks sharing their inversions (window.accept), and enters no
+// its A, in blocks sharing their inversions (window.prologue), and enters no
 // check. The rest is cut into chunks of chunkWidth, each decided by one
 // aggregate equation on a worker pool, whose Miller loop or table build
 // fails a chunk with an S off G2; a failing chunk is settled index by
@@ -138,12 +138,11 @@ func (bv *BatchVerifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error
 }
 
 // window is one batch call's input with its per-signature precomputation.
-// rest lists the indices accept did not settle, bad those it rejected.
+// rest lists the indices the prologue did not settle, bad those it rejected.
 // k[i] = Vᵢ·hᵢ⁻¹ is the fixed-base scalar of Aᵢ = k[i]·P - Rᵢ and, for the
 // rest, rho[i] the weight ρᵢ as its halves; at[i] is the rest of index i's
-// state. known, the indices accept decides, shares rest's storage, which
-// fills after the accept round; blocks is its cut. width is the fan-out of
-// each check and settle: GOMAXPROCS shared among the chunks.
+// state. blocks is the prologue's cut; width is the fan-out of each check
+// and settle: GOMAXPROCS shared among the chunks.
 type window struct {
 	vf     *Verifier
 	pks    []*PublicKey
@@ -154,7 +153,6 @@ type window struct {
 	at     []slot
 	bad    []int
 	rest   []int
-	known  []int
 	blocks int
 	width  int
 }
@@ -163,90 +161,92 @@ type window struct {
 // existed before the window (nil: a first contact): a second sighting, which
 // earns its S a line table. ok is r's accepted pair while its S is the
 // index's: it settles the index, valid or bad; bad also marks an offender
-// window.settle found.
+// window.settle found; err a shape error or errZeroChallenge.
 type slot struct {
 	r   *signer
 	ok  *accepted
 	bad bool
+	err error
 }
 
-// newWindow runs the shape checks, settles the indices it can by accept and
-// draws the weights for the rest, whose S a chunk's loop or table build
-// checks in G2 (the small-exponent equation needs prime-order points). The
-// challenges are inverted together, with one field inversion. Shape and
-// zero-hash failures surface as errors, matching the single-signature path.
+// newWindow runs the prologue, returns the lowest-index shape error, else
+// the lowest-index zero challenge, as the single-signature path would, and
+// draws the weights of the rest, whose S a chunk's loop or table build
+// checks in G2 (the small-exponent equation needs prime-order points).
 func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Signature) (*window, error) {
-	seed, err := newWeightSeed(bv.weights)
-	if err != nil {
-		return nil, err
+	n, procs := len(sigs), runtime.GOMAXPROCS(0)
+	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, n), at: make([]slot, n),
+		rest: make([]int, 0, n), blocks: max((n+bn254.BaseMultAddBlock-1)/bn254.BaseMultAddBlock, min(n, procs))}
+	fanOut(procs, w.blocks, w, (*window).prologue)
+	if i := slices.IndexFunc(w.at, func(at slot) bool { return at.err != nil && at.err != errZeroChallenge }); i >= 0 {
+		return nil, w.at[i].err
 	}
-	n := len(sigs)
-	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, n), rho: make([]bn254.EndoScalar, n),
-		at: make([]slot, n), rest: make([]int, 0, n)}
-	w.known = w.rest
-	hs := make([]fr.Element, len(sigs))
-	for i, sig := range sigs {
-		at := &w.at[i]
-		if pks[i] != nil {
-			if at.r, _ = bv.vf.signers.Get(pks[i].ID); at.r != nil {
-				at.ok = at.r.ok.Load()
-			}
-		}
-		if err := checkShape(pks[i], sig, at.ok); err != nil {
-			return nil, err
-		}
-		hs[i] = bv.vf.params.hashH2(msgs[i], sig.R, pks[i].PID)
-		if at.ok != nil && at.ok.s.Equal(sig.S) {
-			w.known = append(w.known, i)
-		} else {
-			at.ok = nil
-		}
-	}
-	if i := batchInverse(w.k, hs); i >= 0 {
+	if i := slices.IndexFunc(w.at, func(at slot) bool { return at.err != nil }); i >= 0 {
 		return nil, fmt.Errorf("%w (index %d)", errZeroChallenge, i)
 	}
-	for i := range n {
-		w.k[i].Mul(&w.k[i], &sigs[i].V)
-	}
-	w.blocks = max((len(w.known)+bn254.BaseMultAddBlock-1)/bn254.BaseMultAddBlock, min(len(w.known), runtime.GOMAXPROCS(0)))
-	fanOut(min(w.blocks, runtime.GOMAXPROCS(0)), w.blocks, w, (*window).accept)
 	for i := range n {
 		if w.at[i].bad {
 			w.bad = append(w.bad, i)
 		} else if w.at[i].ok == nil {
 			w.rest = append(w.rest, i)
+		}
+	}
+	if len(w.rest) > 0 {
+		seed, err := newWeightSeed(bv.weights)
+		if err != nil {
+			return nil, err
+		}
+		w.rho = make([]bn254.EndoScalar, n)
+		for _, i := range w.rest {
 			w.rho[i] = seed.at(i)
 		}
 	}
-	w.width = max(1, runtime.GOMAXPROCS(0)/max(1, (len(w.rest)+bv.chunk-1)/bv.chunk))
+	w.width = max(1, procs/max(1, (len(w.rest)+bv.chunk-1)/bv.chunk))
 	return w, nil
 }
 
-// accept is task t of the accept round: block t of known, a near-equal cut
-// of ≤ bn254.BaseMultAddBlock indices with at least one per P, each decided
-// as matches decides one index, all in one bn254.EqualBaseMultAddMany call,
-// whose fixed-base passes share their field inversions.
-func (w *window) accept(t int) {
-	var ks [bn254.BaseMultAddBlock]fr.Element
+// prologue is task t of the window's fan-out: block t of a near-equal cut
+// into ≤ bn254.BaseMultAddBlock indices, ≥ 1 per P. It stops at its first
+// shape error, else its first zero challenge (one field inversion), and
+// decides its indices under their record's accepted S as valid does, in one
+// bn254.EqualBaseMultAddMany call sharing the passes' field inversions.
+func (w *window) prologue(t int) {
+	var hs, ks [bn254.BaseMultAddBlock]fr.Element
 	var negR [bn254.BaseMultAddBlock]bn254.G1
 	var as, qs [bn254.BaseMultAddBlock]*bn254.G1
-	idxs := w.known[t*len(w.known)/w.blocks : (t+1)*len(w.known)/w.blocks]
-	for b, i := range idxs {
-		ks[b], as[b], qs[b] = w.k[i], &w.at[i].ok.a, negR[b].Neg(w.sigs[i].R)
+	lo, hi := t*len(w.at)/w.blocks, (t+1)*len(w.at)/w.blocks
+	for i := lo; i < hi; i++ {
+		at, pk := &w.at[i], w.pks[i]
+		if pk != nil {
+			if at.r, _ = w.vf.signers.Get(pk.ID); at.r != nil {
+				at.ok = at.r.ok.Load()
+			}
+		}
+		if at.err = checkShape(pk, w.sigs[i], at.ok); at.err != nil {
+			return
+		}
+		hs[i-lo] = w.vf.params.hashH2(w.msgs[i], w.sigs[i].R, pk.PID)
 	}
-	eq := bn254.EqualBaseMultAddMany(as[:len(idxs)], ks[:len(idxs)], qs[:len(idxs)])
-	for b, i := range idxs {
-		w.at[i].bad = eq>>b&1 == 0
+	if j := batchInverse(w.k[lo:hi], hs[:hi-lo]); j >= 0 {
+		w.at[lo+j].err = errZeroChallenge
+		return
 	}
-}
-
-// matches reports whether index i's Aᵢ = k[i]·P - Rᵢ (one fixed-base pass,
-// not normalised) is the accepted A of ok, a pair under Sᵢ. That decides the
-// index exactly: Verify accepted (A, S) under this identity, so it accepts
-// this signature, and no other A, an accepted S being in G2 (accepted).
-func (w *window) matches(i int, ok *accepted) bool {
-	var negR bn254.G1
-	return bn254.EqualBaseMultAddMany([]*bn254.G1{&ok.a}, w.k[i:i+1], []*bn254.G1{negR.Neg(w.sigs[i].R)}) == 1
+	m := 0
+	for i := lo; i < hi; i++ {
+		at, sig := &w.at[i], w.sigs[i]
+		if w.k[i].Mul(&w.k[i], &sig.V); at.ok == nil || !at.ok.s.Equal(sig.S) {
+			at.ok = nil
+		} else {
+			ks[m], as[m], qs[m] = w.k[i], &at.ok.a, negR[m].Neg(sig.R)
+			m++
+		}
+	}
+	eq := bn254.EqualBaseMultAddMany(as[:m], ks[:m], qs[:m])
+	for i := lo; i < hi; i++ {
+		if w.at[i].ok != nil {
+			w.at[i].bad, eq = eq&1 == 0, eq>>1
+		}
+	}
 }
 
 // batchInverse sets out[i] = xs[i]⁻¹ with one field inversion (Montgomery's
@@ -440,8 +440,9 @@ func (p *pass) start(k int) int {
 // fanOut runs task(x, 0), …, task(x, n-1) on min(width, n) goroutines, the
 // caller one of them, each claiming the next index from a shared counter, so
 // tasks start in index order. At width 1 they run inline, in order, and the
-// fan-out allocates nothing. A task's panic stops its worker; the others
-// finish, and the caller re-raises the first panic once they have.
+// fan-out allocates nothing. The caller yields after spawning, so a worker
+// starts on its P at once (DESIGN.md §6 "Fan-out"). A task's panic stops its
+// worker; the others finish, and the caller re-raises the first panic.
 func fanOut[T any](width, n int, x T, task func(T, int)) {
 	if width = min(width, n); width <= 1 {
 		for t := range n {
@@ -449,37 +450,42 @@ func fanOut[T any](width, n int, x T, task func(T, int)) {
 		}
 		return
 	}
-	var f struct {
-		next  atomic.Int64
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		fault any
-	}
-	run := func() {
-		defer func() {
-			if v := recover(); v != nil {
-				f.mu.Lock()
-				if f.fault == nil {
-					f.fault = v
-				}
-				f.mu.Unlock()
-			}
-		}()
-		for t := int(f.next.Add(1)) - 1; t < n; t = int(f.next.Add(1)) - 1 {
-			task(x, t)
-		}
-	}
+	f := &fan[T]{x: x, task: task, n: n}
 	f.wg.Add(width - 1)
 	for range width - 1 {
 		go func() {
 			defer f.wg.Done()
-			run()
+			f.run()
 		}()
 	}
-	run()
+	runtime.Gosched()
+	f.run()
 	f.wg.Wait()
 	if f.fault != nil {
 		panic(f.fault)
+	}
+}
+
+// fan is a wide fanOut's state, its one allocation beside the closures.
+type fan[T any] struct {
+	x     T
+	task  func(T, int)
+	n     int
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	once  sync.Once
+	fault any
+}
+
+// run claims and runs tasks until none is left, recording a panic.
+func (f *fan[T]) run() {
+	defer func() {
+		if v := recover(); v != nil {
+			f.once.Do(func() { f.fault = v })
+		}
+	}()
+	for t := int(f.next.Add(1)) - 1; t < f.n; t = int(f.next.Add(1)) - 1 {
+		f.task(f.x, t)
 	}
 }
 
@@ -533,7 +539,7 @@ func (r *rejection) chunk(t int) {
 // index decided exactly. The chunk's S-groups are tasks for the window's
 // width of workers, and a group walks its indices in index order: an index
 // whose identity's record holds an accepted pair under its S by then is
-// decided by that pair (matches), any other by Verify, which pins the pair
+// decided by that pair (valid), any other by Verify, which pins the pair
 // when it accepts. A group's first valid index thus pays one pairing and
 // each later one under the same identity one fixed-base pass.
 func (w *window) settle(chunk []int) []int {
@@ -553,12 +559,15 @@ func (w *window) settle(chunk []int) []int {
 	return slices.DeleteFunc(slices.Clone(chunk), func(i int) bool { return !w.at[i].bad })
 }
 
-// valid decides index i exactly: by its identity's accepted pair if that is
-// under Sᵢ, else by Verify.
+// valid decides index i exactly: by Verify, or if its identity's accepted
+// pair is under Sᵢ, by whether Aᵢ = k[i]·P - Rᵢ (one fixed-base pass, not
+// normalised) is the accepted A: Verify accepted (A, S) under this identity,
+// so it accepts this signature, and no other A, an accepted S being in G2.
 func (w *window) valid(i int) bool {
 	if r, _ := w.vf.signers.Get(w.pks[i].ID); r != nil {
 		if ok := r.ok.Load(); ok != nil && ok.s.Equal(w.sigs[i].S) {
-			return w.matches(i, ok)
+			var negR bn254.G1
+			return bn254.EqualBaseMultAddMany([]*bn254.G1{&ok.a}, w.k[i:i+1], []*bn254.G1{negR.Neg(w.sigs[i].R)}) == 1
 		}
 	}
 	return w.vf.Verify(w.pks[i], w.msgs[i], w.sigs[i]) == nil
@@ -588,7 +597,7 @@ func (bv *BatchVerifier) VerifyMulti(pks []*PublicKey, msgs [][]byte, sigs []*Si
 		return err
 	}
 	if err = bv.reject(w.rest, w); len(w.bad) == 0 || err != nil && BatchOffenders(err) == nil {
-		return err // none rejected by accept, or a chunk panicked
+		return err // none rejected by the prologue, or a chunk panicked
 	}
 	return &batchError{bad: slices.Sorted(slices.Values(append(w.bad, BatchOffenders(err)...)))}
 }

@@ -768,16 +768,17 @@ func TestBatchAcceptedRace(t *testing.T) {
 
 // TestBatchWindowAllocs keeps the joint walks' tables and digit rows off
 // the heap: a clean 64/16 window over records that hold line tables but no
-// accepted pair makes exactly its measured 41 allocations at GOMAXPROCS 1,
+// accepted pair makes exactly its measured 40 allocations at GOMAXPROCS 1,
 // so one escaped row buffer (18 more) fails here, as does a fan-out that
-// allocates when it runs inline. At GOMAXPROCS 2 each of the two fan-outs
-// (the points, the Miller parts) adds its shared state (counter, wait
-// group, first panic) and two closures, and the Miller parts add their
-// slice and one more loop's accumulator and table-pair state: 50. The chunk
-// runs inline (one chunk). A window that accepted pairs settle entirely
-// makes 8: the weight seed, the window, its five per-index slices and the
-// rejection; at GOMAXPROCS 2 the accept round's fan-out adds 3. Nothing on
-// the path draws on a sync.Pool, so the counts are exact under -race too.
+// allocates when it runs inline. At GOMAXPROCS 2 each of the three fan-outs
+// (the prologue, the points, the Miller parts) adds its shared state and
+// its worker's closure, and the Miller parts add their slice and one more
+// loop's accumulator and table-pair state: 49. The chunk runs inline (one
+// chunk). A window that accepted pairs settle entirely makes 5: the window,
+// its three per-index slices (k, at, rest) and the rejection, with no weight
+// seed and no weights, which only an index left for a check draws; at
+// GOMAXPROCS 2 the prologue's fan-out adds 2. Nothing on the path draws on a
+// sync.Pool, so the counts are exact under -race too.
 func TestBatchWindowAllocs(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
 	bv := vf.Batch(BatchOptions{})
@@ -797,7 +798,7 @@ func TestBatchWindowAllocs(t *testing.T) {
 		accepted bool
 		procs    int
 		allocs   uint64
-	}{{bv, false, 1, 41}, {bv, false, 2, 50}, {known.Batch(BatchOptions{}), true, 1, 8}, {known.Batch(BatchOptions{}), true, 2, 11}} {
+	}{{bv, false, 1, 40}, {bv, false, 2, 49}, {known.Batch(BatchOptions{}), true, 1, 5}, {known.Batch(BatchOptions{}), true, 2, 7}} {
 		if allocs := allocsAt(tc.procs, 20, func() {
 			if err := tc.bv.VerifyMulti(pks, msgs, sigs); err != nil {
 				t.Fatal(err)
@@ -1262,6 +1263,60 @@ func TestZeroChallengeHashRejected(t *testing.T) {
 				t.Fatalf("zero challenge hash: got %v, want ErrInvalidSignature", err)
 			}
 		})
+	}
+}
+
+// TestBatchWindowErrorOrder holds the window's prologue, whose blocks run
+// on any P in any order, to the serial error order at GOMAXPROCS 1, 2 and 8
+// (2, 2 and 8 blocks of a 64-signature window), on a fresh verifier and on
+// one whose records hold accepted pairs: the lowest-index shape error wins,
+// wherever a zero challenge (h2Override) sits, and with none a window
+// reports its lowest-index zero challenge by index.
+func TestBatchWindowErrorOrder(t *testing.T) {
+	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
+	params := *vf.params
+	params.h2Override = func(msg []byte, r, pid *bn254.G1) fr.Element {
+		if bytes.HasPrefix(msg, []byte("zero")) {
+			return fr.Element{}
+		}
+		return vf.params.hashH2(msg, r, pid)
+	}
+	known := NewVerifier(&params)
+	for i := range 16 {
+		if err := known.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noR := func(i int) { sigs[i] = &Signature{V: sigs[i].V, S: sigs[i].S} }
+	noV := func(i int) { sigs[i] = &Signature{S: sigs[i].S, R: sigs[i].R} }
+	zero := func(i int) { msgs[i] = []byte("zero") }
+	pks0, msgs0, sigs0 := slices.Clone(pks), slices.Clone(msgs), slices.Clone(sigs)
+	for _, tc := range []struct {
+		name  string
+		plant func()
+		want  func() error
+	}{
+		{"shape error in the last block, zero challenge in the first", func() { pks[63] = nil; zero(0) },
+			func() error { return checkShape(nil, sigs[63], nil) }},
+		{"shape errors in two blocks", func() { noV(60); noR(5) }, func() error { return checkShape(pks[5], sigs[5], nil) }},
+		{"lone zero challenge", func() { zero(37) }, func() error { return fmt.Errorf("%w (index 37)", errZeroChallenge) }},
+		{"zero challenges in two blocks", func() { zero(40); zero(9) }, func() error { return fmt.Errorf("%w (index 9)", errZeroChallenge) }},
+	} {
+		copy(pks, pks0)
+		copy(msgs, msgs0)
+		copy(sigs, sigs0)
+		tc.plant()
+		want := tc.want().Error()
+		for _, v := range []*Verifier{NewVerifier(&params), known} {
+			for _, procs := range []int{1, 2, 8} {
+				atProcs(procs, func() {
+					err := testBatch(v, chunkWidth, 0).VerifyMulti(pks, msgs, sigs)
+					if err == nil || err.Error() != want || BatchOffenders(err) != nil {
+						t.Fatalf("%s at GOMAXPROCS %d (accepted pairs %v): %v, want %s", tc.name, procs, v == known, err, want)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"mccls/internal/bn254"
@@ -155,20 +154,12 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	r, _ := vf.signers.Get(pk.ID) // nil: a first contact
 	s := sSide{k: k}
 	s.lines, s.build = lineTable(r, sig.S)
-	switch {
-	case r != nil && r.m.Load() != nil:
+	if r != nil && r.m.Load() != nil {
 		s.run(sig, r.ok.Load())
-	case runtime.GOMAXPROCS(0) > 1:
-		b := &sSide{k: k, build: s.build, lines: s.lines}
-		b.wg.Add(1)
-		go func() { b.run(sig, nil); b.wg.Done() }()
-		runtime.Gosched() // b runs on this P at once; an idle P resumes the caller
-		r = vf.rhs(r, pk.ID)
-		b.wg.Wait()
-		s.lines, s.a, s.f = b.lines, b.a, b.f
-	default:
-		r = vf.rhs(r, pk.ID)
-		s.run(sig, nil)
+	} else {
+		c := &sSide{k: k, build: s.build, lines: s.lines, sig: sig, vf: vf, id: pk.ID, r: r}
+		fanOut(min(2, runtime.GOMAXPROCS(0)), 2, c, (*sSide).side)
+		s, r = *c, c.r
 	}
 	if s.f == nil || !bn254.ReducesToOne(s.f.Mul(s.f, r.m.Load())) {
 		return ErrVerifyFailed
@@ -184,14 +175,27 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 
 // sSide is S's side of a Verify, which needs no hash: A = k·P - R for
 // k = V/h, and e(A, S)'s Miller value f, nil for an S off G2 or, under an
-// accepted S, another A; wg joins a first contact's side run beside rhs.
+// accepted S, another A. A first contact's sSide also carries the other
+// side's inputs and its result r, id's record (side).
 type sSide struct {
 	k     fr.Element
 	build bool
 	lines *bn254.G2Lines
 	a     bn254.G1
 	f     *bn254.Fp12
-	wg    sync.WaitGroup
+	sig   *Signature
+	vf    *Verifier
+	id    string
+	r     *signer
+}
+
+// side is task t of a first contact's fanOut: S's side, or rhs (Y_ID, m_ID).
+func (s *sSide) side(t int) {
+	if t == 0 {
+		s.run(s.sig, nil)
+	} else {
+		s.r = s.vf.rhs(s.r, s.id)
+	}
 }
 
 // run fills s for sig under the record's accepted pair ok (nil: none).
