@@ -95,6 +95,12 @@ func fpMulE2(z, x, y *E2)
 //go:noescape
 func fpSquareE2(z, x *E2)
 
+//go:noescape
+func fpCycSquare(z, x *[6]E2)
+
+//go:noescape
+func fpMulE6(z, x, y *[3]E2)
+
 // The E2 kernels: add/sub/double/ξ in assembly on every amd64, as Add/Sub
 // are; the products run fpMulWide's MULX rows, so they fall back with it.
 func addE2(z, x, y *E2)  { fpAddE2(z, x, y) }
@@ -124,4 +130,20 @@ func mulAccE2(c0, c1 *Wide, x, y *E2) {
 		return
 	}
 	mulAccComposed(c0, c1, x, y)
+}
+
+func cycSquare(z, x *[6]E2) {
+	if SupportAdx {
+		fpCycSquare(z, x)
+		return
+	}
+	cycSquareComposed(z, x)
+}
+
+func mulE6(z, x, y *[3]E2) {
+	if SupportAdx {
+		fpMulE6(z, x, y)
+		return
+	}
+	mulE6Composed(z, x, y)
 }

@@ -7,7 +7,8 @@
 // tower paths. fpAdd/fpSub/fpNeg/fpDouble are branch-free ADD/ADC +
 // CMOV/mask sequences that run on every amd64, as do the Fp2 pair kernels
 // fpAddE2/fpSubE2/fpDoubleE2/fpMulByXiE2 built from them; the MULX
-// kernels, the Fp2 products fpMulE2/fpSquareE2/fpMulAccE2 among them, are
+// kernels, the Fp2 products fpMulE2/fpSquareE2/fpMulAccE2, the Fp6
+// product fpMulE6 and the cyclotomic squaring fpCycSquare among them, are
 // gated on the runtime ADX+BMI2 probe (cpuHasAdx) from fp_amd64.go.
 
 #include "textflag.h"
@@ -496,6 +497,79 @@ TEXT ·fpDoubleE2(SB), NOSPLIT, $0-16
 	store(DX, 32, CX, DI, SI, R8)
 	RET
 
+// fpCycSquare and fpMulE6's ξ sum small multiples of values below 4q into
+// a five-limb t in DI, R8, R9, R10, R11 and reduce it once (reduceSmall);
+// AX, BX, CX, DX and R12–R14 are scratch. Each site states its bound on t;
+// reduceSmall holds below 3348q.
+
+// op4 applies op0 then the carrying op to four limbs from the four at off(p).
+#define op4(op0, op, p, off, a0, a1, a2, a3) \
+	op0 off+0(p), a0;  \
+	op  off+8(p), a1;  \
+	op  off+16(p), a2; \
+	op  off+24(p), a3
+
+// add5 sets t += m and sub5 sets t −= m for the four limbs m at off(p).
+#define add5(p, off) \
+	op4(ADDQ, ADCQ, p, off, DI, R8, R9, R10); \
+	ADCQ $0, R11
+
+#define sub5(p, off) \
+	op4(SUBQ, SBBQ, p, off, DI, R8, R9, R10); \
+	SBBQ $0, R11
+
+// mulSmall sets t = k·m for the four limbs m at off(p).
+#define mulSmall(k, p, off) \
+	MOVQ  $k, DX;             \
+	MULXQ off+0(p), DI, R8;   \
+	MULXQ off+8(p), AX, R9;   \
+	ADDQ  AX, R8;             \
+	MULXQ off+16(p), AX, R10; \
+	ADCQ  AX, R9;             \
+	MULXQ off+24(p), AX, R11; \
+	ADCQ  AX, R10;            \
+	ADCQ  $0, R11
+
+// mulSmallAdd sets t += k·m for the four limbs m at off(p).
+#define mulSmallAdd(k, p, off) \
+	MOVQ  $k, DX;             \
+	MULXQ off+0(p), AX, BX;   \
+	MULXQ off+8(p), CX, R12;  \
+	ADDQ  CX, BX;             \
+	MULXQ off+16(p), CX, R13; \
+	ADCQ  CX, R12;            \
+	MULXQ off+24(p), CX, R14; \
+	ADCQ  CX, R13;            \
+	ADCQ  $0, R14;            \
+	ADDQ  AX, DI;             \
+	ADCQ  BX, R8;             \
+	ADCQ  R12, R9;            \
+	ADCQ  R13, R10;           \
+	ADCQ  R14, R11
+
+// reduceSmall sets DI, R8, R9, R10 to t mod q, canonical, for t < 3348q.
+// The quotient estimate k = ⌊⌊t/2^242⌋·0x15277f/2^32⌋ (0x15277f/2^32 is
+// just under 2^242/q) never exceeds ⌊t/q⌋ and, below 3348q, falls short of
+// it by at most one, so t − k·q, formed on the low four limbs, is below 2q
+// and one conditional subtraction finishes it.
+#define reduceSmall \
+	MOVQ   R10, DX;             \
+	SHRQ   $50, R11, DX;        \
+	IMUL3Q $0x15277f, DX, DX;   \
+	SHRQ   $32, DX;             \
+	MULXQ  q<>+0(SB), AX, BX;   \
+	MULXQ  q<>+8(SB), CX, R12;  \
+	ADDQ   CX, BX;              \
+	MULXQ  q<>+16(SB), CX, R13; \
+	ADCQ   CX, R12;             \
+	MULXQ  q<>+24(SB), CX, R11; \
+	ADCQ   CX, R13;             \
+	SUBQ   AX, DI;              \
+	SBBQ   BX, R8;              \
+	SBBQ   R12, R9;             \
+	SBBQ   R13, R10;            \
+	reduceOnce(DI, R8, R9, R10, AX, BX, CX, R12)
+
 // func fpMulByXiE2(z, x *E2)
 // (a, b) ↦ (9a − b, a + 9b) with a, b read from x (AX) throughout: 9a by
 // three doublings and an addition in R8–R11, then 9a + (q − b) < 2q and
@@ -674,4 +748,345 @@ TEXT ·fpSquareE2(SB), NOSPLIT, $32-16
 	store(AX, 32, R11, R12, R13, R14)
 	load(SP, 0, R11, R12, R13, R14)
 	store(AX, 0, R11, R12, R13, R14)
+	RET
+
+// 2q, the pad of fpCycSquare's output sums, and 3q² and 5q², pads of its
+// wide sums.
+DATA twoQ<>+0(SB)/8, $0x7841182db0f9fa8e
+DATA twoQ<>+8(SB)/8, $0x2f02d522d0e3951a
+DATA twoQ<>+16(SB)/8, $0x70a08b6d0302b0bb
+DATA twoQ<>+24(SB)/8, $0x60c89ce5c2634053
+GLOBL twoQ<>(SB), RODATA, $32
+
+DATA q2x3<>+0(SB)/8, $0xb1fd09e676183d13
+DATA q2x3<>+8(SB)/8, $0xf20615871dc04303
+DATA q2x3<>+16(SB)/8, $0xdef049d548c46095
+DATA q2x3<>+24(SB)/8, $0x0d39dbc06e36c858
+DATA q2x3<>+32(SB)/8, $0x74c9ef149e541aa7
+DATA q2x3<>+40(SB)/8, $0x10228ff342a60212
+DATA q2x3<>+48(SB)/8, $0x0ccf4e7409da7656
+DATA q2x3<>+56(SB)/8, $0x1b714e2962b63ed5
+GLOBL q2x3<>(SB), RODATA, $64
+
+DATA q2x5<>+0(SB)/8, $0x28a5bb2ac4d31075
+DATA q2x5<>+8(SB)/8, $0x3e0a23e13195c506
+DATA q2x5<>+16(SB)/8, $0x73907b0e23f1f64f
+DATA q2x5<>+24(SB)/8, $0x160b18eb625b4de9
+DATA q2x5<>+32(SB)/8, $0xc2a5e3cd07e181c1
+DATA q2x5<>+40(SB)/8, $0x70399a956f14ae1e
+DATA q2x5<>+48(SB)/8, $0xc0042d6c106c1a8f
+DATA q2x5<>+56(SB)/8, $0x2dbcd79a4f2fbe0d
+GLOBL q2x5<>(SB), RODATA, $64
+
+// fpCycSquare's frame. Fp4 square j (j = 0, 1, 2 for A, B, C) of
+// re + im·v, re = a0 + a1·i and im = b0 + b1·i, keeps six wide products at
+// 384j(SP): R0 = (a0 + a1)(a0 − a1 + q) and R1 = 2a0·a1 (re²), I0 and I1
+// (im², from canonical operands), S0 and S1 ((re + im)², from u = a0 + b0
+// and v = a1 + b1 reduced). Its four reduced sums follow at 1152 + 128j(SP):
+// re² + ξ·im² and 2re·im, the latter as S − R − I. 1536(SP) holds a product's
+// second operand, 1568(SP) and 1600(SP) u and v, 1632(SP) the output sums'
+// 2q − m1.
+
+// mulAdd8 adds k times the eight limbs at off(p) to DI, R8–R14; the caller
+// bounds the sum below 2^512, so the last high half and both final carries
+// are zero. Clobbers AX, BX and DX.
+#define mulAdd8(k, p, off) \
+	XORQ  AX, AX;            \
+	MOVQ  $k, DX;            \
+	MULXQ off+0(p), AX, BX;  \
+	ADOXQ AX, DI;            \
+	ADCXQ BX, R8;            \
+	MULXQ off+8(p), AX, BX;  \
+	ADOXQ AX, R8;            \
+	ADCXQ BX, R9;            \
+	MULXQ off+16(p), AX, BX; \
+	ADOXQ AX, R9;            \
+	ADCXQ BX, R10;           \
+	MULXQ off+24(p), AX, BX; \
+	ADOXQ AX, R10;           \
+	ADCXQ BX, R11;           \
+	MULXQ off+32(p), AX, BX; \
+	ADOXQ AX, R11;           \
+	ADCXQ BX, R12;           \
+	MULXQ off+40(p), AX, BX; \
+	ADOXQ AX, R12;           \
+	ADCXQ BX, R13;           \
+	MULXQ off+48(p), AX, BX; \
+	ADOXQ AX, R13;           \
+	ADCXQ BX, R14;           \
+	MULXQ off+56(p), AX, BX; \
+	ADOXQ AX, R14
+
+// fp4Wide sets block w to the six wide products of re + im·v for the x
+// pairs at re(SI) and im(SI), every operand below 2q: R0, S0 < 4q²,
+// R1, S1 < 2q², I0, I1 < q². Preserves SI.
+#define fp4Wide(re, im, w) \
+	load(SI, re, DI, R8, R9, R10);                               \
+	op4(ADDQ, ADCQ, SB, q<>, DI, R8, R9, R10);                   \
+	op4(SUBQ, SBBQ, SI, re+32, DI, R8, R9, R10);                 \
+	store(SP, 1536, DI, R8, R9, R10);                            \
+	load(SI, re, DI, R8, R9, R10);                               \
+	op4(ADDQ, ADCQ, SI, re+32, DI, R8, R9, R10);                 \
+	mulWide(SP, 1536, SP, w);                                    \
+	load(SI, re, DI, R8, R9, R10);                               \
+	ADDQ DI, DI;                                                 \
+	ADCQ R8, R8;                                                 \
+	ADCQ R9, R9;                                                 \
+	ADCQ R10, R10;                                               \
+	mulWide(SI, re+32, SP, w+64);                                \
+	load(SI, im, DI, R8, R9, R10);                               \
+	subMod(SI, im+32, DI, R8, R9, R10, R11, R12, R13, R14, CX);  \
+	store(SP, 1536, DI, R8, R9, R10);                            \
+	load(SI, im, DI, R8, R9, R10);                               \
+	addMod(SI, im+32, DI, R8, R9, R10, R11, R12, R13, R14);      \
+	mulWide(SP, 1536, SP, w+128);                                \
+	load(SI, im, DI, R8, R9, R10);                               \
+	doubleMod(DI, R8, R9, R10, R11, R12, R13, R14);              \
+	mulWide(SI, im+32, SP, w+192);                               \
+	load(SI, re, DI, R8, R9, R10);                               \
+	addMod(SI, im, DI, R8, R9, R10, R11, R12, R13, R14);         \
+	store(SP, 1568, DI, R8, R9, R10);                            \
+	load(SI, re+32, DI, R8, R9, R10);                            \
+	addMod(SI, im+32, DI, R8, R9, R10, R11, R12, R13, R14);      \
+	store(SP, 1600, DI, R8, R9, R10);                            \
+	load(SP, 1568, DI, R8, R9, R10);                             \
+	op4(ADDQ, ADCQ, SB, q<>, DI, R8, R9, R10);                   \
+	op4(SUBQ, SBBQ, SP, 1600, DI, R8, R9, R10);                  \
+	store(SP, 1536, DI, R8, R9, R10);                            \
+	load(SP, 1568, DI, R8, R9, R10);                             \
+	op4(ADDQ, ADCQ, SP, 1600, DI, R8, R9, R10);                  \
+	mulWide(SP, 1536, SP, w+256);                                \
+	load(SP, 1568, DI, R8, R9, R10);                             \
+	ADDQ DI, DI;                                                 \
+	ADCQ R8, R8;                                                 \
+	ADCQ R9, R9;                                                 \
+	ADCQ R10, R10;                                               \
+	mulWide(SP, 1600, SP, w+256+64)
+
+// fp4Sums sets the four slots at o from block w, each one REDC of a wide sum
+// (below (w/R + q), loose): re² + ξ·im² as R0 + 9I0 + q² − I1 < 14q²
+// (< 3.65q reduced) and R1 + I0 + 9I1 < 12q², 2re·im as S0 + 5q² − R0 − I0
+// < 9q² (< 2.7q) and S1 + 3q² − R1 − I1 < 5q² (< 1.95q). Clobbers SI.
+#define fp4Sums(w, o) \
+	load8(SP, w, DI, R8, R9, R10, R11, R12, R13, R14);                  \
+	mulAdd8(9, SP, w+128);                   \
+	op8(ADDQ, ADCQ, SB, q2<>, DI, R8, R9, R10, R11, R12, R13, R14);     \
+	op8(SUBQ, SBBQ, SP, w+192, DI, R8, R9, R10, R11, R12, R13, R14);    \
+	redcWide;                                \
+	store(SP, o, R11, R12, R13, R14);        \
+	load8(SP, w+64, DI, R8, R9, R10, R11, R12, R13, R14);               \
+	op8(ADDQ, ADCQ, SP, w+128, DI, R8, R9, R10, R11, R12, R13, R14);    \
+	mulAdd8(9, SP, w+192);                   \
+	redcWide;                                \
+	store(SP, o+32, R11, R12, R13, R14);     \
+	load8(SP, w+256, DI, R8, R9, R10, R11, R12, R13, R14);              \
+	op8(ADDQ, ADCQ, SB, q2x5<>, DI, R8, R9, R10, R11, R12, R13, R14);   \
+	op8(SUBQ, SBBQ, SP, w, DI, R8, R9, R10, R11, R12, R13, R14);        \
+	op8(SUBQ, SBBQ, SP, w+128, DI, R8, R9, R10, R11, R12, R13, R14);    \
+	redcWide;                                \
+	store(SP, o+64, R11, R12, R13, R14);     \
+	load8(SP, w+320, DI, R8, R9, R10, R11, R12, R13, R14);              \
+	op8(ADDQ, ADCQ, SB, q2x3<>, DI, R8, R9, R10, R11, R12, R13, R14);   \
+	op8(SUBQ, SBBQ, SP, w+64, DI, R8, R9, R10, R11, R12, R13, R14);     \
+	op8(SUBQ, SBBQ, SP, w+192, DI, R8, R9, R10, R11, R12, R13, R14);    \
+	redcWide;                                \
+	store(SP, o+96, R11, R12, R13, R14)
+
+// storeZ stores the reduced t at off(z).
+#define storeZ(off) \
+	MOVQ z+0(FP), AX; \
+	store(AX, off, DI, R8, R9, R10)
+
+// reOut sets the pair at off(z) to 3s − 2X for the sums s at o and the x
+// pair X at off(SI): 3s + 2q − 2X < 13q a coefficient.
+#define reOut(o, off) \
+	mulSmall(3, SP, o);   \
+	add5(SB, twoQ<>);     \
+	sub5(SI, off);        \
+	sub5(SI, off);        \
+	reduceSmall;          \
+	storeZ(off);          \
+	mulSmall(3, SP, o+32); \
+	add5(SB, twoQ<>);     \
+	sub5(SI, off+32);     \
+	sub5(SI, off+32);     \
+	reduceSmall;          \
+	storeZ(off+32)
+
+// imOut sets the pair at off(z) to 3s + 2X (< 11q a coefficient) for the
+// sums s at o and the x pair X at off(SI).
+#define imOut(o, off) \
+	mulSmall(3, SP, o);    \
+	add5(SI, off);         \
+	add5(SI, off);         \
+	reduceSmall;           \
+	storeZ(off);           \
+	mulSmall(3, SP, o+32); \
+	add5(SI, off+32);      \
+	add5(SI, off+32);      \
+	reduceSmall;           \
+	storeZ(off+32)
+
+// func fpCycSquare(z, x *[6]E2)
+// The Granger–Scott squaring in one call: each Fp4 square as six wide
+// products and four reductions (fp4Wide, fp4Sums), then each of the twelve
+// output coefficients as one small-multiple sum of those and of its own x
+// coefficient, reduced once. The products read all of x before the first
+// store, and output k reads only x[k] afterwards, so z may alias x.
+TEXT ·fpCycSquare(SB), $1664-16
+	MOVQ x+8(FP), SI
+	fp4Wide(0, 192, 0)
+	fp4Sums(0, 1152)
+	MOVQ x+8(FP), SI
+	fp4Wide(64, 256, 384)
+	fp4Sums(384, 1280)
+	MOVQ x+8(FP), SI
+	fp4Wide(128, 320, 768)
+	fp4Sums(768, 1408)
+	MOVQ x+8(FP), SI
+
+	// z[0] = 3A² − 2Ā and z[3], from A = x[0] + x[3]·v.
+	reOut(1152, 0)
+	imOut(1152+64, 192)
+
+	// z[2] = 3B² − 2C̄ and z[5], from B = x[1] + x[4]·v.
+	reOut(1280, 128)
+	imOut(1280+64, 320)
+
+	// z[4] = 3C² − ... and z[1] = 3v·C² + 2B̄, from C = x[2] + x[5]·v: v·C²
+	// takes ξ on C²'s v part m, (9m0 − m1, m0 + 9m1), so z[1] is
+	// 27m0 + 3(2q − m1) + 2X0 < 81q and 3m0 + 27m1 + 2X1 < 63q.
+	reOut(1408, 256)
+	MOVQ twoQ<>+0(SB), DI
+	MOVQ twoQ<>+8(SB), R8
+	MOVQ twoQ<>+16(SB), R9
+	MOVQ twoQ<>+24(SB), R10
+	op4(SUBQ, SBBQ, SP, 1408+96, DI, R8, R9, R10)
+	store(SP, 1632, DI, R8, R9, R10)
+	mulSmall(27, SP, 1408+64)
+	mulSmallAdd(3, SP, 1632)
+	add5(SI, 64)
+	add5(SI, 64)
+	reduceSmall
+	storeZ(64)
+	mulSmall(3, SP, 1408+64)
+	mulSmallAdd(27, SP, 1408+96)
+	add5(SI, 96)
+	add5(SI, 96)
+	reduceSmall
+	storeZ(96)
+	RET
+
+// fpMulE6's frame: karatsubaWide's products at 0(SP), the three output
+// coefficients' (c0, c1) accumulators at 224 + 128k(SP), ξ·x[1] and
+// ξ·x[2] at 608(SP) and 672(SP), and y at 736(SP).
+
+// xiTo sets the pair at dst(SP) to ξ times the pair (a, b) at off(SI):
+// 9a + q − b and 9b + a, each below 10q, reduced once.
+#define xiTo(off, dst) \
+	mulSmall(9, SI, off);            \
+	add5(SB, q<>);                   \
+	sub5(SI, off+32);                \
+	reduceSmall;                     \
+	store(SP, dst, DI, R8, R9, R10); \
+	mulSmall(9, SI, off+32);         \
+	add5(SI, off);                   \
+	reduceSmall;                     \
+	store(SP, dst+32, DI, R8, R9, R10)
+
+// karaFirst and karaNext run karatsubaWide for the pairs at BX and SI and,
+// as MulAcc does, set or add to the accumulators at acc(SP): ac + q² − bd
+// and s·s' − ac − bd.
+#define karaFirst(acc) \
+	karatsubaWide(BX, SI);                                                   \
+	load8(SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);                       \
+	op8(ADDQ, ADCQ, SB, q2<>, DI, R8, R9, R10, R11, R12, R13, R14);          \
+	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);            \
+	store8(SP, acc, DI, R8, R9, R10, R11, R12, R13, R14);                    \
+	load8(SP, 160, DI, R8, R9, R10, R11, R12, R13, R14);                     \
+	op8(SUBQ, SBBQ, SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);             \
+	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);            \
+	store8(SP, acc+64, DI, R8, R9, R10, R11, R12, R13, R14)
+
+#define karaNext(acc) \
+	karatsubaWide(BX, SI);                                                   \
+	load8(SP, acc, DI, R8, R9, R10, R11, R12, R13, R14);                     \
+	op8(ADDQ, ADCQ, SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);             \
+	op8(ADDQ, ADCQ, SB, q2<>, DI, R8, R9, R10, R11, R12, R13, R14);          \
+	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);            \
+	store8(SP, acc, DI, R8, R9, R10, R11, R12, R13, R14);                    \
+	load8(SP, 160, DI, R8, R9, R10, R11, R12, R13, R14);                     \
+	op8(SUBQ, SBBQ, SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);             \
+	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);            \
+	op8(ADDQ, ADCQ, SP, acc+64, DI, R8, R9, R10, R11, R12, R13, R14);        \
+	store8(SP, acc+64, DI, R8, R9, R10, R11, R12, R13, R14)
+
+// xArg (xFrame) points BX at x's pair k (at off(SP)), yArg SI at y's
+// pair k.
+#define xArg(k) \
+	MOVQ x+8(FP), BX; \
+	LEAQ 64*k(BX), BX
+#define xFrame(off) LEAQ off(SP), BX
+#define yArg(k) \
+	MOVQ 736(SP), SI; \
+	LEAQ 64*k(SI), SI
+
+// reduceTo stores REDC of the accumulator at acc(SP) at off(z): three
+// products leave it ≤ 6q², so REDC lands below 2.14q and two conditional
+// subtractions canonicalise it.
+#define reduceTo(acc, off) \
+	load8(SP, acc, DI, R8, R9, R10, R11, R12, R13, R14); \
+	redcWide;                                            \
+	reduceOnce(R11, R12, R13, R14, DI, R8, R9, R10);     \
+	reduceOnce(R11, R12, R13, R14, DI, R8, R9, R10);     \
+	MOVQ z+0(FP), AX;                                    \
+	store(AX, off, R11, R12, R13, R14)
+
+// func fpMulE6(z, x, y *[3]E2)
+// MulE6 in one call: ξ·x[1] and ξ·x[2] into the frame, nine Karatsuba
+// products accumulated three to an output coefficient, six reductions.
+// Every read of x and y precedes the first store, so z may alias either.
+TEXT ·fpMulE6(SB), $744-24
+	MOVQ y+16(FP), SI
+	MOVQ SI, 736(SP)
+	MOVQ x+8(FP), SI
+	xiTo(64, 608)
+	xiTo(128, 672)
+
+	xArg(0)
+	yArg(0)
+	karaFirst(224)
+	xFrame(608)
+	yArg(2)
+	karaNext(224)
+	xFrame(672)
+	yArg(1)
+	karaNext(224)
+
+	xArg(0)
+	yArg(1)
+	karaFirst(352)
+	xArg(1)
+	yArg(0)
+	karaNext(352)
+	xFrame(672)
+	yArg(2)
+	karaNext(352)
+
+	xArg(0)
+	yArg(2)
+	karaFirst(480)
+	xArg(1)
+	yArg(1)
+	karaNext(480)
+	xArg(2)
+	yArg(0)
+	karaNext(480)
+
+	reduceTo(224, 0)
+	reduceTo(288, 32)
+	reduceTo(352, 64)
+	reduceTo(416, 96)
+	reduceTo(480, 128)
+	reduceTo(544, 160)
 	RET

@@ -22,3 +22,5 @@ func mulByXiE2(z, x *E2)              { mulByXiComposed(z, x) }
 func mulE2(z, x, y *E2)               { mulE2Composed(z, x, y) }
 func squareE2(z, x *E2)               { squareE2Composed(z, x) }
 func mulAccE2(c0, c1 *Wide, x, y *E2) { mulAccComposed(c0, c1, x, y) }
+func cycSquare(z, x *[6]E2)           { cycSquareComposed(z, x) }
+func mulE6(z, x, y *[3]E2)            { mulE6Composed(z, x, y) }

@@ -1,6 +1,11 @@
 package bn254
 
-import "strings"
+import (
+	"strings"
+	"unsafe"
+
+	"mccls/internal/bn254/fp"
+)
 
 // Fp12 is the sextic extension Fp2[w]/(w^6 - xi) with xi = 9 + i. An element
 // is sum_{k=0..5} C[k]·w^k. On this w-power basis the Frobenius acts
@@ -90,29 +95,12 @@ func (z *fp6) mulByV(x *fp6) {
 	z[2], z[1], z[0] = x[1], x[0], t
 }
 
-// mul sets z = x·y. Each output coefficient accumulates its three Fp2
-// products in an unreduced fp2Wide (≤ 7q² of the ≈ 21q² Wide contract, the
-// budget of mulByLine) and reduces once: 9 wide products and 6 Montgomery
-// reductions. The xi that wrapped terms pick up is applied to x's canonical
-// coefficients up front, as in mulByLine.
-func (z *fp6) mul(x, y *fp6) {
-	var x1, x2 Fp2
-	x1.MulByXi(&x[1])
-	x2.MulByXi(&x[2])
-	var c0, c1, c2 fp2Wide
-	c0.mulAcc(&x[0], &y[0])
-	c0.mulAcc(&x1, &y[2])
-	c0.mulAcc(&x2, &y[1])
-	c1.mulAcc(&x[0], &y[1])
-	c1.mulAcc(&x[1], &y[0])
-	c1.mulAcc(&x2, &y[2])
-	c2.mulAcc(&x[0], &y[2])
-	c2.mulAcc(&x[1], &y[1])
-	c2.mulAcc(&x[2], &y[0])
-	c0.reduce(&z[0])
-	c1.reduce(&z[1])
-	c2.reduce(&z[2])
-}
+// mul sets z = x·y, one kernel call (fp.MulE6): each output coefficient
+// accumulates its three Fp2 products unreduced and reduces once.
+func (z *fp6) mul(x, y *fp6) { fp.MulE6(e6(z), e6(x), e6(y)) }
+
+// e6 views x as the fp kernels' three pairs (see e12).
+func e6(x *fp6) *[3]fp.E2 { return (*[3]fp.E2)(unsafe.Pointer(x)) }
 
 // inverse sets z = x⁻¹ by the norm to Fp2: with A = c0² - xi·c1c2,
 // B = xi·c2² - c0c1 and C = c1² - c0c2, the product x·(A + B·v + C·v²) is
@@ -174,60 +162,19 @@ func (z *Fp12) Square(x *Fp12) *Fp12 {
 	return z.join(&s, &ab)
 }
 
-// fp4Square computes (re + im·v)² in Fp4 = Fp2[v]/(v² - xi) with three Fp2
-// squarings: re' = re² + xi·im², im' = (re + im)² - re² - im².
-func fp4Square(re, im *Fp2) (outRe, outIm Fp2) {
-	var r2, i2 Fp2
-	r2.Square(re)
-	i2.Square(im)
-	outIm.Add(re, im)
-	outIm.Square(&outIm)
-	outIm.Sub(&outIm, &r2)
-	outIm.Sub(&outIm, &i2)
-	outRe.Add(&r2, i2.MulByXi(&i2))
-	return outRe, outIm
-}
-
 // CyclotomicSquare sets z = x² for x in the cyclotomic subgroup (the image
-// of the easy part of the final exponentiation, where x^(p^6+1) = 1), using
-// the Granger–Scott formulas (eprint 2009/565 §3.1). Viewing
-// Fp12 = Fp4[w]/(w³ - v) with Fp4 = Fp2[v]/(v² - xi) and v = w³, the element
-// is (C0 + C3·v) + (C1 + C4·v)·w + (C2 + C5·v)·w², and squaring costs three
-// Fp4 squarings instead of a full 36-product convolution. Correctness
-// against the generic Square on unitary inputs is asserted by tests; the
-// result is undefined for non-unitary x.
+// of the easy part of the final exponentiation, where x^(p^6+1) = 1): three
+// Fp4 squarings in one kernel call (fp.CyclotomicSquare). For non-unitary x
+// the result is not x².
 func (z *Fp12) CyclotomicSquare(x *Fp12) *Fp12 {
 	opCounters.cycSquares.Add(1)
-	aRe, aIm := fp4Square(&x.C[0], &x.C[3]) // (C0 + C3 v)²
-	bRe, bIm := fp4Square(&x.C[1], &x.C[4]) // (C1 + C4 v)²
-	cRe, cIm := fp4Square(&x.C[2], &x.C[5]) // (C2 + C5 v)²
-
-	// Output k reads only x.C[k] past this point, so z may alias x.
-	var t Fp2
-	// h0 = 3·A² - 2·conj(A): conj negates the v component.
-	z.C[0].Sub(&aRe, &x.C[0])
-	z.C[0].Double(&z.C[0])
-	z.C[0].Add(&z.C[0], &aRe)
-	z.C[3].Add(&aIm, &x.C[3])
-	z.C[3].Double(&z.C[3])
-	z.C[3].Add(&z.C[3], &aIm)
-	// h1 = 3·v·C² + 2·conj(B): v·(re + im·v) = xi·im + re·v.
-	t.MulByXi(&cIm)
-	z.C[1].Add(&t, &x.C[1])
-	z.C[1].Double(&z.C[1])
-	z.C[1].Add(&z.C[1], &t)
-	z.C[4].Sub(&cRe, &x.C[4])
-	z.C[4].Double(&z.C[4])
-	z.C[4].Add(&z.C[4], &cRe)
-	// h2 = 3·B² - 2·conj(C).
-	z.C[2].Sub(&bRe, &x.C[2])
-	z.C[2].Double(&z.C[2])
-	z.C[2].Add(&z.C[2], &bRe)
-	z.C[5].Add(&bIm, &x.C[5])
-	z.C[5].Double(&z.C[5])
-	z.C[5].Add(&z.C[5], &bIm)
+	fp.CyclotomicSquare(e12(z), e12(x))
 	return z
 }
+
+// e12 views x's coefficients as the fp kernels' six pairs: Fp2 has E2's
+// underlying type, so the two arrays share one layout.
+func e12(x *Fp12) *[6]fp.E2 { return (*[6]fp.E2)(unsafe.Pointer(&x.C)) }
 
 // cycWindow is the wNAF width of the cyclotomic ladder: digits are odd with
 // |d| ≤ 7, indexing the four odd powers x, x³, x⁵, x⁷.

@@ -388,34 +388,6 @@ func TestAteNAFRecomposes(t *testing.T) {
 	}
 }
 
-// TestFp4SquareMatchesMul checks the three-squaring Fp4 square against the
-// definition (re + im·v)² = (re² + xi·im²) + 2·re·im·v by plain products,
-// with zero, one and all-(q-1) coefficients among the inputs.
-func TestFp4SquareMatchesMul(t *testing.T) {
-	r := testRand()
-	qm1 := fp2FromBig(new(big.Int).Sub(P, big.NewInt(1)), new(big.Int).Sub(P, big.NewInt(1)))
-	ins := [][2]*Fp2{
-		{Fp2Zero(), Fp2Zero()}, {Fp2One(), Fp2Zero()}, {Fp2Zero(), Fp2One()},
-		{qm1, qm1}, {qm1, Fp2One()},
-	}
-	for i := 0; i < 16; i++ {
-		ins = append(ins, [2]*Fp2{randFp2(r), randFp2(r)})
-	}
-	for i, in := range ins {
-		re, im := in[0], in[1]
-		var wantRe, wantIm, t0 Fp2
-		wantRe.Mul(re, re)
-		t0.Mul(im, im)
-		wantRe.Add(&wantRe, t0.MulByXi(&t0))
-		wantIm.Mul(re, im)
-		wantIm.Double(&wantIm)
-		gotRe, gotIm := fp4Square(re, im)
-		if !gotRe.Equal(&wantRe) || !gotIm.Equal(&wantIm) {
-			t.Fatalf("fp4Square diverges from the product form (case %d)", i)
-		}
-	}
-}
-
 // TestCyclotomicSquareMatchesGeneric checks the Granger–Scott squaring
 // against the generic Fp12 squaring on cyclotomic-subgroup elements (where
 // it is only valid) produced by the easy part of the final exponentiation.

@@ -174,6 +174,21 @@ func TestPairAllocs(t *testing.T) {
 	}
 }
 
+// TestFinalExponentiationAllocs pins the final exponentiation and its
+// cyclotomic squaring at zero allocations: the squaring kernel's Go side
+// keeps its operands on the caller's stack.
+func TestFinalExponentiationAllocs(t *testing.T) {
+	f := MillerLoopMulti([]*G1{G1Generator()}, []*G2{g2BaseMult(big.NewInt(11))})
+	var z, u Fp12
+	u.easyPart(f)
+	if a := testing.AllocsPerRun(10, func() { finalExponentiation(&z, f) }); a != 0 {
+		t.Fatalf("finalExponentiation allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { u.CyclotomicSquare(&u) }); a != 0 {
+		t.Fatalf("CyclotomicSquare allocates %v times, want 0", a)
+	}
+}
+
 // TestScalarMultAllocs pins the variable-base walks at their measured
 // allocation counts: GLV split, digit rows, odd-multiple tables and the
 // batched normalisation all live on the stack, so a row buffer or table that

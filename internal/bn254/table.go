@@ -125,7 +125,19 @@ const BaseMultAddBlock = 32
 // addXY's 11, all sharing one field inversion; x differs (DESIGN.md §6). From
 // the first level of < 24 additions, too few to repay an inversion, the
 // remaining slots and qᵢ add in Jacobian and the sum is compared unnormalised.
-func EqualBaseMultAddMany(zs []*G1, ks []fr.Element, qs []*G1) (eq uint32) {
+// One index has no inversion to share: it takes that Jacobian walk alone,
+// without the tree's ≈ 100 KB frame.
+func EqualBaseMultAddMany(zs []*G1, ks []fr.Element, qs []*G1) uint32 {
+	if len(ks) == 1 {
+		if zs[0].equalJac(baseMultAdd(&ks[0], qs[0])) {
+			return 1
+		}
+		return 0
+	}
+	return equalBaseMultAddTree(zs, ks, qs)
+}
+
+func equalBaseMultAddTree(zs []*G1, ks []fr.Element, qs []*G1) (eq uint32) {
 	const slots = baseTableWindows // index i's entries are pts[i·slots:][:m[i]]
 	var pts [BaseMultAddBlock * slots][2]fp.Element
 	var m [BaseMultAddBlock]int
