@@ -187,7 +187,7 @@ func (z *G2) MultiScalarMultFr(pts []*G2, ks []fr.Element) *G2 {
 		n := min(len(pts), glsSlice)
 		var buf [2 * jointSlice][halfDigits]int8
 		rows := gls.rows(&buf, ks[:n])
-		acc := g2Joint(pts[:n], rows[:4*n], true)
+		acc := g2Joint(pts[:n], rows[:4*n])
 		sum.add(&acc)
 		pts, ks = pts[n:], ks[n:]
 	}

@@ -21,8 +21,6 @@ import (
 // as μ = p mod r = 6u², whose minimal polynomial mod r has degree four, so
 // a full-width scalar splits four ways, k ≡ k0 + k1·μ + k2·μ² + k3·μ³
 // (mod r) with |kᵢ| ≈ r^(1/4) ≈ 2^64, and the walk is ~64 doublings long.
-// The map (β²·x, y) still acts on G2 as λ for the batch weights, which are
-// born split over it.
 //
 // Both splits are Babai rounding against a short basis written as
 // polynomials in u (Galbraith–Scott), derived at init, checked to lie in
@@ -32,9 +30,8 @@ import (
 // resolved empirically: φ must act as λ, not λ².
 //
 // Every variable-base multiplication on either group is one walkWNAF over
-// rows from glv.rows (a full-width G1 scalar), gls.rows (a full-width G2
-// scalar) or endoRows (an EndoScalar born split), through g1Joint or
-// g2Joint.
+// rows from glv.rows (a full-width G1 scalar) or gls.rows (a full-width G2
+// scalar), through g1Joint or g2Joint.
 
 // A scalarSplit is the Babai rounding of k ≡ Σ kᵢ·εⁱ (mod r) in limbs for
 // an endomorphism acting as ε, from a short basis v₀…v_{dim−1} of the
@@ -56,11 +53,8 @@ type scalarSplit struct {
 var (
 	// glvBeta is the cube root of unity in Fp with φ(P) = λ·P for glvLambda.
 	glvBeta fp.Element
-	// glvLambda is λ, glvLambdaFr its limb-typed copy for EndoScalar.Fr.
-	glvLambda   = uPoly(36, 18, 6, 1)
-	glvLambdaFr fr.Element
-	// glvBetaG2 is the cube root of unity in Fp with (β·x, y) = λ·Q on G2.
-	glvBetaG2 fp.Element
+	// glvLambda is λ.
+	glvLambda = uPoly(36, 18, 6, 1)
 	// glv splits over λ, gls over μ.
 	glv, gls scalarSplit
 )
@@ -75,7 +69,6 @@ func uPoly(c ...int64) *big.Int {
 }
 
 func init() {
-	glvLambdaFr = *frFromBig(glvLambda)
 	// β = (-1 + √-3)/2 or β², the two primitive cube roots of unity in Fp:
 	// pick the one whose φ(G) = (β·x, y) acts as λ on the generator, checked
 	// by a one-row walk, which builds no φ table.
@@ -93,17 +86,10 @@ func init() {
 			panic("bn254: no cube root of unity acts as the GLV eigenvalue")
 		}
 	}
-	// On G2 the same β acts as λ², so β² = β̄ acts as λ⁴ = λ.
-	glvBetaG2.Square(&glvBeta)
-	phiQ := &G2{Y: g2Gen.Y}
-	phiQ.X.MulScalar(&g2Gen.X, &glvBetaG2)
-	if lq := g2Joint([]*G2{g2Gen}, lambdaRows, false); !phiQ.Equal(lq.affine(new(G2))) {
-		panic("bn254: β² does not act as the GLV eigenvalue on G2")
-	}
 	mu := new(big.Int).Mod(P, Order)
 	psiQ := new(G2).frobeniusTwist(g2Gen)
 	muRows := [][]int8{wnafDigits(nil, scalarLimbs(mu), wnafWindow)}
-	if mq := g2Joint([]*G2{g2Gen}, muRows, false); !psiQ.Equal(mq.affine(new(G2))) {
+	if mq := g2Joint([]*G2{g2Gen}, muRows); !psiQ.Equal(mq.affine(new(G2))) {
 		panic("bn254: ψ does not act on G2 as p mod r")
 	}
 	glv = newScalarSplit(glvLambda, glvBasis())
@@ -286,6 +272,10 @@ func (s *scalarSplit) rows(buf *[2 * jointSlice][halfDigits]int8, ks []fr.Elemen
 	return rows
 }
 
+// jointSlice is how many points share one doubling chain and one table
+// build, all on the stack; longer inputs run slice by slice.
+const jointSlice = 8
+
 // glsSlice is how many G2 points share one ψ-split walk: four rows each
 // fill the row buffer and table of jointSlice two-row points.
 const glsSlice = jointSlice / 2
@@ -347,11 +337,10 @@ func g1Joint(pts []*G1, rows [][]int8) g1Jac {
 
 // g2OddMultiples fills tab with size odd multiples [Pᵢ, 3Pᵢ, …] per point
 // in affine coordinates, as g1OddMultiples does, and each block after the
-// first with the endomorphism of the block before, ψ if psi is set and
-// φ = (β²·x, y) otherwise: the entries of ψʰ(Pᵢ) or φ(Pᵢ), both maps being
+// first with ψ of the block before: the entries of ψʰ(Pᵢ), ψ being
 // additive. A table of one entry per point is the points themselves, with
 // no normalization.
-func g2OddMultiples(tab []G2, pts []*G2, size int, psi bool) {
+func g2OddMultiples(tab []G2, pts []*G2, size int) {
 	m := len(pts) * size
 	if size == 1 {
 		for i, p := range pts {
@@ -386,12 +375,7 @@ func g2OddMultiples(tab []G2, pts []*G2, size int, psi bool) {
 		g2BatchAffine(tab[:m], js[:m])
 	}
 	for i := range tab[m:] {
-		if psi {
-			tab[m+i].frobeniusTwist(&tab[i])
-		} else {
-			tab[m+i] = tab[i]
-			tab[m+i].X.MulScalar(&tab[i].X, &glvBetaG2)
-		}
+		tab[m+i].frobeniusTwist(&tab[i])
 	}
 }
 
@@ -408,9 +392,8 @@ func (j *g2Jac) addDigit(tab []G2, d int8) {
 }
 
 // g2Joint is g1Joint on the twist: row h·len(pts)+i holds the digits of
-// ψʰ(pts[i]) if psi is set, of φʰ(pts[i]) for h ≤ 1 otherwise. The tables
-// stop at the largest digit the rows use.
-func g2Joint(pts []*G2, rows [][]int8, psi bool) g2Jac {
+// ψʰ(pts[i]). The tables stop at the largest digit the rows use.
+func g2Joint(pts []*G2, rows [][]int8) g2Jac {
 	size := 0
 	for _, row := range rows {
 		for _, d := range row {
@@ -418,7 +401,7 @@ func g2Joint(pts []*G2, rows [][]int8, psi bool) g2Jac {
 		}
 	}
 	var tab [2 * jointSlice * wnafTableSize]G2
-	g2OddMultiples(tab[:len(rows)*size], pts, size, psi)
+	g2OddMultiples(tab[:len(rows)*size], pts, size)
 	var acc g2Jac
 	acc.setInfinity()
 	walkWNAF(rows, acc.double, func(r int, d int8) { acc.addDigit(tab[r*size:], d) })

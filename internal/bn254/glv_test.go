@@ -1,10 +1,13 @@
 package bn254
 
 import (
+	"bytes"
 	"math/big"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"mccls/internal/bn254/fr"
 )
 
 // Differential tests for the fast scalar-multiplication and pairing kernels
@@ -576,6 +579,84 @@ func FuzzG2ScalarMultVsNaive(f *testing.F) {
 		}
 		if got := new(G2).ScalarMult(q, k); !got.Equal(want) {
 			t.Fatalf("G2 ψ split diverges: point seed %v scalar %v", qScalar, k)
+		}
+	})
+}
+
+// endoEntry is the wire form of one fuzzed (point, scalar) pair: a point
+// byte (0 the identity, otherwise (s & 0x7f)·G, negated when the top bit is
+// set) and two halves a, b as 9 big-endian bytes each, the scalar being
+// a + b·λ mod r: full width for most pairs, short when b is zero.
+const endoEntry = 1 + 9 + 9
+
+// endoCase packs (point byte, a, b) triples into fuzz input.
+func endoCase(entries ...[3]uint64) []byte {
+	var out []byte
+	for _, e := range entries {
+		out = append(out, byte(e[0]))
+		for _, half := range e[1:] {
+			out = append(out, 0)
+			out = append(out, new(big.Int).SetUint64(half).FillBytes(make([]byte, 8))...)
+		}
+	}
+	return out
+}
+
+// endoParse decodes at most 9 entries (one past jointSlice) into the
+// scalars a + b·λ mod r over math/big and the point multipliers.
+func endoParse(data []byte) (ks []*big.Int, mults []int64) {
+	for ; len(data) >= endoEntry && len(ks) <= jointSlice; data = data[endoEntry:] {
+		m := int64(data[0] & 0x7f)
+		if data[0]&0x80 != 0 {
+			m = -m
+		}
+		a, b := new(big.Int).SetBytes(data[1:10]), new(big.Int).SetBytes(data[10:19])
+		k := new(big.Int).Mul(b, glvLambda)
+		ks = append(ks, k.Add(k, a).Mod(k, Order))
+		mults = append(mults, m)
+	}
+	return ks, mults
+}
+
+// FuzzG2JointEndoVsNaive drives MultiScalarMultFr, the joint ψ-split
+// ladder, against Σ kᵢ·Pᵢ term by term over math/big on subgroup points:
+// scalar i is aᵢ + bᵢ·λ mod r, negated when bit i of neg is set. The seeds
+// cover the identity, zero and r−1 scalars, a repeated point (k·P − k·P,
+// the doubling and cancel branches) and nine points, one past a slice.
+func FuzzG2JointEndoVsNaive(f *testing.F) {
+	const max64 = ^uint64(0)
+	f.Add(endoCase([3]uint64{1, 5, 7}), uint64(0))
+	f.Add(endoCase([3]uint64{9, max64, max64}), uint64(1))
+	f.Add(endoCase([3]uint64{0, 3, 4}, [3]uint64{2, 3, 4}), uint64(2))
+	f.Add(endoCase([3]uint64{3, 0, max64}, [3]uint64{4, max64, 0}, [3]uint64{5, 0, 0}), max64)
+	f.Add(endoCase([3]uint64{6, 11, 13}, [3]uint64{6, 11, 13}), uint64(3))
+	f.Add(endoCase([3]uint64{7, 11, 13}, [3]uint64{0x87, 11, 13}), uint64(4))
+	wide := append([]byte{8}, bytes.Repeat([]byte{0x3f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 2)...)
+	f.Add(wide, uint64(5))
+	var nine [][3]uint64
+	for i := uint64(1); i <= jointSlice+1; i++ {
+		nine = append(nine, [3]uint64{10 + i, max64 - i, i * i * 0x9e3779b97f4a7c15})
+	}
+	f.Add(endoCase(nine...), uint64(6))
+	f.Add(endoCase([3]uint64{1, 1, 0}, [3]uint64{2, 0, 0}, [3]uint64{0, 1, 0}), uint64(0b101))
+	f.Add(endoCase([3]uint64{6, 11, 13}, [3]uint64{6, 11, 13}), uint64(0b10))
+	f.Add(endoCase(nine...), uint64(0x155))
+	f.Fuzz(func(t *testing.T, data []byte, neg uint64) {
+		ks, mults := endoParse(data)
+		want := G2Infinity()
+		var pts []*G2
+		var frs []fr.Element
+		for i, m := range mults {
+			pts = append(pts, g2ScalarMultJac(g2Gen, new(big.Int).Mod(big.NewInt(m), Order)))
+			k := new(big.Int).Set(ks[i])
+			if neg>>i&1 == 1 {
+				k.Sub(Order, k).Mod(k, Order)
+			}
+			frs = append(frs, *frFromBig(k))
+			want.Add(want, g2ScalarMultJac(pts[i], k))
+		}
+		if got := new(G2).MultiScalarMultFr(pts, frs); !got.Equal(want) {
+			t.Fatalf("MultiScalarMultFr diverges on %d points (neg %#x): got %v want %v", len(pts), neg, got, want)
 		}
 	})
 }

@@ -349,9 +349,9 @@ func wnafDigitsBig(k *big.Int, w uint) []int8 {
 }
 
 // g2ScalarMultWNAF is the shipped engine's walk on one row, which needs no
-// φ, normalized to affine: k·a for any twist point and any non-negative k.
+// ψ, normalized to affine: k·a for any twist point and any non-negative k.
 func g2ScalarMultWNAF(a *G2, k *big.Int) *G2 {
-	acc := g2Joint([]*G2{a}, [][]int8{wnafDigitsBig(k, wnafWindow)}, false)
+	acc := g2Joint([]*G2{a}, [][]int8{wnafDigitsBig(k, wnafWindow)})
 	return acc.affine(new(G2))
 }
 
@@ -444,7 +444,7 @@ var (
 // R = [t - 1]q = [6u²]q, a 127-bit ladder — a second oracle for c′·Y that
 // shares no walk with clearCofactor.
 func clearCofactorTrace(q *G2) *G2 {
-	acc := g2Joint([]*G2{q}, [][]int8{sixUSquaredWNAF}, false) // one row: no φ off the subgroup
+	acc := g2Joint([]*G2{q}, [][]int8{sixUSquaredWNAF}) // one row: no ψ off the subgroup
 	t := acc
 	t.frobeniusTwist()
 	acc.add(&t)

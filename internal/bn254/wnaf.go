@@ -35,8 +35,8 @@ const wnafTableSize = 1 << (wnafWindow - 2)
 const wnafMaxDigits = 257
 
 // halfDigits bounds the digits of a GLV half (below 2^130,
-// TestGLVSplitBounds), a born-split EndoScalar half (below 2^128) or a ψ-split
-// quarter (below 2^66, TestGLSSplitBounds), carry included.
+// TestGLVSplitBounds) or a ψ-split quarter (below 2^66, TestGLSSplitBounds),
+// carry included.
 const halfDigits = 131
 
 // wnafDigits appends the width-w NAF of k to dst and returns it: every

@@ -8,8 +8,8 @@ import (
 	"math/big"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mccls/internal/bn254"
@@ -46,45 +46,27 @@ func multiBatch(t testing.TB, n, k int) (*KGC, *Verifier, []*PublicKey, [][]byte
 	return kgc, vf, pks, msgs, sigs
 }
 
-// fixedSeed is a deterministic 32-byte weight seed for invariance tests.
-func fixedSeed() *bytes.Reader { return bytes.NewReader(bytes.Repeat([]byte{0x5a}, 32)) }
-
-// upTo returns the index list 0, 1, …, n-1.
-func upTo(n int) []int {
-	idxs := make([]int, n)
-	for i := range idxs {
-		idxs[i] = i
-	}
-	return idxs
-}
-
-// tableOnly readies vf the way a consumer that only batches finds it: every
-// identity of pks holds m_ID, and one window over the signatures has cached
-// their line tables. No record holds an accepted pair (only Verify stores
-// one), so a later window decides every index by the aggregate equation.
-func tableOnly(t testing.TB, vf *Verifier, pks []*PublicKey, msgs [][]byte, sigs []*Signature) {
+// unpinned readies vf so that every index of a window over pks reaches
+// settle with its S's line table cached: each identity's record holds m_ID
+// and its signer's table but no accepted pair. Verify fills the record (a
+// first contact, then a known identity, which builds the table), and the
+// pair it pinned is dropped.
+func unpinned(t testing.TB, vf *Verifier, pks []*PublicKey, msgs [][]byte, sigs []*Signature) {
 	t.Helper()
-	for _, pk := range pks {
-		if _, ok := vf.signers.Get(pk.ID); !ok {
-			vf.rhs(nil, pk.ID)
+	seen := map[string]bool{}
+	for i, pk := range pks {
+		if seen[pk.ID] {
+			continue
 		}
-	}
-	if err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
-		t.Fatal(err)
-	}
-	for _, pk := range pks {
-		if r, _ := vf.signers.Get(pk.ID); r.ok.Load() != nil {
-			t.Fatalf("%s holds an accepted pair after a clean window", pk.ID)
+		seen[pk.ID] = true
+		for range 2 {
+			if err := vf.Verify(pk, msgs[i], sigs[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
+		r, _ := vf.signers.Get(pk.ID)
+		r.ok.Store(nil)
 	}
-}
-
-// testBatch is Batch with a fixed weight seed and the chunk width and
-// worker count no caller outside this package can set.
-func testBatch(vf *Verifier, chunk, workers int) *BatchVerifier {
-	bv := vf.Batch(BatchOptions{Weights: fixedSeed()})
-	bv.chunk, bv.workers = chunk, workers
-	return bv
 }
 
 func TestBatchEngineLocatesOffenders(t *testing.T) {
@@ -92,7 +74,7 @@ func TestBatchEngineLocatesOffenders(t *testing.T) {
 	bad := append([][]byte{}, msgs...)
 	bad[3] = []byte("tampered-3")
 	bad[17] = []byte("tampered-17")
-	err := testBatch(vf, 8, 0).VerifyMulti(pks, bad, sigs)
+	err := vf.Batch(BatchOptions{}).VerifyMulti(pks, bad, sigs)
 	if !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("tampered batch: %v", err)
 	}
@@ -102,20 +84,22 @@ func TestBatchEngineLocatesOffenders(t *testing.T) {
 }
 
 func TestBatchEngineWorkerInvariance(t *testing.T) {
-	_, vf, pks, msgs, sigs := multiBatch(t, 33, 3)
+	kgc, _, pks, msgs, sigs := multiBatch(t, 33, 3)
 	bad := append([][]byte{}, msgs...)
 	bad[0] = []byte("x")
 	bad[16] = []byte("y")
 	bad[32] = []byte("z")
-	for _, workers := range []int{1, 2, 8} {
-		err := testBatch(vf, 8, workers).VerifyMulti(pks, bad, sigs)
-		if got, want := BatchOffenders(err), []int{0, 16, 32}; !slices.Equal(got, want) {
-			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
-		}
-		// A clean batch must accept at every worker count too.
-		if err := testBatch(vf, 8, workers).VerifyMulti(pks, msgs, sigs); err != nil {
-			t.Fatalf("workers=%d rejected a valid batch: %v", workers, err)
-		}
+	for _, procs := range []int{1, 2, 8} {
+		atProcs(procs, func() {
+			err := NewVerifier(kgc.Params()).Batch(BatchOptions{}).VerifyMulti(pks, bad, sigs)
+			if got, want := BatchOffenders(err), []int{0, 16, 32}; !slices.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS %d: offenders %v (%v), want %v", procs, got, err, want)
+			}
+			// A clean batch must accept at every width too.
+			if err := NewVerifier(kgc.Params()).Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs); err != nil {
+				t.Fatalf("GOMAXPROCS %d rejected a valid batch: %v", procs, err)
+			}
+		})
 	}
 }
 
@@ -132,46 +116,22 @@ func TestBatchEngineSameSigner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := testBatch(vf, 4, 0).VerifySameSigner(sk.Public(), msgs, sigs); err != nil {
+	if err := vf.Batch(BatchOptions{}).VerifySameSigner(sk.Public(), msgs, sigs); err != nil {
 		t.Fatalf("valid same-signer batch rejected: %v", err)
 	}
 	bad := append([][]byte{}, msgs...)
 	bad[7] = []byte("tampered")
-	err := testBatch(vf, 4, 0).VerifySameSigner(sk.Public(), bad, sigs)
+	err := vf.Batch(BatchOptions{}).VerifySameSigner(sk.Public(), bad, sigs)
 	if !slices.Equal(BatchOffenders(err), []int{7}) {
 		t.Fatalf("same-signer window: %v", err)
 	}
 }
 
-// checkPairwise is the differential oracle for window.check: the aggregate
-// product with nothing folded and no kernel shared with the shipped path —
-// ρᵢ as a full-width scalar, Aᵢ = (Vᵢ/hᵢ)·P - Rᵢ and ρᵢ·Aᵢ by the
-// variable-base ladder, one Miller pair and one weighted Q_ID per signature:
-//
-//	Π e(ρᵢ·Aᵢ, Sᵢ) · e(-P_pub, Σ ρᵢ·Q_IDᵢ).
-func (w *window) checkPairwise(idxs []int) *bn254.GT {
-	var ps []*bn254.G1
-	var qs []*bn254.G2
-	qSum := bn254.G2Infinity()
-	params := w.vf.params
-	for _, i := range idxs {
-		sig := w.sigs[i]
-		a := commitment(params, w.pks[i], w.msgs[i], sig)
-		rho := w.rho[i].Fr()
-		ps = append(ps, a.ScalarMultFr(a, &rho))
-		qs = append(qs, sig.S)
-		qSum.Add(qSum, new(bn254.G2).ScalarMultFr(qID(w.pks[i].ID), &rho))
-	}
-	ps = append(ps, new(bn254.G1).Neg(params.Ppub))
-	qs = append(qs, qSum)
-	return bn254.FinalExp(bn254.MillerLoopMulti(ps, qs))
-}
-
-// TestBatchGroupedVsPairwise runs the shipped chunk check against the
-// pairwise oracle under one weight seed: every chunk's product byte-equal
-// to the pairwise one, a clean chunk's one on both sides, and the same
-// error class and offender slice as a run that records the products, each
-// run on a fresh verifier.
+// TestBatchGroupedVsPairwise holds a window, whose unpinned indices settle
+// grouped by S, to per-index Verify on its edge cases: a foreign S under a
+// known identity, swapped public keys, R at infinity, A at infinity, S at
+// infinity (a shape error) and all of them at once. Each run is on fresh
+// verifiers: the same error class and the same offender slice.
 func TestBatchGroupedVsPairwise(t *testing.T) {
 	kgc, _, pks, msgs, sigs := multiBatch(t, 20, 4)
 	params := kgc.Params()
@@ -209,39 +169,35 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 			s[6] = zeroA
 		}, []int{2, 3, 4, 6, 9, 13}},
 	}
-	const chunk = 8
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, m, s := slices.Clone(pks), slices.Clone(msgs), slices.Clone(sigs)
 			tc.edit(p, m, s)
-			got := testBatch(NewVerifier(params), chunk, 0).VerifyMulti(p, m, s)
+			got := NewVerifier(params).Batch(BatchOptions{}).VerifyMulti(p, m, s)
 
-			// The same window again, one worker, every chunk's product
-			// recorded and held to the oracle before reject decides it.
-			oracle := testBatch(NewVerifier(params), chunk, 1)
-			w, want := oracle.newWindow(p, m, s)
-			if want == nil {
-				for lo := 0; lo < len(w.rest); lo += chunk {
-					idxs := w.rest[lo:min(lo+chunk, len(w.rest))]
-					v := w.check(idxs)
-					if !bytes.Equal(v.Marshal(), w.checkPairwise(idxs).Marshal()) {
-						t.Fatalf("chunk %v: the grouped product differs from the pairwise one", idxs)
-					}
-					if tc.bad == nil && !v.IsOne() {
-						t.Fatalf("clean chunk %v must pass", idxs)
-					}
+			// Per-index Verify: the lowest-index error that is not a
+			// rejection, else the rejected indices.
+			var want error
+			var bad []int
+			pairwise := NewVerifier(params)
+			for i := range s {
+				if err := pairwise.Verify(p[i], m[i], s[i]); errors.Is(err, ErrVerifyFailed) {
+					bad = append(bad, i)
+				} else if err != nil {
+					want = err
+					break
 				}
-				if err := oracle.reject(w.rest, w); err != nil || len(w.bad) > 0 {
-					want = &batchError{bad: slices.Sorted(slices.Values(append(w.bad, BatchOffenders(err)...)))}
-				}
+			}
+			if want == nil && bad != nil {
+				want = &batchError{bad: bad}
 			}
 			for _, class := range []error{ErrVerifyFailed, ErrInvalidSignature, ErrInvalidKey} {
 				if errors.Is(got, class) != errors.Is(want, class) {
-					t.Fatalf("error class: grouped %v, recorded %v", got, want)
+					t.Fatalf("error class: batch %v, per-index %v", got, want)
 				}
 			}
 			if (got == nil) != (want == nil) || !slices.Equal(BatchOffenders(got), BatchOffenders(want)) {
-				t.Fatalf("grouped %v, recorded %v", got, want)
+				t.Fatalf("batch %v, per-index %v", got, want)
 			}
 			if !slices.Equal(BatchOffenders(got), tc.bad) {
 				t.Fatalf("offenders %v, want %v", BatchOffenders(got), tc.bad)
@@ -250,38 +206,37 @@ func TestBatchGroupedVsPairwise(t *testing.T) {
 	}
 }
 
-// atProcs runs f at GOMAXPROCS procs, the width a window's checks fan out
-// to, and restores the old setting.
+// atProcs runs f at GOMAXPROCS procs, the width a window's prologue and
+// settle fan out to, and restores the old setting.
 func atProcs(procs int, f func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
 }
 
-// TestBatchWindowOpCounts pins what folding, line tables and accepted pairs
-// buy, in the idiom of bn254's TestMillerLoopMultiOpCounts: a clean window
-// that reaches the aggregate equation costs one Miller pair per distinct S
-// plus the P_pub pair under one final exponentiation, and every pair folds
-// its 88 lines. On a cold verifier every pair steps its G2 chain (65
-// doubling, 23 addition steps). Once the signers' records hold their tables,
-// cached by an earlier window, only the Q_ID sum does. The pairs are cut
-// into one lockstep loop per worker, so only the Miller squarings move with
-// the width: 65 per part. G1 mults: 64 R's fed to the joint ladders and one
-// fixed-base pass per S-group; G2 mults: one Q_ID per identity fed to the
-// Q_ID sum and on a cold verifier one more in hashing Q_ID; S needs no
-// subgroup check, as its Miller loop or table build is one. Once Verify has
-// accepted each signer's (S, A), the window costs one fixed-base pass per
-// signature and no pairing.
+// TestBatchWindowOpCounts pins what accepted pairs and line tables buy, in
+// the idiom of bn254's TestMillerLoopMultiOpCounts, on a clean 64-signature
+// window. Every index the prologue leaves is settled by its S-group: the
+// group's first index by Verify, which pins its signer's pair, every later
+// one by that pair, one fixed-base pass. On a fresh verifier each Verify is
+// a first contact: two Miller loops that each step their G2 chain (65
+// doubling, 23 addition steps), S's and m_ID's, one final exponentiation and
+// the hash of Q_ID (one G2 mult), with no table built. On records that hold
+// m_ID and S's table but no pair, each Verify replays the table: one Miller
+// loop with no G2 step. Once Verify has accepted each signer's (S, A), the
+// prologue decides every index by its A and no pairing is left. Every Miller
+// loop folds 88 lines and squares 65 times; the counts do not move with
+// GOMAXPROCS. G1 mults: one fixed-base pass per signature.
 func TestBatchWindowOpCounts(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		for _, tc := range []struct {
-			signers                   int
-			warm                      string // "", "tables" or "accepted"
-			pairings, stepped, g1, g2 uint64
-		}{{16, "", 17, 17, 80, 32}, {1, "", 2, 2, 65, 2}, {16, "tables", 17, 1, 80, 16}, {16, "accepted", 0, 0, 64, 0}} {
+			signers                              int
+			warm                                 string // "", "unpinned" or "accepted"
+			pairings, finalExps, stepped, g1, g2 uint64
+		}{{16, "", 32, 16, 32, 64, 16}, {1, "", 2, 1, 2, 64, 1}, {16, "unpinned", 16, 16, 0, 64, 0}, {16, "accepted", 0, 0, 0, 64, 0}} {
 			_, vf, pks, msgs, sigs := multiBatch(t, 64, tc.signers)
 			switch tc.warm {
-			case "tables":
-				tableOnly(t, vf, pks, msgs, sigs)
+			case "unpinned":
+				unpinned(t, vf, pks, msgs, sigs)
 			case "accepted":
 				for range 2 { // m_ID and the accepted pair, then the table
 					for i := range tc.signers {
@@ -291,7 +246,7 @@ func TestBatchWindowOpCounts(t *testing.T) {
 					}
 				}
 			}
-			bv := testBatch(vf, chunkWidth, 1)
+			bv := vf.Batch(BatchOptions{})
 			var d bn254.OpCounts
 			atProcs(procs, func() {
 				before := bn254.ReadOpCounts()
@@ -306,13 +261,12 @@ func TestBatchWindowOpCounts(t *testing.T) {
 				}
 				d = bn254.ReadOpCounts().Sub(before)
 			})
-			parts, finalExps := min(uint64(procs), tc.pairings), min(tc.pairings, 1)
-			if d.Pairings != tc.pairings || d.FinalExps != finalExps || d.MillerSquarings != 65*parts ||
+			if d.Pairings != tc.pairings || d.FinalExps != tc.finalExps || d.MillerSquarings != 65*tc.pairings ||
 				d.LineDoubles != 65*tc.stepped || d.LineAdds != 23*tc.stepped || d.SparseMuls != 88*tc.pairings ||
 				d.G1ScalarMults != tc.g1 || d.G2ScalarMults != tc.g2 {
 				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %q): %d pairs, %d final exps, %d Miller squarings, %d doubling and %d addition steps, %d sparse products, %d G1 and %d G2 mults; want %d, %d, %d, %d, %d, %d, %d, %d",
 					procs, tc.signers, tc.warm, d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, d.SparseMuls, d.G1ScalarMults, d.G2ScalarMults,
-					tc.pairings, finalExps, 65*parts, 65*tc.stepped, 23*tc.stepped, 88*tc.pairings, tc.g1, tc.g2)
+					tc.pairings, tc.finalExps, 65*tc.pairings, 65*tc.stepped, 23*tc.stepped, 88*tc.pairings, tc.g1, tc.g2)
 			}
 			// Verify's rule: no table for an identity seen for the first time.
 			want := 0
@@ -323,6 +277,32 @@ func TestBatchWindowOpCounts(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d, 64 signatures / %d signers (warm %q): %d line tables cached, want %d", procs, tc.signers, tc.warm, n, want)
 			}
 		}
+	}
+}
+
+// TestBatchRepeatWindowPaysNoPairing: a consumer that only batches pins
+// its signers' pairs in its first window, through the Verify calls that
+// settle it, so the next window of the same signers is decided by the
+// prologue alone, at GOMAXPROCS 1 and 2: no Miller loop, no final
+// exponentiation, one fixed-base pass per signature.
+func TestBatchRepeatWindowPaysNoPairing(t *testing.T) {
+	kgc, _, pks, msgs, sigs := multiBatch(t, 64, 16)
+	for _, procs := range []int{1, 2} {
+		atProcs(procs, func() {
+			bv := NewVerifier(kgc.Params()).Batch(BatchOptions{})
+			if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
+				t.Fatal(err)
+			}
+			before := bn254.ReadOpCounts()
+			if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
+				t.Fatal(err)
+			}
+			d := bn254.ReadOpCounts().Sub(before)
+			if d.Pairings != 0 || d.MillerSquarings != 0 || d.FinalExps != 0 || d.G1ScalarMults != 64 {
+				t.Fatalf("GOMAXPROCS %d: the second window paid %d Miller pairs, %d Miller squarings, %d final exps and %d G1 mults; want 0, 0, 0 and 64",
+					procs, d.Pairings, d.MillerSquarings, d.FinalExps, d.G1ScalarMults)
+			}
+		})
 	}
 }
 
@@ -374,72 +354,85 @@ func TestBatchAcceptBlocks(t *testing.T) {
 }
 
 // TestBatchSecondSightingBuildsTables: a signer seen only through the batch
-// earns its table as through Verify, at its second sighting. On a fresh
-// verifier the same clean 64/16 window steps 17 G2 chains (every pair a
-// point pair), then 17 again (16 table builds and the Q_ID sum), then 1,
-// and leaves the 16 tables cached.
+// earns its table as through Verify, at a sighting under an S its known
+// record holds no pair for. On a fresh verifier a clean 64/16 window steps
+// 32 G2 chains (16 first contacts, each S's loop and m_ID's) and caches no
+// table, and its repeat steps none. The same identities under replaced keys
+// step 16 (each identity known, its pinned S another: 16 table builds) and
+// leave 16 tables cached, and their repeat steps none.
 func TestBatchSecondSightingBuildsTables(t *testing.T) {
-	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
-	for k, stepped := range []uint64{17, 17, 1} {
-		before := bn254.ReadOpCounts()
-		if err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, msgs, sigs); err != nil {
+	kgc, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
+	rng := fixedRand(96)
+	rpks, rsigs := make([]*PublicKey, 64), make([]*Signature, 64)
+	for j := range 16 {
+		sk, err := GenerateKeyPair(kgc.Params(), kgc.ExtractPartialPrivateKey(pks[j].ID), rng)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if d := bn254.ReadOpCounts().Sub(before); d.LineDoubles != 65*stepped || d.LineAdds != 23*stepped {
-			t.Fatalf("window %d: %d doubling and %d addition steps, want %d and %d", k+1, d.LineDoubles, d.LineAdds, 65*stepped, 23*stepped)
+		for i := j; i < 64; i += 16 {
+			rpks[i] = sk.Public()
+			if rsigs[i], err = Sign(kgc.Params(), sk, msgs[i], rng); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if n := tables(vf, pks); n != 16 {
-		t.Fatalf("%d line tables cached after three windows, want 16", n)
+	for k, tc := range []struct {
+		pks             []*PublicKey
+		sigs            []*Signature
+		stepped, cached uint64
+	}{{pks, sigs, 32, 0}, {pks, sigs, 0, 0}, {rpks, rsigs, 16, 16}, {rpks, rsigs, 0, 16}} {
+		before := bn254.ReadOpCounts()
+		if err := vf.Batch(BatchOptions{}).VerifyMulti(tc.pks, msgs, tc.sigs); err != nil {
+			t.Fatal(err)
+		}
+		if d := bn254.ReadOpCounts().Sub(before); d.LineDoubles != 65*tc.stepped || d.LineAdds != 23*tc.stepped {
+			t.Fatalf("window %d: %d doubling and %d addition steps, want %d and %d", k+1, d.LineDoubles, d.LineAdds, 65*tc.stepped, 23*tc.stepped)
+		}
+		if n := tables(vf, tc.pks); uint64(n) != tc.cached {
+			t.Fatalf("window %d: %d line tables cached, want %d", k+1, n, tc.cached)
+		}
 	}
 }
 
 // TestBatchFanOutInvariance runs a clean, a forged and a first window (a
-// fresh verifier) at GOMAXPROCS 1, 2 and 4: the chunk's reduced product and
-// the offender set must be byte-equal at every width. The forged window
-// pins its signers' pairs, so each of its runs gets a fresh verifier with
-// the clean one's records.
+// fresh verifier) at GOMAXPROCS 1, 2 and 4: the offender set and the
+// window's op counts must be equal at every width. A window pins its
+// signers' pairs, so every run gets a fresh verifier, the clean and forged
+// ones with records that hold m_ID and line tables but no pair.
 func TestBatchFanOutInvariance(t *testing.T) {
-	_, warm, pks, msgs, sigs := multiBatch(t, 64, 16)
-	tableOnly(t, warm, pks, msgs, sigs)
+	kgc, _, pks, msgs, sigs := multiBatch(t, 64, 16)
 	forged := slices.Clone(msgs)
 	forged[37] = []byte("forged")
-	params := warm.params
-	idxs := upTo(len(sigs))
+	params := kgc.Params()
+	tabled := func() *Verifier {
+		vf := NewVerifier(params)
+		unpinned(t, vf, pks, msgs, sigs)
+		return vf
+	}
 	for _, tc := range []struct {
 		name    string
 		vf      func() *Verifier
 		msgs    [][]byte
 		wantBad []int
 	}{
-		{"clean", func() *Verifier { return warm }, msgs, nil},
-		{"forged", func() *Verifier {
-			vf := NewVerifier(params)
-			tableOnly(t, vf, pks, msgs, sigs)
-			return vf
-		}, forged, []int{37}},
+		{"clean", tabled, msgs, nil},
+		{"forged", tabled, forged, []int{37}},
 		{"first", func() *Verifier { return NewVerifier(params) }, msgs, nil},
 	} {
-		var ref []byte
+		var ref bn254.OpCounts
 		for _, procs := range []int{1, 2, 4} {
 			atProcs(procs, func() {
-				bv := testBatch(tc.vf(), chunkWidth, 0)
-				w, err := bv.newWindow(pks, tc.msgs, sigs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gt := w.check(idxs)
-				if gt.IsOne() != (tc.wantBad == nil) {
-					t.Fatalf("%s: GOMAXPROCS %d: product is one %v, want %v", tc.name, procs, gt.IsOne(), tc.wantBad == nil)
-				}
-				if v := gt.Marshal(); ref == nil {
-					ref = v
-				} else if !bytes.Equal(v, ref) {
-					t.Fatalf("%s: GOMAXPROCS %d reduces to another product than GOMAXPROCS 1", tc.name, procs)
-				}
-				err = testBatch(tc.vf(), chunkWidth, 0).VerifyMulti(pks, tc.msgs, sigs)
+				bv := tc.vf().Batch(BatchOptions{})
+				before := bn254.ReadOpCounts()
+				err := bv.VerifyMulti(pks, tc.msgs, sigs)
+				d := bn254.ReadOpCounts().Sub(before)
 				if got := BatchOffenders(err); !slices.Equal(got, tc.wantBad) || (err == nil) != (tc.wantBad == nil) {
 					t.Fatalf("%s: GOMAXPROCS %d: offenders %v (%v), want %v", tc.name, procs, got, err, tc.wantBad)
+				}
+				if procs == 1 {
+					ref = d
+				} else if d != ref {
+					t.Fatalf("%s: GOMAXPROCS %d costs %+v, GOMAXPROCS 1 %+v", tc.name, procs, d, ref)
 				}
 			})
 		}
@@ -449,16 +442,16 @@ func TestBatchFanOutInvariance(t *testing.T) {
 // TestBatchTablesMatchVerify runs windows that mix line-table hits, a forged
 // S under a known identity, a forgery carrying its signer's real S (a valid
 // signature over another message) and a replaced key (a new S for a known
-// identity), at 1, 2 and 8 workers. Chunk c holds signers 2c and 2c+1 only.
-// No record holds an accepted pair, so every index reaches a chunk: tab-0 to
-// tab-2 start with m_ID and a table cached by an earlier window, tab-3 to
-// tab-6 with m_ID only, and tab-7 is unknown (no record) until the first
-// window meets it, so it earns a table in the second. Offenders
-// must be the indices a fresh verifier's Verify rejects. After each window
-// every cached table and accepted pair must have been there before it or
-// carry the S (and the A) of a valid signature under its identity in the
-// window — a forged S displaces nothing — and an identity known before the
-// window with one S across the clean chunks must hold that S's table.
+// identity), at GOMAXPROCS 1, 2 and 8. Signers 2c and 2c+1 alternate over
+// indices 8c to 8c+7. tab-0 to tab-2 start with m_ID and a table but no
+// accepted pair, tab-3 to tab-6 with m_ID only, and tab-7 is unknown (no
+// record) until the first window meets it. Offenders must be the indices a
+// fresh verifier's Verify rejects. After each window every cached table and
+// accepted pair must have been there before it or carry the S (and the A)
+// of a valid signature under its identity in the window — a forged S
+// displaces nothing — and an identity known before the window whose valid
+// signatures in it share one S, not the S of its pair before, must hold
+// that S's table and pair.
 func TestBatchTablesMatchVerify(t *testing.T) {
 	rng := fixedRand(97)
 	kgc, err := Setup(rng)
@@ -480,7 +473,7 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 		}
 		return sig
 	}
-	const n, chunk = 32, 8
+	const n = 32
 	sks := make([]*PrivateKey, 8)
 	for j := range sks {
 		sks[j] = keyPair(fmt.Sprintf("tab-%d", j))
@@ -489,7 +482,7 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 	forgedS := new(bn254.G2).ScalarMult(bn254.G2Generator(), big.NewInt(1234567))
 	pks, msgs, sigs := make([]*PublicKey, n), make([][]byte, n), make([]*Signature, n)
 	for i := range n {
-		sk := sks[i/chunk*2+i%2]
+		sk := sks[i/8*2+i%2]
 		pks[i], msgs[i] = sk.Public(), []byte{byte(i)}
 		sigs[i] = sign(sk, msgs[i])
 	}
@@ -504,10 +497,10 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 		{name: "forgeries and a replaced key", edit: func(p []*PublicKey, m [][]byte, s []*Signature) {
 			s[10] = &Signature{V: s[10].V, S: forgedS, R: s[10].R}  // tab-2, whose table is cached
 			s[20] = s[22]                                           // tab-4's real S over another message
-			p[24], s[24] = replaced.Public(), sign(replaced, m[24]) // tab-6's new S, in a clean chunk
+			p[24], s[24] = replaced.Public(), sign(replaced, m[24]) // tab-6's new S
 		}, bad: []int{10, 20}},
 		{name: "clean", edit: func([]*PublicKey, [][]byte, []*Signature) {}},
-		{name: "a replaced key in a dirty chunk", edit: func(p []*PublicKey, m [][]byte, s []*Signature) {
+		{name: "a replaced key beside a forgery", edit: func(p []*PublicKey, m [][]byte, s []*Signature) {
 			p[26], s[26] = replaced.Public(), sign(replaced, m[26])
 			s[29] = s[31]
 		}, bad: []int{29}},
@@ -528,7 +521,7 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
 		vf := NewVerifier(params)
 		var tp []*PublicKey
 		var tm [][]byte
@@ -536,7 +529,7 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 		for _, sk := range sks[:3] {
 			tp, tm, ts = append(tp, sk.Public()), append(tm, msgs[0]), append(ts, sign(sk, msgs[0]))
 		}
-		tableOnly(t, vf, tp, tm, ts)
+		unpinned(t, vf, tp, tm, ts)
 		for _, sk := range sks[3:7] {
 			vf.rhs(nil, sk.Public().ID)
 		}
@@ -552,61 +545,61 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 					oks[id] = r.ok.Load()
 				}
 			}
-			err := testBatch(vf, chunk, workers).VerifyMulti(w.p, w.m, w.s)
+			var err error
+			atProcs(procs, func() { err = vf.Batch(BatchOptions{}).VerifyMulti(w.p, w.m, w.s) })
 			if got := BatchOffenders(err); !slices.Equal(got, w.bad) || (err == nil) != (w.bad == nil) {
-				t.Fatalf("workers=%d %s: offenders %v (%v), want %v", workers, w.name, got, err, w.bad)
+				t.Fatalf("GOMAXPROCS %d %s: offenders %v (%v), want %v", procs, w.name, got, err, w.bad)
 			}
-			clean := map[string][]*bn254.G2{} // the distinct S of each identity's clean-chunk signatures
-			for lo := 0; lo < n; lo += chunk {
-				if slices.ContainsFunc(w.bad, func(i int) bool { return i/chunk == lo/chunk }) {
-					continue
-				}
-				for i := lo; i < lo+chunk; i++ {
-					if id := w.p[i].ID; !slices.ContainsFunc(clean[id], w.s[i].S.Equal) {
-						clean[id] = append(clean[id], w.s[i].S)
-					}
+			valid := map[string][]*bn254.G2{} // the distinct S of each identity's valid signatures
+			for i := range w.s {
+				if id := w.p[i].ID; !slices.Contains(w.bad, i) && !slices.ContainsFunc(valid[id], w.s[i].S.Equal) {
+					valid[id] = append(valid[id], w.s[i].S)
 				}
 			}
 			for _, sk := range sks {
 				id := sk.Public().ID
 				l, ok := tableOf(vf, id)
-				switch {
-				case ok && !(before[id] != nil && l.Q().Equal(before[id])) && !ofValid(params, w.p, w.m, w.s, w.bad, id, l.Q(), nil):
-					t.Fatalf("workers=%d %s: %s caches a table of no valid signature in the window", workers, w.name, id)
-				case known[id] && len(clean[id]) == 1 && !(ok && l.Q().Equal(clean[id][0])):
-					t.Fatalf("workers=%d %s: %s's clean S has no cached table", workers, w.name, id)
+				if ok && !(before[id] != nil && l.Q().Equal(before[id])) && !ofValid(params, w.p, w.m, w.s, w.bad, id, l.Q(), nil) {
+					t.Fatalf("GOMAXPROCS %d %s: %s caches a table of no valid signature in the window", procs, w.name, id)
 				}
-				if r, found := vf.signers.Get(id); found {
-					if pair := r.ok.Load(); pair != oks[id] && !ofValid(params, w.p, w.m, w.s, w.bad, id, &pair.s, &pair.a) {
-						t.Fatalf("workers=%d %s: %s holds an accepted pair of no valid signature in the window", workers, w.name, id)
-					}
+				r, found := vf.signers.Get(id)
+				if !found {
+					continue
+				}
+				pair := r.ok.Load()
+				if pair != oks[id] && !ofValid(params, w.p, w.m, w.s, w.bad, id, &pair.s, &pair.a) {
+					t.Fatalf("GOMAXPROCS %d %s: %s holds an accepted pair of no valid signature in the window", procs, w.name, id)
+				}
+				if s := valid[id]; known[id] && len(s) == 1 && !(oks[id] != nil && oks[id].s.Equal(s[0])) &&
+					!(ok && l.Q().Equal(s[0]) && pair != nil && pair.s.Equal(s[0])) {
+					t.Fatalf("GOMAXPROCS %d %s: %s's valid S has no cached table and pair", procs, w.name, id)
 				}
 			}
 		}
 	}
 }
 
-// TestBatchFailingChunkCost pins what a failing chunk costs on a
+// TestBatchFailingChunkCost pins what a window with forgeries costs on a
 // 64-signature/16-signer window, signer i mod 16 at index i, so S-group g is
 // {g, g+16, g+32, g+48}, over records that hold m_ID and line tables but no
-// accepted pair, so every index reaches the aggregate equation. The chunk's
-// check is one final exponentiation and 17 Miller pairs. settle then walks
-// each S-group in index order: Verify up to and including its first valid
-// index (one final exp and one table pair each: m_ID is cached), which pins
-// the signer's pair, then one fixed-base pass per later index. A group
-// pays one Verify more when its first index is forged: {0} costs 18 final
-// exps and 34 pairs, a lone forgery anywhere else 17 and 33, and 2, 4 or 8
-// offenders with one or two of them first in their group 18/34 or 19/35.
-// Each case gets a fresh verifier, as settle pins pairs. Once Verify has
-// accepted every signer's (S, A), a tampered message carries its signer's
-// accepted S with another A, so the accept round rejects it by that A
-// alone: no index reaches a check, 0 final exps and 0 pairs.
+// accepted pair, so every index reaches settle. settle walks each S-group in
+// index order: Verify up to and including its first valid index (one final
+// exp and one table pair each: m_ID is cached), which pins the signer's
+// pair, then one fixed-base pass per later index. A group pays one Verify
+// more when its first index is forged: {0} costs 17 final exps and 17
+// pairs, a lone forgery anywhere else 16 and 16, and 2, 4 or 8 offenders
+// with one or two of them first in their group 17/17 or 18/18. Each case
+// gets a fresh verifier, as settle pins pairs. Once Verify has accepted
+// every signer's (S, A), a tampered message carries its signer's accepted S
+// with another A, so the prologue rejects it by that A alone: no index
+// reaches settle, 0 final exps and 0 pairs. The offenders are the same at
+// GOMAXPROCS 1, 2 and 8.
 func TestBatchFailingChunkCost(t *testing.T) {
 	kgc, _, pks, msgs, sigs := multiBatch(t, 64, 16)
 	params := kgc.Params()
 	tabled := func() *Verifier {
 		vf := NewVerifier(params)
-		tableOnly(t, vf, pks, msgs, sigs)
+		unpinned(t, vf, pks, msgs, sigs)
 		return vf
 	}
 	known := NewVerifier(params)
@@ -627,9 +620,9 @@ func TestBatchFailingChunkCost(t *testing.T) {
 		at               []int
 		finalExps, pairs uint64
 	}{
-		{false, []int{0}, 18, 34}, {false, []int{31}, 17, 33}, {false, []int{32}, 17, 33}, {false, []int{37}, 17, 33},
-		{false, []int{63}, 17, 33}, {false, []int{3, 40}, 18, 34}, {false, []int{40, 56}, 17, 33},
-		{false, []int{3, 20, 40, 57}, 18, 34}, {false, []int{3, 12, 20, 29, 40, 46, 57, 63}, 19, 35},
+		{false, []int{0}, 17, 17}, {false, []int{31}, 16, 16}, {false, []int{32}, 16, 16}, {false, []int{37}, 16, 16},
+		{false, []int{63}, 16, 16}, {false, []int{3, 40}, 17, 17}, {false, []int{40, 56}, 16, 16},
+		{false, []int{3, 20, 40, 57}, 17, 17}, {false, []int{3, 12, 20, 29, 40, 46, 57, 63}, 18, 18},
 		{true, []int{0}, 0, 0}, {true, []int{37}, 0, 0}, {true, []int{3, 40}, 0, 0},
 	} {
 		vf := known
@@ -637,7 +630,7 @@ func TestBatchFailingChunkCost(t *testing.T) {
 			vf = tabled()
 		}
 		before := bn254.ReadOpCounts()
-		err := testBatch(vf, chunkWidth, 1).VerifyMulti(pks, tamper(tc.at...), sigs)
+		err := vf.Batch(BatchOptions{}).VerifyMulti(pks, tamper(tc.at...), sigs)
 		d := bn254.ReadOpCounts().Sub(before)
 		if !slices.Equal(BatchOffenders(err), tc.at) {
 			t.Fatalf("forgeries at %v (known keys %v): %v", tc.at, tc.known, err)
@@ -650,16 +643,14 @@ func TestBatchFailingChunkCost(t *testing.T) {
 	for i := range all {
 		all[i] = 16 + i
 	}
-	// Two adjacent offenders, two far apart, one in each chunk, and a chunk
-	// forged throughout.
-	for _, tc := range []struct {
-		chunk int
-		want  []int
-	}{{64, []int{40, 41}}, {64, []int{3, 40}}, {32, []int{5, 60}}, {16, all}} {
-		for _, workers := range []int{1, 2, 8} {
-			err := testBatch(tabled(), tc.chunk, workers).VerifyMulti(pks, tamper(tc.want...), sigs)
-			if got := BatchOffenders(err); !slices.Equal(got, tc.want) {
-				t.Fatalf("chunk=%d workers=%d: offenders %v (%v), want %v", tc.chunk, workers, got, err, tc.want)
+	// Two adjacent offenders, two far apart, one in each half, and a run of
+	// sixteen forged throughout.
+	for _, want := range [][]int{{40, 41}, {3, 40}, {5, 60}, all} {
+		for _, procs := range []int{1, 2, 8} {
+			var err error
+			atProcs(procs, func() { err = tabled().Batch(BatchOptions{}).VerifyMulti(pks, tamper(want...), sigs) })
+			if got := BatchOffenders(err); !slices.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS %d: offenders %v (%v), want %v", procs, got, err, want)
 			}
 		}
 	}
@@ -667,29 +658,27 @@ func TestBatchFailingChunkCost(t *testing.T) {
 
 // TestBatchOffSubgroupS: a window whose index 5 carries an on-curve S off
 // G2 names exactly that index, whether its identity is a first contact (the
-// chunk's Miller loop finds the S) or holds a line table (the chunk's table
-// build does), at every chunk width and GOMAXPROCS, once its chunk is
-// settled by Verify; no record accepts the S or caches a table for it.
+// settling Verify's Miller loop finds the S) or holds a line table for its
+// honest S (the settling Verify's table build does), at GOMAXPROCS 1 and 2;
+// no record accepts the S or caches a table for it.
 func TestBatchOffSubgroupS(t *testing.T) {
 	kgc, _, pks, msgs, sigs := multiBatch(t, 16, 4)
 	sigs = slices.Clone(sigs)
 	sigs[5] = &Signature{V: sigs[5].V, S: offSubgroupG2(t), R: sigs[5].R}
 	for _, tabled := range []bool{false, true} {
-		for _, chunk := range []int{chunkWidth, 8} {
-			for _, procs := range []int{1, 2} {
-				vf := NewVerifier(kgc.Params())
-				if tabled {
-					tableOnly(t, vf, pks[:4], msgs[:4], sigs[:4])
-				}
-				var err error
-				atProcs(procs, func() { err = testBatch(vf, chunk, 0).VerifyMulti(pks, msgs, sigs) })
-				if got := BatchOffenders(err); !slices.Equal(got, []int{5}) {
-					t.Fatalf("tabled %v, chunk %d, GOMAXPROCS %d: offenders %v (%v), want [5]", tabled, chunk, procs, got, err)
-				}
-				r, _ := vf.signers.Get(pks[5].ID)
-				if ok := r.ok.Load(); ok != nil && ok.s.Equal(sigs[5].S) || r.lines.Load() != nil && r.lines.Load().Q().Equal(sigs[5].S) {
-					t.Fatalf("tabled %v, chunk %d, GOMAXPROCS %d: the record took the S off G2", tabled, chunk, procs)
-				}
+		for _, procs := range []int{1, 2} {
+			vf := NewVerifier(kgc.Params())
+			if tabled {
+				unpinned(t, vf, pks[:4], msgs[:4], sigs[:4])
+			}
+			var err error
+			atProcs(procs, func() { err = vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs) })
+			if got := BatchOffenders(err); !slices.Equal(got, []int{5}) {
+				t.Fatalf("tabled %v, GOMAXPROCS %d: offenders %v (%v), want [5]", tabled, procs, got, err)
+			}
+			r, _ := vf.signers.Get(pks[5].ID)
+			if ok := r.ok.Load(); ok != nil && ok.s.Equal(sigs[5].S) || r.lines.Load() != nil && r.lines.Load().Q().Equal(sigs[5].S) {
+				t.Fatalf("tabled %v, GOMAXPROCS %d: the record took the S off G2", tabled, procs)
 			}
 		}
 	}
@@ -700,7 +689,7 @@ func TestBatchOffSubgroupS(t *testing.T) {
 // between their (S, A), while two more goroutines run windows over
 // signatures of both keys and of a second identity. Four are forged under
 // the flipping identity, so the accept round rejects each while its key's
-// pair is the accepted one and a check decides it otherwise: tampered
+// pair is the accepted one and settle decides it otherwise: tampered
 // messages under each key (4, 13 under the second, 9 under the first) and
 // the first key's S with the second's V and R (21). Whichever pair a window
 // reads, its offenders must be the indices per-index Verify rejects.
@@ -755,7 +744,7 @@ func TestBatchAcceptedRace(t *testing.T) {
 					}
 					continue
 				}
-				err := testBatch(vf, 8, 0).VerifyMulti(pks, msgs, sigs)
+				err := vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs)
 				if got := BatchOffenders(err); !slices.Equal(got, want) {
 					t.Errorf("offenders %v (%v), want %v", got, err, want)
 				}
@@ -766,26 +755,23 @@ func TestBatchAcceptedRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBatchWindowAllocs keeps the joint walks' tables and digit rows off
-// the heap: a clean 64/16 window over records that hold line tables but no
-// accepted pair makes exactly its measured 40 allocations at GOMAXPROCS 1,
-// so one escaped row buffer (18 more) fails here, as does a fan-out that
-// allocates when it runs inline. At GOMAXPROCS 2 each of the three fan-outs
-// (the prologue, the points, the Miller parts) adds its shared state and
-// its worker's closure, and the Miller parts add their slice and one more
-// loop's accumulator and table-pair state: 49. The chunk runs inline (one
-// chunk). A window that accepted pairs settle entirely makes 5: the window,
-// its three per-index slices (k, at, rest) and the rejection, with no weight
-// seed and no weights, which only an index left for a check draws; at
-// GOMAXPROCS 2 the prologue's fan-out adds 2. Nothing on the path draws on a
-// sync.Pool, so the counts are exact under -race too.
+// TestBatchWindowAllocs pins what a window allocates. A clean 64/16 window
+// that the prologue decides entirely, over records holding the pairs
+// Verify accepted, makes 3 allocations at GOMAXPROCS 1: the window and its
+// two per-index slices (k, at); settle, with no index to settle, runs
+// inline and allocates nothing. At GOMAXPROCS 2 the prologue's fan-out adds
+// its shared state and its worker's closure: 5. A window that only batched
+// before is in the same state, as its first window pinned every pair. A
+// window settled by Verify, over records that hold m_ID and line tables but
+// no pair, adds its S-groups (53: 16 index lists growing to 4 entries, the
+// group list to 16) and 2 for each of its 16 table-hit Verify calls (the
+// Miller value and the accepted pair it stores): 88 at GOMAXPROCS 1, and 92
+// at GOMAXPROCS 2, where settle's fan-out adds 2 more. Nothing on the path
+// draws on a sync.Pool, so the counts are exact under -race too.
 func TestBatchWindowAllocs(t *testing.T) {
 	_, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
-	bv := vf.Batch(BatchOptions{})
-	for range 2 { // Q_ID, then the tables
-		if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
-			t.Fatal(err)
-		}
+	if err := vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs); err != nil {
+		t.Fatal(err)
 	}
 	known := NewVerifier(vf.params)
 	for i := range 16 {
@@ -793,26 +779,41 @@ func TestBatchWindowAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	tabled := NewVerifier(vf.params)
+	unpinned(t, tabled, pks, msgs, sigs)
+	unpin := func() {
+		for _, pk := range pks[:16] {
+			r, _ := tabled.signers.Get(pk.ID)
+			r.ok.Store(nil)
+		}
+	}
 	for _, tc := range []struct {
-		bv       *BatchVerifier
-		accepted bool
-		procs    int
-		allocs   uint64
-	}{{bv, false, 1, 40}, {bv, false, 2, 49}, {known.Batch(BatchOptions{}), true, 1, 5}, {known.Batch(BatchOptions{}), true, 2, 7}} {
+		name   string
+		vf     *Verifier
+		before func()
+		procs  int
+		allocs uint64
+	}{
+		{"batched before", vf, func() {}, 1, 3}, {"batched before", vf, func() {}, 2, 5},
+		{"accepted by Verify", known, func() {}, 1, 3}, {"accepted by Verify", known, func() {}, 2, 5},
+		{"settled by Verify", tabled, unpin, 1, 88}, {"settled by Verify", tabled, unpin, 2, 92},
+	} {
+		bv := tc.vf.Batch(BatchOptions{})
 		if allocs := allocsAt(tc.procs, 20, func() {
-			if err := tc.bv.VerifyMulti(pks, msgs, sigs); err != nil {
+			tc.before()
+			if err := bv.VerifyMulti(pks, msgs, sigs); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != tc.allocs {
-			t.Errorf("clean warm 64/16 window (accepted pairs %v) at GOMAXPROCS %d: %v allocations, want %v", tc.accepted, tc.procs, allocs, tc.allocs)
+			t.Errorf("clean 64/16 window (%s) at GOMAXPROCS %d: %v allocations, want %v", tc.name, tc.procs, allocs, tc.allocs)
 		}
 	}
 }
 
 // FuzzBatchVsVerify is the batch plane's differential oracle: a window the
 // fuzz bytes draw — n = 1–80 signatures over k = 1–20 signers (order[i]
-// names index i's signer, i mod k past its end), chunks of 1 + chunk mod n,
-// warm or cold caches (flags bit 0: every signer's m_ID, accepted pair and
+// names index i's signer, i mod k past its end; the byte before flags is
+// unused and keeps the corpus layout), warm or cold caches (flags bit 0: every signer's m_ID, accepted pair and
 // table, from its honest key or, with bit 2, from its replaced one, so the
 // accepted S and the window's S disagree either way), GOMAXPROCS 1 or 2
 // (bit 1) — with up to four planted faults, each three bytes (kind, index,
@@ -822,10 +823,9 @@ func TestBatchWindowAllocs(t *testing.T) {
 // key replaced, the signature re-signed under it for odd aux (valid) or kept
 // (invalid); or the signature filed under another identity. The offenders
 // must be exactly the indices a fresh Verifier's Verify rejects. A table or
-// accepted pair the window stored (a clean chunk's check stores tables, a
-// failing chunk's Verify calls tables and pairs) must carry the S, and the
-// A recomputed by math/big, of a valid signature under its identity in the
-// window: a forged S displaces nothing.
+// accepted pair the window stored (settle's Verify calls store both) must
+// carry the S, and the A recomputed by math/big, of a valid signature under
+// its identity in the window: a forged S displaces nothing.
 func FuzzBatchVsVerify(f *testing.F) {
 	rng := fixedRand(98)
 	kgc, err := Setup(rng)
@@ -866,7 +866,7 @@ func FuzzBatchVsVerify(f *testing.F) {
 	}
 	forged[4] = offSubgroupG2(f)
 
-	f.Fuzz(func(t *testing.T, n, signers, chunk, flags uint8, faults, order []byte) {
+	f.Fuzz(func(t *testing.T, n, signers, _, flags uint8, faults, order []byte) {
 		nn, k := 1+int(n)%80, 1+int(signers)%20
 		who := make([]int, nn)
 		p, m, s := make([]*PublicKey, nn), make([][]byte, nn), make([]*Signature, nn)
@@ -924,11 +924,10 @@ func FuzzBatchVsVerify(f *testing.F) {
 				oks[id] = r.ok.Load()
 			}
 		}
-		width := 1 + int(chunk)%nn
 		var err error
-		atProcs(1+int(flags>>1&1), func() { err = testBatch(vf, width, 0).VerifyMulti(p, m, s) })
+		atProcs(1+int(flags>>1&1), func() { err = vf.Batch(BatchOptions{}).VerifyMulti(p, m, s) })
 		if got := BatchOffenders(err); !slices.Equal(got, want) || (err == nil) != (want == nil) {
-			t.Fatalf("%d signatures / %d signers in chunks of %d: offenders %v (%v), a fresh Verify rejects %v", nn, k, width, got, err, want)
+			t.Fatalf("%d signatures / %d signers: offenders %v (%v), a fresh Verify rejects %v", nn, k, got, err, want)
 		}
 
 		for _, sk := range sks {
@@ -988,167 +987,181 @@ func allocsAt(procs, runs int, f func()) uint64 {
 	return least
 }
 
-// rejectWindow is a window of n signatures from k signers over a fresh
-// verifier, the messages at bad tampered, in chunks of 16 on one worker:
-// no record holds a pair, so every index is in the window's rest.
-func rejectWindow(t *testing.T, n, k int, bad ...int) (*BatchVerifier, *window) {
+// tampered is a window of n signatures from k signers over a fresh
+// verifier, the messages at bad tampered: no record exists, so every index
+// reaches settle.
+func tampered(t *testing.T, n, k int, bad ...int) (*Verifier, []*PublicKey, [][]byte, []*Signature) {
 	t.Helper()
 	_, vf, pks, msgs, sigs := multiBatch(t, n, k)
 	for _, i := range bad {
 		msgs[i] = []byte{0xfe, byte(i)}
 	}
-	bv := testBatch(vf, 16, 1)
-	w, err := bv.newWindow(pks, msgs, sigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bv, w
+	return vf, pks, msgs, sigs
 }
 
-// TestBatchRejectLocatesOffenders: 100 signatures from 10 signers in chunks
-// of 16 are 7 checks, four of them failing. At one worker and one P the
-// chunks run in order: the first failing chunk's settle runs Verify on each
-// of its 10 S-groups, once more for index 3, which is first in its group,
-// and pins every signer's pair, so the later failing chunks are settled by
-// fixed-base passes alone: 7 + 11 final exponentiations.
+// TestBatchRejectLocatesOffenders: 100 signatures from 10 signers, four of
+// them tampered, on a fresh verifier at one P. settle runs Verify on each
+// of the 10 S-groups' first index, once more for index 3, which is first in
+// its group, and decides 17, 42 and 99 by the pairs those calls pinned: 11
+// final exponentiations.
 func TestBatchRejectLocatesOffenders(t *testing.T) {
 	atProcs(1, func() {
-		bv, w := rejectWindow(t, 100, 10, 3, 17, 42, 99)
+		vf, pks, msgs, sigs := tampered(t, 100, 10, 3, 17, 42, 99)
 		before := bn254.ReadOpCounts()
-		err := bv.reject(w.rest, w)
+		err := vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs)
 		if got, want := BatchOffenders(err), []int{3, 17, 42, 99}; !slices.Equal(got, want) {
 			t.Fatalf("offenders %v (%v), want %v", got, err, want)
 		}
-		if d := bn254.ReadOpCounts().Sub(before); d.FinalExps != 7+11 {
-			t.Fatalf("%d final exps, want 18", d.FinalExps)
+		if d := bn254.ReadOpCounts().Sub(before); d.FinalExps != 11 {
+			t.Fatalf("%d final exps, want 11", d.FinalExps)
 		}
 	})
 }
 
-// TestBatchRejectOverResidual: the chunks are cut from the index list reject
-// is given, the indices a window left to the aggregate equation, and its
-// offenders are window indices. An index outside the list is never judged.
+// TestBatchRejectOverResidual: settle judges only the indices the prologue
+// left. With the odd signers' pairs pinned, their 50 indices, forged or
+// not, are decided by their A with no pairing, and only the even signers'
+// 50 reach settle: one first-contact Verify per signer, 5 final
+// exponentiations, at GOMAXPROCS 1 and 2.
 func TestBatchRejectOverResidual(t *testing.T) {
-	var odd []int
-	for i := 1; i < 100; i += 2 {
-		odd = append(odd, i)
-	}
-	for _, workers := range []int{1, 2} {
-		bv, w := rejectWindow(t, 100, 10, 3, 42, 77, 99)
-		bv.workers = workers
-		err := bv.reject(odd, w)
-		if got, want := BatchOffenders(err), []int{3, 77, 99}; !slices.Equal(got, want) {
-			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
+	for _, procs := range []int{1, 2} {
+		vf, pks, msgs, sigs := tampered(t, 100, 10, 3, 42, 77, 99)
+		for i := 11; i < 20; i += 2 {
+			if err := vf.Verify(pks[i], msgs[i], sigs[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !slices.Equal(odd[:3], []int{1, 3, 5}) || odd[49] != 99 {
-			t.Fatalf("workers=%d: reject rewrote its index list", workers)
-		}
+		atProcs(procs, func() {
+			before := bn254.ReadOpCounts()
+			err := vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs)
+			if got, want := BatchOffenders(err), []int{3, 42, 77, 99}; !slices.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS %d: offenders %v (%v), want %v", procs, got, err, want)
+			}
+			if d := bn254.ReadOpCounts().Sub(before); d.FinalExps != 5 {
+				t.Fatalf("GOMAXPROCS %d: %d final exps, want 5", procs, d.FinalExps)
+			}
+		})
 	}
 }
 
-// TestBatchRejectAllGood: a clean window is one check per chunk, 7 final
-// exponentiations for 100 signatures in chunks of 16, and no Verify, so no
-// record gets a pair; an empty list is none.
+// TestBatchRejectAllGood: a clean window on a fresh verifier is one
+// first-contact Verify per signer, 10 final exponentiations for 100
+// signatures from 10 signers, and leaves every signer's pair pinned; an
+// empty window costs none.
 func TestBatchRejectAllGood(t *testing.T) {
-	bv, w := rejectWindow(t, 100, 10)
+	vf, pks, msgs, sigs := tampered(t, 100, 10)
 	for _, tc := range []struct {
-		idxs      []int
+		n         int
 		finalExps uint64
-	}{{w.rest, 7}, {nil, 0}} {
+	}{{100, 10}, {0, 0}} {
 		before := bn254.ReadOpCounts()
-		if err := bv.reject(tc.idxs, w); err != nil {
-			t.Fatalf("clean batch of %d: %v", len(tc.idxs), err)
+		if err := vf.Batch(BatchOptions{}).VerifyMulti(pks[:tc.n], msgs[:tc.n], sigs[:tc.n]); err != nil {
+			t.Fatalf("clean batch of %d: %v", tc.n, err)
 		}
 		if d := bn254.ReadOpCounts().Sub(before); d.FinalExps != tc.finalExps {
-			t.Fatalf("clean batch of %d: %d final exps, want %d", len(tc.idxs), d.FinalExps, tc.finalExps)
+			t.Fatalf("clean batch of %d: %d final exps, want %d", tc.n, d.FinalExps, tc.finalExps)
 		}
 	}
-	for _, pk := range w.pks {
-		if r, _ := w.vf.signers.Get(pk.ID); r.ok.Load() != nil {
-			t.Fatalf("%s holds an accepted pair after a clean window", pk.ID)
+	for i, pk := range pks {
+		if r, _ := vf.signers.Get(pk.ID); r.ok.Load() == nil || !r.ok.Load().s.Equal(sigs[i].S) {
+			t.Fatalf("%s holds no accepted pair under its S after a clean window", pk.ID)
 		}
 	}
 }
 
 func TestBatchRejectWorkerInvariance(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		bv, w := rejectWindow(t, 65, 5, 0, 31, 32, 63, 64)
-		bv.chunk, bv.workers = 8, workers
-		err := bv.reject(w.rest, w)
+	for _, procs := range []int{1, 2, 8} {
+		vf, pks, msgs, sigs := tampered(t, 65, 5, 0, 31, 32, 63, 64)
+		var err error
+		atProcs(procs, func() { err = vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs) })
 		if got, want := BatchOffenders(err), []int{0, 31, 32, 63, 64}; !slices.Equal(got, want) {
-			t.Fatalf("workers=%d: offenders %v (%v), want %v", workers, got, err, want)
+			t.Fatalf("GOMAXPROCS %d: offenders %v (%v), want %v", procs, got, err, want)
 		}
 	}
 }
 
-// TestBatchRejectSettlesByVerify: a failing chunk of signers a (even
-// indices) and b (odd), index 0 tampered and index 5 carrying a forged S,
-// is three S-groups. a's runs Verify on 0 (rejected) and 2 (accepted,
-// pinning a's pair), then decides 4 and 6 by that pair; b's runs Verify on 1
-// alone; the forged S's, on 5, which b's pair cannot decide. The check and
-// four Verify calls are 5 final exponentiations, and each record holds the
-// (S, A) of its signer's first valid index.
+// TestBatchRejectSettlesByVerify: a window of signers a (even indices) and
+// b (odd) on a fresh verifier, index 0 tampered and index 5 carrying a
+// forged S, is three S-groups. a's runs Verify on 0 (rejected, a first
+// contact) and 2 (accepted, pinning a's pair), then decides 4 and 6 by that
+// pair; b's runs Verify on 1 alone; the forged S's, on 5, which b's pair
+// cannot decide. Four Verify calls are 4 final exponentiations, and each
+// record holds the (S, A) of its signer's first valid index.
 func TestBatchRejectSettlesByVerify(t *testing.T) {
 	atProcs(1, func() {
-		bv, w := rejectWindow(t, 8, 2, 0)
-		w.sigs[5] = &Signature{V: w.sigs[5].V, S: new(bn254.G2).ScalarMult(bn254.G2Generator(), big.NewInt(55)), R: w.sigs[5].R}
+		vf, pks, msgs, sigs := tampered(t, 8, 2, 0)
+		sigs[5] = &Signature{V: sigs[5].V, S: new(bn254.G2).ScalarMult(bn254.G2Generator(), big.NewInt(55)), R: sigs[5].R}
 		before := bn254.ReadOpCounts()
-		err := bv.reject(w.rest, w)
+		err := vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs)
 		if got := BatchOffenders(err); !slices.Equal(got, []int{0, 5}) {
 			t.Fatalf("offenders %v (%v), want [0 5]", got, err)
 		}
-		if d := bn254.ReadOpCounts().Sub(before); d.FinalExps != 5 {
-			t.Fatalf("%d final exps, want 5", d.FinalExps)
+		if d := bn254.ReadOpCounts().Sub(before); d.FinalExps != 4 {
+			t.Fatalf("%d final exps, want 4", d.FinalExps)
 		}
 		for _, i := range []int{2, 1} {
-			r, _ := w.vf.signers.Get(w.pks[i].ID)
-			if ok := r.ok.Load(); ok == nil || !ok.s.Equal(w.sigs[i].S) || !ok.a.Equal(commitment(w.vf.params, w.pks[i], w.msgs[i], w.sigs[i])) {
-				t.Fatalf("%s does not hold the pair of index %d", w.pks[i].ID, i)
+			r, _ := vf.signers.Get(pks[i].ID)
+			if ok := r.ok.Load(); ok == nil || !ok.s.Equal(sigs[i].S) || !ok.a.Equal(commitment(vf.params, pks[i], msgs[i], sigs[i])) {
+				t.Fatalf("%s does not hold the pair of index %d", pks[i].ID, i)
 			}
 		}
 	})
 }
 
-// TestBatchRejectPanicPropagates: a chunk recovers its check's panic as an
-// error, inline and on a second goroutine alike. Every R is gone after the
-// shape checks, so each check panics.
+// panicking is a window of 16 signatures from 4 signers over a fresh
+// verifier whose H2 oracle panics from its 17th call on, and that call
+// count. The prologue hashes each index once, so every Verify settle runs
+// panics before any pairing.
+func panicking(t *testing.T) (*BatchVerifier, *atomic.Int64, []*PublicKey, [][]byte, []*Signature) {
+	t.Helper()
+	_, vf, pks, msgs, sigs := multiBatch(t, 16, 4)
+	params, calls := *vf.params, new(atomic.Int64)
+	params.h2Override = func(msg []byte, r, pid *bn254.G1) fr.Element {
+		if calls.Add(1) > int64(len(sigs)) {
+			panic("H2 oracle down")
+		}
+		return vf.params.hashH2(msg, r, pid)
+	}
+	return NewVerifier(&params).Batch(BatchOptions{}), calls, pks, msgs, sigs
+}
+
+// recovered runs f and returns the value it panicked with, nil if none.
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestBatchRejectPanicPropagates: at one P settle runs its S-groups inline,
+// so the first settling Verify's panic reaches VerifyMulti's caller as it
+// is, and no other group runs.
 func TestBatchRejectPanicPropagates(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		bv, w := rejectWindow(t, 4, 2)
-		bv.chunk, bv.workers = 2, workers
-		for i, sig := range w.sigs {
-			w.sigs[i] = &Signature{V: sig.V, S: sig.S}
+	bv, calls, pks, msgs, sigs := panicking(t)
+	atProcs(1, func() {
+		if v := recovered(func() { _ = bv.VerifyMulti(pks, msgs, sigs) }); v != "H2 oracle down" {
+			t.Fatalf("VerifyMulti's caller recovered %v, want the settling Verify's panic", v)
 		}
-		if err := bv.reject(w.rest, w); err == nil || BatchOffenders(err) != nil {
-			t.Fatalf("workers=%d: a panicking check must surface as a plain error, got %v", workers, err)
-		}
+	})
+	if n := calls.Load(); n != 17 {
+		t.Fatalf("%d H2 calls, want 16 in the prologue and one panicking Verify", n)
 	}
 }
 
-// TestBatchCheckPanicOnFanOutWorker: a real check at GOMAXPROCS 2 fans its
-// group points out to a second goroutine; with every R gone after the shape
-// checks, at least two point tasks panic and the caller claims at most one
-// of them, so a spawned worker panics too. The panic reaches the chunk's
-// recovery as an error instead of ending the process.
-func TestBatchCheckPanicOnFanOutWorker(t *testing.T) {
-	_, vf, pks, msgs, sigs := multiBatch(t, 16, 4)
+// TestBatchSettlePanicOnFanOutWorker: at GOMAXPROCS 2 settle fans its four
+// S-groups out to the caller and one spawned worker. Each claims a group,
+// and its Verify panics, which stops it, so exactly two Verify calls run
+// and one of them panics on the spawned goroutine. The panic is re-raised
+// on VerifyMulti's caller instead of ending the process.
+func TestBatchSettlePanicOnFanOutWorker(t *testing.T) {
+	bv, calls, pks, msgs, sigs := panicking(t)
 	atProcs(2, func() {
-		bv := testBatch(vf, chunkWidth, 1)
-		s := slices.Clone(sigs)
-		w, err := bv.newWindow(pks, msgs, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w.width != 2 {
-			t.Fatalf("one chunk at GOMAXPROCS 2 fans out to %d workers, want 2", w.width)
-		}
-		for i := range s {
-			s[i] = &Signature{V: s[i].V, S: s[i].S}
-		}
-		if err := bv.reject(w.rest, w); err == nil || BatchOffenders(err) != nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("a check panicking on a fan-out worker must surface as a plain error, got %v", err)
+		if v := recovered(func() { _ = bv.VerifyMulti(pks, msgs, sigs) }); v != "H2 oracle down" {
+			t.Fatalf("VerifyMulti's caller recovered %v, want a settling Verify's panic", v)
 		}
 	})
+	if n := calls.Load(); n != 18 {
+		t.Fatalf("%d H2 calls, want 16 in the prologue and one panicking Verify on each of two workers", n)
+	}
 }
 
 func TestBatchErrorUnwrap(t *testing.T) {
@@ -1161,70 +1174,6 @@ func TestBatchErrorUnwrap(t *testing.T) {
 	}
 	if BatchOffenders(nil) != nil || BatchOffenders(ErrBatchMismatch) != nil {
 		t.Fatal("BatchOffenders must be nil without an offender list")
-	}
-}
-
-func TestWeightsDeterministicAndBounded(t *testing.T) {
-	seed := bytes.Repeat([]byte{7}, 32)
-	w1, err := newWeightSeed(bytes.NewReader(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, _ := newWeightSeed(bytes.NewReader(seed))
-	for i := 0; i < 100; i++ {
-		a, b := w1.at(i), w2.at(i)
-		if a != b {
-			t.Fatalf("weight %d not deterministic", i)
-		}
-		if a.A[0]|a.B[0] == 0 {
-			t.Fatalf("weight %d is (0, 0)", i)
-		}
-		if a.A[1]|a.B[1] != 0 {
-			t.Fatalf("weight %d has a half wider than 64 bits: %v", i, a)
-		}
-	}
-	if w1.at(0) == w1.at(1) {
-		t.Fatal("distinct indices yielded equal weights")
-	}
-	// Fresh random seeds must differ.
-	r1, err := newWeightSeed(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := newWeightSeed(nil)
-	if r1.at(0) == r2.at(0) {
-		t.Fatal("independent seeds yielded equal weights")
-	}
-	if _, err := newWeightSeed(bytes.NewReader(seed[:5])); err == nil {
-		t.Fatal("a short weight source must be an error")
-	}
-}
-
-// TestEndoWeights pins what the weights are: the scalar a + b·λ mod r of
-// their two halves, λ a primitive cube root of unity mod r — recomputed
-// over math/big from (0, 1), the pair that is λ itself — and nonzero, so no
-// signature's equation is voided. bn254's TestEndoScalarInjective carries
-// the other half of the argument: distinct pairs are distinct scalars.
-func TestEndoWeights(t *testing.T) {
-	r := bn254.Order
-	unit := bn254.EndoScalar{B: [2]uint64{1}}
-	unitFr := unit.Fr()
-	lambda := unitFr.BigInt()
-	cube := new(big.Int).Exp(lambda, big.NewInt(3), r)
-	if lambda.Cmp(big.NewInt(1)) == 0 || cube.Cmp(big.NewInt(1)) != 0 {
-		t.Fatalf("(0, 1) = %v is not a primitive cube root of unity mod r", lambda)
-	}
-	seed, err := newWeightSeed(fixedSeed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		w := seed.at(i)
-		want := new(big.Int).Mul(new(big.Int).SetUint64(w.B[0]), lambda)
-		want.Add(want, new(big.Int).SetUint64(w.A[0])).Mod(want, r)
-		if got := w.Fr(); got.BigInt().Cmp(want) != 0 || got.IsZero() {
-			t.Fatalf("weight %d: (%#x, %#x) = %v, want %v (nonzero)", i, w.A[0], w.B[0], got.BigInt(), want)
-		}
 	}
 }
 
@@ -1243,10 +1192,10 @@ func TestZeroChallengeHashRejected(t *testing.T) {
 	params.h2Override = func([]byte, *bn254.G1, *bn254.G1) fr.Element { return fr.Element{} }
 	vf := NewVerifier(params)
 	pk := sk.Public()
-	// Two-element windows, so the batch paths reach their own weighted
-	// precomputation instead of delegating a singleton to Verify.
+	// Two-element windows, so the batch paths run their prologue's shared
+	// inversion over more than one index.
 	pks, msgs, sigs := []*PublicKey{pk, pk}, [][]byte{msg, msg}, []*Signature{sig, sig}
-	bv := func() *BatchVerifier { return vf.Batch(BatchOptions{Weights: fixedSeed()}) }
+	bv := func() *BatchVerifier { return vf.Batch(BatchOptions{}) }
 	paths := map[string]func() error{
 		"Verify":           func() error { return vf.Verify(pk, msg, sig) },
 		"VerifySameSigner": func() error { return bv().VerifySameSigner(pk, msgs, sigs) },
@@ -1310,7 +1259,7 @@ func TestBatchWindowErrorOrder(t *testing.T) {
 		for _, v := range []*Verifier{NewVerifier(&params), known} {
 			for _, procs := range []int{1, 2, 8} {
 				atProcs(procs, func() {
-					err := testBatch(v, chunkWidth, 0).VerifyMulti(pks, msgs, sigs)
+					err := v.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs)
 					if err == nil || err.Error() != want || BatchOffenders(err) != nil {
 						t.Fatalf("%s at GOMAXPROCS %d (accepted pairs %v): %v, want %s", tc.name, procs, v == known, err, want)
 					}
@@ -1380,31 +1329,5 @@ func TestVerifierCacheBounded(t *testing.T) {
 	}
 	if vf.signers.Len() != 4 {
 		t.Fatalf("cache length %d after identity flood, want 4", vf.signers.Len())
-	}
-}
-
-// TestMillerPartsCover checks the cut of a check's pairs into Miller parts
-// for every mix of up to 20 point and 20 table pairs and every part count
-// up to the pair count: the parts are consecutive, none is empty, they
-// cover every pair, and no part's cost (a point pair 2, a table pair 1)
-// exceeds an equal share by more than one pair's.
-func TestMillerPartsCover(t *testing.T) {
-	for np := range 21 {
-		for nt := range 21 {
-			all, total := np+nt, 2*np+nt
-			for parts := 1; parts <= all; parts++ {
-				p := &pass{ps: make([]*bn254.G1, np), tps: make([]*bn254.G1, nt), fs: make([]*bn254.Fp12, parts)}
-				if p.start(0) != 0 || p.start(parts) != all {
-					t.Fatalf("%d point + %d table pairs in %d parts: cut from %d to %d, want 0 to %d", np, nt, parts, p.start(0), p.start(parts), all)
-				}
-				for k := range parts {
-					lo, hi := p.start(k), p.start(k+1)
-					cost := hi - lo + max(0, min(hi, np)-lo)
-					if hi <= lo || (cost-2)*parts > total {
-						t.Fatalf("%d point + %d table pairs, part %d of %d: pairs [%d, %d) cost %d of %d", np, nt, k, parts, lo, hi, cost, total)
-					}
-				}
-			}
-		}
 	}
 }

@@ -131,19 +131,20 @@ func BenchmarkVerifyManySigners(b *testing.B) {
 }
 
 // BenchmarkBatchWindow prices one 64-signature window from 16 known
-// signers (every m_ID cached) through VerifyMulti, on two verifiers. On one
-// whose records hold the (S, A) Verify accepted, warm settles every
-// signature without a pairing and forged-known has one planted forgery
-// under its signer's accepted S, which the accept round rejects by its A
-// alone: 64 fixed-base passes and no pairing either. On one that has only
-// batched (records with m_ID and line tables, no accepted pair), first is
-// the window that builds the tables (a fresh verifier per iteration whose
-// records hold m_ID), and forged, forged2, forged4 and forged8 carry 1, 2, 4
-// and 8 forgeries: the failing check, then one Verify per S-group and one
-// more per group whose first index is forged (17–19 final exponentiations).
-// settle pins pairs, so each forged iteration gets a fresh such verifier,
-// built off the clock. The forged windows log their operation counts per
-// window.
+// signers (every m_ID cached) through VerifyMulti, on three kinds of
+// verifier. On one whose records hold the (S, A) Verify accepted, warm is
+// decided by the prologue without a pairing and forged-known has one planted
+// forgery under its signer's accepted S, which the prologue rejects by its A
+// alone: 64 fixed-base passes and no pairing either. On one whose records
+// hold m_ID only, first settles every S-group by one Verify, which builds a
+// table and pins the pair (a fresh such verifier per iteration). On one
+// whose records hold m_ID and line tables but no accepted pair, forged,
+// forged2, forged4 and forged8 carry 1, 2, 4 and 8 forgeries: one table-hit
+// Verify per S-group and one more per group whose first index is forged
+// (16–18 final exponentiations), on a fresh such verifier per iteration,
+// built off the clock, as settle pins pairs. repeat is the same clean
+// window again on a verifier that has only batched it once: the prologue
+// alone. The forged windows log their operation counts per window.
 func BenchmarkBatchWindow(b *testing.B) {
 	_, known, pks, msgs, sigs := multiBatch(b, 64, 16)
 	run := func(b *testing.B, vf *Verifier) {
@@ -156,7 +157,7 @@ func BenchmarkBatchWindow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// tabled: a fresh batch-only verifier per iteration, else known.
+	// tabled: a fresh verifier with unpinned records per iteration, else known.
 	forged := func(tabled bool, at ...int) func(b *testing.B) {
 		return func(b *testing.B) {
 			bad := slices.Clone(msgs)
@@ -170,7 +171,7 @@ func BenchmarkBatchWindow(b *testing.B) {
 				if tabled {
 					b.StopTimer()
 					vf = NewVerifier(known.params)
-					tableOnly(b, vf, pks, msgs, sigs)
+					unpinned(b, vf, pks, msgs, sigs)
 					b.StartTimer()
 				}
 				before := bn254.ReadOpCounts()
@@ -207,6 +208,15 @@ func BenchmarkBatchWindow(b *testing.B) {
 	b.Run("forged2", forged(true, 3, 40))
 	b.Run("forged4", forged(true, 3, 20, 40, 57))
 	b.Run("forged8", forged(true, 3, 12, 20, 29, 40, 46, 57, 63))
+	b.Run("repeat", func(b *testing.B) {
+		vf := NewVerifier(known.params)
+		run(b, vf)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			run(b, vf)
+		}
+	})
 }
 
 // TestSignVerifyAllocs pins the allocation budget of the per-packet

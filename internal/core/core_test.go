@@ -535,7 +535,7 @@ func TestVerifyMulti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bv := NewVerifier(kgc.Params()).Batch(BatchOptions{Weights: rng})
+	bv := NewVerifier(kgc.Params()).Batch(BatchOptions{})
 	const n = 4
 	pks := make([]*PublicKey, n)
 	msgs := make([][]byte, n)

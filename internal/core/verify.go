@@ -45,12 +45,11 @@ type accepted struct {
 // FE(MillerLoop(A, S)·m_ID) = 1 — one Miller loop and one final
 // exponentiation for a known identity (the paper's "only one
 // pairing operation since e(P_pub, Q_ID) is a constant"), a second Miller
-// loop but no second final exponentiation on first contact; Y_ID, which the
-// batch engine's multi-signer equation pairs with the same -c′·P_pub; and the
-// line table of the signer's S, so that a known signer's Miller loop does no
-// G2 arithmetic. It also keeps the (S, A) Verify last accepted, which spares
-// the batch engine a known signer's pairing. An identity is known when its
-// record existed before the call. The records are LRU-bounded so
+// loop but no second final exponentiation on first contact; Y_ID, which m_ID
+// pairs with -c′·P_pub; and the line table of the signer's S, so that a
+// known signer's Miller loop does no G2 arithmetic. It also keeps the (S, A)
+// Verify last accepted, which spares the batch engine a known signer's
+// pairing. An identity is known when its record existed before the call. The records are LRU-bounded so
 // unknown-identity floods cannot exhaust memory. Safe for concurrent use.
 type Verifier struct {
 	params  *Params
@@ -151,9 +150,17 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	if err != nil {
 		return err
 	}
+	// S's table rule: the record's table if built from S; else, for a known
+	// identity, build one; else the plain loop, cheaper than build + replay
+	// on a first contact. A built table is stored once S verifies, so a
+	// forged S displaces none.
 	r, _ := vf.signers.Get(pk.ID) // nil: a first contact
-	s := sSide{k: k}
-	s.lines, s.build = lineTable(r, sig.S)
+	s := sSide{k: k, build: r != nil}
+	if r != nil {
+		if l := r.lines.Load(); l != nil && l.Q().Equal(sig.S) {
+			s.lines, s.build = l, false
+		}
+	}
 	if r != nil && r.m.Load() != nil {
 		s.run(sig, r.ok.Load())
 	} else {
@@ -213,20 +220,4 @@ func (s *sSide) run(sig *Signature, ok *accepted) {
 	} else if !s.build {
 		s.f = bn254.MillerLoopMulti([]*bn254.G1{&s.a}, []*bn254.G2{sig.S})
 	}
-}
-
-// lineTable is S's one table rule, for Verify and the batch chunk, given
-// r, the identity's record if it existed before the call (nil: a first
-// contact): r's table if built from s; else, for a known identity, build
-// (the caller builds a new one); else nil, the plain loop — cheaper than
-// build + replay on a first contact. Callers store a built table in the
-// record once a signature under it verifies, so a forged S displaces none.
-func lineTable(r *signer, s *bn254.G2) (lines *bn254.G2Lines, build bool) {
-	if r == nil {
-		return nil, false
-	}
-	if l := r.lines.Load(); l != nil && l.Q().Equal(s) {
-		return l, false
-	}
-	return nil, true
 }

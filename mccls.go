@@ -55,10 +55,11 @@ type (
 	Signature = core.Signature
 	// Verifier checks signatures, caching per-identity pairing constants.
 	Verifier = core.Verifier
-	// BatchVerifier checks windows of signatures with one multi-pairing per
-	// chunk; obtain one from Verifier.Batch.
+	// BatchVerifier checks windows of signatures, each index by the (S, A)
+	// Verify accepted for its signer or by Verify; obtain one from
+	// Verifier.Batch.
 	BatchVerifier = core.BatchVerifier
-	// BatchOptions configure Verifier.Batch (zero value: crypto/rand weights).
+	// BatchOptions configure Verifier.Batch; it has no fields.
 	BatchOptions = core.BatchOptions
 )
 

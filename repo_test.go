@@ -31,11 +31,11 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14664
+const maxNonTestLines = 14241
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
-const maxDesignLines = 908
+const maxDesignLines = 845
 
 // mathBigFiles are the shipped files that may import math/big: init-time
 // constant derivation, the *big.Int adapters of the exported API and
@@ -87,7 +87,12 @@ var mathBigFiles = map[string]bool{
 // and the one-index compare that EqualBaseMultAddMany's Jacobian tail
 // replaced (the tests keep the walk as their oracle, equalWalk), and fp's
 // exported loose sum and q² pad, which only its own composition and tests
-// reached once the Fp2 products became kernels.
+// reached once the Fp2 products became kernels, and the batch plane's
+// aggregate equation: its chunk width, its random weights drawn as
+// endomorphism halves with the joint ladders that consumed them, the G2
+// eigenvalue map only those ladders used, and the line-table rule that
+// served it beside Verify (its generic helpers — check, pass, group, reject
+// — are common words and stay off the list).
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -113,6 +118,8 @@ var deletedNames = []string{
 	"locate", "bisect", "checkOne", "judge",
 	"EqualBaseMultAdd",
 	"LooseAdd", "AddQSquared",
+	"chunkWidth", "weightSeed", "newWeightSeed", "EndoScalar", "endoRows",
+	"ScalarBaseMultSubEndo", "MultiScalarMultEndo", "glvLambdaFr", "glvBetaG2", "lineTable",
 }
 
 // deletedDirs are the packages and commands that went with them.
