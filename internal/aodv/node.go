@@ -18,6 +18,16 @@ const (
 	rreqRetries = 2
 	// ttlIncrement widens the expanding-ring search between attempts.
 	ttlIncrement = 2
+	// ttlThreshold is the widest ring; past it the search floods
+	// netDiameter, the network's bound in hops, at once.
+	ttlThreshold = 7
+	netDiameter  = 12
+	// activeRouteTimeout is the lifetime of a route refreshed by use; a
+	// destination advertises twice that in its own RREPs.
+	activeRouteTimeout = 3 * time.Second
+	// sendBufferCap bounds the packets buffered per destination during
+	// discovery.
+	sendBufferCap = 64
 )
 
 // Config holds the AODV parameters a scenario varies. Zero values select
@@ -35,18 +45,10 @@ type Config struct {
 	// duplicate-suppression race.
 	RebroadcastJitterMax time.Duration
 
-	// The rest is constant in every run and varied only by this package's
-	// tests. activeRouteTimeout is the lifetime of a route refreshed by use
-	// (default 3s; a destination advertises twice that in its own RREPs),
-	// netDiameter bounds the network in hops (default 12) and is what the
-	// ring search floods at once past ttlThreshold (default 7), dataTTL is
-	// the hop limit on data packets (default 32), and sendBufferCap bounds
-	// the packets buffered per destination during discovery (default 64).
-	activeRouteTimeout time.Duration
-	netDiameter        int
-	ttlThreshold       int
-	dataTTL            int
-	sendBufferCap      int
+	// dataTTL is the hop limit on data packets (default 32), constant in
+	// every run. It stays a field because TestDataTTLExpiry needs a TTL
+	// below its 3-hop route.
+	dataTTL int
 }
 
 func (c Config) withDefaults() Config {
@@ -56,20 +58,8 @@ func (c Config) withDefaults() Config {
 	if c.RebroadcastJitterMax == 0 {
 		c.RebroadcastJitterMax = 25 * time.Millisecond
 	}
-	if c.activeRouteTimeout == 0 {
-		c.activeRouteTimeout = 3 * time.Second
-	}
-	if c.netDiameter == 0 {
-		c.netDiameter = 12
-	}
-	if c.ttlThreshold == 0 {
-		c.ttlThreshold = 7
-	}
 	if c.dataTTL == 0 {
 		c.dataTTL = 32
-	}
-	if c.sendBufferCap == 0 {
-		c.sendBufferCap = 64
 	}
 	return c
 }
@@ -85,8 +75,8 @@ func (c Config) ringTTL(attempt int) int {
 	ttl := c.TTLStart
 	for i := 1; i < attempt; i++ {
 		ttl += ttlIncrement
-		if ttl > c.ttlThreshold {
-			ttl = c.netDiameter
+		if ttl > ttlThreshold {
+			ttl = netDiameter
 		}
 	}
 	return ttl
@@ -153,14 +143,14 @@ func NewNode(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, auth ro
 		routes: make(map[int]*routeEntry),
 		seen:   make(map[uint64]sim.Time),
 	}
-	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, n.cfg.sendBufferCap, rreqRetries, n.issueRREQ)
+	n.disc = routing.NewDiscovery[*DataPacket](&n.Agent, sendBufferCap, rreqRetries, n.issueRREQ)
 	n.Process = n.processControl
 	medium.SetHandler(id, n.handleFrame)
 	return n
 }
 
 // MyRouteTimeout is the route lifetime the node advertises in its own RREPs.
-func (n *Node) MyRouteTimeout() time.Duration { return 2 * n.cfg.activeRouteTimeout }
+func (n *Node) MyRouteTimeout() time.Duration { return 2 * activeRouteTimeout }
 
 // seqNewer reports whether a is strictly fresher than b under RFC 3561
 // rollover arithmetic.
@@ -255,7 +245,7 @@ func (n *Node) route(dest int) *routeEntry {
 // touch refreshes the lifetime of an active route.
 func (n *Node) touch(dest int) {
 	if e := n.route(dest); e != nil {
-		if exp := n.Sim.Now() + n.cfg.activeRouteTimeout; exp > e.expires {
+		if exp := n.Sim.Now() + activeRouteTimeout; exp > e.expires {
 			e.expires = exp
 		}
 	}
@@ -440,8 +430,8 @@ func (n *Node) processRREQ(from int, req *RREQ) {
 	}
 
 	// Reverse routes: to the previous hop and to the originator.
-	n.updateRoute(from, from, 1, 0, false, n.cfg.activeRouteTimeout)
-	n.updateRoute(req.Origin, from, req.HopCount+1, req.OriginSeq, true, n.cfg.activeRouteTimeout)
+	n.updateRoute(from, from, 1, 0, false, activeRouteTimeout)
+	n.updateRoute(req.Origin, from, req.HopCount+1, req.OriginSeq, true, activeRouteTimeout)
 
 	if req.Dest == n.ID {
 		// Destination replies. Keep our sequence number at least as
@@ -498,7 +488,7 @@ func (n *Node) drawJitter() time.Duration {
 
 // processRREP implements RFC 3561 §6.7.
 func (n *Node) processRREP(from int, rep *RREP) {
-	n.updateRoute(from, from, 1, 0, false, n.cfg.activeRouteTimeout)
+	n.updateRoute(from, from, 1, 0, false, activeRouteTimeout)
 	n.updateRoute(rep.Dest, from, rep.HopCount+1, rep.DestSeq, true, rep.Lifetime)
 
 	if rep.Origin == n.ID {
@@ -538,7 +528,7 @@ func (n *Node) processRERR(from int, rerr *RERR) {
 
 // processData forwards or delivers a routed data packet.
 func (n *Node) processData(from int, pkt *DataPacket) {
-	n.updateRoute(from, from, 1, 0, false, n.cfg.activeRouteTimeout)
+	n.updateRoute(from, from, 1, 0, false, activeRouteTimeout)
 	// An active flow keeps the path toward its source alive (RFC 3561 §6.2).
 	n.touch(pkt.Src)
 	if pkt.Dst == n.ID {
@@ -578,7 +568,7 @@ func (n *Node) pruneSeen() {
 		return
 	}
 	n.hasLast = false
-	horizon := n.Sim.Now() - 2*ringTraversalTime(n.cfg.netDiameter)
+	horizon := n.Sim.Now() - 2*ringTraversalTime(netDiameter)
 	for k, at := range n.seen {
 		if at < horizon {
 			delete(n.seen, k)

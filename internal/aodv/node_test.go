@@ -116,17 +116,16 @@ func TestDuplicateRREQSuppression(t *testing.T) {
 }
 
 func TestExpandingRingEscalation(t *testing.T) {
-	// 6-hop line with TTLStart=1: the first ring cannot reach node 5, so
-	// the discovery must retry with a wider ring and still succeed.
-	cfg := Config{TTLStart: 1, ttlThreshold: 3, netDiameter: 10}
-	s, _, ns := testNet(t, 6, cfg, nil)
+	// 6-node line with TTLStart=1: the rings of 1 and 3 hops cannot reach
+	// node 5, so the discovery must retry twice, to 5 hops, and succeed.
+	s, _, ns := testNet(t, 6, Config{TTLStart: 1}, nil)
 	ns[0].Send(5, 64)
 	s.Run(20 * time.Second)
 	if ns[5].Stats.DataDelivered != 1 {
 		t.Fatalf("delivered %d, want 1", ns[5].Stats.DataDelivered)
 	}
-	if ns[0].Stats.RREQRetried == 0 {
-		t.Fatal("expected at least one ring escalation")
+	if ns[0].Stats.RREQRetried != 2 {
+		t.Fatalf("RREQRetried = %d, want 2 ring escalations", ns[0].Stats.RREQRetried)
 	}
 }
 
@@ -151,11 +150,12 @@ func TestDiscoveryFailureDropsBuffered(t *testing.T) {
 	}
 }
 
+// TestBufferOverflow: sendBufferCap+6 sends to an unreachable node overflow
+// the discovery buffer by 6.
 func TestBufferOverflow(t *testing.T) {
 	pts := &mobility.Static{Points: []mobility.Point{{X: 0}, {X: 900}}}
-	cfg := Config{sendBufferCap: 4}
-	s, _, ns := testNetAt(t, pts, cfg, nil)
-	for i := 0; i < 10; i++ {
+	s, _, ns := testNetAt(t, pts, Config{}, nil)
+	for i := 0; i < sendBufferCap+6; i++ {
 		ns[0].Send(1, 64)
 	}
 	s.Run(time.Second)
@@ -301,17 +301,25 @@ func TestSeqNewerRollover(t *testing.T) {
 	}
 }
 
+// TestRouteExpiry: the destination's RREP grants twice activeRouteTimeout
+// (6 s), and a send at 5 s refreshes the route to activeRouteTimeout (3 s)
+// past it: alive at 7.9 s, gone at 8.1 s.
 func TestRouteExpiry(t *testing.T) {
-	cfg := Config{activeRouteTimeout: 500 * time.Millisecond}
-	s, _, ns := testNet(t, 3, cfg, nil)
+	s, _, ns := testNet(t, 3, Config{}, nil)
 	ns[0].Send(2, 64)
 	s.Run(300 * time.Millisecond)
 	if _, ok := hasRoute(ns[0], 2); !ok {
 		t.Fatal("route missing right after discovery window")
 	}
-	s.Run(10 * time.Second)
+	s.Run(5 * time.Second)
+	ns[0].Send(2, 64)
+	s.Run(7900 * time.Millisecond)
+	if _, ok := hasRoute(ns[0], 2); !ok {
+		t.Fatal("route expired within activeRouteTimeout of its last use")
+	}
+	s.Run(8100 * time.Millisecond)
 	if _, ok := hasRoute(ns[0], 2); ok {
-		t.Fatal("route survived well past its lifetime")
+		t.Fatal("route survived activeRouteTimeout past its last use")
 	}
 }
 

@@ -35,7 +35,7 @@ func (o *seenOracle) prune(now sim.Time) {
 	if len(o.seen) < 4096 {
 		return
 	}
-	horizon := now - 2*ringTraversalTime(Config{}.withDefaults().netDiameter)
+	horizon := now - 2*ringTraversalTime(netDiameter)
 	for k, at := range o.seen {
 		if at < horizon {
 			delete(o.seen, k)
@@ -114,7 +114,7 @@ func FuzzDuplicateSuppressionVsMap(f *testing.F) {
 				}
 				o.down = false
 			case stepFill:
-				old := s.Now() - 2*ringTraversalTime(n.cfg.netDiameter) - 1
+				old := s.Now() - 2*ringTraversalTime(netDiameter) - 1
 				for i := range 4096 {
 					key := routing.FloodKey(1000+i, uint32(arg))
 					n.seen[key], o.seen[key] = old, old

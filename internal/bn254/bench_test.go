@@ -63,11 +63,12 @@ func BenchmarkMillerLoopLines(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MillerLoopMixed([]*G1{p}, []*G2Lines{lines}, nil, nil)
+		lines.MillerLoop(p)
 	}
 }
 
-// BenchmarkNewG2Lines is the one-off build a first contact pays.
+// BenchmarkNewG2Lines is the one-off build an accepted pair pays at its
+// second sighting.
 func BenchmarkNewG2Lines(b *testing.B) {
 	_, q := benchPoints(b)
 	b.ReportAllocs()

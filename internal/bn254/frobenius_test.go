@@ -125,7 +125,9 @@ func TestAteMembershipNorm(t *testing.T) {
 // FuzzMillerLoopMembershipVsOrder holds the Miller loop's membership verdict,
 // MillerLoopMulti's and NewG2Lines's alike, to [r]Q = O on every on-curve
 // class of twistPointOfClass (the checked-in corpus has a seed per class),
-// and, for a member, the table's replay to the stepped loop.
+// and, for a member, the table's replay to the stepped loop. Infinity is a
+// member: its table is the zero table, which replays to exactly 1, the
+// value MillerLoopMulti gives its skipped pair.
 func FuzzMillerLoopMembershipVsOrder(f *testing.F) {
 	p := new(G1).ScalarBaseMult(big.NewInt(7))
 	f.Fuzz(func(t *testing.T, seed []byte, class uint8, kBytes []byte) {
@@ -141,6 +143,9 @@ func FuzzMillerLoopMembershipVsOrder(f *testing.F) {
 		}
 		if want && !finalExponentiation(new(Fp12), multi).Equal(finalExponentiation(new(Fp12), replay(p, lines))) {
 			t.Fatalf("class %d: the replay of %v diverges from MillerLoopMulti", class%twistClasses, q)
+		}
+		if q.IsInfinity() && (*lines != G2Lines{} || !replay(p, lines).IsOne() || !multi.IsOne()) {
+			t.Fatalf("class %d: infinity's table is not the zero table replaying to 1, as MillerLoopMulti's skipped pair", class%twistClasses)
 		}
 	})
 }

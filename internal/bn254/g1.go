@@ -142,7 +142,7 @@ func (z *G1) ScalarMultFr(a *G1, k *fr.Element) *G1 {
 	opCounters.g1Mults.Add(1)
 	var buf [2 * jointSlice][halfDigits]int8
 	rows := glv.rows(&buf, []fr.Element{*k})
-	acc := g1Joint([]*G1{a}, rows[:2])
+	acc := g1Joint(a, rows[:2])
 	return acc.affine(z)
 }
 

@@ -79,7 +79,7 @@ func init() {
 	glvBeta.Sub(&glvBeta, new(fp.Element).SetOne()).Halve(&glvBeta)
 	g := G1Generator()
 	lambdaRows := [][]int8{wnafDigits(nil, scalarLimbs(glvLambda), wnafWindow)}
-	lg := g1Joint([]*G1{g}, lambdaRows)
+	lg := g1Joint(g, lambdaRows)
 	phi := func() *G1 { return &G1{X: *new(fp.Element).Mul(&g.X, &glvBeta), Y: g.Y} }
 	if !phi().Equal(lg.affine(new(G1))) {
 		if glvBeta.Square(&glvBeta); !phi().Equal(lg.affine(new(G1))) {
@@ -272,7 +272,7 @@ func (s *scalarSplit) rows(buf *[2 * jointSlice][halfDigits]int8, ks []fr.Elemen
 	return rows
 }
 
-// jointSlice is how many points share one doubling chain and one table
+// jointSlice is how many G2 points share one doubling chain and one table
 // build, all on the stack; longer inputs run slice by slice.
 const jointSlice = 8
 
@@ -280,33 +280,27 @@ const jointSlice = 8
 // fill the row buffer and table of jointSlice two-row points.
 const glsSlice = jointSlice / 2
 
-// g1OddMultiples fills row i of tab (wnafTableSize entries) with
-// [Pᵢ, 3Pᵢ, 5Pᵢ, …] in affine coordinates for each of at most jointSlice
-// points, by Jacobian additions and two batched normalizations: of the
-// doubles (parked in tab meanwhile) and of the tables. A tab twice as long
-// takes the rows of φ(Pᵢ) after them: φ is additive, so β·x on each entry.
-func g1OddMultiples(tab []G1, pts []*G1) {
-	var js [jointSlice * wnafTableSize]g1Jac
-	for i, p := range pts {
-		js[i].fromAffine(p)
-		js[i].double()
-	}
-	g1BatchAffine(tab[:len(pts)], js[:len(pts)])
-	m := len(pts) * wnafTableSize
-	for i, p := range pts {
-		row := js[i*wnafTableSize:][:wnafTableSize]
-		row[0].fromAffine(p)
-		for k := 1; k < len(row); k++ {
-			row[k] = row[k-1]
-			if !tab[i].Inf { // the identity, or two-torsion (y = 0)
-				row[k].addMixed(&tab[i])
-			}
+// g1OddMultiples fills tab's first wnafTableSize entries with
+// [P, 3P, 5P, …] in affine coordinates, by Jacobian additions of the affine
+// 2P and one batched normalization. A tab twice as long takes the row of
+// φ(P) after them: φ is additive, so β·x on each entry.
+func g1OddMultiples(tab []G1, p *G1) {
+	var js [wnafTableSize]g1Jac
+	var p2 G1
+	js[0].fromAffine(p)
+	js[0].double()
+	js[0].affine(&p2)
+	js[0].fromAffine(p)
+	for k := 1; k < len(js); k++ {
+		js[k] = js[k-1]
+		if !p2.Inf { // the identity, or two-torsion (y = 0)
+			js[k].addMixed(&p2)
 		}
 	}
-	g1BatchAffine(tab[:m], js[:m])
-	for i := range tab[m:] {
-		tab[m+i] = tab[i]
-		tab[m+i].X.Mul(&tab[i].X, &glvBeta)
+	g1BatchAffine(tab[:wnafTableSize], js[:])
+	for i := range tab[wnafTableSize:] {
+		tab[wnafTableSize+i] = tab[i]
+		tab[wnafTableSize+i].X.Mul(&tab[i].X, &glvBeta)
 	}
 }
 
@@ -323,12 +317,12 @@ func (j *g1Jac) addDigit(tab []G1, d int8) {
 	j.addMixed(&pt)
 }
 
-// g1Joint returns the Jacobian sum the rows select for at most jointSlice
-// points: row i holds the digits of pts[i] and, with two rows per point,
-// row len(pts)+i those of φ(pts[i]). One table build, one walk.
-func g1Joint(pts []*G1, rows [][]int8) g1Jac {
-	var tab [2 * jointSlice * wnafTableSize]G1
-	g1OddMultiples(tab[:len(rows)*wnafTableSize], pts)
+// g1Joint returns the Jacobian sum the rows select for one point p: row 0
+// holds the digits of p and a second row those of φ(p). One table build,
+// one walk.
+func g1Joint(p *G1, rows [][]int8) g1Jac {
+	var tab [2 * wnafTableSize]G1
+	g1OddMultiples(tab[:len(rows)*wnafTableSize], p)
 	var acc g1Jac
 	acc.setInfinity()
 	walkWNAF(rows, acc.double, func(r int, d int8) { acc.addDigit(tab[r*wnafTableSize:], d) })
@@ -391,8 +385,9 @@ func (j *g2Jac) addDigit(tab []G2, d int8) {
 	j.addMixed(&pt)
 }
 
-// g2Joint is g1Joint on the twist: row h·len(pts)+i holds the digits of
-// ψʰ(pts[i]). The tables stop at the largest digit the rows use.
+// g2Joint is g1Joint on the twist for at most jointSlice points: row
+// h·len(pts)+i holds the digits of ψʰ(pts[i]). The tables stop at the
+// largest digit the rows use.
 func g2Joint(pts []*G2, rows [][]int8) g2Jac {
 	size := 0
 	for _, row := range rows {

@@ -1,32 +1,29 @@
 package bn254
 
+import "mccls/internal/bn254/fp"
+
 // ateLines is the number of lines one ate walk folds: 65 doubling lines, 21
 // addition lines and 2 Frobenius lines (ateLineCounts derives it in tests).
 const ateLines = 88
 
 // G2Lines is the Miller line table of one G2 point, the fixed-argument
 // pairing of Costello–Stebila (LATINCRYPT 2010): a G2 argument that recurs —
-// in McCLS a signer's S — has its doubling and addition chain run once.
-// Each unevaluated line a·yP + b·xP·w + c·w³ is stored as (b/a, c/a), in
-// walk order, 11,264 bytes in all. MillerLoopMixed replays it at a G1 point
-// as 1 + (b/a)·(xP/yP)·w + (c/a)·yP⁻¹·w³, the stepped line divided by
-// a·yP ∈ Fp2: 4 Fp products and a 12-product sparse fold per line. It is
-// immutable, so one table may be replayed concurrently.
+// in McCLS a signer's accepted S — has its doubling and addition chain run
+// once. Each unevaluated line a·yP + b·xP·w + c·w³ is stored as (b/a, c/a),
+// in walk order, 11,264 bytes in all. It is immutable, so one table may be
+// replayed concurrently.
 type G2Lines struct {
-	q     G2
 	lines [ateLines][2]Fp2
 }
 
-// Q returns the point the table was built from. It must not be modified.
-func (t *G2Lines) Q() *G2 { return &t.q }
-
 // NewG2Lines runs q's chain once and returns its line table; the identity
-// yields a table that replays to 1. q must be on the twist; a q off G2,
-// which the chain's end point shows as in MillerLoopMixed, yields nil. No
-// a vanishes on the twist: its small primes 10069, 5864401 and
+// yields the zero table, whose every line is 1, so it replays to exactly 1
+// as MillerLoopMulti's skipped pair does. q must be on the twist; a q off
+// G2, which the chain's end point shows as in MillerLoopMulti, yields nil.
+// No a vanishes on the twist: its small primes 10069, 5864401 and
 // 1875725156269 divide no chain multiple k or k ± 1.
 func NewG2Lines(q *G2) *G2Lines {
-	t := &G2Lines{q: *q}
+	t := new(G2Lines)
 	if q.IsInfinity() {
 		return t
 	}
@@ -77,4 +74,38 @@ func NewG2Lines(q *G2) *G2Lines {
 		t.lines[i][1].Mul(&t.lines[i][1], &aInv)
 	}
 	return t
+}
+
+// MillerLoop replays the table at p: the unreduced Miller value of (p, Q)
+// over the factor Π a·yP ∈ Fp2, which the final exponentiation kills. Line
+// n is 1 + (b/a)·(xP/yP)·w + (c/a)·yP⁻¹·w³: one Fp inversion of yP, then
+// per line 4 Fp products and a 12-product sparse fold, beside the ate loop's
+// 65 squarings. p must be in G1 (yP ≠ 0); the identity gives 1 and counts
+// no pairing.
+func (t *G2Lines) MillerLoop(p *G1) *Fp12 {
+	f := Fp12One()
+	if p.IsInfinity() {
+		return f
+	}
+	opCounters.pairings.Add(1)
+	var yInv, x fp.Element
+	yInv.Inverse(&p.Y)
+	x.Mul(&p.X, &yInv)
+	var c1, c3 Fp2
+	n := 0
+	fold := func() {
+		l := &t.lines[n]
+		f.mulBySparse(nil, c1.MulScalar(&l[0], &x), c3.MulScalar(&l[1], &yInv))
+		n++
+	}
+	for i := len(ateNAF) - 2; i >= 0; i-- {
+		opCounters.millerSquarings.Add(1)
+		f.Square(f)
+		if fold(); ateNAF[i] != 0 {
+			fold()
+		}
+	}
+	fold() // the two Frobenius lines; no interleaved squarings
+	fold()
+	return f
 }

@@ -19,58 +19,36 @@ func millerRatioInFp2(f, g *Fp12) bool {
 	return true
 }
 
-// replay is MillerLoopMixed with one table pair: Verify's hit path.
-func replay(p *G1, t *G2Lines) *Fp12 { return MillerLoopMixed([]*G1{p}, []*G2Lines{t}, nil, nil) }
+// replay is Verify's hit path: the table's replay at p.
+func replay(p *G1, t *G2Lines) *Fp12 { return t.MillerLoop(p) }
 
-// FuzzMillerLoopLinesVsMulti holds the mixed kernel to MillerLoopMulti over
-// the same pairs: shape%5 table pairs beside shape/5%5 point pairs, infMask
-// putting infinity on one side of any pair, and odd shape/25 giving the last
-// pair the first pair's Q (across the two kinds when both are present). The
-// unreduced values differ by a factor in Fp2 — checked exactly, before any
-// exponentiation — and are equal after finalExponentiation.
+// FuzzMillerLoopLinesVsMulti holds one table's replay to MillerLoopMulti
+// over the same pair: p = a·G, q = b·G2 (scalar 0 is infinity on either
+// side), an odd inf putting infinity on the G1 side. The unreduced values
+// differ by a factor in Fp2 — checked exactly, before any exponentiation —
+// and are equal after finalExponentiation.
 func FuzzMillerLoopLinesVsMulti(f *testing.F) {
-	f.Add([]byte{1}, []byte{2}, byte(1), byte(0)) // one table pair
-	f.Add([]byte{7, 7}, []byte{9}, byte(4+5*1), byte(1))
-	f.Add([]byte{255}, []byte{255, 255}, byte(2+5*3+25), byte(0x22))
-	f.Add([]byte{3}, []byte{}, byte(5*2), byte(3))
-	f.Add([]byte{5}, []byte{6}, byte(4+5*4+25), byte(0x81))
-	f.Fuzz(func(t *testing.T, aBytes, bBytes []byte, shape, infMask byte) {
-		nt, n := int(shape%5), int(shape%5+shape/5%5)
+	f.Add([]byte{1}, []byte{2}, byte(0))
+	f.Add([]byte{7, 7}, []byte{9}, byte(1))
+	f.Add([]byte{255}, []byte{255, 255}, byte(2))
+	f.Add([]byte{3}, []byte{}, byte(0)) // q = ∞: the zero table
+	f.Add([]byte{}, []byte{5}, byte(3)) // p = ∞ twice over
+	f.Fuzz(func(t *testing.T, aBytes, bBytes []byte, inf byte) {
 		a, b := new(big.Int).SetBytes(aBytes), new(big.Int).SetBytes(bBytes)
-		var tps, ps, allP []*G1
-		var qs, allQ []*G2
-		var ts []*G2Lines
-		for i := range n {
-			ka := new(big.Int).Mod(new(big.Int).Add(a, big.NewInt(int64(i+1))), Order)
-			kb := new(big.Int).Mod(new(big.Int).Add(b, big.NewInt(int64(3*i+1))), Order)
-			p, q := new(G1).ScalarBaseMult(ka), g2BaseMult(kb) // scalar 0 is infinity too
-			if shape/25%2 == 1 && i == n-1 && i > 0 {
-				q = allQ[0]
-			}
-			if infMask&(1<<i) != 0 {
-				if i%2 == 0 {
-					p = G1Infinity()
-				} else {
-					q = G2Infinity()
-				}
-			}
-			allP, allQ = append(allP, p), append(allQ, q)
-			if i >= nt {
-				ps, qs = append(ps, p), append(qs, q)
-				continue
-			}
-			lines := NewG2Lines(q)
-			if lines == nil || !lines.Q().Equal(q) {
-				t.Fatalf("no line table naming a subgroup point: pair %d, shape=%d mask=%08b", i, shape, infMask)
-			}
-			tps, ts = append(tps, p), append(ts, lines)
+		p, q := new(G1).ScalarBaseMult(a.Mod(a, Order)), g2BaseMult(b.Mod(b, Order))
+		if inf%2 == 1 {
+			p = G1Infinity()
 		}
-		multi, mixed := MillerLoopMulti(allP, allQ), MillerLoopMixed(tps, ts, ps, qs)
-		if !millerRatioInFp2(multi, mixed) {
-			t.Fatalf("mixed / lockstep ratio leaves Fp2: a=%v b=%v shape=%d mask=%08b", a, b, shape, infMask)
+		lines := NewG2Lines(q)
+		if lines == nil {
+			t.Fatalf("no line table for a subgroup point: b=%v", b)
 		}
-		if !finalExponentiation(new(Fp12), multi).Equal(finalExponentiation(new(Fp12), mixed)) {
-			t.Fatalf("reduced mixed product diverges from the lockstep kernel: a=%v b=%v shape=%d mask=%08b", a, b, shape, infMask)
+		multi, replayed := MillerLoopMulti([]*G1{p}, []*G2{q}), replay(p, lines)
+		if !millerRatioInFp2(multi, replayed) {
+			t.Fatalf("replay / lockstep ratio leaves Fp2: a=%v b=%v inf=%d", a, b, inf)
+		}
+		if !finalExponentiation(new(Fp12), multi).Equal(finalExponentiation(new(Fp12), replayed)) {
+			t.Fatalf("reduced replay diverges from the lockstep kernel: a=%v b=%v inf=%d", a, b, inf)
 		}
 	})
 }
@@ -105,8 +83,9 @@ func TestMillerLoopLinesOpCounts(t *testing.T) {
 	}
 }
 
-// TestMillerLoopLinesAllocs: a single pair of either kind keeps its state on
-// the stack, so the kernel allocates its returned value and nothing else.
+// TestMillerLoopLinesAllocs: a replay and a single-pair MillerLoopMulti keep
+// their state on the stack, so each allocates its returned value and nothing
+// else.
 func TestMillerLoopLinesAllocs(t *testing.T) {
 	p := new(G1).ScalarBaseMult(big.NewInt(7))
 	q := g2BaseMult(big.NewInt(11))

@@ -16,7 +16,7 @@ import "sync/atomic"
 type OpCounts struct {
 	Pairings      uint64 // Miller loops executed (PairingCheck counts one per pair)
 	FinalExps     uint64 // final exponentiations
-	G1ScalarMults uint64 // one per ScalarMult, per fixed-base pass and per point fed to a joint ladder
+	G1ScalarMults uint64 // one per ScalarMult and per fixed-base pass
 	G2ScalarMults uint64 // one per ScalarMult, subgroup check, cofactor clearing and joint-ladder point
 	GTExps        uint64
 
@@ -37,8 +37,8 @@ type OpCounts struct {
 	// iteration across the whole batch, so a batch of n pairs performs 65
 	// squarings total (not 65·n) while LineDoubles/LineAdds/SparseMuls keep
 	// scaling with n — the amortization TestMillerLoopMultiOpCounts pins.
-	// A caller that cuts its pairs into parts, one lockstep loop per core,
-	// pays 65 per part and multiplies the parts' values: the same product.
+	// A line table's replay (G2Lines.MillerLoop) is one pair's loop of its
+	// own: 65 squarings and no G2 step.
 	MillerSquarings uint64
 }
 

@@ -47,10 +47,9 @@ func multiBatch(t testing.TB, n, k int) (*KGC, *Verifier, []*PublicKey, [][]byte
 }
 
 // unpinned readies vf so that every index of a window over pks reaches
-// settle with its S's line table cached: each identity's record holds m_ID
-// and its signer's table but no accepted pair. Verify fills the record (a
-// first contact, then a known identity, which builds the table), and the
-// pair it pinned is dropped.
+// settle: each identity's record holds m_ID but no accepted pair, and so no
+// line table. Verify fills the record (a first contact), and the pair it
+// pinned is dropped.
 func unpinned(t testing.TB, vf *Verifier, pks []*PublicKey, msgs [][]byte, sigs []*Signature) {
 	t.Helper()
 	seen := map[string]bool{}
@@ -59,10 +58,8 @@ func unpinned(t testing.TB, vf *Verifier, pks []*PublicKey, msgs [][]byte, sigs 
 			continue
 		}
 		seen[pk.ID] = true
-		for range 2 {
-			if err := vf.Verify(pk, msgs[i], sigs[i]); err != nil {
-				t.Fatal(err)
-			}
+		if err := vf.Verify(pk, msgs[i], sigs[i]); err != nil {
+			t.Fatal(err)
 		}
 		r, _ := vf.signers.Get(pk.ID)
 		r.ok.Store(nil)
@@ -221,18 +218,19 @@ func atProcs(procs int, f func()) {
 // a first contact: two Miller loops that each step their G2 chain (65
 // doubling, 23 addition steps), S's and m_ID's, one final exponentiation and
 // the hash of Q_ID (one G2 mult), with no table built. On records that hold
-// m_ID and S's table but no pair, each Verify replays the table: one Miller
-// loop with no G2 step. Once Verify has accepted each signer's (S, A), the
+// m_ID but no pair, each Verify runs S's plain loop: one Miller loop
+// stepping S's chain. Once Verify has accepted each signer's (S, A), the
 // prologue decides every index by its A and no pairing is left. Every Miller
 // loop folds 88 lines and squares 65 times; the counts do not move with
-// GOMAXPROCS. G1 mults: one fixed-base pass per signature.
+// GOMAXPROCS. G1 mults: one fixed-base pass per signature. A table exists
+// only in a pair Verify has seen twice: the window builds none.
 func TestBatchWindowOpCounts(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		for _, tc := range []struct {
 			signers                              int
 			warm                                 string // "", "unpinned" or "accepted"
 			pairings, finalExps, stepped, g1, g2 uint64
-		}{{16, "", 32, 16, 32, 64, 16}, {1, "", 2, 1, 2, 64, 1}, {16, "unpinned", 16, 16, 0, 64, 0}, {16, "accepted", 0, 0, 0, 64, 0}} {
+		}{{16, "", 32, 16, 32, 64, 16}, {1, "", 2, 1, 2, 64, 1}, {16, "unpinned", 16, 16, 16, 64, 0}, {16, "accepted", 0, 0, 0, 64, 0}} {
 			_, vf, pks, msgs, sigs := multiBatch(t, 64, tc.signers)
 			switch tc.warm {
 			case "unpinned":
@@ -268,9 +266,8 @@ func TestBatchWindowOpCounts(t *testing.T) {
 					procs, tc.signers, tc.warm, d.Pairings, d.FinalExps, d.MillerSquarings, d.LineDoubles, d.LineAdds, d.SparseMuls, d.G1ScalarMults, d.G2ScalarMults,
 					tc.pairings, tc.finalExps, 65*tc.pairings, 65*tc.stepped, 23*tc.stepped, 88*tc.pairings, tc.g1, tc.g2)
 			}
-			// Verify's rule: no table for an identity seen for the first time.
 			want := 0
-			if tc.warm != "" {
+			if tc.warm == "accepted" {
 				want = tc.signers
 			}
 			if n := tables(vf, pks); n != want {
@@ -353,14 +350,15 @@ func TestBatchAcceptBlocks(t *testing.T) {
 	}
 }
 
-// TestBatchSecondSightingBuildsTables: a signer seen only through the batch
-// earns its table as through Verify, at a sighting under an S its known
-// record holds no pair for. On a fresh verifier a clean 64/16 window steps
-// 32 G2 chains (16 first contacts, each S's loop and m_ID's) and caches no
-// table, and its repeat steps none. The same identities under replaced keys
-// step 16 (each identity known, its pinned S another: 16 table builds) and
-// leave 16 tables cached, and their repeat steps none.
-func TestBatchSecondSightingBuildsTables(t *testing.T) {
+// TestBatchOnlyConsumerBuildsNoTables: a consumer that only batches never
+// builds a line table, as the prologue decides every signature under a
+// pinned S and settle's Verify meets only S values with no pair. On a fresh
+// verifier a clean 64/16 window steps 32 G2 chains (16 first contacts, each
+// S's loop and m_ID's), and its repeat steps none. The same identities
+// under replaced keys step 16 (each identity known, its pinned S another:
+// 16 plain loops), and their repeat steps none. No record holds a table
+// after any of the four.
+func TestBatchOnlyConsumerBuildsNoTables(t *testing.T) {
 	kgc, vf, pks, msgs, sigs := multiBatch(t, 64, 16)
 	rng := fixedRand(96)
 	rpks, rsigs := make([]*PublicKey, 64), make([]*Signature, 64)
@@ -377,10 +375,10 @@ func TestBatchSecondSightingBuildsTables(t *testing.T) {
 		}
 	}
 	for k, tc := range []struct {
-		pks             []*PublicKey
-		sigs            []*Signature
-		stepped, cached uint64
-	}{{pks, sigs, 32, 0}, {pks, sigs, 0, 0}, {rpks, rsigs, 16, 16}, {rpks, rsigs, 0, 16}} {
+		pks     []*PublicKey
+		sigs    []*Signature
+		stepped uint64
+	}{{pks, sigs, 32}, {pks, sigs, 0}, {rpks, rsigs, 16}, {rpks, rsigs, 0}} {
 		before := bn254.ReadOpCounts()
 		if err := vf.Batch(BatchOptions{}).VerifyMulti(tc.pks, msgs, tc.sigs); err != nil {
 			t.Fatal(err)
@@ -388,8 +386,8 @@ func TestBatchSecondSightingBuildsTables(t *testing.T) {
 		if d := bn254.ReadOpCounts().Sub(before); d.LineDoubles != 65*tc.stepped || d.LineAdds != 23*tc.stepped {
 			t.Fatalf("window %d: %d doubling and %d addition steps, want %d and %d", k+1, d.LineDoubles, d.LineAdds, 65*tc.stepped, 23*tc.stepped)
 		}
-		if n := tables(vf, tc.pks); uint64(n) != tc.cached {
-			t.Fatalf("window %d: %d line tables cached, want %d", k+1, n, tc.cached)
+		if n := tables(vf, pks); n != 0 {
+			t.Fatalf("window %d: %d records hold a line table, want 0", k+1, n)
 		}
 	}
 }
@@ -398,13 +396,13 @@ func TestBatchSecondSightingBuildsTables(t *testing.T) {
 // fresh verifier) at GOMAXPROCS 1, 2 and 4: the offender set and the
 // window's op counts must be equal at every width. A window pins its
 // signers' pairs, so every run gets a fresh verifier, the clean and forged
-// ones with records that hold m_ID and line tables but no pair.
+// ones with records that hold m_ID but no pair.
 func TestBatchFanOutInvariance(t *testing.T) {
 	kgc, _, pks, msgs, sigs := multiBatch(t, 64, 16)
 	forged := slices.Clone(msgs)
 	forged[37] = []byte("forged")
 	params := kgc.Params()
-	tabled := func() *Verifier {
+	mOnly := func() *Verifier {
 		vf := NewVerifier(params)
 		unpinned(t, vf, pks, msgs, sigs)
 		return vf
@@ -415,8 +413,8 @@ func TestBatchFanOutInvariance(t *testing.T) {
 		msgs    [][]byte
 		wantBad []int
 	}{
-		{"clean", tabled, msgs, nil},
-		{"forged", tabled, forged, []int{37}},
+		{"clean", mOnly, msgs, nil},
+		{"forged", mOnly, forged, []int{37}},
 		{"first", func() *Verifier { return NewVerifier(params) }, msgs, nil},
 	} {
 		var ref bn254.OpCounts
@@ -439,19 +437,19 @@ func TestBatchFanOutInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchTablesMatchVerify runs windows that mix line-table hits, a forged
-// S under a known identity, a forgery carrying its signer's real S (a valid
-// signature over another message) and a replaced key (a new S for a known
-// identity), at GOMAXPROCS 1, 2 and 8. Signers 2c and 2c+1 alternate over
-// indices 8c to 8c+7. tab-0 to tab-2 start with m_ID and a table but no
-// accepted pair, tab-3 to tab-6 with m_ID only, and tab-7 is unknown (no
-// record) until the first window meets it. Offenders must be the indices a
-// fresh verifier's Verify rejects. After each window every cached table and
-// accepted pair must have been there before it or carry the S (and the A)
-// of a valid signature under its identity in the window — a forged S
-// displaces nothing — and an identity known before the window whose valid
-// signatures in it share one S, not the S of its pair before, must hold
-// that S's table and pair.
+// TestBatchTablesMatchVerify runs windows that mix accepted pairs with their
+// tables, a forged S under a known identity, a forgery carrying its
+// signer's real S (a valid signature over another message) and a replaced
+// key (a new S for a known identity), at GOMAXPROCS 1, 2 and 8. Signers 2c
+// and 2c+1 alternate over indices 8c to 8c+7. tab-0 to tab-2 start with
+// m_ID and an accepted pair holding its table, tab-3 to tab-6 with m_ID
+// only, and tab-7 is unknown (no record) until the first window meets it.
+// Offenders must be the indices a fresh verifier's Verify rejects. After
+// each window every accepted pair must have been there before it or carry
+// the S and the A of a valid signature under its identity in the window,
+// with no table — a forged S displaces nothing, and the window builds no
+// table — and an identity known before the window whose valid signatures in
+// it share one S, not the S of its pair before, must hold that S's pair.
 func TestBatchTablesMatchVerify(t *testing.T) {
 	rng := fixedRand(97)
 	kgc, err := Setup(rng)
@@ -523,23 +521,21 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 
 	for _, procs := range []int{1, 2, 8} {
 		vf := NewVerifier(params)
-		var tp []*PublicKey
-		var tm [][]byte
-		var ts []*Signature
 		for _, sk := range sks[:3] {
-			tp, tm, ts = append(tp, sk.Public()), append(tm, msgs[0]), append(ts, sign(sk, msgs[0]))
+			sig := sign(sk, msgs[0])
+			for range 2 { // the pair, then its table
+				if err := vf.Verify(sk.Public(), msgs[0], sig); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		unpinned(t, vf, tp, tm, ts)
 		for _, sk := range sks[3:7] {
 			vf.rhs(nil, sk.Public().ID)
 		}
 		for _, w := range windows {
-			before, known, oks := map[string]*bn254.G2{}, map[string]bool{}, map[string]*accepted{}
+			known, oks := map[string]bool{}, map[string]*accepted{}
 			for _, sk := range sks {
 				id := sk.Public().ID
-				if l, ok := tableOf(vf, id); ok {
-					before[id] = l.Q()
-				}
 				var r *signer
 				if r, known[id] = vf.signers.Get(id); known[id] {
 					oks[id] = r.ok.Load()
@@ -558,21 +554,16 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 			}
 			for _, sk := range sks {
 				id := sk.Public().ID
-				l, ok := tableOf(vf, id)
-				if ok && !(before[id] != nil && l.Q().Equal(before[id])) && !ofValid(params, w.p, w.m, w.s, w.bad, id, l.Q(), nil) {
-					t.Fatalf("GOMAXPROCS %d %s: %s caches a table of no valid signature in the window", procs, w.name, id)
-				}
 				r, found := vf.signers.Get(id)
 				if !found {
 					continue
 				}
 				pair := r.ok.Load()
-				if pair != oks[id] && !ofValid(params, w.p, w.m, w.s, w.bad, id, &pair.s, &pair.a) {
-					t.Fatalf("GOMAXPROCS %d %s: %s holds an accepted pair of no valid signature in the window", procs, w.name, id)
+				if pair != oks[id] && (pair.lines != nil || !ofValid(params, w.p, w.m, w.s, w.bad, id, &pair.s, &pair.a)) {
+					t.Fatalf("GOMAXPROCS %d %s: %s holds a new accepted pair with a table or of no valid signature in the window", procs, w.name, id)
 				}
-				if s := valid[id]; known[id] && len(s) == 1 && !(oks[id] != nil && oks[id].s.Equal(s[0])) &&
-					!(ok && l.Q().Equal(s[0]) && pair != nil && pair.s.Equal(s[0])) {
-					t.Fatalf("GOMAXPROCS %d %s: %s's valid S has no cached table and pair", procs, w.name, id)
+				if s := valid[id]; known[id] && len(s) == 1 && !(oks[id] != nil && oks[id].s.Equal(s[0])) && !(pair != nil && pair.s.Equal(s[0])) {
+					t.Fatalf("GOMAXPROCS %d %s: %s's valid S has no accepted pair", procs, w.name, id)
 				}
 			}
 		}
@@ -581,10 +572,10 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 
 // TestBatchFailingChunkCost pins what a window with forgeries costs on a
 // 64-signature/16-signer window, signer i mod 16 at index i, so S-group g is
-// {g, g+16, g+32, g+48}, over records that hold m_ID and line tables but no
-// accepted pair, so every index reaches settle. settle walks each S-group in
-// index order: Verify up to and including its first valid index (one final
-// exp and one table pair each: m_ID is cached), which pins the signer's
+// {g, g+16, g+32, g+48}, over records that hold m_ID but no accepted pair,
+// so every index reaches settle. settle walks each S-group in index order:
+// Verify up to and including its first valid index (one final exp and one
+// Miller loop each: m_ID is cached), which pins the signer's
 // pair, then one fixed-base pass per later index. A group pays one Verify
 // more when its first index is forged: {0} costs 17 final exps and 17
 // pairs, a lone forgery anywhere else 16 and 16, and 2, 4 or 8 offenders
@@ -597,7 +588,7 @@ func TestBatchTablesMatchVerify(t *testing.T) {
 func TestBatchFailingChunkCost(t *testing.T) {
 	kgc, _, pks, msgs, sigs := multiBatch(t, 64, 16)
 	params := kgc.Params()
-	tabled := func() *Verifier {
+	mOnly := func() *Verifier {
 		vf := NewVerifier(params)
 		unpinned(t, vf, pks, msgs, sigs)
 		return vf
@@ -627,7 +618,7 @@ func TestBatchFailingChunkCost(t *testing.T) {
 	} {
 		vf := known
 		if !tc.known {
-			vf = tabled()
+			vf = mOnly()
 		}
 		before := bn254.ReadOpCounts()
 		err := vf.Batch(BatchOptions{}).VerifyMulti(pks, tamper(tc.at...), sigs)
@@ -648,7 +639,7 @@ func TestBatchFailingChunkCost(t *testing.T) {
 	for _, want := range [][]int{{40, 41}, {3, 40}, {5, 60}, all} {
 		for _, procs := range []int{1, 2, 8} {
 			var err error
-			atProcs(procs, func() { err = tabled().Batch(BatchOptions{}).VerifyMulti(pks, tamper(want...), sigs) })
+			atProcs(procs, func() { err = mOnly().Batch(BatchOptions{}).VerifyMulti(pks, tamper(want...), sigs) })
 			if got := BatchOffenders(err); !slices.Equal(got, want) {
 				t.Fatalf("GOMAXPROCS %d: offenders %v (%v), want %v", procs, got, err, want)
 			}
@@ -657,28 +648,31 @@ func TestBatchFailingChunkCost(t *testing.T) {
 }
 
 // TestBatchOffSubgroupS: a window whose index 5 carries an on-curve S off
-// G2 names exactly that index, whether its identity is a first contact (the
-// settling Verify's Miller loop finds the S) or holds a line table for its
-// honest S (the settling Verify's table build does), at GOMAXPROCS 1 and 2;
-// no record accepts the S or caches a table for it.
+// G2 names exactly that index, whether its identity is a first contact or
+// holds an accepted pair with its table for its honest S (the settling
+// Verify's plain Miller loop finds the S either way), at GOMAXPROCS 1 and
+// 2; no record accepts the S or builds a table for it.
 func TestBatchOffSubgroupS(t *testing.T) {
 	kgc, _, pks, msgs, sigs := multiBatch(t, 16, 4)
+	honest := sigs[1]
 	sigs = slices.Clone(sigs)
 	sigs[5] = &Signature{V: sigs[5].V, S: offSubgroupG2(t), R: sigs[5].R}
-	for _, tabled := range []bool{false, true} {
+	for _, pinned := range []bool{false, true} {
 		for _, procs := range []int{1, 2} {
 			vf := NewVerifier(kgc.Params())
-			if tabled {
-				unpinned(t, vf, pks[:4], msgs[:4], sigs[:4])
+			for i := 0; pinned && i < 2; i++ { // the pair, then its table
+				if err := vf.Verify(pks[1], msgs[1], honest); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var err error
 			atProcs(procs, func() { err = vf.Batch(BatchOptions{}).VerifyMulti(pks, msgs, sigs) })
 			if got := BatchOffenders(err); !slices.Equal(got, []int{5}) {
-				t.Fatalf("tabled %v, GOMAXPROCS %d: offenders %v (%v), want [5]", tabled, procs, got, err)
+				t.Fatalf("pinned %v, GOMAXPROCS %d: offenders %v (%v), want [5]", pinned, procs, got, err)
 			}
 			r, _ := vf.signers.Get(pks[5].ID)
-			if ok := r.ok.Load(); ok != nil && ok.s.Equal(sigs[5].S) || r.lines.Load() != nil && r.lines.Load().Q().Equal(sigs[5].S) {
-				t.Fatalf("tabled %v, GOMAXPROCS %d: the record took the S off G2", tabled, procs)
+			if ok := r.ok.Load(); ok == nil || ok.s.Equal(sigs[5].S) || (ok.lines != nil) != pinned {
+				t.Fatalf("pinned %v, GOMAXPROCS %d: the record took the S off G2 or a table changed", pinned, procs)
 			}
 		}
 	}
@@ -762,10 +756,10 @@ func TestBatchAcceptedRace(t *testing.T) {
 // inline and allocates nothing. At GOMAXPROCS 2 the prologue's fan-out adds
 // its shared state and its worker's closure: 5. A window that only batched
 // before is in the same state, as its first window pinned every pair. A
-// window settled by Verify, over records that hold m_ID and line tables but
-// no pair, adds its S-groups (53: 16 index lists growing to 4 entries, the
-// group list to 16) and 2 for each of its 16 table-hit Verify calls (the
-// Miller value and the accepted pair it stores): 88 at GOMAXPROCS 1, and 92
+// window settled by Verify, over records that hold m_ID but no pair, adds
+// its S-groups (53: 16 index lists growing to 4 entries, the group list to
+// 16) and 2 for each of its 16 Verify calls (the Miller value and the
+// accepted pair it stores): 88 at GOMAXPROCS 1, and 92
 // at GOMAXPROCS 2, where settle's fan-out adds 2 more. Nothing on the path
 // draws on a sync.Pool, so the counts are exact under -race too.
 func TestBatchWindowAllocs(t *testing.T) {
@@ -779,11 +773,11 @@ func TestBatchWindowAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tabled := NewVerifier(vf.params)
-	unpinned(t, tabled, pks, msgs, sigs)
+	mOnly := NewVerifier(vf.params)
+	unpinned(t, mOnly, pks, msgs, sigs)
 	unpin := func() {
 		for _, pk := range pks[:16] {
-			r, _ := tabled.signers.Get(pk.ID)
+			r, _ := mOnly.signers.Get(pk.ID)
 			r.ok.Store(nil)
 		}
 	}
@@ -796,7 +790,7 @@ func TestBatchWindowAllocs(t *testing.T) {
 	}{
 		{"batched before", vf, func() {}, 1, 3}, {"batched before", vf, func() {}, 2, 5},
 		{"accepted by Verify", known, func() {}, 1, 3}, {"accepted by Verify", known, func() {}, 2, 5},
-		{"settled by Verify", tabled, unpin, 1, 88}, {"settled by Verify", tabled, unpin, 2, 92},
+		{"settled by Verify", mOnly, unpin, 1, 88}, {"settled by Verify", mOnly, unpin, 2, 92},
 	} {
 		bv := tc.vf.Batch(BatchOptions{})
 		if allocs := allocsAt(tc.procs, 20, func() {
@@ -822,10 +816,11 @@ func TestBatchWindowAllocs(t *testing.T) {
 // can share an S-group; the identity's
 // key replaced, the signature re-signed under it for odd aux (valid) or kept
 // (invalid); or the signature filed under another identity. The offenders
-// must be exactly the indices a fresh Verifier's Verify rejects. A table or
-// accepted pair the window stored (settle's Verify calls store both) must
-// carry the S, and the A recomputed by math/big, of a valid signature under
-// its identity in the window: a forged S displaces nothing.
+// must be exactly the indices a fresh Verifier's Verify rejects. An
+// accepted pair the window stored (settle's Verify calls do) must carry the
+// S, and the A recomputed by math/big, of a valid signature under its
+// identity in the window, and no line table: a forged S displaces nothing,
+// and the window builds no table.
 func FuzzBatchVsVerify(f *testing.F) {
 	rng := fixedRand(98)
 	kgc, err := Setup(rng)
@@ -914,12 +909,9 @@ func FuzzBatchVsVerify(f *testing.F) {
 				}
 			}
 		}
-		before, oks := map[string]*bn254.G2{}, map[string]*accepted{}
+		oks := map[string]*accepted{}
 		for _, sk := range sks {
 			id := sk.Public().ID
-			if l, ok := tableOf(vf, id); ok {
-				before[id] = l.Q()
-			}
 			if r, ok := vf.signers.Get(id); ok {
 				oks[id] = r.ok.Load()
 			}
@@ -932,12 +924,9 @@ func FuzzBatchVsVerify(f *testing.F) {
 
 		for _, sk := range sks {
 			id := sk.Public().ID
-			if l, ok := tableOf(vf, id); ok && !(before[id] != nil && l.Q().Equal(before[id])) && !ofValid(params, p, m, s, want, id, l.Q(), nil) {
-				t.Fatalf("%s caches a table of no valid signature in the window", id)
-			}
 			if r, ok := vf.signers.Get(id); ok {
-				if pair := r.ok.Load(); pair != oks[id] && !ofValid(params, p, m, s, want, id, &pair.s, &pair.a) {
-					t.Fatalf("%s holds an accepted pair of no valid signature in the window", id)
+				if pair := r.ok.Load(); pair != oks[id] && (pair.lines != nil || !ofValid(params, p, m, s, want, id, &pair.s, &pair.a)) {
+					t.Fatalf("%s holds a new accepted pair with a table or of no valid signature in the window", id)
 				}
 			}
 		}

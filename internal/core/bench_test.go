@@ -71,13 +71,6 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyManySigners verifies n recurring signers round-robin
-// through one default Verifier, each after a first contact and a second
-// sighting. Up to DefaultIdentityCacheCap (512) signers every record stays
-// with its m_ID and line table, so every verify replays a table; that is
-// what the bound's ≈ 6.58 MB buys. Past it the round-robin evicts each record
-// before its signer recurs, so at 1,024 signers every verify is a first
-// contact: a hash to G2 and two Miller loops.
 // BenchmarkIssuePartialKey prices what one KGC replica pays per identity:
 // the short hash and one multiplication by its share folded with c′.
 func BenchmarkIssuePartialKey(b *testing.B) {
@@ -89,6 +82,14 @@ func BenchmarkIssuePartialKey(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyManySigners verifies n recurring signers round-robin
+// through one default Verifier, each after a first contact and a second
+// sighting. Up to DefaultIdentityCacheCap (512) signers every record stays
+// with its m_ID and its accepted pair with S's line table, so every verify
+// replays a table; that is what the bound's ≈ 6.58 MB buys. Past it the
+// round-robin evicts each record before its signer recurs, so at 1,024
+// signers every verify is a first contact: a hash to G2 and two Miller
+// loops.
 func BenchmarkVerifyManySigners(b *testing.B) {
 	rng := fixedRand(1)
 	kgc, err := Setup(rng)
@@ -136,11 +137,11 @@ func BenchmarkVerifyManySigners(b *testing.B) {
 // decided by the prologue without a pairing and forged-known has one planted
 // forgery under its signer's accepted S, which the prologue rejects by its A
 // alone: 64 fixed-base passes and no pairing either. On one whose records
-// hold m_ID only, first settles every S-group by one Verify, which builds a
-// table and pins the pair (a fresh such verifier per iteration). On one
-// whose records hold m_ID and line tables but no accepted pair, forged,
-// forged2, forged4 and forged8 carry 1, 2, 4 and 8 forgeries: one table-hit
-// Verify per S-group and one more per group whose first index is forged
+// hold m_ID only, first settles every S-group by one Verify, which runs S's
+// plain Miller loop and pins the pair, building no table (a fresh such
+// verifier per iteration). On the same kind of verifier, forged, forged2,
+// forged4 and forged8 carry 1, 2, 4 and 8 forgeries: one Verify per
+// S-group and one more per group whose first index is forged
 // (16–18 final exponentiations), on a fresh such verifier per iteration,
 // built off the clock, as settle pins pairs. repeat is the same clean
 // window again on a verifier that has only batched it once: the prologue
@@ -157,8 +158,8 @@ func BenchmarkBatchWindow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// tabled: a fresh verifier with unpinned records per iteration, else known.
-	forged := func(tabled bool, at ...int) func(b *testing.B) {
+	// fresh: a fresh verifier with unpinned records per iteration, else known.
+	forged := func(fresh bool, at ...int) func(b *testing.B) {
 		return func(b *testing.B) {
 			bad := slices.Clone(msgs)
 			for _, i := range at {
@@ -168,7 +169,7 @@ func BenchmarkBatchWindow(b *testing.B) {
 			var d bn254.OpCounts
 			for range b.N {
 				vf := known
-				if tabled {
+				if fresh {
 					b.StopTimer()
 					vf = NewVerifier(known.params)
 					unpinned(b, vf, pks, msgs, sigs)

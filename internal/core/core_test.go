@@ -759,10 +759,11 @@ func TestPassiveObserverForgesSignature(t *testing.T) {
 // TestAcceptedAIsSignatureInvariant pins the fact the batch engine's
 // accepted pairs rest on: an honest key's A = (V/h)·P − R is x·P in every
 // signature, whatever the message and nonce, so Verify stores one (S, A) per
-// key and keeps it. The passive observer's forgery above carries that same
-// pair, so it is settled too: a window over it and a later honest signature
-// runs no pairing on a verifier that holds the pair, and the aggregate
-// equation of one that does not accepts the same window.
+// key, replaces it once, when the pair's second sighting gives it S's line
+// table, and keeps it from then on. The passive observer's forgery above
+// carries that same pair, so it is settled too: a window over it and a
+// later honest signature runs no pairing on a verifier that holds the pair,
+// and a fresh verifier accepts the same window with one Verify.
 func TestAcceptedAIsSignatureInvariant(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "victim@manet")
 	params, pk := kgc.Params(), sk.Public()
@@ -789,8 +790,17 @@ func TestAcceptedAIsSignatureInvariant(t *testing.T) {
 	if pair == nil || !pair.s.Equal(sigs[0].S) || !pair.a.Equal(xP) {
 		t.Fatal("Verify did not store the accepted (S, x·P)")
 	}
-	if err := vf.Verify(pk, msgs[1], sigs[1]); err != nil || r.ok.Load() != pair {
-		t.Fatalf("a second honest signature replaced the accepted pair (%v)", err)
+	if err := vf.Verify(pk, msgs[1], sigs[1]); err != nil {
+		t.Fatal(err)
+	}
+	tabled := r.ok.Load()
+	if tabled == pair || tabled.lines == nil || !tabled.s.Equal(&pair.s) || !tabled.a.Equal(&pair.a) {
+		t.Fatal("a second honest signature did not give the accepted pair its table")
+	}
+	for i := range 2 {
+		if err := vf.Verify(pk, msgs[i], sigs[i]); err != nil || r.ok.Load() != tabled {
+			t.Fatalf("honest signature %d replaced the accepted pair with its table (%v)", i, err)
+		}
 	}
 
 	// The forgery of TestPassiveObserverForgesSignature, from sigs[0] alone.
@@ -821,6 +831,6 @@ func TestAcceptedAIsSignatureInvariant(t *testing.T) {
 	before = bn254.ReadOpCounts()
 	err = fresh.Batch(BatchOptions{}).VerifyMulti(pks, wm, ws)
 	if d := bn254.ReadOpCounts().Sub(before); err != nil || d.FinalExps != 1 {
-		t.Fatalf("aggregate equation over the same window: %v, %d final exps; want nil and 1", err, d.FinalExps)
+		t.Fatalf("a fresh verifier over the same window: %v, %d final exps; want nil and 1", err, d.FinalExps)
 	}
 }

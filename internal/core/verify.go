@@ -11,7 +11,7 @@ import (
 )
 
 // DefaultIdentityCacheCap bounds the Verifier's signer records. 512 records,
-// each holding its line table (11,264 bytes) and accepted pair (208 bytes),
+// each holding its accepted pair with S's line table (11,264 + 208 bytes),
 // are ≈ 6.58 MB of heap at worst (measured after GC), so a flood of unique
 // identities recycles records instead of growing memory without limit. Past
 // 512 recurring signers every verify is a first contact.
@@ -19,37 +19,38 @@ const DefaultIdentityCacheCap = 1 << 9
 
 // signer is one identity's record. y = Y_ID (Q_ID = H1(ID) = c′·Y_ID) is set
 // before the record is shared; m = m_ID is filled by the identity's first
-// Verify; lines is S's table, stored once a signature under it verifies; ok
-// is the (S, A) of the last signature Verify accepted. The four live and are
-// evicted together.
+// Verify; ok is the (S, A) of the last signature Verify accepted, with S's
+// line table from its second sighting on. The three live and are evicted
+// together.
 type signer struct {
-	y     *bn254.G2
-	m     atomic.Pointer[bn254.Fp12]
-	lines atomic.Pointer[bn254.G2Lines]
-	ok    atomic.Pointer[accepted]
+	y  *bn254.G2
+	m  atomic.Pointer[bn254.Fp12]
+	ok atomic.Pointer[accepted]
 }
 
 // accepted is a signature's (S, A = (V/h)·P - R) that Verify accepted under
-// the record's identity. Verify's verdict depends on (A, S, Q_ID) only, so
+// the record's identity, and lines, S's line table once Verify has seen the
+// pair twice (nil before). Verify's verdict depends on (A, S, Q_ID) only, so
 // every signature carrying the same S and A under that identity is valid,
 // and, S being in G2 (checked) with e(·, S) injective, every other A invalid.
 type accepted struct {
-	s bn254.G2
-	a bn254.G1
+	s     bn254.G2
+	a     bn254.G1
+	lines *bn254.G2Lines
 }
 
 // Verifier checks McCLS signatures. It keeps one record per identity
-// (signer) with three values: m_ID = MillerLoop(-c′·P_pub, Y_ID), the
+// (signer) with two values: m_ID = MillerLoop(-c′·P_pub, Y_ID), the
 // paper's e(P_pub, Q_ID) (= e(c′·P_pub, Y_ID)) moved to the left of the
 // equation and left unreduced, so that Verify decides
 // FE(MillerLoop(A, S)·m_ID) = 1 — one Miller loop and one final
 // exponentiation for a known identity (the paper's "only one
 // pairing operation since e(P_pub, Q_ID) is a constant"), a second Miller
-// loop but no second final exponentiation on first contact; Y_ID, which m_ID
-// pairs with -c′·P_pub; and the line table of the signer's S, so that a
-// known signer's Miller loop does no G2 arithmetic. It also keeps the (S, A)
-// Verify last accepted, which spares the batch engine a known signer's
-// pairing. An identity is known when its record existed before the call. The records are LRU-bounded so
+// loop but no second final exponentiation on first contact; and Y_ID, which
+// m_ID pairs with -c′·P_pub. It also keeps the (S, A) Verify last accepted
+// with S's line table, so that a known signer's Miller loop does no G2
+// arithmetic and the batch engine skips its pairing. An identity is known
+// when its record existed before the call. The records are LRU-bounded so
 // unknown-identity floods cannot exhaust memory. Safe for concurrent use.
 type Verifier struct {
 	params  *Params
@@ -136,12 +137,13 @@ func (p *Params) vOverH(pk *PublicKey, msg []byte, sig *Signature) (k fr.Element
 // The implementation decides the algebraically identical product form
 // e((V·h⁻¹)·P - R, S)·e(-P_pub, Q_ID) = 1: h⁻¹·S is traded for a scalar
 // inversion in Zr, and the constant enters as its cached Miller value, so
-// one final exponentiation reduces both pairings, cached or not, and the
-// Miller loop over S replays S's line table (DESIGN.md §3); another A under
-// a known identity's accepted S is rejected with no pairing (accepted), and
-// any other S is checked in G2 by the loop or table build pairing it. It
-// returns nil on success and ErrVerifyFailed (or a shape error) on
-// rejection; a first contact hashes Y_ID and computes m_ID beside S's side.
+// one final exponentiation reduces both pairings, cached or not. The Miller
+// loop over S follows the identity's accepted pair (DESIGN.md §6): under
+// another S, the plain loop, which checks S in G2; under the accepted S,
+// another A is rejected with no pairing and the accepted A replays the
+// pair's line table, built at the pair's second sighting. It returns nil on
+// success and ErrVerifyFailed (or a shape error) on rejection; a first
+// contact hashes Y_ID and computes m_ID beside S's side.
 func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	if err := checkShape(pk, sig, nil); err != nil {
 		return err
@@ -150,43 +152,32 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 	if err != nil {
 		return err
 	}
-	// S's table rule: the record's table if built from S; else, for a known
-	// identity, build one; else the plain loop, cheaper than build + replay
-	// on a first contact. A built table is stored once S verifies, so a
-	// forged S displaces none.
 	r, _ := vf.signers.Get(pk.ID) // nil: a first contact
-	s := sSide{k: k, build: r != nil}
-	if r != nil {
-		if l := r.lines.Load(); l != nil && l.Q().Equal(sig.S) {
-			s.lines, s.build = l, false
-		}
-	}
+	s := sSide{k: k}
 	if r != nil && r.m.Load() != nil {
 		s.run(sig, r.ok.Load())
 	} else {
-		c := &sSide{k: k, build: s.build, lines: s.lines, sig: sig, vf: vf, id: pk.ID, r: r}
+		c := &sSide{k: k, sig: sig, vf: vf, id: pk.ID, r: r}
 		fanOut(min(2, runtime.GOMAXPROCS(0)), 2, c, (*sSide).side)
 		s, r = *c, c.r
 	}
 	if s.f == nil || !bn254.ReducesToOne(s.f.Mul(s.f, r.m.Load())) {
 		return ErrVerifyFailed
 	}
-	if s.build {
-		r.lines.Store(s.lines)
-	}
-	if ok := r.ok.Load(); ok == nil || !ok.s.Equal(sig.S) || !ok.a.Equal(&s.a) {
-		r.ok.Store(&accepted{s: *sig.S, a: s.a})
+	// Pin (S, A), or give the pinned pair the table its replay just built.
+	if ok := r.ok.Load(); ok == nil || !ok.s.Equal(sig.S) || ok.lines == nil && s.lines != nil {
+		r.ok.Store(&accepted{s: *sig.S, a: s.a, lines: s.lines})
 	}
 	return nil
 }
 
 // sSide is S's side of a Verify, which needs no hash: A = k·P - R for
-// k = V/h, and e(A, S)'s Miller value f, nil for an S off G2 or, under an
-// accepted S, another A. A first contact's sSide also carries the other
-// side's inputs and its result r, id's record (side).
+// k = V/h, S's line table if the accepted pair's replay ran, and e(A, S)'s
+// Miller value f, nil for an S off G2 or, under an accepted S, another A. A
+// first contact's sSide also carries the other side's inputs and its result
+// r, id's record (side).
 type sSide struct {
 	k     fr.Element
-	build bool
 	lines *bn254.G2Lines
 	a     bn254.G1
 	f     *bn254.Fp12
@@ -205,19 +196,19 @@ func (s *sSide) side(t int) {
 	}
 }
 
-// run fills s for sig under the record's accepted pair ok (nil: none).
+// run fills s for sig under the record's accepted pair ok (nil: none): the
+// plain loop under another S, else nothing for another A, else the pair's
+// table, built now if the pair has none (S is in G2: never nil).
 func (s *sSide) run(sig *Signature, ok *accepted) {
 	var negR bn254.G1
 	s.a.ScalarBaseMultAddFr(&s.k, negR.Neg(sig.R)) // one fixed-base table pass
-	if ok != nil && ok.s.Equal(sig.S) && !ok.a.Equal(&s.a) {
-		return
-	}
-	if s.build {
-		s.lines = bn254.NewG2Lines(sig.S) // nil for an S off G2: no loop
-	}
-	if s.lines != nil {
-		s.f = bn254.MillerLoopMixed([]*bn254.G1{&s.a}, []*bn254.G2Lines{s.lines}, nil, nil)
-	} else if !s.build {
+	switch {
+	case ok == nil || !ok.s.Equal(sig.S):
 		s.f = bn254.MillerLoopMulti([]*bn254.G1{&s.a}, []*bn254.G2{sig.S})
+	case ok.a.Equal(&s.a):
+		if s.lines = ok.lines; s.lines == nil {
+			s.lines = bn254.NewG2Lines(sig.S)
+		}
+		s.f = s.lines.MillerLoop(&s.a)
 	}
 }

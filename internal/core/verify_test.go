@@ -22,22 +22,23 @@ func verifyOps(t *testing.T, vf *Verifier, pk *PublicKey, msg []byte, sig *Signa
 	return bn254.ReadOpCounts().Sub(before)
 }
 
-// tableOf returns the line table in id's record, if it has one. It reads
-// through the cache's Get, which marks the record used.
-func tableOf(vf *Verifier, id string) (*bn254.G2Lines, bool) {
+// tabledPair returns id's accepted pair if it holds S's line table, else
+// nil. It reads through the cache's Get, which marks the record used.
+func tabledPair(vf *Verifier, id string) *accepted {
 	if r, ok := vf.signers.Get(id); ok {
-		l := r.lines.Load()
-		return l, l != nil
+		if pair := r.ok.Load(); pair != nil && pair.lines != nil {
+			return pair
+		}
 	}
-	return nil, false
+	return nil
 }
 
-// tables counts the distinct identities of pks whose record holds a line
-// table.
+// tables counts the distinct identities of pks whose accepted pair holds a
+// line table.
 func tables(vf *Verifier, pks []*PublicKey) int {
 	held := map[string]bool{}
 	for _, pk := range pks {
-		if _, ok := tableOf(vf, pk.ID); ok {
+		if tabledPair(vf, pk.ID) != nil {
 			held[pk.ID] = true
 		}
 	}
@@ -46,15 +47,19 @@ func tables(vf *Verifier, pks []*PublicKey) int {
 
 // TestVerifyOpCounts pins what a Verify costs the pairing layer: one final
 // exponentiation whether or not the identity's constant is cached, one
-// Miller loop on a hit and two on a first contact. The G2 steps follow S's
-// line table: a first contact runs two plain loops, the second sighting
-// builds the table, a hit replays it with no G2 step at all, and a new S
-// under the known identity builds again. S's loop or table build is its
-// subgroup check, so the one G2 multiplication is a first contact's hash of
-// Q_ID. A first contact's S side runs on a goroutine of its own at more
-// than one P, which moves no count. A signature rejected under the accepted
-// S (a tampered message: S's A is not the accepted one) costs no pairing
-// and no final exponentiation: only the fixed-base pass for A.
+// Miller loop on a hit and two on a first contact. The G2 steps follow the
+// accepted pair: a first contact runs two plain loops and pins (S, A), the
+// pair's second sighting builds S's table, a hit replays it with no G2 step
+// at all, and a new S under the known identity runs the plain loop and pins
+// its pair, whose second sighting builds again. S's loop or table build is
+// its subgroup check, so the one G2 multiplication is a first contact's
+// hash of Q_ID. A first contact's S side runs on a goroutine of its own at
+// more than one P, which moves no count. A signature rejected under the
+// accepted S (a tampered message: S's A is not the accepted one) costs no
+// pairing and no final exponentiation: only the fixed-base pass for A. A
+// forged S under the known identity costs one plain loop and at most one
+// final exponentiation (none for an S off G2, which the loop's end point
+// finds), builds no table and leaves the pair and its table as they were.
 func TestVerifyOpCounts(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		atProcs(procs, func() { verifyOpCounts(t, procs) })
@@ -88,6 +93,7 @@ func verifyOpCounts(t *testing.T, procs int) {
 		{"second sighting", sk, sig, 1, 65, 65, 23, 0},
 		{"hit", sk, sig, 1, 65, 0, 0, 0},
 		{"new S", sk2, sig2, 1, 65, 65, 23, 0},
+		{"second sighting of the new S", sk2, sig2, 1, 65, 65, 23, 0},
 		{"hit on the new S", sk2, sig2, 1, 65, 0, 0, 0},
 	} {
 		d := verifyOps(t, vf, tc.sk.Public(), msg, tc.sig)
@@ -104,6 +110,25 @@ func verifyOpCounts(t *testing.T, procs int) {
 		t.Errorf("GOMAXPROCS %d, rejected under the accepted S: %d Miller loops, %d final exps, %d G1 and %d G2 mults; want 0, 0, 1, 0", procs,
 			d.Pairings, d.FinalExps, d.G1ScalarMults, d.G2ScalarMults)
 	}
+	r, _ := vf.signers.Get(sk2.Public().ID)
+	pair := r.ok.Load()
+	for _, tc := range []struct {
+		name      string
+		s         *bn254.G2
+		finalExps uint64
+	}{{"forged S on G2", new(bn254.G2).Add(sig2.S, sig2.S), 1}, {"forged S off G2", offSubgroupG2(t), 0}} {
+		before := bn254.ReadOpCounts()
+		if err := vf.Verify(sk2.Public(), msg, &Signature{V: sig2.V, S: tc.s, R: sig2.R}); !errors.Is(err, ErrVerifyFailed) {
+			t.Fatalf("GOMAXPROCS %d, %s: %v", procs, tc.name, err)
+		}
+		if d := bn254.ReadOpCounts().Sub(before); d.Pairings != 1 || d.FinalExps != tc.finalExps || r.ok.Load() != pair {
+			t.Errorf("GOMAXPROCS %d, %s: %d Miller loops, %d final exps, pair kept %v; want 1, %d, true", procs, tc.name,
+				d.Pairings, d.FinalExps, r.ok.Load() == pair, tc.finalExps)
+		}
+	}
+	if pair.lines == nil || tables(vf, []*PublicKey{sk2.Public()}) != 1 {
+		t.Errorf("GOMAXPROCS %d: the accepted pair lost its table", procs)
+	}
 }
 
 // TestAcceptedPairRejectsExactly: once Verify has accepted a signer's
@@ -114,8 +139,8 @@ func verifyOpCounts(t *testing.T, procs int) {
 // replaced V, and the accepted S with another signer's V and R (a foreign
 // A). The four forgeries cost Verify no pairing, and the window settles
 // every case with no final exponentiation. So does a signature whose S is
-// off the subgroup, which its table build rejects before any pairing in
-// both, and which never becomes the accepted S.
+// off the subgroup, which the plain Miller loop rejects before the final
+// exponentiation in both, and which never becomes the accepted S.
 func TestAcceptedPairRejectsExactly(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "exact@manet")
 	params, pk := kgc.Params(), sk.Public()
@@ -136,9 +161,9 @@ func TestAcceptedPairRejectsExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := fr.One()
-	// decide checks one case: a forgery costs no Miller loop and no final
-	// exp, in Verify and in the window.
-	decide := func(name string, m []byte, s *Signature) {
+	// decide checks one case: a forgery costs loops Miller loops and no
+	// final exp in Verify, and no final exp in the window.
+	decide := func(name string, m []byte, s *Signature, loops uint64) {
 		t.Helper()
 		want := NewVerifier(params).Verify(pk, m, s)
 		before := bn254.ReadOpCounts()
@@ -147,8 +172,8 @@ func TestAcceptedPairRejectsExactly(t *testing.T) {
 		if (got == nil) != (want == nil) || want != nil && !errors.Is(got, ErrVerifyFailed) {
 			t.Fatalf("%s: Verify says %v, a fresh Verifier %v", name, got, want)
 		}
-		if want != nil && (d.Pairings != 0 || d.FinalExps != 0) {
-			t.Errorf("%s: Verify ran %d Miller loops and %d final exps, want 0 and 0", name, d.Pairings, d.FinalExps)
+		if want != nil && (d.Pairings != loops || d.FinalExps != 0) {
+			t.Errorf("%s: Verify ran %d Miller loops and %d final exps, want %d and 0", name, d.Pairings, d.FinalExps, loops)
 		}
 		var bad []int
 		if want != nil {
@@ -161,18 +186,19 @@ func TestAcceptedPairRejectsExactly(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name string
-		msg  []byte
-		sig  *Signature
+		name  string
+		msg   []byte
+		sig   *Signature
+		loops uint64
 	}{
-		{"another honest signature", []byte("RREP 8 from exact@manet"), again},
-		{"tampered message", []byte("tampered"), sig},
-		{"replaced R", msg, &Signature{V: sig.V, S: sig.S, R: foreign.R}},
-		{"replaced V", msg, &Signature{V: *new(fr.Element).Add(&sig.V, &one), S: sig.S, R: sig.R}},
-		{"accepted S, foreign A", msg, &Signature{V: foreign.V, S: sig.S, R: foreign.R}},
-		{"S off the subgroup", msg, &Signature{V: sig.V, S: offSubgroupG2(t), R: sig.R}},
+		{"another honest signature", []byte("RREP 8 from exact@manet"), again, 0},
+		{"tampered message", []byte("tampered"), sig, 0},
+		{"replaced R", msg, &Signature{V: sig.V, S: sig.S, R: foreign.R}, 0},
+		{"replaced V", msg, &Signature{V: *new(fr.Element).Add(&sig.V, &one), S: sig.S, R: sig.R}, 0},
+		{"accepted S, foreign A", msg, &Signature{V: foreign.V, S: sig.S, R: foreign.R}, 0},
+		{"S off the subgroup", msg, &Signature{V: sig.V, S: offSubgroupG2(t), R: sig.R}, 1},
 	} {
-		decide(tc.name, tc.msg, tc.sig)
+		decide(tc.name, tc.msg, tc.sig, tc.loops)
 	}
 	if r, _ := vf.signers.Get(pk.ID); !r.ok.Load().s.Equal(sig.S) {
 		t.Fatal("the accepted S changed")
@@ -216,9 +242,9 @@ func TestNewVerifierAllocs(t *testing.T) {
 // TestForgedFirstContactDoesNotPoisonCache: the cached Miller value is a
 // function of (params, ID) only, so a forgery arriving before any valid
 // signature from that identity is rejected and leaves the exact entry a
-// valid first contact would have left. A line table is cached only once a
-// signature under it verifies, so a forged S under the identity leaves the
-// signer's table in place.
+// valid first contact would have left. A line table is built only for a
+// pair Verify accepted, at the pair's second sighting, so a forged S under
+// the identity neither displaces the pair nor builds a table.
 func TestForgedFirstContactDoesNotPoisonCache(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "victim@manet")
 	params, pk := kgc.Params(), sk.Public()
@@ -253,7 +279,7 @@ func TestForgedFirstContactDoesNotPoisonCache(t *testing.T) {
 		t.Fatal("cached Miller value does not reduce to e(-P_pub, Q_ID)")
 	}
 	if d := verifyOps(t, vf, pk, msg, sig); d.Pairings != 1 {
-		t.Fatalf("valid signature after the forgery ran %d Miller loops, want 1 (a hit)", d.Pairings)
+		t.Fatalf("valid signature after the forgery ran %d Miller loops, want 1 (m_ID cached)", d.Pairings)
 	}
 	if again, _ := vf.signers.Get(pk.ID); !again.m.Load().Equal(fresh) {
 		t.Fatal("a verify mutated the shared cached Miller value")
@@ -262,8 +288,10 @@ func TestForgedFirstContactDoesNotPoisonCache(t *testing.T) {
 	if err := vf.Verify(pk, msg, forgedS); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("forged S: want ErrVerifyFailed, got %v", err)
 	}
-	if d := verifyOps(t, vf, pk, msg, sig); d.LineDoubles != 0 || d.LineAdds != 0 {
-		t.Fatalf("valid signature after a forged S ran %d doubling and %d addition steps, want a table hit", d.LineDoubles, d.LineAdds)
+	for _, want := range [][2]uint64{{65, 23}, {0, 0}} { // the pair's table build, then a hit
+		if d := verifyOps(t, vf, pk, msg, sig); d.LineDoubles != want[0] || d.LineAdds != want[1] {
+			t.Fatalf("valid signature after a forged S ran %d doubling and %d addition steps, want %d and %d", d.LineDoubles, d.LineAdds, want[0], want[1])
+		}
 	}
 }
 
@@ -342,13 +370,13 @@ func concurrentFirstContact(t *testing.T) {
 		}
 	}
 	r, _ := vf.signers.Get(sk.Public().ID)
-	if n := vf.signers.Len(); n != 1 || r.m.Load() == nil || r.y == nil || r.lines.Load() == nil {
-		t.Fatalf("after a racing first contact: %d records, want 1 with a Miller value, a Y_ID and a line table", n)
+	if n := vf.signers.Len(); n != 1 || r.m.Load() == nil || r.y == nil || tabledPair(vf, sk.Public().ID) == nil {
+		t.Fatalf("after a racing first contact: %d records, want 1 with a Miller value, a Y_ID and an accepted pair holding its line table", n)
 	}
 }
 
 // TestConcurrentSChange: two key pairs of one identity — two S values that
-// replace each other's line table — verified concurrently all accept.
+// replace each other's accepted pair — verified concurrently all accept.
 func TestConcurrentSChange(t *testing.T) {
 	kgc, sk, vf := newTestSystem(t, "twice@manet")
 	params := kgc.Params()
@@ -389,10 +417,11 @@ func TestConcurrentSChange(t *testing.T) {
 }
 
 // TestVerifierRecordBound: 12 identities, each verified twice in order
-// (the second sighting builds the table), through an 8-record verifier leave
-// the last 8 records, each holding a line table of 88 lines (a replay folds
-// one sparse product per line). Evicting a record drops its table with it,
-// so re-verifying the first identity is a first contact.
+// (the pair's second sighting builds its table), through an 8-record
+// verifier leave the last 8 records, each holding an accepted pair with a
+// line table of 88 lines (a replay folds one sparse product per line).
+// Evicting a record drops its pair and table with it, so re-verifying the
+// first identity is a first contact.
 func TestVerifierRecordBound(t *testing.T) {
 	rng := fixedRand(94)
 	kgc, err := Setup(rng)
@@ -423,18 +452,18 @@ func TestVerifierRecordBound(t *testing.T) {
 	}
 	g := bn254.G1Generator()
 	for i, pk := range pks {
-		lines, ok := tableOf(vf, pk.ID)
-		if ok != (i >= 4) {
-			t.Fatalf("%s (identity %d) has a line table: %v, want %v", pk.ID, i, ok, i >= 4)
+		pair := tabledPair(vf, pk.ID)
+		if (pair != nil) != (i >= 4) {
+			t.Fatalf("%s (identity %d) has a line table: %v, want %v", pk.ID, i, pair != nil, i >= 4)
 		}
-		if !ok {
+		if pair == nil {
 			continue
 		}
-		if !lines.Q().Equal(sigs[i].S) {
+		if !pair.s.Equal(sigs[i].S) {
 			t.Fatalf("%s: table of another S", pk.ID)
 		}
 		before := bn254.ReadOpCounts()
-		bn254.MillerLoopMixed([]*bn254.G1{g}, []*bn254.G2Lines{lines}, nil, nil)
+		pair.lines.MillerLoop(g)
 		if d := bn254.ReadOpCounts().Sub(before); d.SparseMuls != 88 {
 			t.Fatalf("%s: table of %d lines, want 88", pk.ID, d.SparseMuls)
 		}
@@ -490,7 +519,7 @@ func TestVerifierEvictionRace(t *testing.T) {
 		t.Fatalf("%d records, bound 4", n)
 	}
 	for i, pk := range pks {
-		if lines, ok := tableOf(vf, pk.ID); ok && !lines.Q().Equal(sigs[i].S) {
+		if pair := tabledPair(vf, pk.ID); pair != nil && !pair.s.Equal(sigs[i].S) {
 			t.Fatalf("%s: table of another S", pk.ID)
 		}
 	}
@@ -499,10 +528,11 @@ func TestVerifierEvictionRace(t *testing.T) {
 // TestVerifyOffSubgroupS: an on-curve S outside the r-order subgroup, which
 // UnmarshalSignature accepts, is rejected without a panic and before any
 // final exponentiation, by a warm verifier and a cold one alike. The warm
-// one's table build finds the S off G2: no Miller loop. The cold one runs
-// m_ID, a function of the identity, which its record keeps, beside S's
+// one's plain Miller loop finds the S off G2: one Miller loop. The cold one
+// runs m_ID, a function of the identity, which its record keeps, beside S's
 // Miller loop, which finds the S off G2: two Miller loops. Neither pins the
-// S or caches a table for it: the warm verifier keeps the signer's.
+// S or builds a table for it: the warm verifier keeps the signer's pair
+// with its table.
 func TestVerifyOffSubgroupS(t *testing.T) {
 	kgc, sk, warm := newTestSystem(t, "twist@manet")
 	pk, msg := sk.Public(), []byte("RREQ with a stray S")
@@ -524,7 +554,7 @@ func TestVerifyOffSubgroupS(t *testing.T) {
 		name  string
 		vf    *Verifier
 		loops uint64
-	}{{"warm", warm, 0}, {"cold", cold, 2}} {
+	}{{"warm", warm, 1}, {"cold", cold, 2}} {
 		before := bn254.ReadOpCounts()
 		if err := tc.vf.Verify(pk, msg, bad); !errors.Is(err, ErrVerifyFailed) {
 			t.Errorf("%s: want ErrVerifyFailed, got %v", tc.name, err)
@@ -536,9 +566,8 @@ func TestVerifyOffSubgroupS(t *testing.T) {
 			t.Errorf("%s: the record lost m_ID or accepted the S off the subgroup", tc.name)
 		}
 	}
-	lines, ok := tableOf(warm, pk.ID)
-	if _, coldOK := tableOf(cold, pk.ID); !ok || !lines.Q().Equal(sig.S) || coldOK {
-		t.Fatal("an off-subgroup S changed the line-table cache")
+	if pair := tabledPair(warm, pk.ID); pair == nil || !pair.s.Equal(sig.S) || tabledPair(cold, pk.ID) != nil {
+		t.Fatal("an off-subgroup S changed the line tables")
 	}
 }
 
@@ -568,9 +597,10 @@ func verdict(err error) string {
 // mask hits S — and the honest one again; the one-entry Verifier alternates
 // another signer's signature with the masked one seen twice, so every
 // identity change evicts the one record, and the masked signature is
-// checked by the plain Miller loop of a first contact and then by a line
-// table built for its S — or, when the mask names the other signer, by that
-// signer's table, replayed or rebuilt for a new S.
+// checked by the plain Miller loop of a first contact and then, if valid,
+// by the line table its accepted pair gains at that second sighting — or,
+// when the mask names the other signer, under that signer's accepted pair:
+// by its A, by its table's replay, or by the plain loop for a new S.
 // All five verdicts must land in the same accept/reject class, and the
 // honest signatures must keep verifying around the masked one.
 func FuzzVerifyColdWarmSpecAgree(f *testing.F) {

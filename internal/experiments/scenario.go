@@ -84,7 +84,7 @@ type MobilityModel int
 
 const (
 	// RandomWaypointMobility is the paper's model (§6) and the zero value:
-	// uniform waypoints, straight legs, optional pause.
+	// uniform waypoints, straight legs, no pause.
 	RandomWaypointMobility MobilityModel = iota
 	// ManhattanMobility constrains nodes to a grid of orthogonal streets
 	// with probabilistic turns at intersections — the urban city-scale

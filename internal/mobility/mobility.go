@@ -141,7 +141,8 @@ func (m *legModel) Leg(node int, t time.Duration) (from, to Point, t0, t1 time.D
 
 // RandomWaypoint is the classic random waypoint model: each node repeatedly
 // picks a uniform destination in the field and a uniform speed up to
-// MaxSpeed, travels there in a straight line, optionally pauses, and repeats.
+// MaxSpeed, travels there in a straight line, and repeats with no pause (the
+// paper's §6 setup).
 type RandomWaypoint struct {
 	legModel
 }
@@ -153,10 +154,6 @@ type RandomWaypointConfig struct {
 	// MaxSpeed bounds the per-leg speed in m/s; 0 makes all nodes static at
 	// their initial positions.
 	MaxSpeed float64
-
-	// pause is the dwell time at each waypoint: zero in the paper's setup
-	// (§6), set only by this package's tests.
-	pause time.Duration
 }
 
 // NewRandomWaypoint precomputes trajectories for n nodes up to the horizon.
@@ -176,10 +173,6 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, n int, horizon time.Duration, r
 			travel := time.Duration(pos.Dist(dst) / speed * float64(time.Second))
 			ls = append(ls, leg{start: now, end: now + travel, from: pos, to: dst})
 			now += travel
-			if cfg.pause > 0 && now < horizon {
-				ls = append(ls, leg{start: now, end: now + cfg.pause, from: dst, to: dst})
-				now += cfg.pause
-			}
 			pos = dst
 		}
 		m.legs[node] = ls
@@ -204,18 +197,11 @@ type ManhattanGridConfig struct {
 	// MaxSpeed bounds the per-block speed in m/s; 0 parks every vehicle at
 	// its starting intersection.
 	MaxSpeed float64
-
-	// spacing is the block size: streets run every spacing meters in both
-	// axes (default 100 m; set only by this package's tests).
-	spacing float64
 }
 
-func (cfg ManhattanGridConfig) withDefaults() ManhattanGridConfig {
-	if cfg.spacing <= 0 {
-		cfg.spacing = 100
-	}
-	return cfg
-}
+// blockSpacing is the Manhattan block size: streets run every blockSpacing
+// meters in both axes.
+const blockSpacing = 100
 
 // ManhattanGrid moves nodes along a grid of orthogonal streets: one block
 // per leg, a probabilistic direction choice at every intersection, a fresh
@@ -230,16 +216,15 @@ var manhattanDirs = [4][2]int{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}
 // NewManhattanGrid precomputes trajectories for n nodes up to the horizon.
 // Vehicles start at uniformly drawn intersections.
 func NewManhattanGrid(cfg ManhattanGridConfig, n int, horizon time.Duration, rng *rand.Rand) *ManhattanGrid {
-	cfg = cfg.withDefaults()
-	// Intersections live at (i*spacing, j*spacing) for i in [0, nx],
+	// Intersections live at (i, j)·blockSpacing for i in [0, nx],
 	// j in [0, ny]; a degenerate axis (field thinner than one block)
 	// still leaves a single street along the other axis.
-	nx := int(cfg.Width / cfg.spacing)
-	ny := int(cfg.Height / cfg.spacing)
+	nx := int(cfg.Width / blockSpacing)
+	ny := int(cfg.Height / blockSpacing)
 	m := &ManhattanGrid{legModel{legs: make([][]leg, n), hint: make([]leg, n)}}
 	for node := 0; node < n; node++ {
 		ix, iy := rng.Intn(nx+1), rng.Intn(ny+1)
-		pos := Point{X: float64(ix) * cfg.spacing, Y: float64(iy) * cfg.spacing}
+		pos := Point{X: float64(ix) * blockSpacing, Y: float64(iy) * blockSpacing}
 		var ls []leg
 		if cfg.MaxSpeed <= 0 || (nx == 0 && ny == 0) {
 			m.legs[node] = append(ls, leg{start: 0, end: horizon, from: pos, to: pos})
@@ -251,7 +236,7 @@ func NewManhattanGrid(cfg ManhattanGridConfig, n int, horizon time.Duration, rng
 			dir = nextManhattanDir(rng, dir, ix, iy, nx, ny)
 			ix += manhattanDirs[dir][0]
 			iy += manhattanDirs[dir][1]
-			dst := Point{X: float64(ix) * cfg.spacing, Y: float64(iy) * cfg.spacing}
+			dst := Point{X: float64(ix) * blockSpacing, Y: float64(iy) * blockSpacing}
 			speed := drawSpeed(rng, cfg.MaxSpeed)
 			travel := time.Duration(pos.Dist(dst) / speed * float64(time.Second))
 			ls = append(ls, leg{start: now, end: now + travel, from: pos, to: dst})

@@ -79,7 +79,7 @@ func TestRandomWaypointMoves(t *testing.T) {
 }
 
 func TestRandomWaypointDeterministic(t *testing.T) {
-	cfg := RandomWaypointConfig{Width: 1000, Height: 300, MaxSpeed: 15, pause: time.Second}
+	cfg := RandomWaypointConfig{Width: 1000, Height: 300, MaxSpeed: 15}
 	a := NewRandomWaypoint(cfg, 4, time.Minute, rand.New(rand.NewSource(5)))
 	b := NewRandomWaypoint(cfg, 4, time.Minute, rand.New(rand.NewSource(5)))
 	for node := 0; node < 4; node++ {
@@ -97,9 +97,9 @@ func TestRandomWaypointDeterministic(t *testing.T) {
 func TestLegMatchesPosition(t *testing.T) {
 	horizon := 120 * time.Second
 	models := map[string]Model{
-		"rwp": NewRandomWaypoint(RandomWaypointConfig{Width: 1000, Height: 500, MaxSpeed: 20, pause: time.Second},
+		"rwp": NewRandomWaypoint(RandomWaypointConfig{Width: 1000, Height: 500, MaxSpeed: 20},
 			6, horizon, rand.New(rand.NewSource(11))),
-		"manhattan": NewManhattanGrid(ManhattanGridConfig{Width: 1000, Height: 500, spacing: 100, MaxSpeed: 15},
+		"manhattan": NewManhattanGrid(ManhattanGridConfig{Width: 1000, Height: 500, MaxSpeed: 15},
 			6, horizon, rand.New(rand.NewSource(11))),
 		"static": &Static{Points: []Point{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}, {11, 12}}},
 	}
@@ -143,11 +143,10 @@ func TestLegMatchesPosition(t *testing.T) {
 }
 
 func TestManhattanGridStaysOnStreets(t *testing.T) {
-	const spacing = 100.0
-	cfg := ManhattanGridConfig{Width: 1000, Height: 600, spacing: spacing, MaxSpeed: 15}
+	cfg := ManhattanGridConfig{Width: 1000, Height: 600, MaxSpeed: 15}
 	m := NewManhattanGrid(cfg, 20, 300*time.Second, rand.New(rand.NewSource(4)))
 	onStreet := func(v float64) bool {
-		_, frac := math.Modf(v / spacing)
+		_, frac := math.Modf(v / blockSpacing)
 		return frac < 1e-9 || frac > 1-1e-9
 	}
 	for node := 0; node < m.Nodes(); node++ {
@@ -286,8 +285,7 @@ func FuzzPositionHintVsSearch(f *testing.F) {
 		var m *legModel
 		switch kind % 3 {
 		case 0:
-			pause := time.Duration(kind/3%2) * time.Second
-			m = &NewRandomWaypoint(RandomWaypointConfig{Width: 500, Height: 300, MaxSpeed: 20, pause: pause}, n, horizon, rng).legModel
+			m = &NewRandomWaypoint(RandomWaypointConfig{Width: 500, Height: 300, MaxSpeed: 20}, n, horizon, rng).legModel
 		case 1:
 			m = &NewManhattanGrid(ManhattanGridConfig{Width: 400, Height: 400, MaxSpeed: float64(kind / 3 % 2 * 15)}, n, horizon, rng).legModel
 		default:

@@ -31,7 +31,7 @@ import (
 // by `find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
 // xargs cat | wc -l`. ROADMAP aim 2 tracks the number; lower it with every
 // subtraction, raise it only with a reason in CHANGES.md.
-const maxNonTestLines = 14241
+const maxNonTestLines = 14178
 
 // maxDesignLines is the ceiling on DESIGN.md, which describes the design as
 // it is; history belongs in CHANGES.md. A heading may not name a PR either.
@@ -92,7 +92,8 @@ var mathBigFiles = map[string]bool{
 // endomorphism halves with the joint ladders that consumed them, the G2
 // eigenvalue map only those ladders used, and the line-table rule that
 // served it beside Verify (its generic helpers — check, pass, group, reject
-// — are common words and stay off the list).
+// — are common words and stay off the list), and the mixed Miller loop,
+// whose two live shapes became MillerLoopMulti and G2Lines.MillerLoop.
 var deletedNames = []string{
 	"MarshalCompact", "MarshalCompressed",
 	"NewClientWithConfig", "ClientConfig", "BreakerConfig",
@@ -120,6 +121,7 @@ var deletedNames = []string{
 	"LooseAdd", "AddQSquared",
 	"chunkWidth", "weightSeed", "newWeightSeed", "EndoScalar", "endoRows",
 	"ScalarBaseMultSubEndo", "MultiScalarMultEndo", "glvLambdaFr", "glvBetaG2", "lineTable",
+	"MillerLoopMixed",
 }
 
 // deletedDirs are the packages and commands that went with them.
