@@ -73,57 +73,16 @@ func (z *G1) Neg(x *G1) *G1 {
 	return z
 }
 
-// Add sets z = a + b by the affine chord-and-tangent rule.
+// Add sets z = a + b: b added to a in Jacobian coordinates, then one
+// inversion back to affine.
 func (z *G1) Add(a, b *G1) *G1 {
-	if a.Inf {
-		return z.Set(b)
-	}
 	if b.Inf {
 		return z.Set(a)
 	}
-	if a.X.Equal(&b.X) {
-		if !a.Y.Equal(&b.Y) {
-			return z.Set(G1Infinity())
-		}
-		return z.Double(a)
-	}
-	// lambda = (y2-y1)/(x2-x1); x2 ≠ x1 here, so the inverse exists.
-	var num, den, lambda, x3, y3 fp.Element
-	num.Sub(&b.Y, &a.Y)
-	den.Sub(&b.X, &a.X)
-	fpMustInverse(&den, &den)
-	lambda.Mul(&num, &den)
-	x3.Square(&lambda)
-	x3.Sub(&x3, &a.X)
-	x3.Sub(&x3, &b.X)
-	y3.Sub(&a.X, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &a.Y)
-	z.X, z.Y, z.Inf = x3, y3, false
-	return z
-}
-
-// Double sets z = 2a.
-func (z *G1) Double(a *G1) *G1 {
-	if a.Inf || a.Y.IsZero() {
-		return z.Set(G1Infinity())
-	}
-	// lambda = 3x²/(2y); y ≠ 0 here, so the inverse exists.
-	var num, den, lambda, x3, y3 fp.Element
-	num.Square(&a.X)
-	den.Double(&num)
-	num.Add(&den, &num) // 3x²
-	den.Double(&a.Y)
-	fpMustInverse(&den, &den)
-	lambda.Mul(&num, &den)
-	x3.Square(&lambda)
-	x3.Sub(&x3, &a.X)
-	x3.Sub(&x3, &a.X)
-	y3.Sub(&a.X, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &a.Y)
-	z.X, z.Y, z.Inf = x3, y3, false
-	return z
+	var j g1Jac
+	j.fromAffine(a)
+	j.addMixed(b)
+	return j.affine(z)
 }
 
 // ScalarMult sets z = k·a via GLV decomposition and a joint wNAF ladder
@@ -140,8 +99,8 @@ func (z *G1) ScalarMult(a *G1, k *big.Int) *G1 { return z.ScalarMultFr(a, frFrom
 // ScalarMultFr is ScalarMult for a limb-typed scalar: the implementation.
 func (z *G1) ScalarMultFr(a *G1, k *fr.Element) *G1 {
 	opCounters.g1Mults.Add(1)
-	var buf [2 * jointSlice][halfDigits]int8
-	rows := glv.rows(&buf, []fr.Element{*k})
+	var buf [2][halfDigits]int8
+	rows := glv.rows(buf[:], []fr.Element{*k})
 	acc := g1Joint(a, rows[:2])
 	return acc.affine(z)
 }

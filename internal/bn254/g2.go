@@ -112,53 +112,16 @@ func (z *G2) Neg(x *G2) *G2 {
 	return z
 }
 
-// Add sets z = a + b by the affine chord-and-tangent rule.
+// Add sets z = a + b: b added to a in Jacobian coordinates, then one
+// inversion back to affine.
 func (z *G2) Add(a, b *G2) *G2 {
-	if a.Inf {
-		return z.Set(b)
-	}
 	if b.Inf {
 		return z.Set(a)
 	}
-	if a.X.Equal(&b.X) {
-		if !a.Y.Equal(&b.Y) {
-			return z.Set(G2Infinity())
-		}
-		return z.Double(a)
-	}
-	var lambda, den, x3, y3 Fp2
-	lambda.Sub(&b.Y, &a.Y)
-	den.Sub(&b.X, &a.X)
-	lambda.Mul(&lambda, den.Inverse(&den))
-	x3.Square(&lambda)
-	x3.Sub(&x3, &a.X)
-	x3.Sub(&x3, &b.X)
-	y3.Sub(&a.X, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &a.Y)
-	z.X, z.Y, z.Inf = x3, y3, false
-	return z
-}
-
-// Double sets z = 2a.
-func (z *G2) Double(a *G2) *G2 {
-	if a.Inf || a.Y.IsZero() {
-		return z.Set(G2Infinity())
-	}
-	var lambda, t, den, x3, y3 Fp2
-	t.Square(&a.X)
-	lambda.Add(&t, &t)
-	lambda.Add(&lambda, &t) // 3x²
-	den.Add(&a.Y, &a.Y)
-	lambda.Mul(&lambda, den.Inverse(&den))
-	x3.Square(&lambda)
-	x3.Sub(&x3, &a.X)
-	x3.Sub(&x3, &a.X)
-	y3.Sub(&a.X, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &a.Y)
-	z.X, z.Y, z.Inf = x3, y3, false
-	return z
+	var j g2Jac
+	j.fromAffine(a)
+	j.addMixed(b)
+	return j.affine(z)
 }
 
 // ScalarMult sets z = k·a with k reduced modulo r first; the ψ split
@@ -186,7 +149,7 @@ func (z *G2) MultiScalarMultFr(pts []*G2, ks []fr.Element) *G2 {
 	for len(pts) > 0 {
 		n := min(len(pts), glsSlice)
 		var buf [2 * jointSlice][halfDigits]int8
-		rows := gls.rows(&buf, ks[:n])
+		rows := gls.rows(buf[:], ks[:n])
 		acc := g2Joint(pts[:n], rows[:4*n])
 		sum.add(&acc)
 		pts, ks = pts[n:], ks[n:]

@@ -250,12 +250,12 @@ func (s *scalarSplit) round(k *[4]uint64, j int) (m [4]uint64) {
 	return m
 }
 
-// rows recodes at most 2·jointSlice/dim scalars into buf in the row order
-// of g1Joint and g2Joint, ksᵢ ≡ Σₕ rows[h·len(ks)+i]·εʰ (mod r), a negative
-// part's digits negated so that the tables stay those of εʰ(P). The rows
-// come back by value: stored through a pointer they would move buf to the
-// heap.
-func (s *scalarSplit) rows(buf *[2 * jointSlice][halfDigits]int8, ks []fr.Element) (rows [2 * jointSlice][]int8) {
+// rows recodes at most 2·jointSlice/dim scalars into the first dim·len(ks)
+// rows of the caller's buffer, in the row order of g1Joint and g2Joint,
+// ksᵢ ≡ Σₕ rows[h·len(ks)+i]·εʰ (mod r), a negative part's digits negated
+// so that the tables stay those of εʰ(P). The rows come back by value:
+// stored through a pointer they would move buf to the heap.
+func (s *scalarSplit) rows(buf [][halfDigits]int8, ks []fr.Element) (rows [2 * jointSlice][]int8) {
 	for i := range ks {
 		limbs := ks[i].Limbs()
 		parts, negs := s.split(&limbs)

@@ -13,7 +13,8 @@ import (
 // exponentiation (vs the Devegili–Scott–Dahab chain), the schoolbook Fp12
 // product and square, the Galois-norm Fp12 inverse and the generic Fp12
 // ladder (vs the Fp6-view kernels and the cyclotomic wNAF ladder), the
-// affine and plain-Jacobian scalar ladders (vs the walkWNAF engine), and
+// affine ladders, with the chord-and-tangent formulas they share with no
+// shipped code, and the plain-Jacobian ladders (vs the walkWNAF engine), and
 // the full-width forms the Frobenius shortcuts replaced: the [r]Q subgroup
 // check, the [2p - r]Q cofactor clearing and the power-rebuilding Fp12
 // Frobenius with its six-fold conjugate.
@@ -268,9 +269,9 @@ func computeFinalExpHard() *big.Int {
 func g1ScalarMultAffine(a *G1, k *big.Int) *G1 {
 	acc := G1Infinity()
 	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.Double(acc)
+		acc = g1DoubleAffine(acc)
 		if k.Bit(i) == 1 {
-			acc.Add(acc, a)
+			acc = g1AddAffine(acc, a)
 		}
 	}
 	return acc
@@ -281,12 +282,112 @@ func g1ScalarMultAffine(a *G1, k *big.Int) *G1 {
 func g2ScalarMultAffine(a *G2, k *big.Int) *G2 {
 	acc := G2Infinity()
 	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.Double(acc)
+		acc = g2DoubleAffine(acc)
 		if k.Bit(i) == 1 {
-			acc.Add(acc, a)
+			acc = g2AddAffine(acc, a)
 		}
 	}
 	return acc
+}
+
+// g1AddAffine is a + b by the affine chord-and-tangent rule, sharing no
+// formula with the Jacobian code G1.Add is built on.
+func g1AddAffine(a, b *G1) *G1 {
+	if a.Inf {
+		return new(G1).Set(b)
+	}
+	if b.Inf {
+		return new(G1).Set(a)
+	}
+	if a.X.Equal(&b.X) {
+		if !a.Y.Equal(&b.Y) {
+			return G1Infinity()
+		}
+		return g1DoubleAffine(a)
+	}
+	// lambda = (y2-y1)/(x2-x1); x2 ≠ x1 here, so the inverse exists.
+	var lambda, den fp.Element
+	lambda.Sub(&b.Y, &a.Y)
+	den.Sub(&b.X, &a.X)
+	fpMustInverse(&den, &den)
+	lambda.Mul(&lambda, &den)
+	return g1Chord(a, b, &lambda)
+}
+
+// g1DoubleAffine is 2a by the tangent at a.
+func g1DoubleAffine(a *G1) *G1 {
+	if a.Inf || a.Y.IsZero() {
+		return G1Infinity()
+	}
+	// lambda = 3x²/(2y); y ≠ 0 here, so the inverse exists.
+	var lambda, t, den fp.Element
+	t.Square(&a.X)
+	lambda.Double(&t)
+	lambda.Add(&lambda, &t)
+	den.Double(&a.Y)
+	fpMustInverse(&den, &den)
+	lambda.Mul(&lambda, &den)
+	return g1Chord(a, a, &lambda)
+}
+
+// g1Chord is the third point, negated, of the line of slope lambda through
+// a and b: x3 = lambda² - xa - xb, y3 = lambda(xa - x3) - ya.
+func g1Chord(a, b *G1, lambda *fp.Element) *G1 {
+	z := new(G1)
+	z.X.Square(lambda)
+	z.X.Sub(&z.X, &a.X)
+	z.X.Sub(&z.X, &b.X)
+	z.Y.Sub(&a.X, &z.X)
+	z.Y.Mul(&z.Y, lambda)
+	z.Y.Sub(&z.Y, &a.Y)
+	return z
+}
+
+// g2AddAffine is g1AddAffine on the twist.
+func g2AddAffine(a, b *G2) *G2 {
+	if a.Inf {
+		return new(G2).Set(b)
+	}
+	if b.Inf {
+		return new(G2).Set(a)
+	}
+	if a.X.Equal(&b.X) {
+		if !a.Y.Equal(&b.Y) {
+			return G2Infinity()
+		}
+		return g2DoubleAffine(a)
+	}
+	var lambda, den Fp2
+	lambda.Sub(&b.Y, &a.Y)
+	den.Sub(&b.X, &a.X)
+	lambda.Mul(&lambda, den.Inverse(&den))
+	return g2Chord(a, b, &lambda)
+}
+
+// g2DoubleAffine is g1DoubleAffine on the twist.
+func g2DoubleAffine(a *G2) *G2 {
+	if a.Inf || a.Y.IsZero() {
+		return G2Infinity()
+	}
+	var lambda, t, den Fp2
+	t.Square(&a.X)
+	lambda.Add(&t, &t)
+	lambda.Add(&lambda, &t)
+	den.Add(&a.Y, &a.Y)
+	lambda.Mul(&lambda, den.Inverse(&den))
+	return g2Chord(a, a, &lambda)
+}
+
+// g2Chord is g1Chord on the twist.
+func g2Chord(a, b *G2, lambda *Fp2) *G2 {
+	z := new(G2)
+	z.X.Square(lambda)
+	z.X.Sub(&z.X, &a.X)
+	z.X.Sub(&z.X, &b.X)
+	z.Y.Sub(&a.X, &z.X)
+	z.Y.Mul(&z.Y, lambda)
+	z.Y.Sub(&z.Y, &a.Y)
+	return z
 }
 
 // g1ScalarMultJac computes k·a (k already reduced and non-negative) by the

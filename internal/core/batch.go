@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"mccls/internal/bn254"
 	"mccls/internal/bn254/fr"
+	"mccls/internal/fan"
 )
 
 // BatchOptions configure a BatchVerifier. There are none: the zero value
@@ -94,7 +93,7 @@ func (bv *BatchVerifier) newWindow(pks []*PublicKey, msgs [][]byte, sigs []*Sign
 	n, procs := len(sigs), runtime.GOMAXPROCS(0)
 	w := &window{vf: bv.vf, pks: pks, msgs: msgs, sigs: sigs, k: make([]fr.Element, n), at: make([]slot, n),
 		blocks: max((n+bn254.BaseMultAddBlock-1)/bn254.BaseMultAddBlock, min(n, procs))}
-	fanOut(procs, w.blocks, w, (*window).prologue)
+	fan.Out(procs, w.blocks, w, (*window).prologue)
 	if i := slices.IndexFunc(w.at, func(at slot) bool { return at.err != nil && at.err != errZeroChallenge }); i >= 0 {
 		return nil, w.at[i].err
 	}
@@ -170,61 +169,9 @@ func batchInverse(out, xs []fr.Element) int {
 	return -1
 }
 
-// fanOut runs task(x, 0), …, task(x, n-1) on min(width, n) goroutines, the
-// caller one of them, each claiming the next index from a shared counter, so
-// tasks start in index order. At width 1 they run inline, in order, and the
-// fan-out allocates nothing. The caller yields after spawning, so a worker
-// starts on its P at once (DESIGN.md §6 "Fan-out"). A task's panic stops its
-// worker; the others finish, and the caller re-raises the first panic.
-func fanOut[T any](width, n int, x T, task func(T, int)) {
-	if width = min(width, n); width <= 1 {
-		for t := range n {
-			task(x, t)
-		}
-		return
-	}
-	f := &fan[T]{x: x, task: task, n: n}
-	f.wg.Add(width - 1)
-	for range width - 1 {
-		go func() {
-			defer f.wg.Done()
-			f.run()
-		}()
-	}
-	runtime.Gosched()
-	f.run()
-	f.wg.Wait()
-	if f.fault != nil {
-		panic(f.fault)
-	}
-}
-
-// fan is a wide fanOut's state, its one allocation beside the closures.
-type fan[T any] struct {
-	x     T
-	task  func(T, int)
-	n     int
-	next  atomic.Int64
-	wg    sync.WaitGroup
-	once  sync.Once
-	fault any
-}
-
-// run claims and runs tasks until none is left, recording a panic.
-func (f *fan[T]) run() {
-	defer func() {
-		if v := recover(); v != nil {
-			f.once.Do(func() { f.fault = v })
-		}
-	}()
-	for t := int(f.next.Add(1)) - 1; t < f.n; t = int(f.next.Add(1)) - 1 {
-		f.task(f.x, t)
-	}
-}
-
 // settle decides every index the prologue left, each exactly: those with no
 // accepted pair under their S. They are cut into S-groups, the tasks of a
-// fanOut over GOMAXPROCS, and a group walks its indices in index order: an
+// fan.Out over GOMAXPROCS, and a group walks its indices in index order: an
 // index whose identity's record holds an accepted pair under its S by then
 // is decided by that pair (valid), any other by Verify, which pins the pair
 // when it accepts. A group's first valid index thus pays one pairing and
@@ -240,7 +187,7 @@ func (w *window) settle() {
 			w.groups = append(w.groups, []int{i})
 		}
 	}
-	fanOut(runtime.GOMAXPROCS(0), len(w.groups), w, (*window).group)
+	fan.Out(runtime.GOMAXPROCS(0), len(w.groups), w, (*window).group)
 }
 
 // group is task g of settle: S-group g's indices, in index order.

@@ -7,6 +7,7 @@ import (
 
 	"mccls/internal/bn254"
 	"mccls/internal/bn254/fr"
+	"mccls/internal/fan"
 	"mccls/internal/lru"
 )
 
@@ -158,7 +159,7 @@ func (vf *Verifier) Verify(pk *PublicKey, msg []byte, sig *Signature) error {
 		s.run(sig, r.ok.Load())
 	} else {
 		c := &sSide{k: k, sig: sig, vf: vf, id: pk.ID, r: r}
-		fanOut(min(2, runtime.GOMAXPROCS(0)), 2, c, (*sSide).side)
+		fan.Out(min(2, runtime.GOMAXPROCS(0)), 2, c, (*sSide).side)
 		s, r = *c, c.r
 	}
 	if s.f == nil || !bn254.ReducesToOne(s.f.Mul(s.f, r.m.Load())) {
@@ -187,7 +188,7 @@ type sSide struct {
 	r     *signer
 }
 
-// side is task t of a first contact's fanOut: S's side, or rhs (Y_ID, m_ID).
+// side is task t of a first contact's fan.Out: S's side, or rhs (Y_ID, m_ID).
 func (s *sSide) side(t int) {
 	if t == 0 {
 		s.run(s.sig, nil)

@@ -112,18 +112,25 @@ func verifyOpCounts(t *testing.T, procs int) {
 	}
 	r, _ := vf.signers.Get(sk2.Public().ID)
 	pair := r.ok.Load()
+	// A forged S under a known identity runs the plain loop: its allocs are
+	// that loop's Miller value alone, with no line table built or replayed.
 	for _, tc := range []struct {
 		name      string
 		s         *bn254.G2
 		finalExps uint64
-	}{{"forged S on G2", new(bn254.G2).Add(sig2.S, sig2.S), 1}, {"forged S off G2", offSubgroupG2(t), 0}} {
+		allocs    float64
+	}{{"forged S on G2", new(bn254.G2).Add(sig2.S, sig2.S), 1, 1}, {"forged S off G2", offSubgroupG2(t), 0, 1}} {
+		forged := &Signature{V: sig2.V, S: tc.s, R: sig2.R}
 		before := bn254.ReadOpCounts()
-		if err := vf.Verify(sk2.Public(), msg, &Signature{V: sig2.V, S: tc.s, R: sig2.R}); !errors.Is(err, ErrVerifyFailed) {
+		if err := vf.Verify(sk2.Public(), msg, forged); !errors.Is(err, ErrVerifyFailed) {
 			t.Fatalf("GOMAXPROCS %d, %s: %v", procs, tc.name, err)
 		}
 		if d := bn254.ReadOpCounts().Sub(before); d.Pairings != 1 || d.FinalExps != tc.finalExps || r.ok.Load() != pair {
 			t.Errorf("GOMAXPROCS %d, %s: %d Miller loops, %d final exps, pair kept %v; want 1, %d, true", procs, tc.name,
 				d.Pairings, d.FinalExps, r.ok.Load() == pair, tc.finalExps)
+		}
+		if a := testing.AllocsPerRun(5, func() { vf.Verify(sk2.Public(), msg, forged) }); a != tc.allocs {
+			t.Errorf("GOMAXPROCS %d, %s: %v allocs per Verify, want %v", procs, tc.name, a, tc.allocs)
 		}
 	}
 	if pair.lines == nil || tables(vf, []*PublicKey{sk2.Public()}) != 1 {

@@ -2,14 +2,18 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
+	"mccls/internal/fan"
 	"mccls/internal/routing"
-	"mccls/internal/runner"
 )
 
 // Series is one labelled curve of a figure.
@@ -37,7 +41,18 @@ type Figure struct {
 
 // TrialUpdate is the per-trial progress record delivered to
 // SweepConfig.Progress (one per finished simulation).
-type TrialUpdate = runner.Update
+type TrialUpdate struct {
+	// Index is the trial's position in the sweep; Done counts finished
+	// trials including this one, out of Total.
+	Index, Done, Total int
+	Label              string
+	Err                error
+	// Wall is the trial's wall-clock duration, Events the simulator events
+	// it processed and EventsPerSec their rate (0 when Events is 0).
+	Wall         time.Duration
+	Events       uint64
+	EventsPerSec float64
+}
 
 // SweepConfig drives every figure's sweep. Zero values select the figure's
 // own setup (the paper's, for Figures 1–5).
@@ -285,7 +300,8 @@ func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) (xs []float64
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	trials := make([]runner.Trial[routing.Stats], 0, len(curves)*len(xs)*cfg.Repeats)
+	var scs []Scenario
+	var labels []string
 	for _, c := range curves {
 		for _, x := range xs {
 			for k := 0; k < cfg.Repeats; k++ {
@@ -297,22 +313,14 @@ func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) (xs []float64
 				}
 				sc.OnlineEnrollment = sc.OnlineEnrollment || c.Online
 				sc.Seed = cfg.Seed + int64(k)*7919
-				trials = append(trials, runner.Trial[routing.Stats]{
-					Label: fmt.Sprintf("%s %s=%v seed=%d", c.Label, ax.Name, x, sc.Seed),
-					Run: func(ctx context.Context, obs *runner.Obs) (routing.Stats, error) {
-						res, err := sc.run(ctx, dsr)
-						obs.Events = res.Events
-						return res.Stats, err
-					},
-				})
+				scs = append(scs, sc)
+				labels = append(labels, fmt.Sprintf("%s %s=%v seed=%d", c.Label, ax.Name, x, sc.Seed))
 			}
 		}
 	}
-	stats, err := runner.Run(context.Background(), runner.Options{
-		Workers:  cfg.Workers,
-		Timeout:  cfg.TrialTimeout,
-		Progress: cfg.Progress,
-	}, trials)
+	stats, err := cfg.runTrials(labels, func(ctx context.Context, i int) (Result, error) {
+		return scs[i].run(ctx, dsr)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -324,6 +332,84 @@ func (cfg SweepConfig) results(ax *Axis, curves []Curve, dsr bool) (xs []float64
 		runs = append(runs, points)
 	}
 	return xs, runs, nil
+}
+
+// runTrials runs trial(ctx, 0), …, trial(ctx, n-1) for n labels on a
+// fan.Out of cfg.Workers goroutines (≤ 0: GOMAXPROCS; 1: inline, in order)
+// and returns their counters in trial order. A trial's ctx expires after
+// cfg.TrialTimeout (0: never) and is cancelled by the sweep's first failure,
+// which a trial not yet started then skips; a trial's panic is its error,
+// with its stack. The error returned is the lowest-index failure other than
+// that cancellation. cfg.Progress gets one update per finished trial.
+func (cfg SweepConfig) runTrials(labels []string, trial func(context.Context, int) (Result, error)) ([]routing.Stats, error) {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b := &batch{cfg: cfg, labels: labels, trial: trial, ctx: ctx, cancel: cancel,
+		stats: make([]routing.Stats, len(labels)), errs: make([]error, len(labels))}
+	fan.Out(workers, len(labels), b, (*batch).run)
+	i := slices.IndexFunc(b.errs, func(err error) bool { return err != nil && !errors.Is(err, context.Canceled) })
+	if i < 0 {
+		i = slices.IndexFunc(b.errs, func(err error) bool { return err != nil })
+	}
+	if i >= 0 {
+		return nil, fmt.Errorf("experiments: trial %d (%s): %w", i, labels[i], b.errs[i])
+	}
+	return b.stats, nil
+}
+
+// batch is a runTrials call's state; mu serializes Progress and done.
+type batch struct {
+	cfg    SweepConfig
+	labels []string
+	trial  func(context.Context, int) (Result, error)
+	ctx    context.Context
+	cancel context.CancelFunc
+	stats  []routing.Stats
+	errs   []error
+	mu     sync.Mutex
+	done   int
+}
+
+// run is task i of runTrials' fan.Out: trial i, unless a failure came first.
+func (b *batch) run(i int) {
+	if b.ctx.Err() != nil {
+		return
+	}
+	start := time.Now()
+	ctx := b.ctx
+	if b.cfg.TrialTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, b.cfg.TrialTimeout)
+		defer cancel()
+	}
+	var res Result
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				b.errs[i] = fmt.Errorf("panicked: %v\n%s", v, debug.Stack())
+			}
+		}()
+		res, b.errs[i] = b.trial(ctx, i)
+	}()
+	if b.stats[i] = res.Stats; b.errs[i] != nil {
+		b.cancel()
+	}
+	wall := time.Since(start)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.done++
+	if b.cfg.Progress != nil {
+		u := TrialUpdate{Index: i, Done: b.done, Total: len(b.labels), Label: b.labels[i], Err: b.errs[i],
+			Wall: wall, Events: res.Events}
+		if secs := wall.Seconds(); secs > 0 && res.Events > 0 {
+			u.EventsPerSec = float64(res.Events) / secs
+		}
+		b.cfg.Progress(u)
+	}
 }
 
 // t95 holds the two-sided 95% Student-t critical values for 1–30 degrees of

@@ -5,9 +5,9 @@
 // its windows as lifecycle events on the MANET simulator's clock, and the
 // KGC service's chaos injector (kgcd.Injector) polls the same windows over
 // signer replicas per request against its clock. Because nothing about a
-// crash list depends on execution order, faulted runs compose with the
-// internal/runner parallel engine exactly like clean ones: same seed + same
-// crashes → bit-identical results at any worker count.
+// crash list depends on execution order, faulted runs compose with a
+// parallel figure sweep exactly like clean ones: same seed + same crashes →
+// bit-identical results at any worker count.
 package fault
 
 import (

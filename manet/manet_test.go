@@ -31,7 +31,7 @@ func TestScenarioZeroValueDefaults(t *testing.T) {
 	}
 }
 
-// TestParallelSweepSurface exercises the parallel-runner surface of the
+// TestParallelSweepSurface exercises the parallel-sweep surface of the
 // public API: worker count, per-trial progress with event observability,
 // and per-point confidence intervals.
 func TestParallelSweepSurface(t *testing.T) {
