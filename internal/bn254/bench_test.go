@@ -78,14 +78,40 @@ func BenchmarkNewG2Lines(b *testing.B) {
 	}
 }
 
+// BenchmarkFinalExponentiation/interleaved is the final exponentiation.
+// /ops-grouped computes no final exponentiation: it runs the same operation
+// multiset grouped by kind (the easy part, the 20 conjugations and 7
+// Frobenius maps, the 193 cyclotomic squarings, then the 61 multiplications),
+// so each kernel runs hot in turn. It is the front-end floor the interleaved
+// chain is compared with: the gap is what the kernels pay for evicting each
+// other from the instruction cache.
 func BenchmarkFinalExponentiation(b *testing.B) {
 	p, q := benchPoints(b)
 	f := MillerLoopMulti([]*G1{p}, []*G2{q})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		finalExponentiation(new(Fp12), f)
-	}
+	b.Run("interleaved", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			finalExponentiation(new(Fp12), f)
+		}
+	})
+	b.Run("ops-grouped", func(b *testing.B) {
+		var r, t Fp12
+		for range b.N {
+			r.easyPart(f)
+			for range 20 {
+				t.Conjugate(&r)
+			}
+			for _, n := range []int{1, 2, 1, 1, 1, 1, 2} {
+				t.FrobeniusN(&r, n)
+			}
+			for range 193 {
+				r.CyclotomicSquare(&r)
+			}
+			for range 61 {
+				r.Mul(&r, &t)
+			}
+		}
+	})
 }
 
 func BenchmarkG1ScalarMult(b *testing.B) {
@@ -244,14 +270,26 @@ func BenchmarkFp12Square(b *testing.B) {
 	}
 }
 
-// BenchmarkMulBySparse folds one replayed, normalised line into the
-// accumulator: the 12-product step a line-table replay pays per line.
+// BenchmarkMulBySparse folds one line into the accumulator: /plain a
+// doubling line evaluated at p, the 18-product fold MillerLoopMulti pays per
+// line, and /replayed a line table's normalised line, 12 products.
 func BenchmarkMulBySparse(b *testing.B) {
 	p, q := benchPoints(b)
 	f := millerLoop(p, q)
-	l := &NewG2Lines(q).lines[0]
-	b.ResetTimer()
-	for range b.N {
-		f.mulBySparse(nil, &l[0], &l[1])
-	}
+	var l lineEval
+	var t g2Proj
+	t.fromAffine(q)
+	t.doubleStepProj(&l)
+	l.at(p)
+	b.Run("plain", func(b *testing.B) {
+		for range b.N {
+			f.mulByLine(&l)
+		}
+	})
+	n := &NewG2Lines(q).lines[0]
+	b.Run("replayed", func(b *testing.B) {
+		for range b.N {
+			f.mulBySparse(nil, &n[0], &n[1])
+		}
+	})
 }

@@ -63,21 +63,75 @@ func threePlusTwo(z, s, x *E2) {
 func MulE6(z, x, y *[3]E2) { mulE6(z, x, y) }
 
 func mulE6Composed(z, x, y *[3]E2) {
-	var x1, x2 E2
-	x1.MulByXi(&x[1])
-	x2.MulByXi(&x[2])
+	// Output k's j-th product is xe[k − j + 2]·y[j], ξ·x[i] where k − j wraps.
+	xe := [5]E2{{}, {}, x[0], x[1], x[2]}
+	xe[0].MulByXi(&x[1])
+	xe[1].MulByXi(&x[2])
 	var c [3][2]Wide
-	MulAcc(&c[0][0], &c[0][1], &x[0], &y[0])
-	MulAcc(&c[0][0], &c[0][1], &x1, &y[2])
-	MulAcc(&c[0][0], &c[0][1], &x2, &y[1])
-	MulAcc(&c[1][0], &c[1][1], &x[0], &y[1])
-	MulAcc(&c[1][0], &c[1][1], &x[1], &y[0])
-	MulAcc(&c[1][0], &c[1][1], &x2, &y[2])
-	MulAcc(&c[2][0], &c[2][1], &x[0], &y[2])
-	MulAcc(&c[2][0], &c[2][1], &x[1], &y[1])
-	MulAcc(&c[2][0], &c[2][1], &x[2], &y[0])
+	for k := range c {
+		for j := range y {
+			MulAcc(&c[k][0], &c[k][1], &xe[k-j+2], &y[j])
+		}
+	}
 	for k := range c {
 		c[k][0].Reduce(&z[k].C0)
 		c[k][1].Reduce(&z[k].C1)
 	}
+}
+
+// MulE12 sets z = x·y in Fp12 by Karatsuba over the Fp6 view, x = a + b·w and
+// y = c + d·w (a, c the even and b, d the odd coefficients, v = w²): x·y =
+// (ac + v·bd) + ((a + b)(c + d) − ac − bd)·w, three MulE6. z may alias x or y.
+func MulE12(z, x, y *[6]E2) { mulE12(z, x, y) }
+
+func mulE12Composed(z, x, y *[6]E2) {
+	var a, b, c, d, s, t [3]E2
+	for k := range a {
+		a[k], b[k], c[k], d[k] = x[2*k], x[2*k+1], y[2*k], y[2*k+1]
+		s[k].Add(&a[k], &b[k])
+		t[k].Add(&c[k], &d[k])
+	}
+	MulE6(&a, &a, &c)
+	MulE6(&b, &b, &d)
+	MulE6(&s, &s, &t)
+	vb := [3]E2{{}, b[0], b[1]} // v·bd
+	vb[0].MulByXi(&b[2])
+	for k := range a {
+		z[2*k].Add(&a[k], &vb[k])
+		z[2*k+1].Sub(&s[k], &a[k])
+		z[2*k+1].Sub(&z[2*k+1], &b[k])
+	}
+}
+
+// MulBySparse sets z = z·(c0 + c1·w + c3·w³), a Miller line: each output
+// coefficient accumulates its three Fp2 products unreduced (MulAcc) and
+// reduces once, the ξ of terms wrapping past w⁵ applied to c1 and c3 first.
+// A nil c0 stands for 1, a replayed normalised line: its products are
+// skipped and z's own coefficient added after the reduction, 12 products.
+func MulBySparse(z *[6]E2, c0, c1, c3 *E2) { mulBySparse(z, c0, c1, c3) }
+
+func mulBySparseComposed(z *[6]E2, c0, c1, c3 *E2) {
+	var xi [2]E2 // ξ·c1, ξ·c3
+	xi[0].MulByXi(c1)
+	xi[1].MulByXi(c3)
+	var res [6]E2
+	for k := range res {
+		var acc [2]Wide
+		if c0 != nil {
+			MulAcc(&acc[0], &acc[1], &z[k], c0)
+		}
+		for i, c := range [2]*E2{c1, c3} {
+			j := 2*i + 1 // c·w^j lands on w^k from z[k − j], or wraps
+			if k < j {
+				c = &xi[i]
+			}
+			MulAcc(&acc[0], &acc[1], &z[(k-j+6)%6], c)
+		}
+		acc[0].Reduce(&res[k].C0)
+		acc[1].Reduce(&res[k].C1)
+		if c0 == nil {
+			res[k].Add(&res[k], &z[k])
+		}
+	}
+	*z = res
 }

@@ -181,3 +181,108 @@ func TestMulE6KernelVsComposed(t *testing.T) {
 		checkMulE6(t, [3]E2(v[:3]), [3]E2(v[3:]))
 	}
 }
+
+// lineShaped keeps x's w⁰, w¹ and w³ pairs, the shape of a Miller line.
+func lineShaped(x [6]E2) [6]E2 {
+	return [6]E2{x[0], x[1], {}, x[3], {}, {}}
+}
+
+// checkMulE12 holds the Fp12 product kernel to its composition on (x, y),
+// into a fresh receiver, into receivers aliasing x and y, and squaring.
+func checkMulE12(t *testing.T, x, y [6]E2) {
+	t.Helper()
+	var want, got, sq, wantSq [6]E2
+	mulE12Composed(&want, &x, &y)
+	mulE12(&got, &x, &y)
+	zx, zy := x, y
+	mulE12(&zx, &zx, &y)
+	mulE12(&zy, &x, &zy)
+	mulE12Composed(&wantSq, &x, &x)
+	sq = x
+	mulE12(&sq, &sq, &sq)
+	if got != want || zx != want || zy != want || sq != wantSq {
+		t.Fatalf("mulE12(%v, %v): kernel %v, z=x %v, z=y %v; composition %v", x, y, got, zx, zy, want)
+	}
+}
+
+// FuzzMulE12KernelVsComposed fuzzes the Fp12 product kernel against the
+// composition on two elements read from the input (e12FromBytes of its
+// first 384 bytes and of the rest), seeded with the edge sweep, each edge
+// times itself and times its line-shaped part.
+func FuzzMulE12KernelVsComposed(f *testing.F) {
+	for _, x := range cycEdges() {
+		l := lineShaped(x)
+		f.Add(append(e12Bytes(&x), e12Bytes(&x)...))
+		f.Add(append(e12Bytes(&x), e12Bytes(&l)...))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkMulE12(t, e12FromBytes(b), e12FromBytes(b[min(len(b), 384):]))
+	})
+}
+
+// TestMulE12KernelVsComposed runs every edge against every edge and its
+// line-shaped part, and seeded random inputs, on either build.
+func TestMulE12KernelVsComposed(t *testing.T) {
+	edges := cycEdges()
+	for _, a := range edges {
+		for _, b := range edges {
+			checkMulE12(t, a, b)
+			checkMulE12(t, a, lineShaped(b))
+		}
+	}
+	r := rand.New(rand.NewSource(12))
+	var buf [768]byte
+	for range 1000 {
+		r.Read(buf[:])
+		checkMulE12(t, e12FromBytes(buf[:384]), e12FromBytes(buf[384:]))
+	}
+}
+
+// checkMulBySparse holds the sparse fold kernel to its composition for z
+// and the line (l[0], l[1], l[2]) = (c0, c1, c3), in both shapes: the plain
+// line and the replayed one, whose nil c0 stands for 1.
+func checkMulBySparse(t *testing.T, z [6]E2, l [3]E2) {
+	t.Helper()
+	for _, c0 := range []*E2{&l[0], nil} {
+		want, got := z, z
+		mulBySparseComposed(&want, c0, &l[1], &l[2])
+		mulBySparse(&got, c0, &l[1], &l[2])
+		if got != want {
+			t.Fatalf("mulBySparse(%v, c0 %v, %v, %v): kernel %v; composition %v", z, c0, l[1], l[2], got, want)
+		}
+	}
+}
+
+// FuzzMulBySparseKernelVsComposed fuzzes the sparse fold kernel against the
+// composition, both shapes, on z read from the input's first 384 bytes and
+// the line from the next 192, seeded with the edge sweep as z beside every
+// edge's w⁰, w¹ and w³ pairs as the line and, for a line-shaped z, its own.
+func FuzzMulBySparseKernelVsComposed(f *testing.F) {
+	for _, x := range cycEdges() {
+		l := lineShaped(x)
+		f.Add(append(e12Bytes(&x), e12Bytes(&[6]E2{x[0], x[1], x[3]})[:192]...))
+		f.Add(append(e12Bytes(&l), e12Bytes(&[6]E2{x[0], x[1], x[3]})[:192]...))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		l := e12FromBytes(b[min(len(b), 384):])
+		checkMulBySparse(t, e12FromBytes(b), [3]E2(l[:3]))
+	})
+}
+
+// TestMulBySparseKernelVsComposed runs every edge as z against every edge's
+// line pairs, and seeded random inputs, on either build.
+func TestMulBySparseKernelVsComposed(t *testing.T) {
+	edges := cycEdges()
+	for _, z := range edges {
+		for _, x := range edges {
+			checkMulBySparse(t, z, [3]E2{x[0], x[1], x[3]})
+		}
+	}
+	r := rand.New(rand.NewSource(60))
+	var buf [576]byte
+	for range 1000 {
+		r.Read(buf[:])
+		l := e12FromBytes(buf[384:])
+		checkMulBySparse(t, e12FromBytes(buf[:384]), [3]E2(l[:3]))
+	}
+}

@@ -101,6 +101,12 @@ func fpCycSquare(z, x *[6]E2)
 //go:noescape
 func fpMulE6(z, x, y *[3]E2)
 
+//go:noescape
+func fpMulE12(z, x, y *[6]E2)
+
+//go:noescape
+func fpMulBySparse(z *[6]E2, c0, c1, c3 *E2)
+
 // The E2 kernels: add/sub/double/ξ in assembly on every amd64, as Add/Sub
 // are; the products run fpMulWide's MULX rows, so they fall back with it.
 func addE2(z, x, y *E2)  { fpAddE2(z, x, y) }
@@ -146,4 +152,20 @@ func mulE6(z, x, y *[3]E2) {
 		return
 	}
 	mulE6Composed(z, x, y)
+}
+
+func mulE12(z, x, y *[6]E2) {
+	if SupportAdx {
+		fpMulE12(z, x, y)
+		return
+	}
+	mulE12Composed(z, x, y)
+}
+
+func mulBySparse(z *[6]E2, c0, c1, c3 *E2) {
+	if SupportAdx {
+		fpMulBySparse(z, c0, c1, c3)
+		return
+	}
+	mulBySparseComposed(z, c0, c1, c3)
 }

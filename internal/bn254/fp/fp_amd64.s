@@ -7,9 +7,10 @@
 // tower paths. fpAdd/fpSub/fpNeg/fpDouble are branch-free ADD/ADC +
 // CMOV/mask sequences that run on every amd64, as do the Fp2 pair kernels
 // fpAddE2/fpSubE2/fpDoubleE2/fpMulByXiE2 built from them; the MULX
-// kernels, the Fp2 products fpMulE2/fpSquareE2/fpMulAccE2, the Fp6
-// product fpMulE6 and the cyclotomic squaring fpCycSquare among them, are
-// gated on the runtime ADX+BMI2 probe (cpuHasAdx) from fp_amd64.go.
+// kernels, the Fp2 products fpMulE2/fpSquareE2/fpMulAccE2, the Fp6 and
+// Fp12 products fpMulE6/fpMulE12, the sparse line fold fpMulBySparse and
+// the cyclotomic squaring fpCycSquare among them, are gated on the runtime
+// ADX+BMI2 probe (cpuHasAdx) from fp_amd64.go.
 
 #include "textflag.h"
 
@@ -750,6 +751,7 @@ TEXT ·fpSquareE2(SB), NOSPLIT, $32-16
 	store(AX, 0, R11, R12, R13, R14)
 	RET
 
+
 // 2q, the pad of fpCycSquare's output sums, and 3q² and 5q², pads of its
 // wide sums.
 DATA twoQ<>+0(SB)/8, $0x7841182db0f9fa8e
@@ -778,14 +780,20 @@ DATA q2x5<>+48(SB)/8, $0xc0042d6c106c1a8f
 DATA q2x5<>+56(SB)/8, $0x2dbcd79a4f2fbe0d
 GLOBL q2x5<>(SB), RODATA, $64
 
-// fpCycSquare's frame. Fp4 square j (j = 0, 1, 2 for A, B, C) of
-// re + im·v, re = a0 + a1·i and im = b0 + b1·i, keeps six wide products at
-// 384j(SP): R0 = (a0 + a1)(a0 − a1 + q) and R1 = 2a0·a1 (re²), I0 and I1
-// (im², from canonical operands), S0 and S1 ((re + im)², from u = a0 + b0
-// and v = a1 + b1 reduced). Its four reduced sums follow at 1152 + 128j(SP):
-// re² + ξ·im² and 2re·im, the latter as S − R − I. 1536(SP) holds a product's
-// second operand, 1568(SP) and 1600(SP) u and v, 1632(SP) the output sums'
-// 2q − m1.
+// The Fp12 kernels below loop over one body each instead of unrolling: an
+// Fp4 square, a lazy Fp2 product, a REDC. Their loop state lives in the
+// frame, since the bodies use every general register. Unrolled, the
+// cyclotomic squaring and the Fp6 product alone take 42 KB, more than a
+// 32 KiB L1i, and evict each other in the final exponentiation.
+
+// fpCycSquare's frame: the current Fp4 square re + im·v, re = a0 + a1·i and
+// im = b0 + b1·i, keeps its six wide products at 0(SP): R0 = (a0 + a1)
+// (a0 − a1 + q) and R1 = 2a0·a1 (re²), I0 and I1 (im², from canonical
+// operands), S0 and S1 ((re + im)², from u = a0 + b0 and v = a1 + b1
+// reduced). Square j's four reduced sums follow at 384 + 128j(SP):
+// re² + ξ·im² and 2re·im, the latter as S − R − I. 768(SP) holds a
+// product's second operand, 800(SP) and 832(SP) u and v, 864(SP) a spare
+// element; the loop state is at 896(SP).
 
 // mulAdd8 adds k times the eight limbs at off(p) to DI, R8–R14; the caller
 // bounds the sum below 2^512, so the last high half and both final carries
@@ -817,17 +825,17 @@ GLOBL q2x5<>(SB), RODATA, $64
 	MULXQ off+56(p), AX, BX; \
 	ADOXQ AX, R14
 
-// fp4Wide sets block w to the six wide products of re + im·v for the x
-// pairs at re(SI) and im(SI), every operand below 2q: R0, S0 < 4q²,
+// fp4Wide sets the block at w(SP) to the six wide products of re + im·v for
+// the x pairs at re(SI) and im(SI), every operand below 2q: R0, S0 < 4q²,
 // R1, S1 < 2q², I0, I1 < q². Preserves SI.
 #define fp4Wide(re, im, w) \
 	load(SI, re, DI, R8, R9, R10);                               \
 	op4(ADDQ, ADCQ, SB, q<>, DI, R8, R9, R10);                   \
 	op4(SUBQ, SBBQ, SI, re+32, DI, R8, R9, R10);                 \
-	store(SP, 1536, DI, R8, R9, R10);                            \
+	store(SP, 768, DI, R8, R9, R10);                             \
 	load(SI, re, DI, R8, R9, R10);                               \
 	op4(ADDQ, ADCQ, SI, re+32, DI, R8, R9, R10);                 \
-	mulWide(SP, 1536, SP, w);                                    \
+	mulWide(SP, 768, SP, w);                                     \
 	load(SI, re, DI, R8, R9, R10);                               \
 	ADDQ DI, DI;                                                 \
 	ADCQ R8, R8;                                                 \
@@ -836,257 +844,492 @@ GLOBL q2x5<>(SB), RODATA, $64
 	mulWide(SI, re+32, SP, w+64);                                \
 	load(SI, im, DI, R8, R9, R10);                               \
 	subMod(SI, im+32, DI, R8, R9, R10, R11, R12, R13, R14, CX);  \
-	store(SP, 1536, DI, R8, R9, R10);                            \
+	store(SP, 768, DI, R8, R9, R10);                             \
 	load(SI, im, DI, R8, R9, R10);                               \
 	addMod(SI, im+32, DI, R8, R9, R10, R11, R12, R13, R14);      \
-	mulWide(SP, 1536, SP, w+128);                                \
+	mulWide(SP, 768, SP, w+128);                                 \
 	load(SI, im, DI, R8, R9, R10);                               \
 	doubleMod(DI, R8, R9, R10, R11, R12, R13, R14);              \
 	mulWide(SI, im+32, SP, w+192);                               \
 	load(SI, re, DI, R8, R9, R10);                               \
 	addMod(SI, im, DI, R8, R9, R10, R11, R12, R13, R14);         \
-	store(SP, 1568, DI, R8, R9, R10);                            \
+	store(SP, 800, DI, R8, R9, R10);                             \
 	load(SI, re+32, DI, R8, R9, R10);                            \
 	addMod(SI, im+32, DI, R8, R9, R10, R11, R12, R13, R14);      \
-	store(SP, 1600, DI, R8, R9, R10);                            \
-	load(SP, 1568, DI, R8, R9, R10);                             \
+	store(SP, 832, DI, R8, R9, R10);                             \
+	load(SP, 800, DI, R8, R9, R10);                              \
 	op4(ADDQ, ADCQ, SB, q<>, DI, R8, R9, R10);                   \
-	op4(SUBQ, SBBQ, SP, 1600, DI, R8, R9, R10);                  \
-	store(SP, 1536, DI, R8, R9, R10);                            \
-	load(SP, 1568, DI, R8, R9, R10);                             \
-	op4(ADDQ, ADCQ, SP, 1600, DI, R8, R9, R10);                  \
-	mulWide(SP, 1536, SP, w+256);                                \
-	load(SP, 1568, DI, R8, R9, R10);                             \
+	op4(SUBQ, SBBQ, SP, 832, DI, R8, R9, R10);                   \
+	store(SP, 768, DI, R8, R9, R10);                             \
+	load(SP, 800, DI, R8, R9, R10);                              \
+	op4(ADDQ, ADCQ, SP, 832, DI, R8, R9, R10);                   \
+	mulWide(SP, 768, SP, w+256);                                 \
+	load(SP, 800, DI, R8, R9, R10);                              \
 	ADDQ DI, DI;                                                 \
 	ADCQ R8, R8;                                                 \
 	ADCQ R9, R9;                                                 \
 	ADCQ R10, R10;                                               \
-	mulWide(SP, 1600, SP, w+256+64)
+	mulWide(SP, 832, SP, w+256+64)
 
-// fp4Sums sets the four slots at o from block w, each one REDC of a wide sum
-// (below (w/R + q), loose): re² + ξ·im² as R0 + 9I0 + q² − I1 < 14q²
-// (< 3.65q reduced) and R1 + I0 + 9I1 < 12q², 2re·im as S0 + 5q² − R0 − I0
-// < 9q² (< 2.7q) and S1 + 3q² − R1 − I1 < 5q² (< 1.95q). Clobbers SI.
-#define fp4Sums(w, o) \
-	load8(SP, w, DI, R8, R9, R10, R11, R12, R13, R14);                  \
-	mulAdd8(9, SP, w+128);                   \
-	op8(ADDQ, ADCQ, SB, q2<>, DI, R8, R9, R10, R11, R12, R13, R14);     \
-	op8(SUBQ, SBBQ, SP, w+192, DI, R8, R9, R10, R11, R12, R13, R14);    \
-	redcWide;                                \
-	store(SP, o, R11, R12, R13, R14);        \
-	load8(SP, w+64, DI, R8, R9, R10, R11, R12, R13, R14);               \
-	op8(ADDQ, ADCQ, SP, w+128, DI, R8, R9, R10, R11, R12, R13, R14);    \
-	mulAdd8(9, SP, w+192);                   \
-	redcWide;                                \
-	store(SP, o+32, R11, R12, R13, R14);     \
-	load8(SP, w+256, DI, R8, R9, R10, R11, R12, R13, R14);              \
-	op8(ADDQ, ADCQ, SB, q2x5<>, DI, R8, R9, R10, R11, R12, R13, R14);   \
-	op8(SUBQ, SBBQ, SP, w, DI, R8, R9, R10, R11, R12, R13, R14);        \
-	op8(SUBQ, SBBQ, SP, w+128, DI, R8, R9, R10, R11, R12, R13, R14);    \
-	redcWide;                                \
-	store(SP, o+64, R11, R12, R13, R14);     \
-	load8(SP, w+320, DI, R8, R9, R10, R11, R12, R13, R14);              \
-	op8(ADDQ, ADCQ, SB, q2x3<>, DI, R8, R9, R10, R11, R12, R13, R14);   \
-	op8(SUBQ, SBBQ, SP, w+64, DI, R8, R9, R10, R11, R12, R13, R14);     \
-	op8(SUBQ, SBBQ, SP, w+192, DI, R8, R9, R10, R11, R12, R13, R14);    \
-	redcWide;                                \
-	store(SP, o+96, R11, R12, R13, R14)
-
-// storeZ stores the reduced t at off(z).
-#define storeZ(off) \
-	MOVQ z+0(FP), AX; \
-	store(AX, off, DI, R8, R9, R10)
-
-// reOut sets the pair at off(z) to 3s − 2X for the sums s at o and the x
-// pair X at off(SI): 3s + 2q − 2X < 13q a coefficient.
-#define reOut(o, off) \
-	mulSmall(3, SP, o);   \
-	add5(SB, twoQ<>);     \
-	sub5(SI, off);        \
-	sub5(SI, off);        \
-	reduceSmall;          \
-	storeZ(off);          \
-	mulSmall(3, SP, o+32); \
-	add5(SB, twoQ<>);     \
-	sub5(SI, off+32);     \
-	sub5(SI, off+32);     \
-	reduceSmall;          \
-	storeZ(off+32)
-
-// imOut sets the pair at off(z) to 3s + 2X (< 11q a coefficient) for the
-// sums s at o and the x pair X at off(SI).
-#define imOut(o, off) \
-	mulSmall(3, SP, o);    \
-	add5(SI, off);         \
-	add5(SI, off);         \
-	reduceSmall;           \
-	storeZ(off);           \
-	mulSmall(3, SP, o+32); \
-	add5(SI, off+32);      \
-	add5(SI, off+32);      \
-	reduceSmall;           \
-	storeZ(off+32)
+// fp4Sums stores four sums of the block at w(SP) from the pointer at 904(SP),
+// each one REDC of a wide sum (below (w/R + q), loose): re² + ξ·im² as
+// R0 + 9I0 + q² − I1 < 14q² (< 3.65q reduced) and R1 + I0 + 9I1 < 12q²,
+// 2re·im as S0 + 5q² − R0 − I0 < 9q² (< 2.7q) and S1 + 3q² − R1 − I1 < 5q²
+// (< 1.95q). Clobbers SI.
+#define fp4Sums(w) \
+	load8(SP, w, DI, R8, R9, R10, R11, R12, R13, R14);                \
+	mulAdd8(9, SP, w+128);                                            \
+	op8(ADDQ, ADCQ, SB, q2<>, DI, R8, R9, R10, R11, R12, R13, R14);   \
+	op8(SUBQ, SBBQ, SP, w+192, DI, R8, R9, R10, R11, R12, R13, R14);  \
+	redcWide;                                                         \
+	MOVQ 904(SP), AX;                                                 \
+	store(AX, 0, R11, R12, R13, R14);                                 \
+	load8(SP, w+64, DI, R8, R9, R10, R11, R12, R13, R14);             \
+	op8(ADDQ, ADCQ, SP, w+128, DI, R8, R9, R10, R11, R12, R13, R14);  \
+	mulAdd8(9, SP, w+192);                                            \
+	redcWide;                                                         \
+	MOVQ 904(SP), AX;                                                 \
+	store(AX, 32, R11, R12, R13, R14);                                \
+	load8(SP, w+256, DI, R8, R9, R10, R11, R12, R13, R14);            \
+	op8(ADDQ, ADCQ, SB, q2x5<>, DI, R8, R9, R10, R11, R12, R13, R14); \
+	op8(SUBQ, SBBQ, SP, w, DI, R8, R9, R10, R11, R12, R13, R14);      \
+	op8(SUBQ, SBBQ, SP, w+128, DI, R8, R9, R10, R11, R12, R13, R14);  \
+	redcWide;                                                         \
+	MOVQ 904(SP), AX;                                                 \
+	store(AX, 64, R11, R12, R13, R14);                                \
+	load8(SP, w+320, DI, R8, R9, R10, R11, R12, R13, R14);            \
+	op8(ADDQ, ADCQ, SB, q2x3<>, DI, R8, R9, R10, R11, R12, R13, R14); \
+	op8(SUBQ, SBBQ, SP, w+64, DI, R8, R9, R10, R11, R12, R13, R14);   \
+	op8(SUBQ, SBBQ, SP, w+192, DI, R8, R9, R10, R11, R12, R13, R14);  \
+	redcWide;                                                         \
+	MOVQ 904(SP), AX;                                                 \
+	store(AX, 96, R11, R12, R13, R14)
 
 // func fpCycSquare(z, x *[6]E2)
-// The Granger–Scott squaring in one call: each Fp4 square as six wide
-// products and four reductions (fp4Wide, fp4Sums), then each of the twelve
-// output coefficients as one small-multiple sum of those and of its own x
-// coefficient, reduced once. The products read all of x before the first
-// store, and output k reads only x[k] afterwards, so z may alias x.
-TEXT ·fpCycSquare(SB), $1664-16
-	MOVQ x+8(FP), SI
+// The Granger–Scott squaring in one call: a loop over the three Fp4
+// squares A = x[0] + x[3]·v, B = x[1] + x[4]·v and C = x[2] + x[5]·v, six
+// wide products and four reductions each (fp4Wide, fp4Sums); ξ on C²'s v
+// part; then a loop over j = 0, 1, 2 setting z[2j] = 3s − 2x[2j] from
+// square j's re sums s and z[2j + 3 mod 6] = 3s + 2x[2j + 3 mod 6] from its
+// v part (v·C² for j = 2), each coefficient one small-multiple sum reduced
+// once. The squares read all of x before the first store, and output k
+// reads only x[k] afterwards, so z may alias x.
+TEXT ·fpCycSquare(SB), $936-16
+	MOVQ x+8(FP), AX
+	MOVQ AX, 896(SP)
+	LEAQ 384(SP), AX
+	MOVQ AX, 904(SP)
+	MOVQ $3, 912(SP)
+
+cycFp4:
+	MOVQ 896(SP), SI
 	fp4Wide(0, 192, 0)
-	fp4Sums(0, 1152)
-	MOVQ x+8(FP), SI
-	fp4Wide(64, 256, 384)
-	fp4Sums(384, 1280)
-	MOVQ x+8(FP), SI
-	fp4Wide(128, 320, 768)
-	fp4Sums(768, 1408)
-	MOVQ x+8(FP), SI
+	fp4Sums(0)
+	ADDQ $64, 896(SP)
+	ADDQ $128, 904(SP)
+	DECQ 912(SP)
+	JNZ  cycFp4
 
-	// z[0] = 3A² − 2Ā and z[3], from A = x[0] + x[3]·v.
-	reOut(1152, 0)
-	imOut(1152+64, 192)
-
-	// z[2] = 3B² − 2C̄ and z[5], from B = x[1] + x[4]·v.
-	reOut(1280, 128)
-	imOut(1280+64, 320)
-
-	// z[4] = 3C² − ... and z[1] = 3v·C² + 2B̄, from C = x[2] + x[5]·v: v·C²
-	// takes ξ on C²'s v part m, (9m0 − m1, m0 + 9m1), so z[1] is
-	// 27m0 + 3(2q − m1) + 2X0 < 81q and 3m0 + 27m1 + 2X1 < 63q.
-	reOut(1408, 256)
-	MOVQ twoQ<>+0(SB), DI
-	MOVQ twoQ<>+8(SB), R8
-	MOVQ twoQ<>+16(SB), R9
-	MOVQ twoQ<>+24(SB), R10
-	op4(SUBQ, SBBQ, SP, 1408+96, DI, R8, R9, R10)
-	store(SP, 1632, DI, R8, R9, R10)
-	mulSmall(27, SP, 1408+64)
-	mulSmallAdd(3, SP, 1632)
-	add5(SI, 64)
-	add5(SI, 64)
+	// C²'s v part (m0, m1) at 704(SP) becomes v·C²'s w⁰ part, ξ·(m0, m1) =
+	// (9m0 + 2q − m1, 9m1 + m0): m0 < 2.7q and m1 < 1.95q, so both sums stay
+	// below 27q. The second is formed first and waits at 864(SP).
+	mulSmall(9, SP, 736)
+	add5(SP, 704)
 	reduceSmall
-	storeZ(64)
-	mulSmall(3, SP, 1408+64)
-	mulSmallAdd(27, SP, 1408+96)
-	add5(SI, 96)
-	add5(SI, 96)
+	store(SP, 864, DI, R8, R9, R10)
+	mulSmall(9, SP, 704)
+	add5(SB, twoQ<>)
+	sub5(SP, 736)
 	reduceSmall
-	storeZ(96)
+	store(SP, 704, DI, R8, R9, R10)
+	load(SP, 864, DI, R8, R9, R10)
+	store(SP, 736, DI, R8, R9, R10)
+
+	// SI walks x[2j], R14 square j's sums, 920(SP) z[2j]; 928(SP) is the offset
+	// of pair 2j + 3 mod 6. 3s + 2q − 2X < 13q and 3s + 2X < 11q.
+	MOVQ x+8(FP), SI
+	LEAQ 384(SP), R14
+	MOVQ z+0(FP), AX
+	MOVQ AX, 920(SP)
+	MOVQ $192, 928(SP)
+	MOVQ $3, 912(SP)
+
+cycOut:
+	mulSmall(3, R14, 0)
+	add5(SB, twoQ<>)
+	sub5(SI, 0)
+	sub5(SI, 0)
+	reduceSmall
+	MOVQ 920(SP), AX
+	store(AX, 0, DI, R8, R9, R10)
+	mulSmall(3, R14, 32)
+	add5(SB, twoQ<>)
+	sub5(SI, 32)
+	sub5(SI, 32)
+	reduceSmall
+	MOVQ 920(SP), AX
+	store(AX, 32, DI, R8, R9, R10)
+
+	mulSmall(3, R14, 64)
+	MOVQ x+8(FP), BX
+	ADDQ 928(SP), BX
+	add5(BX, 0)
+	add5(BX, 0)
+	reduceSmall
+	MOVQ z+0(FP), AX
+	ADDQ 928(SP), AX
+	store(AX, 0, DI, R8, R9, R10)
+	mulSmall(3, R14, 96)
+	MOVQ x+8(FP), BX
+	ADDQ 928(SP), BX
+	add5(BX, 32)
+	add5(BX, 32)
+	reduceSmall
+	MOVQ z+0(FP), AX
+	ADDQ 928(SP), AX
+	store(AX, 32, DI, R8, R9, R10)
+
+	ADDQ    $128, SI
+	ADDQ    $128, R14
+	ADDQ    $128, 920(SP)
+	MOVQ    928(SP), AX
+	ADDQ    $128, AX
+	LEAQ    -384(AX), DX
+	CMPQ    AX, $384
+	CMOVQCC DX, AX
+	MOVQ    AX, 928(SP)
+	DECQ    912(SP)
+	JNZ     cycOut
 	RET
 
-// fpMulE6's frame: karatsubaWide's products at 0(SP), the three output
-// coefficients' (c0, c1) accumulators at 224 + 128k(SP), ξ·x[1] and
-// ξ·x[2] at 608(SP) and 672(SP), and y at 736(SP).
+// xiTo sets the pair at doff(d) to ξ times the pair (a, b) at off(s):
+// 9a + q − b and 9b + a, each below 10q, reduced once. s and d may be SP,
+// SI or R14; d may not overlap the source pair.
+#define xiTo(s, off, d, doff) \
+	mulSmall(9, s, off);               \
+	add5(SB, q<>);                     \
+	sub5(s, off+32);                   \
+	reduceSmall;                       \
+	store(d, doff, DI, R8, R9, R10);   \
+	mulSmall(9, s, off+32);            \
+	add5(s, off);                      \
+	reduceSmall;                       \
+	store(d, doff+32, DI, R8, R9, R10)
 
-// xiTo sets the pair at dst(SP) to ξ times the pair (a, b) at off(SI):
-// 9a + q − b and 9b + a, each below 10q, reduced once.
-#define xiTo(off, dst) \
-	mulSmall(9, SI, off);            \
-	add5(SB, q<>);                   \
-	sub5(SI, off+32);                \
-	reduceSmall;                     \
-	store(SP, dst, DI, R8, R9, R10); \
-	mulSmall(9, SI, off+32);         \
-	add5(SI, off);                   \
-	reduceSmall;                     \
-	store(SP, dst+32, DI, R8, R9, R10)
+// copyE2 copies the pair at soff(s) to doff(d) through X0–X3.
+#define copyE2(s, soff, d, doff) \
+	MOVOU soff+0(s), X0;  \
+	MOVOU soff+16(s), X1; \
+	MOVOU soff+32(s), X2; \
+	MOVOU soff+48(s), X3; \
+	MOVOU X0, doff+0(d);  \
+	MOVOU X1, doff+16(d); \
+	MOVOU X2, doff+32(d); \
+	MOVOU X3, doff+48(d)
 
-// karaFirst and karaNext run karatsubaWide for the pairs at BX and SI and,
-// as MulAcc does, set or add to the accumulators at acc(SP): ac + q² − bd
-// and s·s' − ac − bd.
-#define karaFirst(acc) \
-	karatsubaWide(BX, SI);                                                   \
-	load8(SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);                       \
-	op8(ADDQ, ADCQ, SB, q2<>, DI, R8, R9, R10, R11, R12, R13, R14);          \
-	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);            \
-	store8(SP, acc, DI, R8, R9, R10, R11, R12, R13, R14);                    \
-	load8(SP, 160, DI, R8, R9, R10, R11, R12, R13, R14);                     \
-	op8(SUBQ, SBBQ, SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);             \
-	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);            \
-	store8(SP, acc+64, DI, R8, R9, R10, R11, R12, R13, R14)
+// karaSet sets the accumulator pair at 0(BX) to karatsubaWide's products
+// with the three products' pad, ac + 3q² − bd and s·s' − ac − bd; karaAcc
+// adds ac − bd and s·s' − ac − bd. After j products the first Wide is
+// 3q² + Σ(ac − bd), in (2q², 6q²), the value three MulAcc leave.
+#define karaSet \
+	load8(SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);                \
+	op8(ADDQ, ADCQ, SB, q2x3<>, DI, R8, R9, R10, R11, R12, R13, R14); \
+	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);     \
+	store8(BX, 0, DI, R8, R9, R10, R11, R12, R13, R14);               \
+	load8(SP, 160, DI, R8, R9, R10, R11, R12, R13, R14);              \
+	op8(SUBQ, SBBQ, SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);      \
+	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);     \
+	store8(BX, 64, DI, R8, R9, R10, R11, R12, R13, R14)
 
-#define karaNext(acc) \
-	karatsubaWide(BX, SI);                                                   \
-	load8(SP, acc, DI, R8, R9, R10, R11, R12, R13, R14);                     \
-	op8(ADDQ, ADCQ, SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);             \
-	op8(ADDQ, ADCQ, SB, q2<>, DI, R8, R9, R10, R11, R12, R13, R14);          \
-	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);            \
-	store8(SP, acc, DI, R8, R9, R10, R11, R12, R13, R14);                    \
-	load8(SP, 160, DI, R8, R9, R10, R11, R12, R13, R14);                     \
-	op8(SUBQ, SBBQ, SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);             \
-	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);            \
-	op8(ADDQ, ADCQ, SP, acc+64, DI, R8, R9, R10, R11, R12, R13, R14);        \
-	store8(SP, acc+64, DI, R8, R9, R10, R11, R12, R13, R14)
+#define karaAcc \
+	load8(BX, 0, DI, R8, R9, R10, R11, R12, R13, R14);              \
+	op8(ADDQ, ADCQ, SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);    \
+	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);   \
+	store8(BX, 0, DI, R8, R9, R10, R11, R12, R13, R14);             \
+	load8(SP, 160, DI, R8, R9, R10, R11, R12, R13, R14);            \
+	op8(SUBQ, SBBQ, SP, 0, DI, R8, R9, R10, R11, R12, R13, R14);    \
+	op8(SUBQ, SBBQ, SP, 64, DI, R8, R9, R10, R11, R12, R13, R14);   \
+	op8(ADDQ, ADCQ, BX, 64, DI, R8, R9, R10, R11, R12, R13, R14);   \
+	store8(BX, 64, DI, R8, R9, R10, R11, R12, R13, R14)
 
-// xArg (xFrame) points BX at x's pair k (at off(SP)), yArg SI at y's
-// pair k.
-#define xArg(k) \
-	MOVQ x+8(FP), BX; \
-	LEAQ 64*k(BX), BX
-#define xFrame(off) LEAQ off(SP), BX
-#define yArg(k) \
-	MOVQ 736(SP), SI; \
-	LEAQ 64*k(SI), SI
+// e6Products runs the lazy products of n Fp6 blocks from blk(SP). Block m,
+// at blk + 512m, holds the pairs ξx1, ξx2, x0, x1, x2, y0, y1, y2, so
+// output k's product j is the x pair at 64(k − j) from x0 (ξx1 or ξx2 where
+// k − j wraps) times y_j; output k accumulates its three products at
+// acc + 128(3m + k) (≤ 6q² a Wide at the peak). The loop state is at st(SP):
+// the block's x0, 64k, 64j, the accumulator and the blocks left. The labels
+// are the block, output and product loops and the two ways to accumulate.
+#define e6Products(lb, lk, lj, la, ln, n, blk, acc, st) \
+	LEAQ blk+128(SP), AX;    \
+	MOVQ AX, st+0(SP);       \
+	LEAQ acc(SP), AX;        \
+	MOVQ AX, st+24(SP);      \
+	MOVQ $n, st+32(SP);      \
+lb:                          \
+	MOVQ $0, st+8(SP);       \
+lk:                          \
+	MOVQ $0, st+16(SP);      \
+lj:                          \
+	MOVQ st+0(SP), BX;       \
+	MOVQ BX, SI;             \
+	ADDQ st+8(SP), BX;       \
+	SUBQ st+16(SP), BX;      \
+	ADDQ st+16(SP), SI;      \
+	ADDQ $192, SI;           \
+	karatsubaWide(BX, SI);   \
+	MOVQ st+24(SP), BX;      \
+	CMPQ st+16(SP), $0;      \
+	JNE  la;                 \
+	karaSet;                 \
+	JMP  ln;                 \
+la:                          \
+	karaAcc;                 \
+ln:                          \
+	ADDQ $64, st+16(SP);     \
+	CMPQ st+16(SP), $192;    \
+	JNE  lj;                 \
+	ADDQ $128, st+24(SP);    \
+	ADDQ $64, st+8(SP);      \
+	CMPQ st+8(SP), $192;     \
+	JNE  lk;                 \
+	ADDQ $512, st+0(SP);     \
+	DECQ st+32(SP);          \
+	JNZ  lb
 
-// reduceTo stores REDC of the accumulator at acc(SP) at off(z): three
-// products leave it ≤ 6q², so REDC lands below 2.14q and two conditional
-// subtractions canonicalise it.
-#define reduceTo(acc, off) \
-	load8(SP, acc, DI, R8, R9, R10, R11, R12, R13, R14); \
-	redcWide;                                            \
-	reduceOnce(R11, R12, R13, R14, DI, R8, R9, R10);     \
-	reduceOnce(R11, R12, R13, R14, DI, R8, R9, R10);     \
-	MOVQ z+0(FP), AX;                                    \
-	store(AX, off, R11, R12, R13, R14)
+// reduceAll stores the REDC of each accumulator Wide, in turn, as a
+// canonical element: the state at st(SP) is the next Wide, the next
+// element and the count left. Three products leave a Wide ≤ 6q², so REDC
+// lands below 2.14q and two conditional subtractions canonicalise it.
+#define reduceAll(l, st) \
+l:                                                      \
+	MOVQ st+0(SP), AX;                                  \
+	load8(AX, 0, DI, R8, R9, R10, R11, R12, R13, R14);  \
+	redcWide;                                           \
+	reduceOnce(R11, R12, R13, R14, DI, R8, R9, R10);    \
+	reduceOnce(R11, R12, R13, R14, DI, R8, R9, R10);    \
+	MOVQ st+8(SP), AX;                                  \
+	store(AX, 0, R11, R12, R13, R14);                   \
+	ADDQ $64, st+0(SP);                                 \
+	ADDQ $32, st+8(SP);                                 \
+	DECQ st+16(SP);                                     \
+	JNZ  l
 
 // func fpMulE6(z, x, y *[3]E2)
-// MulE6 in one call: ξ·x[1] and ξ·x[2] into the frame, nine Karatsuba
-// products accumulated three to an output coefficient, six reductions.
-// Every read of x and y precedes the first store, so z may alias either.
-TEXT ·fpMulE6(SB), $744-24
-	MOVQ y+16(FP), SI
-	MOVQ SI, 736(SP)
+// MulE6 in one call: x and y copied into one e6Products block at 224(SP)
+// beside ξ·x[1] and ξ·x[2], nine Karatsuba products accumulated three to
+// an output coefficient at 736(SP), then six reductions into z. Every read
+// of x and y precedes the first store, so z may alias either.
+TEXT ·fpMulE6(SB), $1184-24
 	MOVQ x+8(FP), SI
-	xiTo(64, 608)
-	xiTo(128, 672)
+	copyE2(SI, 0, SP, 352)
+	copyE2(SI, 64, SP, 416)
+	copyE2(SI, 128, SP, 480)
+	MOVQ y+16(FP), SI
+	copyE2(SI, 0, SP, 544)
+	copyE2(SI, 64, SP, 608)
+	copyE2(SI, 128, SP, 672)
+	xiTo(SP, 416, SP, 224)
+	xiTo(SP, 480, SP, 288)
+	e6Products(e6Block, e6Out, e6Prod, e6Acc, e6Next, 1, 224, 736, 1120)
 
-	xArg(0)
-	yArg(0)
-	karaFirst(224)
-	xFrame(608)
-	yArg(2)
-	karaNext(224)
-	xFrame(672)
-	yArg(1)
-	karaNext(224)
+	LEAQ 736(SP), AX
+	MOVQ AX, 1160(SP)
+	MOVQ z+0(FP), AX
+	MOVQ AX, 1168(SP)
+	MOVQ $6, 1176(SP)
+	reduceAll(e6Reduce, 1160)
+	RET
 
-	xArg(0)
-	yArg(1)
-	karaFirst(352)
-	xArg(1)
-	yArg(0)
-	karaNext(352)
-	xFrame(672)
-	yArg(2)
-	karaNext(352)
+// sumE2 stores the pair at 0(p) plus the pair at 64(p) at doff(d).
+// Clobbers CX, DX and R8–R13.
+#define sumE2(p, d, doff) \
+	load(p, 0, CX, DX, R8, R9);                         \
+	addMod(p, 64, CX, DX, R8, R9, R10, R11, R12, R13);  \
+	store(d, doff, CX, DX, R8, R9);                     \
+	load(p, 32, CX, DX, R8, R9);                        \
+	addMod(p, 96, CX, DX, R8, R9, R10, R11, R12, R13);  \
+	store(d, doff+32, CX, DX, R8, R9)
 
-	xArg(0)
-	yArg(2)
-	karaFirst(480)
-	xArg(1)
-	yArg(1)
-	karaNext(480)
-	xArg(2)
-	yArg(0)
-	karaNext(480)
+// func fpMulE12(z, x, y *[6]E2)
+// Fp12 multiplication in one call, Karatsuba over the Fp6 view: with
+// x = a + b·w and y = c + d·w (a, c the even pairs), three e6Products
+// blocks at 224(SP) multiply b·d, a·c and (a + b)(c + d), 27 lazy products
+// in all, and 18 reductions store them at 2976(SP) as P2 = bd, P1 = ac and
+// P3, after the slot at 2912(SP) that takes ξ·P2[2]. Then
+// z[2k] = P1[k] + (v·P2)[k], where v·P2 = (ξ·P2[2], P2[0], P2[1]) sits
+// at 2912 + 64k(SP), and z[2k + 1] = P3[k] − P1[k] − P2[k]. x and y are
+// read only while the blocks are filled, so z may alias either.
+TEXT ·fpMulE12(SB), $3616-24
+	MOVQ x+8(FP), AX
+	MOVQ y+16(FP), BX
+	LEAQ 224(SP), SI
+	MOVQ $3, R14
 
-	reduceTo(224, 0)
-	reduceTo(288, 32)
-	reduceTo(352, 64)
-	reduceTo(416, 96)
-	reduceTo(480, 128)
-	reduceTo(544, 160)
+e12Split:
+	copyE2(AX, 64, SI, 128)
+	copyE2(BX, 64, SI, 320)
+	copyE2(AX, 0, SI, 640)
+	copyE2(BX, 0, SI, 832)
+	sumE2(AX, SI, 1152)
+	sumE2(BX, SI, 1344)
+	ADDQ $128, AX
+	ADDQ $128, BX
+	ADDQ $64, SI
+	DECQ R14
+	JNZ  e12Split
+
+	LEAQ 224(SP), SI
+	MOVQ $3, R14
+
+e12Xi:
+	xiTo(SI, 192, SI, 0)
+	xiTo(SI, 256, SI, 64)
+	ADDQ $512, SI
+	DECQ R14
+	JNZ  e12Xi
+
+	e6Products(e12Block, e12Out, e12Prod, e12Acc, e12Next, 3, 224, 1760, 3552)
+
+	LEAQ 1760(SP), AX
+	MOVQ AX, 3592(SP)
+	LEAQ 2976(SP), AX
+	MOVQ AX, 3600(SP)
+	MOVQ $18, 3608(SP)
+	reduceAll(e12Reduce, 3592)
+
+	xiTo(SP, 3104, SP, 2912)
+	LEAQ 2912(SP), SI
+	MOVQ z+0(FP), BX
+	MOVQ $3, R14
+
+e12Sum:
+	load(SI, 256, CX, DX, R8, R9)
+	addMod(SI, 0, CX, DX, R8, R9, R10, R11, R12, R13)
+	store(BX, 0, CX, DX, R8, R9)
+	load(SI, 288, CX, DX, R8, R9)
+	addMod(SI, 32, CX, DX, R8, R9, R10, R11, R12, R13)
+	store(BX, 32, CX, DX, R8, R9)
+	load(SI, 448, CX, DX, R8, R9)
+	subMod(SI, 256, CX, DX, R8, R9, R10, R11, R12, R13, AX)
+	subMod(SI, 64, CX, DX, R8, R9, R10, R11, R12, R13, AX)
+	store(BX, 64, CX, DX, R8, R9)
+	load(SI, 480, CX, DX, R8, R9)
+	subMod(SI, 288, CX, DX, R8, R9, R10, R11, R12, R13, AX)
+	subMod(SI, 96, CX, DX, R8, R9, R10, R11, R12, R13, AX)
+	store(BX, 96, CX, DX, R8, R9)
+	ADDQ $64, SI
+	ADDQ $128, BX
+	DECQ R14
+	JNZ  e12Sum
+	RET
+
+// func fpMulBySparse(z *[6]E2, c0, c1, c3 *E2)
+// z·(c0 + c1·w + c3·w³) in one call, for c0 nil standing for 1 as well.
+// The terms, (64j, c_j, ξ·c_j) for j = 0, 1, 3 at 352(SP) with ξ·c1 and
+// ξ·c3 at 224(SP) and 288(SP), start at j = 1 when c0 is nil. Output k
+// accumulates z[k − j mod 6] times c_j, or ξ·c_j where k − j wraps, for
+// each term at 424 + 128k(SP): ≤ 6q² a Wide for three products, ≤ 5q² for
+// two (the pad is 3q² either way). The twelve reductions then add z's own
+// coefficient (c0 = 1) or the zero at 1192(SP): below 2.14q + 0 or
+// 1.95q + q, canonical after two conditional subtractions. Every product
+// precedes the first store into z.
+TEXT ·fpMulBySparse(SB), $1296-32
+	MOVQ c1+16(FP), SI
+	xiTo(SI, 0, SP, 224)
+	MOVQ c3+24(FP), SI
+	xiTo(SI, 0, SP, 288)
+	MOVQ c0+8(FP), AX
+	MOVQ $0, 352(SP)
+	MOVQ AX, 360(SP)
+	MOVQ AX, 368(SP)
+	MOVQ $64, 376(SP)
+	MOVQ c1+16(FP), AX
+	MOVQ AX, 384(SP)
+	LEAQ 224(SP), AX
+	MOVQ AX, 392(SP)
+	MOVQ $192, 400(SP)
+	MOVQ c3+24(FP), AX
+	MOVQ AX, 408(SP)
+	LEAQ 288(SP), AX
+	MOVQ AX, 416(SP)
+	LEAQ 352(SP), AX
+	LEAQ 376(SP), BX
+	MOVQ c0+8(FP), CX
+	TESTQ CX, CX
+	CMOVQEQ BX, AX
+	MOVQ AX, 1224(SP)
+	LEAQ 424(SP), AX
+	MOVQ AX, 1248(SP)
+	MOVQ $0, 1240(SP)
+
+sparseOut:
+	MOVQ 1224(SP), AX
+	MOVQ AX, 1232(SP)
+
+sparseProd:
+	MOVQ    1232(SP), DX
+	MOVQ    1240(SP), AX
+	SUBQ    0(DX), AX
+	MOVQ    8(DX), SI
+	LEAQ    384(AX), CX
+	TESTQ   AX, AX
+	CMOVQLT CX, AX
+	CMOVQLT 16(DX), SI
+	MOVQ    z+0(FP), BX
+	ADDQ    AX, BX
+	karatsubaWide(BX, SI)
+	MOVQ    1248(SP), BX
+	MOVQ    1224(SP), AX
+	CMPQ    1232(SP), AX
+	JNE     sparseAcc
+	karaSet
+	JMP     sparseNext
+
+sparseAcc:
+	karaAcc
+
+sparseNext:
+	ADDQ    $24, 1232(SP)
+	LEAQ    424(SP), AX
+	CMPQ    1232(SP), AX
+	JNE     sparseProd
+	ADDQ    $128, 1248(SP)
+	ADDQ    $64, 1240(SP)
+	CMPQ    1240(SP), $384
+	JNE     sparseOut
+
+	PXOR    X0, X0
+	MOVOU   X0, 1192(SP)
+	MOVOU   X0, 1208(SP)
+	LEAQ    424(SP), AX
+	MOVQ    AX, 1256(SP)
+	MOVQ    z+0(FP), AX
+	MOVQ    AX, 1264(SP)
+	LEAQ    1192(SP), BX
+	MOVQ    $0, CX
+	MOVQ    $32, DX
+	MOVQ    c0+8(FP), SI
+	TESTQ   SI, SI
+	CMOVQEQ AX, BX
+	CMOVQEQ DX, CX
+	MOVQ    BX, 1272(SP)
+	MOVQ    CX, 1280(SP)
+	MOVQ    $12, 1288(SP)
+
+sparseReduce:
+	MOVQ 1256(SP), AX
+	load8(AX, 0, DI, R8, R9, R10, R11, R12, R13, R14)
+	redcWide
+	MOVQ 1272(SP), AX
+	op4(ADDQ, ADCQ, AX, 0, R11, R12, R13, R14)
+	reduceOnce(R11, R12, R13, R14, DI, R8, R9, R10)
+	reduceOnce(R11, R12, R13, R14, DI, R8, R9, R10)
+	MOVQ 1264(SP), AX
+	store(AX, 0, R11, R12, R13, R14)
+	ADDQ $64, 1256(SP)
+	ADDQ $32, 1264(SP)
+	MOVQ 1280(SP), AX
+	ADDQ AX, 1272(SP)
+	DECQ 1288(SP)
+	JNZ  sparseReduce
 	RET

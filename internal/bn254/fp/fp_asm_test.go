@@ -104,49 +104,54 @@ func TestWideRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWideAccumulationBounds drives the Reduce contract to its worst
-// case: 12 products of loose (< 2q−ε) maximal operands... a real call
-// site never exceeds 12 q²-units plus pads, so we pin 12 single-products
-// of (q−1)² plus 3 q² pads ≈ 15 q² < 4qR and check against big.Int.
+// TestWideAccumulationBounds drives the Reduce contract to each lazy site's
+// peak, in q²-units (DESIGN's budget table): n single products of (q−1)²,
+// plus q² pads, checked against big.Int on the dispatched and the generic
+// path. The contract edge itself is 12 products plus 3 pads ≈ 15 q² < 4qR.
 func TestWideAccumulationBounds(t *testing.T) {
 	qm1 := Element{q0 - 1, q1, q2, q3}
 	var prod Wide
 	prod.Mul(&qm1, &qm1)
-
-	var acc Wide
-	accBig := new(big.Int)
 	prodBig := new(big.Int).Mul(new(big.Int).Sub(qBig, big.NewInt(1)), new(big.Int).Sub(qBig, big.NewInt(1)))
-	for k := 0; k < 12; k++ {
-		acc.add(&prod)
-		accBig.Add(accBig, prodBig)
-	}
 	q2Big := new(big.Int).Mul(qBig, qBig)
-	for k := 0; k < 3; k++ {
-		acc.addQSquared()
-		accBig.Add(accBig, q2Big)
-	}
-	// Contract check: the accumulated value must be below 4qR.
 	bound := new(big.Int).Mul(qBig, new(big.Int).Lsh(big.NewInt(1), 258)) // 4qR = q·2^258
-	if accBig.Cmp(bound) >= 0 {
-		t.Fatalf("test accumulation exceeds the 4qR contract")
-	}
-
-	var got Element
-	acc.Reduce(&got)
-	// Reduce performs one REDC, so the result limbs hold acc·R⁻¹ mod q
-	// (still in Montgomery form relative to the original operands).
 	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 256), qBig)
-	want := new(big.Int).Mul(accBig, rInv)
-	want.Mod(want, qBig)
-	if got != bigToLimbs(want) {
-		t.Fatalf("worst-case Reduce wrong: got %x want %x", got, bigToLimbs(want))
-	}
-
-	// Same check through the generic path.
-	var gotGeneric Element
-	reduceWideGeneric(&gotGeneric, &acc)
-	if gotGeneric != got {
-		t.Fatalf("generic reduceWide disagrees with dispatched path at worst case")
+	for _, site := range []struct {
+		name           string
+		products, pads int
+	}{
+		{"fpMulE6, fpMulE12, plain fpMulBySparse: 3 Karatsuba products", 6, 1},
+		{"replayed fpMulBySparse: 2 Karatsuba products", 4, 1},
+		{"fpCycSquare: R0 + 9I0 + q² − I1", 13, 1},
+		{"schoolbook Fp12 oracle: 6 products", 12, 1},
+		{"contract edge", 12, 3},
+	} {
+		var acc Wide
+		accBig := new(big.Int)
+		for range site.products {
+			acc.add(&prod)
+			accBig.Add(accBig, prodBig)
+		}
+		for range site.pads {
+			acc.addQSquared()
+			accBig.Add(accBig, q2Big)
+		}
+		if accBig.Cmp(bound) >= 0 {
+			t.Fatalf("%s: accumulation exceeds the 4qR contract", site.name)
+		}
+		// Reduce performs one REDC, so the result limbs hold acc·R⁻¹ mod q
+		// (still in Montgomery form relative to the original operands).
+		var got, gotGeneric Element
+		acc.Reduce(&got)
+		want := new(big.Int).Mul(accBig, rInv)
+		want.Mod(want, qBig)
+		if got != bigToLimbs(want) {
+			t.Fatalf("%s: Reduce wrong: got %x want %x", site.name, got, bigToLimbs(want))
+		}
+		reduceWideGeneric(&gotGeneric, &acc)
+		if gotGeneric != got {
+			t.Fatalf("%s: generic reduceWide disagrees with the dispatched path", site.name)
+		}
 	}
 }
 

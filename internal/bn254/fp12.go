@@ -36,27 +36,11 @@ func (z *Fp12) Set(x *Fp12) *Fp12 {
 }
 
 // IsOne reports whether z is the multiplicative identity.
-func (z *Fp12) IsOne() bool {
-	if !z.C[0].IsOne() {
-		return false
-	}
-	for k := 1; k < 6; k++ {
-		if !z.C[k].IsZero() {
-			return false
-		}
-	}
-	return true
-}
+func (z *Fp12) IsOne() bool { return *z == Fp12{C: [6]Fp2{{C0: fp.One()}}} }
 
-// Equal reports whether z and x represent the same field element.
-func (z *Fp12) Equal(x *Fp12) bool {
-	for k := 0; k < 6; k++ {
-		if !z.C[k].Equal(&x.C[k]) {
-			return false
-		}
-	}
-	return true
-}
+// Equal reports whether z and x represent the same field element: the
+// coefficients are canonical, so limb equality is field equality.
+func (z *Fp12) Equal(x *Fp12) bool { return *z == *x }
 
 // fp6 is c[0] + c[1]·v + c[2]·v² in Fp6 = Fp2[v]/(v³ - xi). With v = w²,
 // Fp12 = Fp6[w]/(w² - v) and x = a + b·w, where a holds the even and b the
@@ -126,23 +110,11 @@ func (z *fp6) inverse(x *fp6) {
 	z[2].Mul(&c, &n)
 }
 
-// Mul sets z = x·y by Karatsuba over the Fp6 view: with x = a + b·w and
-// y = c + d·w, x·y = (ac + v·bd) + ((a+b)(c+d) - ac - bd)·w — three Fp6
-// products, and no branch on operand values.
+// Mul sets z = x·y by Karatsuba over the Fp6 view, three Fp6 products in one
+// kernel call (fp.MulE12), with no branch on operand values.
 func (z *Fp12) Mul(x, y *Fp12) *Fp12 {
-	a, b := x.split()
-	c, d := y.split()
-	var s, t fp6
-	s.add(&a, &b)
-	t.add(&c, &d)
-	s.mul(&s, &t)
-	a.mul(&a, &c)
-	b.mul(&b, &d)
-	s.sub(&s, &a)
-	s.sub(&s, &b)
-	b.mulByV(&b)
-	a.add(&a, &b)
-	return z.join(&a, &s)
+	fp.MulE12(e12(z), e12(x), e12(y))
+	return z
 }
 
 // Square sets z = x² by the complex method over the Fp6 view: with

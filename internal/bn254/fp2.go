@@ -84,27 +84,6 @@ func (z *Fp2) Mul(x, y *Fp2) *Fp2 {
 	return z
 }
 
-// fp2Wide is an unreduced Fp2 accumulator for lazy-reduction paths:
-// one 512-bit Wide per coefficient. Call sites accumulate several Fp2
-// products with mulAcc and pay the two Montgomery reductions once, in
-// reduce. Each mulAcc adds at most 2 q²-units to either coefficient and
-// peaks one unit higher (fp.MulAcc); fp.Wide's contract allows ≈ 21.2
-// units, so n products peak at 2n + 1 and up to ten may share one
-// accumulator. Every caller in this package stays at or below three, the
-// schoolbook oracle in the tests at six.
-type fp2Wide struct {
-	c0, c1 fp.Wide
-}
-
-// mulAcc accumulates x·y into w without reducing (fp.MulAcc).
-func (w *fp2Wide) mulAcc(x, y *Fp2) { fp.MulAcc(&w.c0, &w.c1, e2(x), e2(y)) }
-
-// reduce Montgomery-reduces the accumulator into z.
-func (w *fp2Wide) reduce(z *Fp2) {
-	w.c0.Reduce(&z.C0)
-	w.c1.Reduce(&z.C1)
-}
-
 // MulByXi sets z = xi·x for the sextic non-residue xi = 9 + i:
 // (a+bi)(9+i) = (9a-b) + (a+9b)i, computed with doublings and additions
 // instead of multiplications.

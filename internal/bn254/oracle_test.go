@@ -165,6 +165,20 @@ func millerLoopNaive(p *G1, q *G2) *Fp12 {
 	return fp12MulSchoolbook(f, addStep(t, q2, p).fp12())
 }
 
+// fp2Wide is an unreduced Fp2 accumulator, one fp.Wide per coefficient:
+// each mulAcc adds at most 2 q²-units to either coefficient and peaks one
+// unit higher (fp.MulAcc), so up to ten products may share one accumulator.
+type fp2Wide struct {
+	c0, c1 fp.Wide
+}
+
+func (w *fp2Wide) mulAcc(x, y *Fp2) { fp.MulAcc(&w.c0, &w.c1, e2(x), e2(y)) }
+
+func (w *fp2Wide) reduce(z *Fp2) {
+	w.c0.Reduce(&z.C0)
+	w.c1.Reduce(&z.C1)
+}
+
 // fp12MulSchoolbook is x·y by the 36-product convolution with reduction
 // w^6 = xi the Fp6-view Karatsuba replaced: each of the 11 convolution
 // slots accumulates in an unreduced fp2Wide (at most six products, a 13q²

@@ -1,6 +1,9 @@
 package bn254
 
-import "mccls/internal/bn254/fr"
+import (
+	"mccls/internal/bn254/fp"
+	"mccls/internal/bn254/fr"
+)
 
 // GT is an element of the order-r target group (the cyclotomic subgroup of
 // Fp12*). Values are produced by Pair and combined with Mul/Exp.
@@ -51,15 +54,10 @@ type lineEval struct {
 	c3 Fp2
 }
 
-// mulByLine sets z = z·(c0 + c1·w + c3·w³) with the sparsity hard-coded:
-// 18 Fp2 products instead of a generic convolution plus zero tests, and no
-// intermediate Fp12 allocation. Each output coefficient accumulates its
-// three products in an unreduced fp2Wide and Montgomery-reduces once —
-// 12 reductions per line instead of 36. The xi factor that wrapped terms
-// pick up is applied to the (reduced, canonical) line coefficients up
-// front, which keeps every mulAcc operand within the bounds fp2Wide assumes.
-// The dense equivalent (expand the line to a full Fp12, then Mul) is the
-// oracle in the differential tests.
+// mulByLine sets z = z·(c0 + c1·w + c3·w³), one kernel call with the
+// sparsity hard-coded (fp.MulBySparse): 18 Fp2 products, each output
+// coefficient reduced once. The dense equivalent (expand the line to a full
+// Fp12, then Mul) is the oracle in the differential tests.
 func (z *Fp12) mulByLine(l *lineEval) *Fp12 { return z.mulBySparse(&l.c0, &l.c1, &l.c3) }
 
 // mulBySparse is mulByLine on loose coefficients, where a nil c0 stands for
@@ -67,35 +65,8 @@ func (z *Fp12) mulByLine(l *lineEval) *Fp12 { return z.mulBySparse(&l.c0, &l.c1,
 // and adds z.C[k] after the reduction instead — 12 Fp2 products.
 func (z *Fp12) mulBySparse(c0, c1, c3 *Fp2) *Fp12 {
 	opCounters.sparseMuls.Add(1)
-	// Terms that wrap past w^5 pick up xi: two MulByXi on the line instead
-	// of three on z.C[3..5].
-	var c1Xi, c3Xi Fp2
-	c1Xi.MulByXi(c1)
-	c3Xi.MulByXi(c3)
-	var res Fp12
-	for k := 0; k < 6; k++ {
-		var acc fp2Wide
-		if c0 != nil {
-			acc.mulAcc(&z.C[k], c0)
-		}
-		// c1·w.
-		if k == 0 {
-			acc.mulAcc(&z.C[5], &c1Xi)
-		} else {
-			acc.mulAcc(&z.C[k-1], c1)
-		}
-		// c3·w³.
-		if k < 3 {
-			acc.mulAcc(&z.C[k+3], &c3Xi)
-		} else {
-			acc.mulAcc(&z.C[k-3], c3)
-		}
-		acc.reduce(&res.C[k])
-		if c0 == nil {
-			res.C[k].Add(&res.C[k], &z.C[k])
-		}
-	}
-	return z.Set(&res)
+	fp.MulBySparse(e12(z), e2(c0), e2(c1), e2(c3))
+	return z
 }
 
 // g2Proj is the Miller-loop accumulator in homogeneous projective
